@@ -21,7 +21,7 @@ help:
 	@echo "  build      compile everything"
 	@echo "  test       run the test suite"
 	@echo "  verify     pre-merge gate: go vet + full suite under -race"
-	@echo "  bench      regenerate BENCH_baseline.json and BENCH_host.json"
+	@echo "  bench      telemetry-overhead gate, then regenerate BENCH_baseline.json"
 	@echo "  benchdiff  compare a fresh virtual-time baseline against the checked-in one"
 	@echo "  microbench hot-path microbenchmarks (event queue, rollback storm, GVT rounds)"
 	@echo "  cover      coverage profile over ./internal/..."
@@ -55,20 +55,18 @@ verify:
 
 # bench runs the telemetry-overhead benchmark (fails if sampling or
 # tracing shifts the committed-event rate by >= 5%), then regenerates
-# both benchmark documents: the deterministic virtual-time baseline
-# (BENCH_baseline.json, checked in, compared exactly) and the host
-# wall-clock/allocation document (BENCH_host.json, machine-dependent,
-# never checked in — CI compares it against the PR base with tolerance
-# bands via `make benchdiff`).
+# the deterministic virtual-time baseline (BENCH_baseline.json, checked
+# in, compared exactly). Host wall-clock/allocation cost is measured by
+# benchmark/ (see benchmark/README.md).
 bench:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 3x .
-	$(GO) run ./cmd/bench -out BENCH_baseline.json -hostout BENCH_host.json
+	$(GO) run ./cmd/bench -out BENCH_baseline.json
 
 # benchdiff compares a fresh virtual-time baseline against the
 # checked-in copy; any difference is a functional/performance
 # regression. CI runs this as a blocking gate.
 benchdiff:
-	$(GO) run ./cmd/bench -out /tmp/BENCH_fresh.json -hostout ""
+	$(GO) run ./cmd/bench -out /tmp/BENCH_fresh.json
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json /tmp/BENCH_fresh.json
 
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
@@ -138,4 +136,4 @@ fmt:
 
 clean:
 	$(GO) clean ./...
-	rm -f run.trace run.json results.csv BENCH_host.json coverage.out coverage.html
+	rm -f run.trace run.json results.csv coverage.out coverage.html

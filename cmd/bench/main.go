@@ -1,52 +1,33 @@
 // Command bench runs a fixed set of baseline simulation cells and emits
-// two machine-readable JSON documents:
+// BENCH_baseline.json: every metric is derived from *virtual* time (the
+// simulator's deterministic clock), so the file is bit-stable across
+// machines and reruns. The checked-in copy is diffed EXACTLY against a
+// fresh run by `cmd/benchdiff` — the same way a golden test spots
+// functional regressions.
 //
-//   - BENCH_baseline.json (-out): every metric is derived from *virtual*
-//     time (the simulator's deterministic clock), so the file is
-//     bit-stable across machines and reruns. The checked-in copy is
-//     diffed EXACTLY against a fresh run by `cmd/benchdiff` — the same
-//     way a golden test spots functional regressions.
+//	go run ./cmd/bench          # writes BENCH_baseline.json
+//	go run ./cmd/bench -out -   # JSON to stdout
+//	make bench                  # telemetry-overhead gate + baseline
 //
-//   - BENCH_host.json (-hostout): host wall-clock and allocation metrics
-//     for the same cells, plus a harness sweep measuring `-jobs`
-//     parallel speedup and output identity. Host numbers vary run to
-//     run, so this file is never checked in; CI compares it against the
-//     PR base ref with `cmd/benchdiff`'s tolerance bands instead.
-//
-//     go run ./cmd/bench                 # writes both documents
-//     go run ./cmd/bench -out - -hostout "" # virtual JSON to stdout only
-//     make bench                         # telemetry-overhead gate + both
-//
-// The real-time figure benchmarks stay in bench_test.go (`go test
-// -bench`); this command is their deterministic companion.
+// Host cost (wall clock, allocations) is measured by benchmark/, with
+// repetitions and an oracle check; the real-time figure benchmarks stay
+// in bench_test.go (`go test -bench`).
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/conservative"
-	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/harness"
 	"repro/internal/metrics"
-	"repro/internal/phold"
+	"repro/internal/run"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Schema identifies the baseline document layout.
 const Schema = "cagvt.bench-baseline/1"
-
-// HostSchema identifies the host-metrics document layout.
-const HostSchema = "cagvt.bench-host/1"
 
 // cell is one baseline configuration and its measured results.
 type cell struct {
@@ -81,309 +62,111 @@ type document struct {
 	Cells  []cell `json:"cells"`
 }
 
-// hostCell is one cell's host-side (machine-dependent) measurements.
-type hostCell struct {
-	Name         string  `json:"name"`
-	WallNS       int64   `json:"wall_ns"`     // host wall-clock for the run
-	Allocs       uint64  `json:"allocs"`      // heap allocations during the run
-	AllocBytes   uint64  `json:"alloc_bytes"` // bytes allocated during the run
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Pool counters are deterministic (they depend only on the event
-	// lifecycle, not the host) but live here because they are allocator
-	// telemetry, not simulation results.
-	PoolNews     int64 `json:"pool_news"`
-	PoolRecycled int64 `json:"pool_recycled"`
-}
-
-// hostSweep measures the host-parallel harness: the same mini experiment
-// suite run with -jobs 1 and -jobs N, with byte-identity verified.
-type hostSweep struct {
-	Jobs        int     `json:"jobs"`
-	Cells       int     `json:"cells"` // experiment cells in the suite
-	WallNSJobs1 int64   `json:"wall_ns_jobs1"`
-	WallNSJobsN int64   `json:"wall_ns_jobsn"`
-	Speedup     float64 `json:"speedup"`
-	Identical   bool    `json:"identical"` // jobs-1 and jobs-N output byte-identical
-}
-
-// hostDoc is the whole host-metrics file.
-type hostDoc struct {
-	Schema     string     `json:"schema"`
-	GoVersion  string     `json:"go_version"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Cells      []hostCell `json:"cells"`
-	Sweep      *hostSweep `json:"sweep,omitempty"`
-}
-
-// spec declares one cell's configuration before measurement.
+// spec declares one cell: the run descriptor as the baseline prints it
+// (fields left empty stay out of the document), completed by measure
+// with the topology, GVT interval and seed every cell shares.
 type spec struct {
-	name     string
-	nodes    int
-	engine   string // "" (Time Warp) | "conservative"
-	sync     conservative.SyncKind
-	gvt      core.GVTKind
-	comm     core.CommMode
-	workload string // "comp" | "comm"
-	queue    string
-	balance  string
-	faults   string
-	end      float64
-	metrics  bool // attach sampler + trace (telemetry-overhead cell)
+	name string
+	run.Spec
+	metrics bool // attach sampler + trace (telemetry-overhead cell)
 }
 
 const benchSeed = 1
 
 func specs() []spec {
 	return []spec{
-		{name: "mattern/comp", nodes: 4, gvt: core.GVTMattern, comm: core.CommDedicated, workload: "comp", end: 15},
-		{name: "barrier/comp", nodes: 4, gvt: core.GVTBarrier, comm: core.CommDedicated, workload: "comp", end: 15},
-		{name: "ca/comp", nodes: 4, gvt: core.GVTControlled, comm: core.CommDedicated, workload: "comp", end: 15},
-		{name: "mattern/comm", nodes: 4, gvt: core.GVTMattern, comm: core.CommDedicated, workload: "comm", end: 15},
-		{name: "ca/comm", nodes: 4, gvt: core.GVTControlled, comm: core.CommDedicated, workload: "comm", end: 15},
-		{name: "samadi/comm", nodes: 2, gvt: core.GVTSamadi, comm: core.CommDedicated, workload: "comm", end: 15},
-		{name: "queue-heap/comp", nodes: 2, gvt: core.GVTMattern, comm: core.CommDedicated, workload: "comp", queue: "heap", end: 15},
-		{name: "queue-calendar/comp", nodes: 2, gvt: core.GVTMattern, comm: core.CommDedicated, workload: "comp", queue: "calendar", end: 15},
-		{name: "telemetry/comp", nodes: 2, gvt: core.GVTControlled, comm: core.CommDedicated, workload: "comp", end: 15, metrics: true},
-		{name: "straggler-static/comp", nodes: 2, gvt: core.GVTControlled, comm: core.CommDedicated, workload: "comp", balance: "static", faults: "straggler", end: 60},
-		{name: "straggler-greedy/comp", nodes: 2, gvt: core.GVTControlled, comm: core.CommDedicated, workload: "comp", balance: "greedy", faults: "straggler", end: 60},
-		{name: "conservative-nullmsg/comp", nodes: 4, engine: "conservative", sync: conservative.SyncNullMsg, workload: "comp", end: 15},
-		{name: "conservative-window/comp", nodes: 4, engine: "conservative", sync: conservative.SyncWindow, workload: "comp", end: 15},
-		{name: "conservative-nullmsg/comm", nodes: 4, engine: "conservative", sync: conservative.SyncNullMsg, workload: "comm", end: 15},
+		{name: "mattern/comp", Spec: run.Spec{Nodes: 4, GVT: "mattern", Comm: "dedicated", Scenario: "comp", EndTime: 15}},
+		{name: "barrier/comp", Spec: run.Spec{Nodes: 4, GVT: "barrier", Comm: "dedicated", Scenario: "comp", EndTime: 15}},
+		{name: "ca/comp", Spec: run.Spec{Nodes: 4, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", EndTime: 15}},
+		{name: "mattern/comm", Spec: run.Spec{Nodes: 4, GVT: "mattern", Comm: "dedicated", Scenario: "comm", EndTime: 15}},
+		{name: "ca/comm", Spec: run.Spec{Nodes: 4, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comm", EndTime: 15}},
+		{name: "samadi/comm", Spec: run.Spec{Nodes: 2, GVT: "samadi", Comm: "dedicated", Scenario: "comm", EndTime: 15}},
+		{name: "queue-heap/comp", Spec: run.Spec{Nodes: 2, GVT: "mattern", Comm: "dedicated", Scenario: "comp", Queue: "heap", EndTime: 15}},
+		{name: "queue-calendar/comp", Spec: run.Spec{Nodes: 2, GVT: "mattern", Comm: "dedicated", Scenario: "comp", Queue: "calendar", EndTime: 15}},
+		{name: "telemetry/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", EndTime: 15}, metrics: true},
+		{name: "straggler-static/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", Balance: "static", Faults: "straggler", EndTime: 60}},
+		{name: "straggler-greedy/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", Balance: "greedy", Faults: "straggler", EndTime: 60}},
+		{name: "conservative-nullmsg/comp", Spec: run.Spec{Nodes: 4, Engine: "conservative", Sync: "nullmsg", Scenario: "comp", EndTime: 15}},
+		{name: "conservative-window/comp", Spec: run.Spec{Nodes: 4, Engine: "conservative", Sync: "window", Scenario: "comp", EndTime: 15}},
+		{name: "conservative-nullmsg/comm", Spec: run.Spec{Nodes: 4, Engine: "conservative", Sync: "nullmsg", Scenario: "comm", EndTime: 15}},
 	}
 }
 
-func run(s spec) (cell, hostCell, error) {
-	top := cluster.Topology{Nodes: s.nodes, WorkersPerNode: 4, LPsPerWorker: 16}
-	base := phold.ComputationDominated()
-	if s.workload == "comm" {
-		base = phold.CommunicationDominated()
-	}
-	if s.engine == "conservative" {
-		return runConservative(s, top, base)
-	}
-	cfg := core.Config{
-		Topology:    top,
-		GVT:         s.gvt,
-		GVTInterval: 4,
-		Comm:        s.comm,
-		EndTime:     s.end,
-		Seed:        benchSeed,
-		QueueKind:   s.queue,
-		Balance:     s.balance,
-		Model:       phold.New(phold.Params{Topology: top, Base: base}),
-	}
-	if s.faults != "" {
-		plan, err := fabric.Scenario(s.faults, s.nodes)
-		if err != nil {
-			return cell{}, hostCell{}, err
-		}
-		cfg.Faults = plan
-		cfg.FaultLabel = s.faults
-	}
+// measure runs one cell. Conservative cells pin both protocols' committed
+// stream (checksum) and their sync traffic (null messages, sync rounds
+// via gvt_rounds) into the exact-diffed baseline.
+func measure(s spec) (cell, error) {
+	full := s.Spec
+	full.WorkersPerNode, full.LPsPerWorker = 4, 16
+	full.GVTInterval = 4
+	full.Seed = benchSeed
+	var at run.Attach
 	if s.metrics {
-		cfg.Metrics = metrics.NewRecorder()
-		cfg.Trace = trace.NewWriter(io.Discard)
+		at.Metrics = metrics.NewRecorder()
+		at.Trace = trace.NewWriter(io.Discard)
 	}
-	// Host measurement brackets the engine run: a GC fence first so a
-	// previous cell's garbage doesn't bill this one, then Mallocs/
-	// TotalAlloc deltas and wall time around construction + run.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	r, err := core.New(cfg).Run()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	eng, err := run.New(full, at)
 	if err != nil {
-		return cell{}, hostCell{}, err
+		return cell{}, err
 	}
-	h := hostCell{
-		Name:         s.name,
-		WallNS:       wall.Nanoseconds(),
-		Allocs:       after.Mallocs - before.Mallocs,
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-		EventsPerSec: float64(r.Workers.Committed) / wall.Seconds(),
-		PoolNews:     r.PoolNews,
-		PoolRecycled: r.PoolRecycled,
+	r, err := eng.Run()
+	if err != nil {
+		return cell{}, err
 	}
 	return cell{
-		Name: s.name, Nodes: s.nodes, GVT: s.gvt.String(), Comm: s.comm.String(),
-		Workload: s.workload, Queue: s.queue, Balance: s.balance, Faults: s.faults,
-		EndTime: s.end, Seed: benchSeed,
+		Name: s.name, Nodes: s.Nodes, Engine: s.Engine, Sync: s.Sync, GVT: s.GVT, Comm: s.Comm,
+		Workload: s.Scenario, Queue: s.Queue, Balance: s.Balance, Faults: s.Faults,
+		EndTime: s.EndTime, Seed: benchSeed,
 		Committed: r.Workers.Committed, Processed: r.Workers.Processed,
 		WallNanos: int64(r.WallTime), Rate: r.EventRate(), Efficiency: r.Efficiency(),
-		GVTRounds: r.GVTRounds, MPIMessages: r.MPIMessages, Migrations: r.Migrations,
+		GVTRounds: r.GVTRounds, MPIMessages: r.MPIMessages,
+		NullMessages: r.NullMessages, Migrations: r.Migrations,
 		CommitChecksum: metrics.Checksum(r.CommitChecksum),
-	}, h, nil
+	}, nil
 }
 
-// runConservative measures one conservative-engine cell with the same
-// host-side bracket as the Time Warp path. Conservative cells pin both
-// protocols' committed stream (checksum) and their sync traffic (null
-// messages, sync rounds via gvt_rounds) into the exact-diffed baseline.
-func runConservative(s spec, top cluster.Topology, base phold.Phase) (cell, hostCell, error) {
-	params := phold.Params{Topology: top, Base: base}
-	la := params
-	la.Defaults()
-	cfg := conservative.Config{
-		Topology:  top,
-		Sync:      s.sync,
-		Lookahead: vtime.Time(la.Lookahead),
-		EndTime:   vtime.Time(s.end),
-		Seed:      benchSeed,
-		QueueKind: s.queue,
-		Model:     phold.New(params),
+// write encodes doc to path ("-" for stdout).
+func write(path string, doc document) error {
+	encode := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(doc)
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	r, err := conservative.New(cfg).Run()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	if path == "-" {
+		return encode(os.Stdout)
+	}
+	f, err := os.Create(path)
 	if err != nil {
-		return cell{}, hostCell{}, err
+		return err
 	}
-	h := hostCell{
-		Name:         s.name,
-		WallNS:       wall.Nanoseconds(),
-		Allocs:       after.Mallocs - before.Mallocs,
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-		EventsPerSec: float64(r.Workers.Committed) / wall.Seconds(),
+	if err := encode(f); err != nil {
+		f.Close()
+		return err
 	}
-	return cell{
-		Name: s.name, Nodes: s.nodes, Engine: s.engine, Sync: s.sync.String(),
-		Workload: s.workload, Queue: s.queue,
-		EndTime: s.end, Seed: benchSeed,
-		Committed: r.Workers.Committed, Processed: r.Workers.Processed,
-		WallNanos: int64(r.WallTime), Rate: r.EventRate(), Efficiency: r.Efficiency(),
-		GVTRounds: r.GVTRounds, MPIMessages: r.MPIMessages, NullMessages: r.NullMessages,
-		CommitChecksum: metrics.Checksum(r.CommitChecksum),
-	}, h, nil
-}
-
-// sweepSuite is the mini experiment suite the harness sweep times: two
-// multi-series node sweeps, one per workload regime.
-func sweepSuite() []string { return []string{"fig5", "fig9"} }
-
-func sweepOptions() harness.Options {
-	return harness.Options{
-		WorkersPerNode: 4,
-		LPsPerWorker:   16,
-		EndTime:        12,
-		Seed:           benchSeed,
-		NodeCounts:     []int{1, 2, 4},
-		CAThreshold:    0.80,
-		Verbose:        true,
-	}
-}
-
-// runSweep times the mini suite at -jobs 1 and -jobs N and verifies the
-// outputs are byte-identical.
-func runSweep(jobs int) *hostSweep {
-	pass := func(j int) (string, int64) {
-		var buf bytes.Buffer
-		start := time.Now()
-		for _, id := range sweepSuite() {
-			e, ok := harness.Find(id)
-			if !ok {
-				panic("bench: unknown sweep experiment " + id)
-			}
-			opt := sweepOptions()
-			opt.Jobs = j
-			table := e.Execute(opt, &buf)
-			table.Render(&buf)
-			table.CSV(&buf)
-		}
-		return buf.String(), time.Since(start).Nanoseconds()
-	}
-	seqOut, seqNS := pass(1)
-	parOut, parNS := pass(jobs)
-	cells := 0
-	for range sweepSuite() {
-		opt := sweepOptions()
-		cells += len(opt.NodeCounts)
-	}
-	sw := &hostSweep{
-		Jobs:        jobs,
-		Cells:       cells,
-		WallNSJobs1: seqNS,
-		WallNSJobsN: parNS,
-		Identical:   seqOut == parOut,
-	}
-	if parNS > 0 {
-		sw.Speedup = float64(seqNS) / float64(parNS)
-	}
-	return sw
-}
-
-// writeJSON encodes doc to path ("-" for stdout, "" disabled).
-func writeJSON(path string, doc any) error {
-	if path == "" {
-		return nil
-	}
-	w := io.Writer(os.Stdout)
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return f.Close()
 }
 
 func main() {
-	out := flag.String("out", "BENCH_baseline.json", "virtual-time baseline output file (- for stdout, empty to skip)")
-	hostOut := flag.String("hostout", "BENCH_host.json", "host wall-clock/alloc output file (- for stdout, empty to skip)")
-	sweepJobs := flag.Int("sweepjobs", runtime.GOMAXPROCS(0), "-jobs value for the harness parallel sweep (0 skips; values <2 are raised to 2 so output identity is always checked)")
+	out := flag.String("out", "BENCH_baseline.json", "virtual-time baseline output file (- for stdout)")
 	flag.Parse()
 
 	doc := document{Schema: Schema}
-	host := hostDoc{
-		Schema:     HostSchema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
 	for _, s := range specs() {
-		c, h, err := run(s)
+		c, err := measure(s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", s.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "bench: %-24s rate=%.4g ev/s eff=%.1f%% wall=%dns host=%.0fms allocs=%d recycled=%d\n",
-			c.Name, c.Rate, 100*c.Efficiency, c.WallNanos,
-			float64(h.WallNS)/1e6, h.Allocs, h.PoolRecycled)
+		fmt.Fprintf(os.Stderr, "bench: %-24s rate=%.4g ev/s eff=%.1f%% wall=%dns\n",
+			c.Name, c.Rate, 100*c.Efficiency, c.WallNanos)
 		doc.Cells = append(doc.Cells, c)
-		host.Cells = append(host.Cells, h)
-	}
-	if *hostOut != "" && *sweepJobs > 0 {
-		j := *sweepJobs
-		if j < 2 {
-			j = 2
-		}
-		host.Sweep = runSweep(j)
-		fmt.Fprintf(os.Stderr, "bench: sweep jobs=%d speedup=%.2fx identical=%v\n",
-			host.Sweep.Jobs, host.Sweep.Speedup, host.Sweep.Identical)
 	}
 
-	if err := writeJSON(*out, doc); err != nil {
+	if err := write(*out, doc); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}
-	if *out != "" && *out != "-" {
+	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "bench: wrote %d cells to %s\n", len(doc.Cells), *out)
-	}
-	if err := writeJSON(*hostOut, host); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	if *hostOut != "" && *hostOut != "-" {
-		fmt.Fprintf(os.Stderr, "bench: wrote %d host cells to %s\n", len(host.Cells), *hostOut)
 	}
 }

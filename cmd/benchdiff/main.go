@@ -1,24 +1,15 @@
-// Command benchdiff compares two cmd/bench JSON documents and exits
-// nonzero on regression, so CI can gate merges on measured performance
-// instead of asserted performance.
+// Command benchdiff compares two cmd/bench baseline documents and exits
+// nonzero on any difference, so CI can gate merges on measured behaviour
+// instead of asserted behaviour.
 //
-//	benchdiff BENCH_baseline.json /tmp/fresh.json   # exact, virtual time
-//	benchdiff -walltol 0.20 base_host.json pr_host.json
+//	benchdiff BENCH_baseline.json /tmp/fresh.json
 //
-// The comparison mode is auto-detected from the documents' "schema"
-// field:
+// Every metric in a cagvt.bench-baseline/1 document is virtual-time
+// derived and deterministic, so ANY difference (including the commit
+// checksum, missing cells, or extra cells) is a failure. Host cost
+// (wall clock, allocations) is compared by `benchmark/run.sh -compare`.
 //
-//   - cagvt.bench-baseline/1: every metric is virtual-time derived and
-//     deterministic, so ANY difference (including the commit checksum,
-//     missing cells, or extra cells) is a failure.
-//   - cagvt.bench-host/1: wall-clock and allocation numbers are noisy,
-//     so each metric gets a relative tolerance band (-walltol for
-//     wall_ns / events_per_sec, -alloctol for allocs / alloc_bytes; a
-//     metric may also improve without bound). The harness sweep must
-//     report identical=true in the candidate document.
-//
-// Exit status: 0 all checks passed, 1 regression detected, 2 usage or
-// I/O error.
+// Exit status: 0 identical, 1 difference detected, 2 usage or I/O error.
 package main
 
 import (
@@ -28,16 +19,9 @@ import (
 	"os"
 )
 
-// Schemas understood by this tool (kept in sync with cmd/bench).
-const (
-	baselineSchema = "cagvt.bench-baseline/1"
-	hostSchema     = "cagvt.bench-host/1"
-)
-
-// header is the part of either document needed to pick a mode.
-type header struct {
-	Schema string `json:"schema"`
-}
+// baselineSchema is the one document layout this tool understands (kept
+// in sync with cmd/bench).
+const baselineSchema = "cagvt.bench-baseline/1"
 
 // cell mirrors cmd/bench's baseline cell.
 type cell struct {
@@ -71,53 +55,24 @@ type document struct {
 	Cells  []cell `json:"cells"`
 }
 
-// hostCell / hostSweep / hostDoc mirror cmd/bench's host document.
-type hostCell struct {
-	Name         string  `json:"name"`
-	WallNS       int64   `json:"wall_ns"`
-	Allocs       uint64  `json:"allocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	PoolNews     int64   `json:"pool_news"`
-	PoolRecycled int64   `json:"pool_recycled"`
-}
-
-type hostSweep struct {
-	Jobs        int     `json:"jobs"`
-	Cells       int     `json:"cells"`
-	WallNSJobs1 int64   `json:"wall_ns_jobs1"`
-	WallNSJobsN int64   `json:"wall_ns_jobsn"`
-	Speedup     float64 `json:"speedup"`
-	Identical   bool    `json:"identical"`
-}
-
-type hostDoc struct {
-	Schema     string     `json:"schema"`
-	GoVersion  string     `json:"go_version"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Cells      []hostCell `json:"cells"`
-	Sweep      *hostSweep `json:"sweep,omitempty"`
-}
-
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "benchdiff: "+format+"\n", args...)
 	os.Exit(2)
 }
 
-func load(path string, v any) header {
+func load(path string) document {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	var h header
-	if err := json.Unmarshal(data, &h); err != nil {
+	var doc document
+	if err := json.Unmarshal(data, &doc); err != nil {
 		fatal("%s: %v", path, err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		fatal("%s: %v", path, err)
+	if doc.Schema != baselineSchema {
+		fatal("%s: unknown schema %q (want %s)", path, doc.Schema, baselineSchema)
 	}
-	return h
+	return doc
 }
 
 // diff accumulates regressions and prints each as it is found.
@@ -156,116 +111,22 @@ func compareBaseline(d *diff, base, cand document) {
 	}
 }
 
-// within reports whether cand regressed past base by more than tol,
-// where larger values are worse (pass negated values for higher-is-
-// better metrics). Improvements always pass.
-func within(base, cand, tol float64) bool {
-	if cand <= base {
-		return true
-	}
-	if base <= 0 {
-		return cand <= 0
-	}
-	return cand <= base*(1+tol)
-}
-
-// compareHost: noisy metrics within tolerance bands; sweep identity
-// mandatory.
-func compareHost(d *diff, base, cand hostDoc, wallTol, allocTol float64) {
-	baseByName := map[string]hostCell{}
-	for _, c := range base.Cells {
-		baseByName[c.Name] = c
-	}
-	candByName := map[string]hostCell{}
-	for _, c := range cand.Cells {
-		candByName[c.Name] = c
-		b, ok := baseByName[c.Name]
-		if !ok {
-			d.failf("%s: host cell present only in candidate", c.Name)
-			continue
-		}
-		if !within(float64(b.WallNS), float64(c.WallNS), wallTol) {
-			d.failf("%s: wall_ns regressed %.1f%% (base %d, cand %d, tol %.0f%%)",
-				c.Name, 100*(float64(c.WallNS)/float64(b.WallNS)-1), b.WallNS, c.WallNS, 100*wallTol)
-		}
-		if !within(-b.EventsPerSec, -c.EventsPerSec, wallTol) {
-			d.failf("%s: events_per_sec regressed %.1f%% (base %.4g, cand %.4g, tol %.0f%%)",
-				c.Name, 100*(1-c.EventsPerSec/b.EventsPerSec), b.EventsPerSec, c.EventsPerSec, 100*wallTol)
-		}
-		if !within(float64(b.Allocs), float64(c.Allocs), allocTol) {
-			d.failf("%s: allocs regressed %.1f%% (base %d, cand %d, tol %.0f%%)",
-				c.Name, 100*(float64(c.Allocs)/float64(b.Allocs)-1), b.Allocs, c.Allocs, 100*allocTol)
-		}
-		if !within(float64(b.AllocBytes), float64(c.AllocBytes), allocTol) {
-			d.failf("%s: alloc_bytes regressed %.1f%% (base %d, cand %d, tol %.0f%%)",
-				c.Name, 100*(float64(c.AllocBytes)/float64(b.AllocBytes)-1), b.AllocBytes, c.AllocBytes, 100*allocTol)
-		}
-	}
-	for _, b := range base.Cells {
-		if _, ok := candByName[b.Name]; !ok {
-			d.failf("%s: host cell missing from candidate", b.Name)
-		}
-	}
-	if cand.Sweep != nil && !cand.Sweep.Identical {
-		d.failf("harness sweep: -jobs %d output NOT byte-identical to -jobs 1", cand.Sweep.Jobs)
-	}
-	if base.Sweep != nil && cand.Sweep == nil {
-		d.failf("harness sweep missing from candidate (base has one)")
-	}
-}
-
 func main() {
-	wallTol := flag.Float64("walltol", 0.20, "relative tolerance for host wall_ns and events_per_sec")
-	allocTol := flag.Float64("alloctol", 0.25, "relative tolerance for host allocs and alloc_bytes")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchdiff [flags] BASE.json CANDIDATE.json\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "usage: benchdiff BASE.json CANDIDATE.json\n")
 	}
 	flag.Parse()
 	if flag.NArg() != 2 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	basePath, candPath := flag.Arg(0), flag.Arg(1)
-
-	var baseHdr, candHdr header
-	{
-		var probe json.RawMessage
-		baseHdr = load(basePath, &probe)
-		candHdr = load(candPath, &probe)
-	}
-	if baseHdr.Schema != candHdr.Schema {
-		fatal("schema mismatch: %s is %q, %s is %q", basePath, baseHdr.Schema, candPath, candHdr.Schema)
-	}
+	base, cand := load(flag.Arg(0)), load(flag.Arg(1))
 
 	d := &diff{}
-	switch baseHdr.Schema {
-	case baselineSchema:
-		var base, cand document
-		load(basePath, &base)
-		load(candPath, &cand)
-		compareBaseline(d, base, cand)
-		if d.failures == 0 {
-			fmt.Printf("OK: %d virtual-time cells identical\n", len(base.Cells))
-		}
-	case hostSchema:
-		var base, cand hostDoc
-		load(basePath, &base)
-		load(candPath, &cand)
-		compareHost(d, base, cand, *wallTol, *allocTol)
-		if d.failures == 0 {
-			fmt.Printf("OK: %d host cells within tolerance (wall ±%.0f%%, allocs ±%.0f%%)\n",
-				len(cand.Cells), 100**wallTol, 100**allocTol)
-			if cand.Sweep != nil {
-				fmt.Printf("OK: harness sweep -jobs %d byte-identical, speedup %.2fx\n",
-					cand.Sweep.Jobs, cand.Sweep.Speedup)
-			}
-		}
-	default:
-		fatal("unknown schema %q (want %s or %s)", baseHdr.Schema, baselineSchema, hostSchema)
-	}
+	compareBaseline(d, base, cand)
 	if d.failures > 0 {
 		fmt.Printf("benchdiff: %d regression(s)\n", d.failures)
 		os.Exit(1)
 	}
+	fmt.Printf("OK: %d virtual-time cells identical\n", len(base.Cells))
 }

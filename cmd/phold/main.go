@@ -18,16 +18,11 @@ import (
 	"strings"
 
 	"repro/internal/balance"
-	"repro/internal/cluster"
-	"repro/internal/conservative"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/phold"
-	"repro/internal/seq"
-	"repro/internal/sim"
+	"repro/internal/run"
 	tracepkg "repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 func main() {
@@ -57,55 +52,16 @@ func main() {
 	)
 	flag.Parse()
 
-	top := cluster.Topology{Nodes: *nodes, WorkersPerNode: *workers, LPsPerWorker: *lps}
-
-	var kind core.GVTKind
-	switch *gvt {
-	case "barrier":
-		kind = core.GVTBarrier
-	case "mattern":
-		kind = core.GVTMattern
-	case "ca", "ca-gvt", "cagvt":
-		kind = core.GVTControlled
-	case "samadi":
-		kind = core.GVTSamadi
-	default:
-		fail("unknown -gvt %q (want barrier | mattern | ca | samadi)", *gvt)
+	spec := run.Spec{
+		Nodes: *nodes, WorkersPerNode: *workers, LPsPerWorker: *lps,
+		GVT: *gvt, Comm: *comm, GVTInterval: *interval, CAThreshold: *thresh,
+		Scenario: *scenario, EndTime: *end, Seed: *seed, Queue: *queue,
+		Faults: *faults, Balance: *balPol, WatchdogMicros: *watchdog,
 	}
-	conservativeRun := false
-	var syncKind conservative.SyncKind
-	switch *syncF {
-	case "timewarp":
-	case "nullmsg", "cmb":
-		conservativeRun, syncKind = true, conservative.SyncNullMsg
-	case "window":
-		conservativeRun, syncKind = true, conservative.SyncWindow
-	default:
-		fail("unknown -sync %q (want timewarp | nullmsg | window)", *syncF)
+	if *syncF != "timewarp" {
+		spec.Engine, spec.Sync = "conservative", *syncF
 	}
-	var cm core.CommMode
-	switch *comm {
-	case "dedicated":
-		cm = core.CommDedicated
-	case "combined":
-		cm = core.CommCombined
-	case "shared":
-		cm = core.CommShared
-	default:
-		fail("unknown -comm %q", *comm)
-	}
-
-	params := phold.Params{Topology: top}
-	comp, commPh := phold.ComputationDominated(), phold.CommunicationDominated()
-	if *nodes == 1 {
-		comp.RemotePct, commPh.RemotePct = 0, 0
-	}
-	switch *scenario {
-	case "comp":
-		params.Base = comp
-	case "comm":
-		params.Base = commPh
-	case "mixed":
+	if *scenario == "mixed" {
 		parts := strings.Split(*mix, ",")
 		if len(parts) != 2 {
 			fail("-mix wants X,Y")
@@ -115,63 +71,17 @@ func main() {
 		if err1 != nil || err2 != nil {
 			fail("bad -mix %q", *mix)
 		}
-		params.Base = comp
-		params.Mixed = &phold.MixedModel{
-			Comm: commPh, CompFrac: x, CommFrac: y, EndTime: vtime.Time(*end),
-		}
-	default:
-		fail("unknown -scenario %q", *scenario)
+		spec.MixComp, spec.MixComm = x, y
 	}
-
-	if conservativeRun {
-		// The conservative engine never speculates, so the Time Warp
-		// resilience knobs have nothing to attach to. Reject them instead
-		// of silently ignoring what the user asked for.
-		if *faults != "" {
-			fail("-faults is a Time Warp feature; the conservative engine (-sync %s) does not support fault injection", *syncF)
-		}
-		if *balPol != "" {
-			fail("-balance is a Time Warp feature; the conservative engine (-sync %s) does not support load balancing", *syncF)
-		}
-		if *watchdog != 0 {
-			fail("-watchdog guards GVT liveness; the conservative engine (-sync %s) has no GVT rounds to watch", *syncF)
-		}
-		runConservative(syncKind, top, params, *scenario, *end, *seed, *queue,
-			*traceTo, *reportTo, *capN, *every, *seqCheck)
-		return
-	}
-
-	cfg := core.Config{
-		Topology:    top,
-		GVT:         kind,
-		GVTInterval: *interval,
-		CAThreshold: *thresh,
-		Comm:        cm,
-		EndTime:     vtime.Time(*end),
-		Seed:        *seed,
-		QueueKind:   *queue,
-		Balance:     *balPol,
-		Model:       phold.New(params),
-	}
-	if *faults != "" {
-		plan, err := fabric.Scenario(*faults, *nodes)
-		if err != nil {
-			fail("%v", err)
-		}
-		if plan != nil {
-			cfg.Faults = plan
-			cfg.FaultLabel = *faults
-		} else {
-			*faults = "" // "none" is fault-free
-		}
-	}
-	if *watchdog > 0 {
-		cfg.WatchdogTimeout = sim.Time(*watchdog) * sim.Microsecond
-	}
-	if err := func() error { c := cfg; c.Defaults(); return c.Validate() }(); err != nil {
+	// Canonical rejects what the chosen engine cannot honour (-faults,
+	// -balance, -watchdog on a conservative run) instead of ignoring it.
+	c, err := spec.Canonical()
+	if err != nil {
 		fail("%v", err)
 	}
+	conservative := c.Engine == "conservative"
 
+	var at run.Attach
 	var traceFile *os.File
 	if *traceTo != "" {
 		f, err := os.Create(*traceTo)
@@ -179,48 +89,61 @@ func main() {
 			fail("%v", err)
 		}
 		traceFile = f
-		cfg.Trace = tracepkg.NewWriter(f)
+		at.Trace = tracepkg.NewWriter(f)
 	}
 	if *reportTo != "" {
-		cfg.Metrics = &metrics.Recorder{MaxSamples: *capN, Every: *every}
+		at.Metrics = &metrics.Recorder{MaxSamples: *capN, Every: *every}
 	}
 
-	eng := core.New(cfg)
-	eng.TraceRounds = *verbose
+	eng, err := run.New(c, at)
+	if err != nil {
+		fail("%v", err)
+	}
+	tw, _ := eng.(*core.Engine) // nil on a conservative run: no GVT rounds to trace
+	if tw != nil {
+		tw.TraceRounds = *verbose
+	}
 	r, err := eng.Run()
 	if err != nil {
 		fail("%v", err)
 	}
 
-	fmt.Printf("phold: %d nodes x %d workers x %d LPs, %v GVT, %v comm, %s scenario\n",
-		*nodes, *workers, *lps, kind, cm, *scenario)
-	fmt.Println(r)
-	if *balPol != "" && *balPol != "static" && *balPol != "none" {
-		fmt.Printf("balance: policy %q — %d LP migrations, %d pending events shipped\n",
-			*balPol, r.Migrations, r.MigratedEvents)
+	if conservative {
+		fmt.Printf("phold: %d nodes x %d workers x %d LPs, conservative/%s, lookahead %v, %s scenario\n",
+			c.Nodes, c.WorkersPerNode, c.LPsPerWorker, c.Sync, c.Lookahead, c.Scenario)
+	} else {
+		fmt.Printf("phold: %d nodes x %d workers x %d LPs, %s GVT, %s comm, %s scenario\n",
+			c.Nodes, c.WorkersPerNode, c.LPsPerWorker, c.GVT, c.Comm, c.Scenario)
 	}
-	if *faults != "" {
+	fmt.Println(r)
+	if conservative {
+		fmt.Printf("conservative: %d null messages, %d sync rounds\n", r.NullMessages, r.SyncRounds)
+	}
+	if c.Balance != "" {
+		fmt.Printf("balance: policy %q — %d LP migrations, %d pending events shipped\n",
+			c.Balance, r.Migrations, r.MigratedEvents)
+	}
+	if c.Faults != "" {
 		fmt.Printf("faults: scenario %q — injected %d drops, %d dups, %d jitters, %d window drops\n",
-			*faults, r.FaultDrops, r.FaultDups, r.FaultJitters, r.FaultWindowDrops)
+			c.Faults, r.FaultDrops, r.FaultDups, r.FaultJitters, r.FaultWindowDrops)
 		fmt.Printf("transport: %d retransmits, %d dup frames suppressed, %d frames exhausted\n",
 			r.Retransmits, r.TransportDups, r.TransportExhausted)
 		fmt.Printf("watchdog: %d token restarts, %d barrier fallbacks\n",
 			r.WatchdogRestarts, r.WatchdogFallbacks)
 	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Flush(); err != nil {
+	if t := at.Trace; t != nil {
+		if err := t.Flush(); err != nil {
 			fail("trace: %v", err)
 		}
 		if err := traceFile.Close(); err != nil {
 			fail("trace: %v", err)
 		}
-		t := cfg.Trace
 		fmt.Printf("trace: wrote v%d trace to %s (%d commits, %d rounds, %d rollbacks, %d/%d mpi send/recv, %d phase transitions)\n",
 			tracepkg.Version, *traceTo, t.Commits, t.Rounds, t.Rollbacks, t.MPISends, t.MPIRecvs, t.Phases)
 	}
 	if *reportTo != "" {
 		rep := eng.Report(r)
-		rep.Config.Label = fmt.Sprintf("phold/%s", *scenario)
+		rep.Config.Label = "phold/" + c.Scenario
 		f, err := os.Create(*reportTo)
 		if err != nil {
 			fail("report: %v", err)
@@ -234,9 +157,9 @@ func main() {
 		fmt.Printf("report: wrote %s (%d round samples, stride %d)\n",
 			*reportTo, len(rep.Rounds), rep.SampleStride)
 	}
-	if *verbose {
+	if *verbose && tw != nil {
 		fmt.Println("\nGVT rounds:")
-		for _, tr := range eng.RoundTraces() {
+		for _, tr := range tw.RoundTraces() {
 			mode := "async"
 			if tr.Sync {
 				mode = "SYNC"
@@ -247,92 +170,17 @@ func main() {
 	}
 
 	if *seqCheck {
-		ref := seq.New(cfg.Model, top.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
-		fmt.Printf("\nsequential oracle: %d events, checksum %x\n", ref.Processed, ref.Checksum)
-		if ref.Checksum == r.CommitChecksum && ref.Processed == r.Workers.Committed {
-			fmt.Println("oracle check: OK — parallel run committed the identical event stream")
-		} else {
-			fmt.Println("oracle check: MISMATCH — this is an engine bug")
-			os.Exit(1)
-		}
-	}
-}
-
-// runConservative executes the PHOLD workload on the conservative engine
-// (null messages or moving window) and mirrors the Time Warp path's
-// outputs: summary line, optional trace/report files, oracle check.
-func runConservative(sync conservative.SyncKind, top cluster.Topology, params phold.Params,
-	scenario string, end float64, seed uint64, queue string,
-	traceTo, reportTo string, capN, every int, seqCheck bool) {
-	la := params
-	la.Defaults()
-	cfg := conservative.Config{
-		Topology:  top,
-		Sync:      sync,
-		Lookahead: vtime.Time(la.Lookahead),
-		EndTime:   vtime.Time(end),
-		Seed:      seed,
-		QueueKind: queue,
-		Model:     phold.New(params),
-	}
-	if err := func() error { c := cfg; c.Defaults(); return c.Validate() }(); err != nil {
-		fail("%v", err)
-	}
-	var traceFile *os.File
-	if traceTo != "" {
-		f, err := os.Create(traceTo)
+		ref, err := c.Oracle()
 		if err != nil {
 			fail("%v", err)
 		}
-		traceFile = f
-		cfg.Trace = tracepkg.NewWriter(f)
-	}
-	if reportTo != "" {
-		cfg.Metrics = &metrics.Recorder{MaxSamples: capN, Every: every}
-	}
-
-	eng := conservative.New(cfg)
-	r, err := eng.Run()
-	if err != nil {
-		fail("%v", err)
-	}
-
-	fmt.Printf("phold: %d nodes x %d workers x %d LPs, conservative/%v, lookahead %v, %s scenario\n",
-		top.Nodes, top.WorkersPerNode, top.LPsPerWorker, sync, cfg.Lookahead, scenario)
-	fmt.Println(r)
-	fmt.Printf("conservative: %d null messages, %d sync rounds\n", r.NullMessages, r.SyncRounds)
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Flush(); err != nil {
-			fail("trace: %v", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fail("trace: %v", err)
-		}
-		t := cfg.Trace
-		fmt.Printf("trace: wrote v%d trace to %s (%d commits, %d rounds, %d/%d mpi send/recv)\n",
-			tracepkg.Version, traceTo, t.Commits, t.Rounds, t.MPISends, t.MPIRecvs)
-	}
-	if reportTo != "" {
-		rep := eng.Report(r)
-		rep.Config.Label = fmt.Sprintf("phold/%s", scenario)
-		f, err := os.Create(reportTo)
-		if err != nil {
-			fail("report: %v", err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fail("report: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("report: %v", err)
-		}
-		fmt.Printf("report: wrote %s (%d round samples, stride %d)\n",
-			reportTo, len(rep.Rounds), rep.SampleStride)
-	}
-	if seqCheck {
-		ref := seq.New(cfg.Model, top.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
 		fmt.Printf("\nsequential oracle: %d events, checksum %x\n", ref.Processed, ref.Checksum)
 		if ref.Checksum == r.CommitChecksum && ref.Processed == r.Workers.Committed {
-			fmt.Println("oracle check: OK — conservative run committed the identical event stream")
+			kind := "parallel"
+			if conservative {
+				kind = "conservative"
+			}
+			fmt.Printf("oracle check: OK — %s run committed the identical event stream\n", kind)
 		} else {
 			fmt.Println("oracle check: MISMATCH — this is an engine bug")
 			os.Exit(1)

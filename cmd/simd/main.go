@@ -157,9 +157,9 @@ func run(cfg config, logger *slog.Logger) error {
 		opts.Store, opts.Journal = st, jl
 	}
 
-	// Listen explicitly so the real port (e.g. with -addr :0) is known —
-	// and logged — before traffic or recovery starts, and so the default
-	// node identity (host:port) exists before the server is built.
+	// Listen explicitly so the real port (e.g. with -addr :0) is known
+	// before recovery starts, and so the default node identity
+	// (host:port) exists before the server is built.
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -170,6 +170,16 @@ func run(cfg config, logger *slog.Logger) error {
 	}
 
 	svc := simd.NewServer(opts)
+
+	// Warm restart: re-enqueue journaled jobs interrupted by the previous
+	// run. Completed ones come back as instant store hits; interrupted
+	// ones re-execute. Recovery finishes before the first request is
+	// served, so /stats never reports a half-replayed journal; the socket
+	// is already bound, so early connections wait in the accept backlog.
+	if n := svc.Recover(); n > 0 {
+		logger.Info("warm restart recovered jobs", "jobs", n)
+	}
+
 	httpSrv := newAPIServer(svc.Handler())
 	errCh := make(chan error, 1)
 	go func() {
@@ -183,14 +193,6 @@ func run(cfg config, logger *slog.Logger) error {
 	logger.Info("simd listening", "addr", ln.Addr().String(), "node_id", opts.NodeID,
 		"workers", cfg.workers, "queue", cfg.queue, "cache_mib", cfg.cacheMiB,
 		"store_dir", cfg.storeDir, "go_version", build.GoVersion, "revision", build.ShortRevision())
-
-	// Warm restart: re-enqueue journaled jobs interrupted by the previous
-	// run. Completed ones come back as instant store hits; interrupted
-	// ones re-execute. Recovery runs after the listener is up so the
-	// daemon answers health checks while it backfills.
-	if n := svc.Recover(); n > 0 {
-		logger.Info("warm restart recovered jobs", "jobs", n)
-	}
 
 	// Optional debug listener: pprof profiles plus a second /metrics
 	// mount, kept off the public address so profiling stays opt-in and

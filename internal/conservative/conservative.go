@@ -365,25 +365,5 @@ func (e *Engine) Report(r *stats.Run) *metrics.Report {
 		QueueKind:      cfg.QueueKind,
 		BatchSize:      cfg.BatchSize,
 	}
-	rs := metrics.RunStats{
-		WallNanos:      int64(r.WallTime),
-		Committed:      r.Workers.Committed,
-		Processed:      r.Workers.Processed,
-		Efficiency:     r.Efficiency(),
-		EventRate:      r.EventRate(),
-		GVTRounds:      r.GVTRounds,
-		SyncRounds:     r.SyncRounds,
-		FinalGVT:       r.FinalGVT,
-		Disparity:      r.Disparity,
-		SentLocal:      r.Workers.SentLocal,
-		SentRegional:   r.Workers.SentRegion,
-		SentRemote:     r.Workers.SentRemote,
-		BarrierWaitNs:  int64(r.Workers.BarrierWait),
-		IdleNs:         int64(r.Workers.IdleTime),
-		MPIMessages:    r.MPIMessages,
-		MPIBytes:       r.MPIBytes,
-		NullMessages:   r.NullMessages,
-		CommitChecksum: metrics.Checksum(r.CommitChecksum),
-	}
-	return metrics.BuildReport(rc, rs, e.cfg.Metrics, cfg.Topology.WorkersPerNode)
+	return metrics.BuildReport(rc, metrics.RunStatsOf(r), e.cfg.Metrics, cfg.Topology.WorkersPerNode)
 }

@@ -679,45 +679,7 @@ func (e *Engine) Report(r *stats.Run) *metrics.Report {
 	if e.balancer != nil {
 		rc.Balance = e.balancer.Name()
 	}
-	rs := metrics.RunStats{
-		WallNanos:      int64(r.WallTime),
-		Committed:      r.Workers.Committed,
-		Processed:      r.Workers.Processed,
-		RolledBack:     r.Workers.RolledBack,
-		Rollbacks:      r.Workers.Rollbacks,
-		Stragglers:     r.Workers.Stragglers,
-		AntiRollbacks:  r.Workers.AntiRollbck,
-		Efficiency:     r.Efficiency(),
-		EventRate:      r.EventRate(),
-		GVTRounds:      r.GVTRounds,
-		SyncRounds:     r.SyncRounds,
-		FinalGVT:       r.FinalGVT,
-		Disparity:      r.Disparity,
-		SentLocal:      r.Workers.SentLocal,
-		SentRegional:   r.Workers.SentRegion,
-		SentRemote:     r.Workers.SentRemote,
-		AntiSent:       r.Workers.AntiSent,
-		Annihilated:    r.Workers.Annihilated,
-		BarrierWaitNs:  int64(r.Workers.BarrierWait),
-		IdleNs:         int64(r.Workers.IdleTime),
-		GVTTimeNs:      int64(r.Workers.GVTTime),
-		MPIMessages:    r.MPIMessages,
-		MPIBytes:       r.MPIBytes,
-		CommitChecksum: metrics.Checksum(r.CommitChecksum),
-
-		Retransmits:        r.Retransmits,
-		TransportDups:      r.TransportDups,
-		TransportExhausted: r.TransportExhausted,
-		FaultDrops:         r.FaultDrops,
-		FaultDups:          r.FaultDups,
-		FaultJitters:       r.FaultJitters,
-		FaultWindowDrops:   r.FaultWindowDrops,
-		WatchdogRestarts:   r.WatchdogRestarts,
-		WatchdogFallbacks:  r.WatchdogFallbacks,
-		Migrations:         r.Migrations,
-		MigratedEvents:     r.MigratedEvents,
-	}
-	return metrics.BuildReport(rc, rs, e.cfg.Metrics, cfg.Topology.WorkersPerNode)
+	return metrics.BuildReport(rc, metrics.RunStatsOf(r), e.cfg.Metrics, cfg.Topology.WorkersPerNode)
 }
 
 // clusterEfficiency returns cumulative committed-so-far efficiency, the

@@ -11,15 +11,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/conservative"
-	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/models/epidemic"
-	"repro/internal/models/pcs"
-	"repro/internal/models/tandem"
 	"repro/internal/phold"
+	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
@@ -145,84 +139,49 @@ type Experiment struct {
 	Run   func(Options, io.Writer) Table
 }
 
-// Workload identifies the PHOLD parameterization of a run.
-type Workload int
-
-const (
-	WorkloadComp  Workload = iota // computation-dominated (paper §4)
-	WorkloadComm                  // communication-dominated (paper §4)
-	WorkloadMixed                 // X-Y alternating model (paper §6)
-)
-
-// runSpec is one engine execution. It must stay comparable (the
-// two-pass parallel executor keys on it), so every field is a scalar.
+// runSpec is one engine execution: the run descriptor a figure pins
+// (Options fills in topology, end time, seed and the global overrides at
+// execution time) plus the one model parameter the descriptor has no
+// field for. It must stay comparable — the two-pass parallel executor
+// keys on it.
 type runSpec struct {
-	nodes       int
-	gvt         core.GVTKind
-	comm        core.CommMode
-	workload    Workload
-	compFrac    float64 // mixed model X
-	commFrac    float64 // mixed model Y
-	interval    int
-	epgOverride int     // >0: override the phase EPG (EPG sweep)
-	caThreshold float64 // >0: override CA threshold
-	queueKind   string
-	checkpoint  int    // >0: state-saving interval override
-	balance     string // non-empty: LP load-balancing policy override
-
-	modelName string // "" | "phold": PHOLD; "pcs" | "epidemic" | "tandem"
-	engine    string // "" : optimistic Time Warp; "conservative"
-	sync      string // conservative protocol: "nullmsg" | "window"
+	run.Spec
+	epgOverride int // >0: override the PHOLD phase EPG (EPG sweep)
 }
 
-// model builds the PHOLD parameters for a spec.
-func (s runSpec) model(opt Options, top cluster.Topology) core.ModelFactory {
-	comp := phold.ComputationDominated()
-	comm := phold.CommunicationDominated()
-	if s.epgOverride > 0 {
-		comp.EPG = s.epgOverride
-		comm.EPG = s.epgOverride
+// resolve completes the figure's spec with the sweep-wide Options.
+func (s runSpec) resolve(opt Options) run.Spec {
+	sp := s.Spec
+	sp.WorkersPerNode, sp.LPsPerWorker = opt.WorkersPerNode, opt.LPsPerWorker
+	sp.EndTime, sp.Seed = opt.EndTime, opt.Seed
+	if opt.GVTInterval > 0 {
+		sp.GVTInterval = opt.GVTInterval
 	}
-	if top.Nodes == 1 {
-		// No remote destinations exist on a single node; the paper's
-		// single-node points likewise have no MPI traffic.
-		comp.RemotePct, comm.RemotePct = 0, 0
+	if sp.CAThreshold == 0 {
+		sp.CAThreshold = opt.CAThreshold
 	}
-	p := phold.Params{Topology: top}
-	switch s.workload {
-	case WorkloadComp:
-		p.Base = comp
-	case WorkloadComm:
-		p.Base = comm
-	default:
-		p.Base = comp
-		p.Mixed = &phold.MixedModel{
-			Comm:     comm,
-			CompFrac: s.compFrac,
-			CommFrac: s.commFrac,
-			EndTime:  opt.EndTime,
+	if sp.Balance == "" {
+		sp.Balance = opt.BalancePolicy
+	}
+	sp.Faults = opt.FaultScenario
+	return sp
+}
+
+// labels names a run for verbose/FAILED lines and for its telemetry
+// report. Workloads print as their historical indices (comp 0, comm 1,
+// mixed 2).
+func labels(c run.Spec) (line, report string) {
+	if c.Engine == "conservative" {
+		model := c.Model
+		if model == "" {
+			model = "phold"
 		}
+		return fmt.Sprintf("%d nodes conservative/%s %s", c.Nodes, c.Sync, model),
+			fmt.Sprintf("%dn/conservative/%s/%s", c.Nodes, c.Sync, model)
 	}
-	return phold.New(p)
-}
-
-// workloadModel builds the spec's model factory and reports the model's
-// declared lookahead (the conservative safety bound).
-func (s runSpec) workloadModel(opt Options, top cluster.Topology) (core.ModelFactory, vtime.Time) {
-	switch s.modelName {
-	case "pcs":
-		gw, gh := cluster.NearSquareGrid(top.TotalLPs())
-		return pcs.New(pcs.Params{GridW: gw, GridH: gh}), pcs.Lookahead
-	case "epidemic":
-		gw, gh := cluster.NearSquareGrid(top.TotalLPs())
-		return epidemic.New(epidemic.Params{GridW: gw, GridH: gh}), epidemic.Lookahead
-	case "tandem":
-		return tandem.New(tandem.Params{}), vtime.Time(tandem.Params{}.Lookahead())
-	default: // "" | "phold"
-		p := phold.Params{}
-		p.Defaults()
-		return s.model(opt, top), vtime.Time(p.Lookahead)
-	}
+	wl := map[string]int{"comm": 1, "mixed": 2}[c.Scenario]
+	return fmt.Sprintf("%d nodes %s/%s wl=%d", c.Nodes, c.GVT, c.Comm, wl),
+		fmt.Sprintf("%dn/%s/%s/wl%d", c.Nodes, c.GVT, c.Comm, wl)
 }
 
 // syncEnabled reports whether a series with the given engine and sync
@@ -250,139 +209,62 @@ func (s runSpec) execute(opt Options, w io.Writer) Cell {
 	cell, err := s.run(opt, w)
 	if err != nil {
 		if w != nil {
-			fmt.Fprintf(w, "  [%d nodes %v/%v wl=%d] FAILED: %v\n",
-				s.nodes, s.gvt, s.comm, s.workload, err)
+			line, _ := labels(s.Spec)
+			fmt.Fprintf(w, "  [%s] FAILED: %v\n", line, err)
 		}
 		return Cell{Failed: true, Error: err.Error()}
 	}
 	return cell
 }
 
+// run builds the cell's engine through run.New, which refuses what the
+// chosen engine cannot honour (a fault scenario or balancing policy on a
+// conservative cell) instead of silently running without it.
 func (s runSpec) run(opt Options, w io.Writer) (cell Cell, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: run %+v panicked: %v", s, r)
 		}
 	}()
-	top := cluster.Topology{
-		Nodes:          s.nodes,
-		WorkersPerNode: opt.WorkersPerNode,
-		LPsPerWorker:   opt.LPsPerWorker,
+	c, err := s.resolve(opt).Canonical()
+	if err != nil {
+		return Cell{}, err
 	}
-	if s.engine == "conservative" {
-		return s.runConservative(opt, top, w)
-	}
-	interval := s.interval
-	if opt.GVTInterval > 0 {
-		interval = opt.GVTInterval
-	}
-	threshold := opt.CAThreshold
-	if s.caThreshold > 0 {
-		threshold = s.caThreshold
-	}
-	balance := opt.BalancePolicy
-	if s.balance != "" {
-		balance = s.balance
-	}
-	factory, _ := s.workloadModel(opt, top)
-	cfg := core.Config{
-		Topology:           top,
-		GVT:                s.gvt,
-		GVTInterval:        interval,
-		CAThreshold:        threshold,
-		Comm:               s.comm,
-		EndTime:            opt.EndTime,
-		Seed:               opt.Seed,
-		QueueKind:          s.queueKind,
-		CheckpointInterval: s.checkpoint,
-		Balance:            balance,
-		Model:              factory,
-	}
-	if opt.FaultScenario != "" {
-		plan, ferr := fabric.Scenario(opt.FaultScenario, top.Nodes)
-		if ferr != nil {
-			return Cell{}, ferr
+	var at run.Attach
+	if s.epgOverride > 0 && c.Model == "phold" {
+		p := c.PholdParams()
+		p.Base.EPG = s.epgOverride
+		if p.Mixed != nil {
+			p.Mixed.Comm.EPG = s.epgOverride
 		}
-		if plan != nil {
-			cfg.Faults = plan
-			cfg.FaultLabel = opt.FaultScenario
-		}
+		at.Model = phold.New(p)
 	}
 	if opt.Reports != nil {
-		cfg.Metrics = &metrics.Recorder{MaxSamples: opt.SampleCap}
+		at.Metrics = &metrics.Recorder{MaxSamples: opt.SampleCap}
 	}
-	eng := core.New(cfg)
+	eng, err := run.New(c, at)
+	if err != nil {
+		return Cell{}, err
+	}
 	r, err := eng.Run()
 	if err != nil {
 		return Cell{}, fmt.Errorf("harness: run %+v failed: %w", s, err)
 	}
+	line, reportLabel := labels(c)
 	if opt.Reports != nil {
 		rep := eng.Report(r)
-		rep.Config.Label = fmt.Sprintf("%dn/%v/%v/wl%d", s.nodes, s.gvt, s.comm, s.workload)
+		rep.Config.Label = reportLabel
 		opt.Reports.Add(rep)
 	}
 	if opt.Verbose && w != nil {
-		fmt.Fprintf(w, "  [%d nodes %v/%v wl=%d] rate=%.4g eff=%.1f%% rb=%d\n",
-			s.nodes, s.gvt, s.comm, s.workload, r.EventRate(), 100*r.Efficiency(), r.Workers.Rollbacks)
+		if c.Engine == "conservative" {
+			fmt.Fprintf(w, "  [%s] rate=%.4g nulls=%d\n", line, r.EventRate(), r.NullMessages)
+		} else {
+			fmt.Fprintf(w, "  [%s] rate=%.4g eff=%.1f%% rb=%d\n",
+				line, r.EventRate(), 100*r.Efficiency(), r.Workers.Rollbacks)
+		}
 	}
 	return cellOf(r), nil
-}
-
-// runConservative executes one conservative-engine cell. Faults and
-// balancing are optimistic-only machinery; a global scenario turns the
-// cell into a Failed one instead of silently running without it.
-func (s runSpec) runConservative(opt Options, top cluster.Topology, w io.Writer) (Cell, error) {
-	if opt.FaultScenario != "" && opt.FaultScenario != "none" {
-		return Cell{}, fmt.Errorf("harness: the conservative engine does not support fault scenarios (got %q)", opt.FaultScenario)
-	}
-	if opt.BalancePolicy != "" || s.balance != "" {
-		return Cell{}, fmt.Errorf("harness: the conservative engine does not support load balancing")
-	}
-	var sync conservative.SyncKind
-	switch s.sync {
-	case "", "nullmsg":
-		sync = conservative.SyncNullMsg
-	case "window":
-		sync = conservative.SyncWindow
-	default:
-		return Cell{}, fmt.Errorf("harness: unknown conservative sync %q", s.sync)
-	}
-	factory, la := s.workloadModel(opt, top)
-	cfg := conservative.Config{
-		Topology:  top,
-		Sync:      sync,
-		Lookahead: la,
-		EndTime:   opt.EndTime,
-		Seed:      opt.Seed,
-		QueueKind: s.queueKind,
-		Model:     factory,
-	}
-	if opt.Reports != nil {
-		cfg.Metrics = &metrics.Recorder{MaxSamples: opt.SampleCap}
-	}
-	eng := conservative.New(cfg)
-	r, err := eng.Run()
-	if err != nil {
-		return Cell{}, fmt.Errorf("harness: run %+v failed: %w", s, err)
-	}
-	if opt.Reports != nil {
-		rep := eng.Report(r)
-		rep.Config.Label = fmt.Sprintf("%dn/conservative/%v/%s", s.nodes, sync, s.workloadLabel())
-		opt.Reports.Add(rep)
-	}
-	if opt.Verbose && w != nil {
-		fmt.Fprintf(w, "  [%d nodes conservative/%v %s] rate=%.4g nulls=%d\n",
-			s.nodes, sync, s.workloadLabel(), r.EventRate(), r.NullMessages)
-	}
-	return cellOf(r), nil
-}
-
-// workloadLabel names the spec's model for labels and verbose lines.
-func (s runSpec) workloadLabel() string {
-	if s.modelName == "" {
-		return "phold"
-	}
-	return s.modelName
 }
 
 // sweep runs one curve across the node counts.
@@ -390,7 +272,7 @@ func sweep(opt Options, w io.Writer, base runSpec) []Cell {
 	cells := make([]Cell, 0, len(opt.NodeCounts))
 	for _, n := range opt.NodeCounts {
 		s := base
-		s.nodes = n
+		s.Nodes = n
 		cells = append(cells, s.execute(opt, w))
 	}
 	return cells
@@ -452,24 +334,24 @@ func IDs() []string {
 
 // --- the figures ---
 
-func commThreadFigure(id, title, paper string, wl Workload, opt Options, w io.Writer) Table {
+func commThreadFigure(id, title, paper string, wl string, opt Options, w io.Writer) Table {
 	t := Table{
 		ID: id, Title: title, Paper: paper,
 		XLabel: "nodes", XVals: nodeLabels(opt),
 	}
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
-		comm  core.CommMode
+		gvt   string
+		comm  string
 	}{
-		{"Mattern dedicated", core.GVTMattern, core.CommDedicated},
-		{"Mattern combined", core.GVTMattern, core.CommCombined},
-		{"Barrier dedicated", core.GVTBarrier, core.CommDedicated},
-		{"Barrier combined", core.GVTBarrier, core.CommCombined},
+		{"Mattern dedicated", "mattern", "dedicated"},
+		{"Mattern combined", "mattern", "combined"},
+		{"Barrier dedicated", "barrier", "dedicated"},
+		{"Barrier combined", "barrier", "combined"},
 	} {
 		t.Series = append(t.Series, Series{
 			Label: c.label,
-			Cells: sweep(opt, w, runSpec{gvt: c.gvt, comm: c.comm, workload: wl, interval: 8}),
+			Cells: sweep(opt, w, runSpec{Spec: run.Spec{GVT: c.gvt, Comm: c.comm, Scenario: wl, GVTInterval: 8}}),
 		})
 	}
 	return t
@@ -479,28 +361,28 @@ func fig3(opt Options, w io.Writer) Table {
 	return commThreadFigure("fig3",
 		"Dedicated MPI thread, computation-dominated workload",
 		"Dedicated beats combined for both algorithms at every node count; at 8 nodes Mattern +51%, Barrier +17%.",
-		WorkloadComp, opt, w)
+		"comp", opt, w)
 }
 
 func fig4(opt Options, w io.Writer) Table {
 	return commThreadFigure("fig4",
 		"Dedicated MPI thread, communication-dominated workload",
 		"Dedicated wins much bigger under communication load: Mattern 14.59x, Barrier 4.29x at 8 nodes.",
-		WorkloadComm, opt, w)
+		"comm", opt, w)
 }
 
-func twoWayFigure(id, title, paper string, wl Workload, opt Options, w io.Writer) Table {
+func twoWayFigure(id, title, paper string, wl string, opt Options, w io.Writer) Table {
 	t := Table{ID: id, Title: title, Paper: paper, XLabel: "nodes", XVals: nodeLabels(opt)}
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
 	} {
 		t.Series = append(t.Series, Series{
 			Label: c.label,
-			Cells: sweep(opt, w, runSpec{gvt: c.gvt, comm: core.CommDedicated, workload: wl, interval: 4}),
+			Cells: sweep(opt, w, runSpec{Spec: run.Spec{GVT: c.gvt, Comm: "dedicated", Scenario: wl, GVTInterval: 4}}),
 		})
 	}
 	return t
@@ -510,32 +392,32 @@ func fig5(opt Options, w io.Writer) Table {
 	return twoWayFigure("fig5",
 		"Mattern vs Barrier, computation-dominated workload",
 		"Mattern wins when computation dominates: 27.9% faster than Barrier at 8 nodes.",
-		WorkloadComp, opt, w)
+		"comp", opt, w)
 }
 
 func fig6(opt Options, w io.Writer) Table {
 	return twoWayFigure("fig6",
 		"Mattern vs Barrier, communication-dominated workload",
 		"Barrier wins when communication dominates: 14.5% faster at 8 nodes; Mattern efficiency collapses (64.3% vs 94.2%).",
-		WorkloadComm, opt, w)
+		"comm", opt, w)
 }
 
-func threeWayFigure(id, title, paper string, wl Workload, x, y float64, opt Options, w io.Writer) Table {
+func threeWayFigure(id, title, paper string, wl string, x, y float64, opt Options, w io.Writer) Table {
 	t := Table{ID: id, Title: title, Paper: paper, XLabel: "nodes", XVals: nodeLabels(opt)}
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
-		{"CA-GVT", core.GVTControlled},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
+		{"CA-GVT", "ca-gvt"},
 	} {
 		t.Series = append(t.Series, Series{
 			Label: c.label,
-			Cells: sweep(opt, w, runSpec{
-				gvt: c.gvt, comm: core.CommDedicated, workload: wl,
-				compFrac: x, commFrac: y, interval: 4,
-			}),
+			Cells: sweep(opt, w, runSpec{Spec: run.Spec{
+				GVT: c.gvt, Comm: "dedicated", Scenario: wl,
+				MixComp: x, MixComm: y, GVTInterval: 4,
+			}}),
 		})
 	}
 	return t
@@ -545,35 +427,35 @@ func fig8(opt Options, w io.Writer) Table {
 	return threeWayFigure("fig8",
 		"Three-way comparison, computation-dominated workload",
 		"CA-GVT 8% slower than Mattern, 19% faster than Barrier at 8 nodes (stays asynchronous; efficiency ~93%).",
-		WorkloadComp, 0, 0, opt, w)
+		"comp", 0, 0, opt, w)
 }
 
 func fig9(opt Options, w io.Writer) Table {
 	return threeWayFigure("fig9",
 		"Three-way comparison, communication-dominated workload",
 		"CA-GVT 2% slower than Barrier, 13% faster than Mattern at 8 nodes (switches to synchronous mode).",
-		WorkloadComm, 0, 0, opt, w)
+		"comm", 0, 0, opt, w)
 }
 
 func fig10(opt Options, w io.Writer) Table {
 	return threeWayFigure("fig10",
 		"Mixed 10-15 model (10% comp, 15% comm, repeating)",
 		"CA-GVT beats Mattern by 8.3% and Barrier by 6.4% at 8 nodes.",
-		WorkloadMixed, 10, 15, opt, w)
+		"mixed", 10, 15, opt, w)
 }
 
 func fig11(opt Options, w io.Writer) Table {
 	return threeWayFigure("fig11",
 		"Mixed 15-10 model (15% comp, 10% comm, repeating)",
 		"CA-GVT beats Mattern by 6.9% and Barrier by 12.7% at 8 nodes.",
-		WorkloadMixed, 15, 10, opt, w)
+		"mixed", 15, 10, opt, w)
 }
 
 func fig12(opt Options, w io.Writer) Table {
 	return threeWayFigure("fig12",
 		"Mixed 5-5 model (5% comp, 5% comm, repeating)",
 		"CA-GVT beats Mattern by 7.8% and Barrier by 8.3% at 8 nodes.",
-		WorkloadMixed, 5, 5, opt, w)
+		"mixed", 5, 5, opt, w)
 }
 
 // efficiencyTable reproduces the efficiency numbers quoted in §4 and §6.
@@ -587,15 +469,15 @@ func efficiencyTable(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
-		{"CA-GVT", core.GVTControlled},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
+		{"CA-GVT", "ca-gvt"},
 	} {
 		cells := []Cell{
-			runSpec{nodes: n, gvt: c.gvt, comm: core.CommDedicated, workload: WorkloadComp, interval: 4}.execute(opt, w),
-			runSpec{nodes: n, gvt: c.gvt, comm: core.CommDedicated, workload: WorkloadComm, interval: 4}.execute(opt, w),
+			runSpec{Spec: run.Spec{Nodes: n, GVT: c.gvt, Comm: "dedicated", Scenario: "comp", GVTInterval: 4}}.execute(opt, w),
+			runSpec{Spec: run.Spec{Nodes: n, GVT: c.gvt, Comm: "dedicated", Scenario: "comm", GVTInterval: 4}}.execute(opt, w),
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}
@@ -613,12 +495,12 @@ func disparityTable(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
 	} {
-		cell := runSpec{nodes: n, gvt: c.gvt, comm: core.CommDedicated, workload: WorkloadComm, interval: 4}.execute(opt, w)
+		cell := runSpec{Spec: run.Spec{Nodes: n, GVT: c.gvt, Comm: "dedicated", Scenario: "comm", GVTInterval: 4}}.execute(opt, w)
 		t.Series = append(t.Series, Series{Label: c.label, Cells: []Cell{cell}})
 	}
 	return t
@@ -640,19 +522,19 @@ func ablInterval(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
 	} {
 		var cells []Cell
 		for _, iv := range intervals {
 			o := opt
 			o.GVTInterval = 0
-			cells = append(cells, runSpec{
-				nodes: n, gvt: c.gvt, comm: core.CommDedicated,
-				workload: WorkloadComm, interval: iv,
-			}.execute(o, w))
+			cells = append(cells, runSpec{Spec: run.Spec{
+				Nodes: n, GVT: c.gvt, Comm: "dedicated",
+				Scenario: "comm", GVTInterval: iv,
+			}}.execute(o, w))
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}
@@ -673,11 +555,11 @@ func ablThreshold(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	var cells []Cell
 	for _, th := range thresholds {
-		cells = append(cells, runSpec{
-			nodes: n, gvt: core.GVTControlled, comm: core.CommDedicated,
-			workload: WorkloadMixed, compFrac: 10, commFrac: 15,
-			interval: 4, caThreshold: th,
-		}.execute(opt, w))
+		cells = append(cells, runSpec{Spec: run.Spec{
+			Nodes: n, GVT: "ca-gvt", Comm: "dedicated",
+			Scenario: "mixed", MixComp: 10, MixComm: 15,
+			GVTInterval: 4, CAThreshold: th,
+		}}.execute(opt, w))
 	}
 	t.Series = append(t.Series, Series{Label: "CA-GVT", Cells: cells})
 	return t
@@ -697,17 +579,17 @@ func ablEPG(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
 	} {
 		var cells []Cell
 		for _, e := range epgs {
-			cells = append(cells, runSpec{
-				nodes: n, gvt: c.gvt, comm: core.CommDedicated,
-				workload: WorkloadComm, interval: 4, epgOverride: e,
-			}.execute(opt, w))
+			cells = append(cells, runSpec{Spec: run.Spec{
+				Nodes: n, GVT: c.gvt, Comm: "dedicated",
+				Scenario: "comm", GVTInterval: 4,
+			}, epgOverride: e}.execute(opt, w))
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}
@@ -721,17 +603,10 @@ func ablShared(opt Options, w io.Writer) Table {
 		Paper:  "§1 motivates the dedicated thread with the lock contention of fully threaded MPI; 'shared' is that worst case.",
 		XLabel: "nodes", XVals: nodeLabels(opt),
 	}
-	for _, c := range []struct {
-		label string
-		comm  core.CommMode
-	}{
-		{"dedicated", core.CommDedicated},
-		{"combined", core.CommCombined},
-		{"shared", core.CommShared},
-	} {
+	for _, comm := range []string{"dedicated", "combined", "shared"} {
 		t.Series = append(t.Series, Series{
-			Label: c.label,
-			Cells: sweep(opt, w, runSpec{gvt: core.GVTMattern, comm: c.comm, workload: WorkloadComm, interval: 8}),
+			Label: comm,
+			Cells: sweep(opt, w, runSpec{Spec: run.Spec{GVT: "mattern", Comm: comm, Scenario: "comm", GVTInterval: 8}}),
 		})
 	}
 	return t
@@ -747,7 +622,7 @@ func ablQueue(opt Options, w io.Writer) Table {
 	for _, kind := range []string{"heap", "calendar"} {
 		t.Series = append(t.Series, Series{
 			Label: kind,
-			Cells: sweep(opt, w, runSpec{gvt: core.GVTMattern, comm: core.CommDedicated, workload: WorkloadComp, interval: 4, queueKind: kind}),
+			Cells: sweep(opt, w, runSpec{Spec: run.Spec{GVT: "mattern", Comm: "dedicated", Scenario: "comp", GVTInterval: 4, Queue: kind}}),
 		})
 	}
 	return t
@@ -767,17 +642,17 @@ func ablCheckpoint(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		wl    Workload
+		wl    string
 	}{
-		{"comp-dominated", WorkloadComp},
-		{"comm-dominated", WorkloadComm},
+		{"comp-dominated", "comp"},
+		{"comm-dominated", "comm"},
 	} {
 		var cells []Cell
 		for _, k := range intervals {
-			cells = append(cells, runSpec{
-				nodes: n, gvt: core.GVTMattern, comm: core.CommDedicated,
-				workload: c.wl, interval: 4, checkpoint: k,
-			}.execute(opt, w))
+			cells = append(cells, runSpec{Spec: run.Spec{
+				Nodes: n, GVT: "mattern", Comm: "dedicated",
+				Scenario: c.wl, GVTInterval: 4, CheckpointInterval: k,
+			}}.execute(opt, w))
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}
@@ -794,16 +669,16 @@ func ablSamadi(opt Options, w io.Writer) Table {
 	n := opt.NodeCounts[len(opt.NodeCounts)-1]
 	for _, c := range []struct {
 		label string
-		gvt   core.GVTKind
+		gvt   string
 	}{
-		{"Mattern", core.GVTMattern},
-		{"Barrier", core.GVTBarrier},
-		{"CA-GVT", core.GVTControlled},
-		{"Samadi", core.GVTSamadi},
+		{"Mattern", "mattern"},
+		{"Barrier", "barrier"},
+		{"CA-GVT", "ca-gvt"},
+		{"Samadi", "samadi"},
 	} {
 		cells := []Cell{
-			runSpec{nodes: n, gvt: c.gvt, comm: core.CommDedicated, workload: WorkloadComp, interval: 4}.execute(opt, w),
-			runSpec{nodes: n, gvt: c.gvt, comm: core.CommDedicated, workload: WorkloadComm, interval: 4}.execute(opt, w),
+			runSpec{Spec: run.Spec{Nodes: n, GVT: c.gvt, Comm: "dedicated", Scenario: "comp", GVTInterval: 4}}.execute(opt, w),
+			runSpec{Spec: run.Spec{Nodes: n, GVT: c.gvt, Comm: "dedicated", Scenario: "comm", GVTInterval: 4}}.execute(opt, w),
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}
@@ -822,10 +697,10 @@ func ablRebalance(opt Options, w io.Writer) Table {
 	for _, pol := range []string{"static", "greedy", "straggler"} {
 		t.Series = append(t.Series, Series{
 			Label: pol,
-			Cells: sweep(o, w, runSpec{
-				gvt: core.GVTControlled, comm: core.CommDedicated,
-				workload: WorkloadComp, interval: 4, balance: pol,
-			}),
+			Cells: sweep(o, w, runSpec{Spec: run.Spec{
+				GVT: "ca-gvt", Comm: "dedicated",
+				Scenario: "comp", GVTInterval: 4, Balance: pol,
+			}}),
 		})
 	}
 	return t
@@ -844,11 +719,11 @@ func crossover(opt Options, w io.Writer) Table {
 		label string
 		spec  runSpec
 	}{
-		{"Time Warp/Mattern", runSpec{gvt: core.GVTMattern, comm: core.CommDedicated, workload: WorkloadComp, interval: 4}},
-		{"Conservative/nullmsg", runSpec{engine: "conservative", sync: "nullmsg", workload: WorkloadComp}},
-		{"Conservative/window", runSpec{engine: "conservative", sync: "window", workload: WorkloadComp}},
+		{"Time Warp/Mattern", runSpec{Spec: run.Spec{GVT: "mattern", Comm: "dedicated", Scenario: "comp", GVTInterval: 4}}},
+		{"Conservative/nullmsg", runSpec{Spec: run.Spec{Engine: "conservative", Sync: "nullmsg", Scenario: "comp"}}},
+		{"Conservative/window", runSpec{Spec: run.Spec{Engine: "conservative", Sync: "window", Scenario: "comp"}}},
 	} {
-		if !opt.syncEnabled(c.spec.engine, c.spec.sync) {
+		if !opt.syncEnabled(c.spec.Engine, c.spec.Sync) {
 			continue
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: sweep(opt, w, c.spec)})
@@ -871,24 +746,24 @@ func matrix(opt Options, w io.Writer) Table {
 		label  string
 		engine string
 		sync   string
-		gvt    core.GVTKind
+		gvt    string
 	}{
-		{"TW/Barrier", "", "", core.GVTBarrier},
-		{"TW/Mattern", "", "", core.GVTMattern},
-		{"TW/CA-GVT", "", "", core.GVTControlled},
-		{"TW/Samadi", "", "", core.GVTSamadi},
-		{"Cons/nullmsg", "conservative", "nullmsg", 0},
-		{"Cons/window", "conservative", "window", 0},
+		{"TW/Barrier", "", "", "barrier"},
+		{"TW/Mattern", "", "", "mattern"},
+		{"TW/CA-GVT", "", "", "ca-gvt"},
+		{"TW/Samadi", "", "", "samadi"},
+		{"Cons/nullmsg", "conservative", "nullmsg", ""},
+		{"Cons/window", "conservative", "window", ""},
 	} {
 		if !opt.syncEnabled(c.engine, c.sync) {
 			continue
 		}
 		var cells []Cell
 		for _, m := range models {
-			cells = append(cells, runSpec{
-				nodes: n, modelName: m, engine: c.engine, sync: c.sync,
-				gvt: c.gvt, comm: core.CommDedicated, interval: 4,
-			}.execute(opt, w))
+			cells = append(cells, runSpec{Spec: run.Spec{
+				Nodes: n, Model: m, Engine: c.engine, Sync: c.sync,
+				GVT: c.gvt, Comm: "dedicated", GVTInterval: 4,
+			}}.execute(opt, w))
 		}
 		t.Series = append(t.Series, Series{Label: c.label, Cells: cells})
 	}

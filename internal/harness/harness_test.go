@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/run"
 )
 
 // miniOptions keeps harness tests fast: tiny cluster, short run.
@@ -137,7 +137,7 @@ func TestVerboseWritesRuns(t *testing.T) {
 	opt := miniOptions()
 	opt.Verbose = true
 	var buf bytes.Buffer
-	spec := runSpec{nodes: 1, gvt: 0, comm: 0, workload: WorkloadComp, interval: 10}
+	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comp", GVTInterval: 10}}
 	spec.execute(opt, &buf)
 	if !strings.Contains(buf.String(), "rate=") {
 		t.Errorf("verbose output missing: %q", buf.String())
@@ -146,7 +146,7 @@ func TestVerboseWritesRuns(t *testing.T) {
 
 func TestSingleNodeDropsRemoteTraffic(t *testing.T) {
 	opt := miniOptions()
-	spec := runSpec{nodes: 1, workload: WorkloadComm, interval: 10}
+	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comm", GVTInterval: 10}}
 	// Must not panic (phold rejects remote percentages on one node).
 	spec.execute(opt, nil)
 }
@@ -157,7 +157,7 @@ func TestFailedRunRecordsCellAndContinues(t *testing.T) {
 	opt := miniOptions()
 	opt.FaultScenario = "not-a-scenario"
 	var buf bytes.Buffer
-	cells := sweep(opt, &buf, runSpec{workload: WorkloadComp, interval: 10})
+	cells := sweep(opt, &buf, runSpec{Spec: run.Spec{GVT: "barrier", Scenario: "comp", GVTInterval: 10}})
 	if len(cells) != len(opt.NodeCounts) {
 		t.Fatalf("sweep recorded %d cells, want %d", len(cells), len(opt.NodeCounts))
 	}
@@ -182,13 +182,25 @@ func TestFailedRunRecordsCellAndContinues(t *testing.T) {
 	}
 }
 
+// panicOnce is a writer whose first Write panics.
+type panicOnce struct{ done bool }
+
+func (p *panicOnce) Write(b []byte) (int, error) {
+	if !p.done {
+		p.done = true
+		panic("writer exploded")
+	}
+	return len(b), nil
+}
+
 func TestPanickingRunRecordsCell(t *testing.T) {
-	// A config the engine rejects at construction (zero workers) panics in
-	// core.New; execute must convert that into a failed cell.
+	// A panic anywhere inside a run (an engine invariant, a model bug —
+	// here the verbose line's writer) must become a failed cell, not tear
+	// down the sweep.
 	opt := miniOptions()
-	opt.WorkersPerNode = 0
-	spec := runSpec{nodes: 1, workload: WorkloadComp, interval: 10}
-	c := spec.execute(opt, nil)
+	opt.Verbose = true
+	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comp", GVTInterval: 10}}
+	c := spec.execute(opt, &panicOnce{})
 	if !c.Failed || !strings.Contains(c.Error, "panicked") {
 		t.Fatalf("cell = %+v, want a recovered panic", c)
 	}
@@ -198,7 +210,7 @@ func TestFaultScenarioOption(t *testing.T) {
 	// A real scenario must still produce a valid measured cell.
 	opt := miniOptions()
 	opt.FaultScenario = "drop"
-	spec := runSpec{nodes: 2, gvt: core.GVTMattern, workload: WorkloadComp, interval: 10}
+	spec := runSpec{Spec: run.Spec{Nodes: 2, GVT: "mattern", Scenario: "comp", GVTInterval: 10}}
 	c := spec.execute(opt, nil)
 	if c.Failed {
 		t.Fatalf("drop-scenario run failed: %s", c.Error)
@@ -255,12 +267,12 @@ func TestBalancePolicyOption(t *testing.T) {
 	// policy; an unknown name must fail the cell, not panic the sweep.
 	opt := miniOptions()
 	opt.BalancePolicy = "greedy"
-	c := runSpec{nodes: 2, gvt: core.GVTControlled, workload: WorkloadComp, interval: 10}.execute(opt, nil)
+	c := runSpec{Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Scenario: "comp", GVTInterval: 10}}.execute(opt, nil)
 	if c.Failed {
 		t.Fatalf("greedy run failed: %s", c.Error)
 	}
 	opt.BalancePolicy = "bogus"
-	c = runSpec{nodes: 2, gvt: core.GVTControlled, workload: WorkloadComp, interval: 10}.execute(opt, nil)
+	c = runSpec{Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Scenario: "comp", GVTInterval: 10}}.execute(opt, nil)
 	if !c.Failed || !strings.Contains(c.Error, "bogus") {
 		t.Fatalf("bogus policy cell = %+v, want failure naming the policy", c)
 	}

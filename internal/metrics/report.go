@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/stats"
 )
 
 // ReportSchema identifies the run-report JSON layout. Bump on breaking
@@ -93,6 +95,51 @@ type RunStats struct {
 	// static-policy reports keep their pre-balancer byte layout.
 	Migrations     int64 `json:"migrations,omitempty"`
 	MigratedEvents int64 `json:"migrated_events,omitempty"`
+}
+
+// RunStatsOf copies a finished run's aggregates into report form. A
+// conservative run leaves the rollback, fault and migration counters
+// zero, a Time Warp run the null-message count.
+func RunStatsOf(r *stats.Run) RunStats {
+	return RunStats{
+		WallNanos:      int64(r.WallTime),
+		Committed:      r.Workers.Committed,
+		Processed:      r.Workers.Processed,
+		RolledBack:     r.Workers.RolledBack,
+		Rollbacks:      r.Workers.Rollbacks,
+		Stragglers:     r.Workers.Stragglers,
+		AntiRollbacks:  r.Workers.AntiRollbck,
+		Efficiency:     r.Efficiency(),
+		EventRate:      r.EventRate(),
+		GVTRounds:      r.GVTRounds,
+		SyncRounds:     r.SyncRounds,
+		FinalGVT:       r.FinalGVT,
+		Disparity:      r.Disparity,
+		SentLocal:      r.Workers.SentLocal,
+		SentRegional:   r.Workers.SentRegion,
+		SentRemote:     r.Workers.SentRemote,
+		AntiSent:       r.Workers.AntiSent,
+		Annihilated:    r.Workers.Annihilated,
+		BarrierWaitNs:  int64(r.Workers.BarrierWait),
+		IdleNs:         int64(r.Workers.IdleTime),
+		GVTTimeNs:      int64(r.Workers.GVTTime),
+		MPIMessages:    r.MPIMessages,
+		MPIBytes:       r.MPIBytes,
+		NullMessages:   r.NullMessages,
+		CommitChecksum: Checksum(r.CommitChecksum),
+
+		Retransmits:        r.Retransmits,
+		TransportDups:      r.TransportDups,
+		TransportExhausted: r.TransportExhausted,
+		FaultDrops:         r.FaultDrops,
+		FaultDups:          r.FaultDups,
+		FaultJitters:       r.FaultJitters,
+		FaultWindowDrops:   r.FaultWindowDrops,
+		WatchdogRestarts:   r.WatchdogRestarts,
+		WatchdogFallbacks:  r.WatchdogFallbacks,
+		Migrations:         r.Migrations,
+		MigratedEvents:     r.MigratedEvents,
+	}
 }
 
 // WorkerSeries is one worker's sampled time series. Samples are in

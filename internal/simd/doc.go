@@ -8,7 +8,7 @@
 // byte-stable JSON. That purity is what makes the three service
 // mechanisms sound rather than heuristic:
 //
-//   - Content addressing: a JobSpec canonicalizes (aliases resolved,
+//   - Content addressing: a JobSpec (internal/run.Spec) canonicalizes (aliases resolved,
 //     defaults made explicit, irrelevant fields cleared) and hashes to
 //     a stable SHA-256; the hash fully determines the result bytes.
 //   - Result cache: a byte-budget LRU keyed by spec hash stores the

@@ -251,6 +251,10 @@ func TestHTTPRejections(t *testing.T) {
 		"unknown-field": `{"model":"phold","typo_field":3}`,
 		"bad-model":     `{"model":"chess"}`,
 		"bad-value":     `{"end_time":-4}`,
+		// Admission caps: valid specs the service refuses to run.
+		"end-cap":  `{"end_time":1e9}`,
+		"node-cap": `{"nodes":1000}`,
+		"lp-cap":   `{"nodes":64,"workers_per_node":64,"lps_per_worker":4096}`,
 	} {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

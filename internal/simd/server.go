@@ -11,11 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/conservative"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -160,17 +159,17 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Submit admits one job. The spec is canonicalized and content-hashed;
-// a cached result returns a job born done, an identical in-flight spec
+// Submit admits one job. The spec is canonicalized, content-hashed and
+// checked against the admission caps (a bad or oversized spec is HTTP
+// 400); a cached result returns a job born done, an identical in-flight spec
 // returns that job (singleflight), and otherwise the job enters the
 // bounded queue — or is rejected with ErrQueueFull.
 func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
-	canon, err := spec.Canonical()
+	canon, hash, err := spec.Address()
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	hash, err := canon.canonicalHash()
-	if err != nil {
+	if err := admissible(canon); err != nil {
 		return SubmitResult{}, err
 	}
 
@@ -411,36 +410,17 @@ func (s *Server) runEngine(j *Job) (report []byte, err error) {
 		prev = u
 		j.publish(u)
 	}
-	var rep *metrics.Report
-	if j.spec.Engine == "conservative" {
-		cfg, err := j.spec.BuildConservativeConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Metrics = rec
-		eng := conservative.New(cfg)
-		j.attachEngine(eng)
-		s.executions.Add(1)
-		r, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		rep = eng.Report(r)
-	} else {
-		cfg, err := j.spec.BuildConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Metrics = rec
-		eng := core.New(cfg)
-		j.attachEngine(eng)
-		s.executions.Add(1)
-		r, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		rep = eng.Report(r)
+	eng, err := run.New(j.spec, run.Attach{Metrics: rec})
+	if err != nil {
+		return nil, err
 	}
+	j.attachEngine(eng)
+	s.executions.Add(1)
+	r, err := eng.Run()
+	if err != nil {
+		return nil, err
+	}
+	rep := eng.Report(r)
 	rep.Config.Label = "simd/" + j.spec.Model
 	return rep.MarshalStable()
 }
@@ -534,7 +514,9 @@ func (s *Server) Degraded() bool {
 // previous run (warm restart). Jobs whose results reached the store
 // before the crash come back as instant cache hits; genuinely
 // interrupted jobs re-execute. Call it once, after NewServer and before
-// serving traffic. It returns how many jobs were re-submitted.
+// the handler serves its first request (cmd/simd does): the recovered
+// count is published only when the whole replay is done. It returns how
+// many jobs were re-submitted.
 func (s *Server) Recover() int {
 	if s.opts.Journal == nil {
 		return 0

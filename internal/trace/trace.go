@@ -2,14 +2,14 @@
 // spirit of ROSS's event tracing: a compact binary log that can be
 // written during a run and read back for analysis.
 //
-// Format v1 streams start with a 6-byte header (magic 0xCA "GVT" plus a
+// A stream starts with a 6-byte header (magic 0xCA "GVT" plus a
 // little-endian uint16 format version) followed by self-describing
 // records: committed events, GVT rounds, rollback episodes, MPI
-// sends/receives of the event/ack data plane, and worker phase
-// transitions. Format v2 adds LP-migration records emitted by the load
-// balancer. The Reader also accepts v1 streams and headerless v0 streams
-// (commit and round records only) written by earlier versions of this
-// repo, and rejects unknown versions instead of decoding garbage.
+// sends/receives of the event/ack data plane, worker phase transitions,
+// faults and the LP-migration records emitted by the load balancer. The
+// Reader accepts exactly the version this package writes and rejects
+// anything else — other versions, or a file that is not a trace —
+// instead of decoding garbage.
 package trace
 
 import (
@@ -32,13 +32,13 @@ const headerLen = 6
 const (
 	recCommit   = uint8(1) // one committed event
 	recRound    = uint8(2) // one completed GVT round
-	recRollback = uint8(3) // one rollback episode (v1+)
-	recMPISend  = uint8(4) // one MPI data-plane send (v1+)
-	recMPIRecv  = uint8(5) // one MPI data-plane receive (v1+)
-	recPhase    = uint8(6) // one worker phase transition (v1+)
-	recFault    = uint8(7) // one injected/observed fault (v1+)
+	recRollback = uint8(3) // one rollback episode
+	recMPISend  = uint8(4) // one MPI data-plane send
+	recMPIRecv  = uint8(5) // one MPI data-plane receive
+	recPhase    = uint8(6) // one worker phase transition
+	recFault    = uint8(7) // one injected/observed fault
 
-	recMigration = uint8(8) // one LP migration between nodes (v2+)
+	recMigration = uint8(8) // one LP migration between nodes
 )
 
 // Fault kinds carried by Fault records. 0-3 mirror the fabric's injected
@@ -349,8 +349,7 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
-// Reader iterates over a trace stream, accepting both v1 (headered) and
-// legacy v0 (headerless) formats.
+// Reader iterates over a trace stream.
 type Reader struct {
 	r       *bufio.Reader
 	off     int64
@@ -368,9 +367,8 @@ func NewReader(r io.Reader) *Reader {
 // points at the failure.
 func (t *Reader) Offset() int64 { return t.off }
 
-// Version returns the stream's format version (0 for legacy headerless
-// streams), detecting it on first use. An empty stream reads as the
-// current version.
+// Version returns the stream's format version, reading the header on
+// first use. An empty stream reads as the current version.
 func (t *Reader) Version() (int, error) {
 	if err := t.start(); err != nil && err != io.EOF {
 		return 0, err
@@ -378,29 +376,19 @@ func (t *Reader) Version() (int, error) {
 	return t.version, nil
 }
 
-// start detects and consumes the header. It returns io.EOF only for a
+// start consumes and checks the header. It returns io.EOF only for a
 // completely empty stream.
 func (t *Reader) start() error {
 	if t.started {
 		return t.err
 	}
 	t.started = true
-	first, err := t.r.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			t.version = Version
-			return io.EOF
-		}
-		t.err = err
-		return err
-	}
-	if first[0] != magic[0] {
-		// Headerless legacy stream: records begin immediately.
-		t.version = 0
-		return nil
-	}
+	t.version = Version
 	var h [headerLen]byte
 	if _, err := io.ReadFull(t.r, h[:]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
 		t.err = fmt.Errorf("trace: truncated header at offset %d: %w", t.off, err)
 		return t.err
 	}
@@ -409,12 +397,10 @@ func (t *Reader) start() error {
 		return t.err
 	}
 	t.off = headerLen
-	v := int(binary.LittleEndian.Uint16(h[4:]))
-	if v == 0 || v > Version {
-		t.err = fmt.Errorf("trace: unknown format version %d (this reader understands v0..v%d); refusing to decode", v, Version)
+	if v := int(binary.LittleEndian.Uint16(h[4:])); v != Version {
+		t.err = fmt.Errorf("trace: unknown format version %d (this reader understands v%d); refusing to decode", v, Version)
 		return t.err
 	}
-	t.version = v
 	return nil
 }
 
@@ -618,7 +604,7 @@ type Summary struct {
 	FinalGVT   float64
 	MaxT       float64
 	PerLP      map[uint32]int64
-	// v1 extensions (zero on v0 streams).
+	// Rollback, MPI, phase and fault records.
 	Rollbacks        int64 // rollback episodes
 	RolledBack       int64 // events undone across all episodes
 	MPISends         int64
@@ -628,7 +614,7 @@ type Summary struct {
 	MaxRollbackDepth int64
 	Faults           int64
 	FaultsByKind     map[uint8]int64
-	// v2 extensions (zero on v0/v1 streams).
+	// Migration records.
 	Migrations     int64 // LP moves recorded by the balancer
 	MigratedEvents int64 // pending events shipped along with moves
 }

@@ -165,32 +165,6 @@ func TestRoundTripV1Records(t *testing.T) {
 	}
 }
 
-// TestV0Shim strips the v1 header from a commit/round-only stream to
-// fabricate a legacy trace; the Reader must still decode it as v0.
-func TestV0Shim(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Commit(Commit{LP: 1, T: 2.0, Src: 3, Seq: 4})
-	w.Round(Round{Round: 1, GVT: 2.0, Sync: true, Efficiency: 0.9})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	legacy := buf.Bytes()[headerLen:]
-	r := NewReader(bytes.NewReader(legacy))
-	if v, err := r.Version(); err != nil || v != 0 {
-		t.Fatalf("version = %d, %v; want 0", v, err)
-	}
-	if rec, err := r.Next(); err != nil || rec.(Commit).LP != 1 {
-		t.Fatalf("commit: %v, %v", rec, err)
-	}
-	if rec, err := r.Next(); err != nil || rec.(Round).GVT != 2.0 {
-		t.Fatalf("round: %v, %v", rec, err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("want EOF, got %v", err)
-	}
-}
-
 func TestUnknownVersionRejected(t *testing.T) {
 	stream := []byte{0xCA, 'G', 'V', 'T', 0x63, 0x00} // version 99
 	if _, err := NewReader(bytes.NewReader(stream)).Next(); err == nil {
@@ -198,10 +172,29 @@ func TestUnknownVersionRejected(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "version 99") {
 		t.Errorf("error does not name the version: %v", err)
 	}
-	// Declared version 0 in a header is also invalid (v0 is headerless).
-	bad := []byte{0xCA, 'G', 'V', 'T', 0x00, 0x00}
-	if _, err := NewReader(bytes.NewReader(bad)).Next(); err == nil {
-		t.Fatal("headered version 0 did not error")
+	// Older versions are refused too: no v0/v1 file exists outside old
+	// checkouts, and guessing at one decodes garbage.
+	for _, v := range []byte{0, 1} {
+		old := []byte{0xCA, 'G', 'V', 'T', v, 0x00}
+		if _, err := NewReader(bytes.NewReader(old)).Next(); err == nil {
+			t.Fatalf("headered version %d did not error", v)
+		}
+	}
+	// A stream without the header — what the reader used to accept as
+	// "v0" — is not a trace file.
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Commit(Commit{LP: 1, T: 2.0, Src: 3, Seq: 4})
+	w.Round(Round{Round: 1, GVT: 2.0, Sync: true, Efficiency: 0.9})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()[headerLen:]))
+	if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("headerless stream: err = %v, want bad magic", err)
+	}
+	if _, err := r.Version(); err == nil {
+		t.Error("Version() forgot the header error")
 	}
 }
 
