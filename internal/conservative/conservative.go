@@ -331,6 +331,7 @@ func (e *Engine) collect() *stats.Run {
 		FinalGVT:     float64(e.end),
 		Disparity:    e.disparity.Mean(),
 		NullMessages: e.nullMsgs,
+		Kernel:       e.env.Counters(),
 	}
 	var sum uint64
 	for _, nd := range e.nodes {

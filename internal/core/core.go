@@ -531,6 +531,7 @@ func (e *Engine) collect() *stats.Run {
 		SyncRounds: e.syncRounds,
 		FinalGVT:   e.finalGVT,
 		Disparity:  e.disparity.Mean(),
+		Kernel:     e.env.Counters(),
 	}
 	var sum uint64
 	for _, nd := range e.nodes {

@@ -6,7 +6,7 @@
 // allocation on the hot path. The collected data exports as a single
 // machine-readable JSON run report (see report.go).
 //
-// Everything here runs inside the internal/sim hand-off scheduler, where
+// Everything here runs inside the internal/sim kernel, where
 // exactly one simulated process executes at a time, so the types need no
 // host-level locking; they are not safe for host-parallel use.
 package metrics

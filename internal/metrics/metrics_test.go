@@ -151,7 +151,7 @@ func TestRecorderWithoutInit(t *testing.T) {
 }
 
 // TestRegistryUnderSimScheduler exercises the registry from many
-// simulated processes. The hand-off scheduler interleaves them at
+// simulated processes. The kernel interleaves them at
 // Advance points; totals must come out exact without any host locking.
 func TestRegistryUnderSimScheduler(t *testing.T) {
 	env := sim.NewEnv()

@@ -4,7 +4,7 @@
 // and build identification.
 //
 // It deliberately complements — not replaces — internal/metrics. The
-// engine's telemetry runs inside the hand-off scheduler where exactly
+// engine's telemetry runs inside the internal/sim kernel where exactly
 // one simulated process executes at a time, so internal/metrics needs no
 // host locking and must allocate nothing on the hot path. This package
 // sits on the other side of that boundary: HTTP handlers, worker pools

@@ -87,3 +87,44 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 		t.Error("invalid spec built an engine")
 	}
 }
+
+// TestKernelDispatchesPinned pins what the sim kernel dispatches per
+// committed event on the two benchmark shapes where kernel cost
+// dominates: Time Warp's forward path (the benchmark's tw-comp) and the
+// null-message engine, whose idle polls make it the most
+// dispatch-hungry path in the tree (cons-nullmsg). The counts are a
+// function of the spec alone, so any change to how often the engines
+// enter the kernel shows here as an exact diff.
+func TestKernelDispatchesPinned(t *testing.T) {
+	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
+	twComp, consNull := shape, shape
+	twComp.GVT, twComp.EndTime = "mattern", 100
+	consNull.Sync, consNull.EndTime = "nullmsg", 8
+	for _, c := range []struct {
+		name                  string
+		spec                  Spec
+		dispatches, committed uint64
+	}{
+		{"tw-comp", twComp, 622_992, 23_393},
+		{"cons-nullmsg", consNull, 650_200, 1_849},
+	} {
+		eng, err := New(c.spec, Attach{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		r, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		k := r.Kernel
+		if k.Dispatches != c.dispatches || uint64(r.Workers.Committed) != c.committed {
+			t.Errorf("%s: %d dispatches for %d commits (%.1f per commit), pinned %d for %d",
+				c.name, k.Dispatches, r.Workers.Committed, float64(k.Dispatches)/float64(r.Workers.Committed),
+				c.dispatches, c.committed)
+		}
+		if k.ProcSwitches+k.Callbacks != k.Dispatches || k.ProcSwitches == 0 || k.Callbacks == 0 {
+			t.Errorf("%s: %d process switches + %d callbacks do not account for %d dispatches",
+				c.name, k.ProcSwitches, k.Callbacks, k.Dispatches)
+		}
+	}
+}

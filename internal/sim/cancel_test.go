@@ -8,7 +8,7 @@ import (
 )
 
 // TestCancelUnwindsProcesses cancels a run mid-flight and verifies Run
-// returns ErrCancelled with every process goroutine terminated.
+// returns ErrCancelled with every process coroutine terminated.
 func TestCancelUnwindsProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
@@ -101,6 +101,40 @@ func TestCancelAfterCompletionIsNoop(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	env.Cancel() // must not panic or leak
+}
+
+// TestDeadlockDoesNotLeak: a run that ends in a DeadlockError names its
+// stuck processes and then unwinds them, as a cancelled run does, instead
+// of leaving each parked forever.
+func TestDeadlockDoesNotLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	q := &Queue{Name: "never"}
+	bar := NewBarrier("short", 9)
+	unwound := 0
+	for i := 0; i < 8; i++ {
+		i := i
+		env.Spawn("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Advance(Microsecond)
+			if i%2 == 0 {
+				q.Get(p)
+			}
+			bar.Wait(p)
+		})
+	}
+	err := env.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run returned %v, want a DeadlockError", err)
+	}
+	if len(de.Procs) != 8 || de.Procs[0] != "stuck: blocked (barrier short)" || de.Procs[7] != "stuck: blocked (queue never)" {
+		t.Errorf("deadlocked procs = %q, want 4 blocked on the barrier and 4 on the queue", de.Procs)
+	}
+	if unwound != 8 || env.Live() != 0 {
+		t.Errorf("%d of 8 process bodies unwound, %d still live", unwound, env.Live())
+	}
+	waitForGoroutines(t, before)
 }
 
 // waitForGoroutines polls until the goroutine count drops back to (or

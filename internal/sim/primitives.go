@@ -28,7 +28,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.Contended++
 		start := p.Now()
 		m.waiters = append(m.waiters, p)
-		p.block("mutex " + m.Name)
+		p.block("mutex", m.Name)
 		m.WaitTime += p.Now() - start
 		// Ownership was transferred to us by Unlock.
 		if m.holder != p {
@@ -117,7 +117,7 @@ func (b *Barrier) Wait(p *Proc) {
 	}
 	b.arrived = append(b.arrived, p)
 	start := p.Now()
-	p.block("barrier " + b.Name)
+	p.block("barrier", b.Name)
 	b.WaitTime += p.Now() - start
 }
 
@@ -168,7 +168,7 @@ func (q *Queue) Get(p *Proc) any {
 		return v
 	}
 	q.getters = append(q.getters, p)
-	p.block("queue " + q.Name)
+	p.block("queue", q.Name)
 	v := p.xfer
 	p.xfer = nil
 	return v
@@ -208,7 +208,7 @@ type Cond struct {
 // Wait blocks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.block("cond " + c.Name)
+	p.block("cond", c.Name)
 }
 
 // Broadcast wakes every current waiter.
@@ -256,5 +256,5 @@ func (f *Flag) Wait(p *Proc) {
 		return
 	}
 	f.waiters = append(f.waiters, p)
-	p.block("flag " + f.Name)
+	p.block("flag", f.Name)
 }

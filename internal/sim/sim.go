@@ -1,14 +1,16 @@
 // Package sim is a deterministic, process-oriented discrete-event
 // simulation kernel. It plays the role that real hardware threads, pthread
 // primitives and wall-clock time play in the paper's testbed: simulated
-// "processes" (goroutines under a strict hand-off scheduler) advance a
+// "processes" (coroutines of the goroutine that calls Run) advance a
 // shared virtual clock, contend on simulated mutexes, meet at simulated
 // barriers and exchange data through simulated queues.
 //
-// Exactly one goroutine runs at any instant (the scheduler hands control to
-// one process at a time and waits for it to block), so execution is fully
-// deterministic regardless of GOMAXPROCS and needs no memory
-// synchronization inside the simulated world.
+// Exactly one process runs at any instant by construction: Run switches
+// into a process and gets control back when it blocks, a direct coroutine
+// switch with no channel, no scheduler queue and no second OS thread
+// woken. Execution is therefore fully deterministic regardless of
+// GOMAXPROCS and needs no memory synchronization inside the simulated
+// world.
 package sim
 
 import (
@@ -77,14 +79,21 @@ func (s procState) String() string {
 // Proc is a simulated thread of execution. All of its methods must be
 // called only from within the process's own function body.
 type Proc struct {
-	env       *Env
-	name      string
-	id        int
-	resumeCh  chan struct{}
-	state     procState
-	blockedOn string
-	xfer      any // value handed over by Queue.Put to a blocked getter
-	panicked  any // panic value captured from the process goroutine
+	env   *Env
+	name  string
+	id    int
+	state procState
+	// What a blocked process waits on, as the primitive's kind and name:
+	// two words stored and joined only if a DeadlockError is rendered.
+	waitKind, waitName string
+	xfer               any // value handed over by Queue.Put to a blocked getter
+	panicked           any // panic value captured from the process body
+
+	// The coroutine: Run switches in with next, the body switches back
+	// with yieldFn, stop unwinds a body that has not returned.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 }
 
 // Name returns the name given at Spawn time.
@@ -163,8 +172,8 @@ type Env struct {
 	procs   []*Proc
 	live    int
 	cur     *Proc
-	yieldCh chan struct{}
 	running bool
+	ctr     Counters
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
@@ -177,14 +186,22 @@ type Env struct {
 	sameTimeBy    map[string]int // dispatch counts per origin near the livelock limit
 
 	// stop is the asynchronous cancellation request flag: the only Env
-	// field any goroutine other than the scheduler's may touch. Run polls
-	// it between dispatches and unwinds the simulation when set.
+	// field any goroutine other than Run's may touch. Run polls it between
+	// dispatches and unwinds the simulation when set.
 	stop atomic.Bool
-	// cancelling tells resuming processes to abort instead of continuing.
-	// Written by cancelAll while every process goroutine is parked;
-	// subsequent reads are ordered by each process's resume channel.
-	cancelling bool
 }
+
+// Counters is what the kernel has dispatched so far. The counts are a
+// function of the simulated program alone, so they repeat exactly from
+// run to run.
+type Counters struct {
+	Dispatches   uint64 // events popped off the heap
+	ProcSwitches uint64 // dispatches that switched into a process
+	Callbacks    uint64 // dispatches that ran an After callback
+}
+
+// Counters returns the kernel's dispatch counts.
+func (e *Env) Counters() Counters { return e.ctr }
 
 // livelockWindow is how many dispatches before the livelock limit the
 // kernel starts attributing events to their origin, so the panic can name
@@ -200,7 +217,7 @@ var ErrCancelled = errors.New("sim: run cancelled")
 const cancelStride = 64
 
 // procCancelled is the panic value yield raises to unwind a process
-// during cancellation; the spawn wrapper swallows it.
+// whose coroutine was stopped; the spawn wrapper swallows it.
 type procCancelled struct{}
 
 // Cancel requests that a running (or about-to-run) simulation stop. It
@@ -210,9 +227,7 @@ type procCancelled struct{}
 func (e *Env) Cancel() { e.stop.Store(true) }
 
 // NewEnv returns an empty simulation environment at time zero.
-func NewEnv() *Env {
-	return &Env{yieldCh: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -230,36 +245,29 @@ func (e *Env) nextSeq() uint64 {
 // time (after the caller yields).
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		env:      e,
-		name:     name,
-		id:       len(e.procs),
-		resumeCh: make(chan struct{}),
-		state:    stateNew,
+		env:   e,
+		name:  name,
+		id:    len(e.procs),
+		state: stateNew,
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		<-p.resumeCh
-		// A panic in a process is re-raised in the scheduler's goroutine
-		// (Run's caller) so tests and callers can recover it normally.
-		// The cancellation unwind is the exception: it is the kernel's
-		// own doing and terminates the process silently.
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		// A panic in a process is re-raised by Run so tests and callers
+		// can recover it normally. The unwind of a stopped coroutine is
+		// the exception: it is the kernel's own doing and terminates the
+		// process silently.
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(procCancelled); !ok {
 					p.panicked = r
 				}
 			}
-			p.state = stateDone
-			p.blockedOn = ""
-			e.live--
-			e.yieldCh <- struct{}{}
+			p.finish()
 		}()
-		if e.cancelling {
-			return
-		}
 		fn(p)
-	}()
+	})
 	p.state = stateRunnable
 	e.heap.push(event{at: e.now, seq: e.nextSeq(), p: p})
 	return p
@@ -289,7 +297,6 @@ func (e *Env) makeRunnable(p *Proc) {
 		panic(fmt.Sprintf("sim: makeRunnable(%s) in state %v", p.name, p.state))
 	}
 	p.state = stateRunnable
-	p.blockedOn = ""
 	e.heap.push(event{at: e.now, seq: e.nextSeq(), p: p})
 }
 
@@ -314,18 +321,22 @@ func (e *Env) Run() error {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	// However Run ends — cancelled, deadlocked (once the error's process
+	// list is rendered) or panicking — no process coroutine outlives it.
+	defer func() {
+		e.unwind()
+		e.running = false
+	}()
 	limit := e.LivelockLimit
 	if limit <= 0 {
 		limit = 50_000_000
 	}
-	var dispatches uint64
+	start := e.ctr.Dispatches
 	for len(e.heap) > 0 {
-		if dispatches%cancelStride == 0 && e.stop.Load() {
-			e.cancelAll()
+		if (e.ctr.Dispatches-start)%cancelStride == 0 && e.stop.Load() {
 			return ErrCancelled
 		}
-		dispatches++
+		e.ctr.Dispatches++
 		ev := e.heap.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -349,19 +360,20 @@ func (e *Env) Run() error {
 		}
 		e.now = ev.at
 		if ev.fn != nil {
+			e.ctr.Callbacks++
 			e.cbSrc = ev.src
 			ev.fn()
 			e.cbSrc = ""
 			continue
 		}
+		e.ctr.ProcSwitches++
 		p := ev.p
 		if p.state != stateRunnable {
 			panic(fmt.Sprintf("sim: dispatching %s in state %v", p.name, p.state))
 		}
 		p.state = stateRunning
 		e.cur = p
-		p.resumeCh <- struct{}{}
-		<-e.yieldCh
+		p.next()
 		e.cur = nil
 		if p.panicked != nil {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicked))
@@ -371,7 +383,7 @@ func (e *Env) Run() error {
 		var blocked []string
 		for _, p := range e.procs {
 			if p.state == stateBlocked || p.state == stateRunnable {
-				blocked = append(blocked, fmt.Sprintf("%s: %s (%s)", p.name, p.state, p.blockedOn))
+				blocked = append(blocked, fmt.Sprintf("%s: %s (%s %s)", p.name, p.state, p.waitKind, p.waitName))
 			}
 		}
 		sort.Strings(blocked)
@@ -380,20 +392,27 @@ func (e *Env) Run() error {
 	return nil
 }
 
-// cancelAll unwinds a cancelled simulation: every unfinished process is
-// resumed one final time into a procCancelled panic (or, if it never
-// started, straight past its body), so no goroutine outlives Run. It
-// runs in scheduler context, where every process goroutine is parked on
-// its resume channel.
-func (e *Env) cancelAll() {
-	e.cancelling = true
+// unwind terminates every unfinished process: a started one is resumed
+// one final time into a procCancelled panic, one that never started is
+// finished here, since stopping its coroutine does not run the body whose
+// deferred call would. It runs in Run's own context, where every process
+// is parked.
+func (e *Env) unwind() {
 	for _, p := range e.procs {
 		if p.state == stateDone {
 			continue
 		}
-		p.resumeCh <- struct{}{}
-		<-e.yieldCh
+		p.stop()
+		if p.state != stateDone {
+			p.finish()
+		}
 	}
+}
+
+// finish retires a process whose body has returned or will never run.
+func (p *Proc) finish() {
+	p.state = stateDone
+	p.env.live--
 }
 
 // eventOrigin names the source of a dispatched event for diagnostics.
@@ -419,22 +438,20 @@ func (e *Env) livelockCulprit() string {
 	return fmt.Sprintf("%q (%d of last %d dispatches)", culprit, max, livelockWindow)
 }
 
-// yield returns control to the scheduler. The process must already have
-// arranged to be woken (a scheduled resume event or registration on a
-// primitive's wait list).
+// yield returns control to Run. The process must already have arranged
+// to be woken (a scheduled resume event or registration on a primitive's
+// wait list).
 func (p *Proc) yield() {
-	p.env.yieldCh <- struct{}{}
-	<-p.resumeCh
-	if p.env.cancelling {
+	if !p.yieldFn(struct{}{}) {
 		panic(procCancelled{})
 	}
-	p.state = stateRunning
 }
 
-// block parks the process until something calls makeRunnable on it.
-func (p *Proc) block(what string) {
+// block parks the process until something calls makeRunnable on it; kind
+// and name say which primitive it waits on.
+func (p *Proc) block(kind, name string) {
 	p.state = stateBlocked
-	p.blockedOn = what
+	p.waitKind, p.waitName = kind, name
 	p.yield()
 }
 
@@ -447,7 +464,5 @@ func (p *Proc) Advance(d Time) {
 	e := p.env
 	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), p: p})
 	p.state = stateRunnable
-	p.blockedOn = fmt.Sprintf("advance until %v", e.now+d)
 	p.yield()
-	p.blockedOn = ""
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -556,51 +557,6 @@ func TestEventHeapProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkAdvance(b *testing.B) {
-	env := NewEnv()
-	env.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1)
-		}
-	})
-	b.ResetTimer()
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkMutexUncontended(b *testing.B) {
-	env := NewEnv()
-	m := &Mutex{Name: "m"}
-	env.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			m.Lock(p)
-			m.Unlock(p)
-		}
-	})
-	b.ResetTimer()
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkBarrier4(b *testing.B) {
-	env := NewEnv()
-	bar := NewBarrier("b", 4)
-	for i := 0; i < 4; i++ {
-		env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for n := 0; n < b.N; n++ {
-				p.Advance(1)
-				bar.Wait(p)
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestCondBroadcast(t *testing.T) {
 	env := NewEnv()
 	var c Cond
@@ -632,11 +588,13 @@ func TestCondBroadcast(t *testing.T) {
 }
 
 func TestProcPanicPropagatesToRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	env := NewEnv()
 	env.Spawn("bomb", func(p *Proc) {
 		p.Advance(5)
 		panic("boom")
 	})
+	env.Spawn("bystander", func(p *Proc) { p.Advance(10) })
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -645,6 +603,11 @@ func TestProcPanicPropagatesToRun(t *testing.T) {
 		if s, ok := r.(string); !ok || !strings.Contains(s, "boom") || !strings.Contains(s, "bomb") {
 			t.Errorf("panic value = %v", r)
 		}
+		// The bystander was parked mid-Advance; Run unwound it on the way out.
+		if env.Live() != 0 {
+			t.Errorf("%d live processes after the panic, want 0", env.Live())
+		}
+		waitForGoroutines(t, before)
 	}()
 	_ = env.Run()
 }

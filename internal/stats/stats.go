@@ -147,6 +147,11 @@ type Run struct {
 	// from String().
 	PoolNews     int64
 	PoolRecycled int64
+
+	// Kernel is what the sim kernel dispatched during the run, the host
+	// cost's deterministic proxy (dispatches per committed event).
+	// Excluded from String() and, so far, from the report.
+	Kernel sim.Counters
 }
 
 // Efficiency returns committed / processed (the paper's committed over
