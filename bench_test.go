@@ -1,14 +1,9 @@
-// Package repro's benchmark harness: one testing.B benchmark per figure
-// of the paper's evaluation (Figures 3-12), plus the text tables and
-// substrate microbenchmarks. Each benchmark iteration executes a complete
-// scaled-down simulation run of that figure's decisive configuration and
-// reports two custom metrics:
-//
-//	virt-ev/s   committed events per *virtual* second (the paper's metric)
-//	efficiency  committed / processed
-//
-// The benchmarks are sized for iteration speed, not figure-quality data;
-// use `go run ./cmd/experiments` to regenerate the figures at full scale.
+// Package repro's one benchmark: BenchmarkTelemetry, the gate that
+// sampling and tracing record outside simulated cost. `make bench` and CI
+// run it. The per-figure configurations are run against the sequential
+// oracle by internal/harness, their virtual-time numbers are pinned by
+// cmd/bench (BENCH_baseline.json), and what a run costs on the host is
+// measured by benchmark/.
 package repro
 
 import (
@@ -17,237 +12,26 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/phold"
-	"repro/internal/seq"
+	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
-// benchTopology is the scaled-down cluster used by the figure benchmarks.
-func benchTopology(nodes int) cluster.Topology {
-	return cluster.Topology{Nodes: nodes, WorkersPerNode: 4, LPsPerWorker: 16}
-}
-
-// benchRun executes one full simulation and reports the paper's metrics.
-func benchRun(b *testing.B, nodes int, gvt core.GVTKind, comm core.CommMode,
-	base phold.Phase, mixed *phold.MixedModel, interval int) {
-	b.Helper()
-	top := benchTopology(nodes)
-	if nodes == 1 {
-		base.RemotePct = 0
-		if mixed != nil {
-			mixed.Comm.RemotePct = 0
-		}
-	}
-	end := vtime.Time(15)
-	if mixed != nil {
-		mixed.EndTime = end
-	}
-	cfg := core.Config{
-		Topology:    top,
-		GVT:         gvt,
-		GVTInterval: interval,
-		Comm:        comm,
-		EndTime:     end,
-		Seed:        1,
-		Model:       phold.New(phold.Params{Topology: top, Base: base, Mixed: mixed}),
-	}
-	var rate, eff float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := core.New(cfg).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = r.EventRate()
-		eff = r.Efficiency()
-	}
-	b.ReportMetric(rate, "virt-ev/s")
-	b.ReportMetric(eff, "efficiency")
-}
-
-func comp() phold.Phase { return phold.ComputationDominated() }
-func comm() phold.Phase { return phold.CommunicationDominated() }
-
-func mixed(x, y float64) *phold.MixedModel {
-	return &phold.MixedModel{Comm: phold.CommunicationDominated(), CompFrac: x, CommFrac: y}
-}
-
-// --- Figure 3: dedicated vs combined MPI thread, computation-dominated ---
-
-func BenchmarkFig3DedicatedMPIComp(b *testing.B) {
-	b.Run("mattern/dedicated", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommDedicated, comp(), nil, 8)
-	})
-	b.Run("mattern/combined", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommCombined, comp(), nil, 8)
-	})
-	b.Run("barrier/dedicated", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommDedicated, comp(), nil, 8)
-	})
-	b.Run("barrier/combined", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommCombined, comp(), nil, 8)
-	})
-}
-
-// --- Figure 4: dedicated vs combined MPI thread, communication-dominated ---
-
-func BenchmarkFig4DedicatedMPIComm(b *testing.B) {
-	b.Run("mattern/dedicated", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommDedicated, comm(), nil, 8)
-	})
-	b.Run("mattern/combined", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommCombined, comm(), nil, 8)
-	})
-	b.Run("barrier/dedicated", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommDedicated, comm(), nil, 8)
-	})
-	b.Run("barrier/combined", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommCombined, comm(), nil, 8)
-	})
-}
-
-// --- Figure 5: Mattern vs Barrier, computation-dominated ---
-
-func BenchmarkFig5MatternVsBarrierComp(b *testing.B) {
-	b.Run("mattern", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommDedicated, comp(), nil, 4)
-	})
-	b.Run("barrier", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommDedicated, comp(), nil, 4)
-	})
-}
-
-// --- Figure 6: Mattern vs Barrier, communication-dominated ---
-
-func BenchmarkFig6MatternVsBarrierComm(b *testing.B) {
-	b.Run("mattern", func(b *testing.B) {
-		benchRun(b, 4, core.GVTMattern, core.CommDedicated, comm(), nil, 4)
-	})
-	b.Run("barrier", func(b *testing.B) {
-		benchRun(b, 4, core.GVTBarrier, core.CommDedicated, comm(), nil, 4)
-	})
-}
-
-// --- Figure 8: three-way, computation-dominated ---
-
-func BenchmarkFig8ThreeWayComp(b *testing.B) {
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTBarrier, core.GVTControlled} {
-		g := g
-		b.Run(g.String(), func(b *testing.B) {
-			benchRun(b, 4, g, core.CommDedicated, comp(), nil, 4)
-		})
-	}
-}
-
-// --- Figure 9: three-way, communication-dominated ---
-
-func BenchmarkFig9ThreeWayComm(b *testing.B) {
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTBarrier, core.GVTControlled} {
-		g := g
-		b.Run(g.String(), func(b *testing.B) {
-			benchRun(b, 4, g, core.CommDedicated, comm(), nil, 4)
-		})
-	}
-}
-
-// --- Figures 10-12: mixed models ---
-
-func benchMixed(b *testing.B, x, y float64) {
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTBarrier, core.GVTControlled} {
-		g := g
-		b.Run(g.String(), func(b *testing.B) {
-			benchRun(b, 4, g, core.CommDedicated, comp(), mixed(x, y), 4)
-		})
-	}
-}
-
-func BenchmarkFig10Mixed1015(b *testing.B) { benchMixed(b, 10, 15) }
-func BenchmarkFig11Mixed1510(b *testing.B) { benchMixed(b, 15, 10) }
-func BenchmarkFig12Mixed55(b *testing.B)   { benchMixed(b, 5, 5) }
-
-// --- Text tables: the single-node baseline and the sequential engine ---
-
-func BenchmarkSequentialBaseline(b *testing.B) {
-	top := benchTopology(1)
-	base := comp()
-	base.RemotePct = 0
-	factory := phold.New(phold.Params{Topology: top, Base: base})
-	b.ReportAllocs()
-	var processed int64
-	for i := 0; i < b.N; i++ {
-		r := seq.New(factory, top.TotalLPs(), 15, 1).Run()
-		processed = r.Processed
-	}
-	b.ReportMetric(float64(processed), "events")
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationSharedMPI(b *testing.B) {
-	for _, m := range []core.CommMode{core.CommDedicated, core.CommCombined, core.CommShared} {
-		m := m
-		b.Run(m.String(), func(b *testing.B) {
-			benchRun(b, 4, core.GVTMattern, m, comm(), nil, 8)
-		})
-	}
-}
-
-func BenchmarkAblationQueueKind(b *testing.B) {
-	for _, kind := range []string{"heap", "calendar"} {
-		kind := kind
-		b.Run(kind, func(b *testing.B) {
-			top := benchTopology(2)
-			cfg := core.Config{
-				Topology: top, GVT: core.GVTMattern, GVTInterval: 4,
-				Comm: core.CommDedicated, EndTime: 15, Seed: 1, QueueKind: kind,
-				Model: phold.New(phold.Params{Topology: top, Base: comp()}),
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.New(cfg).Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationGVTInterval(b *testing.B) {
-	for _, iv := range []int{2, 4, 8, 16} {
-		iv := iv
-		b.Run(core.GVTMattern.String()+"-"+itoa(iv), func(b *testing.B) {
-			benchRun(b, 2, core.GVTMattern, core.CommDedicated, comm(), nil, iv)
-		})
-	}
-}
-
-// --- Telemetry overhead: sampler/trace on vs off ---
-
-// telemetryRun executes one CA-GVT mixed run with the given telemetry
-// attachments and returns its result.
+// telemetryRun executes one CA-GVT mixed run (2 nodes x 4 workers x 16
+// LPs, the 10-15 mix) with the given telemetry attachments and returns
+// its result.
 func telemetryRun(b *testing.B, rec *metrics.Recorder, tw *trace.Writer) *stats.Run {
 	b.Helper()
-	top := benchTopology(2)
-	m := mixed(10, 15)
-	m.EndTime = 15
-	cfg := core.Config{
-		Topology:    top,
-		GVT:         core.GVTControlled,
-		GVTInterval: 4,
-		Comm:        core.CommDedicated,
-		EndTime:     15,
-		Seed:        1,
-		Metrics:     rec,
-		Trace:       tw,
-		Model:       phold.New(phold.Params{Topology: top, Base: comp(), Mixed: m}),
+	eng, err := run.New(run.Spec{
+		Scenario: "mixed", Nodes: 2, WorkersPerNode: 4, LPsPerWorker: 16,
+		GVT: "ca-gvt", GVTInterval: 4, EndTime: 15, Seed: 1,
+	}, run.Attach{Metrics: rec, Trace: tw})
+	if err != nil {
+		b.Fatal(err)
 	}
-	r, err := core.New(cfg).Run()
+	r, err := eng.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,51 +127,4 @@ func BenchmarkTelemetry(b *testing.B) {
 		}
 		check(b, r)
 	})
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func BenchmarkAblationCheckpointInterval(b *testing.B) {
-	for _, k := range []int{1, 4, 16} {
-		k := k
-		b.Run("k="+itoa(k), func(b *testing.B) {
-			top := benchTopology(2)
-			cfg := core.Config{
-				Topology: top, GVT: core.GVTMattern, GVTInterval: 4,
-				Comm: core.CommDedicated, EndTime: 15, Seed: 1,
-				CheckpointInterval: k,
-				Model:              phold.New(phold.Params{Topology: top, Base: comm()}),
-			}
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				r, err := core.New(cfg).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = r.EventRate()
-			}
-			b.ReportMetric(rate, "virt-ev/s")
-		})
-	}
-}
-
-func BenchmarkAblationSamadiGVT(b *testing.B) {
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTSamadi} {
-		g := g
-		b.Run(g.String(), func(b *testing.B) {
-			benchRun(b, 2, g, core.CommDedicated, comm(), nil, 4)
-		})
-	}
 }

@@ -1,6 +1,6 @@
-// Package conservative implements a conservative (blocking) parallel
-// discrete event simulation engine over the same cluster, MPI and model
-// layers as the optimistic Time Warp engine in internal/core.
+// Package conservative is conservative (blocking) synchronisation over
+// the same processing-element runtime (internal/pe) as the optimistic
+// Time Warp engine in internal/core.
 //
 // Instead of speculating and rolling back, a conservative worker only
 // processes an event once it is provably safe: no event with a smaller
@@ -27,12 +27,10 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -89,7 +87,7 @@ type Config struct {
 	// records one round per horizon advance instead and ignores this.
 	ObserveInterval sim.Time
 
-	Model core.ModelFactory
+	Model pe.ModelFactory
 
 	Trace   *trace.Writer
 	Metrics *metrics.Recorder
@@ -97,21 +95,7 @@ type Config struct {
 
 // Defaults fills unset fields with paper-faithful values.
 func (c *Config) Defaults() {
-	if c.Cost == (cluster.CostModel{}) {
-		c.Cost = cluster.KNLDefaults()
-	}
-	if c.Net == (fabric.Params{}) {
-		c.Net = fabric.EthernetDefaults()
-	}
-	if c.MPICosts == (mpi.Costs{}) {
-		c.MPICosts = mpi.DefaultCosts()
-	}
-	if c.QueueKind == "" {
-		c.QueueKind = "heap"
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
+	pe.MachineDefaults(&c.Cost, &c.Net, &c.MPICosts, &c.QueueKind, &c.BatchSize)
 	if c.ObserveInterval == 0 {
 		c.ObserveInterval = 250 * sim.Microsecond
 	}
@@ -147,24 +131,16 @@ func (c *Config) Validate() error {
 }
 
 // Engine is one conservative simulation instance. Like core.Engine it is
-// single-use: New, Run, then read the results.
+// single-use: New, Run (from the embedded runtime), then read the results.
 type Engine struct {
+	pe.Runtime
 	cfg   Config
-	env   *sim.Env
-	world *mpi.World
 	nodes []*node
 
 	la  vtime.Time
 	end vtime.Time
 
-	rounds     int64
-	syncRounds int64
-	finalGVT   vtime.Time
-	disparity  stats.Disparity
-	nullMsgs   int64
-	exited     int // workers finished, cluster-wide
-
-	lvtScratch []float64
+	nullMsgs int64
 }
 
 // New builds an engine. It panics on an invalid configuration (mirroring
@@ -175,53 +151,19 @@ func New(cfg Config) *Engine {
 		panic(err)
 	}
 	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime}
-	eng.env = sim.NewEnv()
-	eng.env.LivelockLimit = 500_000_000
-	eng.world = mpi.NewWorld(eng.env, cfg.Topology.Nodes, cfg.Net, cfg.MPICosts)
-	if rec := cfg.Metrics; rec != nil {
-		rec.Init(cfg.Topology.TotalWorkers())
-	}
-	streams := rng.NewSequence(cfg.Seed)
+	eng.Init(pe.Config{
+		Topology: cfg.Topology, Net: cfg.Net, MPICosts: cfg.MPICosts,
+		Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Trace: cfg.Trace, Metrics: cfg.Metrics,
+	}, eng.finish)
 	for id := 0; id < cfg.Topology.Nodes; id++ {
-		eng.nodes = append(eng.nodes, newNode(eng, id, streams))
+		eng.nodes = append(eng.nodes, newNode(eng))
 	}
-	// Seed initial events exactly as the sequential oracle does: every
-	// LP's Init runs at virtual time zero in global id order, and each
-	// send lands directly in the destination LP's pending queue.
-	for _, nd := range eng.nodes {
-		for _, w := range nd.workers {
-			for _, l := range w.lps {
-				l.model.Init(&initCtx{eng: eng, lp: l})
-			}
-		}
+	eng.Seed()
+	if cfg.Sync == SyncNullMsg {
+		eng.AddProcess("observer", eng.observe)
 	}
 	return eng
-}
-
-// Run executes the simulation to completion and returns the aggregated
-// statistics.
-func (e *Engine) Run() (*stats.Run, error) {
-	for _, nd := range e.nodes {
-		nd.spawn()
-	}
-	if e.cfg.Sync == SyncNullMsg {
-		e.spawnObserver()
-	}
-	if err := e.env.Run(); err != nil {
-		return nil, err
-	}
-	return e.collect(), nil
-}
-
-// Cancel requests that a running simulation stop. Safe to call from any
-// goroutine; Run unwinds at the next kernel dispatch boundary and
-// returns sim.ErrCancelled.
-func (e *Engine) Cancel() { e.env.Cancel() }
-
-// workerOf returns the worker hosting lp.
-func (e *Engine) workerOf(lp event.LPID) *worker {
-	n, w := e.cfg.Topology.WorkerOf(lp)
-	return e.nodes[n].workers[w]
 }
 
 // horizonFloor clamps a virtual-time floor against the end of the run:
@@ -234,119 +176,48 @@ func (e *Engine) horizonFloor(t vtime.Time) vtime.Time {
 	return t
 }
 
-// spawnObserver starts the null-message utilization observer: a
-// zero-interaction process that samples the cluster's virtual-time
-// horizon at a fixed virtual cadence. It only reads worker state, so it
-// cannot perturb the committed event stream.
-func (e *Engine) spawnObserver() {
-	e.env.Spawn("observer", func(p *sim.Proc) {
-		for {
-			p.Advance(e.cfg.ObserveInterval)
-			if e.exited >= e.cfg.Topology.TotalWorkers() {
-				return
-			}
-			gvt := vtime.Inf
-			for _, nd := range e.nodes {
-				for _, w := range nd.workers {
-					if f := w.floorLive(); f < gvt {
-						gvt = f
-					}
+// observe is the null-message utilization observer: a zero-interaction
+// process that samples the cluster's virtual-time horizon at a fixed
+// virtual cadence until every worker has exited. It only reads worker
+// state, so it cannot perturb the committed event stream.
+func (e *Engine) observe(p *sim.Proc) {
+	for {
+		p.Advance(e.cfg.ObserveInterval)
+		exited := 0
+		gvt := vtime.Inf
+		for _, nd := range e.nodes {
+			exited += nd.WorkersExited
+			for _, w := range nd.workers {
+				if f := w.floorLive(); f < gvt {
+					gvt = f
 				}
 			}
-			e.onRound(p.Now(), gvt, false)
 		}
-	})
+		if exited == e.cfg.Topology.TotalWorkers() {
+			return
+		}
+		e.onRound(gvt, false)
+	}
 }
 
 // onRound records one synchronization (window) or observation (nullmsg)
-// round: the horizon-roughness sample, the metrics round sample, the
-// progress update and the trace record. It performs no simulated work
-// (no Advance), so in the cooperative kernel it is atomic.
-func (e *Engine) onRound(now sim.Time, gvt vtime.Time, sync bool) {
-	e.rounds++
-	if sync {
-		e.syncRounds++
-	}
-	g := float64(gvt)
-	if g > float64(e.end) {
-		g = float64(e.end)
-	}
-	e.finalGVT = vtime.Time(g)
-	if e.lvtScratch == nil {
-		e.lvtScratch = make([]float64, 0, e.cfg.Topology.TotalWorkers())
-	}
-	lvts := e.lvtScratch[:0]
-	rec := e.cfg.Metrics
-	var scratch []metrics.WorkerSample
-	if rec != nil {
-		scratch = rec.Scratch()
-	}
-	var processed int64
-	i := 0
+// round, with every worker's live floor as its LVT and the horizon
+// clamped to the end of the run.
+func (e *Engine) onRound(gvt vtime.Time, sync bool) {
 	for _, nd := range e.nodes {
 		for _, w := range nd.workers {
-			lvt := float64(w.floorLive())
-			lvts = append(lvts, lvt)
-			processed += w.st.Processed
-			if scratch != nil {
-				scratch[i] = metrics.WorkerSample{
-					LVT:           metrics.SafeLVT(lvt),
-					Pending:       w.pending.Len(),
-					Mailbox:       len(w.inbox),
-					BarrierWaitNs: int64(w.st.BarrierWait),
-				}
-			}
-			i++
+			e.Views[w.Gidx].LVT = float64(w.floorLive())
 		}
 	}
-	e.lvtScratch = lvts
-	e.disparity.Observe(lvts)
-	at := int64(now)
-	if rec != nil {
-		f := e.world.Fabric()
-		im, ib := f.InFlight()
-		rec.SampleRound(metrics.RoundSample{
-			Round: e.rounds, GVT: g, AtNanos: at, Sync: sync, Efficiency: 1,
-			MPIInFlightMsgs: im, MPIInFlightBytes: ib,
-			MPISentMsgs: f.MessagesSent, MPISentBytes: f.BytesSent,
-		}, scratch)
-		if rec.WantProgress() {
-			rec.Progress(metrics.ProgressUpdate{
-				Round: e.rounds, GVT: g, AtNanos: at, Sync: sync, Efficiency: 1,
-				Processed: processed, Committed: processed,
-			})
-		}
-	}
-	if tr := e.cfg.Trace; tr != nil {
-		tr.Round(trace.Round{Round: e.rounds, GVT: g, AtNanos: at, Sync: sync, Efficiency: 1})
-	}
+	e.RecordRound(pe.Round{GVT: vtime.Min(gvt, e.end), Sync: sync, Efficiency: 1})
 }
 
-// collect aggregates the final statistics.
-func (e *Engine) collect() *stats.Run {
-	r := &stats.Run{
-		WallTime:     e.env.Now(),
-		GVTRounds:    e.rounds,
-		SyncRounds:   e.syncRounds,
-		FinalGVT:     float64(e.end),
-		Disparity:    e.disparity.Mean(),
-		NullMessages: e.nullMsgs,
-		Kernel:       e.env.Counters(),
-	}
-	var sum uint64
-	for _, nd := range e.nodes {
-		for _, w := range nd.workers {
-			r.Workers.Add(&w.st)
-			for _, l := range w.lps {
-				sum += uint64(l.checksum)
-			}
-		}
-	}
-	r.CommitChecksum = sum
-	f := e.world.Fabric()
-	r.MPIMessages = f.MessagesSent
-	r.MPIBytes = f.BytesSent
-	return r
+// finish completes the run statistics: the run ends when the kernel does,
+// with the horizon past the end time.
+func (e *Engine) finish(r *stats.Run) {
+	r.WallTime = e.Env.Now()
+	r.FinalGVT = float64(e.end)
+	r.NullMessages = e.nullMsgs
 }
 
 // Report assembles the canonical run report for r, which must have come

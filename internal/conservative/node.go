@@ -3,12 +3,10 @@ package conservative
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/mpi"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -35,14 +33,9 @@ const pumpBudget = 32
 // node hosts a group of workers, their shared MPI rank and the dedicated
 // comm role that services it.
 type node struct {
+	pe.Node
 	eng     *Engine
-	id      int
-	cost    cluster.CostModel
-	rank    *mpi.Rank
 	workers []*worker
-
-	outMu  sim.Mutex
-	outbox []*event.Event
 
 	// evSent/evRecv count event messages (not nulls) over MPI, for the
 	// window protocol's transit-drain allreduce.
@@ -57,57 +50,28 @@ type node struct {
 	// Null-message state.
 	chanIn  []vtime.Time // [peer node] highest EOT promise received
 	lastEOT []vtime.Time // [peer node] highest EOT promise sent
-
-	workersExited int
 }
 
-func newNode(eng *Engine, id int, streams *rng.Sequence) *node {
+func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
-	n := &node{
-		eng:  eng,
-		id:   id,
-		cost: eng.cfg.Cost,
-		rank: eng.world.Rank(id),
-	}
-	n.outMu = sim.Mutex{Name: fmt.Sprintf("outbox-%d", id), HoldCost: n.cost.RegionalLockHold}
+	n := &node{eng: eng}
+	eng.AddNode(&n.Node, eng.cfg.Cost)
 	parts := top.WorkersPerNode + 1 // workers + the comm role
-	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", id), parts)
-	n.bar2 = sim.NewBarrier(fmt.Sprintf("csync2-%d", id), parts)
+	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
+	n.bar2 = sim.NewBarrier(fmt.Sprintf("csync2-%d", n.ID), parts)
 	n.floors = make([]float64, top.WorkersPerNode)
 	n.chanIn = make([]vtime.Time, top.Nodes)
 	n.lastEOT = make([]vtime.Time, top.Nodes)
-	for i := range n.chanIn {
-		if i == id {
-			n.chanIn[i] = vtime.Inf // self imposes no inbound bound
-		}
-	}
+	n.chanIn[n.ID] = vtime.Inf // self imposes no inbound bound
 	for i := 0; i < top.WorkersPerNode; i++ {
-		n.workers = append(n.workers, newWorker(n, i, streams))
+		n.workers = append(n.workers, newWorker(n))
+	}
+	if eng.cfg.Sync == SyncWindow {
+		eng.AddComm(&n.Node, n.commWindow)
+	} else {
+		eng.AddComm(&n.Node, n.commNullmsg)
 	}
 	return n
-}
-
-func (n *node) spawn() {
-	for _, w := range n.workers {
-		w := w
-		n.eng.env.Spawn(fmt.Sprintf("n%d/w%d", n.id, w.idx), func(p *sim.Proc) { w.run(p) })
-	}
-	n.eng.env.Spawn(fmt.Sprintf("n%d/comm", n.id), func(p *sim.Proc) {
-		switch n.eng.cfg.Sync {
-		case SyncWindow:
-			n.commWindow(p)
-		default:
-			n.commNullmsg(p)
-		}
-	})
-}
-
-// enqueueRemote queues an event for MPI transmission by the comm role.
-func (n *node) enqueueRemote(p *sim.Proc, ev *event.Event) {
-	n.outMu.Lock(p)
-	p.Advance(n.cost.RemoteEnqueue)
-	n.outbox = append(n.outbox, ev)
-	n.outMu.Unlock(p)
 }
 
 // flushEvents sends up to budget outbox events over MPI (budget <= 0
@@ -115,34 +79,16 @@ func (n *node) enqueueRemote(p *sim.Proc, ev *event.Event) {
 func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 	sent := false
 	for {
-		n.outMu.Lock(p)
-		take := len(n.outbox)
-		if budget > 0 && take > budget {
-			take = budget
-		}
-		batch := make([]*event.Event, take)
-		copy(batch, n.outbox[:take])
-		rest := copy(n.outbox, n.outbox[take:])
-		n.outbox = n.outbox[:rest]
-		backlog := rest
-		n.outMu.Unlock(p)
-		if take == 0 {
+		batch, backlog := n.Out.Take(p, budget)
+		if len(batch) == 0 {
 			return sent
 		}
-		tr := n.eng.cfg.Trace
-		top := &n.eng.cfg.Topology
 		for _, ev := range batch {
-			dst := top.NodeOf(ev.Dst)
-			n.rank.Send(p, dst, tagEvents, ev.WireSize(), ev)
+			n.Send(p, n.eng.cfg.Topology.NodeOf(ev.Dst), tagEvents, ev.WireSize(), ev, backlog)
 			n.evSent++
-			sent = true
-			if tr != nil {
-				tr.MPISend(trace.MPISend{
-					Src: uint16(n.id), Dst: uint16(dst), Bytes: uint32(ev.WireSize()),
-					QueueDepth: uint32(backlog), AtNanos: int64(p.Now()),
-				})
-			}
 		}
+		n.Out.Recycle(batch)
+		sent = true
 		if budget > 0 {
 			return sent
 		}
@@ -154,10 +100,8 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 // messages ratchet the per-peer promise channel.
 func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 	got := false
-	top := &n.eng.cfg.Topology
-	tr := n.eng.cfg.Trace
 	for i := 0; budget <= 0 || i < budget; i++ {
-		m, ok := n.rank.TryRecv(p, tagEvents)
+		m, ok := n.Rank.TryRecv(p, tagEvents)
 		if !ok {
 			break
 		}
@@ -165,36 +109,18 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 		switch pl := m.Payload.(type) {
 		case *event.Event:
 			n.evRecv++
-			_, wi := top.WorkerOf(pl.Dst)
+			_, wi := n.eng.cfg.Topology.WorkerOf(pl.Dst)
 			w := n.workers[wi]
 			w.deposit(p, pl)
-			if tr != nil {
-				tr.MPIRecv(trace.MPIRecv{
-					Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-					QueueDepth: uint32(len(w.inbox)), AtNanos: int64(p.Now()),
-				})
-			}
+			n.TraceRecv(p, m, w.Inbox.Len())
 		case nullMsg:
 			if pl.EOT > n.chanIn[m.Src] {
 				n.chanIn[m.Src] = pl.EOT
 			}
-			if tr != nil {
-				tr.MPIRecv(trace.MPIRecv{
-					Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-					AtNanos: int64(p.Now()),
-				})
-			}
+			n.TraceRecv(p, m, 0)
 		default:
-			panic(fmt.Sprintf("conservative: node %d received unexpected payload %T", n.id, m.Payload))
+			panic(fmt.Sprintf("conservative: node %d received unexpected payload %T", n.ID, m.Payload))
 		}
 	}
 	return got
-}
-
-func (n *node) barrierWait(p *sim.Proc, b *sim.Barrier, w *worker) {
-	t0 := p.Now()
-	b.Wait(p)
-	if w != nil {
-		w.st.BarrierWait += p.Now() - t0
-	}
 }

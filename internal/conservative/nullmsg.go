@@ -52,16 +52,16 @@ func (w *worker) runNullmsg(p *sim.Proc) {
 			worked = true
 		}
 		if worked {
-			w.setPhase(p, trace.PhaseProcessing)
+			w.SetPhase(trace.PhaseProcessing)
 			continue
 		}
 		// Nothing processable: done for good, or blocked on a promise.
 		if w.eng.horizonFloor(w.floorLive()) == vtime.Inf && w.safeBound() > w.eng.end {
 			return
 		}
-		w.setPhase(p, trace.PhaseIdle)
-		w.st.IdleTime += n.cost.IdlePoll
-		p.Advance(n.cost.IdlePoll)
+		w.SetPhase(trace.PhaseIdle)
+		w.St.IdleTime += n.Cost.IdlePoll
+		p.Advance(n.Cost.IdlePoll)
 	}
 }
 
@@ -70,7 +70,7 @@ func (w *worker) runNullmsg(p *sim.Proc) {
 // again, unconditionally.
 func (n *node) eotPromise() vtime.Time {
 	e := n.eng
-	if n.workersExited == len(n.workers) {
+	if n.WorkersExited == len(n.workers) {
 		return vtime.Inf
 	}
 	b := vtime.Inf
@@ -80,7 +80,7 @@ func (n *node) eotPromise() vtime.Time {
 		}
 	}
 	for s, c := range n.chanIn {
-		if s == n.id {
+		if s == n.ID {
 			continue
 		}
 		if f := e.horizonFloor(c); f < b {
@@ -94,7 +94,7 @@ func (n *node) eotPromise() vtime.Time {
 	// Events already stamped and queued for transmission bound the
 	// promise directly (cooperative kernel: a zero-cost peek, so no
 	// simulated lock acquisition).
-	for _, ev := range n.outbox {
+	for _, ev := range n.Out.Items() {
 		if ev.Stamp.T < eot {
 			eot = ev.Stamp.T
 		}
@@ -111,22 +111,15 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 		return false
 	}
 	eot := n.eotPromise()
-	tr := n.eng.cfg.Trace
 	sent := false
 	for dst := 0; dst < top.Nodes; dst++ {
-		if dst == n.id || eot <= n.lastEOT[dst] {
+		if dst == n.ID || eot <= n.lastEOT[dst] {
 			continue
 		}
 		n.lastEOT[dst] = eot
-		n.rank.Send(p, dst, tagEvents, nullWireSize, nullMsg{EOT: eot})
+		n.Send(p, dst, tagEvents, nullWireSize, nullMsg{EOT: eot}, 0)
 		n.eng.nullMsgs++
 		sent = true
-		if tr != nil {
-			tr.MPISend(trace.MPISend{
-				Src: uint16(n.id), Dst: uint16(dst), Bytes: nullWireSize,
-				AtNanos: int64(p.Now()),
-			})
-		}
 	}
 	return sent
 }
@@ -135,7 +128,7 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 // ways and keep the promises flowing until every local worker is done,
 // then sign off with a final infinite promise so peers can finish too.
 func (n *node) commNullmsg(p *sim.Proc) {
-	for n.workersExited < len(n.workers) {
+	for n.WorkersExited < len(n.workers) {
 		worked := n.flushEvents(p, pumpBudget)
 		if n.recvInbound(p, pumpBudget) {
 			worked = true
@@ -144,7 +137,7 @@ func (n *node) commNullmsg(p *sim.Proc) {
 			worked = true
 		}
 		if !worked {
-			p.Advance(n.cost.IdlePoll)
+			p.Advance(n.Cost.IdlePoll)
 		}
 	}
 	n.flushEvents(p, 0)

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/models/epidemic"
 	"repro/internal/models/pcs"
 	"repro/internal/models/tandem"
+	"repro/internal/pe"
 	"repro/internal/phold"
 	"repro/internal/seq"
 	"repro/internal/vtime"
@@ -19,7 +19,7 @@ import (
 type testModel struct {
 	name      string
 	lookahead vtime.Time
-	factory   func(top cluster.Topology) core.ModelFactory
+	factory   func(top cluster.Topology) pe.ModelFactory
 }
 
 func testModels() []testModel {
@@ -27,7 +27,7 @@ func testModels() []testModel {
 		{
 			name:      "phold",
 			lookahead: 0.1, // phold.Params default Lookahead
-			factory: func(top cluster.Topology) core.ModelFactory {
+			factory: func(top cluster.Topology) pe.ModelFactory {
 				params := phold.Params{Topology: top, Base: phold.ComputationDominated()}
 				if top.Nodes == 1 {
 					params.Base.RemotePct = 0
@@ -38,7 +38,7 @@ func testModels() []testModel {
 		{
 			name:      "pcs",
 			lookahead: pcs.Lookahead,
-			factory: func(top cluster.Topology) core.ModelFactory {
+			factory: func(top cluster.Topology) pe.ModelFactory {
 				w, h := cluster.NearSquareGrid(top.TotalLPs())
 				return pcs.New(pcs.Params{GridW: w, GridH: h})
 			},
@@ -46,7 +46,7 @@ func testModels() []testModel {
 		{
 			name:      "epidemic",
 			lookahead: epidemic.Lookahead,
-			factory: func(top cluster.Topology) core.ModelFactory {
+			factory: func(top cluster.Topology) pe.ModelFactory {
 				w, h := cluster.NearSquareGrid(top.TotalLPs())
 				return epidemic.New(epidemic.Params{GridW: w, GridH: h})
 			},
@@ -54,7 +54,7 @@ func testModels() []testModel {
 		{
 			name:      "tandem",
 			lookahead: vtime.Time(tandem.Params{}.Lookahead()),
-			factory: func(top cluster.Topology) core.ModelFactory {
+			factory: func(top cluster.Topology) pe.ModelFactory {
 				return tandem.New(tandem.Params{})
 			},
 		},

@@ -30,18 +30,18 @@ func (w *worker) runWindow(p *sim.Proc) {
 			worked = true
 		}
 		if worked {
-			w.setPhase(p, trace.PhaseProcessing)
+			w.SetPhase(trace.PhaseProcessing)
 			continue
 		}
 		// Horizon exhausted: synchronize. First drain in-transit events
 		// cluster-wide (the comm role flushes, receives and allreduces
 		// between the two barriers of each iteration).
-		w.setPhase(p, trace.PhaseGVT)
+		w.SetPhase(trace.PhaseGVT)
 		for {
 			w.drainInbox(p)
-			p.Advance(n.cost.BarrierEntry)
-			n.barrierWait(p, n.bar1, w)
-			n.barrierWait(p, n.bar2, w)
+			p.Advance(n.Cost.BarrierEntry)
+			w.BarrierWait(n.bar1)
+			w.BarrierWait(n.bar2)
 			if n.transit == 0 {
 				break
 			}
@@ -49,14 +49,14 @@ func (w *worker) runWindow(p *sim.Proc) {
 		// Everything is local now; publish the floor and let the comm
 		// role agree on the next window.
 		w.drainInbox(p)
-		n.floors[w.idx] = float64(w.eng.horizonFloor(w.floorLive()))
-		n.barrierWait(p, n.bar1, w)
-		n.barrierWait(p, n.bar2, w)
-		w.st.SyncRounds++
+		n.floors[w.Idx] = float64(w.eng.horizonFloor(w.floorLive()))
+		w.BarrierWait(n.bar1)
+		w.BarrierWait(n.bar2)
+		w.St.SyncRounds++
 		if n.horizon == vtime.Inf {
 			return
 		}
-		w.setPhase(p, trace.PhaseProcessing)
+		w.SetPhase(trace.PhaseProcessing)
 	}
 }
 
@@ -69,33 +69,33 @@ func (n *node) commWindow(p *sim.Proc) {
 		// the outbox, consume every delivered message and agree
 		// cluster-wide on the number still in flight.
 		for {
-			n.barrierWait(p, n.bar1, nil)
+			n.bar1.Wait(p)
 			n.flushEvents(p, 0)
 			n.recvInbound(p, 0)
-			n.transit = n.rank.AllreduceSum(p, n.evSent-n.evRecv)
-			n.barrierWait(p, n.bar2, nil)
+			n.transit = n.Rank.AllreduceSum(p, n.evSent-n.evRecv)
+			n.bar2.Wait(p)
 			if n.transit == 0 {
 				break
 			}
 		}
 		// Window agreement: min over local floors, then cluster-wide.
-		n.barrierWait(p, n.bar1, nil)
+		n.bar1.Wait(p)
 		min := vtime.Inf
 		for _, f := range n.floors {
 			if vtime.Time(f) < min {
 				min = vtime.Time(f)
 			}
 		}
-		m := vtime.Time(n.rank.AllreduceMin(p, float64(min)))
+		m := vtime.Time(n.Rank.AllreduceMin(p, float64(min)))
 		if m > e.end {
 			n.horizon = vtime.Inf
 		} else {
 			n.horizon = m + e.la
 		}
-		if n.id == 0 {
-			e.onRound(p.Now(), m, true)
+		if n.ID == 0 {
+			e.onRound(m, true)
 		}
-		n.barrierWait(p, n.bar2, nil)
+		n.bar2.Wait(p)
 		if n.horizon == vtime.Inf {
 			return
 		}

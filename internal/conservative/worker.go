@@ -3,48 +3,26 @@ package conservative
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/eventq"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// lp is one logical process: model instance, private RNG stream, send
-// sequence counter and running commit checksum — the same per-LP state
-// the sequential oracle keeps, so checksums line up byte for byte.
-type lp struct {
-	id       event.LPID
-	model    core.Model
-	rng      *rng.Stream
-	seq      uint64
-	last     vtime.Stamp // last processed stamp, for the causality check
-	checksum stats.Checksum
-}
-
-// worker owns a contiguous LP range and a pending event queue. Unlike an
-// optimistic worker it keeps no history: an event is committed the
-// moment it is processed, because the sync protocol guaranteed safety
-// first.
+// worker owns a contiguous LP range. Unlike an optimistic worker it keeps
+// no history: an event is committed the moment it is processed, because
+// the sync protocol guaranteed safety first.
 type worker struct {
+	pe.Worker
 	eng  *Engine
 	node *node
-	idx  int // within the node
-	gidx int // cluster-wide
-	proc *sim.Proc
 
-	firstLP event.LPID
-	lps     []*lp
+	lps  []pe.LP       // contiguous ids, so LP id indexes from lps[0].ID
+	last []vtime.Stamp // per LP: last processed stamp, for the causality check
 
-	pending eventq.Queue
-
-	inMu     sim.Mutex
-	inbox    []*event.Event
-	inFree   []*event.Event
-	inboxMin vtime.Time // min stamp in inbox; Inf when empty
+	inboxMin vtime.Time // min stamp in the inbox; Inf when empty
 
 	// holdMin covers events swapped out of the inbox but not yet pushed
 	// into pending; execT covers the event currently being processed
@@ -54,56 +32,37 @@ type worker struct {
 	holdMin vtime.Time
 	execT   vtime.Time
 
-	done bool
-
-	ctx       wctx
-	sendQ     []*event.Event
-	lastPhase uint8
-
-	st stats.Worker
+	ctx   wctx
+	sendQ []*event.Event
 }
 
-func newWorker(n *node, idx int, streams *rng.Sequence) *worker {
+func newWorker(n *node) *worker {
 	top := &n.eng.cfg.Topology
 	w := &worker{
 		eng:      n.eng,
 		node:     n,
-		idx:      idx,
-		gidx:     n.id*top.WorkersPerNode + idx,
-		firstLP:  top.FirstLP(n.id, idx),
-		pending:  eventq.New(n.eng.cfg.QueueKind),
+		lps:      make([]pe.LP, top.LPsPerWorker),
+		last:     make([]vtime.Stamp, top.LPsPerWorker),
 		inboxMin: vtime.Inf,
 		holdMin:  vtime.Inf,
 		execT:    vtime.Inf,
 	}
-	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.id, idx), HoldCost: n.cost.RegionalLockHold}
-	w.lastPhase = 0xFF
-	w.ctx.w = w
-	total := top.TotalLPs()
-	for i := 0; i < top.LPsPerWorker; i++ {
-		id := w.firstLP + event.LPID(i)
-		w.lps = append(w.lps, &lp{
-			id:       id,
-			model:    n.eng.cfg.Model(id, total),
-			rng:      streams.Next(),
-			checksum: stats.NewChecksum(),
-		})
+	n.eng.AddWorker(&w.Worker, &n.Node, w.run)
+	for i := range w.lps {
+		n.eng.AddLP(&w.lps[i])
 	}
+	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	return w
 }
 
 func (w *worker) run(p *sim.Proc) {
-	w.proc = p
 	switch w.eng.cfg.Sync {
 	case SyncWindow:
 		w.runWindow(p)
 	default:
 		w.runNullmsg(p)
 	}
-	w.setPhase(p, trace.PhaseIdle)
-	w.done = true
-	w.node.workersExited++
-	w.eng.exited++
+	w.SetPhase(trace.PhaseIdle)
 }
 
 // floorLive is this worker's live virtual-time floor: the smallest stamp
@@ -111,7 +70,7 @@ func (w *worker) run(p *sim.Proc) {
 // or the event being processed). Peers read it — cooperatively, so
 // without a lock — to bound what this worker might still send.
 func (w *worker) floorLive() vtime.Time {
-	f := eventq.MinStamp(w.pending).T
+	f := eventq.MinStamp(w.Pending).T
 	if w.inboxMin < f {
 		f = w.inboxMin
 	}
@@ -126,36 +85,29 @@ func (w *worker) floorLive() vtime.Time {
 
 // deposit delivers an event into this worker's inbox (called by peer
 // workers on the same node and by the comm role for MPI arrivals).
+// Unlocking never yields, so inboxMin moves at the instant of the append.
 func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
-	w.inMu.Lock(p)
-	p.Advance(w.node.cost.RegionalSend)
-	w.inbox = append(w.inbox, ev)
+	w.Inbox.Deposit(p, ev)
 	if ev.Stamp.T < w.inboxMin {
 		w.inboxMin = ev.Stamp.T
 	}
-	w.inMu.Unlock(p)
 }
 
 // drainInbox moves inbox events into the pending queue. The in-hand
 // batch stays visible to floorLive via holdMin for the whole drain, so
 // peer safety bounds never see a gap.
 func (w *worker) drainInbox(p *sim.Proc) bool {
-	w.inMu.Lock(p)
-	batch := w.inbox
-	w.holdMin = w.inboxMin
-	w.inbox = w.inFree[:0]
-	w.inboxMin = vtime.Inf
-	w.inMu.Unlock(p)
+	batch, _ := w.Inbox.Take(p, 0)
+	w.holdMin, w.inboxMin = w.inboxMin, vtime.Inf
 	if len(batch) == 0 {
-		w.inFree = batch
 		w.holdMin = vtime.Inf
 		return false
 	}
-	p.Advance(sim.Time(len(batch)) * (w.node.cost.InboxDrainPerMsg + w.node.cost.QueueOp))
+	p.Advance(sim.Time(len(batch)) * (w.node.Cost.InboxDrainPerMsg + w.node.Cost.QueueOp))
 	for _, ev := range batch {
-		w.pending.Push(ev)
+		w.Pending.Push(ev)
 	}
-	w.inFree = batch[:0]
+	w.Inbox.Recycle(batch)
 	w.holdMin = vtime.Inf
 	return true
 }
@@ -166,7 +118,7 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 	worked := false
 	for i := 0; i < w.eng.cfg.BatchSize; i++ {
-		ev := w.pending.Peek()
+		ev := w.Pending.Peek()
 		if ev == nil || ev.Stamp.T >= bound || ev.Stamp.T > w.eng.end {
 			break
 		}
@@ -174,8 +126,8 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 		// until its sends are routed; set it before Pop so the floor
 		// never jumps past an in-flight event.
 		w.execT = ev.Stamp.T
-		w.pending.Pop()
-		p.Advance(w.node.cost.QueueOp)
+		w.Pending.Pop()
+		p.Advance(w.node.Cost.QueueOp)
 		w.processOne(p, ev)
 		worked = true
 	}
@@ -185,22 +137,19 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 
 // processOne runs one event through its LP's model and commits it.
 func (w *worker) processOne(p *sim.Proc, ev *event.Event) {
-	l := w.lps[ev.Dst-w.firstLP]
-	if ev.Stamp.Before(l.last) {
+	i := ev.Dst - w.lps[0].ID
+	l := &w.lps[i]
+	if ev.Stamp.Before(w.last[i]) {
 		panic(fmt.Sprintf("conservative: causality violation at LP %d: event %v arrived after %v was processed (sync=%v lookahead=%v)",
-			l.id, ev.Stamp, l.last, w.eng.cfg.Sync, w.eng.la))
+			l.ID, ev.Stamp, w.last[i], w.eng.cfg.Sync, w.eng.la))
 	}
-	l.last = ev.Stamp
-	p.Advance(w.node.cost.EventOverhead)
-	w.ctx.lp = l
-	w.ctx.now = ev.Stamp.T
-	l.model.OnEvent(&w.ctx, ev)
-	l.checksum = l.checksum.Mix(uint32(l.id), ev.Stamp.T, ev.Stamp.Src, ev.Stamp.Seq)
-	w.st.Processed++
-	w.st.Committed++
-	if tr := w.eng.cfg.Trace; tr != nil {
-		tr.Commit(trace.Commit{LP: uint32(l.id), T: ev.Stamp.T, Src: ev.Stamp.Src, Seq: ev.Stamp.Seq})
-	}
+	w.last[i] = ev.Stamp
+	p.Advance(w.node.Cost.EventOverhead)
+	w.ctx.LP = l
+	w.ctx.T = ev.Stamp.T
+	l.Model.OnEvent(&w.ctx, ev)
+	w.St.Processed++
+	w.Commit(l, ev)
 	for _, s := range w.sendQ {
 		w.route(p, s)
 	}
@@ -212,101 +161,39 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 	top := &w.eng.cfg.Topology
 	switch top.Class(ev.Src, ev.Dst) {
 	case event.Local:
-		p.Advance(w.node.cost.LocalSend + w.node.cost.QueueOp)
-		w.pending.Push(ev)
-		w.st.SentLocal++
+		p.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
+		w.Pending.Push(ev)
+		w.St.SentLocal++
 	case event.Regional:
 		_, wi := top.WorkerOf(ev.Dst)
 		w.node.workers[wi].deposit(p, ev)
-		w.st.SentRegion++
+		w.St.SentRegion++
 	default:
-		w.node.enqueueRemote(p, ev)
-		w.st.SentRemote++
-	}
-}
-
-func (w *worker) setPhase(p *sim.Proc, ph uint8) {
-	if w.lastPhase == ph {
-		return
-	}
-	w.lastPhase = ph
-	if tr := w.eng.cfg.Trace; tr != nil {
-		tr.Phase(trace.Phase{Worker: uint32(w.gidx), Phase: ph, AtNanos: int64(p.Now())})
+		w.node.Out.Deposit(p, ev)
+		w.St.SentRemote++
 	}
 }
 
 // wctx is the runtime model context, reused across events.
 type wctx struct {
-	w   *worker
-	lp  *lp
-	now vtime.Time
+	pe.Ctx
+	w *worker
 }
 
-func (c *wctx) Self() event.LPID { return c.lp.id }
-func (c *wctx) Now() vtime.Time  { return c.now }
-func (c *wctx) RNG() *rng.Stream { return c.lp.rng }
-func (c *wctx) NumLPs() int      { return c.w.eng.cfg.Topology.TotalLPs() }
-func (c *wctx) Spin(units int) {
-	c.w.proc.Advance(sim.Time(units) * c.w.node.cost.Flop)
-}
-
-// Send stamps the event exactly as the sequential oracle does — per-LP
-// sequence counter, stamp (now+delay, lp, seq) — so commit checksums
-// match bit for bit.
+// Send adds the lookahead guard to the shared stamping.
 func (c *wctx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	if delay < 0 {
-		panic(fmt.Sprintf("conservative: LP %d sent an event %g into the past", c.lp.id, delay))
-	}
+	ev := &event.Event{}
+	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	// Enforce the declared lookahead on cross-worker sends, against the
 	// model's exact delay argument (recomputing it from stamps would
 	// re-round and spuriously trip on models whose minimum delay IS the
 	// lookahead). Same-worker sends are exempt: they land in this
 	// worker's own pending queue, which is processed in stamp order
 	// regardless.
-	if delay < c.w.eng.la && c.w.eng.cfg.Topology.Class(c.lp.id, dst) != event.Local {
+	eng := c.w.eng
+	if delay < eng.la && eng.cfg.Topology.Class(c.LP.ID, dst) != event.Local {
 		panic(fmt.Sprintf("conservative: cross-worker send LP %d -> LP %d with delay %g below the declared lookahead %g; the safety bound would be violated — lower Config.Lookahead to the model's true minimum cross-LP delay",
-			c.lp.id, dst, delay, c.w.eng.la))
+			c.LP.ID, dst, delay, eng.la))
 	}
-	l := c.lp
-	l.seq++
-	c.w.sendQ = append(c.w.sendQ, &event.Event{
-		Stamp:    vtime.Stamp{T: c.now + delay, Src: uint32(l.id), Seq: l.seq},
-		SendTime: c.now,
-		Src:      l.id,
-		Dst:      dst,
-		Kind:     kind,
-		Data:     data,
-	})
-}
-
-// initCtx seeds initial events at construction time (virtual time zero),
-// before the kernel starts. Sends bypass the sync layer and land
-// directly in the destination's pending queue — they are initial
-// conditions, present before any processing, so the lookahead bound does
-// not apply (matching the sequential oracle's Init semantics exactly).
-type initCtx struct {
-	eng *Engine
-	lp  *lp
-}
-
-func (c *initCtx) Self() event.LPID { return c.lp.id }
-func (c *initCtx) Now() vtime.Time  { return 0 }
-func (c *initCtx) RNG() *rng.Stream { return c.lp.rng }
-func (c *initCtx) NumLPs() int      { return c.eng.cfg.Topology.TotalLPs() }
-func (c *initCtx) Spin(int)         {}
-
-func (c *initCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	if delay < 0 {
-		panic(fmt.Sprintf("conservative: LP %d seeded an event %g into the past", c.lp.id, delay))
-	}
-	l := c.lp
-	l.seq++
-	c.eng.workerOf(dst).pending.Push(&event.Event{
-		Stamp:    vtime.Stamp{T: delay, Src: uint32(l.id), Seq: l.seq},
-		SendTime: 0,
-		Src:      l.id,
-		Dst:      dst,
-		Kind:     kind,
-		Data:     data,
-	})
+	c.w.sendQ = append(c.w.sendQ, ev)
 }

@@ -1,10 +1,11 @@
-// Package core implements the optimistic (Time Warp) parallel discrete
-// event simulation engine the paper runs its experiments on: a
-// multithreaded ROSS-style simulator with per-worker pending event sets,
-// state-saving rollback, anti-messages, fossil collection, a dedicated (or
-// combined) MPI communication thread per node, and the three pluggable GVT
-// algorithms of the paper — Barrier (Algorithm 1), Mattern (Algorithm 2)
-// and Controlled Asynchronous GVT (Algorithm 3).
+// Package core is the optimistic (Time Warp) synchronisation the paper
+// runs its experiments on, over the processing-element runtime of
+// internal/pe: what a delivery does (annihilate, roll back, enqueue),
+// state saving and coast-forward, bounded optimism, fossil collection at
+// GVT, LP migration, and the pluggable GVT algorithms — Barrier
+// (Algorithm 1), Mattern (Algorithm 2), Controlled Asynchronous GVT
+// (Algorithm 3) and Samadi's — with a dedicated (or combined, or shared)
+// MPI communication thread per node.
 //
 // The engine's threads are processes of the internal/sim kernel, so a run
 // is a deterministic simulation of the paper's cluster: performance is
@@ -20,7 +21,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -121,42 +122,12 @@ func (m CommMode) String() string {
 	return fmt.Sprintf("CommMode(%d)", int(m))
 }
 
-// Model is a logical process's behaviour. One instance exists per LP.
-// Implementations must be deterministic given the context's RNG and must
-// confine all mutable state to what Snapshot/Restore capture.
-type Model interface {
-	// Init runs before the simulation starts; it seeds initial events via
-	// ctx.Send (delays are absolute times here, since Now() is 0).
-	Init(ctx Context)
-	// OnEvent processes one event. It may examine ev.Kind and ev.Data and
-	// send new events with ctx.Send. The engine has already advanced the
-	// LP's virtual time to ev's receive time.
-	OnEvent(ctx Context, ev *event.Event)
-	// Snapshot returns an immutable copy of the model's state.
-	Snapshot() any
-	// Restore rewinds the model to a state previously returned by Snapshot.
-	Restore(snap any)
-}
-
-// Context is the API a model uses while handling an event.
-type Context interface {
-	// Self returns the LP being simulated.
-	Self() event.LPID
-	// Now returns the LP's current virtual time.
-	Now() vtime.Time
-	// Send schedules an event for dst at Now()+delay. delay must be >= 0.
-	Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte)
-	// RNG returns the LP's private random stream (rolled back with state).
-	RNG() *rng.Stream
-	// NumLPs returns the total LP count.
-	NumLPs() int
-	// Spin charges the given number of EPG work units of CPU time
-	// (one unit ≈ one FLOP).
-	Spin(units int)
-}
-
-// ModelFactory builds the model for each LP.
-type ModelFactory func(lp event.LPID, total int) Model
+// The model contract lives with the runtime both engines share.
+type (
+	Model        = pe.Model
+	Context      = pe.Context
+	ModelFactory = pe.ModelFactory
+)
 
 // Config parameterizes a run.
 type Config struct {
@@ -250,26 +221,12 @@ type Config struct {
 
 // Defaults fills zero-valued fields with paper-flavoured defaults.
 func (c *Config) Defaults() {
-	if c.Cost == (cluster.CostModel{}) {
-		c.Cost = cluster.KNLDefaults()
-	}
-	if c.Net == (fabric.Params{}) {
-		c.Net = fabric.EthernetDefaults()
-	}
-	if c.MPICosts == (mpi.Costs{}) {
-		c.MPICosts = mpi.DefaultCosts()
-	}
+	pe.MachineDefaults(&c.Cost, &c.Net, &c.MPICosts, &c.QueueKind, &c.BatchSize)
 	if c.GVTInterval == 0 {
 		c.GVTInterval = 25
 	}
 	if c.CAThreshold == 0 {
 		c.CAThreshold = 0.80
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.QueueKind == "" {
-		c.QueueKind = "heap"
 	}
 	if c.MaxUncommitted == 0 {
 		c.MaxUncommitted = 8 * c.Topology.LPsPerWorker
@@ -321,9 +278,8 @@ func (c *Config) Validate() error {
 
 // Engine is one configured simulation run.
 type Engine struct {
+	pe.Runtime
 	cfg   Config
-	env   *sim.Env
-	world *mpi.World
 	nodes []*node
 
 	// matchSeq hands out cluster-unique anti-message match IDs. It lives
@@ -334,16 +290,9 @@ type Engine struct {
 	// bool check for the liveness asserts.
 	poolDebug bool
 
-	// lvtScratch is reused across GVT rounds by onRoundComplete so the
-	// per-round disparity sample allocates nothing in steady state.
-	lvtScratch []float64
-
 	// run-level results
 	finishedAt  sim.Time
 	finalGVT    vtime.Time
-	gvtRounds   int64
-	syncRounds  int64
-	disparity   stats.Disparity
 	roundTraces []RoundTrace
 
 	// Load balancing (see Config.Balance). routing is always present —
@@ -352,9 +301,8 @@ type Engine struct {
 	routing        *cluster.Routing
 	balancer       balance.Policy
 	migEnabled     bool
-	balanceFactors []float64                     // per-node cost factors for the policy
-	migrating      map[event.LPID]bool           // LPs with a planned or in-flight move
-	migLedger      map[event.LPID]stats.Checksum // checksums of in-flight LPs
+	balanceFactors []float64           // per-node cost factors for the policy
+	migrating      map[event.LPID]bool // LPs with a planned or in-flight move
 	migrations     int64
 	migratedEvents int64
 	prevCommitted  []int64 // per-node cumulative committed at last plan
@@ -405,11 +353,12 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := &Engine{cfg: cfg, env: sim.NewEnv()}
-	eng.env.LivelockLimit = 500_000_000
-	eng.poolDebug = cfg.Pool == PoolDebug
-	eng.world = mpi.NewWorld(eng.env, cfg.Topology.Nodes, cfg.Net, cfg.MPICosts)
-	eng.routing = cluster.NewRouting(cfg.Topology)
+	eng := &Engine{cfg: cfg, poolDebug: cfg.Pool == PoolDebug, routing: cluster.NewRouting(cfg.Topology)}
+	eng.Init(pe.Config{
+		Topology: cfg.Topology, Net: cfg.Net, MPICosts: cfg.MPICosts,
+		Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Trace: cfg.Trace, Metrics: cfg.Metrics,
+	}, eng.finish)
 	if cfg.Balance != "" && cfg.Balance != "static" && cfg.Balance != "none" {
 		factors := make([]float64, cfg.Topology.Nodes)
 		for i := range factors {
@@ -428,7 +377,6 @@ func New(cfg Config) *Engine {
 		eng.migEnabled = true
 		eng.balanceFactors = factors
 		eng.migrating = make(map[event.LPID]bool)
-		eng.migLedger = make(map[event.LPID]stats.Checksum)
 		eng.prevCommitted = make([]int64, cfg.Topology.Nodes)
 		eng.prevRolled = make([]int64, cfg.Topology.Nodes)
 	}
@@ -441,11 +389,11 @@ func New(cfg Config) *Engine {
 		eng.wdTimeout = 0
 	}
 	if cfg.Faults != nil {
-		f := eng.world.Fabric()
+		f := eng.World.Fabric()
 		if err := f.SetFaults(cfg.Faults, cfg.Seed^faultSeedSalt); err != nil {
 			panic(err)
 		}
-		eng.world.EnableReliable(mpi.ReliableParams{
+		eng.World.EnableReliable(mpi.ReliableParams{
 			TagRetryLimit: map[int]int{tagToken: tokenRetryBudget},
 		})
 		var cFault *metrics.Counter
@@ -467,34 +415,20 @@ func New(cfg Config) *Engine {
 	} else if eng.invariants {
 		// In-flight packet tracking is normally enabled by SetFaults; the
 		// invariant checker needs it on a perfect fabric too.
-		eng.world.Fabric().EnableTracking()
+		eng.World.Fabric().EnableTracking()
 	}
 	if rec := cfg.Metrics; rec != nil {
-		rec.Init(cfg.Topology.TotalWorkers())
 		reg := rec.Registry()
 		eng.hRollbackDepth = reg.Histogram("rollback_depth")
 		eng.hInboxBatch = reg.Histogram("inbox_drain_batch")
 		eng.hOutboxDepth = reg.Histogram("mpi_outbox_depth")
 	}
-	// LPs are created in global id order, so one substream sequence hands
-	// every LP the stream NewAt(seed, id) in O(1) jumps each.
-	streams := rng.NewSequence(cfg.Seed)
 	for n := 0; n < cfg.Topology.Nodes; n++ {
-		eng.nodes = append(eng.nodes, newNode(eng, n, streams))
+		eng.nodes = append(eng.nodes, newNode(eng))
 	}
-	// Seed initial events: models Init before virtual time starts.
-	for _, nd := range eng.nodes {
-		for _, w := range nd.workers {
-			for _, l := range w.lps {
-				l.init(w)
-			}
-		}
-	}
+	eng.Seed()
 	return eng
 }
-
-// Env exposes the virtual-time environment (read-only use in tests).
-func (e *Engine) Env() *sim.Env { return e.env }
 
 // RoundTraces returns per-round traces when TraceRounds was set.
 func (e *Engine) RoundTraces() []RoundTrace { return e.roundTraces }
@@ -505,149 +439,38 @@ func (e *Engine) nextMatchID() uint64 {
 	return e.matchSeq
 }
 
-// Run executes the simulation to completion and returns its metrics.
-// When Cancel aborted the run, the error wraps sim.ErrCancelled.
-func (e *Engine) Run() (*stats.Run, error) {
-	for _, nd := range e.nodes {
-		nd.spawn()
-	}
-	if err := e.env.Run(); err != nil {
-		return nil, err
-	}
-	return e.collect(), nil
-}
-
-// Cancel requests that a running simulation stop. Safe to call from any
-// goroutine (the one Engine method that is); Run unwinds at the next
-// kernel dispatch boundary and returns sim.ErrCancelled. Cancelling a
-// finished run is a no-op.
-func (e *Engine) Cancel() { e.env.Cancel() }
-
-// collect aggregates the final statistics.
-func (e *Engine) collect() *stats.Run {
-	r := &stats.Run{
-		WallTime:   e.finishedAt,
-		GVTRounds:  e.gvtRounds,
-		SyncRounds: e.syncRounds,
-		FinalGVT:   e.finalGVT,
-		Disparity:  e.disparity.Mean(),
-		Kernel:     e.env.Counters(),
-	}
-	var sum uint64
+// finish completes the run statistics with what only Time Warp counts.
+// The run ends at its last GVT round, not when the last thread unwinds.
+func (e *Engine) finish(r *stats.Run) {
+	r.WallTime = e.finishedAt
+	r.FinalGVT = e.finalGVT
 	for _, nd := range e.nodes {
 		if p := nd.pool; p != nil {
 			r.PoolNews += int64(p.News)
 			r.PoolRecycled += int64(p.Gets)
 		}
-		for _, w := range nd.workers {
-			r.Workers.Add(&w.st)
-			for _, l := range w.lps {
-				sum += uint64(l.checksum)
-			}
-		}
 	}
-	// LPs packed but not yet installed when the run ended (in an outbox,
-	// on the wire, or in a migration mailbox): their committed history
-	// rides in the ledger (the per-LP checksum sum is order-independent,
-	// so map iteration order is immaterial).
-	for _, c := range e.migLedger {
-		sum += uint64(c)
-	}
-	r.CommitChecksum = sum
 	r.Migrations = e.migrations
 	r.MigratedEvents = e.migratedEvents
-	f := e.world.Fabric()
-	r.MPIMessages = f.MessagesSent
-	r.MPIBytes = f.BytesSent
-	if e.world.Reliable() {
-		ts := e.world.TransportStats()
-		r.Retransmits = ts.Retransmits
-		r.TransportDups = ts.DupsSuppressed
-		r.TransportExhausted = ts.Exhausted
-	}
-	fs := f.FaultStats()
-	r.FaultDrops = fs.Dropped
-	r.FaultDups = fs.Duplicated
-	r.FaultJitters = fs.Jittered
-	r.FaultWindowDrops = fs.WindowDropped
 	r.WatchdogRestarts = e.wdRestarts
 	r.WatchdogFallbacks = e.wdFallbacks
-	return r
 }
 
 // onRoundComplete is invoked (outside simulated cost) by the GVT master
-// when a round finishes; it records metrics and the disparity sample.
+// when a round finishes; it records the round and plans load balancing.
 func (e *Engine) onRoundComplete(gvt vtime.Time, sync bool, eff float64) {
 	e.checkGVTInvariant(gvt)
-	e.gvtRounds++
-	if sync {
-		e.syncRounds++
-	}
 	e.finalGVT = gvt
-	e.finishedAt = e.env.Now()
-	if e.lvtScratch == nil {
-		e.lvtScratch = make([]float64, 0, e.cfg.Topology.TotalWorkers())
-	}
-	lvts := e.lvtScratch[:0]
-	var scratch []metrics.WorkerSample
-	wantProgress := false
-	if e.cfg.Metrics != nil {
-		scratch = e.cfg.Metrics.Scratch()
-		wantProgress = e.cfg.Metrics.WantProgress()
-	}
-	var processed, rolled, rollbacks int64
+	e.finishedAt = e.Env.Now()
 	for _, nd := range e.nodes {
 		for _, w := range nd.workers {
-			lvt := w.localMinView()
-			lvts = append(lvts, lvt)
-			if scratch != nil {
-				scratch[w.gidx] = metrics.WorkerSample{
-					LVT:           metrics.SafeLVT(lvt),
-					Pending:       w.pending.Len(),
-					Mailbox:       len(w.inbox),
-					Uncommitted:   w.uncommitted,
-					Rollbacks:     w.st.Rollbacks,
-					RolledBack:    w.st.RolledBack,
-					BarrierWaitNs: int64(w.st.BarrierWait),
-				}
-			}
-			if wantProgress {
-				processed += w.st.Processed
-				rolled += w.st.RolledBack
-				rollbacks += w.st.Rollbacks
-			}
+			e.Views[w.Gidx] = pe.View{LVT: w.localMin(), Uncommitted: w.uncommitted}
 		}
 	}
-	e.disparity.Observe(lvts)
-	e.lvtScratch = lvts[:0]
-	if scratch != nil {
-		f := e.world.Fabric()
-		inMsgs, inBytes := f.InFlight()
-		e.cfg.Metrics.SampleRound(metrics.RoundSample{
-			Round: e.gvtRounds, GVT: gvt, AtNanos: int64(e.env.Now()),
-			Sync: sync, Efficiency: eff,
-			MPIInFlightMsgs: inMsgs, MPIInFlightBytes: inBytes,
-			MPISentMsgs: f.MessagesSent, MPISentBytes: f.BytesSent,
-		}, scratch)
-	}
-	if wantProgress {
-		e.cfg.Metrics.Progress(metrics.ProgressUpdate{
-			Round: e.gvtRounds, GVT: gvt, AtNanos: int64(e.env.Now()),
-			Sync: sync, Efficiency: eff,
-			Processed: processed, Committed: processed - rolled,
-			Rollbacks: rollbacks, RolledBack: rolled,
-			Migrations: e.migrations,
-		})
-	}
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Round(trace.Round{
-			Round: e.gvtRounds, GVT: gvt, AtNanos: int64(e.env.Now()),
-			Sync: sync, Efficiency: eff,
-		})
-	}
+	e.RecordRound(pe.Round{GVT: gvt, Sync: sync, Efficiency: eff, Migrations: e.migrations})
 	if e.TraceRounds {
 		e.roundTraces = append(e.roundTraces, RoundTrace{
-			Round: e.gvtRounds, GVT: gvt, At: e.env.Now(), Sync: sync, Efficiency: eff,
+			Round: e.Rounds, GVT: gvt, At: e.Env.Now(), Sync: sync, Efficiency: eff,
 		})
 	}
 	// Load-balance planning runs last, over exactly the committed-state
@@ -691,8 +514,8 @@ func (e *Engine) clusterEfficiency() float64 {
 	var processed, rolled int64
 	for _, nd := range e.nodes {
 		for _, w := range nd.workers {
-			processed += w.st.Processed
-			rolled += w.st.RolledBack
+			processed += w.St.Processed
+			rolled += w.St.RolledBack
 		}
 	}
 	if processed == 0 {

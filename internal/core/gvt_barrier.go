@@ -31,12 +31,11 @@ func (w *worker) barrierPoll() {
 // barriers of each iteration.
 func (w *worker) barrierWorkerRound() {
 	n := w.node
-	p := w.proc
-	cost := &w.node.cost
-	st := &workerBarrierStats{wait: &w.st.BarrierWait, w: w}
+	p := w.Proc
+	cost := &w.node.Cost
 	comm := w.commRole() == commPumpAndGVT
 	gvtStart := p.Now()
-	w.setPhase(trace.PhaseGVT)
+	w.SetPhase(trace.PhaseGVT)
 
 	for {
 		// ReadMessages(): keep receiving so in-transit counts can drain.
@@ -46,13 +45,13 @@ func (w *worker) barrierWorkerRound() {
 			w.drainMigrations()
 		}
 		w.drainInbox()
-		n.msgCount[w.idx] = w.msgSent - w.msgRecv
+		n.msgCount[w.Idx] = w.msgSent - w.msgRecv
 		p.Advance(cost.BarrierEntry)
-		n.barrierWait(p, n.gvtBar, st)
+		n.barrierWait(p, n.gvtBar, w)
 		if comm {
 			n.commBarrierStep(p)
 		}
-		n.barrierWait(p, n.gvtBar2, st)
+		n.barrierWait(p, n.gvtBar2, w)
 		if n.transit == 0 {
 			break
 		}
@@ -64,15 +63,15 @@ func (w *worker) barrierWorkerRound() {
 	}
 
 	// All in-transit messages received: reduce local minima into GVT.
-	n.localMin[w.idx] = w.localMin()
+	n.localMin[w.Idx] = w.localMin()
 	p.Advance(cost.BarrierEntry)
-	n.barrierWait(p, n.gvtBar, st)
+	n.barrierWait(p, n.gvtBar, w)
 	if comm {
 		n.commBarrierFinish(p)
 	}
-	n.barrierWait(p, n.gvtBar2, st)
+	n.barrierWait(p, n.gvtBar2, w)
 	w.applyGVT(n.nodeGVT)
-	w.st.GVTTime += p.Now() - gvtStart
+	w.St.GVTTime += p.Now() - gvtStart
 }
 
 // commBarrierRound is the dedicated MPI thread's side of a round.
@@ -94,28 +93,29 @@ func (n *node) commBarrierRound(p *sim.Proc) {
 // commBarrierStep sums the node's in-transit counts and allreduces them
 // across nodes (Algorithm 1 lines 5–7).
 func (n *node) commBarrierStep(p *sim.Proc) {
-	p.Advance(n.cost.GVTBookkeeping)
+	p.Advance(n.Cost.GVTBookkeeping)
 	var sum int64
 	for _, c := range n.msgCount {
 		sum += c
 	}
-	n.transit = n.rank.AllreduceSum(p, sum)
+	n.transit = n.Rank.AllreduceSum(p, sum)
 }
 
 // commBarrierFinish reduces node minima into the cluster GVT (lines
-// 10–12) and publishes it. It also retires the round request: workers are
-// parked at the exit barrier at this point, so no new round can race it.
+// 10–12) and publishes it; a Samadi round ends the same way. It also
+// retires the round request: workers are parked at the exit barrier at
+// this point, so no new round can race it.
 func (n *node) commBarrierFinish(p *sim.Proc) {
-	p.Advance(n.cost.GVTBookkeeping)
+	p.Advance(n.Cost.GVTBookkeeping)
 	min := vtime.Inf
 	for _, v := range n.localMin {
 		if v < min {
 			min = v
 		}
 	}
-	n.nodeGVT = n.rank.AllreduceMin(p, min)
+	n.nodeGVT = n.Rank.AllreduceMin(p, min)
 	n.gvtReq = false
-	if n.id == 0 {
+	if n.ID == 0 {
 		n.eng.onRoundComplete(n.nodeGVT, false, n.eng.clusterEfficiency())
 	}
 }

@@ -94,7 +94,7 @@ type nodeCM struct {
 func (cm *nodeCM) init(n *node, workers int) {
 	cm.workers = workers
 	cm.mu.Name = "nodeCM"
-	cm.mu.HoldCost = n.cost.RegionalLockHold
+	cm.mu.HoldCost = n.Cost.RegionalLockHold
 	cm.minLVT = vtime.Inf
 	cm.minRed = vtime.Inf
 }
@@ -117,7 +117,7 @@ func (cm *nodeCM) reset() {
 func (n *node) takeDelta(p *sim.Proc) int64 {
 	cm := &n.cm
 	cm.mu.Lock(p)
-	p.Advance(n.cost.GVTBookkeeping)
+	p.Advance(n.Cost.GVTBookkeeping)
 	d := cm.whiteDelta
 	cm.whiteDelta = 0
 	cm.mu.Unlock(p)
@@ -131,10 +131,10 @@ func (w *worker) flushOldReceipts() {
 		return
 	}
 	cm := &w.node.cm
-	cm.mu.Lock(w.proc)
-	w.proc.Advance(w.node.cost.GVTBookkeeping)
+	cm.mu.Lock(w.Proc)
+	w.Proc.Advance(w.node.Cost.GVTBookkeeping)
 	cm.whiteDelta -= w.recvC[w.drainSlot]
-	cm.mu.Unlock(w.proc)
+	cm.mu.Unlock(w.Proc)
 	w.recvC[w.drainSlot] = 0
 }
 
@@ -143,10 +143,9 @@ func (w *worker) flushOldReceipts() {
 // event processing continues while the GVT computes in the background.
 func (w *worker) matternPoll() {
 	cm := &w.node.cm
-	p := w.proc
-	cost := &w.node.cost
+	p := w.Proc
+	cost := &w.node.Cost
 	ca := w.eng.cfg.GVT == GVTControlled
-	st := &workerBarrierStats{wait: &w.st.BarrierWait, w: w}
 	isCommLeader := w.commRole() == commPumpAndGVT
 
 	switch w.mstate {
@@ -163,11 +162,11 @@ func (w *worker) matternPoll() {
 		}
 		cm.roundStart = true
 		w.passes = 0
-		w.setPhase(trace.PhaseGVT)
+		w.SetPhase(trace.PhaseGVT)
 		// syncCur is set by CA's efficiency control or by the watchdog's
 		// barrier fallback (which also applies to plain Mattern).
 		if cm.syncCur {
-			w.node.syncPoint(p, isCommLeader, true, st)
+			w.node.syncPoint(p, isCommLeader, true, w)
 		}
 		slot := uint8(w.epoch & 3)
 		cm.mu.Lock(p)
@@ -186,10 +185,10 @@ func (w *worker) matternPoll() {
 		if cm.phase < phWhiteDone {
 			return
 		}
-		w.setPhase(trace.PhaseGVT)
+		w.SetPhase(trace.PhaseGVT)
 		if cm.syncCur {
 			// Algorithm 3 line 14: align before contributing minima.
-			w.node.syncPoint(p, isCommLeader, false, st)
+			w.node.syncPoint(p, isCommLeader, false, w)
 		}
 		cm.mu.Lock(p)
 		p.Advance(cost.GVTBookkeeping)
@@ -208,14 +207,14 @@ func (w *worker) matternPoll() {
 		if cm.phase < phGVTReady {
 			return
 		}
-		w.setPhase(trace.PhaseGVT)
+		w.SetPhase(trace.PhaseGVT)
 		// No flip back: the round's new epoch is the stable epoch until
 		// the next round drains it.
 		w.applyGVT(cm.gvt)
 		if cm.syncCur {
-			w.st.SyncRounds++
+			w.St.SyncRounds++
 			// Algorithm 3 line 30: align after fossil collection.
-			w.node.syncPoint(p, isCommLeader, true, st)
+			w.node.syncPoint(p, isCommLeader, true, w)
 		}
 		if ca {
 			// Algorithm 3 line 31: computeEfficiency() every round — the
@@ -271,7 +270,7 @@ func (n *node) matternCommPoll(p *sim.Proc) bool {
 		}
 	}
 
-	if n.id == 0 {
+	if n.ID == 0 {
 		worked = n.masterPoll(p, ca) || worked
 		worked = n.watchdogPoll(p) || worked
 	} else {
@@ -284,7 +283,7 @@ func (n *node) matternCommPoll(p *sim.Proc) bool {
 	// cleanup — it is serviced right after the reset.
 	if cm.phase == phGVTReady && cm.acked == cm.workers &&
 		(n.heldToken == nil || n.heldToken.phase == tokWhite) &&
-		(n.id != 0 || n.master == msCleanup) &&
+		(n.ID != 0 || n.master == msCleanup) &&
 		(!cm.syncCur || !dedicated || n.sync3Done) {
 		cm.reset()
 		n.master = msIdle
@@ -302,7 +301,7 @@ func (n *node) sendMasterToken(p *sim.Proc, tok *gvtToken) {
 	tok.uid = n.tokenSeq
 	n.lastSent = *tok
 	n.lastProgress = p.Now()
-	n.rank.SendRing(p, tagToken, tok.wireSize(), tok)
+	n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
 }
 
 // watchdogPoll is the GVT liveness watchdog (master only): when the ring
@@ -316,7 +315,7 @@ func (n *node) sendMasterToken(p *sim.Proc, tok *gvtToken) {
 // losing tokens on.
 func (n *node) watchdogPoll(p *sim.Proc) bool {
 	eng := n.eng
-	if eng.wdTimeout <= 0 || eng.world.Size() == 1 {
+	if eng.wdTimeout <= 0 || eng.World.Size() == 1 {
 		return false
 	}
 	switch n.master {
@@ -328,7 +327,7 @@ func (n *node) watchdogPoll(p *sim.Proc) bool {
 		return false
 	}
 	tok := n.lastSent
-	n.rank.SendRing(p, tagToken, tok.wireSize(), &tok)
+	n.Rank.SendRing(p, tagToken, tok.wireSize(), &tok)
 	n.lastProgress = p.Now()
 	n.wdRestartsRound++
 	eng.wdRestarts++
@@ -350,7 +349,7 @@ func (n *node) watchdogPoll(p *sim.Proc) bool {
 func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 	cm := &n.cm
 	eng := n.eng
-	single := eng.world.Size() == 1
+	single := eng.World.Size() == 1
 
 	switch n.master {
 	case msIdle:
@@ -359,7 +358,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		}
 		if single {
 			// No ring needed: the node CM is the global control message.
-			if n.peekDelta() != 0 {
+			if cm.whiteDelta != 0 {
 				return false // white messages still in flight
 			}
 			cm.phase = phWhiteDone
@@ -372,7 +371,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitA:
-		m, ok := n.rank.TryRecvRing(p, tagToken)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -386,14 +385,6 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 			cm.phase = phWhiteDone
 			n.master = msWaitContrib
 		} else if tok.count < 0 {
-			for _, nd := range n.eng.nodes {
-				fmt.Printf("node %d: phase=%d red=%d delta=%d contrib=%d acked=%d master=%d held=%v outbox=%d\n",
-					nd.id, nd.cm.phase, nd.cm.redCount, nd.cm.whiteDelta, nd.cm.contributed, nd.cm.acked, nd.master, nd.heldToken != nil, len(nd.outbox))
-				for _, w := range nd.workers {
-					fmt.Printf("  w%d: epoch=%d slot=%d state=%d sC=%v rC=%v inbox=%d\n",
-						w.idx, w.epoch, w.drainSlot, w.mstate, w.sentC, w.recvC, len(w.inbox))
-				}
-			}
 			panic(fmt.Sprintf("core: negative in-flight white count %d", tok.count))
 		} else {
 			// Messages still in flight: another lap collects the receipts.
@@ -416,7 +407,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitB:
-		m, ok := n.rank.TryRecvRing(p, tagToken)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -432,7 +423,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitC:
-		m, ok := n.rank.TryRecvRing(p, tagToken)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -446,10 +437,6 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 	return false
 }
 
-// peekDelta reads the node's accumulated white delta without consuming it
-// (single-node fast path).
-func (n *node) peekDelta() int64 { return n.cm.whiteDelta }
-
 // publishGVT finalizes a round at the master: computes CA's SyncFlag from
 // the observed efficiency (Algorithm 3 lines 20–24) and publishes the GVT.
 func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
@@ -458,7 +445,7 @@ func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
 	eff := eng.clusterEfficiency()
 	sync := false
 	if ca {
-		p.Advance(n.cost.EffCompute)
+		p.Advance(n.Cost.EffCompute)
 		sync = eff < eng.cfg.CAThreshold
 	}
 	if eng.wdForceSync {
@@ -480,7 +467,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 	tok := n.heldToken
 	n.heldToken = nil
 	if tok == nil {
-		m, ok := n.rank.TryRecvRing(p, tagToken)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -497,7 +484,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		case tokReduce:
 			tok.minLVT, tok.minRed = c.minLVT, c.minRed
 		}
-		n.rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
 		return true
 	}
 	switch tok.phase {
@@ -514,7 +501,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		d := n.takeDelta(p)
 		tok.count += d
 		n.memoize(tok.uid, tokContrib{phase: tokWhite, delta: d})
-		n.rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
 		return true
 	case tokReduce:
 		cm.phase = phWhiteDone
@@ -529,14 +516,14 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 			tok.minRed = cm.minRed
 		}
 		n.memoize(tok.uid, tokContrib{phase: tokReduce, minLVT: tok.minLVT, minRed: tok.minRed})
-		n.rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
 		return true
 	case tokGVT:
 		cm.gvt = tok.gvt
 		cm.syncNext = tok.sync
 		cm.phase = phGVTReady
 		n.memoize(tok.uid, tokContrib{phase: tokGVT})
-		n.rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
 		return true
 	}
 	panic("core: unknown token phase")

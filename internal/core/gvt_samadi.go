@@ -116,59 +116,38 @@ const ackWorkerShift = 40
 
 // registerUnacked assigns an ack id to an outgoing cross-worker message.
 func (w *worker) registerUnacked(ev *event.Event) {
-	ev.AckID = w.unacked.add(uint64(w.gidx)<<ackWorkerShift, ev.Stamp.T)
+	ev.AckID = w.unacked.add(uint64(w.Gidx)<<ackWorkerShift, ev.Stamp.T)
 }
 
-// sendAck routes an acknowledgement back to the transmitting worker.
-// The worker is recovered from the ack id itself (registerUnacked folds
-// the registering worker's global index into the high bits): the sender
-// LP's static home is wrong once the balancer has moved LPs, and the
-// unacked entry lives with the worker that sent, not with the LP.
-func (w *worker) sendAck(ev *event.Event) {
-	w.sendAckTo(ev.AckID)
-}
-
-// sendAckTo delivers an acknowledgement for id to the worker that
-// registered it.
+// sendAckTo routes an acknowledgement for id back to the transmitting
+// worker. The worker is recovered from the ack id itself (registerUnacked
+// folds the registering worker's global index into the high bits): the
+// sender LP's static home is wrong once the balancer has moved LPs, and
+// the unacked entry lives with the worker that sent, not with the LP.
 func (w *worker) sendAckTo(id uint64) {
 	src := int(id >> ackWorkerShift)
 	a := ack{id: id, dstWorker: src}
-	srcNode := src / w.eng.cfg.Topology.WorkersPerNode
-	w.proc.Advance(w.node.cost.QueueOp)
-	if srcNode == w.node.id {
-		w.node.workers[src%w.eng.cfg.Topology.WorkersPerNode].depositAck(w.proc, a)
+	wpn := w.eng.cfg.Topology.WorkersPerNode
+	w.Proc.Advance(w.node.Cost.QueueOp)
+	if src/wpn != w.node.ID {
+		w.node.outAcks.Deposit(w.Proc, a)
 		return
 	}
-	w.node.enqueueRemoteAck(w.proc, a, srcNode)
-}
-
-// depositAck places an ack into this worker's ack mailbox.
-func (w *worker) depositAck(p *sim.Proc, a ack) {
-	w.ackMu.Lock(p)
-	p.Advance(w.node.cost.RegionalSend)
-	w.ackIn = append(w.ackIn, a)
-	w.ackMu.Unlock(p)
+	w.node.workers[src%wpn].ackIn.Deposit(w.Proc, a)
 }
 
 // drainAcks consumes pending acknowledgements.
 func (w *worker) drainAcks() bool {
-	w.ackMu.Lock(w.proc)
-	batch := w.ackIn
-	w.ackIn = nil
-	w.ackMu.Unlock(w.proc)
+	batch, _ := w.ackIn.Take(w.Proc, 0)
 	if len(batch) == 0 {
 		return false
 	}
-	w.proc.Advance(sim.Time(len(batch)) * w.node.cost.InboxDrainPerMsg)
+	w.Proc.Advance(sim.Time(len(batch)) * w.node.Cost.InboxDrainPerMsg)
 	for _, a := range batch {
 		w.unacked.ack(a.id)
 	}
+	w.ackIn.Recycle(batch)
 	return true
-}
-
-// samadiReport is the worker's GVT contribution.
-func (w *worker) samadiReport() float64 {
-	return vtime.Min(w.localMin(), w.unacked.min())
 }
 
 // samadiPoll drives the worker side of a Samadi GVT round: a single
@@ -180,42 +159,25 @@ func (w *worker) samadiPoll() {
 	w.node.gvtReq = true
 	w.passes = 0
 	n := w.node
-	p := w.proc
-	st := &workerBarrierStats{wait: &w.st.BarrierWait, w: w}
+	p := w.Proc
 	comm := w.commRole() == commPumpAndGVT
 	gvtStart := p.Now()
-	w.setPhase(trace.PhaseGVT)
+	w.SetPhase(trace.PhaseGVT)
 
-	n.localMin[w.idx] = w.samadiReport()
-	p.Advance(w.node.cost.BarrierEntry)
-	n.barrierWait(p, n.gvtBar, st)
+	n.localMin[w.Idx] = vtime.Min(w.localMin(), w.unacked.min())
+	p.Advance(w.node.Cost.BarrierEntry)
+	n.barrierWait(p, n.gvtBar, w)
 	if comm {
-		n.commSamadiFinish(p)
+		n.commBarrierFinish(p)
 	}
-	n.barrierWait(p, n.gvtBar2, st)
+	n.barrierWait(p, n.gvtBar2, w)
 	w.applyGVT(n.nodeGVT)
-	w.st.GVTTime += p.Now() - gvtStart
+	w.St.GVTTime += p.Now() - gvtStart
 }
 
 // commSamadiRound is the dedicated MPI thread's side of a round.
 func (n *node) commSamadiRound(p *sim.Proc) {
 	n.barrierWait(p, n.gvtBar, nil)
-	n.commSamadiFinish(p)
+	n.commBarrierFinish(p)
 	n.barrierWait(p, n.gvtBar2, nil)
-}
-
-// commSamadiFinish reduces worker reports into the cluster GVT.
-func (n *node) commSamadiFinish(p *sim.Proc) {
-	p.Advance(n.cost.GVTBookkeeping)
-	min := vtime.Inf
-	for _, v := range n.localMin {
-		if v < min {
-			min = v
-		}
-	}
-	n.nodeGVT = n.rank.AllreduceMin(p, min)
-	n.gvtReq = false
-	if n.id == 0 {
-		n.eng.onRoundComplete(n.nodeGVT, false, n.eng.clusterEfficiency())
-	}
 }

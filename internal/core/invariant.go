@@ -44,16 +44,16 @@ func (e *Engine) minObservable() (float64, string) {
 	}
 	for _, n := range e.nodes {
 		for _, w := range n.workers {
-			if ev := w.pending.Peek(); ev != nil {
+			if ev := w.Pending.Peek(); ev != nil {
 				consider(ev.Stamp.T, "worker pending event")
 			}
-			for _, ev := range w.inbox {
+			for _, ev := range w.Inbox.Items() {
 				consider(ev.Stamp.T, "worker inbox")
 			}
 			for _, ev := range w.limbo {
 				consider(ev.Stamp.T, "worker limbo (awaiting LP install)")
 			}
-			for _, m := range w.migIn {
+			for _, m := range w.migIn.Items() {
 				consider(m.minPayloadStamp(), "migration mailbox payload")
 			}
 			for _, l := range w.lps {
@@ -62,16 +62,16 @@ func (e *Engine) minObservable() (float64, string) {
 				}
 			}
 		}
-		for _, ev := range n.outbox {
+		for _, ev := range n.Out.Items() {
 			consider(ev.Stamp.T, "node outbox")
 		}
-		for _, m := range n.outMigs {
+		for _, m := range n.outMigs.Items() {
 			consider(m.minPayloadStamp(), "node migration outbox payload")
 		}
 	}
 	// Messages inside the transport: out-of-order reassembly buffers and
 	// unacked frames that may be retransmitted.
-	e.world.ForEachBuffered(func(payload any) {
+	e.World.ForEachBuffered(func(payload any) {
 		switch v := payload.(type) {
 		case *event.Event:
 			consider(v.Stamp.T, "transport buffer")
@@ -82,8 +82,8 @@ func (e *Engine) minObservable() (float64, string) {
 	// Packets on the wire. Frames the receiver will discard (acks, fabric
 	// duplicates of already-accepted frames) cannot re-enter the simulation
 	// and must not pin the minimum.
-	e.world.Fabric().ForEachInFlight(func(pkt fabric.Packet) {
-		if !e.world.PacketWillDeliver(pkt) {
+	e.World.Fabric().ForEachInFlight(func(pkt fabric.Packet) {
+		if !e.World.PacketWillDeliver(pkt) {
 			return
 		}
 		switch v := pkt.Payload.(type) {

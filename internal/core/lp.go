@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/vtime"
 )
 
@@ -28,16 +26,9 @@ type histEntry struct {
 	sent      []*event.Event
 }
 
-// lp is one logical process: model + rollback machinery.
+// lp is one logical process: the shared base plus rollback machinery.
 type lp struct {
-	id    event.LPID
-	model Model
-	rng   *rng.Stream
-
-	// seq is the tie-break sequence number for events this LP sends. It is
-	// part of rolled-back state so re-execution regenerates identical
-	// stamps (deterministic commit order).
-	seq uint64
+	pe.LP
 
 	// history holds processed, not-yet-fossil-collected events in
 	// ascending stamp order.
@@ -50,23 +41,11 @@ type lp struct {
 	// positives.
 	pendingAnti []*event.Event
 
-	// checksum chains committed events in commit (stamp) order.
-	checksum stats.Checksum
-
 	// committed counts this LP's committed events; commitMark is the
 	// count at the balancer's last look, so committed-commitMark is the
 	// LP's "heat" since then. Both travel with the LP on migration.
 	committed  int64
 	commitMark int64
-}
-
-func newLP(id event.LPID, model Model, stream *rng.Stream) *lp {
-	return &lp{
-		id:       id,
-		model:    model,
-		rng:      stream,
-		checksum: stats.NewChecksum(),
-	}
 }
 
 // lastStamp returns the stamp of the most recent processed event, or the
@@ -78,20 +57,6 @@ func (l *lp) lastStamp() vtime.Stamp {
 		return vtime.ZeroStamp
 	}
 	return l.history[len(l.history)-1].ev.Stamp
-}
-
-// lvt returns the LP's local virtual time (time of last processed event).
-func (l *lp) lvt() vtime.Time {
-	if len(l.history) == 0 {
-		return 0
-	}
-	return l.history[len(l.history)-1].ev.Stamp.T
-}
-
-// init runs the model's Init hook, capturing its sends as initial events.
-func (l *lp) init(w *worker) {
-	ctx := &initCtx{lp: l, w: w}
-	l.model.Init(ctx)
 }
 
 // takeAnti removes and returns a stashed anti-message matching pos, if any.
@@ -115,90 +80,29 @@ func (l *lp) findProcessed(anti *event.Event) int {
 	return -1
 }
 
-// initCtx is the Context used during Model.Init: sends become initial
-// events placed directly into the destination worker's pending set (there
-// is no transit before the simulation starts).
-type initCtx struct {
-	lp *lp
-	w  *worker
-}
-
-func (c *initCtx) Self() event.LPID { return c.lp.id }
-func (c *initCtx) Now() vtime.Time  { return 0 }
-func (c *initCtx) RNG() *rng.Stream { return c.lp.rng }
-func (c *initCtx) NumLPs() int      { return c.w.eng.cfg.Topology.TotalLPs() }
-func (c *initCtx) Spin(int)         {} // no CPU time passes before start
-
-func (c *initCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	if delay < 0 {
-		panic(fmt.Sprintf("core: negative delay %v from LP %d in Init", delay, c.lp.id))
-	}
-	eng := c.w.eng
-	l := c.lp
-	l.seq++
-	ev := &event.Event{
-		Stamp:    vtime.Stamp{T: delay, Src: uint32(l.id), Seq: l.seq},
-		SendTime: 0,
-		Src:      l.id,
-		Dst:      dst,
-		MatchID:  eng.nextMatchID(),
-		Color:    event.White,
-		Kind:     kind,
-		Data:     data,
-	}
-	dn, dw := eng.cfg.Topology.WorkerOf(dst)
-	eng.nodes[dn].workers[dw].pending.Push(ev)
-}
-
-// execCtx is the Context used while processing an event.
+// execCtx is the Context used while processing an event; a worker reuses
+// one across events. Send adds what Time Warp needs to the shared
+// stamping: a pooled event, its anti-message identity, and the sent list
+// a rollback cancels.
 type execCtx struct {
+	pe.Ctx
 	w    *worker
-	lp   *lp
-	ev   *event.Event
 	sent []*event.Event
 }
 
-func (c *execCtx) Self() event.LPID { return c.lp.id }
-func (c *execCtx) Now() vtime.Time  { return c.ev.Stamp.T }
-func (c *execCtx) RNG() *rng.Stream { return c.lp.rng }
-func (c *execCtx) NumLPs() int      { return c.w.eng.cfg.Topology.TotalLPs() }
-func (c *execCtx) Spin(units int)   { c.w.proc.Advance(c.w.node.cost.EPGCost(units)) }
+func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
+	// The engine's hottest allocation site: recycle through the node
+	// pool instead of allocating per event.
+	ev := c.w.newEvent()
+	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
+	ev.MatchID = c.w.eng.nextMatchID()
+	c.sent = append(c.sent, ev)
+}
 
 // replayCtx coast-forwards an already-processed event after a partial
 // state restore: model effects replay deterministically, but sends are
 // suppressed (the original messages are still valid) — only the sequence
 // counter advances, keeping subsequent stamps identical.
-type replayCtx struct {
-	w  *worker
-	lp *lp
-	ev *event.Event
-}
+type replayCtx struct{ pe.Ctx }
 
-func (c *replayCtx) Self() event.LPID { return c.lp.id }
-func (c *replayCtx) Now() vtime.Time  { return c.ev.Stamp.T }
-func (c *replayCtx) RNG() *rng.Stream { return c.lp.rng }
-func (c *replayCtx) NumLPs() int      { return c.w.eng.cfg.Topology.TotalLPs() }
-func (c *replayCtx) Spin(units int)   { c.w.proc.Advance(c.w.node.cost.EPGCost(units)) }
-
-func (c *replayCtx) Send(event.LPID, vtime.Time, uint16, []byte) {
-	c.lp.seq++
-}
-
-func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	if delay < 0 {
-		panic(fmt.Sprintf("core: negative delay %v from LP %d at t=%v", delay, c.lp.id, c.ev.Stamp.T))
-	}
-	l := c.lp
-	l.seq++
-	// The engine's hottest allocation site: recycle through the node
-	// pool instead of allocating per event.
-	ev := c.w.newEvent()
-	ev.Stamp = vtime.Stamp{T: c.ev.Stamp.T + delay, Src: uint32(l.id), Seq: l.seq}
-	ev.SendTime = c.ev.Stamp.T
-	ev.Src = l.id
-	ev.Dst = dst
-	ev.MatchID = c.w.eng.nextMatchID()
-	ev.Kind = kind
-	ev.Data = data
-	c.sent = append(c.sent, ev)
-}
+func (c *replayCtx) Send(event.LPID, vtime.Time, uint16, []byte) { c.LP.Seq++ }

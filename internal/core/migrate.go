@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -51,10 +52,8 @@ type migOrder struct {
 // migMsg is the wire representation of a migrating LP.
 type migMsg struct {
 	lp        event.LPID
-	srcNode   int
 	dstNode   int
 	dstWorker int
-	round     int64 // GVT round the decision was executed at
 
 	snap       any
 	rngState   rng.State
@@ -114,14 +113,14 @@ func (e *Engine) planBalance(gvt float64) {
 	for ni, nd := range e.nodes {
 		ns := balance.NodeStats{Node: ni, MinLVT: vtime.Inf, CostFactor: e.balanceFactors[ni]}
 		for _, w := range nd.workers {
-			ns.Committed += w.st.Committed
-			ns.RolledBack += w.st.RolledBack
+			ns.Committed += w.St.Committed
+			ns.RolledBack += w.St.RolledBack
 			if lm := w.localMin(); lm < ns.MinLVT {
 				ns.MinLVT = lm
 			}
 			ns.LPs += len(w.lps)
 			for _, l := range w.lps {
-				lpLoads = append(lpLoads, balance.LPLoad{LP: l.id, Node: ni, Heat: l.committed - l.commitMark})
+				lpLoads = append(lpLoads, balance.LPLoad{LP: l.ID, Node: ni, Heat: l.committed - l.commitMark})
 				l.commitMark = l.committed
 			}
 		}
@@ -136,7 +135,7 @@ func (e *Engine) planBalance(gvt float64) {
 		}
 		nodeStats[ni] = ns
 	}
-	moves := e.balancer.Decide(e.gvtRounds, gvt, nodeStats, lpLoads)
+	moves := e.balancer.Decide(e.Rounds, gvt, nodeStats, lpLoads)
 	if len(moves) == 0 {
 		return
 	}
@@ -161,11 +160,11 @@ func (e *Engine) planBalance(gvt float64) {
 		dn := e.nodes[mv.To]
 		best, bestLoad := 0, int(^uint(0)>>1)
 		for wi, w := range dn.workers {
-			if load := len(w.lps) + assigned[w.gidx]; load < bestLoad {
+			if load := len(w.lps) + assigned[w.Gidx]; load < bestLoad {
 				best, bestLoad = wi, load
 			}
 		}
-		assigned[dn.workers[best].gidx]++
+		assigned[dn.workers[best].Gidx]++
 		sw.migOut = append(sw.migOut, migOrder{lp: mv.LP, dstNode: mv.To, dstWorker: best})
 		e.migrating[mv.LP] = true
 	}
@@ -196,26 +195,24 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	// below) and anti-messages their speculative sends.
 	w.rollback(l, vtime.Stamp{T: g}, false)
 
-	events := w.pending.RemoveFor(l.id)
+	events := w.Pending.RemoveFor(l.ID)
 	antis := l.pendingAnti
 	l.pendingAnti = nil
 
 	m := &migMsg{
-		lp: l.id, srcNode: w.node.id, dstNode: o.dstNode, dstWorker: o.dstWorker,
-		round:     eng.gvtRounds,
-		snap:      l.model.Snapshot(),
-		rngState:  l.rng.Save(),
-		seq:       l.seq,
-		checksum:  l.checksum,
+		lp: l.ID, dstNode: o.dstNode, dstWorker: o.dstWorker,
+		snap:      l.Model.Snapshot(),
+		rngState:  l.RNG.Save(),
+		seq:       l.Seq,
+		checksum:  l.Checksum,
 		committed: l.committed, commitMark: l.commitMark,
 		events: events, antis: antis,
 	}
 	// Detach the LP from this worker, then reroute: from this instant
 	// every new send targets the destination worker.
-	w.removeLP(l.id)
+	w.removeLP(l.ID)
 	gw := o.dstNode*cfg.Topology.WorkersPerNode + o.dstWorker
-	eng.routing.Move(l.id, gw)
-	eng.migLedger[l.id] = l.checksum
+	eng.routing.Move(l.ID, gw)
 	eng.migrations++
 	eng.migratedEvents += int64(len(events))
 
@@ -225,21 +222,21 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	w.msgSent++
 	w.sentC[w.epoch&3]++
 	if eng.samadiEnabled() {
-		m.ackID = w.unacked.add(uint64(w.gidx)<<ackWorkerShift, m.minPayloadStamp())
+		m.ackID = w.unacked.add(uint64(w.Gidx)<<ackWorkerShift, m.minPayloadStamp())
 	}
 	if min := m.minPayloadStamp(); w.mstate != wIdle && min < w.minRed {
 		w.minRed = min
 	}
 
-	cost := &w.node.cost
-	w.proc.Advance(cost.MigratePack + sim.Time(len(events)+len(antis))*cost.MigratePerEvent)
+	cost := &w.node.Cost
+	w.Proc.Advance(cost.MigratePack + sim.Time(len(events)+len(antis))*cost.MigratePerEvent)
 	if t := cfg.Trace; t != nil {
 		t.Migration(trace.Migration{
-			LP: uint32(l.id), SrcNode: uint16(w.node.id), DstNode: uint16(o.dstNode),
-			Round: eng.gvtRounds, Events: uint32(len(events)), AtNanos: int64(w.proc.Now()),
+			LP: uint32(l.ID), SrcNode: uint16(w.node.ID), DstNode: uint16(o.dstNode),
+			Round: eng.Rounds, Events: uint32(len(events)), AtNanos: int64(w.Proc.Now()),
 		})
 	}
-	w.node.enqueueMigration(w.proc, m)
+	w.node.outMigs.Deposit(w.Proc, m)
 }
 
 // removeLP detaches an LP from this worker, preserving slice order (the
@@ -247,46 +244,26 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 func (w *worker) removeLP(id event.LPID) {
 	delete(w.byID, id)
 	for i, l := range w.lps {
-		if l.id == id {
+		if l.ID == id {
 			w.lps = append(w.lps[:i], w.lps[i+1:]...)
 			return
 		}
 	}
-	panic(fmt.Sprintf("core: removeLP: LP %d not on worker %d/%d", id, w.node.id, w.idx))
-}
-
-// enqueueMigration appends m to the node's outbound migration queue for
-// the MPI pump.
-func (n *node) enqueueMigration(p *sim.Proc, m *migMsg) {
-	n.outMu.Lock(p)
-	p.Advance(n.cost.RemoteEnqueue)
-	n.outMigs = append(n.outMigs, m)
-	n.outMu.Unlock(p)
-}
-
-// depositMig places an arrived migration into the destination worker's
-// migration mailbox (comm thread side).
-func (w *worker) depositMig(p *sim.Proc, m *migMsg) {
-	w.migMu.Lock(p)
-	p.Advance(w.node.cost.RegionalSend)
-	w.migIn = append(w.migIn, m)
-	w.migMu.Unlock(p)
+	panic(fmt.Sprintf("core: removeLP: LP %d not on worker %d/%d", id, w.node.ID, w.Idx))
 }
 
 // drainMigrations installs every arrived migration. Callers gate on
 // eng.migEnabled; the len check is free of simulated cost so
 // balancer-enabled runs that never migrate stay on the fast path.
 func (w *worker) drainMigrations() bool {
-	if len(w.migIn) == 0 {
+	if w.migIn.Len() == 0 {
 		return false
 	}
-	w.migMu.Lock(w.proc)
-	batch := w.migIn
-	w.migIn = nil
-	w.migMu.Unlock(w.proc)
+	batch, _ := w.migIn.Take(w.Proc, 0)
 	for _, m := range batch {
 		w.installMigration(m)
 	}
+	w.migIn.Recycle(batch)
 	return true
 }
 
@@ -303,23 +280,24 @@ func (w *worker) installMigration(m *migMsg) {
 	if eng.samadiEnabled() && m.ackID != 0 {
 		w.sendAckTo(m.ackID)
 	}
-	cost := &w.node.cost
-	w.proc.Advance(cost.MigrateInstall + sim.Time(len(m.events)+len(m.antis))*cost.MigratePerEvent)
+	cost := &w.node.Cost
+	w.Proc.Advance(cost.MigrateInstall + sim.Time(len(m.events)+len(m.antis))*cost.MigratePerEvent)
 
-	l := newLP(m.lp, cfg.Model(m.lp, cfg.Topology.TotalLPs()), rng.New(0))
-	l.model.Restore(m.snap)
-	l.rng.Restore(m.rngState)
-	l.seq = m.seq
-	l.checksum = m.checksum
+	l := &lp{LP: pe.LP{
+		ID: m.lp, Model: cfg.Model(m.lp, cfg.Topology.TotalLPs()), RNG: rng.New(0),
+		Seq: m.seq, Checksum: m.checksum,
+	}}
+	l.Model.Restore(m.snap)
+	l.RNG.Restore(m.rngState)
+	eng.Host(&l.LP)
 	l.committed = m.committed
 	l.commitMark = m.commitMark
 	l.pendingAnti = m.antis
 	w.lps = append(w.lps, l)
-	w.byID[l.id] = l
+	w.byID[l.ID] = l
 	for _, ev := range m.events {
-		w.pending.Push(ev)
+		w.Pending.Push(ev)
 	}
-	delete(eng.migLedger, m.lp)
 	delete(eng.migrating, m.lp)
 
 	// Events that arrived ahead of the LP: deliver in arrival order.

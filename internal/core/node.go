@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/mpi"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -19,37 +18,25 @@ const (
 	tagMigrate                      // LP migration messages (load balancing)
 )
 
-// node models one cluster node: its worker threads, the shared outbound
-// structure remote messages are written into, the node-level GVT state and
-// (in dedicated mode) the MPI communication thread.
+// node models one cluster node: the shared base (rank, cost model,
+// outbox), its worker threads, the node-level GVT state and (in dedicated
+// mode) the MPI communication thread. Its cost model is the global one
+// scaled by the fault plan's straggler factor when this node is a
+// straggler.
 type node struct {
+	pe.Node
 	eng     *Engine
-	id      int
 	workers []*worker
-	rank    *mpi.Rank
-
-	// cost is this node's CPU cost model: the global model, scaled by the
-	// fault plan's straggler factor when this node is a straggler. Every
-	// CPU charge on this node's threads goes through it.
-	cost cluster.CostModel
 
 	// pool recycles event objects for every thread of this node (nil
 	// with PoolOff). No lock: the cooperative kernel runs one goroutine
 	// at a time, so pool operations never race.
 	pool *event.Pool
 
-	// outbox is the "global shared data structure" (§4) worker threads
-	// write remote messages into for the MPI thread to send. outAcks is
-	// its Samadi-acknowledgement counterpart.
-	outMu   sim.Mutex
-	outbox  []*event.Event
-	outAcks []remoteAck
-	outMigs []*migMsg // outbound LP migrations (balancer runs only)
-
-	// outFree is the spare backing array the pump swaps into outbox on a
-	// full drain, so steady-state pumping re-uses two arrays instead of
-	// growing a fresh one per drain (pool modes only).
-	outFree []*event.Event
+	// outAcks and outMigs queue Samadi acknowledgements and LP migrations
+	// (balancer runs only) for the MPI thread, under the outbox lock.
+	outAcks pe.Mailbox[ack]
+	outMigs pe.Mailbox[*migMsg]
 
 	// Barrier-GVT shared state (Algorithm 1). Slots are per worker.
 	gvtBar   *sim.Barrier // two-phase node barrier: enter
@@ -63,11 +50,8 @@ type node struct {
 	// Mattern/CA-GVT control message (Algorithm 2/3).
 	cm nodeCM
 
-	// comm thread bookkeeping
-	commProc      *sim.Proc
-	workersExited int
-	master        masterState // ring-master state (node 0 only)
-	heldToken     *gvtToken   // token waiting for a local condition
+	master    masterState // ring-master state (node 0 only)
+	heldToken *gvtToken   // token waiting for a local condition
 
 	// Ring-token liveness state. The master (node 0) stamps every token
 	// lap with a fresh uid, keeps a copy for watchdog resends and tracks
@@ -87,58 +71,54 @@ type node struct {
 	sync3Done bool
 }
 
-func newNode(eng *Engine, id int, streams *rng.Sequence) *node {
+func newNode(eng *Engine) *node {
 	top := eng.cfg.Topology
 	n := &node{
 		eng:      eng,
-		id:       id,
-		rank:     eng.world.Rank(id),
-		cost:     eng.cfg.Cost,
 		msgCount: make([]int64, top.WorkersPerNode),
 		localMin: make([]float64, top.WorkersPerNode),
 	}
+	cost := eng.cfg.Cost
 	if eng.cfg.Faults != nil {
-		if f, ok := eng.cfg.Faults.Straggler[id]; ok {
-			n.cost = n.cost.Scaled(f)
+		if f, ok := eng.cfg.Faults.Straggler[len(eng.nodes)]; ok {
+			cost = cost.Scaled(f)
 		}
 	}
-	if eng.cfg.Pool != PoolOff {
-		n.pool = event.NewPool(eng.cfg.Pool == PoolDebug)
-	}
-	n.outMu.Name = fmt.Sprintf("outbox-%d", id)
-	n.outMu.HoldCost = n.cost.RegionalLockHold
+	eng.AddNode(&n.Node, cost)
 	participants := top.WorkersPerNode
 	if eng.cfg.Comm == CommDedicated {
 		participants++
 	}
-	n.gvtBar = sim.NewBarrier(fmt.Sprintf("gvt-%d", id), participants)
-	n.gvtBar2 = sim.NewBarrier(fmt.Sprintf("gvt2-%d", id), participants)
+	n.outAcks = pe.NewMailbox[ack](&n.OutMu, cost.RemoteEnqueue)
+	n.outMigs = pe.NewMailbox[*migMsg](&n.OutMu, cost.RemoteEnqueue)
+	if eng.cfg.Pool != PoolOff {
+		n.pool = event.NewPool(eng.cfg.Pool == PoolDebug)
+	}
+	n.gvtBar = sim.NewBarrier(fmt.Sprintf("gvt-%d", n.ID), participants)
+	n.gvtBar2 = sim.NewBarrier(fmt.Sprintf("gvt2-%d", n.ID), participants)
 	n.cm.init(n, top.WorkersPerNode)
 	for wi := 0; wi < top.WorkersPerNode; wi++ {
-		n.workers = append(n.workers, newWorker(eng, n, wi, streams))
+		n.workers = append(n.workers, newWorker(eng, n))
+	}
+	if eng.cfg.Comm == CommDedicated {
+		eng.AddComm(&n.Node, n.commLoop)
 	}
 	return n
 }
 
-// spawn launches the node's simulated threads.
-func (n *node) spawn() {
-	for _, w := range n.workers {
-		w := w
-		n.eng.env.Spawn(fmt.Sprintf("n%d/w%d", n.id, w.idx), w.run)
-	}
-	if n.eng.cfg.Comm == CommDedicated {
-		n.commProc = n.eng.env.Spawn(fmt.Sprintf("n%d/comm", n.id), n.commLoop)
-	}
+// mailboxLock returns the lock of one of a worker's further mailboxes.
+func (n *node) mailboxLock(kind string, idx int) *sim.Mutex {
+	return &sim.Mutex{Name: fmt.Sprintf("%s-%d/%d", kind, n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 }
 
 // commLoop is the dedicated MPI thread: it exclusively services MPI sends,
 // receives and the GVT algorithm's MPI duties (the paper's proposal).
 func (n *node) commLoop(p *sim.Proc) {
-	for n.workersExited < len(n.workers) {
+	for n.WorkersExited < len(n.workers) {
 		worked := n.pump(p)
 		worked = n.gvtCommPoll(p) || worked
 		if !worked {
-			p.Advance(n.cost.IdlePoll)
+			p.Advance(n.Cost.IdlePoll)
 		}
 	}
 }
@@ -149,190 +129,96 @@ func (n *node) commLoop(p *sim.Proc) {
 // between its service loops).
 const pumpBudget = 32
 
-// pump moves remote messages in both directions: it drains the node
-// outbox onto the wire and routes arrived MPI messages into the target
-// workers' mailboxes. It returns whether any message moved.
+// pump moves remote messages in both directions: it drains the node's
+// outbound queues onto the wire and routes arrived MPI messages into the
+// target workers' mailboxes. It returns whether any message moved.
 func (n *node) pump(p *sim.Proc) bool {
 	worked := false
-	tr := n.eng.cfg.Trace
-	// Outbound: take a bounded batch from the outbox under the shared lock.
-	n.outMu.Lock(p)
-	out := n.outbox
-	backlog := 0
-	drained := false
-	if len(out) > pumpBudget {
-		out = out[:pumpBudget]
-		n.outbox = n.outbox[pumpBudget:]
-		backlog = len(n.outbox)
-	} else {
-		// Full drain: swap in the spare backing array (if any) so the
-		// workers' next enqueues append without growing a fresh slice.
-		n.outbox = n.outFree
-		n.outFree = nil
-		drained = true
-	}
-	n.outMu.Unlock(p)
 	wpn := n.eng.cfg.Topology.WorkersPerNode
+	routing := n.eng.routing
+	out, backlog := n.Out.Take(p, pumpBudget)
 	for _, ev := range out {
-		dst := n.eng.routing.Node(ev.Dst)
-		if dst == n.id {
+		if dst := routing.Node(ev.Dst); dst != n.ID {
+			n.Send(p, dst, tagEvents, ev.WireSize(), ev, backlog)
+		} else {
 			// The destination LP migrated onto this node while the event
 			// sat in the outbox: short-circuit to the local mailbox (the
 			// send/recv counters stay symmetric — the sender counted a
 			// remote send, the drain will count the receive).
-			n.workers[n.eng.routing.Worker(ev.Dst)%wpn].deposit(p, ev)
-			worked = true
-			continue
-		}
-		n.rank.Send(p, dst, tagEvents, ev.WireSize(), ev)
-		if tr != nil {
-			tr.MPISend(trace.MPISend{
-				Src: uint16(n.id), Dst: uint16(dst), Bytes: uint32(ev.WireSize()),
-				QueueDepth: uint32(backlog), AtNanos: int64(p.Now()),
-			})
+			n.workers[routing.Worker(ev.Dst)%wpn].Inbox.Deposit(p, ev)
 		}
 		worked = true
 	}
-	// Retire the drained backing array as the next spare. No simulated
-	// lock (and so no virtual-cost change): the cooperative kernel runs
-	// one goroutine at a time, and a racing pump at worst drops a spare.
-	if drained && n.pool != nil && cap(out) > 0 {
-		for i := range out {
-			out[i] = nil
-		}
-		n.outFree = out[:0]
-	}
-	// Outbound LP migrations (balancer runs only).
-	if n.eng.migEnabled && len(n.outMigs) > 0 {
-		n.outMu.Lock(p)
-		migs := n.outMigs
-		n.outMigs = nil
-		n.outMu.Unlock(p)
+	n.Out.Recycle(out)
+	// The len check is free of simulated cost, so balancer runs that
+	// never migrate pay nothing here.
+	if n.eng.migEnabled && n.outMigs.Len() > 0 {
+		migs, _ := n.outMigs.Take(p, 0)
 		for _, m := range migs {
-			n.rank.Send(p, m.dstNode, tagMigrate, m.wireSize(), m)
-			if tr != nil {
-				tr.MPISend(trace.MPISend{
-					Src: uint16(n.id), Dst: uint16(m.dstNode), Bytes: uint32(m.wireSize()),
-					AtNanos: int64(p.Now()),
-				})
-			}
+			n.Send(p, m.dstNode, tagMigrate, m.wireSize(), m, 0)
 			worked = true
 		}
+		n.outMigs.Recycle(migs)
 	}
-	// Outbound acknowledgements (Samadi GVT only).
-	n.outMu.Lock(p)
-	acks := n.outAcks
-	if len(acks) > pumpBudget {
-		acks = acks[:pumpBudget]
-		n.outAcks = n.outAcks[pumpBudget:]
-	} else {
-		n.outAcks = nil
-	}
-	n.outMu.Unlock(p)
-	for _, ra := range acks {
-		n.rank.Send(p, ra.dstNode, tagAcks, ackWire, ra.a)
-		if tr != nil {
-			tr.MPISend(trace.MPISend{
-				Src: uint16(n.id), Dst: uint16(ra.dstNode), Bytes: ackWire,
-				AtNanos: int64(p.Now()),
-			})
-		}
+	// Acknowledgements exist under Samadi GVT only, but the lock is paid
+	// by every pump.
+	acks, _ := n.outAcks.Take(p, pumpBudget)
+	for _, a := range acks {
+		n.Send(p, a.dstWorker/wpn, tagAcks, ackWire, a, 0)
 		worked = true
 	}
-	// Inbound: drain waiting event messages, up to the budget.
+	n.outAcks.Recycle(acks)
 	for i := 0; i < pumpBudget; i++ {
-		m, ok := n.rank.TryRecv(p, tagEvents)
+		m, ok := n.Rank.TryRecv(p, tagEvents)
 		if !ok {
 			break
 		}
 		ev := m.Payload.(*event.Event)
-		if rn := n.eng.routing.Node(ev.Dst); rn != n.id {
+		if routing.Node(ev.Dst) != n.ID {
 			// The destination LP migrated away while this event was in
 			// flight: forward it toward the current owner. The hop is
 			// transparent to GVT accounting — no worker counts a receive
 			// here, so the message stays "in transit" end to end.
-			if tr != nil {
-				tr.MPIRecv(trace.MPIRecv{
-					Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-					AtNanos: int64(p.Now()),
-				})
-			}
-			n.enqueueRemote(p, ev)
-			worked = true
-			continue
-		}
-		wi := n.eng.routing.Worker(ev.Dst) % n.eng.cfg.Topology.WorkersPerNode
-		n.workers[wi].deposit(p, ev)
-		if tr != nil {
-			tr.MPIRecv(trace.MPIRecv{
-				Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-				QueueDepth: uint32(len(n.workers[wi].inbox)), AtNanos: int64(p.Now()),
-			})
+			n.TraceRecv(p, m, 0)
+			n.remoteOut(p, ev)
+		} else {
+			w := n.workers[routing.Worker(ev.Dst)%wpn]
+			w.Inbox.Deposit(p, ev)
+			n.TraceRecv(p, m, w.Inbox.Len())
 		}
 		worked = true
 	}
-	// Inbound LP migrations.
 	if n.eng.migEnabled {
 		for i := 0; i < pumpBudget; i++ {
-			m, ok := n.rank.TryRecv(p, tagMigrate)
+			m, ok := n.Rank.TryRecv(p, tagMigrate)
 			if !ok {
 				break
 			}
 			mg := m.Payload.(*migMsg)
-			n.workers[mg.dstWorker].depositMig(p, mg)
-			if tr != nil {
-				tr.MPIRecv(trace.MPIRecv{
-					Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-					AtNanos: int64(p.Now()),
-				})
-			}
+			n.workers[mg.dstWorker].migIn.Deposit(p, mg)
+			n.TraceRecv(p, m, 0)
 			worked = true
 		}
 	}
-	// Inbound acknowledgements.
 	for i := 0; i < pumpBudget; i++ {
-		m, ok := n.rank.TryRecv(p, tagAcks)
+		m, ok := n.Rank.TryRecv(p, tagAcks)
 		if !ok {
 			break
 		}
 		a := m.Payload.(ack)
-		wpn := n.eng.cfg.Topology.WorkersPerNode
-		n.workers[a.dstWorker%wpn].depositAck(p, a)
-		if tr != nil {
-			tr.MPIRecv(trace.MPIRecv{
-				Src: uint16(m.Src), Dst: uint16(n.id), Bytes: uint32(m.Size),
-				AtNanos: int64(p.Now()),
-			})
-		}
+		n.workers[a.dstWorker%wpn].ackIn.Deposit(p, a)
+		n.TraceRecv(p, m, 0)
 		worked = true
 	}
 	return worked
 }
 
-// remoteAck is an acknowledgement waiting for the MPI thread.
-type remoteAck struct {
-	a       ack
-	dstNode int
-}
-
-// enqueueRemoteAck appends a Samadi ack to the node's outbound structure.
-func (n *node) enqueueRemoteAck(p *sim.Proc, a ack, dstNode int) {
-	n.outMu.Lock(p)
-	p.Advance(n.cost.RemoteEnqueue)
-	n.outAcks = append(n.outAcks, remoteAck{a: a, dstNode: dstNode})
-	n.outMu.Unlock(p)
-}
-
-// enqueueRemote appends ev to the node's outbound structure (worker side
-// of the remote path).
-func (n *node) enqueueRemote(p *sim.Proc, ev *event.Event) {
-	n.outMu.Lock(p)
-	p.Advance(n.cost.RemoteEnqueue)
-	n.outbox = append(n.outbox, ev)
+// remoteOut hands ev to the MPI thread (worker side of the remote path).
+func (n *node) remoteOut(p *sim.Proc, ev *event.Event) {
+	n.Out.Deposit(p, ev)
 	if h := n.eng.hOutboxDepth; h != nil {
-		h.Observe(int64(len(n.outbox)))
+		h.Observe(int64(n.Out.Len()))
 	}
-	n.outMu.Unlock(p)
 }
 
 // gvtCommPoll runs the comm role of the configured GVT algorithm. In
@@ -363,38 +249,27 @@ func (n *node) gvtCommPoll(p *sim.Proc) bool {
 // rest wait at the second node barrier. The middle sync point of a round
 // is node-local (global=false) — its cross-node alignment comes from the
 // token protocol, which avoids a circular wait with the reduce token.
-func (n *node) syncPoint(p *sim.Proc, comm, global bool, st *workerBarrierStats) {
-	cost := n.cost.BarrierEntry
+func (n *node) syncPoint(p *sim.Proc, comm, global bool, w *worker) {
+	cost := n.Cost.BarrierEntry
 	p.Advance(cost)
-	n.barrierWait(p, n.gvtBar, st)
-	if comm && global && n.eng.world.Size() > 1 {
-		n.rank.Barrier(p)
+	n.barrierWait(p, n.gvtBar, w)
+	if comm && global && n.eng.World.Size() > 1 {
+		n.Rank.Barrier(p)
 	}
 	p.Advance(cost)
-	n.barrierWait(p, n.gvtBar2, st)
+	n.barrierWait(p, n.gvtBar2, w)
 }
 
-// workerBarrierStats lets barrier idle time (and the barrier phase in
-// the trace) be attributed to a worker; the dedicated comm thread
-// passes nil.
-type workerBarrierStats struct {
-	wait *sim.Time
-	w    *worker
-}
-
-func (n *node) barrierWait(p *sim.Proc, b *sim.Barrier, st *workerBarrierStats) {
-	start := p.Now()
-	if st != nil && st.w != nil {
-		st.w.setPhase(trace.PhaseBarrier)
+// barrierWait waits at b. For a worker (w non-nil; the dedicated comm
+// thread passes nil) the wait is attributed to it and bracketed by the
+// barrier phase in the trace.
+func (n *node) barrierWait(p *sim.Proc, b *sim.Barrier, w *worker) {
+	if w == nil {
+		b.Wait(p)
+		return
 	}
-	b.Wait(p)
-	if st != nil {
-		if st.wait != nil {
-			*st.wait += p.Now() - start
-		}
-		if st.w != nil {
-			// Back inside GVT protocol steps once released.
-			st.w.setPhase(trace.PhaseGVT)
-		}
-	}
+	w.SetPhase(trace.PhaseBarrier)
+	w.BarrierWait(b)
+	// Back inside GVT protocol steps once released.
+	w.SetPhase(trace.PhaseGVT)
 }

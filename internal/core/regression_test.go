@@ -61,10 +61,10 @@ func TestWhiteTokenRoundOverlap(t *testing.T) {
 			fmt.Println("PANIC:", r)
 			for _, nd := range eng.nodes {
 				fmt.Printf("node %d: cm.phase=%d red=%d delta=%d contributed=%d acked=%d master=%d\n",
-					nd.id, nd.cm.phase, nd.cm.redCount, nd.cm.whiteDelta, nd.cm.contributed, nd.cm.acked, nd.master)
+					nd.ID, nd.cm.phase, nd.cm.redCount, nd.cm.whiteDelta, nd.cm.contributed, nd.cm.acked, nd.master)
 				for _, w := range nd.workers {
 					fmt.Printf("  w%d/%d: epoch=%d state=%d sC=%v rC=%v inbox=%d\n",
-						nd.id, w.idx, w.epoch, w.mstate, w.sentC, w.recvC, len(w.inbox))
+						nd.ID, w.Idx, w.epoch, w.mstate, w.sentC, w.recvC, w.Inbox.Len())
 				}
 			}
 			t.Fatal("invariant violated")

@@ -63,11 +63,11 @@ func mkEvent(eng *Engine, t float64, src, dst event.LPID, seq uint64) *event.Eve
 func drive(t *testing.T, eng *Engine, fn func()) {
 	t.Helper()
 	w := eng.nodes[0].workers[0]
-	eng.env.Spawn("test", func(p *sim.Proc) {
-		w.proc = p
+	eng.Env.Spawn("test", func(p *sim.Proc) {
+		w.Proc = p
 		fn()
 	})
-	if err := eng.env.Run(); err != nil {
+	if err := eng.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,14 +77,14 @@ func TestRollbackRestoresStateAndResends(t *testing.T) {
 	drive(t, eng, func() {
 		// Drain the Init event of LP 0 and process events up to t=5.
 		for i := 0; i < 5; i++ {
-			w.processOne(w.pending.Pop())
+			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
 		if len(l.history) != 5 {
 			t.Fatalf("history = %d, want 5", len(l.history))
 		}
-		sumBefore := l.model.(*chainModel).sum
-		seqBefore := l.seq
+		sumBefore := l.Model.(*chainModel).sum
+		seqBefore := l.Seq
 
 		// Straggler at t=2.5 (between 2nd and 3rd processed events at
 		// t=2,3): must undo events with stamp >= 2.5 (t=3,4,5).
@@ -94,11 +94,11 @@ func TestRollbackRestoresStateAndResends(t *testing.T) {
 		if len(l.history) != 2 {
 			t.Fatalf("history after rollback = %d, want 2", len(l.history))
 		}
-		if got := l.model.(*chainModel).sum; got != 1.0+2.0 {
+		if got := l.Model.(*chainModel).sum; got != 1.0+2.0 {
 			t.Errorf("state sum = %v, want 3 (events at t=1,2)", got)
 		}
-		if l.seq >= seqBefore {
-			t.Errorf("seq not rewound: %d -> %d", seqBefore, l.seq)
+		if l.Seq >= seqBefore {
+			t.Errorf("seq not rewound: %d -> %d", seqBefore, l.Seq)
 		}
 		if sumBefore != 1+2+3+4+5 {
 			t.Errorf("pre-rollback sum = %v", sumBefore)
@@ -107,23 +107,23 @@ func TestRollbackRestoresStateAndResends(t *testing.T) {
 		// event. The re-enqueued t=4, t=5 and the t=6 event were created
 		// by rolled-back events, so the rollback's anti-messages
 		// annihilated them — they will be regenerated during re-execution.
-		if w.pending.Len() != 2 {
-			t.Fatalf("pending after rollback = %d, want 2", w.pending.Len())
+		if w.Pending.Len() != 2 {
+			t.Fatalf("pending after rollback = %d, want 2", w.Pending.Len())
 		}
-		if w.st.Rollbacks != 1 || w.st.RolledBack != 3 {
-			t.Errorf("rollback stats: %d episodes, %d events", w.st.Rollbacks, w.st.RolledBack)
+		if w.St.Rollbacks != 1 || w.St.RolledBack != 3 {
+			t.Errorf("rollback stats: %d episodes, %d events", w.St.Rollbacks, w.St.RolledBack)
 		}
-		if w.st.Stragglers != 1 {
-			t.Errorf("straggler count = %d", w.st.Stragglers)
+		if w.St.Stragglers != 1 {
+			t.Errorf("straggler count = %d", w.St.Stragglers)
 		}
 
 		// Re-execution: both chains (integer times restarted from t=3 and
 		// the straggler's half-offset chain) replay deterministically.
-		for w.pending.Len() > 0 && w.pending.Peek().Stamp.T < 6 {
-			w.processOne(w.pending.Pop())
+		for w.Pending.Len() > 0 && w.Pending.Peek().Stamp.T < 6 {
+			w.processOne(w.Pending.Pop())
 		}
 		want := 1 + 2 + 2.5 + 3 + 3.5 + 4 + 4.5 + 5 + 5.5
-		if got := l.model.(*chainModel).sum; got != want {
+		if got := l.Model.(*chainModel).sum; got != want {
 			t.Errorf("replayed sum = %v, want %v", got, want)
 		}
 	})
@@ -134,13 +134,13 @@ func TestAntiMessageAnnihilatesPending(t *testing.T) {
 	drive(t, eng, func() {
 		pos := mkEvent(eng, 7.0, 1, 0, 50)
 		w.deliver(pos)
-		before := w.pending.Len()
+		before := w.Pending.Len()
 		w.deliver(pos.AntiCopy())
-		if w.pending.Len() != before-1 {
-			t.Errorf("pending %d -> %d, want annihilation", before, w.pending.Len())
+		if w.Pending.Len() != before-1 {
+			t.Errorf("pending %d -> %d, want annihilation", before, w.Pending.Len())
 		}
-		if w.st.Annihilated != 1 {
-			t.Errorf("Annihilated = %d", w.st.Annihilated)
+		if w.St.Annihilated != 1 {
+			t.Errorf("Annihilated = %d", w.St.Annihilated)
 		}
 	})
 }
@@ -155,9 +155,9 @@ func TestAntiBeforePositiveIsStashed(t *testing.T) {
 		if len(l.pendingAnti) != 1 {
 			t.Fatalf("pendingAnti = %d, want 1", len(l.pendingAnti))
 		}
-		before := w.pending.Len()
+		before := w.Pending.Len()
 		w.deliver(pos)
-		if w.pending.Len() != before || len(l.pendingAnti) != 0 {
+		if w.Pending.Len() != before || len(l.pendingAnti) != 0 {
 			t.Error("late positive not annihilated by stashed anti")
 		}
 	})
@@ -168,7 +168,7 @@ func TestAntiAgainstProcessedRollsBack(t *testing.T) {
 	drive(t, eng, func() {
 		// Process the chain a bit, then cancel a processed event.
 		for i := 0; i < 3; i++ {
-			w.processOne(w.pending.Pop())
+			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
 		victim := l.history[1].ev // the t=2 event
@@ -176,13 +176,13 @@ func TestAntiAgainstProcessedRollsBack(t *testing.T) {
 		if len(l.history) != 1 {
 			t.Fatalf("history = %d, want 1 (rolled back past the victim)", len(l.history))
 		}
-		if w.st.AntiRollbck != 1 {
-			t.Errorf("AntiRollbck = %d", w.st.AntiRollbck)
+		if w.St.AntiRollbck != 1 {
+			t.Errorf("AntiRollbck = %d", w.St.AntiRollbck)
 		}
 		// The victim must be gone from pending (annihilated after the
 		// rollback re-enqueued it).
-		for w.pending.Len() > 0 {
-			if w.pending.Pop().Matches(victim) {
+		for w.Pending.Len() > 0 {
+			if w.Pending.Pop().Matches(victim) {
 				t.Error("victim still pending after annihilation")
 			}
 		}
@@ -206,15 +206,15 @@ func TestApplyGVTCommitsAndFrees(t *testing.T) {
 	eng, w := newTestEngine(2)
 	drive(t, eng, func() {
 		for i := 0; i < 6; i++ {
-			w.processOne(w.pending.Pop())
+			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
 		if len(l.history) != 6 {
 			t.Fatalf("history = %d", len(l.history))
 		}
 		w.applyGVT(4.5) // commits t=1,2,3,4
-		if w.st.Committed != 4 {
-			t.Errorf("Committed = %d, want 4", w.st.Committed)
+		if w.St.Committed != 4 {
+			t.Errorf("Committed = %d, want 4", w.St.Committed)
 		}
 		if len(l.history) != 2 {
 			t.Errorf("history after fossil = %d, want 2", len(l.history))
@@ -229,7 +229,7 @@ func TestFossilThenRollbackAboveGVTStillWorks(t *testing.T) {
 	eng, w := newTestEngine(2)
 	drive(t, eng, func() {
 		for i := 0; i < 6; i++ {
-			w.processOne(w.pending.Pop())
+			w.processOne(w.Pending.Pop())
 		}
 		w.applyGVT(3.5) // history left: t=4,5,6
 		w.deliver(mkEvent(eng, 4.5, 1, 0, 77))
@@ -346,7 +346,7 @@ func TestFullFossilResetsSnapshotCadence(t *testing.T) {
 	drive(t, eng, func() {
 		// Process to mid-cadence (6 events: snapshots at indices 0 and 4).
 		for i := 0; i < 6; i++ {
-			w.processOne(w.pending.Pop())
+			w.processOne(w.Pending.Pop())
 		}
 		// Fossil-collect everything processed so far (events at t=1..6).
 		w.applyGVT(6.5)
@@ -355,12 +355,12 @@ func TestFullFossilResetsSnapshotCadence(t *testing.T) {
 			t.Fatalf("history not fully freed: %d", len(l.history))
 		}
 		// Next processed event must carry a snapshot...
-		w.processOne(w.pending.Pop())
+		w.processOne(w.Pending.Pop())
 		if !l.history[0].hasSnap {
 			t.Fatal("first entry after full fossil lacks a snapshot")
 		}
 		// ...so a rollback to it must not panic.
-		w.processOne(w.pending.Pop())
+		w.processOne(w.Pending.Pop())
 		w.deliver(mkEvent(eng, l.history[0].ev.Stamp.T, 1, 0, 12345))
 	})
 }

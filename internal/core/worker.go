@@ -4,37 +4,25 @@ import (
 	"fmt"
 
 	"repro/internal/event"
-	"repro/internal/eventq"
-	"repro/internal/rng"
+	"repro/internal/pe"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// worker is one simulation thread (a ROSS PE): it owns a block of LPs, a
-// pending event set and a mailbox other threads deposit messages into.
+// worker is one Time Warp simulation thread: the shared PE base plus
+// the LPs it currently hosts and their rollback, GVT and migration state.
 type worker struct {
+	pe.Worker
 	eng  *Engine
 	node *node
-	idx  int // index within node
-	gidx int // cluster-wide index
-	proc *sim.Proc
 
-	lps     []*lp
-	byID    map[event.LPID]*lp // lookup only; lps keeps the deterministic order
-	firstLP event.LPID
-	pending eventq.Queue
+	lps  []*lp
+	byID map[event.LPID]*lp // lookup only; lps keeps the deterministic order
 
-	// mailbox: regional senders and the comm thread deposit here.
-	inMu  sim.Mutex
-	inbox []*event.Event
-
-	// inFree is the spare mailbox backing array: drainInbox swaps it in
-	// and retires the drained batch into it, so steady-state draining
-	// ping-pongs between two arrays instead of growing a fresh one per
-	// batch (pool modes only).
-	inFree []*event.Event
+	// exec and replay are the model contexts, reused across events.
+	exec   execCtx
+	replay replayCtx
 
 	// sentFree recycles histEntry.sent backing arrays freed at fossil
 	// collection and rollback (pool modes only).
@@ -45,8 +33,7 @@ type worker struct {
 	// migrations wait in; limbo parks events that arrived ahead of their
 	// migrating LP (in arrival order) until it is installed.
 	migOut []migOrder
-	migMu  sim.Mutex
-	migIn  []*migMsg
+	migIn  pe.Mailbox[*migMsg]
 	limbo  []*event.Event
 
 	// cumulative message counters for Algorithm 1 (all cross-worker
@@ -68,8 +55,7 @@ type worker struct {
 
 	// Samadi GVT state: the acknowledgement mailbox and the set of
 	// sent-but-unacknowledged messages.
-	ackMu   sim.Mutex
-	ackIn   []ack
+	ackIn   pe.Mailbox[ack]
 	unacked unackedSet
 
 	// uncommitted counts processed events not yet fossil-collected; the
@@ -83,39 +69,22 @@ type worker struct {
 	idlePasses int     // consecutive idle passes while drained
 	idleRounds int     // rounds completed while this worker stayed drained
 	mstate     int     // Mattern worker phase (wIdle/wRed/wDone)
-	syncFlag   bool    // CA-GVT: this round runs with barriers
-
-	// phase is the last phase written to the trace (trace.Phase*);
-	// 0xFF until the first transition so the initial phase is recorded.
-	phase uint8
-
-	st stats.Worker
 }
 
-func newWorker(eng *Engine, n *node, idx int, streams *rng.Sequence) *worker {
-	w := &worker{
-		eng:     eng,
-		node:    n,
-		idx:     idx,
-		gidx:    n.id*eng.cfg.Topology.WorkersPerNode + idx,
-		pending: eventq.New(eng.cfg.QueueKind),
-		minRed:  vtime.Inf,
-		phase:   0xFF,
-	}
-	w.inMu.Name = fmt.Sprintf("inbox-%d/%d", n.id, idx)
-	w.inMu.HoldCost = n.cost.RegionalLockHold
-	w.ackMu.Name = fmt.Sprintf("acks-%d/%d", n.id, idx)
-	w.ackMu.HoldCost = n.cost.RegionalLockHold
-	w.migMu.Name = fmt.Sprintf("migs-%d/%d", n.id, idx)
-	w.migMu.HoldCost = n.cost.RegionalLockHold
+func newWorker(eng *Engine, n *node) *worker {
+	w := &worker{eng: eng, node: n, minRed: vtime.Inf}
+	eng.AddWorker(&w.Worker, &n.Node, w.run)
+	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
+	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
+	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
+	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
 	w.unacked.init()
-	w.firstLP = eng.cfg.Topology.FirstLP(n.id, idx)
 	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
 	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
-		id := w.firstLP + event.LPID(i)
-		l := newLP(id, eng.cfg.Model(id, eng.cfg.Topology.TotalLPs()), streams.Next())
+		l := &lp{}
+		eng.AddLP(&l.LP)
 		w.lps = append(w.lps, l)
-		w.byID[id] = l
+		w.byID[l.ID] = l
 	}
 	return w
 }
@@ -146,7 +115,7 @@ func (w *worker) freeEvent(e *event.Event) {
 func (w *worker) assertLive(ev *event.Event, where string) {
 	if ev.Freed() {
 		panic(fmt.Sprintf("core: use-after-recycle: freed event touched in %s at worker %d/%d",
-			where, w.node.id, w.idx))
+			where, w.node.ID, w.Idx))
 	}
 }
 
@@ -181,7 +150,7 @@ func (w *worker) lpByID(id event.LPID) *lp {
 	l := w.byID[id]
 	if l == nil {
 		panic(fmt.Sprintf("core: LP %d routed to worker %d/%d which does not host it",
-			id, w.node.id, w.idx))
+			id, w.node.ID, w.Idx))
 	}
 	return l
 }
@@ -192,7 +161,7 @@ func (w *worker) lpByID(id event.LPID) *lp {
 // the pending set until their migrating LP installs.
 func (w *worker) localMin() float64 {
 	min := vtime.Inf
-	if e := w.pending.Peek(); e != nil {
+	if e := w.Pending.Peek(); e != nil {
 		min = e.Stamp.T
 	}
 	for _, ev := range w.limbo {
@@ -203,14 +172,10 @@ func (w *worker) localMin() float64 {
 	return min
 }
 
-// localMinView is the metrics-only view used for the disparity statistic.
-func (w *worker) localMinView() float64 { return w.localMin() }
-
 // run is the worker thread's main loop: drain mailbox, process a batch of
 // events, service MPI if this worker carries the comm role, and drive the
 // GVT algorithm — until GVT passes the end time.
 func (w *worker) run(p *sim.Proc) {
-	w.proc = p
 	cfg := &w.eng.cfg
 	commRole := w.commRole()
 	samadi := w.eng.samadiEnabled()
@@ -243,29 +208,15 @@ func (w *worker) run(p *sim.Proc) {
 			}
 		}
 		if worked {
-			w.setPhase(trace.PhaseProcessing)
+			w.SetPhase(trace.PhaseProcessing)
 		} else {
-			w.setPhase(trace.PhaseIdle)
+			w.SetPhase(trace.PhaseIdle)
 		}
 		w.gvtPoll(worked)
 		if !worked {
-			w.st.IdleTime += w.node.cost.IdlePoll
-			p.Advance(w.node.cost.IdlePoll)
+			w.St.IdleTime += w.node.Cost.IdlePoll
+			p.Advance(w.node.Cost.IdlePoll)
 		}
-	}
-	w.node.workersExited++
-}
-
-// setPhase records a worker phase transition in the trace. Repeated
-// calls with the current phase are free, so callers mark phases
-// unconditionally at the points they begin.
-func (w *worker) setPhase(ph uint8) {
-	if w.phase == ph {
-		return
-	}
-	w.phase = ph
-	if t := w.eng.cfg.Trace; t != nil {
-		t.Phase(trace.Phase{Worker: uint32(w.gidx), Phase: ph, AtNanos: int64(w.proc.Now())})
 	}
 }
 
@@ -276,7 +227,6 @@ const (
 	commNone       commRoleKind = iota // dedicated thread does everything
 	commPump                           // shared mode, non-leader: pump only
 	commPumpAndGVT                     // combined mode leader / shared leader
-	commGVTOnly                        // (unused placeholder for symmetry)
 )
 
 func (w *worker) commRole() commRoleKind {
@@ -284,12 +234,12 @@ func (w *worker) commRole() commRoleKind {
 	case CommDedicated:
 		return commNone
 	case CommCombined:
-		if w.idx == 0 {
+		if w.Idx == 0 {
 			return commPumpAndGVT
 		}
 		return commNone
 	default: // CommShared
-		if w.idx == 0 {
+		if w.Idx == 0 {
 			return commPumpAndGVT
 		}
 		return commPump
@@ -299,15 +249,8 @@ func (w *worker) commRole() commRoleKind {
 // drainInbox consumes every deposited message: counts it for GVT
 // accounting and delivers it (annihilation, straggler rollback, enqueue).
 func (w *worker) drainInbox() bool {
-	w.inMu.Lock(w.proc)
-	batch := w.inbox
-	w.inbox = w.inFree
-	w.inFree = nil
-	w.inMu.Unlock(w.proc)
+	batch, _ := w.Inbox.Take(w.Proc, 0)
 	if len(batch) == 0 {
-		if cap(batch) > 0 {
-			w.inFree = batch[:0]
-		}
 		return false
 	}
 	if h := w.eng.hInboxBatch; h != nil {
@@ -315,45 +258,29 @@ func (w *worker) drainInbox() bool {
 	}
 	// Charge the per-message drain cost for the whole batch up front (one
 	// kernel transition instead of one per message).
-	cost := &w.node.cost
-	w.proc.Advance(sim.Time(len(batch)) * (cost.InboxDrainPerMsg + cost.QueueOp))
+	cost := &w.node.Cost
+	w.Proc.Advance(sim.Time(len(batch)) * (cost.InboxDrainPerMsg + cost.QueueOp))
 	samadi := w.eng.samadiEnabled()
 	for _, ev := range batch {
 		w.msgRecv++
 		w.recvC[uint8(ev.Color)&3]++
 		if samadi && ev.AckID != 0 {
-			w.sendAck(ev)
+			w.sendAckTo(ev.AckID)
 		}
 		w.deliver(ev)
 	}
-	// Retire the drained array as the next spare (pool modes only; a nil
-	// spare keeps PoolOff allocation behaviour exactly pre-pool).
-	if w.node.pool != nil {
-		for i := range batch {
-			batch[i] = nil
-		}
-		w.inFree = batch[:0]
-	}
+	w.Inbox.Recycle(batch)
 	return true
-}
-
-// deposit places ev into this worker's mailbox, charging the depositor
-// (a regional sender or the comm thread) the shared-memory send cost.
-func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
-	w.inMu.Lock(p)
-	p.Advance(w.node.cost.RegionalSend)
-	w.inbox = append(w.inbox, ev)
-	w.inMu.Unlock(p)
 }
 
 // deliver applies one received message to its destination LP.
 func (w *worker) deliver(ev *event.Event) {
 	if ev.Stamp.T < w.gvtView {
 		panic(fmt.Sprintf("core: GVT violation: %v arrived at worker %d/%d with GVT %.6g",
-			ev, w.node.id, w.idx, w.gvtView))
+			ev, w.node.ID, w.Idx, w.gvtView))
 	}
 	if w.eng.migEnabled && w.byID[ev.Dst] == nil {
-		if w.eng.routing.Worker(ev.Dst) == w.gidx {
+		if w.eng.routing.Worker(ev.Dst) == w.Gidx {
 			// The LP is migrating here but has not installed yet: park the
 			// event until it does (localMin keeps it observable for GVT).
 			w.limbo = append(w.limbo, ev)
@@ -370,8 +297,8 @@ func (w *worker) deliver(ev *event.Event) {
 	}
 	l := w.lpByID(ev.Dst)
 	if ev.Anti {
-		if pos := w.pending.RemoveMatching(ev); pos != nil {
-			w.st.Annihilated++
+		if pos := w.Pending.RemoveMatching(ev); pos != nil {
+			w.St.Annihilated++
 			// Both halves of the pair are done: the positive's sender
 			// rolled back (dropping its sent-list reference) before the
 			// anti existed, and the anti was ours alone.
@@ -383,11 +310,11 @@ func (w *worker) deliver(ev *event.Event) {
 			// The positive was optimistically processed: roll back to just
 			// before it, which re-enqueues it, then annihilate.
 			w.rollback(l, l.history[i].ev.Stamp, false)
-			pos := w.pending.RemoveMatching(ev)
+			pos := w.Pending.RemoveMatching(ev)
 			if pos == nil {
 				panic("core: rolled-back positive vanished before annihilation")
 			}
-			w.st.Annihilated++
+			w.St.Annihilated++
 			w.freeEvent(pos)
 			w.freeEvent(ev)
 			return
@@ -397,7 +324,7 @@ func (w *worker) deliver(ev *event.Event) {
 		return
 	}
 	if a := l.takeAnti(ev); a != nil {
-		w.st.Annihilated++
+		w.St.Annihilated++
 		w.freeEvent(a)
 		w.freeEvent(ev)
 		return
@@ -405,7 +332,7 @@ func (w *worker) deliver(ev *event.Event) {
 	if ev.Stamp.Before(l.lastStamp()) {
 		w.rollback(l, ev.Stamp, true)
 	}
-	w.pending.Push(ev)
+	w.Pending.Push(ev)
 }
 
 // processBatch executes up to BatchSize pending events with timestamps
@@ -422,14 +349,14 @@ func (w *worker) processBatch() bool {
 		w.passes = cfg.GVTInterval
 	}
 	for i := 0; i < cfg.BatchSize; i++ {
-		next := w.pending.Peek()
+		next := w.Pending.Peek()
 		if next == nil || next.Stamp.T > cfg.EndTime {
 			break
 		}
 		if capped && next.Stamp.T > w.gvtView {
 			break
 		}
-		w.processOne(w.pending.Pop())
+		w.processOne(w.Pending.Pop())
 		n++
 	}
 	// The GVT interval counts processed events in batch units (the paper
@@ -451,32 +378,35 @@ func (w *worker) processOne(ev *event.Event) {
 		panic(fmt.Sprintf("core: pending straggler leaked to processing: %v behind %v", ev, l.lastStamp()))
 	}
 	cfg := &w.eng.cfg
-	w.proc.Advance(w.node.cost.EventOverhead)
+	w.Proc.Advance(w.node.Cost.EventOverhead)
 	entry := histEntry{ev: ev}
 	if l.sinceSnap == 0 {
 		entry.hasSnap = true
-		entry.snapping = l.model.Snapshot()
-		entry.snapRNG = l.rng.Save()
-		entry.snapSeq = l.seq
-		w.proc.Advance(w.node.cost.StateSave)
+		entry.snapping = l.Model.Snapshot()
+		entry.snapRNG = l.RNG.Save()
+		entry.snapSeq = l.Seq
+		w.Proc.Advance(w.node.Cost.StateSave)
 	}
 	l.sinceSnap++
 	if l.sinceSnap >= cfg.CheckpointInterval {
 		l.sinceSnap = 0
 	}
-	ctx := execCtx{w: w, lp: l, ev: ev, sent: w.takeSentBuf()}
-	l.model.OnEvent(&ctx, ev)
-	if len(ctx.sent) == 0 {
+	ctx := &w.exec
+	ctx.LP, ctx.T, ctx.sent = &l.LP, ev.Stamp.T, w.takeSentBuf()
+	l.Model.OnEvent(ctx, ev)
+	sent := ctx.sent
+	ctx.sent = nil
+	if len(sent) == 0 {
 		// Nothing sent: keep the recycled buffer for the next event so
 		// entry.sent stays nil exactly as with fresh allocation.
-		w.putSentBuf(ctx.sent)
+		w.putSentBuf(sent)
 	} else {
-		entry.sent = ctx.sent
+		entry.sent = sent
 	}
 	l.history = append(l.history, entry)
 	w.uncommitted++
-	w.st.Processed++
-	for _, out := range ctx.sent {
+	w.St.Processed++
+	for _, out := range sent {
 		w.route(out)
 	}
 }
@@ -489,24 +419,24 @@ func (w *worker) route(ev *event.Event) {
 	// Locality is judged from where the message is (this worker) to where
 	// the destination LP currently lives — identical to the static
 	// Topology.Class until the balancer moves an LP.
-	class := w.eng.routing.ClassFrom(w.gidx, ev.Dst)
+	class := w.eng.routing.ClassFrom(w.Gidx, ev.Dst)
 	// Color the message with the sender's current epoch (mod 4).
 	ev.Color = event.Color(w.epoch & 3)
 	switch class {
 	case event.Local:
-		w.st.SentLocal++
+		w.St.SentLocal++
 		// Queue insertion is charged here; delivery itself is free of
 		// kernel transitions (no transit for self-sends).
-		w.proc.Advance(w.node.cost.LocalSend + w.node.cost.QueueOp)
+		w.Proc.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
 		w.deliver(ev)
 		return
 	case event.Regional:
-		w.st.SentRegion++
+		w.St.SentRegion++
 	case event.Remote:
-		w.st.SentRemote++
+		w.St.SentRemote++
 	}
 	if ev.Anti {
-		w.st.AntiSent++
+		w.St.AntiSent++
 	}
 	w.msgSent++
 	w.sentC[w.epoch&3]++
@@ -520,9 +450,9 @@ func (w *worker) route(ev *event.Event) {
 	}
 	if class == event.Regional {
 		wi := w.eng.routing.Worker(ev.Dst) % top.WorkersPerNode
-		w.node.workers[wi].deposit(w.proc, ev)
+		w.node.workers[wi].Inbox.Deposit(w.Proc, ev)
 	} else {
-		w.node.enqueueRemote(w.proc, ev)
+		w.node.remoteOut(w.Proc, ev)
 	}
 }
 
@@ -552,12 +482,14 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	if !base.hasSnap {
 		panic("core: no snapshot found below rollback target")
 	}
-	l.model.Restore(base.snapping)
-	l.rng.Restore(base.snapRNG)
-	l.seq = base.snapSeq
+	l.Model.Restore(base.snapping)
+	l.RNG.Restore(base.snapRNG)
+	l.Seq = base.snapSeq
+	re := &w.replay
+	re.LP = &l.LP
 	for i := j; i < idx; i++ {
-		re := replayCtx{w: w, lp: l, ev: h[i].ev}
-		l.model.OnEvent(&re, h[i].ev)
+		re.T = h[i].ev.Stamp.T
+		l.Model.OnEvent(re, h[i].ev)
 	}
 	// Recompute the snapshot cadence for the truncated history.
 	l.sinceSnap = idx - j
@@ -566,24 +498,24 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	}
 
 	cfg := &w.eng.cfg
-	w.proc.Advance(sim.Time(len(popped)) * (w.node.cost.RollbackPerEvent + w.node.cost.QueueOp))
+	w.Proc.Advance(sim.Time(len(popped)) * (w.node.Cost.RollbackPerEvent + w.node.Cost.QueueOp))
 	w.uncommitted -= len(popped)
-	w.st.Rollbacks++
-	w.st.RolledBack += int64(len(popped))
+	w.St.Rollbacks++
+	w.St.RolledBack += int64(len(popped))
 	if straggler {
-		w.st.Stragglers++
+		w.St.Stragglers++
 	} else {
-		w.st.AntiRollbck++
+		w.St.AntiRollbck++
 	}
 	if h := w.eng.hRollbackDepth; h != nil {
 		h.Observe(int64(len(popped)))
 	}
 	if t := cfg.Trace; t != nil {
 		t.Rollback(trace.Rollback{
-			Worker: uint32(w.gidx), LP: uint32(l.id), Anti: !straggler,
+			Worker: uint32(w.Gidx), LP: uint32(l.ID), Anti: !straggler,
 			Depth: uint32(len(popped)),
 			From:  popped[0].ev.Stamp.T, To: popped[len(popped)-1].ev.Stamp.T,
-			AtNanos: int64(w.proc.Now()),
+			AtNanos: int64(w.Proc.Now()),
 		})
 	}
 
@@ -592,7 +524,7 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	debug := w.eng.poolDebug
 	for i := range popped {
 		entry := &popped[i]
-		w.pending.Push(entry.ev)
+		w.Pending.Push(entry.ev)
 		for _, out := range entry.sent {
 			if debug {
 				w.assertLive(out, "rollback anti-copy")
@@ -611,7 +543,6 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 // applyGVT installs a newly computed GVT: fossil-collect every LP's
 // history below it and commit those events.
 func (w *worker) applyGVT(g float64) {
-	cfg := &w.eng.cfg
 	var freed int64
 	for _, l := range w.lps {
 		// Commit every entry below the new GVT (in stamp order).
@@ -619,16 +550,9 @@ func (w *worker) applyGVT(g float64) {
 		for cut < len(l.history) && l.history[cut].ev.Stamp.T < g {
 			entry := &l.history[cut]
 			if !entry.committed {
-				e := entry.ev
-				l.checksum = l.checksum.Mix(uint32(l.id), e.Stamp.T, e.Stamp.Src, e.Stamp.Seq)
-				if cfg.Trace != nil {
-					cfg.Trace.Commit(trace.Commit{
-						LP: uint32(l.id), T: e.Stamp.T, Src: e.Stamp.Src, Seq: e.Stamp.Seq,
-					})
-				}
+				w.Commit(&l.LP, entry.ev)
 				entry.committed = true
 				l.committed++
-				w.st.Committed++
 				w.uncommitted--
 			}
 			cut++
@@ -676,10 +600,10 @@ func (w *worker) applyGVT(g float64) {
 	}
 	if freed > 0 {
 		w.uncommitted -= int(freed)
-		w.proc.Advance(sim.Time(freed) * w.node.cost.FossilPerEvent)
+		w.Proc.Advance(sim.Time(freed) * w.node.Cost.FossilPerEvent)
 	}
 	w.gvtView = g
-	w.st.GVTRounds++
+	w.St.GVTRounds++
 	w.idleRounds++ // reset on the next productive pass
 	// Execute planned migrations now: below-g history is committed and
 	// fossil-collected, so pack ships pure committed state.
@@ -703,7 +627,7 @@ func (w *worker) gvtPoll(worked bool) {
 		// drained worker whose triggers are not helping (GVT rounds keep
 		// completing while it stays drained) backs off exponentially so it
 		// cannot stall the workers that still have events to process.
-		next := w.pending.Peek()
+		next := w.Pending.Peek()
 		if next == nil || next.Stamp.T > w.eng.cfg.EndTime {
 			w.idlePasses++
 			shift := w.idleRounds

@@ -10,8 +10,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/vtime"
 )
 
@@ -90,9 +90,9 @@ type Model struct {
 
 // New returns a model factory; it panics if the grid does not match the
 // topology's LP count (checked lazily at first construction).
-func New(p Params) core.ModelFactory {
+func New(p Params) pe.ModelFactory {
 	p.Defaults()
-	return func(lp event.LPID, total int) core.Model {
+	return func(lp event.LPID, total int) pe.Model {
 		if lp == 0 {
 			if err := p.Validate(total); err != nil {
 				panic(err)
@@ -106,7 +106,7 @@ func New(p Params) core.ModelFactory {
 func (m *Model) State() Region { return m.state }
 
 // Init seeds patient zero and the tick cycle.
-func (m *Model) Init(ctx core.Context) {
+func (m *Model) Init(ctx pe.Context) {
 	m.state = Region{S: m.p.Population}
 	if m.self == 0 {
 		m.state.S -= m.p.Seeds
@@ -116,7 +116,7 @@ func (m *Model) Init(ctx core.Context) {
 }
 
 // OnEvent advances local dynamics or lands travellers.
-func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
+func (m *Model) OnEvent(ctx pe.Context, ev *event.Event) {
 	ctx.Spin(3000)
 	switch ev.Kind {
 	case EvTick:
@@ -130,7 +130,7 @@ func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
 	}
 }
 
-func (m *Model) step(ctx core.Context) {
+func (m *Model) step(ctx pe.Context) {
 	st := &m.state
 	if st.I == 0 {
 		return
@@ -153,7 +153,7 @@ func (m *Model) step(ctx core.Context) {
 }
 
 // neighbour picks a random 4-neighbour on the torus.
-func (m *Model) neighbour(ctx core.Context) event.LPID {
+func (m *Model) neighbour(ctx pe.Context) event.LPID {
 	w, h := m.p.GridW, m.p.GridH
 	x, y := int(m.self)%w, int(m.self)/w
 	switch ctx.RNG().Intn(4) {

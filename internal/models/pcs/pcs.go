@@ -8,8 +8,8 @@ package pcs
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 )
 
 // Event kinds.
@@ -76,9 +76,9 @@ type Model struct {
 }
 
 // New returns the model factory.
-func New(p Params) core.ModelFactory {
+func New(p Params) pe.ModelFactory {
 	p.Defaults()
-	return func(lp event.LPID, total int) core.Model {
+	return func(lp event.LPID, total int) pe.Model {
 		if lp == 0 {
 			if err := p.Validate(total); err != nil {
 				panic(err)
@@ -92,12 +92,12 @@ func New(p Params) core.ModelFactory {
 func (m *Model) State() TowerState { return m.state }
 
 // Init starts the tower's Poisson arrival process.
-func (m *Model) Init(ctx core.Context) {
+func (m *Model) Init(ctx pe.Context) {
 	ctx.Send(m.self, ctx.RNG().Exp(m.p.Interarrival)+0.01, EvNewCall, nil)
 }
 
 // OnEvent handles arrivals, completions, handoffs and releases.
-func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
+func (m *Model) OnEvent(ctx pe.Context, ev *event.Event) {
 	ctx.Spin(2500)
 	switch ev.Kind {
 	case EvNewCall:
@@ -129,7 +129,7 @@ func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
 const Lookahead = 0.01
 
 // progress schedules either the call's completion here or its handoff.
-func (m *Model) progress(ctx core.Context) {
+func (m *Model) progress(ctx pe.Context) {
 	remaining := ctx.RNG().Exp(m.p.HoldMean) + 0.01
 	toHandoff := ctx.RNG().Exp(m.p.HandoffMean) + Lookahead
 	if toHandoff < remaining {
@@ -140,7 +140,7 @@ func (m *Model) progress(ctx core.Context) {
 	ctx.Send(m.self, remaining, EvEndCall, nil)
 }
 
-func (m *Model) neighbour(ctx core.Context) event.LPID {
+func (m *Model) neighbour(ctx pe.Context) event.LPID {
 	w, h := m.p.GridW, m.p.GridH
 	x, y := int(m.self)%w, int(m.self)/w
 	switch ctx.RNG().Intn(4) {

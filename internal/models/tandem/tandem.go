@@ -10,8 +10,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 )
 
 // Event kinds.
@@ -86,12 +86,12 @@ type Model struct {
 }
 
 // New returns the model factory.
-func New(p Params) core.ModelFactory {
+func New(p Params) pe.ModelFactory {
 	p.Defaults()
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return func(lp event.LPID, total int) core.Model {
+	return func(lp event.LPID, total int) pe.Model {
 		return &Model{p: &p, self: lp, stages: total}
 	}
 }
@@ -100,14 +100,14 @@ func New(p Params) core.ModelFactory {
 func (m *Model) State() QueueState { return m.state }
 
 // Init starts the external arrival process at stage 0.
-func (m *Model) Init(ctx core.Context) {
+func (m *Model) Init(ctx pe.Context) {
 	if m.self == 0 {
 		m.scheduleArrival(ctx, 0)
 	}
 }
 
 // OnEvent services arrivals and completions.
-func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
+func (m *Model) OnEvent(ctx pe.Context, ev *event.Event) {
 	ctx.Spin(1500)
 	switch ev.Kind {
 	case EvArrive:
@@ -135,13 +135,13 @@ func (m *Model) OnEvent(ctx core.Context, ev *event.Event) {
 	}
 }
 
-func (m *Model) scheduleArrival(ctx core.Context, job uint32) {
+func (m *Model) scheduleArrival(ctx pe.Context, job uint32) {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], job)
 	ctx.Send(0, ctx.RNG().Exp(m.p.Interarrival)+0.01, EvArrive, buf[:])
 }
 
-func (m *Model) startService(ctx core.Context, job uint32) {
+func (m *Model) startService(ctx pe.Context, job uint32) {
 	st := &m.state
 	st.Busy = true
 	st.CurrentJob = job
@@ -149,7 +149,7 @@ func (m *Model) startService(ctx core.Context, job uint32) {
 	ctx.Send(m.self, ctx.RNG().Exp(m.p.ServiceMean)+0.01, EvComplete, nil)
 }
 
-func (m *Model) forward(ctx core.Context, job uint32) {
+func (m *Model) forward(ctx pe.Context, job uint32) {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], job)
 	ctx.Send(m.self+1, m.p.HopDelay, EvArrive, buf[:])

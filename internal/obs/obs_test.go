@@ -165,7 +165,9 @@ func TestRegistryRace(t *testing.T) {
 	h := r.Histogram("race_hist_seconds", "", nil)
 	vec := r.CounterVec("race_vec_total", "", "who")
 	r.GaugeFunc("race_fn", "", func() float64 { return 1 })
-	r.OnScrape(func() { g.Set(g.Value()) })
+	// A scrape hook that writes the gauge. Not Set(Value()): that
+	// read-then-store would itself lose a writer's concurrent Add.
+	r.OnScrape(func() { g.Add(0) })
 
 	const writers, perWriter = 8, 2000
 	var wg sync.WaitGroup

@@ -15,8 +15,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/vtime"
 )
 
@@ -127,12 +127,12 @@ func (p *Params) PhaseAt(t vtime.Time) Phase {
 }
 
 // New returns the model factory for these parameters.
-func New(p Params) core.ModelFactory {
+func New(p Params) pe.ModelFactory {
 	p.Defaults()
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return func(lp event.LPID, total int) core.Model {
+	return func(lp event.LPID, total int) pe.Model {
 		return &Model{p: &p, self: lp}
 	}
 }
@@ -147,7 +147,7 @@ type Model struct {
 }
 
 // Init seeds the starting events, addressed to the LP itself.
-func (m *Model) Init(ctx core.Context) {
+func (m *Model) Init(ctx pe.Context) {
 	for i := 0; i < m.p.StartEvents; i++ {
 		ctx.Send(m.self, m.delay(ctx), 0, nil)
 	}
@@ -155,7 +155,7 @@ func (m *Model) Init(ctx core.Context) {
 
 // OnEvent spins for the phase's EPG and forwards one event to a randomly
 // drawn destination.
-func (m *Model) OnEvent(ctx core.Context, _ *event.Event) {
+func (m *Model) OnEvent(ctx pe.Context, _ *event.Event) {
 	ph := m.p.PhaseAt(ctx.Now())
 	// Draw destination and delay first so the RNG consumption order is
 	// identical between the parallel engine and the sequential oracle.
@@ -167,12 +167,12 @@ func (m *Model) OnEvent(ctx core.Context, _ *event.Event) {
 }
 
 // delay draws the time increment: lookahead + Exp(mean).
-func (m *Model) delay(ctx core.Context) vtime.Time {
+func (m *Model) delay(ctx pe.Context) vtime.Time {
 	return m.p.Lookahead + ctx.RNG().Exp(m.p.MeanDelay)
 }
 
 // pick draws the destination LP per the phase's locality percentages.
-func (m *Model) pick(ctx core.Context, ph Phase) event.LPID {
+func (m *Model) pick(ctx pe.Context, ph Phase) event.LPID {
 	top := m.p.Topology
 	u := ctx.RNG().Float64()
 	switch {

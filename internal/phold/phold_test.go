@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/rng"
 	"repro/internal/seq"
 )
@@ -143,7 +143,7 @@ func TestDestinationClasses(t *testing.T) {
 	}
 }
 
-// fakeCtx is a minimal core.Context for exercising pick/delay directly.
+// fakeCtx is a minimal pe.Context for exercising pick/delay directly.
 type fakeCtx struct {
 	total int
 	rng   *rng.Stream
@@ -157,7 +157,7 @@ func (c *fakeCtx) NumLPs() int                              { return c.total }
 func (c *fakeCtx) Spin(int)                                 {}
 func (c *fakeCtx) Send(event.LPID, float64, uint16, []byte) { c.sent++ }
 
-var _ core.Context = (*fakeCtx)(nil)
+var _ pe.Context = (*fakeCtx)(nil)
 
 func TestSnapshotRestore(t *testing.T) {
 	p := Params{Topology: topo(), Base: ComputationDominated()}

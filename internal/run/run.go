@@ -9,6 +9,7 @@ import (
 	"repro/internal/models/epidemic"
 	"repro/internal/models/pcs"
 	"repro/internal/models/tandem"
+	"repro/internal/pe"
 	"repro/internal/phold"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -38,7 +39,7 @@ type Attach struct {
 	Metrics *metrics.Recorder
 	// Model replaces the spec's model. Only the harness EPG sweep sets it:
 	// EPG is a model parameter the spec has no field for.
-	Model core.ModelFactory
+	Model pe.ModelFactory
 }
 
 var (
@@ -123,7 +124,7 @@ func (s Spec) Oracle() (*seq.Result, error) {
 }
 
 // model builds the model factory of an already-canonical spec.
-func (c Spec) model() core.ModelFactory {
+func (c Spec) model() pe.ModelFactory {
 	switch c.Model {
 	case "pcs":
 		w, h := cluster.NearSquareGrid(c.Topology().TotalLPs())

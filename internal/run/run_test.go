@@ -4,9 +4,9 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
+	"repro/internal/pe"
 	"repro/internal/trace"
 )
 
@@ -57,7 +57,7 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 	at := Attach{
 		Trace:   trace.NewWriter(io.Discard),
 		Metrics: metrics.NewRecorder(),
-		Model: func(lp event.LPID, total int) core.Model {
+		Model: func(lp event.LPID, total int) pe.Model {
 			built++
 			return inner(lp, total)
 		},

@@ -8,9 +8,9 @@ package seq
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/eventq"
+	"repro/internal/pe"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/vtime"
@@ -34,7 +34,7 @@ type Engine struct {
 
 type seqLP struct {
 	id       event.LPID
-	model    core.Model
+	model    pe.Model
 	rng      *rng.Stream
 	seq      uint64
 	lvt      vtime.Time
@@ -42,7 +42,7 @@ type seqLP struct {
 }
 
 // New builds a sequential engine with totalLPs processes.
-func New(factory core.ModelFactory, totalLPs int, endTime vtime.Time, seed uint64) *Engine {
+func New(factory pe.ModelFactory, totalLPs int, endTime vtime.Time, seed uint64) *Engine {
 	if totalLPs <= 0 {
 		panic("seq: totalLPs must be positive")
 	}
@@ -99,9 +99,9 @@ func (e *Engine) Run() *Result {
 func (e *Engine) Pending() int { return e.pending.Len() }
 
 // Model returns LP i's model (for examples inspecting final state).
-func (e *Engine) Model(i int) core.Model { return e.lps[i].model }
+func (e *Engine) Model(i int) pe.Model { return e.lps[i].model }
 
-// seqCtx implements core.Context for the sequential engine.
+// seqCtx implements pe.Context for the sequential engine.
 type seqCtx struct {
 	e   *Engine
 	lp  *seqLP

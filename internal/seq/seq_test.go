@@ -3,8 +3,8 @@ package seq
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/pe"
 	"repro/internal/vtime"
 )
 
@@ -15,13 +15,13 @@ type counter struct {
 	seen int
 }
 
-func (m *counter) Init(ctx core.Context) {
+func (m *counter) Init(ctx pe.Context) {
 	if m.self == 0 {
 		ctx.Send(0, 1.0, 0, nil)
 	}
 }
 
-func (m *counter) OnEvent(ctx core.Context, ev *event.Event) {
+func (m *counter) OnEvent(ctx pe.Context, ev *event.Event) {
 	m.seen++
 	next := event.LPID((int(m.self) + 1) % ctx.NumLPs())
 	ctx.Send(next, 1.0, 0, nil)
@@ -30,8 +30,8 @@ func (m *counter) OnEvent(ctx core.Context, ev *event.Event) {
 func (m *counter) Snapshot() any { return m.seen }
 func (m *counter) Restore(s any) { m.seen = s.(int) }
 
-func factory() core.ModelFactory {
-	return func(lp event.LPID, total int) core.Model { return &counter{self: lp} }
+func factory() pe.ModelFactory {
+	return func(lp event.LPID, total int) pe.Model { return &counter{self: lp} }
 }
 
 func TestRunProcessesInOrder(t *testing.T) {
@@ -96,13 +96,13 @@ func TestPanicsOnBadArgs(t *testing.T) {
 // badSender sends to a nonexistent LP.
 type badSender struct{}
 
-func (m *badSender) Init(ctx core.Context)                    { ctx.Send(0, 1, 0, nil) }
-func (m *badSender) OnEvent(ctx core.Context, _ *event.Event) { ctx.Send(999, 1, 0, nil) }
-func (m *badSender) Snapshot() any                            { return nil }
-func (m *badSender) Restore(any)                              {}
+func (m *badSender) Init(ctx pe.Context)                    { ctx.Send(0, 1, 0, nil) }
+func (m *badSender) OnEvent(ctx pe.Context, _ *event.Event) { ctx.Send(999, 1, 0, nil) }
+func (m *badSender) Snapshot() any                          { return nil }
+func (m *badSender) Restore(any)                            {}
 
 func TestSendToUnknownLPPanics(t *testing.T) {
-	e := New(func(event.LPID, int) core.Model { return &badSender{} }, 2, 10, 1)
+	e := New(func(event.LPID, int) pe.Model { return &badSender{} }, 2, 10, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("send to unknown LP did not panic")
@@ -114,13 +114,13 @@ func TestSendToUnknownLPPanics(t *testing.T) {
 // negDelay sends with a negative delay.
 type negDelay struct{}
 
-func (m *negDelay) Init(ctx core.Context)                    { ctx.Send(0, 1, 0, nil) }
-func (m *negDelay) OnEvent(ctx core.Context, _ *event.Event) { ctx.Send(0, -0.5, 0, nil) }
-func (m *negDelay) Snapshot() any                            { return nil }
-func (m *negDelay) Restore(any)                              {}
+func (m *negDelay) Init(ctx pe.Context)                    { ctx.Send(0, 1, 0, nil) }
+func (m *negDelay) OnEvent(ctx pe.Context, _ *event.Event) { ctx.Send(0, -0.5, 0, nil) }
+func (m *negDelay) Snapshot() any                          { return nil }
+func (m *negDelay) Restore(any)                            {}
 
 func TestNegativeDelayPanics(t *testing.T) {
-	e := New(func(event.LPID, int) core.Model { return &negDelay{} }, 1, 10, 1)
+	e := New(func(event.LPID, int) pe.Model { return &negDelay{} }, 1, 10, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay did not panic")
@@ -137,7 +137,7 @@ func TestStampTieBreakStability(t *testing.T) {
 		log  *[]vtime.Stamp
 	}
 	var log []vtime.Stamp
-	factory := func(lp event.LPID, total int) core.Model {
+	factory := func(lp event.LPID, total int) pe.Model {
 		return &burstModel{self: lp, log: &log}
 	}
 	e := New(factory, 2, 5, 1)
@@ -158,12 +158,12 @@ type burstModel struct {
 	log  *[]vtime.Stamp
 }
 
-func (m *burstModel) Init(ctx core.Context) {
+func (m *burstModel) Init(ctx pe.Context) {
 	ctx.Send(m.self, 1.0, 0, nil) // identical T for both LPs
 	ctx.Send(m.self, 2.0, 0, nil)
 }
 
-func (m *burstModel) OnEvent(ctx core.Context, ev *event.Event) {
+func (m *burstModel) OnEvent(ctx pe.Context, ev *event.Event) {
 	*m.log = append(*m.log, ev.Stamp)
 }
 
