@@ -22,7 +22,7 @@ help:
 	@echo "  test       run the test suite"
 	@echo "  verify     pre-merge gate: go vet + full suite under -race"
 	@echo "  bench      telemetry-overhead gate, then regenerate BENCH_baseline.json"
-	@echo "  benchdiff  compare a fresh virtual-time baseline against the checked-in one"
+	@echo "  benchdiff  diff -u a fresh virtual-time baseline against the checked-in BENCH_baseline.json"
 	@echo "  microbench hot-path microbenchmarks (sim kernel, event queue, rollback storm, GVT rounds)"
 	@echo "  cover      coverage profile over ./internal/..."
 	@echo "  serve      run the simulation job server (cmd/simd)"
@@ -62,12 +62,12 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 3x .
 	$(GO) run ./cmd/bench -out BENCH_baseline.json
 
-# benchdiff compares a fresh virtual-time baseline against the
-# checked-in copy; any difference is a functional/performance
-# regression. CI runs this as a blocking gate.
+# benchdiff diffs a fresh virtual-time baseline against the checked-in
+# copy; a changed, missing or extra cell is a hunk and a non-zero exit —
+# a functional/performance regression. CI runs this as a blocking gate,
+# before `make bench` overwrites the file.
 benchdiff:
-	$(GO) run ./cmd/bench -out /tmp/BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff BENCH_baseline.json /tmp/BENCH_fresh.json
+	$(GO) run ./cmd/bench -out - | diff -u BENCH_baseline.json -
 
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
 # for the sim kernel, the event queue, rollback storm, and full-engine

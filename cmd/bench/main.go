@@ -2,12 +2,14 @@
 // BENCH_baseline.json: every metric is derived from *virtual* time (the
 // simulator's deterministic clock), so the file is bit-stable across
 // machines and reruns. The checked-in copy is diffed EXACTLY against a
-// fresh run by `cmd/benchdiff` — the same way a golden test spots
-// functional regressions.
+// fresh run — by TestBaselineCurrent in tier-1 and by `make benchdiff`
+// (`go run ./cmd/bench -out - | diff -u BENCH_baseline.json -`) in CI —
+// the same way a golden test spots functional regressions.
 //
 //	go run ./cmd/bench          # writes BENCH_baseline.json
 //	go run ./cmd/bench -out -   # JSON to stdout
 //	make bench                  # telemetry-overhead gate + baseline
+//	make benchdiff              # fresh run vs the checked-in copy
 //
 // Host cost (wall clock, allocations) is measured by benchmark/, with
 // repetitions and an oracle check; the real-time figure benchmarks stay
@@ -125,21 +127,39 @@ func measure(s spec) (cell, error) {
 	}, nil
 }
 
+// baseline measures every cell, logging one progress line per cell.
+func baseline(progress io.Writer) (document, error) {
+	doc := document{Schema: Schema}
+	for _, s := range specs() {
+		c, err := measure(s)
+		if err != nil {
+			return doc, fmt.Errorf("%s: %w", s.name, err)
+		}
+		fmt.Fprintf(progress, "bench: %-24s rate=%.4g ev/s eff=%.1f%% wall=%dns\n",
+			c.Name, c.Rate, 100*c.Efficiency, c.WallNanos)
+		doc.Cells = append(doc.Cells, c)
+	}
+	return doc, nil
+}
+
+// encode writes doc in the checked-in file's layout: indented, one field
+// per line, so a plain `diff -u` names the cell and metric that moved.
+func encode(w io.Writer, doc document) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(doc)
+}
+
 // write encodes doc to path ("-" for stdout).
 func write(path string, doc document) error {
-	encode := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(doc)
-	}
 	if path == "-" {
-		return encode(os.Stdout)
+		return encode(os.Stdout, doc)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := encode(f); err != nil {
+	if err := encode(f, doc); err != nil {
 		f.Close()
 		return err
 	}
@@ -150,19 +170,11 @@ func main() {
 	out := flag.String("out", "BENCH_baseline.json", "virtual-time baseline output file (- for stdout)")
 	flag.Parse()
 
-	doc := document{Schema: Schema}
-	for _, s := range specs() {
-		c, err := measure(s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", s.name, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: %-24s rate=%.4g ev/s eff=%.1f%% wall=%dns\n",
-			c.Name, c.Rate, 100*c.Efficiency, c.WallNanos)
-		doc.Cells = append(doc.Cells, c)
+	doc, err := baseline(os.Stderr)
+	if err == nil {
+		err = write(*out, doc)
 	}
-
-	if err := write(*out, doc); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}

@@ -24,61 +24,52 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	"repro/internal/vtime"
 )
 
 func main() {
+	// The flags write straight into the harness defaults, so the two
+	// cannot drift apart.
+	opt := harness.DefaultOptions()
+	// [1 2 4 8] -> "1,2,4,8", the form -nodes parses.
+	nodeDefault := strings.Trim(strings.ReplaceAll(fmt.Sprint(opt.NodeCounts), " ", ","), "[]")
+	flag.IntVar(&opt.WorkersPerNode, "workers", opt.WorkersPerNode, "worker threads per node (paper: 60)")
+	flag.IntVar(&opt.LPsPerWorker, "lps", opt.LPsPerWorker, "LPs per worker (paper: 128)")
+	flag.Float64Var(&opt.EndTime, "end", opt.EndTime, "simulation end time (virtual time units)")
+	flag.IntVar(&opt.GVTInterval, "interval", opt.GVTInterval, "GVT interval override in 16-event batches (0: per-figure default, 8 for figs 3-4, 4 otherwise)")
+	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "master RNG seed")
+	flag.Float64Var(&opt.CAThreshold, "threshold", opt.CAThreshold, "CA-GVT efficiency threshold")
+	flag.StringVar(&opt.Sync, "sync", "", "restrict crossover/matrix cells to one engine: timewarp | nullmsg | window (empty: all)")
+	flag.StringVar(&opt.FaultScenario, "faults", "", "run every cell under a fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
+	flag.StringVar(&opt.BalancePolicy, "balance", "", "run every cell under an LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
+	flag.IntVar(&opt.Jobs, "jobs", runtime.GOMAXPROCS(0), "experiment cells to run concurrently on host cores (1: sequential; output is byte-identical for every value)")
+	flag.BoolVar(&opt.Verbose, "v", false, "print each run as it completes")
 	var (
 		fig      = flag.String("fig", "all", "experiment IDs, comma separated, or 'all' ("+strings.Join(harness.IDs(), ", ")+")")
-		workers  = flag.Int("workers", 8, "worker threads per node (paper: 60)")
-		lps      = flag.Int("lps", 32, "LPs per worker (paper: 128)")
-		end      = flag.Float64("end", 40, "simulation end time (virtual time units)")
-		interval = flag.Int("interval", 0, "GVT interval override in 16-event batches (0: per-figure default, 8 for figs 3-4, 4 otherwise)")
-		seed     = flag.Uint64("seed", 1, "master RNG seed")
-		nodes    = flag.String("nodes", "1,2,4,8", "node counts for weak-scaling sweeps")
-		thresh   = flag.Float64("threshold", 0.80, "CA-GVT efficiency threshold")
-		syncF    = flag.String("sync", "", "restrict crossover/matrix cells to one engine: timewarp | nullmsg | window (empty: all)")
-		faults   = flag.String("faults", "", "run every cell under a fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
-		balPol   = flag.String("balance", "", "run every cell under an LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
+		nodes    = flag.String("nodes", nodeDefault, "node counts for weak-scaling sweeps")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
 		mdPath   = flag.String("md", "", "also write results as markdown tables to this file")
 		jsonPath = flag.String("report", "", "also write tables + one telemetry run report per execution as JSON to this file")
 		capN     = flag.Int("samplecap", 0, "max telemetry samples per series with -report (0: default)")
-		jobsN    = flag.Int("jobs", runtime.GOMAXPROCS(0), "experiment cells to run concurrently on host cores (1: sequential; output is byte-identical for every value)")
-		verbose  = flag.Bool("v", false, "print each run as it completes")
 	)
 	flag.Parse()
 
-	if *jobsN < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -jobs must be >= 1, got %d\n", *jobsN)
+	if opt.Jobs < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -jobs must be >= 1, got %d\n", opt.Jobs)
 		os.Exit(2)
 	}
-	switch *syncF {
+	switch opt.Sync {
 	case "", "timewarp", "nullmsg", "window":
 	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown -sync %q (want timewarp | nullmsg | window)\n", *syncF)
+		fmt.Fprintf(os.Stderr, "experiments: unknown -sync %q (want timewarp | nullmsg | window)\n", opt.Sync)
 		os.Exit(2)
 	}
-	opt := harness.Options{
-		WorkersPerNode: *workers,
-		LPsPerWorker:   *lps,
-		EndTime:        vtime.Time(*end),
-		GVTInterval:    *interval,
-		Seed:           *seed,
-		CAThreshold:    *thresh,
-		Verbose:        *verbose,
-		FaultScenario:  *faults,
-		BalancePolicy:  *balPol,
-		Sync:           *syncF,
-		Jobs:           *jobsN,
-	}
-	if *faults != "" {
-		if _, err := fabric.Scenario(*faults, 1); err != nil {
+	if opt.FaultScenario != "" {
+		if _, err := fabric.Scenario(opt.FaultScenario, 1); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(2)
 		}
 	}
-	if _, err := balance.New(*balPol, balance.Options{}); err != nil {
+	if _, err := balance.New(opt.BalancePolicy, balance.Options{}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -86,6 +77,7 @@ func main() {
 		opt.Reports = metrics.NewReportSet()
 		opt.SampleCap = *capN
 	}
+	opt.NodeCounts = nil
 	for _, part := range strings.Split(*nodes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {

@@ -14,9 +14,8 @@ import "repro/internal/event"
 // deterministic cooperative kernel, and all updates happen at GVT commit
 // points where the updater is the only runnable process touching it.
 type Routing struct {
-	top   Topology
-	home  []int32 // global worker per LP; nil until the first migration
-	moved int     // LPs currently away from their static home
+	top  Topology
+	home []int32 // global worker per LP; nil until the first migration
 }
 
 // NewRouting returns the static placement for top.
@@ -35,12 +34,6 @@ func (r *Routing) Node(lp event.LPID) int {
 	return r.Worker(lp) / r.top.WorkersPerNode
 }
 
-// NodeWorkerOf returns (node, worker-within-node) currently hosting lp.
-func (r *Routing) NodeWorkerOf(lp event.LPID) (node, worker int) {
-	w := r.Worker(lp)
-	return w / r.top.WorkersPerNode, w % r.top.WorkersPerNode
-}
-
 // Move reroutes lp to the given global worker. The table is shared by all
 // simulated nodes (the cluster is simulated in one address space), so the
 // update is atomic cluster-wide: every send issued after Move returns is
@@ -52,21 +45,8 @@ func (r *Routing) Move(lp event.LPID, gworker int) {
 			r.home[i] = int32(i / r.top.LPsPerWorker)
 		}
 	}
-	staticHome := int32(int(lp) / r.top.LPsPerWorker)
-	wasAway := r.home[lp] != staticHome
 	r.home[lp] = int32(gworker)
-	isAway := int32(gworker) != staticHome
-	switch {
-	case isAway && !wasAway:
-		r.moved++
-	case !isAway && wasAway:
-		r.moved--
-	}
 }
-
-// Moved returns how many LPs are currently placed away from their static
-// home.
-func (r *Routing) Moved() int { return r.moved }
 
 // ClassFrom returns the locality class of a message sent by the worker
 // with global index gw to dst, under the current routing. It mirrors

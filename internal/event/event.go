@@ -85,9 +85,6 @@ type Event struct {
 // recycle bug; the engine asserts this on every touch in PoolDebug mode.
 func (e *Event) Freed() bool { return e.freed }
 
-// RecvTime returns the stamp's primary timestamp.
-func (e *Event) RecvTime() vtime.Time { return e.Stamp.T }
-
 // Matches reports whether a and b are a positive/anti pair (or duplicates).
 func (e *Event) Matches(o *Event) bool {
 	return e.MatchID == o.MatchID && e.Src == o.Src

@@ -2,144 +2,77 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"runtime"
 
 	"repro/internal/metrics"
 )
 
-// Host-parallel experiment execution.
-//
-// Every cell of every experiment is an independent deterministic
-// simulation: separate engines share no mutable state, so cells can run
-// on separate host cores. What must NOT change is the observable output
-// — the verbose per-run lines, the tables, the CSV, and the order of
-// collected telemetry reports are all defined by the sequential
-// execution order. The executor therefore runs an experiment in two
-// passes over the experiment's own code:
-//
-//  1. collect: the figure function runs with every runSpec.execute
-//     intercepted — specs are recorded in call order, nothing executes.
-//  2. The recorded specs run on a worker pool, each with a private
-//     output buffer and a private report set.
-//  3. fill: the figure function runs again; execute returns the finished
-//     cell for each spec (verified against the recording — a figure
-//     function whose spec sequence depends on cell values would be
-//     nondeterministic under this scheme, and panics instead of
-//     silently reordering), replays its buffered output and merges its
-//     reports, all in the original sequential order.
-//
-// Figure functions are pure in their Options, so both passes record the
-// same sequence and `-jobs N` output is byte-identical to `-jobs 1`.
-
-// execPhase is the executor's state.
-type execPhase int
-
-const (
-	execCollect execPhase = iota + 1
-	execFill
-)
-
-// execJob is one recorded cell execution and its results.
-type execJob struct {
-	spec runSpec
-	opt  Options // as passed to execute during collect (exec stripped to run)
-
-	cell    Cell
-	out     []byte            // buffered verbose/FAILED output
-	reports []*metrics.Report // private report set, merged at fill
+// slot is one planned cell with what its run produced. The output buffer
+// and report set are private to the cell, so concurrent cells never
+// interleave; Execute hands them on in plan order.
+type slot struct {
+	cell
+	done    chan struct{} // closed when result, out and reports are final
+	result  Cell
+	out     bytes.Buffer      // verbose/FAILED line
+	reports metrics.ReportSet // filled only when Options.Reports is set
 }
 
-// executor carries the two-pass state through Options.
-type executor struct {
-	phase execPhase
-	jobs  []execJob
-	next  int // fill cursor
-}
-
-// intercept implements both passes of runSpec.execute. The boolean
-// reports whether the executor handled the call (false: sequential
-// path).
-func (x *executor) intercept(s runSpec, opt Options, w io.Writer) (Cell, bool) {
-	switch x.phase {
-	case execCollect:
-		x.jobs = append(x.jobs, execJob{spec: s, opt: opt})
-		return Cell{}, true
-	case execFill:
-		if x.next >= len(x.jobs) || x.jobs[x.next].spec != s {
-			panic(fmt.Sprintf("harness: fill pass diverged from collect pass at cell %d (%+v): experiment is not deterministic in its Options", x.next, s))
-		}
-		j := &x.jobs[x.next]
-		x.next++
-		if w != nil && len(j.out) > 0 {
-			w.Write(j.out)
-		}
-		if opt.Reports != nil {
-			opt.Reports.Reports = append(opt.Reports.Reports, j.reports...)
-		}
-		return j.cell, true
-	}
-	return Cell{}, false
-}
-
-// run executes one recorded job with isolated output and telemetry.
-func (j *execJob) run() {
-	opt := j.opt
-	opt.exec = nil
-	var private *metrics.ReportSet
-	if opt.Reports != nil {
-		private = metrics.NewReportSet()
-		opt.Reports = private
-	}
-	var buf bytes.Buffer
-	j.cell = j.spec.execute(opt, &buf)
-	j.out = buf.Bytes()
-	if private != nil {
-		j.reports = private.Reports
-	}
-}
-
-// Execute runs the experiment like Run, fanning the cells across
-// opt.Jobs host cores (default GOMAXPROCS; 1 means the plain sequential
-// path). Output is byte-identical to Run for every Jobs value: cells
-// execute concurrently, but their verbose lines, table cells and
-// telemetry reports are delivered in sequential order.
+// Execute runs the experiment: every cell of its plan is an independent
+// deterministic simulation (separate engines share no mutable state), so
+// the cells fan out over a pool of opt.Jobs host cores (0: GOMAXPROCS).
+// What the caller observes — verbose per-run lines on w, the table, the
+// order of opt.Reports — is delivered in plan order as cells finish, so
+// it is byte-identical for every Jobs value; one worker is the same code
+// running the cells one after another.
 func (e Experiment) Execute(opt Options, w io.Writer) Table {
+	if w == nil {
+		w = io.Discard
+	}
+	p := e.plan(opt)
+	var slots []*slot
+	for _, s := range p.series {
+		for _, c := range s.cells {
+			slots = append(slots, &slot{cell: c, done: make(chan struct{})})
+		}
+	}
+
 	jobs := opt.Jobs
 	if jobs == 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs <= 1 {
-		opt.exec = nil
-		return e.Run(opt, w)
-	}
-
-	// Pass 1: record the spec sequence without executing anything.
-	x := &executor{phase: execCollect}
-	opt.exec = x
-	e.Run(opt, nil)
-
-	// Run the recorded cells on a worker pool sized to the job count; the
-	// queue holds every cell, so submission never blocks or rejects.
-	workers := jobs
-	if workers > len(x.jobs) {
-		workers = len(x.jobs)
-	}
-	pool := NewPool(workers, len(x.jobs))
-	for i := range x.jobs {
-		j := &x.jobs[i]
-		if !pool.TrySubmit(j.run) {
+	// The queue holds every cell, so submission never blocks or rejects.
+	pool := NewPool(min(jobs, len(slots)), len(slots))
+	defer pool.Close()
+	for _, s := range slots {
+		accepted := pool.TrySubmit(func() {
+			defer close(s.done)
+			o := opt
+			if opt.Reports != nil {
+				o.Reports = &s.reports
+			}
+			s.result = s.execute(o, &s.out)
+		})
+		if !accepted {
 			panic("harness: cell submission rejected by a full-capacity pool")
 		}
 	}
-	pool.Close()
 
-	// Pass 2: re-run the figure function, substituting recorded results.
-	x.phase = execFill
-	table := e.Run(opt, w)
-	if x.next != len(x.jobs) {
-		panic(fmt.Sprintf("harness: fill pass consumed %d of %d recorded cells: experiment is not deterministic in its Options", x.next, len(x.jobs)))
+	t := Table{ID: e.ID, Title: e.Title, Paper: e.Paper, XLabel: p.xLabel, XVals: p.xVals}
+	for _, ps := range p.series {
+		row := Series{Label: ps.label, Cells: make([]Cell, 0, len(ps.cells))}
+		for range ps.cells {
+			s := slots[0]
+			slots = slots[1:]
+			<-s.done
+			w.Write(s.out.Bytes())
+			if opt.Reports != nil {
+				opt.Reports.Reports = append(opt.Reports.Reports, s.reports.Reports...)
+			}
+			row.Cells = append(row.Cells, s.result)
+		}
+		t.Series = append(t.Series, row)
 	}
-	return table
+	return t
 }

@@ -2,6 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +23,23 @@ func miniOptions() Options {
 		NodeCounts:     []int{1, 2},
 		CAThreshold:    0.8,
 	}
+}
+
+// table executes the registered experiment id and returns its table.
+func table(t *testing.T, id string, opt Options) Table {
+	t.Helper()
+	e, ok := Find(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	return e.Execute(opt, nil)
+}
+
+// cellAt is the cell a plan would hold for spec at the given node count.
+func cellAt(opt Options, nodes int, spec run.Spec) cell {
+	c := cell{spec: opt.resolve(spec)}
+	c.spec.Nodes = nodes
+	return c
 }
 
 func TestRegistryCompleteAndUnique(t *testing.T) {
@@ -40,7 +61,7 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 			t.Errorf("duplicate experiment %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Run == nil || e.Title == "" {
+		if len(e.series) == 0 || e.Title == "" || e.Paper == "" {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -60,7 +81,7 @@ func TestFindAndIDs(t *testing.T) {
 }
 
 func TestFig5Structure(t *testing.T) {
-	tab := fig5(miniOptions(), nil)
+	tab := table(t, "fig5", miniOptions())
 	if tab.ID != "fig5" {
 		t.Errorf("ID = %s", tab.ID)
 	}
@@ -80,7 +101,7 @@ func TestFig5Structure(t *testing.T) {
 }
 
 func TestMixedFigureStructure(t *testing.T) {
-	tab := fig10(miniOptions(), nil)
+	tab := table(t, "fig10", miniOptions())
 	if len(tab.Series) != 3 {
 		t.Fatalf("fig10 has %d series, want 3", len(tab.Series))
 	}
@@ -93,7 +114,7 @@ func TestMixedFigureStructure(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	tab := fig5(miniOptions(), nil)
+	tab := table(t, "fig5", miniOptions())
 	var text, csv bytes.Buffer
 	tab.Render(&text)
 	out := text.String()
@@ -113,32 +134,12 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestSpeedupAndSummary(t *testing.T) {
-	tab := Table{
-		XVals: []string{"8"},
-		Series: []Series{
-			{Label: "A", Cells: []Cell{{Rate: 200}}},
-			{Label: "B", Cells: []Cell{{Rate: 100}}},
-		},
-	}
-	if s := tab.Speedup("A", "B"); s != 2 {
-		t.Errorf("Speedup = %v, want 2", s)
-	}
-	if s := tab.Speedup("A", "missing"); s != 0 {
-		t.Errorf("Speedup missing = %v, want 0", s)
-	}
-	sum := tab.Summary()
-	if !strings.HasPrefix(sum, "A 200") {
-		t.Errorf("Summary = %q", sum)
-	}
-}
-
 func TestVerboseWritesRuns(t *testing.T) {
 	opt := miniOptions()
 	opt.Verbose = true
 	var buf bytes.Buffer
-	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comp", GVTInterval: 10}}
-	spec.execute(opt, &buf)
+	c := cellAt(opt, 1, run.Spec{GVT: "barrier", Scenario: "comp", GVTInterval: 10})
+	c.execute(opt, &buf)
 	if !strings.Contains(buf.String(), "rate=") {
 		t.Errorf("verbose output missing: %q", buf.String())
 	}
@@ -146,9 +147,11 @@ func TestVerboseWritesRuns(t *testing.T) {
 
 func TestSingleNodeDropsRemoteTraffic(t *testing.T) {
 	opt := miniOptions()
-	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comm", GVTInterval: 10}}
-	// Must not panic (phold rejects remote percentages on one node).
-	spec.execute(opt, nil)
+	c := cellAt(opt, 1, run.Spec{GVT: "barrier", Scenario: "comm", GVTInterval: 10})
+	// Must not fail (phold rejects remote percentages on one node).
+	if res := c.execute(opt, io.Discard); res.Failed {
+		t.Fatalf("single-node comm cell failed: %s", res.Error)
+	}
 }
 
 func TestFailedRunRecordsCellAndContinues(t *testing.T) {
@@ -156,8 +159,10 @@ func TestFailedRunRecordsCellAndContinues(t *testing.T) {
 	// panic, and each cell must carry the error instead of measurements.
 	opt := miniOptions()
 	opt.FaultScenario = "not-a-scenario"
+	e, _ := Find("fig5")
 	var buf bytes.Buffer
-	cells := sweep(opt, &buf, runSpec{Spec: run.Spec{GVT: "barrier", Scenario: "comp", GVTInterval: 10}})
+	tab := e.Execute(opt, &buf)
+	cells := tab.Series[1].Cells
 	if len(cells) != len(opt.NodeCounts) {
 		t.Fatalf("sweep recorded %d cells, want %d", len(cells), len(opt.NodeCounts))
 	}
@@ -176,7 +181,7 @@ func TestFailedRunRecordsCellAndContinues(t *testing.T) {
 		t.Errorf("sweep output does not report the failure: %q", buf.String())
 	}
 	var text bytes.Buffer
-	Table{XVals: []string{"1", "2"}, Series: []Series{{Label: "faulty", Cells: cells}}}.Render(&text)
+	tab.Render(&text)
 	if !strings.Contains(text.String(), "FAILED") {
 		t.Errorf("Render does not mark failed cells: %q", text.String())
 	}
@@ -199,10 +204,10 @@ func TestPanickingRunRecordsCell(t *testing.T) {
 	// down the sweep.
 	opt := miniOptions()
 	opt.Verbose = true
-	spec := runSpec{Spec: run.Spec{Nodes: 1, GVT: "barrier", Scenario: "comp", GVTInterval: 10}}
-	c := spec.execute(opt, &panicOnce{})
-	if !c.Failed || !strings.Contains(c.Error, "panicked") {
-		t.Fatalf("cell = %+v, want a recovered panic", c)
+	c := cellAt(opt, 1, run.Spec{GVT: "barrier", Scenario: "comp", GVTInterval: 10})
+	res := c.execute(opt, &panicOnce{})
+	if !res.Failed || !strings.Contains(res.Error, "panicked") {
+		t.Fatalf("cell = %+v, want a recovered panic", res)
 	}
 }
 
@@ -210,8 +215,7 @@ func TestFaultScenarioOption(t *testing.T) {
 	// A real scenario must still produce a valid measured cell.
 	opt := miniOptions()
 	opt.FaultScenario = "drop"
-	spec := runSpec{Spec: run.Spec{Nodes: 2, GVT: "mattern", Scenario: "comp", GVTInterval: 10}}
-	c := spec.execute(opt, nil)
+	c := cellAt(opt, 2, run.Spec{GVT: "mattern", Scenario: "comp", GVTInterval: 10}).execute(opt, io.Discard)
 	if c.Failed {
 		t.Fatalf("drop-scenario run failed: %s", c.Error)
 	}
@@ -236,7 +240,7 @@ func TestRebalanceExperiment(t *testing.T) {
 	opt := miniOptions()
 	opt.NodeCounts = []int{2}
 	opt.EndTime = 60
-	tab := ablRebalance(opt, nil)
+	tab := table(t, "rebalance", opt)
 	if len(tab.Series) != 3 {
 		t.Fatalf("rebalance has %d series, want 3", len(tab.Series))
 	}
@@ -267,12 +271,13 @@ func TestBalancePolicyOption(t *testing.T) {
 	// policy; an unknown name must fail the cell, not panic the sweep.
 	opt := miniOptions()
 	opt.BalancePolicy = "greedy"
-	c := runSpec{Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Scenario: "comp", GVTInterval: 10}}.execute(opt, nil)
+	spec := run.Spec{GVT: "ca-gvt", Scenario: "comp", GVTInterval: 10}
+	c := cellAt(opt, 2, spec).execute(opt, io.Discard)
 	if c.Failed {
 		t.Fatalf("greedy run failed: %s", c.Error)
 	}
 	opt.BalancePolicy = "bogus"
-	c = runSpec{Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Scenario: "comp", GVTInterval: 10}}.execute(opt, nil)
+	c = cellAt(opt, 2, spec).execute(opt, io.Discard)
 	if !c.Failed || !strings.Contains(c.Error, "bogus") {
 		t.Fatalf("bogus policy cell = %+v, want failure naming the policy", c)
 	}
@@ -281,7 +286,7 @@ func TestBalancePolicyOption(t *testing.T) {
 func TestCrossoverExperiment(t *testing.T) {
 	// All three engines must measure successfully and commit the identical
 	// event stream — the cross-paradigm parity the engines are tested for.
-	tab := crossover(miniOptions(), nil)
+	tab := table(t, "crossover", miniOptions())
 	if len(tab.Series) != 3 {
 		t.Fatalf("crossover has %d series, want 3", len(tab.Series))
 	}
@@ -317,7 +322,7 @@ func TestMatrixExperiment(t *testing.T) {
 	// engine configurations.
 	opt := miniOptions()
 	opt.NodeCounts = []int{2}
-	tab := matrix(opt, nil)
+	tab := table(t, "matrix", opt)
 	if len(tab.Series) != 6 {
 		t.Fatalf("matrix has %d series, want 6", len(tab.Series))
 	}
@@ -343,20 +348,20 @@ func TestMatrixExperiment(t *testing.T) {
 func TestSyncFilter(t *testing.T) {
 	opt := miniOptions()
 	opt.Sync = "window"
-	tab := crossover(opt, nil)
+	tab := table(t, "crossover", opt)
 	if len(tab.Series) != 1 || tab.Series[0].Label != "Conservative/window" {
 		t.Fatalf("window filter kept %+v", tab.Series)
 	}
 	opt.Sync = "timewarp"
 	opt.NodeCounts = []int{1}
-	if tab := matrix(opt, nil); len(tab.Series) != 4 {
+	if tab := table(t, "matrix", opt); len(tab.Series) != 4 {
 		t.Fatalf("timewarp filter kept %d matrix series, want 4", len(tab.Series))
 	}
 }
 
 func TestMatrixParallelDeterminism(t *testing.T) {
-	// The cross-paradigm grid through the two-pass executor: -jobs N must
-	// be byte-identical to the sequential path, conservative cells included.
+	// The cross-paradigm grid on several workers: -jobs N must be
+	// byte-identical to -jobs 1, conservative cells included.
 	e, ok := Find("matrix")
 	if !ok {
 		t.Fatal("matrix not registered")
@@ -374,5 +379,94 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
 		t.Errorf("parallel output differs:\nseq: %q\npar: %q", seqOut.String(), parOut.String())
+	}
+}
+
+// planDigest fingerprints an experiment's plan: heading, x axis, series
+// labels and every cell's content address and EPG override.
+func planDigest(e Experiment, opt Options) string {
+	p := e.plan(opt)
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|%s|%s|%s|%q\n", e.ID, e.Title, e.Paper, p.xLabel, p.xVals)
+	for _, s := range p.series {
+		fmt.Fprintf(h, "series %q\n", s.label)
+		for _, c := range s.cells {
+			hash, err := c.spec.Hash()
+			if err != nil {
+				hash = fmt.Sprintf("%+v: %v", c.spec, err)
+			}
+			fmt.Fprintf(h, "%s epg=%d\n", hash, c.epg)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestPlansPinned pins what every experiment runs. The digests were
+// captured from the imperative figure functions this table replaced, so
+// a changed digest means a figure now measures something else; re-pin
+// only with a change that says so.
+func TestPlansPinned(t *testing.T) {
+	overridden := miniOptions()
+	overridden.Sync = "window"
+	overridden.FaultScenario = "drop"
+	overridden.BalancePolicy = "greedy"
+	overridden.GVTInterval = 6
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want map[string]string
+	}{
+		{"mini", miniOptions(), map[string]string{
+			"fig3":       "ba33744d5b39d9cb",
+			"fig4":       "484855c8cfe7f359",
+			"fig5":       "d1c7ecefabf4ce46",
+			"fig6":       "718f983007aac150",
+			"fig8":       "18a4936c848f3975",
+			"fig9":       "0c9078c71a8aaa70",
+			"fig10":      "fa48d63ed4aa3481",
+			"fig11":      "89f70d888fb8647a",
+			"fig12":      "6d9070087082ae0e",
+			"efficiency": "047de3211e5c9c0f",
+			"disparity":  "c1748eebbeba33b7",
+			"interval":   "be76f3e1968a4aa4",
+			"threshold":  "140cff90f450ed79",
+			"epg":        "b65cc2f501c7033c",
+			"shared":     "5b2912123926dd46",
+			"queue":      "caf40df49b6454d8",
+			"checkpoint": "aed12900b651c702",
+			"samadi":     "c37072a937258396",
+			"rebalance":  "f1cd664a6ceca7cc",
+			"crossover":  "2c39a395849135fd",
+			"matrix":     "72fbec5ad6d10ac2",
+		}},
+		{"overridden", overridden, map[string]string{
+			"fig3":       "8eb39a07dda5ec5f",
+			"fig4":       "ec63f473968b2243",
+			"fig5":       "a91cf9479297def0",
+			"fig6":       "46cbe1d952d5c03b",
+			"fig8":       "f0a1ff8327d1c4c6",
+			"fig9":       "f98c6c56be3a60a2",
+			"fig10":      "916f72c38ae7cdd2",
+			"fig11":      "bfc7fd1c31c41d90",
+			"fig12":      "5d29862a4053eab4",
+			"efficiency": "c4a02569797a7a2d",
+			"disparity":  "69a02eaac892d3e8",
+			"interval":   "34303e2d4ed10c6e",
+			"threshold":  "355c5f85619d652f",
+			"epg":        "9b53cae9f6c6fd27",
+			"shared":     "4f6ad2f7b2b546c2",
+			"queue":      "778d90e176187128",
+			"checkpoint": "f6a0702805798f24",
+			"samadi":     "6a8d6e33823cda2e",
+			"rebalance":  "a0b0285b493e34fb",
+			"crossover":  "786387028db82e76",
+			"matrix":     "0b668f327f4fb8ad",
+		}},
+	} {
+		for _, e := range Registry() {
+			if got := planDigest(e, tc.opt); got != tc.want[e.ID] {
+				t.Errorf("%s/%s: plan digest %s, pinned %s", tc.name, e.ID, got, tc.want[e.ID])
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Pool is a fixed-size worker pool with a bounded submission queue. It
 // is the execution substrate shared by the experiment executor (which
-// fans a recorded cell list across host cores) and the simd job service
+// fans a plan's cells across host cores) and the simd job service
 // (which needs admission control: TrySubmit refuses work instead of
 // blocking when the queue is full, so an HTTP front-end can answer 429).
 //

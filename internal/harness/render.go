@@ -9,20 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// RenderAll runs and renders a set of experiments, returning the tables.
-func RenderAll(exps []Experiment, opt Options, w io.Writer, csv io.Writer) []Table {
-	var tables []Table
-	for _, e := range exps {
-		t := e.Run(opt, w)
-		t.Render(w)
-		if csv != nil {
-			t.CSV(csv)
-		}
-		tables = append(tables, t)
-	}
-	return tables
-}
-
 // SuiteSchema identifies the experiment-suite JSON document layout.
 const SuiteSchema = "cagvt.experiment-suite/1"
 

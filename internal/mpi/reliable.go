@@ -124,11 +124,6 @@ func (w *World) EnableReliable(params ReliableParams) {
 	}
 }
 
-// Reliable reports whether the reliable transport is enabled.
-func (w *World) Reliable() bool {
-	return len(w.ranks) > 0 && w.ranks[0].rel != nil
-}
-
 // TransportStats returns this rank's reliable-transport counters
 // (all zero when the transport is disabled).
 func (r *Rank) TransportStats() TransportStats {

@@ -213,8 +213,3 @@ func clampNonNeg(v int64) int64 {
 	}
 	return v
 }
-
-// MetricsRegistry exposes the server's observability registry, for
-// embedding servers that mount /metrics themselves or register extra
-// instruments alongside the service's.
-func (s *Server) MetricsRegistry() *obs.Registry { return s.obs.reg }

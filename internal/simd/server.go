@@ -215,7 +215,11 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 		}
 	}
 
-	if prior, ok := s.inflight[hash]; ok {
+	// A job stays in s.inflight for a moment after it settles (execute
+	// removes it in a deferred step); a settled job is not in flight, and
+	// coalescing onto it would hand the submitter someone else's
+	// cancellation or, with the cache off, skip a run it asked for.
+	if prior, ok := s.inflight[hash]; ok && !terminal(prior.State()) {
 		prior.mu.Lock()
 		prior.deduped++
 		prior.mu.Unlock()

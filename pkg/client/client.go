@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -366,11 +367,10 @@ func (c *Client) streamEvents(ctx context.Context, id string, fn func(Progress) 
 	return fmt.Errorf("client: events %s: stream ended without an end record", id)
 }
 
-// readBounded drains at most 64 KiB of an error response body.
+// readBounded drains at most 64 KiB of an error response body, however
+// many writes it arrives in.
 func readBounded(resp *http.Response) ([]byte, error) {
-	buf := make([]byte, 64<<10)
-	n, _ := resp.Body.Read(buf)
-	return buf[:n], nil
+	return io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 }
 
 func truncateLine(b []byte) string {

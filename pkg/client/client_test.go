@@ -519,3 +519,31 @@ func TestUnreachableServiceSurfacesTransportError(t *testing.T) {
 		t.Fatalf("transport failure mapped to a protocol error: %v", err)
 	}
 }
+
+// TestAwaitErrorBodyInTwoWrites: an error document that reaches the
+// client in two reads must still be parsed whole — the APIError carries
+// the service's message, not the first half of its JSON.
+func TestAwaitErrorBodyInTwoWrites(t *testing.T) {
+	const msg = "no such job j000042 (it may have been evicted)"
+	body, _ := json.Marshal(map[string]string{"error": msg})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/jobs/j000042/events" {
+			t.Errorf("unexpected request %s", r.URL.Path)
+		}
+		w.WriteHeader(http.StatusNotFound)
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond) // let the client's first Read return
+		w.Write(body[len(body)/2:])
+	}))
+	defer ts.Close()
+
+	_, err := New(ts.URL).Await(context.Background(), "j000042")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Await returned %v, want a 404 *APIError", err)
+	}
+	if apiErr.Message != msg {
+		t.Errorf("APIError.Message = %q, want the full message %q", apiErr.Message, msg)
+	}
+}
