@@ -42,11 +42,14 @@ func (w *worker) safeBound() vtime.Time {
 	return safe
 }
 
-// runNullmsg is the worker side of the protocol.
+// runNullmsg is the worker side of the protocol. A pass that finds
+// nothing ends in Idle, which runs the idle passes that follow inside the
+// kernel and comes back when one needs this loop again.
 func (w *worker) runNullmsg(p *sim.Proc) {
-	n := w.node
+	drained := false // Idle already paid for this pass's (empty) inbox drain
 	for {
-		worked := w.drainInbox(p)
+		worked := !drained && w.drainInbox(p)
+		drained = false
 		safe := w.safeBound()
 		if w.processBatch(p, safe) {
 			worked = true
@@ -56,13 +59,25 @@ func (w *worker) runNullmsg(p *sim.Proc) {
 			continue
 		}
 		// Nothing processable: done for good, or blocked on a promise.
-		if w.eng.horizonFloor(w.floorLive()) == vtime.Inf && w.safeBound() > w.eng.end {
+		if w.finished(safe) {
 			return
 		}
 		w.SetPhase(trace.PhaseIdle)
-		w.St.IdleTime += n.Cost.IdlePoll
-		p.Advance(n.Cost.IdlePoll)
+		drained = w.Idle(p)
 	}
+}
+
+// finished is the exit rule: nothing this worker holds lies inside the
+// horizon and nothing that does can arrive any more.
+func (w *worker) finished(safe vtime.Time) bool {
+	return safe > w.eng.end && w.eng.horizonFloor(w.floorLive()) == vtime.Inf
+}
+
+// nullmsgBusy is pe.Worker.Busy under this protocol: with the inbox just
+// found empty, the rest of the pass would process an event or exit.
+func (w *worker) nullmsgBusy() bool {
+	safe := w.safeBound()
+	return w.runnable(safe) != nil || w.finished(safe)
 }
 
 // eotPromise computes the EOT bound this node can currently promise its

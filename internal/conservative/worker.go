@@ -52,6 +52,9 @@ func newWorker(n *node) *worker {
 		n.eng.AddLP(&w.lps[i])
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
+	if n.eng.cfg.Sync != SyncWindow {
+		w.Busy = w.nullmsgBusy
+	}
 	return w
 }
 
@@ -112,14 +115,24 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 	return true
 }
 
+// runnable returns the pending event processBatch would take next under
+// bound, or nil.
+func (w *worker) runnable(bound vtime.Time) *event.Event {
+	ev := w.Pending.Peek()
+	if ev == nil || ev.Stamp.T >= bound || ev.Stamp.T > w.eng.end {
+		return nil
+	}
+	return ev
+}
+
 // processBatch processes up to BatchSize pending events with stamps
 // strictly below bound (and within the simulation end time), in full
 // stamp order. Returns whether any event was processed.
 func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 	worked := false
 	for i := 0; i < w.eng.cfg.BatchSize; i++ {
-		ev := w.Pending.Peek()
-		if ev == nil || ev.Stamp.T >= bound || ev.Stamp.T > w.eng.end {
+		ev := w.runnable(bound)
+		if ev == nil {
 			break
 		}
 		// execT covers the event from the moment it leaves the queue

@@ -15,11 +15,9 @@ import (
 // into the new GVT. Workers do no event processing inside the round; the
 // idle time parked at the barriers is the algorithm's cost (Figure 1).
 
-// barrierPoll is the worker-side driver, called once per main-loop pass.
+// barrierPoll is the worker-side driver, called on a main-loop pass that
+// finds a round due or requested (gvtQuiet).
 func (w *worker) barrierPoll() {
-	if w.passes < w.eng.cfg.GVTInterval && !w.node.gvtReq {
-		return
-	}
 	w.node.gvtReq = true
 	w.passes = 0
 	w.barrierWorkerRound()

@@ -139,8 +139,9 @@ func (w *worker) flushOldReceipts() {
 }
 
 // matternPoll is the worker-side state machine, one step per main-loop
-// pass. Unlike barrierPoll it never blocks (except at CA sync points), so
-// event processing continues while the GVT computes in the background.
+// pass that gvtQuiet does not absorb. Unlike barrierPoll it never blocks
+// (except at CA sync points), so event processing continues while the GVT
+// computes in the background.
 func (w *worker) matternPoll() {
 	cm := &w.node.cm
 	p := w.Proc
@@ -150,16 +151,7 @@ func (w *worker) matternPoll() {
 
 	switch w.mstate {
 	case wIdle:
-		if cm.phase != phOpen {
-			return // previous round still cleaning up
-		}
-		// Once any worker initiates a round, the rest join promptly: the
-		// round cannot complete until every worker has flushed its
-		// counters, and in synchronous CA rounds the first barrier
-		// (Algorithm 3 line 4) additionally requires everyone.
-		if w.passes < w.eng.cfg.GVTInterval && !cm.roundStart {
-			return
-		}
+		// gvtQuiet let the pass through: a round is due or under way.
 		cm.roundStart = true
 		w.passes = 0
 		w.SetPhase(trace.PhaseGVT)

@@ -152,10 +152,8 @@ func (w *worker) drainAcks() bool {
 
 // samadiPoll drives the worker side of a Samadi GVT round: a single
 // node-barrier pair around one cluster reduction — no transit draining.
+// Like barrierPoll it runs when a round is due or requested.
 func (w *worker) samadiPoll() {
-	if w.passes < w.eng.cfg.GVTInterval && !w.node.gvtReq {
-		return
-	}
 	w.node.gvtReq = true
 	w.passes = 0
 	n := w.node

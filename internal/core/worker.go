@@ -79,6 +79,12 @@ func newWorker(eng *Engine, n *node) *worker {
 	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
 	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
 	w.unacked.init()
+	// Idle can stand in for a main-loop pass that is an inbox drain, a
+	// look at the pending set and a quiet GVT poll. A pass that also drains
+	// migrations or acknowledgements, or pumps MPI, always needs run.
+	if !eng.migEnabled && !eng.samadiEnabled() && w.commRole() == commNone {
+		w.Busy = w.busy
+	}
 	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
 	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
 		l := &lp{}
@@ -174,17 +180,20 @@ func (w *worker) localMin() float64 {
 
 // run is the worker thread's main loop: drain mailbox, process a batch of
 // events, service MPI if this worker carries the comm role, and drive the
-// GVT algorithm — until GVT passes the end time.
+// GVT algorithm — until GVT passes the end time. A pass that did none of
+// it ends in Idle, which runs the idle passes that follow inside the
+// kernel and comes back when one needs this loop again.
 func (w *worker) run(p *sim.Proc) {
 	cfg := &w.eng.cfg
 	commRole := w.commRole()
 	samadi := w.eng.samadiEnabled()
+	drained := false // Idle already paid for this pass's (empty) inbox drain
 	for w.gvtView <= cfg.EndTime {
 		worked := false
 		if w.eng.migEnabled && w.drainMigrations() {
 			worked = true
 		}
-		if w.drainInbox() {
+		if !drained && w.drainInbox() {
 			worked = true
 		}
 		if samadi && w.drainAcks() {
@@ -213,11 +222,27 @@ func (w *worker) run(p *sim.Proc) {
 			w.SetPhase(trace.PhaseIdle)
 		}
 		w.gvtPoll(worked)
-		if !worked {
-			w.St.IdleTime += w.node.Cost.IdlePoll
-			p.Advance(w.node.Cost.IdlePoll)
+		if w.gvtView > cfg.EndTime {
+			w.Busy = nil // no pass follows this one for Idle to stand in for
 		}
+		drained = !worked && w.Idle(p)
 	}
+}
+
+// busy is the worker's pe.Worker.Busy: with the inbox just found empty,
+// the rest of the pass would process an event, request a round because of
+// the uncommitted cap, or move the GVT algorithm. When it would not, the
+// pass only counts itself toward the GVT interval, and busy counts it.
+func (w *worker) busy() bool {
+	if w.capped() || !w.drainedToHorizon() {
+		return true
+	}
+	idlePasses, passes := w.idleCredit()
+	if !w.gvtQuiet(passes) {
+		return true
+	}
+	w.idlePasses, w.passes = idlePasses, passes
+	return false
 }
 
 // commRoleKind describes what communication duties this worker carries.
@@ -335,6 +360,19 @@ func (w *worker) deliver(ev *event.Event) {
 	w.Pending.Push(ev)
 }
 
+// capped reports whether the uncommitted-event cap stops speculation.
+func (w *worker) capped() bool {
+	max := w.eng.cfg.MaxUncommitted
+	return max > 0 && w.uncommitted >= max
+}
+
+// drainedToHorizon reports whether nothing is pending inside the
+// simulation end time.
+func (w *worker) drainedToHorizon() bool {
+	next := w.Pending.Peek()
+	return next == nil || next.Stamp.T > w.eng.cfg.EndTime
+}
+
 // processBatch executes up to BatchSize pending events with timestamps
 // within the simulation end time.
 func (w *worker) processBatch() bool {
@@ -344,7 +382,7 @@ func (w *worker) processBatch() bool {
 	// round (fossil collection is what frees memory) and stops further
 	// speculation — but never refuses the event at the commit horizon, or
 	// the worker holding the global minimum would stall GVT itself.
-	capped := cfg.MaxUncommitted > 0 && w.uncommitted >= cfg.MaxUncommitted
+	capped := w.capped()
 	if capped {
 		w.passes = cfg.GVTInterval
 	}
@@ -619,26 +657,11 @@ func (w *worker) applyGVT(g float64) {
 func (w *worker) gvtPoll(worked bool) {
 	if worked {
 		w.idleRounds = 0
-	} else {
-		// Credit idle passes toward the interval only when this worker has
-		// nothing left inside the horizon — the end-of-run state where GVT
-		// rounds are the only way to make progress. Transient starvation
-		// (messages on the way) must not inflate the round cadence, and a
-		// drained worker whose triggers are not helping (GVT rounds keep
-		// completing while it stays drained) backs off exponentially so it
-		// cannot stall the workers that still have events to process.
-		next := w.Pending.Peek()
-		if next == nil || next.Stamp.T > w.eng.cfg.EndTime {
-			w.idlePasses++
-			shift := w.idleRounds
-			if shift > 6 {
-				shift = 6
-			}
-			if w.idlePasses >= 64<<shift {
-				w.idlePasses = 0
-				w.passes++
-			}
-		}
+	} else if w.drainedToHorizon() {
+		w.idlePasses, w.passes = w.idleCredit()
+	}
+	if w.gvtQuiet(w.passes) {
+		return
 	}
 	switch w.eng.cfg.GVT {
 	case GVTBarrier:
@@ -647,5 +670,43 @@ func (w *worker) gvtPoll(worked bool) {
 		w.samadiPoll()
 	default:
 		w.matternPoll()
+	}
+}
+
+// idleCredit returns the idle-pass and interval counters as one more idle
+// pass leaves them. Idle passes are credited toward the interval only
+// when this worker has nothing left inside the horizon — the end-of-run
+// state where GVT rounds are the only way to make progress. Transient
+// starvation (messages on the way) must not inflate the round cadence,
+// and a drained worker whose triggers are not helping (GVT rounds keep
+// completing while it stays drained) backs off exponentially so it cannot
+// stall the workers that still have events to process.
+func (w *worker) idleCredit() (idlePasses, passes int) {
+	if w.idlePasses+1 >= 64<<min(w.idleRounds, 6) {
+		return 0, w.passes + 1
+	}
+	return w.idlePasses + 1, w.passes
+}
+
+// gvtQuiet reports whether, with the interval counter at passes, this
+// pass leaves the GVT algorithm where it is: no round to start or join,
+// and nothing a round in progress is waiting for from this worker.
+func (w *worker) gvtQuiet(passes int) bool {
+	if w.eng.cfg.GVT == GVTBarrier || w.eng.cfg.GVT == GVTSamadi {
+		return passes < w.eng.cfg.GVTInterval && !w.node.gvtReq
+	}
+	cm := &w.node.cm
+	switch w.mstate {
+	case wIdle:
+		// A previous round still cleaning up, or none due: once any
+		// worker initiates a round, the rest join promptly — the round
+		// cannot complete until every worker has flushed its counters,
+		// and in synchronous CA rounds the first barrier (Algorithm 3
+		// line 4) additionally requires everyone.
+		return cm.phase != phOpen || (passes < w.eng.cfg.GVTInterval && !cm.roundStart)
+	case wRed:
+		return w.recvC[w.drainSlot] == 0 && cm.phase < phWhiteDone
+	default: // wDone
+		return w.recvC[w.drainSlot] == 0 && cm.phase < phGVTReady
 	}
 }

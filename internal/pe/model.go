@@ -4,9 +4,10 @@
 // to a per-node MPI thread. It holds, once, everything the optimistic
 // engine (internal/core) and the conservative one (internal/conservative)
 // do identically — the model contract, the run skeleton, the LP base and
-// its send stamping, the simulated-lock mailbox, the traced MPI helpers,
-// the phase tracker and per-round recording — as structs the engines
-// embed, so the per-event path pays no dynamic dispatch for the sharing.
+// its send stamping, the simulated-lock mailbox, the worker idle loop, the
+// traced MPI helpers, the phase tracker and per-round recording — as
+// structs the engines embed, so the per-event path pays no dynamic
+// dispatch for the sharing.
 //
 // What an engine supplies is synchronisation only: its worker main loop,
 // what a delivery does, when an event may be processed and when it

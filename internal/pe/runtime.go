@@ -140,9 +140,17 @@ type Worker struct {
 	Inbox   Mailbox[*event.Event]
 	St      stats.Worker
 
-	rt    *Runtime
-	inMu  sim.Mutex
-	phase uint8 // last phase traced; 0xFF until the first transition
+	// Busy is the engine's half of Idle. It is asked the instant a pass
+	// has found the inbox empty and reports whether the rest of the pass
+	// would do anything but count itself; it changes nothing when it
+	// answers true. Nil means every pass needs the engine's loop.
+	Busy func() bool
+
+	rt       *Runtime
+	inMu     sim.Mutex
+	phase    uint8 // last phase traced; 0xFF until the first transition
+	idle     idleState
+	idleStep func() sim.Time // w.stepIdle, bound once: Idle allocates nothing
 }
 
 // AddWorker initialises w as the next worker of n, the last node added,
@@ -153,6 +161,7 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.New(rt.cfg.QueueKind), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
+	w.idleStep = w.stepIdle
 	rt.workers = append(rt.workers, w)
 	rt.AddProcess(fmt.Sprintf("n%d/w%d", n.ID, idx), func(p *sim.Proc) {
 		w.Proc = p

@@ -94,19 +94,21 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 // null-message engine, whose idle polls make it the most
 // dispatch-hungry path in the tree (cons-nullmsg). The counts are a
 // function of the spec alone, so any change to how often the engines
-// enter the kernel shows here as an exact diff.
+// enter the kernel shows here as an exact diff. Dispatches are kernel
+// events; switches are the ones that cost a coroutine switch, which idle
+// passes taken as Poll steps do not (pe.Worker.Idle).
 func TestKernelDispatchesPinned(t *testing.T) {
 	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
 	twComp, consNull := shape, shape
 	twComp.GVT, twComp.EndTime = "mattern", 100
 	consNull.Sync, consNull.EndTime = "nullmsg", 8
 	for _, c := range []struct {
-		name                  string
-		spec                  Spec
-		dispatches, committed uint64
+		name                            string
+		spec                            Spec
+		dispatches, switches, committed uint64
 	}{
-		{"tw-comp", twComp, 622_992, 23_393},
-		{"cons-nullmsg", consNull, 650_200, 1_849},
+		{"tw-comp", twComp, 622_992, 390_352, 23_393},
+		{"cons-nullmsg", consNull, 650_200, 31_622, 1_849},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {
@@ -117,14 +119,15 @@ func TestKernelDispatchesPinned(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		k := r.Kernel
-		if k.Dispatches != c.dispatches || uint64(r.Workers.Committed) != c.committed {
-			t.Errorf("%s: %d dispatches for %d commits (%.1f per commit), pinned %d for %d",
-				c.name, k.Dispatches, r.Workers.Committed, float64(k.Dispatches)/float64(r.Workers.Committed),
-				c.dispatches, c.committed)
+		if k.Dispatches != c.dispatches || k.ProcSwitches != c.switches || uint64(r.Workers.Committed) != c.committed {
+			per := func(n uint64) float64 { return float64(n) / float64(r.Workers.Committed) }
+			t.Errorf("%s: %d dispatches, %d process switches for %d commits (%.1f, %.1f per commit), pinned %d, %d for %d",
+				c.name, k.Dispatches, k.ProcSwitches, r.Workers.Committed, per(k.Dispatches), per(k.ProcSwitches),
+				c.dispatches, c.switches, c.committed)
 		}
-		if k.ProcSwitches+k.Callbacks != k.Dispatches || k.ProcSwitches == 0 || k.Callbacks == 0 {
-			t.Errorf("%s: %d process switches + %d callbacks do not account for %d dispatches",
-				c.name, k.ProcSwitches, k.Callbacks, k.Dispatches)
+		if k.ProcSwitches+k.Callbacks+k.Steps != k.Dispatches || k.Callbacks == 0 || k.Steps == 0 {
+			t.Errorf("%s: %d process switches + %d callbacks + %d steps do not account for %d dispatches",
+				c.name, k.ProcSwitches, k.Callbacks, k.Steps, k.Dispatches)
 		}
 	}
 }

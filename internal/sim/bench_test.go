@@ -38,6 +38,25 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkPoll: BenchmarkAdvance's sleeps taken as Poll steps, which is
+// what an idle worker's polls cost once no process is switched into.
+func BenchmarkPoll(b *testing.B) {
+	for _, procs := range []int{1, 20} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			benchRun(b, procs, func(p *Proc, id int) {
+				i := id
+				p.Poll(func() Time {
+					if i >= b.N {
+						return -1
+					}
+					i += procs
+					return Time(100 + 7*id)
+				})
+			})
+		})
+	}
+}
+
 func BenchmarkMutexUncontended(b *testing.B) {
 	m := &Mutex{Name: "m"}
 	benchRun(b, 1, func(p *Proc, _ int) {
@@ -102,6 +121,20 @@ func TestKernelHotPathAllocs(t *testing.T) {
 	}
 
 	measure("Advance", 20, func(p *Proc, id int) { p.Advance(Time(100 + 7*id)) })
+
+	// Poll: each operation is one whole Poll of four steps built once, as a
+	// worker builds its idle step, three of them taken by Run.
+	steps := make([]func() Time, 20)
+	for id := range steps {
+		id, n := id, 0
+		steps[id] = func() Time {
+			if n++; n%4 == 0 {
+				return -1
+			}
+			return Time(100 + 7*id)
+		}
+	}
+	measure("Poll", 20, func(p *Proc, id int) { p.Poll(steps[id]) })
 
 	var free Mutex
 	measure("Mutex uncontended", 1, func(p *Proc, _ int) {

@@ -32,8 +32,10 @@ type orderRun struct {
 
 // runOrderProgram runs the program for seed. When the log reaches
 // cancelAt entries the program cancels its own environment (never, if
-// cancelAt < 0), so the cancellation point is deterministic too.
-func runOrderProgram(seed uint64, cancelAt int) orderRun {
+// cancelAt < 0), so the cancellation point is deterministic too. A
+// non-nil idle adds one idler per mutex, polling it through idle; the
+// pinned program has none.
+func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() Time)) orderRun {
 	env := NewEnv()
 	var log []string
 
@@ -185,6 +187,40 @@ func runOrderProgram(seed uint64, cancelAt int) orderRun {
 		}
 	}
 
+	// An idler polls its mutex the way an idle worker polls its inbox:
+	// take the lock if it is free, let its entry cost pass, release it,
+	// sleep, and start over, all as steps of one idle call; a pass that
+	// finds the lock held goes through the blocking Lock instead.
+	idler := func(name string, m *Mutex) func(*Proc) {
+		return func(p *Proc) {
+			holding := false
+			step := func() Time {
+				if !holding {
+					if active == 0 || !m.TryAcquire(p) {
+						return -1
+					}
+					holding = true
+					resumed(name)
+					if m.HoldCost > 0 {
+						return m.HoldCost
+					}
+				}
+				holding = false
+				m.Unlock(p)
+				resumed(name)
+				return 1 + delay()
+			}
+			resumed(name)
+			for active > 0 {
+				m.Lock(p)
+				resumed(name)
+				p.Advance(delay())
+				m.Unlock(p)
+				idle(p, step)
+			}
+		}
+	}
+
 	for i := 0; i < orderWorkers; i++ {
 		name := fmt.Sprintf("w%d", i)
 		env.Spawn(name, worker(i, name))
@@ -192,6 +228,12 @@ func runOrderProgram(seed uint64, cancelAt int) orderRun {
 	for i := 0; i < orderSinks; i++ {
 		name := fmt.Sprintf("sink%d", i)
 		env.Spawn(name, sink(name))
+	}
+	if idle != nil {
+		for i, m := range mus {
+			name := fmt.Sprintf("idler%d", i)
+			env.Spawn(name, idler(name, m))
+		}
 	}
 	err := env.Run()
 
@@ -221,7 +263,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 			stats: "m0 wait=10351 acquires=151 contended=142; m1 wait=362 acquires=86 contended=27; m2 wait=14 acquires=29 contended=4; barrier wait=6370 rounds=6 gen=6; work max=18 len=0; tokens max=15 len=3; procs=78"},
 	}
 	for _, want := range pinned {
-		full := runOrderProgram(want.seed, -1)
+		full := runOrderProgram(want.seed, -1, nil)
 		if full.err != nil {
 			t.Fatalf("seed %d: Run: %v", want.seed, full.err)
 		}
@@ -236,7 +278,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 		// and leave no process behind.
 		for _, k := range []int{1, 17, 64, 65, 300, 1500} {
 			before := runtime.NumGoroutine()
-			got := runOrderProgram(want.seed, k)
+			got := runOrderProgram(want.seed, k, nil)
 			if !errors.Is(got.err, ErrCancelled) {
 				t.Fatalf("seed %d, cancel at %d: Run returned %v, want ErrCancelled", want.seed, k, got.err)
 			}
@@ -254,6 +296,53 @@ func TestDispatchOrderPinned(t *testing.T) {
 				t.Errorf("seed %d, cancel at %d: log is not a prefix of the uncancelled run's", want.seed, k)
 			}
 			waitForGoroutines(t, before)
+		}
+	}
+}
+
+// TestPollMatchesAdvanceLoop runs the dispatch-order program with idlers
+// twice, their idle steps driven once by the literal Advance loop Poll is
+// defined as and once by Poll: everything observable in virtual time is
+// the same, and only the host-side split of the dispatches differs.
+func TestPollMatchesAdvanceLoop(t *testing.T) {
+	literal := func(p *Proc, step func() Time) {
+		for d := step(); d >= 0; d = step() {
+			p.Advance(d)
+		}
+	}
+	for _, seed := range []uint64{20191, 7} {
+		loop := runOrderProgram(seed, -1, literal)
+		poll := runOrderProgram(seed, -1, (*Proc).Poll)
+		if loop.err != nil || poll.err != nil {
+			t.Fatalf("seed %d: Run: loop %v, Poll %v", seed, loop.err, poll.err)
+		}
+		if a, b := strings.Join(loop.log, "\n"), strings.Join(poll.log, "\n"); a != b {
+			t.Errorf("seed %d: the (now, name) logs differ (%d and %d entries)", seed, len(loop.log), len(poll.log))
+		}
+		if loop.env.Now() != poll.env.Now() || loop.stats != poll.stats {
+			t.Errorf("seed %d: loop form ended at %v with\n%s\nPoll form at %v with\n%s",
+				seed, loop.env.Now(), loop.stats, poll.env.Now(), poll.stats)
+		}
+		lc, pc := loop.env.Counters(), poll.env.Counters()
+		if lc.Dispatches != pc.Dispatches || lc.Callbacks != pc.Callbacks {
+			t.Errorf("seed %d: loop form %+v, Poll form %+v: dispatches and callbacks must match", seed, lc, pc)
+		}
+		if lc.Steps != 0 || pc.Steps == 0 || pc.ProcSwitches+pc.Steps != lc.ProcSwitches {
+			t.Errorf("seed %d: loop form %+v, Poll form %+v: every step must replace one switch", seed, lc, pc)
+		}
+		t.Logf("seed %d: %d dispatches, %d switches as a loop, %d with Poll", seed, pc.Dispatches, lc.ProcSwitches, pc.ProcSwitches)
+
+		// Cancelled at the same log position, both forms stop at the same
+		// dispatch, steps counting toward the poll stride like any other.
+		for _, k := range []int{65, 700} {
+			loop, poll := runOrderProgram(seed, k, literal), runOrderProgram(seed, k, (*Proc).Poll)
+			if !errors.Is(poll.err, ErrCancelled) || poll.env.Live() != 0 {
+				t.Errorf("seed %d, cancel at %d: Poll form returned %v with %d live processes", seed, k, poll.err, poll.env.Live())
+			}
+			if strings.Join(loop.log, "\n") != strings.Join(poll.log, "\n") ||
+				loop.env.Counters().Dispatches != poll.env.Counters().Dispatches {
+				t.Errorf("seed %d, cancel at %d: the two forms stopped at different points", seed, k)
+			}
 		}
 	}
 }

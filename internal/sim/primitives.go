@@ -44,14 +44,24 @@ func (m *Mutex) Lock(p *Proc) {
 
 // TryLock acquires m if it is free, without blocking.
 func (m *Mutex) TryLock(p *Proc) bool {
+	if !m.TryAcquire(p) {
+		return false
+	}
+	if m.HoldCost > 0 {
+		p.Advance(m.HoldCost)
+	}
+	return true
+}
+
+// TryAcquire is TryLock without the charge: it acquires m if it is free
+// and leaves HoldCost for the caller to let pass, so it never advances p
+// and a Poll step may call it and return the cost as its next delay.
+func (m *Mutex) TryAcquire(p *Proc) bool {
 	if m.holder != nil {
 		return false
 	}
 	m.Acquires++
 	m.holder = p
-	if m.HoldCost > 0 {
-		p.Advance(m.HoldCost)
-	}
 	return true
 }
 

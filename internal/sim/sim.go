@@ -10,7 +10,8 @@
 // switch with no channel, no scheduler queue and no second OS thread
 // woken. Execution is therefore fully deterministic regardless of
 // GOMAXPROCS and needs no memory synchronization inside the simulated
-// world.
+// world. A process that only wakes, looks and sleeps again can do so
+// through Poll, whose steps Run takes itself without switching at all.
 package sim
 
 import (
@@ -89,6 +90,10 @@ type Proc struct {
 	xfer               any // value handed over by Queue.Put to a blocked getter
 	panicked           any // panic value captured from the process body
 
+	// step is the Poll step Run calls in the process's stead while it sits
+	// in Poll; nil otherwise.
+	step func() Time
+
 	// The coroutine: Run switches in with next, the body switches back
 	// with yieldFn, stop unwinds a body that has not returned.
 	next    func() (struct{}, bool)
@@ -144,23 +149,43 @@ func (h *eventHeap) pop() event {
 	old[0] = old[n]
 	old[n] = event{}
 	*h = old[:n]
+	h.down()
+	return top
+}
+
+// retop re-keys the minimum in place. It leaves the heap that a pop
+// followed by a push of the same entry under its new key would, for one
+// sift instead of two.
+func (h *eventHeap) retop(at Time, seq uint64) {
+	(*h)[0].at, (*h)[0].seq = at, seq
+	h.down()
+}
+
+// down restores heap order below a root that may be out of place: the
+// root is lifted out, smaller children move up into the hole, and it is
+// written once, where it lands.
+func (h eventHeap) down() {
+	n := len(h)
+	if n < 2 {
+		return
+	}
+	root := h[0]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && (*h).less(l, min) {
-			min = l
-		}
-		if r < n && (*h).less(r, min) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[min] = (*h)[min], (*h)[i]
-		i = min
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if h[c].at > root.at || (h[c].at == root.at && h[c].seq > root.seq) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = root
 }
 
 // Env is a simulation environment: a virtual clock plus the set of
@@ -174,6 +199,10 @@ type Env struct {
 	cur     *Proc
 	running bool
 	ctr     Counters
+
+	// stepping is the process whose Poll step is executing, in its own
+	// context or in Run's; the blocking primitives refuse to run under it.
+	stepping *Proc
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
@@ -195,9 +224,10 @@ type Env struct {
 // function of the simulated program alone, so they repeat exactly from
 // run to run.
 type Counters struct {
-	Dispatches   uint64 // events popped off the heap
+	Dispatches   uint64 // events taken off the heap, or re-keyed on it
 	ProcSwitches uint64 // dispatches that switched into a process
 	Callbacks    uint64 // dispatches that ran an After callback
+	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
 }
 
 // Counters returns the kernel's dispatch counts.
@@ -324,8 +354,19 @@ func (e *Env) Run() error {
 	// However Run ends — cancelled, deadlocked (once the error's process
 	// list is rendered) or panicking — no process coroutine outlives it.
 	defer func() {
+		// A step Run took in a process's stead panics on Run's own stack:
+		// report it as the process's panic, which it is.
+		var stepPanic any
+		if p := e.cur; p != nil && p.step != nil {
+			if r := recover(); r != nil {
+				stepPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+			}
+		}
 		e.unwind()
 		e.running = false
+		if stepPanic != nil {
+			panic(stepPanic)
+		}
 	}()
 	limit := e.LivelockLimit
 	if limit <= 0 {
@@ -337,17 +378,17 @@ func (e *Env) Run() error {
 			return ErrCancelled
 		}
 		e.ctr.Dispatches++
-		ev := e.heap.pop()
-		if ev.at < e.now {
+		at, p := e.heap[0].at, e.heap[0].p
+		if at < e.now {
 			panic("sim: time went backwards")
 		}
-		if ev.at == e.lastDispatch {
+		if at == e.lastDispatch {
 			e.sameTimeCount++
 			if e.sameTimeCount > limit-livelockWindow {
 				if e.sameTimeBy == nil {
 					e.sameTimeBy = make(map[string]int)
 				}
-				e.sameTimeBy[eventOrigin(ev)]++
+				e.sameTimeBy[eventOrigin(e.heap[0])]++
 			}
 			if e.sameTimeCount > limit {
 				panic(fmt.Sprintf("sim: virtual livelock at t=%v (>%d events without advancing time); stuck process: %s",
@@ -355,10 +396,25 @@ func (e *Env) Run() error {
 			}
 		} else {
 			e.sameTimeCount = 0
-			e.lastDispatch = ev.at
+			e.lastDispatch = at
 			e.sameTimeBy = nil
 		}
-		e.now = ev.at
+		e.now = at
+		if p != nil && p.step != nil {
+			// The process sits in Poll: take its next step here. Whatever
+			// the step schedules sorts after this event, which therefore
+			// stays the heap minimum until it is re-keyed or popped.
+			e.cur = p
+			d := e.runStep(p, p.step)
+			e.cur = nil
+			if d >= 0 {
+				e.ctr.Steps++
+				e.heap.retop(e.now+d, e.nextSeq())
+				continue
+			}
+			p.step = nil // Poll is over: resume the process, in this dispatch
+		}
+		ev := e.heap.pop()
 		if ev.fn != nil {
 			e.ctr.Callbacks++
 			e.cbSrc = ev.src
@@ -367,7 +423,6 @@ func (e *Env) Run() error {
 			continue
 		}
 		e.ctr.ProcSwitches++
-		p := ev.p
 		if p.state != stateRunnable {
 			panic(fmt.Sprintf("sim: dispatching %s in state %v", p.name, p.state))
 		}
@@ -450,6 +505,9 @@ func (p *Proc) yield() {
 // block parks the process until something calls makeRunnable on it; kind
 // and name say which primitive it waits on.
 func (p *Proc) block(kind, name string) {
+	if e := p.env; e.stepping != nil {
+		panic(e.blockedInStep(kind + " " + name))
+	}
 	p.state = stateBlocked
 	p.waitKind, p.waitName = kind, name
 	p.yield()
@@ -462,7 +520,57 @@ func (p *Proc) Advance(d Time) {
 		panic("sim: Advance with negative duration")
 	}
 	e := p.env
+	if e.stepping != nil {
+		panic(e.blockedInStep("Advance"))
+	}
 	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), p: p})
 	p.state = stateRunnable
 	p.yield()
+}
+
+// Poll is exactly
+//
+//	for d := step(); d >= 0; d = step() {
+//		p.Advance(d)
+//	}
+//
+// — the same events at the same times in the same order — but only the
+// first step runs in the process: Run itself takes every later one when
+// it dispatches the process's wake-up, and switches into the process, in
+// that same dispatch, only once a step returns a negative duration. A
+// loop that wakes, looks and goes back to sleep so costs no process
+// switch per look.
+//
+// A step runs to completion at one instant and must not block: it may
+// use whatever a scheduler callback may (Unlock, Put, Set, Broadcast,
+// After, Spawn, TryGet, Mutex.TryAcquire), and panics if it reaches
+// Advance or a primitive that would park the process.
+func (p *Proc) Poll(step func() Time) {
+	e := p.env
+	if e.stepping != nil {
+		panic(e.blockedInStep("Poll"))
+	}
+	d := e.runStep(p, step)
+	if d < 0 {
+		return
+	}
+	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), p: p})
+	p.state = stateRunnable
+	p.step = step
+	p.yield()
+}
+
+// runStep takes one Poll step of p with the blocking primitives disarmed.
+func (e *Env) runStep(p *Proc, step func() Time) Time {
+	e.stepping = p
+	defer e.stepDone()
+	return step()
+}
+
+func (e *Env) stepDone() { e.stepping = nil }
+
+// blockedInStep is the panic for a Poll step that reached what, a
+// primitive that blocks.
+func (e *Env) blockedInStep(what string) string {
+	return fmt.Sprintf("sim: process %q reached %s inside a Poll step, which must not block", e.stepping.name, what)
 }
