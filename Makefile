@@ -23,7 +23,7 @@ help:
 	@echo "  verify     pre-merge gate: go vet + full suite under -race"
 	@echo "  bench      telemetry-overhead gate, then regenerate BENCH_baseline.json"
 	@echo "  benchdiff  diff -u a fresh virtual-time baseline against the checked-in BENCH_baseline.json"
-	@echo "  microbench hot-path microbenchmarks (sim kernel, event queue, rollback storm, GVT rounds)"
+	@echo "  microbench hot-path microbenchmarks (sim kernel, PE idle loops, event queue, rollback storm, GVT rounds)"
 	@echo "  cover      coverage profile over ./internal/..."
 	@echo "  serve      run the simulation job server (cmd/simd)"
 	@echo "  smoke      end-to-end service smoke test (scripts/service_smoke.sh)"
@@ -70,10 +70,11 @@ benchdiff:
 	$(GO) run ./cmd/bench -out - | diff -u BENCH_baseline.json -
 
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
-# for the sim kernel, the event queue, rollback storm, and full-engine
-# GVT rounds.
+# for the sim kernel, the PE idle loops (BenchmarkCommIdle: an idle comm
+# pass as Poll steps vs the literal loop), the event queue, rollback
+# storm, and full-engine GVT rounds.
 microbench:
-	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim
+	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
 

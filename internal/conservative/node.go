@@ -69,7 +69,8 @@ func newNode(eng *Engine) *node {
 	if eng.cfg.Sync == SyncWindow {
 		eng.AddComm(&n.Node, n.commWindow)
 	} else {
-		eng.AddComm(&n.Node, n.commNullmsg)
+		eng.AddComm(&n.Node, n.commNullmsg,
+			pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.QuietProbe(n.nullsQuiet))
 	}
 	return n
 }
@@ -97,11 +98,13 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 
 // recvInbound consumes up to budget inbound messages (budget <= 0 means
 // all): events are deposited with their destination worker, null
-// messages ratchet the per-peer promise channel.
-func (n *node) recvInbound(p *sim.Proc, budget int) bool {
+// messages ratchet the per-peer promise channel. held: an idle comm pass
+// handed back inside the first receive's probe (pe.Node.CommLoop).
+func (n *node) recvInbound(p *sim.Proc, budget int, held bool) bool {
 	got := false
 	for i := 0; budget <= 0 || i < budget; i++ {
-		m, ok := n.Rank.TryRecv(p, tagEvents)
+		m, ok := n.Recv(p, mpi.AnySource, tagEvents, held)
+		held = false
 		if !ok {
 			break
 		}

@@ -139,22 +139,47 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 	return sent
 }
 
+// nullsQuiet reports whether sendNulls would send nothing: the promise
+// this node can make improves on none it has made.
+func (n *node) nullsQuiet() bool {
+	if n.eng.cfg.Topology.Nodes == 1 {
+		return true
+	}
+	eot := n.eotPromise()
+	for dst, last := range n.lastEOT {
+		if dst != n.ID && eot > last {
+			return false
+		}
+	}
+	return true
+}
+
+// The stages of a comm pass under this protocol, matching the probes
+// newNode registers for its idle form.
+const (
+	stOutbox = iota // outbox → wire
+	stRecv          // wire → inboxes and promise channels
+	stNulls         // fresh promises → wire
+)
+
 // commNullmsg is the comm-role side of the protocol: pump events both
 // ways and keep the promises flowing until every local worker is done,
 // then sign off with a final infinite promise so peers can finish too.
 func (n *node) commNullmsg(p *sim.Proc) {
-	for n.WorkersExited < len(n.workers) {
-		worked := n.flushEvents(p, pumpBudget)
-		if n.recvInbound(p, pumpBudget) {
-			worked = true
+	n.CommLoop(p, func(p *sim.Proc, from int, held bool) bool {
+		worked := false
+		switch from {
+		case stOutbox:
+			worked = n.flushEvents(p, pumpBudget)
+			fallthrough
+		case stRecv:
+			worked = n.recvInbound(p, pumpBudget, held) || worked
+			fallthrough
+		case stNulls:
+			worked = n.sendNulls(p) || worked
 		}
-		if n.sendNulls(p) {
-			worked = true
-		}
-		if !worked {
-			p.Advance(n.Cost.IdlePoll)
-		}
-	}
+		return worked
+	})
 	n.flushEvents(p, 0)
 	n.sendNulls(p)
 }

@@ -233,57 +233,136 @@ const (
 	msCleanup
 )
 
+// allRed reports whether the round is open and every worker has turned
+// red for it — the precondition for collecting the node's white delta.
+func (cm *nodeCM) allRed() bool { return cm.phase == phOpen && cm.redCount == cm.workers }
+
 // matternCommPoll advances the comm role of Mattern/CA-GVT by one step.
 // It is called by the dedicated MPI thread, or by worker 0 in
-// combined/shared modes (where the worker-side poll handles sync points).
-func (n *node) matternCommPoll(p *sim.Proc) bool {
-	cm := &n.cm
-	ca := n.eng.cfg.GVT == GVTControlled
-	dedicated := n.eng.cfg.Comm == CommDedicated
+// combined/shared modes (where the worker-side poll handles sync points),
+// from stGVT. The dedicated thread's idle pass can also hand back further
+// in (from stRing or stGVTTail, see commProbes): what comes before the
+// resume point was evaluated when the pass got there, found nothing to do
+// and — the sync-point conditions can turn true while the ring is probed
+// — must not be evaluated again.
+func (n *node) matternCommPoll(p *sim.Proc, from int, held bool) bool {
 	worked := false
-
-	// The dedicated comm thread participates in the sync points of CA (or
-	// watchdog-forced) synchronous rounds.
-	if dedicated && cm.syncCur {
-		if cm.roundStart && !n.sync1Done && cm.phase == phOpen {
-			n.syncPoint(p, true, true, nil)
-			n.sync1Done = true
+	switch from {
+	case stGVT:
+		// The dedicated comm thread participates in the sync points of CA
+		// (or watchdog-forced) synchronous rounds.
+		if n.eng.cfg.Comm == CommDedicated {
+			worked = n.commSyncPoints(p)
+		}
+		fallthrough
+	case stRing:
+		if n.ID == 0 {
+			worked = n.masterPoll(p, held) || worked
+		} else {
+			worked = n.slavePoll(p, held) || worked
+		}
+		fallthrough
+	case stGVTTail:
+		if n.ID == 0 {
+			worked = n.watchdogPoll(p) || worked
+		}
+		if n.cleanupDue() {
+			n.cm.reset()
+			n.master = msIdle
+			n.syncDone = [3]bool{}
+			n.wdRestartsRound = 0
 			worked = true
 		}
-		if cm.phase >= phWhiteDone && !n.sync2Done {
-			n.syncPoint(p, true, false, nil)
-			n.sync2Done = true
-			worked = true
-		}
-		if cm.phase >= phGVTReady && !n.sync3Done {
-			n.syncPoint(p, true, true, nil)
-			n.sync3Done = true
-			worked = true
-		}
-	}
-
-	if n.ID == 0 {
-		worked = n.masterPoll(p, ca) || worked
-		worked = n.watchdogPoll(p) || worked
-	} else {
-		worked = n.slavePoll(p) || worked
-	}
-
-	// Round cleanup: all workers acknowledged and every token obligation
-	// of this node is met. A held token can only be the NEXT round's white
-	// token (arriving early from a fast master), so it does not block
-	// cleanup — it is serviced right after the reset.
-	if cm.phase == phGVTReady && cm.acked == cm.workers &&
-		(n.heldToken == nil || n.heldToken.phase == tokWhite) &&
-		(n.ID != 0 || n.master == msCleanup) &&
-		(!cm.syncCur || !dedicated || n.sync3Done) {
-		cm.reset()
-		n.master = msIdle
-		n.sync1Done, n.sync2Done, n.sync3Done = false, false, false
-		n.wdRestartsRound = 0
-		worked = true
 	}
 	return worked
+}
+
+// syncDue reports whether the dedicated comm thread has yet to join sync
+// point k (0, 1, 2) of a synchronous round that has reached it.
+func (n *node) syncDue(k int) bool {
+	cm := &n.cm
+	if !cm.syncCur || n.syncDone[k] {
+		return false
+	}
+	switch k {
+	case 0:
+		return cm.roundStart && cm.phase == phOpen
+	case 1:
+		return cm.phase >= phWhiteDone
+	default:
+		return cm.phase >= phGVTReady
+	}
+}
+
+// commSyncPoints takes the dedicated comm thread through whichever of a
+// synchronous round's three sync points are due (the middle one is
+// node-local, see syncPoint).
+func (n *node) commSyncPoints(p *sim.Proc) bool {
+	worked := false
+	for k := range n.syncDone {
+		if n.syncDue(k) {
+			n.syncPoint(p, true, k != 1, nil)
+			n.syncDone[k] = true
+			worked = true
+		}
+	}
+	return worked
+}
+
+// cleanupDue reports whether the round is over on this node: all workers
+// acknowledged and every token obligation of this node is met. A held
+// token can only be the NEXT round's white token (arriving early from a
+// fast master), so it does not block cleanup — it is serviced right after
+// the reset.
+func (n *node) cleanupDue() bool {
+	cm := &n.cm
+	return cm.phase == phGVTReady && cm.acked == cm.workers &&
+		(n.heldToken == nil || n.heldToken.phase == tokWhite) &&
+		(n.ID != 0 || n.master == msCleanup) &&
+		(!cm.syncCur || n.eng.cfg.Comm != CommDedicated || n.syncDone[2])
+}
+
+// The three predicates of the dedicated thread's idle pass (commProbes).
+// Each answers for this instant and changes nothing; "not quiet" is always
+// safe, since the pass is then handed back to matternCommPoll at that
+// stage.
+
+// matternQuiet: stGVT would do nothing before the ring poll and the ring
+// poll would at most probe the ring — no sync point is due, and the
+// master or slave has nothing it could move without a token arriving.
+func (n *node) matternQuiet() bool {
+	cm := &n.cm
+	if n.syncDue(0) || n.syncDue(1) || n.syncDue(2) {
+		return false
+	}
+	if n.ID != 0 {
+		// A held token moves unless it is a white one still waiting for
+		// its preconditions, which slavePoll puts straight back.
+		tok := n.heldToken
+		return tok == nil || tok.phase == tokWhite && !cm.allRed()
+	}
+	switch n.master {
+	case msIdle:
+		return !cm.allRed() || n.eng.World.Size() == 1 && cm.whiteDelta != 0
+	case msWaitContrib:
+		return cm.contributed != cm.workers
+	}
+	return true // waiting for a token, or for cleanup
+}
+
+// probesRing: the ring poll makes a TryRecvRing (it is asked only once
+// matternQuiet has answered true).
+func (n *node) probesRing() bool {
+	if n.ID != 0 {
+		return n.heldToken == nil
+	}
+	return n.master == msWaitA || n.master == msWaitB || n.master == msWaitC
+}
+
+// matternTailQuiet: after the ring poll, the watchdog has not expired
+// and round cleanup is not due.
+func (n *node) matternTailQuiet() bool {
+	return !(n.ID == 0 && n.watchdogExpired()) && !n.cleanupDue()
 }
 
 // sendMasterToken stamps tok with a fresh lap uid, keeps a copy for
@@ -306,18 +385,10 @@ func (n *node) sendMasterToken(p *sim.Proc, tok *gvtToken) {
 // barrier round re-aligns a cluster the asynchronous protocol keeps
 // losing tokens on.
 func (n *node) watchdogPoll(p *sim.Proc) bool {
+	if !n.watchdogExpired() {
+		return false
+	}
 	eng := n.eng
-	if eng.wdTimeout <= 0 || eng.World.Size() == 1 {
-		return false
-	}
-	switch n.master {
-	case msWaitA, msWaitB, msWaitC:
-	default:
-		return false
-	}
-	if p.Now()-n.lastProgress <= eng.wdTimeout {
-		return false
-	}
 	tok := n.lastSent
 	n.Rank.SendRing(p, tagToken, tok.wireSize(), &tok)
 	n.lastProgress = p.Now()
@@ -337,15 +408,31 @@ func (n *node) watchdogPoll(p *sim.Proc) bool {
 	return true
 }
 
-// masterPoll runs node 0's ring-master duties.
-func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
+// watchdogExpired reports whether the master is waiting for a token and
+// the ring has made no progress for longer than the watchdog timeout.
+func (n *node) watchdogExpired() bool {
+	eng := n.eng
+	if eng.wdTimeout <= 0 || eng.World.Size() == 1 {
+		return false
+	}
+	switch n.master {
+	case msWaitA, msWaitB, msWaitC:
+		return eng.Env.Now()-n.lastProgress > eng.wdTimeout
+	}
+	return false
+}
+
+// masterPoll runs node 0's ring-master duties. held: the idle pass handed
+// back inside the ring probe, whose receive is due its second half only.
+func (n *node) masterPoll(p *sim.Proc, held bool) bool {
 	cm := &n.cm
 	eng := n.eng
+	ca := eng.cfg.GVT == GVTControlled
 	single := eng.World.Size() == 1
 
 	switch n.master {
 	case msIdle:
-		if cm.phase != phOpen || cm.redCount != cm.workers {
+		if !cm.allRed() {
 			return false
 		}
 		if single {
@@ -363,7 +450,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitA:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
+		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
 		if !ok {
 			return false
 		}
@@ -399,7 +486,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitB:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
+		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
 		if !ok {
 			return false
 		}
@@ -415,7 +502,7 @@ func (n *node) masterPoll(p *sim.Proc, ca bool) bool {
 		return true
 
 	case msWaitC:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
+		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
 		if !ok {
 			return false
 		}
@@ -453,13 +540,14 @@ func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
 }
 
 // slavePoll runs a non-master node's ring duties: fold local state into
-// tokens as their preconditions are met, then forward them.
-func (n *node) slavePoll(p *sim.Proc) bool {
+// tokens as their preconditions are met, then forward them. held is as
+// for masterPoll.
+func (n *node) slavePoll(p *sim.Proc, held bool) bool {
 	cm := &n.cm
 	tok := n.heldToken
 	n.heldToken = nil
 	if tok == nil {
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
+		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
 		if !ok {
 			return false
 		}
@@ -486,7 +574,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		// slow node finished cleaning up) AND every local worker has turned
 		// red for the new round — otherwise the token would collect a stale
 		// or incomplete delta.
-		if cm.phase != phOpen || cm.redCount != cm.workers {
+		if !cm.allRed() {
 			n.heldToken = tok
 			return false
 		}

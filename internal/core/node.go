@@ -64,11 +64,9 @@ type node struct {
 	wdRestartsRound int                   // watchdog resends within the current round
 	tokMemo         map[uint64]tokContrib // served laps by uid (slaves only)
 	memoMax         uint64                // highest uid memoized (prune horizon)
-	// sync{1,2,3}Done track the dedicated comm thread's participation in
+	// syncDone tracks the dedicated comm thread's participation in
 	// CA-GVT's three per-round synchronization points.
-	sync1Done bool
-	sync2Done bool
-	sync3Done bool
+	syncDone [3]bool
 }
 
 func newNode(eng *Engine) *node {
@@ -101,7 +99,7 @@ func newNode(eng *Engine) *node {
 		n.workers = append(n.workers, newWorker(eng, n))
 	}
 	if eng.cfg.Comm == CommDedicated {
-		eng.AddComm(&n.Node, n.commLoop)
+		eng.AddComm(&n.Node, func(p *sim.Proc) { n.CommLoop(p, n.commPass) }, n.commProbes()...)
 	}
 	return n
 }
@@ -111,16 +109,54 @@ func (n *node) mailboxLock(kind string, idx int) *sim.Mutex {
 	return &sim.Mutex{Name: fmt.Sprintf("%s-%d/%d", kind, n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 }
 
-// commLoop is the dedicated MPI thread: it exclusively services MPI sends,
-// receives and the GVT algorithm's MPI duties (the paper's proposal).
-func (n *node) commLoop(p *sim.Proc) {
-	for n.WorkersExited < len(n.workers) {
-		worked := n.pump(p)
-		worked = n.gvtCommPoll(p) || worked
-		if !worked {
-			p.Advance(n.Cost.IdlePoll)
-		}
+// The stages of a comm pass, in the order a pass runs them. The dedicated
+// MPI thread's idle passes are stepped through commProbes, which lists
+// what each stage is when it finds nothing, and a pass can be resumed at
+// any of them (pe.Node.CommLoop).
+const (
+	stOutbox     = iota // remote events, outbox → wire
+	stOutMigs           // queued LP migrations → wire (balancer runs)
+	stOutAcks           // Samadi acknowledgements → wire
+	stRecvEvents        // wire → worker inboxes
+	stRecvMigs          // wire → migration mailboxes (balancer runs)
+	stRecvAcks          // wire → ack mailboxes
+	stGVT               // the GVT algorithm's comm role, from its top
+	stRing              // Mattern/CA-GVT: the master or slave ring poll
+	stGVTTail           // Mattern/CA-GVT: watchdog and round cleanup
+)
+
+// commProbes is the comm pass as it is when nothing moves, stage for
+// stage (the index of a probe is its st* constant).
+func (n *node) commProbes() []pe.Probe {
+	pass := make([]pe.Probe, stGVTTail+1)
+	pass[stOutbox] = pe.TakeProbe(&n.Out)
+	pass[stOutAcks] = pe.TakeProbe(&n.outAcks)
+	pass[stRecvEvents] = pe.RecvProbe(mpi.AnySource, tagEvents)
+	pass[stRecvAcks] = pe.RecvProbe(mpi.AnySource, tagAcks)
+	if n.eng.migEnabled {
+		pass[stOutMigs] = pe.QuietProbe(func() bool { return n.outMigs.Len() == 0 })
+		pass[stRecvMigs] = pe.RecvProbe(mpi.AnySource, tagMigrate)
 	}
+	switch n.eng.cfg.GVT {
+	case GVTBarrier, GVTSamadi:
+		pass[stGVT] = pe.QuietProbe(func() bool { return !n.gvtReq })
+	default:
+		pass[stGVT] = pe.QuietProbe(n.matternQuiet)
+		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
+		pass[stGVTTail] = pe.QuietProbe(n.matternTailQuiet)
+	}
+	return pass
+}
+
+// commPass is one pass of the dedicated MPI thread, which exclusively
+// services MPI sends, receives and the GVT algorithm's MPI duties (the
+// paper's proposal), run from stage from.
+func (n *node) commPass(p *sim.Proc, from int, held bool) bool {
+	if from >= stGVT {
+		return n.gvtCommPoll(p, from, held)
+	}
+	worked := n.pumpFrom(p, from, held)
+	return n.gvtCommPoll(p, stGVT, false) || worked
 }
 
 // pumpBudget bounds how many messages one pump call moves in each
@@ -132,65 +168,84 @@ const pumpBudget = 32
 // pump moves remote messages in both directions: it drains the node's
 // outbound queues onto the wire and routes arrived MPI messages into the
 // target workers' mailboxes. It returns whether any message moved.
-func (n *node) pump(p *sim.Proc) bool {
+func (n *node) pump(p *sim.Proc) bool { return n.pumpFrom(p, stOutbox, false) }
+
+// pumpFrom is pump from stage from on. held says the idle pass handed
+// back inside that stage's probe: its first receive is due its second
+// half only.
+func (n *node) pumpFrom(p *sim.Proc, from int, held bool) bool {
 	worked := false
 	wpn := n.eng.cfg.Topology.WorkersPerNode
 	routing := n.eng.routing
-	out, backlog := n.Out.Take(p, pumpBudget)
-	for _, ev := range out {
-		if dst := routing.Node(ev.Dst); dst != n.ID {
-			n.Send(p, dst, tagEvents, ev.WireSize(), ev, backlog)
-		} else {
-			// The destination LP migrated onto this node while the event
-			// sat in the outbox: short-circuit to the local mailbox (the
-			// send/recv counters stay symmetric — the sender counted a
-			// remote send, the drain will count the receive).
-			n.workers[routing.Worker(ev.Dst)%wpn].Inbox.Deposit(p, ev)
-		}
-		worked = true
+	recv := func(tag int) (mpi.Message, bool) {
+		m, ok := n.Recv(p, mpi.AnySource, tag, held)
+		held = false
+		return m, ok
 	}
-	n.Out.Recycle(out)
-	// The len check is free of simulated cost, so balancer runs that
-	// never migrate pay nothing here.
-	if n.eng.migEnabled && n.outMigs.Len() > 0 {
-		migs, _ := n.outMigs.Take(p, 0)
-		for _, m := range migs {
-			n.Send(p, m.dstNode, tagMigrate, m.wireSize(), m, 0)
+	switch from {
+	case stOutbox:
+		out, backlog := n.Out.Take(p, pumpBudget)
+		for _, ev := range out {
+			if dst := routing.Node(ev.Dst); dst != n.ID {
+				n.Send(p, dst, tagEvents, ev.WireSize(), ev, backlog)
+			} else {
+				// The destination LP migrated onto this node while the event
+				// sat in the outbox: short-circuit to the local mailbox (the
+				// send/recv counters stay symmetric — the sender counted a
+				// remote send, the drain will count the receive).
+				n.workers[routing.Worker(ev.Dst)%wpn].Inbox.Deposit(p, ev)
+			}
 			worked = true
 		}
-		n.outMigs.Recycle(migs)
-	}
-	// Acknowledgements exist under Samadi GVT only, but the lock is paid
-	// by every pump.
-	acks, _ := n.outAcks.Take(p, pumpBudget)
-	for _, a := range acks {
-		n.Send(p, a.dstWorker/wpn, tagAcks, ackWire, a, 0)
-		worked = true
-	}
-	n.outAcks.Recycle(acks)
-	for i := 0; i < pumpBudget; i++ {
-		m, ok := n.Rank.TryRecv(p, tagEvents)
-		if !ok {
-			break
+		n.Out.Recycle(out)
+		fallthrough
+	case stOutMigs:
+		// The len check is free of simulated cost, so balancer runs that
+		// never migrate pay nothing here.
+		if n.eng.migEnabled && n.outMigs.Len() > 0 {
+			migs, _ := n.outMigs.Take(p, 0)
+			for _, m := range migs {
+				n.Send(p, m.dstNode, tagMigrate, m.wireSize(), m, 0)
+				worked = true
+			}
+			n.outMigs.Recycle(migs)
 		}
-		ev := m.Payload.(*event.Event)
-		if routing.Node(ev.Dst) != n.ID {
-			// The destination LP migrated away while this event was in
-			// flight: forward it toward the current owner. The hop is
-			// transparent to GVT accounting — no worker counts a receive
-			// here, so the message stays "in transit" end to end.
-			n.TraceRecv(p, m, 0)
-			n.remoteOut(p, ev)
-		} else {
-			w := n.workers[routing.Worker(ev.Dst)%wpn]
-			w.Inbox.Deposit(p, ev)
-			n.TraceRecv(p, m, w.Inbox.Len())
+		fallthrough
+	case stOutAcks:
+		// Acknowledgements exist under Samadi GVT only, but the lock is paid
+		// by every pump.
+		acks, _ := n.outAcks.Take(p, pumpBudget)
+		for _, a := range acks {
+			n.Send(p, a.dstWorker/wpn, tagAcks, ackWire, a, 0)
+			worked = true
 		}
-		worked = true
-	}
-	if n.eng.migEnabled {
+		n.outAcks.Recycle(acks)
+		fallthrough
+	case stRecvEvents:
 		for i := 0; i < pumpBudget; i++ {
-			m, ok := n.Rank.TryRecv(p, tagMigrate)
+			m, ok := recv(tagEvents)
+			if !ok {
+				break
+			}
+			ev := m.Payload.(*event.Event)
+			if routing.Node(ev.Dst) != n.ID {
+				// The destination LP migrated away while this event was in
+				// flight: forward it toward the current owner. The hop is
+				// transparent to GVT accounting — no worker counts a receive
+				// here, so the message stays "in transit" end to end.
+				n.TraceRecv(p, m, 0)
+				n.remoteOut(p, ev)
+			} else {
+				w := n.workers[routing.Worker(ev.Dst)%wpn]
+				w.Inbox.Deposit(p, ev)
+				n.TraceRecv(p, m, w.Inbox.Len())
+			}
+			worked = true
+		}
+		fallthrough
+	case stRecvMigs:
+		for i := 0; n.eng.migEnabled && i < pumpBudget; i++ {
+			m, ok := recv(tagMigrate)
 			if !ok {
 				break
 			}
@@ -199,16 +254,18 @@ func (n *node) pump(p *sim.Proc) bool {
 			n.TraceRecv(p, m, 0)
 			worked = true
 		}
-	}
-	for i := 0; i < pumpBudget; i++ {
-		m, ok := n.Rank.TryRecv(p, tagAcks)
-		if !ok {
-			break
+		fallthrough
+	case stRecvAcks:
+		for i := 0; i < pumpBudget; i++ {
+			m, ok := recv(tagAcks)
+			if !ok {
+				break
+			}
+			a := m.Payload.(ack)
+			n.workers[a.dstWorker%wpn].ackIn.Deposit(p, a)
+			n.TraceRecv(p, m, 0)
+			worked = true
 		}
-		a := m.Payload.(ack)
-		n.workers[a.dstWorker%wpn].ackIn.Deposit(p, a)
-		n.TraceRecv(p, m, 0)
-		worked = true
 	}
 	return worked
 }
@@ -221,10 +278,12 @@ func (n *node) remoteOut(p *sim.Proc, ev *event.Event) {
 	}
 }
 
-// gvtCommPoll runs the comm role of the configured GVT algorithm. In
-// dedicated mode the MPI thread calls it; in combined/shared modes
-// worker 0 does.
-func (n *node) gvtCommPoll(p *sim.Proc) bool {
+// gvtCommPoll runs the dedicated MPI thread's part in the configured GVT
+// algorithm from stage from: stGVT is all of it, and the later stages,
+// with held, are where an idle pass can hand back inside a Mattern poll.
+// (In combined/shared modes worker 0 carries the role: Barrier and Samadi
+// rounds inline it, and the worker calls matternCommPoll itself.)
+func (n *node) gvtCommPoll(p *sim.Proc, from int, held bool) bool {
 	switch n.eng.cfg.GVT {
 	case GVTBarrier:
 		if n.gvtReq {
@@ -239,7 +298,7 @@ func (n *node) gvtCommPoll(p *sim.Proc) bool {
 		}
 		return false
 	default:
-		return n.matternCommPoll(p)
+		return n.matternCommPoll(p, from, held)
 	}
 }
 

@@ -212,7 +212,7 @@ func (w *worker) run(p *sim.Proc) {
 		// duties in the worker's own round (between the two node barriers,
 		// Algorithm 1 line 12).
 		if commRole == commPumpAndGVT && (cfg.GVT == GVTMattern || cfg.GVT == GVTControlled) {
-			if w.node.matternCommPoll(p) {
+			if w.node.matternCommPoll(p, stGVT, false) {
 				worked = true
 			}
 		}

@@ -156,53 +156,100 @@ func (r *Rank) Send(p *sim.Proc, dst, tag, size int, payload any) {
 	r.lock.Unlock(p)
 }
 
-// take removes the first stashed message satisfying match.
-func (r *Rank) take(match func(*Message) bool) (Message, bool) {
+// AnySource as a source matches a message from every rank.
+const AnySource = -1
+
+// find returns the stash index of the first message from src (AnySource:
+// from anyone) with the given tag, or -1. It is the one matcher under every
+// receive and probe.
+func (r *Rank) find(src, tag int) int {
 	for i := r.head; i < len(r.stash); i++ {
-		if !match(&r.stash[i]) {
-			continue
+		if m := &r.stash[i]; m.Tag == tag && (src < 0 || m.Src == src) {
+			return i
 		}
-		m := r.stash[i]
-		if i == r.head {
-			r.stash[i] = Message{}
-			r.head++
-		} else {
-			r.stash = append(r.stash[:i], r.stash[i+1:]...)
-		}
-		r.compact()
-		return m, true
 	}
-	return Message{}, false
+	return -1
+}
+
+// take removes the first stashed message matching (src, tag).
+func (r *Rank) take(src, tag int) (Message, bool) {
+	i := r.find(src, tag)
+	if i < 0 {
+		return Message{}, false
+	}
+	m := r.stash[i]
+	if i == r.head {
+		r.stash[i] = Message{}
+		r.head++
+	} else {
+		// Out of arrival order: the tail shifts down, and the slot it
+		// vacates is zeroed so no payload stays reachable past len(stash).
+		last := len(r.stash) - 1
+		copy(r.stash[i:], r.stash[i+1:])
+		r.stash[last] = Message{}
+		r.stash = r.stash[:last]
+	}
+	r.compact()
+	return m, true
+}
+
+// TryRecvFrom polls for a message from src (AnySource: from anyone) with
+// the given tag: the MPI lock, MPI_Iprobe's cost and, on a match,
+// MPI_Recv's. It returns ok=false when none is available.
+func (r *Rank) TryRecvFrom(p *sim.Proc, src, tag int) (Message, bool) {
+	r.lock.Lock(p)
+	p.Advance(r.world.costs.Poll)
+	return r.FinishRecv(p, src, tag)
 }
 
 // TryRecv polls for any message with the given tag (MPI_Iprobe +
-// MPI_Recv). It returns ok=false when none is available.
+// MPI_Recv).
 func (r *Rank) TryRecv(p *sim.Proc, tag int) (Message, bool) {
-	r.lock.Lock(p)
-	p.Advance(r.world.costs.Poll)
-	m, ok := r.take(func(m *Message) bool { return m.Tag == tag })
-	if ok {
-		p.Advance(r.world.costs.Recv)
-	}
-	r.lock.Unlock(p)
-	return m, ok
+	return r.TryRecvFrom(p, AnySource, tag)
 }
 
 // RecvFrom blocks until a message with the given source and tag arrives.
 // Matching by source keeps successive collective rounds from mixing.
 func (r *Rank) RecvFrom(p *sim.Proc, src, tag int) Message {
 	for {
-		r.lock.Lock(p)
-		p.Advance(r.world.costs.Poll)
-		m, ok := r.take(func(m *Message) bool { return m.Src == src && m.Tag == tag })
-		if ok {
-			p.Advance(r.world.costs.Recv)
-			r.lock.Unlock(p)
+		if m, ok := r.TryRecvFrom(p, src, tag); ok {
 			return m
 		}
-		r.lock.Unlock(p)
 		r.cond.Wait(p)
 	}
+}
+
+// A TryRecvFrom that finds nothing, taken apart so that a sim.Proc.Poll
+// step, which may not block, can make it: TryProbe takes the lock, the
+// caller lets Costs.LockHold (when positive) and then Costs.Poll pass —
+// the two kernel events Lock and Advance(Costs.Poll) are — and at that
+// instant either nothing matching is stashed (Matches) and EndProbe
+// releases the lock, or something is, because the fabric delivered it
+// while the probe's cost elapsed, and the caller, back in process
+// context, completes the receive with FinishRecv. Either way the lock is
+// held exactly as long as TryRecvFrom holds it.
+
+// TryProbe starts a probe without blocking or charging: it takes the MPI
+// lock only if it is free.
+func (r *Rank) TryProbe(p *sim.Proc) bool { return r.lock.TryAcquire(p) }
+
+// Matches reports whether a message matching (src, tag) is stashed. It
+// is a zero-cost peek, consistent because the kernel is cooperative.
+func (r *Rank) Matches(src, tag int) bool { return r.find(src, tag) >= 0 }
+
+// EndProbe ends a probe that found nothing.
+func (r *Rank) EndProbe(p *sim.Proc) { r.lock.Unlock(p) }
+
+// FinishRecv is the second half of TryRecvFrom, for a caller that holds
+// the lock and has paid for the probe: it takes the first message matching
+// (src, tag), charging MPI_Recv's cost for it, and releases the lock.
+func (r *Rank) FinishRecv(p *sim.Proc, src, tag int) (Message, bool) {
+	m, ok := r.take(src, tag)
+	if ok {
+		p.Advance(r.world.costs.Recv)
+	}
+	r.lock.Unlock(p)
+	return m, ok
 }
 
 // Barrier blocks until every rank has entered it (rank-0-rooted
@@ -296,15 +343,10 @@ func (r *Rank) SendRing(p *sim.Proc, tag, size int, payload any) {
 	r.Send(p, next, tag, size, payload)
 }
 
+// Prev returns the rank ring tokens arrive from.
+func (r *Rank) Prev() int { return (r.id - 1 + r.world.Size()) % r.world.Size() }
+
 // TryRecvRing polls for a ring token from the previous rank.
 func (r *Rank) TryRecvRing(p *sim.Proc, tag int) (Message, bool) {
-	prev := (r.id - 1 + r.world.Size()) % r.world.Size()
-	r.lock.Lock(p)
-	p.Advance(r.world.costs.Poll)
-	m, ok := r.take(func(m *Message) bool { return m.Src == prev && m.Tag == tag })
-	if ok {
-		p.Advance(r.world.costs.Recv)
-	}
-	r.lock.Unlock(p)
-	return m, ok
+	return r.TryRecvFrom(p, r.Prev(), tag)
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -282,5 +283,172 @@ func TestMPILockSerializesThreads(t *testing.T) {
 	}
 	if _, contended, _ := w.Rank(0).LockStats(); contended != 1 {
 		t.Errorf("contended = %d, want 1", contended)
+	}
+}
+
+// TestTakeMidStashZeroesVacatedSlot: removing a message out of arrival
+// order shifts the tail down; the slot it vacates must not keep the last
+// message's payload reachable beyond len(stash).
+func TestTakeMidStashZeroesVacatedSlot(t *testing.T) {
+	env := sim.NewEnv()
+	w := newWorld(env, 2)
+	r := w.Rank(1)
+	env.Spawn("r0", func(p *sim.Proc) {
+		for i, tag := range []int{TagUser, TagUser + 1, TagUser, TagUser + 1} {
+			w.Rank(0).Send(p, 1, tag, 8, fmt.Sprintf("payload-%d", i))
+		}
+	})
+	env.Spawn("r1", func(p *sim.Proc) {
+		p.Advance(1000) // all four are stashed
+		m, ok := r.TryRecv(p, TagUser+1)
+		if !ok || m.Payload != "payload-1" {
+			t.Fatalf("mid-stash receive: %+v ok=%v", m, ok)
+		}
+		if r.head != 0 || len(r.stash) != 3 {
+			t.Fatalf("head %d, %d stashed after a mid-stash removal, want 0 and 3", r.head, len(r.stash))
+		}
+		for i, m := range r.stash[len(r.stash):cap(r.stash)] {
+			if m != (Message{}) {
+				t.Errorf("slot %d beyond len(stash) still holds %+v", len(r.stash)+i, m)
+			}
+		}
+		for i, want := range []string{"payload-0", "payload-2", "payload-3"} {
+			if r.stash[i].Payload != want {
+				t.Errorf("stash[%d] = %+v, want %s", i, r.stash[i], want)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// probeOutcome is everything a receiver's polling leaves behind.
+type probeOutcome struct {
+	End                 sim.Time
+	Log                 []string // every poll's instant and result
+	Acquires, Contended int64
+	LockWait            sim.Time
+	Dispatches          uint64
+}
+
+// runProber polls rank 1 of a three-rank world — alternately for any
+// source and for the ring predecessor — against a sender whose messages
+// arrive before a poll, between polls and while a poll's lock-hold and
+// probe cost elapse, and a second thread of the rank contending for the
+// MPI lock. With halves false a poll is TryRecv/TryRecvRing; with halves
+// true it is the probe taken apart the way a Poll step takes it.
+func runProber(t *testing.T, halves bool) probeOutcome {
+	env := sim.NewEnv()
+	costs := Costs{Send: 10, Recv: 5, Poll: 50, LockHold: 30}
+	w := NewWorld(env, 3, fabric.Params{Latency: 100}, costs)
+	r := w.Rank(1)
+	var out probeOutcome
+	hits, misses, inWindow := 0, 0, 0
+	env.Spawn("r0", func(p *sim.Proc) {
+		// Gaps off the prober's 200 ns period, so deliveries fall in every
+		// phase of it: lock held and probing (80 of the 200), or not.
+		for i := 0; i < 10; i++ {
+			p.Advance(470 + sim.Time(i%5)*37)
+			w.Rank(0).Send(p, 1, TagUser, 8, i)
+		}
+	})
+	env.Spawn("r2", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			p.Advance(1130)
+			w.Rank(2).Send(p, 1, TagUser, 8, 100+i)
+		}
+	})
+	env.Spawn("r1/other", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			p.Advance(690)
+			r.TryRecv(p, TagUser+7)
+		}
+	})
+	env.Spawn("r1/prober", func(p *sim.Proc) {
+		for i := 0; i < 30; i++ {
+			src := AnySource
+			if i%3 == 2 {
+				src = r.Prev()
+			}
+			var m Message
+			var ok bool
+			switch {
+			case !halves && src == AnySource:
+				m, ok = r.TryRecv(p, TagUser)
+			case !halves:
+				m, ok = r.TryRecvRing(p, TagUser)
+			case !r.TryProbe(p):
+				m, ok = r.TryRecvFrom(p, src, TagUser) // the lock is held: queue for it
+			default:
+				stashed := r.Matches(src, TagUser)
+				p.Advance(costs.LockHold)
+				p.Advance(costs.Poll)
+				if r.Matches(src, TagUser) {
+					if !stashed {
+						inWindow++
+					}
+					m, ok = r.FinishRecv(p, src, TagUser)
+				} else {
+					r.EndProbe(p)
+				}
+			}
+			if ok {
+				hits++
+			} else {
+				misses++
+			}
+			out.Log = append(out.Log, fmt.Sprintf("%d src=%d %v %v", p.Now(), src, m.Payload, ok))
+			p.Advance(120)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if hits == 0 || misses == 0 || halves && inWindow == 0 {
+		t.Fatalf("%d hits, %d misses, %d arrivals inside a probe: the schedule does not cover all three\n%v", hits, misses, inWindow, out.Log)
+	}
+	out.End = env.Now()
+	out.Acquires, out.Contended, out.LockWait = r.LockStats()
+	out.Dispatches = env.Counters().Dispatches
+	return out
+}
+
+// TestProbeHalvesMatchTryRecv: TryProbe, the two costs, then EndProbe or
+// FinishRecv are TryRecv and TryRecvRing event for event — same results
+// at the same instants, same lock statistics, same number of kernel
+// events — whether the poll misses, hits, or the message lands while the
+// probe's cost elapses.
+func TestProbeHalvesMatchTryRecv(t *testing.T) {
+	whole, halves := runProber(t, false), runProber(t, true)
+	if !reflect.DeepEqual(whole, halves) {
+		t.Errorf("TryRecv\n%+v\nprobe halves\n%+v", whole, halves)
+	}
+	if whole.Contended == 0 {
+		t.Error("no poll ever queued for the MPI lock: the test does not exercise it")
+	}
+}
+
+// BenchmarkTryRecvMiss: one poll that matches nothing per op, past a few
+// stashed messages of another tag — what an MPI thread's idle pass makes
+// three of.
+func BenchmarkTryRecvMiss(b *testing.B) {
+	b.ReportAllocs()
+	env := sim.NewEnv()
+	w := NewWorld(env, 2, fabric.EthernetDefaults(), DefaultCosts())
+	env.Spawn("r0", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			w.Rank(0).Send(p, 1, TagUser+1, 8, i)
+		}
+	})
+	env.Spawn("r1", func(p *sim.Proc) {
+		p.Advance(sim.Millisecond)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Rank(1).TryRecv(p, TagUser)
+		}
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

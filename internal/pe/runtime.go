@@ -111,7 +111,8 @@ type Node struct {
 	// WorkersExited counts this node's workers whose main loop returned.
 	WorkersExited int
 
-	rt *Runtime
+	rt   *Runtime
+	comm commIdle // the dedicated MPI thread's idle pass (CommLoop)
 }
 
 // AddNode initialises n as the next node, with the given cost model.
@@ -123,8 +124,10 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 }
 
 // AddComm registers n's dedicated MPI thread; call it after adding n's
-// workers, which start first.
-func (rt *Runtime) AddComm(n *Node, body func(*sim.Proc)) {
+// workers, which start first. pass lists the stages of the pass a body
+// built on CommLoop makes, each as it is when it finds nothing to move.
+func (rt *Runtime) AddComm(n *Node, body func(*sim.Proc), pass ...Probe) {
+	n.comm.pass, n.comm.step = pass, n.stepComm
 	rt.AddProcess(fmt.Sprintf("n%d/comm", n.ID), body)
 }
 

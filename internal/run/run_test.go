@@ -89,26 +89,29 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 }
 
 // TestKernelDispatchesPinned pins what the sim kernel dispatches per
-// committed event on the two benchmark shapes where kernel cost
-// dominates: Time Warp's forward path (the benchmark's tw-comp) and the
-// null-message engine, whose idle polls make it the most
-// dispatch-hungry path in the tree (cons-nullmsg). The counts are a
-// function of the spec alone, so any change to how often the engines
-// enter the kernel shows here as an exact diff. Dispatches are kernel
-// events; switches are the ones that cost a coroutine switch, which idle
-// passes taken as Poll steps do not (pe.Worker.Idle).
+// committed event on the three engine shapes of the host benchmark: Time
+// Warp's forward path (tw-comp), its rollback path under CA-GVT's
+// synchronous rounds (tw-comm), and the null-message engine, whose idle
+// polls make it the most dispatch-hungry path in the tree
+// (cons-nullmsg). The counts are a function of the spec alone, so any
+// change to how often the engines enter the kernel shows here as an exact
+// diff. Dispatches are kernel events; switches are the ones that cost a
+// coroutine switch, which idle passes taken as Poll steps do not
+// (pe.Worker.Idle for workers, pe.Node.CommLoop for the MPI threads).
 func TestKernelDispatchesPinned(t *testing.T) {
 	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
-	twComp, consNull := shape, shape
+	twComp, twComm, consNull := shape, shape, shape
 	twComp.GVT, twComp.EndTime = "mattern", 100
+	twComm.GVT, twComm.Scenario, twComm.LPsPerWorker, twComm.EndTime = "ca-gvt", "comm", 8, 150
 	consNull.Sync, consNull.EndTime = "nullmsg", 8
 	for _, c := range []struct {
 		name                            string
 		spec                            Spec
 		dispatches, switches, committed uint64
 	}{
-		{"tw-comp", twComp, 622_992, 390_352, 23_393},
-		{"cons-nullmsg", consNull, 650_200, 31_622, 1_849},
+		{"tw-comp", twComp, 622_992, 167_801, 23_393},
+		{"tw-comm", twComm, 719_138, 568_093, 17_576},
+		{"cons-nullmsg", consNull, 650_200, 30_881, 1_849},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {

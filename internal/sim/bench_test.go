@@ -136,6 +136,13 @@ func TestKernelHotPathAllocs(t *testing.T) {
 	}
 	measure("Poll", 20, func(p *Proc, id int) { p.Poll(steps[id]) })
 
+	// After: the callback slab reuses the slot each callback vacates.
+	noop := func() {}
+	measure("After", 4, func(p *Proc, id int) {
+		p.Env().After(Time(10+id), noop)
+		p.Advance(Time(50 + 7*id))
+	})
+
 	var free Mutex
 	measure("Mutex uncontended", 1, func(p *Proc, _ int) {
 		free.Lock(p)

@@ -111,13 +111,21 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // event is a scheduled occurrence: either resuming a process or running a
-// callback in scheduler context.
+// callback in scheduler context. It names both by index, so a heap entry
+// is 24 bytes without a pointer in it: a sift moves half of what it would
+// with the callback inline, and the collector never scans the heap.
 type event struct {
-	at  Time
-	seq uint64
-	p   *Proc  // non-nil: resume this process
-	fn  func() // non-nil: run this callback (must not block)
-	src string // callback origin: the process that scheduled it (for diagnostics)
+	at   Time
+	seq  uint64
+	proc int32 // >= 0: resume Env.procs[proc]
+	cb   int32 // proc < 0: run Env.cbs[cb]
+}
+
+// callback is a pending After: what heap entries point at by index.
+type callback struct {
+	fn   func() // must not block
+	src  string // origin: the process that scheduled it (for diagnostics)
+	next int32  // free list link while the slot is vacant
 }
 
 type eventHeap []event
@@ -147,7 +155,6 @@ func (h *eventHeap) pop() event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{}
 	*h = old[:n]
 	h.down()
 	return top
@@ -195,6 +202,8 @@ type Env struct {
 	seq     uint64
 	heap    eventHeap
 	procs   []*Proc
+	cbs     []callback // After's slab: filled by After, vacated by Run
+	cbFree  int32      // first vacant slot of cbs, or -1
 	live    int
 	cur     *Proc
 	running bool
@@ -257,7 +266,7 @@ type procCancelled struct{}
 func (e *Env) Cancel() { e.stop.Store(true) }
 
 // NewEnv returns an empty simulation environment at time zero.
-func NewEnv() *Env { return &Env{} }
+func NewEnv() *Env { return &Env{cbFree: -1} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -299,7 +308,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	p.state = stateRunnable
-	e.heap.push(event{at: e.now, seq: e.nextSeq(), p: p})
+	e.heap.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
 	return p
 }
 
@@ -318,7 +327,17 @@ func (e *Env) After(d Time, fn func()) {
 	if e.cur != nil {
 		src = e.cur.name
 	}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), fn: fn, src: src})
+	// The slab reuses vacated slots, so a steady stream of callbacks
+	// allocates nothing once it has reached its high-water mark.
+	i := e.cbFree
+	if i < 0 {
+		i = int32(len(e.cbs))
+		e.cbs = append(e.cbs, callback{})
+	} else {
+		e.cbFree = e.cbs[i].next
+	}
+	e.cbs[i] = callback{fn: fn, src: src}
+	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: -1, cb: i})
 }
 
 // makeRunnable schedules p to resume at the current time.
@@ -327,7 +346,7 @@ func (e *Env) makeRunnable(p *Proc) {
 		panic(fmt.Sprintf("sim: makeRunnable(%s) in state %v", p.name, p.state))
 	}
 	p.state = stateRunnable
-	e.heap.push(event{at: e.now, seq: e.nextSeq(), p: p})
+	e.heap.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
 }
 
 // DeadlockError reports that live processes remain but no event can ever
@@ -378,7 +397,11 @@ func (e *Env) Run() error {
 			return ErrCancelled
 		}
 		e.ctr.Dispatches++
-		at, p := e.heap[0].at, e.heap[0].p
+		at := e.heap[0].at
+		var p *Proc // nil: the event is a callback
+		if i := e.heap[0].proc; i >= 0 {
+			p = e.procs[i]
+		}
 		if at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -388,7 +411,7 @@ func (e *Env) Run() error {
 				if e.sameTimeBy == nil {
 					e.sameTimeBy = make(map[string]int)
 				}
-				e.sameTimeBy[eventOrigin(e.heap[0])]++
+				e.sameTimeBy[e.eventOrigin(e.heap[0])]++
 			}
 			if e.sameTimeCount > limit {
 				panic(fmt.Sprintf("sim: virtual livelock at t=%v (>%d events without advancing time); stuck process: %s",
@@ -415,10 +438,16 @@ func (e *Env) Run() error {
 			p.step = nil // Poll is over: resume the process, in this dispatch
 		}
 		ev := e.heap.pop()
-		if ev.fn != nil {
+		if p == nil {
 			e.ctr.Callbacks++
-			e.cbSrc = ev.src
-			ev.fn()
+			// Vacate the slot first: fn may call After, which may reuse it
+			// or grow the slab.
+			c := &e.cbs[ev.cb]
+			fn := c.fn
+			e.cbSrc = c.src
+			*c = callback{next: e.cbFree}
+			e.cbFree = ev.cb
+			fn()
 			e.cbSrc = ""
 			continue
 		}
@@ -471,12 +500,12 @@ func (p *Proc) finish() {
 }
 
 // eventOrigin names the source of a dispatched event for diagnostics.
-func eventOrigin(ev event) string {
-	switch {
-	case ev.p != nil:
-		return ev.p.name
-	case ev.src != "":
-		return ev.src + " (callback)"
+func (e *Env) eventOrigin(ev event) string {
+	if ev.proc >= 0 {
+		return e.procs[ev.proc].name
+	}
+	if src := e.cbs[ev.cb].src; src != "" {
+		return src + " (callback)"
 	}
 	return "scheduler callback"
 }
@@ -523,7 +552,7 @@ func (p *Proc) Advance(d Time) {
 	if e.stepping != nil {
 		panic(e.blockedInStep("Advance"))
 	}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), p: p})
+	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
 	p.state = stateRunnable
 	p.yield()
 }
@@ -554,7 +583,7 @@ func (p *Proc) Poll(step func() Time) {
 	if d < 0 {
 		return
 	}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), p: p})
+	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
 	p.state = stateRunnable
 	p.step = step
 	p.yield()

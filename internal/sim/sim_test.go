@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAdvanceOrdering(t *testing.T) {
@@ -93,6 +94,44 @@ func TestAfterCallback(t *testing.T) {
 	}
 	if len(fired) != 2 || fired[0] != 50 || fired[1] != 100 {
 		t.Fatalf("callbacks fired at %v, want [50 100]", fired)
+	}
+}
+
+// TestAfterSlabReusesSlots: heap entries name callbacks by slab index. A
+// callback's slot is vacated before it runs, so chains that reschedule
+// themselves — the retransmission-timer shape — keep the slab at the
+// number of callbacks pending at once, and each still runs its own
+// closure at its own time.
+func TestAfterSlabReusesSlots(t *testing.T) {
+	env := NewEnv()
+	const chains, links = 3, 500
+	fired := make([]int, chains)
+	for c := 0; c < chains; c++ {
+		c := c
+		var link func()
+		link = func() {
+			if want := Time(fired[c]+1) * Time(10+c); env.Now() != want {
+				t.Fatalf("chain %d link %d fired at %v, want %v", c, fired[c], env.Now(), want)
+			}
+			if fired[c]++; fired[c] < links {
+				env.After(Time(10+c), link)
+			}
+		}
+		env.After(Time(10+c), link)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for c, n := range fired {
+		if n != links {
+			t.Errorf("chain %d fired %d links, want %d", c, n, links)
+		}
+	}
+	if len(env.cbs) != chains {
+		t.Errorf("slab grew to %d slots for %d concurrent callbacks", len(env.cbs), chains)
+	}
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("heap entry is %d bytes, want 24", got)
 	}
 }
 
