@@ -302,8 +302,11 @@ func TestRestartJournalDrains(t *testing.T) {
 	if len(jobs.Jobs) != 1 {
 		t.Fatalf("jobs after recovery: %+v", jobs.Jobs)
 	}
-	// Settle the recovered job: cancel it and wait for the terminal
-	// state, which journals an end record.
+	// Settle the recovered job: once a worker has it, cancel it and wait
+	// for the terminal state. A job that reached a worker journals its
+	// fsynced end record before that state becomes visible, so the kill
+	// can follow at once.
+	waitJob(t, d2.base, jobs.Jobs[0].ID, "running")
 	req, _ := http.NewRequest(http.MethodDelete, d2.base+"/jobs/"+jobs.Jobs[0].ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
@@ -311,9 +314,6 @@ func TestRestartJournalDrains(t *testing.T) {
 		resp.Body.Close()
 	}
 	waitJob(t, d2.base, jobs.Jobs[0].ID, "cancelled")
-	// The end record is fsynced before the terminal state is visible?
-	// No — the journal write races the status flip, so give it a beat.
-	time.Sleep(200 * time.Millisecond)
 	d2.kill9(t)
 
 	d3 := startDaemon(t, "-store-dir", dir, "-workers", "1")

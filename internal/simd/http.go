@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -81,6 +82,9 @@ type submitResponse struct {
 // Handler returns the HTTP API:
 //
 //	POST   /jobs              submit a JobSpec  (202; 200 on cache hit/dedup; 429 full)
+//	POST   /jobs?wait         submit and hold the request until the job settles:
+//	                          200 {"status": <submission, terminal>, "report": <report, done only>}
+//	                          (bare or a true value; ?wait=0 is a plain submit, a non-boolean 400)
 //	GET    /jobs              list job statuses
 //	GET    /jobs/{id}         one job's status
 //	GET    /jobs/{id}/report  the canonical run report        (409 until done)
@@ -190,6 +194,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	wait, err := waitParam(r.URL.Query())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	var spec JobSpec
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
@@ -213,16 +222,68 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := submitResponse{
-		JobStatus:   res.Job.status(),
-		CacheHitNow: res.CacheHit,
-		DedupedNow:  res.Deduped,
+	if wait {
+		s.answerSettled(w, r, res)
+		return
 	}
 	code := http.StatusAccepted
 	if res.CacheHit || res.Deduped {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, resp)
+	writeJSON(w, code, res.response())
+}
+
+// waitParam reads the submit route's wait parameter: bare (?wait) or a
+// true value asks for the held answer, a false value (?wait=0) for the
+// ordinary one, and anything else is a bad request rather than a guess.
+func waitParam(q url.Values) (bool, error) {
+	v := q.Get("wait")
+	if v == "" {
+		return q.Has("wait"), nil
+	}
+	wait, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("bad wait parameter %q: want it bare, or a boolean", v)
+	}
+	return wait, nil
+}
+
+// response snapshots the submission for the wire as the job stands now.
+func (r SubmitResult) response() submitResponse {
+	return submitResponse{JobStatus: r.Job.status(), CacheHitNow: r.CacheHit, DedupedNow: r.Deduped}
+}
+
+// answerSettled is the second half of POST /jobs?wait: hold the request
+// until the admitted job settles, then answer the whole round trip in
+// one document — the submission in its terminal state and, for a done
+// job, the report. The report goes out as the stored bytes, the same
+// ones /jobs/{id}/report serves, spliced into the envelope rather than
+// passed through an encoder. A client that goes away abandons only the
+// request: the job runs on and its result is cached as usual.
+func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res SubmitResult) {
+	if !terminal(res.Job.Wait(r.Context())) {
+		return // client went away; nobody is left to answer
+	}
+	status, err := json.Marshal(res.response())
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	const head, mid, tail = `{"status":`, `,"report":`, `}`
+	report, done := res.Job.Report()
+	n := len(head) + len(status) + len(tail)
+	if done {
+		n += len(mid) + len(report)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	io.WriteString(w, head)
+	w.Write(status)
+	if done {
+		io.WriteString(w, mid)
+		w.Write(report)
+	}
+	io.WriteString(w, tail)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

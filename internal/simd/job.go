@@ -37,6 +37,10 @@ type Job struct {
 	hash string
 	spec JobSpec // canonical form
 
+	// begun is closed once Submit has journaled the job's admission; nil
+	// for a job born done from the cache, which is never journaled.
+	begun chan struct{}
+
 	mu       sync.Mutex
 	cond     *sync.Cond
 	state    State

@@ -159,7 +159,7 @@ func newServiceObs(s *Server) *serviceObs {
 			func() float64 { return float64(st.Stats().MaxBytes) })
 	}
 	if jl := s.opts.Journal; jl != nil {
-		reg.CounterFunc("simd_journal_appends_total", "Journal records fsynced.",
+		reg.CounterFunc("simd_journal_appends_total", "Journal records appended.",
 			func() float64 { return float64(jl.Stats().Appends) })
 		reg.CounterFunc("simd_journal_errors_total", "Failed journal appends.",
 			func() float64 { return float64(jl.Stats().Errors) })

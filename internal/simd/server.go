@@ -164,6 +164,12 @@ func NewServer(opts Options) *Server {
 // 400); a cached result returns a job born done, an identical in-flight spec
 // returns that job (singleflight), and otherwise the job enters the
 // bounded queue — or is rejected with ErrQueueFull.
+//
+// Admission happens under s.mu; the journal does not. The begin record
+// is appended and fsynced after the lock is released — the job may
+// already be running — and Submit returns, acknowledging the job, only
+// once it is durable. No disk flush sits inside the lock every status
+// and report request takes.
 func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 	canon, hash, err := spec.Address()
 	if err != nil {
@@ -172,7 +178,32 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 	if err := admissible(canon); err != nil {
 		return SubmitResult{}, err
 	}
+	res, err := s.admit(hash, canon)
+	if err != nil {
+		return SubmitResult{}, err
+	}
+	switch {
+	case res.CacheHit:
+		s.journalRetire(hash)
+	case res.Deduped:
+		// The job's own submitter may still be writing its begin record;
+		// this acknowledgement promises the same durability.
+		<-res.Job.begun
+	default:
+		// Deferred: the job's worker and every deduped submitter wait on
+		// begun, and must be released even if the logger or the journal
+		// panics under this submitter.
+		defer close(res.Job.begun)
+		s.log.Info("job admitted", "job", res.Job.id, "hash", hash, "model", canon.Model,
+			"queue_len", s.pool.Stats().QueueLen)
+		s.journalBegin(res.Job, canon)
+	}
+	return res, nil
+}
 
+// admit is the locked half of Submit: cache, store, singleflight table,
+// then the bounded queue.
+func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -188,7 +219,6 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 		s.retireLocked(j)
 		s.obs.submissions.With("cache_hit").Inc()
 		s.obs.jobsFinished.With(string(StateDone)).Inc()
-		s.journalRetire(hash)
 		s.log.Info("job served from cache", "job", j.id, "hash", j.hash, "model", canon.Model)
 		return SubmitResult{Job: j, CacheHit: true}, nil
 	}
@@ -209,7 +239,6 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 			s.retireLocked(j)
 			s.obs.submissions.With("store_hit").Inc()
 			s.obs.jobsFinished.With(string(StateDone)).Inc()
-			s.journalRetire(hash)
 			s.log.Info("job served from persistent store", "job", j.id, "hash", j.hash, "model", canon.Model)
 			return SubmitResult{Job: j, CacheHit: true, StoreHit: true}, nil
 		}
@@ -230,6 +259,7 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 	}
 
 	j := s.newJobLocked(hash, canon)
+	j.begun = make(chan struct{})
 	if !s.pool.TrySubmit(func() { s.execute(j) }) {
 		// Roll the record back: a rejected submission leaves no trace.
 		delete(s.jobs, j.id)
@@ -243,9 +273,6 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 	}
 	s.inflight[hash] = j
 	s.obs.submissions.With("admitted").Inc()
-	s.journalBegin(j, canon)
-	s.log.Info("job admitted", "job", j.id, "hash", j.hash, "model", canon.Model,
-		"queue_len", s.pool.Stats().QueueLen)
 	return SubmitResult{Job: j}, nil
 }
 
@@ -298,7 +325,32 @@ func (s *Server) retireLocked(j *Job) {
 	}
 }
 
-// execute runs one job on a pool worker.
+// journalEnd records a job's terminal state in the warm-restart
+// journal. It first waits for the job's begin record, which Submit
+// appends outside s.mu while the job may already be running: an end
+// ahead of its begin in the file would leave the begin replaying on
+// every restart. published says the store holds the job's result; only
+// then may the record go unsynced.
+func (s *Server) journalEnd(j *Job, state State, published bool) {
+	if s.opts.Journal == nil {
+		return
+	}
+	<-j.begun
+	var err error
+	if published {
+		err = s.opts.Journal.EndPublished(j.hash)
+	} else {
+		err = s.opts.Journal.End(j.hash, string(state))
+	}
+	if err != nil {
+		s.log.Warn("journal end failed", "job", j.id, "error", err.Error())
+	}
+}
+
+// execute runs one job on a pool worker. The order at the end is store
+// publish, journal end, terminal state: whoever sees a job settled —
+// a poller, a waiter, the next daemon generation — finds its end record
+// already written (fsynced unless the store publish succeeded).
 func (s *Server) execute(j *Job) {
 	defer func() {
 		s.mu.Lock()
@@ -308,15 +360,13 @@ func (s *Server) execute(j *Job) {
 		s.retireLocked(j)
 		s.mu.Unlock()
 		s.obs.jobsFinished.With(string(j.State())).Inc()
-		if s.opts.Journal != nil {
-			if err := s.opts.Journal.End(j.hash, string(j.State())); err != nil {
-				s.log.Warn("journal end failed", "job", j.id, "error", err.Error())
-			}
-		}
 	}()
 	if !j.beginRunning() {
+		// Cancelled while queued: the cancel request already made the
+		// terminal state visible, so this end can only follow it.
+		s.journalEnd(j, StateCancelled, false)
 		s.log.Info("job cancelled while queued", "job", j.id)
-		return // cancelled while queued
+		return
 	}
 	s.obs.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
 	s.log.Info("job running", "job", j.id, "hash", j.hash, "model", j.spec.Model,
@@ -337,41 +387,45 @@ func (s *Server) execute(j *Job) {
 	}
 
 	report, runErr := s.runEngine(j)
+	state, errMsg, published := StateFailed, "", false
 	var pe *panicError
 	switch {
 	case runErr == nil:
+		state = StateDone
 		s.cache.Put(j.hash, report)
 		if s.opts.Store != nil {
-			if err := s.opts.Store.Put(j.hash, report); err != nil {
+			var err error
+			if published, err = s.opts.Store.Publish(j.hash, report); err != nil {
 				s.log.Warn("store put failed; result kept in memory only",
 					"job", j.id, "error", err.Error())
 			}
 		}
-		j.finish(StateDone, report, "")
 	case errors.Is(runErr, sim.ErrCancelled) && j.deadlineExceeded():
-		j.finish(StateFailed, nil, fmt.Sprintf("wall-clock deadline %s exceeded", s.opts.JobDeadline))
+		errMsg = fmt.Sprintf("wall-clock deadline %s exceeded", s.opts.JobDeadline)
 	case errors.Is(runErr, sim.ErrCancelled):
-		j.finish(StateCancelled, nil, "")
+		state = StateCancelled
 	case errors.As(runErr, &pe):
 		// Panic isolation: the worker survives, the job fails with the
 		// stack recorded for /jobs/{id}/flight post-mortems.
 		j.setPanicStack(pe.stack)
 		s.panicked.Add(1)
-		j.finish(StateFailed, nil, runErr.Error())
+		errMsg = runErr.Error()
 	default:
-		j.finish(StateFailed, nil, runErr.Error())
+		errMsg = runErr.Error()
 	}
+	s.journalEnd(j, state, published)
+	j.finish(state, report, errMsg)
 	dur := j.finished.Sub(j.started)
 	s.obs.runDuration.Observe(dur.Seconds())
 	switch {
 	case pe != nil:
 		s.log.Error("job failed: engine panic", "job", j.id, "error", j.Err(),
 			"duration_seconds", dur.Seconds(), "rounds", j.Rounds(), "stack", pe.stack)
-	case j.State() == StateFailed:
+	case state == StateFailed:
 		s.log.Error("job failed", "job", j.id, "error", j.Err(),
 			"duration_seconds", dur.Seconds(), "rounds", j.Rounds())
 	default:
-		s.log.Info("job finished", "job", j.id, "state", string(j.State()),
+		s.log.Info("job finished", "job", j.id, "state", string(state),
 			"duration_seconds", dur.Seconds(), "rounds", j.Rounds(),
 			"report_bytes", len(report))
 	}

@@ -2,6 +2,7 @@ package simdcluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simd"
 	"repro/internal/store"
+	"repro/pkg/client"
 )
 
 // specJSON builds a small deterministic spec; seed varies the content
@@ -525,4 +527,60 @@ func TestClusterStatsAndMetricsAggregate(t *testing.T) {
 	if v, ok := snap.Get("simdcluster_nodes", "state", "up"); !ok || v != 3 {
 		t.Fatalf("simdcluster_nodes{state=up} = %v, %v", v, ok)
 	}
+}
+
+// TestClientRunThroughRouter: the SDK's Run works against a router as
+// it does against a daemon. The router neither waits on POST /jobs?wait
+// nor serves an events stream, so Run carries on from the returned id —
+// status polls, then the report — and hands back the owning member's
+// report byte for byte, on a miss and on a hit.
+func TestClientRunThroughRouter(t *testing.T) {
+	c, nodes := newTestCluster(t, 2, 2, 8)
+	rt := httptest.NewServer(c.Handler())
+	defer rt.Close()
+	sdk := client.New(rt.URL, client.WithPollInterval(2*time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	spec := json.RawMessage(specJSON(7, 5))
+	for _, hit := range []bool{false, true} {
+		st, report, err := sdk.Run(ctx, spec)
+		if err != nil {
+			t.Fatalf("Run through the router (hit=%v): %v", hit, err)
+		}
+		if st.State != client.StateDone || st.CacheHit != hit || !strings.HasPrefix(st.ID, "c") {
+			t.Fatalf("Run through the router (hit=%v) settled %+v", hit, st)
+		}
+		v, err := c.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := nodeByID(t, nodes, v.Node)
+		local, err := owner.srv.Job(ownerLocalID(t, c, st.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := local.Report()
+		if !ok || !bytes.Equal(report, want) {
+			t.Fatalf("Run through the router (hit=%v) returned bytes other than member %s's report", hit, v.Node)
+		}
+	}
+	var execs int64
+	for _, nd := range nodes {
+		execs += nd.srv.Executions()
+	}
+	if execs != 1 {
+		t.Fatalf("executions across members = %d, want 1", execs)
+	}
+}
+
+// ownerLocalID returns the id a cluster job has on its owning member.
+func ownerLocalID(t *testing.T, c *Cluster, cid string) string {
+	t.Helper()
+	j, err := c.job(cid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, localID, _ := c.owner(j)
+	return localID
 }

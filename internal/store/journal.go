@@ -17,14 +17,25 @@ import (
 )
 
 // Journal is the warm-restart job log: one NDJSON line per lifecycle
-// edge ("begin" when a job is admitted, "end" when it settles), each
-// append fsynced. After a crash, begins without a matching end are the
-// jobs that were queued or running — OpenJournal surfaces them for
-// re-submission. Because results are content-addressed, replay is
-// idempotent: a job that actually completed (its result reached the
-// store before the crash, even if the "end" record didn't) re-enters as
-// a cache hit with zero re-execution; only genuinely interrupted work
-// re-runs.
+// edge ("begin" when a job is admitted, "end" when it settles). After a
+// crash, begins without a matching end are the jobs that were queued or
+// running — OpenJournal surfaces them for re-submission. Because results
+// are content-addressed, replay is idempotent: a job that actually
+// completed (its result reached the store before the crash, even if the
+// "end" record didn't) re-enters as a cache hit with zero re-execution;
+// only genuinely interrupted work re-runs.
+//
+// That idempotence decides which appends are fsynced. A begin is: an
+// acknowledged admission must survive a crash, and nothing else records
+// it. So is End: for a failed or cancelled job, or a done one whose
+// result did not reach the store, the journal is the only record of the
+// outcome, and losing it would re-run work the caller stopped or
+// already has. EndPublished — the end of a done job whose result the
+// store holds — and Retire are plain appends: a crash that loses the
+// record replays the begin, which resolves as a store hit and is
+// retired (a retired memory-only hit, at worst, costs one redundant run
+// of a deterministic job). An unsynced line reaches the disk with the
+// next fsynced append to the file.
 //
 // The journal is per-daemon state: daemons sharing a store directory
 // must use distinct journal paths (OpenJournal compacts the file at
@@ -195,14 +206,23 @@ func (j *Journal) Pending() []Pending {
 	return out
 }
 
-// Begin journals a job admission. spec must be its canonical JSON.
+// Begin journals a job admission, fsynced. spec must be its canonical
+// JSON.
 func (j *Journal) Begin(hash string, spec json.RawMessage) error {
-	return j.append(journalRecord{Op: "begin", Hash: hash, Spec: spec})
+	return j.append(journalRecord{Op: "begin", Hash: hash, Spec: spec}, true)
 }
 
-// End journals a job reaching terminal state.
+// End journals a job reaching terminal state, fsynced: nothing else
+// records the outcome.
 func (j *Journal) End(hash, state string) error {
-	return j.append(journalRecord{Op: "end", Hash: hash, End: state})
+	return j.append(journalRecord{Op: "end", Hash: hash, End: state}, true)
+}
+
+// EndPublished journals the end of a done job whose result the caller
+// has already published to the store. It is not fsynced: the store is
+// the durable record (see the Journal comment).
+func (j *Journal) EndPublished(hash string) error {
+	return j.append(journalRecord{Op: "end", Hash: hash, End: "done"}, false)
 }
 
 // Retire ends a replayed-pending job that settled without re-executing —
@@ -218,13 +238,13 @@ func (j *Journal) Retire(hash string) error {
 	if !ok {
 		return nil
 	}
-	return j.End(hash, "done")
+	return j.EndPublished(hash)
 }
 
-// append writes one fsynced NDJSON line. Failures are counted and
-// returned but must not fail the job they describe — a lost journal
-// line costs at most one redundant restart re-submission.
-func (j *Journal) append(rec journalRecord) error {
+// append writes one NDJSON line, fsynced when sync is set. Failures are
+// counted and returned but must not fail the job they describe — a lost
+// journal line costs at most one redundant restart re-submission.
+func (j *Journal) append(rec journalRecord, sync bool) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		j.errs.Add(1)
@@ -237,9 +257,11 @@ func (j *Journal) append(rec journalRecord) error {
 		j.errs.Add(1)
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		j.errs.Add(1)
-		return err
+	if sync {
+		if err := j.f.Sync(); err != nil {
+			j.errs.Add(1)
+			return err
+		}
 	}
 	j.appends.Add(1)
 	return nil

@@ -158,3 +158,67 @@ func TestJournalAppendCountsErrors(t *testing.T) {
 		t.Fatalf("errors = %d, want 1", st.Errors)
 	}
 }
+
+// TestJournalSyncPolicy: a begin and every End — failed, cancelled, or
+// done with nothing published — are fsynced before the call returns,
+// because nothing else records them, while EndPublished and a
+// retirement, whose result the store holds, are plain appends that
+// still reach the file.
+func TestJournalSyncPolicy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	spec := json.RawMessage(`{"seed":1}`)
+
+	// A previous life leaves one begin pending, so this one has a job
+	// to retire.
+	j0 := openTestJournal(t, path)
+	if err := j0.Begin(testHash(4), spec); err != nil {
+		t.Fatal(err)
+	}
+	j0.Close()
+
+	ffs := newFaultFS()
+	syncs := 0
+	ffs.setFail(func(op, p string) error {
+		if op == "sync" && p == path {
+			syncs++
+		}
+		return nil
+	})
+	j, err := OpenJournal(path, ffs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		do   func() error
+		want int
+	}{
+		{"begin", func() error { return j.Begin(testHash(1), spec) }, 1},
+		{"end published", func() error { return j.EndPublished(testHash(1)) }, 0},
+		{"begin", func() error { return j.Begin(testHash(5), spec) }, 1},
+		{"end done, not published", func() error { return j.End(testHash(5), "done") }, 1},
+		{"begin", func() error { return j.Begin(testHash(2), spec) }, 1},
+		{"end failed", func() error { return j.End(testHash(2), "failed") }, 1},
+		{"begin", func() error { return j.Begin(testHash(3), spec) }, 1},
+		{"end cancelled", func() error { return j.End(testHash(3), "cancelled") }, 1},
+		{"retire", func() error { return j.Retire(testHash(4)) }, 0},
+	}
+	for _, st := range steps {
+		syncs = 0
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if syncs != st.want {
+			t.Errorf("%s: %d journal fsyncs, want %d", st.name, syncs, st.want)
+		}
+	}
+	if got := j.Stats().Appends; got != int64(len(steps)) {
+		t.Errorf("appends = %d, want %d", got, len(steps))
+	}
+	j.Close()
+
+	// Unsynced is not unwritten: every record is in the file.
+	if p := openTestJournal(t, path).Pending(); len(p) != 0 {
+		t.Fatalf("pending = %+v after every job ended", p)
+	}
+}

@@ -261,26 +261,36 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 	return payload, true
 }
 
-// Put durably stores payload under hash (temp file + fsync + atomic
-// rename, under the cross-process lock), then enforces the byte budget.
-// Errors are returned for logging but the store has already absorbed
-// them into its degradation accounting — callers keep serving.
+// Put is Publish for callers that need not know whether the payload
+// was stored.
 func (s *Store) Put(hash string, payload []byte) error {
+	_, err := s.Publish(hash, payload)
+	return err
+}
+
+// Publish durably stores payload under hash (temp file + fsync + atomic
+// rename, under the cross-process lock), then enforces the byte budget.
+// stored reports that the entry is on disk; it is false with a nil
+// error when the store declined the write (a payload over the whole
+// budget, a degraded store between probes). Errors are returned for
+// logging but the store has already absorbed them into its degradation
+// accounting — callers keep serving.
+func (s *Store) Publish(hash string, payload []byte) (stored bool, err error) {
 	if !validHash(hash) {
-		return fmt.Errorf("store: invalid hash %q", hash)
+		return false, fmt.Errorf("store: invalid hash %q", hash)
 	}
 	if s.opts.MaxBytes > 0 && int64(len(payload)) > s.opts.MaxBytes {
-		return nil // larger than the whole budget: never storable
+		return false, nil // larger than the whole budget: never storable
 	}
 	if s.degraded.Load() && !s.probeTurn() {
 		s.skipped.Add(1)
-		return nil
+		return false, nil
 	}
 	oldPayload, replaced, err := s.write(hash, payload)
 	if err != nil {
 		s.putErrors.Add(1)
 		s.fail("put", err)
-		return err
+		return false, err
 	}
 	s.ok()
 	s.puts.Add(1)
@@ -295,7 +305,7 @@ func (s *Store) Put(hash string, payload []byte) error {
 		s.bytes.Add(int64(len(payload)))
 	}
 	s.evict()
-	return nil
+	return true, nil
 }
 
 // write runs the publish protocol for one entry. It reports whether an

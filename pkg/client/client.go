@@ -19,6 +19,11 @@
 // Backpressure is a protocol answer, not a failure: a full queue comes
 // back as *QueueFullError carrying the server's parsed Retry-After
 // hint. SubmitRetry, Run and BatchSubmit honor it automatically.
+//
+// Run is one HTTP exchange against a daemon (POST /jobs?wait answers
+// with the terminal status and the report together); Submit, Await,
+// Stream and Report are the separate steps, for callers that want
+// progress while the job runs.
 package client
 
 import (
@@ -145,22 +150,29 @@ func (c *Client) Base() string { return c.api.Base }
 // (errors.Is ErrQueueFull) carrying the parsed Retry-After hint; other
 // non-2xx answers return *APIError.
 func (c *Client) Submit(ctx context.Context, spec any) (Submission, error) {
-	code, data, hdr, err := c.api.Do(ctx, http.MethodPost, "/jobs", spec)
+	var sub Submission
+	err := c.post(ctx, "/jobs", spec, &sub)
+	return sub, err
+}
+
+// post sends spec to a submit route and decodes the 2xx answer into v,
+// mapping the refusals to the SDK's typed errors.
+func (c *Client) post(ctx context.Context, path string, spec, v any) error {
+	code, data, hdr, err := c.api.Do(ctx, http.MethodPost, path, spec)
 	if err != nil {
-		return Submission{}, fmt.Errorf("client: submit: %w", err)
+		return fmt.Errorf("client: submit: %w", err)
 	}
 	switch code {
 	case http.StatusOK, http.StatusAccepted:
-		var sub Submission
-		if err := json.Unmarshal(data, &sub); err != nil {
-			return Submission{}, fmt.Errorf("client: submit: undecodable answer: %w", err)
+		if err := json.Unmarshal(data, v); err != nil {
+			return fmt.Errorf("client: submit: undecodable answer: %w", err)
 		}
-		return sub, nil
+		return nil
 	case http.StatusTooManyRequests:
 		ra, ok := simdclient.RetryAfterHint(hdr)
-		return Submission{}, &QueueFullError{RetryAfter: ra, Hinted: ok, Message: apiMessage(data)}
+		return &QueueFullError{RetryAfter: ra, Hinted: ok, Message: apiMessage(data)}
 	default:
-		return Submission{}, &APIError{Status: code, Message: apiMessage(data)}
+		return &APIError{Status: code, Message: apiMessage(data)}
 	}
 }
 
@@ -169,12 +181,31 @@ func (c *Client) Submit(ctx context.Context, spec any) (Submission, error) {
 // 15s; one second when the server sent no hint). Any other error
 // returns immediately.
 func (c *Client) SubmitRetry(ctx context.Context, spec any, retries int) (Submission, error) {
+	var sub Submission
+	err := absorbQueueFull(ctx, retries, func() error {
+		return c.post(ctx, "/jobs", spec, &sub)
+	})
+	return sub, err
+}
+
+// refusal reports whether err is the server's answer to a submission —
+// a typed refusal — rather than an exchange that failed on the way.
+func refusal(err error) bool {
+	var api *APIError
+	var qf *QueueFullError
+	return errors.As(err, &api) || errors.As(err, &qf)
+}
+
+// absorbQueueFull calls attempt until it returns anything but a
+// queue-full refusal, sleeping out the server's hint between tries, at
+// most retries times.
+func absorbQueueFull(ctx context.Context, retries int, attempt func() error) error {
 	const hintCap = 15 * time.Second
-	for attempt := 0; ; attempt++ {
-		sub, err := c.Submit(ctx, spec)
+	for n := 0; ; n++ {
+		err := attempt()
 		var qf *QueueFullError
-		if err == nil || !errors.As(err, &qf) || attempt >= retries {
-			return sub, err
+		if err == nil || !errors.As(err, &qf) || n >= retries {
+			return err
 		}
 		d := qf.RetryAfter
 		if !qf.Hinted || d <= 0 {
@@ -184,7 +215,7 @@ func (c *Client) SubmitRetry(ctx context.Context, spec any, retries int) (Submis
 			d = hintCap
 		}
 		if err := sleepCtx(ctx, d); err != nil {
-			return Submission{}, err
+			return err
 		}
 	}
 }
@@ -248,20 +279,18 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 
 // Await blocks until the job settles or ctx expires, following the
 // events stream when it can and falling back to status polls when the
-// stream breaks (a daemon restart, a buffering proxy). It returns the
-// terminal document plus the outcome error contract: nil for done,
-// ErrCancelled, ErrDeadline, or *JobFailedError. A local ctx expiry
-// returns ctx's error — the job may still be running server-side.
+// stream breaks or is not served (a daemon restart, a buffering proxy, a
+// simdcluster router). It returns the terminal document plus the outcome
+// error contract: nil for done, ErrCancelled, ErrDeadline, or
+// *JobFailedError. A job that is really gone answers ErrNotFound from
+// the poll. A local ctx expiry returns ctx's error — the job may still
+// be running server-side.
 func (c *Client) Await(ctx context.Context, id string) (JobStatus, error) {
-	if err := c.streamEvents(ctx, id, nil); err != nil {
-		if ctx.Err() != nil {
-			return JobStatus{}, fmt.Errorf("client: await %s: %w", id, ctx.Err())
-		}
-		if errors.Is(err, ErrNotFound) {
-			return JobStatus{}, err
-		}
-		// Broken stream with a live context: fall through to polling.
+	if err := c.streamEvents(ctx, id, nil); err != nil && ctx.Err() != nil {
+		return JobStatus{}, fmt.Errorf("client: await %s: %w", id, ctx.Err())
 	}
+	// End record seen, or no usable stream with a live context: the poll
+	// settles the terminal document either way.
 	return c.awaitPoll(ctx, id)
 }
 
@@ -284,18 +313,54 @@ func (c *Client) awaitPoll(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Run is the whole round trip: submit (absorbing up to 8 queue-full
-// answers via SubmitRetry), await settlement, fetch the report. The
-// returned status is valid whenever the submission succeeded, even when
-// the outcome error is non-nil.
+// settled is the answer to POST /jobs?wait. A simd daemon holds the
+// request until the job settles and answers {"status", "report"}; a
+// simdcluster router does not wait and answers its ordinary flat
+// submission document, which lands in the embedded Submission.
+type settled struct {
+	Submission
+	Status *Submission     `json:"status"`
+	Report json.RawMessage `json:"report"`
+}
+
+// Run is the whole round trip in one exchange: it posts the spec to
+// /jobs?wait (absorbing up to 8 queue-full answers exactly as
+// SubmitRetry does) and a simd daemon answers with the terminal
+// document and the report together. An answer that is not terminal or
+// carries no report — a router's — is carried on from the returned id
+// with Await and Report. So is a held request that breaks under a live
+// ctx (a daemon restart, a proxy's idle timeout): the job may well be
+// running, and submitting the spec again is idempotent — it lands on
+// the in-flight job or its cached result — and gives back the id to
+// follow. The returned status is valid whenever the submission
+// succeeded, even when the outcome error (the Await contract) is
+// non-nil.
 func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
-	sub, err := c.SubmitRetry(ctx, spec, 8)
+	var ans settled
+	err := absorbQueueFull(ctx, 8, func() error {
+		return c.post(ctx, "/jobs?wait", spec, &ans)
+	})
+	if err != nil && !refusal(err) && ctx.Err() == nil {
+		ans = settled{}
+		ans.Submission, err = c.SubmitRetry(ctx, spec, 8)
+	}
 	if err != nil {
 		return JobStatus{}, nil, err
 	}
-	st, err := c.Await(ctx, sub.ID)
+	st := ans.JobStatus
+	if ans.Status != nil {
+		st = ans.Status.JobStatus
+	}
+	if Terminal(st.State) {
+		err = terminalErr(st)
+	} else {
+		st, err = c.Await(ctx, st.ID)
+	}
 	if err != nil {
 		return st, nil, err
+	}
+	if ans.Report != nil {
+		return st, ans.Report, nil
 	}
 	report, err := c.Report(ctx, st.ID)
 	return st, report, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -57,6 +58,11 @@ type fakeSimd struct {
 	retryAfter string
 	// submits counts submit attempts (including rejected ones).
 	submits atomic.Int64
+	// waits makes POST /jobs?wait behave as a simd daemon's: the request
+	// is held until the job settles and answered with status and report
+	// in one document. Off, the fake answers at once with its flat
+	// submission, as a simdcluster router does.
+	waits bool
 	// onSubmit, when non-nil, scripts the new job (settle it, feed
 	// progress, leave it running...). Runs on its own goroutine.
 	onSubmit func(j *fakeJob)
@@ -92,6 +98,23 @@ func (f *fakeSimd) handler() http.Handler {
 		f.mu.Unlock()
 		if f.onSubmit != nil {
 			go f.onSubmit(j)
+		}
+		if f.waits && r.URL.Query().Has("wait") {
+			// net/http watches for a vanished client only once the request
+			// body has been read to its end.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-j.settled:
+			case <-r.Context().Done():
+				return
+			}
+			state, errMsg, _ := j.snapshot()
+			doc := map[string]any{"status": map[string]any{"id": j.id, "state": state, "error": errMsg}}
+			if state == StateDone {
+				doc["report"] = json.RawMessage(j.report)
+			}
+			json.NewEncoder(w).Encode(doc)
+			return
 		}
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(map[string]any{"id": j.id, "state": StateQueued})
@@ -522,12 +545,14 @@ func TestUnreachableServiceSurfacesTransportError(t *testing.T) {
 
 // TestAwaitErrorBodyInTwoWrites: an error document that reaches the
 // client in two reads must still be parsed whole — the APIError carries
-// the service's message, not the first half of its JSON.
+// the service's message, not the first half of its JSON. A 404 on the
+// stream alone is not final (a router serves no stream); the status
+// poll that follows is what reports the job gone.
 func TestAwaitErrorBodyInTwoWrites(t *testing.T) {
 	const msg = "no such job j000042 (it may have been evicted)"
 	body, _ := json.Marshal(map[string]string{"error": msg})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/jobs/j000042/events" {
+		if r.URL.Path != "/jobs/j000042/events" && r.URL.Path != "/jobs/j000042" {
 			t.Errorf("unexpected request %s", r.URL.Path)
 		}
 		w.WriteHeader(http.StatusNotFound)

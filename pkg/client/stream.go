@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
 
@@ -66,18 +65,13 @@ func (c *Client) Stream(ctx context.Context, id string) *Stream {
 			}
 		})
 		close(s.updates)
-		if streamErr != nil {
-			if ctx.Err() != nil {
-				s.err = fmt.Errorf("client: stream %s: %w", id, ctx.Err())
-				return
-			}
-			if errors.Is(streamErr, ErrNotFound) {
-				s.err = streamErr
-				return
-			}
+		if streamErr != nil && ctx.Err() != nil {
+			s.err = fmt.Errorf("client: stream %s: %w", id, ctx.Err())
+			return
 		}
-		// End record seen, or the stream broke with a live context:
-		// either way the poll settles the terminal document.
+		// End record seen, or no usable stream with a live context (broken,
+		// or a router that serves none): either way the poll settles the
+		// terminal document, and answers ErrNotFound for a job really gone.
 		s.st, s.err = c.awaitPoll(ctx, id)
 	}()
 	return s

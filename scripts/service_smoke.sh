@@ -9,6 +9,8 @@
 #   - /metrics agrees: execution, cache-hit and job-state counters all
 #     move as expected across the duplicate submission,
 #   - /jobs/{id}/flight returns the completed job's recorded rounds,
+#   - POST /jobs?wait answers a miss and a hit in one request each, the
+#     inline report byte-identical to what /jobs/{id}/report serves,
 #   - SIGTERM shuts the daemon down cleanly.
 # Needs: go, curl, jq. Used by `make smoke` and the CI service job.
 set -euo pipefail
@@ -106,6 +108,37 @@ FLIGHT_ROUNDS=$(jq -r .rounds_total "${WORK}/flight.json")
 [[ "${FLIGHT_ROUNDS}" == "${PROGRESS}" ]] \
   || fail "flight rounds_total=${FLIGHT_ROUNDS} != streamed progress lines ${PROGRESS}"
 echo "smoke: flight recorder holds ${FLIGHT_ROUNDS} rounds for ${ID1}"
+
+# --- POST /jobs?wait: the whole round trip in one request -------------
+# The answer is {"status":{...},"report":<report>}. jq reads the status;
+# the report is cut out by byte offset instead — jq re-encodes numbers
+# (jq 1.6 rounds the 64-bit seeds), and the claim is about bytes.
+wait_roundtrip() { # SPEC OUT-PREFIX WANT-CACHE-HIT
+  local spec="$1" out="$2" want_hit="$3" code id off
+  code=$(curl -s -o "${out}.json" -w '%{http_code}' \
+    -X POST -H 'Content-Type: application/json' -d "${spec}" "${BASE}/jobs?wait")
+  [[ "${code}" == 200 ]] || fail "POST /jobs?wait returned HTTP ${code} (want 200): $(cat "${out}.json")"
+  jq -e --argjson hit "${want_hit}" \
+    '.status.state == "done" and .status.cache_hit_now == $hit and (.report | type) == "object"' \
+    "${out}.json" >/dev/null || fail "wait answer is not a done job with a report: $(jq -c .status "${out}.json")"
+  id=$(jq -j .status.id "${out}.json")
+  off=$(LC_ALL=C awk '{ print index($0, ",\"report\":"); exit }' "${out}.json")
+  tail -c +"$((off + 10))" "${out}.json" | head -c -1 >"${out}.report"
+  code=$(curl -s -o "${out}.served" -w '%{http_code}' "${BASE}/jobs/${id}/report")
+  [[ "${code}" == 200 ]] || fail "report fetch for ${id} returned HTTP ${code}"
+  cmp -s "${out}.report" "${out}.served" \
+    || fail "inline report of ${id} is not byte-identical to /jobs/${id}/report"
+  echo "${id}"
+}
+SPEC_COLD='{"model":"phold","nodes":2,"workers_per_node":2,"lps_per_worker":8,"end_time":10,"seed":43}'
+IDW=$(wait_roundtrip "${SPEC_COLD}" "${WORK}/wait-miss" false)
+echo "smoke: ${IDW} ran and answered inline (miss)"
+IDW=$(wait_roundtrip "${SPEC}" "${WORK}/wait-hit" true)
+cmp -s "${WORK}/wait-hit.report" "${WORK}/report1.json" \
+  || fail "inline cached report differs from the first execution's"
+EXECS=$(curl -sf "${BASE}/stats" | jq -r .executions)
+[[ "${EXECS}" == 2 ]] || fail "engine executed ${EXECS} times (want 2: the first job and the wait miss)"
+echo "smoke: ${IDW} answered inline from the cache (hit), reports byte-identical"
 
 # --- graceful shutdown ----------------------------------------------
 graceful_stop "${SIMD_PID}"
