@@ -70,9 +70,9 @@ benchdiff:
 	$(GO) run ./cmd/bench -out - | diff -u BENCH_baseline.json -
 
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
-# for the sim kernel, the PE idle loops (BenchmarkCommIdle: an idle comm
-# pass as Poll steps vs the literal loop), the event queue, rollback
-# storm, and full-engine GVT rounds.
+# for the sim kernel, the PE idle-pass machine (BenchmarkIdlePass: an
+# idle comm pass as Poll steps vs the literal loop), the event queue,
+# rollback storm, and full-engine GVT rounds.
 microbench:
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq

@@ -94,10 +94,11 @@ func specs() []spec {
 	}
 }
 
-// measure runs one cell. Conservative cells pin both protocols' committed
-// stream (checksum) and their sync traffic (null messages, sync rounds
-// via gvt_rounds) into the exact-diffed baseline.
-func measure(s spec) (cell, error) {
+// measure runs one cell on the engine build makes of it (run.New).
+// Conservative cells pin both protocols' committed stream (checksum) and
+// their sync traffic (null messages, sync rounds via gvt_rounds) into the
+// exact-diffed baseline.
+func measure(s spec, build func(run.Spec, run.Attach) (run.Engine, error)) (cell, error) {
 	full := s.Spec
 	full.WorkersPerNode, full.LPsPerWorker = 4, 16
 	full.GVTInterval = 4
@@ -107,7 +108,7 @@ func measure(s spec) (cell, error) {
 		at.Metrics = metrics.NewRecorder()
 		at.Trace = trace.NewWriter(io.Discard)
 	}
-	eng, err := run.New(full, at)
+	eng, err := build(full, at)
 	if err != nil {
 		return cell{}, err
 	}
@@ -128,10 +129,10 @@ func measure(s spec) (cell, error) {
 }
 
 // baseline measures every cell, logging one progress line per cell.
-func baseline(progress io.Writer) (document, error) {
+func baseline(progress io.Writer, build func(run.Spec, run.Attach) (run.Engine, error)) (document, error) {
 	doc := document{Schema: Schema}
 	for _, s := range specs() {
-		c, err := measure(s)
+		c, err := measure(s, build)
 		if err != nil {
 			return doc, fmt.Errorf("%s: %w", s.name, err)
 		}
@@ -170,7 +171,7 @@ func main() {
 	out := flag.String("out", "BENCH_baseline.json", "virtual-time baseline output file (- for stdout)")
 	flag.Parse()
 
-	doc, err := baseline(os.Stderr)
+	doc, err := baseline(os.Stderr, run.New)
 	if err == nil {
 		err = write(*out, doc)
 	}

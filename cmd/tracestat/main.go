@@ -317,8 +317,7 @@ func analyze(f io.Reader, buckets int) (*analysis, error) {
 	version, _ := r.Version()
 
 	a := build(version, buckets, commits, rounds, rollbacks, sends, faults, phases, maxAt)
-	a.Imbalance = buildImbalance(commits, rounds, migrations, marks, sends)
-	a.Utilization = buildUtilization(commits, rounds, migrations, marks, sends)
+	a.Imbalance, a.Utilization = buildPlacement(commits, rounds, migrations, marks, sends)
 	return a, nil
 }
 
@@ -530,230 +529,82 @@ func build(version, buckets int, commits []trace.Commit, rounds []trace.Round,
 	return a
 }
 
-// buildImbalance replays the trace's committed stream against the live
-// LP placement to produce the per-node load picture. The cluster shape
-// is inferred from the records themselves: node count from the highest
-// node id on MPI and migration records, LP count from the highest LP id,
-// and the engine's block-contiguous static placement fills in each LP's
-// home node. Migration records then re-home LPs mid-stream, in original
-// record order. Returns nil for single-node traces — there is no
-// between-node balance to analyze.
-func buildImbalance(commits []trace.Commit, rounds []trace.Round,
-	migrations []trace.Migration, marks []imbMark, sends []trace.MPISend) *imbalanceAnalysis {
+// buildPlacement replays the trace's committed stream once against the
+// live LP placement and the Round records, for the two analyses that
+// attribute commits to nodes: the per-node load picture (imbalance) and
+// the desynchronization picture (utilization: how often each node does
+// useful work between observations, and how ragged the cluster's
+// virtual-time horizon is). The cluster shape is inferred from the
+// records themselves: node count from the highest node id on MPI and
+// migration records, LP count from the highest LP id, and the engine's
+// block-contiguous static placement fills in each LP's home node.
+// Migration records then re-home LPs mid-stream, in original record
+// order. Both are nil for single-node traces — there is no between-node
+// balance to analyze — and utilization also without Round records:
+// there is nothing to desynchronize from.
+func buildPlacement(commits []trace.Commit, rounds []trace.Round,
+	migrations []trace.Migration, marks []imbMark, sends []trace.MPISend) (*imbalanceAnalysis, *utilizationAnalysis) {
 
-	maxNode := 0
+	maxNode, maxLP := 0, 0
 	for _, m := range sends {
-		if int(m.Src) > maxNode {
-			maxNode = int(m.Src)
-		}
-		if int(m.Dst) > maxNode {
-			maxNode = int(m.Dst)
-		}
+		maxNode = max(maxNode, int(m.Src), int(m.Dst))
 	}
 	for _, mg := range migrations {
-		if int(mg.SrcNode) > maxNode {
-			maxNode = int(mg.SrcNode)
-		}
-		if int(mg.DstNode) > maxNode {
-			maxNode = int(mg.DstNode)
-		}
+		maxNode = max(maxNode, int(mg.SrcNode), int(mg.DstNode))
+		maxLP = max(maxLP, int(mg.LP))
 	}
 	nodes := maxNode + 1
 	if nodes < 2 || len(commits) == 0 {
-		return nil
+		return nil, nil
 	}
-	maxLP := 0
 	for _, c := range commits {
-		if int(c.LP) > maxLP {
-			maxLP = int(c.LP)
-		}
-	}
-	for _, mg := range migrations {
-		if int(mg.LP) > maxLP {
-			maxLP = int(mg.LP)
-		}
+		maxLP = max(maxLP, int(c.LP))
 	}
 	lpsPerNode := (maxLP + nodes) / nodes // ceil((maxLP+1)/nodes)
-	home := func(lp uint32) int {
-		n := int(lp) / lpsPerNode
-		if n >= nodes {
-			n = nodes - 1
-		}
-		return n
-	}
 
 	var (
 		loc       = map[uint32]int{} // only LPs moved off their home node
 		committed = make([]int64, nodes)
-		frontier  = make([]float64, nodes)
+		frontier  = make([]float64, nodes) // highest committed timestamp so far
+		active    = make([]bool, nodes)    // committed since the last Round record
+		activeCt  = make([]int64, nodes)
 		lagSum    = make([]float64, nodes)
 		maxLag    = make([]float64, nodes)
-		lagRounds int64
 		in        = make([]int64, nodes)
 		out       = make([]int64, nodes)
+		roundsN   int64
+		widthSum  float64
+		sdSum     float64
 	)
-	attribute := func(c trace.Commit) {
-		n, moved := loc[c.LP]
-		if !moved {
-			n = home(c.LP)
-		}
-		committed[n]++
-		if c.T > frontier[n] {
-			frontier[n] = c.T
+	ci := 0
+	attributeUntil := func(end int) {
+		for ; ci < end; ci++ {
+			c := commits[ci]
+			n, moved := loc[c.LP]
+			if !moved {
+				n = min(int(c.LP)/lpsPerNode, nodes-1)
+			}
+			committed[n]++
+			active[n] = true
+			frontier[n] = max(frontier[n], c.T)
 		}
 	}
-	ci := 0
 	for _, mk := range marks {
-		for ; ci < mk.at; ci++ {
-			attribute(commits[ci])
-		}
+		attributeUntil(mk.at)
 		switch mk.kind {
 		case markRound:
 			gvt := rounds[mk.idx].GVT
-			lagRounds++
-			for n := 0; n < nodes; n++ {
-				lag := gvt - frontier[n]
-				if lag < 0 {
-					lag = 0
-				}
-				lagSum[n] += lag
-				if lag > maxLag[n] {
-					maxLag[n] = lag
-				}
-			}
-		case markMigration:
-			mg := migrations[mk.idx]
-			loc[mg.LP] = int(mg.DstNode)
-			out[mg.SrcNode]++
-			in[mg.DstNode]++
-		}
-	}
-	for ; ci < len(commits); ci++ {
-		attribute(commits[ci])
-	}
-
-	a := &imbalanceAnalysis{Nodes: make([]nodeShare, 0, nodes), MinShare: 1}
-	total := int64(len(commits))
-	for n := 0; n < nodes; n++ {
-		s := nodeShare{
-			Node: n, Committed: committed[n],
-			Share:  float64(committed[n]) / float64(total),
-			MaxLag: maxLag[n],
-			LPsIn:  in[n], LPsOut: out[n],
-		}
-		if lagRounds > 0 {
-			s.MeanLag = lagSum[n] / float64(lagRounds)
-		}
-		if s.Share > a.MaxShare {
-			a.MaxShare = s.Share
-		}
-		if s.Share < a.MinShare {
-			a.MinShare = s.Share
-		}
-		a.Nodes = append(a.Nodes, s)
-	}
-	for _, mg := range migrations {
-		a.Migrations++
-		a.MigratedEvents += int64(mg.Events)
-		a.Moves = append(a.Moves, migrationPoint{
-			LP: mg.LP, Src: int(mg.SrcNode), Dst: int(mg.DstNode),
-			Round: mg.Round, Events: mg.Events, AtNanos: mg.AtNanos,
-		})
-	}
-	return a
-}
-
-// buildUtilization replays the committed stream against the Round
-// records to measure desynchronization: how often each node does useful
-// work between observations, and how ragged the cluster's virtual-time
-// horizon is. Node inference and live LP placement follow
-// buildImbalance. Returns nil for single-node traces or traces without
-// Round records — there is nothing to desynchronize from.
-func buildUtilization(commits []trace.Commit, rounds []trace.Round,
-	migrations []trace.Migration, marks []imbMark, sends []trace.MPISend) *utilizationAnalysis {
-
-	maxNode := 0
-	for _, m := range sends {
-		if int(m.Src) > maxNode {
-			maxNode = int(m.Src)
-		}
-		if int(m.Dst) > maxNode {
-			maxNode = int(m.Dst)
-		}
-	}
-	for _, mg := range migrations {
-		if int(mg.SrcNode) > maxNode {
-			maxNode = int(mg.SrcNode)
-		}
-		if int(mg.DstNode) > maxNode {
-			maxNode = int(mg.DstNode)
-		}
-	}
-	nodes := maxNode + 1
-	if nodes < 2 || len(commits) == 0 || len(rounds) == 0 {
-		return nil
-	}
-	maxLP := 0
-	for _, c := range commits {
-		if int(c.LP) > maxLP {
-			maxLP = int(c.LP)
-		}
-	}
-	for _, mg := range migrations {
-		if int(mg.LP) > maxLP {
-			maxLP = int(mg.LP)
-		}
-	}
-	lpsPerNode := (maxLP + nodes) / nodes
-	home := func(lp uint32) int {
-		n := int(lp) / lpsPerNode
-		if n >= nodes {
-			n = nodes - 1
-		}
-		return n
-	}
-
-	var (
-		loc      = map[uint32]int{} // only LPs moved off their home node
-		active   = make([]bool, nodes)
-		activeCt = make([]int64, nodes)
-		frontier = make([]float64, nodes)
-		roundsN  int64
-		widthSum float64
-		sdSum    float64
-	)
-	attribute := func(c trace.Commit) {
-		n, moved := loc[c.LP]
-		if !moved {
-			n = home(c.LP)
-		}
-		active[n] = true
-		if c.T > frontier[n] {
-			frontier[n] = c.T
-		}
-	}
-	ci := 0
-	for _, mk := range marks {
-		for ; ci < mk.at; ci++ {
-			attribute(commits[ci])
-		}
-		switch mk.kind {
-		case markRound:
 			roundsN++
-			for n := range active {
+			lo, hi, sum := frontier[0], frontier[0], 0.0
+			for n, f := range frontier {
+				lag := max(gvt-f, 0)
+				lagSum[n] += lag
+				maxLag[n] = max(maxLag[n], lag)
 				if active[n] {
 					activeCt[n]++
 				}
 				active[n] = false
-			}
-			lo, hi, sum := frontier[0], frontier[0], 0.0
-			for _, f := range frontier {
-				if f < lo {
-					lo = f
-				}
-				if f > hi {
-					hi = f
-				}
+				lo, hi = min(lo, f), max(hi, f)
 				sum += f
 			}
 			widthSum += hi - lo
@@ -764,14 +615,46 @@ func buildUtilization(commits []trace.Commit, rounds []trace.Round,
 			}
 			sdSum += math.Sqrt(varSum / float64(nodes))
 		case markMigration:
-			loc[migrations[mk.idx].LP] = int(migrations[mk.idx].DstNode)
+			mg := migrations[mk.idx]
+			loc[mg.LP] = int(mg.DstNode)
+			out[mg.SrcNode]++
+			in[mg.DstNode]++
 		}
 	}
-	// Commits after the final Round record fall outside the observation
-	// window and are ignored, keeping every node's denominator the
-	// number of Round records.
+	// Commits after the final Round record count toward the shares only:
+	// they fall outside the observation window, which keeps every node's
+	// utilization denominator the number of Round records.
+	attributeUntil(len(commits))
 
-	a := &utilizationAnalysis{
+	imb := &imbalanceAnalysis{Nodes: make([]nodeShare, 0, nodes), MinShare: 1}
+	total := int64(len(commits))
+	for n := 0; n < nodes; n++ {
+		s := nodeShare{
+			Node: n, Committed: committed[n],
+			Share:  float64(committed[n]) / float64(total),
+			MaxLag: maxLag[n],
+			LPsIn:  in[n], LPsOut: out[n],
+		}
+		if roundsN > 0 {
+			s.MeanLag = lagSum[n] / float64(roundsN)
+		}
+		imb.MaxShare = max(imb.MaxShare, s.Share)
+		imb.MinShare = min(imb.MinShare, s.Share)
+		imb.Nodes = append(imb.Nodes, s)
+	}
+	for _, mg := range migrations {
+		imb.Migrations++
+		imb.MigratedEvents += int64(mg.Events)
+		imb.Moves = append(imb.Moves, migrationPoint{
+			LP: mg.LP, Src: int(mg.SrcNode), Dst: int(mg.DstNode),
+			Round: mg.Round, Events: mg.Events, AtNanos: mg.AtNanos,
+		})
+	}
+	if roundsN == 0 {
+		return imb, nil
+	}
+
+	ut := &utilizationAnalysis{
 		Rounds:            roundsN,
 		Nodes:             make([]nodeUtilization, 0, nodes),
 		MinUtilization:    1,
@@ -780,13 +663,11 @@ func buildUtilization(commits []trace.Commit, rounds []trace.Round,
 	}
 	for n := 0; n < nodes; n++ {
 		u := float64(activeCt[n]) / float64(roundsN)
-		a.Nodes = append(a.Nodes, nodeUtilization{Node: n, ActiveRounds: activeCt[n], Utilization: u})
-		if u < a.MinUtilization {
-			a.MinUtilization = u
-		}
-		a.MeanUtilization += u / float64(nodes)
+		ut.Nodes = append(ut.Nodes, nodeUtilization{Node: n, ActiveRounds: activeCt[n], Utilization: u})
+		ut.MinUtilization = min(ut.MinUtilization, u)
+		ut.MeanUtilization += u / float64(nodes)
 	}
-	return a
+	return imb, ut
 }
 
 // render prints the human-readable report.

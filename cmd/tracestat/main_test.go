@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/conservative"
 	"repro/internal/phold"
+	"repro/internal/run"
 	"repro/internal/trace"
 )
 
@@ -165,4 +166,62 @@ func genSingleNodeTrace(t *testing.T) []byte {
 		t.Fatalf("flush: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// genMigratingTrace runs a small Time Warp configuration whose straggler
+// node makes the greedy balancer migrate LPs, and returns its trace.
+func genMigratingTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf)
+	eng, err := run.New(run.Spec{
+		Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 4, GVT: "ca-gvt",
+		Balance: "greedy", Faults: "straggler", EndTime: 60, Seed: 3,
+	}, run.Attach{Trace: tw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := eng.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if r.Migrations == 0 {
+		t.Fatal("the run migrated no LP: the trace does not exercise the placement replay")
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestImbalanceGolden pins the -json document of a Time Warp trace with
+// migrations, so the imbalance analysis — per-node shares replayed
+// against the migration marks — is held to golden bytes as the
+// conservative analyses are. Regenerate with -update.
+func TestImbalanceGolden(t *testing.T) {
+	a, err := analyze(bytes.NewReader(genMigratingTrace(t)), 20)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	if a.Imbalance == nil || a.Imbalance.Migrations == 0 {
+		t.Fatalf("imbalance analysis %+v saw no migration", a.Imbalance)
+	}
+	got, err := json.MarshalIndent(a, "", " ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "timewarp_migrating.golden.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("analysis differs from %s (run with -update after intentional changes)\ngot:\n%s", golden, got)
+	}
 }

@@ -98,13 +98,11 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 
 // recvInbound consumes up to budget inbound messages (budget <= 0 means
 // all): events are deposited with their destination worker, null
-// messages ratchet the per-peer promise channel. held: an idle comm pass
-// handed back inside the first receive's probe (pe.Node.CommLoop).
-func (n *node) recvInbound(p *sim.Proc, budget int, held bool) bool {
+// messages ratchet the per-peer promise channel.
+func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 	got := false
 	for i := 0; budget <= 0 || i < budget; i++ {
-		m, ok := n.Recv(p, mpi.AnySource, tagEvents, held)
-		held = false
+		m, ok := n.Rank.TryRecv(p, tagEvents)
 		if !ok {
 			break
 		}

@@ -42,14 +42,15 @@ func (w *worker) safeBound() vtime.Time {
 	return safe
 }
 
-// runNullmsg is the worker side of the protocol. A pass that finds
-// nothing ends in Idle, which runs the idle passes that follow inside the
-// kernel and comes back when one needs this loop again.
+// runNullmsg is the worker side of the protocol: a pass drains the inbox
+// (stage 0) and processes what the safe bound allows (stage 1). A pass
+// that finds nothing ends in Idle, which runs the idle passes that follow
+// inside the kernel and names the stage at which one needs this loop
+// again.
 func (w *worker) runNullmsg(p *sim.Proc) {
-	drained := false // Idle already paid for this pass's (empty) inbox drain
-	for {
-		worked := !drained && w.drainInbox(p)
-		drained = false
+	for from := 0; ; {
+		worked := from == 0 && w.drainInbox(p)
+		from = 0
 		safe := w.safeBound()
 		if w.processBatch(p, safe) {
 			worked = true
@@ -63,7 +64,7 @@ func (w *worker) runNullmsg(p *sim.Proc) {
 			return
 		}
 		w.SetPhase(trace.PhaseIdle)
-		drained = w.Idle(p)
+		from = w.Idle(p)
 	}
 }
 
@@ -73,11 +74,11 @@ func (w *worker) finished(safe vtime.Time) bool {
 	return safe > w.eng.end && w.eng.horizonFloor(w.floorLive()) == vtime.Inf
 }
 
-// nullmsgBusy is pe.Worker.Busy under this protocol: with the inbox just
-// found empty, the rest of the pass would process an event or exit.
-func (w *worker) nullmsgBusy() bool {
+// blocked is stage 1 of the idle pass: the bound lets nothing be
+// processed, and the run is not over.
+func (w *worker) blocked() bool {
 	safe := w.safeBound()
-	return w.runnable(safe) != nil || w.finished(safe)
+	return w.runnable(safe) == nil && !w.finished(safe)
 }
 
 // eotPromise computes the EOT bound this node can currently promise its
@@ -166,14 +167,14 @@ const (
 // ways and keep the promises flowing until every local worker is done,
 // then sign off with a final infinite promise so peers can finish too.
 func (n *node) commNullmsg(p *sim.Proc) {
-	n.CommLoop(p, func(p *sim.Proc, from int, held bool) bool {
+	n.CommLoop(p, func(p *sim.Proc, from int) bool {
 		worked := false
 		switch from {
 		case stOutbox:
 			worked = n.flushEvents(p, pumpBudget)
 			fallthrough
 		case stRecv:
-			worked = n.recvInbound(p, pumpBudget, held) || worked
+			worked = n.recvInbound(p, pumpBudget) || worked
 			fallthrough
 		case stNulls:
 			worked = n.sendNulls(p) || worked

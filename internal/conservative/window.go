@@ -71,7 +71,7 @@ func (n *node) commWindow(p *sim.Proc) {
 		for {
 			n.bar1.Wait(p)
 			n.flushEvents(p, 0)
-			n.recvInbound(p, 0, false)
+			n.recvInbound(p, 0)
 			n.transit = n.Rank.AllreduceSum(p, n.evSent-n.evRecv)
 			n.bar2.Wait(p)
 			if n.transit == 0 {

@@ -53,7 +53,7 @@ func newWorker(n *node) *worker {
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	if n.eng.cfg.Sync != SyncWindow {
-		w.Busy = w.nullmsgBusy
+		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.QuietProbe(w.blocked))
 	}
 	return w
 }

@@ -31,7 +31,7 @@ func (w *worker) barrierWorkerRound() {
 	n := w.node
 	p := w.Proc
 	cost := &w.node.Cost
-	comm := w.commRole() == commPumpAndGVT
+	comm := w.leadsComm()
 	gvtStart := p.Now()
 	w.SetPhase(trace.PhaseGVT)
 
@@ -56,7 +56,7 @@ func (w *worker) barrierWorkerRound() {
 		if comm {
 			// Keep remote messages moving or the transit count can never
 			// reach zero.
-			n.pump(p)
+			n.pumpFrom(p, stOutbox)
 		}
 	}
 
@@ -81,7 +81,7 @@ func (n *node) commBarrierRound(p *sim.Proc) {
 		if n.transit == 0 {
 			break
 		}
-		n.pump(p)
+		n.pumpFrom(p, stOutbox)
 	}
 	n.barrierWait(p, n.gvtBar, nil)
 	n.commBarrierFinish(p)

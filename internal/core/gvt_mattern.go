@@ -147,7 +147,7 @@ func (w *worker) matternPoll() {
 	p := w.Proc
 	cost := &w.node.Cost
 	ca := w.eng.cfg.GVT == GVTControlled
-	isCommLeader := w.commRole() == commPumpAndGVT
+	isCommLeader := w.leadsComm()
 
 	switch w.mstate {
 	case wIdle:
@@ -240,26 +240,24 @@ func (cm *nodeCM) allRed() bool { return cm.phase == phOpen && cm.redCount == cm
 // matternCommPoll advances the comm role of Mattern/CA-GVT by one step.
 // It is called by the dedicated MPI thread, or by worker 0 in
 // combined/shared modes (where the worker-side poll handles sync points),
-// from stGVT. The dedicated thread's idle pass can also hand back further
-// in (from stRing or stGVTTail, see commProbes): what comes before the
-// resume point was evaluated when the pass got there, found nothing to do
-// and — the sync-point conditions can turn true while the ring is probed
-// — must not be evaluated again.
-func (n *node) matternCommPoll(p *sim.Proc, from int, held bool) bool {
+// from stGVT. An idle pass can also hand back further in (from stRing or
+// stGVTTail, see commProbes): what comes before the resume point was
+// evaluated when the pass got there, found nothing to do and — the
+// sync-point conditions can turn true while the ring is probed — must not
+// be evaluated again (past stGVTTail, that is all of it).
+func (n *node) matternCommPoll(p *sim.Proc, from int) bool {
 	worked := false
 	switch from {
 	case stGVT:
 		// The dedicated comm thread participates in the sync points of CA
 		// (or watchdog-forced) synchronous rounds.
-		if n.eng.cfg.Comm == CommDedicated {
-			worked = n.commSyncPoints(p)
-		}
+		worked = n.commSyncPoints(p)
 		fallthrough
 	case stRing:
 		if n.ID == 0 {
-			worked = n.masterPoll(p, held) || worked
+			worked = n.masterPoll(p) || worked
 		} else {
-			worked = n.slavePoll(p, held) || worked
+			worked = n.slavePoll(p) || worked
 		}
 		fallthrough
 	case stGVTTail:
@@ -278,10 +276,12 @@ func (n *node) matternCommPoll(p *sim.Proc, from int, held bool) bool {
 }
 
 // syncDue reports whether the dedicated comm thread has yet to join sync
-// point k (0, 1, 2) of a synchronous round that has reached it.
+// point k (0, 1, 2) of a synchronous round that has reached it. A worker
+// carrying the comm role meets the sync points in its own poll
+// (matternPoll), so for it none is ever due here.
 func (n *node) syncDue(k int) bool {
 	cm := &n.cm
-	if !cm.syncCur || n.syncDone[k] {
+	if n.eng.cfg.Comm != CommDedicated || !cm.syncCur || n.syncDone[k] {
 		return false
 	}
 	switch k {
@@ -322,7 +322,7 @@ func (n *node) cleanupDue() bool {
 		(!cm.syncCur || n.eng.cfg.Comm != CommDedicated || n.syncDone[2])
 }
 
-// The three predicates of the dedicated thread's idle pass (commProbes).
+// The three predicates of the comm role's idle pass (commProbes).
 // Each answers for this instant and changes nothing; "not quiet" is always
 // safe, since the pass is then handed back to matternCommPoll at that
 // stage.
@@ -422,9 +422,8 @@ func (n *node) watchdogExpired() bool {
 	return false
 }
 
-// masterPoll runs node 0's ring-master duties. held: the idle pass handed
-// back inside the ring probe, whose receive is due its second half only.
-func (n *node) masterPoll(p *sim.Proc, held bool) bool {
+// masterPoll runs node 0's ring-master duties.
+func (n *node) masterPoll(p *sim.Proc) bool {
 	cm := &n.cm
 	eng := n.eng
 	ca := eng.cfg.GVT == GVTControlled
@@ -450,7 +449,7 @@ func (n *node) masterPoll(p *sim.Proc, held bool) bool {
 		return true
 
 	case msWaitA:
-		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -486,7 +485,7 @@ func (n *node) masterPoll(p *sim.Proc, held bool) bool {
 		return true
 
 	case msWaitB:
-		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -502,7 +501,7 @@ func (n *node) masterPoll(p *sim.Proc, held bool) bool {
 		return true
 
 	case msWaitC:
-		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}
@@ -540,14 +539,13 @@ func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
 }
 
 // slavePoll runs a non-master node's ring duties: fold local state into
-// tokens as their preconditions are met, then forward them. held is as
-// for masterPoll.
-func (n *node) slavePoll(p *sim.Proc, held bool) bool {
+// tokens as their preconditions are met, then forward them.
+func (n *node) slavePoll(p *sim.Proc) bool {
 	cm := &n.cm
 	tok := n.heldToken
 	n.heldToken = nil
 	if tok == nil {
-		m, ok := n.Recv(p, n.Rank.Prev(), tagToken, held)
+		m, ok := n.Rank.TryRecvRing(p, tagToken)
 		if !ok {
 			return false
 		}

@@ -158,7 +158,7 @@ func (w *worker) samadiPoll() {
 	w.passes = 0
 	n := w.node
 	p := w.Proc
-	comm := w.commRole() == commPumpAndGVT
+	comm := w.leadsComm()
 	gvtStart := p.Now()
 	w.SetPhase(trace.PhaseGVT)
 

@@ -109,10 +109,11 @@ func (n *node) mailboxLock(kind string, idx int) *sim.Mutex {
 	return &sim.Mutex{Name: fmt.Sprintf("%s-%d/%d", kind, n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 }
 
-// The stages of a comm pass, in the order a pass runs them. The dedicated
-// MPI thread's idle passes are stepped through commProbes, which lists
-// what each stage is when it finds nothing, and a pass can be resumed at
-// any of them (pe.Node.CommLoop).
+// The stages of a comm pass, in the order a pass runs them. Idle passes
+// are stepped through commProbes, which lists what each stage is when it
+// finds nothing, and a pass can be resumed at any of them — by the
+// dedicated MPI thread (pe.Node.CommLoop) or by a worker carrying the comm
+// role, whose own pass has these stages in its middle (worker.run).
 const (
 	stOutbox     = iota // remote events, outbox → wire
 	stOutMigs           // queued LP migrations → wire (balancer runs)
@@ -150,13 +151,24 @@ func (n *node) commProbes() []pe.Probe {
 
 // commPass is one pass of the dedicated MPI thread, which exclusively
 // services MPI sends, receives and the GVT algorithm's MPI duties (the
-// paper's proposal), run from stage from.
-func (n *node) commPass(p *sim.Proc, from int, held bool) bool {
-	if from >= stGVT {
-		return n.gvtCommPoll(p, from, held)
+// paper's proposal), run from stage from: the pump, then the thread's
+// part in the configured GVT algorithm — stGVT is all of it, and the later
+// stages are where an idle pass can hand back inside a Mattern poll. (In
+// combined/shared modes worker 0 carries the role: Barrier and Samadi
+// rounds inline it, and the worker calls matternCommPoll itself.)
+func (n *node) commPass(p *sim.Proc, from int) bool {
+	worked := n.pumpFrom(p, from)
+	switch gvt := n.eng.cfg.GVT; {
+	case gvt == GVTMattern || gvt == GVTControlled:
+		return n.matternCommPoll(p, max(from, stGVT)) || worked
+	case !n.gvtReq:
+		return worked
+	case gvt == GVTBarrier:
+		n.commBarrierRound(p)
+	default:
+		n.commSamadiRound(p)
 	}
-	worked := n.pumpFrom(p, from, held)
-	return n.gvtCommPoll(p, stGVT, false) || worked
+	return true
 }
 
 // pumpBudget bounds how many messages one pump call moves in each
@@ -165,23 +177,14 @@ func (n *node) commPass(p *sim.Proc, from int, held bool) bool {
 // between its service loops).
 const pumpBudget = 32
 
-// pump moves remote messages in both directions: it drains the node's
+// pumpFrom moves remote messages in both directions, from stage from on
+// (stOutbox: all of it; from stGVT on: nothing): it drains the node's
 // outbound queues onto the wire and routes arrived MPI messages into the
 // target workers' mailboxes. It returns whether any message moved.
-func (n *node) pump(p *sim.Proc) bool { return n.pumpFrom(p, stOutbox, false) }
-
-// pumpFrom is pump from stage from on. held says the idle pass handed
-// back inside that stage's probe: its first receive is due its second
-// half only.
-func (n *node) pumpFrom(p *sim.Proc, from int, held bool) bool {
+func (n *node) pumpFrom(p *sim.Proc, from int) bool {
 	worked := false
 	wpn := n.eng.cfg.Topology.WorkersPerNode
 	routing := n.eng.routing
-	recv := func(tag int) (mpi.Message, bool) {
-		m, ok := n.Recv(p, mpi.AnySource, tag, held)
-		held = false
-		return m, ok
-	}
 	switch from {
 	case stOutbox:
 		out, backlog := n.Out.Take(p, pumpBudget)
@@ -223,7 +226,7 @@ func (n *node) pumpFrom(p *sim.Proc, from int, held bool) bool {
 		fallthrough
 	case stRecvEvents:
 		for i := 0; i < pumpBudget; i++ {
-			m, ok := recv(tagEvents)
+			m, ok := n.Rank.TryRecv(p, tagEvents)
 			if !ok {
 				break
 			}
@@ -245,7 +248,7 @@ func (n *node) pumpFrom(p *sim.Proc, from int, held bool) bool {
 		fallthrough
 	case stRecvMigs:
 		for i := 0; n.eng.migEnabled && i < pumpBudget; i++ {
-			m, ok := recv(tagMigrate)
+			m, ok := n.Rank.TryRecv(p, tagMigrate)
 			if !ok {
 				break
 			}
@@ -257,7 +260,7 @@ func (n *node) pumpFrom(p *sim.Proc, from int, held bool) bool {
 		fallthrough
 	case stRecvAcks:
 		for i := 0; i < pumpBudget; i++ {
-			m, ok := recv(tagAcks)
+			m, ok := n.Rank.TryRecv(p, tagAcks)
 			if !ok {
 				break
 			}
@@ -275,30 +278,6 @@ func (n *node) remoteOut(p *sim.Proc, ev *event.Event) {
 	n.Out.Deposit(p, ev)
 	if h := n.eng.hOutboxDepth; h != nil {
 		h.Observe(int64(n.Out.Len()))
-	}
-}
-
-// gvtCommPoll runs the dedicated MPI thread's part in the configured GVT
-// algorithm from stage from: stGVT is all of it, and the later stages,
-// with held, are where an idle pass can hand back inside a Mattern poll.
-// (In combined/shared modes worker 0 carries the role: Barrier and Samadi
-// rounds inline it, and the worker calls matternCommPoll itself.)
-func (n *node) gvtCommPoll(p *sim.Proc, from int, held bool) bool {
-	switch n.eng.cfg.GVT {
-	case GVTBarrier:
-		if n.gvtReq {
-			n.commBarrierRound(p)
-			return true
-		}
-		return false
-	case GVTSamadi:
-		if n.gvtReq {
-			n.commSamadiRound(p)
-			return true
-		}
-		return false
-	default:
-		return n.matternCommPoll(p, from, held)
 	}
 }
 

@@ -79,12 +79,7 @@ func newWorker(eng *Engine, n *node) *worker {
 	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
 	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
 	w.unacked.init()
-	// Idle can stand in for a main-loop pass that is an inbox drain, a
-	// look at the pending set and a quiet GVT poll. A pass that also drains
-	// migrations or acknowledgements, or pumps MPI, always needs run.
-	if !eng.migEnabled && !eng.samadiEnabled() && w.commRole() == commNone {
-		w.Busy = w.busy
-	}
+	w.IdlePass(w.finished, w.creditIdlePass, w.idleProbes()...)
 	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
 	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
 		l := &lp{}
@@ -178,43 +173,71 @@ func (w *worker) localMin() float64 {
 	return min
 }
 
+// The stages of a main-loop pass, in the order run runs them. idleProbes
+// lists what each is when it finds nothing, and Idle names the one run
+// resumes a pass at.
+const (
+	wsMigs  = iota                   // arrived LP migrations (balancer runs)
+	wsInbox                          // deposited messages
+	wsAcks                           // Samadi acknowledgements
+	wsBatch                          // a batch of pending events
+	wsComm                           // the node's comm stages (wsComm + st*), for a worker carrying the comm role
+	wsGVT   = wsComm + stGVTTail + 1 // the worker's side of the GVT algorithm
+)
+
+// idleProbes is the main-loop pass as it is when nothing happens, stage
+// for stage (the index of a probe is its ws* constant).
+func (w *worker) idleProbes() []pe.Probe {
+	pass := make([]pe.Probe, wsGVT+1)
+	if w.eng.migEnabled {
+		pass[wsMigs] = pe.QuietProbe(func() bool { return w.migIn.Len() == 0 })
+	}
+	pass[wsInbox] = pe.TakeProbe(&w.Inbox)
+	if w.eng.samadiEnabled() {
+		pass[wsAcks] = pe.TakeProbe(&w.ackIn)
+	}
+	pass[wsBatch] = pe.QuietProbe(func() bool { return !w.capped() && w.drainedToHorizon() })
+	if w.pumps() {
+		comm := w.node.commProbes()
+		if !w.leadsRing() {
+			comm = comm[:stGVT]
+		}
+		copy(pass[wsComm:], comm)
+	}
+	pass[wsGVT] = pe.QuietProbe(func() bool {
+		_, passes := w.idleCredit() // the pass got past wsBatch: drained to the horizon
+		return w.gvtQuiet(passes)
+	})
+	return pass
+}
+
 // run is the worker thread's main loop: drain mailbox, process a batch of
 // events, service MPI if this worker carries the comm role, and drive the
 // GVT algorithm — until GVT passes the end time. A pass that did none of
 // it ends in Idle, which runs the idle passes that follow inside the
-// kernel and comes back when one needs this loop again.
+// kernel and names the stage at which one needs this loop again.
 func (w *worker) run(p *sim.Proc) {
-	cfg := &w.eng.cfg
-	commRole := w.commRole()
-	samadi := w.eng.samadiEnabled()
-	drained := false // Idle already paid for this pass's (empty) inbox drain
-	for w.gvtView <= cfg.EndTime {
+	pumps, leadsRing := w.pumps(), w.leadsRing()
+	for from := 0; !w.finished(); {
 		worked := false
-		if w.eng.migEnabled && w.drainMigrations() {
+		if from <= wsMigs && w.eng.migEnabled && w.drainMigrations() {
 			worked = true
 		}
-		if !drained && w.drainInbox() {
+		if from <= wsInbox && w.drainInbox() {
 			worked = true
 		}
-		if samadi && w.drainAcks() {
+		if from <= wsAcks && w.eng.samadiEnabled() && w.drainAcks() {
 			worked = true
 		}
-		if w.processBatch() {
+		if from <= wsBatch && w.processBatch() {
 			worked = true
 		}
-		if commRole == commPump || commRole == commPumpAndGVT {
-			if w.node.pump(p) {
-				worked = true
-			}
+		comm := max(from-wsComm, stOutbox) // the comm stage to resume at; at wsGVT, past the last
+		if pumps && w.node.pumpFrom(p, comm) {
+			worked = true
 		}
-		// The comm-leading worker also drives the GVT comm role for the
-		// token-based algorithms; Barrier and Samadi GVT inline their comm
-		// duties in the worker's own round (between the two node barriers,
-		// Algorithm 1 line 12).
-		if commRole == commPumpAndGVT && (cfg.GVT == GVTMattern || cfg.GVT == GVTControlled) {
-			if w.node.matternCommPoll(p, stGVT, false) {
-				worked = true
-			}
+		if leadsRing && w.node.matternCommPoll(p, max(comm, stGVT)) {
+			worked = true
 		}
 		if worked {
 			w.SetPhase(trace.PhaseProcessing)
@@ -222,53 +245,32 @@ func (w *worker) run(p *sim.Proc) {
 			w.SetPhase(trace.PhaseIdle)
 		}
 		w.gvtPoll(worked)
-		if w.gvtView > cfg.EndTime {
-			w.Busy = nil // no pass follows this one for Idle to stand in for
+		from = 0
+		if !worked {
+			from = w.Idle(p)
 		}
-		drained = !worked && w.Idle(p)
 	}
 }
 
-// busy is the worker's pe.Worker.Busy: with the inbox just found empty,
-// the rest of the pass would process an event, request a round because of
-// the uncommitted cap, or move the GVT algorithm. When it would not, the
-// pass only counts itself toward the GVT interval, and busy counts it.
-func (w *worker) busy() bool {
-	if w.capped() || !w.drainedToHorizon() {
-		return true
-	}
-	idlePasses, passes := w.idleCredit()
-	if !w.gvtQuiet(passes) {
-		return true
-	}
-	w.idlePasses, w.passes = idlePasses, passes
-	return false
-}
+// finished is run's loop test: GVT has passed the end time.
+func (w *worker) finished() bool { return w.gvtView > w.eng.cfg.EndTime }
 
-// commRoleKind describes what communication duties this worker carries.
-type commRoleKind int
+// leadsComm reports whether this worker carries the node's comm role —
+// worker 0 where no thread is dedicated to it: it pumps MPI and does the
+// GVT algorithm's MPI duties.
+func (w *worker) leadsComm() bool { return w.Idx == 0 && w.eng.cfg.Comm != CommDedicated }
 
-const (
-	commNone       commRoleKind = iota // dedicated thread does everything
-	commPump                           // shared mode, non-leader: pump only
-	commPumpAndGVT                     // combined mode leader / shared leader
-)
+// pumps reports whether this worker's pass pumps MPI: the comm leader,
+// and in shared mode every worker.
+func (w *worker) pumps() bool { return w.leadsComm() || w.eng.cfg.Comm == CommShared }
 
-func (w *worker) commRole() commRoleKind {
-	switch w.eng.cfg.Comm {
-	case CommDedicated:
-		return commNone
-	case CommCombined:
-		if w.Idx == 0 {
-			return commPumpAndGVT
-		}
-		return commNone
-	default: // CommShared
-		if w.Idx == 0 {
-			return commPumpAndGVT
-		}
-		return commPump
-	}
+// leadsRing reports whether this worker's pass includes the comm role of
+// a token-based GVT algorithm. Barrier and Samadi GVT inline their comm
+// duties in the worker's own round (between the two node barriers,
+// Algorithm 1 line 12).
+func (w *worker) leadsRing() bool {
+	gvt := w.eng.cfg.GVT
+	return w.leadsComm() && (gvt == GVTMattern || gvt == GVTControlled)
 }
 
 // drainInbox consumes every deposited message: counts it for GVT
@@ -658,7 +660,7 @@ func (w *worker) gvtPoll(worked bool) {
 	if worked {
 		w.idleRounds = 0
 	} else if w.drainedToHorizon() {
-		w.idlePasses, w.passes = w.idleCredit()
+		w.creditIdlePass()
 	}
 	if w.gvtQuiet(w.passes) {
 		return
@@ -687,6 +689,11 @@ func (w *worker) idleCredit() (idlePasses, passes int) {
 	}
 	return w.idlePasses + 1, w.passes
 }
+
+// creditIdlePass counts a pass that did nothing with nothing left inside
+// the horizon. As the end of an idle pass it need not look: the batch
+// stage found the worker drained, and only this thread changes that.
+func (w *worker) creditIdlePass() { w.idlePasses, w.passes = w.idleCredit() }
 
 // gvtQuiet reports whether, with the interval counter at passes, this
 // pass leaves the GVT algorithm where it is: no round to start or join,

@@ -111,6 +111,12 @@ type Rank struct {
 	head  int
 	// rel is the reliable-transport state; nil when disabled.
 	rel *reliable
+	// paid is a TryRecvFrom a Poll step took as far as a match (EndProbe):
+	// by holds the lock and has paid for the poll of (src, tag).
+	paid struct {
+		by       *sim.Proc
+		src, tag int
+	}
 }
 
 // ID returns the rank number.
@@ -195,11 +201,26 @@ func (r *Rank) take(src, tag int) (Message, bool) {
 
 // TryRecvFrom polls for a message from src (AnySource: from anyone) with
 // the given tag: the MPI lock, MPI_Iprobe's cost and, on a match,
-// MPI_Recv's. It returns ok=false when none is available.
+// MPI_Recv's. It returns ok=false when none is available. When p's own
+// probe has paid lock and poll already (EndProbe), this call is that
+// receive's completion and must name the same (src, tag).
 func (r *Rank) TryRecvFrom(p *sim.Proc, src, tag int) (Message, bool) {
-	r.lock.Lock(p)
-	p.Advance(r.world.costs.Poll)
-	return r.FinishRecv(p, src, tag)
+	if r.paid.by == p {
+		if r.paid.src != src || r.paid.tag != tag {
+			panic(fmt.Sprintf("mpi: %s polls (src %d, tag %d) on rank %d with its probe of (src %d, tag %d) not completed",
+				p.Name(), src, tag, r.id, r.paid.src, r.paid.tag))
+		}
+		r.paid.by = nil
+	} else {
+		r.lock.Lock(p)
+		p.Advance(r.world.costs.Poll)
+	}
+	m, ok := r.take(src, tag)
+	if ok {
+		p.Advance(r.world.costs.Recv)
+	}
+	r.lock.Unlock(p)
+	return m, ok
 }
 
 // TryRecv polls for any message with the given tag (MPI_Iprobe +
@@ -222,34 +243,27 @@ func (r *Rank) RecvFrom(p *sim.Proc, src, tag int) Message {
 // A TryRecvFrom that finds nothing, taken apart so that a sim.Proc.Poll
 // step, which may not block, can make it: TryProbe takes the lock, the
 // caller lets Costs.LockHold (when positive) and then Costs.Poll pass —
-// the two kernel events Lock and Advance(Costs.Poll) are — and at that
-// instant either nothing matching is stashed (Matches) and EndProbe
-// releases the lock, or something is, because the fabric delivered it
-// while the probe's cost elapsed, and the caller, back in process
-// context, completes the receive with FinishRecv. Either way the lock is
-// held exactly as long as TryRecvFrom holds it.
+// the two kernel events Lock and Advance(Costs.Poll) are — and calls
+// EndProbe. Either way the lock is held exactly as long as TryRecvFrom
+// holds it.
 
 // TryProbe starts a probe without blocking or charging: it takes the MPI
 // lock only if it is free.
 func (r *Rank) TryProbe(p *sim.Proc) bool { return r.lock.TryAcquire(p) }
 
-// Matches reports whether a message matching (src, tag) is stashed. It
-// is a zero-cost peek, consistent because the kernel is cooperative.
-func (r *Rank) Matches(src, tag int) bool { return r.find(src, tag) >= 0 }
-
-// EndProbe ends a probe that found nothing.
-func (r *Rank) EndProbe(p *sim.Proc) { r.lock.Unlock(p) }
-
-// FinishRecv is the second half of TryRecvFrom, for a caller that holds
-// the lock and has paid for the probe: it takes the first message matching
-// (src, tag), charging MPI_Recv's cost for it, and releases the lock.
-func (r *Rank) FinishRecv(p *sim.Proc, src, tag int) (Message, bool) {
-	m, ok := r.take(src, tag)
-	if ok {
-		p.Advance(r.world.costs.Recv)
+// EndProbe ends p's probe for (src, tag) at the instant its costs have
+// passed. With nothing matching stashed it releases the lock and reports
+// true. Otherwise — the fabric delivered while the probe's cost elapsed,
+// or before — it keeps the lock, remembers that p has paid, and reports
+// false: p, back in process context, completes the receive with its next
+// TryRecvFrom(src, tag).
+func (r *Rank) EndProbe(p *sim.Proc, src, tag int) (quiet bool) {
+	if r.find(src, tag) >= 0 {
+		r.paid.by, r.paid.src, r.paid.tag = p, src, tag
+		return false
 	}
 	r.lock.Unlock(p)
-	return m, ok
+	return true
 }
 
 // Barrier blocks until every rank has entered it (rank-0-rooted

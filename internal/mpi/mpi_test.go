@@ -381,16 +381,14 @@ func runProber(t *testing.T, halves bool) probeOutcome {
 			case !r.TryProbe(p):
 				m, ok = r.TryRecvFrom(p, src, TagUser) // the lock is held: queue for it
 			default:
-				stashed := r.Matches(src, TagUser)
+				stashed := r.find(src, TagUser) >= 0
 				p.Advance(costs.LockHold)
 				p.Advance(costs.Poll)
-				if r.Matches(src, TagUser) {
+				if !r.EndProbe(p, src, TagUser) {
 					if !stashed {
 						inWindow++
 					}
-					m, ok = r.FinishRecv(p, src, TagUser)
-				} else {
-					r.EndProbe(p)
+					m, ok = r.TryRecvFrom(p, src, TagUser) // paid for: only the receive is left
 				}
 			}
 			if ok {
@@ -414,11 +412,12 @@ func runProber(t *testing.T, halves bool) probeOutcome {
 	return out
 }
 
-// TestProbeHalvesMatchTryRecv: TryProbe, the two costs, then EndProbe or
-// FinishRecv are TryRecv and TryRecvRing event for event — same results
-// at the same instants, same lock statistics, same number of kernel
-// events — whether the poll misses, hits, or the message lands while the
-// probe's cost elapses.
+// TestProbeHalvesMatchTryRecv: TryProbe, the two costs, then EndProbe
+// and, when it finds a match, the TryRecvFrom that completes it are
+// TryRecv and TryRecvRing event for event — same results at the same
+// instants, same lock statistics, same number of kernel events — whether
+// the poll misses, hits, or the message lands while the probe's cost
+// elapses.
 func TestProbeHalvesMatchTryRecv(t *testing.T) {
 	whole, halves := runProber(t, false), runProber(t, true)
 	if !reflect.DeepEqual(whole, halves) {
@@ -426,6 +425,47 @@ func TestProbeHalvesMatchTryRecv(t *testing.T) {
 	}
 	if whole.Contended == 0 {
 		t.Error("no poll ever queued for the MPI lock: the test does not exercise it")
+	}
+}
+
+// TestPaidProbeIsCompletedAsMade: a probe that found its match is owed the
+// receive of the same (src, tag); the owner polling for anything else
+// first is a programming error, and another thread's poll just queues.
+func TestPaidProbeIsCompletedAsMade(t *testing.T) {
+	env := sim.NewEnv()
+	w := NewWorld(env, 2, fabric.Params{Latency: 100}, DefaultCosts())
+	r := w.Rank(1)
+	env.Spawn("r0", func(p *sim.Proc) { w.Rank(0).Send(p, 1, TagUser, 8, "x") })
+	env.Spawn("r1/other", func(p *sim.Proc) {
+		p.Advance(sim.Millisecond + 1)
+		if _, ok := r.TryRecv(p, TagUser); ok {
+			t.Error("the message went to a thread that queued behind the paid probe")
+		}
+	})
+	env.Spawn("r1", func(p *sim.Proc) {
+		p.Advance(sim.Millisecond)
+		if !r.TryProbe(p) || r.EndProbe(p, AnySource, TagUser) {
+			t.Fatal("probe found the lock taken or the stash empty")
+		}
+		p.Advance(10) // r1/other arrives and queues for the lock
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("polling another tag with a paid probe outstanding did not panic")
+				}
+			}()
+			r.TryRecv(p, TagUser+1)
+		}()
+		start := p.Now()
+		if m, ok := r.TryRecv(p, TagUser); !ok || m.Payload != "x" {
+			t.Errorf("completion received %v, %v", m, ok)
+		}
+		if d := p.Now() - start; d != DefaultCosts().Recv {
+			t.Errorf("completion took %v, want MPI_Recv's %v alone", d, DefaultCosts().Recv)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

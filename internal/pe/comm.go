@@ -44,60 +44,6 @@ func (w *Worker) SetPhase(ph uint8) {
 	}
 }
 
-// idleState is where a worker's idle loop stands between two steps.
-type idleState uint8
-
-const (
-	idleCounted idleState = iota // the engine's loop ran a pass that did nothing
-	idleStart                    // the next pass has not begun
-	idleHolding                  // the pass holds the inbox lock, which it found free and the box empty
-)
-
-// Idle ends a main-loop pass that did nothing: it charges the pass as
-// idle time and lets Cost.IdlePoll pass, then runs the passes that follow
-// as Poll steps inside the kernel for as long as they find nothing to do
-// either, so an idle worker costs the host no process switch per poll. It
-// returns at the instant a pass needs the engine's loop, at one of two
-// points: at pass start, when the inbox lock is held or the inbox is not
-// empty (or the engine supplied no Busy) — the loop body runs from its
-// top — or just after the inbox drain found nothing and Busy answered
-// true, reported as drained: the loop must then skip that drain, which
-// this pass has paid for. Either way every lock acquisition, charge and
-// kernel event falls where the loop's own would have.
-func (w *Worker) Idle(p *sim.Proc) (drained bool) {
-	w.idle = idleCounted
-	p.Poll(w.idleStep)
-	return w.idle == idleHolding
-}
-
-// stepIdle is Idle's Poll step: one call per kernel event of an idle pass.
-func (w *Worker) stepIdle() sim.Time {
-	switch w.idle {
-	case idleStart:
-		if w.Busy == nil {
-			return -1
-		}
-		hold, ok := w.Inbox.TryHold(w.Proc)
-		if !ok {
-			return -1
-		}
-		w.idle = idleHolding
-		if hold > 0 { // as Mutex.Lock: a free lock without entry cost is taken in no time
-			return hold
-		}
-		fallthrough
-	case idleHolding:
-		w.Inbox.Release(w.Proc)
-		if w.Busy() {
-			return -1
-		}
-		w.SetPhase(trace.PhaseIdle)
-	}
-	w.idle = idleStart
-	w.St.IdleTime += w.Node.Cost.IdlePoll
-	return w.Node.Cost.IdlePoll
-}
-
 // BarrierWait parks the worker at b and attributes the virtual time spent
 // there to it.
 func (w *Worker) BarrierWait(b *sim.Barrier) {

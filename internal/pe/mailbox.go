@@ -47,22 +47,6 @@ func (m *Mailbox[T]) Take(p *sim.Proc, max int) (batch []T, backlog int) {
 	return batch, backlog
 }
 
-// TryHold is the first half of a Take that finds nothing, for a reader
-// that may not block: it takes the lock only if it is free and the box
-// empty, and instead of letting the lock's entry cost pass it returns it.
-// The reader lets hold pass and calls Release; depositors queue on the
-// lock meanwhile exactly as they do behind a Take.
-func (m *Mailbox[T]) TryHold(p *sim.Proc) (hold sim.Time, ok bool) {
-	if len(m.items) > 0 || !m.mu.TryAcquire(p) {
-		return 0, false
-	}
-	return m.mu.HoldCost, true
-}
-
-// Release ends a TryHold. The box is still empty: nothing deposits
-// without the lock.
-func (m *Mailbox[T]) Release(p *sim.Proc) { m.mu.Unlock(p) }
-
 // Recycle retires a batch the caller is done with as the next spare
 // array. It takes no simulated lock: the cooperative kernel runs one
 // thread at a time, and two racing drains at worst drop a spare.

@@ -62,6 +62,12 @@ type Runtime struct {
 	// rounds) an engine fills before RecordRound.
 	Views []View
 
+	// LiteralIdle is for tests only; no Config, Spec or flag sets it. It
+	// makes every thread run its idle passes itself, as the literal loop —
+	// Advance(Cost.IdlePoll), the next pass from stage 0 — the reference
+	// the stepped passes must equal in everything but process switches.
+	LiteralIdle bool
+
 	cfg       Config
 	streams   *rng.Sequence
 	finish    func(*stats.Run)
@@ -112,7 +118,7 @@ type Node struct {
 	WorkersExited int
 
 	rt   *Runtime
-	comm commIdle // the dedicated MPI thread's idle pass (CommLoop)
+	comm pass // the dedicated MPI thread's idle pass (CommLoop)
 }
 
 // AddNode initialises n as the next node, with the given cost model.
@@ -120,6 +126,8 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
 	n.OutMu = sim.Mutex{Name: fmt.Sprintf("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
 	n.Out = NewMailbox[*event.Event](&n.OutMu, cost.RemoteEnqueue)
+	n.comm.init(n, nil)
+	n.comm.stop = n.workersDone
 	rt.nodes++
 }
 
@@ -127,7 +135,7 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 // workers, which start first. pass lists the stages of the pass a body
 // built on CommLoop makes, each as it is when it finds nothing to move.
 func (rt *Runtime) AddComm(n *Node, body func(*sim.Proc), pass ...Probe) {
-	n.comm.pass, n.comm.step = pass, n.stepComm
+	n.comm.list(pass)
 	rt.AddProcess(fmt.Sprintf("n%d/comm", n.ID), body)
 }
 
@@ -143,17 +151,10 @@ type Worker struct {
 	Inbox   Mailbox[*event.Event]
 	St      stats.Worker
 
-	// Busy is the engine's half of Idle. It is asked the instant a pass
-	// has found the inbox empty and reports whether the rest of the pass
-	// would do anything but count itself; it changes nothing when it
-	// answers true. Nil means every pass needs the engine's loop.
-	Busy func() bool
-
-	rt       *Runtime
-	inMu     sim.Mutex
-	phase    uint8 // last phase traced; 0xFF until the first transition
-	idle     idleState
-	idleStep func() sim.Time // w.stepIdle, bound once: Idle allocates nothing
+	rt    *Runtime
+	inMu  sim.Mutex
+	phase uint8 // last phase traced; 0xFF until the first transition
+	idle  pass  // the main loop's idle pass (IdlePass, Idle)
 }
 
 // AddWorker initialises w as the next worker of n, the last node added,
@@ -164,7 +165,7 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.New(rt.cfg.QueueKind), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
-	w.idleStep = w.stepIdle
+	w.idle.init(n, w)
 	rt.workers = append(rt.workers, w)
 	rt.AddProcess(fmt.Sprintf("n%d/w%d", n.ID, idx), func(p *sim.Proc) {
 		w.Proc = p

@@ -234,30 +234,30 @@ func (j *Job) attachEngine(e cancellable) {
 	}
 }
 
-// requestCancel asks the job to stop. Queued jobs cancel immediately
-// (the worker skips them at pickup); running jobs get their engine
-// cancelled and settle when the kernel unwinds. It reports whether the
-// request did anything (false: already terminal).
-func (j *Job) requestCancel() bool {
+// requestCancel asks the job to stop and reports whether the request
+// did anything (false: already terminal). A running job gets its engine
+// cancelled and settles when the kernel unwinds. A queued job is marked
+// so that the worker skips it at pickup, and stays queued: settle tells
+// the first caller to cancel it that ending the job — journal, then
+// finish — is its to do.
+func (j *Job) requestCancel() (ok, settle bool) {
 	j.mu.Lock()
 	if terminal(j.state) {
 		j.mu.Unlock()
-		return false
+		return false, false
 	}
+	first := !j.cancelled
 	j.cancelled = true
-	var eng cancellable
 	if j.state == StateQueued {
-		j.state = StateCancelled
-		j.finished = time.Now()
-	} else {
-		eng = j.eng // may be nil pre-attach; attachEngine re-checks
+		j.mu.Unlock()
+		return true, first
 	}
-	j.cond.Broadcast()
+	eng := j.eng // may be nil pre-attach; attachEngine re-checks
 	j.mu.Unlock()
 	if eng != nil {
 		eng.Cancel()
 	}
-	return true
+	return true, false
 }
 
 // markDeadlineExceeded flags the job as over its wall-clock budget and

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -362,9 +363,9 @@ func (s *Server) execute(j *Job) {
 		s.obs.jobsFinished.With(string(j.State())).Inc()
 	}()
 	if !j.beginRunning() {
-		// Cancelled while queued: the cancel request already made the
-		// terminal state visible, so this end can only follow it.
-		s.journalEnd(j, StateCancelled, false)
+		// Cancelled while queued: Cancel journals the end and settles the
+		// job. What is deferred above wants it settled.
+		j.Wait(context.Background())
 		s.log.Info("job cancelled while queued", "job", j.id)
 		return
 	}
@@ -503,15 +504,24 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// Cancel requests cancellation of a job: queued jobs cancel instantly,
-// running jobs abort at the kernel's next dispatch boundary.
+// Cancel requests cancellation of a job: running jobs abort at the
+// kernel's next dispatch boundary, and a queued job is ended here, in
+// execute's order — the end record flushed to the journal (outside s.mu,
+// behind the job's begin), then the terminal state — so a crash before a
+// worker would have reached it replays nothing the caller saw cancelled.
 func (s *Server) Cancel(id string) error {
 	j, err := s.Job(id)
 	if err != nil {
 		return err
 	}
-	if !j.requestCancel() {
+	ok, settle := j.requestCancel()
+	if !ok {
 		return ErrFinished
+	}
+	if settle {
+		// Deferred: the worker that picks the job up waits for this.
+		defer j.finish(StateCancelled, nil, "")
+		s.journalEnd(j, StateCancelled, false)
 	}
 	s.log.Info("job cancellation requested", "job", j.id)
 	return nil

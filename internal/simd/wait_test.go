@@ -706,3 +706,78 @@ func TestNoFsyncUnderServerLock(t *testing.T) {
 		t.Fatalf("observed %d fsyncs, want 4", syncs)
 	}
 }
+
+// TestCancelWhileQueuedIsJournaledBeforeItShows: a job cancelled before
+// any worker reached it must be ended in the journal, flushed, by the
+// time the caller is told it is cancelled. Here the pool's one worker is
+// held, the job is admitted and cancelled, and the machine dies: the
+// journal cut back to its last fsync has nothing pending, so the next
+// generation does not replay a job its caller saw cancelled. The worker
+// that picks the job up afterwards writes no second end.
+func TestCancelWhileQueuedIsJournaledBeforeItShows(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.ndjson")
+	var mu sync.Mutex
+	var durable int64 // journal bytes covered by an fsync
+	fsys := &storetest.HookFS{Hook: func(op, name string) {
+		if op == "sync" && name == jpath {
+			fi, err := os.Stat(jpath)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			durable = fi.Size()
+			mu.Unlock()
+		}
+	}}
+	s, jl := durableServer(t, dir, fsys, Options{Workers: 1})
+	hold, picked := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release) // ahead of the server's Close, which waits for the worker
+	if !s.pool.TrySubmit(func() { close(picked); <-hold }) {
+		t.Fatal("could not occupy the worker")
+	}
+	<-picked
+	res, err := s.Submit(fastSpec(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(res.Job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Job.State(); st != StateCancelled {
+		t.Fatalf("after Cancel returned the job is %s, want cancelled", st)
+	}
+
+	// The crash, with the worker still held: a copy of the journal as far
+	// as it is flushed.
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	kept := data[:durable]
+	mu.Unlock()
+	crashed := filepath.Join(dir, "crashed.ndjson")
+	if err := os.WriteFile(crashed, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p := openJournal(t, crashed).Pending(); len(p) != 0 {
+		t.Fatalf("a crash right after the cancel was acknowledged replays %d job(s); flushed journal:\n%s", len(p), kept)
+	}
+
+	release()
+	s.Close() // the worker picks the cancelled job up and skips it
+	jl.Close()
+	data, err = os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 2 || bytes.Count(data, []byte(`"end"`)) != 1 {
+		t.Fatalf("journal should read begin, end:\n%s", data)
+	}
+	if s.Executions() != 0 {
+		t.Fatalf("executions = %d, want 0", s.Executions())
+	}
+}
