@@ -6,7 +6,7 @@ WORKERS   ?= 0
 QUEUE     ?= 64
 CACHESIZE ?= 64
 
-.PHONY: all help build test verify bench benchdiff microbench cover fmt serve smoke obs-smoke durability-smoke cluster-smoke loadgen loadgen-smoke clean
+.PHONY: all help build test verify bench benchdiff microbench cover loc fmt serve smoke obs-smoke durability-smoke cluster-smoke loadgen loadgen-smoke clean
 
 # loadgen flags (override on the command line: make loadgen N=200 RPS=100)
 LOADGEN_ADDR ?= http://127.0.0.1:8080
@@ -25,6 +25,7 @@ help:
 	@echo "  benchdiff  diff -u a fresh virtual-time baseline against the checked-in BENCH_baseline.json"
 	@echo "  microbench hot-path microbenchmarks (sim kernel, PE idle loops, event queue, rollback storm, GVT rounds)"
 	@echo "  cover      coverage profile over ./internal/..."
+	@echo "  loc        the audited line count: tracked non-test Go outside benchmark/ (ROADMAP aim 2)"
 	@echo "  serve      run the simulation job server (cmd/simd)"
 	@echo "  smoke      end-to-end service smoke test (scripts/service_smoke.sh)"
 	@echo "  obs-smoke  observability smoke test: live /metrics, flight recorder, pprof, simtop (scripts/obs_smoke.sh)"
@@ -84,6 +85,11 @@ microbench:
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/... ./pkg/...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# loc prints the number ROADMAP.md's aim 2 audits: lines of tracked Go,
+# minus _test.go files, minus the benchmark module.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
 # serve runs the simulation job server. See `make help` for the flags.
 serve:

@@ -18,10 +18,10 @@ import (
 	"strings"
 
 	"repro/internal/balance"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/run"
+	"repro/internal/sim"
 	tracepkg "repro/internal/trace"
 )
 
@@ -91,17 +91,17 @@ func main() {
 		traceFile = f
 		at.Trace = tracepkg.NewWriter(f)
 	}
-	if *reportTo != "" {
+	if *reportTo != "" || *verbose {
 		at.Metrics = &metrics.Recorder{MaxSamples: *capN, Every: *every}
+	}
+	var rounds []metrics.ProgressUpdate
+	if *verbose {
+		at.Metrics.OnProgress = func(u metrics.ProgressUpdate) { rounds = append(rounds, u) }
 	}
 
 	eng, err := run.New(c, at)
 	if err != nil {
 		fail("%v", err)
-	}
-	tw, _ := eng.(*core.Engine) // nil on a conservative run: no GVT rounds to trace
-	if tw != nil {
-		tw.TraceRounds = *verbose
 	}
 	r, err := eng.Run()
 	if err != nil {
@@ -157,15 +157,15 @@ func main() {
 		fmt.Printf("report: wrote %s (%d round samples, stride %d)\n",
 			*reportTo, len(rep.Rounds), rep.SampleStride)
 	}
-	if *verbose && tw != nil {
+	if *verbose {
 		fmt.Println("\nGVT rounds:")
-		for _, tr := range tw.RoundTraces() {
+		for _, u := range rounds {
 			mode := "async"
-			if tr.Sync {
+			if u.Sync {
 				mode = "SYNC"
 			}
 			fmt.Printf("  #%3d at %-12v gvt=%-10.4g eff=%5.1f%% %s\n",
-				tr.Round, tr.At, tr.GVT, 100*tr.Efficiency, mode)
+				u.Round, sim.Time(u.AtNanos), u.GVT, 100*u.Efficiency, mode)
 		}
 	}
 

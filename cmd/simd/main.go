@@ -84,8 +84,8 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "json", "log output format: json|text")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional debug listen address serving /debug/pprof/ and /metrics (empty: disabled)")
-	flag.IntVar(&cfg.flightRounds, "flight-rounds", 64, "per-job flight recorder size in GVT rounds")
-	flag.IntVar(&cfg.flightRetain, "flight-retain", 128, "finished jobs retaining flight/event history before the oldest is released")
+	flag.IntVar(&cfg.flightRounds, "flight-rounds", 64, "GVT rounds in the tail of a job's event history that /jobs/{id}/flight serves")
+	flag.IntVar(&cfg.flightRetain, "flight-retain", 128, "executed jobs that keep their event history once finished, before the oldest is released")
 	flag.Parse()
 	level, err := obs.ParseLevel(*logLevel)
 	if err == nil {

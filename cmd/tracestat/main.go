@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -686,7 +687,7 @@ func render(a *analysis) {
 		for _, b := range a.CommitTimeline {
 			bar := ""
 			if peak > 0 {
-				bar = repeat('#', int(b.Count*50/peak))
+				bar = strings.Repeat("#", int(b.Count*50/peak))
 			}
 			fmt.Printf("  [%6.4g, %6.4g) %7d %s\n", b.T0, b.T1, b.Count, bar)
 		}
@@ -759,7 +760,7 @@ func render(a *analysis) {
 					}
 					fmt.Printf("    [%8.3f, %8.3f)ms %9d B %s\n",
 						float64(b.T0Nanos)/1e6, float64(b.T1Nanos)/1e6, b.Bytes,
-						repeat('#', int(b.Bytes*40/peak)))
+						strings.Repeat("#", int(b.Bytes*40/peak)))
 				}
 			}
 		}
@@ -813,15 +814,4 @@ func render(a *analysis) {
 				100*float64(ph.GVTNs)/float64(total))
 		}
 	}
-}
-
-func repeat(c byte, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

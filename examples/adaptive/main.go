@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/phold"
 	"repro/internal/vtime"
 )
@@ -47,9 +48,13 @@ func main() {
 	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTBarrier, core.GVTControlled} {
 		cfg := base
 		cfg.GVT = g
-		eng := core.New(cfg)
-		eng.TraceRounds = g == core.GVTControlled
-		r, err := eng.Run()
+		var rounds []metrics.ProgressUpdate
+		if g == core.GVTControlled {
+			cfg.Metrics = &metrics.Recorder{OnProgress: func(u metrics.ProgressUpdate) {
+				rounds = append(rounds, u)
+			}}
+		}
+		r, err := core.New(cfg).Run()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,8 +65,8 @@ func main() {
 		if g == core.GVTControlled {
 			fmt.Println("\n  CA-GVT mode trace (async '.' / sync 'S' per GVT round):")
 			line := "  "
-			for _, tr := range eng.RoundTraces() {
-				if tr.Sync {
+			for _, u := range rounds {
+				if u.Sync {
 					line += "S"
 				} else {
 					line += "."

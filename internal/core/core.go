@@ -291,9 +291,8 @@ type Engine struct {
 	poolDebug bool
 
 	// run-level results
-	finishedAt  sim.Time
-	finalGVT    vtime.Time
-	roundTraces []RoundTrace
+	finishedAt sim.Time
+	finalGVT   vtime.Time
 
 	// Load balancing (see Config.Balance). routing is always present —
 	// the static fast path is arithmetic — but the rest only activates
@@ -321,19 +320,6 @@ type Engine struct {
 	hRollbackDepth *metrics.Histogram
 	hInboxBatch    *metrics.Histogram
 	hOutboxDepth   *metrics.Histogram
-
-	// TraceRounds enables per-round trace collection (RoundTraces).
-	TraceRounds bool
-}
-
-// RoundTrace records one completed GVT round (for tests and the adaptive
-// example: it shows CA-GVT switching modes).
-type RoundTrace struct {
-	Round      int64
-	GVT        vtime.Time
-	At         sim.Time
-	Sync       bool    // CA-GVT executed this round with barriers
-	Efficiency float64 // cumulative efficiency observed at round end
 }
 
 // faultSeedSalt decorrelates the fault-injection RNG stream from the
@@ -430,9 +416,6 @@ func New(cfg Config) *Engine {
 	return eng
 }
 
-// RoundTraces returns per-round traces when TraceRounds was set.
-func (e *Engine) RoundTraces() []RoundTrace { return e.roundTraces }
-
 // nextMatchID returns a cluster-unique anti-message identity.
 func (e *Engine) nextMatchID() uint64 {
 	e.matchSeq++
@@ -468,11 +451,6 @@ func (e *Engine) onRoundComplete(gvt vtime.Time, sync bool, eff float64) {
 		}
 	}
 	e.RecordRound(pe.Round{GVT: gvt, Sync: sync, Efficiency: eff, Migrations: e.migrations})
-	if e.TraceRounds {
-		e.roundTraces = append(e.roundTraces, RoundTrace{
-			Round: e.Rounds, GVT: gvt, At: e.Env.Now(), Sync: sync, Efficiency: eff,
-		})
-	}
 	// Load-balance planning runs last, over exactly the committed-state
 	// snapshot the telemetry above recorded; workers execute the plan at
 	// their applyGVT for this (or the next) round.

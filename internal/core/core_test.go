@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	core "repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/phold"
 	"repro/internal/seq"
 	"repro/internal/vtime"
@@ -164,12 +165,11 @@ func TestRollbacksHappen(t *testing.T) {
 func TestGVTMonotonic(t *testing.T) {
 	for _, g := range allGVT() {
 		cfg := testConfig(2, 2, 4, g, core.CommDedicated)
-		eng := core.New(cfg)
-		eng.TraceRounds = true
-		if _, err := eng.Run(); err != nil {
+		var traces []metrics.ProgressUpdate
+		cfg.Metrics = &metrics.Recorder{OnProgress: func(u metrics.ProgressUpdate) { traces = append(traces, u) }}
+		if _, err := core.New(cfg).Run(); err != nil {
 			t.Fatal(err)
 		}
-		traces := eng.RoundTraces()
 		if len(traces) < 2 {
 			t.Fatalf("%v: only %d GVT rounds", g, len(traces))
 		}

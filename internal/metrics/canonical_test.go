@@ -66,8 +66,6 @@ func testReport() *Report {
 	reg := rec.Registry()
 	reg.Counter("beta").Add(7)
 	reg.Counter("alpha").Add(3)
-	reg.Gauge("g2").Set(1.5)
-	reg.Gauge("g1").Set(-2)
 	h := reg.Histogram("lat")
 	h.Observe(1)
 	h.Observe(250)

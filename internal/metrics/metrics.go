@@ -1,5 +1,5 @@
 // Package metrics is the engine's telemetry layer: a registry of named
-// counters, gauges and log2-bucketed histograms, plus a per-GVT-round
+// counters and log2-bucketed histograms, plus a per-GVT-round
 // sampler (Recorder) that records virtual-time-keyed time series — worker
 // LVTs, efficiency, rollback pressure, queue and mailbox depths, MPI
 // in-flight traffic, barrier wait — into fixed-size buffers with zero
@@ -35,24 +35,6 @@ func (c *Counter) Add(d int64) { c.v += d }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a named value that can move in both directions.
-type Gauge struct {
-	name string
-	v    float64
-}
-
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // histBuckets is the number of log2 histogram buckets: bucket i counts
 // values v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i). Bucket 0
@@ -187,7 +169,6 @@ func (h *Histogram) Summary() HistogramSummary {
 // hold the pointer (the allocation-free hot path).
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -195,7 +176,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -208,16 +188,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the gauge with the given name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the histogram with the given name, creating it if
@@ -241,16 +211,6 @@ func (r *Registry) CounterValues() []NamedValue {
 	return out
 }
 
-// GaugeValues returns all gauges as a sorted name->value list.
-func (r *Registry) GaugeValues() []NamedValue {
-	out := make([]NamedValue, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		out = append(out, NamedValue{Name: name, Value: g.v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // HistogramSummaries returns all histograms, sorted by name.
 func (r *Registry) HistogramSummaries() []HistogramSummary {
 	out := make([]HistogramSummary, 0, len(r.hists))
@@ -261,7 +221,7 @@ func (r *Registry) HistogramSummaries() []HistogramSummary {
 	return out
 }
 
-// NamedValue is one exported counter or gauge reading.
+// NamedValue is one exported counter reading.
 type NamedValue struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`

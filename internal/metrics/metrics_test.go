@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("events")
 	c.Inc()
@@ -19,15 +19,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if r.Counter("events") != c {
 		t.Fatal("Counter lookup is not get-or-create")
-	}
-	g := r.Gauge("depth")
-	g.Set(3)
-	g.Add(-1.5)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", g.Value())
-	}
-	if r.Gauge("depth") != g {
-		t.Fatal("Gauge lookup is not get-or-create")
 	}
 	cv := r.CounterValues()
 	if len(cv) != 1 || cv[0].Name != "events" || cv[0].Value != 5 {
@@ -165,7 +156,6 @@ func TestRegistryUnderSimScheduler(t *testing.T) {
 			for k := 0; k < iters; k++ {
 				c.Inc()
 				h.Observe(int64(i*iters + k))
-				reg.Gauge("last").Set(float64(i))
 				p.Advance(sim.Microsecond)
 			}
 		})

@@ -163,7 +163,7 @@ type Report struct {
 	Rounds       []RoundSample      `json:"rounds"`
 	Workers      []WorkerSeries     `json:"workers"`
 	Counters     []NamedValue       `json:"counters"`
-	Gauges       []NamedValue       `json:"gauges"`
+	Gauges       []NamedValue       `json:"gauges"` // always []: a schema key nothing fills
 	Histograms   []HistogramSummary `json:"histograms"`
 }
 
@@ -205,7 +205,6 @@ func BuildReport(cfg RunConfig, st RunStats, rec *Recorder, workersPerNode int) 
 	}
 	reg := rec.Registry()
 	rep.Counters = reg.CounterValues()
-	rep.Gauges = reg.GaugeValues()
 	rep.Histograms = reg.HistogramSummaries()
 	return rep
 }

@@ -1,0 +1,61 @@
+package run
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// FuzzSpecCanonical feeds two arbitrary JSON documents through the
+// path every submitted spec takes — decode, Canonical, Address — and
+// holds it to what the result cache and the disk store rely on: nothing
+// panics, Canonical is idempotent (a canonical spec addresses to itself),
+// and two specs share a content address exactly when their canonical
+// JSON is equal.
+func FuzzSpecCanonical(f *testing.F) {
+	for i, p := range pinnedSpecs {
+		f.Add(p.in, p.canon)                                // the same spec twice
+		f.Add(p.in, pinnedSpecs[(i+1)%len(pinnedSpecs)].in) // two different specs
+	}
+	f.Add(`{"end_time":-4}`, `{"model":"chess"}`)
+	f.Add(`{"nodes":1e9,"lookahead":1e-320}`, `{"seed":18446744073709551615,"mix_comp":101}`)
+	f.Fuzz(func(t *testing.T, a, b string) {
+		ca, ha, ok := address(t, a)
+		if !ok {
+			return
+		}
+		cb, hb, ok := address(t, b)
+		if !ok {
+			return
+		}
+		if (ca == cb) != (ha == hb) {
+			t.Fatalf("canonical JSON equal: %v, hashes equal: %v\n a %s -> %s\n b %s -> %s",
+				ca == cb, ha == hb, ca, ha, cb, hb)
+		}
+	})
+}
+
+// address decodes doc and returns its canonical JSON and content
+// address, having checked that canonicalising is idempotent; ok is false
+// for a document that is not a valid spec.
+func address(t *testing.T, doc string) (canon, hash string, ok bool) {
+	var s Spec
+	if json.Unmarshal([]byte(doc), &s) != nil {
+		return "", "", false
+	}
+	c, hash, err := s.Address()
+	if err != nil {
+		return "", "", false
+	}
+	raw, err := json.Marshal(c)
+	if err != nil {
+		t.Fatalf("canonical spec of %s does not marshal: %v", doc, err)
+	}
+	c2, hash2, err := c.Address()
+	if err != nil {
+		t.Fatalf("canonical spec %s is itself rejected: %v", raw, err)
+	}
+	if raw2, _ := json.Marshal(c2); string(raw2) != string(raw) || hash2 != hash {
+		t.Fatalf("Canonical is not idempotent on %s:\n once  %s %s\n twice %s %s", doc, raw, hash, raw2, hash2)
+	}
+	return string(raw), hash, true
+}

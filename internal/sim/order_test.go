@@ -62,9 +62,12 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 	tickCond := &Cond{Name: "tick"}
 	work := &Queue{Name: "work"}     // workers, children and callbacks put; sinks get
 	tokens := &Queue{Name: "tokens"} // the ticker puts; workers get
-	flags := make([]*Flag, orderRounds)
-	for r := range flags {
-		flags[r] = &Flag{Name: fmt.Sprintf("round-%d", r)}
+	// One one-shot latch per round: a bool and the Cond its waiters park on.
+	raised := make([]bool, orderRounds)
+	latches := make([]Cond, orderRounds)
+	raise := func(r int) {
+		raised[r] = true
+		latches[r].Broadcast(env)
 	}
 	active := orderWorkers
 
@@ -104,16 +107,16 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 			}
 			children := 0
 			for r := 0; r < orderRounds; r++ {
-				// This round's flag is raised by one worker before it can
+				// This round's latch is raised by one worker before it can
 				// block on anything: directly, or through a callback.
 				if r%orderWorkers == i {
-					f := flags[r]
+					r := r
 					if r%2 == 0 {
-						f.Set(env)
+						raise(r)
 					} else {
 						env.After(4, func() {
 							resumed("cb:flag")
-							f.Set(env)
+							raise(r)
 						})
 					}
 				}
@@ -139,7 +142,10 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 						mus[0].Unlock(p)
 					case 5:
 						m := mus[rnd(len(mus))]
-						if m.TryLock(p) {
+						if m.TryAcquire(p) {
+							if m.HoldCost > 0 {
+								p.Advance(m.HoldCost)
+							}
 							resumed(name)
 							p.Advance(delay())
 							m.Unlock(p)
@@ -151,7 +157,9 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 					case 8:
 						tokens.Get(p)
 					case 9:
-						flags[r].Wait(p)
+						if !raised[r] {
+							latches[r].Wait(p)
+						}
 					case 10:
 						env.After(delay(), func() {
 							resumed("cb:" + name)

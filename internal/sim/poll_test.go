@@ -62,7 +62,6 @@ func TestPollStepMustNotBlock(t *testing.T) {
 		{"barrier pair", func(p *Proc) { NewBarrier("pair", 2).Wait(p) }},
 		{"queue empty", func(p *Proc) { (&Queue{Name: "empty"}).Get(p) }},
 		{"cond never", func(p *Proc) { (&Cond{Name: "never"}).Wait(p) }},
-		{"flag unset", func(p *Proc) { (&Flag{Name: "unset"}).Wait(p) }},
 		{"Poll", func(p *Proc) { p.Poll(func() Time { return -1 }) }},
 	} {
 		for _, inKernel := range []bool{false, true} {

@@ -42,20 +42,10 @@ func (m *Mutex) Lock(p *Proc) {
 	}
 }
 
-// TryLock acquires m if it is free, without blocking.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if !m.TryAcquire(p) {
-		return false
-	}
-	if m.HoldCost > 0 {
-		p.Advance(m.HoldCost)
-	}
-	return true
-}
-
-// TryAcquire is TryLock without the charge: it acquires m if it is free
-// and leaves HoldCost for the caller to let pass, so it never advances p
-// and a Poll step may call it and return the cost as its next delay.
+// TryAcquire acquires m if it is free, without blocking and without the
+// charge: it leaves HoldCost for the caller to let pass, so it never
+// advances p and a Poll step may call it and return the cost as its next
+// delay.
 func (m *Mutex) TryAcquire(p *Proc) bool {
 	if m.holder != nil {
 		return false
@@ -196,16 +186,6 @@ func (q *Queue) TryGet() (any, bool) {
 	return v, true
 }
 
-// DrainInto appends all queued items to dst and returns the extended slice.
-func (q *Queue) DrainInto(dst []any) []any {
-	dst = append(dst, q.items...)
-	for i := range q.items {
-		q.items[i] = nil
-	}
-	q.items = q.items[:0]
-	return dst
-}
-
 // Cond is a simulated condition variable: processes Wait until another
 // process (or a scheduler callback) Broadcasts. There is no associated
 // lock; under the kernel's run-to-block semantics a caller re-checks its
@@ -227,44 +207,4 @@ func (c *Cond) Broadcast(env *Env) {
 		env.makeRunnable(p)
 	}
 	c.waiters = c.waiters[:0]
-}
-
-// Flag is a simulated one-shot broadcast condition: processes wait until
-// some process (or callback) sets it. After Reset it can be reused.
-type Flag struct {
-	Name    string
-	set     bool
-	waiters []*Proc
-}
-
-// IsSet reports whether the flag is set.
-func (f *Flag) IsSet() bool { return f.set }
-
-// Set raises the flag and wakes all waiters. Idempotent.
-func (f *Flag) Set(env *Env) {
-	if f.set {
-		return
-	}
-	f.set = true
-	for _, p := range f.waiters {
-		env.makeRunnable(p)
-	}
-	f.waiters = f.waiters[:0]
-}
-
-// Reset lowers the flag. It must not have waiters.
-func (f *Flag) Reset() {
-	if len(f.waiters) > 0 {
-		panic("sim: resetting flag with waiters")
-	}
-	f.set = false
-}
-
-// Wait blocks p until the flag is set.
-func (f *Flag) Wait(p *Proc) {
-	if f.set {
-		return
-	}
-	f.waiters = append(f.waiters, p)
-	p.block("flag", f.Name)
 }

@@ -571,8 +571,8 @@ func (p *Proc) Advance(d Time) {
 // switch per look.
 //
 // A step runs to completion at one instant and must not block: it may
-// use whatever a scheduler callback may (Unlock, Put, Set, Broadcast,
-// After, Spawn, TryGet, Mutex.TryAcquire), and panics if it reaches
+// use whatever a scheduler callback may (Unlock, Put, Broadcast, After,
+// Spawn, TryGet, Mutex.TryAcquire), and panics if it reaches
 // Advance or a primitive that would park the process.
 func (p *Proc) Poll(step func() Time) {
 	e := p.env

@@ -197,24 +197,24 @@ func TestMutexHoldCost(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
+func TestMutexTryAcquire(t *testing.T) {
 	env := NewEnv()
 	m := &Mutex{Name: "m"}
 	env.Spawn("a", func(p *Proc) {
-		if !m.TryLock(p) {
-			t.Error("first TryLock failed")
+		if !m.TryAcquire(p) {
+			t.Error("first TryAcquire failed")
 		}
 		p.Advance(10)
 		m.Unlock(p)
 	})
 	env.Spawn("b", func(p *Proc) {
 		p.Advance(5)
-		if m.TryLock(p) {
-			t.Error("TryLock succeeded while held")
+		if m.TryAcquire(p) {
+			t.Error("TryAcquire succeeded while held")
 		}
 		p.Advance(10)
-		if !m.TryLock(p) {
-			t.Error("TryLock failed after release")
+		if !m.TryAcquire(p) {
+			t.Error("TryAcquire failed after release")
 		}
 		m.Unlock(p)
 	})
@@ -359,69 +359,6 @@ func TestQueuePutNBFromCallback(t *testing.T) {
 	}
 	if got != 7 {
 		t.Fatalf("got %v, want 7", got)
-	}
-}
-
-func TestQueueDrainInto(t *testing.T) {
-	env := NewEnv()
-	q := &Queue{Name: "q"}
-	env.Spawn("p", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		out := q.DrainInto(nil)
-		if len(out) != 2 || out[0] != 1 || out[1] != 2 {
-			t.Errorf("DrainInto = %v", out)
-		}
-		if q.Len() != 0 {
-			t.Errorf("Len after drain = %d", q.Len())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlagBroadcast(t *testing.T) {
-	env := NewEnv()
-	f := &Flag{Name: "f"}
-	var woke []Time
-	for i := 0; i < 3; i++ {
-		env.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			f.Wait(p)
-			woke = append(woke, p.Now())
-		})
-	}
-	env.Spawn("setter", func(p *Proc) {
-		p.Advance(17)
-		f.Set(env)
-		f.Set(env) // idempotent
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woke) != 3 {
-		t.Fatalf("woke %d waiters, want 3", len(woke))
-	}
-	for _, ts := range woke {
-		if ts != 17 {
-			t.Fatalf("woke at %v, want all at 17", woke)
-		}
-	}
-}
-
-func TestFlagWaitAfterSetReturnsImmediately(t *testing.T) {
-	env := NewEnv()
-	f := &Flag{Name: "f"}
-	env.Spawn("p", func(p *Proc) {
-		f.Set(env)
-		f.Wait(p) // must not block
-		f.Reset()
-		if f.IsSet() {
-			t.Error("flag still set after Reset")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestWarmRestartStoreHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.StoreHit || !res2.CacheHit || !res2.Job.StoreHit() {
+	if !res2.StoreHit || !res2.CacheHit || !res2.Job.status().StoreHit {
 		t.Fatalf("restarted server missed the store: %+v", res2)
 	}
 	got, ok := res2.Job.Report()
@@ -217,7 +217,7 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(res.Job.Err(), "engine panic") {
 		t.Fatalf("error %q does not mention the panic", res.Job.Err())
 	}
-	fr := res.Job.Flight()
+	fr := res.Job.Flight(1)
 	if !strings.Contains(fr.PanicStack, "injected kernel bug") &&
 		!strings.Contains(fr.PanicStack, "runEngine") {
 		t.Fatalf("flight record has no usable panic stack:\n%s", fr.PanicStack)

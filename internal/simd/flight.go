@@ -6,74 +6,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// flightRing is a fixed-capacity ring of per-GVT-round progress
-// snapshots: the job's flight recorder. It keeps the most recent
-// capacity rounds plus the count of everything ever offered, so a
-// failed or cancelled run can be post-mortemed from its final approach
-// without retaining the whole (unbounded) round history. Callers hold
-// the owning Job's mutex.
-type flightRing struct {
-	buf   []metrics.ProgressUpdate
-	start int   // index of the oldest retained entry
-	n     int   // retained entries
-	total int64 // rounds ever offered (monotone)
-}
-
-func newFlightRing(capacity int) *flightRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &flightRing{buf: make([]metrics.ProgressUpdate, capacity)}
-}
-
-// push appends one round, evicting the oldest when full.
-func (r *flightRing) push(u metrics.ProgressUpdate) {
-	r.total++
-	if r.buf == nil {
-		return // history released by retention; only the count survives
-	}
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = u
-		r.n++
-		return
-	}
-	r.buf[r.start] = u
-	r.start = (r.start + 1) % len(r.buf)
-}
-
-// snapshot copies the retained rounds, oldest first.
-func (r *flightRing) snapshot() []metrics.ProgressUpdate {
-	if r.n == 0 {
-		return nil
-	}
-	out := make([]metrics.ProgressUpdate, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
-}
-
-// last returns the most recent round, if any.
-func (r *flightRing) last() (metrics.ProgressUpdate, bool) {
-	if r.n == 0 {
-		return metrics.ProgressUpdate{}, false
-	}
-	return r.buf[(r.start+r.n-1)%len(r.buf)], true
-}
-
-// dropped returns how many rounds fell off the ring.
-func (r *flightRing) dropped() int64 { return r.total - int64(r.n) }
-
-// release frees the retained rounds (retention eviction); total keeps
-// counting so status endpoints still report the true round count.
-func (r *flightRing) release() {
-	r.buf = nil
-	r.start, r.n = 0, 0
-}
-
 // FlightRecord is the wire form of a job's flight recorder: identity,
-// terminal (or current) state, and the bounded tail of per-round
-// progress snapshots. It answers "what was this job doing when it
+// terminal (or current) state, and the bounded tail of the job's
+// per-round event history. It answers "what was this job doing when it
 // died?" without re-running the job.
 type FlightRecord struct {
 	ID       string `json:"id"`
@@ -90,12 +25,12 @@ type FlightRecord struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 
 	// RoundsTotal counts every GVT round the run completed; Recent holds
-	// at most the ring capacity of them (the newest), and RoundsDropped
-	// says how many older rounds the ring evicted.
+	// at most Options.FlightRounds of them (the newest), and RoundsDropped
+	// says how many older rounds it leaves out.
 	RoundsTotal   int64 `json:"rounds_total"`
 	RoundsDropped int64 `json:"rounds_dropped"`
 	// Retained is false when the job aged out of flight retention and its
-	// ring was released to bound memory; identity and counts survive.
+	// history was released to bound memory; identity and counts survive.
 	Retained bool `json:"retained"`
 
 	// GVT and Efficiency echo the most recent round (0 when none).
@@ -105,38 +40,48 @@ type FlightRecord struct {
 	Recent []metrics.ProgressUpdate `json:"recent,omitempty"`
 }
 
-// Flight snapshots the job's flight recorder. It works in every state:
-// a running job returns its live tail, a finished job its final
-// approach, and a retention-evicted job its identity and counts with
-// Retained false.
-func (j *Job) Flight() FlightRecord {
+// Flight snapshots the job's flight recorder: the newest tail rounds of
+// its event history. It works in every state: a running job returns its
+// live tail, a finished job its final approach, and a retention-evicted
+// job its identity and counts with Retained false.
+func (j *Job) Flight(tail int) FlightRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	fr := FlightRecord{
+	n := len(j.events)
+	if tail > n {
+		tail = n
+	}
+	last := j.lastRound()
+	return FlightRecord{
 		ID: j.id, Hash: j.hash, State: j.state, CacheHit: j.cacheHit,
-		Error:       j.errMsg,
-		PanicStack:  j.panicStack,
-		SubmittedAt: j.submitted,
-		RoundsTotal: j.flight.total,
-		Retained:    j.flight.buf != nil,
+		Error:         j.errMsg,
+		PanicStack:    j.panicStack,
+		SubmittedAt:   j.submitted,
+		StartedAt:     optTime(j.started),
+		FinishedAt:    optTime(j.finished),
+		RoundsTotal:   j.rounds,
+		RoundsDropped: j.rounds - int64(tail),
+		Retained:      !j.released,
+		GVT:           last.GVT,
+		Efficiency:    last.Efficiency,
+		// The history is append-only, so the tail is shared, not copied.
+		Recent: j.events[n-tail : n : n],
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		fr.StartedAt = &t
+}
+
+// lastRound returns the newest round of the history, zero before the
+// first and after release; the caller holds j.mu.
+func (j *Job) lastRound() metrics.ProgressUpdate {
+	if n := len(j.events); n > 0 {
+		return j.events[n-1]
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		fr.FinishedAt = &t
+	return metrics.ProgressUpdate{}
+}
+
+// optTime is the wire form of a lifecycle instant: absent until it happens.
+func optTime(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
 	}
-	if fr.Retained {
-		fr.Recent = j.flight.snapshot()
-		fr.RoundsDropped = j.flight.dropped()
-	} else {
-		fr.RoundsDropped = j.flight.total
-	}
-	if last, ok := j.flight.last(); ok {
-		fr.GVT = last.GVT
-		fr.Efficiency = last.Efficiency
-	}
-	return fr
+	return &t
 }

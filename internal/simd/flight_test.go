@@ -8,33 +8,37 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestFlightRingBounds pins the ring's eviction arithmetic: capacity
-// holds, the retained window is the newest suffix, and totals survive
-// both eviction and release.
-func TestFlightRingBounds(t *testing.T) {
-	r := newFlightRing(4)
+// TestFlightTailBounds pins the tail arithmetic on a bare job: the tail
+// is the newest suffix of the history, a history shorter than the tail is
+// served whole, and the round count survives release.
+func TestFlightTailBounds(t *testing.T) {
+	j := newJob("j000001", "h", JobSpec{})
+	if fr := j.Flight(4); fr.Recent != nil || fr.RoundsTotal != 0 || fr.RoundsDropped != 0 || !fr.Retained {
+		t.Fatalf("flight before the first round: %+v", fr)
+	}
 	for i := 1; i <= 10; i++ {
-		r.push(metrics.ProgressUpdate{Round: int64(i)})
+		j.publish(metrics.ProgressUpdate{Round: int64(i), GVT: float64(i)})
 	}
-	if r.total != 10 || r.dropped() != 6 {
-		t.Fatalf("total %d dropped %d, want 10/6", r.total, r.dropped())
+	fr := j.Flight(4)
+	if fr.RoundsTotal != 10 || fr.RoundsDropped != 6 || len(fr.Recent) != 4 || fr.GVT != 10 {
+		t.Fatalf("total %d dropped %d recent %d gvt %v, want 10/6/4/10",
+			fr.RoundsTotal, fr.RoundsDropped, len(fr.Recent), fr.GVT)
 	}
-	snap := r.snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len %d, want 4", len(snap))
-	}
-	for i, u := range snap {
+	for i, u := range fr.Recent {
 		if want := int64(7 + i); u.Round != want {
-			t.Fatalf("snapshot[%d].Round = %d, want %d", i, u.Round, want)
+			t.Fatalf("recent[%d].Round = %d, want %d", i, u.Round, want)
 		}
 	}
-	if last, ok := r.last(); !ok || last.Round != 10 {
-		t.Fatalf("last = %+v, %v", last, ok)
+	if fr := j.Flight(64); len(fr.Recent) != 10 || fr.RoundsDropped != 0 {
+		t.Fatalf("a tail longer than the history: %d rounds, %d dropped", len(fr.Recent), fr.RoundsDropped)
 	}
-	r.release()
-	r.push(metrics.ProgressUpdate{Round: 11})
-	if r.total != 11 || r.snapshot() != nil {
-		t.Fatalf("released ring: total %d snapshot %v", r.total, r.snapshot())
+	j.releaseHistory()
+	fr = j.Flight(4)
+	if fr.Retained || fr.Recent != nil || fr.RoundsTotal != 10 || fr.RoundsDropped != 10 || fr.GVT != 0 {
+		t.Fatalf("released flight: %+v", fr)
+	}
+	if j.Rounds() != 10 || j.status().Rounds != 10 {
+		t.Fatalf("released job counts %d rounds, status %d, want 10", j.Rounds(), j.status().Rounds)
 	}
 }
 
@@ -53,7 +57,7 @@ func TestFlightOfCompletedJob(t *testing.T) {
 		t.Fatalf("state %s", st)
 	}
 	events, _, _ := res.Job.WaitEvents(waitCtx(t), 0)
-	fr := res.Job.Flight()
+	fr := res.Job.Flight(8)
 	if fr.State != StateDone || !fr.Retained {
 		t.Fatalf("flight %+v", fr)
 	}
@@ -110,51 +114,77 @@ func TestFlightOfCancelledJob(t *testing.T) {
 }
 
 // TestFlightRetention pins the bounded-memory contract: once more jobs
-// finish than FlightRetain allows, the oldest loses its history (ring
-// and event slice) but keeps identity, state and counts; newer jobs
-// keep theirs.
+// have executed than FlightRetain allows, the oldest loses its event
+// history but keeps identity, state and counts; newer jobs keep theirs.
 func TestFlightRetention(t *testing.T) {
-	s := NewServer(Options{Workers: 1, FlightRetain: 2, CacheBytes: -1})
-	defer s.Close()
-	var jobs []*Job
-	for i := 0; i < 4; i++ {
-		res, err := s.Submit(fastSpec(uint64(500 + i)))
+	run := func(t *testing.T, s *Server, seed uint64) *Job {
+		t.Helper()
+		res, err := s.Submit(fastSpec(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := res.Job.Wait(waitCtx(t)); st != StateDone {
-			t.Fatalf("job %d state %s", i, st)
+			t.Fatalf("seed %d: state %s", seed, st)
 		}
-		jobs = append(jobs, res.Job)
+		return res.Job
 	}
-	for i, j := range jobs {
-		fr := j.Flight()
-		wantRetained := i >= 2 // only the 2 newest keep history
-		if fr.Retained != wantRetained {
-			t.Fatalf("job %d retained=%v, want %v", i, fr.Retained, wantRetained)
+
+	t.Run("executed jobs age out", func(t *testing.T) {
+		s := NewServer(Options{Workers: 1, FlightRetain: 2, CacheBytes: -1})
+		defer s.Close()
+		var jobs []*Job
+		for i := 0; i < 4; i++ {
+			jobs = append(jobs, run(t, s, uint64(500+i)))
 		}
-		if fr.RoundsTotal == 0 {
-			t.Fatalf("job %d lost its round count", i)
+		for i, j := range jobs {
+			fr := j.Flight(64)
+			wantRetained := i >= 2 // only the 2 newest keep history
+			if fr.Retained != wantRetained {
+				t.Fatalf("job %d retained=%v, want %v", i, fr.Retained, wantRetained)
+			}
+			if fr.RoundsTotal == 0 {
+				t.Fatalf("job %d lost its round count", i)
+			}
+			if !wantRetained {
+				if fr.Recent != nil || fr.RoundsDropped != fr.RoundsTotal {
+					t.Fatalf("released job %d still has history: %+v", i, fr)
+				}
+				if j.Rounds() == 0 {
+					t.Fatalf("released job %d lost Rounds()", i)
+				}
+				// The report must survive release: history is bounded, results
+				// are not dropped.
+				if _, ok := j.Report(); !ok {
+					t.Fatalf("released job %d lost its report", i)
+				}
+				// A replay of a released stream ends immediately but cleanly.
+				events, state, done := j.WaitEvents(waitCtx(t), 0)
+				if len(events) != 0 || state != StateDone || !done {
+					t.Fatalf("released job %d replay: %d events, %s, done=%v", i, len(events), state, done)
+				}
+			}
 		}
-		if !wantRetained {
-			if fr.Recent != nil || fr.RoundsDropped != fr.RoundsTotal {
-				t.Fatalf("released job %d still has history: %+v", i, fr)
-			}
-			if j.Rounds() == 0 {
-				t.Fatalf("released job %d lost Rounds()", i)
-			}
-			// The report must survive release: history is bounded, results
-			// are not dropped.
-			if _, ok := j.Report(); !ok {
-				t.Fatalf("released job %d lost its report", i)
-			}
-			// A replay of a released stream ends immediately but cleanly.
-			events, state, done := j.WaitEvents(waitCtx(t), 0)
-			if len(events) != 0 || state != StateDone || !done {
-				t.Fatalf("released job %d replay: %d events, %s, done=%v", i, len(events), state, done)
+	})
+
+	// With the cache on, resubmissions are born done and have no history:
+	// they must not push the job that did execute out of the window.
+	t.Run("cache hits do not count", func(t *testing.T) {
+		s, ts := newTestService(t, Options{Workers: 1, FlightRetain: 2})
+		executed := run(t, s, 510)
+		for i := 0; i < 3; i++ {
+			if hit := run(t, s, 510); !hit.status().CacheHit {
+				t.Fatalf("resubmission %d executed", i)
 			}
 		}
-	}
+		code, body, _ := getBody(t, ts.URL+"/jobs/"+executed.ID()+"/flight")
+		var fr FlightRecord
+		if err := json.Unmarshal(body, &fr); code != http.StatusOK || err != nil {
+			t.Fatalf("flight: %d %s (%v)", code, body, err)
+		}
+		if !fr.Retained || len(fr.Recent) == 0 {
+			t.Fatalf("three cache hits aged the executed job out: %+v", fr)
+		}
+	})
 }
 
 // TestFlightNotFound pins the 404 path.

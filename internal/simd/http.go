@@ -48,25 +48,16 @@ type JobStatus struct {
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	last := j.lastRound()
+	return JobStatus{
 		ID: j.id, Hash: j.hash, State: j.state, CacheHit: j.cacheHit,
 		StoreHit: j.storeHit,
-		Deduped:  j.deduped, Rounds: int(j.flight.total), Error: j.errMsg,
+		Deduped:  j.deduped, Rounds: int(j.rounds), Error: j.errMsg,
+		GVT: last.GVT, Efficiency: last.Efficiency,
 		SubmittedAt: j.submitted,
+		StartedAt:   optTime(j.started),
+		FinishedAt:  optTime(j.finished),
 	}
-	if last, ok := j.flight.last(); ok {
-		st.GVT = last.GVT
-		st.Efficiency = last.Efficiency
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
-	}
-	return st
 }
 
 // submitResponse is the wire form of a submission outcome.
@@ -261,7 +252,7 @@ func (r SubmitResult) response() submitResponse {
 // passed through an encoder. A client that goes away abandons only the
 // request: the job runs on and its result is cached as usual.
 func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res SubmitResult) {
-	if !terminal(res.Job.Wait(r.Context())) {
+	if !res.Job.Wait(r.Context()).Terminal() {
 		return // client went away; nobody is left to answer
 	}
 	status, err := json.Marshal(res.response())
@@ -381,13 +372,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFlight serves the job's flight recorder: the bounded ring of
-// its most recent per-GVT-round snapshots plus terminal state, so a
-// failed or cancelled job can be post-mortemed without re-running it.
-// Unlike /report it answers in every lifecycle state.
+// handleFlight serves the job's flight recorder: the newest
+// Options.FlightRounds rounds of its event history plus terminal state,
+// so a failed or cancelled job can be post-mortemed without re-running
+// it. Unlike /report it answers in every lifecycle state.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Flight())
+		writeJSON(w, http.StatusOK, j.Flight(s.opts.FlightRounds))
 	}
 }
 

@@ -55,26 +55,35 @@ func getBody(t *testing.T, url string) (int, []byte, http.Header) {
 	return resp.StatusCode, data, resp.Header
 }
 
-// waitDone polls the status endpoint until the job settles.
+// waitDone blocks on the job's event stream, which ends when the job
+// settles, and returns the terminal status.
 func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		code, body, _ := getBody(t, ts.URL+"/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s: %d %s", id, code, body)
-		}
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if terminal(st.State) {
-			return st
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code, body, _ := getBody(t, ts.URL+"/jobs/"+id+"/events"); code != http.StatusOK {
+		t.Fatalf("GET /jobs/%s/events: %d %s", id, code, body)
 	}
-	t.Fatalf("job %s never settled", id)
-	return JobStatus{}
+	code, body, _ := getBody(t, ts.URL+"/jobs/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("GET /jobs/%s: %d %s", id, code, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() {
+		t.Fatalf("job %s is %s after its event stream ended", id, st.State)
+	}
+	return st
+}
+
+// waitRunningID is waitRunning for a job the test knows by its wire id.
+func waitRunningID(t *testing.T, s *Server, id string) {
+	t.Helper()
+	j, err := s.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, j)
 }
 
 const fastBody = `{"nodes":2,"workers_per_node":2,"lps_per_worker":4,"end_time":5}`
@@ -191,28 +200,14 @@ func TestHTTPEventsStream(t *testing.T) {
 
 // TestHTTPCancel: DELETE cancels a running job; a second DELETE is 409.
 func TestHTTPCancel(t *testing.T) {
-	_, ts := newTestService(t, Options{Workers: 1})
+	s, ts := newTestService(t, Options{Workers: 1})
 	slow := `{"nodes":2,"workers_per_node":2,"lps_per_worker":8,"end_time":50000}`
 	resp, sub := postJob(t, ts, slow)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	// Wait until mid-run so the cancel exercises the kernel unwind.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, body, _ := getBody(t, ts.URL+"/jobs/"+sub.ID)
-		var st JobStatus
-		if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
-			t.Fatalf("status: %d %s", code, body)
-		}
-		if st.Rounds > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunningID(t, s, sub.ID)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+sub.ID, nil)
 	del, err := http.DefaultClient.Do(req)
@@ -244,7 +239,7 @@ func TestHTTPCancel(t *testing.T) {
 
 // TestHTTPRejections: bad specs 400, unknown jobs 404, full queue 429.
 func TestHTTPRejections(t *testing.T) {
-	_, ts := newTestService(t, Options{Workers: 1, QueueDepth: 1})
+	s, ts := newTestService(t, Options{Workers: 1, QueueDepth: 1})
 
 	for name, body := range map[string]string{
 		"invalid-json":  `{"model":`,
@@ -278,21 +273,7 @@ func TestHTTPRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, body, _ := getBody(t, ts.URL+"/jobs/"+sub.ID)
-		var st JobStatus
-		if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
-			t.Fatalf("status: %d %s", code, body)
-		}
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunningID(t, s, sub.ID)
 	if resp, _ := postJob(t, ts, fastBody); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", resp.StatusCode)
 	}
@@ -366,21 +347,7 @@ func TestHTTPRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, body, _ := getBody(t, ts.URL+"/jobs/"+blocker.ID)
-		var st JobStatus
-		if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
-			t.Fatalf("status: %d %s", code, body)
-		}
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunningID(t, s, blocker.ID)
 	if resp, _ := postJob(t, ts, `{"nodes":2,"workers_per_node":2,"lps_per_worker":4,"end_time":5,"seed":92}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue filler: %d", resp.StatusCode)
 	}

@@ -24,8 +24,8 @@ const (
 	StateCancelled State = "cancelled"
 )
 
-// terminal reports whether a state is final.
-func terminal(s State) bool {
+// Terminal reports whether a state is final.
+func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
@@ -45,11 +45,12 @@ type Job struct {
 	cond     *sync.Cond
 	state    State
 	cacheHit bool
-	storeHit bool  // the cache hit came from the persistent store
-	deduped  int64 // additional submissions coalesced onto this job
-	events   []metrics.ProgressUpdate
-	flight   *flightRing // bounded tail of events, survives until retention evicts it
-	report   []byte      // canonical report JSON, set in StateDone
+	storeHit bool                     // the cache hit came from the persistent store
+	deduped  int64                    // additional submissions coalesced onto this job
+	events   []metrics.ProgressUpdate // every round so far, until retention releases it
+	rounds   int64                    // rounds ever published; survives the release
+	released bool                     // retention released events
+	report   []byte                   // canonical report JSON, set in StateDone
 	errMsg   string
 
 	eng        cancellable // non-nil while the engine may still be cancelled
@@ -62,10 +63,9 @@ type Job struct {
 	finished  time.Time
 }
 
-func newJob(id, hash string, spec JobSpec, flightRounds int) *Job {
+func newJob(id, hash string, spec JobSpec) *Job {
 	j := &Job{
 		id: id, hash: hash, spec: spec, state: StateQueued,
-		flight:    newFlightRing(flightRounds),
 		submitted: time.Now(),
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -78,38 +78,11 @@ func (j *Job) ID() string { return j.id }
 // Hash returns the spec's content address.
 func (j *Job) Hash() string { return j.hash }
 
-// Spec returns the canonical spec the job runs.
-func (j *Job) Spec() JobSpec { return j.spec }
-
 // State returns the current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// CacheHit reports whether the job was served from the result cache
-// without executing.
-func (j *Job) CacheHit() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cacheHit
-}
-
-// StoreHit reports whether the job was served from the persistent store
-// (a cache hit that survived a restart or came from a sibling daemon).
-func (j *Job) StoreHit() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.storeHit
-}
-
-// Deduped returns how many identical submissions were coalesced onto
-// this job after it was created.
-func (j *Job) Deduped() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deduped
 }
 
 // Err returns the failure message ("" unless StateFailed).
@@ -128,12 +101,12 @@ func (j *Job) Report() ([]byte, bool) {
 }
 
 // Rounds returns how many progress updates the run has emitted so far.
-// The count survives history release: it reads the flight recorder's
-// monotone total, not the (releasable) event slice.
+// The count survives history release: it reads the monotone counter, not
+// the (releasable) event slice.
 func (j *Job) Rounds() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return int(j.flight.total)
+	return int(j.rounds)
 }
 
 // Wait blocks until the job reaches a terminal state or the context is
@@ -143,7 +116,7 @@ func (j *Job) Wait(ctx context.Context) State {
 	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for !terminal(j.state) && ctx.Err() == nil {
+	for !j.state.Terminal() && ctx.Err() == nil {
 		j.cond.Wait()
 	}
 	return j.state
@@ -160,9 +133,9 @@ func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpd
 	defer j.mu.Unlock()
 	for {
 		if len(j.events) > cursor {
-			return j.events[cursor:len(j.events):len(j.events)], j.state, terminal(j.state)
+			return j.events[cursor:len(j.events):len(j.events)], j.state, j.state.Terminal()
 		}
-		if terminal(j.state) {
+		if j.state.Terminal() {
 			return nil, j.state, true
 		}
 		if ctx.Err() != nil {
@@ -180,27 +153,24 @@ func (j *Job) wake() {
 }
 
 // publish appends one progress update; the engine calls it once per
-// GVT round via the metrics recorder's OnProgress hook. The update
-// lands in both the full stream history (for /events replays) and the
-// bounded flight ring (for post-mortems after retention trims the
-// history).
+// GVT round via the metrics recorder's OnProgress hook. The one history
+// serves /events replays, status and the flight recorder's tail.
 func (j *Job) publish(u metrics.ProgressUpdate) {
 	j.mu.Lock()
 	j.events = append(j.events, u)
-	j.flight.push(u)
+	j.rounds++
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
 
-// releaseHistory frees the job's full event history and flight ring —
-// flight retention calls it when the job ages out of the recently-
-// finished window, bounding service memory. Identity, state, report
-// bytes and round counts survive; an /events replay after release
-// returns only the terminal record.
+// releaseHistory frees the job's event history — flight retention calls
+// it when the job ages out of the recently-finished window, bounding
+// service memory. Identity, state, report bytes and round counts survive;
+// an /events replay after release returns only the terminal record.
 func (j *Job) releaseHistory() {
 	j.mu.Lock()
 	j.events = nil
-	j.flight.release()
+	j.released = true
 	j.mu.Unlock()
 }
 
@@ -242,7 +212,7 @@ func (j *Job) attachEngine(e cancellable) {
 // finish — is its to do.
 func (j *Job) requestCancel() (ok, settle bool) {
 	j.mu.Lock()
-	if terminal(j.state) {
+	if j.state.Terminal() {
 		j.mu.Unlock()
 		return false, false
 	}
@@ -266,7 +236,7 @@ func (j *Job) requestCancel() (ok, settle bool) {
 // once the job is already terminal).
 func (j *Job) markDeadlineExceeded() bool {
 	j.mu.Lock()
-	if terminal(j.state) {
+	if j.state.Terminal() {
 		j.mu.Unlock()
 		return false
 	}
@@ -293,14 +263,6 @@ func (j *Job) setPanicStack(stack string) {
 	j.mu.Lock()
 	j.panicStack = stack
 	j.mu.Unlock()
-}
-
-// PanicStack returns the recorded engine panic stack ("" unless the job
-// failed by panic).
-func (j *Job) PanicStack() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.panicStack
 }
 
 // finish records a terminal state. report is non-nil only for StateDone.

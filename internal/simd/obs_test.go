@@ -171,7 +171,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 				_, sub := postJob(t, ts, fmt.Sprintf(
 					`{"nodes":2,"workers_per_node":2,"lps_per_worker":4,"end_time":5,"seed":%d}`,
 					900+(g*each+i)%5))
-				if sub.ID != "" && !terminal(sub.State) {
+				if sub.ID != "" && !sub.State.Terminal() {
 					waitDone(t, ts, sub.ID)
 				}
 			}

@@ -43,14 +43,14 @@ type Options struct {
 	// CacheBytes is the result cache budget in bytes (default 64 MiB;
 	// negative disables caching).
 	CacheBytes int64
-	// FlightRounds sizes each job's flight recorder: the ring of most
-	// recent per-GVT-round progress snapshots kept for post-mortems
-	// (default 64).
+	// FlightRounds is the length of the tail of a job's event history
+	// that /jobs/{id}/flight serves: the most recent per-GVT-round
+	// progress snapshots, for post-mortems (default 64).
 	FlightRounds int
-	// FlightRetain bounds how many finished jobs keep their flight ring
-	// and event history; beyond it the oldest finished job's history is
-	// released, keeping memory bounded while recent post-mortems stay
-	// available (default 128).
+	// FlightRetain bounds how many executed jobs keep their event history
+	// once finished; beyond it the oldest one's history is released,
+	// keeping memory bounded while recent post-mortems stay available
+	// (default 128). Cache and store hits have no history and do not count.
 	FlightRetain int
 	// Logger receives structured job-lifecycle logs; nil discards them
 	// (the right default for tests and embedding).
@@ -211,45 +211,41 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		return SubmitResult{}, ErrClosed
 	}
 
-	if data, ok := s.cache.Get(hash); ok {
+	// Memory first; on a miss consult the persistent store before
+	// executing. The read happens under s.mu — it is one small local file,
+	// and holding the lock keeps the singleflight invariant (at most one
+	// job per hash) trivially true. A degraded store answers instantly.
+	data, hit := s.cache.Get(hash)
+	storeHit := false
+	if !hit && s.opts.Store != nil {
+		if data, hit = s.opts.Store.Get(hash); hit {
+			s.cache.Put(hash, data)
+			storeHit = true
+		}
+	}
+	if hit {
+		// Born done. The job has no history to bound, so it is not enrolled
+		// in flight retention: hits must not age executed jobs out of it.
 		j := s.newJobLocked(hash, canon)
-		j.cacheHit = true
+		j.cacheHit, j.storeHit = true, storeHit
 		j.state = StateDone
 		j.report = data
 		j.finished = j.submitted
-		s.retireLocked(j)
-		s.obs.submissions.With("cache_hit").Inc()
-		s.obs.jobsFinished.With(string(StateDone)).Inc()
-		s.log.Info("job served from cache", "job", j.id, "hash", j.hash, "model", canon.Model)
-		return SubmitResult{Job: j, CacheHit: true}, nil
-	}
-
-	// Memory miss: consult the persistent store before executing. The
-	// read happens under s.mu — it is one small local file, and holding
-	// the lock keeps the singleflight invariant (at most one job per
-	// hash) trivially true. A degraded store answers instantly.
-	if s.opts.Store != nil {
-		if data, ok := s.opts.Store.Get(hash); ok {
-			s.cache.Put(hash, data)
-			j := s.newJobLocked(hash, canon)
-			j.cacheHit = true
-			j.storeHit = true
-			j.state = StateDone
-			j.report = data
-			j.finished = j.submitted
-			s.retireLocked(j)
-			s.obs.submissions.With("store_hit").Inc()
-			s.obs.jobsFinished.With(string(StateDone)).Inc()
-			s.log.Info("job served from persistent store", "job", j.id, "hash", j.hash, "model", canon.Model)
-			return SubmitResult{Job: j, CacheHit: true, StoreHit: true}, nil
+		outcome, msg := "cache_hit", "job served from cache"
+		if storeHit {
+			outcome, msg = "store_hit", "job served from persistent store"
 		}
+		s.obs.submissions.With(outcome).Inc()
+		s.obs.jobsFinished.With(string(StateDone)).Inc()
+		s.log.Info(msg, "job", j.id, "hash", j.hash, "model", canon.Model)
+		return SubmitResult{Job: j, CacheHit: true, StoreHit: storeHit}, nil
 	}
 
 	// A job stays in s.inflight for a moment after it settles (execute
 	// removes it in a deferred step); a settled job is not in flight, and
 	// coalescing onto it would hand the submitter someone else's
 	// cancellation or, with the cache off, skip a run it asked for.
-	if prior, ok := s.inflight[hash]; ok && !terminal(prior.State()) {
+	if prior, ok := s.inflight[hash]; ok && !prior.State().Terminal() {
 		prior.mu.Lock()
 		prior.deduped++
 		prior.mu.Unlock()
@@ -307,15 +303,15 @@ func (s *Server) journalBegin(j *Job, canon JobSpec) {
 // newJobLocked allocates and records a job; the caller holds s.mu.
 func (s *Server) newJobLocked(hash string, canon JobSpec) *Job {
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), hash, canon, s.opts.FlightRounds)
+	j := newJob(fmt.Sprintf("j%06d", s.seq), hash, canon)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	return j
 }
 
-// retireLocked enrolls a finished job in flight retention, releasing the
-// oldest retired job's history when the window overflows; the caller
-// holds s.mu.
+// retireLocked enrolls an executed job, now finished, in flight
+// retention, releasing the oldest retired job's history when the window
+// overflows; the caller holds s.mu.
 func (s *Server) retireLocked(j *Job) {
 	s.retired = append(s.retired, j)
 	for len(s.retired) > s.opts.FlightRetain {

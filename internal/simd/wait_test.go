@@ -157,7 +157,8 @@ func TestWaitAnswersReportInline(t *testing.T) {
 	}
 
 	// A second server on the same store directory: a store hit.
-	s2, ts2 := newTestService(t, Options{Workers: 1, Store: openStore(t, store.Options{Dir: dir})})
+	logger, coalesced := watchLog("submission coalesced onto in-flight job")
+	s2, ts2 := newTestService(t, Options{Workers: 1, Store: openStore(t, store.Options{Dir: dir}), Logger: logger})
 	ans, tail = mustPostWait(t, ts2, fastBody)
 	if !ans.Status.CacheHitNow || !ans.Status.StoreHit {
 		t.Fatalf("store hit answered %+v", ans.Status)
@@ -190,9 +191,7 @@ func TestWaitAnswersReportInline(t *testing.T) {
 		_, ans, tail, err := postWait(ctx, ts2.URL, other)
 		answered <- result{ans, tail, err}
 	}()
-	for s2.Stats().DedupHits == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-coalesced
 	if err := s2.Cancel(blocker.Job.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +216,12 @@ func TestWaitAnswersFailedAndCancelled(t *testing.T) {
 		}
 	}
 	defer func() { testInjectPanic = nil }()
-	s, ts := newTestService(t, Options{Workers: 2})
+	logger, ran := watchLog("job running")
+	s, ts := newTestService(t, Options{Workers: 2, Logger: logger})
 
 	body, _ := json.Marshal(poison)
 	ans, tail := mustPostWait(t, ts, string(body))
+	<-ran // the poisoned job
 	if ans.Status.State != StateFailed || !strings.Contains(ans.Status.Error, "engine panic") {
 		t.Fatalf("failed job answered %+v", ans.Status)
 	}
@@ -238,15 +239,8 @@ func TestWaitAnswersFailedAndCancelled(t *testing.T) {
 		}
 		answered <- ans
 	}()
-	var running *Job
-	for running == nil {
-		for _, j := range s.Jobs() {
-			if j.State() == StateRunning {
-				running = j
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-ran
+	running := s.Jobs()[1]
 	if err := s.Cancel(running.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +318,8 @@ func TestWaitParameterValues(t *testing.T) {
 // its request, not the job — it runs to completion and the next
 // submission of the spec is a cache hit.
 func TestWaitAbandonedLeavesJobRunning(t *testing.T) {
-	s := NewServer(Options{Workers: 1})
+	logger, admitted := watchLog("job admitted")
+	s := NewServer(Options{Workers: 1, Logger: logger})
 	api := s.Handler()
 	released := make(chan struct{}, 4) // one token per wait request served; the test makes two
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -341,15 +336,14 @@ func TestWaitAbandonedLeavesJobRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-admitted // the blocker
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 1)
 	go func() {
 		_, _, _, err := postWait(ctx, ts.URL, fastBody)
 		gone <- err
 	}()
-	for len(s.Jobs()) < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	<-admitted
 	cancel()
 	if err := <-gone; err == nil {
 		t.Fatal("abandoned wait returned an answer")
@@ -529,7 +523,7 @@ func TestLostUnsyncedEndRecoversAsStoreHit(t *testing.T) {
 		t.Fatalf("second life recovered %d jobs, want 1", n)
 	}
 	jobs := b.Jobs()
-	if len(jobs) != 1 || !jobs[0].StoreHit() || jobs[0].State() != StateDone {
+	if len(jobs) != 1 || !jobs[0].status().StoreHit || jobs[0].State() != StateDone {
 		t.Fatalf("recovered job is not a store hit: %+v", jobs[0].status())
 	}
 	if got, _ := jobs[0].Report(); !bytes.Equal(got, want) {
@@ -545,6 +539,31 @@ func TestLostUnsyncedEndRecoversAsStoreHit(t *testing.T) {
 	if p := jl3.Pending(); len(p) != 0 {
 		t.Fatalf("third life still has %d pending", len(p))
 	}
+}
+
+// logSeen is a log handler that reports each msg line the server writes
+// on seen, a channel the test owns: the test's event for "a request made
+// on another goroutine has got this far".
+type logSeen struct {
+	slog.Handler
+	msg  string
+	seen chan<- struct{}
+}
+
+func (h logSeen) Handle(ctx context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.seen <- struct{}{}
+	}
+	return nil
+}
+
+// watchLog returns a logger for Options.Logger and the channel that gets
+// one token per msg line.
+func watchLog(msg string) (*slog.Logger, <-chan struct{}) {
+	// Room for more lines than any test's server logs: the server, which
+	// writes some of them under its lock, never waits for the test.
+	seen := make(chan struct{}, 16)
+	return slog.New(logSeen{slog.NewTextHandler(io.Discard, nil), msg, seen}), seen
 }
 
 // holdAdmitted is a log handler that parks the "job admitted" line —

@@ -250,19 +250,6 @@ func Retry(attempts int, base, cap time.Duration, fn func() error, onRetry func(
 	}
 }
 
-// WaitHealthy polls /healthz with backoff until the daemon answers,
-// returning its health document — the "node is up only after /healthz
-// passes" gate the cluster lifecycle builds on.
-func (c *Client) WaitHealthy(attempts int) (Health, error) {
-	var h Health
-	err := Retry(attempts, 100*time.Millisecond, 2*time.Second, func() error {
-		var e error
-		h, e = c.Health()
-		return e
-	}, nil)
-	return h, err
-}
-
 // truncate bounds an error-message body echo.
 func truncate(b []byte) string {
 	const max = 200

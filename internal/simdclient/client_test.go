@@ -192,25 +192,3 @@ func TestRetryBacksOffThenSucceeds(t *testing.T) {
 		t.Fatalf("exhausted Retry returned %v, want the last error", err)
 	}
 }
-
-func TestWaitHealthyGates(t *testing.T) {
-	var ready atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !ready.Load() {
-			http.Error(w, "starting", http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"status":"ok"}`))
-	}))
-	defer ts.Close()
-	c := New(ts.URL)
-
-	if _, err := c.WaitHealthy(1); err == nil {
-		t.Fatal("WaitHealthy must fail while the daemon is down")
-	}
-	time.AfterFunc(50*time.Millisecond, func() { ready.Store(true) })
-	h, err := c.WaitHealthy(20)
-	if err != nil || h.Status != "ok" {
-		t.Fatalf("WaitHealthy: %+v err %v", h, err)
-	}
-}

@@ -269,22 +269,28 @@ func (c *Cluster) healthLoop() {
 			return
 		case <-t.C:
 		}
-		c.mu.Lock()
-		ms := make([]*Member, 0, len(c.members))
-		for _, m := range c.members {
-			ms = append(ms, m)
-		}
-		c.mu.Unlock()
-		var wg sync.WaitGroup
-		for _, m := range ms {
-			wg.Add(1)
-			go func(m *Member) {
-				defer wg.Done()
-				c.probe(m)
-			}(m)
-		}
-		wg.Wait()
+		c.eachMember(c.probe)
 	}
+}
+
+// eachMember calls fn for every registered member at once, each call on
+// its own goroutine, and returns when all of them have.
+func (c *Cluster) eachMember(fn func(*Member)) {
+	c.mu.Lock()
+	ms := make([]*Member, 0, len(c.members))
+	for _, m := range c.members {
+		ms = append(ms, m)
+	}
+	c.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func(m *Member) {
+			defer wg.Done()
+			fn(m)
+		}(m)
+	}
+	wg.Wait()
 }
 
 // probe runs one health check and applies the state machine.
@@ -333,7 +339,7 @@ func (c *Cluster) failoverFrom(id, reason string) {
 	c.mu.Lock()
 	var moving []*clusterJob
 	for _, j := range c.jobSeq {
-		if j.node == id && !terminal(j.last.State) {
+		if j.node == id && !j.last.State.Terminal() {
 			moving = append(moving, j)
 		}
 	}
@@ -348,12 +354,6 @@ func (c *Cluster) failoverFrom(id, reason string) {
 			c.log.Error("cluster failover re-dispatch failed", "job", j.id, "error", err.Error())
 		}
 	}
-}
-
-// terminal mirrors simd's lifecycle: done, failed and cancelled jobs
-// never need failover.
-func terminal(s simd.State) bool {
-	return s == simd.StateDone || s == simd.StateFailed || s == simd.StateCancelled
 }
 
 // memberSubmit is the slice of a member's submit (or error) response
@@ -381,11 +381,7 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 	if err := json.Unmarshal(body, &spec); err != nil {
 		return nil, statusErrf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
-	canon, err := spec.Canonical()
-	if err != nil {
-		return nil, statusErrf(http.StatusBadRequest, "%v", err)
-	}
-	hash, err := canon.Hash()
+	canon, hash, err := spec.Address()
 	if err != nil {
 		return nil, statusErrf(http.StatusBadRequest, "%v", err)
 	}
@@ -587,7 +583,7 @@ func (c *Cluster) Job(cid string) (JobView, error) {
 		c.proxyErrors.Inc()
 	}
 	c.mu.Lock()
-	fin := terminal(j.last.State)
+	fin := j.last.State.Terminal()
 	c.mu.Unlock()
 	if fin {
 		return c.view(j, true), nil
@@ -616,41 +612,24 @@ func (c *Cluster) Jobs() []JobView {
 // refreshJobs folds each reachable member's job listing into the
 // cluster records.
 func (c *Cluster) refreshJobs() {
-	type listing struct {
-		node string
-		jobs []simd.JobStatus
-	}
-	c.mu.Lock()
-	ms := make([]*Member, 0, len(c.members))
-	for _, m := range c.members {
-		ms = append(ms, m)
-	}
-	c.mu.Unlock()
-	ch := make(chan listing, len(ms))
-	var wg sync.WaitGroup
-	for _, m := range ms {
-		if !m.reachable() {
-			continue
-		}
-		wg.Add(1)
-		go func(m *Member) {
-			defer wg.Done()
-			var resp struct {
-				Jobs []simd.JobStatus `json:"jobs"`
-			}
-			if err := m.api().GetJSON("/jobs", &resp); err == nil {
-				ch <- listing{node: m.ID(), jobs: resp.Jobs}
-			}
-		}(m)
-	}
-	wg.Wait()
-	close(ch)
+	var mu sync.Mutex // guards byOwner
 	byOwner := make(map[string]simd.JobStatus)
-	for l := range ch {
-		for _, st := range l.jobs {
-			byOwner[l.node+"/"+st.ID] = st
+	c.eachMember(func(m *Member) {
+		if !m.reachable() {
+			return
 		}
-	}
+		var resp struct {
+			Jobs []simd.JobStatus `json:"jobs"`
+		}
+		if err := m.api().GetJSON("/jobs", &resp); err != nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, st := range resp.Jobs {
+			byOwner[m.ID()+"/"+st.ID] = st
+		}
+	})
 	c.mu.Lock()
 	for _, j := range c.jobSeq {
 		if st, ok := byOwner[j.node+"/"+j.localID]; ok {
@@ -747,34 +726,30 @@ type Stats struct {
 	Nodes         []NodeStats `json:"nodes"`
 }
 
-// Stats scrapes every reachable member once and sums.
+// Stats scrapes every member not known to be down once and sums.
 func (c *Cluster) Stats() Stats {
-	c.mu.Lock()
-	ms := make([]*Member, 0, len(c.order))
-	for _, id := range c.order {
-		ms = append(ms, c.members[id])
+	var mu sync.Mutex // guards scraped
+	scraped := make(map[string]*simd.Stats)
+	c.eachMember(func(m *Member) {
+		if m.State() == MemberDown {
+			return
+		}
+		var st simd.Stats
+		if err := m.api().GetJSON("/stats", &st); err == nil {
+			mu.Lock()
+			scraped[m.ID()] = &st
+			mu.Unlock()
+		}
+	})
+	members := c.Members()
+	nodes := make([]NodeStats, len(members))
+	for i, ns := range members {
+		nodes[i] = NodeStats{NodeStatus: ns, Stats: scraped[ns.ID]}
 	}
+	c.mu.Lock()
 	jobs := len(c.jobSeq)
 	resident := len(c.resident)
 	c.mu.Unlock()
-
-	nodes := make([]NodeStats, len(ms))
-	var wg sync.WaitGroup
-	for i, m := range ms {
-		nodes[i].NodeStatus = m.snapshot()
-		if m.State() == MemberDown {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, m *Member) {
-			defer wg.Done()
-			var st simd.Stats
-			if err := m.api().GetJSON("/stats", &st); err == nil {
-				nodes[i].Stats = &st
-			}
-		}(i, m)
-	}
-	wg.Wait()
 
 	out := Stats{
 		ClusterJobs: jobs, Submitted: c.submitted.Value(),
@@ -842,27 +817,18 @@ func sumStats(into *simd.Stats, s *simd.Stats) {
 // MemberMetrics scrapes every reachable member's /metrics and returns
 // the merged snapshot (counters summed across the cluster).
 func (c *Cluster) MemberMetrics() *obs.Snapshot {
-	c.mu.Lock()
-	ms := make([]*Member, 0, len(c.members))
-	for _, m := range c.members {
-		ms = append(ms, m)
-	}
-	c.mu.Unlock()
-	snaps := make([]*obs.Snapshot, len(ms))
-	var wg sync.WaitGroup
-	for i, m := range ms {
+	var mu sync.Mutex // guards snaps
+	var snaps []*obs.Snapshot
+	c.eachMember(func(m *Member) {
 		if !m.reachable() {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int, m *Member) {
-			defer wg.Done()
-			if snap, err := m.api().Metrics(); err == nil {
-				snaps[i] = snap
-			}
-		}(i, m)
-	}
-	wg.Wait()
+		if snap, err := m.api().Metrics(); err == nil {
+			mu.Lock()
+			snaps = append(snaps, snap)
+			mu.Unlock()
+		}
+	})
 	return obs.MergeSnapshots(snaps...)
 }
 

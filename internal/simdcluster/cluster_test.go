@@ -137,7 +137,7 @@ func waitState(t *testing.T, c *Cluster, cid string, want simd.State) JobView {
 		if err == nil && v.State == want {
 			return v
 		}
-		if err == nil && terminal(v.State) && v.State != want {
+		if err == nil && v.State.Terminal() && v.State != want {
 			t.Fatalf("job %s settled %s (%s), want %s", cid, v.State, v.Error, want)
 		}
 		time.Sleep(10 * time.Millisecond)

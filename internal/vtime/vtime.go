@@ -49,18 +49,6 @@ func (s Stamp) After(o Stamp) bool { return o.Before(s) }
 // Equal reports whether the stamps are identical.
 func (s Stamp) Equal(o Stamp) bool { return s == o }
 
-// Compare returns -1, 0 or +1.
-func (s Stamp) Compare(o Stamp) int {
-	switch {
-	case s.Before(o):
-		return -1
-	case o.Before(s):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // MinStamp returns the smaller of a and b.
 func MinStamp(a, b Stamp) Stamp {
 	if b.Before(a) {

@@ -32,14 +32,6 @@ func TestStampOrdering(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	a := Stamp{T: 1}
-	b := Stamp{T: 2}
-	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
-		t.Error("Compare broken")
-	}
-}
-
 func TestInfStampIsMaximal(t *testing.T) {
 	cases := []Stamp{
 		{},

@@ -48,7 +48,7 @@ ID=$(jq -r .id "${WORK}/sub.json")
 echo "obs-smoke: submitted long job ${ID}"
 
 wait_job_state "${BASE}" "${ID}" running
-# Let a few GVT rounds land in the flight ring before we look.
+# Let a few GVT rounds land in the job's history before we look.
 sleep 1
 
 curl -sf "${BASE}/metrics" >"${WORK}/metrics_mid.txt" || fail "mid-run GET /metrics failed"
