@@ -71,11 +71,13 @@ benchdiff:
 	$(GO) run ./cmd/bench -out - | diff -u BENCH_baseline.json -
 
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
-# for the sim kernel, the PE idle-pass machine (BenchmarkIdlePass: an
-# idle comm pass as Poll steps vs the literal loop), the event queue,
-# rollback storm, and full-engine GVT rounds.
+# for the sim kernel (BenchmarkPollRing: constant-delay Poll steps at 20
+# and 488 processes), the PE idle-pass machine (BenchmarkIdlePass: an
+# idle comm pass as Poll steps vs the literal loop), the null-message
+# worker's idle predicate (BenchmarkBlocked), the event queue, rollback
+# storm, and full-engine GVT rounds.
 microbench:
-	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi
+	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
 

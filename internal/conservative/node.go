@@ -50,11 +50,21 @@ type node struct {
 	// Null-message state.
 	chanIn  []vtime.Time // [peer node] highest EOT promise received
 	lastEOT []vtime.Time // [peer node] highest EOT promise sent
+
+	// ver counts the changes to what the idle predicates (worker.blocked,
+	// nullsQuiet) read: a worker's floor or pending queue, chanIn, the
+	// outbox, a worker's exit. One that found its thread idle at a version
+	// answers from memory while the version stands. A QuietProbe may err
+	// toward false only, so every such change must touch.
+	ver     uint64
+	quietAt uint64 // the version at which nullsQuiet last found nothing to send
 }
+
+func (n *node) touch() { n.ver++ }
 
 func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
-	n := &node{eng: eng}
+	n := &node{eng: eng, ver: 1}
 	eng.AddNode(&n.Node, eng.cfg.Cost)
 	parts := top.WorkersPerNode + 1 // workers + the comm role
 	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
@@ -84,6 +94,7 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 		if len(batch) == 0 {
 			return sent
 		}
+		n.touch()
 		for _, ev := range batch {
 			n.Send(p, n.eng.cfg.Topology.NodeOf(ev.Dst), tagEvents, ev.WireSize(), ev, backlog)
 			n.evSent++
@@ -117,6 +128,7 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 		case nullMsg:
 			if pl.EOT > n.chanIn[m.Src] {
 				n.chanIn[m.Src] = pl.EOT
+				n.touch()
 			}
 			n.TraceRecv(p, m, 0)
 		default:

@@ -75,10 +75,18 @@ func (w *worker) finished(safe vtime.Time) bool {
 }
 
 // blocked is stage 1 of the idle pass: the bound lets nothing be
-// processed, and the run is not over.
+// processed, and the run is not over. Everything it reads is under the
+// node's version, so most idle passes compare two integers.
 func (w *worker) blocked() bool {
+	if w.blockedAt == w.node.ver {
+		return true
+	}
 	safe := w.safeBound()
-	return w.runnable(safe) == nil && !w.finished(safe)
+	if w.runnable(safe) != nil || w.finished(safe) {
+		return false
+	}
+	w.blockedAt = w.node.ver
+	return true
 }
 
 // eotPromise computes the EOT bound this node can currently promise its
@@ -143,7 +151,7 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 // nullsQuiet reports whether sendNulls would send nothing: the promise
 // this node can make improves on none it has made.
 func (n *node) nullsQuiet() bool {
-	if n.eng.cfg.Topology.Nodes == 1 {
+	if n.eng.cfg.Topology.Nodes == 1 || n.quietAt == n.ver {
 		return true
 	}
 	eot := n.eotPromise()
@@ -152,6 +160,7 @@ func (n *node) nullsQuiet() bool {
 			return false
 		}
 	}
+	n.quietAt = n.ver
 	return true
 }
 

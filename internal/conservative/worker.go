@@ -32,6 +32,8 @@ type worker struct {
 	holdMin vtime.Time
 	execT   vtime.Time
 
+	blockedAt uint64 // the node version at which blocked last found the worker blocked
+
 	ctx   wctx
 	sendQ []*event.Event
 }
@@ -66,12 +68,14 @@ func (w *worker) run(p *sim.Proc) {
 		w.runNullmsg(p)
 	}
 	w.SetPhase(trace.PhaseIdle)
+	w.node.touch() // the exit is counted at this instant, and eotPromise reads the count
 }
 
 // floorLive is this worker's live virtual-time floor: the smallest stamp
 // of any event it holds (pending, undrained inbox, in-hand drain batch,
 // or the event being processed). Peers read it — cooperatively, so
-// without a lock — to bound what this worker might still send.
+// without a lock — to bound what this worker might still send. Whatever
+// changes it touches the node.
 func (w *worker) floorLive() vtime.Time {
 	f := eventq.MinStamp(w.Pending).T
 	if w.inboxMin < f {
@@ -94,6 +98,7 @@ func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
 	if ev.Stamp.T < w.inboxMin {
 		w.inboxMin = ev.Stamp.T
 	}
+	w.node.touch()
 }
 
 // drainInbox moves inbox events into the pending queue. The in-hand
@@ -106,12 +111,14 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 		w.holdMin = vtime.Inf
 		return false
 	}
+	w.node.touch()
 	p.Advance(sim.Time(len(batch)) * (w.node.Cost.InboxDrainPerMsg + w.node.Cost.QueueOp))
 	for _, ev := range batch {
 		w.Pending.Push(ev)
 	}
 	w.Inbox.Recycle(batch)
 	w.holdMin = vtime.Inf
+	w.node.touch()
 	return true
 }
 
@@ -140,11 +147,13 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 		// never jumps past an in-flight event.
 		w.execT = ev.Stamp.T
 		w.Pending.Pop()
+		w.node.touch()
 		p.Advance(w.node.Cost.QueueOp)
 		w.processOne(p, ev)
 		worked = true
 	}
 	w.execT = vtime.Inf
+	w.node.touch()
 	return worked
 }
 
@@ -176,6 +185,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 	case event.Local:
 		p.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
 		w.Pending.Push(ev)
+		w.node.touch()
 		w.St.SentLocal++
 	case event.Regional:
 		_, wi := top.WorkerOf(ev.Dst)
@@ -183,6 +193,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 		w.St.SentRegion++
 	default:
 		w.node.Out.Deposit(p, ev)
+		w.node.touch()
 		w.St.SentRemote++
 	}
 }

@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	core "repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/phold"
 )
 
 // stragglerPlan builds the built-in straggler fault scenario for the
@@ -91,5 +94,37 @@ func TestPoolParityUnderFaultsAndMigration(t *testing.T) {
 	}
 	if sums[0] != sums[1] || sums[0] != sums[2] {
 		t.Errorf("checksums diverged across pool modes: %x", sums)
+	}
+}
+
+// TestRollbackAllocatesNoAntiBuffer: a rollback collects the cancellations
+// it must route in a buffer the worker keeps, so once that has grown to
+// the deepest rollback seen, rolling back allocates nothing. On a
+// tw-comm-shaped run — thousands of rollbacks, most cancelling something —
+// a slice built from nil each time is at least one allocation per such
+// rollback, and was two thirds of the run's; what is left (queue and
+// history growth, coroutines, the fabric's per-packet closures) is fewer
+// allocations than there are rollbacks.
+func TestRollbackAllocatesNoAntiBuffer(t *testing.T) {
+	top := cluster.Topology{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 8}
+	eng := core.New(core.Config{
+		Topology: top, GVT: core.GVTControlled, Comm: core.CommDedicated,
+		EndTime: 150, Seed: 1, Pool: core.PoolOn,
+		Model: phold.New(phold.Params{Topology: top, Base: phold.CommunicationDominated()}),
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := eng.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations, %d rollbacks, %d anti-messages, %d commits", allocs, r.Workers.Rollbacks, r.Workers.AntiSent, r.Workers.Committed)
+	if r.Workers.Rollbacks < 5000 {
+		t.Fatalf("only %d rollbacks: not the rollback-heavy run this test needs", r.Workers.Rollbacks)
+	}
+	if allocs >= uint64(r.Workers.Rollbacks) {
+		t.Errorf("%d allocations in a run of %d rollbacks: rollback allocates again", allocs, r.Workers.Rollbacks)
 	}
 }

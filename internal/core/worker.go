@@ -28,6 +28,8 @@ type worker struct {
 	// collection and rollback (pool modes only).
 	sentFree [][]*event.Event
 
+	antis []*event.Event // rollback's buffer of cancellations to route, kept between rollbacks
+
 	// Migration state (engine.migEnabled only). migOut holds orders the
 	// planner parked for the next applyGVT; migIn is the mailbox arrived
 	// migrations wait in; limbo parks events that arrived ahead of their
@@ -559,8 +561,11 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 		})
 	}
 
-	// Re-enqueue the undone events and collect cancellations.
-	var antis []*event.Event
+	// Re-enqueue the undone events and collect cancellations. Routing a
+	// local anti-message can roll another LP back, so the buffer is detached
+	// while this rollback reads it: a nested one allocates its own.
+	antis := w.antis[:0]
+	w.antis = nil
 	debug := w.eng.poolDebug
 	for i := range popped {
 		entry := &popped[i]
@@ -578,6 +583,8 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	for _, a := range antis {
 		w.route(a)
 	}
+	clear(antis)
+	w.antis = antis[:0]
 }
 
 // applyGVT installs a newly computed GVT: fossil-collect every LP's

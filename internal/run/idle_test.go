@@ -50,7 +50,8 @@ func runTraced(t *testing.T, spec Spec, literal bool) (*stats.Run, []byte) {
 // TestSteppedIdleMatchesLiteral is the end-to-end proof that idle passes
 // taken as Poll steps are exact: for every GVT algorithm under every comm
 // mode, with static placement and with LPs migrating off a straggler, and
-// for both conservative protocols, a run whose threads idle through the
+// for both conservative protocols (null messages also on one node and with
+// one worker per node), a run whose threads idle through the
 // pass machine equals — in virtual wall clock, kernel dispatches, commit
 // checksum, every worker and transport statistic and every trace byte —
 // the run whose threads make each idle pass themselves. Only what a
@@ -72,9 +73,20 @@ func TestSteppedIdleMatchesLiteral(t *testing.T) {
 		s.Sync = sync
 		specs = append(specs, s)
 	}
+	// The null-message predicates answer from memory (conservative.node.ver):
+	// also with no peer node to promise anything, and with no peer worker
+	// whose floor could bound one.
+	for _, shape := range [][2]int{{1, 2}, {3, 1}} {
+		s := base
+		s.Sync, s.Nodes, s.WorkersPerNode = "nullmsg", shape[0], shape[1]
+		specs = append(specs, s)
+	}
 	var migrations int64
 	for _, s := range specs {
 		name := fmt.Sprintf("%s%s/%s/%s", s.GVT, s.Sync, s.Comm, s.Balance)
+		if s.Nodes != base.Nodes || s.WorkersPerNode != base.WorkersPerNode {
+			name += fmt.Sprintf("/%dx%d", s.Nodes, s.WorkersPerNode)
+		}
 		t.Run(name, func(t *testing.T) {
 			ref, refTrace := runTraced(t, s, true)
 			got, gotTrace := runTraced(t, s, false)

@@ -57,6 +57,29 @@ func BenchmarkPoll(b *testing.B) {
 	}
 }
 
+// BenchmarkPollRing: BenchmarkPoll with the delays an idle thread's steps
+// really return — every process cycles the same three constants (a lock
+// hold, an MPI poll, IdlePoll), so a wake-up's delay says which FIFO lane
+// it belongs in — at the default cluster's process count and at the
+// paper-scale one (8 nodes × 61 threads). One op is one step.
+func BenchmarkPollRing(b *testing.B) {
+	delays := [...]Time{120, 500, 150}
+	for _, procs := range []int{20, 488} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			benchRun(b, procs, func(p *Proc, id int) {
+				i := id
+				p.Poll(func() Time {
+					if i >= b.N {
+						return -1
+					}
+					i += procs
+					return delays[(i/procs+id)%len(delays)]
+				})
+			})
+		})
+	}
+}
+
 func BenchmarkMutexUncontended(b *testing.B) {
 	m := &Mutex{Name: "m"}
 	benchRun(b, 1, func(p *Proc, _ int) {

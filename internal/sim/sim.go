@@ -111,9 +111,9 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // event is a scheduled occurrence: either resuming a process or running a
-// callback in scheduler context. It names both by index, so a heap entry
-// is 24 bytes without a pointer in it: a sift moves half of what it would
-// with the callback inline, and the collector never scans the heap.
+// callback in scheduler context. It names both by index, so an entry is
+// 24 bytes without a pointer in it: a sift moves half of what it would
+// with the callback inline, and the collector never scans the pending set.
 type event struct {
 	at   Time
 	seq  uint64
@@ -121,21 +121,21 @@ type event struct {
 	cb   int32 // proc < 0: run Env.cbs[cb]
 }
 
-// callback is a pending After: what heap entries point at by index.
+// callback is a pending After: what its entry points at by index.
 type callback struct {
 	fn   func() // must not block
 	src  string // origin: the process that scheduled it (for diagnostics)
 	next int32  // free list link while the slot is vacant
 }
 
+// before is the kernel's one order: by time, ties by filing sequence.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
@@ -160,14 +160,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// retop re-keys the minimum in place. It leaves the heap that a pop
-// followed by a push of the same entry under its new key would, for one
-// sift instead of two.
-func (h *eventHeap) retop(at Time, seq uint64) {
-	(*h)[0].at, (*h)[0].seq = at, seq
-	h.down()
-}
-
 // down restores heap order below a root that may be out of place: the
 // root is lifted out, smaller children move up into the hole, and it is
 // written once, where it lands.
@@ -186,7 +178,7 @@ func (h eventHeap) down() {
 		if r := c + 1; r < n && h.less(r, c) {
 			c = r
 		}
-		if h[c].at > root.at || (h[c].at == root.at && h[c].seq > root.seq) {
+		if root.before(&h[c]) {
 			break
 		}
 		h[i] = h[c]
@@ -200,7 +192,7 @@ func (h eventHeap) down() {
 type Env struct {
 	now     Time
 	seq     uint64
-	heap    eventHeap
+	pend    pending
 	procs   []*Proc
 	cbs     []callback // After's slab: filled by After, vacated by Run
 	cbFree  int32      // first vacant slot of cbs, or -1
@@ -233,7 +225,7 @@ type Env struct {
 // function of the simulated program alone, so they repeat exactly from
 // run to run.
 type Counters struct {
-	Dispatches   uint64 // events taken off the heap, or re-keyed on it
+	Dispatches   uint64 // events taken off the pending set, a Poll wake-up re-filed included
 	ProcSwitches uint64 // dispatches that switched into a process
 	Callbacks    uint64 // dispatches that ran an After callback
 	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
@@ -308,7 +300,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	p.state = stateRunnable
-	e.heap.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
 	return p
 }
 
@@ -337,7 +329,7 @@ func (e *Env) After(d Time, fn func()) {
 		e.cbFree = e.cbs[i].next
 	}
 	e.cbs[i] = callback{fn: fn, src: src}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: -1, cb: i})
+	e.pend.push(event{at: e.now + d, seq: e.nextSeq(), proc: -1, cb: i})
 }
 
 // makeRunnable schedules p to resume at the current time.
@@ -346,7 +338,7 @@ func (e *Env) makeRunnable(p *Proc) {
 		panic(fmt.Sprintf("sim: makeRunnable(%s) in state %v", p.name, p.state))
 	}
 	p.state = stateRunnable
-	e.heap.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
 }
 
 // DeadlockError reports that live processes remain but no event can ever
@@ -392,15 +384,19 @@ func (e *Env) Run() error {
 		limit = 50_000_000
 	}
 	start := e.ctr.Dispatches
-	for len(e.heap) > 0 {
+	for {
+		ev, ok := e.pend.pop()
+		if !ok {
+			break
+		}
 		if (e.ctr.Dispatches-start)%cancelStride == 0 && e.stop.Load() {
 			return ErrCancelled
 		}
 		e.ctr.Dispatches++
-		at := e.heap[0].at
+		at := ev.at
 		var p *Proc // nil: the event is a callback
-		if i := e.heap[0].proc; i >= 0 {
-			p = e.procs[i]
+		if ev.proc >= 0 {
+			p = e.procs[ev.proc]
 		}
 		if at < e.now {
 			panic("sim: time went backwards")
@@ -411,7 +407,7 @@ func (e *Env) Run() error {
 				if e.sameTimeBy == nil {
 					e.sameTimeBy = make(map[string]int)
 				}
-				e.sameTimeBy[e.eventOrigin(e.heap[0])]++
+				e.sameTimeBy[e.eventOrigin(ev)]++
 			}
 			if e.sameTimeCount > limit {
 				panic(fmt.Sprintf("sim: virtual livelock at t=%v (>%d events without advancing time); stuck process: %s",
@@ -424,20 +420,18 @@ func (e *Env) Run() error {
 		}
 		e.now = at
 		if p != nil && p.step != nil {
-			// The process sits in Poll: take its next step here. Whatever
-			// the step schedules sorts after this event, which therefore
-			// stays the heap minimum until it is re-keyed or popped.
+			// The process sits in Poll: take its next step here, and file
+			// the wake-up the step asks for as Poll filed the first.
 			e.cur = p
 			d := e.runStep(p, p.step)
 			e.cur = nil
 			if d >= 0 {
 				e.ctr.Steps++
-				e.heap.retop(e.now+d, e.nextSeq())
+				e.pend.pushStep(e.now, d, e.nextSeq(), ev.proc)
 				continue
 			}
 			p.step = nil // Poll is over: resume the process, in this dispatch
 		}
-		ev := e.heap.pop()
 		if p == nil {
 			e.ctr.Callbacks++
 			// Vacate the slot first: fn may call After, which may reuse it
@@ -552,7 +546,7 @@ func (p *Proc) Advance(d Time) {
 	if e.stepping != nil {
 		panic(e.blockedInStep("Advance"))
 	}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
 	p.state = stateRunnable
 	p.yield()
 }
@@ -583,7 +577,7 @@ func (p *Proc) Poll(step func() Time) {
 	if d < 0 {
 		return
 	}
-	e.heap.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.pushStep(e.now, d, e.nextSeq(), int32(p.id))
 	p.state = stateRunnable
 	p.step = step
 	p.yield()
