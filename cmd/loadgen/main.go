@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -137,7 +138,7 @@ func executions(ctx context.Context, api *simdclient.Client) (int64, bool) {
 	var stats struct {
 		Executions int64 `json:"executions"`
 	}
-	if err := api.GetJSONCtx(ctx, "/stats", &stats); err != nil {
+	if err := api.Call(ctx, http.MethodGet, "/stats", nil, &stats); err != nil {
 		return 0, false
 	}
 	return stats.Executions, true

@@ -39,16 +39,12 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -56,80 +52,38 @@ import (
 	"repro/internal/store"
 )
 
-// config carries the parsed flags into run.
+// config carries the parsed flags into run: the server's Options, which
+// the flags that have a field there fill directly, and the rest.
 type config struct {
-	addr, debugAddr string
-	workers, queue  int
-	cacheMiB        int64
-	flightRounds    int
-	flightRetain    int
-	storeDir        string
-	storeMiB        int64
-	journalPath     string
-	jobDeadline     time.Duration
-	nodeID          string
+	simd.Options
+	addr, debugAddr       string
+	cacheMiB, storeMiB    int64
+	storeDir, journalPath string
 }
 
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "simulations executing concurrently")
-	flag.IntVar(&cfg.queue, "queue", 64, "bounded queue depth beyond the running jobs; past it submissions get 429")
+	flag.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "simulations executing concurrently")
+	flag.IntVar(&cfg.QueueDepth, "queue", 64, "bounded queue depth beyond the running jobs; past it submissions get 429")
 	flag.Int64Var(&cfg.cacheMiB, "cachesize", 64, "result cache budget in MiB (0: disable caching)")
 	flag.StringVar(&cfg.storeDir, "store-dir", "", "persistent content-addressed result store directory (empty: memory-only)")
 	flag.Int64Var(&cfg.storeMiB, "store-bytes", 1024, "persistent store budget in MiB (0: unbounded); oldest entries evict past it")
 	flag.StringVar(&cfg.journalPath, "journal", "", "warm-restart journal path (default <store-dir>/journal.ndjson; daemons sharing a store dir need distinct journals)")
-	flag.DurationVar(&cfg.jobDeadline, "job-deadline", 0, "per-job wall-clock deadline; a job over it fails (0: none)")
-	flag.StringVar(&cfg.nodeID, "node-id", "", "stable node identity echoed by /healthz and /stats (default: the listener's host:port)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "json", "log output format: json|text")
+	flag.DurationVar(&cfg.JobDeadline, "job-deadline", 0, "per-job wall-clock deadline; a job over it fails (0: none)")
+	flag.StringVar(&cfg.NodeID, "node-id", "", "stable node identity echoed by /healthz and /stats (default: the listener's host:port)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional debug listen address serving /debug/pprof/ and /metrics (empty: disabled)")
-	flag.IntVar(&cfg.flightRounds, "flight-rounds", 64, "GVT rounds in the tail of a job's event history that /jobs/{id}/flight serves")
-	flag.IntVar(&cfg.flightRetain, "flight-retain", 128, "executed jobs that keep their event history once finished, before the oldest is released")
-	flag.Parse()
-	level, err := obs.ParseLevel(*logLevel)
-	if err == nil {
-		var logger *slog.Logger
-		logger, err = obs.NewLogger(os.Stderr, *logFormat, level)
-		if err == nil {
-			err = run(cfg, logger)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simd:", err)
-		os.Exit(1)
-	}
-}
-
-// newAPIServer applies the service's HTTP hardening to a handler: header
-// and read bounds so a stalled or hostile client cannot hold a
-// connection open indefinitely. WriteTimeout stays 0 on purpose — the
-// /jobs/{id}/events NDJSON stream legitimately writes for as long as a
-// simulation runs — so slow-writer exposure is bounded by IdleTimeout
-// between requests instead.
-func newAPIServer(handler http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    64 << 10,
-	}
+	flag.IntVar(&cfg.FlightRounds, "flight-rounds", 64, "GVT rounds in the tail of a job's event history that /jobs/{id}/flight serves")
+	flag.IntVar(&cfg.FlightRetain, "flight-retain", 128, "executed jobs that keep their event history once finished, before the oldest is released")
+	simd.Main("simd", func(logger *slog.Logger) error { return run(cfg, logger) })
 }
 
 func run(cfg config, logger *slog.Logger) error {
-	cacheBytes := cfg.cacheMiB << 20
+	opts := cfg.Options
+	opts.Logger = logger
+	opts.CacheBytes = cfg.cacheMiB << 20
 	if cfg.cacheMiB <= 0 {
-		cacheBytes = -1
-	}
-	opts := simd.Options{
-		Workers:      cfg.workers,
-		QueueDepth:   cfg.queue,
-		CacheBytes:   cacheBytes,
-		FlightRounds: cfg.flightRounds,
-		FlightRetain: cfg.flightRetain,
-		JobDeadline:  cfg.jobDeadline,
-		Logger:       logger,
+		opts.CacheBytes = -1
 	}
 
 	// Persistent store + warm-restart journal. Open errors are fatal —
@@ -164,12 +118,12 @@ func run(cfg config, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	opts.NodeID = cfg.nodeID
 	if opts.NodeID == "" {
 		opts.NodeID = ln.Addr().String()
 	}
 
 	svc := simd.NewServer(opts)
+	defer svc.Close()
 
 	// Warm restart: re-enqueue journaled jobs interrupted by the previous
 	// run. Completed ones come back as instant store hits; interrupted
@@ -179,19 +133,9 @@ func run(cfg config, logger *slog.Logger) error {
 	if n := svc.Recover(); n > 0 {
 		logger.Info("warm restart recovered jobs", "jobs", n)
 	}
-
-	httpSrv := newAPIServer(svc.Handler())
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
 	build := obs.ReadBuild()
 	logger.Info("simd listening", "addr", ln.Addr().String(), "node_id", opts.NodeID,
-		"workers", cfg.workers, "queue", cfg.queue, "cache_mib", cfg.cacheMiB,
+		"workers", opts.Workers, "queue", opts.QueueDepth, "cache_mib", cfg.cacheMiB,
 		"store_dir", cfg.storeDir, "go_version", build.GoVersion, "revision", build.ShortRevision())
 
 	// Optional debug listener: pprof profiles plus a second /metrics
@@ -206,7 +150,7 @@ func run(cfg config, logger *slog.Logger) error {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("/metrics", svc.MetricsHandler())
-		dbgSrv = newAPIServer(dmux)
+		dbgSrv = simd.NewHTTPServer(dmux)
 		dbgSrv.Addr = cfg.debugAddr
 		go func() {
 			if err := dbgSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -216,29 +160,13 @@ func run(cfg config, logger *slog.Logger) error {
 		logger.Info("debug listener up", "addr", cfg.debugAddr)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		svc.Close()
-		return err // listener died before any signal
-	case <-ctx.Done():
-		stop() // a second signal kills the process instead of waiting out the drain
-	}
-
 	// Graceful drain: stop accepting connections, let in-flight HTTP
 	// requests finish, then let every admitted job settle.
-	logger.Info("simd shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	shutdownErr := httpSrv.Shutdown(shutdownCtx)
-	if dbgSrv != nil {
-		dbgSrv.Shutdown(shutdownCtx)
-	}
-	svc.Close()
-	logger.Info("simd drained")
-	if err := <-errCh; err != nil {
-		return err
-	}
-	return shutdownErr
+	return simd.ServeUntilSignal(logger, "simd", ln, svc.Handler(), 30*time.Second, func(ctx context.Context) {
+		if dbgSrv != nil {
+			dbgSrv.Shutdown(ctx)
+		}
+		svc.Close()
+		logger.Info("simd drained")
+	})
 }

@@ -155,28 +155,29 @@ func submit(t *testing.T, base, spec string) submitResp {
 	return sr
 }
 
-// waitJob polls one job until it reaches want (or fails the test on any
-// other terminal state).
+// waitJob blocks on the job's event stream — to its first record when
+// waiting for running, to its end otherwise — and then requires the job
+// to be in state want.
 func waitJob(t *testing.T, base, id, want string) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		var st struct {
-			State  string `json:"state"`
-			Error  string `json:"error"`
-			Rounds int    `json:"rounds"`
-		}
-		getJSON(t, base+"/jobs/"+id, &st)
-		if st.State == want {
-			return
-		}
-		switch st.State {
-		case "done", "failed", "cancelled":
-			t.Fatalf("job %s settled %s (%s), want %s", id, st.State, st.Error, want)
-		}
-		time.Sleep(20 * time.Millisecond)
+	resp, err := http.Get(base + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("job %s never reached %s", id, want)
+	defer resp.Body.Close()
+	for r := bufio.NewReader(resp.Body); ; {
+		if _, err := r.ReadString('\n'); err != nil || want == "running" {
+			break
+		}
+	}
+	var st struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	getJSON(t, base+"/jobs/"+id, &st)
+	if st.State != want {
+		t.Fatalf("job %s is %s (%s), want %s", id, st.State, st.Error, want)
+	}
 }
 
 func report(t *testing.T, base, id string) []byte {

@@ -31,29 +31,27 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/simd"
 	"repro/internal/simdcluster"
 )
 
+// config is the router's Options, which -replicas, -health-interval and
+// -fail-threshold fill directly, and what the supervisor needs.
 type config struct {
+	simdcluster.Options
 	nodes          int
 	addr           string
 	storeDir       string
-	replicas       int
 	simdBin        string
 	workers, queue int
-	healthInterval time.Duration
-	failThreshold  int
 	restart        bool
 }
 
@@ -62,28 +60,14 @@ func main() {
 	flag.IntVar(&cfg.nodes, "nodes", 3, "simd member processes to spawn and supervise")
 	flag.StringVar(&cfg.addr, "addr", ":8090", "router HTTP listen address")
 	flag.StringVar(&cfg.storeDir, "store-dir", "", "shared content-addressed store directory (default: a fresh temp dir, logged at startup)")
-	flag.IntVar(&cfg.replicas, "replicas", 0, "candidate members tried per dispatch before giving up (0: all eligible)")
+	flag.IntVar(&cfg.Replicas, "replicas", 0, "candidate members tried per dispatch before giving up (0: all eligible)")
 	flag.StringVar(&cfg.simdBin, "simd-bin", "", "simd binary to spawn (default: sibling of this executable, then $PATH)")
 	flag.IntVar(&cfg.workers, "workers", 2, "workers per member")
 	flag.IntVar(&cfg.queue, "queue", 64, "queue depth per member")
-	flag.DurationVar(&cfg.healthInterval, "health-interval", 500*time.Millisecond, "member health probe cadence")
-	flag.IntVar(&cfg.failThreshold, "fail-threshold", 3, "consecutive probe failures demoting a member to down")
+	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "member health probe cadence")
+	flag.IntVar(&cfg.FailThreshold, "fail-threshold", 3, "consecutive probe failures demoting a member to down")
 	flag.BoolVar(&cfg.restart, "restart", true, "respawn crashed members")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "json", "log output format: json|text")
-	flag.Parse()
-	level, err := obs.ParseLevel(*logLevel)
-	if err == nil {
-		var logger *slog.Logger
-		logger, err = obs.NewLogger(os.Stderr, *logFormat, level)
-		if err == nil {
-			err = run(cfg, logger)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simdcluster:", err)
-		os.Exit(1)
-	}
+	simd.Main("simdcluster", func(logger *slog.Logger) error { return run(cfg, logger) })
 }
 
 // findSimd resolves the member binary: an explicit flag, the sibling
@@ -251,18 +235,16 @@ func run(cfg config, logger *slog.Logger) error {
 		return err
 	}
 
-	cluster := simdcluster.New(simdcluster.Options{
-		HealthInterval: cfg.healthInterval,
-		FailThreshold:  cfg.failThreshold,
-		Replicas:       cfg.replicas,
-		Logger:         logger,
-	})
+	cfg.Logger = logger
+	cluster := simdcluster.New(cfg.Options)
 	defer cluster.Close()
 	sup := &supervisor{cfg: cfg, bin: bin, log: logger, cluster: cluster, procs: make(map[string]*memberProc)}
+	// Whatever ends run, no member outlives it; after the graceful stop
+	// below this finds nothing left to do.
+	defer sup.stop(5 * time.Second)
 
 	for i := 1; i <= cfg.nodes; i++ {
 		if err := sup.spawn(fmt.Sprintf("n%d", i)); err != nil {
-			sup.stop(5 * time.Second)
 			return err
 		}
 	}
@@ -270,53 +252,19 @@ func run(cfg config, logger *slog.Logger) error {
 	// router on the whole fleet passing.
 	for i := 1; i <= cfg.nodes; i++ {
 		if err := cluster.WaitUp(fmt.Sprintf("n%d", i), 30*time.Second); err != nil {
-			sup.stop(5 * time.Second)
 			return err
 		}
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		sup.stop(5 * time.Second)
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:           cluster.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    64 << 10,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
 	logger.Info("simdcluster listening", "addr", ln.Addr().String(),
 		"nodes", cfg.nodes, "store_dir", cfg.storeDir, "simd_bin", bin)
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	select {
-	case err := <-errCh:
-		sup.stop(5 * time.Second)
-		return err
-	case <-ctx.Done():
-		stopSignals()
-	}
-
-	logger.Info("simdcluster shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	shutdownErr := httpSrv.Shutdown(shutdownCtx)
-	sup.stop(10 * time.Second)
-	cluster.Close()
-	logger.Info("simdcluster stopped")
-	if err := <-errCh; err != nil {
-		return err
-	}
-	return shutdownErr
+	return simd.ServeUntilSignal(logger, "simdcluster", ln, cluster.Handler(), 10*time.Second, func(context.Context) {
+		sup.stop(10 * time.Second)
+		cluster.Close()
+		logger.Info("simdcluster stopped")
+	})
 }

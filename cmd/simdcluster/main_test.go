@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -47,18 +49,45 @@ func binaries(t *testing.T) (cluster, simdBin string) {
 	return filepath.Join(buildOnce.dir, "simdcluster"), filepath.Join(buildOnce.dir, "simd")
 }
 
-// router is one spawned simdcluster process under test.
+// router is one spawned simdcluster process under test. Its stderr —
+// its own log and, forwarded, every member's — is kept line by line.
 type router struct {
 	cmd  *exec.Cmd
 	base string
-	logs *bytes.Buffer
 	mu   sync.Mutex
+	logs []string
+	more chan struct{} // closed, and replaced, when a line arrives
 }
 
 func (r *router) dump() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.logs.String()
+	return strings.Join(r.logs, "\n")
+}
+
+// waitLog blocks until a log record — any written so far, or one yet to
+// come — satisfies match, and returns it.
+func (r *router) waitLog(t *testing.T, what string, match func(rec map[string]any) bool) map[string]any {
+	t.Helper()
+	deadline := time.NewTimer(60 * time.Second)
+	defer deadline.Stop()
+	for seen := 0; ; {
+		r.mu.Lock()
+		lines, more := r.logs[seen:], r.more
+		seen = len(r.logs)
+		r.mu.Unlock()
+		for _, line := range lines {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && match(rec) {
+				return rec
+			}
+		}
+		select {
+		case <-more:
+		case <-deadline.C:
+			t.Fatalf("never logged: %s\nlogs:\n%s", what, r.dump())
+		}
+	}
 }
 
 // startRouter launches simdcluster on an ephemeral port and blocks
@@ -75,14 +104,16 @@ func startRouter(t *testing.T, args ...string) *router {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	r := &router{cmd: cmd, logs: &bytes.Buffer{}}
+	r := &router{cmd: cmd, more: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := newLineScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
 			r.mu.Lock()
-			r.logs.WriteString(line + "\n")
+			r.logs = append(r.logs, line)
+			close(r.more)
+			r.more = make(chan struct{})
 			r.mu.Unlock()
 			var rec struct {
 				Msg  string `json:"msg"`
@@ -135,37 +166,55 @@ type submitView struct {
 func submit(t *testing.T, c *simdclient.Client, spec string) submitView {
 	t.Helper()
 	var v submitView
-	code, _, err := c.PostJSON("/jobs", []byte(spec), &v)
-	if err != nil || (code != http.StatusOK && code != http.StatusAccepted) {
-		t.Fatalf("submit %s: code %d err %v (%+v)", spec, code, err, v)
+	if err := c.Call(context.Background(), http.MethodPost, "/jobs", []byte(spec), &v); err != nil {
+		t.Fatalf("submit %s: %v", spec, err)
 	}
 	return v
 }
 
-func waitDone(t *testing.T, c *simdclient.Client, id string) submitView {
+// waitDone blocks until the job the router knows as id — the spec with
+// this hash, placed on node — has settled, and requires it done. The
+// wait is the member's own: its event stream for the job ends when the
+// job does.
+func waitDone(t *testing.T, c *simdclient.Client, id, node, hash string) submitView {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	var v submitView
-	for time.Now().Before(deadline) {
-		if err := c.GetJSON("/jobs/"+id, &v); err == nil {
-			switch v.State {
-			case "done":
-				return v
-			case "failed", "cancelled":
-				t.Fatalf("job %s settled %s (%s), want done", id, v.State, v.Error)
+	ctx := context.Background()
+	var nv nodesView
+	if err := c.Call(ctx, http.MethodGet, "/nodes", nil, &nv); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nv.Nodes {
+		if n.ID != node {
+			continue
+		}
+		member := simdclient.New(n.Addr)
+		member.HTTP = &http.Client{} // a stream lasts as long as its job
+		var list struct {
+			Jobs []submitView `json:"jobs"`
+		}
+		if err := member.Call(ctx, http.MethodGet, "/jobs", nil, &list); err != nil {
+			t.Fatalf("listing %s: %v", node, err)
+		}
+		for _, j := range list.Jobs {
+			if j.Hash == hash {
+				if err := member.Call(ctx, http.MethodGet, "/jobs/"+j.ID+"/events", nil, nil); err != nil {
+					t.Fatalf("following job %s on %s: %v", j.ID, node, err)
+				}
 			}
 		}
-		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("job %s never finished (last %+v)", id, v)
+	var v submitView
+	if err := c.Call(ctx, http.MethodGet, "/jobs/"+id, nil, &v); err != nil || v.State != "done" {
+		t.Fatalf("job %s is %s (%s) err %v, want done", id, v.State, v.Error, err)
+	}
 	return v
 }
 
 func fetchReport(t *testing.T, c *simdclient.Client, id string) []byte {
 	t.Helper()
-	code, data, _, err := c.GetRaw("/jobs/" + id + "/report")
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("report %s: code %d err %v body %s", id, code, err, data)
+	var data []byte
+	if err := c.Call(context.Background(), http.MethodGet, "/jobs/"+id+"/report", nil, &data); err != nil {
+		t.Fatalf("report %s: %v", id, err)
 	}
 	return data
 }
@@ -174,6 +223,7 @@ func fetchReport(t *testing.T, c *simdclient.Client, id string) []byte {
 type nodesView struct {
 	Nodes []struct {
 		ID    string `json:"node_id"`
+		Addr  string `json:"addr"`
 		State string `json:"state"`
 		PID   int    `json:"pid"`
 	} `json:"nodes"`
@@ -226,7 +276,7 @@ func TestClusterSmoke(t *testing.T) {
 	owners := map[string]string{}
 	for seed := uint64(1); seed <= 4; seed++ {
 		v := submit(t, c, spec(seed, 5))
-		fin := waitDone(t, c, v.ID)
+		fin := waitDone(t, c, v.ID, v.Node, v.Hash)
 		reports[v.ID] = fetchReport(t, c, v.ID)
 		owners[v.ID] = fin.Node
 	}
@@ -242,17 +292,9 @@ func TestClusterSmoke(t *testing.T) {
 	if blocker.Node != victim {
 		t.Fatalf("blocker routed to %s, want %s", blocker.Node, victim)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var v submitView
-		if err := c.GetJSON("/jobs/"+blocker.ID, &v); err == nil && v.State == "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never started running")
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	r.waitLog(t, "the blocker running", func(rec map[string]any) bool {
+		return rec["msg"] == "job running" && rec["hash"] == blocker.Hash
+	})
 	queued := submit(t, c, spec(seedFor(t, ids, victim, 6, 900), 6))
 	if queued.Node != victim {
 		t.Fatalf("queued job routed to %s, want %s", queued.Node, victim)
@@ -260,7 +302,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// kill -9 the victim's process, mid-run.
 	var nv nodesView
-	if err := c.GetJSON("/nodes", &nv); err != nil {
+	if err := c.Call(context.Background(), http.MethodGet, "/nodes", nil, &nv); err != nil {
 		t.Fatal(err)
 	}
 	pid := 0
@@ -276,42 +318,27 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The health gate demotes the victim.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		if err := c.GetJSON("/nodes", &nv); err == nil {
-			down := false
-			for _, n := range nv.Nodes {
-				if n.ID == victim && n.State == "down" {
-					down = true
-				}
-			}
-			if down {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim %s never marked down\nlogs:\n%s", victim, r.dump())
-		}
-		time.Sleep(50 * time.Millisecond)
+	// The health gate demotes the victim, and the failover that follows
+	// moves its unfinished jobs: the router logs each step.
+	r.waitLog(t, "victim "+victim+" down", func(rec map[string]any) bool {
+		return rec["msg"] == "cluster member down" && rec["node_id"] == victim
+	})
+	movedTo := func(id string) string {
+		rec := r.waitLog(t, "job "+id+" re-dispatched", func(rec map[string]any) bool {
+			return rec["msg"] == "cluster job re-dispatched" && rec["job"] == id
+		})
+		return rec["to"].(string)
 	}
 
 	// Free the failover-stolen worker: cancel the blocker through the
-	// cluster (retrying while the re-dispatch settles).
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		code, err := c.Delete("/jobs/"+blocker.ID, nil)
-		if err == nil && code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("blocker never cancellable after failover: code %d err %v", code, err)
-		}
-		time.Sleep(50 * time.Millisecond)
+	// cluster, on its new owner.
+	movedTo(blocker.ID)
+	if err := c.Call(context.Background(), http.MethodDelete, "/jobs/"+blocker.ID, nil, nil); err != nil {
+		t.Fatalf("blocker not cancellable after failover: %v", err)
 	}
 
 	// Zero jobs lost: the queued job completes on a surviving node.
-	fin := waitDone(t, c, queued.ID)
+	fin := waitDone(t, c, queued.ID, movedTo(queued.ID), queued.Hash)
 	if fin.Node == victim {
 		t.Fatalf("queued job reports completion on the dead node %s", victim)
 	}
@@ -342,14 +369,14 @@ func TestClusterSmoke(t *testing.T) {
 			} `json:"stats"`
 		} `json:"nodes"`
 	}
-	if err := c.GetJSON("/stats", &before); err != nil {
+	if err := c.Call(context.Background(), http.MethodGet, "/stats", nil, &before); err != nil {
 		t.Fatal(err)
 	}
 	re := submit(t, c, spec(1, 5))
 	if !re.CacheHitNow || re.State != "done" || re.Node == victim {
 		t.Fatalf("repeat submission: %+v, want a warm hit on a live node", re)
 	}
-	if err := c.GetJSON("/stats", &after); err != nil {
+	if err := c.Call(context.Background(), http.MethodGet, "/stats", nil, &after); err != nil {
 		t.Fatal(err)
 	}
 	if after.Executions != before.Executions {

@@ -13,9 +13,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -24,8 +26,9 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/simd"
 	"repro/internal/simdclient"
+	"repro/internal/simdcluster"
+	"repro/pkg/client"
 )
 
 func main() {
@@ -42,22 +45,14 @@ func main() {
 	}
 }
 
-// clusterStats is the slice of a simdcluster /stats document beyond the
-// plain daemon shape: per-node attribution. Against a single daemon it
-// decodes empty and the cluster line is simply not rendered.
-type clusterStats struct {
-	simd.Stats
-	Nodes []struct {
-		ID    string `json:"node_id"`
-		State string `json:"state"`
-	} `json:"nodes"`
-}
-
 // frame is one poll of the daemon (or cluster router).
 type frame struct {
-	at      time.Time
-	stats   clusterStats
-	jobs    []simd.JobStatus
+	at time.Time
+	// stats is read as the router's document — a daemon's plus per-node
+	// attribution. Against a single daemon the cluster fields decode empty
+	// and the cluster line is simply not rendered.
+	stats   simdcluster.Stats
+	jobs    []client.JobStatus
 	metrics *obs.Snapshot
 	// health is /healthz's status: "ok", "degraded" (persistent store
 	// bypassed, results memory-only), or "" when the probe failed.
@@ -72,7 +67,7 @@ type frame struct {
 // poll fetches one frame from the daemon.
 func poll(c *simdclient.Client) (*frame, error) {
 	f := &frame{at: time.Now()}
-	if err := c.GetJSON("/stats", &f.stats); err != nil {
+	if err := c.Call(context.Background(), http.MethodGet, "/stats", nil, &f.stats); err != nil {
 		return nil, err
 	}
 	if hz, err := c.Health(); err == nil {
@@ -81,9 +76,9 @@ func poll(c *simdclient.Client) (*frame, error) {
 		f.healthErr = err
 	}
 	var list struct {
-		Jobs []simd.JobStatus `json:"jobs"`
+		Jobs []client.JobStatus `json:"jobs"`
 	}
-	if err := c.GetJSON("/jobs", &list); err != nil {
+	if err := c.Call(context.Background(), http.MethodGet, "/jobs", nil, &list); err != nil {
 		return nil, err
 	}
 	f.jobs = list.Jobs
@@ -128,9 +123,9 @@ func describeErr(err error) string {
 }
 
 func run(base string, interval time.Duration, once bool, rows int) error {
-	client := simdclient.New(base)
+	api := simdclient.New(base)
 
-	cur, err := pollRetry(client, 6)
+	cur, err := pollRetry(api, 6)
 	if err != nil {
 		return err
 	}
@@ -153,7 +148,7 @@ func run(base string, interval time.Duration, once bool, rows int) error {
 			return nil
 		case <-time.After(delay):
 		}
-		next, err := poll(client)
+		next, err := poll(api)
 		if err != nil {
 			// Keep the last frame on screen, report the blip, and back off
 			// — the daemon may be restarting; hammering it helps nobody.
@@ -218,7 +213,7 @@ func render(base string, prev, cur *frame, rows int) string {
 		up := 0
 		parts := make([]string, 0, len(st.Nodes))
 		for _, n := range st.Nodes {
-			if n.State == "up" {
+			if n.State == simdcluster.MemberUp {
 				up++
 			}
 			parts = append(parts, fmt.Sprintf("%s:%s", n.ID, n.State))
@@ -229,7 +224,7 @@ func render(base string, prev, cur *frame, rows int) string {
 
 	by := st.ByState
 	fmt.Fprintf(&b, "jobs     queued %-4d running %-4d done %-5d failed %-4d cancelled %-4d\x1b[0K\n",
-		by["queued"], by["running"], by["done"], by["failed"], by["cancelled"])
+		by[client.StateQueued], by[client.StateRunning], by[client.StateDone], by[client.StateFailed], by[client.StateCancelled])
 	fmt.Fprintf(&b, "queue    %s %d/%d   workers %d/%d busy   rejected(429) %d\x1b[0K\n",
 		bar(st.QueueLen, st.QueueCap, 20), st.QueueLen, st.QueueCap,
 		st.WorkersBusy, st.Workers, st.Rejected)
@@ -260,7 +255,7 @@ func render(base string, prev, cur *frame, rows int) string {
 
 	fmt.Fprintf(&b, "%-8s %-10s %8s %12s %8s %10s\x1b[0K\n",
 		"JOB", "STATE", "ROUNDS", "GVT", "EFF", "ELAPSED")
-	jobs := append([]simd.JobStatus(nil), cur.jobs...)
+	jobs := append([]client.JobStatus(nil), cur.jobs...)
 	// Most recent first; running jobs are naturally near the top since
 	// IDs are sequential.
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID > jobs[j].ID })
@@ -279,7 +274,7 @@ func render(base string, prev, cur *frame, rows int) string {
 
 // elapsed is the job's wall-clock age in its current phase: run time for
 // started jobs (frozen at finish), queue age otherwise.
-func elapsed(j simd.JobStatus, now time.Time) string {
+func elapsed(j client.JobStatus, now time.Time) string {
 	switch {
 	case j.StartedAt != nil && j.FinishedAt != nil:
 		return fmtDur(j.FinishedAt.Sub(*j.StartedAt))

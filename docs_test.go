@@ -1,12 +1,18 @@
 package repro
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/simd"
+	"repro/internal/simdcluster"
 )
 
 // TestExamplesRun builds and runs every program under examples/ — the
@@ -57,13 +63,17 @@ func TestDocCommandsExist(t *testing.T) {
 		if flagsOf[dir] == nil {
 			flagsOf[dir] = map[string]bool{}
 			srcs, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-			for _, src := range srcs {
-				data, err := os.ReadFile(src)
+			for i := 0; i < len(srcs); i++ { // srcs grows below
+				data, err := os.ReadFile(srcs[i])
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, m := range flagDef.FindAllStringSubmatch(string(data), -1) {
 					flagsOf[dir][m[1]] = true
+				}
+				// A daemon's logging flags come with the lifecycle it shares.
+				if strings.Contains(string(data), "simd.Main(") {
+					srcs = append(srcs, filepath.Join("internal", "simd", "daemon.go"))
 				}
 			}
 		}
@@ -117,5 +127,71 @@ func TestDocCommandsExist(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Errorf("only %d fenced `go run` and `make` lines found: the extraction is broken", checked)
+	}
+}
+
+// TestDocCurlRoutesExist keeps the documents' `curl` lines pointed at
+// routes that exist: every one in a code fence of README.md and
+// EXPERIMENTS.md is sent — method and path as written, to the router when
+// it names port 8090 and to a daemon otherwise — and must be answered by
+// a registered pattern. The mux's own 404 and 405 are plain text; a
+// handler's refusal (the job id a walkthrough made up, the placeholder
+// spec sent here in place of the documented one) is the JSON error body,
+// and is fine. DESIGN.md ("Job API contract") is the table they follow.
+func TestDocCurlRoutesExist(t *testing.T) {
+	daemon := simd.NewServer(simd.Options{Workers: 1})
+	defer daemon.Close()
+	router := simdcluster.New(simdcluster.Options{})
+	defer router.Close()
+	handlers := map[bool]http.Handler{false: daemon.Handler(), true: router.Handler()}
+
+	checked := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+				continue
+			}
+			words := strings.Fields(strings.TrimPrefix(line, "$ "))
+			if !fenced || len(words) == 0 || words[0] != "curl" {
+				continue
+			}
+			method, target := "", ""
+			for i, w := range words[1:] {
+				switch {
+				case w == "-X" && i+2 < len(words):
+					method = words[i+2]
+				case w == "-d" && method == "":
+					method = http.MethodPost
+				case strings.HasPrefix(w, "localhost:") && target == "":
+					target = w
+				}
+			}
+			u, err := url.Parse("http://" + target)
+			if target == "" || err != nil {
+				t.Errorf("%s: `%s`: no URL found", doc, line)
+				continue
+			}
+			if method == "" {
+				method = http.MethodGet
+			}
+			checked++
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(method, u.RequestURI(), strings.NewReader(`{"model":"a placeholder, refused before anything runs"}`))
+			handlers[u.Port() == "8090"].ServeHTTP(rec, req)
+			if code := rec.Code; (code == http.StatusNotFound || code == http.StatusMethodNotAllowed) &&
+				!strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
+				t.Errorf("%s: `%s`: %s %s is not a registered route (HTTP %d)", doc, line, method, u.Path, code)
+			}
+		}
+	}
+	if checked < 15 {
+		t.Errorf("only %d fenced `curl` lines found: the extraction is broken", checked)
 	}
 }

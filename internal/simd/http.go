@@ -12,44 +12,21 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/simdclient"
+	"repro/pkg/client"
 )
 
-// maxSpecBytes bounds a submitted spec document; anything larger is a
-// client error, not a simulation.
-const maxSpecBytes = 1 << 20
+// MaxSpecBytes bounds a submitted spec document, at the daemon and at the
+// router; anything larger is a client error, not a simulation.
+const MaxSpecBytes = 1 << 20
 
-// JobStatus is the wire form of a job's lifecycle state.
-type JobStatus struct {
-	ID       string `json:"id"`
-	Hash     string `json:"hash"`
-	State    State  `json:"state"`
-	CacheHit bool   `json:"cache_hit"`
-	// StoreHit marks a cache hit served from the persistent store (it
-	// survived a restart or was published by a sibling daemon).
-	StoreHit bool `json:"store_hit,omitempty"`
-	// Deduped counts later identical submissions coalesced onto this job.
-	Deduped int64  `json:"deduped,omitempty"`
-	Rounds  int    `json:"rounds"`
-	Error   string `json:"error,omitempty"`
-	// GVT and Efficiency echo the most recent progress round (0 before
-	// the first round), so pollers and simtop can show live progress
-	// without streaming /events.
-	GVT        float64 `json:"gvt"`
-	Efficiency float64 `json:"efficiency"`
-
-	SubmittedAt time.Time  `json:"submitted_at"`
-	StartedAt   *time.Time `json:"started_at,omitempty"`
-	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-}
-
-// status snapshots a job for the wire.
-func (j *Job) status() JobStatus {
+// status snapshots a job as the job API's document (client.JobStatus).
+func (j *Job) status() client.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	last := j.lastRound()
-	return JobStatus{
+	return client.JobStatus{
 		ID: j.id, Hash: j.hash, State: j.state, CacheHit: j.cacheHit,
 		StoreHit: j.storeHit,
 		Deduped:  j.deduped, Rounds: int(j.rounds), Error: j.errMsg,
@@ -60,31 +37,8 @@ func (j *Job) status() JobStatus {
 	}
 }
 
-// submitResponse is the wire form of a submission outcome.
-type submitResponse struct {
-	JobStatus
-	// CacheHitNow is true when THIS submission was served from the cache
-	// (JobStatus.CacheHit echoes the job's own birth; for a deduped
-	// submission they can differ).
-	CacheHitNow bool `json:"cache_hit_now"`
-	DedupedNow  bool `json:"deduped_now"`
-}
-
-// Handler returns the HTTP API:
-//
-//	POST   /jobs              submit a JobSpec  (202; 200 on cache hit/dedup; 429 full)
-//	POST   /jobs?wait         submit and hold the request until the job settles:
-//	                          200 {"status": <submission, terminal>, "report": <report, done only>}
-//	                          (bare or a true value; ?wait=0 is a plain submit, a non-boolean 400)
-//	GET    /jobs              list job statuses
-//	GET    /jobs/{id}         one job's status
-//	GET    /jobs/{id}/report  the canonical run report        (409 until done)
-//	GET    /jobs/{id}/events  NDJSON per-GVT-round progress stream
-//	GET    /jobs/{id}/flight  flight recorder: bounded tail of recent rounds
-//	DELETE /jobs/{id}         cancel                           (409 if finished)
-//	GET    /metrics           Prometheus text exposition
-//	GET    /stats             service counters
-//	GET    /healthz           liveness + build identification
+// Handler returns the daemon's HTTP API. DESIGN.md ("Job API contract")
+// owns the route table and the documents; pkg/client declares them.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -109,23 +63,18 @@ func (s *Server) MetricsHandler() http.Handler { return s.obs.reg.Handler() }
 // posture ("ok" | "degraded" — still serving, but memory-only because
 // the persistent store's disk is misbehaving).
 type healthzResponse struct {
-	Status string `json:"status"`
-	// NodeID is the daemon's stable cluster identity (Options.NodeID).
-	NodeID        string    `json:"node_id,omitempty"`
-	Build         obs.Build `json:"build"`
-	StartedAt     time.Time `json:"started_at"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
+	simdclient.Health           // NodeID is the daemon's stable cluster identity (Options.NodeID)
+	Build             obs.Build `json:"build"`
+	StartedAt         time.Time `json:"started_at"`
+	UptimeSeconds     float64   `json:"uptime_seconds"`
 	// StoreDir is set when a persistent store is configured.
 	StoreDir string `json:"store_dir,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
-		Status:        "ok",
-		NodeID:        s.opts.NodeID,
-		Build:         obs.ReadBuild(),
-		StartedAt:     s.started,
-		UptimeSeconds: time.Since(s.started).Seconds(),
+		Health: simdclient.Health{Status: "ok", NodeID: s.opts.NodeID},
+		Build:  obs.ReadBuild(), StartedAt: s.started, UptimeSeconds: time.Since(s.started).Seconds(),
 	}
 	if st := s.opts.Store; st != nil {
 		resp.StoreDir = st.Dir()
@@ -133,7 +82,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // statusWriter records the response code for access logging while
@@ -171,12 +120,14 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 	})
 }
 
-// httpError is the uniform error body.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers code with the job API's uniform error body; the
+// daemon and the router both write their refusals through it.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, client.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as the job API indents its documents.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -187,14 +138,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	wait, err := waitParam(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
+	dec := json.NewDecoder(io.LimitReader(r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
 	res, err := s.Submit(spec)
@@ -204,13 +155,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// drain time. Integer seconds, as RFC 9110 specifies.
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int(math.Ceil(s.RetryAfter().Seconds()))))
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if wait {
@@ -221,7 +172,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if res.CacheHit || res.Deduped {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, res.response())
+	WriteJSON(w, code, res.response())
 }
 
 // waitParam reads the submit route's wait parameter: bare (?wait) or a
@@ -240,8 +191,8 @@ func waitParam(q url.Values) (bool, error) {
 }
 
 // response snapshots the submission for the wire as the job stands now.
-func (r SubmitResult) response() submitResponse {
-	return submitResponse{JobStatus: r.Job.status(), CacheHitNow: r.CacheHit, DedupedNow: r.Deduped}
+func (r SubmitResult) response() client.Submission {
+	return client.Submission{JobStatus: r.Job.status(), CacheHitNow: r.CacheHit, DedupedNow: r.Deduped}
 }
 
 // answerSettled is the second half of POST /jobs?wait: hold the request
@@ -252,12 +203,12 @@ func (r SubmitResult) response() submitResponse {
 // passed through an encoder. A client that goes away abandons only the
 // request: the job runs on and its result is cached as usual.
 func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res SubmitResult) {
-	if !res.Job.Wait(r.Context()).Terminal() {
+	if !client.Terminal(res.Job.Wait(r.Context())) {
 		return // client went away; nobody is left to answer
 	}
 	status, err := json.Marshal(res.response())
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	const head, mid, tail = `{"status":`, `,"report":`, `}`
@@ -279,18 +230,18 @@ func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res Submi
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.Jobs()
-	out := make([]JobStatus, len(jobs))
+	out := make([]client.JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.status()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // jobFor resolves {id} or answers 404.
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return nil, false
 	}
 	return j, true
@@ -298,7 +249,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status())
+		WriteJSON(w, http.StatusOK, j.status())
 	}
 }
 
@@ -311,9 +262,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		st := j.State()
 		if st == StateFailed || st == StateCancelled {
-			httpError(w, http.StatusConflict, "job %s is %s; no report", j.ID(), st)
+			WriteError(w, http.StatusConflict, "job %s is %s; no report", j.ID(), st)
 		} else {
-			httpError(w, http.StatusConflict, "job %s is %s; report not ready (stream /jobs/%s/events or retry)", j.ID(), st, j.ID())
+			WriteError(w, http.StatusConflict, "job %s is %s; report not ready (stream /jobs/%s/events or retry)", j.ID(), st, j.ID())
 		}
 		return
 	}
@@ -321,20 +272,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Simd-Job", j.ID())
 	w.Header().Set("X-Simd-Hash", j.Hash())
 	w.Write(data)
-}
-
-// progressLine is one NDJSON stream record: the per-round update with a
-// discriminator. The stream's final record is an endLine instead.
-type progressLine struct {
-	Type string `json:"type"` // "progress"
-	metrics.ProgressUpdate
-}
-
-// endLine closes an NDJSON stream with the job's terminal state.
-type endLine struct {
-	Type  string `json:"type"` // "end"
-	State State  `json:"state"`
-	Error string `json:"error,omitempty"`
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -352,15 +289,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	cursor := 0
 	for {
 		events, state, done := j.WaitEvents(ctx, cursor)
-		for _, u := range events {
-			enc.Encode(progressLine{Type: "progress", ProgressUpdate: u})
+		for i := range events {
+			// The conversion is the drift check: it compiles only while the
+			// engine's record and the contract's have the same fields.
+			enc.Encode(client.EventLine{Type: "progress", Progress: (*client.Progress)(&events[i])})
 		}
 		cursor += len(events)
 		if flusher != nil {
 			flusher.Flush()
 		}
 		if done {
-			enc.Encode(endLine{Type: "end", State: state, Error: j.Err()})
+			enc.Encode(client.EventLine{Type: "end", State: state, Error: j.Err()})
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -378,7 +317,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // it. Unlike /report it answers in every lifecycle state.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Flight(s.opts.FlightRounds))
+		WriteJSON(w, http.StatusOK, j.Flight(s.opts.FlightRounds))
 	}
 }
 
@@ -388,12 +327,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Cancel(j.ID()); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

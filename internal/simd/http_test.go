@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/pkg/client"
 )
 
 func newTestService(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -25,14 +27,14 @@ func newTestService(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, submitResponse) {
+func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, client.Submission) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out submitResponse
+	var out client.Submission
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode submit response: %v", err)
@@ -57,7 +59,7 @@ func getBody(t *testing.T, url string) (int, []byte, http.Header) {
 
 // waitDone blocks on the job's event stream, which ends when the job
 // settles, and returns the terminal status.
-func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
+func waitDone(t *testing.T, ts *httptest.Server, id string) client.JobStatus {
 	t.Helper()
 	if code, body, _ := getBody(t, ts.URL+"/jobs/"+id+"/events"); code != http.StatusOK {
 		t.Fatalf("GET /jobs/%s/events: %d %s", id, code, body)
@@ -66,11 +68,11 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	if code != http.StatusOK {
 		t.Fatalf("GET /jobs/%s: %d %s", id, code, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.State.Terminal() {
+	if !client.Terminal(st.State) {
 		t.Fatalf("job %s is %s after its event stream ended", id, st.State)
 	}
 	return st
@@ -307,7 +309,7 @@ func TestHTTPListStatsHealth(t *testing.T) {
 		t.Fatalf("list: %d", code)
 	}
 	var list struct {
-		Jobs []JobStatus `json:"jobs"`
+		Jobs []client.JobStatus `json:"jobs"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil || len(list.Jobs) != 2 {
 		t.Fatalf("list %s: %v", body, err)

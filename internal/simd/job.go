@@ -6,28 +6,21 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/pkg/client"
 )
 
-// State is a job's lifecycle position. Transitions:
-//
-//	queued → running → done | failed | cancelled
-//	queued → cancelled                      (cancelled before pickup)
-//
-// Cache hits are born done.
-type State string
+// State is a job's lifecycle position, in the job API's own terms:
+// pkg/client names the states, documents the transitions and decides
+// which are terminal (client.Terminal).
+type State = string
 
 const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
+	StateQueued    = client.StateQueued
+	StateRunning   = client.StateRunning
+	StateDone      = client.StateDone
+	StateFailed    = client.StateFailed
+	StateCancelled = client.StateCancelled
 )
-
-// Terminal reports whether a state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
 
 // Job is one submitted simulation. All mutable state is guarded by mu;
 // the progress history is append-only, so streamers hold snapshots
@@ -116,7 +109,7 @@ func (j *Job) Wait(ctx context.Context) State {
 	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for !j.state.Terminal() && ctx.Err() == nil {
+	for !client.Terminal(j.state) && ctx.Err() == nil {
 		j.cond.Wait()
 	}
 	return j.state
@@ -133,9 +126,9 @@ func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpd
 	defer j.mu.Unlock()
 	for {
 		if len(j.events) > cursor {
-			return j.events[cursor:len(j.events):len(j.events)], j.state, j.state.Terminal()
+			return j.events[cursor:len(j.events):len(j.events)], j.state, client.Terminal(j.state)
 		}
-		if j.state.Terminal() {
+		if client.Terminal(j.state) {
 			return nil, j.state, true
 		}
 		if ctx.Err() != nil {
@@ -212,7 +205,7 @@ func (j *Job) attachEngine(e cancellable) {
 // finish — is its to do.
 func (j *Job) requestCancel() (ok, settle bool) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if client.Terminal(j.state) {
 		j.mu.Unlock()
 		return false, false
 	}
@@ -236,7 +229,7 @@ func (j *Job) requestCancel() (ok, settle bool) {
 // once the job is already terminal).
 func (j *Job) markDeadlineExceeded() bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if client.Terminal(j.state) {
 		j.mu.Unlock()
 		return false
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/pkg/client"
 )
 
 // scrape fetches and parses /metrics from a test service.
@@ -171,7 +172,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 				_, sub := postJob(t, ts, fmt.Sprintf(
 					`{"nodes":2,"workers_per_node":2,"lps_per_worker":4,"end_time":5,"seed":%d}`,
 					900+(g*each+i)%5))
-				if sub.ID != "" && !sub.State.Terminal() {
+				if sub.ID != "" && !client.Terminal(sub.State) {
 					waitDone(t, ts, sub.ID)
 				}
 			}

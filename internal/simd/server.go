@@ -18,6 +18,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/pkg/client"
 )
 
 // Submission errors the HTTP layer maps to status codes.
@@ -245,7 +246,7 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 	// removes it in a deferred step); a settled job is not in flight, and
 	// coalescing onto it would hand the submitter someone else's
 	// cancellation or, with the cache off, skip a run it asked for.
-	if prior, ok := s.inflight[hash]; ok && !prior.State().Terminal() {
+	if prior, ok := s.inflight[hash]; ok && !client.Terminal(prior.State()) {
 		prior.mu.Lock()
 		prior.deduped++
 		prior.mu.Unlock()
@@ -536,9 +537,6 @@ func (s *Server) Close() {
 // Executions returns how many engine runs actually started — the
 // counter the cache-hit acceptance test audits.
 func (s *Server) Executions() int64 { return s.executions.Load() }
-
-// NodeID returns the daemon's cluster identity ("" when unset).
-func (s *Server) NodeID() string { return s.opts.NodeID }
 
 // RetryAfter estimates how long a rejected submitter should wait before
 // retrying: the time to drain the current queue, i.e. (queue length + 1)

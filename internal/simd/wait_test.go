@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/store/storetest"
+	"repro/pkg/client"
 )
 
 // syncCounts tallies fsyncs per file kind: the journal, and everything
@@ -68,8 +69,8 @@ func durableServer(t *testing.T, dir string, fsys store.FS, opts Options) (*Serv
 
 // settledAnswer is the POST /jobs?wait document as a client sees it.
 type settledAnswer struct {
-	Status submitResponse  `json:"status"`
-	Report json.RawMessage `json:"report"`
+	Status client.Submission `json:"status"`
+	Report json.RawMessage   `json:"report"`
 }
 
 // postWait submits with ?wait under ctx and decodes the answer. The

@@ -2,9 +2,9 @@
 // that talks to a simd daemon or a simdcluster router: the simtop
 // monitor, the cluster's health checks and proxy bookkeeping, the
 // public SDK in pkg/client, and the smoke tests' curl-free assertions.
-// It deliberately stays generic — callers decode into their own wire
-// types — so it imports nothing above the obs metrics parser and
-// creates no dependency cycles.
+// It deliberately stays generic — callers decode into the wire types
+// pkg/client declares — so it imports nothing above the obs metrics
+// parser and creates no dependency cycles.
 //
 // Failures are typed so callers can tell the two very different "it
 // didn't work" stories apart: a *StatusError means a reachable server
@@ -48,22 +48,25 @@ func New(base string) *Client {
 	}
 }
 
-// StatusError is a reachable server's non-2xx answer: the HTTP exchange
-// itself worked. Callers that treat certain statuses as protocol
-// answers (429 with Retry-After, 409 not-ready) branch on Code.
+// StatusError is a reachable server's non-2xx answer, whole: the HTTP
+// exchange itself worked. Callers that treat certain statuses as
+// protocol answers (429 with Retry-After, 409 not-ready) branch on Code
+// and read Header and Body.
 type StatusError struct {
 	Method string
 	Path   string
 	Code   int
-	// Body is a bounded snippet of the response body, for error messages.
-	Body string
+	Header http.Header
+	Body   string
 }
 
+// Error echoes at most 200 bytes of the body.
 func (e *StatusError) Error() string {
-	if e.Body == "" {
+	body := strings.TrimSpace(e.Body)
+	if body == "" {
 		return fmt.Sprintf("%s %s: HTTP %d", e.Method, e.Path, e.Code)
 	}
-	return fmt.Sprintf("%s %s: HTTP %d: %s", e.Method, e.Path, e.Code, e.Body)
+	return fmt.Sprintf("%s %s: HTTP %d: %.200s", e.Method, e.Path, e.Code, body)
 }
 
 // IsUnreachable reports whether err is a transport-level failure —
@@ -82,7 +85,7 @@ func IsUnreachable(err error) bool {
 // body is marshalled as JSON ([]byte and json.RawMessage pass through
 // verbatim; nil sends no body). A transport failure returns status 0
 // and an error for which IsUnreachable is true. Non-2xx statuses are
-// NOT errors here — Do is the raw exchange the typed helpers build on.
+// NOT errors here — Do is the raw exchange Call builds on.
 func (c *Client) Do(ctx context.Context, method, path string, body any) (int, []byte, http.Header, error) {
 	var rd io.Reader
 	if body != nil {
@@ -116,84 +119,45 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) (int, []
 	return resp.StatusCode, data, resp.Header, err
 }
 
-// GetJSON fetches Base+path and decodes the JSON body into v. Any
-// non-200 status is a *StatusError carrying the status and a body
-// snippet.
-func (c *Client) GetJSON(path string, v any) error {
-	return c.GetJSONCtx(context.Background(), path, v)
-}
-
-// GetJSONCtx is GetJSON under a request context.
-func (c *Client) GetJSONCtx(ctx context.Context, path string, v any) error {
-	code, data, _, err := c.Do(ctx, http.MethodGet, path, nil)
+// Call is the decoding exchange: Do, then a 2xx answer is decoded into
+// v — nil discards it, a *[]byte takes the body verbatim (the shape
+// proxies need), anything else is decoded as JSON — and every other
+// status is a *StatusError carrying the code, the headers and the body.
+func (c *Client) Call(ctx context.Context, method, path string, body, v any) error {
+	code, data, hdr, err := c.Do(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return &StatusError{Method: http.MethodGet, Path: path, Code: code, Body: truncate(data)}
+	if code < 200 || code > 299 {
+		return &StatusError{Method: method, Path: path, Code: code, Header: hdr, Body: string(data)}
 	}
-	return json.Unmarshal(data, v)
-}
-
-// PostJSON posts body (marshalled as JSON; []byte and json.RawMessage
-// pass through verbatim) to Base+path and, when the response carries a
-// JSON body and v is non-nil, decodes it into v. It returns the HTTP
-// status code and its headers; a transport failure returns status 0.
-// Non-2xx statuses are not errors — callers branch on the code (429
-// with Retry-After is a protocol answer, not a failure).
-func (c *Client) PostJSON(path string, body any, v any) (int, http.Header, error) {
-	code, data, hdr, err := c.Do(context.Background(), http.MethodPost, path, body)
-	if err != nil {
-		return code, hdr, err
-	}
-	if v != nil && len(data) > 0 {
+	switch v := v.(type) {
+	case nil:
+	case *[]byte:
+		*v = data
+	default:
 		if err := json.Unmarshal(data, v); err != nil {
-			return code, hdr, fmt.Errorf("POST %s: %d with undecodable body %q: %w", path, code, truncate(data), err)
+			return fmt.Errorf("%s %s: HTTP %d with an undecodable answer: %w", method, path, code, err)
 		}
 	}
-	return code, hdr, nil
-}
-
-// Delete issues a DELETE to Base+path (the job-cancel verb), decoding a
-// JSON body into v when non-nil. Returns the status code.
-func (c *Client) Delete(path string, v any) (int, error) {
-	code, data, _, err := c.Do(context.Background(), http.MethodDelete, path, nil)
-	if err != nil {
-		return code, err
-	}
-	if v != nil && len(data) > 0 {
-		if err := json.Unmarshal(data, v); err != nil {
-			return code, err
-		}
-	}
-	return code, nil
-}
-
-// GetRaw fetches Base+path and returns the status, body bytes and
-// headers without interpreting them — the shape proxies need.
-func (c *Client) GetRaw(path string) (int, []byte, http.Header, error) {
-	code, data, hdr, err := c.Do(context.Background(), http.MethodGet, path, nil)
-	return code, data, hdr, err
+	return nil
 }
 
 // Metrics fetches and parses Base+/metrics (Prometheus text
 // exposition).
 func (c *Client) Metrics() (*obs.Snapshot, error) {
-	code, data, _, err := c.Do(context.Background(), http.MethodGet, "/metrics", nil)
-	if err != nil {
+	var data []byte
+	if err := c.Call(context.TODO(), http.MethodGet, "/metrics", nil, &data); err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, &StatusError{Method: http.MethodGet, Path: "/metrics", Code: code, Body: truncate(data)}
 	}
 	return obs.ParseText(bytes.NewReader(data))
 }
 
-// Health is the slice of a /healthz document shared by daemon and
-// router: enough for gating and attribution.
+// Health is the head of a /healthz document, shared by daemon and
+// router (both embed it): enough for gating and attribution.
 type Health struct {
 	Status string `json:"status"`
-	NodeID string `json:"node_id"`
+	NodeID string `json:"node_id,omitempty"`
 }
 
 // Health fetches Base+/healthz. A reachable daemon that answers
@@ -202,7 +166,7 @@ type Health struct {
 // from "nothing listening".
 func (c *Client) Health() (Health, error) {
 	var h Health
-	err := c.GetJSON("/healthz", &h)
+	err := c.Call(context.TODO(), http.MethodGet, "/healthz", nil, &h)
 	return h, err
 }
 
@@ -248,14 +212,4 @@ func Retry(attempts int, base, cap time.Duration, fn func() error, onRetry func(
 			delay = cap
 		}
 	}
-}
-
-// truncate bounds an error-message body echo.
-func truncate(b []byte) string {
-	const max = 200
-	s := strings.TrimSpace(string(b))
-	if len(s) > max {
-		return s[:max] + "..."
-	}
-	return s
 }

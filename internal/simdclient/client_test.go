@@ -33,27 +33,30 @@ func TestGetPostDelete(t *testing.T) {
 	var doc struct {
 		N int `json:"n"`
 	}
-	if err := c.GetJSON("/doc", &doc); err != nil || doc.N != 7 {
-		t.Fatalf("GetJSON: %+v err %v", doc, err)
+	ctx := context.Background()
+	if err := c.Call(ctx, http.MethodGet, "/doc", nil, &doc); err != nil || doc.N != 7 {
+		t.Fatalf("GET: %+v err %v", doc, err)
 	}
-	err := c.GetJSON("/missing", &doc)
+	err := c.Call(ctx, http.MethodGet, "/missing", nil, &doc)
 	if err == nil {
-		t.Fatal("GetJSON on 404 must error")
+		t.Fatal("GET on 404 must error")
 	}
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
-		t.Fatalf("GetJSON on 404 returned %v, want *StatusError with code 404", err)
+		t.Fatalf("GET on 404 returned %v, want *StatusError with code 404", err)
 	}
 	if IsUnreachable(err) {
 		t.Fatal("an HTTP 404 answer must not read as unreachable")
 	}
 
+	// A refusal comes back whole: code, headers and body on the error.
 	var echo map[string]any
-	code, hdr, err := c.PostJSON("/echo", map[string]any{"k": "v"}, &echo)
-	if err != nil || code != http.StatusTooManyRequests || echo["k"] != "v" {
-		t.Fatalf("PostJSON: code %d echo %v err %v", code, echo, err)
+	err = c.Call(ctx, http.MethodPost, "/echo", map[string]any{"k": "v"}, nil)
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests ||
+		json.Unmarshal([]byte(se.Body), &echo) != nil || echo["k"] != "v" {
+		t.Fatalf("POST: echo %v err %v", echo, err)
 	}
-	if d, ok := RetryAfterHint(hdr); !ok || d != 3*time.Second {
+	if d, ok := RetryAfterHint(se.Header); !ok || d != 3*time.Second {
 		t.Fatalf("RetryAfterHint = %v, %v", d, ok)
 	}
 	if _, ok := RetryAfterHint(http.Header{}); ok {
@@ -63,13 +66,13 @@ func TestGetPostDelete(t *testing.T) {
 	var del struct {
 		Gone bool `json:"gone"`
 	}
-	if code, err := c.Delete("/doc", &del); err != nil || code != http.StatusOK || !del.Gone {
-		t.Fatalf("Delete: code %d %+v err %v", code, del, err)
+	if err := c.Call(ctx, http.MethodDelete, "/doc", nil, &del); err != nil || !del.Gone {
+		t.Fatalf("DELETE: %+v err %v", del, err)
 	}
 
-	code, body, _, err := c.GetRaw("/doc")
-	if err != nil || code != http.StatusOK || string(body) != `{"n": 7}` {
-		t.Fatalf("GetRaw: %d %q %v", code, body, err)
+	var body []byte
+	if err := c.Call(ctx, http.MethodGet, "/doc", nil, &body); err != nil || string(body) != `{"n": 7}` {
+		t.Fatalf("raw GET: %q %v", body, err)
 	}
 }
 

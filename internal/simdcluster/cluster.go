@@ -21,10 +21,13 @@
 package simdcluster
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +35,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simd"
 	"repro/internal/simdclient"
-	"repro/internal/store"
+	"repro/pkg/client"
 )
 
 // Options configures a Cluster.
@@ -80,7 +83,7 @@ type clusterJob struct {
 	// Guarded by Cluster.mu:
 	node         string // current owner member id
 	localID      string // the owner's job id for this work
-	last         simd.JobStatus
+	last         client.JobStatus
 	redispatches int
 }
 
@@ -113,6 +116,9 @@ type Cluster struct {
 	// resident maps spec hash → the member that last completed it, so
 	// repeat submissions route to warm caches ahead of ring rank.
 	resident map[string]string
+	// changed is closed, and replaced, when a member changes state or a
+	// job changes owner: the broadcast WaitUp blocks on.
+	changed chan struct{}
 
 	nextID  atomic.Int64
 	started time.Time
@@ -138,6 +144,7 @@ func New(opts Options) *Cluster {
 		members:  make(map[string]*Member),
 		jobs:     make(map[string]*clusterJob),
 		resident: make(map[string]string),
+		changed:  make(chan struct{}),
 		started:  time.Now(),
 		stop:     make(chan struct{}),
 	}
@@ -159,10 +166,6 @@ func New(opts Options) *Cluster {
 	go c.healthLoop()
 	return c
 }
-
-// Registry exposes the cluster's own metrics registry (the router's
-// /metrics renders it ahead of the merged member snapshots).
-func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
 // Close stops the health loop. Members are external processes and are
 // not touched.
@@ -195,6 +198,23 @@ func (c *Cluster) AddMember(id, base string, pid int) *Member {
 	return m
 }
 
+// changes returns the channel the next membership or placement change
+// closes. Take it before reading the state you wait on, so no change
+// falls between the read and the wait.
+func (c *Cluster) changes() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.changed
+}
+
+// notify wakes everyone blocked on changes.
+func (c *Cluster) notify() {
+	c.mu.Lock()
+	close(c.changed)
+	c.changed = make(chan struct{})
+	c.mu.Unlock()
+}
+
 // Member returns a registered member by id.
 func (c *Cluster) Member(id string) (*Member, bool) {
 	c.mu.Lock()
@@ -221,20 +241,23 @@ func (c *Cluster) Members() []NodeStatus {
 // WaitUp blocks until the member passes its health gate (or the
 // timeout elapses) — "started" means answering, not merely spawned.
 func (c *Cluster) WaitUp(id string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		changed := c.changes()
 		m, ok := c.Member(id)
 		if ok && m.State() == MemberUp {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-deadline.C:
 			st := MemberState("unregistered")
 			if ok {
 				st = m.State()
 			}
 			return fmt.Errorf("simdcluster: member %s not up after %s (state %s)", id, timeout, st)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -254,6 +277,7 @@ func (c *Cluster) Drain(id string, on bool) error {
 	if on {
 		c.failoverFrom(id, "drain")
 	}
+	c.notify()
 	return nil
 }
 
@@ -329,6 +353,9 @@ func (c *Cluster) probe(m *Member) {
 		c.log.Warn("cluster member down", "node_id", id, "failures", failures, "error", err.Error())
 		c.failoverFrom(id, "down")
 	}
+	if wentUp || wentDown {
+		c.notify()
+	}
 }
 
 // failoverFrom re-dispatches every non-terminal job owned by the named
@@ -339,7 +366,7 @@ func (c *Cluster) failoverFrom(id, reason string) {
 	c.mu.Lock()
 	var moving []*clusterJob
 	for _, j := range c.jobSeq {
-		if j.node == id && !j.last.State.Terminal() {
+		if j.node == id && !client.Terminal(j.last.State) {
 			moving = append(moving, j)
 		}
 	}
@@ -356,21 +383,10 @@ func (c *Cluster) failoverFrom(id, reason string) {
 	}
 }
 
-// memberSubmit is the slice of a member's submit (or error) response
-// the router consumes.
-type memberSubmit struct {
-	simd.JobStatus
-	CacheHitNow bool   `json:"cache_hit_now"`
-	DedupedNow  bool   `json:"deduped_now"`
-	Error       string `json:"error"`
-}
-
 // SubmitResult is the router's submit response: the owning member's
-// status with the cluster-scoped job id and node attribution.
+// answer with the cluster-scoped job id and node attribution.
 type SubmitResult struct {
-	simd.JobStatus
-	CacheHitNow bool `json:"cache_hit_now"`
-	DedupedNow  bool `json:"deduped_now"`
+	client.Submission
 	// Node is the member the job was dispatched to.
 	Node string `json:"node_id"`
 }
@@ -390,7 +406,7 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 		return nil, statusErrf(http.StatusInternalServerError, "%v", err)
 	}
 
-	m, ms, err := c.dispatch(hash, raw, "")
+	m, sub, err := c.dispatch(hash, raw, "")
 	if err != nil {
 		return nil, err
 	}
@@ -400,18 +416,26 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 		spec: raw,
 	}
 	c.mu.Lock()
-	j.node, j.localID, j.last = m.ID(), ms.ID, ms.JobStatus
+	j.node, j.localID = m.ID(), sub.ID
+	c.observeLocked(j, sub.JobStatus)
 	c.jobs[j.id] = j
 	c.jobSeq = append(c.jobSeq, j)
-	if ms.State == simd.StateDone {
-		c.resident[hash] = m.ID()
-	}
 	c.mu.Unlock()
 	c.submitted.Inc()
 
-	res := &SubmitResult{JobStatus: ms.JobStatus, CacheHitNow: ms.CacheHitNow, DedupedNow: ms.DedupedNow, Node: m.ID()}
+	res := &SubmitResult{Submission: sub, Node: m.ID()}
 	res.ID = j.id
 	return res, nil
+}
+
+// observeLocked folds st in as the router's latest observation of the
+// job on its current owner; the caller holds c.mu. This is the one place
+// a completed spec becomes resident.
+func (c *Cluster) observeLocked(j *clusterJob, st client.JobStatus) {
+	j.last = st
+	if st.State == client.StateDone {
+		c.resident[j.hash] = j.node
+	}
 }
 
 // candidates orders eligible members for a hash: the cache-resident
@@ -451,46 +475,54 @@ func (c *Cluster) candidates(hash, exclude string) []*Member {
 // 429 is skipped (the next replica absorbs the spill); only when every
 // candidate is saturated does the caller see 429, carrying the
 // smallest Retry-After any member offered.
-func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, memberSubmit, error) {
+func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, client.Submission, error) {
 	var (
+		none       client.Submission
 		sawFull    bool
 		retryAfter string
 		lastErr    error
 	)
 	cands := c.candidates(hash, exclude)
 	for _, m := range cands {
-		var ms memberSubmit
-		code, hdr, err := m.api().PostJSON("/jobs", raw, &ms)
-		if err != nil {
+		var sub client.Submission
+		err := m.api().Call(context.TODO(), http.MethodPost, "/jobs", raw, &sub)
+		var se *simdclient.StatusError
+		switch {
+		case err == nil:
+			return m, sub, nil
+		case !errors.As(err, &se):
 			c.proxyErrors.Inc()
 			lastErr = err
-			continue
-		}
-		switch {
-		case code == http.StatusOK || code == http.StatusAccepted:
-			return m, ms, nil
-		case code == http.StatusTooManyRequests:
+		case se.Code == http.StatusTooManyRequests:
 			sawFull = true
-			if v := hdr.Get("Retry-After"); v != "" && (retryAfter == "" || v < retryAfter) {
+			if v := se.Header.Get("Retry-After"); v != "" && (retryAfter == "" || v < retryAfter) {
 				retryAfter = v
 			}
-		case code == http.StatusBadRequest:
+		case se.Code == http.StatusBadRequest:
 			// A spec the member rejects is a client error, not a routing
 			// problem; trying replicas would just repeat it.
-			return nil, ms, statusErrf(code, "%s", ms.Error)
+			return nil, none, statusErrf(se.Code, "%s", refusal(se))
 		default:
-			lastErr = fmt.Errorf("member %s: status %d: %s", m.ID(), code, ms.Error)
+			lastErr = fmt.Errorf("member %s: status %d: %s", m.ID(), se.Code, refusal(se))
 		}
 	}
 	if sawFull {
-		return nil, memberSubmit{}, &StatusError{
+		return nil, none, &StatusError{
 			Code: http.StatusTooManyRequests, Msg: "every live replica is at capacity", RetryAfter: retryAfter,
 		}
 	}
 	if lastErr != nil {
-		return nil, memberSubmit{}, statusErrf(http.StatusServiceUnavailable, "no live replica accepted the job: %v", lastErr)
+		return nil, none, statusErrf(http.StatusServiceUnavailable, "no live replica accepted the job: %v", lastErr)
 	}
-	return nil, memberSubmit{}, statusErrf(http.StatusServiceUnavailable, "no live replica available (%d members eligible)", len(cands))
+	return nil, none, statusErrf(http.StatusServiceUnavailable, "no live replica available (%d members eligible)", len(cands))
+}
+
+// refusal is the message of a member's error body ("" when it sent
+// something else).
+func refusal(se *simdclient.StatusError) string {
+	var body client.ErrorBody
+	json.Unmarshal([]byte(se.Body), &body)
+	return body.Error
 }
 
 // redispatch moves one job off its (dead or draining) owner: the
@@ -498,25 +530,24 @@ func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, me
 // The shared store makes this idempotent — work the old owner finished
 // resolves as a store hit on the new one.
 func (c *Cluster) redispatch(j *clusterJob, exclude string) error {
-	m, ms, err := c.dispatch(j.hash, j.spec, exclude)
+	m, sub, err := c.dispatch(j.hash, j.spec, exclude)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	j.node, j.localID, j.last = m.ID(), ms.ID, ms.JobStatus
+	j.node, j.localID = m.ID(), sub.ID
+	c.observeLocked(j, sub.JobStatus)
 	j.redispatches++
-	if ms.State == simd.StateDone {
-		c.resident[j.hash] = m.ID()
-	}
 	c.mu.Unlock()
+	c.notify()
 	c.redispatches.Inc()
-	c.log.Info("cluster job re-dispatched", "job", j.id, "to", m.ID(), "state", string(ms.State))
+	c.log.Info("cluster job re-dispatched", "job", j.id, "to", m.ID(), "state", sub.State)
 	return nil
 }
 
 // JobView is the wire form of one cluster job.
 type JobView struct {
-	simd.JobStatus
+	client.JobStatus
 	// Node is the member currently owning the job.
 	Node string `json:"node_id"`
 	// Redispatches counts failover moves this job survived.
@@ -545,22 +576,44 @@ func (c *Cluster) job(cid string) (*clusterJob, error) {
 	return j, nil
 }
 
-// owner returns the member currently mapped to the job, its local job
-// id there, and the owning node id (valid even when the member lookup
-// fails).
-func (c *Cluster) owner(j *clusterJob) (*Member, string, string) {
+// errOwnerGone is askOwner's answer when nothing could be asked: the
+// job's owner is unregistered, still starting, or down.
+var errOwnerGone = errors.New("owner unreachable")
+
+// askOwner is the router's one proxy step, shared by Job, Report and
+// Cancel: resolve the job's current owner, run the exchange on it
+// (method on the member's /jobs/{local id}+suffix, answer decoded into v
+// as simdclient.Call does), and count a transport failure. When the
+// owner is gone — unreachable, silent, or restarted and answering 404
+// for an id it no longer knows — and move is set, the job is
+// re-dispatched to the next replica and moved is true: the record then
+// holds the new owner's submit answer, and v is untouched.
+func (c *Cluster) askOwner(j *clusterJob, method, suffix string, v any, move bool) (moved bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.members[j.node], j.localID, j.node
+	m, localID, node := c.members[j.node], j.localID, j.node
+	c.mu.Unlock()
+	err = errOwnerGone
+	if m != nil && m.reachable() {
+		if err = m.api().Call(context.TODO(), method, "/jobs/"+localID+suffix, nil, v); err == nil {
+			return false, nil
+		}
+		var se *simdclient.StatusError
+		if !errors.As(err, &se) {
+			c.proxyErrors.Inc()
+		} else if se.Code != http.StatusNotFound {
+			return false, err // the owner's own answer stands
+		}
+	}
+	if !move {
+		return false, err
+	}
+	return true, c.redispatch(j, node)
 }
 
 // observe folds a freshly proxied status into the job record.
-func (c *Cluster) observe(j *clusterJob, st simd.JobStatus) {
+func (c *Cluster) observe(j *clusterJob, st client.JobStatus) {
 	c.mu.Lock()
-	j.last = st
-	if st.State == simd.StateDone {
-		c.resident[j.hash] = j.node
-	}
+	c.observeLocked(j, st)
 	c.mu.Unlock()
 }
 
@@ -572,26 +625,18 @@ func (c *Cluster) Job(cid string) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	m, localID, node := c.owner(j)
-	if m != nil && m.reachable() {
-		var st simd.JobStatus
-		err := m.api().GetJSON("/jobs/"+localID, &st)
-		if err == nil {
-			c.observe(j, st)
-			return c.view(j, false), nil
-		}
-		c.proxyErrors.Inc()
-	}
 	c.mu.Lock()
-	fin := j.last.State.Terminal()
+	fin := client.Terminal(j.last.State)
 	c.mu.Unlock()
-	if fin {
-		return c.view(j, true), nil
-	}
-	if err := c.redispatch(j, node); err != nil {
+	var st client.JobStatus
+	moved, err := c.askOwner(j, http.MethodGet, "", &st, !fin)
+	switch {
+	case err == nil && !moved:
+		c.observe(j, st)
+	case err != nil && !fin:
 		return JobView{}, err
 	}
-	return c.view(j, false), nil
+	return c.view(j, err != nil), nil
 }
 
 // Jobs lists every cluster job, refreshed against the reachable
@@ -613,15 +658,15 @@ func (c *Cluster) Jobs() []JobView {
 // cluster records.
 func (c *Cluster) refreshJobs() {
 	var mu sync.Mutex // guards byOwner
-	byOwner := make(map[string]simd.JobStatus)
+	byOwner := make(map[string]client.JobStatus)
 	c.eachMember(func(m *Member) {
 		if !m.reachable() {
 			return
 		}
 		var resp struct {
-			Jobs []simd.JobStatus `json:"jobs"`
+			Jobs []client.JobStatus `json:"jobs"`
 		}
-		if err := m.api().GetJSON("/jobs", &resp); err != nil {
+		if err := m.api().Call(context.TODO(), http.MethodGet, "/jobs", nil, &resp); err != nil {
 			return
 		}
 		mu.Lock()
@@ -633,10 +678,7 @@ func (c *Cluster) refreshJobs() {
 	c.mu.Lock()
 	for _, j := range c.jobSeq {
 		if st, ok := byOwner[j.node+"/"+j.localID]; ok {
-			j.last = st
-			if st.State == simd.StateDone {
-				c.resident[j.hash] = j.node
-			}
+			c.observeLocked(j, st)
 		}
 	}
 	c.mu.Unlock()
@@ -644,37 +686,24 @@ func (c *Cluster) refreshJobs() {
 
 // Report fetches a job's canonical report from its owner. A dead
 // owner is survivable even after completion: the job is re-dispatched
-// and the shared store serves the identical bytes from the new owner.
+// (an instant store hit if the work finished) and the shared store
+// serves the identical bytes from the new owner.
 func (c *Cluster) Report(cid string) ([]byte, error) {
 	j, err := c.job(cid)
 	if err != nil {
 		return nil, err
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		m, localID, node := c.owner(j)
-		if m == nil || !m.reachable() {
-			if err := c.redispatch(j, node); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		code, data, _, err := m.api().GetRaw("/jobs/" + localID + "/report")
+		var data []byte
+		moved, err := c.askOwner(j, http.MethodGet, "/report", &data, true)
+		var se *simdclient.StatusError
 		switch {
+		case errors.As(err, &se):
+			return nil, statusErrf(se.Code, "job %s report: %s", cid, se.Body)
 		case err != nil:
-			c.proxyErrors.Inc()
-			if err := c.redispatch(j, node); err != nil {
-				return nil, err
-			}
-		case code == http.StatusOK:
+			return nil, err
+		case !moved:
 			return data, nil
-		case code == http.StatusNotFound:
-			// The owner restarted and no longer knows this local id;
-			// re-submit (an instant store hit if the work finished).
-			if err := c.redispatch(j, node); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, statusErrf(code, "job %s report: %s", cid, string(data))
 		}
 	}
 	return nil, statusErrf(http.StatusServiceUnavailable, "job %s: report unavailable after re-dispatch", cid)
@@ -686,18 +715,17 @@ func (c *Cluster) Cancel(cid string) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	m, localID, node := c.owner(j)
-	if m == nil || !m.reachable() {
+	var st client.JobStatus
+	_, err = c.askOwner(j, http.MethodDelete, "", &st, false)
+	node := c.view(j, false).Node
+	var se *simdclient.StatusError
+	switch {
+	case errors.Is(err, errOwnerGone):
 		return JobView{}, statusErrf(http.StatusServiceUnavailable, "job %s: owner %s unreachable", cid, node)
-	}
-	var st simd.JobStatus
-	code, err := m.api().Delete("/jobs/"+localID, &st)
-	if err != nil {
-		c.proxyErrors.Inc()
+	case errors.As(err, &se):
+		return JobView{}, statusErrf(se.Code, "job %s: cancel refused by %s", cid, node)
+	case err != nil:
 		return JobView{}, statusErrf(http.StatusServiceUnavailable, "%v", err)
-	}
-	if code != http.StatusOK {
-		return JobView{}, statusErrf(code, "job %s: cancel refused by %s", cid, node)
 	}
 	c.observe(j, st)
 	return c.view(j, false), nil
@@ -735,7 +763,7 @@ func (c *Cluster) Stats() Stats {
 			return
 		}
 		var st simd.Stats
-		if err := m.api().GetJSON("/stats", &st); err == nil {
+		if err := m.api().Call(context.TODO(), http.MethodGet, "/stats", nil, &st); err == nil {
 			mu.Lock()
 			scraped[m.ID()] = &st
 			mu.Unlock()
@@ -766,51 +794,51 @@ func (c *Cluster) Stats() Stats {
 	return out
 }
 
-// sumStats folds one member's stats into the cluster totals. Counters
-// and levels add; note that with a shared store directory the summed
-// store bytes count each member's view of the same files.
+// sumStats folds one member's stats into the cluster totals, leaf by
+// leaf, so a field added to simd.Stats is summed without an edit here:
+// counters and levels add, a flag (store.degraded) ORs, and what cannot
+// be summed — node_id, the store dir, the journal path, instants — stays
+// zero. Note that with a shared store directory the summed store bytes
+// count each member's view of the same files.
 func sumStats(into *simd.Stats, s *simd.Stats) {
-	into.Workers += s.Workers
-	into.WorkersBusy += s.WorkersBusy
-	into.QueueCap += s.QueueCap
-	into.QueueLen += s.QueueLen
-	into.Jobs += s.Jobs
-	if into.ByState == nil {
-		into.ByState = make(map[string]int)
-	}
-	for k, v := range s.ByState {
-		into.ByState[k] += v
-	}
-	into.Executions += s.Executions
-	into.DedupHits += s.DedupHits
-	into.Rejected += s.Rejected
-	into.DeadlineExceeded += s.DeadlineExceeded
-	into.Panics += s.Panics
-	into.Recovered += s.Recovered
+	addLeaves(reflect.ValueOf(into).Elem(), reflect.ValueOf(s).Elem())
+}
 
-	into.Cache.Entries += s.Cache.Entries
-	into.Cache.Bytes += s.Cache.Bytes
-	into.Cache.Budget += s.Cache.Budget
-	into.Cache.Hits += s.Cache.Hits
-	into.Cache.Misses += s.Cache.Misses
-	into.Cache.Evictions += s.Cache.Evictions
-	into.Cache.Puts += s.Cache.Puts
-
-	if s.Store != nil {
-		if into.Store == nil {
-			into.Store = &store.Stats{}
+func addLeaves(into, from reflect.Value) {
+	switch from.Kind() {
+	case reflect.Int, reflect.Int64:
+		into.SetInt(into.Int() + from.Int())
+	case reflect.Float64:
+		into.SetFloat(into.Float() + from.Float())
+	case reflect.Bool:
+		into.SetBool(into.Bool() || from.Bool())
+	case reflect.Pointer: // store, journal: absent on a memory-only member
+		if from.IsNil() {
+			return
 		}
-		into.Store.Entries += s.Store.Entries
-		into.Store.Bytes += s.Store.Bytes
-		into.Store.MaxBytes += s.Store.MaxBytes
-		into.Store.Hits += s.Store.Hits
-		into.Store.Misses += s.Store.Misses
-		into.Store.Puts += s.Store.Puts
-		into.Store.PutErrors += s.Store.PutErrors
-		into.Store.Quarantined += s.Store.Quarantined
-		into.Store.Evictions += s.Store.Evictions
-		into.Store.Skipped += s.Store.Skipped
-		into.Store.Degraded = into.Store.Degraded || s.Store.Degraded
+		if into.IsNil() {
+			into.Set(reflect.New(from.Type().Elem()))
+		}
+		addLeaves(into.Elem(), from.Elem())
+	case reflect.Map: // by_state
+		if into.IsNil() {
+			into.Set(reflect.MakeMap(from.Type()))
+		}
+		for it := from.MapRange(); it.Next(); {
+			sum := reflect.New(from.Type().Elem()).Elem()
+			if cur := into.MapIndex(it.Key()); cur.IsValid() {
+				sum.Set(cur)
+			}
+			addLeaves(sum, it.Value())
+			into.SetMapIndex(it.Key(), sum)
+		}
+	case reflect.Struct:
+		if _, instant := from.Interface().(time.Time); instant {
+			return
+		}
+		for i := 0; i < from.NumField(); i++ {
+			addLeaves(into.Field(i), from.Field(i))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package simdcluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -126,36 +127,90 @@ func nodeByID(t *testing.T, nodes []*testNode, id string) *testNode {
 	return nil
 }
 
-// waitState polls a cluster job until it reaches want.
+// waitChange blocks until cond holds, looking again each time the
+// cluster broadcasts a membership or placement change.
+func waitChange(t *testing.T, c *Cluster, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.NewTimer(20 * time.Second)
+	defer deadline.Stop()
+	for {
+		changed := c.changes()
+		if cond() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			t.Fatalf("%s: still not so after 20s", what)
+		}
+	}
+}
+
+// ownerOf returns where a cluster job lives now: the member's node id,
+// its base URL, and the id the job has there.
+func ownerOf(t *testing.T, c *Cluster, cid string) (node, base, localID string) {
+	t.Helper()
+	j, err := c.job(cid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return j.node, c.members[j.node].api().Base, j.localID
+}
+
+// followOwner blocks on the job's event stream at its owner — to the
+// first record, or to the end of the stream, which is when the job
+// settles — and reports whether the owner served it.
+func followOwner(t *testing.T, c *Cluster, cid string, firstRecord bool) bool {
+	t.Helper()
+	_, base, localID := ownerOf(t, c, cid)
+	resp, err := http.Get(base + "/jobs/" + localID + "/events")
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	r := bufio.NewReader(resp.Body)
+	for {
+		if _, err := r.ReadString('\n'); err != nil || firstRecord {
+			return resp.StatusCode == http.StatusOK
+		}
+	}
+}
+
+// waitState blocks until a cluster job reaches want: between looks at
+// it through the router it waits on the owner's event stream, or, with
+// the owner gone, on the router moving the job.
 func waitState(t *testing.T, c *Cluster, cid string, want simd.State) JobView {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	var v JobView
-	var err error
-	for time.Now().Before(deadline) {
-		v, err = c.Job(cid)
+	deadline := time.NewTimer(60 * time.Second)
+	defer deadline.Stop()
+	for {
+		changed := c.changes()
+		v, err := c.Job(cid)
 		if err == nil && v.State == want {
 			return v
 		}
-		if err == nil && v.State.Terminal() && v.State != want {
+		if err == nil && client.Terminal(v.State) {
 			t.Fatalf("job %s settled %s (%s), want %s", cid, v.State, v.Error, want)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if followOwner(t, c, cid, want == simd.StateRunning) {
+			continue
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			t.Fatalf("job %s never reached %s (last: %+v err %v)", cid, want, v, err)
+		}
 	}
-	t.Fatalf("job %s never reached %s (last: %+v err %v)", cid, want, v, err)
-	return JobView{}
 }
 
 func waitMemberState(t *testing.T, c *Cluster, id string, want MemberState) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if m, ok := c.Member(id); ok && m.State() == want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("member %s never reached %s", id, want)
+	waitChange(t, c, "member "+id+" "+string(want), func() bool {
+		m, ok := c.Member(id)
+		return ok && m.State() == want
+	})
 }
 
 func TestRankDeterministicAndMinimallyDisruptive(t *testing.T) {
@@ -355,17 +410,15 @@ func TestFailoverOnNodeDeath(t *testing.T) {
 	nodeByID(t, nodes, victim).kill()
 	waitMemberState(t, c, victim, MemberDown)
 
-	// The blocker resumes elsewhere; free the stolen worker by
-	// cancelling it through the cluster (retry while failover races).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := c.Cancel(blocker.ID); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("blocker never became cancellable after failover: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The blocker resumes elsewhere — the failover that follows the
+	// demotion moves it — and cancelling it through the cluster frees the
+	// stolen worker.
+	waitChange(t, c, "blocker moved off the dead node", func() bool {
+		node, _, _ := ownerOf(t, c, blocker.ID)
+		return node != victim
+	})
+	if _, err := c.Cancel(blocker.ID); err != nil {
+		t.Fatalf("blocker not cancellable after failover: %v", err)
 	}
 
 	// The queued job completes on a surviving node.
@@ -420,17 +473,10 @@ func TestDrainMovesWorkAndKeepsNodeReadable(t *testing.T) {
 	if err := c.Drain("n1", true); err != nil {
 		t.Fatal(err)
 	}
-	// The blocker moved off the draining node.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Job(blocker.ID)
-		if err == nil && v.Node == "n2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("blocker never moved off the draining node: %+v err %v", v, err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Drain moves the work before it returns: the blocker is off the
+	// draining node already.
+	if v, err := c.Job(blocker.ID); err != nil || v.Node != "n2" {
+		t.Fatalf("blocker did not move off the draining node: %+v err %v", v, err)
 	}
 	// New work never routes to a draining member, even when it ranks
 	// first.
@@ -577,10 +623,6 @@ func TestClientRunThroughRouter(t *testing.T) {
 // ownerLocalID returns the id a cluster job has on its owning member.
 func ownerLocalID(t *testing.T, c *Cluster, cid string) string {
 	t.Helper()
-	j, err := c.job(cid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, localID, _ := c.owner(j)
+	_, _, localID := ownerOf(t, c, cid)
 	return localID
 }

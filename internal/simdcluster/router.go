@@ -1,7 +1,6 @@
 package simdcluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,25 +8,14 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/simd"
+	"repro/internal/simdclient"
 )
 
-// maxSpecBytes mirrors the member daemons' submission bound.
-const maxSpecBytes = 1 << 20
-
 // Handler returns the router's HTTP API — deliberately shaped like one
-// simd daemon, so clients (and simtop) point at a cluster unchanged:
-//
-//	POST   /jobs                 submit a JobSpec; routed by content address
-//	GET    /jobs                 list cluster jobs with node attribution
-//	GET    /jobs/{id}            one job's status (proxied from its owner)
-//	GET    /jobs/{id}/report     the canonical report (re-dispatched if the owner died)
-//	DELETE /jobs/{id}            cancel
-//	GET    /nodes                membership: state, address, pid, failures
-//	POST   /nodes/{id}/drain     move the node's work off and stop routing to it
-//	DELETE /nodes/{id}/drain     re-admit the node
-//	GET    /stats                summed member stats + per-node breakdown
-//	GET    /metrics              router metrics + merged member metrics
-//	GET    /healthz              router liveness with member counts
+// simd daemon, so clients (and simtop) point at a cluster unchanged, plus
+// the /nodes verbs. DESIGN.md ("Job API contract") owns the route table,
+// including the daemon routes the router does not serve yet.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", c.handleSubmit)
@@ -44,14 +32,6 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
-}
-
 // writeErr renders an error, honoring StatusError codes and headers.
 func writeErr(w http.ResponseWriter, err error) {
 	var se *StatusError
@@ -61,11 +41,11 @@ func writeErr(w http.ResponseWriter, err error) {
 	if se.RetryAfter != "" {
 		w.Header().Set("Retry-After", se.RetryAfter)
 	}
-	writeJSON(w, se.Code, map[string]string{"error": se.Msg})
+	simd.WriteError(w, se.Code, "%s", se.Msg)
 }
 
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, simd.MaxSpecBytes))
 	if err != nil {
 		writeErr(w, statusErrf(http.StatusBadRequest, "reading spec: %v", err))
 		return
@@ -79,20 +59,25 @@ func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if res.CacheHitNow || res.DedupedNow {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, res)
+	simd.WriteJSON(w, code, res)
 }
 
 func (c *Cluster) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": c.Jobs()})
+	simd.WriteJSON(w, http.StatusOK, map[string]any{"jobs": c.Jobs()})
 }
 
-func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
-	v, err := c.Job(r.PathValue("id"))
+// answer writes v as a 200, or err as the refusal it is.
+func answer(w http.ResponseWriter, v any, err error) {
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	simd.WriteJSON(w, http.StatusOK, v)
+}
+
+func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
+	v, err := c.Job(r.PathValue("id"))
+	answer(w, v, err)
 }
 
 func (c *Cluster) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -107,15 +92,11 @@ func (c *Cluster) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleCancel(w http.ResponseWriter, r *http.Request) {
 	v, err := c.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
+	answer(w, v, err)
 }
 
 func (c *Cluster) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"nodes": c.Members()})
+	simd.WriteJSON(w, http.StatusOK, map[string]any{"nodes": c.Members()})
 }
 
 func (c *Cluster) handleDrain(on bool) http.HandlerFunc {
@@ -126,12 +107,12 @@ func (c *Cluster) handleDrain(on bool) http.HandlerFunc {
 			return
 		}
 		m, _ := c.Member(id)
-		writeJSON(w, http.StatusOK, m.snapshot())
+		simd.WriteJSON(w, http.StatusOK, m.snapshot())
 	}
 }
 
 func (c *Cluster) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
+	simd.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
 // handleMetrics serves the router's own registry followed by the
@@ -146,8 +127,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // healthzResponse is the router's liveness document.
 type healthzResponse struct {
-	Status string `json:"status"`
-	NodeID string `json:"node_id,omitempty"`
+	simdclient.Health
 	// NodesUp / NodesTotal summarize gated membership.
 	NodesUp       int       `json:"nodes_up"`
 	NodesTotal    int       `json:"nodes_total"`
@@ -165,15 +145,14 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := healthzResponse{
-		Status: "ok", NodeID: fmt.Sprintf("cluster(%d)", len(members)),
+		Health:  simdclient.Health{Status: "ok", NodeID: fmt.Sprintf("cluster(%d)", len(members))},
 		NodesUp: up, NodesTotal: len(members),
-		Build: obs.ReadBuild(), StartedAt: c.started,
-		UptimeSeconds: time.Since(c.started).Seconds(),
+		Build: obs.ReadBuild(), StartedAt: c.started, UptimeSeconds: time.Since(c.started).Seconds(),
 	}
 	if up == 0 {
 		// Still answering — the router is alive — but with nobody to
 		// route to the cluster is degraded, and probes should say so.
 		resp.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	simd.WriteJSON(w, http.StatusOK, resp)
 }

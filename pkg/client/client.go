@@ -39,7 +39,12 @@ import (
 	"repro/internal/simdclient"
 )
 
-// Job lifecycle states, as they appear in JobStatus.State.
+// Job lifecycle states, as they appear in JobStatus.State. Transitions:
+//
+//	queued → running → done | failed | cancelled
+//	queued → cancelled                      (cancelled before pickup)
+//
+// Cache hits are born done.
 const (
 	StateQueued    = "queued"
 	StateRunning   = "running"
@@ -54,7 +59,9 @@ func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-// JobStatus is the service's job document.
+// JobStatus is the service's job document. This package owns the job
+// API's wire documents: the daemon encodes these declarations, the
+// router decodes and embeds them, and every client reads them.
 type JobStatus struct {
 	ID    string `json:"id"`
 	Hash  string `json:"hash"`
@@ -68,7 +75,9 @@ type JobStatus struct {
 	Deduped int64  `json:"deduped,omitempty"`
 	Rounds  int    `json:"rounds"`
 	Error   string `json:"error,omitempty"`
-	// GVT and Efficiency echo the most recent progress round.
+	// GVT and Efficiency echo the most recent progress round (0 before
+	// the first round), so pollers and simtop can show live progress
+	// without streaming /events.
 	GVT        float64 `json:"gvt"`
 	Efficiency float64 `json:"efficiency"`
 
@@ -87,7 +96,9 @@ type Submission struct {
 }
 
 // Progress is one per-GVT-round update from the events stream. All
-// quantities are cumulative since run start and purely virtual-time.
+// quantities are cumulative since run start and purely virtual-time. The
+// daemon converts the engine's own record (metrics.ProgressUpdate) to
+// this type, which stops compiling when the two drift.
 type Progress struct {
 	Round      int64   `json:"round"`
 	GVT        float64 `json:"gvt"`
@@ -99,6 +110,21 @@ type Progress struct {
 	Rollbacks  int64   `json:"rollbacks"`
 	RolledBack int64   `json:"rolled_back"`
 	Migrations int64   `json:"migrations"`
+}
+
+// EventLine is one NDJSON record of /jobs/{id}/events: a "progress"
+// record carries the round's Progress, the closing "end" record the
+// job's terminal State and Error.
+type EventLine struct {
+	Type  string `json:"type"` // "progress" | "end"
+	State string `json:"state,omitempty"`
+	Error string `json:"error,omitempty"`
+	*Progress
+}
+
+// ErrorBody is the body of every non-2xx answer.
+type ErrorBody struct {
+	Error string `json:"error"`
 }
 
 // Client talks to one simd daemon or simdcluster router.
@@ -150,30 +176,37 @@ func (c *Client) Base() string { return c.api.Base }
 // (errors.Is ErrQueueFull) carrying the parsed Retry-After hint; other
 // non-2xx answers return *APIError.
 func (c *Client) Submit(ctx context.Context, spec any) (Submission, error) {
-	var sub Submission
-	err := c.post(ctx, "/jobs", spec, &sub)
-	return sub, err
+	return c.SubmitRetry(ctx, spec, 0)
 }
 
-// post sends spec to a submit route and decodes the 2xx answer into v,
-// mapping the refusals to the SDK's typed errors.
-func (c *Client) post(ctx context.Context, path string, spec, v any) error {
-	code, data, hdr, err := c.api.Do(ctx, http.MethodPost, path, spec)
-	if err != nil {
-		return fmt.Errorf("client: submit: %w", err)
-	}
-	switch code {
-	case http.StatusOK, http.StatusAccepted:
-		if err := json.Unmarshal(data, v); err != nil {
-			return fmt.Errorf("client: submit: undecodable answer: %w", err)
-		}
+// call runs one exchange with the service, decoding a 2xx answer into v
+// (simdclient.Call) and mapping anything else through apiErr.
+func (c *Client) call(ctx context.Context, op, method, path string, body, v any, on409 error) error {
+	return apiErr(op, c.api.Call(ctx, method, path, body, v), on409)
+}
+
+// apiErr is the one place an exchange's failure becomes the SDK's typed
+// errors: 429 is *QueueFullError with the parsed Retry-After hint, 409 is
+// on409 where the route gives it a meaning (ErrNotReady on /report,
+// ErrFinished on DELETE), every other status *APIError; an exchange that
+// got no answer, or an undecodable one, keeps its cause.
+func apiErr(op string, err, on409 error) error {
+	var se *simdclient.StatusError
+	switch {
+	case err == nil:
 		return nil
-	case http.StatusTooManyRequests:
-		ra, ok := simdclient.RetryAfterHint(hdr)
-		return &QueueFullError{RetryAfter: ra, Hinted: ok, Message: apiMessage(data)}
-	default:
-		return &APIError{Status: code, Message: apiMessage(data)}
+	case !errors.As(err, &se):
+		return fmt.Errorf("client: %s: %w", op, err)
 	}
+	msg := apiMessage([]byte(se.Body))
+	switch {
+	case se.Code == http.StatusTooManyRequests:
+		ra, ok := simdclient.RetryAfterHint(se.Header)
+		return &QueueFullError{RetryAfter: ra, Hinted: ok, Message: msg}
+	case se.Code == http.StatusConflict && on409 != nil:
+		return fmt.Errorf("client: %s: %s: %w", op, msg, on409)
+	}
+	return &APIError{Status: se.Code, Message: msg}
 }
 
 // SubmitRetry submits, absorbing up to retries ErrQueueFull answers by
@@ -183,7 +216,7 @@ func (c *Client) post(ctx context.Context, path string, spec, v any) error {
 func (c *Client) SubmitRetry(ctx context.Context, spec any, retries int) (Submission, error) {
 	var sub Submission
 	err := absorbQueueFull(ctx, retries, func() error {
-		return c.post(ctx, "/jobs", spec, &sub)
+		return c.call(ctx, "submit", http.MethodPost, "/jobs", spec, &sub, nil)
 	})
 	return sub, err
 }
@@ -223,58 +256,27 @@ func absorbQueueFull(ctx context.Context, retries int, attempt func() error) err
 // Status fetches one job's current document. errors.Is(err,
 // ErrNotFound) identifies a vanished job.
 func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
-	code, data, _, err := c.api.Do(ctx, http.MethodGet, "/jobs/"+id, nil)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("client: status %s: %w", id, err)
-	}
-	if code != http.StatusOK {
-		return JobStatus{}, &APIError{Status: code, Message: apiMessage(data)}
-	}
 	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return JobStatus{}, fmt.Errorf("client: status %s: undecodable answer: %w", id, err)
-	}
-	return st, nil
+	err := c.call(ctx, "status "+id, http.MethodGet, "/jobs/"+id, nil, &st, nil)
+	return st, err
 }
 
 // Report fetches the canonical run report bytes. 409 before the job is
 // done maps to ErrNotReady (await first); for failed or cancelled jobs
 // there is no report, ever.
 func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
-	code, data, _, err := c.api.Do(ctx, http.MethodGet, "/jobs/"+id+"/report", nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: report %s: %w", id, err)
-	}
-	switch code {
-	case http.StatusOK:
-		return data, nil
-	case http.StatusConflict:
-		return nil, fmt.Errorf("client: report %s: %s: %w", id, apiMessage(data), ErrNotReady)
-	default:
-		return nil, &APIError{Status: code, Message: apiMessage(data)}
-	}
+	var data []byte
+	err := c.call(ctx, "report "+id, http.MethodGet, "/jobs/"+id+"/report", nil, &data, ErrNotReady)
+	return data, err
 }
 
 // Cancel requests cancellation: queued jobs settle instantly, running
 // jobs abort at the kernel's next dispatch boundary. A job already in a
 // terminal state answers ErrFinished.
 func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	code, data, _, err := c.api.Do(ctx, http.MethodDelete, "/jobs/"+id, nil)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("client: cancel %s: %w", id, err)
-	}
-	switch code {
-	case http.StatusOK:
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return JobStatus{}, fmt.Errorf("client: cancel %s: undecodable answer: %w", id, err)
-		}
-		return st, nil
-	case http.StatusConflict:
-		return JobStatus{}, fmt.Errorf("client: cancel %s: %s: %w", id, apiMessage(data), ErrFinished)
-	default:
-		return JobStatus{}, &APIError{Status: code, Message: apiMessage(data)}
-	}
+	var st JobStatus
+	err := c.call(ctx, "cancel "+id, http.MethodDelete, "/jobs/"+id, nil, &st, ErrFinished)
+	return st, err
 }
 
 // Await blocks until the job settles or ctx expires, following the
@@ -323,6 +325,14 @@ type settled struct {
 	Report json.RawMessage `json:"report"`
 }
 
+// job is the job document of either shape.
+func (a settled) job() JobStatus {
+	if a.Status != nil {
+		return a.Status.JobStatus
+	}
+	return a.JobStatus
+}
+
 // Run is the whole round trip in one exchange: it posts the spec to
 // /jobs?wait (absorbing up to 8 queue-full answers exactly as
 // SubmitRetry does) and a simd daemon answers with the terminal
@@ -338,7 +348,7 @@ type settled struct {
 func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
 	var ans settled
 	err := absorbQueueFull(ctx, 8, func() error {
-		return c.post(ctx, "/jobs?wait", spec, &ans)
+		return c.call(ctx, "submit", http.MethodPost, "/jobs?wait", spec, &ans, nil)
 	})
 	if err != nil && !refusal(err) && ctx.Err() == nil {
 		ans = settled{}
@@ -347,10 +357,7 @@ func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
 	if err != nil {
 		return JobStatus{}, nil, err
 	}
-	st := ans.JobStatus
-	if ans.Status != nil {
-		st = ans.Status.JobStatus
-	}
+	st := ans.job()
 	if Terminal(st.State) {
 		err = terminalErr(st)
 	} else {
@@ -378,15 +385,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// eventLine is one NDJSON record from /jobs/{id}/events: a progress
-// update or the terminal end marker.
-type eventLine struct {
-	Type  string `json:"type"` // "progress" | "end"
-	State string `json:"state,omitempty"`
-	Error string `json:"error,omitempty"`
-	Progress
-}
-
 // streamEvents follows the job's NDJSON stream, invoking fn (when
 // non-nil) per progress record, and returns nil once the end record
 // arrives. A non-nil fn error aborts the stream and is returned as-is.
@@ -401,24 +399,32 @@ func (c *Client) streamEvents(ctx context.Context, id string, fn func(Progress) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		data, _ := readBounded(resp)
-		return &APIError{Status: resp.StatusCode, Message: apiMessage(data)}
+		// At most 64 KiB of an error body, however many writes it arrives in.
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		return apiErr("events "+id, &simdclient.StatusError{Code: resp.StatusCode, Header: resp.Header, Body: string(data)}, nil)
 	}
-	sc := bufio.NewScanner(resp.Body)
+	return followEvents(resp.Body, id, fn)
+}
+
+// followEvents reads an events stream record by record until its end
+// record; a stream that stops short of one, or holds a record that is
+// not an EventLine, is an error.
+func followEvents(r io.Reader, id string, fn func(Progress) error) error {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var ev eventLine
+		var ev EventLine
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return fmt.Errorf("client: events %s: bad stream record %q: %w", id, truncateLine(line), err)
 		}
 		switch ev.Type {
 		case "progress":
-			if fn != nil {
-				if err := fn(ev.Progress); err != nil {
+			if fn != nil && ev.Progress != nil {
+				if err := fn(*ev.Progress); err != nil {
 					return err
 				}
 			}
@@ -430,12 +436,6 @@ func (c *Client) streamEvents(ctx context.Context, id string, fn func(Progress) 
 		return fmt.Errorf("client: events %s: stream broke: %w", id, err)
 	}
 	return fmt.Errorf("client: events %s: stream ended without an end record", id)
-}
-
-// readBounded drains at most 64 KiB of an error response body, however
-// many writes it arrives in.
-func readBounded(resp *http.Response) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 }
 
 func truncateLine(b []byte) string {

@@ -104,12 +104,10 @@ func terminalErr(st JobStatus) error {
 	return fmt.Errorf("client: job %s is still %s", st.ID, st.State)
 }
 
-// apiMessage extracts the service's {"error": "..."} body, falling back
-// to the raw body for non-JSON answers.
+// apiMessage extracts the service's ErrorBody message, falling back to
+// the raw body for non-JSON answers.
 func apiMessage(data []byte) string {
-	var doc struct {
-		Error string `json:"error"`
-	}
+	var doc ErrorBody
 	if json.Unmarshal(data, &doc) == nil && doc.Error != "" {
 		return doc.Error
 	}
