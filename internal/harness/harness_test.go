@@ -393,12 +393,29 @@ func planDigest(e Experiment, opt Options) string {
 		for _, c := range s.cells {
 			hash, err := c.spec.Hash()
 			if err != nil {
-				hash = fmt.Sprintf("%+v: %v", c.spec, err)
+				hash = fmt.Sprintf("%s: %v", specText(c.spec), err)
 			}
 			fmt.Fprintf(h, "%s epg=%d\n", hash, c.epg)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// pinnedSpecOrder is the order %+v printed run.Spec's fields in when
+// the digests below were pinned (before the fields were declared in JSON
+// key order). A cell whose spec is invalid has no content address, so it
+// is digested as that text: the pins do not move with declaration order.
+var pinnedSpecOrder = []string{"Engine", "Sync", "Lookahead", "Model", "Scenario", "MixComp", "MixComm",
+	"Nodes", "WorkersPerNode", "LPsPerWorker", "GVT", "Comm", "GVTInterval", "CAThreshold", "EndTime", "Seed",
+	"Queue", "Pool", "BatchSize", "CheckpointInterval", "MaxUncommitted", "Faults", "Balance", "WatchdogMicros"}
+
+func specText(s run.Spec) string {
+	v := reflect.ValueOf(s)
+	fields := make([]string, len(pinnedSpecOrder))
+	for i, name := range pinnedSpecOrder {
+		fields[i] = fmt.Sprintf("%s:%v", name, v.FieldByName(name))
+	}
+	return "{" + strings.Join(fields, " ") + "}"
 }
 
 // TestPlansPinned pins what every experiment runs. The digests were

@@ -21,10 +21,13 @@ import (
 //
 // Summing is the only semantics offered: for the few series where a sum
 // is meaningless (e.g. a start-time gauge), aggregate callers should
-// read the per-member snapshots instead.
+// read the per-member snapshots instead. Samples, their order and their
+// values do not depend on the order of snaps: each sum adds its terms in
+// ascending order.
 func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{Types: make(map[string]string)}
 	sums := make(map[string]*Sample)
+	terms := make(map[string][]float64)
 	var order []string
 	for _, sn := range snaps {
 		if sn == nil {
@@ -37,11 +40,11 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 		}
 		for _, smp := range sn.Samples {
 			key := smp.Name + labelKey(smp.Labels)
-			if cur, ok := sums[key]; ok {
-				cur.Value += smp.Value
+			terms[key] = append(terms[key], smp.Value)
+			if _, ok := sums[key]; ok {
 				continue
 			}
-			cp := Sample{Name: smp.Name, Value: smp.Value}
+			cp := Sample{Name: smp.Name, Value: math.Copysign(0, -1)} // -0 is the identity of +
 			if len(smp.Labels) > 0 {
 				cp.Labels = make(map[string]string, len(smp.Labels))
 				for k, v := range smp.Labels {
@@ -55,6 +58,10 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 	sort.Slice(order, func(i, j int) bool { return lessSampleKey(order[i], order[j]) })
 	out.Samples = make([]Sample, len(order))
 	for i, key := range order {
+		sort.Float64s(terms[key])
+		for _, v := range terms[key] {
+			sums[key].Value += v
+		}
 		out.Samples[i] = *sums[key]
 	}
 	return out
@@ -86,50 +93,31 @@ func labelKey(labels map[string]string) string {
 }
 
 // lessSampleKey orders merged samples: by series name, then — so that
-// histogram buckets stay in ascending-bound order — by a numeric le
-// label when both keys carry one, then lexically.
+// histogram buckets stay in ascending-bound order — label sets with a
+// numeric le first, ascending by it, then lexically: a total order.
 func lessSampleKey(a, b string) bool {
-	an, al := splitKey(a)
-	bn, bl := splitKey(b)
+	an, al, _ := strings.Cut(a, "{")
+	bn, bl, _ := strings.Cut(b, "{")
 	if an != bn {
 		return an < bn
 	}
 	av, aok := leBound(al)
 	bv, bok := leBound(bl)
-	if aok && bok && av != bv {
+	switch {
+	case aok != bok:
+		return aok
+	case aok && av != bv:
 		return av < bv
 	}
 	return al < bl
 }
 
-func splitKey(k string) (name, labels string) {
-	if i := strings.IndexByte(k, '{'); i >= 0 {
-		return k[:i], k[i:]
-	}
-	return k, ""
-}
-
-// leBound extracts the numeric le bound from a rendered label key.
+// leBound extracts the numeric le bound (not NaN) from a rendered label key.
 func leBound(labels string) (float64, bool) {
-	i := strings.Index(labels, `le="`)
-	if i < 0 {
-		return 0, false
-	}
-	rest := labels[i+len(`le="`):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return 0, false
-	}
-	switch v := rest[:j]; v {
-	case "+Inf":
-		return math.Inf(1), true
-	default:
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, false
-		}
-		return f, true
-	}
+	_, rest, _ := strings.Cut(labels, `le="`)
+	v, _, closed := strings.Cut(rest, `"`)
+	f, err := strconv.ParseFloat(v, 64)
+	return f, closed && err == nil && !math.IsNaN(f)
 }
 
 // WriteText renders the snapshot back into Prometheus text exposition

@@ -154,3 +154,22 @@ func TestWriteTextRoundTrip(t *testing.T) {
 		t.Fatalf("escaped label round trip failed: %v %v in %q", got, ok, buf.String())
 	}
 }
+
+// TestMergeSnapshotsOrderIndependent: a series whose le labels are not
+// all numeric merges to one order whichever member comes first — numeric
+// bounds ascending, then the rest lexically — and the terms of a sum add
+// in one order either way (ascending, so -1e16 absorbs the 1 and n is 0).
+func TestMergeSnapshotsOrderIndependent(t *testing.T) {
+	a := parse(t, "m{le=\"10\"} 1\nm{le=\"5x\"} 1\nn 1e16\nn 1\n")
+	b := parse(t, "m{le=\"9\"} 1\nn -1e16\n")
+	for _, m := range []*Snapshot{MergeSnapshots(a, b), MergeSnapshots(b, a)} {
+		var got []string
+		for _, smp := range m.Samples {
+			got = append(got, smp.Name+labelKey(smp.Labels)+" "+formatFloat(smp.Value))
+		}
+		want := []string{`m{le="9"} 1`, `m{le="10"} 1`, `m{le="5x"} 1`, `n 0`}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("merged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/balance"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/models/epidemic"
 	"repro/internal/models/pcs"
 	"repro/internal/models/tandem"
@@ -35,67 +34,66 @@ import (
 // Every field is semantic: after canonicalization, two specs with equal
 // fields produce byte-identical run reports, and any field change that
 // survives canonicalization changes the result.
+//
+// Fields are declared in JSON-key order: json.Marshal of a canonical spec
+// is its canonical JSON, which Address hashes as it comes.
 type Spec struct {
+	// Balance names the LP load-balancing policy ("", "static", "none": static).
+	Balance string `json:"balance,omitempty"`
+	// BatchSize is the engine's event batch (default 16), as in core.Config.
+	BatchSize int `json:"batch_size,omitempty"`
+	// CAThreshold is CA-GVT's efficiency threshold (default 0.80). Pinned
+	// to the default for non-CA algorithms, where it is inert.
+	CAThreshold float64 `json:"ca_threshold,omitempty"`
+	// CheckpointInterval is the Time Warp checkpoint interval (default 1).
+	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
+	// Comm is the MPI servicing mode: dedicated (default) | combined | shared.
+	Comm string `json:"comm,omitempty"`
+	// EndTime is the virtual end time (default 20).
+	EndTime float64 `json:"end_time,omitempty"`
 	// Engine selects the synchronization paradigm: timewarp (default) |
 	// conservative. An empty Engine folds to conservative when Sync names
 	// a conservative protocol, timewarp otherwise.
 	Engine string `json:"engine,omitempty"`
-	// Sync is the conservative protocol: nullmsg (default; "cmb" is an
-	// accepted alias) | window. Rejected for the timewarp engine.
-	Sync string `json:"sync,omitempty"`
-	// Lookahead is the conservative safety bound; 0 means the model's
-	// declared lookahead. Rejected for the timewarp engine.
-	Lookahead float64 `json:"lookahead,omitempty"`
-
-	// Model selects the workload: phold (default) | pcs | epidemic | tandem.
-	Model string `json:"model,omitempty"`
-	// Scenario is the PHOLD workload shape: comp (default) | comm | mixed.
-	// Cleared for non-PHOLD models (it has no meaning there).
-	Scenario string `json:"scenario,omitempty"`
-	// MixComp/MixComm are the mixed scenario's X–Y percentages (defaults
-	// 10/15). Cleared unless Scenario is "mixed".
-	MixComp float64 `json:"mix_comp,omitempty"`
-	MixComm float64 `json:"mix_comm,omitempty"`
-
-	// Topology. Defaults: 2 nodes × 4 workers × 8 LPs.
-	Nodes          int `json:"nodes,omitempty"`
-	WorkersPerNode int `json:"workers_per_node,omitempty"`
-	LPsPerWorker   int `json:"lps_per_worker,omitempty"`
-
+	// Faults names a fabric fault scenario ("" or "none": perfect fabric).
+	Faults string `json:"faults,omitempty"`
 	// GVT selects the algorithm: barrier | mattern (default) | ca-gvt |
 	// samadi ("ca" and "cagvt" are accepted aliases).
 	GVT string `json:"gvt,omitempty"`
-	// Comm is the MPI servicing mode: dedicated (default) | combined | shared.
-	Comm string `json:"comm,omitempty"`
 	// GVTInterval is the main-loop passes between GVT rounds (default 4).
 	GVTInterval int `json:"gvt_interval,omitempty"`
-	// CAThreshold is CA-GVT's efficiency threshold (default 0.80). Pinned
-	// to the default for non-CA algorithms, where it is inert.
-	CAThreshold float64 `json:"ca_threshold,omitempty"`
-
-	// EndTime is the virtual end time (default 20).
-	EndTime float64 `json:"end_time,omitempty"`
+	// Lookahead is the conservative safety bound; 0 means the model's
+	// declared lookahead. Rejected for the timewarp engine.
+	Lookahead float64 `json:"lookahead,omitempty"`
+	// LPsPerWorker is the topology's LPs per worker (default 8).
+	LPsPerWorker int `json:"lps_per_worker,omitempty"`
+	// MaxUncommitted is the Time Warp throttle (default 8×LPsPerWorker; <0: unbounded).
+	MaxUncommitted int `json:"max_uncommitted,omitempty"`
+	// MixComm/MixComp are the mixed scenario's Y–X percentages (defaults
+	// 15/10). Cleared unless Scenario is "mixed".
+	MixComm float64 `json:"mix_comm,omitempty"`
+	MixComp float64 `json:"mix_comp,omitempty"`
+	// Model selects the workload: phold (default) | pcs | epidemic | tandem.
+	Model string `json:"model,omitempty"`
+	// Nodes is the topology's node count (default 2).
+	Nodes int `json:"nodes,omitempty"`
+	// Pool is the Time Warp event pool: on (default) | off | debug.
+	Pool string `json:"pool,omitempty"`
+	// Queue is the pending-event queue: heap (default) | calendar.
+	Queue string `json:"queue,omitempty"`
+	// Scenario is the PHOLD workload shape: comp (default) | comm | mixed.
+	// Cleared for non-PHOLD models (it has no meaning there).
+	Scenario string `json:"scenario,omitempty"`
 	// Seed is the master RNG seed; 0 means the default seed 1.
 	Seed uint64 `json:"seed,omitempty"`
-
-	// Engine knobs, as in core.Config: Queue heap (default) | calendar;
-	// Pool on (default) | off | debug; BatchSize default 16;
-	// CheckpointInterval default 1; MaxUncommitted default 8×LPsPerWorker
-	// (negative: unbounded).
-	Queue              string `json:"queue,omitempty"`
-	Pool               string `json:"pool,omitempty"`
-	BatchSize          int    `json:"batch_size,omitempty"`
-	CheckpointInterval int    `json:"checkpoint_interval,omitempty"`
-	MaxUncommitted     int    `json:"max_uncommitted,omitempty"`
-
-	// Faults names a fabric fault scenario ("" or "none": perfect fabric).
-	Faults string `json:"faults,omitempty"`
-	// Balance names the LP load-balancing policy ("", "static" or "none":
-	// static placement).
-	Balance string `json:"balance,omitempty"`
+	// Sync is the conservative protocol: nullmsg (default; "cmb" is an
+	// accepted alias) | window. Rejected for the timewarp engine.
+	Sync string `json:"sync,omitempty"`
 	// WatchdogMicros is the GVT liveness watchdog timeout in virtual µs
 	// (0: auto — enabled only under faults).
 	WatchdogMicros int64 `json:"watchdog_us,omitempty"`
+	// WorkersPerNode is the topology's workers per node (default 4).
+	WorkersPerNode int `json:"workers_per_node,omitempty"`
 }
 
 // Canonical returns the spec in canonical form: names lowercased and
@@ -346,7 +344,8 @@ func (c Spec) defaultLookahead() float64 {
 // Address canonicalizes the spec and returns it with its content
 // address: the SHA-256 of the canonical JSON encoding, in hex. Because
 // the engine is deterministic, the hash addresses not just the spec but
-// the result.
+// the result. A canonical spec is scalars and closed-set names declared in
+// key order, so json.Marshal writes that encoding (FuzzSpecCanonical).
 func (s Spec) Address() (canon Spec, hash string, err error) {
 	canon, err = s.Canonical()
 	if err != nil {
@@ -356,11 +355,7 @@ func (s Spec) Address() (canon Spec, hash string, err error) {
 	if err != nil {
 		return canon, "", err
 	}
-	cj, err := metrics.CanonicalJSON(raw)
-	if err != nil {
-		return canon, "", err
-	}
-	sum := sha256.Sum256(cj)
+	sum := sha256.Sum256(raw)
 	return canon, hex.EncodeToString(sum[:]), nil
 }
 

@@ -1,16 +1,20 @@
 package run
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // FuzzSpecCanonical feeds two arbitrary JSON documents through the
 // path every submitted spec takes — decode, Canonical, Address — and
 // holds it to what the result cache and the disk store rely on: nothing
 // panics, Canonical is idempotent (a canonical spec addresses to itself),
-// and two specs share a content address exactly when their canonical
-// JSON is equal.
+// json.Marshal of a canonical spec is already canonical JSON (Address
+// hashes it as it comes), and two specs share a content address exactly
+// when their canonical JSON is equal.
 func FuzzSpecCanonical(f *testing.F) {
 	for i, p := range pinnedSpecs {
 		f.Add(p.in, p.canon)                                // the same spec twice
@@ -18,6 +22,11 @@ func FuzzSpecCanonical(f *testing.F) {
 	}
 	f.Add(`{"end_time":-4}`, `{"model":"chess"}`)
 	f.Add(`{"nodes":1e9,"lookahead":1e-320}`, `{"seed":18446744073709551615,"mix_comp":101}`)
+	// Every string field, in the spellings Canonical folds.
+	f.Add(`{"engine":" TimeWarp ","model":"PHOLD","scenario":"Mixed","gvt":"Samadi","comm":"SHARED","queue":"Calendar","pool":"Debug","faults":"CHAOS","balance":"Straggler-Aware"}`,
+		`{"engine":"Conservative","sync":" CMB","model":"Epidemic","faults":"None","balance":"Static"}`)
+	f.Add(`{"faults":"partition","balance":"gr\u0065edy","mix_comm":1e-7,"scenario":"mixed"}`,
+		`{"faults":"duplicate","balance":"straggler","end_time":1e21,"ca_threshold":5e-324,"gvt":"ca"}`)
 	f.Fuzz(func(t *testing.T, a, b string) {
 		ca, ha, ok := address(t, a)
 		if !ok {
@@ -35,8 +44,9 @@ func FuzzSpecCanonical(f *testing.F) {
 }
 
 // address decodes doc and returns its canonical JSON and content
-// address, having checked that canonicalising is idempotent; ok is false
-// for a document that is not a valid spec.
+// address, having checked that canonicalising is idempotent and that the
+// encoding is canonical; ok is false for a document that is not a valid
+// spec.
 func address(t *testing.T, doc string) (canon, hash string, ok bool) {
 	var s Spec
 	if json.Unmarshal([]byte(doc), &s) != nil {
@@ -49,6 +59,9 @@ func address(t *testing.T, doc string) (canon, hash string, ok bool) {
 	raw, err := json.Marshal(c)
 	if err != nil {
 		t.Fatalf("canonical spec of %s does not marshal: %v", doc, err)
+	}
+	if cj, err := metrics.CanonicalJSON(raw); err != nil || !bytes.Equal(cj, raw) {
+		t.Fatalf("json.Marshal of the canonical spec of %s is not canonical JSON (%v):\n got  %s\n want %s", doc, err, raw, cj)
 	}
 	c2, hash2, err := c.Address()
 	if err != nil {

@@ -201,7 +201,9 @@ func (r SubmitResult) response() client.Submission {
 // job, the report. The report goes out as the stored bytes, the same
 // ones /jobs/{id}/report serves, spliced into the envelope rather than
 // passed through an encoder. A client that goes away abandons only the
-// request: the job runs on and its result is cached as usual.
+// request: the job runs on and its result is cached as usual. The layout
+// is load-bearing: pkg/client decodes exactly it in one scan, anything
+// else on a slower path (TestDaemonAnswersTakeOneScan).
 func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res SubmitResult) {
 	if !client.Terminal(res.Job.Wait(r.Context())) {
 		return // client went away; nobody is left to answer

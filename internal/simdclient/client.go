@@ -115,14 +115,23 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) (int, []
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, resp.Header, err
+	var buf bytes.Buffer // one buffer, sized from Content-Length when it is known and small
+	if n := resp.ContentLength; n >= 0 && n < maxPresize {
+		buf.Grow(int(n) + bytes.MinRead) // MinRead: room for the read that sees EOF
+	}
+	_, err = buf.ReadFrom(resp.Body)
+	return resp.StatusCode, buf.Bytes(), resp.Header, err
 }
+
+// maxPresize caps what a declared Content-Length reserves up front, so a
+// hostile header cannot force a large allocation.
+const maxPresize = 1 << 20
 
 // Call is the decoding exchange: Do, then a 2xx answer is decoded into
 // v — nil discards it, a *[]byte takes the body verbatim (the shape
-// proxies need), anything else is decoded as JSON — and every other
-// status is a *StatusError carrying the code, the headers and the body.
+// proxies need), a func([]byte) error decodes it itself, anything else is
+// decoded as JSON — and every other status is a *StatusError carrying the
+// code, the headers and the body.
 func (c *Client) Call(ctx context.Context, method, path string, body, v any) error {
 	code, data, hdr, err := c.Do(ctx, method, path, body)
 	if err != nil {
@@ -135,10 +144,13 @@ func (c *Client) Call(ctx context.Context, method, path string, body, v any) err
 	case nil:
 	case *[]byte:
 		*v = data
+	case func([]byte) error:
+		err = v(data)
 	default:
-		if err := json.Unmarshal(data, v); err != nil {
-			return fmt.Errorf("%s %s: HTTP %d with an undecodable answer: %w", method, path, code, err)
-		}
+		err = json.Unmarshal(data, v)
+	}
+	if err != nil {
+		return fmt.Errorf("%s %s: HTTP %d with an undecodable answer: %w", method, path, code, err)
 	}
 	return nil
 }

@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,5 +197,62 @@ func TestRetryBacksOffThenSucceeds(t *testing.T) {
 	boom := errors.New("boom")
 	if err := Retry(2, time.Millisecond, time.Millisecond, func() error { return boom }, nil); !errors.Is(err, boom) {
 		t.Fatalf("exhausted Retry returned %v, want the last error", err)
+	}
+}
+
+// TestDeclaredLengthBoundsThePresize: a server that declares a terabyte
+// and sends ten bytes is an error, and the client reserves no more than
+// maxPresize on the header's word.
+func TestDeclaredLengthBoundsThePresize(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n0123456789", int64(1)<<40)
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, data, _, err := c.Do(context.Background(), http.MethodGet, "/", nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || string(data) != "0123456789" {
+		t.Fatalf("short body: %q, %v; want the ten bytes and io.ErrUnexpectedEOF", data, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxPresize {
+		t.Fatalf("a declared terabyte made the exchange allocate %d bytes, over the %d cap", grew, maxPresize)
+	}
+	if err := c.Call(context.Background(), http.MethodGet, "/", nil, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Call on a short body returned %v", err)
+	}
+}
+
+// TestSizedReadReusesTheConnection: a body read into its Content-Length
+// buffer is still read to EOF, so the transport hands the connection
+// back and consecutive calls share it.
+func TestSizedReadReusesTheConnection(t *testing.T) {
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"n": 7}`))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := New(ts.URL)
+	for i := 0; i < 3; i++ {
+		if _, data, hdr, err := c.Do(context.Background(), http.MethodGet, "/", nil); err != nil || string(data) != `{"n": 7}` || hdr.Get("Content-Length") != "8" {
+			t.Fatalf("call %d: %q (Content-Length %q), %v", i, data, hdr.Get("Content-Length"), err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("three calls opened %d connections, want 1", n)
 	}
 }

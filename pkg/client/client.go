@@ -28,6 +28,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -333,6 +334,40 @@ func (a settled) job() JobStatus {
 	return a.JobStatus
 }
 
+// decodeSettled decodes a POST /jobs?wait answer as json.Unmarshal into a
+// settled does: in one scan (oneScan) when it has the layout a daemon
+// writes, through json.Unmarshal when it has any other.
+func decodeSettled(data []byte) (ans settled, err error) {
+	if ans, ok := oneScan(data); ok {
+		return ans, nil
+	}
+	err = json.Unmarshal(data, &ans)
+	return ans, err
+}
+
+// oneScan decodes answerSettled's layout, {"status":S} or
+// {"status":S,"report":R}: S on its own, R validated once and sliced out
+// of data without a copy. It is false for anything else — a router's flat
+// answer, reordered or extra members, a part that fails.
+func oneScan(data []byte) (ans settled, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"status":`))
+	if !ok || len(rest) == 0 || rest[len(rest)-1] != '}' {
+		return ans, false
+	}
+	body := rest[:len(rest)-1]
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if dec.Decode(&ans.Status) != nil {
+		return ans, false
+	}
+	tail := body[dec.InputOffset():]
+	if len(tail) == 0 {
+		return ans, true
+	}
+	report, ok := bytes.CutPrefix(tail, []byte(`,"report":`))
+	ans.Report = bytes.Trim(report, " \t\r\n") // as a json.RawMessage holds it
+	return ans, ok && json.Valid(ans.Report)
+}
+
 // Run is the whole round trip in one exchange: it posts the spec to
 // /jobs?wait (absorbing up to 8 queue-full answers exactly as
 // SubmitRetry does) and a simd daemon answers with the terminal
@@ -347,8 +382,9 @@ func (a settled) job() JobStatus {
 // non-nil.
 func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
 	var ans settled
+	decode := func(data []byte) (err error) { ans, err = decodeSettled(data); return }
 	err := absorbQueueFull(ctx, 8, func() error {
-		return c.call(ctx, "submit", http.MethodPost, "/jobs?wait", spec, &ans, nil)
+		return c.call(ctx, "submit", http.MethodPost, "/jobs?wait", spec, decode, nil)
 	})
 	if err != nil && !refusal(err) && ctx.Err() == nil {
 		ans = settled{}

@@ -7,9 +7,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -206,4 +208,35 @@ func BenchmarkRunHit(b *testing.B) {
 // BenchmarkRunMiss: every call is a distinct tiny spec — a cold job.
 func BenchmarkRunMiss(b *testing.B) {
 	benchmarkRun(b, func(i int) simd.JobSpec { return tinySpec(uint64(1 + i)) })
+}
+
+// BenchmarkDecodeSettled: what decoding one POST /jobs?wait answer costs
+// the SDK, on a real daemon's answer for a default-topology job (≈6.5 KB,
+// nearly all of it report): one-scan is the SDK's path, unmarshal the
+// json.Unmarshal it replaces.
+func BenchmarkDecodeSettled(b *testing.B) {
+	d := startDaemon(b)
+	resp, err := http.Post(d.client.Base()+"/jobs?wait", "application/json", strings.NewReader(`{"seed":42}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !client.OneScan(answer) {
+		b.Fatalf("HTTP %d, %v: the answer does not take the one-scan path\n%s", resp.StatusCode, err, answer)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) error
+	}{{"one-scan", client.DecodeSettled}, {"unmarshal", client.UnmarshalSettled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(answer)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.decode(answer); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -3,14 +3,44 @@ package client
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
+	"regexp"
 	"testing"
 )
 
+// TestDaemonAnswersTakeOneScan: every POST /jobs?wait answer pinned in
+// the daemon's wire golden decodes in one scan, to what json.Unmarshal
+// gives. The layout answerSettled writes is load-bearing: written in
+// another order, the answer would still decode — on the slow path, with
+// no other test failing.
+func TestDaemonAnswersTakeOneScan(t *testing.T) {
+	golden, err := os.ReadFile("../../internal/simd/testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := regexp.MustCompile(`(?m)^=== [^\n]*: POST /jobs\?wait\nHTTP 200\n(?:[^\n]+\n)*\n([^\n]*)\n`).FindAllSubmatch(golden, -1)
+	if len(answers) < 3 {
+		t.Fatalf("found %d wait answers in the golden file, want done, hit and failed", len(answers))
+	}
+	for _, m := range answers {
+		data := bytes.ReplaceAll(m[1], []byte(`"<time>"`), []byte(`"2026-01-02T03:04:05.678Z"`))
+		ans, ok := oneScan(data)
+		var want settled
+		if err := json.Unmarshal(data, &want); !ok || err != nil || !reflect.DeepEqual(ans, want) {
+			t.Errorf("answer takes one scan: %v; decodes to %+v, want %+v (%v)\n%s", ok, ans, want, err, data)
+		}
+	}
+}
+
 // FuzzWaitAnswer feeds the POST /jobs?wait decoder arbitrary bytes — a
 // truncated answer, another server's page, a document of the wrong
-// shape. It must not panic; only a whole JSON document may decode; and
-// cutting a decodable answer short anywhere must be an error, never a
-// terminal status Run would hand back.
+// shape. It must not panic; it must agree with json.Unmarshal into a
+// settled, result for result and error for error, whichever path it
+// takes; only a whole JSON document may decode; and cutting a decodable
+// answer short anywhere must be an error, never a terminal status Run
+// would hand back.
 func FuzzWaitAnswer(f *testing.F) {
 	done := `{"status":{"id":"j000002","hash":"0aa2","state":"done","cache_hit":false,"rounds":1,"gvt":5.07,"efficiency":0.88,` +
 		`"submitted_at":"2026-01-02T03:04:05Z","cache_hit_now":false,"deduped_now":false},"report":{"schema":"cagvt.run-report/1"}}`
@@ -26,8 +56,13 @@ func FuzzWaitAnswer(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ans settled
-		if err := json.Unmarshal(data, &ans); err != nil {
+		ans, err := decodeSettled(data)
+		var want settled
+		wantErr := json.Unmarshal(data, &want)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && !reflect.DeepEqual(ans, want) {
+			t.Fatalf("decodeSettled and json.Unmarshal disagree on %q:\n got  %+v %v\n want %+v %v", data, ans, err, want, wantErr)
+		}
+		if err != nil {
 			return // Run returns the error; no status leaves the client
 		}
 		if !json.Valid(data) {
@@ -45,8 +80,10 @@ func FuzzWaitAnswer(f *testing.F) {
 		}
 		body := bytes.TrimRight(data, " \t\r\n")
 		for _, cut := range []int{len(body) - 1, len(body) / 2, 1} {
-			var short settled
-			if cut > 0 && cut < len(body) && json.Unmarshal(body[:cut], &short) == nil {
+			if cut <= 0 || cut >= len(body) {
+				continue
+			}
+			if _, err := decodeSettled(body[:cut]); err == nil {
 				t.Fatalf("answer cut to %d of %d bytes still decoded: %q", cut, len(body), body[:cut])
 			}
 		}

@@ -27,22 +27,13 @@ func (s *Stream) Updates() <-chan Progress { return s.updates }
 
 // Wait blocks until the feed finishes and returns the terminal job
 // document plus the outcome error (same contract as Await). It drains
-// any unread updates, so it never deadlocks against the feeder.
+// any unread updates, so it never deadlocks against the feeder: the
+// feeder closes Updates before it settles the document and closes done.
 func (s *Stream) Wait() (JobStatus, error) {
-	for {
-		select {
-		case _, ok := <-s.updates:
-			if !ok {
-				<-s.done
-				return s.st, s.err
-			}
-		case <-s.done:
-			// Feeder finished; drain whatever it buffered before returning.
-			for range s.updates {
-			}
-			return s.st, s.err
-		}
+	for range s.updates {
 	}
+	<-s.done
+	return s.st, s.err
 }
 
 // Stream starts following a job's progress. The returned Stream owns a
