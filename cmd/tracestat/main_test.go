@@ -61,7 +61,7 @@ func TestAnalysisGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := genTrace(t, tc.sync)
-			a, err := analyze(bytes.NewReader(raw), 20)
+			a, err := trace.Analyze(bytes.NewReader(raw), 20)
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
@@ -94,7 +94,7 @@ func TestAnalysisGolden(t *testing.T) {
 // independent of the golden bytes.
 func TestUtilizationAnalysis(t *testing.T) {
 	raw := genTrace(t, conservative.SyncWindow)
-	a, err := analyze(bytes.NewReader(raw), 20)
+	a, err := trace.Analyze(bytes.NewReader(raw), 20)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestUtilizationAnalysis(t *testing.T) {
 	}
 	// A single-node trace has no between-node desynchronization.
 	single := genSingleNodeTrace(t)
-	a, err = analyze(bytes.NewReader(single), 20)
+	a, err = trace.Analyze(bytes.NewReader(single), 20)
 	if err != nil {
 		t.Fatalf("analyze single: %v", err)
 	}
@@ -199,7 +199,7 @@ func genMigratingTrace(t *testing.T) []byte {
 // against the migration marks — is held to golden bytes as the
 // conservative analyses are. Regenerate with -update.
 func TestImbalanceGolden(t *testing.T) {
-	a, err := analyze(bytes.NewReader(genMigratingTrace(t)), 20)
+	a, err := trace.Analyze(bytes.NewReader(genMigratingTrace(t)), 20)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -223,5 +223,37 @@ func TestImbalanceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("analysis differs from %s (run with -update after intentional changes)\ngot:\n%s", golden, got)
+	}
+}
+
+// TestRenderGolden pins the human-readable report of the three golden
+// traces, byte for byte. Regenerate with -update.
+func TestRenderGolden(t *testing.T) {
+	for name, gen := range map[string]func(*testing.T) []byte{
+		"conservative_nullmsg": func(t *testing.T) []byte { return genTrace(t, conservative.SyncNullMsg) },
+		"conservative_window":  func(t *testing.T) []byte { return genTrace(t, conservative.SyncWindow) },
+		"timewarp_migrating":   genMigratingTrace,
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, err := trace.Analyze(bytes.NewReader(gen(t)), 20)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			var got bytes.Buffer
+			render(&got, a)
+			golden := filepath.Join("testdata", name+".golden.txt")
+			if *update {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("report differs from %s (run with -update after intentional changes)\ngot:\n%s", golden, got.Bytes())
+			}
+		})
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // TestExamplesRun builds and runs every program under examples/ — the
-// README's five `go run ./examples/...` lines. Each main ends in
+// README's two `go run ./examples/...` lines. Each main ends in
 // log.Fatal when its run disagrees with the sequential oracle, so a
 // non-zero exit is a failed example.
 func TestExamplesRun(t *testing.T) {

@@ -257,18 +257,21 @@ func TestMigrationTraceAndReport(t *testing.T) {
 	}
 
 	data := buf.Bytes()
-	sum, err := trace.Summarize(bytes.NewReader(data))
+	a, err := trace.Analyze(bytes.NewReader(data), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Version != trace.Version {
-		t.Errorf("trace version = %d, want %d", sum.Version, trace.Version)
+	if a.TraceVersion != trace.Version {
+		t.Errorf("trace version = %d, want %d", a.TraceVersion, trace.Version)
 	}
-	if sum.Migrations != r.Migrations {
-		t.Errorf("trace has %d migration records, run stats say %d", sum.Migrations, r.Migrations)
+	if a.Imbalance == nil {
+		t.Fatal("a multi-node trace has no imbalance analysis")
 	}
-	if sum.MigratedEvents != r.MigratedEvents {
-		t.Errorf("trace migrated events %d != run stats %d", sum.MigratedEvents, r.MigratedEvents)
+	if a.Imbalance.Migrations != r.Migrations {
+		t.Errorf("trace has %d migration records, run stats say %d", a.Imbalance.Migrations, r.Migrations)
+	}
+	if a.Imbalance.MigratedEvents != r.MigratedEvents {
+		t.Errorf("trace migrated events %d != run stats %d", a.Imbalance.MigratedEvents, r.MigratedEvents)
 	}
 	total := cfg.Topology.TotalLPs()
 	err = trace.NewReader(bytes.NewReader(data)).ForEach(trace.Visitor{

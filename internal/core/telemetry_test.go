@@ -19,8 +19,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// runWithTelemetry executes one run with a recorder and a trace attached.
-func runWithTelemetry(t *testing.T, cfg core.Config) (*core.Engine, *metrics.Report, *trace.Summary) {
+// runWithTelemetry executes one run with a recorder and a trace attached
+// and returns the trace's analysis and bytes.
+func runWithTelemetry(t *testing.T, cfg core.Config) (*core.Engine, *metrics.Report, *trace.Analysis, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg.Trace = trace.NewWriter(&buf)
@@ -33,16 +34,16 @@ func runWithTelemetry(t *testing.T, cfg core.Config) (*core.Engine, *metrics.Rep
 	if err := cfg.Trace.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := trace.Summarize(&buf)
+	a, err := trace.Analyze(bytes.NewReader(buf.Bytes()), 20)
 	if err != nil {
 		t.Fatalf("telemetry trace does not decode: %v", err)
 	}
-	return eng, eng.Report(r), sum
+	return eng, eng.Report(r), a, buf.Bytes()
 }
 
 func TestRunReportContent(t *testing.T) {
 	cfg := testConfig(2, 2, 8, core.GVTControlled, core.CommDedicated)
-	_, rep, sum := runWithTelemetry(t, cfg)
+	_, rep, a, raw := runWithTelemetry(t, cfg)
 
 	if rep.Schema != metrics.ReportSchema {
 		t.Fatalf("schema = %q", rep.Schema)
@@ -90,20 +91,24 @@ func TestRunReportContent(t *testing.T) {
 		t.Fatalf("inbox_drain_batch histogram missing or empty: %+v", rep.Histograms)
 	}
 	// The trace must carry the v1 record types alongside commits/rounds.
-	if sum.Version != trace.Version {
-		t.Fatalf("trace version = %d", sum.Version)
+	if a.TraceVersion != trace.Version {
+		t.Fatalf("trace version = %d", a.TraceVersion)
 	}
-	if sum.Commits != rep.Stats.Committed {
-		t.Fatalf("trace commits %d != report committed %d", sum.Commits, rep.Stats.Committed)
+	if a.Commits != rep.Stats.Committed {
+		t.Fatalf("trace commits %d != report committed %d", a.Commits, rep.Stats.Committed)
 	}
-	if sum.MPISends == 0 || sum.MPIRecvs == 0 {
-		t.Fatalf("no MPI records in trace: %+v", sum)
+	recvs := 0
+	if err := trace.NewReader(bytes.NewReader(raw)).ForEach(trace.Visitor{MPIRecv: func(trace.MPIRecv) { recvs++ }}); err != nil {
+		t.Fatal(err)
 	}
-	if sum.PhaseRecords == 0 {
+	if len(a.MPI) == 0 || recvs == 0 {
+		t.Fatalf("no MPI records in trace: %d sending nodes, %d receives", len(a.MPI), recvs)
+	}
+	if len(a.Phases) == 0 {
 		t.Fatal("no phase transitions in trace")
 	}
-	if sum.Rollbacks != rep.Stats.Rollbacks {
-		t.Fatalf("trace rollbacks %d != stats %d", sum.Rollbacks, rep.Stats.Rollbacks)
+	if a.Rollbacks.Episodes != rep.Stats.Rollbacks {
+		t.Fatalf("trace rollbacks %d != stats %d", a.Rollbacks.Episodes, rep.Stats.Rollbacks)
 	}
 }
 
@@ -119,7 +124,7 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, _ := runWithTelemetry(t, testConfig(2, 2, 8, core.GVTControlled, core.CommDedicated))
+	_, rep, _, _ := runWithTelemetry(t, testConfig(2, 2, 8, core.GVTControlled, core.CommDedicated))
 
 	if got, want := rep.Stats.CommitChecksum, metrics.Checksum(rBare.CommitChecksum); got != want {
 		t.Fatalf("telemetry changed the committed stream: %s != %s", got, want)
@@ -156,7 +161,7 @@ func jsonKeyPaths(v any, prefix string, out map[string]bool) {
 // `go test ./internal/core -run Golden -update` after a schema bump.
 func TestReportShapeGolden(t *testing.T) {
 	cfg := testConfig(2, 2, 8, core.GVTControlled, core.CommDedicated)
-	_, rep, _ := runWithTelemetry(t, cfg)
+	_, rep, _, _ := runWithTelemetry(t, cfg)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -198,10 +203,10 @@ func TestRollbackTraceConsistency(t *testing.T) {
 	for _, gvt := range allGVT() {
 		t.Run(fmt.Sprint(gvt), func(t *testing.T) {
 			cfg := testConfig(2, 2, 8, gvt, core.CommDedicated)
-			_, rep, sum := runWithTelemetry(t, cfg)
-			if sum.Rollbacks != rep.Stats.Rollbacks || sum.RolledBack != rep.Stats.RolledBack {
+			_, rep, a, _ := runWithTelemetry(t, cfg)
+			if rb := a.Rollbacks; rb.Episodes != rep.Stats.Rollbacks || rb.Undone != rep.Stats.RolledBack {
 				t.Fatalf("trace (%d episodes, %d undone) != stats (%d, %d)",
-					sum.Rollbacks, sum.RolledBack, rep.Stats.Rollbacks, rep.Stats.RolledBack)
+					rb.Episodes, rb.Undone, rep.Stats.Rollbacks, rep.Stats.RolledBack)
 			}
 		})
 	}

@@ -479,7 +479,8 @@ func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, cl
 	var (
 		none       client.Submission
 		sawFull    bool
-		retryAfter string
+		retryAfter string        // the smallest hint's header value
+		minWait    time.Duration // and its parsed duration
 		lastErr    error
 	)
 	cands := c.candidates(hash, exclude)
@@ -495,8 +496,8 @@ func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, cl
 			lastErr = err
 		case se.Code == http.StatusTooManyRequests:
 			sawFull = true
-			if v := se.Header.Get("Retry-After"); v != "" && (retryAfter == "" || v < retryAfter) {
-				retryAfter = v
+			if d, ok := simdclient.RetryAfterHint(se.Header); ok && (retryAfter == "" || d < minWait) {
+				retryAfter, minWait = se.Header.Get("Retry-After"), d
 			}
 		case se.Code == http.StatusBadRequest:
 			// A spec the member rejects is a client error, not a routing

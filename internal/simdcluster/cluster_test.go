@@ -370,6 +370,38 @@ func TestSubmitSpillsOnSaturatedMember(t *testing.T) {
 	}
 }
 
+// TestSaturatedClusterOffersSmallestRetryAfter: when every member answers
+// 429, the router's 429 carries the smallest Retry-After by value — 9 s
+// over 12 s whichever member the rank tries first.
+func TestSaturatedClusterOffersSmallestRetryAfter(t *testing.T) {
+	for _, hints := range [][2]string{{"9", "12"}, {"12", "9"}} {
+		c := New(Options{HealthInterval: 10 * time.Millisecond})
+		defer c.Close()
+		for i, id := range []string{"n1", "n2"} {
+			hint := hints[i]
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(w).Encode(map[string]string{"status": "ok", "node_id": id})
+			})
+			mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Retry-After", hint)
+				simd.WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full"})
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+			c.AddMember(id, ts.URL, 0)
+			if err := c.WaitUp(id, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := c.Submit(specJSON(1, 5))
+		se, ok := err.(*StatusError)
+		if !ok || se.Code != http.StatusTooManyRequests || se.RetryAfter != "9" {
+			t.Errorf("members hinting %v: err %v, want 429 with Retry-After 9", hints, err)
+		}
+	}
+}
+
 func TestFailoverOnNodeDeath(t *testing.T) {
 	c, nodes := newTestCluster(t, 3, 1, 16)
 	ids := memberIDs(nodes)

@@ -9,7 +9,8 @@
 // faults and the LP-migration records emitted by the load balancer. The
 // Reader accepts exactly the version this package writes and rejects
 // anything else — other versions, or a file that is not a trace —
-// instead of decoding garbage.
+// instead of decoding garbage. Analyze turns a whole stream into the
+// analyses cmd/tracestat prints.
 package trace
 
 import (
@@ -105,13 +106,14 @@ type Commit struct {
 	Seq uint64
 }
 
-// Round is one completed GVT round.
+// Round is one completed GVT round; the JSON keys are those of the
+// analysis's efficiency timeline.
 type Round struct {
-	Round      int64
-	GVT        float64
-	AtNanos    int64 // simulated wall-clock of completion
-	Sync       bool
-	Efficiency float64
+	Round      int64   `json:"round"`
+	GVT        float64 `json:"gvt"`
+	AtNanos    int64   `json:"at_ns"` // simulated wall-clock of completion
+	Sync       bool    `json:"sync"`
+	Efficiency float64 `json:"efficiency"`
 }
 
 // Rollback is one rollback episode at a worker: a straggler or
@@ -169,18 +171,33 @@ type Fault struct {
 
 // Migration is one LP moved between nodes by the load balancer at a GVT
 // commit point. Events counts the pending (uncommitted-future) events
-// shipped along with the LP's state.
+// shipped along with the LP's state. The JSON keys are those of the
+// analysis's list of moves.
 type Migration struct {
-	LP      uint32
-	SrcNode uint16
-	DstNode uint16
-	Round   int64 // GVT round whose commit point triggered the move
-	Events  uint32
-	AtNanos int64
+	LP      uint32 `json:"lp"`
+	SrcNode uint16 `json:"src"`
+	DstNode uint16 `json:"dst"`
+	Round   int64  `json:"round"` // GVT round whose commit point triggered the move
+	Events  uint32 `json:"events"`
+	AtNanos int64  `json:"at_ns"`
 }
 
-// migrationWire is the record body size (after the type byte).
-const migrationWire = 28
+// wire is each record type's name and body length (the bytes after the
+// type byte), indexed by type; both Writer and Reader size records from
+// it. An unknown type has length 0.
+var wire = [...]struct {
+	name string
+	body int
+}{
+	recCommit:    {"commit", 24},
+	recRound:     {"round", 33},
+	recRollback:  {"rollback", 37},
+	recMPISend:   {"mpi-send", 20},
+	recMPIRecv:   {"mpi-recv", 20},
+	recPhase:     {"phase", 13},
+	recFault:     {"fault", 21},
+	recMigration: {"migration", 28},
+}
 
 // Writer streams current-version records to an io.Writer. The header is
 // written on the first record (or Flush), so an abandoned Writer leaves
@@ -212,139 +229,143 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-func (t *Writer) put(b []byte) {
-	if t.err != nil {
+// preface writes the header ahead of the first record.
+func (t *Writer) preface() {
+	if t.prefaced || t.err != nil {
 		return
 	}
+	t.prefaced = true
+	var h [headerLen]byte
+	copy(h[:], magic[:])
+	binary.LittleEndian.PutUint16(h[4:], Version)
+	_, t.err = t.w.Write(h[:])
+}
+
+// body starts a record of the given type in the scratch buffer and
+// returns its body, to be filled at the offsets decode reads.
+func (t *Writer) body(kind uint8) []byte {
+	t.scratch[0] = kind
+	return t.scratch[1 : 1+wire[kind].body]
+}
+
+// put writes the record whose body b returned.
+func (t *Writer) put(b []byte) {
 	if !t.prefaced {
-		t.prefaced = true
-		var h [headerLen]byte
-		copy(h[:], magic[:])
-		binary.LittleEndian.PutUint16(h[4:], Version)
-		if _, t.err = t.w.Write(h[:]); t.err != nil {
-			return
-		}
+		t.preface()
 	}
-	_, t.err = t.w.Write(b)
+	if t.err == nil {
+		_, t.err = t.w.Write(t.scratch[:1+len(b)])
+	}
 }
 
 // Commit appends a committed-event record.
 func (t *Writer) Commit(c Commit) {
-	b := &t.scratch
-	b[0] = recCommit
-	binary.LittleEndian.PutUint32(b[1:], c.LP)
-	binary.LittleEndian.PutUint64(b[5:], math.Float64bits(c.T))
-	binary.LittleEndian.PutUint32(b[13:], c.Src)
-	binary.LittleEndian.PutUint64(b[17:], c.Seq)
-	t.put(b[:25])
+	b := t.body(recCommit)
+	binary.LittleEndian.PutUint32(b[0:], c.LP)
+	binary.LittleEndian.PutUint64(b[4:], math.Float64bits(c.T))
+	binary.LittleEndian.PutUint32(b[12:], c.Src)
+	binary.LittleEndian.PutUint64(b[16:], c.Seq)
+	t.put(b)
 	t.Commits++
 }
 
 // Round appends a GVT-round record.
 func (t *Writer) Round(r Round) {
-	b := &t.scratch
-	b[0] = recRound
-	binary.LittleEndian.PutUint64(b[1:], uint64(r.Round))
-	binary.LittleEndian.PutUint64(b[9:], math.Float64bits(r.GVT))
-	binary.LittleEndian.PutUint64(b[17:], uint64(r.AtNanos))
-	b[25] = 0 // scratch is reused: conditional bytes need both branches
+	b := t.body(recRound)
+	binary.LittleEndian.PutUint64(b[0:], uint64(r.Round))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.GVT))
+	binary.LittleEndian.PutUint64(b[16:], uint64(r.AtNanos))
+	b[24] = 0 // scratch is reused: conditional bytes need both branches
 	if r.Sync {
-		b[25] = 1
+		b[24] = 1
 	}
-	binary.LittleEndian.PutUint64(b[26:], math.Float64bits(r.Efficiency))
-	t.put(b[:34])
+	binary.LittleEndian.PutUint64(b[25:], math.Float64bits(r.Efficiency))
+	t.put(b)
 	t.Rounds++
 }
 
 // Rollback appends a rollback-episode record.
 func (t *Writer) Rollback(r Rollback) {
-	b := &t.scratch
-	b[0] = recRollback
-	binary.LittleEndian.PutUint32(b[1:], r.Worker)
-	binary.LittleEndian.PutUint32(b[5:], r.LP)
-	b[9] = 0 // scratch is reused: conditional bytes need both branches
+	b := t.body(recRollback)
+	binary.LittleEndian.PutUint32(b[0:], r.Worker)
+	binary.LittleEndian.PutUint32(b[4:], r.LP)
+	b[8] = 0 // scratch is reused: conditional bytes need both branches
 	if r.Anti {
-		b[9] = 1
+		b[8] = 1
 	}
-	binary.LittleEndian.PutUint32(b[10:], r.Depth)
-	binary.LittleEndian.PutUint64(b[14:], math.Float64bits(r.From))
-	binary.LittleEndian.PutUint64(b[22:], math.Float64bits(r.To))
-	binary.LittleEndian.PutUint64(b[30:], uint64(r.AtNanos))
-	t.put(b[:38])
+	binary.LittleEndian.PutUint32(b[9:], r.Depth)
+	binary.LittleEndian.PutUint64(b[13:], math.Float64bits(r.From))
+	binary.LittleEndian.PutUint64(b[21:], math.Float64bits(r.To))
+	binary.LittleEndian.PutUint64(b[29:], uint64(r.AtNanos))
+	t.put(b)
 	t.Rollbacks++
 }
 
-func putMPI(b *[64]byte, kind uint8, src, dst uint16, bytes, depth uint32, at int64) {
-	b[0] = kind
-	binary.LittleEndian.PutUint16(b[1:], src)
-	binary.LittleEndian.PutUint16(b[3:], dst)
-	binary.LittleEndian.PutUint32(b[5:], bytes)
-	binary.LittleEndian.PutUint32(b[9:], depth)
-	binary.LittleEndian.PutUint64(b[13:], uint64(at))
+func putMPI(b []byte, src, dst uint16, bytes, depth uint32, at int64) {
+	binary.LittleEndian.PutUint16(b[0:], src)
+	binary.LittleEndian.PutUint16(b[2:], dst)
+	binary.LittleEndian.PutUint32(b[4:], bytes)
+	binary.LittleEndian.PutUint32(b[8:], depth)
+	binary.LittleEndian.PutUint64(b[12:], uint64(at))
 }
 
 // MPISend appends a data-plane send record.
 func (t *Writer) MPISend(m MPISend) {
-	putMPI(&t.scratch, recMPISend, m.Src, m.Dst, m.Bytes, m.QueueDepth, m.AtNanos)
-	t.put(t.scratch[:21])
+	b := t.body(recMPISend)
+	putMPI(b, m.Src, m.Dst, m.Bytes, m.QueueDepth, m.AtNanos)
+	t.put(b)
 	t.MPISends++
 }
 
 // MPIRecv appends a data-plane receive record.
 func (t *Writer) MPIRecv(m MPIRecv) {
-	putMPI(&t.scratch, recMPIRecv, m.Src, m.Dst, m.Bytes, m.QueueDepth, m.AtNanos)
-	t.put(t.scratch[:21])
+	b := t.body(recMPIRecv)
+	putMPI(b, m.Src, m.Dst, m.Bytes, m.QueueDepth, m.AtNanos)
+	t.put(b)
 	t.MPIRecvs++
 }
 
 // Phase appends a worker phase-transition record.
 func (t *Writer) Phase(p Phase) {
-	b := &t.scratch
-	b[0] = recPhase
-	binary.LittleEndian.PutUint32(b[1:], p.Worker)
-	b[5] = p.Phase
-	binary.LittleEndian.PutUint64(b[6:], uint64(p.AtNanos))
-	t.put(b[:14])
+	b := t.body(recPhase)
+	binary.LittleEndian.PutUint32(b[0:], p.Worker)
+	b[4] = p.Phase
+	binary.LittleEndian.PutUint64(b[5:], uint64(p.AtNanos))
+	t.put(b)
 	t.Phases++
 }
 
 // Fault appends a fault record.
 func (t *Writer) Fault(f Fault) {
-	b := &t.scratch
-	b[0] = recFault
-	b[1] = f.Kind
-	binary.LittleEndian.PutUint16(b[2:], f.Src)
-	binary.LittleEndian.PutUint16(b[4:], f.Dst)
-	binary.LittleEndian.PutUint64(b[6:], uint64(f.AtNanos))
-	binary.LittleEndian.PutUint64(b[14:], uint64(f.DelayNanos))
-	t.put(b[:22])
+	b := t.body(recFault)
+	b[0] = f.Kind
+	binary.LittleEndian.PutUint16(b[1:], f.Src)
+	binary.LittleEndian.PutUint16(b[3:], f.Dst)
+	binary.LittleEndian.PutUint64(b[5:], uint64(f.AtNanos))
+	binary.LittleEndian.PutUint64(b[13:], uint64(f.DelayNanos))
+	t.put(b)
 	t.Faults++
 }
 
 // Migration appends an LP-migration record.
 func (t *Writer) Migration(m Migration) {
-	b := &t.scratch
-	b[0] = recMigration
-	binary.LittleEndian.PutUint32(b[1:], m.LP)
-	binary.LittleEndian.PutUint16(b[5:], m.SrcNode)
-	binary.LittleEndian.PutUint16(b[7:], m.DstNode)
-	binary.LittleEndian.PutUint64(b[9:], uint64(m.Round))
-	binary.LittleEndian.PutUint32(b[17:], m.Events)
-	binary.LittleEndian.PutUint64(b[21:], uint64(m.AtNanos))
-	t.put(b[:1+migrationWire])
+	b := t.body(recMigration)
+	binary.LittleEndian.PutUint32(b[0:], m.LP)
+	binary.LittleEndian.PutUint16(b[4:], m.SrcNode)
+	binary.LittleEndian.PutUint16(b[6:], m.DstNode)
+	binary.LittleEndian.PutUint64(b[8:], uint64(m.Round))
+	binary.LittleEndian.PutUint32(b[16:], m.Events)
+	binary.LittleEndian.PutUint64(b[20:], uint64(m.AtNanos))
+	t.put(b)
 	t.Migrations++
 }
 
 // Flush drains buffered records and returns any accumulated write error.
+// A Writer that wrote no record writes the header alone.
 func (t *Writer) Flush() error {
+	t.preface()
 	if t.err != nil {
 		return t.err
-	}
-	if !t.prefaced {
-		t.put(nil) // header-only stream
-		if t.err != nil {
-			return t.err
-		}
 	}
 	return t.w.Flush()
 }
@@ -353,9 +374,10 @@ func (t *Writer) Flush() error {
 type Reader struct {
 	r       *bufio.Reader
 	off     int64
-	version int
+	format  int // the header's version
 	started bool
 	err     error
+	buf     [64]byte // the record body being decoded
 }
 
 // NewReader returns a Reader over r.
@@ -363,17 +385,17 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Offset returns the number of bytes consumed so far; after an error it
+// offset returns the number of bytes consumed so far; after an error it
 // points at the failure.
-func (t *Reader) Offset() int64 { return t.off }
+func (t *Reader) offset() int64 { return t.off }
 
-// Version returns the stream's format version, reading the header on
+// version returns the stream's format version, reading the header on
 // first use. An empty stream reads as the current version.
-func (t *Reader) Version() (int, error) {
+func (t *Reader) version() (int, error) {
 	if err := t.start(); err != nil && err != io.EOF {
 		return 0, err
 	}
-	return t.version, nil
+	return t.format, nil
 }
 
 // start consumes and checks the header. It returns io.EOF only for a
@@ -383,7 +405,7 @@ func (t *Reader) start() error {
 		return t.err
 	}
 	t.started = true
-	t.version = Version
+	t.format = Version
 	var h [headerLen]byte
 	if _, err := io.ReadFull(t.r, h[:]); err != nil {
 		if err == io.EOF {
@@ -404,137 +426,103 @@ func (t *Reader) start() error {
 	return nil
 }
 
-func (t *Reader) readFull(b []byte, what string) error {
-	n, err := io.ReadFull(t.r, b)
-	t.off += int64(n)
-	if err != nil {
-		return fmt.Errorf("trace: truncated %s record at offset %d: %w", what, t.off, err)
-	}
-	return nil
-}
-
-// Next returns the next record as one of Commit, Round, Rollback,
-// MPISend, MPIRecv or Phase; io.EOF ends the stream.
-func (t *Reader) Next() (any, error) {
+// next returns the next record as one of Commit, Round, Rollback,
+// MPISend, MPIRecv, Phase, Fault or Migration; io.EOF ends the stream.
+func (t *Reader) next() (any, error) {
 	if err := t.start(); err != nil {
 		return nil, err
 	}
 	kind, err := t.r.ReadByte()
-	if err != nil {
-		if err != io.EOF {
-			err = fmt.Errorf("trace: read at offset %d: %w", t.off, err)
-			t.err = err
-		}
+	if err == io.EOF {
 		return nil, err
 	}
+	if err != nil {
+		t.err = fmt.Errorf("trace: read at offset %d: %w", t.off, err)
+		return nil, t.err
+	}
 	t.off++
+	if int(kind) >= len(wire) || wire[kind].body == 0 {
+		t.err = fmt.Errorf("trace: unknown record type %d at offset %d", kind, t.off-1)
+		return nil, t.err
+	}
+	b := t.buf[:wire[kind].body]
+	n, err := io.ReadFull(t.r, b)
+	t.off += int64(n)
+	if err != nil {
+		t.err = fmt.Errorf("trace: truncated %s record at offset %d: %w", wire[kind].name, t.off, err)
+		return nil, t.err
+	}
+	return decode(kind, b), nil
+}
+
+// decode builds the record of a known type from its body.
+func decode(kind uint8, b []byte) any {
+	le := binary.LittleEndian
 	switch kind {
 	case recCommit:
-		var b [24]byte
-		if err := t.readFull(b[:], "commit"); err != nil {
-			t.err = err
-			return nil, err
-		}
 		return Commit{
-			LP:  binary.LittleEndian.Uint32(b[0:]),
-			T:   math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-			Src: binary.LittleEndian.Uint32(b[12:]),
-			Seq: binary.LittleEndian.Uint64(b[16:]),
-		}, nil
+			LP:  le.Uint32(b[0:]),
+			T:   math.Float64frombits(le.Uint64(b[4:])),
+			Src: le.Uint32(b[12:]),
+			Seq: le.Uint64(b[16:]),
+		}
 	case recRound:
-		var b [33]byte
-		if err := t.readFull(b[:], "round"); err != nil {
-			t.err = err
-			return nil, err
-		}
 		return Round{
-			Round:      int64(binary.LittleEndian.Uint64(b[0:])),
-			GVT:        math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			AtNanos:    int64(binary.LittleEndian.Uint64(b[16:])),
+			Round:      int64(le.Uint64(b[0:])),
+			GVT:        math.Float64frombits(le.Uint64(b[8:])),
+			AtNanos:    int64(le.Uint64(b[16:])),
 			Sync:       b[24] != 0,
-			Efficiency: math.Float64frombits(binary.LittleEndian.Uint64(b[25:])),
-		}, nil
+			Efficiency: math.Float64frombits(le.Uint64(b[25:])),
+		}
 	case recRollback:
-		var b [37]byte
-		if err := t.readFull(b[:], "rollback"); err != nil {
-			t.err = err
-			return nil, err
-		}
 		return Rollback{
-			Worker:  binary.LittleEndian.Uint32(b[0:]),
-			LP:      binary.LittleEndian.Uint32(b[4:]),
+			Worker:  le.Uint32(b[0:]),
+			LP:      le.Uint32(b[4:]),
 			Anti:    b[8] != 0,
-			Depth:   binary.LittleEndian.Uint32(b[9:]),
-			From:    math.Float64frombits(binary.LittleEndian.Uint64(b[13:])),
-			To:      math.Float64frombits(binary.LittleEndian.Uint64(b[21:])),
-			AtNanos: int64(binary.LittleEndian.Uint64(b[29:])),
-		}, nil
+			Depth:   le.Uint32(b[9:]),
+			From:    math.Float64frombits(le.Uint64(b[13:])),
+			To:      math.Float64frombits(le.Uint64(b[21:])),
+			AtNanos: int64(le.Uint64(b[29:])),
+		}
 	case recMPISend, recMPIRecv:
-		var b [20]byte
-		what := "mpi-send"
+		m := MPISend{
+			Src:        le.Uint16(b[0:]),
+			Dst:        le.Uint16(b[2:]),
+			Bytes:      le.Uint32(b[4:]),
+			QueueDepth: le.Uint32(b[8:]),
+			AtNanos:    int64(le.Uint64(b[12:])),
+		}
 		if kind == recMPIRecv {
-			what = "mpi-recv"
+			return MPIRecv(m)
 		}
-		if err := t.readFull(b[:], what); err != nil {
-			t.err = err
-			return nil, err
-		}
-		src := binary.LittleEndian.Uint16(b[0:])
-		dst := binary.LittleEndian.Uint16(b[2:])
-		bytes := binary.LittleEndian.Uint32(b[4:])
-		depth := binary.LittleEndian.Uint32(b[8:])
-		at := int64(binary.LittleEndian.Uint64(b[12:]))
-		if kind == recMPISend {
-			return MPISend{Src: src, Dst: dst, Bytes: bytes, QueueDepth: depth, AtNanos: at}, nil
-		}
-		return MPIRecv{Src: src, Dst: dst, Bytes: bytes, QueueDepth: depth, AtNanos: at}, nil
+		return m
 	case recPhase:
-		var b [13]byte
-		if err := t.readFull(b[:], "phase"); err != nil {
-			t.err = err
-			return nil, err
-		}
 		return Phase{
-			Worker:  binary.LittleEndian.Uint32(b[0:]),
+			Worker:  le.Uint32(b[0:]),
 			Phase:   b[4],
-			AtNanos: int64(binary.LittleEndian.Uint64(b[5:])),
-		}, nil
-	case recFault:
-		var b [21]byte
-		if err := t.readFull(b[:], "fault"); err != nil {
-			t.err = err
-			return nil, err
+			AtNanos: int64(le.Uint64(b[5:])),
 		}
+	case recFault:
 		return Fault{
 			Kind:       b[0],
-			Src:        binary.LittleEndian.Uint16(b[1:]),
-			Dst:        binary.LittleEndian.Uint16(b[3:]),
-			AtNanos:    int64(binary.LittleEndian.Uint64(b[5:])),
-			DelayNanos: int64(binary.LittleEndian.Uint64(b[13:])),
-		}, nil
-	case recMigration:
-		var b [migrationWire]byte
-		if err := t.readFull(b[:], "migration"); err != nil {
-			t.err = err
-			return nil, err
+			Src:        le.Uint16(b[1:]),
+			Dst:        le.Uint16(b[3:]),
+			AtNanos:    int64(le.Uint64(b[5:])),
+			DelayNanos: int64(le.Uint64(b[13:])),
 		}
-		return Migration{
-			LP:      binary.LittleEndian.Uint32(b[0:]),
-			SrcNode: binary.LittleEndian.Uint16(b[4:]),
-			DstNode: binary.LittleEndian.Uint16(b[6:]),
-			Round:   int64(binary.LittleEndian.Uint64(b[8:])),
-			Events:  binary.LittleEndian.Uint32(b[16:]),
-			AtNanos: int64(binary.LittleEndian.Uint64(b[20:])),
-		}, nil
-	default:
-		err := fmt.Errorf("trace: unknown record type %d at offset %d", kind, t.off-1)
-		t.err = err
-		return nil, err
+	}
+	return Migration{ // recMigration, the last type wire knows
+		LP:      le.Uint32(b[0:]),
+		SrcNode: le.Uint16(b[4:]),
+		DstNode: le.Uint16(b[6:]),
+		Round:   int64(le.Uint64(b[8:])),
+		Events:  le.Uint32(b[16:]),
+		AtNanos: int64(le.Uint64(b[20:])),
 	}
 }
 
 // Visitor receives decoded records by type; nil callbacks skip that
-// type. It replaces type-switching over Next's any-typed result.
+// type.
 type Visitor struct {
 	Commit    func(Commit)
 	Round     func(Round)
@@ -551,7 +539,7 @@ type Visitor struct {
 // (with byte offset) otherwise.
 func (t *Reader) ForEach(v Visitor) error {
 	for {
-		rec, err := t.Next()
+		rec, err := t.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -593,79 +581,4 @@ func (t *Reader) ForEach(v Visitor) error {
 			}
 		}
 	}
-}
-
-// Summary aggregates a trace stream.
-type Summary struct {
-	Version    int
-	Commits    int64
-	Rounds     int64
-	SyncRounds int64
-	FinalGVT   float64
-	MaxT       float64
-	PerLP      map[uint32]int64
-	// Rollback, MPI, phase and fault records.
-	Rollbacks        int64 // rollback episodes
-	RolledBack       int64 // events undone across all episodes
-	MPISends         int64
-	MPISendBytes     int64
-	MPIRecvs         int64
-	PhaseRecords     int64
-	MaxRollbackDepth int64
-	Faults           int64
-	FaultsByKind     map[uint8]int64
-	// Migration records.
-	Migrations     int64 // LP moves recorded by the balancer
-	MigratedEvents int64 // pending events shipped along with moves
-}
-
-// Summarize reads a whole stream into a Summary.
-func Summarize(r io.Reader) (*Summary, error) {
-	tr := NewReader(r)
-	s := &Summary{PerLP: make(map[uint32]int64)}
-	err := tr.ForEach(Visitor{
-		Commit: func(c Commit) {
-			s.Commits++
-			s.PerLP[c.LP]++
-			if c.T > s.MaxT {
-				s.MaxT = c.T
-			}
-		},
-		Round: func(r Round) {
-			s.Rounds++
-			if r.Sync {
-				s.SyncRounds++
-			}
-			s.FinalGVT = r.GVT
-		},
-		Rollback: func(r Rollback) {
-			s.Rollbacks++
-			s.RolledBack += int64(r.Depth)
-			if int64(r.Depth) > s.MaxRollbackDepth {
-				s.MaxRollbackDepth = int64(r.Depth)
-			}
-		},
-		MPISend: func(m MPISend) {
-			s.MPISends++
-			s.MPISendBytes += int64(m.Bytes)
-		},
-		MPIRecv: func(MPIRecv) { s.MPIRecvs++ },
-		Phase:   func(Phase) { s.PhaseRecords++ },
-		Fault: func(f Fault) {
-			s.Faults++
-			if s.FaultsByKind == nil {
-				s.FaultsByKind = make(map[uint8]int64)
-			}
-			s.FaultsByKind[f.Kind]++
-		},
-		Migration: func(m Migration) {
-			s.Migrations++
-			s.MigratedEvents += int64(m.Events)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Version, _ = tr.Version()
-	return s, nil
 }

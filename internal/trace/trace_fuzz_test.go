@@ -12,12 +12,12 @@ func decodeAll(data []byte) ([]any, error, int64) {
 	r := NewReader(bytes.NewReader(data))
 	var recs []any
 	for {
-		rec, err := r.Next()
+		rec, err := r.next()
 		if err == io.EOF {
-			return recs, nil, r.Offset()
+			return recs, nil, r.offset()
 		}
 		if err != nil {
-			return recs, err, r.Offset()
+			return recs, err, r.offset()
 		}
 		recs = append(recs, rec)
 	}
@@ -59,7 +59,9 @@ func encodeAll(t *testing.T, recs []any) []byte {
 // file that is no trace, a record type from a newer writer. It must not
 // panic, it must stop at an offset inside the input, and whatever it did
 // decode cleanly must survive the Writer: written back and read again it
-// is the same records, byte for byte from then on.
+// is the same records, byte for byte from then on. Analyze must accept
+// every stream the reader accepts, at a bucket count of 1 to 64 taken
+// from the input's last byte, without panicking.
 func FuzzTraceReader(f *testing.F) {
 	var sample bytes.Buffer
 	w := NewWriter(&sample)
@@ -89,6 +91,13 @@ func FuzzTraceReader(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		buckets := 1
+		if len(data) > 0 {
+			buckets += int(data[len(data)-1]) % 64
+		}
+		if _, err := Analyze(bytes.NewReader(data), buckets); err != nil {
+			t.Fatalf("the reader accepted the stream but Analyze refused it: %v", err)
 		}
 		again := encodeAll(t, recs)
 		recs2, err, _ := decodeAll(again)

@@ -23,7 +23,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	r := NewReader(&buf)
-	rec, err := r.Next()
+	rec, err := r.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRoundTrip(t *testing.T) {
 	if c.LP != 3 || c.T != 1.5 || c.Src != 2 || c.Seq != 9 {
 		t.Errorf("commit = %+v", c)
 	}
-	rec, err = r.Next()
+	rec, err = r.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func TestRoundTrip(t *testing.T) {
 	if rd.Round != 1 || rd.GVT != 1.0 || rd.AtNanos != 5000 || !rd.Sync || rd.Efficiency != 0.75 {
 		t.Errorf("round = %+v", rd)
 	}
-	if _, err := r.Next(); err != nil {
+	if _, err := r.next(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
 	}
 }
@@ -55,18 +55,18 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
-	if _, err := NewReader(bytes.NewReader(cut)).Next(); err == nil {
+	if _, err := NewReader(bytes.NewReader(cut)).next(); err == nil {
 		t.Error("truncated record did not error")
 	}
 }
 
 func TestUnknownRecord(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte{99})).Next(); err == nil {
+	if _, err := NewReader(bytes.NewReader([]byte{99})).next(); err == nil {
 		t.Error("unknown record type did not error")
 	}
 }
 
-func TestSummarize(t *testing.T) {
+func TestAnalyzeCounts(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for i := 0; i < 10; i++ {
@@ -77,18 +77,21 @@ func TestSummarize(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Summarize(&buf)
+	a, err := Analyze(&buf, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Commits != 10 || s.Rounds != 2 || s.SyncRounds != 1 {
-		t.Errorf("summary = %+v", s)
+	if a.Commits != 10 || len(a.Rounds) != 2 || !a.Rounds[1].Sync || a.Rounds[0].Sync {
+		t.Errorf("analysis = %+v", a)
 	}
-	if s.FinalGVT != 9 || s.MaxT != 9 {
-		t.Errorf("FinalGVT=%v MaxT=%v", s.FinalGVT, s.MaxT)
+	if a.Rounds[1].GVT != 9 || a.MaxT != 9 {
+		t.Errorf("final GVT=%v MaxT=%v", a.Rounds[1].GVT, a.MaxT)
 	}
-	if s.PerLP[0] != 4 || s.PerLP[1] != 3 || s.PerLP[2] != 3 {
-		t.Errorf("PerLP = %v", s.PerLP)
+	if sp := a.SwitchPoints; len(sp) != 1 || sp[0].Round != 2 || sp[0].To != "sync" {
+		t.Errorf("switch points = %+v", sp)
+	}
+	if lp := a.PerLP; lp == nil || lp.LPs != 3 || lp.Min != 3 || lp.Max != 4 {
+		t.Errorf("per-LP spread = %+v", lp)
 	}
 }
 
@@ -117,12 +120,12 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		r := NewReader(&buf)
 		for _, exp := range want {
-			got, err := r.Next()
+			got, err := r.next()
 			if err != nil || got != exp {
 				return false
 			}
 		}
-		_, err := r.Next()
+		_, err := r.next()
 		return err == io.EOF
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
@@ -148,11 +151,11 @@ func TestRoundTripV1Records(t *testing.T) {
 		t.Errorf("writer counts: %d/%d/%d/%d", w.Rollbacks, w.MPISends, w.MPIRecvs, w.Phases)
 	}
 	r := NewReader(&buf)
-	if v, err := r.Version(); err != nil || v != Version {
+	if v, err := r.version(); err != nil || v != Version {
 		t.Fatalf("version = %d, %v; want %d", v, err, Version)
 	}
 	for _, want := range []any{rb, ms, mr, ph} {
-		got, err := r.Next()
+		got, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,14 +163,14 @@ func TestRoundTripV1Records(t *testing.T) {
 			t.Errorf("got %+v, want %+v", got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
 	}
 }
 
 func TestUnknownVersionRejected(t *testing.T) {
 	stream := []byte{0xCA, 'G', 'V', 'T', 0x63, 0x00} // version 99
-	if _, err := NewReader(bytes.NewReader(stream)).Next(); err == nil {
+	if _, err := NewReader(bytes.NewReader(stream)).next(); err == nil {
 		t.Fatal("unknown version did not error")
 	} else if !strings.Contains(err.Error(), "version 99") {
 		t.Errorf("error does not name the version: %v", err)
@@ -176,7 +179,7 @@ func TestUnknownVersionRejected(t *testing.T) {
 	// checkouts, and guessing at one decodes garbage.
 	for _, v := range []byte{0, 1} {
 		old := []byte{0xCA, 'G', 'V', 'T', v, 0x00}
-		if _, err := NewReader(bytes.NewReader(old)).Next(); err == nil {
+		if _, err := NewReader(bytes.NewReader(old)).next(); err == nil {
 			t.Fatalf("headered version %d did not error", v)
 		}
 	}
@@ -190,11 +193,11 @@ func TestUnknownVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()[headerLen:]))
-	if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "bad magic") {
+	if _, err := r.next(); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("headerless stream: err = %v, want bad magic", err)
 	}
-	if _, err := r.Version(); err == nil {
-		t.Error("Version() forgot the header error")
+	if _, err := r.version(); err == nil {
+		t.Error("version() forgot the header error")
 	}
 }
 
@@ -213,7 +216,7 @@ func TestErrorsCarryOffset(t *testing.T) {
 	r := NewReader(bytes.NewReader(cut))
 	var err error
 	for err == nil {
-		_, err = r.Next()
+		_, err = r.next()
 	}
 	if err == io.EOF {
 		t.Fatal("truncated rollback read as clean EOF")
@@ -221,8 +224,8 @@ func TestErrorsCarryOffset(t *testing.T) {
 	if !strings.Contains(err.Error(), "offset") || !strings.Contains(err.Error(), "rollback") {
 		t.Errorf("truncation error lacks offset/record type: %v", err)
 	}
-	if r.Offset() != int64(len(cut)) {
-		t.Errorf("Offset() = %d, want %d", r.Offset(), len(cut))
+	if r.offset() != int64(len(cut)) {
+		t.Errorf("Offset() = %d, want %d", r.offset(), len(cut))
 	}
 
 	// Corrupt a record kind byte; the error must name its offset.
@@ -232,7 +235,7 @@ func TestErrorsCarryOffset(t *testing.T) {
 	r = NewReader(bytes.NewReader(bad))
 	err = nil
 	for err == nil {
-		_, err = r.Next()
+		_, err = r.next()
 	}
 	want := fmt.Sprintf("offset %d", kindOff)
 	if !strings.Contains(err.Error(), "unknown record type 200") || !strings.Contains(err.Error(), want) {
@@ -269,7 +272,7 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestSummarizeV1(t *testing.T) {
+func TestAnalyzeV1Records(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Rollback(Rollback{Depth: 4})
@@ -281,18 +284,81 @@ func TestSummarizeV1(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Summarize(&buf)
+	a, err := Analyze(bytes.NewReader(buf.Bytes()), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Version != Version {
-		t.Errorf("version = %d", s.Version)
+	if a.TraceVersion != Version {
+		t.Errorf("version = %d", a.TraceVersion)
 	}
-	if s.Rollbacks != 2 || s.RolledBack != 13 || s.MaxRollbackDepth != 9 {
-		t.Errorf("rollback summary = %+v", s)
+	if rb := a.Rollbacks; rb.Episodes != 2 || rb.Undone != 13 || rb.MaxDepth != 9 || rb.Anti != 1 {
+		t.Errorf("rollback analysis = %+v", rb)
 	}
-	if s.MPISends != 2 || s.MPISendBytes != 150 || s.MPIRecvs != 1 || s.PhaseRecords != 1 {
-		t.Errorf("mpi/phase summary = %+v", s)
+	if len(a.MPI) != 1 || a.MPI[0].Messages != 2 || a.MPI[0].Bytes != 150 {
+		t.Errorf("mpi analysis = %+v", a.MPI)
+	}
+	if len(a.Phases) != 1 || a.Phases[0].Transitions != 1 {
+		t.Errorf("phase analysis = %+v", a.Phases)
+	}
+	// Receives are no analysis of their own; a visitor counts them.
+	recvs := 0
+	if err := NewReader(&buf).ForEach(Visitor{MPIRecv: func(MPIRecv) { recvs++ }}); err != nil || recvs != 1 {
+		t.Errorf("%d receives, err %v", recvs, err)
+	}
+}
+
+// TestAnalyzeOutOfRange holds Analyze to an error or a clamped timeline
+// on the inputs that once indexed outside it: no bucket at all, and a
+// commit or send stamped before zero after a later one set the span.
+func TestAnalyzeOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		buckets int
+		write   func(w *Writer)
+	}{
+		{"no buckets", 0, func(w *Writer) { w.Commit(Commit{LP: 0, T: 1}) }},
+		{"commit before zero", 20, func(w *Writer) {
+			w.Commit(Commit{LP: 0, T: 5})
+			w.Commit(Commit{LP: 0, T: -1})
+		}},
+		{"send before zero", 20, func(w *Writer) {
+			w.MPISend(MPISend{Src: 0, Dst: 1, Bytes: 8, AtNanos: 100})
+			w.MPISend(MPISend{Src: 0, Dst: 1, Bytes: 8, AtNanos: -100})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			tc.write(w)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			a, err := Analyze(&buf, tc.buckets)
+			if tc.buckets < 1 {
+				if err == nil {
+					t.Fatalf("Analyze with %d buckets did not fail", tc.buckets)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var commits, sent int64
+			for _, b := range a.CommitTimeline {
+				commits += b.Count
+			}
+			for _, nb := range a.MPI {
+				for _, b := range nb.Timeline {
+					sent += b.Bytes
+				}
+			}
+			if commits != a.Commits || (len(a.MPI) > 0 && sent != a.MPI[0].Bytes) {
+				t.Errorf("timelines hold %d commits and %d bytes: %+v", commits, sent, a)
+			}
+			if len(a.CommitTimeline) > 0 && a.CommitTimeline[0].Count != 1 {
+				t.Errorf("the early commit is not in the first bucket: %+v", a.CommitTimeline)
+			}
+		})
 	}
 }
 
@@ -309,7 +375,7 @@ func TestPhaseName(t *testing.T) {
 
 func TestEmptyStream(t *testing.T) {
 	r := NewReader(bytes.NewReader(nil))
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("empty stream: want EOF, got %v", err)
 	}
 	// Header-only stream (writer flushed with no records).
@@ -319,10 +385,10 @@ func TestEmptyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	r = NewReader(&buf)
-	if v, err := r.Version(); err != nil || v != Version {
+	if v, err := r.version(); err != nil || v != Version {
 		t.Fatalf("header-only version = %d, %v", v, err)
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("header-only stream: want EOF, got %v", err)
 	}
 }
@@ -346,7 +412,7 @@ func TestRoundTripFault(t *testing.T) {
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()))
 	for _, want := range faults {
-		got, err := r.Next()
+		got, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,16 +420,18 @@ func TestRoundTripFault(t *testing.T) {
 			t.Errorf("got %+v, want %+v", got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
 	}
 
-	s, err := Summarize(bytes.NewReader(buf.Bytes()))
+	a, err := Analyze(bytes.NewReader(buf.Bytes()), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Faults != 3 || s.FaultsByKind[FaultDrop] != 1 || s.FaultsByKind[FaultWatchdogRestart] != 1 {
-		t.Errorf("summary faults: %d %v", s.Faults, s.FaultsByKind)
+	want := []FaultCount{{"drop", 1}, {"jitter", 1}, {"watchdog-restart", 1}}
+	if fa := a.Faults; fa == nil || fa.Total != 3 || fmt.Sprint(fa.ByKind) != fmt.Sprint(want) ||
+		fa.FirstNs != 1000 || fa.LastNs != 3000 {
+		t.Errorf("fault analysis: %+v", fa)
 	}
 }
 
