@@ -76,7 +76,9 @@ benchdiff:
 # and 488 processes), the PE idle-pass machine (BenchmarkIdlePass: an
 # idle comm pass as Poll steps vs the literal loop), the null-message
 # worker's idle predicate (BenchmarkBlocked), the event queue, rollback
-# storm, and full-engine GVT rounds.
+# storm, and two full Time Warp runs (RollbackHeavy, GVTRounds) on the
+# engine's one allocation path: events always recycle, so there is no
+# unpooled mode to A/B against.
 microbench:
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
@@ -98,7 +100,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 20825
+LOC_CEILING = 20756
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

@@ -20,10 +20,19 @@ type Topology struct {
 	LPsPerWorker   int // logical processes per thread (paper: 128)
 }
 
-// Validate checks the topology for sanity.
+// maxLPs is how many LPs event.LPID, a uint32, can address.
+const maxLPs = 1 << 32
+
+// Validate checks the topology for sanity: every count positive, and the
+// worker and LP totals products that neither overflow an int nor, for
+// LPs, pass what event.LPID can address.
 func (t Topology) Validate() error {
 	if t.Nodes <= 0 || t.WorkersPerNode <= 0 || t.LPsPerWorker <= 0 {
 		return fmt.Errorf("cluster: non-positive topology %+v", t)
+	}
+	if t.WorkersPerNode > math.MaxInt/t.Nodes || t.LPsPerWorker > math.MaxInt/t.TotalWorkers() ||
+		uint64(t.TotalLPs()) > maxLPs {
+		return fmt.Errorf("cluster: topology %+v has more than %d LPs", t, uint64(maxLPs))
 	}
 	return nil
 }

@@ -27,9 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -57,14 +55,12 @@ func (k SyncKind) String() string {
 	return fmt.Sprintf("SyncKind(%d)", int(k))
 }
 
-// Config parameterizes a conservative run. The model, topology, seed and
-// cost knobs mean exactly what they mean in core.Config; the engine adds
-// the sync protocol and the lookahead bound.
+// Config parameterizes a conservative run. The model, topology, seed,
+// queue and batch mean exactly what they mean in core.Config, and the run
+// is on the same simulated machine; the engine adds the sync protocol and
+// the lookahead bound.
 type Config struct {
 	Topology cluster.Topology
-	Cost     cluster.CostModel
-	Net      fabric.Params
-	MPICosts mpi.Costs
 
 	// Sync selects the synchronization protocol.
 	Sync SyncKind
@@ -79,13 +75,7 @@ type Config struct {
 	EndTime   vtime.Time
 	Seed      uint64
 	QueueKind string // pending-queue implementation: "heap" (default) | "calendar"
-	BatchSize int    // events processed per scheduling slice
-
-	// ObserveInterval is the virtual-time cadence at which the
-	// null-message observer records utilization rounds (trace Round
-	// records plus horizon-roughness samples). The window protocol
-	// records one round per horizon advance instead and ignores this.
-	ObserveInterval sim.Time
+	BatchSize int    // events processed per scheduling slice (default 16)
 
 	Model pe.ModelFactory
 
@@ -93,11 +83,19 @@ type Config struct {
 	Metrics *metrics.Recorder
 }
 
+// observeInterval is the virtual-time cadence at which the null-message
+// observer records utilization rounds (trace Round records plus
+// horizon-roughness samples). The window protocol records one round per
+// horizon advance instead.
+const observeInterval = 250 * sim.Microsecond
+
 // Defaults fills unset fields with paper-faithful values.
 func (c *Config) Defaults() {
-	pe.MachineDefaults(&c.Cost, &c.Net, &c.MPICosts, &c.QueueKind, &c.BatchSize)
-	if c.ObserveInterval == 0 {
-		c.ObserveInterval = 250 * sim.Microsecond
+	if c.QueueKind == "" {
+		c.QueueKind = "heap"
+	}
+	if c.BatchSize == 0 {
+		c.BatchSize = 16
 	}
 }
 
@@ -124,9 +122,6 @@ func (c *Config) Validate() error {
 	if c.QueueKind != "heap" && c.QueueKind != "calendar" {
 		return fmt.Errorf("conservative: unknown queue kind %q (want heap | calendar)", c.QueueKind)
 	}
-	if c.ObserveInterval < 0 {
-		return fmt.Errorf("conservative: ObserveInterval must be positive, got %v", c.ObserveInterval)
-	}
 	return nil
 }
 
@@ -152,8 +147,7 @@ func New(cfg Config) *Engine {
 	}
 	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime}
 	eng.Init(pe.Config{
-		Topology: cfg.Topology, Net: cfg.Net, MPICosts: cfg.MPICosts,
-		Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Topology: cfg.Topology, Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
 	for id := 0; id < cfg.Topology.Nodes; id++ {
@@ -182,7 +176,7 @@ func (e *Engine) horizonFloor(t vtime.Time) vtime.Time {
 // state, so it cannot perturb the committed event stream.
 func (e *Engine) observe(p *sim.Proc) {
 	for {
-		p.Advance(e.cfg.ObserveInterval)
+		p.Advance(observeInterval)
 		exited := 0
 		gvt := vtime.Inf
 		for _, nd := range e.nodes {

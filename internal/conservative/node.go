@@ -3,6 +3,7 @@ package conservative
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/mpi"
 	"repro/internal/pe"
@@ -65,7 +66,7 @@ func (n *node) touch() { n.ver++ }
 func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
 	n := &node{eng: eng, ver: 1}
-	eng.AddNode(&n.Node, eng.cfg.Cost)
+	eng.AddNode(&n.Node, cluster.KNLDefaults())
 	parts := top.WorkersPerNode + 1 // workers + the comm role
 	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
 	n.bar2 = sim.NewBarrier(fmt.Sprintf("csync2-%d", n.ID), parts)

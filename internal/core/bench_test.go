@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,13 +10,12 @@ import (
 
 // Engine-level hot-path benchmarks. Each runs a complete simulation per
 // iteration and reports host ns and allocations normalized per committed
-// event, under PoolOn (event recycling) and PoolOff (fresh allocation
-// per event, the pre-pool behaviour). The comm-dominated workload is
-// rollback-heavy — high remote traffic makes stragglers and
-// annihilations common — so it exercises exactly the paths the pool
-// targets: Send, anti-message copies, fossil collection.
+// event. The comm-dominated workload is rollback-heavy — high remote
+// traffic makes stragglers and annihilations common — so it exercises
+// exactly the paths the event pool serves: Send, anti-message copies,
+// fossil collection.
 
-func benchConfig(workload string, gvt core.GVTKind, pool core.PoolMode) core.Config {
+func benchConfig(workload string, gvt core.GVTKind) core.Config {
 	top := cluster.Topology{Nodes: 2, WorkersPerNode: 4, LPsPerWorker: 16}
 	base := phold.ComputationDominated()
 	if workload == "comm" {
@@ -30,7 +28,6 @@ func benchConfig(workload string, gvt core.GVTKind, pool core.PoolMode) core.Con
 		Comm:        core.CommDedicated,
 		EndTime:     10,
 		Seed:        1,
-		Pool:        pool,
 		Model:       phold.New(phold.Params{Topology: top, Base: base}),
 	}
 }
@@ -52,25 +49,15 @@ func benchEngine(b *testing.B, cfg core.Config) {
 	}
 }
 
-func poolModes() []core.PoolMode { return []core.PoolMode{core.PoolOn, core.PoolOff} }
-
 // BenchmarkRollbackHeavy: communication-dominated PHOLD, where remote
 // stragglers force frequent rollbacks and anti-message traffic.
 func BenchmarkRollbackHeavy(b *testing.B) {
-	for _, pool := range poolModes() {
-		b.Run(fmt.Sprintf("pool=%v", pool), func(b *testing.B) {
-			benchEngine(b, benchConfig("comm", core.GVTMattern, pool))
-		})
-	}
+	benchEngine(b, benchConfig("comm", core.GVTMattern))
 }
 
 // BenchmarkGVTRounds: computation-dominated PHOLD under the controlled
 // asynchronous GVT algorithm — measures steady-state round cost with
 // fossil collection recycling into the pool.
 func BenchmarkGVTRounds(b *testing.B) {
-	for _, pool := range poolModes() {
-		b.Run(fmt.Sprintf("pool=%v", pool), func(b *testing.B) {
-			benchEngine(b, benchConfig("comp", core.GVTControlled, pool))
-		})
-	}
+	benchEngine(b, benchConfig("comp", core.GVTControlled))
 }

@@ -62,38 +62,6 @@ func (k GVTKind) String() string {
 	return fmt.Sprintf("GVTKind(%d)", int(k))
 }
 
-// PoolMode selects how the engine allocates event objects.
-type PoolMode int
-
-const (
-	// PoolOn (the default) recycles events through per-node free lists:
-	// an event returns to its current node's pool when it is
-	// fossil-collected or annihilated, and Send reuses it instead of
-	// allocating. The pool charges no virtual cost, so results are
-	// bit-identical to PoolOff.
-	PoolOn PoolMode = iota
-	// PoolOff allocates every event fresh (the pre-pool behaviour, kept
-	// as the baseline the allocation microbenchmarks compare against).
-	PoolOff
-	// PoolDebug recycles with poison-on-free: freed events are filled
-	// with sentinel values verified on reuse, and the engine asserts
-	// liveness at every delivery and anti-copy — catching
-	// use-after-recycle at its source instead of as silent corruption.
-	PoolDebug
-)
-
-func (m PoolMode) String() string {
-	switch m {
-	case PoolOn:
-		return "on"
-	case PoolOff:
-		return "off"
-	case PoolDebug:
-		return "debug"
-	}
-	return fmt.Sprintf("PoolMode(%d)", int(m))
-}
-
 // CommMode selects how MPI communication is serviced within a node
 // (the paper's first contribution, §4 "Dedicated MPI Thread").
 type CommMode int
@@ -129,12 +97,10 @@ type (
 	ModelFactory = pe.ModelFactory
 )
 
-// Config parameterizes a run.
+// Config parameterizes a run. The simulated machine is not part of it:
+// every run is on the paper's KNL nodes and 10 GbE fabric (see pe).
 type Config struct {
 	Topology cluster.Topology
-	Cost     cluster.CostModel
-	Net      fabric.Params
-	MPICosts mpi.Costs
 
 	GVT         GVTKind
 	GVTInterval int     // main-loop passes between GVT rounds (paper: 25/50)
@@ -143,9 +109,15 @@ type Config struct {
 	Comm      CommMode
 	EndTime   vtime.Time
 	Seed      uint64
-	Pool      PoolMode // event allocation strategy (default PoolOn)
-	QueueKind string   // pending-set implementation: "heap" (default) | "calendar"
-	BatchSize int      // events processed per main-loop pass (default 16, as ROSS mbatch)
+	QueueKind string // pending-set implementation: "heap" (default) | "calendar"
+	BatchSize int    // events processed per main-loop pass (default 16, as ROSS mbatch)
+
+	// PoolDebug poisons every event the node pools recycle (sentinel
+	// values verified on reuse) and asserts liveness at every delivery and
+	// anti-copy, catching a use-after-recycle at its source instead of as
+	// silent corruption. Events always recycle through the pools, which
+	// charge no virtual cost; this adds only the checks.
+	PoolDebug bool
 
 	// CheckpointInterval is the state-saving period: a snapshot is taken
 	// before every k-th processed event of an LP (1 = copy state every
@@ -221,7 +193,12 @@ type Config struct {
 
 // Defaults fills zero-valued fields with paper-flavoured defaults.
 func (c *Config) Defaults() {
-	pe.MachineDefaults(&c.Cost, &c.Net, &c.MPICosts, &c.QueueKind, &c.BatchSize)
+	if c.QueueKind == "" {
+		c.QueueKind = "heap"
+	}
+	if c.BatchSize == 0 {
+		c.BatchSize = 16
+	}
 	if c.GVTInterval == 0 {
 		c.GVTInterval = 25
 	}
@@ -262,9 +239,6 @@ func (c *Config) Validate() error {
 	if c.WatchdogFallbackAfter < 0 {
 		return fmt.Errorf("core: WatchdogFallbackAfter must be positive, got %d", c.WatchdogFallbackAfter)
 	}
-	if c.Pool < PoolOn || c.Pool > PoolDebug {
-		return fmt.Errorf("core: unknown PoolMode %d", int(c.Pool))
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Topology.Nodes); err != nil {
 			return err
@@ -285,10 +259,6 @@ type Engine struct {
 	// matchSeq hands out cluster-unique anti-message match IDs. It lives
 	// outside simulated state: IDs are never reused, never rolled back.
 	matchSeq uint64
-
-	// poolDebug mirrors Config.Pool == PoolDebug so hot paths pay one
-	// bool check for the liveness asserts.
-	poolDebug bool
 
 	// run-level results
 	finishedAt sim.Time
@@ -339,10 +309,9 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := &Engine{cfg: cfg, poolDebug: cfg.Pool == PoolDebug, routing: cluster.NewRouting(cfg.Topology)}
+	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology)}
 	eng.Init(pe.Config{
-		Topology: cfg.Topology, Net: cfg.Net, MPICosts: cfg.MPICosts,
-		Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Topology: cfg.Topology, Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
 	if cfg.Balance != "" && cfg.Balance != "static" && cfg.Balance != "none" {
@@ -428,10 +397,8 @@ func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.finishedAt
 	r.FinalGVT = e.finalGVT
 	for _, nd := range e.nodes {
-		if p := nd.pool; p != nil {
-			r.PoolNews += int64(p.News)
-			r.PoolRecycled += int64(p.Gets)
-		}
+		r.PoolNews += int64(nd.pool.News)
+		r.PoolRecycled += int64(nd.pool.Gets)
 	}
 	r.Migrations = e.migrations
 	r.MigratedEvents = e.migratedEvents

@@ -93,7 +93,7 @@ type execCtx struct {
 func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
 	// The engine's hottest allocation site: recycle through the node
 	// pool instead of allocating per event.
-	ev := c.w.newEvent()
+	ev := c.w.node.pool.Get()
 	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	ev.MatchID = c.w.eng.nextMatchID()
 	c.sent = append(c.sent, ev)

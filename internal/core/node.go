@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/mpi"
 	"repro/internal/pe"
@@ -28,9 +29,12 @@ type node struct {
 	eng     *Engine
 	workers []*worker
 
-	// pool recycles event objects for every thread of this node (nil
-	// with PoolOff). No lock: the cooperative kernel runs one goroutine
-	// at a time, so pool operations never race.
+	// pool recycles event objects for every thread of this node: Send
+	// and anti-copies take from it, and an event goes back at the three
+	// points where Time Warp provably retires it — annihilation (both
+	// halves of the pair), fossil collection of a history entry and the
+	// below-GVT anti-stash prune. No lock: the cooperative kernel runs one
+	// goroutine at a time, so pool operations never race.
 	pool *event.Pool
 
 	// outAcks and outMigs queue Samadi acknowledgements and LP migrations
@@ -76,7 +80,7 @@ func newNode(eng *Engine) *node {
 		msgCount: make([]int64, top.WorkersPerNode),
 		localMin: make([]float64, top.WorkersPerNode),
 	}
-	cost := eng.cfg.Cost
+	cost := cluster.KNLDefaults()
 	if eng.cfg.Faults != nil {
 		if f, ok := eng.cfg.Faults.Straggler[len(eng.nodes)]; ok {
 			cost = cost.Scaled(f)
@@ -89,9 +93,7 @@ func newNode(eng *Engine) *node {
 	}
 	n.outAcks = pe.NewMailbox[ack](&n.OutMu, cost.RemoteEnqueue)
 	n.outMigs = pe.NewMailbox[*migMsg](&n.OutMu, cost.RemoteEnqueue)
-	if eng.cfg.Pool != PoolOff {
-		n.pool = event.NewPool(eng.cfg.Pool == PoolDebug)
-	}
+	n.pool = event.NewPool(eng.cfg.PoolDebug)
 	n.gvtBar = sim.NewBarrier(fmt.Sprintf("gvt-%d", n.ID), participants)
 	n.gvtBar2 = sim.NewBarrier(fmt.Sprintf("gvt2-%d", n.ID), participants)
 	n.cm.init(n, top.WorkersPerNode)

@@ -28,44 +28,25 @@ func poolGVTs() []core.GVTKind {
 }
 
 // TestPoolParityAcrossModelsAndGVT: event recycling must be invisible.
-// For every benchmark model and every GVT algorithm, the committed event
-// stream (checksum + count) and the virtual wall-clock must be
-// bit-identical across PoolOff (fresh allocation), PoolOn (free lists)
-// and PoolDebug (free lists + poison + liveness asserts). The debug leg
-// doubles as a use-after-recycle sweep over every recycle point the
-// engine has: one stale write anywhere and the poisoned pool panics.
+// For every benchmark model and every GVT algorithm, the default pool and
+// PoolDebug (the same free lists plus poison and liveness asserts) both
+// commit exactly the sequential oracle's event stream, at the same virtual
+// wall-clock. The debug leg doubles as a use-after-recycle sweep over
+// every recycle point the engine has: one stale write anywhere and the
+// poisoned pool panics.
 func TestPoolParityAcrossModelsAndGVT(t *testing.T) {
 	for _, m := range balanceModels(balanceTopology()) {
 		for _, gvt := range poolGVTs() {
 			t.Run(fmt.Sprintf("%s/%s", m.name, gvt), func(t *testing.T) {
-				type result struct {
-					checksum  uint64
-					committed int64
-					wall      int64
-					recycled  int64
+				cfg := balanceConfig(m, "", gvt)
+				on := checkOracle(t, cfg)
+				cfg.PoolDebug = true
+				dbg := checkOracle(t, cfg)
+				if on.WallTime != dbg.WallTime {
+					t.Errorf("PoolDebug moved virtual time: %v, default pool %v", dbg.WallTime, on.WallTime)
 				}
-				results := map[core.PoolMode]result{}
-				for _, mode := range []core.PoolMode{core.PoolOff, core.PoolOn, core.PoolDebug} {
-					cfg := balanceConfig(m, "", gvt)
-					cfg.Pool = mode
-					r, err := core.New(cfg).Run()
-					if err != nil {
-						t.Fatalf("pool=%v: %v", mode, err)
-					}
-					results[mode] = result{r.CommitChecksum, r.Workers.Committed, int64(r.WallTime), r.PoolRecycled}
-				}
-				off, on, dbg := results[core.PoolOff], results[core.PoolOn], results[core.PoolDebug]
-				if off.checksum != on.checksum || off.committed != on.committed || off.wall != on.wall {
-					t.Errorf("PoolOn diverged: off=%+v on=%+v", off, on)
-				}
-				if off.checksum != dbg.checksum || off.committed != dbg.committed || off.wall != dbg.wall {
-					t.Errorf("PoolDebug diverged: off=%+v debug=%+v", off, dbg)
-				}
-				if off.recycled != 0 {
-					t.Errorf("PoolOff recycled %d events", off.recycled)
-				}
-				if on.recycled == 0 {
-					t.Errorf("PoolOn recycled nothing (pool not wired in?)")
+				if on.PoolRecycled == 0 {
+					t.Error("the pool recycled nothing (not wired in?)")
 				}
 			})
 		}
@@ -80,20 +61,12 @@ func TestPoolParityAcrossModelsAndGVT(t *testing.T) {
 // debug leg).
 func TestPoolParityUnderFaultsAndMigration(t *testing.T) {
 	m := compModel(balanceTopology(), 60)
-	var sums []uint64
-	for _, mode := range []core.PoolMode{core.PoolOff, core.PoolOn, core.PoolDebug} {
+	for _, debug := range []bool{false, true} {
 		cfg := balanceConfig(m, "greedy", core.GVTControlled)
-		cfg.Pool = mode
+		cfg.PoolDebug = debug
 		cfg.Faults = stragglerPlan(t)
 		cfg.FaultLabel = "straggler"
-		r, err := core.New(cfg).Run()
-		if err != nil {
-			t.Fatalf("pool=%v: %v", mode, err)
-		}
-		sums = append(sums, r.CommitChecksum)
-	}
-	if sums[0] != sums[1] || sums[0] != sums[2] {
-		t.Errorf("checksums diverged across pool modes: %x", sums)
+		t.Run(fmt.Sprintf("debug=%v", debug), func(t *testing.T) { checkOracle(t, cfg) })
 	}
 }
 
@@ -109,7 +82,7 @@ func TestRollbackAllocatesNoAntiBuffer(t *testing.T) {
 	top := cluster.Topology{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 8}
 	eng := core.New(core.Config{
 		Topology: top, GVT: core.GVTControlled, Comm: core.CommDedicated,
-		EndTime: 150, Seed: 1, Pool: core.PoolOn,
+		EndTime: 150, Seed: 1,
 		Model: phold.New(phold.Params{Topology: top, Base: phold.CommunicationDominated()}),
 	})
 	var before, after runtime.MemStats

@@ -25,7 +25,7 @@ type worker struct {
 	replay replayCtx
 
 	// sentFree recycles histEntry.sent backing arrays freed at fossil
-	// collection and rollback (pool modes only).
+	// collection and rollback.
 	sentFree [][]*event.Event
 
 	antis []*event.Event // rollback's buffer of cancellations to route, kept between rollbacks
@@ -92,29 +92,8 @@ func newWorker(eng *Engine, n *node) *worker {
 	return w
 }
 
-// newEvent allocates an event, recycling through the node pool when one
-// is configured. The pool charges no virtual cost: PoolOn and PoolOff
-// runs are bit-identical in everything but host allocation counts.
-func (w *worker) newEvent() *event.Event {
-	if p := w.node.pool; p != nil {
-		return p.Get()
-	}
-	return &event.Event{}
-}
-
-// freeEvent returns an event whose last reference is being dropped to the
-// node pool. Callers must guarantee sole ownership; the free sites are
-// annihilation (both halves of the pair), fossil collection of history
-// entries, and the below-GVT anti-stash prune — the three points where
-// Time Warp provably retires an event.
-func (w *worker) freeEvent(e *event.Event) {
-	if p := w.node.pool; p != nil {
-		p.Put(e)
-	}
-}
-
 // assertLive panics if ev was recycled while still referenced (PoolDebug
-// only; callers check w.eng.poolDebug to keep the hot path at one bool).
+// only; callers check it to keep the hot path at one bool).
 func (w *worker) assertLive(ev *event.Event, where string) {
 	if ev.Freed() {
 		panic(fmt.Sprintf("core: use-after-recycle: freed event touched in %s at worker %d/%d",
@@ -139,7 +118,7 @@ const sentFreeCap = 256
 
 // putSentBuf retires a histEntry.sent backing array for reuse.
 func (w *worker) putSentBuf(b []*event.Event) {
-	if w.node.pool == nil || cap(b) == 0 || len(w.sentFree) >= sentFreeCap {
+	if cap(b) == 0 || len(w.sentFree) >= sentFreeCap {
 		return
 	}
 	b = b[:cap(b)]
@@ -321,7 +300,7 @@ func (w *worker) deliver(ev *event.Event) {
 		w.route(ev)
 		return
 	}
-	if w.eng.poolDebug {
+	if w.eng.cfg.PoolDebug {
 		w.assertLive(ev, "deliver")
 	}
 	l := w.lpByID(ev.Dst)
@@ -331,8 +310,8 @@ func (w *worker) deliver(ev *event.Event) {
 			// Both halves of the pair are done: the positive's sender
 			// rolled back (dropping its sent-list reference) before the
 			// anti existed, and the anti was ours alone.
-			w.freeEvent(pos)
-			w.freeEvent(ev)
+			w.node.pool.Put(pos)
+			w.node.pool.Put(ev)
 			return
 		}
 		if i := l.findProcessed(ev); i >= 0 {
@@ -344,8 +323,8 @@ func (w *worker) deliver(ev *event.Event) {
 				panic("core: rolled-back positive vanished before annihilation")
 			}
 			w.St.Annihilated++
-			w.freeEvent(pos)
-			w.freeEvent(ev)
+			w.node.pool.Put(pos)
+			w.node.pool.Put(ev)
 			return
 		}
 		// Anti overtook its positive: stash until it arrives.
@@ -354,8 +333,8 @@ func (w *worker) deliver(ev *event.Event) {
 	}
 	if a := l.takeAnti(ev); a != nil {
 		w.St.Annihilated++
-		w.freeEvent(a)
-		w.freeEvent(ev)
+		w.node.pool.Put(a)
+		w.node.pool.Put(ev)
 		return
 	}
 	if ev.Stamp.Before(l.lastStamp()) {
@@ -412,7 +391,7 @@ func (w *worker) processBatch() bool {
 }
 
 func (w *worker) processOne(ev *event.Event) {
-	if w.eng.poolDebug {
+	if w.eng.cfg.PoolDebug {
 		w.assertLive(ev, "processOne")
 	}
 	l := w.lpByID(ev.Dst)
@@ -566,7 +545,7 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	// while this rollback reads it: a nested one allocates its own.
 	antis := w.antis[:0]
 	w.antis = nil
-	debug := w.eng.poolDebug
+	debug := w.eng.cfg.PoolDebug
 	for i := range popped {
 		entry := &popped[i]
 		w.Pending.Push(entry.ev)
@@ -574,7 +553,7 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 			if debug {
 				w.assertLive(out, "rollback anti-copy")
 			}
-			antis = append(antis, out.AntiCopyInto(w.newEvent()))
+			antis = append(antis, out.AntiCopyInto(w.node.pool.Get()))
 		}
 		w.putSentBuf(entry.sent)
 		entry.sent = nil
@@ -623,7 +602,7 @@ func (w *worker) applyGVT(g float64) {
 			// already were — by the receiver's own fossil collection).
 			for i := 0; i < free; i++ {
 				entry := &l.history[i]
-				w.freeEvent(entry.ev)
+				w.node.pool.Put(entry.ev)
 				w.putSentBuf(entry.sent)
 				entry.sent = nil
 			}
@@ -638,7 +617,7 @@ func (w *worker) applyGVT(g float64) {
 		// Stashed anti-messages below GVT can never match anything now.
 		for i := 0; i < len(l.pendingAnti); {
 			if l.pendingAnti[i].Stamp.T < g {
-				w.freeEvent(l.pendingAnti[i])
+				w.node.pool.Put(l.pendingAnti[i])
 				l.pendingAnti = append(l.pendingAnti[:i], l.pendingAnti[i+1:]...)
 			} else {
 				i++

@@ -33,11 +33,6 @@ const ackWire = 12
 
 // ReliableParams tunes the retransmission machinery.
 type ReliableParams struct {
-	// BaseRTO is the initial retransmission timeout. Zero derives
-	// 8 x the fabric one-way latency (a loose RTT estimate plus slack).
-	BaseRTO sim.Time
-	// MaxRTO caps the exponential backoff. Zero derives 8 x BaseRTO.
-	MaxRTO sim.Time
 	// RetryLimit bounds retransmissions per packet; 0 means unlimited.
 	// When exhausted the packet is abandoned and counted (the layer above
 	// — e.g. the GVT watchdog — must recover).
@@ -88,38 +83,34 @@ type recvLink struct {
 	buffer   map[uint64]fabric.Packet
 }
 
-// reliable is a rank's transport state.
+// reliable is a rank's transport state. The retransmission timeout
+// starts at baseRTO, 8 x the fabric one-way latency (a loose RTT estimate
+// plus slack), and backs off exponentially up to 8 x baseRTO.
 type reliable struct {
-	params ReliableParams
-	send   map[int]*sendLink // by destination rank
-	recv   map[int]*recvLink // by source rank
-	stats  TransportStats
+	params  ReliableParams
+	baseRTO sim.Time
+	send    map[int]*sendLink // by destination rank
+	recv    map[int]*recvLink // by source rank
+	stats   TransportStats
 }
 
 // EnableReliable turns on the reliable transport for every rank. Must be
-// called before any traffic; calling it twice panics. RTO defaults are
-// derived from the fabric latency when unset.
+// called before any traffic; calling it twice panics, and so does a
+// fabric without latency, which leaves no retransmission timeout.
 func (w *World) EnableReliable(params ReliableParams) {
-	if params.BaseRTO == 0 {
-		params.BaseRTO = 8 * w.fabric.Params().Latency
-	}
-	if params.BaseRTO <= 0 {
-		panic(fmt.Sprintf("mpi: non-positive retransmission timeout %v", params.BaseRTO))
-	}
-	if params.MaxRTO == 0 {
-		params.MaxRTO = 8 * params.BaseRTO
-	}
-	if params.MaxRTO < params.BaseRTO {
-		panic(fmt.Sprintf("mpi: MaxRTO %v below BaseRTO %v", params.MaxRTO, params.BaseRTO))
+	base := 8 * w.fabric.Params().Latency
+	if base <= 0 {
+		panic(fmt.Sprintf("mpi: non-positive retransmission timeout %v", base))
 	}
 	for _, r := range w.ranks {
 		if r.rel != nil {
 			panic("mpi: reliable transport already enabled")
 		}
 		r.rel = &reliable{
-			params: params,
-			send:   make(map[int]*sendLink),
-			recv:   make(map[int]*recvLink),
+			params:  params,
+			baseRTO: base,
+			send:    make(map[int]*sendLink),
+			recv:    make(map[int]*recvLink),
 		}
 	}
 }
@@ -162,7 +153,7 @@ func (r *Rank) sendData(pkt fabric.Packet) {
 	link.nextSeq++
 	pkt.Seq = link.nextSeq
 	pkt.Ctl = ctlData
-	pd := &relPending{pkt: pkt, rto: t.params.BaseRTO}
+	pd := &relPending{pkt: pkt, rto: t.baseRTO}
 	link.unacked[pkt.Seq] = pd
 	r.world.fabric.Send(pkt)
 	r.armRetransmit(link, pd)
@@ -189,8 +180,8 @@ func (r *Rank) armRetransmit(link *sendLink, pd *relPending) {
 		}
 		pd.attempts++
 		r.rel.stats.Retransmits++
-		if pd.rto *= 2; pd.rto > r.rel.params.MaxRTO {
-			pd.rto = r.rel.params.MaxRTO
+		if pd.rto *= 2; pd.rto > 8*r.rel.baseRTO {
+			pd.rto = 8 * r.rel.baseRTO
 		}
 		r.world.fabric.Send(pd.pkt)
 		r.armRetransmit(link, pd)

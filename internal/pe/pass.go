@@ -154,20 +154,16 @@ func (ps *pass) next() sim.Time {
 				}
 				pr.mu.Unlock(p) // the box is still empty: nothing deposits without the lock
 			case probeRecv:
-				costs := &n.rt.cfg.MPICosts
 				switch ps.sub {
 				case subStart:
 					if !n.Rank.TryProbe(p) {
 						return -1
 					}
 					ps.sub = subHeld
-					if costs.LockHold > 0 {
-						return costs.LockHold
-					}
-					fallthrough
+					return mpiCosts.LockHold // the rank lock's entry cost, as Rank.lock charges it
 				case subHeld:
 					ps.sub = subPolled
-					return costs.Poll
+					return mpiCosts.Poll
 				}
 				if !n.Rank.EndProbe(p, pr.src, pr.tag) {
 					return -1

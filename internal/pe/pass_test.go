@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/event"
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -52,8 +51,7 @@ type resumes struct {
 func newIdleRuntime(nodes int, mode idleMode, tw *trace.Writer) *Runtime {
 	rt := &Runtime{LiteralIdle: mode == literal}
 	rt.Init(Config{
-		Topology: cluster.Topology{Nodes: nodes, WorkersPerNode: 1, LPsPerWorker: 1},
-		Net:      fabric.EthernetDefaults(), MPICosts: mpi.DefaultCosts(),
+		Topology:  cluster.Topology{Nodes: nodes, WorkersPerNode: 1, LPsPerWorker: 1},
 		QueueKind: "heap", Trace: tw,
 	}, func(*stats.Run) {})
 	return rt

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/event"
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -120,8 +119,7 @@ func TestTracedSendRecv(t *testing.T) {
 	var rt Runtime
 	rt.Init(Config{
 		Topology: cluster.Topology{Nodes: 2, WorkersPerNode: 1, LPsPerWorker: 1},
-		Net:      fabric.EthernetDefaults(), MPICosts: mpi.DefaultCosts(),
-		Trace: tw,
+		Trace:    tw,
 	}, func(*stats.Run) {})
 	var n0, n1 Node
 	rt.AddNode(&n0, cluster.KNLDefaults())

@@ -19,8 +19,6 @@ import (
 // Config is what the runtime needs of an engine's configuration.
 type Config struct {
 	Topology  cluster.Topology
-	Net       fabric.Params
-	MPICosts  mpi.Costs
 	Seed      uint64
 	QueueKind string
 	Model     ModelFactory
@@ -28,25 +26,10 @@ type Config struct {
 	Metrics   *metrics.Recorder // nil: no sampling
 }
 
-// MachineDefaults fills the machine parameters both engines' Configs
-// carry (flat, so they stay keyed literals) where they are zero.
-func MachineDefaults(cost *cluster.CostModel, net *fabric.Params, costs *mpi.Costs, queue *string, batch *int) {
-	if *cost == (cluster.CostModel{}) {
-		*cost = cluster.KNLDefaults()
-	}
-	if *net == (fabric.Params{}) {
-		*net = fabric.EthernetDefaults()
-	}
-	if *costs == (mpi.Costs{}) {
-		*costs = mpi.DefaultCosts()
-	}
-	if *queue == "" {
-		*queue = "heap"
-	}
-	if *batch == 0 {
-		*batch = 16 // as ROSS mbatch
-	}
-}
+// mpiCosts is the CPU side of the simulated machine's MPI, which every
+// run is on: the paper's KNL nodes on 10 GbE (fabric.EthernetDefaults; the
+// engines give their nodes cluster.KNLDefaults). Nothing configures it.
+var mpiCosts = mpi.DefaultCosts()
 
 // Runtime is one run's skeleton: the simulated machine and everything on
 // it in construction order. An engine embeds it, which also gives the
@@ -91,7 +74,7 @@ type thread struct {
 func (rt *Runtime) Init(c Config, finish func(*stats.Run)) {
 	rt.Env = sim.NewEnv()
 	rt.Env.LivelockLimit = 500_000_000
-	rt.World = mpi.NewWorld(rt.Env, c.Topology.Nodes, c.Net, c.MPICosts)
+	rt.World = mpi.NewWorld(rt.Env, c.Topology.Nodes, fabric.EthernetDefaults(), mpiCosts)
 	rt.cfg, rt.finish = c, finish
 	if c.Metrics != nil {
 		c.Metrics.Init(c.Topology.TotalWorkers())

@@ -8,9 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/eventq"
-	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/pe"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -70,8 +68,7 @@ func TestRunSkeleton(t *testing.T) {
 	rt := &pe.Runtime{}
 	finished := false
 	rt.Init(pe.Config{
-		Topology: top, Net: fabric.EthernetDefaults(), MPICosts: mpi.DefaultCosts(),
-		Seed: seed, QueueKind: "heap", Model: factory, Trace: tw, Metrics: rec,
+		Topology: top, Seed: seed, QueueKind: "heap", Model: factory, Trace: tw, Metrics: rec,
 	}, func(r *stats.Run) { finished = true; r.WallTime = rt.Env.Now() })
 
 	cost := cluster.KNLDefaults()
@@ -198,7 +195,6 @@ func TestCancel(t *testing.T) {
 	rt := &pe.Runtime{}
 	rt.Init(pe.Config{
 		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: 1},
-		Net:      fabric.EthernetDefaults(), MPICosts: mpi.DefaultCosts(),
 	}, func(*stats.Run) { t.Error("finish hook ran on a cancelled run") })
 	rt.AddProcess("forever", func(p *sim.Proc) {
 		for {
@@ -208,27 +204,5 @@ func TestCancel(t *testing.T) {
 	rt.Cancel()
 	if _, err := rt.Run(); !errors.Is(err, sim.ErrCancelled) {
 		t.Errorf("Run after Cancel: %v, want sim.ErrCancelled", err)
-	}
-}
-
-// TestMachineDefaults fills zero values only.
-func TestMachineDefaults(t *testing.T) {
-	var (
-		cost  cluster.CostModel
-		net   fabric.Params
-		costs mpi.Costs
-		queue string
-		batch int
-	)
-	pe.MachineDefaults(&cost, &net, &costs, &queue, &batch)
-	if cost != cluster.KNLDefaults() || net != fabric.EthernetDefaults() || costs != mpi.DefaultCosts() || queue != "heap" || batch != 16 {
-		t.Errorf("defaults: %+v %+v %+v %q %d", cost, net, costs, queue, batch)
-	}
-	queue, batch = "calendar", 4
-	cost.Flop *= 2
-	want := cost
-	pe.MachineDefaults(&cost, &net, &costs, &queue, &batch)
-	if cost != want || queue != "calendar" || batch != 4 {
-		t.Errorf("set values overwritten: %+v %q %d", cost, queue, batch)
 	}
 }

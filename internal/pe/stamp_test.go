@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/event"
-	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/pe"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -66,8 +64,7 @@ func buildOne(lps int, model pe.ModelFactory, seed uint64) (*pe.Worker, []pe.LP)
 	rt := &pe.Runtime{}
 	rt.Init(pe.Config{
 		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: lps},
-		Net:      fabric.EthernetDefaults(), MPICosts: mpi.DefaultCosts(),
-		Seed: seed, QueueKind: "heap", Model: model,
+		Seed:     seed, QueueKind: "heap", Model: model,
 	}, func(*stats.Run) {})
 	n, w, bases := &pe.Node{}, &pe.Worker{}, make([]pe.LP, lps)
 	rt.AddNode(n, cluster.KNLDefaults())

@@ -45,12 +45,12 @@ type Attach struct {
 var (
 	gvtKinds  = map[string]core.GVTKind{"barrier": core.GVTBarrier, "mattern": core.GVTMattern, "ca-gvt": core.GVTControlled, "samadi": core.GVTSamadi}
 	commModes = map[string]core.CommMode{"dedicated": core.CommDedicated, "combined": core.CommCombined, "shared": core.CommShared}
-	poolModes = map[string]core.PoolMode{"on": core.PoolOn, "off": core.PoolOff, "debug": core.PoolDebug}
 	syncKinds = map[string]conservative.SyncKind{"nullmsg": conservative.SyncNullMsg, "window": conservative.SyncWindow}
 )
 
-// New canonicalizes the spec and builds its engine. Invalid specs are
-// errors, never panics.
+// New canonicalizes the spec and builds its engine. Canonical is the one
+// validator: a spec it accepts builds (FuzzSpecCanonical), so an invalid
+// spec is an error, never a panic.
 func New(spec Spec, at Attach) (Engine, error) {
 	c, err := spec.Canonical()
 	if err != nil {
@@ -61,7 +61,7 @@ func New(spec Spec, at Attach) (Engine, error) {
 		model = c.model()
 	}
 	if c.Engine == "conservative" {
-		cfg := conservative.Config{
+		return conservative.New(conservative.Config{
 			Topology:  c.Topology(),
 			Sync:      syncKinds[c.Sync],
 			Lookahead: c.Lookahead,
@@ -72,11 +72,7 @@ func New(spec Spec, at Attach) (Engine, error) {
 			Model:     model,
 			Trace:     at.Trace,
 			Metrics:   at.Metrics,
-		}
-		if err := func() error { v := cfg; v.Defaults(); return v.Validate() }(); err != nil {
-			return nil, err
-		}
-		return conservative.New(cfg), nil
+		}), nil
 	}
 	cfg := core.Config{
 		Topology:           c.Topology(),
@@ -86,7 +82,6 @@ func New(spec Spec, at Attach) (Engine, error) {
 		Comm:               commModes[c.Comm],
 		EndTime:            c.EndTime,
 		Seed:               c.Seed,
-		Pool:               poolModes[c.Pool],
 		QueueKind:          c.Queue,
 		BatchSize:          c.BatchSize,
 		CheckpointInterval: c.CheckpointInterval,
@@ -106,9 +101,6 @@ func New(spec Spec, at Attach) (Engine, error) {
 	}
 	if c.WatchdogMicros > 0 {
 		cfg.WatchdogTimeout = sim.Time(c.WatchdogMicros) * sim.Microsecond
-	}
-	if err := func() error { v := cfg; v.Defaults(); return v.Validate() }(); err != nil {
-		return nil, err
 	}
 	return core.New(cfg), nil
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/models/pcs"
 	"repro/internal/models/tandem"
 	"repro/internal/phold"
+	"repro/internal/sim"
 )
 
 // Spec is the canonical description of one simulation run: model,
@@ -77,7 +78,9 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Nodes is the topology's node count (default 2).
 	Nodes int `json:"nodes,omitempty"`
-	// Pool is the Time Warp event pool: on (default) | off | debug.
+	// Pool is accepted as on | off | debug for old specs and is inert:
+	// events always recycle through the node pools, so Canonical pins every
+	// mode to "on" (the way CAThreshold is pinned for non-CA algorithms).
 	Pool string `json:"pool,omitempty"`
 	// Queue is the pending-event queue: heap (default) | calendar.
 	Queue string `json:"queue,omitempty"`
@@ -95,6 +98,10 @@ type Spec struct {
 	// WorkersPerNode is the topology's workers per node (default 4).
 	WorkersPerNode int `json:"workers_per_node,omitempty"`
 }
+
+// maxWatchdogMicros is the largest watchdog_us whose timeout in virtual
+// time, sim.Time(µs)*sim.Microsecond, does not overflow.
+const maxWatchdogMicros = math.MaxInt64 / int64(sim.Microsecond)
 
 // Canonical returns the spec in canonical form: names lowercased and
 // de-aliased, defaults made explicit, fields without meaning for the
@@ -260,10 +267,10 @@ func (s Spec) Canonical() (Spec, error) {
 		return c, fmt.Errorf("run: batch_size must be positive, got %d", c.BatchSize)
 	}
 	if c.Engine == "timewarp" {
+		// Inert (see Spec.Pool): pin it so it cannot split the hash.
 		switch c.Pool = norm(c.Pool); c.Pool {
-		case "":
+		case "", "on", "off", "debug":
 			c.Pool = "on"
-		case "on", "off", "debug":
 		default:
 			return c, fmt.Errorf("run: unknown pool %q (want on | off | debug)", c.Pool)
 		}
@@ -304,8 +311,10 @@ func (s Spec) Canonical() (Spec, error) {
 			return c, err
 		}
 	}
-	if c.WatchdogMicros < 0 {
-		return c, fmt.Errorf("run: watchdog_us must be >= 0, got %d", c.WatchdogMicros)
+	// A timeout past the largest virtual time would wrap negative, which
+	// core reads as "watchdog off".
+	if c.WatchdogMicros < 0 || c.WatchdogMicros > maxWatchdogMicros {
+		return c, fmt.Errorf("run: watchdog_us must be in [0, %d], got %d", maxWatchdogMicros, c.WatchdogMicros)
 	}
 	if c.Engine == "conservative" {
 		// These knobs change recovery semantics, not just performance:

@@ -13,7 +13,10 @@ import (
 // commit before Spec moved out of internal/simd. The disk store is
 // addressed by these hashes, so one shifting orphans every stored result
 // of that shape. Each hash is the SHA-256 of its canonical JSON, which is
-// what json.Marshal writes for the canonical spec.
+// what json.Marshal writes for the canonical spec. One row moved on
+// purpose: "negative max_uncommitted" asks for "pool":"debug", which now
+// canonicalises to "on" because every pool mode is the same run (its hash
+// was 0977b900…30a1bb; TestRecoverRetiresARehashedBegin replays it).
 var pinnedSpecs = []struct{ name, in, canon, hash string }{
 	{"defaults",
 		`{}`,
@@ -69,8 +72,8 @@ var pinnedSpecs = []struct{ name, in, canon, hash string }{
 		"118667055d0220842d2f98c2a74b6bc7c8150d543f8f0ab6fedc7c2d041224fa"},
 	{"negative max_uncommitted",
 		`{"max_uncommitted":-7,"checkpoint_interval":4,"pool":"debug","gvt":"samadi"}`,
-		`{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"debug","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`,
-		"0977b9001693af05a361fae1080f7dfafad4f5d30191c0f0feff51d7da30a1bb"},
+		`{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"on","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`,
+		"bb208c5ec6ae0bb9ea64db4cc6844f5a8b4a2b765978ad29d382bb41a344e45c"},
 	{"none folds",
 		`{"faults":"none","balance":"static","gvt":"barrier","comm":"shared"}`,
 		`{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":1,"comm":"shared","end_time":20,"engine":"timewarp","gvt":"barrier","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":64,"model":"phold","nodes":2,"pool":"on","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`,
@@ -95,6 +98,36 @@ func TestCanonicalAndHashPinned(t *testing.T) {
 		}
 		if sum := sha256.Sum256([]byte(p.canon)); hex.EncodeToString(sum[:]) != p.hash {
 			t.Errorf("%s: pinned hash is not the SHA-256 of the pinned canonical JSON", p.name)
+		}
+	}
+}
+
+// TestCanonicalRejectsOverflow: a spec whose numbers wrap when the engine
+// multiplies them is invalid, not a different run. A topology's worker or
+// LP total that overflows an int (and so could read as 0 to an admission
+// cap) or passes what event.LPID addresses, and a watchdog_us whose
+// timeout in virtual nanoseconds wraps negative (which core reads as
+// "watchdog off"), are rejected; the largest values that fit are not.
+func TestCanonicalRejectsOverflow(t *testing.T) {
+	for _, c := range []struct {
+		doc string
+		ok  bool
+	}{
+		{`{"nodes":2,"workers_per_node":1099511627776,"lps_per_worker":8388608}`, false},
+		{`{"nodes":64,"workers_per_node":4294967296,"lps_per_worker":4294967296}`, false},
+		{`{"nodes":4611686018427387904,"workers_per_node":2,"lps_per_worker":1}`, false},
+		{`{"nodes":1,"workers_per_node":65537,"lps_per_worker":65536}`, false},
+		{`{"nodes":2,"workers_per_node":65536,"lps_per_worker":32768}`, true},
+		{`{"faults":"drop","watchdog_us":9300000000000000}`, false},
+		{`{"faults":"drop","watchdog_us":9223372036854776}`, false},
+		{`{"faults":"drop","watchdog_us":9223372036854775}`, true},
+	} {
+		var s Spec
+		if err := json.Unmarshal([]byte(c.doc), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Canonical(); (err == nil) != c.ok {
+			t.Errorf("%s: accepted %v, want %v (%v)", c.doc, err == nil, c.ok, err)
 		}
 	}
 }

@@ -157,6 +157,44 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoverRetiresARehashedBegin: a begin journaled under an address
+// its spec no longer canonicalises to re-submits under the new address,
+// and the old begin is retired, not replayed on every restart. The spec
+// is the pinned "negative max_uncommitted" row of internal/run, journaled
+// as it addressed before every pool mode became the same run.
+func TestRecoverRetiresARehashedBegin(t *testing.T) {
+	const (
+		oldHash  = "0977b9001693af05a361fae1080f7dfafad4f5d30191c0f0feff51d7da30a1bb"
+		oldCanon = `{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"debug","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`
+	)
+	jpath := filepath.Join(t.TempDir(), "journal.ndjson")
+	jl := openJournal(t, jpath)
+	if err := jl.Begin(oldHash, json.RawMessage(oldCanon)); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+
+	jl2 := openJournal(t, jpath)
+	s := NewServer(Options{Workers: 1, Journal: jl2})
+	if n := s.Recover(); n != 1 {
+		t.Fatalf("recovered %d jobs, want 1", n)
+	}
+	for _, j := range s.Jobs() {
+		if st := j.Wait(waitCtx(t)); st != StateDone {
+			t.Fatalf("recovered job %s: %s (%s)", j.ID(), st, j.Err())
+		}
+		if j.hash == oldHash {
+			t.Fatalf("the journaled spec still addresses to %s", oldHash)
+		}
+	}
+	s.Close()
+	jl2.Close()
+
+	if p := openJournal(t, jpath).Pending(); len(p) != 0 {
+		t.Fatalf("journal still pending after recovery: %d entries, first %s", len(p), p[0].Hash)
+	}
+}
+
 // TestJobDeadlineExceeded: a job over its wall-clock budget fails (it is
 // not a cancellation) and the failure says why.
 func TestJobDeadlineExceeded(t *testing.T) {

@@ -252,6 +252,10 @@ func TestHTTPRejections(t *testing.T) {
 		"end-cap":  `{"end_time":1e9}`,
 		"node-cap": `{"nodes":1000}`,
 		"lp-cap":   `{"nodes":64,"workers_per_node":64,"lps_per_worker":4096}`,
+		// Overflowing products, which must not slip under the LP cap as 0.
+		"lp-wrap":       `{"nodes":2,"workers_per_node":1099511627776,"lps_per_worker":8388608}`,
+		"lp-wrap-64":    `{"nodes":64,"workers_per_node":4294967296,"lps_per_worker":4294967296}`,
+		"watchdog-wrap": `{"faults":"drop","watchdog_us":9300000000000000}`,
 	} {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -598,6 +598,13 @@ func (s *Server) Recover() int {
 		n++
 		s.log.Info("recovered journaled job", "job", res.Job.ID(), "hash", p.Hash,
 			"cache_hit", res.CacheHit, "store_hit", res.StoreHit)
+		// A spec journaled before a canonicalisation change re-submits under
+		// a new address, and nothing will ever end the old one. The
+		// acknowledged re-submission is durable under its own hash (or was a
+		// hit), so the old begin is retired rather than replayed forever.
+		if res.Job.hash != p.Hash {
+			s.journalRetire(p.Hash)
+		}
 	}
 	s.recovered.Store(int64(n))
 	return n

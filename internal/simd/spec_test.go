@@ -80,6 +80,11 @@ func TestHashClearsInertFields(t *testing.T) {
 	if mustHash(t, JobSpec{Scenario: "comp", MixComp: 30}) != mustHash(t, JobSpec{Scenario: "comp"}) {
 		t.Fatal("mix fractions split the hash outside the mixed scenario")
 	}
+	for _, pool := range []string{"off", "debug"} {
+		if mustHash(t, JobSpec{Scenario: "mixed", Pool: pool}) != mustHash(t, JobSpec{Scenario: "mixed"}) {
+			t.Fatalf("pool %q split the hash: every pool mode is the same run", pool)
+		}
+	}
 }
 
 // TestHashChangesWithEverySemanticField mutates each semantic field and
@@ -111,7 +116,6 @@ func TestHashChangesWithEverySemanticField(t *testing.T) {
 	add("end", JobSpec{Scenario: "mixed", EndTime: 30})
 	add("seed", JobSpec{Scenario: "mixed", Seed: 99})
 	add("queue", JobSpec{Scenario: "mixed", Queue: "calendar"})
-	add("pool", JobSpec{Scenario: "mixed", Pool: "off"})
 	add("batch", JobSpec{Scenario: "mixed", BatchSize: 8})
 	add("checkpoint", JobSpec{Scenario: "mixed", CheckpointInterval: 4})
 	add("uncommitted", JobSpec{Scenario: "mixed", MaxUncommitted: 128})

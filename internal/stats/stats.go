@@ -140,8 +140,9 @@ type Run struct {
 	Migrations     int64 // LPs moved between nodes at GVT commit points
 	MigratedEvents int64 // pending events shipped along with the moves
 
-	// Event-pool counters (core.Config.Pool), zero with PoolOff. Both
-	// are deterministic for a given configuration: PoolNews counts
+	// Event-pool counters of the Time Warp engine, whose events always
+	// recycle through per-node pools (zero for the conservative engine).
+	// Both are deterministic for a given configuration: PoolNews counts
 	// events allocated fresh because a node's free list was empty,
 	// PoolRecycled counts allocations served from a free list. Excluded
 	// from String().
