@@ -23,7 +23,7 @@ help:
 	@echo "  verify     pre-merge gate: go vet + full suite under -race"
 	@echo "  bench      telemetry-overhead gate, then regenerate BENCH_baseline.json"
 	@echo "  benchdiff  diff -u a fresh virtual-time baseline against the checked-in BENCH_baseline.json"
-	@echo "  microbench hot-path microbenchmarks (sim kernel, PE idle loops, event queue, rollback storm, GVT rounds)"
+	@echo "  microbench hot-path microbenchmarks (sim kernel, PE idle loops, fabric send/deliver, event queue, rollback storm, GVT rounds)"
 	@echo "  cover      coverage profile over ./internal/..."
 	@echo "  loc        the audited line count: tracked non-test Go outside benchmark/ (ROADMAP aim 2)"
 	@echo "  loc-check  fail if the audited line count exceeds LOC_CEILING (CI runs it)"
@@ -75,12 +75,13 @@ benchdiff:
 # for the sim kernel (BenchmarkPollRing: constant-delay Poll steps at 20
 # and 488 processes), the PE idle-pass machine (BenchmarkIdlePass: an
 # idle comm pass as Poll steps vs the literal loop), the null-message
-# worker's idle predicate (BenchmarkBlocked), the event queue, rollback
-# storm, and two full Time Warp runs (RollbackHeavy, GVTRounds) on the
-# engine's one allocation path: events always recycle, so there is no
-# unpooled mode to A/B against.
+# worker's idle predicate (BenchmarkBlocked), the fabric's send and
+# delivery through the wire heap (BenchmarkSendDeliver, 0 allocs/op), the
+# event queue, rollback storm, and two full Time Warp runs (RollbackHeavy,
+# GVTRounds) on the engine's one allocation path: events always recycle,
+# so there is no unpooled mode to A/B against.
 microbench:
-	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative
+	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative ./internal/fabric
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
 
@@ -100,7 +101,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 20756
+LOC_CEILING = 20793
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

@@ -136,6 +136,18 @@ type Engine struct {
 	end vtime.Time
 
 	nullMsgs int64
+	nulls    []*nullMsg // free list: recvInbound returns each it consumes
+}
+
+// newNull returns a null message to send, recycled when one is free.
+func (e *Engine) newNull() *nullMsg {
+	k := len(e.nulls)
+	if k == 0 {
+		return new(nullMsg)
+	}
+	m := e.nulls[k-1]
+	e.nulls = e.nulls[:k-1]
+	return m
 }
 
 // New builds an engine. It panics on an invalid configuration (mirroring
@@ -212,6 +224,10 @@ func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.Env.Now()
 	r.FinalGVT = float64(e.end)
 	r.NullMessages = e.nullMsgs
+	for _, nd := range e.nodes {
+		r.PoolNews += int64(nd.pool.News)
+		r.PoolRecycled += int64(nd.pool.Gets)
+	}
 }
 
 // Report assembles the canonical run report for r, which must have come

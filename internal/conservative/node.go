@@ -20,7 +20,8 @@ import (
 const tagEvents = mpi.TagUser
 
 // nullMsg is a CMB null message: a promise that the sending node will
-// never again send an event with a stamp below EOT.
+// never again send an event with a stamp below EOT. It travels by pointer
+// and is recycled on receipt (Engine.newNull), so a promise boxes nothing.
 type nullMsg struct {
 	EOT vtime.Time
 }
@@ -37,6 +38,7 @@ type node struct {
 	pe.Node
 	eng     *Engine
 	workers []*worker
+	pool    *event.Pool // its workers' sends draw from it; processOne frees into it
 
 	// evSent/evRecv count event messages (not nulls) over MPI, for the
 	// window protocol's transit-drain allreduce.
@@ -65,7 +67,7 @@ func (n *node) touch() { n.ver++ }
 
 func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
-	n := &node{eng: eng, ver: 1}
+	n := &node{eng: eng, pool: event.NewPool(false), ver: 1}
 	eng.AddNode(&n.Node, cluster.KNLDefaults())
 	parts := top.WorkersPerNode + 1 // workers + the comm role
 	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
@@ -126,11 +128,12 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 			w := n.workers[wi]
 			w.deposit(p, pl)
 			n.TraceRecv(p, m, w.Inbox.Len())
-		case nullMsg:
+		case *nullMsg:
 			if pl.EOT > n.chanIn[m.Src] {
 				n.chanIn[m.Src] = pl.EOT
 				n.touch()
 			}
+			n.eng.nulls = append(n.eng.nulls, pl)
 			n.TraceRecv(p, m, 0)
 		default:
 			panic(fmt.Sprintf("conservative: node %d received unexpected payload %T", n.ID, m.Payload))

@@ -141,7 +141,9 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 			continue
 		}
 		n.lastEOT[dst] = eot
-		n.Send(p, dst, tagEvents, nullWireSize, nullMsg{EOT: eot}, 0)
+		m := n.eng.newNull()
+		m.EOT = eot
+		n.Send(p, dst, tagEvents, nullWireSize, m, 0)
 		n.eng.nullMsgs++
 		sent = true
 	}

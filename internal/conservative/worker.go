@@ -157,7 +157,8 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 	return worked
 }
 
-// processOne runs one event through its LP's model and commits it.
+// processOne runs one event through its LP's model, commits it, routes
+// its sends and frees it into this node's pool.
 func (w *worker) processOne(p *sim.Proc, ev *event.Event) {
 	i := ev.Dst - w.lps[0].ID
 	l := &w.lps[i]
@@ -176,6 +177,7 @@ func (w *worker) processOne(p *sim.Proc, ev *event.Event) {
 		w.route(p, s)
 	}
 	w.sendQ = w.sendQ[:0]
+	w.node.pool.Put(ev)
 }
 
 // route delivers one freshly sent event by destination locality.
@@ -206,7 +208,7 @@ type wctx struct {
 
 // Send adds the lookahead guard to the shared stamping.
 func (c *wctx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	ev := &event.Event{}
+	ev := c.w.node.pool.Get()
 	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	// Enforce the declared lookahead on cross-worker sends, against the
 	// model's exact delay argument (recomputing it from stamps would

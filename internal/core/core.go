@@ -367,10 +367,6 @@ func New(cfg Config) *Engine {
 				})
 			}
 		}
-	} else if eng.invariants {
-		// In-flight packet tracking is normally enabled by SetFaults; the
-		// invariant checker needs it on a perfect fabric too.
-		eng.World.Fabric().EnableTracking()
 	}
 	if rec := cfg.Metrics; rec != nil {
 		reg := rec.Registry()

@@ -61,8 +61,9 @@ type Fabric struct {
 	params   Params
 	handlers []Handler
 	// lastArrival enforces per-(src,dst) FIFO ordering even when a large
-	// message is overtaken in raw transfer time by a small one.
-	lastArrival map[linkKey]sim.Time
+	// message is overtaken in raw transfer time by a small one; it is
+	// indexed src*n+dst.
+	lastArrival []sim.Time
 	// Stats
 	MessagesSent      int64
 	BytesSent         int64
@@ -73,24 +74,38 @@ type Fabric struct {
 	FaultHook func(FaultEvent)
 
 	// Fault-injection state; nil faults means a perfect wire.
-	faults      *FaultPlan
-	frng        *rng.Stream
-	fstats      FaultStats
-	inflight    map[uint64]Packet
-	inflightSeq uint64
+	faults *FaultPlan
+	frng   *rng.Stream
+	fstats FaultStats
+
+	// wire is every packet on the wire, a heap by arrival instant, then
+	// filing order: the kernel's (at, seq) order for the deliver callback
+	// each transmit files, so that callback always takes the minimum.
+	wire    []wired
+	filed   uint64
+	deliver func() // deliverNext, bound once: a method value per call allocates
 }
 
-type linkKey struct{ src, dst int }
+// wired is one packet on the wire with its delivery key.
+type wired struct {
+	at  sim.Time
+	n   uint64 // filing counter
+	pkt Packet
+}
+
+func (a *wired) before(b *wired) bool { return a.at < b.at || a.at == b.at && a.n < b.n }
 
 // New returns a fabric with n endpoints. Handlers must be attached with
 // Attach before any Send to that endpoint.
 func New(env *sim.Env, n int, params Params) *Fabric {
-	return &Fabric{
+	f := &Fabric{
 		env:         env,
 		params:      params,
 		handlers:    make([]Handler, n),
-		lastArrival: make(map[linkKey]sim.Time),
+		lastArrival: make([]sim.Time, n*n),
 	}
+	f.deliver = f.deliverNext
+	return f
 }
 
 // Params returns the interconnect parameters.
@@ -119,18 +134,13 @@ func (f *Fabric) Send(pkt Packet) {
 		panic(fmt.Sprintf("fabric: send from endpoint %d outside [0,%d) (dst %d, tag %d)",
 			pkt.Src, len(f.handlers), pkt.Dst, pkt.Tag))
 	}
-	h := f.handlers[pkt.Dst]
-	if h == nil {
+	if f.handlers[pkt.Dst] == nil {
 		panic(fmt.Sprintf("fabric: send to unattached endpoint %d", pkt.Dst))
 	}
 	if f.faults == nil {
-		arrival := f.env.Now() + f.params.TransferTime(pkt.Size)
-		key := linkKey{pkt.Src, pkt.Dst}
-		if prev := f.lastArrival[key]; arrival < prev {
-			arrival = prev
-		}
-		f.lastArrival[key] = arrival
-		f.transmit(pkt, arrival-f.env.Now(), h)
+		last := &f.lastArrival[pkt.Src*len(f.handlers)+pkt.Dst]
+		*last = max(*last, f.env.Now()+f.params.TransferTime(pkt.Size))
+		f.transmit(&pkt, *last-f.env.Now())
 		return
 	}
 	// Fault path. Each physical transmission attempt draws its own faults;
@@ -138,35 +148,58 @@ func (f *Fabric) Send(pkt Packet) {
 	lf := f.faults.linkFor(pkt.Src, pkt.Dst)
 	base := f.params.TransferTime(pkt.Size)
 	if extra, dropped := f.faultedDelay(&pkt, lf); !dropped {
-		f.transmit(pkt, base+extra, h)
+		f.transmit(&pkt, base+extra)
 	}
 	if lf.Duplicate > 0 && f.frng.Float64() < lf.Duplicate {
 		if extra, dropped := f.faultedDelay(&pkt, lf); !dropped {
 			f.fault(FaultDuplicate, pkt.Src, pkt.Dst, 0)
-			f.transmit(pkt, base+extra, h)
+			f.transmit(&pkt, base+extra)
 		}
 	}
 }
 
-// transmit schedules one physical delivery of pkt after delay, keeping the
-// wire counters and the in-flight index (when tracking is enabled).
-func (f *Fabric) transmit(pkt Packet, delay sim.Time, h Handler) {
+// transmit puts one physical delivery of pkt on the wire, due after delay.
+func (f *Fabric) transmit(pkt *Packet, delay sim.Time) {
 	f.MessagesSent++
 	f.BytesSent += int64(pkt.Size)
-	var id uint64
-	if f.inflight != nil {
-		f.inflightSeq++
-		id = f.inflightSeq
-		f.inflight[id] = pkt
-	}
-	f.env.After(delay, func() {
-		f.MessagesDelivered++
-		f.BytesDelivered += int64(pkt.Size)
-		if f.inflight != nil {
-			delete(f.inflight, id)
+	f.filed++
+	f.wire = append(f.wire, wired{at: f.env.Now() + delay, n: f.filed, pkt: *pkt})
+	for i := len(f.wire) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !f.wire[i].before(&f.wire[up]) {
+			break
 		}
-		h(pkt)
-	})
+		f.wire[i], f.wire[up] = f.wire[up], f.wire[i]
+		i = up
+	}
+	f.env.After(delay, f.deliver)
+}
+
+// deliverNext takes the heap minimum off the wire and hands it to its
+// endpoint's handler; it is the kernel callback of every transmit.
+func (f *Fabric) deliverNext() {
+	pkt := f.wire[0].pkt
+	n := len(f.wire) - 1
+	f.wire[0] = f.wire[n]
+	f.wire[n] = wired{} // no payload stays reachable off the wire
+	f.wire = f.wire[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && f.wire[l].before(&f.wire[least]) {
+			least = l
+		}
+		if r := l + 1; r < n && f.wire[r].before(&f.wire[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		f.wire[i], f.wire[least] = f.wire[least], f.wire[i]
+		i = least
+	}
+	f.MessagesDelivered++
+	f.BytesDelivered += int64(pkt.Size)
+	f.handlers[pkt.Dst](pkt)
 }
 
 // InFlight returns the messages and bytes currently on the wire: sent

@@ -223,9 +223,7 @@ func Scenario(name string, n int) (*FaultPlan, error) {
 }
 
 // SetFaults installs a fault plan, seeding the dedicated fault RNG stream.
-// It also enables in-flight packet tracking (see ForEachInFlight) so GVT
-// invariant checks can observe packets held on the faulty wire. Must be
-// called before any Send; a nil plan is a no-op.
+// Must be called before any Send; a nil plan is a no-op.
 func (f *Fabric) SetFaults(plan *FaultPlan, seed uint64) error {
 	if plan == nil {
 		return nil
@@ -235,29 +233,17 @@ func (f *Fabric) SetFaults(plan *FaultPlan, seed uint64) error {
 	}
 	f.faults = plan
 	f.frng = rng.New(seed)
-	f.EnableTracking()
 	return nil
 }
 
-// Faults returns the installed fault plan (nil for a perfect fabric).
-func (f *Fabric) Faults() *FaultPlan { return f.faults }
-
-// EnableTracking makes the fabric retain an index of in-flight packets for
-// ForEachInFlight. It is automatically enabled by SetFaults and costs
-// nothing in virtual time.
-func (f *Fabric) EnableTracking() {
-	if f.inflight == nil {
-		f.inflight = make(map[uint64]Packet)
-	}
-}
-
 // ForEachInFlight visits every packet currently on the wire (sent but not
-// yet delivered, dropped packets excluded). It requires EnableTracking;
-// without it the callback is never invoked. Visit order is unspecified —
-// callers must be order-insensitive (e.g. computing a minimum).
+// yet delivered, dropped packets excluded) on any fabric, with no tracking
+// to switch on: the heap deliveries are taken from is the in-flight set.
+// Visit order is unspecified — callers must be order-insensitive (e.g.
+// computing a minimum).
 func (f *Fabric) ForEachInFlight(fn func(Packet)) {
-	for _, pkt := range f.inflight {
-		fn(pkt)
+	for i := range f.wire {
+		fn(f.wire[i].pkt)
 	}
 }
 

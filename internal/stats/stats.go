@@ -140,12 +140,11 @@ type Run struct {
 	Migrations     int64 // LPs moved between nodes at GVT commit points
 	MigratedEvents int64 // pending events shipped along with the moves
 
-	// Event-pool counters of the Time Warp engine, whose events always
-	// recycle through per-node pools (zero for the conservative engine).
-	// Both are deterministic for a given configuration: PoolNews counts
-	// events allocated fresh because a node's free list was empty,
-	// PoolRecycled counts allocations served from a free list. Excluded
-	// from String().
+	// Event-pool counters; both engines recycle events through per-node
+	// pools. The counts are deterministic for a given configuration:
+	// PoolNews counts events allocated fresh because a node's free list was
+	// empty, PoolRecycled counts allocations served from a free list.
+	// Excluded from String().
 	PoolNews     int64
 	PoolRecycled int64
 
