@@ -43,8 +43,8 @@ const (
 	GVTControlled
 	// GVTSamadi is the acknowledgement-based algorithm of Samadi (1985),
 	// cited in the paper's related work: ack traffic keeps every in-transit
-	// message covered by its sender, so GVT needs a single reduction and
-	// no transit draining (implemented here as an extension baseline).
+	// message covered by its sender, so Algorithm 1's round needs no
+	// transit draining, only its reduction (an extension baseline here).
 	GVTSamadi
 )
 
@@ -256,6 +256,11 @@ type Engine struct {
 	cfg   Config
 	nodes []*node
 
+	// The GVT algorithm, decided once: ring is a token-ring round (Mattern,
+	// CA-GVT); otherwise every round is Algorithm 1's synchronous one, and
+	// acks (Samadi) replaces its transit drain with acknowledgement cover.
+	ring, acks bool
+
 	// matchSeq hands out cluster-unique anti-message match IDs. It lives
 	// outside simulated state: IDs are never reused, never rolled back.
 	matchSeq uint64
@@ -309,7 +314,8 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology)}
+	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
+	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
 	eng.Init(pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,

@@ -14,6 +14,10 @@ import (
 // in-transit total is zero. Then local minima are reduced the same way
 // into the new GVT. Workers do no event processing inside the round; the
 // idle time parked at the barriers is the algorithm's cost (Figure 1).
+//
+// Samadi's GVT (Engine.acks) is the same round without the drain: every
+// in-transit message stays covered by its sender's unacknowledged stamp
+// (see gvt_samadi.go), so each worker reduces min(local, unacked) at once.
 
 // barrierPoll is the worker-side driver, called on a main-loop pass that
 // finds a round due or requested (gvtQuiet).
@@ -35,7 +39,7 @@ func (w *worker) barrierWorkerRound() {
 	gvtStart := p.Now()
 	w.SetPhase(trace.PhaseGVT)
 
-	for {
+	for !w.eng.acks {
 		// ReadMessages(): keep receiving so in-transit counts can drain.
 		// Migration messages count like events, so they must be drainable
 		// inside the round too or the transit total could never hit zero.
@@ -60,8 +64,9 @@ func (w *worker) barrierWorkerRound() {
 		}
 	}
 
-	// All in-transit messages received: reduce local minima into GVT.
-	n.localMin[w.Idx] = w.localMin()
+	// All in-transit messages received or covered: reduce local minima
+	// into GVT (the unacked set is empty, +Inf, without acknowledgements).
+	n.localMin[w.Idx] = vtime.Min(w.localMin(), w.unackedMin())
 	p.Advance(cost.BarrierEntry)
 	n.barrierWait(p, n.gvtBar, w)
 	if comm {
@@ -74,7 +79,7 @@ func (w *worker) barrierWorkerRound() {
 
 // commBarrierRound is the dedicated MPI thread's side of a round.
 func (n *node) commBarrierRound(p *sim.Proc) {
-	for {
+	for !n.eng.acks {
 		n.barrierWait(p, n.gvtBar, nil)
 		n.commBarrierStep(p)
 		n.barrierWait(p, n.gvtBar2, nil)
@@ -100,9 +105,8 @@ func (n *node) commBarrierStep(p *sim.Proc) {
 }
 
 // commBarrierFinish reduces node minima into the cluster GVT (lines
-// 10–12) and publishes it; a Samadi round ends the same way. It also
-// retires the round request: workers are parked at the exit barrier at
-// this point, so no new round can race it.
+// 10–12) and publishes it. It also retires the round request: workers are
+// parked at the exit barrier at this point, so no new round can race it.
 func (n *node) commBarrierFinish(p *sim.Proc) {
 	p.Advance(n.Cost.GVTBookkeeping)
 	min := vtime.Inf

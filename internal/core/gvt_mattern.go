@@ -449,15 +449,10 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 		return true
 
 	case msWaitA:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
-		if !ok {
-			return false
+		tok, worked := n.recvLap(p)
+		if tok == nil {
+			return worked
 		}
-		tok := m.Payload.(*gvtToken)
-		if tok.uid != n.tokenSeq {
-			return true // stale duplicate of an earlier lap: drop it
-		}
-		n.lastProgress = p.Now()
 		tok.count += n.takeDelta(p)
 		if tok.count == 0 {
 			cm.phase = phWhiteDone
@@ -485,15 +480,10 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 		return true
 
 	case msWaitB:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
-		if !ok {
-			return false
+		tok, worked := n.recvLap(p)
+		if tok == nil {
+			return worked
 		}
-		tok := m.Payload.(*gvtToken)
-		if tok.uid != n.tokenSeq {
-			return true // stale duplicate of an earlier lap: drop it
-		}
-		n.lastProgress = p.Now()
 		n.publishGVT(p, ca, vtime.Min(tok.minLVT, tok.minRed))
 		out := &gvtToken{phase: tokGVT, gvt: cm.gvt, sync: cm.syncNext}
 		n.sendMasterToken(p, out)
@@ -501,18 +491,29 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 		return true
 
 	case msWaitC:
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
-		if !ok {
-			return false
+		tok, worked := n.recvLap(p)
+		if tok != nil {
+			n.master = msCleanup
 		}
-		if m.Payload.(*gvtToken).uid != n.tokenSeq {
-			return true // stale duplicate of an earlier lap: drop it
-		}
-		n.lastProgress = p.Now()
-		n.master = msCleanup
-		return true
+		return worked
 	}
 	return false
+}
+
+// recvLap takes the token back at the master. It returns the token when
+// the lap the master last sent has come round (the ring made progress);
+// otherwise nil, with worked telling whether a stale duplicate of an
+// earlier lap arrived and was dropped.
+func (n *node) recvLap(p *sim.Proc) (tok *gvtToken, worked bool) {
+	m, ok := n.Rank.TryRecvRing(p, tagToken)
+	if !ok {
+		return nil, false
+	}
+	if tok = m.Payload.(*gvtToken); tok.uid != n.tokenSeq {
+		return nil, true
+	}
+	n.lastProgress = p.Now()
+	return tok, true
 }
 
 // publishGVT finalizes a round at the master: computes CA's SyncFlag from

@@ -221,8 +221,8 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	m.color = event.Color(w.epoch & 3)
 	w.msgSent++
 	w.sentC[w.epoch&3]++
-	if eng.samadiEnabled() {
-		m.ackID = w.unacked.add(uint64(w.Gidx)<<ackWorkerShift, m.minPayloadStamp())
+	if eng.acks {
+		m.ackID = w.registerUnacked(m.minPayloadStamp())
 	}
 	if min := m.minPayloadStamp(); w.mstate != wIdle && min < w.minRed {
 		w.minRed = min
@@ -277,7 +277,7 @@ func (w *worker) installMigration(m *migMsg) {
 	// Receive-side GVT accounting, mirroring the pack side.
 	w.msgRecv++
 	w.recvC[uint8(m.color)&3]++
-	if eng.samadiEnabled() && m.ackID != 0 {
+	if eng.acks && m.ackID != 0 {
 		w.sendAckTo(m.ackID)
 	}
 	cost := &w.node.Cost

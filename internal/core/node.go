@@ -140,13 +140,12 @@ func (n *node) commProbes() []pe.Probe {
 		pass[stOutMigs] = pe.QuietProbe(func() bool { return n.outMigs.Len() == 0 })
 		pass[stRecvMigs] = pe.RecvProbe(mpi.AnySource, tagMigrate)
 	}
-	switch n.eng.cfg.GVT {
-	case GVTBarrier, GVTSamadi:
-		pass[stGVT] = pe.QuietProbe(func() bool { return !n.gvtReq })
-	default:
+	if n.eng.ring {
 		pass[stGVT] = pe.QuietProbe(n.matternQuiet)
 		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
 		pass[stGVTTail] = pe.QuietProbe(n.matternTailQuiet)
+	} else {
+		pass[stGVT] = pe.QuietProbe(func() bool { return !n.gvtReq })
 	}
 	return pass
 }
@@ -156,20 +155,17 @@ func (n *node) commProbes() []pe.Probe {
 // paper's proposal), run from stage from: the pump, then the thread's
 // part in the configured GVT algorithm — stGVT is all of it, and the later
 // stages are where an idle pass can hand back inside a Mattern poll. (In
-// combined/shared modes worker 0 carries the role: Barrier and Samadi
-// rounds inline it, and the worker calls matternCommPoll itself.)
+// combined/shared modes worker 0 carries the role: barrier rounds inline
+// it, and the worker calls matternCommPoll itself.)
 func (n *node) commPass(p *sim.Proc, from int) bool {
 	worked := n.pumpFrom(p, from)
-	switch gvt := n.eng.cfg.GVT; {
-	case gvt == GVTMattern || gvt == GVTControlled:
+	switch {
+	case n.eng.ring:
 		return n.matternCommPoll(p, max(from, stGVT)) || worked
 	case !n.gvtReq:
 		return worked
-	case gvt == GVTBarrier:
-		n.commBarrierRound(p)
-	default:
-		n.commSamadiRound(p)
 	}
+	n.commBarrierRound(p)
 	return true
 }
 

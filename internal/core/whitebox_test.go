@@ -278,49 +278,58 @@ func (m *badDelayModel) OnEvent(ctx Context, _ *event.Event) { ctx.Send(0, -1, 0
 func (m *badDelayModel) Snapshot() any                       { return nil }
 func (m *badDelayModel) Restore(any)                         {}
 
-func TestUnackedSet(t *testing.T) {
-	var s unackedSet
-	s.init()
-	if s.min() != vtime.Inf || s.size() != 0 {
-		t.Error("empty set broken")
+// TestUnackedMap checks a Samadi sender's cover: ack ids of two workers
+// never collide and each routes back to the worker that registered it,
+// the minimum is over the entries still unacknowledged, an acknowledged
+// entry stops counting, and an empty set covers nothing (+Inf).
+func TestUnackedMap(t *testing.T) {
+	eng := New(Config{
+		Topology: cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 1},
+		GVT:      GVTSamadi, GVTInterval: 10, Comm: CommDedicated, EndTime: 100, Seed: 1,
+		Model: func(lp event.LPID, total int) Model {
+			return &chainModel{self: lp, next: lp}
+		},
+	})
+	a, b := eng.nodes[0].workers[1], eng.nodes[1].workers[0]
+	if a.unackedMin() != vtime.Inf || b.unackedMin() != vtime.Inf {
+		t.Fatal("an empty set covers a stamp")
 	}
-	id1 := s.add(0, 5.0)
-	id2 := s.add(0, 3.0)
-	id3 := s.add(0, 7.0)
-	if id1 == 0 || id1 == id2 || id2 == id3 {
-		t.Error("ack ids not unique / zero")
+	a5, a3, a7 := a.registerUnacked(5), a.registerUnacked(3), a.registerUnacked(7)
+	b1 := b.registerUnacked(1)
+	ids := map[uint64]*worker{a5: a, a3: a, a7: a, b1: b}
+	if len(ids) != 4 {
+		t.Fatalf("ack ids collide: %x %x %x %x", a5, a3, a7, b1)
 	}
-	if s.min() != 3.0 {
-		t.Errorf("min = %v, want 3", s.min())
+	for id, w := range ids {
+		if id == 0 || int(id>>ackWorkerShift) != w.Gidx {
+			t.Errorf("ack id %x decodes to worker %d, registered by %d", id, id>>ackWorkerShift, w.Gidx)
+		}
 	}
-	s.ack(id2)
-	if s.min() != 5.0 {
-		t.Errorf("min after ack = %v, want 5", s.min())
+	if a.unackedMin() != 3 || b.unackedMin() != 1 {
+		t.Fatalf("minima %v, %v; want 3, 1", a.unackedMin(), b.unackedMin())
 	}
-	s.ack(id1)
-	s.ack(id3)
-	if s.min() != vtime.Inf || s.size() != 0 {
-		t.Error("set not empty after all acks")
-	}
-	// Re-adding after drain works.
-	s.add(1<<40, 2.5)
-	if s.min() != 2.5 {
-		t.Error("re-add broken")
-	}
-}
-
-func TestUnackedSetBaseComposition(t *testing.T) {
-	var a, b unackedSet
-	a.init()
-	b.init()
-	// Different worker bases must never collide.
-	idA := a.add(uint64(1)<<40, 1.0)
-	idB := b.add(uint64(2)<<40, 1.0)
-	if idA == idB {
-		t.Error("ack ids collide across workers")
-	}
-	if idA>>40 != 1 || idB>>40 != 2 {
-		t.Error("base not preserved in ack id")
+	// Acks take the engine's own path: a receiver on a's node routes each
+	// ack by its id into a's mailbox, and a drains it.
+	eng.Env.Spawn("test", func(p *sim.Proc) {
+		r := eng.nodes[0].workers[0]
+		r.Proc, a.Proc = p, p
+		r.sendAckTo(a3)
+		a.drainAcks()
+		if got := a.unackedMin(); got != 5 {
+			t.Errorf("min after acking 3 = %v, want 5", got)
+		}
+		r.sendAckTo(a5)
+		r.sendAckTo(a7)
+		a.drainAcks()
+		if got := a.unackedMin(); got != vtime.Inf {
+			t.Errorf("min after acking all = %v, want +Inf", got)
+		}
+		if got := b.unackedMin(); got != 1 {
+			t.Errorf("other worker's min = %v after a's acks, want 1", got)
+		}
+	})
+	if err := eng.Env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -55,10 +55,11 @@ type worker struct {
 	drainSlot    uint8   // epoch slot being drained by the in-progress round
 	minRed       float64 // min stamp among new-epoch sends this round
 
-	// Samadi GVT state: the acknowledgement mailbox and the set of
-	// sent-but-unacknowledged messages.
+	// Samadi GVT state: the acknowledgement mailbox, the send stamps of
+	// sent-but-unacknowledged messages by ack id, and the ids issued.
 	ackIn   pe.Mailbox[ack]
-	unacked unackedSet
+	unacked map[uint64]float64
+	ackSeq  uint64
 
 	// uncommitted counts processed events not yet fossil-collected; the
 	// engine stops speculating when it reaches Config.MaxUncommitted.
@@ -74,13 +75,12 @@ type worker struct {
 }
 
 func newWorker(eng *Engine, n *node) *worker {
-	w := &worker{eng: eng, node: n, minRed: vtime.Inf}
+	w := &worker{eng: eng, node: n, minRed: vtime.Inf, unacked: make(map[uint64]float64)}
 	eng.AddWorker(&w.Worker, &n.Node, w.run)
 	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
 	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
 	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
-	w.unacked.init()
 	w.IdlePass(w.finished, w.creditIdlePass, w.idleProbes()...)
 	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
 	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
@@ -174,7 +174,7 @@ func (w *worker) idleProbes() []pe.Probe {
 		pass[wsMigs] = pe.QuietProbe(func() bool { return w.migIn.Len() == 0 })
 	}
 	pass[wsInbox] = pe.TakeProbe(&w.Inbox)
-	if w.eng.samadiEnabled() {
+	if w.eng.acks {
 		pass[wsAcks] = pe.TakeProbe(&w.ackIn)
 	}
 	pass[wsBatch] = pe.QuietProbe(func() bool { return !w.capped() && w.drainedToHorizon() })
@@ -207,7 +207,7 @@ func (w *worker) run(p *sim.Proc) {
 		if from <= wsInbox && w.drainInbox() {
 			worked = true
 		}
-		if from <= wsAcks && w.eng.samadiEnabled() && w.drainAcks() {
+		if from <= wsAcks && w.eng.acks && w.drainAcks() {
 			worked = true
 		}
 		if from <= wsBatch && w.processBatch() {
@@ -246,13 +246,10 @@ func (w *worker) leadsComm() bool { return w.Idx == 0 && w.eng.cfg.Comm != CommD
 func (w *worker) pumps() bool { return w.leadsComm() || w.eng.cfg.Comm == CommShared }
 
 // leadsRing reports whether this worker's pass includes the comm role of
-// a token-based GVT algorithm. Barrier and Samadi GVT inline their comm
-// duties in the worker's own round (between the two node barriers,
-// Algorithm 1 line 12).
-func (w *worker) leadsRing() bool {
-	gvt := w.eng.cfg.GVT
-	return w.leadsComm() && (gvt == GVTMattern || gvt == GVTControlled)
-}
+// a token-based GVT algorithm. A barrier round inlines its comm duties in
+// the worker's own round (between the two node barriers, Algorithm 1
+// line 12).
+func (w *worker) leadsRing() bool { return w.leadsComm() && w.eng.ring }
 
 // drainInbox consumes every deposited message: counts it for GVT
 // accounting and delivers it (annihilation, straggler rollback, enqueue).
@@ -268,11 +265,10 @@ func (w *worker) drainInbox() bool {
 	// kernel transition instead of one per message).
 	cost := &w.node.Cost
 	w.Proc.Advance(sim.Time(len(batch)) * (cost.InboxDrainPerMsg + cost.QueueOp))
-	samadi := w.eng.samadiEnabled()
 	for _, ev := range batch {
 		w.msgRecv++
 		w.recvC[uint8(ev.Color)&3]++
-		if samadi && ev.AckID != 0 {
+		if w.eng.acks && ev.AckID != 0 {
 			w.sendAckTo(ev.AckID)
 		}
 		w.deliver(ev)
@@ -461,8 +457,8 @@ func (w *worker) route(ev *event.Event) {
 	}
 	w.msgSent++
 	w.sentC[w.epoch&3]++
-	if w.eng.samadiEnabled() {
-		w.registerUnacked(ev)
+	if w.eng.acks {
+		ev.AckID = w.registerUnacked(ev.Stamp.T)
 	}
 	// During a GVT round, new-color ("red") send stamps feed min_red
 	// (Algorithm 2 line 4 / paper §3).
@@ -651,13 +647,10 @@ func (w *worker) gvtPoll(worked bool) {
 	if w.gvtQuiet(w.passes) {
 		return
 	}
-	switch w.eng.cfg.GVT {
-	case GVTBarrier:
-		w.barrierPoll()
-	case GVTSamadi:
-		w.samadiPoll()
-	default:
+	if w.eng.ring {
 		w.matternPoll()
+	} else {
+		w.barrierPoll()
 	}
 }
 
@@ -685,7 +678,7 @@ func (w *worker) creditIdlePass() { w.idlePasses, w.passes = w.idleCredit() }
 // pass leaves the GVT algorithm where it is: no round to start or join,
 // and nothing a round in progress is waiting for from this worker.
 func (w *worker) gvtQuiet(passes int) bool {
-	if w.eng.cfg.GVT == GVTBarrier || w.eng.cfg.GVT == GVTSamadi {
+	if !w.eng.ring {
 		return passes < w.eng.cfg.GVTInterval && !w.node.gvtReq
 	}
 	cm := &w.node.cm

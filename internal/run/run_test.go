@@ -96,7 +96,9 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 // polls make it the most dispatch-hungry path in the tree (cons-nullmsg) —
 // and on the four configurations no virtual-time golden covers: Samadi's
 // acknowledgements, a worker carrying the comm role (combined, shared),
-// and a run that migrates LPs. The counts are a function of the spec
+// and a run that migrates LPs. Samadi is also pinned in each of those, and
+// Barrier with a worker carrying the comm role, since both share the one
+// synchronous round. The counts are a function of the spec
 // alone, so any change to how often the engines enter the kernel shows
 // here as an exact diff. Dispatches are kernel events and, with the
 // commit count and the virtual wall clock, say virtual time is where it
@@ -116,6 +118,8 @@ func TestKernelDispatchesPinned(t *testing.T) {
 	combined.GVT, combined.Comm = "mattern", "combined"
 	shared.GVT, shared.Comm = "mattern", "shared"
 	migrating.GVT, migrating.Balance, migrating.Faults = "ca-gvt", "greedy", "straggler"
+	samadiCombined, samadiShared, samadiMigrating, barrierCombined := combined, shared, migrating, combined
+	samadiCombined.GVT, samadiShared.GVT, samadiMigrating.GVT, barrierCombined.GVT = "samadi", "samadi", "samadi", "barrier"
 	for _, c := range []struct {
 		name                            string
 		spec                            Spec
@@ -129,6 +133,10 @@ func TestKernelDispatchesPinned(t *testing.T) {
 		{"mattern/combined", combined, 382_925, 163_536, 14_060, 14_074_380},
 		{"mattern/shared", shared, 168_876, 146_221, 14_060, 14_082_480},
 		{"ca-gvt/greedy+straggler", migrating, 2_255_128, 629_471, 14_060, 45_109_304},
+		{"samadi/combined", samadiCombined, 198_044, 83_201, 14_060, 16_320_086},
+		{"samadi/shared", samadiShared, 290_124, 213_731, 14_060, 23_695_278},
+		{"samadi/greedy+straggler", samadiMigrating, 384_748, 89_778, 14_060, 48_742_798},
+		{"barrier/combined", barrierCombined, 149_234, 81_803, 14_060, 20_321_782},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {

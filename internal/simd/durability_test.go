@@ -195,6 +195,36 @@ func TestRecoverRetiresARehashedBegin(t *testing.T) {
 	}
 }
 
+// TestRecoverEndsARefusedBegin: a journaled spec the service refuses for
+// good — over a service cap, rejected by validation, or no longer a spec
+// at all — is ended as failed at recovery, not replayed on every restart.
+func TestRecoverEndsARefusedBegin(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.ndjson")
+	jl := openJournal(t, jpath)
+	for _, b := range []struct{ hash, spec string }{
+		{"over-cap", `{"nodes":65}`},
+		{"invalid", `{"gvt":"bogus"}`},
+		{"not-a-spec", `5`},
+	} {
+		if err := jl.Begin(b.hash, json.RawMessage(b.spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	jl2 := openJournal(t, jpath)
+	s := NewServer(Options{Workers: 1, Journal: jl2})
+	if n := s.Recover(); n != 0 {
+		t.Fatalf("recovered %d jobs, want 0", n)
+	}
+	s.Close()
+	jl2.Close()
+
+	if p := openJournal(t, jpath).Pending(); len(p) != 0 {
+		t.Fatalf("journal still pending after recovery: %d entries, first %s", len(p), p[0].Hash)
+	}
+}
+
 // TestJobDeadlineExceeded: a job over its wall-clock budget fails (it is
 // not a cancellation) and the failure says why.
 func TestJobDeadlineExceeded(t *testing.T) {

@@ -136,6 +136,10 @@ func TestFlightRetention(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			jobs = append(jobs, run(t, s, uint64(500+i)))
 		}
+		// Wait returns once a job settles, but execute enrolls it in
+		// retention (releasing the oldest) in a later step; draining the
+		// pool waits for that step of the last job.
+		s.Close()
 		for i, j := range jobs {
 			fr := j.Flight(64)
 			wantRetained := i >= 2 // only the 2 newest keep history

@@ -579,6 +579,10 @@ func (s *Server) Degraded() bool {
 // the handler serves its first request (cmd/simd does): the recovered
 // count is published only when the whole replay is done. It returns how
 // many jobs were re-submitted.
+//
+// A begin whose spec no longer unmarshals, validates or fits the service
+// caps would be refused on every restart, so it is ended as failed; one
+// refused only for now (queue full, server closing) stays pending.
 func (s *Server) Recover() int {
 	if s.opts.Journal == nil {
 		return 0
@@ -586,13 +590,18 @@ func (s *Server) Recover() int {
 	n := 0
 	for _, p := range s.opts.Journal.Pending() {
 		var spec JobSpec
-		if err := json.Unmarshal(p.Spec, &spec); err != nil {
-			s.log.Warn("recovery: unparseable journaled spec", "hash", p.Hash, "error", err.Error())
-			continue
+		var res SubmitResult
+		err := json.Unmarshal(p.Spec, &spec)
+		if err == nil {
+			res, err = s.Submit(spec)
 		}
-		res, err := s.Submit(spec)
 		if err != nil {
 			s.log.Warn("recovery: re-submission refused", "hash", p.Hash, "error", err.Error())
+			if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrClosed) {
+				if err := s.opts.Journal.End(p.Hash, string(StateFailed)); err != nil {
+					s.log.Warn("journal end failed", "hash", p.Hash, "error", err.Error())
+				}
+			}
 			continue
 		}
 		n++

@@ -55,7 +55,10 @@ PID_B=$!
 smoke_track "${PID_B}"
 wait_healthy "${BASE}" "${PID_B}" "${LOG_B}"
 
-"${WORK}/loadgen" -addr "${BASE}" -mix distinct -n 12 -rps 200 -seed-base 100 \
+# -end-time 100 makes each job long enough that 200 rps fills the queue
+# before the one worker drains it; at the default 10 the jobs can finish
+# as fast as they arrive and no 429 is ever answered.
+"${WORK}/loadgen" -addr "${BASE}" -mix distinct -n 12 -rps 200 -seed-base 100 -end-time 100 \
   -slo-min-429 1 -slo-exact-executions 12 \
   -timeout 100s >"${WORK}/summary_b.json" \
   || fail "phase B loadgen reported failure: $(cat "${WORK}/summary_b.json")"
