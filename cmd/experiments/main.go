@@ -69,7 +69,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if _, err := balance.New(opt.BalancePolicy, balance.Options{}); err != nil {
+	if _, err := balance.New(opt.BalancePolicy, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}

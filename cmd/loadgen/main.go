@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -438,8 +439,9 @@ func evalSLOs(sum *Summary, o options) []SLOResult {
 	return slos
 }
 
-// printHuman renders the operator-facing table.
-func printHuman(w *os.File, sum *Summary) {
+// printHuman renders the operator-facing table; error classes are listed
+// in sorted order, so the same summary always renders the same bytes.
+func printHuman(w io.Writer, sum *Summary) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "requests\t%d\t(%d completed, %d failed, %d lost)\n",
 		sum.Requests, sum.Completed, sum.Failed, sum.Lost)
@@ -453,8 +455,13 @@ func printHuman(w *os.File, sum *Summary) {
 	if sum.ExecutionsDelta != nil {
 		fmt.Fprintf(tw, "executions\t%d\t(service-side delta)\n", *sum.ExecutionsDelta)
 	}
-	for class, n := range sum.Errors {
-		fmt.Fprintf(tw, "error\t%s\tx%d\n", class, n)
+	classes := make([]string, 0, len(sum.Errors))
+	for class := range sum.Errors {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		fmt.Fprintf(tw, "error\t%s\tx%d\n", class, sum.Errors[class])
 	}
 	for _, s := range sum.SLOs {
 		verdict := "PASS"

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,5 +215,32 @@ func TestErrClassBuckets(t *testing.T) {
 		if got := errClass(err); got != want {
 			t.Errorf("errClass(%v) = %q, want %q", err, got, want)
 		}
+	}
+}
+
+// TestPrintHumanOrdersErrors: the table lists error classes sorted, so a
+// summary renders the same bytes every time.
+func TestPrintHumanOrdersErrors(t *testing.T) {
+	sum := &Summary{Requests: 9, Failed: 9, Errors: map[string]int{"timeout": 2, "http_500": 3, "connect": 4}}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		printHuman(&buf, sum)
+		if i == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, buf.Bytes(), first)
+		}
+	}
+	var classes []string
+	for _, line := range strings.Split(string(first), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "error" {
+			classes = append(classes, f[1]+" "+f[2])
+		}
+	}
+	if got, want := strings.Join(classes, ", "), "connect x4, http_500 x3, timeout x2"; got != want {
+		t.Errorf("error lines %q, want %q", got, want)
 	}
 }

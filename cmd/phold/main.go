@@ -42,7 +42,6 @@ func main() {
 		queue    = flag.String("queue", "heap", "pending set: heap | calendar")
 		faults   = flag.String("faults", "", "fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
 		balPol   = flag.String("balance", "", "LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
-		watchdog = flag.Int64("watchdog", 0, "GVT liveness watchdog timeout in virtual µs (0: auto, 2000 when -faults is set)")
 		seqCheck = flag.Bool("seq", false, "also run the sequential oracle and verify the commit stream")
 		traceTo  = flag.String("traceout", "", "write a binary v2 run trace (commits, rounds, rollbacks, MPI, phases, migrations) to this file")
 		reportTo = flag.String("report", "", "write the JSON run report (config, stats, sampled time series) to this file")
@@ -56,7 +55,7 @@ func main() {
 		Nodes: *nodes, WorkersPerNode: *workers, LPsPerWorker: *lps,
 		GVT: *gvt, Comm: *comm, GVTInterval: *interval, CAThreshold: *thresh,
 		Scenario: *scenario, EndTime: *end, Seed: *seed, Queue: *queue,
-		Faults: *faults, Balance: *balPol, WatchdogMicros: *watchdog,
+		Faults: *faults, Balance: *balPol,
 	}
 	if *syncF != "timewarp" {
 		spec.Engine, spec.Sync = "conservative", *syncF
@@ -74,7 +73,7 @@ func main() {
 		spec.MixComp, spec.MixComm = x, y
 	}
 	// Canonical rejects what the chosen engine cannot honour (-faults,
-	// -balance, -watchdog on a conservative run) instead of ignoring it.
+	// -balance on a conservative run) instead of ignoring it.
 	c, err := spec.Canonical()
 	if err != nil {
 		fail("%v", err)
@@ -126,10 +125,8 @@ func main() {
 	if c.Faults != "" {
 		fmt.Printf("faults: scenario %q — injected %d drops, %d dups, %d jitters, %d window drops\n",
 			c.Faults, r.FaultDrops, r.FaultDups, r.FaultJitters, r.FaultWindowDrops)
-		fmt.Printf("transport: %d retransmits, %d dup frames suppressed, %d frames exhausted\n",
-			r.Retransmits, r.TransportDups, r.TransportExhausted)
-		fmt.Printf("watchdog: %d token restarts, %d barrier fallbacks\n",
-			r.WatchdogRestarts, r.WatchdogFallbacks)
+		fmt.Printf("transport: %d retransmits, %d dup frames suppressed\n",
+			r.Retransmits, r.TransportDups)
 	}
 	if t := at.Trace; t != nil {
 		if err := t.Flush(); err != nil {

@@ -67,57 +67,40 @@ type Policy interface {
 	Decide(round int64, gvt float64, nodes []NodeStats, lps []LPLoad) []Move
 }
 
-// Options tunes the built-in policies. The zero value selects defaults.
-type Options struct {
-	// Threshold is the imbalance trigger. For greedy it is the LVT-lag
-	// spread, measured in mean GVT-round advances, above which the
-	// cluster is considered imbalanced (default 1.5).
-	Threshold float64
-	// Cooldown is the number of GVT rounds to wait after issuing moves
+// The built-in policies' tuning, shared by both.
+const (
+	// threshold is greedy's imbalance trigger: the LVT-lag spread,
+	// measured in mean GVT-round advances, above which the cluster is
+	// considered imbalanced.
+	threshold = 1.5
+	// cooldown is the number of GVT rounds to wait after issuing moves
 	// before considering new ones — the hysteresis that prevents
-	// thrashing (default 8). It arms only once a decision has produced
-	// moves; the first decision is gated by Warmup alone.
-	Cooldown int64
-	// MaxMoves bounds migrations per decision (default 2).
-	MaxMoves int
-	// Warmup is the number of initial GVT rounds with no decisions, so
-	// heat statistics are meaningful (default 2).
-	Warmup int64
-	// CostFactors gives each node's relative cost (1 = nominal); used by
-	// the straggler-aware policy. Nil means all nominal.
-	CostFactors []float64
-}
-
-func (o *Options) defaults() {
-	if o.Threshold <= 0 {
-		o.Threshold = 1.5
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 8
-	}
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 2
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 2
-	}
-}
+	// thrashing. It arms only once a decision has produced moves; the
+	// first decision is gated by warmup alone.
+	cooldown = 8
+	// maxMoves bounds migrations per decision.
+	maxMoves = 2
+	// warmup is the number of initial GVT rounds with no decisions, so
+	// heat statistics are meaningful.
+	warmup = 2
+)
 
 // Names lists the built-in policy names accepted by New.
 func Names() []string { return []string{"static", "greedy", "straggler"} }
 
 // New returns the named built-in policy. "" and "static" mean no
 // balancing ("static" still runs the full decision plumbing — it is the
-// no-op Policy, useful as an A/B control).
-func New(name string, opt Options) (Policy, error) {
-	opt.defaults()
+// no-op Policy, useful as an A/B control). costFactors gives each node's
+// relative cost (1 = nominal) to the straggler-aware policy; nil means
+// all nominal.
+func New(name string, costFactors []float64) (Policy, error) {
 	switch name {
 	case "", "static", "none":
 		return Static{}, nil
 	case "greedy":
-		return &Greedy{opt: opt}, nil
+		return &Greedy{}, nil
 	case "straggler", "straggler-aware":
-		return &StragglerAware{opt: opt}, nil
+		return &StragglerAware{costFactors: costFactors}, nil
 	default:
 		return nil, fmt.Errorf("balance: unknown policy %q (want one of static, greedy, straggler)", name)
 	}
@@ -180,10 +163,9 @@ func (h *heatTracker) hottestOn(node int, lps []LPLoad, max int) []event.LPID {
 
 // Greedy moves the hottest LPs off the most-behind node (the one whose
 // local virtual time hugs GVT) onto the most-ahead node whenever the
-// LVT-lag spread exceeds Threshold mean GVT-round advances. Cooldown
+// LVT-lag spread exceeds threshold mean GVT-round advances. cooldown
 // rounds of hysteresis follow every decision.
 type Greedy struct {
-	opt      Options
 	tracker  heatTracker
 	lastMove int64 // round of the last decision that produced moves
 }
@@ -194,10 +176,10 @@ func (g *Greedy) Name() string { return "greedy" }
 // Decide implements Policy.
 func (g *Greedy) Decide(round int64, gvt float64, nodes []NodeStats, lps []LPLoad) []Move {
 	g.tracker.add(lps)
-	if len(nodes) < 2 || round <= g.opt.Warmup {
+	if len(nodes) < 2 || round <= warmup {
 		return nil
 	}
-	if g.lastMove > 0 && round-g.lastMove <= g.opt.Cooldown {
+	if g.lastMove > 0 && round-g.lastMove <= cooldown {
 		return nil
 	}
 	behind, ahead := lagExtremes(nodes)
@@ -211,11 +193,11 @@ func (g *Greedy) Decide(round int64, gvt float64, nodes []NodeStats, lps []LPLoa
 		return nil
 	}
 	spread := nodes[ahead].Lag - nodes[behind].Lag
-	if math.IsInf(spread, 0) || spread/advance <= g.opt.Threshold {
+	if math.IsInf(spread, 0) || spread/advance <= threshold {
 		return nil
 	}
 	// Never strip the behind node bare: keep at least half its LPs.
-	max := g.opt.MaxMoves
+	max := maxMoves
 	if room := nodes[behind].LPs / 2; max > room {
 		max = room
 	}
@@ -257,9 +239,9 @@ func lagExtremes(nodes []NodeStats) (behind, ahead int) {
 // Unlike Greedy it does not wait for the imbalance to show up in LVT
 // lag — it knows the cost factors up front.
 type StragglerAware struct {
-	opt      Options
-	tracker  heatTracker
-	lastMove int64
+	costFactors []float64
+	tracker     heatTracker
+	lastMove    int64
 }
 
 // Name implements Policy.
@@ -268,18 +250,18 @@ func (s *StragglerAware) Name() string { return "straggler" }
 // Decide implements Policy.
 func (s *StragglerAware) Decide(round int64, gvt float64, nodes []NodeStats, lps []LPLoad) []Move {
 	s.tracker.add(lps)
-	if len(nodes) < 2 || round <= s.opt.Warmup {
+	if len(nodes) < 2 || round <= warmup {
 		return nil
 	}
-	if s.lastMove > 0 && round-s.lastMove <= s.opt.Cooldown {
+	if s.lastMove > 0 && round-s.lastMove <= cooldown {
 		return nil
 	}
 	speed := make([]float64, len(nodes))
 	total, totalLPs := 0.0, 0
 	for i, n := range nodes {
 		f := n.CostFactor
-		if i < len(s.opt.CostFactors) && s.opt.CostFactors[i] > 0 {
-			f = s.opt.CostFactors[i]
+		if i < len(s.costFactors) && s.costFactors[i] > 0 {
+			f = s.costFactors[i]
 		}
 		if f <= 0 {
 			f = 1
@@ -308,7 +290,7 @@ func (s *StragglerAware) Decide(round int64, gvt float64, nodes []NodeStats, lps
 	if from < 0 || to < 0 || from == to {
 		return nil
 	}
-	max := s.opt.MaxMoves
+	max := maxMoves
 	if surplus := int(worstOver); max > surplus {
 		max = surplus
 	}

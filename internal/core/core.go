@@ -20,7 +20,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -158,19 +157,6 @@ type Config struct {
 	// FaultLabel names the fault scenario in run reports (report-only;
 	// see fabric.Scenario for the built-ins).
 	FaultLabel string
-	// WatchdogTimeout drives the GVT liveness watchdog: when the
-	// Mattern/CA ring master observes no token progress for this long,
-	// it resends the last control token (nodes that already served the
-	// lap re-apply their recorded contribution; the master discards the
-	// duplicate if the original completes). Zero auto-selects 2ms when
-	// Faults is set and disables the watchdog otherwise; negative
-	// disables it explicitly.
-	WatchdogTimeout sim.Time
-	// WatchdogFallbackAfter is how many watchdog restarts within a single
-	// GVT round force the next round to run synchronously (the barrier
-	// fallback: a round whose sync points re-align a cluster the token
-	// keeps dying on). Default 3.
-	WatchdogFallbackAfter int
 	// CheckInvariants enables the strengthened GVT invariant: at every
 	// round completion the published GVT is checked against the true
 	// minimum over all worker LVTs, mailboxes, outboxes, stashed
@@ -211,9 +197,6 @@ func (c *Config) Defaults() {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 1
 	}
-	if c.WatchdogFallbackAfter == 0 {
-		c.WatchdogFallbackAfter = 3
-	}
 }
 
 // Validate reports configuration errors.
@@ -236,15 +219,12 @@ func (c *Config) Validate() error {
 	if c.CheckpointInterval < 0 {
 		return fmt.Errorf("core: CheckpointInterval must be positive, got %d", c.CheckpointInterval)
 	}
-	if c.WatchdogFallbackAfter < 0 {
-		return fmt.Errorf("core: WatchdogFallbackAfter must be positive, got %d", c.WatchdogFallbackAfter)
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Topology.Nodes); err != nil {
 			return err
 		}
 	}
-	if _, err := balance.New(c.Balance, balance.Options{}); err != nil {
+	if _, err := balance.New(c.Balance, nil); err != nil {
 		return err
 	}
 	return nil
@@ -282,12 +262,7 @@ type Engine struct {
 	prevCommitted  []int64 // per-node cumulative committed at last plan
 	prevRolled     []int64
 
-	// robustness machinery (see Config.Faults / WatchdogTimeout)
-	invariants  bool     // GVT ≤ min(observable) checked every round
-	wdTimeout   sim.Time // resolved watchdog timeout (0 = off)
-	wdRestarts  int64    // watchdog token resends across the run
-	wdFallbacks int64    // rounds forced synchronous by the watchdog
-	wdForceSync bool     // pending: next published round must be sync
+	invariants bool // GVT ≤ min(observable) checked every round (see Config.Faults)
 
 	// telemetry instruments, resolved once at construction (nil when
 	// Config.Metrics is nil) so hot paths pay a nil check, not a map
@@ -300,12 +275,6 @@ type Engine struct {
 // faultSeedSalt decorrelates the fault-injection RNG stream from the
 // model substreams derived from the same Config.Seed.
 const faultSeedSalt = 0x9e3779b97f4a7c15
-
-// tokenRetryBudget bounds GVT-token retransmissions at the transport
-// layer: a token stuck behind a partition fails over to the liveness
-// watchdog instead of retrying forever. Data events keep unlimited
-// retries — no committed event is ever lost to a fault plan.
-const tokenRetryBudget = 3
 
 // New builds an engine. It panics on invalid configuration (construction
 // is programmer-controlled; see Config.Validate for checking first).
@@ -330,7 +299,7 @@ func New(cfg Config) *Engine {
 				}
 			}
 		}
-		pol, err := balance.New(cfg.Balance, balance.Options{CostFactors: factors})
+		pol, err := balance.New(cfg.Balance, factors)
 		if err != nil {
 			panic(err) // unreachable: Validate accepted the name
 		}
@@ -342,21 +311,12 @@ func New(cfg Config) *Engine {
 		eng.prevRolled = make([]int64, cfg.Topology.Nodes)
 	}
 	eng.invariants = cfg.CheckInvariants || cfg.Faults != nil
-	eng.wdTimeout = cfg.WatchdogTimeout
-	if eng.wdTimeout == 0 && cfg.Faults != nil {
-		eng.wdTimeout = 2 * sim.Millisecond
-	}
-	if eng.wdTimeout < 0 {
-		eng.wdTimeout = 0
-	}
 	if cfg.Faults != nil {
 		f := eng.World.Fabric()
 		if err := f.SetFaults(cfg.Faults, cfg.Seed^faultSeedSalt); err != nil {
 			panic(err)
 		}
-		eng.World.EnableReliable(mpi.ReliableParams{
-			TagRetryLimit: map[int]int{tagToken: tokenRetryBudget},
-		})
+		eng.World.EnableReliable()
 		var cFault *metrics.Counter
 		if cfg.Metrics != nil {
 			cFault = cfg.Metrics.Registry().Counter("faults_injected")
@@ -404,8 +364,6 @@ func (e *Engine) finish(r *stats.Run) {
 	}
 	r.Migrations = e.migrations
 	r.MigratedEvents = e.migratedEvents
-	r.WatchdogRestarts = e.wdRestarts
-	r.WatchdogFallbacks = e.wdFallbacks
 }
 
 // onRoundComplete is invoked (outside simulated cost) by the GVT master

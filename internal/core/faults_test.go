@@ -114,13 +114,11 @@ func TestFaultFreeRunsUnchanged(t *testing.T) {
 	}
 }
 
-// TestWatchdogBarrierFallback drives the GVT liveness watchdog: long
-// bidirectional partition windows around the ring master exhaust the
-// token's transport retry budget, the watchdog resends the lap, and with
-// WatchdogFallbackAfter=1 the first resend forces the next round to run
-// synchronously — for plain Mattern too, which has no CA sync machinery
-// of its own. Correctness must survive all of it.
-func TestWatchdogBarrierFallback(t *testing.T) {
+// TestTokenSurvivesMasterPartitions: long bidirectional partition windows
+// around the ring master swallow GVT tokens and events alike; the reliable
+// transport alone carries every one of them through, so the run completes
+// and commits the oracle's stream.
+func TestTokenSurvivesMasterPartitions(t *testing.T) {
 	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTControlled} {
 		t.Run(g.String(), func(t *testing.T) {
 			cfg := testConfig(2, 2, 4, g, core.CommDedicated)
@@ -130,23 +128,16 @@ func TestWatchdogBarrierFallback(t *testing.T) {
 				{Src: 0, Dst: -1, Every: 8 * sim.Millisecond, Open: 3 * sim.Millisecond, Drop: 1},
 			}}
 			cfg.FaultLabel = "master-partition"
-			cfg.WatchdogFallbackAfter = 1
 			r, err := core.New(cfg).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.WatchdogRestarts == 0 {
-				t.Error("watchdog never restarted a token despite 3ms partitions of the master")
-			}
-			if r.WatchdogFallbacks == 0 {
-				t.Error("watchdog never fell back to a synchronous round")
-			}
-			if r.SyncRounds == 0 {
-				t.Error("forced-synchronous round never executed")
+			if r.Retransmits == 0 {
+				t.Error("no retransmits despite 3ms partitions of the master")
 			}
 			ref := seq.New(cfg.Model, cfg.Topology.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
 			if r.CommitChecksum != ref.Checksum || r.Workers.Committed != ref.Processed {
-				t.Errorf("watchdog recovery diverged from oracle: %x != %x (%d vs %d events)",
+				t.Errorf("run diverged from oracle: %x != %x (%d vs %d events)",
 					r.CommitChecksum, ref.Checksum, r.Workers.Committed, ref.Processed)
 			}
 		})
@@ -208,8 +199,7 @@ func TestFaultTraceAndReport(t *testing.T) {
 	if rep.Config.Faults != "chaos" {
 		t.Errorf("report fault label = %q, want chaos", rep.Config.Faults)
 	}
-	if rep.Stats.FaultDrops != r.FaultDrops || rep.Stats.Retransmits != r.Retransmits ||
-		rep.Stats.WatchdogRestarts != r.WatchdogRestarts {
+	if rep.Stats.FaultDrops != r.FaultDrops || rep.Stats.Retransmits != r.Retransmits {
 		t.Error("report robustness counters disagree with run stats")
 	}
 }

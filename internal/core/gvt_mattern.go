@@ -51,7 +51,6 @@ const (
 // gvtToken is the inter-node control message.
 type gvtToken struct {
 	phase  int
-	uid    uint64  // lap identity stamped by the master (liveness dedup)
 	count  int64   // cumulative white sent-received (phase A)
 	minLVT float64 // phase B
 	minRed float64 // phase B
@@ -59,19 +58,9 @@ type gvtToken struct {
 	sync   bool    // phase C: CA-GVT's SyncFlag for the next round
 }
 
-// wireSize stays at the original 48-byte frame: the uid rides in the
-// slack of the padded struct a real implementation would send.
+// wireSize is the 48-byte frame of the padded struct a real
+// implementation would send.
 func (t *gvtToken) wireSize() int { return 48 }
-
-// tokContrib memoizes what one node folded into one specific token lap,
-// so a watchdog-resent duplicate re-applies the identical contribution
-// without touching live CM state (whose delta was already consumed).
-type tokContrib struct {
-	phase  int
-	delta  int64   // tokWhite: the white delta this node added
-	minLVT float64 // tokReduce: the post-fold minima this node forwarded
-	minRed float64
-}
 
 // nodeCM is the node-level shared control message.
 type nodeCM struct {
@@ -155,8 +144,7 @@ func (w *worker) matternPoll() {
 		cm.roundStart = true
 		w.passes = 0
 		w.SetPhase(trace.PhaseGVT)
-		// syncCur is set by CA's efficiency control or by the watchdog's
-		// barrier fallback (which also applies to plain Mattern).
+		// syncCur is set by CA's efficiency control.
 		if cm.syncCur {
 			w.node.syncPoint(p, isCommLeader, true, w)
 		}
@@ -249,8 +237,8 @@ func (n *node) matternCommPoll(p *sim.Proc, from int) bool {
 	worked := false
 	switch from {
 	case stGVT:
-		// The dedicated comm thread participates in the sync points of CA
-		// (or watchdog-forced) synchronous rounds.
+		// The dedicated comm thread participates in the sync points of CA's
+		// synchronous rounds.
 		worked = n.commSyncPoints(p)
 		fallthrough
 	case stRing:
@@ -261,14 +249,10 @@ func (n *node) matternCommPoll(p *sim.Proc, from int) bool {
 		}
 		fallthrough
 	case stGVTTail:
-		if n.ID == 0 {
-			worked = n.watchdogPoll(p) || worked
-		}
 		if n.cleanupDue() {
 			n.cm.reset()
 			n.master = msIdle
 			n.syncDone = [3]bool{}
-			n.wdRestartsRound = 0
 			worked = true
 		}
 	}
@@ -359,67 +343,11 @@ func (n *node) probesRing() bool {
 	return n.master == msWaitA || n.master == msWaitB || n.master == msWaitC
 }
 
-// matternTailQuiet: after the ring poll, the watchdog has not expired
-// and round cleanup is not due.
-func (n *node) matternTailQuiet() bool {
-	return !(n.ID == 0 && n.watchdogExpired()) && !n.cleanupDue()
-}
-
-// sendMasterToken stamps tok with a fresh lap uid, keeps a copy for
-// watchdog resends, and sends it around the ring.
-func (n *node) sendMasterToken(p *sim.Proc, tok *gvtToken) {
-	n.tokenSeq++
-	tok.uid = n.tokenSeq
-	n.lastSent = *tok
-	n.lastProgress = p.Now()
+// sendToken passes tok to the next node of the ring. The reliable
+// transport under a fault plan delivers it exactly once, however often the
+// fabric loses it.
+func (n *node) sendToken(p *sim.Proc, tok *gvtToken) {
 	n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
-}
-
-// watchdogPoll is the GVT liveness watchdog (master only): when the ring
-// has made no progress for the watchdog timeout — the token, or an ack
-// chain behind it, died beyond the transport's retry budget — it resends
-// the last token unchanged (same uid). Nodes that already served that lap
-// re-apply their memoized contribution; the master discards the duplicate
-// by uid if the original eventually arrives. After WatchdogFallbackAfter
-// restarts within one round, the next round is forced synchronous: a
-// barrier round re-aligns a cluster the asynchronous protocol keeps
-// losing tokens on.
-func (n *node) watchdogPoll(p *sim.Proc) bool {
-	if !n.watchdogExpired() {
-		return false
-	}
-	eng := n.eng
-	tok := n.lastSent
-	n.Rank.SendRing(p, tagToken, tok.wireSize(), &tok)
-	n.lastProgress = p.Now()
-	n.wdRestartsRound++
-	eng.wdRestarts++
-	tr := eng.cfg.Trace
-	if tr != nil {
-		tr.Fault(trace.Fault{Kind: trace.FaultWatchdogRestart, AtNanos: int64(p.Now())})
-	}
-	if n.wdRestartsRound >= eng.cfg.WatchdogFallbackAfter && !eng.wdForceSync {
-		eng.wdForceSync = true
-		eng.wdFallbacks++
-		if tr != nil {
-			tr.Fault(trace.Fault{Kind: trace.FaultWatchdogFallback, AtNanos: int64(p.Now())})
-		}
-	}
-	return true
-}
-
-// watchdogExpired reports whether the master is waiting for a token and
-// the ring has made no progress for longer than the watchdog timeout.
-func (n *node) watchdogExpired() bool {
-	eng := n.eng
-	if eng.wdTimeout <= 0 || eng.World.Size() == 1 {
-		return false
-	}
-	switch n.master {
-	case msWaitA, msWaitB, msWaitC:
-		return eng.Env.Now()-n.lastProgress > eng.wdTimeout
-	}
-	return false
 }
 
 // masterPoll runs node 0's ring-master duties.
@@ -444,14 +372,14 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			return true
 		}
 		tok := &gvtToken{phase: tokWhite, count: n.takeDelta(p), minLVT: vtime.Inf, minRed: vtime.Inf}
-		n.sendMasterToken(p, tok)
+		n.sendToken(p, tok)
 		n.master = msWaitA
 		return true
 
 	case msWaitA:
-		tok, worked := n.recvLap(p)
+		tok := n.recvToken(p)
 		if tok == nil {
-			return worked
+			return false
 		}
 		tok.count += n.takeDelta(p)
 		if tok.count == 0 {
@@ -461,7 +389,7 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			panic(fmt.Sprintf("core: negative in-flight white count %d", tok.count))
 		} else {
 			// Messages still in flight: another lap collects the receipts.
-			n.sendMasterToken(p, tok)
+			n.sendToken(p, tok)
 		}
 		return true
 
@@ -475,45 +403,39 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			return true
 		}
 		tok := &gvtToken{phase: tokReduce, minLVT: cm.minLVT, minRed: cm.minRed}
-		n.sendMasterToken(p, tok)
+		n.sendToken(p, tok)
 		n.master = msWaitB
 		return true
 
 	case msWaitB:
-		tok, worked := n.recvLap(p)
+		tok := n.recvToken(p)
 		if tok == nil {
-			return worked
+			return false
 		}
 		n.publishGVT(p, ca, vtime.Min(tok.minLVT, tok.minRed))
 		out := &gvtToken{phase: tokGVT, gvt: cm.gvt, sync: cm.syncNext}
-		n.sendMasterToken(p, out)
+		n.sendToken(p, out)
 		n.master = msWaitC
 		return true
 
 	case msWaitC:
-		tok, worked := n.recvLap(p)
-		if tok != nil {
-			n.master = msCleanup
+		if n.recvToken(p) == nil {
+			return false
 		}
-		return worked
+		n.master = msCleanup
+		return true
 	}
 	return false
 }
 
-// recvLap takes the token back at the master. It returns the token when
-// the lap the master last sent has come round (the ring made progress);
-// otherwise nil, with worked telling whether a stale duplicate of an
-// earlier lap arrived and was dropped.
-func (n *node) recvLap(p *sim.Proc) (tok *gvtToken, worked bool) {
+// recvToken takes the token from the previous node of the ring, or
+// returns nil when none has arrived.
+func (n *node) recvToken(p *sim.Proc) *gvtToken {
 	m, ok := n.Rank.TryRecvRing(p, tagToken)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	if tok = m.Payload.(*gvtToken); tok.uid != n.tokenSeq {
-		return nil, true
-	}
-	n.lastProgress = p.Now()
-	return tok, true
+	return m.Payload.(*gvtToken)
 }
 
 // publishGVT finalizes a round at the master: computes CA's SyncFlag from
@@ -526,12 +448,6 @@ func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
 	if ca {
 		p.Advance(n.Cost.EffCompute)
 		sync = eff < eng.cfg.CAThreshold
-	}
-	if eng.wdForceSync {
-		// Watchdog barrier fallback: the next round runs synchronously
-		// regardless of algorithm or observed efficiency.
-		sync = true
-		eng.wdForceSync = false
 	}
 	cm.gvt = gvt
 	cm.syncNext = sync
@@ -546,25 +462,9 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 	tok := n.heldToken
 	n.heldToken = nil
 	if tok == nil {
-		m, ok := n.Rank.TryRecvRing(p, tagToken)
-		if !ok {
+		if tok = n.recvToken(p); tok == nil {
 			return false
 		}
-		tok = m.Payload.(*gvtToken)
-	}
-	if c, served := n.tokMemo[tok.uid]; served {
-		// Watchdog-resent duplicate of a lap this node already folded:
-		// re-apply the recorded contribution and forward. Live CM state is
-		// untouched (its delta was consumed by the original); the master
-		// discards the duplicate by uid if the original lap completed.
-		switch c.phase {
-		case tokWhite:
-			tok.count += c.delta
-		case tokReduce:
-			tok.minLVT, tok.minRed = c.minLVT, c.minRed
-		}
-		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
-		return true
 	}
 	switch tok.phase {
 	case tokWhite:
@@ -577,10 +477,8 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 			n.heldToken = tok
 			return false
 		}
-		d := n.takeDelta(p)
-		tok.count += d
-		n.memoize(tok.uid, tokContrib{phase: tokWhite, delta: d})
-		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		tok.count += n.takeDelta(p)
+		n.sendToken(p, tok)
 		return true
 	case tokReduce:
 		cm.phase = phWhiteDone
@@ -594,36 +492,14 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		if cm.minRed < tok.minRed {
 			tok.minRed = cm.minRed
 		}
-		n.memoize(tok.uid, tokContrib{phase: tokReduce, minLVT: tok.minLVT, minRed: tok.minRed})
-		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.sendToken(p, tok)
 		return true
 	case tokGVT:
 		cm.gvt = tok.gvt
 		cm.syncNext = tok.sync
 		cm.phase = phGVTReady
-		n.memoize(tok.uid, tokContrib{phase: tokGVT})
-		n.Rank.SendRing(p, tagToken, tok.wireSize(), tok)
+		n.sendToken(p, tok)
 		return true
 	}
 	panic("core: unknown token phase")
-}
-
-// memoize records a served token lap for duplicate re-application,
-// pruning laps far behind the newest (a duplicate can only trail the
-// ring by the watchdog's resend horizon).
-func (n *node) memoize(uid uint64, c tokContrib) {
-	if n.tokMemo == nil {
-		n.tokMemo = make(map[uint64]tokContrib)
-	}
-	n.tokMemo[uid] = c
-	if uid > n.memoMax {
-		n.memoMax = uid
-	}
-	if len(n.tokMemo) > 256 {
-		for k := range n.tokMemo {
-			if k+128 < n.memoMax {
-				delete(n.tokMemo, k)
-			}
-		}
-	}
 }

@@ -56,18 +56,6 @@ type node struct {
 
 	master    masterState // ring-master state (node 0 only)
 	heldToken *gvtToken   // token waiting for a local condition
-
-	// Ring-token liveness state. The master (node 0) stamps every token
-	// lap with a fresh uid, keeps a copy for watchdog resends and tracks
-	// when the ring last made progress; slaves memoize the contribution
-	// they folded into each lap so a resent duplicate re-applies it
-	// without touching live CM state.
-	tokenSeq        uint64                // last uid issued (master only)
-	lastSent        gvtToken              // copy of the last token sent (master only)
-	lastProgress    sim.Time              // when the master last saw ring progress
-	wdRestartsRound int                   // watchdog resends within the current round
-	tokMemo         map[uint64]tokContrib // served laps by uid (slaves only)
-	memoMax         uint64                // highest uid memoized (prune horizon)
 	// syncDone tracks the dedicated comm thread's participation in
 	// CA-GVT's three per-round synchronization points.
 	syncDone [3]bool
@@ -125,7 +113,7 @@ const (
 	stRecvAcks          // wire → ack mailboxes
 	stGVT               // the GVT algorithm's comm role, from its top
 	stRing              // Mattern/CA-GVT: the master or slave ring poll
-	stGVTTail           // Mattern/CA-GVT: watchdog and round cleanup
+	stGVTTail           // Mattern/CA-GVT: round cleanup
 )
 
 // commProbes is the comm pass as it is when nothing moves, stage for
@@ -143,7 +131,7 @@ func (n *node) commProbes() []pe.Probe {
 	if n.eng.ring {
 		pass[stGVT] = pe.QuietProbe(n.matternQuiet)
 		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
-		pass[stGVTTail] = pe.QuietProbe(n.matternTailQuiet)
+		pass[stGVTTail] = pe.QuietProbe(func() bool { return !n.cleanupDue() })
 	} else {
 		pass[stGVT] = pe.QuietProbe(func() bool { return !n.gvtReq })
 	}

@@ -40,8 +40,8 @@ type Options struct {
 
 	// FaultScenario, when non-empty, runs every cell under the named
 	// built-in fault plan (see fabric.ScenarioNames) with the reliable
-	// transport and GVT liveness watchdog active, unless the experiment
-	// pins its own scenario.
+	// transport recovering every lost frame, unless the experiment pins
+	// its own scenario.
 	FaultScenario string
 
 	// BalancePolicy, when non-empty, runs every cell under the named LP

@@ -81,15 +81,12 @@ type RunStats struct {
 
 	// Robustness counters (see stats.Run); omitted when zero so
 	// fault-free reports keep their pre-fault-injection byte layout.
-	Retransmits        int64 `json:"retransmits,omitempty"`
-	TransportDups      int64 `json:"transport_dups,omitempty"`
-	TransportExhausted int64 `json:"transport_exhausted,omitempty"`
-	FaultDrops         int64 `json:"fault_drops,omitempty"`
-	FaultDups          int64 `json:"fault_dups,omitempty"`
-	FaultJitters       int64 `json:"fault_jitters,omitempty"`
-	FaultWindowDrops   int64 `json:"fault_window_drops,omitempty"`
-	WatchdogRestarts   int64 `json:"watchdog_restarts,omitempty"`
-	WatchdogFallbacks  int64 `json:"watchdog_fallbacks,omitempty"`
+	Retransmits      int64 `json:"retransmits,omitempty"`
+	TransportDups    int64 `json:"transport_dups,omitempty"`
+	FaultDrops       int64 `json:"fault_drops,omitempty"`
+	FaultDups        int64 `json:"fault_dups,omitempty"`
+	FaultJitters     int64 `json:"fault_jitters,omitempty"`
+	FaultWindowDrops int64 `json:"fault_window_drops,omitempty"`
 
 	// Load-balancer counters (see stats.Run); omitted when zero so
 	// static-policy reports keep their pre-balancer byte layout.
@@ -128,17 +125,14 @@ func RunStatsOf(r *stats.Run) RunStats {
 		NullMessages:   r.NullMessages,
 		CommitChecksum: Checksum(r.CommitChecksum),
 
-		Retransmits:        r.Retransmits,
-		TransportDups:      r.TransportDups,
-		TransportExhausted: r.TransportExhausted,
-		FaultDrops:         r.FaultDrops,
-		FaultDups:          r.FaultDups,
-		FaultJitters:       r.FaultJitters,
-		FaultWindowDrops:   r.FaultWindowDrops,
-		WatchdogRestarts:   r.WatchdogRestarts,
-		WatchdogFallbacks:  r.WatchdogFallbacks,
-		Migrations:         r.Migrations,
-		MigratedEvents:     r.MigratedEvents,
+		Retransmits:      r.Retransmits,
+		TransportDups:    r.TransportDups,
+		FaultDrops:       r.FaultDrops,
+		FaultDups:        r.FaultDups,
+		FaultJitters:     r.FaultJitters,
+		FaultWindowDrops: r.FaultWindowDrops,
+		Migrations:       r.Migrations,
+		MigratedEvents:   r.MigratedEvents,
 	}
 }
 

@@ -20,34 +20,16 @@ const (
 	ctlRaw  uint8 = iota // legacy unsequenced packet
 	ctlData              // sequenced payload, expects an ack
 	ctlAck               // acknowledgement, Seq = acked sequence number
-	// ctlSkip is a payload-less tombstone for a sequence slot whose data
-	// frame was abandoned after its retry budget: it tells the receiver to
-	// advance its in-order cursor past the lost payload, so one abandoned
-	// frame cannot wedge the link forever. Tombstones retry without limit
-	// (they are what keeps the link alive) and are acked like any frame.
-	ctlSkip
 )
 
 // ackWire is the wire size charged for an ack frame (seq + header).
 const ackWire = 12
-
-// ReliableParams tunes the retransmission machinery.
-type ReliableParams struct {
-	// RetryLimit bounds retransmissions per packet; 0 means unlimited.
-	// When exhausted the packet is abandoned and counted (the layer above
-	// — e.g. the GVT watchdog — must recover).
-	RetryLimit int
-	// TagRetryLimit overrides RetryLimit for specific tags.
-	TagRetryLimit map[int]int
-}
 
 // TransportStats is a snapshot of one rank's (or the whole world's)
 // reliable-transport counters.
 type TransportStats struct {
 	// Retransmits counts data frames re-sent after an RTO expiry.
 	Retransmits int64
-	// Exhausted counts data frames abandoned after RetryLimit retries.
-	Exhausted int64
 	// DupsSuppressed counts received duplicate data frames discarded.
 	DupsSuppressed int64
 	// AcksSent and AcksRecv count ack frames.
@@ -57,7 +39,6 @@ type TransportStats struct {
 
 func (s TransportStats) add(o TransportStats) TransportStats {
 	s.Retransmits += o.Retransmits
-	s.Exhausted += o.Exhausted
 	s.DupsSuppressed += o.DupsSuppressed
 	s.AcksSent += o.AcksSent
 	s.AcksRecv += o.AcksRecv
@@ -66,9 +47,8 @@ func (s TransportStats) add(o TransportStats) TransportStats {
 
 // relPending is one unacknowledged data frame awaiting ack or RTO.
 type relPending struct {
-	pkt      fabric.Packet
-	attempts int
-	rto      sim.Time
+	pkt fabric.Packet
+	rto sim.Time
 }
 
 // sendLink is the sender half of one directed link.
@@ -85,9 +65,10 @@ type recvLink struct {
 
 // reliable is a rank's transport state. The retransmission timeout
 // starts at baseRTO, 8 x the fabric one-way latency (a loose RTT estimate
-// plus slack), and backs off exponentially up to 8 x baseRTO.
+// plus slack), and backs off exponentially up to 8 x baseRTO. Every frame
+// retransmits until acked, so a lost frame is never the layer above's
+// problem.
 type reliable struct {
-	params  ReliableParams
 	baseRTO sim.Time
 	send    map[int]*sendLink // by destination rank
 	recv    map[int]*recvLink // by source rank
@@ -97,7 +78,7 @@ type reliable struct {
 // EnableReliable turns on the reliable transport for every rank. Must be
 // called before any traffic; calling it twice panics, and so does a
 // fabric without latency, which leaves no retransmission timeout.
-func (w *World) EnableReliable(params ReliableParams) {
+func (w *World) EnableReliable() {
 	base := 8 * w.fabric.Params().Latency
 	if base <= 0 {
 		panic(fmt.Sprintf("mpi: non-positive retransmission timeout %v", base))
@@ -107,7 +88,6 @@ func (w *World) EnableReliable(params ReliableParams) {
 			panic("mpi: reliable transport already enabled")
 		}
 		r.rel = &reliable{
-			params:  params,
 			baseRTO: base,
 			send:    make(map[int]*sendLink),
 			recv:    make(map[int]*recvLink),
@@ -131,14 +111,6 @@ func (w *World) TransportStats() TransportStats {
 		s = s.add(r.TransportStats())
 	}
 	return s
-}
-
-// retryLimit returns the retransmission budget for a tag (0 = unlimited).
-func (t *reliable) retryLimit(tag int) int {
-	if lim, ok := t.params.TagRetryLimit[tag]; ok {
-		return lim
-	}
-	return t.params.RetryLimit
 }
 
 // sendData sequences pkt, records it as unacked, transmits, and arms the
@@ -169,16 +141,6 @@ func (r *Rank) armRetransmit(link *sendLink, pd *relPending) {
 		if !ok || cur != pd {
 			return // acked in the meantime
 		}
-		if lim := r.rel.retryLimit(pd.pkt.Tag); lim > 0 && pd.attempts >= lim && pd.pkt.Ctl == ctlData {
-			// Budget exhausted: abandon the payload but not the sequence
-			// slot — convert the frame to a skip tombstone so the
-			// receiver's in-order cursor can move past the loss.
-			r.rel.stats.Exhausted++
-			pd.pkt.Ctl = ctlSkip
-			pd.pkt.Size = ackWire
-			pd.pkt.Payload = nil
-		}
-		pd.attempts++
 		r.rel.stats.Retransmits++
 		if pd.rto *= 2; pd.rto > 8*r.rel.baseRTO {
 			pd.rto = 8 * r.rel.baseRTO
@@ -201,7 +163,7 @@ func (r *Rank) receive(pkt fabric.Packet) {
 		if link := r.rel.send[pkt.Src]; link != nil {
 			delete(link.unacked, pkt.Seq)
 		}
-	case ctlData, ctlSkip:
+	case ctlData:
 		t := r.rel
 		link := t.recv[pkt.Src]
 		if link == nil {
@@ -230,9 +192,7 @@ func (r *Rank) receive(pkt fabric.Packet) {
 			}
 			delete(link.buffer, link.expected)
 			link.expected++
-			if next.Ctl == ctlData {
-				r.deliver(next) // skip tombstones advance the cursor only
-			}
+			r.deliver(next)
 		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown packet control code %d from %d", pkt.Ctl, pkt.Src))
@@ -276,10 +236,9 @@ func (w *World) ForEachBuffered(fn func(payload any)) {
 }
 
 // PacketWillDeliver reports whether an in-flight packet would reach the
-// application if it arrived now: acks, skip tombstones and duplicates of
-// frames the receiver has already accepted (fabric-duplicated or
-// retransmitted) are discarded by the transport and can never re-enter
-// the simulation. Used by GVT invariant checks to decide which in-flight
+// application if it arrived now: acks and duplicates of frames the
+// receiver has already accepted (fabric-duplicated or retransmitted) are
+// discarded by the transport and can never re-enter the simulation. Used by GVT invariant checks to decide which in-flight
 // timestamps actually bound the commit horizon.
 func (w *World) PacketWillDeliver(pkt fabric.Packet) bool {
 	if pkt.Dst < 0 || pkt.Dst >= len(w.ranks) {

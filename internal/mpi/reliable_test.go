@@ -10,20 +10,20 @@ import (
 
 // lossyWorld builds a 2-rank world over a faulty fabric with the reliable
 // transport enabled.
-func lossyWorld(t *testing.T, plan *fabric.FaultPlan, rp ReliableParams) (*sim.Env, *World) {
+func lossyWorld(t *testing.T, plan *fabric.FaultPlan) (*sim.Env, *World) {
 	t.Helper()
 	env := sim.NewEnv()
 	w := NewWorld(env, 2, fabric.Params{Latency: 100}, Costs{Send: 10, Recv: 5, Poll: 1, LockHold: 1})
 	if err := w.Fabric().SetFaults(plan, 99); err != nil {
 		t.Fatal(err)
 	}
-	w.EnableReliable(rp)
+	w.EnableReliable()
 	return env, w
 }
 
 func TestReliableExactlyOnceInOrder(t *testing.T) {
 	plan := &fabric.FaultPlan{Link: fabric.LinkFaults{Drop: 0.3, Duplicate: 0.3, Jitter: 400}}
-	env, w := lossyWorld(t, plan, ReliableParams{})
+	env, w := lossyWorld(t, plan)
 	const n = 300
 	var got []int
 	env.Spawn("sender", func(p *sim.Proc) {
@@ -55,15 +55,12 @@ func TestReliableExactlyOnceInOrder(t *testing.T) {
 	if st.AcksSent == 0 || st.AcksRecv == 0 {
 		t.Fatalf("no acks flowed: %+v", st)
 	}
-	if st.Exhausted != 0 {
-		t.Fatalf("unlimited retries must never exhaust: %+v", st)
-	}
 }
 
 func TestReliableNoFaultsPassThrough(t *testing.T) {
 	// Reliable transport over a perfect wire: no retransmits, no dups,
 	// one ack per data frame.
-	env, w := lossyWorld(t, &fabric.FaultPlan{}, ReliableParams{})
+	env, w := lossyWorld(t, &fabric.FaultPlan{})
 	var got []int
 	env.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
@@ -88,36 +85,37 @@ func TestReliableNoFaultsPassThrough(t *testing.T) {
 	}
 }
 
-func TestReliableRetryExhaustion(t *testing.T) {
-	// A link partitioned for 3ms with a finite retry budget: the first
-	// frame's payload is abandoned (Exhausted), but its sequence slot is
-	// tombstoned rather than leaked, so the link recovers — a frame sent
-	// after the partition still reaches the receiver in order.
+func TestReliableOutlivesPartition(t *testing.T) {
+	// A link partitioned for 3ms: the frame sent into the partition keeps
+	// retransmitting with backoff until the window closes, and is then the
+	// first frame delivered, ahead of one sent after the partition.
 	plan := &fabric.FaultPlan{Windows: []fabric.Window{
 		{Src: 0, Dst: 1, Every: 1 << 40, Open: 3_000_000, Drop: 1},
 	}}
-	env, w := lossyWorld(t, plan, ReliableParams{RetryLimit: 3})
-	var got any
+	env, w := lossyWorld(t, plan)
+	var got []any
+	var firstAt sim.Time
 	env.Spawn("sender", func(p *sim.Proc) {
-		w.Rank(0).Send(p, 1, TagUser, 8, "lost")
+		w.Rank(0).Send(p, 1, TagUser, 8, "partitioned")
 		p.Advance(4_000_000) // outlive the partition window
-		w.Rank(0).Send(p, 1, TagUser, 8, "recovered")
+		w.Rank(0).Send(p, 1, TagUser, 8, "after")
 	})
 	env.Spawn("receiver", func(p *sim.Proc) {
-		got = w.Rank(1).RecvFrom(p, 0, TagUser).Payload
+		got = append(got, w.Rank(1).RecvFrom(p, 0, TagUser).Payload)
+		firstAt = p.Now()
+		got = append(got, w.Rank(1).RecvFrom(p, 0, TagUser).Payload)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := w.TransportStats()
-	if st.Exhausted != 1 {
-		t.Fatalf("Exhausted = %d, want 1 (stats %+v)", st.Exhausted, st)
+	if len(got) != 2 || got[0] != "partitioned" || got[1] != "after" {
+		t.Fatalf("deliveries = %v, want [partitioned after]", got)
 	}
-	if st.Retransmits < 3 {
-		t.Fatalf("Retransmits = %d, want >= 3 (budget plus tombstone resends)", st.Retransmits)
+	if firstAt < 3_000_000 {
+		t.Fatalf("first delivery at %v, inside the partition window", firstAt)
 	}
-	if got != "recovered" {
-		t.Fatalf("first delivery = %v, want the post-partition frame (abandoned payload must be skipped)", got)
+	if st := w.TransportStats(); st.Retransmits < 3 {
+		t.Fatalf("Retransmits = %d, want >= 3 (stats %+v)", st.Retransmits, st)
 	}
 }
 
@@ -129,7 +127,7 @@ func TestReliableCollectivesUnderLoss(t *testing.T) {
 	if err := w.Fabric().SetFaults(plan, 5); err != nil {
 		t.Fatal(err)
 	}
-	w.EnableReliable(ReliableParams{})
+	w.EnableReliable()
 	sums := make([]int64, n)
 	mins := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -158,7 +156,7 @@ func TestReliableCollectivesUnderLoss(t *testing.T) {
 func TestReliableDeterminism(t *testing.T) {
 	run := func() (TransportStats, sim.Time) {
 		plan := &fabric.FaultPlan{Link: fabric.LinkFaults{Drop: 0.3, Duplicate: 0.2, Jitter: 500}}
-		env, w := lossyWorld(t, plan, ReliableParams{})
+		env, w := lossyWorld(t, plan)
 		done := 0
 		env.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
@@ -189,7 +187,7 @@ func TestForEachBuffered(t *testing.T) {
 	plan := &fabric.FaultPlan{Windows: []fabric.Window{
 		{Src: 0, Dst: 1, Every: 1 << 40, Open: 1_000_000, Drop: 1},
 	}}
-	env, w := lossyWorld(t, plan, ReliableParams{})
+	env, w := lossyWorld(t, plan)
 	var seen []any
 	env.Spawn("sender", func(p *sim.Proc) {
 		w.Rank(0).Send(p, 1, TagUser, 8, "held")

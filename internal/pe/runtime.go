@@ -204,7 +204,7 @@ func (rt *Runtime) Run() (*stats.Run, error) {
 		GVTRounds: rt.Rounds, SyncRounds: rt.SyncRounds,
 		Disparity: rt.disparity.Mean(), Kernel: rt.Env.Counters(),
 		MPIMessages: f.MessagesSent, MPIBytes: f.BytesSent,
-		Retransmits: ts.Retransmits, TransportDups: ts.DupsSuppressed, TransportExhausted: ts.Exhausted,
+		Retransmits: ts.Retransmits, TransportDups: ts.DupsSuppressed,
 		FaultDrops: fs.Dropped, FaultDups: fs.Duplicated, FaultJitters: fs.Jittered, FaultWindowDrops: fs.WindowDropped,
 	}
 	for _, w := range rt.workers {

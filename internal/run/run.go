@@ -12,7 +12,6 @@ import (
 	"repro/internal/pe"
 	"repro/internal/phold"
 	"repro/internal/seq"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -98,9 +97,6 @@ func New(spec Spec, at Attach) (Engine, error) {
 		}
 		cfg.Faults = plan
 		cfg.FaultLabel = c.Faults
-	}
-	if c.WatchdogMicros > 0 {
-		cfg.WatchdogTimeout = sim.Time(c.WatchdogMicros) * sim.Microsecond
 	}
 	return core.New(cfg), nil
 }

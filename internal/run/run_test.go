@@ -43,11 +43,11 @@ func TestNewMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestNewPlumbsFaultsAndAttach: the fault scenario and watchdog reach the
-// engine, the attached observers are driven, a Model override replaces
-// the spec's model, and an invalid spec is an error rather than a panic.
+// TestNewPlumbsFaultsAndAttach: the fault scenario reaches the engine,
+// the attached observers are driven, a Model override replaces the
+// spec's model, and an invalid spec is an error rather than a panic.
 func TestNewPlumbsFaultsAndAttach(t *testing.T) {
-	spec := Spec{Scenario: "mixed", Faults: "drop", WatchdogMicros: 100,
+	spec := Spec{Scenario: "mixed", Faults: "drop",
 		Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 4, EndTime: 5}
 	canon, err := spec.Canonical()
 	if err != nil {
@@ -132,7 +132,7 @@ func TestKernelDispatchesPinned(t *testing.T) {
 		{"samadi/dedicated", samadi, 364_336, 87_264, 14_060, 15_419_436},
 		{"mattern/combined", combined, 382_925, 163_536, 14_060, 14_074_380},
 		{"mattern/shared", shared, 168_876, 146_221, 14_060, 14_082_480},
-		{"ca-gvt/greedy+straggler", migrating, 2_255_128, 629_471, 14_060, 45_109_304},
+		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 632_405, 14_060, 45_109_394},
 		{"samadi/combined", samadiCombined, 198_044, 83_201, 14_060, 16_320_086},
 		{"samadi/shared", samadiShared, 290_124, 213_731, 14_060, 23_695_278},
 		{"samadi/greedy+straggler", samadiMigrating, 384_748, 89_778, 14_060, 48_742_798},

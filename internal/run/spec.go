@@ -23,7 +23,6 @@ import (
 	"repro/internal/models/pcs"
 	"repro/internal/models/tandem"
 	"repro/internal/phold"
-	"repro/internal/sim"
 )
 
 // Spec is the canonical description of one simulation run: model,
@@ -92,16 +91,14 @@ type Spec struct {
 	// Sync is the conservative protocol: nullmsg (default; "cmb" is an
 	// accepted alias) | window. Rejected for the timewarp engine.
 	Sync string `json:"sync,omitempty"`
-	// WatchdogMicros is the GVT liveness watchdog timeout in virtual µs
-	// (0: auto — enabled only under faults).
+	// WatchdogMicros is accepted for old specs and is inert: the reliable
+	// transport recovers every lost frame, the GVT token included, so no
+	// GVT watchdog is left to time. Canonical clears it (the way it pins
+	// Pool), and a spec that set it shares the hash of one that did not.
 	WatchdogMicros int64 `json:"watchdog_us,omitempty"`
 	// WorkersPerNode is the topology's workers per node (default 4).
 	WorkersPerNode int `json:"workers_per_node,omitempty"`
 }
-
-// maxWatchdogMicros is the largest watchdog_us whose timeout in virtual
-// time, sim.Time(µs)*sim.Microsecond, does not overflow.
-const maxWatchdogMicros = math.MaxInt64 / int64(sim.Microsecond)
 
 // Canonical returns the spec in canonical form: names lowercased and
 // de-aliased, defaults made explicit, fields without meaning for the
@@ -307,15 +304,11 @@ func (s Spec) Canonical() (Spec, error) {
 	case "static", "none":
 		c.Balance = ""
 	default:
-		if _, err := balance.New(c.Balance, balance.Options{}); err != nil {
+		if _, err := balance.New(c.Balance, nil); err != nil {
 			return c, err
 		}
 	}
-	// A timeout past the largest virtual time would wrap negative, which
-	// core reads as "watchdog off".
-	if c.WatchdogMicros < 0 || c.WatchdogMicros > maxWatchdogMicros {
-		return c, fmt.Errorf("run: watchdog_us must be in [0, %d], got %d", maxWatchdogMicros, c.WatchdogMicros)
-	}
+	c.WatchdogMicros = 0 // inert (see Spec.WatchdogMicros)
 	if c.Engine == "conservative" {
 		// These knobs change recovery semantics, not just performance:
 		// refusing them beats silently ignoring an operator's intent.
@@ -324,9 +317,6 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 		if c.Balance != "" {
 			return c, fmt.Errorf("run: load balancing is not supported by the conservative engine")
-		}
-		if c.WatchdogMicros != 0 {
-			return c, fmt.Errorf("run: the GVT watchdog is not supported by the conservative engine")
 		}
 	}
 	return c, nil

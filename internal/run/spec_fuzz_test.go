@@ -17,7 +17,8 @@ import (
 // when their canonical JSON is equal. Canonical is also the only
 // validator a spec passes through, so every spec it accepts builds: New
 // returns an engine without panicking (checked up to 256 LPs, where
-// building is cheap), and the inert pool field never moves the address.
+// building is cheap), and the inert pool and watchdog_us fields never
+// move the address.
 func FuzzSpecCanonical(f *testing.F) {
 	for i, p := range pinnedSpecs {
 		f.Add(p.in, p.canon)                                // the same spec twice
@@ -30,7 +31,7 @@ func FuzzSpecCanonical(f *testing.F) {
 		`{"engine":"Conservative","sync":" CMB","model":"Epidemic","faults":"None","balance":"Static"}`)
 	f.Add(`{"faults":"partition","balance":"gr\u0065edy","mix_comm":1e-7,"scenario":"mixed"}`,
 		`{"faults":"duplicate","balance":"straggler","end_time":1e21,"ca_threshold":5e-324,"gvt":"ca"}`)
-	// Products that wrap, and a watchdog timeout that wraps negative.
+	// Products that wrap, and watchdog timeouts (inert) past virtual time.
 	f.Add(`{"nodes":2,"workers_per_node":1099511627776,"lps_per_worker":8388608}`,
 		`{"nodes":64,"workers_per_node":4294967296,"lps_per_worker":4294967296}`)
 	f.Add(`{"faults":"drop","watchdog_us":9300000000000000}`, `{"faults":"chaos","watchdog_us":9223372036854775,"nodes":1}`)
@@ -77,11 +78,11 @@ func address(t *testing.T, doc string) (canon, hash string, ok bool) {
 	if raw2, _ := json.Marshal(c2); string(raw2) != string(raw) || hash2 != hash {
 		t.Fatalf("Canonical is not idempotent on %s:\n once  %s %s\n twice %s %s", doc, raw, hash, raw2, hash2)
 	}
-	for _, pool := range []string{"on", "off", "debug"} {
+	for i, pool := range []string{"on", "off", "debug"} {
 		v := s
-		v.Pool = pool
+		v.Pool, v.WatchdogMicros = pool, int64(i)*1500-1
 		if h, err := v.Hash(); err != nil || h != hash {
-			t.Fatalf("%s addresses to %s, but to %s (%v) with pool %q", doc, hash, h, err, pool)
+			t.Fatalf("%s addresses to %s, but to %s (%v) with pool %q, watchdog_us %d", doc, hash, h, err, pool, v.WatchdogMicros)
 		}
 	}
 	if c.Topology().TotalLPs() <= 256 {

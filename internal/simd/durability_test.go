@@ -159,32 +159,40 @@ func TestJournalRecovery(t *testing.T) {
 
 // TestRecoverRetiresARehashedBegin: a begin journaled under an address
 // its spec no longer canonicalises to re-submits under the new address,
-// and the old begin is retired, not replayed on every restart. The spec
-// is the pinned "negative max_uncommitted" row of internal/run, journaled
-// as it addressed before every pool mode became the same run.
+// and the old begin is retired, not replayed on every restart. The specs
+// are two pinned rows of internal/run, journaled as they addressed before
+// a field became inert: "negative max_uncommitted" before every pool mode
+// became the same run, and "faults balance watchdog" before watchdog_us
+// stopped timing anything.
 func TestRecoverRetiresARehashedBegin(t *testing.T) {
-	const (
-		oldHash  = "0977b9001693af05a361fae1080f7dfafad4f5d30191c0f0feff51d7da30a1bb"
-		oldCanon = `{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"debug","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`
-	)
+	begins := []struct{ hash, canon string }{
+		{"0977b9001693af05a361fae1080f7dfafad4f5d30191c0f0feff51d7da30a1bb",
+			`{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"debug","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`},
+		{"118667055d0220842d2f98c2a74b6bc7c8150d543f8f0ab6fedc7c2d041224fa",
+			`{"balance":"greedy","batch_size":16,"ca_threshold":0.8,"checkpoint_interval":1,"comm":"dedicated","end_time":60,"engine":"timewarp","faults":"straggler","gvt":"ca-gvt","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":64,"model":"phold","nodes":2,"pool":"on","queue":"heap","scenario":"comp","seed":1,"watchdog_us":1500,"workers_per_node":4}`},
+	}
 	jpath := filepath.Join(t.TempDir(), "journal.ndjson")
 	jl := openJournal(t, jpath)
-	if err := jl.Begin(oldHash, json.RawMessage(oldCanon)); err != nil {
-		t.Fatal(err)
+	oldHashes := map[string]bool{}
+	for _, b := range begins {
+		if err := jl.Begin(b.hash, json.RawMessage(b.canon)); err != nil {
+			t.Fatal(err)
+		}
+		oldHashes[b.hash] = true
 	}
 	jl.Close()
 
 	jl2 := openJournal(t, jpath)
 	s := NewServer(Options{Workers: 1, Journal: jl2})
-	if n := s.Recover(); n != 1 {
-		t.Fatalf("recovered %d jobs, want 1", n)
+	if n := s.Recover(); n != len(begins) {
+		t.Fatalf("recovered %d jobs, want %d", n, len(begins))
 	}
 	for _, j := range s.Jobs() {
 		if st := j.Wait(waitCtx(t)); st != StateDone {
 			t.Fatalf("recovered job %s: %s (%s)", j.ID(), st, j.Err())
 		}
-		if j.hash == oldHash {
-			t.Fatalf("the journaled spec still addresses to %s", oldHash)
+		if oldHashes[j.hash] {
+			t.Fatalf("a journaled spec still addresses to %s", j.hash)
 		}
 	}
 	s.Close()

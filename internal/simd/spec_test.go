@@ -85,6 +85,9 @@ func TestHashClearsInertFields(t *testing.T) {
 			t.Fatalf("pool %q split the hash: every pool mode is the same run", pool)
 		}
 	}
+	if mustHash(t, JobSpec{Scenario: "mixed", WatchdogMicros: 500}) != mustHash(t, JobSpec{Scenario: "mixed"}) {
+		t.Fatal("watchdog_us split the hash: no GVT watchdog is left to time")
+	}
 }
 
 // TestHashChangesWithEverySemanticField mutates each semantic field and
@@ -121,7 +124,6 @@ func TestHashChangesWithEverySemanticField(t *testing.T) {
 	add("uncommitted", JobSpec{Scenario: "mixed", MaxUncommitted: 128})
 	add("faults", JobSpec{Scenario: "mixed", Faults: "drop"})
 	add("balance", JobSpec{Scenario: "mixed", Balance: "greedy"})
-	add("watchdog", JobSpec{Scenario: "mixed", WatchdogMicros: 500})
 }
 
 // TestCanonicalIdempotent: canonicalizing twice is a fixed point.
@@ -163,7 +165,6 @@ func TestCanonicalRejects(t *testing.T) {
 		"threshold":      {GVT: "ca", CAThreshold: 1.5},
 		"mix-sum":        {Scenario: "mixed", MixComp: 60, MixComm: 60},
 		"neg-end":        {EndTime: -1},
-		"neg-watchdog":   {WatchdogMicros: -1},
 		"neg-nodes":      {Nodes: -2},
 		"neg-batch":      {BatchSize: -1},
 		"neg-interval":   {GVTInterval: -3},
@@ -259,7 +260,6 @@ func TestEngineRejects(t *testing.T) {
 		"cons-comm":     {Engine: "conservative", Comm: "shared"},
 		"cons-faults":   {Engine: "conservative", Faults: "drop"},
 		"cons-balance":  {Engine: "conservative", Balance: "greedy"},
-		"cons-watchdog": {Engine: "conservative", WatchdogMicros: 100},
 	}
 	for name, s := range bad {
 		if _, err := s.Canonical(); err == nil {

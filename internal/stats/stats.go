@@ -120,19 +120,15 @@ type Run struct {
 	NullMessages int64
 
 	// Robustness counters, all zero in fault-free runs: the reliable
-	// transport's retransmission activity, the fabric's injected faults
-	// by kind, and the GVT liveness watchdog's interventions. They are
-	// deliberately excluded from String() so fault-free summaries are
-	// unchanged.
-	Retransmits        int64 // data frames re-sent after an RTO expiry
-	TransportDups      int64 // received duplicate frames suppressed
-	TransportExhausted int64 // frames abandoned after their retry budget
-	FaultDrops         int64 // packets dropped by the fault plan
-	FaultDups          int64 // packets duplicated by the fault plan
-	FaultJitters       int64 // packets delayed by jitter
-	FaultWindowDrops   int64 // packets lost in partition/degradation windows
-	WatchdogRestarts   int64 // GVT tokens resent by the liveness watchdog
-	WatchdogFallbacks  int64 // rounds forced synchronous by the watchdog
+	// transport's retransmission activity and the fabric's injected faults
+	// by kind. They are deliberately excluded from String() so fault-free
+	// summaries are unchanged.
+	Retransmits      int64 // data frames re-sent after an RTO expiry
+	TransportDups    int64 // received duplicate frames suppressed
+	FaultDrops       int64 // packets dropped by the fault plan
+	FaultDups        int64 // packets duplicated by the fault plan
+	FaultJitters     int64 // packets delayed by jitter
+	FaultWindowDrops int64 // packets lost in partition/degradation windows
 
 	// Load-balancer counters, zero unless a migrating balance policy is
 	// active. Excluded from String() so static-policy summaries are

@@ -74,7 +74,7 @@ type FaultCount struct {
 	Count int64  `json:"count"`
 }
 
-// FaultAnalysis aggregates injected faults and watchdog reactions.
+// FaultAnalysis aggregates injected faults.
 type FaultAnalysis struct {
 	Total   int64        `json:"total"`
 	ByKind  []FaultCount `json:"by_kind"`

@@ -42,16 +42,15 @@ const (
 	recMigration = uint8(8) // one LP migration between nodes
 )
 
-// Fault kinds carried by Fault records. 0-3 mirror the fabric's injected
-// fault kinds; the watchdog kinds record the GVT liveness machinery
-// reacting to losses.
+// Fault kinds carried by Fault records, mirroring the fabric's injected
+// fault kinds. Older traces may carry kinds 4 and 5 (GVT liveness records
+// of an earlier engine); they decode, and the analysis counts them in its
+// total only.
 const (
-	FaultDrop             = uint8(iota) // packet lost on the wire
-	FaultDuplicate                      // packet delivered twice
-	FaultJitter                         // packet delayed beyond nominal
-	FaultWindowDrop                     // packet lost in a partition window
-	FaultWatchdogRestart                // GVT watchdog re-sent a lost token
-	FaultWatchdogFallback               // GVT watchdog forced a synchronous round
+	FaultDrop       = uint8(iota) // packet lost on the wire
+	FaultDuplicate                // packet delivered twice
+	FaultJitter                   // packet delayed beyond nominal
+	FaultWindowDrop               // packet lost in a partition window
 	NumFaultKinds
 )
 
@@ -66,10 +65,6 @@ func FaultName(k uint8) string {
 		return "jitter"
 	case FaultWindowDrop:
 		return "window-drop"
-	case FaultWatchdogRestart:
-		return "watchdog-restart"
-	case FaultWatchdogFallback:
-		return "watchdog-fallback"
 	}
 	return fmt.Sprintf("fault(%d)", k)
 }
@@ -158,9 +153,7 @@ type Phase struct {
 	AtNanos int64
 }
 
-// Fault is one injected fabric fault or watchdog reaction. For wire
-// faults Src/Dst are node ids; for watchdog records Src is the master
-// node and Dst is unused.
+// Fault is one injected fabric fault; Src/Dst are node ids.
 type Fault struct {
 	Kind     uint8
 	Src, Dst uint16

@@ -399,7 +399,7 @@ func TestRoundTripFault(t *testing.T) {
 	faults := []Fault{
 		{Kind: FaultDrop, Src: 1, Dst: 2, AtNanos: 1000},
 		{Kind: FaultJitter, Src: 2, Dst: 0, AtNanos: 2000, DelayNanos: 450},
-		{Kind: FaultWatchdogRestart, Src: 0, AtNanos: 3000},
+		{Kind: FaultWindowDrop, Src: 0, Dst: 1, AtNanos: 3000},
 	}
 	for _, f := range faults {
 		w.Fault(f)
@@ -428,9 +428,30 @@ func TestRoundTripFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []FaultCount{{"drop", 1}, {"jitter", 1}, {"watchdog-restart", 1}}
+	want := []FaultCount{{"drop", 1}, {"jitter", 1}, {"window-drop", 1}}
 	if fa := a.Faults; fa == nil || fa.Total != 3 || fmt.Sprint(fa.ByKind) != fmt.Sprint(want) ||
 		fa.FirstNs != 1000 || fa.LastNs != 3000 {
+		t.Errorf("fault analysis: %+v", fa)
+	}
+}
+
+// TestRetiredFaultKindCountsInTotal: a fault kind this version no longer
+// writes (an older trace's GVT liveness record, kind 4) still decodes and
+// counts in the total, but gets no by-kind row.
+func TestRetiredFaultKindCountsInTotal(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Fault(Fault{Kind: FaultDrop, Src: 1, Dst: 0, AtNanos: 1000})
+	w.Fault(Fault{Kind: 4, AtNanos: 2000})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(bytes.NewReader(buf.Bytes()), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FaultCount{{"drop", 1}}
+	if fa := a.Faults; fa == nil || fa.Total != 2 || fmt.Sprint(fa.ByKind) != fmt.Sprint(want) || fa.LastNs != 2000 {
 		t.Errorf("fault analysis: %+v", fa)
 	}
 }
