@@ -74,7 +74,8 @@ benchdiff:
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
 # for the sim kernel (BenchmarkPollRing: constant-delay Poll steps at 20
 # and 488 processes), the PE idle-pass machine (BenchmarkIdlePass: an
-# idle comm pass as Poll steps vs the literal loop), the null-message
+# idle comm pass as the literal loop, as Poll steps, and skipped by a
+# parked thread — the parked row), the null-message
 # worker's idle predicate (BenchmarkBlocked), the fabric's send and
 # delivery through the wire heap (BenchmarkSendDeliver, 0 allocs/op), the
 # event queue, rollback storm, and two full Time Warp runs (RollbackHeavy,
@@ -101,7 +102,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 20447
+LOC_CEILING = 20895
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

@@ -25,23 +25,55 @@ import (
 	tracepkg "repro/internal/trace"
 )
 
+// flagSpec turns the flags (s, sync, mix) into the run spec. Spec reads a
+// zero size, end time, interval or mix part as "the default", which a flag
+// never means, so they are rejected here; the rest is Canonical's.
+func flagSpec(s run.Spec, sync, mix string) (run.Spec, error) {
+	names := []string{"nodes", "workers", "lps", "end", "interval"}
+	for i, v := range []float64{float64(s.Nodes), float64(s.WorkersPerNode), float64(s.LPsPerWorker), s.EndTime, float64(s.GVTInterval)} {
+		if !(v > 0) {
+			return s, fmt.Errorf("-%s must be positive, got %v", names[i], v)
+		}
+	}
+	if sync != "timewarp" {
+		s.Engine, s.Sync = "conservative", sync
+	}
+	if s.Scenario == "mixed" {
+		parts := strings.Split(mix, ",")
+		if len(parts) != 2 {
+			return s, fmt.Errorf("-mix wants X,Y")
+		}
+		var err1, err2 error
+		s.MixComp, err1 = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		s.MixComm, err2 = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		if err1 != nil || err2 != nil {
+			return s, fmt.Errorf("bad -mix %q", mix)
+		}
+		if !(s.MixComp > 0 && s.MixComm > 0) {
+			return s, fmt.Errorf("-mix parts must be positive, got %q", mix)
+		}
+	}
+	return s, nil
+}
+
 func main() {
+	var s run.Spec
+	flag.IntVar(&s.Nodes, "nodes", 2, "cluster nodes")
+	flag.IntVar(&s.WorkersPerNode, "workers", 8, "worker threads per node")
+	flag.IntVar(&s.LPsPerWorker, "lps", 32, "LPs per worker")
+	flag.StringVar(&s.GVT, "gvt", "mattern", "GVT algorithm: barrier | mattern | ca | samadi")
+	syncF := flag.String("sync", "timewarp", "engine synchronization: timewarp (optimistic) | nullmsg | window (conservative)")
+	flag.StringVar(&s.Comm, "comm", "dedicated", "comm-thread mode: dedicated | combined | shared")
+	flag.StringVar(&s.Scenario, "scenario", "comp", "workload: comp | comm | mixed")
+	mix := flag.String("mix", "10,15", "mixed model X,Y percentages")
+	flag.Float64Var(&s.EndTime, "end", 40, "simulation end time")
+	flag.IntVar(&s.GVTInterval, "interval", 4, "GVT interval, in 16-event batches per worker")
+	flag.Float64Var(&s.CAThreshold, "threshold", 0.80, "CA-GVT efficiency threshold")
+	flag.Uint64Var(&s.Seed, "seed", 1, "master RNG seed")
+	flag.StringVar(&s.Queue, "queue", "heap", "pending set: heap | calendar")
+	flag.StringVar(&s.Faults, "faults", "", "fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
+	flag.StringVar(&s.Balance, "balance", "", "LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
 	var (
-		nodes    = flag.Int("nodes", 2, "cluster nodes")
-		workers  = flag.Int("workers", 8, "worker threads per node")
-		lps      = flag.Int("lps", 32, "LPs per worker")
-		gvt      = flag.String("gvt", "mattern", "GVT algorithm: barrier | mattern | ca | samadi")
-		syncF    = flag.String("sync", "timewarp", "engine synchronization: timewarp (optimistic) | nullmsg | window (conservative)")
-		comm     = flag.String("comm", "dedicated", "comm-thread mode: dedicated | combined | shared")
-		scenario = flag.String("scenario", "comp", "workload: comp | comm | mixed")
-		mix      = flag.String("mix", "10,15", "mixed model X,Y percentages")
-		end      = flag.Float64("end", 40, "simulation end time")
-		interval = flag.Int("interval", 4, "GVT interval, in 16-event batches per worker")
-		thresh   = flag.Float64("threshold", 0.80, "CA-GVT efficiency threshold")
-		seed     = flag.Uint64("seed", 1, "master RNG seed")
-		queue    = flag.String("queue", "heap", "pending set: heap | calendar")
-		faults   = flag.String("faults", "", "fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
-		balPol   = flag.String("balance", "", "LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
 		seqCheck = flag.Bool("seq", false, "also run the sequential oracle and verify the commit stream")
 		traceTo  = flag.String("traceout", "", "write a binary v2 run trace (commits, rounds, rollbacks, MPI, phases, migrations) to this file")
 		reportTo = flag.String("report", "", "write the JSON run report (config, stats, sampled time series) to this file")
@@ -51,26 +83,9 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := run.Spec{
-		Nodes: *nodes, WorkersPerNode: *workers, LPsPerWorker: *lps,
-		GVT: *gvt, Comm: *comm, GVTInterval: *interval, CAThreshold: *thresh,
-		Scenario: *scenario, EndTime: *end, Seed: *seed, Queue: *queue,
-		Faults: *faults, Balance: *balPol,
-	}
-	if *syncF != "timewarp" {
-		spec.Engine, spec.Sync = "conservative", *syncF
-	}
-	if *scenario == "mixed" {
-		parts := strings.Split(*mix, ",")
-		if len(parts) != 2 {
-			fail("-mix wants X,Y")
-		}
-		x, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		y, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err1 != nil || err2 != nil {
-			fail("bad -mix %q", *mix)
-		}
-		spec.MixComp, spec.MixComm = x, y
+	spec, err := flagSpec(s, *syncF, *mix)
+	if err != nil {
+		fail("%v", err)
 	}
 	// Canonical rejects what the chosen engine cannot honour (-faults,
 	// -balance on a conservative run) instead of ignoring it.

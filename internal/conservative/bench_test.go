@@ -30,7 +30,7 @@ func BenchmarkBlocked(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if c.moved {
-					w.node.touch()
+					w.node.Touch()
 				}
 				if !w.blocked() {
 					b.Fatal("a worker with no promise from any peer is not blocked")

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/models/tandem"
+	"repro/internal/pe"
 	"repro/internal/phold"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -218,5 +220,63 @@ func TestCancel(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("cancel did not unwind the run")
+	}
+}
+
+// cancelAt is a model that, at its k-th event, asks another goroutine to
+// cancel the run and waits until it has, noting the kernel's counters.
+type cancelAt struct {
+	pe.Model
+	seen *int
+	k    int
+	ask  chan<- struct{}
+	done <-chan struct{}
+	eng  **Engine
+	at   *sim.Counters
+}
+
+func (m cancelAt) OnEvent(ctx pe.Context, ev *event.Event) {
+	if *m.seen++; *m.seen == m.k {
+		*m.at = (*m.eng).Env.Counters()
+		m.ask <- struct{}{}
+		<-m.done
+	}
+	m.Model.OnEvent(ctx, ev)
+}
+
+// TestCancelParkedRun: a null-message run cancelled from another goroutine
+// while its idle threads are parked returns sim.ErrCancelled within one
+// cancellation stride of real dispatches. A wake adds the skipped steps to
+// Dispatches at once, so a poll of the stop flag at every stride-th count
+// would be jumped over again and again; the poll is a threshold.
+func TestCancelParkedRun(t *testing.T) {
+	top := cluster.Topology{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16}
+	inner := phold.New(phold.Params{Topology: top, Base: phold.ComputationDominated()})
+	for k := 100; k < 1800; k += 100 {
+		var eng *Engine
+		var at sim.Counters
+		seen := 0
+		ask, done := make(chan struct{}), make(chan struct{})
+		eng = New(Config{
+			Topology: top, Sync: SyncNullMsg, Lookahead: 0.1, EndTime: 8, Seed: 1,
+			Model: func(id event.LPID, total int) pe.Model {
+				return cancelAt{Model: inner(id, total), seen: &seen, k: k, ask: ask, done: done, eng: &eng, at: &at}
+			},
+		})
+		go func() {
+			<-ask
+			eng.Cancel()
+			close(done)
+		}()
+		start := time.Now()
+		if _, err := eng.Run(); !errors.Is(err, sim.ErrCancelled) {
+			t.Fatalf("cancel at event %d: Run returned %v, want sim.ErrCancelled", k, err)
+		}
+		end := eng.Env.Counters()
+		real := (end.Dispatches - end.Skipped) - (at.Dispatches - at.Skipped)
+		if at.Skipped == 0 || real > 64 || time.Since(start) > 10*time.Second {
+			t.Errorf("cancel at event %d, %d steps skipped by then: %d real dispatches until Run returned (stride 64), after %v",
+				k, at.Skipped, real, time.Since(start))
+		}
 	}
 }

@@ -54,20 +54,19 @@ type node struct {
 	chanIn  []vtime.Time // [peer node] highest EOT promise received
 	lastEOT []vtime.Time // [peer node] highest EOT promise sent
 
-	// ver counts the changes to what the idle predicates (worker.blocked,
-	// nullsQuiet) read: a worker's floor or pending queue, chanIn, the
-	// outbox, a worker's exit. One that found its thread idle at a version
-	// answers from memory while the version stands. A QuietProbe may err
-	// toward false only, so every such change must touch.
-	ver     uint64
+	// The idle predicates (worker.blocked, nullsQuiet) remember the node
+	// version (pe.Node.Version) at which they last found their thread idle
+	// and answer from memory while it stands, which makes them stable
+	// (pe.StableProbe): every change to what they read — a worker's floor
+	// or pending queue, chanIn, the outbox, a worker's exit — is followed by
+	// a Touch, which also re-asks the node's parked threads. A QuietProbe
+	// may err toward false only, so a missing Touch is a bug.
 	quietAt uint64 // the version at which nullsQuiet last found nothing to send
 }
 
-func (n *node) touch() { n.ver++ }
-
 func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
-	n := &node{eng: eng, pool: event.NewPool(false), ver: 1}
+	n := &node{eng: eng, pool: event.NewPool(false)}
 	eng.AddNode(&n.Node, cluster.KNLDefaults())
 	parts := top.WorkersPerNode + 1 // workers + the comm role
 	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
@@ -83,7 +82,7 @@ func newNode(eng *Engine) *node {
 		eng.AddComm(&n.Node, n.commWindow)
 	} else {
 		eng.AddComm(&n.Node, n.commNullmsg,
-			pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.QuietProbe(n.nullsQuiet))
+			pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe(n.nullsQuiet))
 	}
 	return n
 }
@@ -97,7 +96,7 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 		if len(batch) == 0 {
 			return sent
 		}
-		n.touch()
+		n.Touch()
 		for _, ev := range batch {
 			n.Send(p, n.eng.cfg.Topology.NodeOf(ev.Dst), tagEvents, ev.WireSize(), ev, backlog)
 			n.evSent++
@@ -131,7 +130,7 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 		case *nullMsg:
 			if pl.EOT > n.chanIn[m.Src] {
 				n.chanIn[m.Src] = pl.EOT
-				n.touch()
+				n.Touch()
 			}
 			n.eng.nulls = append(n.eng.nulls, pl)
 			n.TraceRecv(p, m, 0)

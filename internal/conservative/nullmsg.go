@@ -78,14 +78,14 @@ func (w *worker) finished(safe vtime.Time) bool {
 // processed, and the run is not over. Everything it reads is under the
 // node's version, so most idle passes compare two integers.
 func (w *worker) blocked() bool {
-	if w.blockedAt == w.node.ver {
+	if w.blockedAt == w.node.Version() {
 		return true
 	}
 	safe := w.safeBound()
 	if w.runnable(safe) != nil || w.finished(safe) {
 		return false
 	}
-	w.blockedAt = w.node.ver
+	w.blockedAt = w.node.Version()
 	return true
 }
 
@@ -153,7 +153,7 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 // nullsQuiet reports whether sendNulls would send nothing: the promise
 // this node can make improves on none it has made.
 func (n *node) nullsQuiet() bool {
-	if n.eng.cfg.Topology.Nodes == 1 || n.quietAt == n.ver {
+	if n.eng.cfg.Topology.Nodes == 1 || n.quietAt == n.Version() {
 		return true
 	}
 	eot := n.eotPromise()
@@ -162,7 +162,7 @@ func (n *node) nullsQuiet() bool {
 			return false
 		}
 	}
-	n.quietAt = n.ver
+	n.quietAt = n.Version()
 	return true
 }
 

@@ -55,7 +55,7 @@ func newWorker(n *node) *worker {
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	if n.eng.cfg.Sync != SyncWindow {
-		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.QuietProbe(w.blocked))
+		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.StableProbe(w.blocked))
 	}
 	return w
 }
@@ -67,8 +67,7 @@ func (w *worker) run(p *sim.Proc) {
 	default:
 		w.runNullmsg(p)
 	}
-	w.SetPhase(trace.PhaseIdle)
-	w.node.touch() // the exit is counted at this instant, and eotPromise reads the count
+	w.SetPhase(trace.PhaseIdle) // pe counts the exit and Touches, which eotPromise reads
 }
 
 // floorLive is this worker's live virtual-time floor: the smallest stamp
@@ -98,7 +97,7 @@ func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
 	if ev.Stamp.T < w.inboxMin {
 		w.inboxMin = ev.Stamp.T
 	}
-	w.node.touch()
+	w.node.Touch()
 }
 
 // drainInbox moves inbox events into the pending queue. The in-hand
@@ -111,14 +110,14 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 		w.holdMin = vtime.Inf
 		return false
 	}
-	w.node.touch()
+	w.node.Touch()
 	p.Advance(sim.Time(len(batch)) * (w.node.Cost.InboxDrainPerMsg + w.node.Cost.QueueOp))
 	for _, ev := range batch {
 		w.Pending.Push(ev)
 	}
 	w.Inbox.Recycle(batch)
 	w.holdMin = vtime.Inf
-	w.node.touch()
+	w.node.Touch()
 	return true
 }
 
@@ -147,13 +146,13 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 		// never jumps past an in-flight event.
 		w.execT = ev.Stamp.T
 		w.Pending.Pop()
-		w.node.touch()
+		w.node.Touch()
 		p.Advance(w.node.Cost.QueueOp)
 		w.processOne(p, ev)
 		worked = true
 	}
 	w.execT = vtime.Inf
-	w.node.touch()
+	w.node.Touch()
 	return worked
 }
 
@@ -187,7 +186,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 	case event.Local:
 		p.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
 		w.Pending.Push(ev)
-		w.node.touch()
+		w.node.Touch()
 		w.St.SentLocal++
 	case event.Regional:
 		_, wi := top.WorkerOf(ev.Dst)
@@ -195,7 +194,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 		w.St.SentRegion++
 	default:
 		w.node.Out.Deposit(p, ev)
-		w.node.touch()
+		w.node.Touch()
 		w.St.SentRemote++
 	}
 }

@@ -124,18 +124,23 @@ func (r *Rank) ID() int { return r.id }
 
 // LockStats returns (acquisitions, contended acquisitions, total wait).
 func (r *Rank) LockStats() (int64, int64, sim.Time) {
+	r.lock.Wake()
 	return r.lock.Acquires, r.lock.Contended, r.lock.WaitTime
 }
 
+// ProbeLock is the MPI lock a probe takes (TryProbe).
+func (r *Rank) ProbeLock() *sim.Mutex { return r.lock }
+
 // deliver runs in scheduler-callback context when a packet arrives.
 func (r *Rank) deliver(pkt fabric.Packet) {
+	r.lock.Wake()
 	r.stash = append(r.stash, Message{Src: pkt.Src, Tag: pkt.Tag, Size: pkt.Size, Payload: pkt.Payload})
 	r.cond.Broadcast(r.world.env)
 }
 
 // compact reclaims consumed slots once they dominate the stash.
 func (r *Rank) compact() {
-	if r.head > 256 && r.head > len(r.stash)/2 {
+	if r.head > 32 && r.head > len(r.stash)/2 {
 		n := copy(r.stash, r.stash[r.head:])
 		for i := n; i < len(r.stash); i++ {
 			r.stash[i] = Message{}
@@ -250,6 +255,9 @@ func (r *Rank) RecvFrom(p *sim.Proc, src, tag int) Message {
 // TryProbe starts a probe without blocking or charging: it takes the MPI
 // lock only if it is free.
 func (r *Rank) TryProbe(p *sim.Proc) bool { return r.lock.TryAcquire(p) }
+
+// Stashed reports, free of charge, whether a probe of (src, tag) would match.
+func (r *Rank) Stashed(src, tag int) bool { return r.find(src, tag) >= 0 }
 
 // EndProbe ends p's probe for (src, tag) at the instant its costs have
 // passed. With nothing matching stashed it releases the lock and reports

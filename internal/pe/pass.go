@@ -17,6 +17,7 @@ type Probe struct {
 	src, tag int         // RecvProbe
 	quiet    func() bool // QuietProbe's predicate; TakeProbe: the box is empty
 	cond     func() bool
+	stable   bool // StableProbe
 }
 
 type probeKind uint8
@@ -54,6 +55,10 @@ func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag
 // never toward true. It must change nothing itself.
 func QuietProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
 
+// StableProbe is a QuietProbe whose predicate, once true, stays true until
+// the node's next Touch (as a memo under Node.Version does): see plan.
+func StableProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
+
 // If makes the stage conditional: cond is asked at the stage's start, and
 // when it answers false the loop's stage would not run, so the probe is
 // skipped. Like a QuietProbe's predicate it must change nothing. The loop
@@ -77,6 +82,10 @@ type pass struct {
 	at     int             // the probe the pass is at
 	sub    uint8           // how far into that probe (sub*)
 	step   func() sim.Time // ps.next, bound once: going idle allocates nothing
+	parked sim.Parked      // the quiet pass as the kernel parks it; Cycle nil: it may not
+	skips  bool            // next is taking skipped steps (Skip): every stage is quiet
+	cycle  [4]sim.Time     // what parked.Cycle and Locks hold for up to two probes
+	locks  [2]*sim.Mutex
 }
 
 const (
@@ -88,6 +97,7 @@ const (
 
 func (ps *pass) init(n *Node, w *Worker) {
 	ps.node, ps.worker, ps.step = n, w, ps.next
+	ps.parked.Owner = ps
 }
 
 // list takes the engine's list of the thread's pass.
@@ -98,6 +108,66 @@ func (ps *pass) list(probes []Probe) {
 			pr.stage = i
 			ps.probes = append(ps.probes, pr)
 		}
+	}
+	ps.plan()
+}
+
+// plan writes a quiet pass down as the kernel parks it, if nothing it
+// reads can change unseen: no end hook, no condition, stable predicates,
+// no stop test but the comm thread's (a worker's exit Touches).
+func (ps *pass) plan() {
+	r := &ps.parked
+	ok := len(ps.probes) > 0 && ps.end == nil && (ps.stop == nil || ps.worker == nil) && ps.node.Cost.IdlePoll > 0
+	for _, pr := range ps.probes {
+		ok = ok && pr.cond == nil && (pr.kind != probeQuiet || pr.stable)
+	}
+	r.Cycle, r.Locks = ps.cycle[:0], ps.locks[:0] // no pass that may not park appends
+	for _, pr := range ps.probes {
+		switch {
+		case ok && pr.kind == probeTake && pr.mu.HoldCost > 0:
+			r.Locks, r.Cycle = append(r.Locks, pr.mu), append(r.Cycle, pr.mu.HoldCost)
+		case ok && pr.kind == probeTake:
+			r.Locks = append(r.Locks, pr.mu)
+		case ok && pr.kind == probeRecv:
+			r.Locks, r.Cycle = append(r.Locks, ps.node.Rank.ProbeLock()), append(r.Cycle, mpiCosts.LockHold, mpiCosts.Poll)
+		}
+	}
+	if r.Cycle = append(r.Cycle, ps.node.Cost.IdlePoll); !ok {
+		r.Cycle = nil
+	}
+}
+
+// again reports whether the pass would find nothing if it started now:
+// until the thread parks, a change wakes nothing.
+func (ps *pass) again() bool {
+	quiet := ps.stop == nil || !ps.stop()
+	for i := range ps.probes {
+		pr := &ps.probes[i]
+		quiet = quiet && (pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet())
+	}
+	return quiet
+}
+
+// Skip applies the passes a parked thread did not take (sim.Skipper), not
+// asking the stop test or predicates: what they read may have changed in
+// this very dispatch, before its Touch. Boxes and the rank cannot have.
+func (ps *pass) Skip(reps uint64, steps int) {
+	if w := ps.worker; w != nil {
+		w.St.IdleTime += sim.Time(reps) * ps.node.Cost.IdlePoll
+	}
+	ps.skips = true
+	for ; steps > 0; steps-- {
+		if ps.next() < 0 {
+			panic("pe: a skipped idle step found something to do")
+		}
+	}
+	ps.skips = false
+}
+
+// recheck wakes the thread if parked and its pass would find something.
+func (ps *pass) recheck() {
+	if ps.parked.Parked() && !ps.again() {
+		ps.parked.Wake()
 	}
 }
 
@@ -134,7 +204,7 @@ func (ps *pass) next() sim.Time {
 		for ; ps.at < len(ps.probes); ps.at, ps.sub = ps.at+1, subStart {
 			pr := &ps.probes[ps.at]
 			if ps.sub == subStart {
-				if ps.at == 0 && ps.stop != nil && ps.stop() {
+				if ps.at == 0 && ps.stop != nil && !ps.skips && ps.stop() {
 					return -1
 				}
 				if pr.cond != nil && !pr.cond() {
@@ -144,7 +214,7 @@ func (ps *pass) next() sim.Time {
 			switch pr.kind {
 			case probeTake:
 				if ps.sub == subStart {
-					if !pr.quiet() || !pr.mu.TryAcquire(p) {
+					if !ps.skips && !pr.quiet() || !pr.mu.TryAcquire(p) {
 						return -1
 					}
 					ps.sub = subHeld
@@ -169,7 +239,7 @@ func (ps *pass) next() sim.Time {
 					return -1
 				}
 			case probeQuiet:
-				if !pr.quiet() {
+				if !ps.skips && !pr.quiet() {
 					return -1
 				}
 			}
@@ -180,6 +250,10 @@ func (ps *pass) next() sim.Time {
 		}
 		if ps.end != nil {
 			ps.end()
+		}
+		if ps.parked.Cycle != nil && ps.again() {
+			ps.at, ps.sub = 0, subStart
+			return p.Park(&ps.parked, n.Cost.IdlePoll)
 		}
 	}
 	ps.at, ps.sub = 0, subStart
@@ -212,8 +286,8 @@ func (n *Node) workersDone() bool {
 // of a pass; end (which may be nil) is the bookkeeping the loop does for
 // a pass in which every stage found nothing.
 func (w *Worker) IdlePass(stop func() bool, end func(), probes ...Probe) {
-	w.idle.list(probes)
 	w.idle.stop, w.idle.end = stop, end
+	w.idle.list(probes)
 }
 
 // Idle ends a main-loop pass that did nothing: it charges the pass as

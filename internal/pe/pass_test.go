@@ -406,12 +406,12 @@ func idleWorker(w *Worker, quiet func() bool, body func(p *sim.Proc)) *Runtime {
 
 // idleCommNode builds a one-node runtime whose comm thread runs body —
 // its worker never starts, so the loop test holds — with an idle pass of
-// an outbox take, two receive probes and a predicate.
-func idleCommNode(n *Node, quiet func() bool, body func(p *sim.Proc)) *Runtime {
+// an outbox take, two receive probes and last quiet.
+func idleCommNode(n *Node, quiet Probe, body func(p *sim.Proc)) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(n, cluster.KNLDefaults())
 	rt.AddComm(n, body,
-		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), QuietProbe(quiet))
+		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), quiet)
 	return rt
 }
 
@@ -437,7 +437,7 @@ func TestIdleAllocatesNothing(t *testing.T) {
 func TestCommIdleAllocatesNothing(t *testing.T) {
 	var n Node
 	passes := 0
-	rt := idleCommNode(&n, func() bool { passes++; return passes%5 != 0 }, func(p *sim.Proc) {
+	rt := idleCommNode(&n, QuietProbe(func() bool { passes++; return passes%5 != 0 }), func(p *sim.Proc) {
 		if avg := testing.AllocsPerRun(200, func() { n.comm.idle(p) }); avg != 0 {
 			t.Errorf("%v allocations per idle episode of five passes, want 0", avg)
 		}
@@ -451,20 +451,22 @@ func TestCommIdleAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkIdlePass: one idle comm pass (six kernel events) per op, run
-// by the thread itself and as Poll steps.
+// by the thread itself, as Poll steps, and parked: with its predicate
+// stable, the thread parks after one pass and the others are skipped in
+// closed form, until a Touch after b.N passes' worth of virtual time.
 func BenchmarkIdlePass(b *testing.B) {
-	for _, mode := range []idleMode{written, stepped} {
-		name := "loop"
-		if mode == stepped {
-			name = "steps"
-		}
+	for _, name := range []string{"loop", "steps", "parked"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var n Node
 			passes := 0
 			quiet := func() bool { passes++; return passes <= b.N }
-			rt := idleCommNode(&n, quiet, func(p *sim.Proc) {
-				if mode == stepped {
+			probe := QuietProbe(quiet)
+			if name == "parked" {
+				probe = StableProbe(func() bool { return passes == 0 })
+			}
+			rt := idleCommNode(&n, probe, func(p *sim.Proc) {
+				if name != "loop" {
 					n.comm.idle(p)
 					return
 				}
@@ -479,9 +481,22 @@ func BenchmarkIdlePass(b *testing.B) {
 					}
 				}
 			})
+			if name == "parked" {
+				var period sim.Time
+				for _, d := range n.comm.parked.Cycle {
+					period += d
+				}
+				rt.Env.After(sim.Time(b.N)*period, func() {
+					n.Touch()
+					passes = 1
+				})
+			}
 			b.ResetTimer()
 			if _, err := rt.Run(); err != nil {
 				b.Fatal(err)
+			}
+			if k := rt.Env.Counters(); name == "parked" && k.Skipped+12 < 6*uint64(b.N) { // all but two passes
+				b.Fatalf("%d steps skipped in %d passes: the thread does not park", k.Skipped, b.N)
 			}
 		})
 	}

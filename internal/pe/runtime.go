@@ -101,12 +101,29 @@ type Node struct {
 	WorkersExited int
 
 	rt   *Runtime
-	comm pass // the dedicated MPI thread's idle pass (CommLoop)
+	comm pass   // the dedicated MPI thread's idle pass (CommLoop)
+	ver  uint64 // Touch's count, from 1
 }
+
+// Touch is the node's change signal, due in the dispatch of every change to
+// what a StableProbe or the comm thread's stop test reads: the version
+// moves, and a parked thread whose pass would find something wakes.
+func (n *Node) Touch() {
+	n.ver++
+	n.comm.recheck()
+	for _, w := range n.rt.workers {
+		if w.Node == n {
+			w.idle.recheck()
+		}
+	}
+}
+
+// Version is what Touch moves.
+func (n *Node) Version() uint64 { return n.ver }
 
 // AddNode initialises n as the next node, with the given cost model.
 func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
-	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
+	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt, ver: 1}
 	n.OutMu = sim.Mutex{Name: fmt.Sprintf("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
 	n.Out = NewMailbox[*event.Event](&n.OutMu, cost.RemoteEnqueue)
 	n.comm.init(n, nil)
@@ -154,6 +171,7 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 		w.Proc = p
 		main(p)
 		n.WorkersExited++
+		n.Touch() // the comm thread's stop test reads the count
 	})
 }
 

@@ -1,0 +1,279 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// How the parking program's sleepers idle: the literal Advance loop, Poll,
+// or Poll with each quiet pass ending in Park.
+const (
+	idleLoop = iota
+	idlePoll
+	idlePark
+)
+
+// bytesSource hands out the fuzz input one byte at a time, then zeros.
+type bytesSource []byte
+
+func (b *bytesSource) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0])
+	*b = (*b)[1:]
+	return v % n
+}
+
+type parkRun struct {
+	log   []string
+	now   Time
+	stats string
+	ctr   Counters
+}
+
+// sleeper is an idle thread as the pass machine makes one: a pass takes its
+// lock for the first delay of its cycle, lets the others pass, and parks
+// at the end; work announced by a bump, or its lock found held, hands the
+// pass back. Its predicate is stable until the next bump, which wakes it.
+type sleeper struct {
+	name    string
+	p       *Proc
+	mu      *Mutex
+	cycle   []Time
+	rec     Parked
+	park    bool
+	at      int // the step a pass is at
+	holding bool
+	passes  uint64
+	handled int
+	bumps   *int
+	active  *int
+}
+
+func (s *sleeper) quiet() bool { return *s.bumps == s.handled && *s.active > 0 }
+
+// step is one kernel event of an idle pass.
+func (s *sleeper) step() Time {
+	switch {
+	case s.at == 0:
+		if !s.quiet() || !s.mu.TryAcquire(s.p) {
+			return -1
+		}
+		s.holding = true
+	case s.at == 1:
+		s.mu.Unlock(s.p)
+		s.holding = false
+	}
+	d := s.cycle[s.at]
+	if s.at++; s.at < len(s.cycle) {
+		return d
+	}
+	s.at = 0
+	s.passes++
+	if s.park && s.quiet() && s.mu.holder == nil {
+		return s.p.Park(&s.rec, d)
+	}
+	return d
+}
+
+// Skip is the sleeper's sim.Skipper.
+func (s *sleeper) Skip(reps uint64, steps int) {
+	s.passes += reps
+	for ; steps > 0; steps-- {
+		if s.step() < 0 {
+			panic("a skipped step found something to do")
+		}
+	}
+}
+
+// runParkProgram runs sleepers against interactors that lock the sleepers'
+// locks, bump their shared version and sleep delays drawn from the
+// sleepers' own, so that their events fall on the sleepers' instants, ties
+// nested several delays deep. The program is read from prog.
+func runParkProgram(prog []byte, mode int) parkRun {
+	src := bytesSource(prog)
+	env := NewEnv()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d ", env.Now())+fmt.Sprintf(format, args...))
+	}
+	bumps, active := 0, 0
+	base := []Time{10, 20, 30, 40}[:2+src.next(3)] // few delays: ties are the rule
+	var sleepers []*sleeper
+	var delays []Time
+	for i := 0; i < 1+src.next(3); i++ {
+		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, bumps: &bumps, active: &active}
+		hold := base[src.next(len(base))]
+		s.mu = &Mutex{Name: s.name, HoldCost: hold}
+		if i > 0 && src.next(4) == 0 { // a lock two sleepers take: one of them steps
+			s.mu = sleepers[0].mu
+			hold = s.mu.HoldCost
+		}
+		s.cycle = []Time{hold, base[src.next(len(base))]}
+		if src.next(2) == 1 {
+			s.cycle = []Time{hold, base[src.next(len(base))], base[src.next(len(base))], base[src.next(len(base))]}
+		}
+		s.rec = Parked{Cycle: s.cycle, Locks: []*Mutex{s.mu}, Owner: s}
+		delays = append(delays, s.cycle...)
+		sleepers = append(sleepers, s)
+	}
+	bump := func(who string) {
+		for _, s := range sleepers {
+			s.rec.Wake()
+		}
+		bumps++
+		logf("%s bumps", who)
+	}
+	pick := func() Time {
+		d := delays[src.next(len(delays))]
+		if src.next(3) == 0 {
+			d += delays[src.next(len(delays))]
+		}
+		return d
+	}
+	for _, s := range sleepers {
+		s := s
+		env.Spawn(s.name, func(p *Proc) {
+			s.p = p
+			for {
+				switch mode {
+				case idleLoop:
+					for d := s.step(); d >= 0; d = s.step() {
+						p.Advance(d)
+					}
+				default:
+					p.Poll(s.step)
+				}
+				if s.holding {
+					panic("handed back holding the lock")
+				}
+				if *s.active == 0 && *s.bumps == s.handled {
+					return
+				}
+				logf("%s handles %d at step %d", s.name, bumps-s.handled, s.at)
+				s.at, s.handled = 0, bumps
+				// What it does about it can wake the others: take any
+				// sleeper's lock, bump.
+				mu := sleepers[src.next(len(sleepers))].mu
+				mu.Lock(p)
+				p.Advance(base[src.next(len(base))])
+				mu.Unlock(p)
+				if src.next(4) == 3 {
+					bump(s.name)
+					s.handled = bumps
+				}
+			}
+		})
+	}
+	interactors := 1 + src.next(3)
+	active = interactors
+	for i := 0; i < interactors; i++ {
+		name := fmt.Sprintf("i%d", i)
+		actions := 8 + src.next(40)
+		env.Spawn(name, func(p *Proc) {
+			for a := 0; a < actions; a++ {
+				s := sleepers[src.next(len(sleepers))]
+				switch src.next(6) {
+				case 0, 1:
+					p.Advance(pick())
+				case 2:
+					s.mu.Lock(p)
+					logf("%s holds %s", name, s.mu.Name)
+					p.Advance(pick())
+					s.mu.Unlock(p)
+				case 3:
+					bump(name)
+				case 4:
+					if s.mu.TryAcquire(p) {
+						logf("%s took %s", name, s.mu.Name)
+						p.Advance(pick())
+						s.mu.Unlock(p)
+					}
+				case 5:
+					bumpToo := src.next(2) == 0
+					env.After(pick(), func() {
+						logf("%s's callback", name)
+						if bumpToo {
+							bump(name + "'s callback")
+						}
+					})
+					p.Advance(0)
+				}
+			}
+			bump(name + " exits")
+			active-- // read by the sleepers' predicate, like bumps: after the wake
+		})
+	}
+	if err := env.Run(); err != nil {
+		panic(err)
+	}
+	var st strings.Builder
+	for _, s := range sleepers {
+		fmt.Fprintf(&st, "%s %v passes=%d acquires=%d contended=%d wait=%d; ",
+			s.name, s.cycle, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
+	}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters()}
+}
+
+// checkParkedPoll runs one program the three ways: parked sleepers must
+// leave the log, the clock, every lock's statistics and the dispatch count
+// of the literal loop, and take the Poll form's steps, some of them
+// skipped.
+func checkParkedPoll(t *testing.T, prog []byte) (skipped uint64) {
+	t.Helper()
+	loop, poll, park := runParkProgram(prog, idleLoop), runParkProgram(prog, idlePoll), runParkProgram(prog, idlePark)
+	if a, b := strings.Join(loop.log, "\n"), strings.Join(park.log, "\n"); a != b {
+		i := 0
+		for i < len(loop.log) && i < len(park.log) && loop.log[i] == park.log[i] {
+			i++
+		}
+		t.Fatalf("program %v: logs differ from entry %d: loop %q, parked %q", prog, i, at(loop.log, i), at(park.log, i))
+	}
+	if loop.now != park.now || loop.stats != park.stats {
+		t.Fatalf("program %v: loop ended at %v with\n%s\nparked at %v with\n%s", prog, loop.now, loop.stats, park.now, park.stats)
+	}
+	lc, pc, kc := loop.ctr, poll.ctr, park.ctr
+	if kc.Dispatches != lc.Dispatches || kc.Callbacks != lc.Callbacks || kc.Steps != pc.Steps || kc.ProcSwitches != pc.ProcSwitches || pc.Skipped != 0 {
+		t.Fatalf("program %v: counters loop %+v, Poll %+v, parked %+v", prog, lc, pc, kc)
+	}
+	return kc.Skipped
+}
+
+func at(log []string, i int) string {
+	if i < len(log) {
+		return log[i]
+	}
+	return "<end>"
+}
+
+// TestParkedPollMatchesAdvanceLoop: over seeded programs — one to three
+// sleepers with two- and four-step cycles, some sharing a lock, against
+// interactors whose sleeps are drawn from the sleepers' delays and who take
+// their locks and bump their version at every 10 ns offset of a pass —
+// parking changes nothing but how many steps are dispatched.
+func TestParkedPollMatchesAdvanceLoop(t *testing.T) {
+	var skipped, steps uint64
+	for seed := int64(1); seed <= 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 64+rng.Intn(512))
+		rng.Read(prog)
+		skipped += checkParkedPoll(t, prog)
+		steps += runParkProgram(prog, idlePoll).ctr.Steps
+	}
+	if 2*skipped < steps {
+		t.Errorf("%d of %d steps skipped: the sleepers hardly park", skipped, steps)
+	}
+	t.Logf("%d of %d steps skipped", skipped, steps)
+}
+
+// FuzzParkedPoll searches the programs for one where parking moves
+// anything.
+func FuzzParkedPoll(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
+	f.Add([]byte("a longer program, with three sleepers and many interactions of each kind"))
+	f.Fuzz(func(t *testing.T, prog []byte) { checkParkedPoll(t, prog) })
+}

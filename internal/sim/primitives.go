@@ -15,6 +15,7 @@ type Mutex struct {
 
 	holder  *Proc
 	waiters []*Proc
+	watch   *Parked // the parked process whose steps take m, if any
 	// Contention statistics (virtual time spent blocked, acquisitions).
 	WaitTime  Time
 	Acquires  int64
@@ -23,6 +24,7 @@ type Mutex struct {
 
 // Lock acquires m, blocking p in virtual time while m is held.
 func (m *Mutex) Lock(p *Proc) {
+	m.Wake()
 	m.Acquires++
 	if m.holder != nil {
 		m.Contended++
@@ -47,12 +49,21 @@ func (m *Mutex) Lock(p *Proc) {
 // advances p and a Poll step may call it and return the cost as its next
 // delay.
 func (m *Mutex) TryAcquire(p *Proc) bool {
+	m.Wake()
 	if m.holder != nil {
 		return false
 	}
 	m.Acquires++
 	m.holder = p
 	return true
+}
+
+// Wake brings the process parked taking m, if any, up to date: Lock and
+// TryAcquire call it, and so must whatever else reads m during a run.
+func (m *Mutex) Wake() {
+	if m.watch != nil {
+		m.watch.Wake()
+	}
 }
 
 // Unlock releases m, handing it to the longest-waiting process if any.

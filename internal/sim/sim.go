@@ -118,7 +118,7 @@ type event struct {
 	at   Time
 	seq  uint64
 	proc int32 // >= 0: resume Env.procs[proc]
-	cb   int32 // proc < 0: run Env.cbs[cb]
+	cb   int32 // proc < 0: run Env.cbs[cb]; else the rank of a woken step among ties (park.go)
 }
 
 // callback is a pending After: what its entry points at by index.
@@ -128,9 +128,9 @@ type callback struct {
 	next int32  // free list link while the slot is vacant
 }
 
-// before is the kernel's one order: by time, ties by filing sequence.
+// before is the kernel's one order: by time, filing key, rank (park.go).
 func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+	return e.at < o.at || (e.at == o.at && (e.seq < o.seq || (e.seq == o.seq && e.cb < o.cb)))
 }
 
 type eventHeap []event
@@ -205,6 +205,12 @@ type Env struct {
 	// context or in Run's; the blocking primitives refuse to run under it.
 	stepping *Proc
 
+	// Parking (park.go); key and rank are the dispatch in progress's.
+	parked, refiled []*Parked
+	log             []logEntry
+	key             uint64
+	rank            int32
+
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
 	// the default (50 million).
@@ -229,6 +235,7 @@ type Counters struct {
 	ProcSwitches uint64 // dispatches that switched into a process
 	Callbacks    uint64 // dispatches that ran an After callback
 	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
+	Skipped      uint64 // of the Steps, those a parked process never took (host-only)
 }
 
 // Counters returns the kernel's dispatch counts.
@@ -244,7 +251,8 @@ var ErrCancelled = errors.New("sim: run cancelled")
 
 // cancelStride is how many dispatches pass between polls of the stop
 // flag: cancellation latency is bounded by it while the dispatch hot
-// loop pays one atomic load per stride, not per event.
+// loop pays one atomic load per stride, not per event. It is a threshold:
+// a wake adds skipped steps to Dispatches at once.
 const cancelStride = 64
 
 // procCancelled is the panic value yield raises to unwind a process
@@ -266,8 +274,9 @@ func (e *Env) Now() Time { return e.now }
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }
 
+// nextSeq is the key of a real filing: even, so skipped ones fit between.
 func (e *Env) nextSeq() uint64 {
-	e.seq++
+	e.seq += 2
 	return e.seq
 }
 
@@ -373,6 +382,9 @@ func (e *Env) Run() error {
 				stepPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 			}
 		}
+		for _, r := range e.parked { // no process stays parked past Run
+			r.proc = nil
+		}
 		e.unwind()
 		e.running = false
 		if stepPanic != nil {
@@ -383,17 +395,27 @@ func (e *Env) Run() error {
 	if limit <= 0 {
 		limit = 50_000_000
 	}
-	start := e.ctr.Dispatches
+	poll := e.ctr.Dispatches
 	for {
 		ev, ok := e.pend.pop()
 		if !ok {
-			break
+			if len(e.parked) == 0 {
+				break
+			}
+			e.wake(e.parked[0], e.now, 0) // a parked process's next step is the next event
+			continue
 		}
-		if (e.ctr.Dispatches-start)%cancelStride == 0 && e.stop.Load() {
-			return ErrCancelled
+		if len(e.parked)+len(e.refiled) > 0 && !e.settle(ev) {
+			continue
+		}
+		if e.ctr.Dispatches >= poll {
+			if poll = e.ctr.Dispatches + cancelStride; e.stop.Load() {
+				return ErrCancelled
+			}
 		}
 		e.ctr.Dispatches++
 		at := ev.at
+		e.key, e.rank = ev.seq, ev.cb
 		var p *Proc // nil: the event is a callback
 		if ev.proc >= 0 {
 			p = e.procs[ev.proc]
@@ -428,6 +450,10 @@ func (e *Env) Run() error {
 			if d >= 0 {
 				e.ctr.Steps++
 				e.pend.pushStep(e.now, d, e.nextSeq(), ev.proc)
+				continue
+			}
+			if d == parkStep {
+				e.ctr.Steps++
 				continue
 			}
 			p.step = nil // Poll is over: resume the process, in this dispatch
@@ -573,11 +599,11 @@ func (p *Proc) Poll(step func() Time) {
 	if e.stepping != nil {
 		panic(e.blockedInStep("Poll"))
 	}
-	d := e.runStep(p, step)
-	if d < 0 {
+	if d := e.runStep(p, step); d >= 0 {
+		e.pend.pushStep(e.now, d, e.nextSeq(), int32(p.id))
+	} else if d != parkStep {
 		return
 	}
-	e.pend.pushStep(e.now, d, e.nextSeq(), int32(p.id))
 	p.state = stateRunnable
 	p.step = step
 	p.yield()
