@@ -23,6 +23,7 @@ import (
 // finds a round due or requested (gvtQuiet).
 func (w *worker) barrierPoll() {
 	w.node.gvtReq = true
+	w.node.Touch()
 	w.passes = 0
 	w.barrierWorkerRound()
 }

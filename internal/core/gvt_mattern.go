@@ -123,6 +123,7 @@ func (w *worker) flushOldReceipts() {
 	cm.mu.Lock(w.Proc)
 	w.Proc.Advance(w.node.Cost.GVTBookkeeping)
 	cm.whiteDelta -= w.recvC[w.drainSlot]
+	w.node.Touch()
 	cm.mu.Unlock(w.Proc)
 	w.recvC[w.drainSlot] = 0
 }
@@ -142,6 +143,7 @@ func (w *worker) matternPoll() {
 	case wIdle:
 		// gvtQuiet let the pass through: a round is due or under way.
 		cm.roundStart = true
+		w.node.Touch()
 		w.passes = 0
 		w.SetPhase(trace.PhaseGVT)
 		// syncCur is set by CA's efficiency control.
@@ -153,6 +155,7 @@ func (w *worker) matternPoll() {
 		p.Advance(cost.GVTBookkeeping)
 		cm.whiteDelta += w.sentC[slot] - w.recvC[slot]
 		cm.redCount++
+		w.node.Touch()
 		cm.mu.Unlock(p)
 		w.sentC[slot], w.recvC[slot] = 0, 0
 		w.drainSlot = slot
@@ -179,6 +182,7 @@ func (w *worker) matternPoll() {
 			cm.minRed = w.minRed
 		}
 		cm.contributed++
+		w.node.Touch()
 		cm.mu.Unlock(p)
 		w.mstate = wDone
 
@@ -204,6 +208,7 @@ func (w *worker) matternPoll() {
 		}
 		cm.mu.Lock(p)
 		cm.acked++
+		w.node.Touch()
 		cm.mu.Unlock(p)
 		w.mstate = wIdle
 	}
@@ -253,6 +258,7 @@ func (n *node) matternCommPoll(p *sim.Proc, from int) bool {
 			n.cm.reset()
 			n.master = msIdle
 			n.syncDone = [3]bool{}
+			n.Touch()
 			worked = true
 		}
 	}
@@ -369,6 +375,7 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			}
 			cm.phase = phWhiteDone
 			n.master = msWaitContrib
+			n.Touch()
 			return true
 		}
 		tok := &gvtToken{phase: tokWhite, count: n.takeDelta(p), minLVT: vtime.Inf, minRed: vtime.Inf}
@@ -385,6 +392,7 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 		if tok.count == 0 {
 			cm.phase = phWhiteDone
 			n.master = msWaitContrib
+			n.Touch()
 		} else if tok.count < 0 {
 			panic(fmt.Sprintf("core: negative in-flight white count %d", tok.count))
 		} else {
@@ -452,6 +460,7 @@ func (n *node) publishGVT(p *sim.Proc, ca bool, gvt float64) {
 	cm.gvt = gvt
 	cm.syncNext = sync
 	cm.phase = phGVTReady
+	n.Touch()
 	eng.onRoundComplete(gvt, cm.syncCur, eff)
 }
 
@@ -482,6 +491,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		return true
 	case tokReduce:
 		cm.phase = phWhiteDone
+		n.Touch()
 		if cm.contributed != cm.workers {
 			n.heldToken = tok // hold until every local worker contributed
 			return true       // phase change counts as progress
@@ -498,6 +508,7 @@ func (n *node) slavePoll(p *sim.Proc) bool {
 		cm.gvt = tok.gvt
 		cm.syncNext = tok.sync
 		cm.phase = phGVTReady
+		n.Touch()
 		n.sendToken(p, tok)
 		return true
 	}

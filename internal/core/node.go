@@ -117,7 +117,10 @@ const (
 )
 
 // commProbes is the comm pass as it is when nothing moves, stage for
-// stage (the index of a probe is its st* constant).
+// stage (the index of a probe is its st* constant). Its predicates are
+// stable: what they read of other threads' doing — the node CM's round
+// state, gvtReq, outMigs — is followed by a pe.Node.Touch wherever it is
+// written; the ring poll's condition reads only the comm role's state.
 func (n *node) commProbes() []pe.Probe {
 	pass := make([]pe.Probe, stGVTTail+1)
 	pass[stOutbox] = pe.TakeProbe(&n.Out)
@@ -125,15 +128,15 @@ func (n *node) commProbes() []pe.Probe {
 	pass[stRecvEvents] = pe.RecvProbe(mpi.AnySource, tagEvents)
 	pass[stRecvAcks] = pe.RecvProbe(mpi.AnySource, tagAcks)
 	if n.eng.migEnabled {
-		pass[stOutMigs] = pe.QuietProbe(func() bool { return n.outMigs.Len() == 0 })
+		pass[stOutMigs] = pe.StableProbe(func() bool { return n.outMigs.Len() == 0 })
 		pass[stRecvMigs] = pe.RecvProbe(mpi.AnySource, tagMigrate)
 	}
 	if n.eng.ring {
-		pass[stGVT] = pe.QuietProbe(n.matternQuiet)
+		pass[stGVT] = pe.StableProbe(n.matternQuiet)
 		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
-		pass[stGVTTail] = pe.QuietProbe(func() bool { return !n.cleanupDue() })
+		pass[stGVTTail] = pe.StableProbe(func() bool { return !n.cleanupDue() })
 	} else {
-		pass[stGVT] = pe.QuietProbe(func() bool { return !n.gvtReq })
+		pass[stGVT] = pe.StableProbe(func() bool { return !n.gvtReq })
 	}
 	return pass
 }
@@ -240,6 +243,7 @@ func (n *node) pumpFrom(p *sim.Proc, from int) bool {
 			}
 			mg := m.Payload.(*migMsg)
 			n.workers[mg.dstWorker].migIn.Deposit(p, mg)
+			n.Touch() // the worker's wsMigs probe reads the box
 			n.TraceRecv(p, m, 0)
 			worked = true
 		}

@@ -373,3 +373,39 @@ func TestFullFossilResetsSnapshotCadence(t *testing.T) {
 		w.deliver(mkEvent(eng, l.history[0].ev.Stamp.T, 1, 0, 12345))
 	})
 }
+
+// TestCreditIdlePassesInClosedForm: crediting n idle passes at once leaves
+// the counters n calls of idleCredit leave, and the answer is the number
+// of passes after them whose credit keeps the interval counter under
+// GVTInterval — the limit a parked worker is given.
+func TestCreditIdlePassesInClosedForm(t *testing.T) {
+	_, w := newTestEngine(1)
+	for _, rounds := range []int{0, 1, 3, 6, 9} {
+		for _, idle := range []int{0, 1, 63, 64, 100, 4095} {
+			for _, passes := range []int{0, 3, 9, 10, 12} {
+				for _, n := range []int{0, 1, 2, 63, 64, 65, 200, 5000} {
+					w.idleRounds, w.idlePasses, w.passes = rounds, idle, passes
+					quiet := w.creditIdlePasses(n)
+					got := [2]int{w.idlePasses, w.passes}
+					w.idlePasses, w.passes = idle, passes
+					for range n {
+						w.idlePasses, w.passes = w.idleCredit()
+					}
+					if want := [2]int{w.idlePasses, w.passes}; got != want {
+						t.Fatalf("rounds %d, idle %d, passes %d, n %d: closed form left %v, one by one %v", rounds, idle, passes, n, got, want)
+					}
+					count := 0
+					for ; ; count++ {
+						if _, p := w.idleCredit(); p >= w.eng.cfg.GVTInterval {
+							break
+						}
+						w.idlePasses, w.passes = w.idleCredit()
+					}
+					if quiet != count {
+						t.Fatalf("rounds %d, idle %d, passes %d, n %d: answered %d quiet passes, counted %d", rounds, idle, passes, n, quiet, count)
+					}
+				}
+			}
+		}
+	}
+}

@@ -81,7 +81,7 @@ func newWorker(eng *Engine, n *node) *worker {
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
 	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
 	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
-	w.IdlePass(w.finished, w.creditIdlePass, w.idleProbes()...)
+	w.IdlePass(w.finished, w.creditIdlePasses, w.idleProbes()...)
 	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
 	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
 		l := &lp{}
@@ -167,17 +167,19 @@ const (
 )
 
 // idleProbes is the main-loop pass as it is when nothing happens, stage
-// for stage (the index of a probe is its ws* constant).
+// for stage (the index of a probe is its ws* constant). Its predicates are
+// stable: the batch stage reads only this worker's state, and a Touch
+// follows every write of another thread to what the others read.
 func (w *worker) idleProbes() []pe.Probe {
 	pass := make([]pe.Probe, wsGVT+1)
 	if w.eng.migEnabled {
-		pass[wsMigs] = pe.QuietProbe(func() bool { return w.migIn.Len() == 0 })
+		pass[wsMigs] = pe.StableProbe(func() bool { return w.migIn.Len() == 0 })
 	}
 	pass[wsInbox] = pe.TakeProbe(&w.Inbox)
 	if w.eng.acks {
 		pass[wsAcks] = pe.TakeProbe(&w.ackIn)
 	}
-	pass[wsBatch] = pe.QuietProbe(func() bool { return !w.capped() && w.drainedToHorizon() })
+	pass[wsBatch] = pe.StableProbe(func() bool { return !w.capped() && w.drainedToHorizon() })
 	if w.pumps() {
 		comm := w.node.commProbes()
 		if !w.leadsRing() {
@@ -185,7 +187,7 @@ func (w *worker) idleProbes() []pe.Probe {
 		}
 		copy(pass[wsComm:], comm)
 	}
-	pass[wsGVT] = pe.QuietProbe(func() bool {
+	pass[wsGVT] = pe.StableProbe(func() bool {
 		_, passes := w.idleCredit() // the pass got past wsBatch: drained to the horizon
 		return w.gvtQuiet(passes)
 	})
@@ -642,7 +644,7 @@ func (w *worker) gvtPoll(worked bool) {
 	if worked {
 		w.idleRounds = 0
 	} else if w.drainedToHorizon() {
-		w.creditIdlePass()
+		w.creditIdlePasses(1)
 	}
 	if w.gvtQuiet(w.passes) {
 		return
@@ -669,10 +671,27 @@ func (w *worker) idleCredit() (idlePasses, passes int) {
 	return w.idlePasses + 1, w.passes
 }
 
-// creditIdlePass counts a pass that did nothing with nothing left inside
-// the horizon. As the end of an idle pass it need not look: the batch
-// stage found the worker drained, and only this thread changes that.
-func (w *worker) creditIdlePass() { w.idlePasses, w.passes = w.idleCredit() }
+// creditIdlePasses counts n passes that did nothing with nothing left
+// inside the horizon, as n calls of idleCredit would, and answers how many
+// more such passes keep gvtQuiet true as far as the interval counter goes:
+// any number (-1) where gvtQuiet does not read it. As the end of an idle
+// pass it need not look: the batch stage found the worker drained, and
+// only this thread changes that.
+func (w *worker) creditIdlePasses(n int) (quiet int) {
+	every := 64 << min(w.idleRounds, 6)                  // idle passes per interval unit
+	if first := max(every-w.idlePasses, 1); n >= first { // the pass that credits the next unit
+		w.passes += 1 + (n-first)/every
+		w.idlePasses = (n - first) % every
+	} else {
+		w.idlePasses += n
+	}
+	if w.eng.ring && (w.mstate != wIdle || w.node.cm.phase != phOpen) {
+		return -1
+	}
+	// The passes before the next unit, then every per unit passes may
+	// still take under the interval.
+	return max(max(every-1-w.idlePasses, 0)+(w.eng.cfg.GVTInterval-w.passes-1)*every, 0)
+}
 
 // gvtQuiet reports whether, with the interval counter at passes, this
 // pass leaves the GVT algorithm where it is: no round to start or join,

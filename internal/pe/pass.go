@@ -1,6 +1,8 @@
 package pe
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -62,8 +64,9 @@ func StableProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet
 // If makes the stage conditional: cond is asked at the stage's start, and
 // when it answers false the loop's stage would not run, so the probe is
 // skipped. Like a QuietProbe's predicate it must change nothing. The loop
-// asks it again when the pass is handed back at this stage, so only the
-// thread itself may change what a RecvProbe's condition reads.
+// asks it again when the pass is handed back at this stage, and a parking
+// thread asks it once for all the passes it skips, so only the thread
+// itself may change what a condition reads.
 func (pr Probe) If(cond func() bool) Probe {
 	pr.cond = cond
 	return pr
@@ -75,17 +78,21 @@ func (pr Probe) If(cond func() bool) Probe {
 type pass struct {
 	probes []Probe     // the engine's list less its zero Probes
 	stop   func() bool // asked at the top of every pass: true hands it back there; nil: never
-	end    func()      // runs as a pass that found nothing ends; nil: nothing to do
+	// end runs as n passes that found nothing end and says how many more
+	// would find nothing (negative: any number); nil: nothing to do.
+	end    func(n int) (quiet int)
 	node   *Node
 	worker *Worker // the owner, when it is one: its idle passes are traced and charged as such
 	proc   *sim.Proc
 	at     int             // the probe the pass is at
 	sub    uint8           // how far into that probe (sub*)
 	step   func() sim.Time // ps.next, bound once: going idle allocates nothing
-	parked sim.Parked      // the quiet pass as the kernel parks it; Cycle nil: it may not
+	parks  bool            // a quiet pass may park (plan)
+	conds  bool            // a probe is conditional: each park builds the cycle anew
+	parked sim.Parked      // the quiet pass as the kernel parks it (build)
 	skips  bool            // next is taking skipped steps (Skip): every stage is quiet
-	cycle  [4]sim.Time     // what parked.Cycle and Locks hold for up to two probes
-	locks  [2]*sim.Mutex
+	cycle  [sim.MaxCycle]sim.Time
+	locks  [sim.MaxCycle]*sim.Mutex // what parked.Cycle and Locks hold
 }
 
 const (
@@ -112,29 +119,57 @@ func (ps *pass) list(probes []Probe) {
 	ps.plan()
 }
 
-// plan writes a quiet pass down as the kernel parks it, if nothing it
-// reads can change unseen: no end hook, no condition, stable predicates,
-// no stop test but the comm thread's (a worker's exit Touches).
+// plan decides whether a quiet pass may park: nothing it reads may change
+// unseen. Its predicates are stable; its conditions and, on a worker, the
+// stop test read the thread's own state, and the comm thread's stop test
+// reads what a worker's exit Touches. A pass that may park and whose
+// longest cycle the kernel cannot hold is refused here, loudly.
 func (ps *pass) plan() {
-	r := &ps.parked
-	ok := len(ps.probes) > 0 && ps.end == nil && (ps.stop == nil || ps.worker == nil) && ps.node.Cost.IdlePoll > 0
+	ps.parks, ps.conds = len(ps.probes) > 0 && ps.node.Cost.IdlePoll > 0, false
+	steps := 1 // IdlePoll
 	for _, pr := range ps.probes {
-		ok = ok && pr.cond == nil && (pr.kind != probeQuiet || pr.stable)
+		ps.parks, ps.conds = ps.parks && (pr.kind != probeQuiet || pr.stable), ps.conds || pr.cond != nil
+		switch pr.kind {
+		case probeTake:
+			steps += min(int(pr.mu.HoldCost), 1)
+		case probeRecv:
+			steps += 2
+		}
 	}
-	r.Cycle, r.Locks = ps.cycle[:0], ps.locks[:0] // no pass that may not park appends
-	for _, pr := range ps.probes {
-		switch {
-		case ok && pr.kind == probeTake && pr.mu.HoldCost > 0:
+	switch {
+	case !ps.parks:
+	case steps > sim.MaxCycle:
+		panic(fmt.Sprintf("pe: %s's idle pass is %d kernel events, more than a parked cycle holds (sim.MaxCycle = %d)", ps.name(), steps, sim.MaxCycle))
+	default:
+		ps.build()
+	}
+}
+
+// name is the owning thread's, as AddProcess registers it.
+func (ps *pass) name() string {
+	if w := ps.worker; w != nil {
+		return fmt.Sprintf("n%d/w%d", ps.node.ID, w.Idx)
+	}
+	return fmt.Sprintf("n%d/comm", ps.node.ID)
+}
+
+// build writes the quiet pass down as the kernel parks it, for the answers
+// its conditions give now, in the pass's own arrays.
+func (ps *pass) build() {
+	r := &ps.parked
+	r.Cycle, r.Locks = ps.cycle[:0], ps.locks[:0]
+	for i := range ps.probes {
+		switch pr := &ps.probes[i]; {
+		case pr.cond != nil && !pr.cond():
+		case pr.kind == probeTake && pr.mu.HoldCost > 0:
 			r.Locks, r.Cycle = append(r.Locks, pr.mu), append(r.Cycle, pr.mu.HoldCost)
-		case ok && pr.kind == probeTake:
+		case pr.kind == probeTake:
 			r.Locks = append(r.Locks, pr.mu)
-		case ok && pr.kind == probeRecv:
+		case pr.kind == probeRecv:
 			r.Locks, r.Cycle = append(r.Locks, ps.node.Rank.ProbeLock()), append(r.Cycle, mpiCosts.LockHold, mpiCosts.Poll)
 		}
 	}
-	if r.Cycle = append(r.Cycle, ps.node.Cost.IdlePoll); !ok {
-		r.Cycle = nil
-	}
+	r.Cycle = append(r.Cycle, ps.node.Cost.IdlePoll)
 }
 
 // again reports whether the pass would find nothing if it started now:
@@ -143,7 +178,8 @@ func (ps *pass) again() bool {
 	quiet := ps.stop == nil || !ps.stop()
 	for i := range ps.probes {
 		pr := &ps.probes[i]
-		quiet = quiet && (pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet())
+		quiet = quiet && (pr.cond != nil && !pr.cond() ||
+			pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet())
 	}
 	return quiet
 }
@@ -155,6 +191,9 @@ func (ps *pass) Skip(reps uint64, steps int) {
 	if w := ps.worker; w != nil {
 		w.St.IdleTime += sim.Time(reps) * ps.node.Cost.IdlePoll
 	}
+	if ps.end != nil {
+		ps.end(int(reps))
+	}
 	ps.skips = true
 	for ; steps > 0; steps-- {
 		if ps.next() < 0 {
@@ -164,10 +203,12 @@ func (ps *pass) Skip(reps uint64, steps int) {
 	ps.skips = false
 }
 
-// recheck wakes the thread if parked and its pass would find something.
+// recheck wakes the thread if parked and its pass would find something,
+// or if it parked without a limit and its end hook now says there is one:
+// only the thread, brought up to date, can count it.
 func (ps *pass) recheck() {
-	if ps.parked.Parked() && !ps.again() {
-		ps.parked.Wake()
+	if r := &ps.parked; r.Parked() && (!ps.again() || r.Limit == 0 && ps.end != nil && ps.end(0) >= 0) {
+		r.Wake()
 	}
 }
 
@@ -248,11 +289,16 @@ func (ps *pass) next() sim.Time {
 			w.SetPhase(trace.PhaseIdle)
 			w.St.IdleTime += n.Cost.IdlePoll
 		}
+		quiet := -1
 		if ps.end != nil {
-			ps.end()
+			quiet = ps.end(1)
 		}
-		if ps.parked.Cycle != nil && ps.again() {
+		if ps.parks && quiet != 0 && ps.again() {
 			ps.at, ps.sub = 0, subStart
+			if ps.conds {
+				ps.build()
+			}
+			ps.parked.Limit = uint64(max(quiet, 0))
 			return p.Park(&ps.parked, n.Cost.IdlePoll)
 		}
 	}
@@ -283,9 +329,13 @@ func (n *Node) workersDone() bool {
 
 // IdlePass lists the pass w's main loop makes, each stage as it is when
 // it finds nothing to do. stop is the loop's own test, asked at the top
-// of a pass; end (which may be nil) is the bookkeeping the loop does for
-// a pass in which every stage found nothing.
-func (w *Worker) IdlePass(stop func() bool, end func(), probes ...Probe) {
+// of a pass; it may read only the worker's own state, since a parked
+// worker does not ask it. end (which may be nil) is the bookkeeping the
+// loop does for passes in which every stage found nothing, n of them at
+// once: it answers how many more passes would leave every stage quiet
+// (negative: any number; end(0) only answers), and a parked worker skips
+// that many at most.
+func (w *Worker) IdlePass(stop func() bool, end func(n int) (quiet int), probes ...Probe) {
 	w.idle.stop, w.idle.end = stop, end
 	w.idle.list(probes)
 }

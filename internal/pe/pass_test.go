@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -58,18 +59,32 @@ func newIdleRuntime(nodes int, mode idleMode, tw *trace.Writer) *Runtime {
 }
 
 // The worker's pass: its inbox, a second mailbox, and a chore that falls
-// due on a timer and that no deposit announces.
+// due on a timer and that no deposit announces; where the pass parks, also
+// a budget of quiet passes that its end hook counts down.
 const (
 	twInbox = iota
 	twSide
 	twChore
+	twBudget
 )
 
 // runIdleWorker runs one worker that has nothing of its own to do against
 // two depositors, one per mailbox, whose deposits keep landing inside its
 // polls, and the timer.
 func runIdleWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
-	const deposits, chores = 40, 25
+	return idleWorkerRun(t, mode, false)
+}
+
+// runParkedWorker is runIdleWorker with a pass that parks: the chore's
+// predicate is stable (the timer Touches), and a last stage falls due on
+// its own once the counted end hook has credited budget quiet passes since
+// it last ran, which only the park's limit can wake the worker for.
+func runParkedWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
+	return idleWorkerRun(t, mode, true)
+}
+
+func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Counters, resumes) {
+	const deposits, chores, budget = 40, 25, 7
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	rt := newIdleRuntime(1, mode, tw)
@@ -111,20 +126,35 @@ func runIdleWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resu
 		logf("chore %d", done)
 		return true
 	}
-	quiet := func() { out.Quiet++ }
+	credits := 0
+	spend := func(p *sim.Proc) bool {
+		if !parks || credits < budget {
+			return false
+		}
+		credits = 0
+		p.Advance(cost.EventOverhead)
+		logf("budget spent")
+		return true
+	}
+	// The end hook; the loop written out here calls it once a pass.
+	quiet := func(n int) int {
+		out.Quiet, credits = out.Quiet+n, credits+n
+		return max(budget-credits, 0)
+	}
 	rt.AddWorker(&w, &n, func(p *sim.Proc) {
 		for from := 0; !finished(); {
 			res.at[from]++
 			worked := from <= twInbox && drain(p, &w.Inbox)
 			worked = from <= twSide && drain(p, &side) || worked
-			worked = chore(p) || worked
+			worked = from <= twChore && chore(p) || worked
+			worked = spend(p) || worked
 			from = 0
 			if worked {
 				w.SetPhase(trace.PhaseProcessing)
 				continue
 			}
 			w.SetPhase(trace.PhaseIdle)
-			quiet()
+			quiet(1)
 			if mode == written {
 				w.St.IdleTime += cost.IdlePoll
 				p.Advance(cost.IdlePoll)
@@ -133,7 +163,12 @@ func runIdleWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resu
 			}
 		}
 	})
-	w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side), QuietProbe(func() bool { return !due }))
+	if parks {
+		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side),
+			StableProbe(func() bool { return !due }), StableProbe(func() bool { return credits < budget }))
+	} else {
+		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side), QuietProbe(func() bool { return !due }))
+	}
 	// Gaps off the poll period, so deposits arrive in every phase of it:
 	// lock held, lock free, box already filled.
 	for d, gap := range []sim.Time{3970, 10130} {
@@ -153,6 +188,7 @@ func runIdleWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resu
 	ticks := 0
 	tick = func() {
 		due = true
+		n.Touch()
 		if ticks++; ticks < chores {
 			rt.Env.After(25030, tick)
 		}
@@ -192,6 +228,17 @@ const (
 // timer. The thread itself flips ringOn, with every chore: what a
 // RecvProbe's condition reads may change by its owner's doing only.
 func runCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
+	return commThreadRun(t, mode, QuietProbe)
+}
+
+// runParkedCommThread is runCommThread with the chore's predicate stable
+// (the timer Touches), so that the thread parks, its cycle built for the
+// ring condition's answer at the park.
+func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
+	return commThreadRun(t, mode, StableProbe)
+}
+
+func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (idleOutcome, sim.Counters, resumes) {
 	const deposits, packets, chores = 40, 40, 20
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -296,7 +343,7 @@ func runCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resu
 		TakeProbe(&n0.Out),
 		RecvProbe(mpi.AnySource, tagData),
 		RecvProbe(1, tagRing).If(func() bool { return ringOn }),
-		QuietProbe(func() bool { return !due }),
+		chore(func() bool { return !due }),
 	)
 	rt.AddNode(&n1, cost)
 	rt.AddWorker(&w1, &n1, func(p *sim.Proc) {
@@ -313,6 +360,7 @@ func runCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resu
 	ticks := 0
 	tick = func() {
 		due = true
+		n0.Touch()
 		if ticks++; ticks < chores {
 			rt.Env.After(29970, tick)
 		}
@@ -350,6 +398,9 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 		// The ring probe starts the instant the data probe lets go of the
 		// rank lock, so it alone can never find the lock taken at its start.
 		{"comm", runCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
+		// The same threads, parked between their wake-ups (Skipped > 0).
+		{"worker/parked", runParkedWorker, []int{twInbox, twSide, twChore, twBudget}, nil},
+		{"comm/parked", runParkedCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			loop, lk, _ := c.run(t, written)
@@ -389,6 +440,9 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 			if lres.paid != [4]int{} || lres.at[0] == 0 || lres.at != [4]int{lres.at[0]} {
 				t.Errorf("LiteralIdle resumed passes %+v: want every one at stage 0 and no probe paid for", lres)
 			}
+			if parks := strings.HasSuffix(c.name, "/parked"); parks != (sk.Skipped > 0) || parks && 2*sk.Skipped < sk.Steps {
+				t.Errorf("%d of %d steps skipped", sk.Skipped, sk.Steps)
+			}
 		})
 	}
 }
@@ -400,7 +454,7 @@ func idleWorker(w *Worker, quiet func() bool, body func(p *sim.Proc)) *Runtime {
 	n := &Node{}
 	rt.AddNode(n, cluster.KNLDefaults())
 	rt.AddWorker(w, n, body)
-	w.IdlePass(func() bool { return false }, func() {}, TakeProbe(&w.Inbox), QuietProbe(quiet))
+	w.IdlePass(func() bool { return false }, nil, TakeProbe(&w.Inbox), QuietProbe(quiet))
 	return rt
 }
 
@@ -500,4 +554,25 @@ func BenchmarkIdlePass(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestPlanRefusesTooLongCycle: a pass that may park and whose cycle the
+// kernel cannot hold is refused when it is listed, naming the thread, and
+// is not left to Park, which would refuse it silently on every pass.
+func TestPlanRefusesTooLongCycle(t *testing.T) {
+	var n Node
+	rt := newIdleRuntime(1, stepped, nil)
+	rt.AddNode(&n, cluster.KNLDefaults())
+	probes := []Probe{TakeProbe(&n.Out), StableProbe(func() bool { return true })}
+	for steps := 2; steps+2 <= sim.MaxCycle; steps += 2 { // the take and IdlePoll, then two per receive
+		probes = append(probes, RecvProbe(mpi.AnySource, tagData))
+	}
+	rt.AddComm(&n, func(*sim.Proc) {}, probes...) // exactly sim.MaxCycle: taken
+	probes = append(probes, RecvProbe(mpi.AnySource, tagRing).If(func() bool { return false }))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "n0/comm") || !strings.Contains(msg, "MaxCycle") {
+			t.Errorf("one probe too many: recovered %q, want a refusal naming n0/comm", msg)
+		}
+	}()
+	rt.AddComm(&n, func(*sim.Proc) {}, probes...)
 }

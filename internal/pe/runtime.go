@@ -100,9 +100,10 @@ type Node struct {
 	// WorkersExited counts this node's workers whose main loop returned.
 	WorkersExited int
 
-	rt   *Runtime
-	comm pass   // the dedicated MPI thread's idle pass (CommLoop)
-	ver  uint64 // Touch's count, from 1
+	rt      *Runtime
+	workers []*Worker // the node's, in AddWorker order
+	comm    pass      // the dedicated MPI thread's idle pass (CommLoop)
+	ver     uint64    // Touch's count, from 1
 }
 
 // Touch is the node's change signal, due in the dispatch of every change to
@@ -111,10 +112,8 @@ type Node struct {
 func (n *Node) Touch() {
 	n.ver++
 	n.comm.recheck()
-	for _, w := range n.rt.workers {
-		if w.Node == n {
-			w.idle.recheck()
-		}
+	for _, w := range n.workers {
+		w.idle.recheck()
 	}
 }
 
@@ -167,6 +166,7 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
 	w.idle.init(n, w)
 	rt.workers = append(rt.workers, w)
+	n.workers = rt.workers[gidx-idx : gidx+1] // a view: Init sized rt.workers for every worker
 	rt.AddProcess(fmt.Sprintf("n%d/w%d", n.ID, idx), func(p *sim.Proc) {
 		w.Proc = p
 		main(p)

@@ -106,9 +106,9 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 // idle passes taken as Poll steps do not (pe.Worker.Idle for workers,
 // pe.Node.CommLoop for the MPI threads), and are the one column a change
 // of host cost alone may move. Skipped is the other: the steps, counted in
-// Dispatches as if they had run, that a parked thread never took (the
-// null-message threads park, a Time Warp thread never does: its pass ends
-// in a hook).
+// Dispatches as if they had run, that a parked thread never took: every
+// idle thread parks, a Time Warp worker for as many passes as its GVT
+// interval credit leaves quiet.
 func TestKernelDispatchesPinned(t *testing.T) {
 	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
 	twComp, twComm, consNull := shape, shape, shape
@@ -130,17 +130,17 @@ func TestKernelDispatchesPinned(t *testing.T) {
 		wall                            sim.Time
 		skipped                         uint64
 	}{
-		{"tw-comp", twComp, 622_992, 167_801, 23_393, 20_149_260, 0},
-		{"tw-comm", twComm, 719_138, 568_093, 17_576, 33_302_316, 0},
+		{"tw-comp", twComp, 622_992, 167_801, 23_393, 20_149_260, 422_921},
+		{"tw-comm", twComm, 719_138, 568_093, 17_576, 33_302_316, 105_787},
 		{"cons-nullmsg", consNull, 650_200, 30_881, 1_849, 6_520_369, 610_319},
-		{"samadi/dedicated", samadi, 364_336, 87_264, 14_060, 15_419_436, 0},
-		{"mattern/combined", combined, 382_925, 163_536, 14_060, 14_074_380, 0},
-		{"mattern/shared", shared, 168_876, 146_221, 14_060, 14_082_480, 0},
-		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 632_405, 14_060, 45_109_394, 0},
-		{"samadi/combined", samadiCombined, 198_044, 83_201, 14_060, 16_320_086, 0},
-		{"samadi/shared", samadiShared, 290_124, 213_731, 14_060, 23_695_278, 0},
-		{"samadi/greedy+straggler", samadiMigrating, 384_748, 89_778, 14_060, 48_742_798, 0},
-		{"barrier/combined", barrierCombined, 149_234, 81_803, 14_060, 20_321_782, 0},
+		{"samadi/dedicated", samadi, 364_336, 87_264, 14_060, 15_419_436, 268_233},
+		{"mattern/combined", combined, 382_925, 163_536, 14_060, 14_074_380, 142_584},
+		{"mattern/shared", shared, 168_876, 146_221, 14_060, 14_082_480, 7_408},
+		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 632_405, 14_060, 45_109_394, 1_103_821},
+		{"samadi/combined", samadiCombined, 198_044, 83_201, 14_060, 16_320_086, 110_172},
+		{"samadi/shared", samadiShared, 290_124, 213_731, 14_060, 23_695_278, 4_935},
+		{"samadi/greedy+straggler", samadiMigrating, 384_748, 89_778, 14_060, 48_742_798, 285_976},
+		{"barrier/combined", barrierCombined, 149_234, 81_803, 14_060, 20_321_782, 66_232},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {

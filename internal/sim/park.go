@@ -1,6 +1,10 @@
 package sim
 
-import "sort"
+import (
+	"math"
+	"sort"
+	"sync"
+)
 
 // Parked is the record of a process that may park in Poll (DESIGN.md
 // "Kernel scheduling", Parking): its steps repeat a cycle and change
@@ -11,6 +15,9 @@ import "sort"
 type Parked struct {
 	Cycle []Time   // what one repetition's steps return, from the first after the park; positive
 	Locks []*Mutex // every acquisition a repetition makes; Lock or TryAcquire of one wakes the process
+	// Limit bounds the repetitions skipped (0: no bound): the step that
+	// starts repetition Limit+1 wakes the process, as a Wake there would.
+	Limit uint64
 	Owner Skipper
 
 	proc *Proc  // the parked process; nil while it steps
@@ -20,10 +27,11 @@ type Parked struct {
 	from int    // and the first log entry that can follow it
 	per  Time   // the sum of Cycle
 	n    uint64 // steps skipped since the park
+	end  Time   // the instant of the step Limit wakes it at
 	// For tie-breaks (earlier): the parking dispatch, the keys of the last
 	// steps (a ring), the processes in lockstep ahead of it as it parked.
 	park  event
-	keys  [2*maxCycle + 1]uint64
+	keys  [2*MaxCycle + 1]uint64
 	nh    int
 	ahead [maxProcs / 64]uint64
 	who   int32 // the process's id, kept once proc is cleared by the wake
@@ -33,9 +41,12 @@ type Parked struct {
 // A Skipper applies skipped steps but their locks: reps repetitions, then steps.
 type Skipper interface{ Skip(reps uint64, steps int) }
 
-// Bounds: a cycle's length, the processes parking in lockstep, the log.
+// MaxCycle bounds a cycle's length: the longest idle pass of either
+// engine, a worker carrying the Time Warp comm role in a migrating run.
+const MaxCycle = 12
+
+// Bounds: the processes parking in lockstep, the log.
 const (
-	maxCycle = 6
 	maxProcs = 256
 	logCap   = 128
 )
@@ -48,6 +59,31 @@ type logEntry struct {
 
 const parkStep Time = -2 // what Park returns for a step to return
 
+// parking is what the kernel keeps while anything is parked: the parked
+// and re-filed records and the log. An Env takes one at its first park and
+// gives it back as Run ends (unpark), so a host that runs simulation after
+// simulation allocates it once.
+type parking struct {
+	parked, refiled []*Parked
+	log             []logEntry
+}
+
+var parkings = sync.Pool{New: func() any { return &parking{log: make([]logEntry, 0, logCap)} }}
+
+// unpark ends parking as Run returns: no process stays parked past it.
+func (e *Env) unpark() {
+	for _, r := range e.parked {
+		r.proc = nil
+	}
+	if pk := e.pk; pk != nil {
+		clear(e.parked[:cap(e.parked)])
+		clear(e.refiled[:cap(e.refiled)])
+		pk.parked, pk.refiled, pk.log = e.parked[:0], e.refiled[:0], e.log[:0]
+		e.pk, e.parked, e.refiled, e.log = nil, nil, nil, nil
+		parkings.Put(pk)
+	}
+}
+
 // after reports whether (at, key) is ordered after (t, k).
 func after(at Time, key uint64, t Time, k uint64) bool {
 	return at > t || (at == t && key > k)
@@ -58,7 +94,7 @@ func after(at Time, key uint64, t Time, k uint64) bool {
 // and notes which parked processes stepping in lockstep with p are ahead.
 func (p *Proc) Park(r *Parked, d Time) Time {
 	e := p.env
-	if len(r.Cycle) > maxCycle {
+	if len(r.Cycle) > MaxCycle {
 		return d
 	}
 	for _, m := range r.Locks {
@@ -86,14 +122,19 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 	for _, d := range r.Cycle {
 		r.per += d
 	}
+	if r.end = r.at + Time(r.Limit)*r.per; r.Limit > 0 && (e.due == 0 || r.end < e.due) {
+		e.due = r.end
+	}
 	r.note(r.key)
 	for _, m := range r.Locks {
 		m.watch = r
 	}
-	if e.log == nil {
-		e.parked = make([]*Parked, 0, len(e.procs))
-		e.refiled = make([]*Parked, 0, len(e.procs))
-		e.log = make([]logEntry, 0, logCap)
+	if e.pk == nil {
+		e.pk = parkings.Get().(*parking)
+		if cap(e.pk.parked) < len(e.procs) {
+			e.pk.parked, e.pk.refiled = make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs))
+		}
+		e.parked, e.refiled, e.log = e.pk.parked, e.pk.refiled, e.pk.log
 	}
 	e.parked = append(e.parked, r)
 	return parkStep
@@ -109,13 +150,18 @@ func (r *Parked) Wake() {
 	}
 }
 
-// wake takes r's skipped steps ordered before (cutAt, cutKey) and files
-// the next in the heap, ranked among the woken steps it ties with.
+// wake takes r's skipped steps ordered before (cutAt, cutKey), within its
+// limit, and files the next in the heap, ranked among the woken steps it
+// ties with.
 func (e *Env) wake(r *Parked, cutAt Time, cutKey uint64) {
 	e.walk(r, cutAt, cutKey)
-	for i, q := range e.parked {
-		if q == r {
+	e.due = 0
+	for i := 0; i < len(e.parked); i++ {
+		if q := e.parked[i]; q == r {
 			e.parked[i], e.parked = e.parked[len(e.parked)-1], e.parked[:len(e.parked)-1]
+			i--
+		} else if q.Limit > 0 && (e.due == 0 || q.end < e.due) {
+			e.due = q.end
 		}
 	}
 	n, m := r.n, uint64(len(r.Cycle))
@@ -143,15 +189,20 @@ func (e *Env) wake(r *Parked, cutAt Time, cutKey uint64) {
 // walk takes r over its steps ordered before (cutAt, cutKey), not before
 // the last dispatch, in closed form, with keys for the last steps only: a
 // key depends on the one before only where a dispatch shares its instant.
+// It stops short of the cut at the step r's limit wakes it at.
 func (e *Env) walk(r *Parked, cutAt Time, cutKey uint64) {
-	if !after(cutAt, cutKey, r.at, r.key) {
+	left := math.MaxInt // the steps r may still skip
+	if r.Limit > 0 {
+		left = int(r.Limit*uint64(len(r.Cycle)) - r.n)
+	}
+	if left == 0 || !after(cutAt, cutKey, r.at, r.key) {
 		return
 	}
-	n := int((cutAt-r.at)/r.per) * len(r.Cycle) // then the steps before cutAt
-	for t, _ := r.step(n); t < cutAt; t, _ = r.step(n) {
+	n := min(int((cutAt-r.at)/r.per)*len(r.Cycle), left) // then the steps before cutAt
+	for t, _ := r.step(n); n < left && t < cutAt; t, _ = r.step(n) {
 		n++
 	}
-	i, key, from := max(0, n+1-len(r.keys)), r.key, r.from
+	i, key, from := max(0, n+1-r.history()), r.key, r.from
 	for ; i > 0; i-- {
 		t, _ := r.step(i - 1)
 		k, f := e.counter(from, t, ^uint64(0))
@@ -165,7 +216,7 @@ func (e *Env) walk(r *Parked, cutAt Time, cutKey uint64) {
 		if i > 0 { // the next step's key is noted already
 			r.note(key)
 		}
-		if !after(cutAt, cutKey, t, key) {
+		if i == left || !after(cutAt, cutKey, t, key) {
 			break
 		}
 		key, from = e.counter(from, t, key)
@@ -212,12 +263,16 @@ func (r *Parked) note(key uint64) {
 	r.nh++
 }
 
+// history is how many of its last steps' keys a walk notes for r: as far
+// back as a tie-break with any chain looks (earlier), and no further.
+func (r *Parked) history() int { return len(r.Cycle) + MaxCycle + 1 }
+
 // keyBack is the key of r's chain j steps before its next one.
 func (r *Parked) keyBack(j int) uint64 {
 	if uint64(j) == r.n+1 {
 		return r.park.seq
 	}
-	if j >= min(r.nh, len(r.keys)) {
+	if j >= min(r.nh, r.history()) {
 		panic("sim: a tie-break reached past a parked chain's history")
 	}
 	return r.keys[(r.nh-1-j)%len(r.keys)]
@@ -247,16 +302,34 @@ func earlier(a, b *Parked) bool {
 }
 
 // settle sees every entry before its dispatch while anything is parked or
-// woken. A woken step's dispatch can share its key with a skipped step:
-// those processes wake first; if one was filed first, ev goes back (false).
+// woken. The processes a limit wakes at the earliest instant wake first if
+// that step is ordered before ev, which then goes back (false) with nothing
+// else parked walked past it. A woken step's dispatch can share its key
+// with a skipped step: those processes wake first; if one was filed first,
+// ev goes back.
 func (e *Env) settle(ev event) bool {
+	if due := e.due; due > 0 && due <= ev.at {
+		back := false
+		for j := 0; j < len(e.parked); j++ {
+			if q := e.parked[j]; q.Limit > 0 && q.end == due {
+				if e.walk(q, ev.at, ev.seq); after(ev.at, ev.seq, q.at, q.key) { // the walk ends on its waking step
+					e.wake(q, ev.at, ev.seq) // takes q out of e.parked
+					back, j = true, j-1
+				}
+			}
+		}
+		if back {
+			e.pend.push(ev)
+			return false
+		}
+	}
 	if ev.seq&1 == 1 {
 		back := false
 		for j := 0; j < len(e.parked); j++ {
 			q := e.parked[j]
 			if _, ok := q.index(ev.at); ok {
 				if e.walk(q, ev.at, ev.seq); q.at == ev.at && q.key == ev.seq {
-					e.wake(q, ev.at, ev.seq) // takes q out of e.parked
+					e.wake(q, ev.at, ev.seq)
 					back, j = back || q.rank < ev.cb, j-1
 				}
 			}

@@ -37,7 +37,10 @@ type parkRun struct {
 // sleeper is an idle thread as the pass machine makes one: a pass takes its
 // lock for the first delay of its cycle, lets the others pass, and parks
 // at the end; work announced by a bump, or its lock found held, hands the
-// pass back. Its predicate is stable until the next bump, which wakes it.
+// pass back. Its predicate is stable until the next bump, which wakes it,
+// or, with a budget, until it has made that many passes since it last
+// handled something: then it turns false on its own, and the park's limit
+// must wake the sleeper at the pass that finds it so.
 type sleeper struct {
 	name    string
 	p       *Proc
@@ -48,12 +51,16 @@ type sleeper struct {
 	at      int // the step a pass is at
 	holding bool
 	passes  uint64
+	budget  uint64 // quiet passes after each handling; 0: no bound
+	until   uint64 // the pass count the predicate turns false at; 0: never
 	handled int
 	bumps   *int
 	active  *int
 }
 
-func (s *sleeper) quiet() bool { return *s.bumps == s.handled && *s.active > 0 }
+func (s *sleeper) quiet() bool {
+	return *s.bumps == s.handled && *s.active > 0 && (s.until == 0 || s.passes < s.until)
+}
 
 // step is one kernel event of an idle pass.
 func (s *sleeper) step() Time {
@@ -74,6 +81,10 @@ func (s *sleeper) step() Time {
 	s.at = 0
 	s.passes++
 	if s.park && s.quiet() && s.mu.holder == nil {
+		s.rec.Limit = 0
+		if s.until > 0 {
+			s.rec.Limit = s.until - s.passes
+		}
 		return s.p.Park(&s.rec, d)
 	}
 	return d
@@ -112,9 +123,13 @@ func runParkProgram(prog []byte, mode int) parkRun {
 			s.mu = sleepers[0].mu
 			hold = s.mu.HoldCost
 		}
-		s.cycle = []Time{hold, base[src.next(len(base))]}
-		if src.next(2) == 1 {
-			s.cycle = []Time{hold, base[src.next(len(base))], base[src.next(len(base))], base[src.next(len(base))]}
+		s.cycle = []Time{hold}
+		for range []int{2, 4, 2 + src.next(MaxCycle-1)}[src.next(3)] - 1 {
+			s.cycle = append(s.cycle, base[src.next(len(base))])
+		}
+		if src.next(2) == 0 {
+			s.budget = 1 + uint64(src.next(48))
+			s.until = s.budget
 		}
 		s.rec = Parked{Cycle: s.cycle, Locks: []*Mutex{s.mu}, Owner: s}
 		delays = append(delays, s.cycle...)
@@ -153,8 +168,11 @@ func runParkProgram(prog []byte, mode int) parkRun {
 				if *s.active == 0 && *s.bumps == s.handled {
 					return
 				}
-				logf("%s handles %d at step %d", s.name, bumps-s.handled, s.at)
+				logf("%s handles %d at step %d after %d passes", s.name, bumps-s.handled, s.at, s.passes)
 				s.at, s.handled = 0, bumps
+				if s.budget > 0 {
+					s.until = s.passes + s.budget
+				}
 				// What it does about it can wake the others: take any
 				// sleeper's lock, bump.
 				mu := sleepers[src.next(len(sleepers))].mu
@@ -250,7 +268,8 @@ func at(log []string, i int) string {
 }
 
 // TestParkedPollMatchesAdvanceLoop: over seeded programs — one to three
-// sleepers with two- and four-step cycles, some sharing a lock, against
+// sleepers with cycles of two to MaxCycle steps, some sharing a lock, some
+// with a pass budget that runs out on its own, against
 // interactors whose sleeps are drawn from the sleepers' delays and who take
 // their locks and bump their version at every 10 ns offset of a pass —
 // parking changes nothing but how many steps are dispatched.
@@ -275,5 +294,8 @@ func FuzzParkedPoll(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
 	f.Add([]byte("a longer program, with three sleepers and many interactions of each kind"))
+	// A sleeper's budget runs out at an instant an interactor is dispatched
+	// at: the limit's waking step must take its place among the ties.
+	f.Add([]byte{0x4f, 0x1c, 0xd6, 0xfd, 0xfc, 0x63, 0x3c, 0xf, 0xa6, 0xd5, 0x8f, 0x41, 0xc0, 0x6e, 0x60, 0x9c, 0x10, 0x54, 0xe4, 0xb})
 	f.Fuzz(func(t *testing.T, prog []byte) { checkParkedPoll(t, prog) })
 }

@@ -205,11 +205,14 @@ type Env struct {
 	// context or in Run's; the blocking primitives refuse to run under it.
 	stepping *Proc
 
-	// Parking (park.go); key and rank are the dispatch in progress's.
+	// Parking (park.go); key and rank are the dispatch in progress's, due
+	// the earliest instant a parked process's limit wakes it at (0: none).
+	pk              *parking // the parked, refiled and log slices' owner
 	parked, refiled []*Parked
 	log             []logEntry
 	key             uint64
 	rank            int32
+	due             Time
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
@@ -382,9 +385,7 @@ func (e *Env) Run() error {
 				stepPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 			}
 		}
-		for _, r := range e.parked { // no process stays parked past Run
-			r.proc = nil
-		}
+		e.unpark()
 		e.unwind()
 		e.running = false
 		if stepPanic != nil {
