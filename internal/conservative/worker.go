@@ -147,7 +147,7 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 		w.execT = ev.Stamp.T
 		w.Pending.Pop()
 		w.node.Touch()
-		p.Advance(w.node.Cost.QueueOp)
+		w.Owe(w.node.Cost.QueueOp) // settled with the event's own charges
 		w.processOne(p, ev)
 		worked = true
 	}
@@ -166,10 +166,14 @@ func (w *worker) processOne(p *sim.Proc, ev *event.Event) {
 			l.ID, ev.Stamp, w.last[i], w.eng.cfg.Sync, w.eng.la))
 	}
 	w.last[i] = ev.Stamp
-	p.Advance(w.node.Cost.EventOverhead)
+	// Overhead and the model's Spins are owed until OnEvent sends or
+	// returns, and pass in one switch; meanwhile only the LP and sendQ are
+	// touched, which no other thread reads.
+	w.Owe(w.node.Cost.EventOverhead)
 	w.ctx.LP = l
 	w.ctx.T = ev.Stamp.T
 	l.Model.OnEvent(&w.ctx, ev)
+	w.Settle()
 	w.St.Processed++
 	w.Commit(l, ev)
 	for _, s := range w.sendQ {
@@ -207,6 +211,7 @@ type wctx struct {
 
 // Send adds the lookahead guard to the shared stamping.
 func (c *wctx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
+	c.w.Settle() // as Time Warp's: the pool hands out events when it always did
 	ev := c.w.node.pool.Get()
 	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	// Enforce the declared lookahead on cross-worker sends, against the

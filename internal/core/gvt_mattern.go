@@ -105,8 +105,7 @@ func (cm *nodeCM) reset() {
 // takeDelta atomically removes the node's accumulated white delta.
 func (n *node) takeDelta(p *sim.Proc) int64 {
 	cm := &n.cm
-	cm.mu.Lock(p)
-	p.Advance(n.Cost.GVTBookkeeping)
+	cm.mu.LockFor(p, n.Cost.GVTBookkeeping)
 	d := cm.whiteDelta
 	cm.whiteDelta = 0
 	cm.mu.Unlock(p)
@@ -120,8 +119,7 @@ func (w *worker) flushOldReceipts() {
 		return
 	}
 	cm := &w.node.cm
-	cm.mu.Lock(w.Proc)
-	w.Proc.Advance(w.node.Cost.GVTBookkeeping)
+	cm.mu.LockFor(w.Proc, w.node.Cost.GVTBookkeeping)
 	cm.whiteDelta -= w.recvC[w.drainSlot]
 	w.node.Touch()
 	cm.mu.Unlock(w.Proc)
@@ -151,8 +149,7 @@ func (w *worker) matternPoll() {
 			w.node.syncPoint(p, isCommLeader, true, w)
 		}
 		slot := uint8(w.epoch & 3)
-		cm.mu.Lock(p)
-		p.Advance(cost.GVTBookkeeping)
+		cm.mu.LockFor(p, cost.GVTBookkeeping)
 		cm.whiteDelta += w.sentC[slot] - w.recvC[slot]
 		cm.redCount++
 		w.node.Touch()
@@ -173,8 +170,7 @@ func (w *worker) matternPoll() {
 			// Algorithm 3 line 14: align before contributing minima.
 			w.node.syncPoint(p, isCommLeader, false, w)
 		}
-		cm.mu.Lock(p)
-		p.Advance(cost.GVTBookkeeping)
+		cm.mu.LockFor(p, cost.GVTBookkeeping)
 		if lm := w.localMin(); lm < cm.minLVT {
 			cm.minLVT = lm
 		}

@@ -91,6 +91,9 @@ type execCtx struct {
 }
 
 func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
+	// The charges owed so far pass first: the node pool, which the other
+	// workers' frees fill, hands out events at the instant it always did.
+	c.w.Settle()
 	// The engine's hottest allocation site: recycle through the node
 	// pool instead of allocating per event.
 	ev := c.w.node.pool.Get()

@@ -397,14 +397,18 @@ func (w *worker) processOne(ev *event.Event) {
 		panic(fmt.Sprintf("core: pending straggler leaked to processing: %v behind %v", ev, l.lastStamp()))
 	}
 	cfg := &w.eng.cfg
-	w.Proc.Advance(w.node.Cost.EventOverhead)
+	// The event's charges — overhead, state save, the model's Spins — are
+	// owed until OnEvent sends or returns and pass in one switch; until
+	// then only the LP and the sent list are touched, which no other
+	// thread reads.
+	w.Owe(w.node.Cost.EventOverhead)
 	entry := histEntry{ev: ev}
 	if l.sinceSnap == 0 {
 		entry.hasSnap = true
 		entry.snapping = l.Model.Snapshot()
 		entry.snapRNG = l.RNG.Save()
 		entry.snapSeq = l.Seq
-		w.Proc.Advance(w.node.Cost.StateSave)
+		w.Owe(w.node.Cost.StateSave)
 	}
 	l.sinceSnap++
 	if l.sinceSnap >= cfg.CheckpointInterval {
@@ -413,6 +417,7 @@ func (w *worker) processOne(ev *event.Event) {
 	ctx := &w.exec
 	ctx.LP, ctx.T, ctx.sent = &l.LP, ev.Stamp.T, w.takeSentBuf()
 	l.Model.OnEvent(ctx, ev)
+	w.Settle()
 	sent := ctx.sent
 	ctx.sent = nil
 	if len(sent) == 0 {
@@ -492,7 +497,8 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 
 	// Restore LP state to just before the earliest undone event: rewind to
 	// the nearest snapshot at or before it, then coast-forward (re-execute
-	// with sends suppressed) across the snapshot-less gap.
+	// with sends suppressed) across the snapshot-less gap. The replayed
+	// Spins are owed, and pass with the rollback's own charge.
 	j := idx
 	for j > 0 && !h[j].hasSnap {
 		j--
@@ -517,7 +523,8 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	}
 
 	cfg := &w.eng.cfg
-	w.Proc.Advance(sim.Time(len(popped)) * (w.node.Cost.RollbackPerEvent + w.node.Cost.QueueOp))
+	w.Owe(sim.Time(len(popped)) * (w.node.Cost.RollbackPerEvent + w.node.Cost.QueueOp))
+	w.Settle()
 	w.uncommitted -= len(popped)
 	w.St.Rollbacks++
 	w.St.RolledBack += int64(len(popped))

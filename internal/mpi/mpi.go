@@ -156,8 +156,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag, size int, payload any) {
 	if dst == r.id {
 		panic("mpi: send to self")
 	}
-	r.lock.Lock(p)
-	p.Advance(r.world.costs.Send)
+	r.lock.LockFor(p, r.world.costs.Send)
 	pkt := fabric.Packet{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload}
 	if r.rel != nil {
 		r.sendData(pkt)
@@ -217,8 +216,7 @@ func (r *Rank) TryRecvFrom(p *sim.Proc, src, tag int) (Message, bool) {
 		}
 		r.paid.by = nil
 	} else {
-		r.lock.Lock(p)
-		p.Advance(r.world.costs.Poll)
+		r.lock.LockFor(p, r.world.costs.Poll)
 	}
 	m, ok := r.take(src, tag)
 	if ok {

@@ -55,7 +55,7 @@ func (c *Ctx) Self() event.LPID { return c.LP.ID }
 func (c *Ctx) Now() vtime.Time  { return c.T }
 func (c *Ctx) RNG() *rng.Stream { return c.LP.RNG }
 func (c *Ctx) NumLPs() int      { return len(c.W.rt.lps) }
-func (c *Ctx) Spin(units int)   { c.W.Proc.Advance(c.W.Node.Cost.EPGCost(units)) }
+func (c *Ctx) Spin(units int)   { c.W.Owe(c.W.Node.Cost.EPGCost(units)) } // the engine settles it
 
 // seedCtx is the context of Model.Init: virtual time is zero, no CPU time
 // passes, and a send lands directly in the destination worker's pending

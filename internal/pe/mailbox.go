@@ -22,8 +22,7 @@ func NewMailbox[T any](mu *sim.Mutex, cost sim.Time) Mailbox[T] {
 
 // Deposit appends v, charging the depositing thread p.
 func (m *Mailbox[T]) Deposit(p *sim.Proc, v T) {
-	m.mu.Lock(p)
-	p.Advance(m.cost)
+	m.mu.LockFor(p, m.cost)
 	m.items = append(m.items, v)
 	m.mu.Unlock(p)
 }

@@ -13,6 +13,44 @@ import (
 	"repro/internal/trace"
 )
 
+// TestOweSettlesAsAdvances: owed charges pass as one Advance each, in
+// order, beside a thread waking at every instant between them — also past
+// a full owed list, which settles early and goes on.
+func TestOweSettlesAsAdvances(t *testing.T) {
+	run := func(n int, owe bool) (log []sim.Time, k sim.Counters) {
+		env := sim.NewEnv()
+		env.Spawn("worker", func(p *sim.Proc) {
+			w := &Worker{Proc: p}
+			for i := 1; i <= n; i++ {
+				if owe {
+					w.Owe(sim.Time(i % 3))
+				} else {
+					p.Advance(sim.Time(i % 3))
+				}
+			}
+			w.Settle()
+			log = append(log, -p.Now())
+		})
+		env.Spawn("ticker", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				log = append(log, p.Now())
+				p.Advance(1)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, env.Counters()
+	}
+	for _, n := range []int{1, 4, 6, 11} {
+		lit, lk := run(n, false)
+		got, gk := run(n, true)
+		if !reflect.DeepEqual(lit, got) || gk.Dispatches != lk.Dispatches || gk.ProcSwitches+gk.Chained != lk.ProcSwitches || n > 1 && gk.Chained == 0 {
+			t.Errorf("%d charges: owed %v %+v, advanced %v %+v", n, got, gk, lit, lk)
+		}
+	}
+}
+
 // TestMailboxFIFOAcrossDepositors: items come out in the order their
 // deposits completed, whichever of two contending threads made them, and
 // a bounded Take returns the front of that order.

@@ -154,6 +154,30 @@ type Worker struct {
 	inMu  sim.Mutex
 	phase uint8 // last phase traced; 0xFF until the first transition
 	idle  pass  // the main loop's idle pass (IdlePass, Idle)
+
+	// The charges an event's processing owes (Owe), in order, until Settle.
+	owed  [4]sim.Time
+	nOwed int
+}
+
+// Owe adds d to the charges Settle lets pass. Between them the thread may
+// touch only what no other thread reads (DESIGN.md "Kernel scheduling",
+// Charges in one switch); a full list settles early, which is exact.
+func (w *Worker) Owe(d sim.Time) {
+	if w.nOwed == len(w.owed) {
+		w.Settle()
+	}
+	w.owed[w.nOwed] = d
+	w.nOwed++
+}
+
+// Settle lets the owed charges pass, as one Advance each, in one process
+// switch (sim.Proc.AdvanceEach).
+func (w *Worker) Settle() {
+	if n := w.nOwed; n > 0 {
+		w.nOwed = 0
+		w.Proc.AdvanceEach(w.owed[:n]...)
+	}
 }
 
 // AddWorker initialises w as the next worker of n, the last node added,

@@ -105,10 +105,13 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 // was; switches are the dispatches that cost a coroutine switch, which
 // idle passes taken as Poll steps do not (pe.Worker.Idle for workers,
 // pe.Node.CommLoop for the MPI threads), and are the one column a change
-// of host cost alone may move. Skipped is the other: the steps, counted in
+// of host cost alone may move. Skipped is another: the steps, counted in
 // Dispatches as if they had run, that a parked thread never took: every
 // idle thread parks, a Time Warp worker for as many passes as its GVT
-// interval credit leaves quiet.
+// interval credit leaves quiet. Chained is the third: the dispatches that
+// filed a thread's next charge of a run of them (sim.Proc.AdvanceEach) in
+// its stead. The tw-comm shape with checkpoint interval 4 pins virtual
+// time for rollbacks that coast forward, replaying the model's Spins.
 func TestKernelDispatchesPinned(t *testing.T) {
 	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
 	twComp, twComm, consNull := shape, shape, shape
@@ -123,24 +126,27 @@ func TestKernelDispatchesPinned(t *testing.T) {
 	migrating.GVT, migrating.Balance, migrating.Faults = "ca-gvt", "greedy", "straggler"
 	samadiCombined, samadiShared, samadiMigrating, barrierCombined := combined, shared, migrating, combined
 	samadiCombined.GVT, samadiShared.GVT, samadiMigrating.GVT, barrierCombined.GVT = "samadi", "samadi", "samadi", "barrier"
+	coasting := twComm
+	coasting.CheckpointInterval = 4
 	for _, c := range []struct {
 		name                            string
 		spec                            Spec
 		dispatches, switches, committed uint64
 		wall                            sim.Time
-		skipped                         uint64
+		skipped, chained                uint64
 	}{
-		{"tw-comp", twComp, 622_992, 167_801, 23_393, 20_149_260, 422_921},
-		{"tw-comm", twComm, 719_138, 568_093, 17_576, 33_302_316, 105_787},
-		{"cons-nullmsg", consNull, 650_200, 30_881, 1_849, 6_520_369, 610_319},
-		{"samadi/dedicated", samadi, 364_336, 87_264, 14_060, 15_419_436, 268_233},
-		{"mattern/combined", combined, 382_925, 163_536, 14_060, 14_074_380, 142_584},
-		{"mattern/shared", shared, 168_876, 146_221, 14_060, 14_082_480, 7_408},
-		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 632_405, 14_060, 45_109_394, 1_103_821},
-		{"samadi/combined", samadiCombined, 198_044, 83_201, 14_060, 16_320_086, 110_172},
-		{"samadi/shared", samadiShared, 290_124, 213_731, 14_060, 23_695_278, 4_935},
-		{"samadi/greedy+straggler", samadiMigrating, 384_748, 89_778, 14_060, 48_742_798, 285_976},
-		{"barrier/combined", barrierCombined, 149_234, 81_803, 14_060, 20_321_782, 66_232},
+		{"tw-comp", twComp, 622_992, 101_257, 23_393, 20_149_260, 422_921, 66_544},
+		{"tw-comm", twComm, 719_138, 307_428, 17_576, 33_302_316, 105_787, 260_665},
+		{"cons-nullmsg", consNull, 650_200, 19_398, 1_849, 6_520_369, 610_319, 11_483},
+		{"samadi/dedicated", samadi, 364_336, 49_010, 14_060, 15_419_436, 268_233, 38_254},
+		{"mattern/combined", combined, 382_925, 123_281, 14_060, 14_074_380, 142_584, 40_255},
+		{"mattern/shared", shared, 168_876, 92_199, 14_060, 14_082_480, 7_408, 54_022},
+		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 578_860, 14_060, 45_109_394, 1_103_821, 53_545},
+		{"samadi/combined", samadiCombined, 198_044, 46_072, 14_060, 16_320_086, 110_172, 37_129},
+		{"samadi/shared", samadiShared, 290_124, 139_714, 14_060, 23_695_278, 4_935, 74_017},
+		{"samadi/greedy+straggler", samadiMigrating, 384_748, 50_362, 14_060, 48_742_798, 285_976, 39_416},
+		{"barrier/combined", barrierCombined, 149_234, 45_750, 14_060, 20_321_782, 66_232, 36_053},
+		{"tw-comm/checkpoint=4", coasting, 954_566, 380_255, 17_576, 54_825_268, 184_677, 320_089},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {
@@ -157,12 +163,12 @@ func TestKernelDispatchesPinned(t *testing.T) {
 				c.name, k.Dispatches, k.ProcSwitches, r.Workers.Committed, per(k.Dispatches), per(k.ProcSwitches), int64(r.WallTime),
 				c.dispatches, c.switches, c.committed, int64(c.wall))
 		}
-		if k.ProcSwitches+k.Callbacks+k.Steps != k.Dispatches || k.Callbacks == 0 || k.Steps == 0 {
-			t.Errorf("%s: %d process switches + %d callbacks + %d steps do not account for %d dispatches",
-				c.name, k.ProcSwitches, k.Callbacks, k.Steps, k.Dispatches)
+		if k.ProcSwitches+k.Callbacks+k.Steps+k.Chained != k.Dispatches || k.Callbacks == 0 || k.Steps == 0 {
+			t.Errorf("%s: %d process switches + %d callbacks + %d steps + %d chained do not account for %d dispatches",
+				c.name, k.ProcSwitches, k.Callbacks, k.Steps, k.Chained, k.Dispatches)
 		}
-		if k.Skipped != c.skipped {
-			t.Errorf("%s: %d of %d steps skipped, pinned %d", c.name, k.Skipped, k.Steps, c.skipped)
+		if k.Skipped != c.skipped || k.Chained != c.chained {
+			t.Errorf("%s: %d of %d steps skipped, %d dispatches chained; pinned %d, %d", c.name, k.Skipped, k.Steps, k.Chained, c.skipped, c.chained)
 		}
 	}
 }

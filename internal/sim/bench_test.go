@@ -80,6 +80,29 @@ func BenchmarkPollRing(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceEach: a run of three charges among twenty processes,
+// as one AdvanceEach and as the three Advances it stands for. One op is
+// one run of charges.
+func BenchmarkAdvanceEach(b *testing.B) {
+	for _, form := range []string{"each", "loop"} {
+		b.Run(form, func(b *testing.B) {
+			const procs = 20
+			benchRun(b, procs, func(p *Proc, id int) {
+				d := Time(100 + 7*id)
+				for i := id; i < b.N; i += procs {
+					if form == "each" {
+						p.AdvanceEach(d, 2*d, 3*d)
+					} else {
+						p.Advance(d)
+						p.Advance(2 * d)
+						p.Advance(3 * d)
+					}
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkMutexUncontended(b *testing.B) {
 	m := &Mutex{Name: "m"}
 	benchRun(b, 1, func(p *Proc, _ int) {
@@ -144,6 +167,10 @@ func TestKernelHotPathAllocs(t *testing.T) {
 	}
 
 	measure("Advance", 20, func(p *Proc, id int) { p.Advance(Time(100 + 7*id)) })
+	measure("AdvanceEach", 20, func(p *Proc, id int) {
+		d := Time(100 + 7*id)
+		p.AdvanceEach(d, 2*d, 3*d)
+	})
 
 	// Poll: each operation is one whole Poll of four steps built once, as a
 	// worker builds its idle step, three of them taken by Run.
@@ -180,6 +207,15 @@ func TestKernelHotPathAllocs(t *testing.T) {
 	})
 	if held.Contended == 0 {
 		t.Error("Mutex contended: no Lock ever queued")
+	}
+
+	chained := Mutex{Name: "chained", HoldCost: 3}
+	measure("Mutex LockFor", 4, func(p *Proc, _ int) {
+		chained.LockFor(p, 100)
+		chained.Unlock(p)
+	})
+	if chained.Contended == 0 {
+		t.Error("Mutex LockFor: no LockFor ever queued")
 	}
 
 	bar := NewBarrier("bar", 4)

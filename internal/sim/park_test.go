@@ -100,11 +100,25 @@ func (s *sleeper) Skip(reps uint64, steps int) {
 	}
 }
 
+// How a program's interactors make runs of charges: not at all (the
+// parking programs), as the literal Advance loop, or with AdvanceEach and
+// Mutex.LockFor.
+const (
+	chainNone = iota
+	chainLoop
+	chainEach
+)
+
 // runParkProgram runs sleepers against interactors that lock the sleepers'
 // locks, bump their shared version and sleep delays drawn from the
 // sleepers' own, so that their events fall on the sleepers' instants, ties
 // nested several delays deep. The program is read from prog.
-func runParkProgram(prog []byte, mode int) parkRun {
+func runParkProgram(prog []byte, mode int) parkRun { return runChainProgram(prog, mode, chainNone) }
+
+// runChainProgram is runParkProgram whose interactors also make runs of one
+// to six charges, alone or behind a lock, the chains way; chainNone draws
+// exactly runParkProgram's programs.
+func runChainProgram(prog []byte, mode, chains int) parkRun {
 	src := bytesSource(prog)
 	env := NewEnv()
 	var log []string
@@ -149,6 +163,36 @@ func runParkProgram(prog []byte, mode int) parkRun {
 		}
 		return d
 	}
+	// lockFor is Lock then Advance(d), chained or not.
+	lockFor := func(p *Proc, mu *Mutex, d Time) {
+		if chains == chainEach {
+			mu.LockFor(p, d)
+			return
+		}
+		mu.Lock(p)
+		p.Advance(d)
+	}
+	// charges is a run of one to six charges, some of them zero.
+	charges := func(p *Proc) []Time {
+		ds := make([]Time, 1+src.next(6))
+		for i := range ds {
+			if ds[i] = pick(); src.next(5) == 0 {
+				ds[i] = 0
+			}
+		}
+		if chains == chainEach {
+			p.AdvanceEach(ds...)
+		} else {
+			for _, d := range ds {
+				p.Advance(d)
+			}
+		}
+		return ds
+	}
+	kinds := 6
+	if chains != chainNone {
+		kinds = 8
+	}
 	for _, s := range sleepers {
 		s := s
 		env.Spawn(s.name, func(p *Proc) {
@@ -176,8 +220,7 @@ func runParkProgram(prog []byte, mode int) parkRun {
 				// What it does about it can wake the others: take any
 				// sleeper's lock, bump.
 				mu := sleepers[src.next(len(sleepers))].mu
-				mu.Lock(p)
-				p.Advance(base[src.next(len(base))])
+				lockFor(p, mu, base[src.next(len(base))])
 				mu.Unlock(p)
 				if src.next(4) == 3 {
 					bump(s.name)
@@ -194,7 +237,7 @@ func runParkProgram(prog []byte, mode int) parkRun {
 		env.Spawn(name, func(p *Proc) {
 			for a := 0; a < actions; a++ {
 				s := sleepers[src.next(len(sleepers))]
-				switch src.next(6) {
+				switch src.next(kinds) {
 				case 0, 1:
 					p.Advance(pick())
 				case 2:
@@ -219,6 +262,15 @@ func runParkProgram(prog []byte, mode int) parkRun {
 						}
 					})
 					p.Advance(0)
+				case 6:
+					logf("%s charged %v", name, charges(p))
+				case 7:
+					lockFor(p, s.mu, pick())
+					logf("%s holds %s", name, s.mu.Name)
+					if src.next(2) == 0 {
+						logf("%s charged %v", name, charges(p))
+					}
+					s.mu.Unlock(p)
 				}
 			}
 			bump(name + " exits")

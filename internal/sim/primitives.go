@@ -24,6 +24,24 @@ type Mutex struct {
 
 // Lock acquires m, blocking p in virtual time while m is held.
 func (m *Mutex) Lock(p *Proc) {
+	m.acquire(p)
+	if m.HoldCost > 0 {
+		p.Advance(m.HoldCost)
+	}
+}
+
+// LockFor is Lock, then p.Advance(d), in one process switch (AdvanceEach).
+func (m *Mutex) LockFor(p *Proc, d Time) {
+	m.acquire(p)
+	if m.HoldCost > 0 {
+		p.AdvanceEach(m.HoldCost, d)
+	} else {
+		p.Advance(d)
+	}
+}
+
+// acquire is Lock without the entry cost.
+func (m *Mutex) acquire(p *Proc) {
 	m.Wake()
 	m.Acquires++
 	if m.holder != nil {
@@ -38,9 +56,6 @@ func (m *Mutex) Lock(p *Proc) {
 		}
 	} else {
 		m.holder = p
-	}
-	if m.HoldCost > 0 {
-		p.Advance(m.HoldCost)
 	}
 }
 

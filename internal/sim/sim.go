@@ -94,6 +94,11 @@ type Proc struct {
 	// in Poll; nil otherwise.
 	step func() Time
 
+	// rest is what of an AdvanceEach Run still files in the process's
+	// stead, one delay per dispatch of its wake-up; a view of chain.
+	rest  []Time
+	chain [chainCap]Time
+
 	// The coroutine: Run switches in with next, the body switches back
 	// with yieldFn, stop unwinds a body that has not returned.
 	next    func() (struct{}, bool)
@@ -239,6 +244,7 @@ type Counters struct {
 	Callbacks    uint64 // dispatches that ran an After callback
 	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
 	Skipped      uint64 // of the Steps, those a parked process never took (host-only)
+	Chained      uint64 // dispatches that filed an AdvanceEach's next delay and switched nowhere (host-only)
 }
 
 // Counters returns the kernel's dispatch counts.
@@ -472,6 +478,14 @@ func (e *Env) Run() error {
 			e.cbSrc = ""
 			continue
 		}
+		if len(p.rest) > 0 {
+			// The process sits in AdvanceEach: file its next delay here, as
+			// it would on resuming, under the key it would take.
+			e.ctr.Chained++
+			e.pend.push(event{at: e.now + p.rest[0], seq: e.nextSeq(), proc: ev.proc})
+			p.rest = p.rest[1:]
+			continue
+		}
 		e.ctr.ProcSwitches++
 		if p.state != stateRunnable {
 			panic(fmt.Sprintf("sim: dispatching %s in state %v", p.name, p.state))
@@ -576,6 +590,37 @@ func (p *Proc) Advance(d Time) {
 	e.pend.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
 	p.state = stateRunnable
 	p.yield()
+}
+
+// chainCap is how many delays after the first an AdvanceEach files in one
+// switch (an event's overhead, state save and Spin need two); a longer run
+// switches once per chainCap+1.
+const chainCap = 3
+
+// AdvanceEach is exactly
+//
+//	for _, d := range ds {
+//		p.Advance(d)
+//	}
+//
+// — the same filings under the same keys, at the same dispatches — but
+// the process files only the first delay and yields once: Run itself
+// files each later one as it dispatches the wake-up before, and switches
+// into the process when the last has passed. A run of charges with
+// nothing between them so costs one process switch.
+func (p *Proc) AdvanceEach(ds ...Time) {
+	for len(ds) > 0 {
+		n := min(len(ds)-1, chainCap)
+		for i, d := range ds[1 : 1+n] {
+			if d < 0 {
+				panic("sim: Advance with negative duration")
+			}
+			p.chain[i] = d
+		}
+		p.rest = p.chain[:n]
+		p.Advance(ds[0])
+		ds = ds[1+n:]
+	}
 }
 
 // Poll is exactly
