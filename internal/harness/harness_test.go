@@ -345,6 +345,25 @@ func TestMatrixExperiment(t *testing.T) {
 	}
 }
 
+// TestWideCellsRun: at the default node counts and workers per node the
+// cross-paradigm grids run every cell, the 8-node ones included, where
+// dozens of idle threads park and wake in lockstep. Short runs keep it
+// quick; the widths are what matter.
+func TestWideCellsRun(t *testing.T) {
+	opt := DefaultOptions()
+	opt.LPsPerWorker, opt.EndTime = 4, 1
+	for _, id := range []string{"crossover", "matrix"} {
+		tab := table(t, id, opt)
+		for _, s := range tab.Series {
+			for i, c := range s.Cells {
+				if c.Failed {
+					t.Errorf("%s: series %s cell %s failed: %s", id, s.Label, tab.XVals[i], c.Error)
+				}
+			}
+		}
+	}
+}
+
 func TestSyncFilter(t *testing.T) {
 	opt := miniOptions()
 	opt.Sync = "window"

@@ -6,11 +6,11 @@ import (
 )
 
 // allocsOf builds and runs spec and returns the heap allocations New and
-// Run made between them, with the events the run committed. The count is
-// the least of three runs: the runtime adds a few allocations of its own
-// now and then (a goroutine when none is cached, a map overflow bucket),
-// never fewer.
-func allocsOf(t *testing.T, spec Spec) (mallocs, committed uint64) {
+// Run made between them and their bytes, with the events the run
+// committed. Each count is the least of three runs: the runtime adds a few
+// allocations of its own now and then (a goroutine when none is cached, a
+// map overflow bucket), never fewer.
+func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -28,15 +28,19 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, committed uint64) {
 		if m := after.Mallocs - before.Mallocs; i == 0 || m < mallocs {
 			mallocs = m
 		}
+		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < bytes {
+			bytes = b
+		}
 		committed = uint64(r.Workers.Committed)
 	}
-	return mallocs, committed
+	return mallocs, bytes, committed
 }
 
 // TestEngineAllocsPinned is the allocation ratchet of the engine side: on
 // the three engine shapes of the host benchmark (as in
 // TestKernelDispatchesPinned), the heap allocations of New plus Run per
-// committed event stay under a bound written here. What remains is set-up
+// committed event, and the bytes they take, stay under bounds written
+// here. What remains is set-up
 // — model build, seeding, thread spawn — and, on the Time Warp shapes, the
 // model's boxed snapshots (DESIGN.md "Allocations per commit"); the
 // per-event engine path allocates nothing once its free lists and slabs
@@ -54,19 +58,24 @@ func TestEngineAllocsPinned(t *testing.T) {
 	consNull.Sync, consNull.EndTime = "nullmsg", 8
 	var nullMallocs, nullCommitted uint64
 	for _, c := range []struct {
-		name  string
-		spec  Spec
-		bound float64 // allocations per committed event
+		name       string
+		spec       Spec
+		bound      float64 // allocations per committed event
+		bytesBound float64 // bytes allocated per committed event
 	}{
-		{"tw-comp", twComp, 0.62},
-		{"tw-comm", twComm, 0.49},
-		{"cons-nullmsg", consNull, 0.93},
+		{"tw-comp", twComp, 0.62, 149},
+		{"tw-comm", twComm, 0.49, 99},
+		{"cons-nullmsg", consNull, 0.93, 83},
 	} {
-		mallocs, committed := allocsOf(t, c.spec)
-		per := float64(mallocs) / float64(committed)
-		t.Logf("%s: %d allocations for %d commits = %.3f per commit", c.name, mallocs, committed, per)
+		mallocs, bytes, committed := allocsOf(t, c.spec)
+		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)
+		t.Logf("%s: %d allocations, %d bytes for %d commits = %.3f allocations, %.1f bytes per commit",
+			c.name, mallocs, bytes, committed, per, perBytes)
 		if per > c.bound {
 			t.Errorf("%s: %.3f allocations per commit, bound %v", c.name, per, c.bound)
+		}
+		if perBytes > c.bytesBound {
+			t.Errorf("%s: %.1f bytes per commit, bound %v", c.name, perBytes, c.bytesBound)
 		}
 		if c.name == "cons-nullmsg" {
 			nullMallocs, nullCommitted = mallocs, committed
@@ -76,7 +85,7 @@ func TestEngineAllocsPinned(t *testing.T) {
 	const marginalBound = 0.01
 	long := consNull
 	long.EndTime *= 2
-	mallocs, committed := allocsOf(t, long)
+	mallocs, _, committed := allocsOf(t, long)
 	per := (float64(mallocs) - float64(nullMallocs)) / float64(committed-nullCommitted)
 	t.Logf("cons-nullmsg: end %v → %v added %d allocations for %d commits = %.4f per extra commit",
 		consNull.EndTime, long.EndTime, int64(mallocs)-int64(nullMallocs), committed-nullCommitted, per)

@@ -81,11 +81,19 @@ func TestSteppedIdleMatchesLiteral(t *testing.T) {
 		s.Sync, s.Nodes, s.WorkersPerNode = "nullmsg", shape[0], shape[1]
 		specs = append(specs, s)
 	}
+	// Paper-width nodes: dozens of idle threads park in lockstep and wake
+	// together, their next steps tied under one key.
+	specs = append(specs,
+		Spec{Model: "tandem", GVT: "barrier", Nodes: 8, WorkersPerNode: 8, LPsPerWorker: 4, EndTime: 3, Seed: 5},
+		Spec{Scenario: "mixed", Sync: "nullmsg", Nodes: 8, WorkersPerNode: 4, LPsPerWorker: 16, EndTime: 1, Seed: 5})
 	var migrations int64
 	for _, s := range specs {
 		name := fmt.Sprintf("%s%s/%s/%s", s.GVT, s.Sync, s.Comm, s.Balance)
 		if s.Nodes != base.Nodes || s.WorkersPerNode != base.WorkersPerNode {
 			name += fmt.Sprintf("/%dx%d", s.Nodes, s.WorkersPerNode)
+		}
+		if s.Model != "" {
+			name += "/" + s.Model
 		}
 		t.Run(name, func(t *testing.T) {
 			ref, refTrace := runTraced(t, s, true)

@@ -28,14 +28,15 @@ type Parked struct {
 	per  Time   // the sum of Cycle
 	n    uint64 // steps skipped since the park
 	end  Time   // the instant of the step Limit wakes it at
-	// For tie-breaks (earlier): the parking dispatch, the keys of the last
-	// steps (a ring), the processes in lockstep ahead of it as it parked.
+	// For tie-breaks (earlier): the parking dispatch and its ordinal
+	// (Counters.Dispatches then), the keys of the last steps (a ring), the
+	// processes in lockstep ahead of it as it parked.
 	park  event
+	parkN uint64
 	keys  [2*MaxCycle + 1]uint64
 	nh    int
 	ahead [maxProcs / 64]uint64
 	who   int32 // the process's id, kept once proc is cleared by the wake
-	rank  int32 // the order of its filed step among ties (event.cb)
 }
 
 // A Skipper applies skipped steps but their locks: reps repetitions, then steps.
@@ -118,7 +119,7 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 		}
 	}
 	r.proc, r.at, r.who, r.key, r.pos, r.from = p, e.now+d, int32(p.id), e.seq+1, 0, len(e.log)
-	r.park, r.n, r.per, r.nh = event{at: e.now, seq: e.key, cb: e.rank}, 0, 0, 0
+	r.park, r.parkN, r.n, r.per, r.nh = event{at: e.now, seq: e.key}, e.ctr.Dispatches, 0, 0, 0
 	for _, d := range r.Cycle {
 		r.per += d
 	}
@@ -151,8 +152,8 @@ func (r *Parked) Wake() {
 }
 
 // wake takes r's skipped steps ordered before (cutAt, cutKey), within its
-// limit, and files the next in the heap, ranked among the woken steps it
-// ties with.
+// limit, and files the next in the heap, where it may tie with other woken
+// steps; settle orders those.
 func (e *Env) wake(r *Parked, cutAt Time, cutKey uint64) {
 	e.walk(r, cutAt, cutKey)
 	e.due = 0
@@ -171,19 +172,8 @@ func (e *Env) wake(r *Parked, cutAt Time, cutKey uint64) {
 		l.Acquires += int64(n / m)
 	}
 	r.Owner.Skip(n/m, int(n%m))
-	lo, hi := int32(-1<<30), int32(1<<30)
-	for _, q := range e.refiled {
-		if q.at == r.at && q.key == r.key && earlier(q, r) {
-			lo = max(lo, q.rank)
-		} else if q.at == r.at && q.key == r.key {
-			hi = min(hi, q.rank)
-		}
-	}
-	if r.rank = lo/2 + hi/2; r.rank <= lo || r.rank >= hi {
-		panic("sim: no rank left between tied wake-ups")
-	}
 	e.refiled = append(e.refiled, r)
-	e.pend.push(event{at: r.at, seq: r.key, proc: r.who, cb: r.rank})
+	e.pend.push(event{at: r.at, seq: r.key, proc: r.who})
 }
 
 // walk takes r over its steps ordered before (cutAt, cutKey), not before
@@ -291,11 +281,11 @@ func earlier(a, b *Parked) bool {
 			return ta < tb || (ta == tb && ka < kb)
 		}
 		if ta == a.park.at && tb == b.park.at {
-			return a.park.cb < b.park.cb
+			return a.parkN < b.parkN
 		}
 	}
 	later, other := a, b
-	if a.park.before(&b.park) {
+	if a.parkN < b.parkN {
 		later, other = b, a
 	}
 	return (later.ahead[other.who/64]&(1<<(other.who%64)) != 0) == (later == b)
@@ -304,10 +294,11 @@ func earlier(a, b *Parked) bool {
 // settle sees every entry before its dispatch while anything is parked or
 // woken. The processes a limit wakes at the earliest instant wake first if
 // that step is ordered before ev, which then goes back (false) with nothing
-// else parked walked past it. A woken step's dispatch can share its key
-// with a skipped step: those processes wake first; if one was filed first,
-// ev goes back.
-func (e *Env) settle(ev event) bool {
+// else parked walked past it. An odd key is a woken step's, and it can tie
+// with other woken steps and with skipped ones: those processes wake too,
+// and ev, standing for every step tied there, dispatches the one filed
+// first (earlier).
+func (e *Env) settle(ev *event) bool {
 	if due := e.due; due > 0 && due <= ev.at {
 		back := false
 		for j := 0; j < len(e.parked); j++ {
@@ -319,31 +310,28 @@ func (e *Env) settle(ev event) bool {
 			}
 		}
 		if back {
-			e.pend.push(ev)
+			e.pend.push(*ev)
 			return false
 		}
 	}
 	if ev.seq&1 == 1 {
-		back := false
 		for j := 0; j < len(e.parked); j++ {
 			q := e.parked[j]
 			if _, ok := q.index(ev.at); ok {
 				if e.walk(q, ev.at, ev.seq); q.at == ev.at && q.key == ev.seq {
-					e.wake(q, ev.at, ev.seq)
-					back, j = back || q.rank < ev.cb, j-1
+					e.wake(q, ev.at, ev.seq) // takes q out of e.parked
+					j--
 				}
 			}
 		}
-		if back {
-			e.pend.push(ev)
-			return false
-		}
+		f := -1
 		for i, q := range e.refiled {
-			if q.who == ev.proc {
-				e.refiled[i], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
-				break
+			if q.at == ev.at && q.key == ev.seq && (f < 0 || earlier(q, e.refiled[f])) {
+				f = i
 			}
 		}
+		ev.proc = e.refiled[f].who
+		e.refiled[f], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
 	}
 	if len(e.parked) > 0 {
 		if len(e.log) == cap(e.log) {

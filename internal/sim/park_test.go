@@ -90,6 +90,17 @@ func (s *sleeper) step() Time {
 	return d
 }
 
+// idle takes passes, the mode's way, until one hands back.
+func (s *sleeper) idle(p *Proc, mode int) {
+	if mode != idleLoop {
+		p.Poll(s.step)
+		return
+	}
+	for d := s.step(); d >= 0; d = s.step() {
+		p.Advance(d)
+	}
+}
+
 // Skip is the sleeper's sim.Skipper.
 func (s *sleeper) Skip(reps uint64, steps int) {
 	s.passes += reps
@@ -198,14 +209,7 @@ func runChainProgram(prog []byte, mode, chains int) parkRun {
 		env.Spawn(s.name, func(p *Proc) {
 			s.p = p
 			for {
-				switch mode {
-				case idleLoop:
-					for d := s.step(); d >= 0; d = s.step() {
-						p.Advance(d)
-					}
-				default:
-					p.Poll(s.step)
-				}
+				s.idle(p, mode)
 				if s.holding {
 					panic("handed back holding the lock")
 				}
@@ -294,22 +298,103 @@ func runChainProgram(prog []byte, mode, chains int) parkRun {
 // skipped.
 func checkParkedPoll(t *testing.T, prog []byte) (skipped uint64) {
 	t.Helper()
-	loop, poll, park := runParkProgram(prog, idleLoop), runParkProgram(prog, idlePoll), runParkProgram(prog, idlePark)
+	return checkParked(t, fmt.Sprintf("program %v", prog), func(mode int) parkRun { return runParkProgram(prog, mode) })
+}
+
+// checkParked is checkParkedPoll for any program that run runs the three
+// ways; what names it in a failure.
+func checkParked(t *testing.T, what string, run func(mode int) parkRun) (skipped uint64) {
+	t.Helper()
+	loop, poll, park := run(idleLoop), run(idlePoll), run(idlePark)
 	if a, b := strings.Join(loop.log, "\n"), strings.Join(park.log, "\n"); a != b {
 		i := 0
 		for i < len(loop.log) && i < len(park.log) && loop.log[i] == park.log[i] {
 			i++
 		}
-		t.Fatalf("program %v: logs differ from entry %d: loop %q, parked %q", prog, i, at(loop.log, i), at(park.log, i))
+		t.Fatalf("%s: logs differ from entry %d: loop %q, parked %q", what, i, at(loop.log, i), at(park.log, i))
 	}
 	if loop.now != park.now || loop.stats != park.stats {
-		t.Fatalf("program %v: loop ended at %v with\n%s\nparked at %v with\n%s", prog, loop.now, loop.stats, park.now, park.stats)
+		t.Fatalf("%s: loop ended at %v with\n%s\nparked at %v with\n%s", what, loop.now, loop.stats, park.now, park.stats)
 	}
 	lc, pc, kc := loop.ctr, poll.ctr, park.ctr
 	if kc.Dispatches != lc.Dispatches || kc.Callbacks != lc.Callbacks || kc.Steps != pc.Steps || kc.ProcSwitches != pc.ProcSwitches || pc.Skipped != 0 {
-		t.Fatalf("program %v: counters loop %+v, Poll %+v, parked %+v", prog, lc, pc, kc)
+		t.Fatalf("%s: counters loop %+v, Poll %+v, parked %+v", what, lc, pc, kc)
 	}
 	return kc.Skipped
+}
+
+// runTiedSleepers runs n sleepers on one cycle, each with a lock of its
+// own: they step in lockstep and park together, and a bump wakes them all
+// at once, so that their next steps tie under one key. An interactor bumps
+// at a shifting offset into the pass, and before some bumps holds a
+// sleeper's lock, which wakes that sleeper alone and takes it out of step.
+func runTiedSleepers(n, mode int) parkRun {
+	env := NewEnv()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d ", env.Now())+fmt.Sprintf(format, args...))
+	}
+	bumps, active := 0, 1
+	cycle := []Time{10, 20, 30}
+	sleepers := make([]*sleeper, n)
+	for i := range sleepers {
+		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, cycle: cycle, bumps: &bumps, active: &active}
+		s.mu = &Mutex{Name: s.name, HoldCost: cycle[0]}
+		s.rec = Parked{Cycle: cycle, Locks: []*Mutex{s.mu}, Owner: s}
+		sleepers[i] = s
+		env.Spawn(s.name, func(p *Proc) {
+			s.p = p
+			for {
+				s.idle(p, mode)
+				if active == 0 && bumps == s.handled {
+					return
+				}
+				logf("%s handles %d at step %d after %d passes", s.name, bumps-s.handled, s.at, s.passes)
+				s.at, s.handled = 0, bumps
+				p.Advance(cycle[0])
+			}
+		})
+	}
+	bump := func() {
+		for _, s := range sleepers {
+			s.rec.Wake()
+		}
+		bumps++
+		logf("i bumps")
+	}
+	env.Spawn("i", func(p *Proc) {
+		for k := range 12 {
+			p.Advance(200 + Time(10*k))
+			if k%4 == 3 {
+				s := sleepers[k%n]
+				s.mu.Lock(p)
+				p.Advance(cycle[1])
+				s.mu.Unlock(p)
+			}
+			bump()
+		}
+		active = 0
+		bump()
+	})
+	if err := env.Run(); err != nil {
+		panic(err)
+	}
+	var st strings.Builder
+	for _, s := range sleepers {
+		fmt.Fprintf(&st, "%s passes=%d acquires=%d contended=%d wait=%d; ", s.name, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
+	}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters()}
+}
+
+// TestManyTiedWakeups: however many parked processes a bump wakes at one
+// (instant, key), their steps are dispatched in the literal loop's order.
+// A wide conservative run has dozens of idle threads in lockstep.
+func TestManyTiedWakeups(t *testing.T) {
+	for _, n := range []int{8, 31, 32, 40, 100} {
+		if skipped := checkParked(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, mode) }); skipped == 0 {
+			t.Errorf("%d sleepers: none parked", n)
+		}
+	}
 }
 
 func at(log []string, i int) string {

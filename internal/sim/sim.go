@@ -123,7 +123,7 @@ type event struct {
 	at   Time
 	seq  uint64
 	proc int32 // >= 0: resume Env.procs[proc]
-	cb   int32 // proc < 0: run Env.cbs[cb]; else the rank of a woken step among ties (park.go)
+	cb   int32 // proc < 0: run Env.cbs[cb]
 }
 
 // callback is a pending After: what its entry points at by index.
@@ -133,9 +133,11 @@ type callback struct {
 	next int32  // free list link while the slot is vacant
 }
 
-// before is the kernel's one order: by time, filing key, rank (park.go).
+// before is the kernel's one order: by time, then filing key. Only woken
+// steps of parked processes tie in both, and Run orders those as it
+// dispatches them (park.go).
 func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && (e.seq < o.seq || (e.seq == o.seq && e.cb < o.cb)))
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 type eventHeap []event
@@ -210,13 +212,12 @@ type Env struct {
 	// context or in Run's; the blocking primitives refuse to run under it.
 	stepping *Proc
 
-	// Parking (park.go); key and rank are the dispatch in progress's, due
-	// the earliest instant a parked process's limit wakes it at (0: none).
+	// Parking (park.go); key is the dispatch in progress's, due the
+	// earliest instant a parked process's limit wakes it at (0: none).
 	pk              *parking // the parked, refiled and log slices' owner
 	parked, refiled []*Parked
 	log             []logEntry
 	key             uint64
-	rank            int32
 	due             Time
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
@@ -412,7 +413,7 @@ func (e *Env) Run() error {
 			e.wake(e.parked[0], e.now, 0) // a parked process's next step is the next event
 			continue
 		}
-		if len(e.parked)+len(e.refiled) > 0 && !e.settle(ev) {
+		if len(e.parked)+len(e.refiled) > 0 && !e.settle(&ev) {
 			continue
 		}
 		if e.ctr.Dispatches >= poll {
@@ -422,7 +423,7 @@ func (e *Env) Run() error {
 		}
 		e.ctr.Dispatches++
 		at := ev.at
-		e.key, e.rank = ev.seq, ev.cb
+		e.key = ev.seq
 		var p *Proc // nil: the event is a callback
 		if ev.proc >= 0 {
 			p = e.procs[ev.proc]

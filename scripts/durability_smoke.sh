@@ -126,7 +126,8 @@ cmp -s "${WORK}/report1.json" "${WORK}/report4.json" \
 curl -sf "${BASE}/metrics" >"${WORK}/metrics3.txt"
 V=$(metric 'simd_store_quarantined_total' "${WORK}/metrics3.txt") || fail "/metrics missing quarantine counter"
 [[ "${V}" -ge 1 ]] || fail "simd_store_quarantined_total=${V} (want >=1)"
-find "${STORE}/quarantine" -type f | grep -q . || fail "quarantine directory is empty"
+QUARANTINED=$(find "${STORE}/quarantine" -type f) || fail "no quarantine directory"
+[[ -n "${QUARANTINED}" ]] || fail "quarantine directory is empty"
 echo "durability-smoke: corrupt entry quarantined and recomputed identically"
 
 # Wall-clock deadline: an over-budget job fails and says why. (The

@@ -70,7 +70,10 @@ curl -sf "${BASE}/stats" | jq -e '.workers_busy == 1 and .uptime_seconds > 0' >/
 # --- debug listener: pprof and the second /metrics mount -------------
 curl -sf "${DBG}/debug/pprof/" >/dev/null || fail "debug pprof index unreachable"
 curl -sf "${DBG}/debug/pprof/cmdline" >/dev/null || fail "pprof cmdline unreachable"
-curl -sf "${DBG}/metrics" | grep -q '^simd_build_info' || fail "debug /metrics mount broken"
+# Scrape first, then grep: piped, grep -q closes the pipe on its first
+# match and curl fails on the write it then makes (exit 23).
+curl -sf "${DBG}/metrics" >"${WORK}/metrics_dbg.txt" || fail "debug /metrics unreachable"
+grep -q '^simd_build_info' "${WORK}/metrics_dbg.txt" || fail "debug /metrics mount broken"
 echo "obs-smoke: debug listener serves pprof and metrics"
 
 # --- simtop renders a frame against the live daemon ------------------
