@@ -74,7 +74,9 @@ benchdiff:
 # microbench runs the hot-path microbenchmarks (events/sec, allocs/op)
 # for the sim kernel (BenchmarkPollRing: constant-delay Poll steps at 20
 # and 488 processes; BenchmarkAdvanceEach: three charges as one
-# AdvanceEach against three Advances), the PE idle-pass machine (BenchmarkIdlePass: an
+# AdvanceEach against three Advances; BenchmarkParkedDispatch: ns per real
+# dispatch beside 20 and 100 parked sleepers, what parking's bookkeeping
+# costs), the PE idle-pass machine (BenchmarkIdlePass: an
 # idle comm pass as the literal loop, as Poll steps, and skipped by a
 # parked thread — the parked row), the null-message
 # worker's idle predicate (BenchmarkBlocked), the fabric's send and
@@ -103,7 +105,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 21136
+LOC_CEILING = 21387
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

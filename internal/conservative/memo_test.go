@@ -94,6 +94,7 @@ func TestMemoInvalidation(t *testing.T) {
 	one := cluster.Topology{Nodes: 1, WorkersPerNode: 2, LPsPerWorker: 1}
 	two := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 1}
 	lone := cluster.Topology{Nodes: 2, WorkersPerNode: 1, LPsPerWorker: 1}
+	three := cluster.Topology{Nodes: 3, WorkersPerNode: 1, LPsPerWorker: 1}
 	self := func(id event.LPID, at vtime.Time, kind uint16) send { return send{id, at, kind} }
 	for _, c := range []struct {
 		name  string
@@ -165,6 +166,22 @@ func TestMemoInvalidation(t *testing.T) {
 				1: {init: []send{self(1, 1.5, 1)}, on: map[uint16]act{1: {spin: 3_000}}},
 			},
 			hit: func(r *stats.Run) bool { return r.NullMessages > 0 },
+		},
+		{
+			// Three nodes, one worker each. Node 1 spins 20 µs on its event
+			// at 1 while node 0 works through three events just above it,
+			// so the promises node 2's worker idles on climb past each
+			// other: a raise of the entry that was not the least alone
+			// leaves every bound where it was and asks nobody, while a
+			// raise of the least, judged against the old value and not the
+			// new, must ask node 2's parked worker again.
+			name: "recvInbound/chanIn/three nodes", top: three, end: 10, watch: 2,
+			lps: map[event.LPID]lpScript{
+				0: {init: []send{self(0, 1.2, 1), self(0, 1.4, 1), self(0, 1.6, 1), self(0, 9, 0)}, on: map[uint16]act{1: {spin: 3_000}}},
+				1: {init: []send{self(1, 1, 1), self(1, 3, 0)}, on: map[uint16]act{1: {spin: 20_000}}},
+				2: {init: []send{self(2, 2.5, 0)}},
+			},
+			hit: func(r *stats.Run) bool { return r.NullMessages > 0 && r.Workers.Committed == 7 },
 		},
 		{
 			// LP 0's event sends to LP 2 on the other node: an outbox deposit

@@ -58,9 +58,13 @@ type node struct {
 	// version (pe.Node.Version) at which they last found their thread idle
 	// and answer from memory while it stands, which makes them stable
 	// (pe.StableProbe): every change to what they read — a worker's floor
-	// or pending queue, chanIn, the outbox, a worker's exit — is followed by
-	// a Touch, which also re-asks the node's parked threads. A QuietProbe
-	// may err toward false only, so a missing Touch is a bug.
+	// or pending queue, chanIn, the outbox, a worker's exit — moves the
+	// version, and one that can turn a parked thread's predicate false is
+	// a Touch, which re-asks the node's parked threads. They read the
+	// floors and chanIn through minima and thresholds that a lower floor,
+	// a raise of an entry above chanIn's least or an outbox item only
+	// keeps or lowers, so those changes are a Bump. A QuietProbe may err
+	// toward false only, so a missing Touch is a bug.
 	quietAt uint64 // the version at which nullsQuiet last found nothing to send
 }
 
@@ -96,7 +100,7 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 		if len(batch) == 0 {
 			return sent
 		}
-		n.Touch()
+		n.Bump() // the outbox is read by this thread's predicate alone
 		for _, ev := range batch {
 			n.Send(p, n.eng.cfg.Topology.NodeOf(ev.Dst), tagEvents, ev.WireSize(), ev, backlog)
 			n.evSent++
@@ -107,6 +111,19 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 			return sent
 		}
 	}
+}
+
+// raised follows a raise of chanIn[src] from old: every safe bound and
+// the node's promise read chanIn through its least entry, so the parked
+// threads are asked again only if old was that least alone.
+func (n *node) raised(src int, old vtime.Time) {
+	for s, c := range n.chanIn {
+		if s != src && c <= old {
+			n.Bump()
+			return
+		}
+	}
+	n.Touch()
 }
 
 // recvInbound consumes up to budget inbound messages (budget <= 0 means
@@ -128,9 +145,9 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 			w.deposit(p, pl)
 			n.TraceRecv(p, m, w.Inbox.Len())
 		case *nullMsg:
-			if pl.EOT > n.chanIn[m.Src] {
+			if old := n.chanIn[m.Src]; pl.EOT > old {
 				n.chanIn[m.Src] = pl.EOT
-				n.Touch()
+				n.raised(m.Src, old)
 			}
 			n.eng.nulls = append(n.eng.nulls, pl)
 			n.TraceRecv(p, m, 0)

@@ -25,12 +25,7 @@ import (
 // process: no event with a smaller stamp can ever arrive.
 func (w *worker) safeBound() vtime.Time {
 	e := w.eng
-	safe := vtime.Inf
-	for _, c := range w.node.chanIn { // self entry is pinned to Inf
-		if c < safe {
-			safe = c
-		}
-	}
+	safe := w.node.leastPromise()
 	for _, v := range w.node.workers {
 		if v == w {
 			continue
@@ -74,16 +69,29 @@ func (w *worker) finished(safe vtime.Time) bool {
 	return safe > w.eng.end && w.eng.horizonFloor(w.floorLive()) == vtime.Inf
 }
 
+// leastPromise is the least EOT promise the node has received, which
+// bounds every worker's safeBound from above.
+func (n *node) leastPromise() vtime.Time {
+	least := vtime.Inf
+	for _, c := range n.chanIn { // self entry is pinned to Inf
+		least = min(least, c)
+	}
+	return least
+}
+
 // blocked is stage 1 of the idle pass: the bound lets nothing be
 // processed, and the run is not over. Everything it reads is under the
-// node's version, so most idle passes compare two integers.
+// node's version, so most idle passes compare two integers; and a worker
+// with nothing runnable below the least promise received, before the end,
+// is blocked whatever its peers' floors, which it then leaves unread.
 func (w *worker) blocked() bool {
 	if w.blockedAt == w.node.Version() {
 		return true
 	}
-	safe := w.safeBound()
-	if w.runnable(safe) != nil || w.finished(safe) {
-		return false
+	if c := w.node.leastPromise(); w.runnable(c) != nil || c > w.eng.end {
+		if safe := w.safeBound(); w.runnable(safe) != nil || w.finished(safe) {
+			return false
+		}
 	}
 	w.blockedAt = w.node.Version()
 	return true

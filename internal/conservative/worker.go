@@ -74,7 +74,8 @@ func (w *worker) run(p *sim.Proc) {
 // of any event it holds (pending, undrained inbox, in-hand drain batch,
 // or the event being processed). Peers read it — cooperatively, so
 // without a lock — to bound what this worker might still send. Whatever
-// changes it touches the node.
+// changes it moves the node's version: moved, or a Bump where the change
+// can only lower it.
 func (w *worker) floorLive() vtime.Time {
 	f := eventq.MinStamp(w.Pending).T
 	if w.inboxMin < f {
@@ -89,6 +90,19 @@ func (w *worker) floorLive() vtime.Time {
 	return f
 }
 
+// moved follows a change to what floorLive reads, from the floor old: the
+// node's version moves, and its parked threads are asked again only if
+// the floor rose. A floor no higher lowers or keeps every bound and
+// promise worked out from it, which keeps every parked predicate true;
+// where a change can only lower it, a Bump says so.
+func (w *worker) moved(old vtime.Time) {
+	if w.floorLive() > old {
+		w.node.Touch()
+	} else {
+		w.node.Bump()
+	}
+}
+
 // deposit delivers an event into this worker's inbox (called by peer
 // workers on the same node and by the comm role for MPI arrivals).
 // Unlocking never yields, so inboxMin moves at the instant of the append.
@@ -97,7 +111,7 @@ func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
 	if ev.Stamp.T < w.inboxMin {
 		w.inboxMin = ev.Stamp.T
 	}
-	w.node.Touch()
+	w.node.Bump() // a floor only lowered; the inbox lock woke the worker
 }
 
 // drainInbox moves inbox events into the pending queue. The in-hand
@@ -110,14 +124,14 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 		w.holdMin = vtime.Inf
 		return false
 	}
-	w.node.Touch()
+	w.node.Bump() // the floor as it was: the batch's least moved to holdMin
 	p.Advance(sim.Time(len(batch)) * (w.node.Cost.InboxDrainPerMsg + w.node.Cost.QueueOp))
 	for _, ev := range batch {
 		w.Pending.Push(ev)
 	}
 	w.Inbox.Recycle(batch)
 	w.holdMin = vtime.Inf
-	w.node.Touch()
+	w.node.Bump() // the floor as it was, or lower: the batch is pending now
 	return true
 }
 
@@ -144,15 +158,17 @@ func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 		// execT covers the event from the moment it leaves the queue
 		// until its sends are routed; set it before Pop so the floor
 		// never jumps past an in-flight event.
+		old := w.floorLive()
 		w.execT = ev.Stamp.T
 		w.Pending.Pop()
-		w.node.Touch()
+		w.moved(old)
 		w.Owe(w.node.Cost.QueueOp) // settled with the event's own charges
 		w.processOne(p, ev)
 		worked = true
 	}
+	old := w.floorLive()
 	w.execT = vtime.Inf
-	w.node.Touch()
+	w.moved(old)
 	return worked
 }
 
@@ -190,7 +206,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 	case event.Local:
 		p.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
 		w.Pending.Push(ev)
-		w.node.Touch()
+		w.node.Bump() // a floor only lowered
 		w.St.SentLocal++
 	case event.Regional:
 		_, wi := top.WorkerOf(ev.Dst)
@@ -198,7 +214,7 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 		w.St.SentRegion++
 	default:
 		w.node.Out.Deposit(p, ev)
-		w.node.Touch()
+		w.node.Bump() // only lowers the promise; the outbox lock woke the comm thread
 		w.St.SentRemote++
 	}
 }

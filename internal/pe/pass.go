@@ -58,7 +58,8 @@ func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag
 func QuietProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
 
 // StableProbe is a QuietProbe whose predicate, once true, stays true until
-// the node's next Touch (as a memo under Node.Version does): see plan.
+// the node's next Touch (as a memo under Node.Version does; a Bump keeps
+// it true): see plan.
 func StableProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
 
 // If makes the stage conditional: cond is asked at the stage's start, and
@@ -207,7 +208,7 @@ func (ps *pass) Skip(reps uint64, steps int) {
 // or if it parked without a limit and its end hook now says there is one:
 // only the thread, brought up to date, can count it.
 func (ps *pass) recheck() {
-	if r := &ps.parked; r.Parked() && (!ps.again() || r.Limit == 0 && ps.end != nil && ps.end(0) >= 0) {
+	if r := &ps.parked; r.Asked() && (!ps.again() || r.Limit == 0 && ps.end != nil && ps.end(0) >= 0) {
 		r.Wake()
 	}
 }

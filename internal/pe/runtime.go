@@ -103,7 +103,7 @@ type Node struct {
 	rt      *Runtime
 	workers []*Worker // the node's, in AddWorker order
 	comm    pass      // the dedicated MPI thread's idle pass (CommLoop)
-	ver     uint64    // Touch's count, from 1
+	ver     uint64    // Touch's and Bump's count, from 1
 }
 
 // Touch is the node's change signal, due in the dispatch of every change to
@@ -117,7 +117,13 @@ func (n *Node) Touch() {
 	}
 }
 
-// Version is what Touch moves.
+// Bump is Touch for a change that can wake no parked thread: one that
+// leaves every predicate a parked pass asks true, as a bound or promise
+// only lowered does. The version moves, so a memo forgets what it saw;
+// nothing parked is asked.
+func (n *Node) Bump() { n.ver++ }
+
+// Version is what Touch and Bump move.
 func (n *Node) Version() uint64 { return n.ver }
 
 // AddNode initialises n as the next node, with the given cost model.

@@ -112,6 +112,10 @@ func TestNewPlumbsFaultsAndAttach(t *testing.T) {
 // filed a thread's next charge of a run of them (sim.Proc.AdvanceEach) in
 // its stead. The tw-comm shape with checkpoint interval 4 pins virtual
 // time for rollbacks that coast forward, replaying the model's Spins.
+// Lookups and rechecks are what parking's bookkeeping costs, host-only
+// too: searches of the kernel's log of dispatches for skipped steps' keys,
+// and the times a change (pe.Node.Touch) asked a parked thread whether it
+// still has nothing to do.
 func TestKernelDispatchesPinned(t *testing.T) {
 	shape := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1}
 	twComp, twComm, consNull := shape, shape, shape
@@ -134,19 +138,20 @@ func TestKernelDispatchesPinned(t *testing.T) {
 		dispatches, switches, committed uint64
 		wall                            sim.Time
 		skipped, chained                uint64
+		lookups, rechecks               uint64
 	}{
-		{"tw-comp", twComp, 622_992, 101_257, 23_393, 20_149_260, 422_921, 66_544},
-		{"tw-comm", twComm, 719_138, 307_428, 17_576, 33_302_316, 105_787, 260_665},
-		{"cons-nullmsg", consNull, 650_200, 19_398, 1_849, 6_520_369, 610_319, 11_483},
-		{"samadi/dedicated", samadi, 364_336, 49_010, 14_060, 15_419_436, 268_233, 38_254},
-		{"mattern/combined", combined, 382_925, 123_281, 14_060, 14_074_380, 142_584, 40_255},
-		{"mattern/shared", shared, 168_876, 92_199, 14_060, 14_082_480, 7_408, 54_022},
-		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 578_860, 14_060, 45_109_394, 1_103_821, 53_545},
-		{"samadi/combined", samadiCombined, 198_044, 46_072, 14_060, 16_320_086, 110_172, 37_129},
-		{"samadi/shared", samadiShared, 290_124, 139_714, 14_060, 23_695_278, 4_935, 74_017},
-		{"samadi/greedy+straggler", samadiMigrating, 384_748, 50_362, 14_060, 48_742_798, 285_976, 39_416},
-		{"barrier/combined", barrierCombined, 149_234, 45_750, 14_060, 20_321_782, 66_232, 36_053},
-		{"tw-comm/checkpoint=4", coasting, 954_566, 380_255, 17_576, 54_825_268, 184_677, 320_089},
+		{"tw-comp", twComp, 622_992, 101_257, 23_393, 20_149_260, 422_921, 66_544, 25_284, 1_164},
+		{"tw-comm", twComm, 719_138, 307_428, 17_576, 33_302_316, 105_787, 260_665, 21_244, 223},
+		{"cons-nullmsg", consNull, 650_200, 19_398, 1_849, 6_520_369, 610_319, 11_483, 30_604, 9_871},
+		{"samadi/dedicated", samadi, 364_336, 49_010, 14_060, 15_419_436, 268_233, 38_254, 11_492, 137},
+		{"mattern/combined", combined, 382_925, 123_281, 14_060, 14_074_380, 142_584, 40_255, 1_759, 177},
+		{"mattern/shared", shared, 168_876, 92_199, 14_060, 14_082_480, 7_408, 54_022, 1_229, 5},
+		{"ca-gvt/greedy+straggler", migrating, 2_260_732, 578_860, 14_060, 45_109_394, 1_103_821, 53_545, 292_502, 931},
+		{"samadi/combined", samadiCombined, 198_044, 46_072, 14_060, 16_320_086, 110_172, 37_129, 4_072, 51},
+		{"samadi/shared", samadiShared, 290_124, 139_714, 14_060, 23_695_278, 4_935, 74_017, 792, 0},
+		{"samadi/greedy+straggler", samadiMigrating, 384_748, 50_362, 14_060, 48_742_798, 285_976, 39_416, 8_873, 137},
+		{"barrier/combined", barrierCombined, 149_234, 45_750, 14_060, 20_321_782, 66_232, 36_053, 571, 40},
+		{"tw-comm/checkpoint=4", coasting, 954_566, 380_255, 17_576, 54_825_268, 184_677, 320_089, 35_221, 326},
 	} {
 		eng, err := New(c.spec, Attach{})
 		if err != nil {
@@ -169,6 +174,11 @@ func TestKernelDispatchesPinned(t *testing.T) {
 		}
 		if k.Skipped != c.skipped || k.Chained != c.chained {
 			t.Errorf("%s: %d of %d steps skipped, %d dispatches chained; pinned %d, %d", c.name, k.Skipped, k.Steps, k.Chained, c.skipped, c.chained)
+		}
+		if k.Lookups != c.lookups || k.Rechecks != c.rechecks {
+			real := k.Dispatches - k.Skipped
+			t.Errorf("%s: %d log lookups (%.2f per real dispatch), %d parked threads rechecked; pinned %d, %d",
+				c.name, k.Lookups, float64(k.Lookups)/float64(real), k.Rechecks, c.lookups, c.rechecks)
 		}
 	}
 }

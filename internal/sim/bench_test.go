@@ -103,6 +103,63 @@ func BenchmarkAdvanceEach(b *testing.B) {
 	}
 }
 
+// BenchmarkParkedDispatch: what parking costs a dispatch that runs. Twenty
+// and a hundred sleepers (park_test.go), half of them on a worker's idle
+// cycle and half on an MPI thread's, park beside one busy process whose
+// sleeps fall on their instants and which takes a sleeper's lock every
+// 64th step, waking it. One op is one of the busy process's steps;
+// ns/dispatch is the time per dispatch that was not skipped.
+func BenchmarkParkedDispatch(b *testing.B) {
+	cycles := [][]Time{{120, 150}, {120, 300, 500, 150}}
+	for _, n := range []int{20, 100} {
+		b.Run(fmt.Sprintf("parked=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			env := NewEnv()
+			bumps, active := 0, 1
+			sleepers := make([]*sleeper, n)
+			for i := range sleepers {
+				s := &sleeper{name: fmt.Sprintf("s%d", i), park: true, cycle: cycles[i%2], bumps: &bumps, active: &active}
+				s.mu = &Mutex{Name: s.name, HoldCost: s.cycle[0]}
+				s.rec = Parked{Cycle: s.cycle, Locks: []*Mutex{s.mu}, Owner: s}
+				sleepers[i] = s
+				env.Spawn(s.name, func(p *Proc) {
+					s.p = p
+					for {
+						s.idle(p, idlePark)
+						if active == 0 {
+							return
+						}
+						s.at, s.handled = 0, bumps
+						p.Advance(s.cycle[0])
+					}
+				})
+			}
+			env.Spawn("busy", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					if i%64 == 63 {
+						s := sleepers[i/64%n]
+						s.mu.Lock(p)
+						p.Advance(30)
+						s.mu.Unlock(p)
+						continue
+					}
+					p.Advance(Time(30 + 10*(i%4)))
+				}
+				for _, s := range sleepers {
+					s.rec.Wake()
+				}
+				active = 0 // read by the sleepers' predicate: after the wake
+			})
+			b.ResetTimer()
+			if err := env.Run(); err != nil {
+				b.Fatal(err)
+			}
+			c := env.Counters()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Dispatches-c.Skipped), "ns/dispatch")
+		})
+	}
+}
+
 func BenchmarkMutexUncontended(b *testing.B) {
 	m := &Mutex{Name: "m"}
 	benchRun(b, 1, func(p *Proc, _ int) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -21,22 +20,32 @@ type Parked struct {
 	Owner Skipper
 
 	proc *Proc  // the parked process; nil while it steps
-	at   Time   // its next step: the instant,
-	key  uint64 // the key,
-	pos  int    // the index in Cycle,
-	from int    // and the first log entry that can follow it
+	mark        // its next step
 	per  Time   // the sum of Cycle
 	n    uint64 // steps skipped since the park
 	end  Time   // the instant of the step Limit wakes it at
 	// For tie-breaks (earlier): the parking dispatch and its ordinal
-	// (Counters.Dispatches then), the keys of the last steps (a ring), the
-	// processes in lockstep ahead of it as it parked.
-	park  event
-	parkN uint64
-	keys  [2*MaxCycle + 1]uint64
-	nh    int
-	ahead [maxProcs / 64]uint64
-	who   int32 // the process's id, kept once proc is cleared by the wake
+	// (Counters.Dispatches then); the keys of the steps up to hist, span
+	// steps short of the next (a ring, nh of them noted since it restarted:
+	// history notes the rest when a tie-break reads one); the processes in
+	// lockstep ahead of it as it parked, by id (those past 256: Env.wide).
+	parkAt  Time
+	parkKey uint64
+	parkN   uint64
+	hist    mark
+	span    int
+	nh      int32
+	who     int32 // the process's id, kept once proc is cleared by the wake
+	keys    [2*MaxCycle + 1]uint64
+	ahead   [4]uint64
+}
+
+// A mark is a step of a parked process: the instant, the key, the index in
+// Cycle, and the first log entry that can follow the step before it.
+type mark struct {
+	at        Time
+	key       uint64
+	pos, from int32
 }
 
 // A Skipper applies skipped steps but their locks: reps repetitions, then steps.
@@ -46,11 +55,8 @@ type Skipper interface{ Skip(reps uint64, steps int) }
 // engine, a worker carrying the Time Warp comm role in a migrating run.
 const MaxCycle = 12
 
-// Bounds: the processes parking in lockstep, the log.
-const (
-	maxProcs = 256
-	logCap   = 128
-)
+// logCap bounds the log: trim makes room when it fills.
+const logCap = 128
 
 type logEntry struct {
 	at  Time
@@ -79,7 +85,7 @@ func (e *Env) unpark() {
 	if pk := e.pk; pk != nil {
 		clear(e.parked[:cap(e.parked)])
 		clear(e.refiled[:cap(e.refiled)])
-		pk.parked, pk.refiled, pk.log = e.parked[:0], e.refiled[:0], e.log[:0]
+		pk.parked, pk.refiled, pk.log = e.parked[:0], e.refiled[:0], e.log[:0:logCap] // as it was, had it grown
 		e.pk, e.parked, e.refiled, e.log = nil, nil, nil, nil
 		parkings.Put(pk)
 	}
@@ -103,30 +109,30 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 			return d
 		}
 	}
+	r.who = int32(p.id)
 	clear(r.ahead[:])
+	clear(e.wide[r.who])
 	for _, q := range e.parked {
 		i, ok := q.index(e.now + d)
-		for k := range len(q.Cycle) + len(r.Cycle) { // then they agree for ever
-			ok = ok && q.Cycle[(i+k)%len(q.Cycle)] == r.Cycle[k%len(r.Cycle)]
+		for k, j := 0, int32(0); ok && k < len(q.Cycle)+len(r.Cycle); k++ { // then they agree for ever
+			ok, i, j = q.Cycle[i] == r.Cycle[j], q.succ(i), r.succ(j)
 		}
 		if !ok {
 			continue
-		} else if p.id >= maxProcs || q.who >= maxProcs {
-			return d
 		}
 		if e.walk(q, e.now, e.key); q.at != e.now {
-			r.ahead[q.who/64] |= 1 << (q.who % 64)
+			e.setAhead(r, q.who)
 		}
 	}
-	r.proc, r.at, r.who, r.key, r.pos, r.from = p, e.now+d, int32(p.id), e.seq+1, 0, len(e.log)
-	r.park, r.parkN, r.n, r.per, r.nh = event{at: e.now, seq: e.key}, e.ctr.Dispatches, 0, 0, 0
+	r.proc, r.mark = p, mark{at: e.now + d, key: e.seq + 1, from: int32(len(e.log))}
+	r.parkAt, r.parkKey, r.parkN, r.n, r.per = e.now, e.key, e.ctr.Dispatches, 0, 0
 	for _, d := range r.Cycle {
 		r.per += d
 	}
 	if r.end = r.at + Time(r.Limit)*r.per; r.Limit > 0 && (e.due == 0 || r.end < e.due) {
 		e.due = r.end
 	}
-	r.note(r.key)
+	r.rehist(r.mark, 0)
 	for _, m := range r.Locks {
 		m.watch = r
 	}
@@ -141,8 +147,15 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 	return parkStep
 }
 
-// Parked reports whether the process is parked.
-func (r *Parked) Parked() bool { return r.proc != nil }
+// Asked reports whether the process is parked, to an owner about to ask
+// whether what it parked on still holds: Counters.Rechecks counts those.
+func (r *Parked) Asked() bool {
+	if r.proc == nil {
+		return false
+	}
+	r.proc.env.ctr.Rechecks++
+	return true
+}
 
 // Wake brings a parked process up to the dispatch in progress.
 func (r *Parked) Wake() {
@@ -177,110 +190,227 @@ func (e *Env) wake(r *Parked, cutAt Time, cutKey uint64) {
 }
 
 // walk takes r over its steps ordered before (cutAt, cutKey), not before
-// the last dispatch, in closed form, with keys for the last steps only: a
-// key depends on the one before only where a dispatch shares its instant.
-// It stops short of the cut at the step r's limit wakes it at.
+// the last dispatch, in closed form, working out a key only where the step
+// before shares its instant with a dispatch, so that the key depends on
+// the one before: from the last step before the cut's instant whose key
+// does not (latest). It stops short of the cut at the step r's limit
+// wakes it at.
 func (e *Env) walk(r *Parked, cutAt Time, cutKey uint64) {
-	left := math.MaxInt // the steps r may still skip
-	if r.Limit > 0 {
-		left = int(r.Limit*uint64(len(r.Cycle)) - r.n)
-	}
+	left := r.left()
 	if left == 0 || !after(cutAt, cutKey, r.at, r.key) {
 		return
 	}
-	n := min(int((cutAt-r.at)/r.per)*len(r.Cycle), left) // then the steps before cutAt
-	for t, _ := r.step(n); n < left && t < cutAt; t, _ = r.step(n) {
-		n++
+	m, i := e.latest(r, r.mark, r.before(cutAt, left), len(e.log))
+	for ; i < left && after(cutAt, cutKey, m.at, m.key); i++ {
+		m = e.succ(r, m)
 	}
-	i, key, from := max(0, n+1-r.history()), r.key, r.from
-	for ; i > 0; i-- {
-		t, _ := r.step(i - 1)
-		k, f := e.counter(from, t, ^uint64(0))
-		if _, g := e.counter(from, t, 0); f == g { // no dispatch at t
-			key, from = k, f
-			break
-		}
-	}
-	for {
-		t, _ := r.step(i)
-		if i > 0 { // the next step's key is noted already
-			r.note(key)
-		}
-		if i == left || !after(cutAt, cutKey, t, key) {
-			break
-		}
-		key, from = e.counter(from, t, key)
-		i++
-	}
-	r.at, r.pos = r.step(i)
-	r.key, r.from, r.n = key, from, r.n+uint64(i)
+	r.mark, r.n, r.span = m, r.n+uint64(i), r.span+i
 }
 
-// step is the instant and Cycle index of r's i-th step from its next one.
-func (r *Parked) step(i int) (Time, int) {
-	t, pos := r.at+Time(i/len(r.Cycle))*r.per, r.pos
+// succ is the step after m, filed by m's step.
+func (e *Env) succ(r *Parked, m mark) mark {
+	j := e.seek(int(m.from), m.at, m.key)
+	return mark{m.at + r.Cycle[m.pos], e.counter(j), r.succ(m.pos), int32(j)}
+}
+
+// counter is the key of a skipped filing before log entry j, the first
+// dispatch after the step that files it: 2S+1, S the real filings before
+// that dispatch, or before the next one if no dispatch is logged after.
+func (e *Env) counter(j int) uint64 {
+	if j < len(e.log) {
+		return e.log[j].c + 1
+	}
+	return e.seq + 1
+}
+
+// left is how many steps r may still skip: its limit's, or any number.
+func (r *Parked) left() int {
+	if r.Limit == 0 {
+		return math.MaxInt
+	}
+	return int(r.Limit*uint64(len(r.Cycle)) - r.n)
+}
+
+// before counts r's steps before instant t, at most left of them.
+func (r *Parked) before(t Time, left int) int {
+	if t <= r.at {
+		return 0
+	}
+	k := (t - r.at) / r.per // whole repetitions, then the steps before t
+	n, s, pos := int(k)*len(r.Cycle), r.at+k*r.per, r.pos
+	for ; n < left && s < t; n++ {
+		s, pos = s+r.Cycle[pos], r.succ(pos)
+	}
+	return min(n, left)
+}
+
+// latest is the last of m's next i steps whose step before falls at an
+// instant no dispatch shares, so that its key is the counter of the first
+// dispatch after that instant. It returns that step and how many past m it
+// lies, or m and 0 if none does. Every log entry from hi on lies at or
+// after the instant of the last of the i steps: one search back from hi
+// finds the first dispatch at or after it, and each step further back
+// moves that back entry by entry.
+func (e *Env) latest(r *Parked, m mark, i, hi int) (mark, int) {
+	if i <= 0 {
+		return m, 0
+	}
+	t, pos := r.step(m, i-1)
+	for j := e.seekBack(int(m.from), hi, t); ; {
+		if j == len(e.log) || e.log[j].at != t {
+			return mark{t + r.Cycle[pos], e.counter(j), r.succ(pos), int32(j)}, i
+		}
+		if i--; i == 0 {
+			return m, 0
+		}
+		if pos--; pos < 0 {
+			pos = int32(len(r.Cycle) - 1)
+		}
+		t -= r.Cycle[pos]
+		for j > int(m.from) && e.log[j-1].at >= t {
+			j--
+		}
+	}
+}
+
+// rehist restarts r's history at m, span steps short of the next.
+func (r *Parked) rehist(m mark, span int) {
+	r.hist, r.span, r.nh = m, span, 0
+	r.note(m.key)
+}
+
+// history notes the keys of r's steps past hist up to the next, which
+// becomes hist, first moving hist up (latest) to a history short of it.
+func (e *Env) history(r *Parked) {
+	if m, i := e.latest(r, r.hist, r.span+1-r.depth(), int(r.from)); i > 0 {
+		r.rehist(m, r.span-i)
+	}
+	m := r.hist
+	for range r.span {
+		m = e.succ(r, m)
+		r.note(m.key)
+	}
+	r.hist, r.span = m, 0
+}
+
+// step is the instant and Cycle index of r's i-th step past m.
+func (r *Parked) step(m mark, i int) (Time, int32) {
+	t, pos := m.at+Time(i/len(r.Cycle))*r.per, m.pos
 	for k := i % len(r.Cycle); k > 0; k-- {
-		t, pos = t+r.Cycle[pos], (pos+1)%len(r.Cycle)
+		t, pos = t+r.Cycle[pos], r.succ(pos)
 	}
 	return t, pos
 }
 
+// succ is the Cycle index after pos.
+func (r *Parked) succ(pos int32) int32 {
+	if pos++; int(pos) == len(r.Cycle) {
+		return 0
+	}
+	return pos
+}
+
 // index reports whether r has a step at instant t, and its Cycle index.
-func (r *Parked) index(t Time) (i int, ok bool) {
+func (r *Parked) index(t Time) (i int32, ok bool) {
 	d := t - r.at
 	if d < 0 {
 		return 0, false
 	}
-	for i, d = r.pos, d%r.per; d > 0; i++ {
-		d -= r.Cycle[i%len(r.Cycle)]
+	if d >= r.per {
+		d %= r.per
 	}
-	return i % len(r.Cycle), d == 0
+	for i = r.pos; d > 0; i = r.succ(i) {
+		d -= r.Cycle[i]
+	}
+	return i, d == 0
 }
 
-// counter is the key a step at (t, k) files its successor under, from the
-// first dispatch logged after it, and that dispatch's index.
-func (e *Env) counter(from int, t Time, k uint64) (uint64, int) {
-	log := e.log[from:]
-	i := sort.Search(len(log), func(i int) bool { return after(log[i].at, log[i].key, t, k) })
-	if i == len(log) {
-		return e.seq + 1, from + i
+// seek is the index of the first dispatch logged from from on that is
+// ordered after (t, k). It gallops forward from from, where the one
+// sought usually lies a step or two on, then bisects.
+func (e *Env) seek(from int, t Time, k uint64) int {
+	e.ctr.Lookups++
+	log, lo, hi := e.log, from, len(e.log)
+	for d := 1; lo+d <= hi; d *= 2 {
+		if j := lo + d - 1; after(log[j].at, log[j].key, t, k) {
+			hi = j
+			break
+		}
+		lo += d
 	}
-	return log[i].c + 1, from + i
+	return bisect(log, lo, hi, t, k)
+}
+
+// seekBack is the index of the first dispatch logged in [lo, hi] at or
+// after instant t, every one from hi on being so. It gallops back from
+// hi, near which the one sought usually lies, then bisects.
+func (e *Env) seekBack(lo, hi int, t Time) int {
+	e.ctr.Lookups++
+	log := e.log
+	for d := 1; hi > lo; d *= 2 {
+		j := max(hi-d, lo)
+		if log[j].at < t {
+			lo = j + 1
+			break
+		}
+		hi = j
+	}
+	return bisect(log, lo, hi, t, 0)
+}
+
+// bisect is the index of the first entry in log[lo:hi] ordered after
+// (t, k), every one from hi on being so.
+func bisect(log []logEntry, lo, hi int, t Time, k uint64) int {
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); after(log[m].at, log[m].key, t, k) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 func (r *Parked) note(key uint64) {
-	r.keys[r.nh%len(r.keys)] = key
+	r.keys[int(r.nh)%len(r.keys)] = key
 	r.nh++
 }
 
-// history is how many of its last steps' keys a walk notes for r: as far
+// depth is how many of its last steps' keys r's history keeps: as far
 // back as a tie-break with any chain looks (earlier), and no further.
-func (r *Parked) history() int { return len(r.Cycle) + MaxCycle + 1 }
+func (r *Parked) depth() int { return len(r.Cycle) + MaxCycle + 1 }
 
-// keyBack is the key of r's chain j steps before its next one.
-func (r *Parked) keyBack(j int) uint64 {
+// keyBack is the key of r's chain j steps before its next one, off the
+// ring, which history first brings up to the next step: a tie group is
+// compared pair by pair, so its members' keys are read again and again.
+func (e *Env) keyBack(r *Parked, j int) uint64 {
 	if uint64(j) == r.n+1 {
-		return r.park.seq
+		return r.parkKey
 	}
-	if j >= min(r.nh, r.history()) {
+	if r.span > 0 {
+		e.history(r)
+	}
+	if j >= min(int(r.nh), r.depth()) {
 		panic("sim: a tie-break reached past a parked chain's history")
 	}
-	return r.keys[(r.nh-1-j)%len(r.keys)]
+	return r.keys[(int(r.nh)-1-j)%len(r.keys)]
 }
 
 // earlier reports whether a's filed step, tied with b's, was filed first:
 // whether its filing step was, one delay back, or on a tie further back.
 // Chains tied over both cycles are in lockstep since the later park, whose
 // order holds: a smaller key files under a counter no larger.
-func earlier(a, b *Parked) bool {
-	ta, tb, ia, ib := a.at, b.at, a.pos, b.pos
+func (e *Env) earlier(a, b *Parked) bool {
+	ta, tb, ia, ib := a.at, b.at, int(a.pos), int(b.pos)
 	for j := 1; j <= len(a.Cycle)+len(b.Cycle); j++ {
 		ia, ib = (ia+len(a.Cycle)-1)%len(a.Cycle), (ib+len(b.Cycle)-1)%len(b.Cycle)
-		ta, tb = ta-a.Cycle[ia], tb-b.Cycle[ib]
-		if ka, kb := a.keyBack(j), b.keyBack(j); ta != tb || ka != kb {
-			return ta < tb || (ta == tb && ka < kb)
+		if ta, tb = ta-a.Cycle[ia], tb-b.Cycle[ib]; ta != tb {
+			return ta < tb
 		}
-		if ta == a.park.at && tb == b.park.at {
+		if ka, kb := e.keyBack(a, j), e.keyBack(b, j); ka != kb {
+			return ka < kb
+		}
+		if ta == a.parkAt && tb == b.parkAt {
 			return a.parkN < b.parkN
 		}
 	}
@@ -288,7 +418,36 @@ func earlier(a, b *Parked) bool {
 	if a.parkN < b.parkN {
 		later, other = b, a
 	}
-	return (later.ahead[other.who/64]&(1<<(other.who%64)) != 0) == (later == b)
+	return e.isAhead(later, other.who) == (later == b)
+}
+
+// setAhead notes process id as ahead in lockstep as r parks.
+func (e *Env) setAhead(r *Parked, id int32) {
+	w, bit := int(id/64), uint64(1)<<(id%64)
+	if w < len(r.ahead) {
+		r.ahead[w] |= bit
+		return
+	}
+	if e.wide == nil {
+		e.wide = make(map[int32][]uint64)
+	}
+	wide := e.wide[r.who]
+	if w -= len(r.ahead); w >= len(wide) {
+		wide = append(wide, make([]uint64, w+1-len(wide))...)
+		e.wide[r.who] = wide
+	}
+	wide[w] |= bit
+}
+
+// isAhead reports whether r noted process id as ahead as it parked.
+func (e *Env) isAhead(r *Parked, id int32) bool {
+	w, bit := int(id/64), uint64(1)<<(id%64)
+	if w < len(r.ahead) {
+		return r.ahead[w]&bit != 0
+	}
+	wide := e.wide[r.who]
+	w -= len(r.ahead)
+	return w < len(wide) && wide[w]&bit != 0
 }
 
 // settle sees every entry before its dispatch while anything is parked or
@@ -326,14 +485,14 @@ func (e *Env) settle(ev *event) bool {
 		}
 		f := -1
 		for i, q := range e.refiled {
-			if q.at == ev.at && q.key == ev.seq && (f < 0 || earlier(q, e.refiled[f])) {
+			if q.at == ev.at && q.key == ev.seq && (f < 0 || e.earlier(q, e.refiled[f])) {
 				f = i
 			}
 		}
 		ev.proc = e.refiled[f].who
 		e.refiled[f], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
 	}
-	if len(e.parked) > 0 {
+	if len(e.parked)+len(e.refiled) > 0 {
 		if len(e.log) == cap(e.log) {
 			e.trim()
 		}
@@ -342,18 +501,57 @@ func (e *Env) settle(ev *event) bool {
 	return true
 }
 
-// trim takes the chains that need the log's older half up to the last
-// dispatch, and drops what none needs.
+// trim drops what no process can still need of the log, at least its
+// older quarter, unless one must keep more. A process whose history starts
+// in the older half moves its next step up to a history of steps short of
+// the last dispatch, if it lies further back (latest: one lookup, no keys
+// worked out between, as the next walk passes a history of steps), or
+// else moves its history's start up to a history short of its next step.
+// One whose history still starts in the older quarter is walked to the
+// last dispatch and notes its keys (history), as is a woken one, and its
+// start then moves past any dispatch before its step (tighten).
 func (e *Env) trim() {
-	low := len(e.log)
+	e.trims++
+	half, quarter, low := int32(len(e.log)/2), int32(len(e.log)/4), int32(len(e.log))
 	for _, q := range e.parked {
-		if q.from < len(e.log)/2 {
-			e.walk(q, e.now, e.key)
+		if q.hist.from < half {
+			if m, i := e.latest(q, q.mark, q.before(e.now, q.left())+1-q.depth(), len(e.log)); i > 0 {
+				q.mark, q.n = m, q.n+uint64(i)
+				q.rehist(m, 0)
+			} else if m, i := e.latest(q, q.hist, q.span+1-q.depth(), int(q.from)); i > 0 {
+				q.rehist(m, q.span-i)
+			}
 		}
-		low = min(low, q.from)
+		if q.hist.from < quarter {
+			e.walk(q, e.now, e.key)
+			e.settled(q, quarter)
+		}
+		low = min(low, q.hist.from)
+	}
+	for _, q := range e.refiled {
+		e.settled(q, quarter)
+		low = min(low, q.hist.from)
 	}
 	e.log = e.log[:copy(e.log, e.log[low:])]
 	for _, q := range e.parked {
-		q.from -= low
+		q.from, q.hist.from = q.from-low, q.hist.from-low
+	}
+	for _, q := range e.refiled {
+		q.from, q.hist.from = q.from-low, q.hist.from-low
+	}
+}
+
+// settled notes r's keys up to its next step (history) if its history
+// starts before entry low, and then, if it still does, moves that start
+// past every dispatch before the step: none bears on a step from it on.
+// A step taken just before a burst of dispatches, whose next one lies past
+// them all, so holds none of them.
+func (e *Env) settled(r *Parked, low int32) {
+	if r.hist.from < low {
+		e.history(r)
+	}
+	if r.hist.from < low {
+		r.hist.from = int32(e.seekBack(int(r.hist.from), len(e.log), r.hist.at))
+		r.from = max(r.from, r.hist.from)
 	}
 }

@@ -32,6 +32,8 @@ type parkRun struct {
 	now   Time
 	stats string
 	ctr   Counters
+	trims int      // how often the log was trimmed (parked runs only)
+	skips []uint64 // the steps each sleeper had skipped
 }
 
 // sleeper is an idle thread as the pass machine makes one: a pass takes its
@@ -56,6 +58,7 @@ type sleeper struct {
 	handled int
 	bumps   *int
 	active  *int
+	skipped uint64 // steps the kernel skipped for it (Skip)
 }
 
 func (s *sleeper) quiet() bool {
@@ -103,6 +106,7 @@ func (s *sleeper) idle(p *Proc, mode int) {
 
 // Skip is the sleeper's sim.Skipper.
 func (s *sleeper) Skip(reps uint64, steps int) {
+	s.skipped += reps*uint64(len(s.cycle)) + uint64(steps)
 	s.passes += reps
 	for ; steps > 0; steps-- {
 		if s.step() < 0 {
@@ -124,12 +128,30 @@ const (
 // locks, bump their shared version and sleep delays drawn from the
 // sleepers' own, so that their events fall on the sleepers' instants, ties
 // nested several delays deep. The program is read from prog.
-func runParkProgram(prog []byte, mode int) parkRun { return runChainProgram(prog, mode, chainNone) }
+func runParkProgram(prog []byte, mode int) parkRun { return runChainProgram(prog, mode, chainNone, 0) }
+
+// runBusyProgram's interactors take busyActions more actions each, a
+// sleeper's lock every busyWake-th of them.
+const (
+	busyActions = 2000
+	busyWake    = 200
+)
+
+// runBusyProgram is runParkProgram whose interactors then take busyActions
+// more actions each: sleeps drawn as before (once the program is read
+// through, of the first sleeper's first delay, or twice it), and every
+// busyWake-th the next sleeper's lock, which wakes it. So the sleepers stay
+// parked across many fills of the kernel's log beside them, and their
+// skipped steps' keys still decide ties.
+func runBusyProgram(prog []byte, mode int) parkRun {
+	return runChainProgram(prog, mode, chainNone, busyActions)
+}
 
 // runChainProgram is runParkProgram whose interactors also make runs of one
-// to six charges, alone or behind a lock, the chains way; chainNone draws
-// exactly runParkProgram's programs.
-func runChainProgram(prog []byte, mode, chains int) parkRun {
+// to six charges, alone or behind a lock, the chains way, and busy more
+// actions each; chainNone and no more draw exactly runParkProgram's
+// programs.
+func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
 	src := bytesSource(prog)
 	env := NewEnv()
 	var log []string
@@ -237,9 +259,19 @@ func runChainProgram(prog []byte, mode, chains int) parkRun {
 	active = interactors
 	for i := 0; i < interactors; i++ {
 		name := fmt.Sprintf("i%d", i)
-		actions := 8 + src.next(40)
+		actions := 8 + src.next(40) + busy
 		env.Spawn(name, func(p *Proc) {
 			for a := 0; a < actions; a++ {
+				if b := a - (actions - busy); b >= 0 { // the busy tail
+					if s := sleepers[b/busyWake%len(sleepers)]; b%busyWake == busyWake-1 && s.mu.TryAcquire(p) {
+						logf("%s took %s", name, s.mu.Name)
+						p.Advance(pick())
+						s.mu.Unlock(p)
+					} else {
+						p.Advance(pick())
+					}
+					continue
+				}
 				s := sleepers[src.next(len(sleepers))]
 				switch src.next(kinds) {
 				case 0, 1:
@@ -289,7 +321,7 @@ func runChainProgram(prog []byte, mode, chains int) parkRun {
 		fmt.Fprintf(&st, "%s %v passes=%d acquires=%d contended=%d wait=%d; ",
 			s.name, s.cycle, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
 	}
-	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters()}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers)}
 }
 
 // checkParkedPoll runs one program the three ways: parked sleepers must
@@ -304,6 +336,12 @@ func checkParkedPoll(t *testing.T, prog []byte) (skipped uint64) {
 // checkParked is checkParkedPoll for any program that run runs the three
 // ways; what names it in a failure.
 func checkParked(t *testing.T, what string, run func(mode int) parkRun) (skipped uint64) {
+	t.Helper()
+	return checkParkedRun(t, what, run).ctr.Skipped
+}
+
+// checkParkedRun is checkParked returning the parked run.
+func checkParkedRun(t *testing.T, what string, run func(mode int) parkRun) parkRun {
 	t.Helper()
 	loop, poll, park := run(idleLoop), run(idlePoll), run(idlePark)
 	if a, b := strings.Join(loop.log, "\n"), strings.Join(park.log, "\n"); a != b {
@@ -320,7 +358,7 @@ func checkParked(t *testing.T, what string, run func(mode int) parkRun) (skipped
 	if kc.Dispatches != lc.Dispatches || kc.Callbacks != lc.Callbacks || kc.Steps != pc.Steps || kc.ProcSwitches != pc.ProcSwitches || pc.Skipped != 0 {
 		t.Fatalf("%s: counters loop %+v, Poll %+v, parked %+v", what, lc, pc, kc)
 	}
-	return kc.Skipped
+	return park
 }
 
 // runTiedSleepers runs n sleepers on one cycle, each with a lock of its
@@ -383,7 +421,15 @@ func runTiedSleepers(n, mode int) parkRun {
 	for _, s := range sleepers {
 		fmt.Fprintf(&st, "%s passes=%d acquires=%d contended=%d wait=%d; ", s.name, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
 	}
-	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters()}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers)}
+}
+
+func skips(sleepers []*sleeper) []uint64 {
+	n := make([]uint64, len(sleepers))
+	for i, s := range sleepers {
+		n[i] = s.skipped
+	}
+	return n
 }
 
 // TestManyTiedWakeups: however many parked processes a bump wakes at one
@@ -393,6 +439,20 @@ func TestManyTiedWakeups(t *testing.T) {
 	for _, n := range []int{8, 31, 32, 40, 100} {
 		if skipped := checkParked(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, mode) }); skipped == 0 {
 			t.Errorf("%d sleepers: none parked", n)
+		}
+	}
+}
+
+// TestLockstepPastProcess256: the set of processes a parking one finds
+// ahead in lockstep holds any process id. Three hundred sleepers step in
+// lockstep; those with ids past 256 park and skip steps too, and the run
+// is the literal loop's.
+func TestLockstepPastProcess256(t *testing.T) {
+	const n = 300
+	park := checkParkedRun(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, mode) })
+	for id := 256; id < n; id++ {
+		if park.skips[id] == 0 {
+			t.Errorf("sleeper %d never skipped a step", id)
 		}
 	}
 }
@@ -425,8 +485,28 @@ func TestParkedPollMatchesAdvanceLoop(t *testing.T) {
 	t.Logf("%d of %d steps skipped", skipped, steps)
 }
 
+// TestParkedPollTrims is TestParkedPollMatchesAdvanceLoop with busy
+// interactors (runBusyProgram): the sleepers stay parked while the log of
+// dispatches fills again and again, so trim moves their steps and
+// histories on in every way it can, where the older test's programs trim
+// a handful of times in all. A trim that drops an entry a parked or woken
+// process still starts from fails it.
+func TestParkedPollTrims(t *testing.T) {
+	trims := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 64+rng.Intn(512))
+		rng.Read(prog)
+		trims += checkParkedRun(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) }).trims
+	}
+	if trims < 2_000 {
+		t.Errorf("the log was trimmed %d times: the sleepers hardly stay parked", trims)
+	}
+	t.Logf("%d trims", trims)
+}
+
 // FuzzParkedPoll searches the programs for one where parking moves
-// anything.
+// anything, read as they are and busy (runBusyProgram).
 func FuzzParkedPoll(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
@@ -434,5 +514,11 @@ func FuzzParkedPoll(f *testing.F) {
 	// A sleeper's budget runs out at an instant an interactor is dispatched
 	// at: the limit's waking step must take its place among the ties.
 	f.Add([]byte{0x4f, 0x1c, 0xd6, 0xfd, 0xfc, 0x63, 0x3c, 0xf, 0xa6, 0xd5, 0x8f, 0x41, 0xc0, 0x6e, 0x60, 0x9c, 0x10, 0x54, 0xe4, 0xb})
-	f.Fuzz(func(t *testing.T, prog []byte) { checkParkedPoll(t, prog) })
+	// Three sleepers, each of which parks and skips steps: read busy, the
+	// log beside them is trimmed 75 times.
+	f.Add([]byte{0xbf, 0x50, 0x68, 0x2d, 0x54, 0xbd, 0x75, 0x61, 0x8d, 0xd1, 0xbd, 0xf9, 0x87, 0x40, 0x6d, 0xc2, 0x22, 0xb6, 0xf5, 0xc, 0x8a, 0x5f, 0x5c, 0x85})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		checkParkedPoll(t, prog)
+		checkParked(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) })
+	})
 }

@@ -219,6 +219,8 @@ type Env struct {
 	log             []logEntry
 	key             uint64
 	due             Time
+	wide            map[int32][]uint64 // the lockstep sets' words past Parked.ahead, by process id
+	trims           int                // how often trim ran
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
@@ -246,6 +248,10 @@ type Counters struct {
 	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
 	Skipped      uint64 // of the Steps, those a parked process never took (host-only)
 	Chained      uint64 // dispatches that filed an AdvanceEach's next delay and switched nowhere (host-only)
+	// The bookkeeping parking costs (host-only): searches of the log of
+	// dispatches for skipped steps' keys, and the times an owner asked
+	// whether a parked process still stays parked (Parked.Asked).
+	Lookups, Rechecks uint64
 }
 
 // Counters returns the kernel's dispatch counts.
