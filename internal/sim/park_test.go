@@ -8,11 +8,13 @@ import (
 )
 
 // How the parking program's sleepers idle: the literal Advance loop, Poll,
-// or Poll with each quiet pass ending in Park.
+// or Poll with each quiet pass ending in Park, beside a log of dispatches
+// that trim keeps short or one too long to fill, which nothing trims.
 const (
 	idleLoop = iota
 	idlePoll
 	idlePark
+	idleParkUntrimmed
 )
 
 // bytesSource hands out the fuzz input one byte at a time, then zeros.
@@ -34,6 +36,7 @@ type parkRun struct {
 	ctr   Counters
 	trims int      // how often the log was trimmed (parked runs only)
 	skips []uint64 // the steps each sleeper had skipped
+	keys  []uint64 // at each wake, the keys of the woken sleeper's last steps
 }
 
 // sleeper is an idle thread as the pass machine makes one: a pass takes its
@@ -58,7 +61,8 @@ type sleeper struct {
 	handled int
 	bumps   *int
 	active  *int
-	skipped uint64 // steps the kernel skipped for it (Skip)
+	skipped uint64    // steps the kernel skipped for it (Skip)
+	keys    *[]uint64 // nil, or where Skip notes the keys a tie-break can read
 }
 
 func (s *sleeper) quiet() bool {
@@ -106,6 +110,12 @@ func (s *sleeper) idle(p *Proc, mode int) {
 
 // Skip is the sleeper's sim.Skipper.
 func (s *sleeper) Skip(reps uint64, steps int) {
+	if s.keys != nil {
+		q := s.rec // a copy: working its keys out moves its history on
+		for j := 1; j < q.depth() && uint64(j) <= q.n+1; j++ {
+			*s.keys = append(*s.keys, s.p.env.keyBack(&q, j))
+		}
+	}
 	s.skipped += reps*uint64(len(s.cycle)) + uint64(steps)
 	s.passes += reps
 	for ; steps > 0; steps-- {
@@ -154,6 +164,10 @@ func runBusyProgram(prog []byte, mode int) parkRun {
 func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
 	src := bytesSource(prog)
 	env := NewEnv()
+	if mode == idleParkUntrimmed {
+		env.pk, env.log = &parking{}, make([]logEntry, 0, 1<<14)
+	}
+	var keys []uint64
 	var log []string
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", env.Now())+fmt.Sprintf(format, args...))
@@ -163,7 +177,7 @@ func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
 	var sleepers []*sleeper
 	var delays []Time
 	for i := 0; i < 1+src.next(3); i++ {
-		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, bumps: &bumps, active: &active}
+		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode >= idlePark, bumps: &bumps, active: &active, keys: &keys}
 		hold := base[src.next(len(base))]
 		s.mu = &Mutex{Name: s.name, HoldCost: hold}
 		if i > 0 && src.next(4) == 0 { // a lock two sleepers take: one of them steps
@@ -321,7 +335,7 @@ func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
 		fmt.Fprintf(&st, "%s %v passes=%d acquires=%d contended=%d wait=%d; ",
 			s.name, s.cycle, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
 	}
-	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers)}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers), keys: keys}
 }
 
 // checkParkedPoll runs one program the three ways: parked sleepers must
@@ -497,12 +511,32 @@ func TestParkedPollTrims(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prog := make([]byte, 64+rng.Intn(512))
 		rng.Read(prog)
-		trims += checkParkedRun(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) }).trims
+		park := checkParkedRun(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) })
+		trims += park.trims
+		checkUntrimmed(t, fmt.Sprintf("busy program %v", prog), park, runBusyProgram(prog, idleParkUntrimmed))
 	}
 	if trims < 2_000 {
 		t.Errorf("the log was trimmed %d times: the sleepers hardly stay parked", trims)
 	}
 	t.Logf("%d trims", trims)
+}
+
+// checkUntrimmed holds a parked run to the same program's beside a log
+// nothing trims: at every wake, the keys a tie-break can read of the woken
+// sleeper's last steps must be the ones worked out from the whole log.
+func checkUntrimmed(t *testing.T, what string, park, whole parkRun) {
+	t.Helper()
+	if whole.trims != 0 {
+		t.Fatalf("%s: a log of %d entries was trimmed", what, 1<<14)
+	}
+	for i := range park.keys {
+		if i >= len(whole.keys) || park.keys[i] != whole.keys[i] {
+			t.Fatalf("%s: key %d of the woken sleepers' histories differs from the untrimmed run's (%d and %d keys)", what, i, len(park.keys), len(whole.keys))
+		}
+	}
+	if len(park.keys) != len(whole.keys) {
+		t.Fatalf("%s: %d keys noted beside a trimmed log, %d beside a whole one", what, len(park.keys), len(whole.keys))
+	}
 }
 
 // FuzzParkedPoll searches the programs for one where parking moves
@@ -519,6 +553,7 @@ func FuzzParkedPoll(f *testing.F) {
 	f.Add([]byte{0xbf, 0x50, 0x68, 0x2d, 0x54, 0xbd, 0x75, 0x61, 0x8d, 0xd1, 0xbd, 0xf9, 0x87, 0x40, 0x6d, 0xc2, 0x22, 0xb6, 0xf5, 0xc, 0x8a, 0x5f, 0x5c, 0x85})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		checkParkedPoll(t, prog)
-		checkParked(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) })
+		what := fmt.Sprintf("busy program %v", prog)
+		checkUntrimmed(t, what, checkParkedRun(t, what, func(mode int) parkRun { return runBusyProgram(prog, mode) }), runBusyProgram(prog, idleParkUntrimmed))
 	})
 }
