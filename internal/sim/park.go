@@ -111,7 +111,9 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 	}
 	r.who = int32(p.id)
 	clear(r.ahead[:])
-	clear(e.wide[r.who])
+	if int(r.who) < len(e.wide) {
+		clear(e.wide[r.who])
+	}
 	for _, q := range e.parked {
 		i, ok := q.index(e.now + d)
 		for k, j := 0, int32(0); ok && k < len(q.Cycle)+len(r.Cycle); k++ { // then they agree for ever
@@ -428,8 +430,8 @@ func (e *Env) setAhead(r *Parked, id int32) {
 		r.ahead[w] |= bit
 		return
 	}
-	if e.wide == nil {
-		e.wide = make(map[int32][]uint64)
+	if n := int(r.who) + 1; n > len(e.wide) {
+		e.wide = append(e.wide, make([][]uint64, n-len(e.wide))...)
 	}
 	wide := e.wide[r.who]
 	if w -= len(r.ahead); w >= len(wide) {
@@ -444,6 +446,9 @@ func (e *Env) isAhead(r *Parked, id int32) bool {
 	w, bit := int(id/64), uint64(1)<<(id%64)
 	if w < len(r.ahead) {
 		return r.ahead[w]&bit != 0
+	}
+	if int(r.who) >= len(e.wide) {
+		return false
 	}
 	wide := e.wide[r.who]
 	w -= len(r.ahead)

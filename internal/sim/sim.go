@@ -219,8 +219,8 @@ type Env struct {
 	log             []logEntry
 	key             uint64
 	due             Time
-	wide            map[int32][]uint64 // the lockstep sets' words past Parked.ahead, by process id
-	trims           int                // how often trim ran
+	wide            [][]uint64 // by process id: its lockstep set's words past Parked.ahead
+	trims           int        // how often trim ran
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
