@@ -142,7 +142,7 @@ func TestKernelDispatchesPinned(t *testing.T) {
 	}{
 		{"tw-comp", twComp, 622_992, 101_257, 23_393, 20_149_260, 422_921, 66_544, 25_284, 1_164},
 		{"tw-comm", twComm, 719_138, 307_428, 17_576, 33_302_316, 105_787, 260_665, 21_244, 223},
-		{"cons-nullmsg", consNull, 650_200, 19_398, 1_849, 6_520_369, 610_319, 11_483, 30_604, 9_871},
+		{"cons-nullmsg", consNull, 650_200, 19_398, 1_849, 6_520_369, 610_319, 11_483, 30_603, 9_871},
 		{"samadi/dedicated", samadi, 364_336, 49_010, 14_060, 15_419_436, 268_233, 38_254, 11_492, 137},
 		{"mattern/combined", combined, 382_925, 123_281, 14_060, 14_074_380, 142_584, 40_255, 1_759, 177},
 		{"mattern/shared", shared, 168_876, 92_199, 14_060, 14_082_480, 7_408, 54_022, 1_229, 5},

@@ -71,8 +71,8 @@ const parkStep Time = -2 // what Park returns for a step to return
 // gives it back as Run ends (unpark), so a host that runs simulation after
 // simulation allocates it once.
 type parking struct {
-	parked, refiled []*Parked
-	log             []logEntry
+	parked, refiled, group []*Parked
+	log                    []logEntry
 }
 
 var parkings = sync.Pool{New: func() any { return &parking{log: make([]logEntry, 0, logCap)} }}
@@ -85,8 +85,10 @@ func (e *Env) unpark() {
 	if pk := e.pk; pk != nil {
 		clear(e.parked[:cap(e.parked)])
 		clear(e.refiled[:cap(e.refiled)])
-		pk.parked, pk.refiled, pk.log = e.parked[:0], e.refiled[:0], e.log[:0:logCap] // as it was, had it grown
-		e.pk, e.parked, e.refiled, e.log = nil, nil, nil, nil
+		clear(e.group[:cap(e.group)])
+		pk.parked, pk.refiled, pk.group = e.parked[:0], e.refiled[:0], e.group[:0]
+		pk.log = e.log[:0:logCap] // as it was, had it grown
+		e.pk, e.parked, e.refiled, e.group, e.log = nil, nil, nil, nil, nil
 		parkings.Put(pk)
 	}
 }
@@ -140,10 +142,10 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 	}
 	if e.pk == nil {
 		e.pk = parkings.Get().(*parking)
-		if cap(e.pk.parked) < len(e.procs) {
-			e.pk.parked, e.pk.refiled = make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs))
+		if pk := e.pk; cap(pk.parked) < len(e.procs) {
+			pk.parked, pk.refiled, pk.group = make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs))
 		}
-		e.parked, e.refiled, e.log = e.pk.parked, e.pk.refiled, e.pk.log
+		e.parked, e.refiled, e.group, e.log = e.pk.parked, e.pk.refiled, e.pk.group, e.pk.log
 	}
 	e.parked = append(e.parked, r)
 	return parkStep
@@ -479,23 +481,18 @@ func (e *Env) settle(ev *event) bool {
 		}
 	}
 	if ev.seq&1 == 1 {
-		for j := 0; j < len(e.parked); j++ {
-			q := e.parked[j]
-			if _, ok := q.index(ev.at); ok {
-				if e.walk(q, ev.at, ev.seq); q.at == ev.at && q.key == ev.seq {
-					e.wake(q, ev.at, ev.seq) // takes q out of e.parked
-					j--
-				}
-			}
+		if len(e.group) == 0 || e.group[0].at != ev.at || e.group[0].key != ev.seq {
+			e.tied(ev)
 		}
-		f := -1
+		r := e.group[0]
+		e.group = e.group[:copy(e.group, e.group[1:])]
 		for i, q := range e.refiled {
-			if q.at == ev.at && q.key == ev.seq && (f < 0 || e.earlier(q, e.refiled[f])) {
-				f = i
+			if q == r {
+				e.refiled[i], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
+				break
 			}
 		}
-		ev.proc = e.refiled[f].who
-		e.refiled[f], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
+		ev.proc = r.who
 	}
 	if len(e.parked)+len(e.refiled) > 0 {
 		if len(e.log) == cap(e.log) {
@@ -504,6 +501,40 @@ func (e *Env) settle(ev *event) bool {
 		e.log = append(e.log, logEntry{at: ev.at, key: ev.seq, c: e.seq})
 	}
 	return true
+}
+
+// tied forms the group of woken steps tied at ev's odd key as the first of
+// them is dispatched: the parked processes whose skipped step ties with it
+// wake, and the group is put in the order earlier gives it, a binary
+// insertion at a time, to be dispatched in. Nothing joins it later: a
+// process that parks or wakes meanwhile steps strictly after ev.
+func (e *Env) tied(ev *event) {
+	for j := 0; j < len(e.parked); j++ {
+		q := e.parked[j]
+		if _, ok := q.index(ev.at); ok {
+			if e.walk(q, ev.at, ev.seq); q.at == ev.at && q.key == ev.seq {
+				e.wake(q, ev.at, ev.seq) // takes q out of e.parked
+				j--
+			}
+		}
+	}
+	e.group = e.group[:0]
+	for _, q := range e.refiled {
+		if q.at != ev.at || q.key != ev.seq {
+			continue
+		}
+		lo, hi := 0, len(e.group)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); e.earlier(q, e.group[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		e.group = append(e.group, nil)
+		copy(e.group[lo+1:], e.group[lo:])
+		e.group[lo] = q
+	}
 }
 
 // trim drops what no process can still need of the log, at least its
