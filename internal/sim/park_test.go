@@ -8,13 +8,11 @@ import (
 )
 
 // How the parking program's sleepers idle: the literal Advance loop, Poll,
-// or Poll with each quiet pass ending in Park, beside a log of dispatches
-// that trim keeps short or one too long to fill, which nothing trims.
+// or Poll with each quiet pass ending in Park.
 const (
 	idleLoop = iota
 	idlePoll
 	idlePark
-	idleParkUntrimmed
 )
 
 // bytesSource hands out the fuzz input one byte at a time, then zeros.
@@ -138,7 +136,9 @@ const (
 // locks, bump their shared version and sleep delays drawn from the
 // sleepers' own, so that their events fall on the sleepers' instants, ties
 // nested several delays deep. The program is read from prog.
-func runParkProgram(prog []byte, mode int) parkRun { return runChainProgram(prog, mode, chainNone, 0) }
+func runParkProgram(prog []byte, mode int) parkRun {
+	return runChainProgram(prog, mode, chainNone, 0, 0)
+}
 
 // runBusyProgram's interactors take busyActions more actions each, a
 // sleeper's lock every busyWake-th of them.
@@ -154,18 +154,26 @@ const (
 // parked across many fills of the kernel's log beside them, and their
 // skipped steps' keys still decide ties.
 func runBusyProgram(prog []byte, mode int) parkRun {
-	return runChainProgram(prog, mode, chainNone, busyActions)
+	return runChainProgram(prog, mode, chainNone, busyActions, 0)
+}
+
+// runBusyUntrimmed is runBusyProgram's parked run beside a log of n
+// entries, which a run of n real dispatches never fills: nothing is
+// trimmed.
+func runBusyUntrimmed(prog []byte, n uint64) parkRun {
+	return runChainProgram(prog, idlePark, chainNone, busyActions, n)
 }
 
 // runChainProgram is runParkProgram whose interactors also make runs of one
 // to six charges, alone or behind a lock, the chains way, and busy more
 // actions each; chainNone and no more draw exactly runParkProgram's
-// programs.
-func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
+// programs. A positive logSize sets the kernel's log of dispatches to
+// that many entries.
+func runChainProgram(prog []byte, mode, chains, busy int, logSize uint64) parkRun {
 	src := bytesSource(prog)
 	env := NewEnv()
-	if mode == idleParkUntrimmed {
-		env.pk, env.log = &parking{}, make([]logEntry, 0, 1<<14)
+	if logSize > 0 {
+		env.pk, env.log = &parking{}, make([]logEntry, 0, logSize)
 	}
 	var keys []uint64
 	var log []string
@@ -177,7 +185,7 @@ func runChainProgram(prog []byte, mode, chains, busy int) parkRun {
 	var sleepers []*sleeper
 	var delays []Time
 	for i := 0; i < 1+src.next(3); i++ {
-		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode >= idlePark, bumps: &bumps, active: &active, keys: &keys}
+		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, bumps: &bumps, active: &active, keys: &keys}
 		hold := base[src.next(len(base))]
 		s.mu = &Mutex{Name: s.name, HoldCost: hold}
 		if i > 0 && src.next(4) == 0 { // a lock two sleepers take: one of them steps
@@ -513,7 +521,7 @@ func TestParkedPollTrims(t *testing.T) {
 		rng.Read(prog)
 		park := checkParkedRun(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) })
 		trims += park.trims
-		checkUntrimmed(t, fmt.Sprintf("busy program %v", prog), park, runBusyProgram(prog, idleParkUntrimmed))
+		checkUntrimmed(t, fmt.Sprintf("busy program %v", prog), prog, park)
 	}
 	if trims < 2_000 {
 		t.Errorf("the log was trimmed %d times: the sleepers hardly stay parked", trims)
@@ -521,13 +529,15 @@ func TestParkedPollTrims(t *testing.T) {
 	t.Logf("%d trims", trims)
 }
 
-// checkUntrimmed holds a parked run to the same program's beside a log
-// nothing trims: at every wake, the keys a tie-break can read of the woken
-// sleeper's last steps must be the ones worked out from the whole log.
-func checkUntrimmed(t *testing.T, what string, park, whole parkRun) {
+// checkUntrimmed holds prog's parked busy run to the same program's
+// beside a log nothing trims: at every wake, the keys a tie-break can read
+// of the woken sleeper's last steps must be the ones worked out from the
+// whole log.
+func checkUntrimmed(t *testing.T, what string, prog []byte, park parkRun) {
 	t.Helper()
+	whole := runBusyUntrimmed(prog, park.ctr.Dispatches-park.ctr.Skipped+1)
 	if whole.trims != 0 {
-		t.Fatalf("%s: a log of %d entries was trimmed", what, 1<<14)
+		t.Fatalf("%s: the untrimmed log was trimmed", what)
 	}
 	for i := range park.keys {
 		if i >= len(whole.keys) || park.keys[i] != whole.keys[i] {
@@ -551,9 +561,12 @@ func FuzzParkedPoll(f *testing.F) {
 	// Three sleepers, each of which parks and skips steps: read busy, the
 	// log beside them is trimmed 75 times.
 	f.Add([]byte{0xbf, 0x50, 0x68, 0x2d, 0x54, 0xbd, 0x75, 0x61, 0x8d, 0xd1, 0xbd, 0xf9, 0x87, 0x40, 0x6d, 0xc2, 0x22, 0xb6, 0xf5, 0xc, 0x8a, 0x5f, 0x5c, 0x85})
+	// Read busy, more than 16,384 real dispatches: the untrimmed run's log
+	// is sized to the parked run's count of them.
+	f.Add([]byte("2020001101000120102"))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		checkParkedPoll(t, prog)
 		what := fmt.Sprintf("busy program %v", prog)
-		checkUntrimmed(t, what, checkParkedRun(t, what, func(mode int) parkRun { return runBusyProgram(prog, mode) }), runBusyProgram(prog, idleParkUntrimmed))
+		checkUntrimmed(t, what, prog, checkParkedRun(t, what, func(mode int) parkRun { return runBusyProgram(prog, mode) }))
 	})
 }
