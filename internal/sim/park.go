@@ -463,7 +463,7 @@ func (e *Env) isAhead(r *Parked, id int32) bool {
 // else parked walked past it. An odd key is a woken step's, and it can tie
 // with other woken steps and with skipped ones: those processes wake too,
 // and ev, standing for every step tied there, dispatches the one filed
-// first (earlier).
+// first (earlier), the group being put in that order once (tied).
 func (e *Env) settle(ev *event) bool {
 	if due := e.due; due > 0 && due <= ev.at {
 		back := false
@@ -544,8 +544,8 @@ func (e *Env) tied(ev *event) {
 // worked out between, as the next walk passes a history of steps), or
 // else moves its history's start up to a history short of its next step.
 // One whose history still starts in the older quarter is walked to the
-// last dispatch and notes its keys (history), as is a woken one, and its
-// start then moves past any dispatch before its step (tighten).
+// last dispatch and notes its keys, as is a woken one, and its start
+// then moves past any dispatch before its step (settled).
 func (e *Env) trim() {
 	e.trims++
 	half, quarter, low := int32(len(e.log)/2), int32(len(e.log)/4), int32(len(e.log))
