@@ -237,7 +237,7 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 		})
 	}
 	w.node.outMigs.Deposit(w.Proc, m)
-	w.node.Bump() // the comm role's stOutMigs probe reads the box, and the deposit's outbox lock woke it
+	w.node.Touch() // the comm role's stOutMigs probe reads the box
 }
 
 // removeLP detaches an LP from this worker, preserving slice order (the

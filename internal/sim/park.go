@@ -27,8 +27,8 @@ type Parked struct {
 	// For tie-breaks (earlier): the parking dispatch and its ordinal
 	// (Counters.Dispatches then); the keys of the steps up to hist, span
 	// steps short of the next (a ring, nh of them noted since it restarted:
-	// history notes the rest when a tie-break reads one); the processes in
-	// lockstep ahead of it as it parked, by id (those past 256: Env.wide).
+	// history notes the rest when a tie-break reads one). The processes in
+	// lockstep ahead of it as it parked are its row of parking.ahead.
 	parkAt  Time
 	parkKey uint64
 	parkN   uint64
@@ -37,7 +37,6 @@ type Parked struct {
 	nh      int32
 	who     int32 // the process's id, kept once proc is cleared by the wake
 	keys    [2*MaxCycle + 1]uint64
-	ahead   [4]uint64
 }
 
 // A mark is a step of a parked process: the instant, the key, the index in
@@ -67,12 +66,34 @@ type logEntry struct {
 const parkStep Time = -2 // what Park returns for a step to return
 
 // parking is what the kernel keeps while anything is parked: the parked
-// and re-filed records and the log. An Env takes one at its first park and
-// gives it back as Run ends (unpark), so a host that runs simulation after
-// simulation allocates it once.
+// and re-filed records, the tie group being dispatched (tied), the log,
+// and each process's lockstep set (Park), a row of words words per process
+// id. An Env takes one at its first park and gives it back as Run ends
+// (unpark), so a host that runs simulation after simulation allocates it
+// once.
 type parking struct {
 	parked, refiled, group []*Parked
 	log                    []logEntry
+	ahead                  []uint64
+	words                  int
+}
+
+// fit makes room in ahead for n processes' sets, keeping those it holds.
+func (pk *parking) fit(n int) {
+	w := max(pk.words, (n+63)/64)
+	if n*w <= len(pk.ahead) {
+		return
+	}
+	a := make([]uint64, n*w)
+	for id := 0; id*pk.words < len(pk.ahead); id++ {
+		copy(a[id*w:], pk.lockstep(int32(id)))
+	}
+	pk.ahead, pk.words = a, w
+}
+
+// lockstep is process id's lockstep set.
+func (pk *parking) lockstep(id int32) []uint64 {
+	return pk.ahead[int(id)*pk.words:][:pk.words]
 }
 
 var parkings = sync.Pool{New: func() any { return &parking{log: make([]logEntry, 0, logCap)} }}
@@ -85,10 +106,10 @@ func (e *Env) unpark() {
 	if pk := e.pk; pk != nil {
 		clear(e.parked[:cap(e.parked)])
 		clear(e.refiled[:cap(e.refiled)])
-		clear(e.group[:cap(e.group)])
-		pk.parked, pk.refiled, pk.group = e.parked[:0], e.refiled[:0], e.group[:0]
-		pk.log = e.log[:0:logCap] // as it was, had it grown
-		e.pk, e.parked, e.refiled, e.group, e.log = nil, nil, nil, nil, nil
+		clear(pk.group[:cap(pk.group)])
+		pk.group = pk.group[:0]
+		pk.parked, pk.refiled, pk.log = e.parked[:0], e.refiled[:0], e.log[:0:logCap] // as it was, had it grown
+		e.pk, e.parked, e.refiled, e.log = nil, nil, nil, nil
 		parkings.Put(pk)
 	}
 }
@@ -111,11 +132,17 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 			return d
 		}
 	}
-	r.who = int32(p.id)
-	clear(r.ahead[:])
-	if int(r.who) < len(e.wide) {
-		clear(e.wide[r.who])
+	if e.pk == nil {
+		e.pk = parkings.Get().(*parking)
+		if cap(e.pk.parked) < len(e.procs) {
+			e.pk.parked, e.pk.refiled = make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs))
+		}
+		e.parked, e.refiled, e.log = e.pk.parked, e.pk.refiled, e.pk.log
 	}
+	r.who = int32(p.id)
+	e.pk.fit(len(e.procs))
+	ahead := e.pk.lockstep(r.who)
+	clear(ahead)
 	for _, q := range e.parked {
 		i, ok := q.index(e.now + d)
 		for k, j := 0, int32(0); ok && k < len(q.Cycle)+len(r.Cycle); k++ { // then they agree for ever
@@ -125,7 +152,7 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 			continue
 		}
 		if e.walk(q, e.now, e.key); q.at != e.now {
-			e.setAhead(r, q.who)
+			ahead[q.who/64] |= 1 << (q.who % 64)
 		}
 	}
 	r.proc, r.mark = p, mark{at: e.now + d, key: e.seq + 1, from: int32(len(e.log))}
@@ -139,13 +166,6 @@ func (p *Proc) Park(r *Parked, d Time) Time {
 	r.rehist(r.mark, 0)
 	for _, m := range r.Locks {
 		m.watch = r
-	}
-	if e.pk == nil {
-		e.pk = parkings.Get().(*parking)
-		if pk := e.pk; cap(pk.parked) < len(e.procs) {
-			pk.parked, pk.refiled, pk.group = make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs)), make([]*Parked, 0, len(e.procs))
-		}
-		e.parked, e.refiled, e.group, e.log = e.pk.parked, e.pk.refiled, e.pk.group, e.pk.log
 	}
 	e.parked = append(e.parked, r)
 	return parkStep
@@ -422,39 +442,7 @@ func (e *Env) earlier(a, b *Parked) bool {
 	if a.parkN < b.parkN {
 		later, other = b, a
 	}
-	return e.isAhead(later, other.who) == (later == b)
-}
-
-// setAhead notes process id as ahead in lockstep as r parks.
-func (e *Env) setAhead(r *Parked, id int32) {
-	w, bit := int(id/64), uint64(1)<<(id%64)
-	if w < len(r.ahead) {
-		r.ahead[w] |= bit
-		return
-	}
-	if n := int(r.who) + 1; n > len(e.wide) {
-		e.wide = append(e.wide, make([][]uint64, n-len(e.wide))...)
-	}
-	wide := e.wide[r.who]
-	if w -= len(r.ahead); w >= len(wide) {
-		wide = append(wide, make([]uint64, w+1-len(wide))...)
-		e.wide[r.who] = wide
-	}
-	wide[w] |= bit
-}
-
-// isAhead reports whether r noted process id as ahead as it parked.
-func (e *Env) isAhead(r *Parked, id int32) bool {
-	w, bit := int(id/64), uint64(1)<<(id%64)
-	if w < len(r.ahead) {
-		return r.ahead[w]&bit != 0
-	}
-	if int(r.who) >= len(e.wide) {
-		return false
-	}
-	wide := e.wide[r.who]
-	w -= len(r.ahead)
-	return w < len(wide) && wide[w]&bit != 0
+	return (e.pk.lockstep(later.who)[other.who/64]&(1<<(other.who%64)) != 0) == (later == b)
 }
 
 // settle sees every entry before its dispatch while anything is parked or
@@ -481,11 +469,12 @@ func (e *Env) settle(ev *event) bool {
 		}
 	}
 	if ev.seq&1 == 1 {
-		if len(e.group) == 0 || e.group[0].at != ev.at || e.group[0].key != ev.seq {
+		pk := e.pk
+		if len(pk.group) == 0 || pk.group[0].at != ev.at || pk.group[0].key != ev.seq {
 			e.tied(ev)
 		}
-		r := e.group[0]
-		e.group = e.group[:copy(e.group, e.group[1:])]
+		r := pk.group[0]
+		pk.group = pk.group[:copy(pk.group, pk.group[1:])]
 		for i, q := range e.refiled {
 			if q == r {
 				e.refiled[i], e.refiled = e.refiled[len(e.refiled)-1], e.refiled[:len(e.refiled)-1]
@@ -518,23 +507,24 @@ func (e *Env) tied(ev *event) {
 			}
 		}
 	}
-	e.group = e.group[:0]
+	g := e.pk.group[:0]
 	for _, q := range e.refiled {
 		if q.at != ev.at || q.key != ev.seq {
 			continue
 		}
-		lo, hi := 0, len(e.group)
+		lo, hi := 0, len(g)
 		for lo < hi {
-			if m := int(uint(lo+hi) >> 1); e.earlier(q, e.group[m]) {
+			if m := int(uint(lo+hi) >> 1); e.earlier(q, g[m]) {
 				hi = m
 			} else {
 				lo = m + 1
 			}
 		}
-		e.group = append(e.group, nil)
-		copy(e.group[lo+1:], e.group[lo:])
-		e.group[lo] = q
+		g = append(g, nil)
+		copy(g[lo+1:], g[lo:])
+		g[lo] = q
 	}
+	e.pk.group = g
 }
 
 // trim drops what no process can still need of the log, at least its

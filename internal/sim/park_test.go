@@ -388,7 +388,9 @@ func checkParkedRun(t *testing.T, what string, run func(mode int) parkRun) parkR
 // at once, so that their next steps tie under one key. An interactor bumps
 // at a shifting offset into the pass, and before some bumps holds a
 // sleeper's lock, which wakes that sleeper alone and takes it out of step.
-func runTiedSleepers(n, mode int) parkRun {
+// The last late sleepers are spawned two cycles in, in step with the
+// others, which have parked by then.
+func runTiedSleepers(n, late, mode int) parkRun {
 	env := NewEnv()
 	var log []string
 	logf := func(format string, args ...any) {
@@ -402,6 +404,8 @@ func runTiedSleepers(n, mode int) parkRun {
 		s.mu = &Mutex{Name: s.name, HoldCost: cycle[0]}
 		s.rec = Parked{Cycle: cycle, Locks: []*Mutex{s.mu}, Owner: s}
 		sleepers[i] = s
+	}
+	start := func(s *sleeper) {
 		env.Spawn(s.name, func(p *Proc) {
 			s.p = p
 			for {
@@ -414,6 +418,9 @@ func runTiedSleepers(n, mode int) parkRun {
 				p.Advance(cycle[0])
 			}
 		})
+	}
+	for _, s := range sleepers[:n-late] {
+		start(s)
 	}
 	bump := func() {
 		for _, s := range sleepers {
@@ -436,6 +443,14 @@ func runTiedSleepers(n, mode int) parkRun {
 		active = 0
 		bump()
 	})
+	if late > 0 {
+		env.Spawn("late", func(p *Proc) {
+			p.Advance(2 * (cycle[0] + cycle[1] + cycle[2]))
+			for _, s := range sleepers[n-late:] {
+				start(s)
+			}
+		})
+	}
 	if err := env.Run(); err != nil {
 		panic(err)
 	}
@@ -459,7 +474,7 @@ func skips(sleepers []*sleeper) []uint64 {
 // A wide conservative run has dozens of idle threads in lockstep.
 func TestManyTiedWakeups(t *testing.T) {
 	for _, n := range []int{8, 31, 32, 40, 100} {
-		if skipped := checkParked(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, mode) }); skipped == 0 {
+		if skipped := checkParked(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, 0, mode) }); skipped == 0 {
 			t.Errorf("%d sleepers: none parked", n)
 		}
 	}
@@ -468,13 +483,18 @@ func TestManyTiedWakeups(t *testing.T) {
 // TestLockstepPastProcess256: the set of processes a parking one finds
 // ahead in lockstep holds any process id. Three hundred sleepers step in
 // lockstep; those with ids past 256 park and skip steps too, and the run
-// is the literal loop's.
+// is the literal loop's. In the second run the last hundred are spawned
+// after the others have parked, so the sets grow wider in the middle of
+// the run and must keep what the parked ones noted.
 func TestLockstepPastProcess256(t *testing.T) {
 	const n = 300
-	park := checkParkedRun(t, fmt.Sprintf("%d sleepers", n), func(mode int) parkRun { return runTiedSleepers(n, mode) })
-	for id := 256; id < n; id++ {
-		if park.skips[id] == 0 {
-			t.Errorf("sleeper %d never skipped a step", id)
+	for _, late := range []int{0, 100} {
+		what := fmt.Sprintf("%d sleepers, %d late", n, late)
+		park := checkParkedRun(t, what, func(mode int) parkRun { return runTiedSleepers(n, late, mode) })
+		for i := 256; i < n; i++ {
+			if park.skips[i] == 0 {
+				t.Errorf("%s: sleeper %d never skipped a step", what, i)
+			}
 		}
 	}
 }
@@ -550,7 +570,7 @@ func checkUntrimmed(t *testing.T, what string, prog []byte, park parkRun) {
 }
 
 // FuzzParkedPoll searches the programs for one where parking moves
-// anything, read as they are and busy (runBusyProgram).
+// anything.
 func FuzzParkedPoll(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
@@ -558,6 +578,16 @@ func FuzzParkedPoll(f *testing.F) {
 	// A sleeper's budget runs out at an instant an interactor is dispatched
 	// at: the limit's waking step must take its place among the ties.
 	f.Add([]byte{0x4f, 0x1c, 0xd6, 0xfd, 0xfc, 0x63, 0x3c, 0xf, 0xa6, 0xd5, 0x8f, 0x41, 0xc0, 0x6e, 0x60, 0x9c, 0x10, 0x54, 0xe4, 0xb})
+	f.Fuzz(func(t *testing.T, prog []byte) { checkParkedPoll(t, prog) })
+}
+
+// FuzzParkedTrims is FuzzParkedPoll's search over the programs read busy
+// (runBusyProgram), so the log beside the parked sleepers is trimmed again
+// and again, each held to the literal loop and to an untrimmed log
+// (checkUntrimmed).
+func FuzzParkedTrims(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
 	// Three sleepers, each of which parks and skips steps: read busy, the
 	// log beside them is trimmed 75 times.
 	f.Add([]byte{0xbf, 0x50, 0x68, 0x2d, 0x54, 0xbd, 0x75, 0x61, 0x8d, 0xd1, 0xbd, 0xf9, 0x87, 0x40, 0x6d, 0xc2, 0x22, 0xb6, 0xf5, 0xc, 0x8a, 0x5f, 0x5c, 0x85})
@@ -565,7 +595,6 @@ func FuzzParkedPoll(f *testing.F) {
 	// is sized to the parked run's count of them.
 	f.Add([]byte("2020001101000120102"))
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		checkParkedPoll(t, prog)
 		what := fmt.Sprintf("busy program %v", prog)
 		checkUntrimmed(t, what, prog, checkParkedRun(t, what, func(mode int) parkRun { return runBusyProgram(prog, mode) }))
 	})

@@ -214,13 +214,12 @@ type Env struct {
 
 	// Parking (park.go); key is the dispatch in progress's, due the
 	// earliest instant a parked process's limit wakes it at (0: none).
-	pk                     *parking // the parked, refiled, group and log slices' owner
-	parked, refiled, group []*Parked
-	log                    []logEntry
-	key                    uint64
-	due                    Time
-	wide                   [][]uint64 // by process id: its lockstep set's words past Parked.ahead
-	trims                  int        // how often trim ran
+	pk              *parking // the parked, refiled and log slices' owner
+	parked, refiled []*Parked
+	log             []logEntry
+	key             uint64
+	due             Time
+	trims           int // how often trim ran
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
