@@ -78,22 +78,20 @@ type Fabric struct {
 	frng   *rng.Stream
 	fstats FaultStats
 
-	// wire is every packet on the wire, a heap by arrival instant, then
-	// filing order: the kernel's (at, seq) order for the deliver callback
-	// each transmit files, so that callback always takes the minimum.
+	// wire is every packet on the wire, a heap by the key the kernel gave
+	// the deliver callback each transmit files, so that callback always
+	// takes the minimum.
 	wire    []wired
-	filed   uint64
 	deliver func() // deliverNext, bound once: a method value per call allocates
 }
 
 // wired is one packet on the wire with its delivery key.
 type wired struct {
-	at  sim.Time
-	n   uint64 // filing counter
+	key sim.Key
 	pkt Packet
 }
 
-func (a *wired) before(b *wired) bool { return a.at < b.at || a.at == b.at && a.n < b.n }
+func (a *wired) before(b *wired) bool { return a.key.Before(b.key) }
 
 // New returns a fabric with n endpoints. Handlers must be attached with
 // Attach before any Send to that endpoint.
@@ -162,8 +160,7 @@ func (f *Fabric) Send(pkt Packet) {
 func (f *Fabric) transmit(pkt *Packet, delay sim.Time) {
 	f.MessagesSent++
 	f.BytesSent += int64(pkt.Size)
-	f.filed++
-	f.wire = append(f.wire, wired{at: f.env.Now() + delay, n: f.filed, pkt: *pkt})
+	f.wire = append(f.wire, wired{key: f.env.After(delay, f.deliver), pkt: *pkt})
 	for i := len(f.wire) - 1; i > 0; {
 		up := (i - 1) / 2
 		if !f.wire[i].before(&f.wire[up]) {
@@ -172,7 +169,6 @@ func (f *Fabric) transmit(pkt *Packet, delay sim.Time) {
 		f.wire[i], f.wire[up] = f.wire[up], f.wire[i]
 		i = up
 	}
-	f.env.After(delay, f.deliver)
 }
 
 // deliverNext takes the heap minimum off the wire and hands it to its

@@ -13,7 +13,7 @@ import (
 // process switches.
 func checkAdvanceEach(t *testing.T, prog []byte, mode int) (chained uint64) {
 	t.Helper()
-	loop, each := runChainProgram(prog, mode, chainLoop, 0, 0), runChainProgram(prog, mode, chainEach, 0, 0)
+	loop, each := runChainProgram(prog, mode, chainLoop), runChainProgram(prog, mode, chainEach)
 	if a, b := strings.Join(loop.log, "\n"), strings.Join(each.log, "\n"); a != b {
 		i := 0
 		for i < len(loop.log) && i < len(each.log) && loop.log[i] == each.log[i] {

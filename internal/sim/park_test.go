@@ -32,9 +32,7 @@ type parkRun struct {
 	now   Time
 	stats string
 	ctr   Counters
-	trims int      // how often the log was trimmed (parked runs only)
 	skips []uint64 // the steps each sleeper had skipped
-	keys  []uint64 // at each wake, the keys of the woken sleeper's last steps
 }
 
 // sleeper is an idle thread as the pass machine makes one: a pass takes its
@@ -59,8 +57,7 @@ type sleeper struct {
 	handled int
 	bumps   *int
 	active  *int
-	skipped uint64    // steps the kernel skipped for it (Skip)
-	keys    *[]uint64 // nil, or where Skip notes the keys a tie-break can read
+	skipped uint64 // steps the kernel skipped for it (Skip)
 }
 
 func (s *sleeper) quiet() bool {
@@ -108,12 +105,6 @@ func (s *sleeper) idle(p *Proc, mode int) {
 
 // Skip is the sleeper's sim.Skipper.
 func (s *sleeper) Skip(reps uint64, steps int) {
-	if s.keys != nil {
-		q := s.rec // a copy: working its keys out moves its history on
-		for j := 1; j < q.depth() && uint64(j) <= q.n+1; j++ {
-			*s.keys = append(*s.keys, s.p.env.keyBack(&q, j))
-		}
-	}
 	s.skipped += reps*uint64(len(s.cycle)) + uint64(steps)
 	s.passes += reps
 	for ; steps > 0; steps-- {
@@ -137,45 +128,15 @@ const (
 // sleepers' own, so that their events fall on the sleepers' instants, ties
 // nested several delays deep. The program is read from prog.
 func runParkProgram(prog []byte, mode int) parkRun {
-	return runChainProgram(prog, mode, chainNone, 0, 0)
-}
-
-// runBusyProgram's interactors take busyActions more actions each, a
-// sleeper's lock every busyWake-th of them.
-const (
-	busyActions = 2000
-	busyWake    = 200
-)
-
-// runBusyProgram is runParkProgram whose interactors then take busyActions
-// more actions each: sleeps drawn as before (once the program is read
-// through, of the first sleeper's first delay, or twice it), and every
-// busyWake-th the next sleeper's lock, which wakes it. So the sleepers stay
-// parked across many fills of the kernel's log beside them, and their
-// skipped steps' keys still decide ties.
-func runBusyProgram(prog []byte, mode int) parkRun {
-	return runChainProgram(prog, mode, chainNone, busyActions, 0)
-}
-
-// runBusyUntrimmed is runBusyProgram's parked run beside a log of n
-// entries, which a run of n real dispatches never fills: nothing is
-// trimmed.
-func runBusyUntrimmed(prog []byte, n uint64) parkRun {
-	return runChainProgram(prog, idlePark, chainNone, busyActions, n)
+	return runChainProgram(prog, mode, chainNone)
 }
 
 // runChainProgram is runParkProgram whose interactors also make runs of one
-// to six charges, alone or behind a lock, the chains way, and busy more
-// actions each; chainNone and no more draw exactly runParkProgram's
-// programs. A positive logSize sets the kernel's log of dispatches to
-// that many entries.
-func runChainProgram(prog []byte, mode, chains, busy int, logSize uint64) parkRun {
+// to six charges, alone or behind a lock, the chains way; chainNone draws
+// exactly runParkProgram's programs.
+func runChainProgram(prog []byte, mode, chains int) parkRun {
 	src := bytesSource(prog)
 	env := NewEnv()
-	if logSize > 0 {
-		env.pk, env.log = &parking{}, make([]logEntry, 0, logSize)
-	}
-	var keys []uint64
 	var log []string
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", env.Now())+fmt.Sprintf(format, args...))
@@ -185,7 +146,7 @@ func runChainProgram(prog []byte, mode, chains, busy int, logSize uint64) parkRu
 	var sleepers []*sleeper
 	var delays []Time
 	for i := 0; i < 1+src.next(3); i++ {
-		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, bumps: &bumps, active: &active, keys: &keys}
+		s := &sleeper{name: fmt.Sprintf("s%d", i), park: mode == idlePark, bumps: &bumps, active: &active}
 		hold := base[src.next(len(base))]
 		s.mu = &Mutex{Name: s.name, HoldCost: hold}
 		if i > 0 && src.next(4) == 0 { // a lock two sleepers take: one of them steps
@@ -281,19 +242,9 @@ func runChainProgram(prog []byte, mode, chains, busy int, logSize uint64) parkRu
 	active = interactors
 	for i := 0; i < interactors; i++ {
 		name := fmt.Sprintf("i%d", i)
-		actions := 8 + src.next(40) + busy
+		actions := 8 + src.next(40)
 		env.Spawn(name, func(p *Proc) {
 			for a := 0; a < actions; a++ {
-				if b := a - (actions - busy); b >= 0 { // the busy tail
-					if s := sleepers[b/busyWake%len(sleepers)]; b%busyWake == busyWake-1 && s.mu.TryAcquire(p) {
-						logf("%s took %s", name, s.mu.Name)
-						p.Advance(pick())
-						s.mu.Unlock(p)
-					} else {
-						p.Advance(pick())
-					}
-					continue
-				}
 				s := sleepers[src.next(len(sleepers))]
 				switch src.next(kinds) {
 				case 0, 1:
@@ -343,7 +294,7 @@ func runChainProgram(prog []byte, mode, chains, busy int, logSize uint64) parkRu
 		fmt.Fprintf(&st, "%s %v passes=%d acquires=%d contended=%d wait=%d; ",
 			s.name, s.cycle, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
 	}
-	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers), keys: keys}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), skips: skips(sleepers)}
 }
 
 // checkParkedPoll runs one program the three ways: parked sleepers must
@@ -385,7 +336,7 @@ func checkParkedRun(t *testing.T, what string, run func(mode int) parkRun) parkR
 
 // runTiedSleepers runs n sleepers on one cycle, each with a lock of its
 // own: they step in lockstep and park together, and a bump wakes them all
-// at once, so that their next steps tie under one key. An interactor bumps
+// at once, so that their next steps tie in all but the filer. An interactor bumps
 // at a shifting offset into the pass, and before some bumps holds a
 // sleeper's lock, which wakes that sleeper alone and takes it out of step.
 // The last late sleepers are spawned two cycles in, in step with the
@@ -458,7 +409,7 @@ func runTiedSleepers(n, late, mode int) parkRun {
 	for _, s := range sleepers {
 		fmt.Fprintf(&st, "%s passes=%d acquires=%d contended=%d wait=%d; ", s.name, s.passes, s.mu.Acquires, s.mu.Contended, s.mu.WaitTime)
 	}
-	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), trims: env.trims, skips: skips(sleepers)}
+	return parkRun{log: log, now: env.Now(), stats: st.String(), ctr: env.Counters(), skips: skips(sleepers)}
 }
 
 func skips(sleepers []*sleeper) []uint64 {
@@ -470,7 +421,7 @@ func skips(sleepers []*sleeper) []uint64 {
 }
 
 // TestManyTiedWakeups: however many parked processes a bump wakes at one
-// (instant, key), their steps are dispatched in the literal loop's order.
+// instant, their steps are dispatched in the literal loop's order.
 // A wide conservative run has dozens of idle threads in lockstep.
 func TestManyTiedWakeups(t *testing.T) {
 	for _, n := range []int{8, 31, 32, 40, 100} {
@@ -480,12 +431,10 @@ func TestManyTiedWakeups(t *testing.T) {
 	}
 }
 
-// TestLockstepPastProcess256: the set of processes a parking one finds
-// ahead in lockstep holds any process id. Three hundred sleepers step in
-// lockstep; those with ids past 256 park and skip steps too, and the run
-// is the literal loop's. In the second run the last hundred are spawned
-// after the others have parked, so the sets grow wider in the middle of
-// the run and must keep what the parked ones noted.
+// TestLockstepPastProcess256: three hundred sleepers step in lockstep;
+// those with ids past 256 park and skip steps too, and the run is the
+// literal loop's. In the second run the last hundred are spawned after the
+// others have parked.
 func TestLockstepPastProcess256(t *testing.T) {
 	const n = 300
 	for _, late := range []int{0, 100} {
@@ -527,48 +476,6 @@ func TestParkedPollMatchesAdvanceLoop(t *testing.T) {
 	t.Logf("%d of %d steps skipped", skipped, steps)
 }
 
-// TestParkedPollTrims is TestParkedPollMatchesAdvanceLoop with busy
-// interactors (runBusyProgram): the sleepers stay parked while the log of
-// dispatches fills again and again, so trim moves their steps and
-// histories on in every way it can, where the older test's programs trim
-// a handful of times in all. A trim that drops an entry a parked or woken
-// process still starts from fails it.
-func TestParkedPollTrims(t *testing.T) {
-	trims := 0
-	for seed := int64(1); seed <= 100; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := make([]byte, 64+rng.Intn(512))
-		rng.Read(prog)
-		park := checkParkedRun(t, fmt.Sprintf("busy program %v", prog), func(mode int) parkRun { return runBusyProgram(prog, mode) })
-		trims += park.trims
-		checkUntrimmed(t, fmt.Sprintf("busy program %v", prog), prog, park)
-	}
-	if trims < 2_000 {
-		t.Errorf("the log was trimmed %d times: the sleepers hardly stay parked", trims)
-	}
-	t.Logf("%d trims", trims)
-}
-
-// checkUntrimmed holds prog's parked busy run to the same program's
-// beside a log nothing trims: at every wake, the keys a tie-break can read
-// of the woken sleeper's last steps must be the ones worked out from the
-// whole log.
-func checkUntrimmed(t *testing.T, what string, prog []byte, park parkRun) {
-	t.Helper()
-	whole := runBusyUntrimmed(prog, park.ctr.Dispatches-park.ctr.Skipped+1)
-	if whole.trims != 0 {
-		t.Fatalf("%s: the untrimmed log was trimmed", what)
-	}
-	for i := range park.keys {
-		if i >= len(whole.keys) || park.keys[i] != whole.keys[i] {
-			t.Fatalf("%s: key %d of the woken sleepers' histories differs from the untrimmed run's (%d and %d keys)", what, i, len(park.keys), len(whole.keys))
-		}
-	}
-	if len(park.keys) != len(whole.keys) {
-		t.Fatalf("%s: %d keys noted beside a trimmed log, %d beside a whole one", what, len(park.keys), len(whole.keys))
-	}
-}
-
 // FuzzParkedPoll searches the programs for one where parking moves
 // anything.
 func FuzzParkedPoll(f *testing.F) {
@@ -579,23 +486,4 @@ func FuzzParkedPoll(f *testing.F) {
 	// at: the limit's waking step must take its place among the ties.
 	f.Add([]byte{0x4f, 0x1c, 0xd6, 0xfd, 0xfc, 0x63, 0x3c, 0xf, 0xa6, 0xd5, 0x8f, 0x41, 0xc0, 0x6e, 0x60, 0x9c, 0x10, 0x54, 0xe4, 0xb})
 	f.Fuzz(func(t *testing.T, prog []byte) { checkParkedPoll(t, prog) })
-}
-
-// FuzzParkedTrims is FuzzParkedPoll's search over the programs read busy
-// (runBusyProgram), so the log beside the parked sleepers is trimmed again
-// and again, each held to the literal loop and to an untrimmed log
-// (checkUntrimmed).
-func FuzzParkedTrims(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0})
-	f.Add([]byte{2, 1, 0, 1, 3, 2, 1, 2, 3, 0, 3, 9, 4, 5, 2, 3, 1, 0, 5, 2, 2, 3, 3, 3})
-	// Three sleepers, each of which parks and skips steps: read busy, the
-	// log beside them is trimmed 75 times.
-	f.Add([]byte{0xbf, 0x50, 0x68, 0x2d, 0x54, 0xbd, 0x75, 0x61, 0x8d, 0xd1, 0xbd, 0xf9, 0x87, 0x40, 0x6d, 0xc2, 0x22, 0xb6, 0xf5, 0xc, 0x8a, 0x5f, 0x5c, 0x85})
-	// Read busy, more than 16,384 real dispatches: the untrimmed run's log
-	// is sized to the parked run's count of them.
-	f.Add([]byte("2020001101000120102"))
-	f.Fuzz(func(t *testing.T, prog []byte) {
-		what := fmt.Sprintf("busy program %v", prog)
-		checkUntrimmed(t, what, prog, checkParkedRun(t, what, func(mode int) parkRun { return runBusyProgram(prog, mode) }))
-	})
 }

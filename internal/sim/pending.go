@@ -6,34 +6,44 @@ package sim
 // the heap, which costs time and never order.
 const lanes = 4
 
-// lane holds the Poll wake-ups filed with one delay. The clock never runs
-// backwards and seq only grows, so of two wake-ups filed at now+d the one
-// filed first has the smaller (at, seq): the ring is sorted by being
-// appended to, and its head is its minimum.
+// lane holds the Poll wake-ups filed with one delay, in key order. The
+// clock never runs backwards, so a wake-up filed at now+d follows every one
+// filed before now: it goes in among those filed at now, which the ring
+// ends with, by its Tie. The head is the minimum.
 type lane struct {
 	d     Time    // the delay of every entry held; any, while there is none
 	ring  []event // len is zero or a power of two
-	front int     // index of the oldest entry
+	front int     // index of the head
 	n     int     // entries held
 }
 
-func (l *lane) append(e event) {
+// insert puts e in its place, and reports whether that is at the head.
+func (l *lane) insert(e event) bool {
 	if l.n == len(l.ring) {
 		grown := make([]event, max(8, 2*len(l.ring)))
 		k := copy(grown, l.ring[l.front:])
 		copy(grown[k:], l.ring[:l.front])
 		l.ring, l.front = grown, 0
 	}
-	l.ring[(l.front+l.n)&(len(l.ring)-1)] = e
+	mask, i := len(l.ring)-1, l.n
+	for ; i > 0; i-- {
+		prev := &l.ring[(l.front+i-1)&mask]
+		if !e.before(prev) {
+			break
+		}
+		l.ring[(l.front+i)&mask] = *prev
+	}
+	l.ring[(l.front+i)&mask] = e
 	l.n++
+	return i == 0
 }
 
-// head is the oldest entry of a lane that holds one.
+// head is the least entry of a lane that holds one.
 func (l *lane) head() *event { return &l.ring[l.front] }
 
 // pending is the kernel's pending-event set: a binary heap, and beside it
 // the lanes that spare a Poll step's wake-up the heap's sifts. Whichever
-// holds an entry, entries leave in (at, seq) order.
+// holds an entry, entries leave in key order.
 type pending struct {
 	heap  eventHeap
 	lanes [lanes]lane
@@ -44,10 +54,9 @@ type pending struct {
 
 func (q *pending) push(e event) { q.heap.push(e) }
 
-// pushStep files a Poll wake-up of proc at now+d: in d's lane, in a vacant
+// pushStep files e, a Poll wake-up due d from now: in d's lane, in a vacant
 // lane which then becomes d's, or failing both in the heap.
-func (q *pending) pushStep(now, d Time, seq uint64, proc int32) {
-	e := event{at: now + d, seq: seq, proc: proc}
+func (q *pending) pushStep(d Time, e event) {
 	var to *lane
 	for i := range q.lanes {
 		l := &q.lanes[i]
@@ -64,13 +73,12 @@ func (q *pending) pushStep(now, d Time, seq uint64, proc int32) {
 		return
 	}
 	to.d = d
-	to.append(e)
-	if to.n == 1 && (q.first == nil || e.before(q.first.head())) {
+	if to.insert(e) && (q.first == nil || e.before(q.first.head())) {
 		q.first = to
 	}
 }
 
-// pop removes and returns the entry with the smallest (at, seq); ok is
+// pop removes and returns the entry with the smallest key; ok is
 // false when nothing is pending.
 func (q *pending) pop() (e event, ok bool) {
 	l := q.first

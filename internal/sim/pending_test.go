@@ -16,7 +16,7 @@ func (r *refSet) pop() (event, bool) {
 	}
 	m := 0
 	for i := range s {
-		if s[i].at < s[m].at || (s[i].at == s[m].at && s[i].seq < s[m].seq) {
+		if s[i].key().Before(s[m].key()) {
 			m = i
 		}
 	}
@@ -29,7 +29,8 @@ func (r *refSet) pop() (event, bool) {
 // checkPendingOrder runs one program against pending and refSet and
 // requires the same entries out in the same order. The program is a byte
 // stream as the kernel could produce it — the clock is the time of the
-// last entry out, seq grows with every entry in:
+// last entry out, an entry in is filed at it, and the Ties of entries filed
+// at one instant come in no order:
 //
 //	ops[0]            how many distinct step delays, 1 … lanes+2
 //	then (op, arg) pairs, by op%4:
@@ -49,7 +50,7 @@ func checkPendingOrder(t *testing.T, ops []byte) {
 		q    pending
 		ref  refSet
 		now  Time
-		seq  uint64
+		n    uint32
 		outs int
 	)
 	out := func() bool {
@@ -69,20 +70,22 @@ func checkPendingOrder(t *testing.T, ops []byte) {
 	}
 	for i := 1; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%4, ops[i+1]
-		seq++
+		n++
+		tie := n * 0x9E3779B1 // distinct, and unordered
 		switch op {
 		case 0:
-			e := event{at: now + Time(arg), seq: seq, proc: int32(arg % 5)}
+			e := event{at: now + Time(arg), filed: now, tie: tie, who: int32(arg % 5)}
 			q.push(e)
 			ref = append(ref, e)
 		case 1:
-			e := event{at: now + Time(arg%4), seq: seq, proc: -1, cb: int32(arg)}
+			e := event{at: now + Time(arg%4), filed: now, tie: tie, who: ^int32(arg)}
 			q.push(e)
 			ref = append(ref, e)
 		case 2:
 			d := stepDelays[int(arg)%len(stepDelays)]
-			q.pushStep(now, d, seq, int32(arg%7))
-			ref = append(ref, event{at: now + d, seq: seq, proc: int32(arg % 7)})
+			e := event{at: now + d, filed: now, tie: tie, who: int32(arg % 7)}
+			q.pushStep(d, e)
+			ref = append(ref, e)
 		case 3:
 			for n := 0; n <= int(arg%3) && out(); n++ {
 			}
@@ -138,9 +141,10 @@ func TestPendingMatchesReference(t *testing.T) {
 func TestLaneOverflowsIntoHeap(t *testing.T) {
 	var q pending
 	for i := 0; i < lanes; i++ {
-		q.pushStep(0, Time(10*(i+1)), uint64(i+1), 0)
+		d := Time(10 * (i + 1))
+		q.pushStep(d, event{at: d, tie: uint32(i + 1)})
 	}
-	q.pushStep(0, 5, lanes+1, 0)
+	q.pushStep(5, event{at: 5, tie: lanes + 1})
 	if len(q.heap) != 1 {
 		t.Fatalf("a delay beyond the %d lanes: %d entries in the heap, want 1", lanes, len(q.heap))
 	}
@@ -150,7 +154,7 @@ func TestLaneOverflowsIntoHeap(t *testing.T) {
 	if e, _ := q.pop(); e.at != 10 { // lane 0 is vacant now
 		t.Fatalf("second out at %d, want 10", e.at)
 	}
-	q.pushStep(10, 7, lanes+2, 0)
+	q.pushStep(7, event{at: 17, filed: 10, tie: lanes + 2})
 	if len(q.heap) != 0 || q.lanes[0].d != 7 || q.lanes[0].n != 1 {
 		t.Fatalf("a new delay with lane 0 vacant: heap %d, lane 0 %+v", len(q.heap), q.lanes[0])
 	}
@@ -162,7 +166,7 @@ func FuzzPendingOrder(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 2, 0, 2, 0, 2, 0, 3, 2, 2, 0, 3, 0})                                                 // one lane, wake-ups re-filed as they leave
 	f.Add([]byte{5, 2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 3, 2, 2, 5, 2, 4, 3, 2})                         // six delays over four lanes
-	f.Add([]byte{3, 0, 0, 1, 0, 2, 4, 0, 0, 1, 4, 2, 4, 3, 2, 3, 2})                                     // everything at one instant: seq decides
+	f.Add([]byte{3, 0, 0, 1, 0, 2, 4, 0, 0, 1, 4, 2, 4, 3, 2, 3, 2})                                     // everything at one instant: the Ties decide
 	f.Add([]byte{2, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 3, 1, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 3, 2}) // a ring grows while wrapped
 	f.Fuzz(checkPendingOrder)
 }

@@ -93,6 +93,7 @@ type Proc struct {
 	// step is the Poll step Run calls in the process's stead while it sits
 	// in Poll; nil otherwise.
 	step func() Time
+	f    filer // what the process files under
 
 	// rest is what of an AdvanceEach Run still files in the process's
 	// stead, one delay per dispatch of its wake-up; a view of chain.
@@ -116,15 +117,18 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // event is a scheduled occurrence: either resuming a process or running a
-// callback in scheduler context. It names both by index, so an entry is
-// 24 bytes without a pointer in it: a sift moves half of what it would
-// with the callback inline, and the collector never scans the pending set.
+// callback in scheduler context. It names both by index in one field, so an
+// entry is 24 bytes without a pointer in it: a sift moves half of what it
+// would with the callback inline, and the collector never scans the pending
+// set.
 type event struct {
-	at   Time
-	seq  uint64
-	proc int32 // >= 0: resume Env.procs[proc]
-	cb   int32 // proc < 0: run Env.cbs[cb]
+	at    Time
+	filed Time   // Key.Filed
+	tie   uint32 // Key.Tie
+	who   int32  // >= 0: resume Env.procs[who]; < 0: run Env.cbs[^who]
 }
+
+func (e *event) key() Key { return Key{At: e.at, Filed: e.filed, Tie: e.tie} }
 
 // callback is a pending After: what its entry points at by index.
 type callback struct {
@@ -133,11 +137,9 @@ type callback struct {
 	next int32  // free list link while the slot is vacant
 }
 
-// before is the kernel's one order: by time, then filing key. Only woken
-// steps of parked processes tie in both, and Run orders those as it
-// dispatches them (park.go).
+// before is the kernel's one order (Key), on an entry's fields.
 func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+	return e.at < o.at || e.at == o.at && (e.filed < o.filed || e.filed == o.filed && e.tie < o.tie)
 }
 
 type eventHeap []event
@@ -198,7 +200,6 @@ func (h eventHeap) down() {
 // processes and pending events that drive it.
 type Env struct {
 	now     Time
-	seq     uint64
 	pend    pending
 	procs   []*Proc
 	cbs     []callback // After's slab: filled by After, vacated by Run
@@ -208,18 +209,21 @@ type Env struct {
 	running bool
 	ctr     Counters
 
+	// What the keys are worked out from (key.go): the scheduler's filings,
+	// and the count of zero-delay filings made at zeroAt.
+	sched  filer
+	zeroAt Time
+	zeros  uint32
+
 	// stepping is the process whose Poll step is executing, in its own
 	// context or in Run's; the blocking primitives refuse to run under it.
 	stepping *Proc
 
 	// Parking (park.go); key is the dispatch in progress's, due the
 	// earliest instant a parked process's limit wakes it at (0: none).
-	pk              *parking // the parked, refiled and log slices' owner
-	parked, refiled []*Parked
-	log             []logEntry
-	key             uint64
-	due             Time
-	trims           int // how often trim ran
+	parked []*Parked
+	key    Key
+	due    Time
 
 	// Livelock guard: number of consecutive dispatches allowed at a single
 	// timestamp before the kernel declares a virtual livelock. Zero means
@@ -247,10 +251,7 @@ type Counters struct {
 	Steps        uint64 // dispatches that ran a Poll step and switched nowhere
 	Skipped      uint64 // of the Steps, those a parked process never took (host-only)
 	Chained      uint64 // dispatches that filed an AdvanceEach's next delay and switched nowhere (host-only)
-	// The bookkeeping parking costs (host-only): searches of the log of
-	// dispatches for skipped steps' keys, and the times an owner asked
-	// whether a parked process still stays parked (Parked.Asked).
-	Lookups, Rechecks uint64
+	Rechecks     uint64 // times an owner asked whether a parked process stays parked (Parked.Asked; host-only)
 }
 
 // Counters returns the kernel's dispatch counts.
@@ -281,7 +282,7 @@ type procCancelled struct{}
 func (e *Env) Cancel() { e.stop.Store(true) }
 
 // NewEnv returns an empty simulation environment at time zero.
-func NewEnv() *Env { return &Env{cbFree: -1} }
+func NewEnv() *Env { return &Env{cbFree: -1, sched: filer{id: schedID}} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -289,21 +290,19 @@ func (e *Env) Now() Time { return e.now }
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }
 
-// nextSeq is the key of a real filing: even, so skipped ones fit between.
-func (e *Env) nextSeq() uint64 {
-	e.seq += 2
-	return e.seq
-}
-
 // Spawn registers a new process. It may be called before Run or from
 // within a running process; the new process starts at the current virtual
 // time (after the caller yields).
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
+	if len(e.procs) == schedID {
+		panic(fmt.Sprintf("sim: more than %d processes: a key holds no more filer ids", schedID))
+	}
 	p := &Proc{
 		env:   e,
 		name:  name,
 		id:    len(e.procs),
 		state: stateNew,
+		f:     filer{id: uint32(len(e.procs))},
 	}
 	e.procs = append(e.procs, p)
 	e.live++
@@ -324,14 +323,15 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	p.state = stateRunnable
-	e.pend.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(e.event(e.file(nil, 0), int32(p.id)))
 	return p
 }
 
-// After schedules fn to run in scheduler context at now+d. fn must not
-// block; it may wake processes (e.g. Queue.PutNB) and schedule more
-// callbacks. Safe to call from process context or from another callback.
-func (e *Env) After(d Time, fn func()) {
+// After schedules fn to run in scheduler context at now+d, and returns the
+// key it is dispatched under. fn must not block; it may wake processes (e.g.
+// Queue.PutNB) and schedule more callbacks. Safe to call from process
+// context or from another callback.
+func (e *Env) After(d Time, fn func()) Key {
 	if d < 0 {
 		panic("sim: After with negative delay")
 	}
@@ -353,7 +353,14 @@ func (e *Env) After(d Time, fn func()) {
 		e.cbFree = e.cbs[i].next
 	}
 	e.cbs[i] = callback{fn: fn, src: src}
-	e.pend.push(event{at: e.now + d, seq: e.nextSeq(), proc: -1, cb: i})
+	k := e.file(e.filer(), d)
+	e.pend.push(e.event(k, ^i))
+	return k
+}
+
+// event is the pending entry of who under key k.
+func (e *Env) event(k Key, who int32) event {
+	return event{at: k.At, filed: k.Filed, tie: k.Tie, who: who}
 }
 
 // makeRunnable schedules p to resume at the current time.
@@ -362,7 +369,7 @@ func (e *Env) makeRunnable(p *Proc) {
 		panic(fmt.Sprintf("sim: makeRunnable(%s) in state %v", p.name, p.state))
 	}
 	p.state = stateRunnable
-	e.pend.push(event{at: e.now, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(e.event(e.file(nil, 0), int32(p.id)))
 }
 
 // DeadlockError reports that live processes remain but no event can ever
@@ -415,10 +422,10 @@ func (e *Env) Run() error {
 			if len(e.parked) == 0 {
 				break
 			}
-			e.wake(e.parked[0], e.now, 0) // a parked process's next step is the next event
+			e.wake(e.parked[0], e.key) // a parked process's next step is the next event
 			continue
 		}
-		if len(e.parked)+len(e.refiled) > 0 && !e.settle(&ev) {
+		if len(e.parked) > 0 && !e.settle(&ev) {
 			continue
 		}
 		if e.ctr.Dispatches >= poll {
@@ -428,10 +435,10 @@ func (e *Env) Run() error {
 		}
 		e.ctr.Dispatches++
 		at := ev.at
-		e.key = ev.seq
+		e.key = ev.key()
 		var p *Proc // nil: the event is a callback
-		if ev.proc >= 0 {
-			p = e.procs[ev.proc]
+		if ev.who >= 0 {
+			p = e.procs[ev.who]
 		}
 		if at < e.now {
 			panic("sim: time went backwards")
@@ -462,7 +469,7 @@ func (e *Env) Run() error {
 			e.cur = nil
 			if d >= 0 {
 				e.ctr.Steps++
-				e.pend.pushStep(e.now, d, e.nextSeq(), ev.proc)
+				e.pend.pushStep(d, e.event(e.file(&p.f, d), ev.who))
 				continue
 			}
 			if d == parkStep {
@@ -475,11 +482,11 @@ func (e *Env) Run() error {
 			e.ctr.Callbacks++
 			// Vacate the slot first: fn may call After, which may reuse it
 			// or grow the slab.
-			c := &e.cbs[ev.cb]
+			c := &e.cbs[^ev.who]
 			fn := c.fn
 			e.cbSrc = c.src
 			*c = callback{next: e.cbFree}
-			e.cbFree = ev.cb
+			e.cbFree = ^ev.who
 			fn()
 			e.cbSrc = ""
 			continue
@@ -488,7 +495,7 @@ func (e *Env) Run() error {
 			// The process sits in AdvanceEach: file its next delay here, as
 			// it would on resuming, under the key it would take.
 			e.ctr.Chained++
-			e.pend.push(event{at: e.now + p.rest[0], seq: e.nextSeq(), proc: ev.proc})
+			e.pend.push(e.event(e.file(&p.f, p.rest[0]), ev.who))
 			p.rest = p.rest[1:]
 			continue
 		}
@@ -542,10 +549,10 @@ func (p *Proc) finish() {
 
 // eventOrigin names the source of a dispatched event for diagnostics.
 func (e *Env) eventOrigin(ev event) string {
-	if ev.proc >= 0 {
-		return e.procs[ev.proc].name
+	if ev.who >= 0 {
+		return e.procs[ev.who].name
 	}
-	if src := e.cbs[ev.cb].src; src != "" {
+	if src := e.cbs[^ev.who].src; src != "" {
 		return src + " (callback)"
 	}
 	return "scheduler callback"
@@ -593,7 +600,7 @@ func (p *Proc) Advance(d Time) {
 	if e.stepping != nil {
 		panic(e.blockedInStep("Advance"))
 	}
-	e.pend.push(event{at: e.now + d, seq: e.nextSeq(), proc: int32(p.id)})
+	e.pend.push(e.event(e.file(&p.f, d), int32(p.id)))
 	p.state = stateRunnable
 	p.yield()
 }
@@ -652,7 +659,7 @@ func (p *Proc) Poll(step func() Time) {
 		panic(e.blockedInStep("Poll"))
 	}
 	if d := e.runStep(p, step); d >= 0 {
-		e.pend.pushStep(e.now, d, e.nextSeq(), int32(p.id))
+		e.pend.pushStep(d, e.event(e.file(&p.f, d), int32(p.id)))
 	} else if d != parkStep {
 		return
 	}

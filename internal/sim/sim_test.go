@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,23 +62,77 @@ func TestAdvanceZeroYields(t *testing.T) {
 	}
 }
 
+// TestSameTimeFIFO pins the key rule (Key) on events due at one instant.
+// Ten processes spawned at 0 run in spawn order (zero-delay filings, first
+// come first served), and each sleeps 5; so does a callback the scheduler
+// filed before Run. At 5 those eleven filings, made at one instant by
+// eleven filers, run in the order of the filers' ids as perm permutes them
+// at 0. Then each process yields with Advance(0), and the processes run
+// again in the order they yielded in, after every filing due at 5 that was
+// filed earlier. One filer's filings due at one instant run in the order
+// it made them: the first process's three callbacks at 7, and the three
+// the first of those files for 10.
 func TestSameTimeFIFO(t *testing.T) {
 	env := NewEnv()
-	var order []int
+	var order []string
+	note := func(what string) { order = append(order, fmt.Sprintf("%d:%s", env.Now(), what)) }
 	for i := 0; i < 10; i++ {
-		i := i
 		env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			note(p.Name())
+			if i == 0 {
+				for k := 0; k < 3; k++ {
+					env.After(7, func() {
+						note(fmt.Sprintf("a%d", k))
+						for j := 0; k == 0 && j < 3; j++ {
+							env.After(3, func() { note(fmt.Sprintf("b%d", j)) })
+						}
+					})
+				}
+			}
 			p.Advance(5)
-			order = append(order, i)
+			note(p.Name())
+			p.Advance(0)
+			note(p.Name())
 		})
 	}
+	env.After(5, func() { note("cb") })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time order not FIFO: %v", order)
+
+	// What the key rule says, worked out from perm.
+	ids := []uint32{schedID, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	sort.Slice(ids, func(a, b int) bool { return perm(ids[a], 0) < perm(ids[b], 0) })
+	var at5 []string
+	for _, id := range ids {
+		if id == schedID {
+			at5 = append(at5, "5:cb")
+		} else {
+			at5 = append(at5, fmt.Sprintf("5:p%d", id))
 		}
+	}
+	var want []string
+	for i := 0; i < 10; i++ {
+		want = append(want, fmt.Sprintf("0:p%d", i))
+	}
+	want = append(want, at5...)
+	for _, s := range at5 {
+		if s != "5:cb" {
+			want = append(want, s)
+		}
+	}
+	want = append(want, "7:a0", "7:a1", "7:a2", "10:b0", "10:b1", "10:b2")
+	got := strings.Join(order, " ")
+	if got != strings.Join(want, " ") {
+		t.Fatalf("same-time order\n got %s\nwant %s", got, strings.Join(want, " "))
+	}
+	// The same order, written out: a change to perm shows here too.
+	const pinned = "0:p0 0:p1 0:p2 0:p3 0:p4 0:p5 0:p6 0:p7 0:p8 0:p9 " +
+		"5:p0 5:p7 5:p1 5:p9 5:p5 5:p2 5:cb 5:p8 5:p4 5:p6 5:p3 " +
+		"5:p0 5:p7 5:p1 5:p9 5:p5 5:p2 5:p8 5:p4 5:p6 5:p3 " +
+		"7:a0 7:a1 7:a2 10:b0 10:b1 10:b2"
+	if got != pinned {
+		t.Errorf("same-time order moved:\n got %s\nwant %s", got, pinned)
 	}
 }
 
@@ -507,20 +562,20 @@ func TestDeterminismProperty(t *testing.T) {
 	}
 }
 
-// TestEventHeapProperty: the scheduler pops events in (time, seq) order for
+// TestEventHeapProperty: the scheduler pops events in key order for
 // arbitrary insertion sequences.
 func TestEventHeapProperty(t *testing.T) {
 	prop := func(times []uint32) bool {
 		var h eventHeap
 		for i, tt := range times {
-			h.push(event{at: Time(tt % 1000), seq: uint64(i)})
+			h.push(event{at: Time(tt % 1000), filed: Time(tt % 7), tie: uint32(i)})
 		}
 		var prev event
 		first := true
 		for len(h) > 0 {
 			e := h.pop()
 			if !first {
-				if e.at < prev.at || (e.at == prev.at && e.seq < prev.seq) {
+				if e.before(&prev) {
 					return false
 				}
 			}
