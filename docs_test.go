@@ -195,3 +195,58 @@ func TestDocCurlRoutesExist(t *testing.T) {
 		t.Errorf("only %d fenced `curl` lines found: the extraction is broken", checked)
 	}
 }
+
+var (
+	testNameRef = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	testNameDef = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Z]\w*)\(`)
+)
+
+// TestDocTestNamesExist keeps the documents' test names real: every
+// `Test…`, `Fuzz…` and `Benchmark…` name that DESIGN.md, README.md,
+// EXPERIMENTS.md, the CI workflow or a skill's SKILL.md mentions must be
+// defined in some _test.go of the tree, so a renamed or deleted test takes
+// its mentions with it. ROADMAP.md is exempt: it names tests planned and
+// tests removed.
+func TestDocTestNamesExist(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testNameDef.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"}
+	notes, _ := filepath.Glob(".*/skills/*/SKILL.md") // the verify notes
+	checked := 0
+	for _, doc := range append(docs, notes...) {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range testNameRef.FindAllString(string(data), -1) {
+			checked++
+			if !defined[name] {
+				t.Errorf("%s names %s, which no _test.go defines", doc, name)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Errorf("only %d test names found in the documents: the extraction is broken", checked)
+	}
+}

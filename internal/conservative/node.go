@@ -54,18 +54,15 @@ type node struct {
 	chanIn  []vtime.Time // [peer node] highest EOT promise received
 	lastEOT []vtime.Time // [peer node] highest EOT promise sent
 
-	// The idle predicates (worker.blocked, nullsQuiet) remember the node
-	// version (pe.Node.Version) at which they last found their thread idle
-	// and answer from memory while it stands, which makes them stable
-	// (pe.StableProbe): every change to what they read — a worker's floor
-	// or pending queue, chanIn, the outbox, a worker's exit — moves the
-	// version, and one that can turn a parked thread's predicate false is
-	// a Touch, which re-asks the node's parked threads. They read the
-	// floors and chanIn through minima and thresholds that a lower floor,
-	// a raise of an entry above chanIn's least or an outbox item only
-	// keeps or lowers, so those changes are a Bump. A QuietProbe may err
-	// toward false only, so a missing Touch is a bug.
-	quietAt uint64 // the version at which nullsQuiet last found nothing to send
+	// The idle predicates (worker.blocked, nullsQuiet) are stable
+	// (pe.StableProbe): every change to what they read that can turn one
+	// false — a floor raised (worker.moved), the least of chanIn raised
+	// (raised), a worker's exit — is a Touch, which re-asks the node's
+	// parked threads. They read the floors and chanIn through minima and
+	// thresholds that a lower floor, a raise of an entry above chanIn's
+	// least or an outbox item only keeps or lowers, so those changes need
+	// no signal. A QuietProbe may err toward false only, so a missing Touch
+	// is a bug.
 }
 
 func newNode(eng *Engine) *node {
@@ -100,7 +97,6 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 		if len(batch) == 0 {
 			return sent
 		}
-		n.Bump() // the outbox is read by this thread's predicate alone
 		for _, ev := range batch {
 			n.Send(p, n.eng.cfg.Topology.NodeOf(ev.Dst), tagEvents, ev.WireSize(), ev, backlog)
 			n.evSent++
@@ -119,7 +115,6 @@ func (n *node) flushEvents(p *sim.Proc, budget int) bool {
 func (n *node) raised(src int, old vtime.Time) {
 	for s, c := range n.chanIn {
 		if s != src && c <= old {
-			n.Bump()
 			return
 		}
 	}

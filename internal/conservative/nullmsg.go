@@ -80,20 +80,15 @@ func (n *node) leastPromise() vtime.Time {
 }
 
 // blocked is stage 1 of the idle pass: the bound lets nothing be
-// processed, and the run is not over. Everything it reads is under the
-// node's version, so most idle passes compare two integers; and a worker
-// with nothing runnable below the least promise received, before the end,
-// is blocked whatever its peers' floors, which it then leaves unread.
+// processed, and the run is not over. A worker with nothing runnable below
+// the least promise received, before the end, is blocked whatever its
+// peers' floors, which it then leaves unread.
 func (w *worker) blocked() bool {
-	if w.blockedAt == w.node.Version() {
-		return true
-	}
 	if c := w.node.leastPromise(); w.runnable(c) != nil || c > w.eng.end {
 		if safe := w.safeBound(); w.runnable(safe) != nil || w.finished(safe) {
 			return false
 		}
 	}
-	w.blockedAt = w.node.Version()
 	return true
 }
 
@@ -161,7 +156,7 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 // nullsQuiet reports whether sendNulls would send nothing: the promise
 // this node can make improves on none it has made.
 func (n *node) nullsQuiet() bool {
-	if n.eng.cfg.Topology.Nodes == 1 || n.quietAt == n.Version() {
+	if n.eng.cfg.Topology.Nodes == 1 {
 		return true
 	}
 	eot := n.eotPromise()
@@ -170,7 +165,6 @@ func (n *node) nullsQuiet() bool {
 			return false
 		}
 	}
-	n.quietAt = n.Version()
 	return true
 }
 

@@ -32,8 +32,6 @@ type worker struct {
 	holdMin vtime.Time
 	execT   vtime.Time
 
-	blockedAt uint64 // the node version at which blocked last found the worker blocked
-
 	ctx   wctx
 	sendQ []*event.Event
 }
@@ -73,9 +71,8 @@ func (w *worker) run(p *sim.Proc) {
 // floorLive is this worker's live virtual-time floor: the smallest stamp
 // of any event it holds (pending, undrained inbox, in-hand drain batch,
 // or the event being processed). Peers read it — cooperatively, so
-// without a lock — to bound what this worker might still send. Whatever
-// changes it moves the node's version: moved, or a Bump where the change
-// can only lower it.
+// without a lock — to bound what this worker might still send. A change
+// that can raise it goes through moved.
 func (w *worker) floorLive() vtime.Time {
 	f := eventq.MinStamp(w.Pending).T
 	if w.inboxMin < f {
@@ -91,15 +88,12 @@ func (w *worker) floorLive() vtime.Time {
 }
 
 // moved follows a change to what floorLive reads, from the floor old: the
-// node's version moves, and its parked threads are asked again only if
-// the floor rose. A floor no higher lowers or keeps every bound and
-// promise worked out from it, which keeps every parked predicate true;
-// where a change can only lower it, a Bump says so.
+// node's parked threads are asked again only if the floor rose. A floor no
+// higher lowers or keeps every bound and promise worked out from it, which
+// keeps every parked predicate true.
 func (w *worker) moved(old vtime.Time) {
 	if w.floorLive() > old {
 		w.node.Touch()
-	} else {
-		w.node.Bump()
 	}
 }
 
@@ -111,7 +105,6 @@ func (w *worker) deposit(p *sim.Proc, ev *event.Event) {
 	if ev.Stamp.T < w.inboxMin {
 		w.inboxMin = ev.Stamp.T
 	}
-	w.node.Bump() // a floor only lowered; the inbox lock woke the worker
 }
 
 // drainInbox moves inbox events into the pending queue. The in-hand
@@ -124,14 +117,12 @@ func (w *worker) drainInbox(p *sim.Proc) bool {
 		w.holdMin = vtime.Inf
 		return false
 	}
-	w.node.Bump() // the floor as it was: the batch's least moved to holdMin
 	p.Advance(sim.Time(len(batch)) * (w.node.Cost.InboxDrainPerMsg + w.node.Cost.QueueOp))
 	for _, ev := range batch {
 		w.Pending.Push(ev)
 	}
 	w.Inbox.Recycle(batch)
 	w.holdMin = vtime.Inf
-	w.node.Bump() // the floor as it was, or lower: the batch is pending now
 	return true
 }
 
@@ -206,7 +197,6 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 	case event.Local:
 		p.Advance(w.node.Cost.LocalSend + w.node.Cost.QueueOp)
 		w.Pending.Push(ev)
-		w.node.Bump() // a floor only lowered
 		w.St.SentLocal++
 	case event.Regional:
 		_, wi := top.WorkerOf(ev.Dst)
@@ -214,7 +204,6 @@ func (w *worker) route(p *sim.Proc, ev *event.Event) {
 		w.St.SentRegion++
 	default:
 		w.node.Out.Deposit(p, ev)
-		w.node.Bump() // only lowers the promise; the outbox lock woke the comm thread
 		w.St.SentRemote++
 	}
 }

@@ -58,8 +58,7 @@ func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag
 func QuietProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
 
 // StableProbe is a QuietProbe whose predicate, once true, stays true until
-// the node's next Touch (as a memo under Node.Version does; a Bump keeps
-// it true): see plan.
+// the node's next Touch: see plan.
 func StableProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
 
 // If makes the stage conditional: cond is asked at the stage's start, and

@@ -103,32 +103,21 @@ type Node struct {
 	rt      *Runtime
 	workers []*Worker // the node's, in AddWorker order
 	comm    pass      // the dedicated MPI thread's idle pass (CommLoop)
-	ver     uint64    // Touch's and Bump's count, from 1
 }
 
 // Touch is the node's change signal, due in the dispatch of every change to
-// what a StableProbe or the comm thread's stop test reads: the version
-// moves, and a parked thread whose pass would find something wakes.
+// what a StableProbe or the comm thread's stop test reads that can turn it
+// false: a parked thread whose pass would find something wakes.
 func (n *Node) Touch() {
-	n.ver++
 	n.comm.recheck()
 	for _, w := range n.workers {
 		w.idle.recheck()
 	}
 }
 
-// Bump is Touch for a change that can wake no parked thread: one that
-// leaves every predicate a parked pass asks true, as a bound or promise
-// only lowered does. The version moves, so a memo forgets what it saw;
-// nothing parked is asked.
-func (n *Node) Bump() { n.ver++ }
-
-// Version is what Touch and Bump move.
-func (n *Node) Version() uint64 { return n.ver }
-
 // AddNode initialises n as the next node, with the given cost model.
 func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
-	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt, ver: 1}
+	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
 	n.OutMu = sim.Mutex{Name: fmt.Sprintf("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
 	n.Out = NewMailbox[*event.Event](&n.OutMu, cost.RemoteEnqueue)
 	n.comm.init(n, nil)

@@ -2,11 +2,13 @@ package run
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/conservative"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -25,19 +27,41 @@ func literalIdle(t *testing.T, eng Engine) {
 	}
 }
 
-// runTraced runs spec once and returns its statistics and trace bytes.
-func runTraced(t *testing.T, spec Spec, literal bool) (*stats.Run, []byte) {
+// cappedBuffer is a trace sink that cancels its run once the bytes
+// written pass cap (0: never).
+type cappedBuffer struct {
+	bytes.Buffer
+	cap    int
+	cancel func()
+}
+
+func (b *cappedBuffer) Write(p []byte) (int, error) {
+	if b.cap > 0 && b.Len()+len(p) > b.cap {
+		b.cancel()
+	}
+	return b.Buffer.Write(p)
+}
+
+// runTraced runs spec once and returns its statistics and trace bytes. A
+// run whose trace passes traceCap bytes (0: no cap) is cancelled and fails
+// the test: a thread left parked past a missed Touch can run on with no
+// end, its trace growing until the host runs out of memory.
+func runTraced(t *testing.T, spec Spec, literal bool, traceCap int) (*stats.Run, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
+	buf := &cappedBuffer{cap: traceCap}
+	tw := trace.NewWriter(buf)
 	eng, err := New(spec, Attach{Trace: tw})
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf.cancel = eng.Cancel
 	if literal {
 		literalIdle(t, eng)
 	}
 	r, err := eng.Run()
+	if errors.Is(err, sim.ErrCancelled) && traceCap > 0 && buf.Len() > traceCap {
+		t.Fatalf("cancelled with its trace past %d bytes, twice the literal run's: a thread missed a Touch and ran on (%v)", traceCap, err)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +97,9 @@ func TestSteppedIdleMatchesLiteral(t *testing.T) {
 		s.Sync = sync
 		specs = append(specs, s)
 	}
-	// The null-message predicates answer from memory (conservative.node.ver):
-	// also with no peer node to promise anything, and with no peer worker
-	// whose floor could bound one.
+	// The null-message predicates park their threads until a Touch: also
+	// with no peer node to promise anything, and with no peer worker whose
+	// floor could bound one.
 	for _, shape := range [][2]int{{1, 2}, {3, 1}} {
 		s := base
 		s.Sync, s.Nodes, s.WorkersPerNode = "nullmsg", shape[0], shape[1]
@@ -96,8 +120,8 @@ func TestSteppedIdleMatchesLiteral(t *testing.T) {
 			name += "/" + s.Model
 		}
 		t.Run(name, func(t *testing.T) {
-			ref, refTrace := runTraced(t, s, true)
-			got, gotTrace := runTraced(t, s, false)
+			ref, refTrace := runTraced(t, s, true, 0)
+			got, gotTrace := runTraced(t, s, false, 2*len(refTrace))
 			migrations += got.Migrations
 			rk, gk := ref.Kernel, got.Kernel
 			if rk.Steps != 0 {

@@ -142,6 +142,7 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || e.at == o.at && (e.filed < o.filed || e.filed == o.filed && e.tie < o.tie)
 }
 
+// eventHeap is the kernel's pending-event set: a binary heap in key order.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
@@ -200,7 +201,7 @@ func (h eventHeap) down() {
 // processes and pending events that drive it.
 type Env struct {
 	now     Time
-	pend    pending
+	pend    eventHeap
 	procs   []*Proc
 	cbs     []callback // After's slab: filled by After, vacated by Run
 	cbFree  int32      // first vacant slot of cbs, or -1
@@ -417,14 +418,14 @@ func (e *Env) Run() error {
 	}
 	poll := e.ctr.Dispatches
 	for {
-		ev, ok := e.pend.pop()
-		if !ok {
+		if len(e.pend) == 0 {
 			if len(e.parked) == 0 {
 				break
 			}
 			e.wake(e.parked[0], e.key) // a parked process's next step is the next event
 			continue
 		}
+		ev := e.pend.pop()
 		if len(e.parked) > 0 && !e.settle(&ev) {
 			continue
 		}
@@ -469,7 +470,7 @@ func (e *Env) Run() error {
 			e.cur = nil
 			if d >= 0 {
 				e.ctr.Steps++
-				e.pend.pushStep(d, e.event(e.file(&p.f, d), ev.who))
+				e.pend.push(e.event(e.file(&p.f, d), ev.who))
 				continue
 			}
 			if d == parkStep {
@@ -659,7 +660,7 @@ func (p *Proc) Poll(step func() Time) {
 		panic(e.blockedInStep("Poll"))
 	}
 	if d := e.runStep(p, step); d >= 0 {
-		e.pend.pushStep(d, e.event(e.file(&p.f, d), int32(p.id)))
+		e.pend.push(e.event(e.file(&p.f, d), int32(p.id)))
 	} else if d != parkStep {
 		return
 	}
