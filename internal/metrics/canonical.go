@@ -24,7 +24,9 @@ func CanonicalJSON(in []byte) ([]byte, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("metrics: canonicalize: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow: Decoder.More is false in front of a
+	// closing bracket, so it cannot tell `{"a":1}]` from `{"a":1}`.
+	if len(bytes.TrimLeft(in[dec.InputOffset():], " \t\r\n")) != 0 {
 		return nil, fmt.Errorf("metrics: canonicalize: trailing data after JSON document")
 	}
 	var buf bytes.Buffer
@@ -92,14 +94,12 @@ func writeCanonical(buf *bytes.Buffer, v any) error {
 	return nil
 }
 
-// MarshalStable encodes the report in canonical JSON: sorted keys,
-// compact, numbers preserved exactly. Two reports with equal values
-// marshal to identical bytes on every Go version, which is what lets
-// the simd cache serve stored bytes as the authoritative result.
+// MarshalStable encodes the report in canonical JSON (sorted keys,
+// compact, numbers exact), so equal reports marshal to identical bytes and
+// the simd cache can serve stored bytes as the result. Every struct in a
+// Report declares its fields in JSON-key order, as run.Spec does, so this
+// is json.Marshal; its bytes are canonical for valid-UTF-8 strings, which
+// every report string (a closed-set name or a label set in code) is.
 func (r *Report) MarshalStable() ([]byte, error) {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	return CanonicalJSON(raw)
+	return json.Marshal(r)
 }

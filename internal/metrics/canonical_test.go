@@ -3,6 +3,8 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -49,12 +51,60 @@ func TestCanonicalJSONPreservesBigIntegers(t *testing.T) {
 	}
 }
 
+// TestCanonicalJSONRejectsGarbage: a malformed document, and anything
+// but whitespace after a well-formed one — a closing bracket included,
+// which json.Decoder.More does not count as more — is an error.
 func TestCanonicalJSONRejectsGarbage(t *testing.T) {
-	if _, err := CanonicalJSON([]byte(`{"a":}`)); err == nil {
-		t.Fatal("malformed JSON accepted")
+	for _, in := range []string{
+		`{"a":}`,
+		`{} {}`,
+		`{"a":1} x`,
+		`{"a":1}]`,
+		`{"a":1}}`,
+		`[1]]`,
+		`0 }`,
+	} {
+		if out, err := CanonicalJSON([]byte(in)); err == nil {
+			t.Errorf("%s canonicalised to %s, want an error", in, out)
+		}
 	}
-	if _, err := CanonicalJSON([]byte(`{} {}`)); err == nil {
-		t.Fatal("trailing document accepted")
+	if out, err := CanonicalJSON([]byte(" {\"a\":1} \n\t")); err != nil || string(out) != `{"a":1}` {
+		t.Errorf("surrounding whitespace: got %s, %v", out, err)
+	}
+}
+
+// TestReportFieldsInKeyOrder holds every struct reachable from Report to
+// the declaration order MarshalStable relies on: json.Marshal writes
+// fields as declared, so they must be declared in strictly ascending
+// order of their JSON keys for its output to be canonical JSON.
+func TestReportFieldsInKeyOrder(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		prev := ""
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if key == "" || key == "-" {
+				t.Fatalf("%s.%s has no JSON key", typ.Name(), f.Name)
+			}
+			if key <= prev {
+				t.Errorf("%s.%s (%q) is declared after %q; declare %s's fields in ascending key order", typ.Name(), f.Name, key, prev, typ.Name())
+			}
+			prev = key
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeOf(Report{}))
+	if len(seen) != 9 {
+		t.Errorf("walked %d struct types, want the 9 of a report", len(seen))
 	}
 }
 
@@ -133,5 +183,69 @@ func TestReportMarshalStableDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("equal reports marshalled differently")
+	}
+}
+
+// FuzzReportCanonical holds MarshalStable to canonical JSON on reports
+// no run would write: every scalar field of every block set from the
+// input (extreme integers, subnormal and huge floats, strings that need
+// escaping), with zero to three rounds, workers, counters and histograms.
+func FuzzReportCanonical(f *testing.F) {
+	f.Add(int64(math.MaxInt64), 5e-324, "<>&", uint8(0xff))
+	f.Add(int64(math.MinInt64), 1e21, `"quoted" \ back`, uint8(0x1b))
+	f.Add(int64(-1), -0.1, "line\u2028para\u2029", uint8(0x55))
+	f.Add(int64(0), 0.0, "\x00\x01\x1f\x7f\t\n", uint8(0))
+	f.Add(int64(1)<<53+1, 1.7976931348623157e308, "simd/phold", uint8(0x24))
+	f.Fuzz(func(t *testing.T, i int64, x float64, s string, shape uint8) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return // not representable in JSON; json.Marshal refuses it
+		}
+		s = strings.ToValidUTF8(s, "?")
+		var rep Report
+		fillReport(reflect.ValueOf(&rep).Elem(), i, x, s, int(shape))
+		got, err := rep.MarshalStable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CanonicalJSON(got)
+		if err != nil {
+			t.Fatalf("MarshalStable wrote invalid JSON (%v): %s", err, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarshalStable is not canonical:\n got  %s\n want %s", got, want)
+		}
+	})
+}
+
+// fillReport sets every scalar field under v from i, x and s (alternating
+// signs field by field), and makes each slice of structs (shape>>2k)%4
+// elements long for its k-th slice field.
+func fillReport(v reflect.Value, i int64, x float64, s string, shape int) {
+	for j := 0; j < v.NumField(); j++ {
+		f := v.Field(j)
+		if j%2 == 1 {
+			i, x = -i, -x
+		}
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(i)
+		case reflect.Uint64:
+			f.SetUint(uint64(i))
+		case reflect.Float64:
+			f.SetFloat(x)
+		case reflect.String:
+			f.SetString(s)
+		case reflect.Bool:
+			f.SetBool(i%2 == 0)
+		case reflect.Struct:
+			fillReport(f, i, x, s, shape)
+		case reflect.Slice:
+			n := shape % 4
+			shape = shape>>2 | shape<<6&0xff // the next slice takes the next two bits
+			f.Set(reflect.MakeSlice(f.Type(), n, n))
+			for k := 0; k < n; k++ {
+				fillReport(f.Index(k), i+int64(k), x, s, shape)
+			}
+		}
 	}
 }

@@ -2,8 +2,8 @@
 // counters and log2-bucketed histograms, plus a per-GVT-round
 // sampler (Recorder) that records virtual-time-keyed time series — worker
 // LVTs, efficiency, rollback pressure, queue and mailbox depths, MPI
-// in-flight traffic, barrier wait — into fixed-size buffers with zero
-// allocation on the hot path. The collected data exports as a single
+// in-flight traffic, barrier wait — into bounded buffers that allocate
+// nothing once full. The collected data exports as a single
 // machine-readable JSON run report (see report.go).
 //
 // Everything here runs inside the internal/sim kernel, where
@@ -123,23 +123,23 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // HistogramBucket is one exported histogram bucket.
 type HistogramBucket struct {
-	// Le is the inclusive upper bound of the bucket (values <= Le).
-	Le    int64 `json:"le"`
 	Count int64 `json:"count"`
+	// Le is the inclusive upper bound of the bucket (values <= Le).
+	Le int64 `json:"le"`
 }
 
 // HistogramSummary is the exported shape of a histogram.
 type HistogramSummary struct {
-	Name    string            `json:"name"`
+	Buckets []HistogramBucket `json:"buckets"`
 	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	Min     int64             `json:"min"`
 	Max     int64             `json:"max"`
 	Mean    float64           `json:"mean"`
+	Min     int64             `json:"min"`
+	Name    string            `json:"name"`
 	P50     int64             `json:"p50"`
 	P90     int64             `json:"p90"`
 	P99     int64             `json:"p99"`
-	Buckets []HistogramBucket `json:"buckets"`
+	Sum     int64             `json:"sum"`
 }
 
 // Summary exports the histogram, dropping empty trailing buckets.

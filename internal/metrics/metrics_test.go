@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -117,6 +118,50 @@ func TestRecorderCompaction(t *testing.T) {
 	// the last offered round.
 	if last := got[len(got)-1].Round; 99-last >= 2*stride {
 		t.Fatalf("tail gap: last sample round %d, run ended at 99, stride %d", last, stride)
+	}
+}
+
+// TestRecorderGrowsWithTheRun: Init allocates for the workers, not for
+// MaxSamples, and the series compact at the rounds the table pins: length
+// and stride after each of 40 rounds at MaxSamples 8.
+func TestRecorderGrowsWithTheRun(t *testing.T) {
+	initBytes := func(max int) uint64 {
+		var least uint64
+		for i := 0; i < 3; i++ {
+			r := &Recorder{MaxSamples: max}
+			r.Registry()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.Init(16)
+			runtime.ReadMemStats(&after)
+			if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < least {
+				least = b
+			}
+		}
+		return least
+	}
+	if small, large := initBytes(8), initBytes(4096); small != large {
+		t.Errorf("Init(16) allocates %d B at MaxSamples 8 and %d B at 4096; want the same", small, large)
+	}
+
+	want := [40][2]int{
+		{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}, {7, 1}, {8, 1}, {5, 2}, {5, 2},
+		{6, 2}, {6, 2}, {7, 2}, {7, 2}, {8, 2}, {8, 2}, {5, 4}, {5, 4}, {5, 4}, {5, 4},
+		{6, 4}, {6, 4}, {6, 4}, {6, 4}, {7, 4}, {7, 4}, {7, 4}, {7, 4}, {8, 4}, {8, 4},
+		{8, 4}, {8, 4}, {5, 8}, {5, 8}, {5, 8}, {5, 8}, {5, 8}, {5, 8}, {5, 8}, {5, 8},
+	}
+	r := &Recorder{MaxSamples: 8}
+	r.Init(2)
+	for i, w := range want {
+		r.SampleRound(RoundSample{Round: int64(i)}, r.Scratch())
+		if got := [2]int{len(r.Rounds()), r.Stride()}; got != w || len(r.WorkerSeries(1)) != w[0] {
+			t.Fatalf("after round %d: {len, stride} = %v (worker 1: %d samples), want %v", i, got, len(r.WorkerSeries(1)), w)
+		}
+	}
+	for i, rs := range r.Rounds() {
+		if rs.Round != int64(8*i) {
+			t.Errorf("sample %d is round %d, want %d", i, rs.Round, 8*i)
+		}
 	}
 }
 

@@ -6,37 +6,37 @@ import "math"
 // round completes. Virtual time is the series key: GVT for the simulated
 // model's clock, AtNanos for the simulated wall clock.
 type RoundSample struct {
-	Round      int64   `json:"round"`
-	GVT        float64 `json:"gvt"`
 	AtNanos    int64   `json:"at_ns"`
-	Sync       bool    `json:"sync"`
 	Efficiency float64 `json:"efficiency"`
+	GVT        float64 `json:"gvt"`
 	// MPI traffic at sample time: in-flight = put on the wire but not yet
 	// delivered; sent = cumulative since run start.
-	MPIInFlightMsgs  int64 `json:"mpi_inflight_msgs"`
 	MPIInFlightBytes int64 `json:"mpi_inflight_bytes"`
-	MPISentMsgs      int64 `json:"mpi_sent_msgs"`
+	MPIInFlightMsgs  int64 `json:"mpi_inflight_msgs"`
 	MPISentBytes     int64 `json:"mpi_sent_bytes"`
+	MPISentMsgs      int64 `json:"mpi_sent_msgs"`
+	Round            int64 `json:"round"`
+	Sync             bool  `json:"sync"`
 }
 
 // WorkerSample is one worker's time-series point, taken in lockstep with
 // the round sample at the same index.
 type WorkerSample struct {
+	// BarrierWaitNs is cumulative virtual time parked at barriers.
+	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 	// LVT is the worker's minimum unprocessed timestamp; -1 encodes
 	// "drained" (no pending event; +Inf is not representable in JSON).
 	LVT float64 `json:"lvt"`
-	// Pending is the pending event set length.
-	Pending int `json:"pending"`
 	// Mailbox is the incoming mailbox depth.
 	Mailbox int `json:"mailbox"`
-	// Uncommitted is the processed-but-not-fossil-collected event count.
-	Uncommitted int `json:"uncommitted"`
+	// Pending is the pending event set length.
+	Pending int `json:"pending"`
 	// Rollbacks and RolledBack are cumulative since run start; a timeline
 	// of deltas between consecutive samples localizes rollback cascades.
 	Rollbacks  int64 `json:"rollbacks"`
 	RolledBack int64 `json:"rolled_back"`
-	// BarrierWaitNs is cumulative virtual time parked at barriers.
-	BarrierWaitNs int64 `json:"barrier_wait_ns"`
+	// Uncommitted is the processed-but-not-fossil-collected event count.
+	Uncommitted int `json:"uncommitted"`
 }
 
 // SafeLVT converts a possibly-infinite LVT into its JSON encoding.
@@ -47,12 +47,12 @@ func SafeLVT(v float64) float64 {
 	return v
 }
 
-// Recorder samples per-round telemetry into fixed-size buffers. Attach
-// one to core.Config.Metrics; the engine drives it. Sampling allocates
-// nothing: buffers are sized at Init, and when they fill, the recorder
+// Recorder samples per-round telemetry into bounded buffers. Attach one
+// to core.Config.Metrics; the engine drives it. Each series grows with the
+// run, so a short run pays only for its rounds; at MaxSamples the recorder
 // compacts in place (keeps every other sample) and doubles its sampling
-// stride, so a bounded buffer always covers the whole run at adaptive
-// resolution.
+// stride, so a bounded buffer covers the whole run at adaptive resolution
+// and sampling allocates nothing once a series has filled.
 type Recorder struct {
 	// MaxSamples caps each series' length (default 512). When reached,
 	// samples are halved and the round stride doubles.
@@ -87,8 +87,8 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// Init sizes the buffers for the given worker count. The engine calls it
-// at construction; calling it again resets the collected series.
+// Init sets up the series for the given worker count. The engine calls
+// it at construction; calling it again resets the collected series.
 func (r *Recorder) Init(workers int) {
 	if r.MaxSamples <= 0 {
 		r.MaxSamples = 512
@@ -100,11 +100,8 @@ func (r *Recorder) Init(workers int) {
 	r.stride = r.Every
 	r.seen = 0
 	r.Registry()
-	r.rounds = make([]RoundSample, 0, r.MaxSamples)
+	r.rounds = nil
 	r.workers = make([][]WorkerSample, workers)
-	for i := range r.workers {
-		r.workers[i] = make([]WorkerSample, 0, r.MaxSamples)
-	}
 	r.scratch = make([]WorkerSample, workers)
 }
 
@@ -117,14 +114,14 @@ func (r *Recorder) Scratch() []WorkerSample { return r.scratch }
 // have one entry per worker (usually the Scratch row); its contents are
 // copied. Rounds not on the current stride are skipped.
 func (r *Recorder) SampleRound(rs RoundSample, ws []WorkerSample) {
-	if r.rounds == nil {
+	if r.stride == 0 {
 		return // Init never ran (recorder attached to nothing)
 	}
 	r.seen++
 	if (r.seen-1)%int64(r.stride) != 0 {
 		return
 	}
-	if len(r.rounds) == cap(r.rounds) {
+	if len(r.rounds) == r.MaxSamples {
 		r.compact()
 		// The stride just doubled. This sample still lands (compaction
 		// kept even indices, so it sits one new-stride step after the last

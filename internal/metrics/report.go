@@ -14,84 +14,81 @@ const ReportSchema = "cagvt.run-report/1"
 
 // RunConfig is the configuration block of a run report.
 type RunConfig struct {
-	// Label is free-form caller context ("fig8/CA-GVT/8 nodes",
-	// "phold/mixed"); the engine leaves it empty.
-	Label string `json:"label,omitempty"`
+	// Balance names the LP load-balancing policy ("" for the static
+	// no-balancer path; omitted so static reports keep their byte layout).
+	Balance            string  `json:"balance,omitempty"`
+	BatchSize          int     `json:"batch_size"`
+	CAThreshold        float64 `json:"ca_threshold,omitempty"`
+	CheckpointInterval int     `json:"checkpoint_interval,omitempty"`
+	Comm               string  `json:"comm"`
+	EndTime            float64 `json:"end_time"`
 	// Engine identifies the simulation paradigm: "" (Time Warp, the
 	// original engine — omitted so optimistic reports keep their byte
-	// layout) or "conservative". Sync is the conservative sync protocol
-	// ("nullmsg" | "window") and Lookahead its safety bound; both are
-	// empty/zero for Time Warp runs.
-	Engine             string  `json:"engine,omitempty"`
-	Sync               string  `json:"sync,omitempty"`
-	Lookahead          float64 `json:"lookahead,omitempty"`
-	Nodes              int     `json:"nodes"`
-	WorkersPerNode     int     `json:"workers_per_node"`
-	LPsPerWorker       int     `json:"lps_per_worker"`
-	GVT                string  `json:"gvt,omitempty"`
-	Comm               string  `json:"comm"`
-	GVTInterval        int     `json:"gvt_interval,omitempty"`
-	CAThreshold        float64 `json:"ca_threshold,omitempty"`
-	EndTime            float64 `json:"end_time"`
-	Seed               uint64  `json:"seed"`
-	QueueKind          string  `json:"queue"`
-	BatchSize          int     `json:"batch_size"`
-	CheckpointInterval int     `json:"checkpoint_interval,omitempty"`
-	MaxUncommitted     int     `json:"max_uncommitted,omitempty"`
+	// layout) or "conservative".
+	Engine string `json:"engine,omitempty"`
 	// Faults names the fault scenario the run executed under ("" for a
 	// perfect fabric; omitted from the JSON so fault-free reports are
 	// byte-identical to pre-fault-injection ones).
-	Faults string `json:"faults,omitempty"`
-	// Balance names the LP load-balancing policy ("" for the static
-	// no-balancer path; omitted so static reports keep their byte layout).
-	Balance string `json:"balance,omitempty"`
+	Faults      string `json:"faults,omitempty"`
+	GVT         string `json:"gvt,omitempty"`
+	GVTInterval int    `json:"gvt_interval,omitempty"`
+	// Label is free-form caller context ("fig8/CA-GVT/8 nodes",
+	// "phold/mixed"); the engine leaves it empty.
+	Label string `json:"label,omitempty"`
+	// Lookahead is the conservative safety bound (0 for Time Warp).
+	Lookahead      float64 `json:"lookahead,omitempty"`
+	LPsPerWorker   int     `json:"lps_per_worker"`
+	MaxUncommitted int     `json:"max_uncommitted,omitempty"`
+	Nodes          int     `json:"nodes"`
+	QueueKind      string  `json:"queue"`
+	Seed           uint64  `json:"seed"`
+	// Sync is the conservative protocol, nullmsg | window ("" for Time Warp).
+	Sync           string `json:"sync,omitempty"`
+	WorkersPerNode int    `json:"workers_per_node"`
 }
 
 // RunStats is the final-aggregate block of a run report (the same
 // numbers stats.Run carries, in JSON-stable form: virtual times as
-// nanosecond integers, the checksum as a hex string).
+// nanosecond integers, the checksum as a hex string). The robustness
+// (retransmit, transport and fault) and load-balancer (migration) counters
+// are omitted when zero, so fault-free and static-policy reports keep
+// their earlier byte layout.
 type RunStats struct {
-	WallNanos     int64   `json:"wall_ns"`
-	Committed     int64   `json:"committed"`
-	Processed     int64   `json:"processed"`
-	RolledBack    int64   `json:"rolled_back"`
-	Rollbacks     int64   `json:"rollbacks"`
-	Stragglers    int64   `json:"stragglers"`
-	AntiRollbacks int64   `json:"anti_rollbacks"`
-	Efficiency    float64 `json:"efficiency"`
-	EventRate     float64 `json:"event_rate"`
-	GVTRounds     int64   `json:"gvt_rounds"`
-	SyncRounds    int64   `json:"sync_rounds"`
-	FinalGVT      float64 `json:"final_gvt"`
-	Disparity     float64 `json:"disparity"`
-	SentLocal     int64   `json:"sent_local"`
-	SentRegional  int64   `json:"sent_regional"`
-	SentRemote    int64   `json:"sent_remote"`
-	AntiSent      int64   `json:"anti_sent"`
-	Annihilated   int64   `json:"annihilated"`
-	BarrierWaitNs int64   `json:"barrier_wait_ns"`
-	IdleNs        int64   `json:"idle_ns"`
-	GVTTimeNs     int64   `json:"gvt_time_ns"`
-	MPIMessages   int64   `json:"mpi_messages"`
-	MPIBytes      int64   `json:"mpi_bytes"`
+	Annihilated      int64   `json:"annihilated"`
+	AntiRollbacks    int64   `json:"anti_rollbacks"`
+	AntiSent         int64   `json:"anti_sent"`
+	BarrierWaitNs    int64   `json:"barrier_wait_ns"`
+	CommitChecksum   string  `json:"commit_checksum"`
+	Committed        int64   `json:"committed"`
+	Disparity        float64 `json:"disparity"`
+	Efficiency       float64 `json:"efficiency"`
+	EventRate        float64 `json:"event_rate"`
+	FaultDrops       int64   `json:"fault_drops,omitempty"`
+	FaultDups        int64   `json:"fault_dups,omitempty"`
+	FaultJitters     int64   `json:"fault_jitters,omitempty"`
+	FaultWindowDrops int64   `json:"fault_window_drops,omitempty"`
+	FinalGVT         float64 `json:"final_gvt"`
+	GVTRounds        int64   `json:"gvt_rounds"`
+	GVTTimeNs        int64   `json:"gvt_time_ns"`
+	IdleNs           int64   `json:"idle_ns"`
+	MigratedEvents   int64   `json:"migrated_events,omitempty"`
+	Migrations       int64   `json:"migrations,omitempty"`
+	MPIBytes         int64   `json:"mpi_bytes"`
+	MPIMessages      int64   `json:"mpi_messages"`
 	// NullMessages counts conservative null-message traffic; omitted when
 	// zero so Time Warp reports keep their byte layout.
-	NullMessages   int64  `json:"null_messages,omitempty"`
-	CommitChecksum string `json:"commit_checksum"`
-
-	// Robustness counters (see stats.Run); omitted when zero so
-	// fault-free reports keep their pre-fault-injection byte layout.
-	Retransmits      int64 `json:"retransmits,omitempty"`
-	TransportDups    int64 `json:"transport_dups,omitempty"`
-	FaultDrops       int64 `json:"fault_drops,omitempty"`
-	FaultDups        int64 `json:"fault_dups,omitempty"`
-	FaultJitters     int64 `json:"fault_jitters,omitempty"`
-	FaultWindowDrops int64 `json:"fault_window_drops,omitempty"`
-
-	// Load-balancer counters (see stats.Run); omitted when zero so
-	// static-policy reports keep their pre-balancer byte layout.
-	Migrations     int64 `json:"migrations,omitempty"`
-	MigratedEvents int64 `json:"migrated_events,omitempty"`
+	NullMessages  int64 `json:"null_messages,omitempty"`
+	Processed     int64 `json:"processed"`
+	Retransmits   int64 `json:"retransmits,omitempty"`
+	Rollbacks     int64 `json:"rollbacks"`
+	RolledBack    int64 `json:"rolled_back"`
+	SentLocal     int64 `json:"sent_local"`
+	SentRegional  int64 `json:"sent_regional"`
+	SentRemote    int64 `json:"sent_remote"`
+	Stragglers    int64 `json:"stragglers"`
+	SyncRounds    int64 `json:"sync_rounds"`
+	TransportDups int64 `json:"transport_dups,omitempty"`
+	WallNanos     int64 `json:"wall_ns"`
 }
 
 // RunStatsOf copies a finished run's aggregates into report form. A
@@ -140,25 +137,25 @@ func RunStatsOf(r *stats.Run) RunStats {
 // lockstep with the report's Rounds series: Samples[i] was taken at
 // Rounds[i].
 type WorkerSeries struct {
-	Worker  int            `json:"worker"`
 	Node    int            `json:"node"`
 	Samples []WorkerSample `json:"samples"`
+	Worker  int            `json:"worker"`
 }
 
 // Report is the exported run document: configuration, final aggregates,
 // the sampled time series, and registry contents.
 type Report struct {
-	Schema string    `json:"schema"`
-	Config RunConfig `json:"config"`
-	Stats  RunStats  `json:"stats"`
+	Config     RunConfig          `json:"config"`
+	Counters   []NamedValue       `json:"counters"`
+	Gauges     []NamedValue       `json:"gauges"` // always []: a schema key nothing fills
+	Histograms []HistogramSummary `json:"histograms"`
+	Rounds     []RoundSample      `json:"rounds"`
 	// SampleStride is the final sampling stride in GVT rounds (1 unless
 	// the buffers filled and the recorder decimated).
-	SampleStride int                `json:"sample_stride"`
-	Rounds       []RoundSample      `json:"rounds"`
-	Workers      []WorkerSeries     `json:"workers"`
-	Counters     []NamedValue       `json:"counters"`
-	Gauges       []NamedValue       `json:"gauges"` // always []: a schema key nothing fills
-	Histograms   []HistogramSummary `json:"histograms"`
+	SampleStride int            `json:"sample_stride"`
+	Schema       string         `json:"schema"`
+	Stats        RunStats       `json:"stats"`
+	Workers      []WorkerSeries `json:"workers"`
 }
 
 // Checksum formats a commit checksum for the report.
