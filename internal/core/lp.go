@@ -9,7 +9,7 @@ import (
 
 // histEntry records one processed event together with everything needed to
 // undo it: the state snapshots taken just before processing (on snapshot
-// entries) and the events it sent.
+// entries) and how many events it sent, which lp.sent holds.
 type histEntry struct {
 	ev *event.Event
 	// hasSnap marks entries preceded by a state snapshot. With
@@ -20,10 +20,10 @@ type histEntry struct {
 	// collection but retained because a later rollback may need to
 	// coast-forward across them.
 	committed bool
+	nsent     int32     // the events ev sent: this entry's run of lp.sent
 	snapping  any       // model snapshot before ev (hasSnap only)
 	snapRNG   rng.State // RNG state before ev (hasSnap only)
 	snapSeq   uint64    // tie-break sequence counter before ev (hasSnap only)
-	sent      []*event.Event
 }
 
 // lp is one logical process: the shared base plus rollback machinery.
@@ -33,6 +33,9 @@ type lp struct {
 	// history holds processed, not-yet-fossil-collected events in
 	// ascending stamp order.
 	history []histEntry
+	// sent holds the events the history's entries sent, entry after entry
+	// in history order: each entry owns the next nsent of them.
+	sent []*event.Event
 
 	// sinceSnap counts processed events since the last snapshot entry.
 	sinceSnap int
@@ -82,12 +85,12 @@ func (l *lp) findProcessed(anti *event.Event) int {
 
 // execCtx is the Context used while processing an event; a worker reuses
 // one across events. Send adds what Time Warp needs to the shared
-// stamping: a pooled event, its anti-message identity, and the sent list
-// a rollback cancels.
+// stamping: a pooled event, its anti-message identity, and its place in
+// the LP's sent log, which a rollback cancels.
 type execCtx struct {
 	pe.Ctx
-	w    *worker
-	sent []*event.Event
+	w *worker
+	l *lp
 }
 
 func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
@@ -99,7 +102,7 @@ func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byt
 	ev := c.w.node.pool.Get()
 	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	ev.MatchID = c.w.eng.nextMatchID()
-	c.sent = append(c.sent, ev)
+	c.l.sent = append(c.l.sent, ev)
 }
 
 // replayCtx coast-forwards an already-processed event after a partial

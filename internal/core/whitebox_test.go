@@ -409,3 +409,113 @@ func TestCreditIdlePassesInClosedForm(t *testing.T) {
 		}
 	}
 }
+
+// fanModel is chainModel with a varying fan-out: besides the chain's one
+// event, the event at t sends int(t)%3 more to the far LP, due well past
+// what the test processes, so an entry sends 1, 2 or 3 events.
+type fanModel struct {
+	chainModel
+	far event.LPID
+}
+
+func (m *fanModel) OnEvent(ctx Context, ev *event.Event) {
+	m.chainModel.OnEvent(ctx, ev)
+	for i := 0; i < int(ctx.Now())%3; i++ {
+		ctx.Send(m.far, 50, 0, nil)
+	}
+}
+
+// TestSentLogFollowsHistory: an LP's sent log is its history's sends,
+// entry after entry. Through processing, a straggler rollback, an
+// anti-message rollback, a fossil collection and a full one, every entry's
+// run of the log holds exactly what its event sent (sent at its stamp, as
+// many as the model sends there), the runs add up to the log, and no
+// recycled event stays pinned past the log's end.
+func TestSentLogFollowsHistory(t *testing.T) {
+	eng := New(Config{
+		Topology:           cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: 2},
+		GVT:                GVTMattern,
+		GVTInterval:        10,
+		CheckpointInterval: 3,
+		Comm:               CommDedicated,
+		EndTime:            100,
+		Seed:               1,
+		Model: func(lp event.LPID, total int) Model {
+			return &fanModel{chainModel: chainModel{self: lp, next: lp}, far: 1}
+		},
+	})
+	w := eng.nodes[0].workers[0]
+	check := func(step string) {
+		t.Helper()
+		for _, l := range w.lps {
+			at := 0
+			for _, e := range l.history {
+				n := int(e.nsent)
+				if want := 1 + int(e.ev.Stamp.T)%3; l.ID == 0 && n != want {
+					t.Fatalf("%s: LP %d entry at %v owns %d sends, its event sent %d", step, l.ID, e.ev.Stamp.T, n, want)
+				}
+				if at+n > len(l.sent) {
+					t.Fatalf("%s: LP %d entries own more than the %d events of the log", step, l.ID, len(l.sent))
+				}
+				for _, out := range l.sent[at : at+n] {
+					if out.Freed() || out.Src != l.ID || out.SendTime != e.ev.Stamp.T {
+						t.Fatalf("%s: LP %d entry at %v owns %v (sent at %v, freed %v)", step, l.ID, e.ev.Stamp.T, out, out.SendTime, out.Freed())
+					}
+				}
+				at += n
+			}
+			if at != len(l.sent) {
+				t.Fatalf("%s: LP %d entries own %d sends, the log holds %d", step, l.ID, at, len(l.sent))
+			}
+			for i, out := range l.sent[len(l.sent):cap(l.sent)] {
+				if out != nil {
+					t.Fatalf("%s: LP %d log pins %v at %d past its end", step, l.ID, out, len(l.sent)+i)
+				}
+			}
+		}
+	}
+	processBelow := func(end float64) {
+		for w.Pending.Peek().Stamp.T < end {
+			w.processOne(w.Pending.Pop())
+		}
+	}
+	drive(t, eng, func() {
+		l := w.lps[0]
+		processBelow(6.5)
+		check("process")
+		if len(l.history) != 6 || len(l.sent) < 6 {
+			t.Fatalf("history %d, log %d: not the run this test needs", len(l.history), len(l.sent))
+		}
+
+		w.deliver(mkEvent(eng, 2.5, 1, 0, 999))
+		if w.St.Stragglers != 1 {
+			t.Fatalf("straggler rollbacks = %d, want 1", w.St.Stragglers)
+		}
+		check("straggler rollback")
+
+		ext := mkEvent(eng, 4.25, 1, 0, 1000)
+		w.deliver(ext)
+		processBelow(6)
+		check("process again")
+
+		w.deliver(ext.AntiCopy())
+		if w.St.AntiRollbck != 1 {
+			t.Fatalf("anti-message rollbacks = %d, want 1", w.St.AntiRollbck)
+		}
+		check("anti-message rollback")
+
+		before := len(l.history)
+		w.applyGVT(3.2)
+		if len(l.history) == 0 || len(l.history) >= before {
+			t.Fatalf("fossil collection left %d of %d entries: not the partial one this test needs", len(l.history), before)
+		}
+		check("fossil collection")
+
+		processBelow(7)
+		w.applyGVT(w.Pending.Peek().Stamp.T)
+		if len(l.history) != 0 || len(l.sent) != 0 {
+			t.Fatalf("full fossil collection left %d entries and %d sends", len(l.history), len(l.sent))
+		}
+		check("full fossil collection")
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/pe"
@@ -23,10 +24,6 @@ type worker struct {
 	// exec and replay are the model contexts, reused across events.
 	exec   execCtx
 	replay replayCtx
-
-	// sentFree recycles histEntry.sent backing arrays freed at fossil
-	// collection and rollback.
-	sentFree [][]*event.Event
 
 	antis []*event.Event // rollback's buffer of cancellations to route, kept between rollbacks
 
@@ -99,33 +96,6 @@ func (w *worker) assertLive(ev *event.Event, where string) {
 		panic(fmt.Sprintf("core: use-after-recycle: freed event touched in %s at worker %d/%d",
 			where, w.node.ID, w.Idx))
 	}
-}
-
-// takeSentBuf hands processOne a recycled sent-events backing array.
-func (w *worker) takeSentBuf() []*event.Event {
-	if n := len(w.sentFree); n > 0 {
-		b := w.sentFree[n-1]
-		w.sentFree[n-1] = nil
-		w.sentFree = w.sentFree[:n-1]
-		return b
-	}
-	return nil
-}
-
-// sentFreeCap bounds the sent-buffer free list; beyond it, retired
-// buffers fall back to the garbage collector.
-const sentFreeCap = 256
-
-// putSentBuf retires a histEntry.sent backing array for reuse.
-func (w *worker) putSentBuf(b []*event.Event) {
-	if cap(b) == 0 || len(w.sentFree) >= sentFreeCap {
-		return
-	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = nil
-	}
-	w.sentFree = append(w.sentFree, b[:0])
 }
 
 func (w *worker) lpByID(id event.LPID) *lp {
@@ -399,7 +369,7 @@ func (w *worker) processOne(ev *event.Event) {
 	cfg := &w.eng.cfg
 	// The event's charges — overhead, state save, the model's Spins — are
 	// owed until OnEvent sends or returns and pass in one switch; until
-	// then only the LP and the sent list are touched, which no other
+	// then only the LP and its sent log are touched, which no other
 	// thread reads.
 	w.Owe(w.node.Cost.EventOverhead)
 	entry := histEntry{ev: ev}
@@ -415,22 +385,15 @@ func (w *worker) processOne(ev *event.Event) {
 		l.sinceSnap = 0
 	}
 	ctx := &w.exec
-	ctx.LP, ctx.T, ctx.sent = &l.LP, ev.Stamp.T, w.takeSentBuf()
+	ctx.LP, ctx.T, ctx.l = &l.LP, ev.Stamp.T, l
+	n := len(l.sent)
 	l.Model.OnEvent(ctx, ev)
 	w.Settle()
-	sent := ctx.sent
-	ctx.sent = nil
-	if len(sent) == 0 {
-		// Nothing sent: keep the recycled buffer for the next event so
-		// entry.sent stays nil exactly as with fresh allocation.
-		w.putSentBuf(sent)
-	} else {
-		entry.sent = sent
-	}
+	entry.nsent = int32(len(l.sent) - n)
 	l.history = append(l.history, entry)
 	w.uncommitted++
 	w.St.Processed++
-	for _, out := range sent {
+	for _, out := range l.sent[n:] {
 		w.route(out)
 	}
 }
@@ -545,25 +508,32 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 		})
 	}
 
-	// Re-enqueue the undone events and collect cancellations. Routing a
-	// local anti-message can roll another LP back, so the buffer is detached
-	// while this rollback reads it: a nested one allocates its own.
+	// Re-enqueue the undone events and collect cancellations: the popped
+	// entries own the tail of the sent log, in their order, and it is cut
+	// off before any anti-message is routed. Routing a local anti-message
+	// can roll another LP back, so the buffer is detached while this
+	// rollback reads it: a nested one allocates its own.
 	antis := w.antis[:0]
 	w.antis = nil
 	debug := w.eng.cfg.PoolDebug
+	cut := len(l.sent)
+	for i := range popped {
+		cut -= int(popped[i].nsent)
+	}
+	sent := l.sent[cut:]
 	for i := range popped {
 		entry := &popped[i]
 		w.Pending.Push(entry.ev)
-		for _, out := range entry.sent {
+		for _, out := range sent[:entry.nsent] {
 			if debug {
 				w.assertLive(out, "rollback anti-copy")
 			}
 			antis = append(antis, out.AntiCopyInto(w.node.pool.Get()))
 		}
-		w.putSentBuf(entry.sent)
-		entry.sent = nil
+		sent = sent[entry.nsent:]
 		entry.snapping = nil
 	}
+	l.sent = slices.Delete(l.sent, cut, len(l.sent))
 	for _, a := range antis {
 		w.route(a)
 	}
@@ -602,16 +572,17 @@ func (w *worker) applyGVT(g float64) {
 		if free > 0 {
 			freed += int64(free)
 			// The freed prefix is fully committed: recycle each entry's
-			// event and its sent-list backing array. The sent events
+			// event and drop its run of the sent log. The sent events
 			// themselves belong to their receivers (they are freed — or
-			// already were — by the receiver's own fossil collection).
+			// already were — by the receiver's own fossil collection), so
+			// the vacated tails are cleared to pin none of them.
+			sent := 0
 			for i := 0; i < free; i++ {
-				entry := &l.history[i]
-				w.node.pool.Put(entry.ev)
-				w.putSentBuf(entry.sent)
-				entry.sent = nil
+				w.node.pool.Put(l.history[i].ev)
+				sent += int(l.history[i].nsent)
 			}
-			l.history = append(l.history[:0], l.history[free:]...)
+			l.history = slices.Delete(l.history, 0, free)
+			l.sent = slices.Delete(l.sent, 0, sent)
 			if len(l.history) == 0 {
 				// The whole history was freed: the next processed event
 				// must carry a snapshot, or a later rollback would find no

@@ -16,10 +16,11 @@ import "fmt"
 // would otherwise silently corrupt a live event.
 type Pool struct {
 	free  []*Event
+	slab  []Event // the fresh events not yet handed out
 	debug bool
 
 	// Stats, all monotone counters.
-	News uint64 // events allocated fresh because the free list was empty
+	News uint64 // events handed out fresh because the free list was empty
 	Gets uint64 // events handed out (recycled; excludes News)
 	Puts uint64 // events returned to the free list
 }
@@ -39,12 +40,23 @@ const (
 	poisonColor = 0xEE
 )
 
+// slabMax caps a slab, the []Event fresh events are carved from. A new slab
+// holds as many events as the pool has made so far, up to slabMax: a
+// high-water mark of N events costs O(log N) allocations, and at most half
+// of a slab sits unused.
+const slabMax = 256
+
 // Get returns a zeroed event, recycling from the free list when possible.
 func (p *Pool) Get() *Event {
 	n := len(p.free)
 	if n == 0 {
+		if len(p.slab) == 0 {
+			p.slab = make([]Event, min(max(p.News, 1), slabMax))
+		}
+		e := &p.slab[0]
+		p.slab = p.slab[1:]
 		p.News++
-		return &Event{}
+		return e
 	}
 	e := p.free[n-1]
 	p.free[n-1] = nil

@@ -1,6 +1,8 @@
 package event
 
 import (
+	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,4 +112,78 @@ func TestAntiCopyInto(t *testing.T) {
 	if !got.Anti || !got.Matches(e) {
 		t.Fatalf("anti does not match original: %+v", got)
 	}
+}
+
+// TestPoolSlabs: an empty pool reaches a high-water mark of N events in at
+// most ⌈log₂N⌉+1 allocations (each slab as long as what the pool has made
+// so far, up to slabMax, so this holds to N = 3·slabMax), hands out N
+// distinct zeroed events and counts each in News; and poisoning still
+// catches a stale write to a slab-born event.
+func TestPoolSlabs(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 255, 256, 257, 512, 768} {
+		bound := float64(bits.Len(uint(n-1))) + 1 // ⌈log₂n⌉+1
+		if allocs := testing.AllocsPerRun(5, func() {
+			var p Pool
+			for range n {
+				p.Get()
+			}
+		}); allocs > bound {
+			t.Errorf("%d Gets from an empty pool: %v allocations, bound %v", n, allocs, bound)
+		}
+		p := NewPool(false)
+		seen := make(map[*Event]bool, n)
+		for range n {
+			e := p.Get()
+			if seen[e] {
+				t.Fatalf("%d Gets: an event handed out twice", n)
+			}
+			seen[e] = true
+			if !reflect.ValueOf(*e).IsZero() {
+				t.Fatalf("%d Gets: a fresh event not zeroed: %+v", n, e)
+			}
+			e.Stamp.T, e.MatchID = 1, 2 // a live event's writes must not reach another
+		}
+		if p.News != uint64(n) || p.Gets != 0 {
+			t.Errorf("%d Gets: News=%d Gets=%d", n, p.News, p.Gets)
+		}
+	}
+
+	p := NewPool(true)
+	p.Get()
+	p.Get()
+	p.Get()
+	stale := p.Get() // the second event of the third slab
+	p.Get()
+	p.Put(stale)
+	stale.Kind = 7
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "use-after-recycle") {
+			t.Fatalf("a stale write to a slab-born event: recovered %v", r)
+		}
+	}()
+	p.Get()
+}
+
+// BenchmarkPoolGet prices a Get: fresh, from slabs (the pool replaced
+// every 1024 Gets, so the slabs stay short), and recycled, a Put and a
+// Get on a warm free list.
+func BenchmarkPoolGet(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		p := NewPool(false)
+		for i := range b.N {
+			if i%1024 == 0 {
+				p = NewPool(false)
+			}
+			p.Get()
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		b.ReportAllocs()
+		p := NewPool(false)
+		p.Put(p.Get())
+		for range b.N {
+			p.Put(p.Get())
+		}
+	})
 }

@@ -40,13 +40,14 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 // the three engine shapes of the host benchmark (as in
 // TestKernelDispatchesPinned), the heap allocations of New plus Run per
 // committed event, and the bytes they take, stay under bounds written
-// here. What remains is set-up
-// — model build, seeding, thread spawn — and, on the Time Warp shapes, the
-// model's boxed snapshots (DESIGN.md "Allocations per commit"); the
-// per-event engine path allocates nothing once its free lists and slabs
-// have grown, which the marginal row checks on cons-nullmsg, whose model
-// boxes nothing: twice the end time may cost next to nothing per extra
-// commit. A bound may only go down.
+// here. What remains is set-up — model build, seeding, thread spawn — and
+// the growth of per-LP and per-worker slices (a Time Warp LP's history and
+// sent log, pending queues) to their high-water marks (DESIGN.md
+// "Allocations per commit"); the per-event engine path allocates nothing
+// once its free lists and slabs have grown. The marginal rows check that:
+// twice the end time may cost next to nothing per extra commit on
+// cons-nullmsg, and little on tw-comp, where that growth is most of what
+// is left. A bound may only go down.
 func TestEngineAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -56,15 +57,15 @@ func TestEngineAllocsPinned(t *testing.T) {
 	twComp.GVT, twComp.EndTime = "mattern", 100
 	twComm.GVT, twComm.Scenario, twComm.LPsPerWorker, twComm.EndTime = "ca-gvt", "comm", 8, 150
 	consNull.Sync, consNull.EndTime = "nullmsg", 8
-	var nullMallocs, nullCommitted uint64
+	base := map[string][2]uint64{} // mallocs, commits
 	for _, c := range []struct {
 		name       string
 		spec       Spec
 		bound      float64 // allocations per committed event
 		bytesBound float64 // bytes allocated per committed event
 	}{
-		{"tw-comp", twComp, 0.62, 149},
-		{"tw-comm", twComm, 0.49, 99},
+		{"tw-comp", twComp, 0.26, 133},
+		{"tw-comm", twComm, 0.22, 84},
 		{"cons-nullmsg", consNull, 0.93, 83},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
@@ -77,19 +78,26 @@ func TestEngineAllocsPinned(t *testing.T) {
 		if perBytes > c.bytesBound {
 			t.Errorf("%s: %.1f bytes per commit, bound %v", c.name, perBytes, c.bytesBound)
 		}
-		if c.name == "cons-nullmsg" {
-			nullMallocs, nullCommitted = mallocs, committed
-		}
+		base[c.name] = [2]uint64{mallocs, committed}
 	}
 
-	const marginalBound = 0.01
-	long := consNull
-	long.EndTime *= 2
-	mallocs, _, committed := allocsOf(t, long)
-	per := (float64(mallocs) - float64(nullMallocs)) / float64(committed-nullCommitted)
-	t.Logf("cons-nullmsg: end %v → %v added %d allocations for %d commits = %.4f per extra commit",
-		consNull.EndTime, long.EndTime, int64(mallocs)-int64(nullMallocs), committed-nullCommitted, per)
-	if per > marginalBound {
-		t.Errorf("cons-nullmsg: %.4f allocations per extra commit, bound %v", per, marginalBound)
+	for _, c := range []struct {
+		name  string
+		spec  Spec
+		bound float64 // allocations per extra committed event
+	}{
+		{"tw-comp", twComp, 0.07},
+		{"cons-nullmsg", consNull, 0.01},
+	} {
+		long := c.spec
+		long.EndTime *= 2
+		mallocs, _, committed := allocsOf(t, long)
+		b := base[c.name]
+		per := (float64(mallocs) - float64(b[0])) / float64(committed-b[1])
+		t.Logf("%s: end %v → %v added %d allocations for %d commits = %.4f per extra commit",
+			c.name, c.spec.EndTime, long.EndTime, int64(mallocs)-int64(b[0]), committed-b[1], per)
+		if per > c.bound {
+			t.Errorf("%s: %.4f allocations per extra commit, bound %v", c.name, per, c.bound)
+		}
 	}
 }
