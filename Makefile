@@ -83,13 +83,17 @@ benchdiff:
 # delivery through the wire heap (BenchmarkSendDeliver, 0 allocs/op), a
 # run report's encode (BenchmarkMarshalStable, 1 alloc/op), the event
 # pool's Get (BenchmarkPoolGet: fresh from a slab, and recycled), the
-# event queue, rollback storm, and two full Time Warp runs (RollbackHeavy,
+# event queue, rollback storm, two full Time Warp runs (RollbackHeavy,
 # GVTRounds) on the engine's one allocation path: events always recycle,
-# so there is no unpooled mode to A/B against.
+# so there is no unpooled mode to A/B against — and an engine's build
+# alone (BenchmarkEngineBuild: the three benchmark shapes, a cold job's
+# spec and the paper's 8 x 60 x 128 width; allocs/op is per worker, not
+# per LP).
 microbench:
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative ./internal/fabric ./internal/metrics ./internal/event
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
+	$(GO) test -run xxx -bench EngineBuild -benchmem -benchtime 10x ./internal/run
 
 # cover writes a coverage profile over the library packages — internal
 # plus the public SDK. CI fails if total coverage drops below its
@@ -107,7 +111,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 20986
+LOC_CEILING = 21067
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

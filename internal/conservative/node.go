@@ -76,8 +76,15 @@ func newNode(eng *Engine) *node {
 	n.chanIn = make([]vtime.Time, top.Nodes)
 	n.lastEOT = make([]vtime.Time, top.Nodes)
 	n.chanIn[n.ID] = vtime.Inf // self imposes no inbound bound
-	for i := 0; i < top.WorkersPerNode; i++ {
-		n.workers = append(n.workers, newWorker(n))
+	// The node's LP records and their last stamps are one array each, and
+	// a worker's block is a slice of both. The stamps stay apart: an array
+	// without pointers carries no allocation header (DESIGN.md
+	// "Allocations per commit", Set-up in slabs).
+	per := top.LPsPerWorker
+	lps, last := make([]pe.LP, top.WorkersPerNode*per), make([]vtime.Stamp, top.WorkersPerNode*per)
+	n.workers = make([]*worker, top.WorkersPerNode)
+	for i := range n.workers {
+		n.workers[i] = newWorker(n, lps[i*per:(i+1)*per], last[i*per:(i+1)*per])
 	}
 	if eng.cfg.Sync == SyncWindow {
 		eng.AddComm(&n.Node, n.commWindow)

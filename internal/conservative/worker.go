@@ -36,13 +36,12 @@ type worker struct {
 	sendQ []*event.Event
 }
 
-func newWorker(n *node) *worker {
-	top := &n.eng.cfg.Topology
+func newWorker(n *node, lps []pe.LP, last []vtime.Stamp) *worker {
 	w := &worker{
 		eng:      n.eng,
 		node:     n,
-		lps:      make([]pe.LP, top.LPsPerWorker),
-		last:     make([]vtime.Stamp, top.LPsPerWorker),
+		lps:      lps,
+		last:     last,
 		inboxMin: vtime.Inf,
 		holdMin:  vtime.Inf,
 		execT:    vtime.Inf,

@@ -44,11 +44,9 @@ type lp struct {
 	// positives.
 	pendingAnti []*event.Event
 
-	// committed counts this LP's committed events; commitMark is the
-	// count at the balancer's last look, so committed-commitMark is the
-	// LP's "heat" since then. Both travel with the LP on migration.
-	committed  int64
-	commitMark int64
+	// heat counts this LP's committed events since the balancer's last
+	// look. It travels with the LP on migration.
+	heat int64
 }
 
 // lastStamp returns the stamp of the most recent processed event, or the

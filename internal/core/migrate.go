@@ -55,12 +55,11 @@ type migMsg struct {
 	dstNode   int
 	dstWorker int
 
-	snap       any
-	rngState   rng.State
-	seq        uint64
-	checksum   stats.Checksum
-	committed  int64 // cumulative per-LP committed count (heat continuity)
-	commitMark int64
+	snap     any
+	rngState rng.State
+	seq      uint64
+	checksum stats.Checksum
+	heat     int64 // committed events since the balancer's last look
 
 	events []*event.Event // pending events, stamp order
 	antis  []*event.Event // stashed anti-messages (>= GVT)
@@ -120,8 +119,8 @@ func (e *Engine) planBalance(gvt float64) {
 			}
 			ns.LPs += len(w.lps)
 			for _, l := range w.lps {
-				lpLoads = append(lpLoads, balance.LPLoad{LP: l.ID, Node: ni, Heat: l.committed - l.commitMark})
-				l.commitMark = l.committed
+				lpLoads = append(lpLoads, balance.LPLoad{LP: l.ID, Node: ni, Heat: l.heat})
+				l.heat = 0
 			}
 		}
 		ns.CommittedDelta = ns.Committed - e.prevCommitted[ni]
@@ -201,12 +200,13 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 
 	m := &migMsg{
 		lp: l.ID, dstNode: o.dstNode, dstWorker: o.dstWorker,
-		snap:      l.Model.Snapshot(),
-		rngState:  l.RNG.Save(),
-		seq:       l.Seq,
-		checksum:  l.Checksum,
-		committed: l.committed, commitMark: l.commitMark,
-		events: events, antis: antis,
+		snap:     l.Model.Snapshot(),
+		rngState: l.RNG.Save(),
+		seq:      l.Seq,
+		checksum: l.Checksum,
+		heat:     l.heat,
+		events:   events,
+		antis:    antis,
 	}
 	// Detach the LP from this worker, then reroute: from this instant
 	// every new send targets the destination worker.
@@ -285,14 +285,13 @@ func (w *worker) installMigration(m *migMsg) {
 	w.Proc.Advance(cost.MigrateInstall + sim.Time(len(m.events)+len(m.antis))*cost.MigratePerEvent)
 
 	l := &lp{LP: pe.LP{
-		ID: m.lp, Model: cfg.Model(m.lp, cfg.Topology.TotalLPs()), RNG: rng.New(0),
+		ID: m.lp, Model: cfg.Model(m.lp, cfg.Topology.TotalLPs()),
 		Seq: m.seq, Checksum: m.checksum,
 	}}
 	l.Model.Restore(m.snap)
 	l.RNG.Restore(m.rngState)
 	eng.Host(&l.LP)
-	l.committed = m.committed
-	l.commitMark = m.commitMark
+	l.heat = m.heat
 	l.pendingAnti = m.antis
 	w.lps = append(w.lps, l)
 	w.byID[l.ID] = l

@@ -21,16 +21,22 @@ type worker struct {
 	lps  []*lp
 	byID map[event.LPID]*lp // lookup only; lps keeps the deterministic order
 
+	// histChunk and sentChunk are where an LP's first history and sent-log
+	// capacity comes from (carveLogs).
+	histChunk []histEntry
+	sentChunk []*event.Event
+
 	// exec and replay are the model contexts, reused across events.
 	exec   execCtx
 	replay replayCtx
 
 	antis []*event.Event // rollback's buffer of cancellations to route, kept between rollbacks
 
-	// Migration state (engine.migEnabled only). migOut holds orders the
-	// planner parked for the next applyGVT; migIn is the mailbox arrived
-	// migrations wait in; limbo parks events that arrived ahead of their
-	// migrating LP (in arrival order) until it is installed.
+	// Migration state (engine.migEnabled only; migIn is the zero, empty
+	// mailbox otherwise). migOut holds orders the planner parked for the
+	// next applyGVT; migIn is the mailbox arrived migrations wait in; limbo
+	// parks events that arrived ahead of their migrating LP (in arrival
+	// order) until it is installed.
 	migOut []migOrder
 	migIn  pe.Mailbox[*migMsg]
 	limbo  []*event.Event
@@ -52,7 +58,8 @@ type worker struct {
 	drainSlot    uint8   // epoch slot being drained by the in-progress round
 	minRed       float64 // min stamp among new-epoch sends this round
 
-	// Samadi GVT state: the acknowledgement mailbox, the send stamps of
+	// Samadi GVT state (engine.acks only; without it unacked is nil, so
+	// unackedMin is +Inf): the acknowledgement mailbox, the send stamps of
 	// sent-but-unacknowledged messages by ack id, and the ids issued.
 	ackIn   pe.Mailbox[ack]
 	unacked map[uint64]float64
@@ -72,21 +79,48 @@ type worker struct {
 }
 
 func newWorker(eng *Engine, n *node) *worker {
-	w := &worker{eng: eng, node: n, minRed: vtime.Inf, unacked: make(map[uint64]float64)}
+	w := &worker{eng: eng, node: n, minRed: vtime.Inf}
 	eng.AddWorker(&w.Worker, &n.Node, w.run)
 	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
-	w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
-	w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
+	if eng.acks {
+		w.unacked = make(map[uint64]float64)
+		w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
+	}
+	if eng.migEnabled {
+		w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
+	}
 	w.IdlePass(w.finished, w.creditIdlePasses, w.idleProbes()...)
-	w.byID = make(map[event.LPID]*lp, eng.cfg.Topology.LPsPerWorker)
-	for i := 0; i < eng.cfg.Topology.LPsPerWorker; i++ {
-		l := &lp{}
+	// The worker's LPs are one array; a migrated-in LP is allocated alone.
+	lps := make([]lp, eng.cfg.Topology.LPsPerWorker)
+	w.lps = make([]*lp, len(lps))
+	w.byID = make(map[event.LPID]*lp, len(lps))
+	for i := range lps {
+		l := &lps[i]
 		eng.AddLP(&l.LP)
-		w.lps = append(w.lps, l)
+		w.lps[i] = l
 		w.byID[l.ID] = l
 	}
 	return w
+}
+
+// firstLogCap is the history and sent-log capacity an LP gets at its
+// first processed event: room for the entries an LP typically holds
+// between fossil collections, so most LPs never grow either log, and one
+// that outgrows it appends past it as usual.
+const firstLogCap = 8
+
+// carveLogs gives l, whose logs have no capacity yet, firstLogCap entries
+// of each from the worker's chunks, which hold that much for each of the
+// worker's LPs. They are allocated at the first need, not at build: an LP
+// that never processes an event costs no log.
+func (w *worker) carveLogs(l *lp) {
+	if len(w.histChunk) < firstLogCap {
+		n := firstLogCap * w.eng.cfg.Topology.LPsPerWorker
+		w.histChunk, w.sentChunk = make([]histEntry, n), make([]*event.Event, n)
+	}
+	l.history, w.histChunk = w.histChunk[:0:firstLogCap], w.histChunk[firstLogCap:]
+	l.sent, w.sentChunk = w.sentChunk[:0:firstLogCap], w.sentChunk[firstLogCap:]
 }
 
 // assertLive panics if ev was recycled while still referenced (PoolDebug
@@ -366,6 +400,9 @@ func (w *worker) processOne(ev *event.Event) {
 	if ev.Stamp.Before(l.lastStamp()) {
 		panic(fmt.Sprintf("core: pending straggler leaked to processing: %v behind %v", ev, l.lastStamp()))
 	}
+	if cap(l.history) == 0 {
+		w.carveLogs(l)
+	}
 	cfg := &w.eng.cfg
 	// The event's charges — overhead, state save, the model's Spins — are
 	// owed until OnEvent sends or returns and pass in one switch; until
@@ -553,7 +590,7 @@ func (w *worker) applyGVT(g float64) {
 			if !entry.committed {
 				w.Commit(&l.LP, entry.ev)
 				entry.committed = true
-				l.committed++
+				l.heat++
 				w.uncommitted--
 			}
 			cut++

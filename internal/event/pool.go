@@ -16,7 +16,7 @@ import "fmt"
 // would otherwise silently corrupt a live event.
 type Pool struct {
 	free  []*Event
-	slab  []Event // the fresh events not yet handed out
+	slab  Slab[Event] // where fresh events come from
 	debug bool
 
 	// Stats, all monotone counters.
@@ -40,23 +40,39 @@ const (
 	poisonColor = 0xEE
 )
 
-// slabMax caps a slab, the []Event fresh events are carved from. A new slab
-// holds as many events as the pool has made so far, up to slabMax: a
-// high-water mark of N events costs O(log N) allocations, and at most half
-// of a slab sits unused.
+// slabMax caps the array a Slab carves from. A new array holds as many
+// values as the slab has handed out so far, up to slabMax: N values cost
+// O(log N) + N/slabMax allocations, and at most half of an array sits
+// unused.
 const slabMax = 256
+
+// Slab hands out fresh zero values of T carved from arrays it grows as
+// slabMax says, instead of allocating each one: a Pool's fresh events, and
+// what a build makes once per LP (a factory's models, a run's seed
+// events). The zero Slab is ready. Like Pool it is unsynchronized, and an
+// array stays live while any value carved from it does.
+type Slab[T any] struct {
+	free []T // the rest of the current array
+	made int
+}
+
+// New returns a pointer to a fresh zero T.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(max(s.made, 1), slabMax))
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	s.made++
+	return v
+}
 
 // Get returns a zeroed event, recycling from the free list when possible.
 func (p *Pool) Get() *Event {
 	n := len(p.free)
 	if n == 0 {
-		if len(p.slab) == 0 {
-			p.slab = make([]Event, min(max(p.News, 1), slabMax))
-		}
-		e := &p.slab[0]
-		p.slab = p.slab[1:]
 		p.News++
-		return e
+		return p.slab.New()
 	}
 	e := p.free[n-1]
 	p.free[n-1] = nil

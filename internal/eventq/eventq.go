@@ -34,10 +34,14 @@ type Queue interface {
 }
 
 // New returns a queue of the named kind ("heap" or "calendar").
-func New(kind string) Queue {
+func New(kind string) Queue { return NewSized(kind, 0) }
+
+// NewSized is New with room for n events: a heap holds n before its first
+// growth, and a calendar, which sizes its buckets itself, ignores n.
+func NewSized(kind string, n int) Queue {
 	switch kind {
 	case "", "heap":
-		return NewHeap()
+		return &Heap{ev: make([]*event.Event, 0, n)}
 	case "calendar":
 		return NewCalendar()
 	default:

@@ -92,13 +92,16 @@ type Model struct {
 // topology's LP count (checked lazily at first construction).
 func New(p Params) pe.ModelFactory {
 	p.Defaults()
+	var models event.Slab[Model]
 	return func(lp event.LPID, total int) pe.Model {
 		if lp == 0 {
 			if err := p.Validate(total); err != nil {
 				panic(err)
 			}
 		}
-		return &Model{p: &p, self: lp}
+		m := models.New()
+		*m = Model{p: &p, self: lp}
+		return m
 	}
 }
 

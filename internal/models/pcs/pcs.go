@@ -78,13 +78,16 @@ type Model struct {
 // New returns the model factory.
 func New(p Params) pe.ModelFactory {
 	p.Defaults()
+	var models event.Slab[Model]
 	return func(lp event.LPID, total int) pe.Model {
 		if lp == 0 {
 			if err := p.Validate(total); err != nil {
 				panic(err)
 			}
 		}
-		return &Model{p: &p, self: lp}
+		m := models.New()
+		*m = Model{p: &p, self: lp}
+		return m
 	}
 }
 

@@ -91,8 +91,11 @@ func New(p Params) pe.ModelFactory {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	var models event.Slab[Model]
 	return func(lp event.LPID, total int) pe.Model {
-		return &Model{p: &p, self: lp, stages: total}
+		m := models.New()
+		*m = Model{p: &p, self: lp, stages: total}
+		return m
 	}
 }
 

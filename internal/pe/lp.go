@@ -15,7 +15,7 @@ import (
 type LP struct {
 	ID    event.LPID
 	Model Model
-	RNG   *rng.Stream
+	RNG   rng.Stream // by value: the LP record holds it, Ctx.RNG lends it
 
 	// Seq is the tie-break sequence number of the last event this LP sent.
 	// It is part of the LP's state: an engine that rolls back rewinds it,
@@ -53,20 +53,25 @@ type Ctx struct {
 
 func (c *Ctx) Self() event.LPID { return c.LP.ID }
 func (c *Ctx) Now() vtime.Time  { return c.T }
-func (c *Ctx) RNG() *rng.Stream { return c.LP.RNG }
+func (c *Ctx) RNG() *rng.Stream { return &c.LP.RNG }
 func (c *Ctx) NumLPs() int      { return len(c.W.rt.lps) }
 func (c *Ctx) Spin(units int)   { c.W.Owe(c.W.Node.Cost.EPGCost(units)) } // the engine settles it
 
 // seedCtx is the context of Model.Init: virtual time is zero, no CPU time
 // passes, and a send lands directly in the destination worker's pending
 // set — initial conditions, present before any thread runs, exactly as
-// the sequential oracle seeds them.
-type seedCtx struct{ Ctx }
+// the sequential oracle seeds them. Seed events come from one slab for
+// the whole run, not from the node pools, whose counts stay those of the
+// run itself.
+type seedCtx struct {
+	Ctx
+	events event.Slab[event.Event]
+}
 
 func (c *seedCtx) Spin(int) {}
 
 func (c *seedCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	ev := &event.Event{}
+	ev := c.events.New()
 	c.LP.Stamp(ev, 0, dst, delay, kind, data)
 	rt := c.W.rt
 	rt.workers[rt.cfg.Topology.GlobalWorkerOf(dst)].Pending.Push(ev)

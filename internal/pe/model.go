@@ -56,5 +56,9 @@ type Context interface {
 	Spin(units int)
 }
 
-// ModelFactory builds the model for each LP.
+// ModelFactory builds the model for each LP. A factory may carve its
+// models from a slab it keeps (event.Slab), so it is not safe for
+// concurrent use: an engine calls it from one goroutine at a time — its
+// build, its migrations' rebuilds, an oracle run — and each concurrent run
+// needs a factory of its own.
 type ModelFactory func(lp event.LPID, total int) Model

@@ -124,6 +124,16 @@ func TestMailboxTakeEmpty(t *testing.T) {
 	}
 }
 
+// TestZeroMailboxIsEmpty: a mailbox an engine never built (a Time Warp
+// worker's acknowledgement and migration boxes in runs that use neither)
+// answers the zero-cost peeks as an empty one.
+func TestZeroMailboxIsEmpty(t *testing.T) {
+	var box Mailbox[int]
+	if box.Len() != 0 || box.Items() != nil {
+		t.Errorf("zero mailbox: Len %d, Items %v", box.Len(), box.Items())
+	}
+}
+
 // TestMailboxSteadyStateAllocs: once both arrays have grown to the batch
 // size, deposit/take/recycle allocates nothing.
 func TestMailboxSteadyStateAllocs(t *testing.T) {

@@ -180,7 +180,10 @@ func (w *Worker) Settle() {
 func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 	gidx := len(rt.workers)
 	idx := gidx - n.ID*rt.cfg.Topology.WorkersPerNode
-	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.New(rt.cfg.QueueKind), rt: rt, phase: 0xFF}
+	// A pending set starts out holding about its LPs' seed events, one
+	// each for most models.
+	lps := rt.cfg.Topology.LPsPerWorker
+	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.NewSized(rt.cfg.QueueKind, lps), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
 	w.idle.init(n, w)

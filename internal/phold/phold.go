@@ -126,14 +126,19 @@ func (p *Params) PhaseAt(t vtime.Time) Phase {
 	return m.Comm
 }
 
-// New returns the model factory for these parameters.
+// New returns the model factory for these parameters. The factory carves
+// its models from one growing slab, so it serves one goroutine at a time
+// (pe.ModelFactory).
 func New(p Params) pe.ModelFactory {
 	p.Defaults()
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	var models event.Slab[Model]
 	return func(lp event.LPID, total int) pe.Model {
-		return &Model{p: &p, self: lp}
+		m := models.New()
+		*m = Model{p: &p, self: lp}
+		return m
 	}
 }
 

@@ -8,10 +8,13 @@
 // with exactly the random draws it used the first time.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// Stream is a xoshiro256** generator. The zero value is invalid; use New
-// or NewAt.
+// Stream is a xoshiro256** generator. The zero value is invalid until
+// Restore gives it a saved state; use New, NewAt or a Sequence.
 type Stream struct {
 	s [4]uint64
 }
@@ -58,17 +61,19 @@ func NewAt(seed uint64, n int) *Stream {
 // Next returns a stream identical to NewAt(seed, i), in O(1) jumps per
 // stream instead of O(i).
 type Sequence struct {
-	cur *Stream
+	cur Stream
 }
 
 // NewSequence starts the substream sequence of seed.
 func NewSequence(seed uint64) *Sequence {
-	return &Sequence{cur: New(seed)}
+	return &Sequence{cur: *New(seed)}
 }
 
-// Next returns the next substream.
-func (q *Sequence) Next() *Stream {
-	out := &Stream{s: q.cur.s}
+// Next returns the next substream, by value: the caller keeps it where it
+// keeps the rest of its state (an engine's LP record), so a stream costs
+// no allocation of its own.
+func (q *Sequence) Next() Stream {
+	out := q.cur
 	q.cur.LongJump()
 	return out
 }
@@ -104,24 +109,11 @@ func (st *Stream) Intn(n int) int {
 	un := uint64(n)
 	for {
 		v := st.Uint64()
-		hi, lo := mul64(v, un)
+		hi, lo := bits.Mul64(v, un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Exp returns an exponential draw with the given mean.

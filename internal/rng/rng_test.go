@@ -190,24 +190,6 @@ func TestIntnRangeProperty(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64
@@ -235,6 +217,44 @@ func TestSequenceMatchesNewAt(t *testing.T) {
 			if got.Uint64() != want.Uint64() {
 				t.Fatalf("Sequence stream %d diverges from NewAt", i)
 			}
+		}
+	}
+}
+
+// TestStreamsPinned pins the first draws of substreams 0, 1 and 255 of two
+// seeds, taken in this order from one stream: Uint64, Intn for n = 1, 3,
+// 1<<31+1 and MaxInt64 (the last two reject now and then, so they pin how
+// many draws Intn takes too), and Exp(1) as its bits. A stream handed out
+// by NewAt or by Sequence.Next must keep drawing these values: every
+// commit checksum depends on them.
+func TestStreamsPinned(t *testing.T) {
+	draws := func(s *Stream) [6]uint64 {
+		return [6]uint64{s.Uint64(), uint64(s.Intn(1)), uint64(s.Intn(3)), uint64(s.Intn(1<<31 + 1)),
+			uint64(s.Intn(math.MaxInt64)), math.Float64bits(s.Exp(1))}
+	}
+	want := []struct {
+		seed  uint64
+		sub   int
+		draws [6]uint64
+	}{
+		{0x1, 0, [6]uint64{0xb3f2af6d0fc710c5, 0, 1, 840371774, 6430335911997840184, 0x3fc3d68d0104d633}},
+		{0x1, 1, [6]uint64{0x39f49e454a208207, 0, 1, 1362507753, 80527283780214806, 0x3fc26b57f95d53c1}},
+		{0x1, 255, [6]uint64{0xf438caa18461223b, 0, 2, 616160941, 432683511185115448, 0x3ff2c74b0eaf3398}},
+		{0xc0ffee, 0, [6]uint64{0x120e99a6dde4a550, 0, 2, 677465599, 8913175201032644428, 0x3fd78ad3962b0f48}},
+		{0xc0ffee, 1, [6]uint64{0xf3fdce34671aaefc, 0, 0, 1571636517, 5332559452839370512, 0x3ff37de4d3aab242}},
+		{0xc0ffee, 255, [6]uint64{0x79b0d5755219402, 0, 1, 1645508764, 49756090465935145, 0x3fd13b8061b77b74}},
+	}
+	for _, w := range want {
+		if got := draws(NewAt(w.seed, w.sub)); got != w.draws {
+			t.Errorf("NewAt(%#x, %d): draws %#x, want %#x", w.seed, w.sub, got, w.draws)
+		}
+		q := NewSequence(w.seed)
+		for i := 0; i < w.sub; i++ {
+			q.Next()
+		}
+		s := q.Next()
+		if got := draws(&s); got != w.draws {
+			t.Errorf("Sequence(%#x) stream %d: draws %#x, want %#x", w.seed, w.sub, got, w.draws)
 		}
 	}
 }

@@ -27,15 +27,16 @@ type Result struct {
 
 // Engine is a sequential simulator instance.
 type Engine struct {
-	lps     []*seqLP
+	lps     []seqLP
 	pending *eventq.Heap
 	endTime vtime.Time
+	ctx     seqCtx // every callback's context: they never overlap
 }
 
 type seqLP struct {
 	id       event.LPID
 	model    pe.Model
-	rng      *rng.Stream
+	rng      rng.Stream
 	seq      uint64
 	lvt      vtime.Time
 	checksum stats.Checksum
@@ -49,19 +50,20 @@ func New(factory pe.ModelFactory, totalLPs int, endTime vtime.Time, seed uint64)
 	if endTime <= 0 {
 		panic("seq: endTime must be positive")
 	}
-	e := &Engine{pending: eventq.NewHeap(), endTime: endTime}
+	e := &Engine{lps: make([]seqLP, totalLPs), pending: eventq.NewHeap(), endTime: endTime}
 	streams := rng.NewSequence(seed)
-	for i := 0; i < totalLPs; i++ {
-		l := &seqLP{
+	for i := range e.lps {
+		e.lps[i] = seqLP{
 			id:       event.LPID(i),
 			model:    factory(event.LPID(i), totalLPs),
 			rng:      streams.Next(),
 			checksum: stats.NewChecksum(),
 		}
-		e.lps = append(e.lps, l)
 	}
-	for _, l := range e.lps {
-		l.model.Init(&seqCtx{e: e, lp: l})
+	e.ctx.e = e
+	for i := range e.lps {
+		e.ctx.lp = &e.lps[i]
+		e.ctx.lp.model.Init(&e.ctx)
 	}
 	return e
 }
@@ -76,19 +78,20 @@ func (e *Engine) Run() *Result {
 			break
 		}
 		e.pending.Pop()
-		l := e.lps[int(ev.Dst)]
+		l := &e.lps[int(ev.Dst)]
 		if ev.Stamp.T < l.lvt {
 			panic(fmt.Sprintf("seq: causality violation: %v behind LVT %.6g", ev, l.lvt))
 		}
 		l.lvt = ev.Stamp.T
-		l.model.OnEvent(&seqCtx{e: e, lp: l, now: ev.Stamp.T}, ev)
+		e.ctx.lp, e.ctx.now = l, ev.Stamp.T
+		l.model.OnEvent(&e.ctx, ev)
 		l.checksum = l.checksum.Mix(uint32(l.id), ev.Stamp.T, ev.Stamp.Src, ev.Stamp.Seq)
 		r.Processed++
 		r.FinalTime = ev.Stamp.T
 	}
 	var sum uint64
-	for _, l := range e.lps {
-		sum += uint64(l.checksum)
+	for i := range e.lps {
+		sum += uint64(e.lps[i].checksum)
 	}
 	r.Checksum = sum
 	return r
@@ -110,7 +113,7 @@ type seqCtx struct {
 
 func (c *seqCtx) Self() event.LPID { return c.lp.id }
 func (c *seqCtx) Now() vtime.Time  { return c.now }
-func (c *seqCtx) RNG() *rng.Stream { return c.lp.rng }
+func (c *seqCtx) RNG() *rng.Stream { return &c.lp.rng }
 func (c *seqCtx) NumLPs() int      { return len(c.e.lps) }
 func (c *seqCtx) Spin(int)         {} // CPU time is irrelevant sequentially
 
