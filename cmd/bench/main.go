@@ -84,7 +84,6 @@ func specs() []spec {
 		{name: "ca/comm", Spec: run.Spec{Nodes: 4, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comm", EndTime: 15}},
 		{name: "samadi/comm", Spec: run.Spec{Nodes: 2, GVT: "samadi", Comm: "dedicated", Scenario: "comm", EndTime: 15}},
 		{name: "queue-heap/comp", Spec: run.Spec{Nodes: 2, GVT: "mattern", Comm: "dedicated", Scenario: "comp", Queue: "heap", EndTime: 15}},
-		{name: "queue-calendar/comp", Spec: run.Spec{Nodes: 2, GVT: "mattern", Comm: "dedicated", Scenario: "comp", Queue: "calendar", EndTime: 15}},
 		{name: "telemetry/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", EndTime: 15}, metrics: true},
 		{name: "straggler-static/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", Balance: "static", Faults: "straggler", EndTime: 60}},
 		{name: "straggler-greedy/comp", Spec: run.Spec{Nodes: 2, GVT: "ca-gvt", Comm: "dedicated", Scenario: "comp", Balance: "greedy", Faults: "straggler", EndTime: 60}},

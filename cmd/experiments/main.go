@@ -26,6 +26,26 @@ import (
 	"repro/internal/metrics"
 )
 
+// checkOptions rejects flag values that are invalid or that a run spec
+// would silently read as "the default": a size, end time or job count of
+// 0 or below, a negative interval and a threshold outside (0,1]. Only
+// -interval 0 means a default, the per-figure one, as documented.
+func checkOptions(opt harness.Options) error {
+	names := []string{"workers", "lps", "end", "jobs"}
+	for i, v := range []float64{float64(opt.WorkersPerNode), float64(opt.LPsPerWorker), opt.EndTime, float64(opt.Jobs)} {
+		if !(v > 0) {
+			return fmt.Errorf("-%s must be positive, got %v", names[i], v)
+		}
+	}
+	if opt.GVTInterval < 0 {
+		return fmt.Errorf("-interval must be 0 (per-figure default) or positive, got %d", opt.GVTInterval)
+	}
+	if !(opt.CAThreshold > 0 && opt.CAThreshold <= 1) {
+		return fmt.Errorf("-threshold must be in (0,1], got %v", opt.CAThreshold)
+	}
+	return nil
+}
+
 func main() {
 	// The flags write straight into the harness defaults, so the two
 	// cannot drift apart.
@@ -53,8 +73,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if opt.Jobs < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -jobs must be >= 1, got %d\n", opt.Jobs)
+	if err := checkOptions(opt); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 	switch opt.Sync {

@@ -26,14 +26,18 @@ import (
 )
 
 // flagSpec turns the flags (s, sync, mix) into the run spec. Spec reads a
-// zero size, end time, interval or mix part as "the default", which a flag
-// never means, so they are rejected here; the rest is Canonical's.
+// zero size, end time, interval, threshold or mix part as "the default",
+// which a flag never means, so they are rejected here; the rest is
+// Canonical's.
 func flagSpec(s run.Spec, sync, mix string) (run.Spec, error) {
 	names := []string{"nodes", "workers", "lps", "end", "interval"}
 	for i, v := range []float64{float64(s.Nodes), float64(s.WorkersPerNode), float64(s.LPsPerWorker), s.EndTime, float64(s.GVTInterval)} {
 		if !(v > 0) {
 			return s, fmt.Errorf("-%s must be positive, got %v", names[i], v)
 		}
+	}
+	if !(s.CAThreshold > 0 && s.CAThreshold <= 1) {
+		return s, fmt.Errorf("-threshold must be in (0,1], got %v", s.CAThreshold)
 	}
 	if sync != "timewarp" {
 		s.Engine, s.Sync = "conservative", sync
@@ -70,7 +74,6 @@ func main() {
 	flag.IntVar(&s.GVTInterval, "interval", 4, "GVT interval, in 16-event batches per worker")
 	flag.Float64Var(&s.CAThreshold, "threshold", 0.80, "CA-GVT efficiency threshold")
 	flag.Uint64Var(&s.Seed, "seed", 1, "master RNG seed")
-	flag.StringVar(&s.Queue, "queue", "heap", "pending set: heap | calendar")
 	flag.StringVar(&s.Faults, "faults", "", "fault scenario: "+strings.Join(fabric.ScenarioNames(), " | ")+" (empty: fault-free)")
 	flag.StringVar(&s.Balance, "balance", "", "LP load-balancing policy: "+strings.Join(balance.Names(), " | ")+" (empty: static placement)")
 	var (

@@ -10,11 +10,12 @@ import (
 // defaults is the command line with no flags given.
 var defaults = run.Spec{
 	Nodes: 2, WorkersPerNode: 8, LPsPerWorker: 32, GVT: "mattern", Comm: "dedicated",
-	Scenario: "comp", EndTime: 40, GVTInterval: 4, CAThreshold: 0.80, Seed: 1, Queue: "heap",
+	Scenario: "comp", EndTime: 40, GVTInterval: 4, CAThreshold: 0.80, Seed: 1,
 }
 
-// TestFlagSpec: a flag set to zero or below is an error naming it, not
-// the spec's default, and a valid command line becomes the spec it says.
+// TestFlagSpec: a flag set to zero or below, or a threshold above 1, is
+// an error naming it, not the spec's default, and a valid command line
+// becomes the spec it says.
 func TestFlagSpec(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -28,6 +29,9 @@ func TestFlagSpec(t *testing.T) {
 		{"lps -1", func(s *run.Spec) { s.LPsPerWorker = -1 }, "timewarp", "10,15", "-lps"},
 		{"end 0", func(s *run.Spec) { s.EndTime = 0 }, "timewarp", "10,15", "-end"},
 		{"interval 0", func(s *run.Spec) { s.GVTInterval = 0 }, "timewarp", "10,15", "-interval"},
+		{"threshold 0", func(s *run.Spec) { s.CAThreshold = 0 }, "timewarp", "10,15", "-threshold"},
+		{"threshold 1.5", func(s *run.Spec) { s.CAThreshold = 1.5 }, "timewarp", "10,15", "-threshold"},
+		{"threshold 1", func(s *run.Spec) { s.CAThreshold = 1 }, "timewarp", "10,15", ""},
 		{"mix 10,0", func(s *run.Spec) { s.Scenario = "mixed" }, "timewarp", "10,0", "-mix"},
 		{"mix 200,0", func(s *run.Spec) { s.Scenario = "mixed" }, "timewarp", "200,0", "-mix"},
 		{"mix -5,15", func(s *run.Spec) { s.Scenario = "mixed" }, "timewarp", "-5,15", "-mix"},

@@ -74,8 +74,7 @@ type Config struct {
 
 	EndTime   vtime.Time
 	Seed      uint64
-	QueueKind string // pending-queue implementation: "heap" (default) | "calendar"
-	BatchSize int    // events processed per scheduling slice (default 16)
+	BatchSize int // events processed per scheduling slice (default 16)
 
 	Model pe.ModelFactory
 
@@ -91,9 +90,6 @@ const observeInterval = 250 * sim.Microsecond
 
 // Defaults fills unset fields with paper-faithful values.
 func (c *Config) Defaults() {
-	if c.QueueKind == "" {
-		c.QueueKind = "heap"
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
 	}
@@ -118,9 +114,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("conservative: BatchSize must be positive, got %d", c.BatchSize)
-	}
-	if c.QueueKind != "heap" && c.QueueKind != "calendar" {
-		return fmt.Errorf("conservative: unknown queue kind %q (want heap | calendar)", c.QueueKind)
 	}
 	return nil
 }
@@ -159,7 +152,7 @@ func New(cfg Config) *Engine {
 	}
 	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime}
 	eng.Init(pe.Config{
-		Topology: cfg.Topology, Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
 	for id := 0; id < cfg.Topology.Nodes; id++ {
@@ -244,7 +237,7 @@ func (e *Engine) Report(r *stats.Run) *metrics.Report {
 		Comm:           "dedicated",
 		EndTime:        float64(cfg.EndTime),
 		Seed:           cfg.Seed,
-		QueueKind:      cfg.QueueKind,
+		Queue:          "heap",
 		BatchSize:      cfg.BatchSize,
 	}
 	return metrics.BuildReport(rc, metrics.RunStatsOf(r), e.cfg.Metrics, cfg.Topology.WorkersPerNode)

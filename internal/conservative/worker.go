@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/event"
-	"repro/internal/eventq"
 	"repro/internal/pe"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -73,7 +72,7 @@ func (w *worker) run(p *sim.Proc) {
 // without a lock — to bound what this worker might still send. A change
 // that can raise it goes through moved.
 func (w *worker) floorLive() vtime.Time {
-	f := eventq.MinStamp(w.Pending).T
+	f := w.Pending.MinStamp().T
 	if w.inboxMin < f {
 		f = w.inboxMin
 	}

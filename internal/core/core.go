@@ -108,8 +108,7 @@ type Config struct {
 	Comm      CommMode
 	EndTime   vtime.Time
 	Seed      uint64
-	QueueKind string // pending-set implementation: "heap" (default) | "calendar"
-	BatchSize int    // events processed per main-loop pass (default 16, as ROSS mbatch)
+	BatchSize int // events processed per main-loop pass (default 16, as ROSS mbatch)
 
 	// PoolDebug poisons every event the node pools recycle (sentinel
 	// values verified on reuse) and asserts liveness at every delivery and
@@ -179,9 +178,6 @@ type Config struct {
 
 // Defaults fills zero-valued fields with paper-flavoured defaults.
 func (c *Config) Defaults() {
-	if c.QueueKind == "" {
-		c.QueueKind = "heap"
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
 	}
@@ -286,7 +282,7 @@ func New(cfg Config) *Engine {
 	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
 	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
 	eng.Init(pe.Config{
-		Topology: cfg.Topology, Seed: cfg.Seed, QueueKind: cfg.QueueKind, Model: cfg.Model,
+		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
 	if cfg.Balance != "" && cfg.Balance != "static" && cfg.Balance != "none" {
@@ -399,7 +395,7 @@ func (e *Engine) Report(r *stats.Run) *metrics.Report {
 		CAThreshold:        cfg.CAThreshold,
 		EndTime:            float64(cfg.EndTime),
 		Seed:               cfg.Seed,
-		QueueKind:          cfg.QueueKind,
+		Queue:              "heap",
 		BatchSize:          cfg.BatchSize,
 		CheckpointInterval: cfg.CheckpointInterval,
 		MaxUncommitted:     cfg.MaxUncommitted,

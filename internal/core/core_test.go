@@ -187,25 +187,6 @@ func TestGVTMonotonic(t *testing.T) {
 	}
 }
 
-// TestQueueKinds: the calendar queue must give identical results to the
-// heap.
-func TestQueueKinds(t *testing.T) {
-	cfg := testConfig(2, 2, 4, core.GVTMattern, core.CommDedicated)
-	cfg.QueueKind = "heap"
-	a, err := core.New(cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.QueueKind = "calendar"
-	b, err := core.New(cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CommitChecksum != b.CommitChecksum || a.Workers.Committed != b.Workers.Committed {
-		t.Error("calendar queue changed the committed event stream")
-	}
-}
-
 // TestSingleWorkerNoRollbacks: one worker, one node has no transit at all;
 // everything is local and efficiency is 100%.
 func TestSingleWorkerNoRollbacks(t *testing.T) {

@@ -7,37 +7,6 @@ import (
 	core "repro/internal/core"
 )
 
-// TestQueueParityAcrossModels: the calendar queue must commit a
-// bit-identical event stream to the binary heap on PHOLD and the tandem
-// queueing network — the two models with the most divergent timestamp
-// distributions (dense uniform vs bursty service completions). This
-// guards the calendar queue's bucket rotation against ordering drift
-// that the aggregate counters of TestQueueKinds could miss.
-func TestQueueParityAcrossModels(t *testing.T) {
-	for _, m := range balanceModels(balanceTopology()) {
-		if m.name != "phold" && m.name != "tandem" {
-			continue
-		}
-		t.Run(m.name, func(t *testing.T) {
-			runs := map[string]int64{}
-			var sums []uint64
-			for _, kind := range []string{"heap", "calendar"} {
-				cfg := balanceConfig(m, "", core.GVTMattern)
-				cfg.QueueKind = kind
-				r := checkOracle(t, cfg)
-				runs[kind] = r.Workers.Committed
-				sums = append(sums, r.CommitChecksum)
-			}
-			if sums[0] != sums[1] {
-				t.Errorf("calendar checksum %x != heap %x", sums[1], sums[0])
-			}
-			if runs["heap"] != runs["calendar"] {
-				t.Errorf("calendar committed %d events, heap %d", runs["calendar"], runs["heap"])
-			}
-		})
-	}
-}
-
 // TestCheckpointIntervalsAcrossModels extends the infrequent-snapshot
 // coverage (TestCheckpointIntervals exercises PHOLD) to the remaining
 // benchmark models: coast-forward replay after a rollback re-executes

@@ -6,6 +6,33 @@ import (
 	"repro/internal/event"
 )
 
+// The calendar queue, the Queue interface and New serve only the
+// benchmark module's eventq probe (benchmark/probes.go), which times the
+// hold model on both structures. No engine or spec can select the
+// calendar: delete this file once that probe is gone.
+
+// Queue is a pending event set ordered by event stamp: Heap or Calendar.
+type Queue interface {
+	Push(*event.Event)
+	Pop() *event.Event
+	Peek() *event.Event
+	Len() int
+	RemoveMatching(anti *event.Event) *event.Event
+	RemoveFor(lp event.LPID) []*event.Event
+}
+
+// New returns an empty queue of the named kind ("heap" or "calendar").
+func New(kind string) Queue {
+	switch kind {
+	case "", "heap":
+		return NewHeap()
+	case "calendar":
+		return NewCalendar()
+	default:
+		panic("eventq: unknown queue kind " + kind)
+	}
+}
+
 // Calendar is a calendar-queue pending event set (Brown 1988): a ring of
 // time buckets, each one "day" wide, sorted lazily within a bucket. Under
 // stationary event-time distributions enqueue/dequeue are amortized O(1).

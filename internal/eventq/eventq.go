@@ -1,9 +1,7 @@
-// Package eventq provides pending-event-set implementations for the Time
-// Warp engine: the data structure holding each worker's unprocessed events
-// ordered by receive stamp. Two implementations are provided — a binary
-// min-heap (ROSS's default splay tree stand-in; O(log n), robust) and a
-// calendar queue (amortized O(1) under stationary loads) — behind a common
-// interface, so the engine and the ablation benchmarks can swap them.
+// Package eventq is the pending event set of the engines: the binary
+// min-heap holding each worker's unprocessed events ordered by receive
+// stamp, the stand-in for the priority queue of a ROSS PE. Every run
+// depends on the order events leave it, never on how they are held.
 package eventq
 
 import (
@@ -13,49 +11,18 @@ import (
 	"repro/internal/vtime"
 )
 
-// Queue is a pending event set ordered by event stamp.
-type Queue interface {
-	// Push inserts an event.
-	Push(*event.Event)
-	// Pop removes and returns the minimum-stamp event, or nil if empty.
-	Pop() *event.Event
-	// Peek returns the minimum-stamp event without removing it, or nil.
-	Peek() *event.Event
-	// Len returns the number of queued events.
-	Len() int
-	// RemoveMatching removes the first event matching (annihilating) anti
-	// and returns it, or nil if no match is queued. Used for anti-message
-	// annihilation against unprocessed positives (and vice versa).
-	RemoveMatching(anti *event.Event) *event.Event
-	// RemoveFor removes every event destined to lp and returns them in
-	// stamp order. Used when an LP migrates: its pending events travel
-	// with it.
-	RemoveFor(lp event.LPID) []*event.Event
-}
-
-// New returns a queue of the named kind ("heap" or "calendar").
-func New(kind string) Queue { return NewSized(kind, 0) }
-
-// NewSized is New with room for n events: a heap holds n before its first
-// growth, and a calendar, which sizes its buckets itself, ignores n.
-func NewSized(kind string, n int) Queue {
-	switch kind {
-	case "", "heap":
-		return &Heap{ev: make([]*event.Event, 0, n)}
-	case "calendar":
-		return NewCalendar()
-	default:
-		panic("eventq: unknown queue kind " + kind)
-	}
-}
-
-// Heap is a binary min-heap pending event set.
+// Heap is a binary min-heap pending event set. The zero value is an
+// empty heap.
 type Heap struct {
 	ev []*event.Event
 }
 
-// NewHeap returns an empty heap queue.
+// NewHeap returns an empty heap.
 func NewHeap() *Heap { return &Heap{} }
+
+// MakeHeap returns an empty heap with room for n events before its first
+// growth.
+func MakeHeap(n int) Heap { return Heap{ev: make([]*event.Event, 0, n)} }
 
 // Len returns the number of queued events.
 func (h *Heap) Len() int { return len(h.ev) }
@@ -178,9 +145,9 @@ func sortByStamp(evs []*event.Event) {
 }
 
 // MinStamp returns the stamp of the minimum event, or vtime.InfStamp if
-// the queue is empty. (Convenience for GVT local-minimum computation.)
-func MinStamp(q Queue) vtime.Stamp {
-	if e := q.Peek(); e != nil {
+// the heap is empty (a worker's local minimum for GVT).
+func (h *Heap) MinStamp() vtime.Stamp {
+	if e := h.Peek(); e != nil {
 		return e.Stamp
 	}
 	return vtime.InfStamp

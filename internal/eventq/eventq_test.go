@@ -194,11 +194,11 @@ func TestInterleavedPushPop(t *testing.T) {
 
 func TestMinStampHelper(t *testing.T) {
 	q := NewHeap()
-	if MinStamp(q) != vtime.InfStamp {
+	if q.MinStamp() != vtime.InfStamp {
 		t.Error("empty MinStamp not Inf")
 	}
 	q.Push(ev(3, 1, 2))
-	if MinStamp(q).T != 3 {
+	if q.MinStamp().T != 3 {
 		t.Error("MinStamp wrong")
 	}
 }

@@ -153,7 +153,7 @@ func TestExecuteManyJobsFewCells(t *testing.T) {
 // TestExecuteVsRunParity: there is one run path, so one worker and
 // several must agree byte for byte on output and table.
 func TestExecuteVsRunParity(t *testing.T) {
-	e, _ := Find("queue")
+	e, _ := Find("fig5") // two series over the node sweep
 	opt := miniOptions()
 	opt.Verbose = true
 

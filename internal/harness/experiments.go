@@ -154,15 +154,6 @@ func Registry() []Experiment {
 			},
 		},
 		{
-			ID:    "queue",
-			Title: "Pending-set implementation: binary heap vs calendar queue",
-			Paper: "Engine ablation (not in the paper): the committed stream is identical; virtual rates differ only through CPU cost modelling, so this mainly validates interchangeability.",
-			series: []series{
-				{"heap", run.Spec{GVT: "mattern", Comm: "dedicated", Scenario: "comp", GVTInterval: 4, Queue: "heap"}},
-				{"calendar", run.Spec{GVT: "mattern", Comm: "dedicated", Scenario: "comp", GVTInterval: 4, Queue: "calendar"}},
-			},
-		},
-		{
 			ID:    "checkpoint",
 			Title: "State-saving interval: snapshot every k-th event + coast-forward",
 			Paper: "Engine ablation (standard Time Warp trade-off, not a paper figure): sparse snapshots save copy cost but pay re-execution on rollback; the committed stream is identical either way.",

@@ -46,7 +46,7 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 	reg := Registry()
 	want := []string{
 		"fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"efficiency", "disparity", "interval", "threshold", "epg", "shared", "queue",
+		"efficiency", "disparity", "interval", "threshold", "epg", "shared",
 		"checkpoint", "samadi", "rebalance", "crossover", "matrix",
 	}
 	if len(reg) != len(want) {
@@ -468,7 +468,6 @@ func TestPlansPinned(t *testing.T) {
 			"threshold":  "140cff90f450ed79",
 			"epg":        "b65cc2f501c7033c",
 			"shared":     "5b2912123926dd46",
-			"queue":      "caf40df49b6454d8",
 			"checkpoint": "aed12900b651c702",
 			"samadi":     "c37072a937258396",
 			"rebalance":  "f1cd664a6ceca7cc",
@@ -491,7 +490,6 @@ func TestPlansPinned(t *testing.T) {
 			"threshold":  "355c5f85619d652f",
 			"epg":        "9b53cae9f6c6fd27",
 			"shared":     "4f6ad2f7b2b546c2",
-			"queue":      "778d90e176187128",
 			"checkpoint": "f6a0702805798f24",
 			"samadi":     "6a8d6e33823cda2e",
 			"rebalance":  "a0b0285b493e34fb",

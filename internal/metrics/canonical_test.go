@@ -126,7 +126,7 @@ func testReport() *Report {
 	cfg := RunConfig{
 		Label: "unit/<stable>", Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 8,
 		GVT: "ca-gvt", Comm: "dedicated", GVTInterval: 4, CAThreshold: 0.8,
-		EndTime: 40, Seed: 18446744073709551615, QueueKind: "heap",
+		EndTime: 40, Seed: 18446744073709551615, Queue: "heap",
 		BatchSize: 16, CheckpointInterval: 1, MaxUncommitted: 64,
 	}
 	st := RunStats{

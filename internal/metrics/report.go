@@ -40,7 +40,7 @@ type RunConfig struct {
 	LPsPerWorker   int     `json:"lps_per_worker"`
 	MaxUncommitted int     `json:"max_uncommitted,omitempty"`
 	Nodes          int     `json:"nodes"`
-	QueueKind      string  `json:"queue"`
+	Queue          string  `json:"queue"` // always "heap": the one pending set
 	Seed           uint64  `json:"seed"`
 	// Sync is the conservative protocol, nullmsg | window ("" for Time Warp).
 	Sync           string `json:"sync,omitempty"`

@@ -52,8 +52,8 @@ type resumes struct {
 func newIdleRuntime(nodes int, mode idleMode, tw *trace.Writer) *Runtime {
 	rt := &Runtime{LiteralIdle: mode == literal}
 	rt.Init(Config{
-		Topology:  cluster.Topology{Nodes: nodes, WorkersPerNode: 1, LPsPerWorker: 1},
-		QueueKind: "heap", Trace: tw,
+		Topology: cluster.Topology{Nodes: nodes, WorkersPerNode: 1, LPsPerWorker: 1},
+		Trace:    tw,
 	}, func(*stats.Run) {})
 	return rt
 }

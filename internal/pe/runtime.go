@@ -18,12 +18,11 @@ import (
 
 // Config is what the runtime needs of an engine's configuration.
 type Config struct {
-	Topology  cluster.Topology
-	Seed      uint64
-	QueueKind string
-	Model     ModelFactory
-	Trace     *trace.Writer     // nil: no tracing
-	Metrics   *metrics.Recorder // nil: no sampling
+	Topology cluster.Topology
+	Seed     uint64
+	Model    ModelFactory
+	Trace    *trace.Writer     // nil: no tracing
+	Metrics  *metrics.Recorder // nil: no sampling
 }
 
 // mpiCosts is the CPU side of the simulated machine's MPI, which every
@@ -141,7 +140,7 @@ type Worker struct {
 	Node *Node
 	Proc *sim.Proc // set when the thread starts
 
-	Pending eventq.Queue
+	Pending eventq.Heap
 	Inbox   Mailbox[*event.Event]
 	St      stats.Worker
 
@@ -183,7 +182,7 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
 	// A pending set starts out holding about its LPs' seed events, one
 	// each for most models.
 	lps := rt.cfg.Topology.LPsPerWorker
-	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.NewSized(rt.cfg.QueueKind, lps), rt: rt, phase: 0xFF}
+	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.MakeHeap(lps), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
 	w.idle.init(n, w)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/event"
-	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/seq"
@@ -68,7 +67,7 @@ func TestRunSkeleton(t *testing.T) {
 	rt := &pe.Runtime{}
 	finished := false
 	rt.Init(pe.Config{
-		Topology: top, Seed: seed, QueueKind: "heap", Model: factory, Trace: tw, Metrics: rec,
+		Topology: top, Seed: seed, Model: factory, Trace: tw, Metrics: rec,
 	}, func(r *stats.Run) { finished = true; r.WallTime = rt.Env.Now() })
 
 	cost := cluster.KNLDefaults()
@@ -108,7 +107,7 @@ func TestRunSkeleton(t *testing.T) {
 				return
 			}
 			for _, w := range workers {
-				rt.Views[w.Gidx] = pe.View{LVT: eventq.MinStamp(w.Pending).T, Uncommitted: 7}
+				rt.Views[w.Gidx] = pe.View{LVT: w.Pending.MinStamp().T, Uncommitted: 7}
 			}
 			rt.RecordRound(pe.Round{GVT: end, Sync: true, Efficiency: 1, Migrations: 2})
 		})

@@ -64,7 +64,7 @@ func buildOne(lps int, model pe.ModelFactory, seed uint64) (*pe.Worker, []pe.LP)
 	rt := &pe.Runtime{}
 	rt.Init(pe.Config{
 		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: lps},
-		Seed:     seed, QueueKind: "heap", Model: model,
+		Seed:     seed, Model: model,
 	}, func(*stats.Run) {})
 	n, w, bases := &pe.Node{}, &pe.Worker{}, make([]pe.LP, lps)
 	rt.AddNode(n, cluster.KNLDefaults())

@@ -66,7 +66,6 @@ func New(spec Spec, at Attach) (Engine, error) {
 			Lookahead: c.Lookahead,
 			EndTime:   c.EndTime,
 			Seed:      c.Seed,
-			QueueKind: c.Queue,
 			BatchSize: c.BatchSize,
 			Model:     model,
 			Trace:     at.Trace,
@@ -81,7 +80,6 @@ func New(spec Spec, at Attach) (Engine, error) {
 		Comm:               commModes[c.Comm],
 		EndTime:            c.EndTime,
 		Seed:               c.Seed,
-		QueueKind:          c.Queue,
 		BatchSize:          c.BatchSize,
 		CheckpointInterval: c.CheckpointInterval,
 		MaxUncommitted:     c.MaxUncommitted,

@@ -81,7 +81,10 @@ type Spec struct {
 	// events always recycle through the node pools, so Canonical pins every
 	// mode to "on" (the way CAThreshold is pinned for non-CA algorithms).
 	Pool string `json:"pool,omitempty"`
-	// Queue is the pending-event queue: heap (default) | calendar.
+	// Queue is accepted as heap | calendar for old specs and is inert:
+	// every engine holds its pending events in one binary heap, and a run
+	// depends on the order they leave it, not on the structure, so
+	// Canonical pins every name to "heap" (as it pins Pool).
 	Queue string `json:"queue,omitempty"`
 	// Scenario is the PHOLD workload shape: comp (default) | comm | mixed.
 	// Cleared for non-PHOLD models (it has no meaning there).
@@ -250,10 +253,10 @@ func (s Spec) Canonical() (Spec, error) {
 		c.Seed = 1
 	}
 
+	// Inert (see Spec.Queue): pin it so it cannot split the hash.
 	switch c.Queue = norm(c.Queue); c.Queue {
-	case "":
+	case "", "heap", "calendar":
 		c.Queue = "heap"
-	case "heap", "calendar":
 	default:
 		return c, fmt.Errorf("run: unknown queue %q (want heap | calendar)", c.Queue)
 	}

@@ -17,8 +17,8 @@ import (
 // when their canonical JSON is equal. Canonical is also the only
 // validator a spec passes through, so every spec it accepts builds: New
 // returns an engine without panicking (checked up to 256 LPs, where
-// building is cheap), and the inert pool and watchdog_us fields never
-// move the address.
+// building is cheap), and the inert pool, queue and watchdog_us fields
+// never move the address.
 func FuzzSpecCanonical(f *testing.F) {
 	for i, p := range pinnedSpecs {
 		f.Add(p.in, p.canon)                                // the same spec twice
@@ -80,9 +80,9 @@ func address(t *testing.T, doc string) (canon, hash string, ok bool) {
 	}
 	for i, pool := range []string{"on", "off", "debug"} {
 		v := s
-		v.Pool, v.WatchdogMicros = pool, int64(i)*1500-1
+		v.Pool, v.Queue, v.WatchdogMicros = pool, []string{"", "heap", "calendar"}[i], int64(i)*1500-1
 		if h, err := v.Hash(); err != nil || h != hash {
-			t.Fatalf("%s addresses to %s, but to %s (%v) with pool %q, watchdog_us %d", doc, hash, h, err, pool, v.WatchdogMicros)
+			t.Fatalf("%s addresses to %s, but to %s (%v) with pool %q, queue %q, watchdog_us %d", doc, hash, h, err, pool, v.Queue, v.WatchdogMicros)
 		}
 	}
 	if c.Topology().TotalLPs() <= 256 {

@@ -13,10 +13,15 @@ import (
 // commit before Spec moved out of internal/simd. The disk store is
 // addressed by these hashes, so one shifting orphans every stored result
 // of that shape. Each hash is the SHA-256 of its canonical JSON, which is
-// what json.Marshal writes for the canonical spec. One row moved on
-// purpose: "negative max_uncommitted" asks for "pool":"debug", which now
+// what json.Marshal writes for the canonical spec. Two rows moved on
+// purpose, each when a field became inert, and
+// TestRecoverRetiresARehashedBegin replays both as they were:
+// "negative max_uncommitted" asks for "pool":"debug", which now
 // canonicalises to "on" because every pool mode is the same run (its hash
-// was 0977b900…30a1bb; TestRecoverRetiresARehashedBegin replays it).
+// was 0977b900…30a1bb), and "nullmsg explicit lookahead" asks for
+// "queue":"calendar", which now canonicalises to "heap" because every
+// engine holds its pending events in one heap (its hash was
+// 18d70400…10b5d43f).
 var pinnedSpecs = []struct{ name, in, canon, hash string }{
 	{"defaults",
 		`{}`,
@@ -56,8 +61,8 @@ var pinnedSpecs = []struct{ name, in, canon, hash string }{
 		"f4a78a864d0d3dcf47cde267dded80cb7759ba934680f103609e398a00b80fd9"},
 	{"nullmsg explicit lookahead",
 		`{"engine":"conservative","sync":"nullmsg","lookahead":0.05,"queue":"calendar"}`,
-		`{"batch_size":16,"comm":"dedicated","end_time":20,"engine":"conservative","lookahead":0.05,"lps_per_worker":8,"model":"phold","nodes":2,"queue":"calendar","scenario":"comp","seed":1,"sync":"nullmsg","workers_per_node":4}`,
-		"18d70400d0224fc26964ba1d871a3d607afb4844cb235337f35aaf5010b5d43f"},
+		`{"batch_size":16,"comm":"dedicated","end_time":20,"engine":"conservative","lookahead":0.05,"lps_per_worker":8,"model":"phold","nodes":2,"queue":"heap","scenario":"comp","seed":1,"sync":"nullmsg","workers_per_node":4}`,
+		"d73e908d03a8a52602af833637b4b9a60245377aff6a6378ba8a9aca1876e3c9"},
 	{"window default lookahead",
 		`{"sync":"window","model":"tandem","nodes":4}`,
 		`{"batch_size":16,"comm":"dedicated","end_time":20,"engine":"conservative","lookahead":0.05,"lps_per_worker":8,"model":"tandem","nodes":4,"queue":"heap","seed":1,"sync":"window","workers_per_node":4}`,

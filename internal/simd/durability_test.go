@@ -160,16 +160,19 @@ func TestJournalRecovery(t *testing.T) {
 // TestRecoverRetiresARehashedBegin: a begin journaled under an address
 // its spec no longer canonicalises to re-submits under the new address,
 // and the old begin is retired, not replayed on every restart. The specs
-// are two pinned rows of internal/run, journaled as they addressed before
-// a field became inert: "negative max_uncommitted" before every pool mode
-// became the same run, and "faults balance watchdog" before watchdog_us
-// stopped timing anything.
+// are three pinned rows of internal/run, journaled as they addressed
+// before a field became inert: "negative max_uncommitted" before every
+// pool mode became the same run, "faults balance watchdog" before
+// watchdog_us stopped timing anything, and "nullmsg explicit lookahead"
+// before the calendar queue stopped being selectable.
 func TestRecoverRetiresARehashedBegin(t *testing.T) {
 	begins := []struct{ hash, canon string }{
 		{"0977b9001693af05a361fae1080f7dfafad4f5d30191c0f0feff51d7da30a1bb",
 			`{"batch_size":16,"ca_threshold":0.8,"checkpoint_interval":4,"comm":"dedicated","end_time":20,"engine":"timewarp","gvt":"samadi","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":-1,"model":"phold","nodes":2,"pool":"debug","queue":"heap","scenario":"comp","seed":1,"workers_per_node":4}`},
 		{"118667055d0220842d2f98c2a74b6bc7c8150d543f8f0ab6fedc7c2d041224fa",
 			`{"balance":"greedy","batch_size":16,"ca_threshold":0.8,"checkpoint_interval":1,"comm":"dedicated","end_time":60,"engine":"timewarp","faults":"straggler","gvt":"ca-gvt","gvt_interval":4,"lps_per_worker":8,"max_uncommitted":64,"model":"phold","nodes":2,"pool":"on","queue":"heap","scenario":"comp","seed":1,"watchdog_us":1500,"workers_per_node":4}`},
+		{"18d70400d0224fc26964ba1d871a3d607afb4844cb235337f35aaf5010b5d43f",
+			`{"batch_size":16,"comm":"dedicated","end_time":20,"engine":"conservative","lookahead":0.05,"lps_per_worker":8,"model":"phold","nodes":2,"queue":"calendar","scenario":"comp","seed":1,"sync":"nullmsg","workers_per_node":4}`},
 	}
 	jpath := filepath.Join(t.TempDir(), "journal.ndjson")
 	jl := openJournal(t, jpath)

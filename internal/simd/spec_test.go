@@ -88,6 +88,9 @@ func TestHashClearsInertFields(t *testing.T) {
 	if mustHash(t, JobSpec{Scenario: "mixed", WatchdogMicros: 500}) != mustHash(t, JobSpec{Scenario: "mixed"}) {
 		t.Fatal("watchdog_us split the hash: no GVT watchdog is left to time")
 	}
+	if mustHash(t, JobSpec{Scenario: "mixed", Queue: "calendar"}) != mustHash(t, JobSpec{Scenario: "mixed"}) {
+		t.Fatal("queue split the hash: every engine holds its pending events in one heap")
+	}
 }
 
 // TestHashChangesWithEverySemanticField mutates each semantic field and
@@ -118,7 +121,6 @@ func TestHashChangesWithEverySemanticField(t *testing.T) {
 	add("threshold2", JobSpec{Scenario: "mixed", GVT: "ca", CAThreshold: 0.5})
 	add("end", JobSpec{Scenario: "mixed", EndTime: 30})
 	add("seed", JobSpec{Scenario: "mixed", Seed: 99})
-	add("queue", JobSpec{Scenario: "mixed", Queue: "calendar"})
 	add("batch", JobSpec{Scenario: "mixed", BatchSize: 8})
 	add("checkpoint", JobSpec{Scenario: "mixed", CheckpointInterval: 4})
 	add("uncommitted", JobSpec{Scenario: "mixed", MaxUncommitted: 128})
