@@ -9,9 +9,17 @@ import (
 
 // histEntry records one processed event together with everything needed to
 // undo it: the state snapshots taken just before processing (on snapshot
-// entries) and how many events it sent, which lp.sent holds.
+// entries) and the events it sent. Entries and their send records come
+// from the worker's free lists (newEntry, newRec) and go back to them when
+// a rollback pops the entry or fossil collection frees it; a released
+// entry keeps no event, snapshot or record.
 type histEntry struct {
 	ev *event.Event
+	// prev and next link the LP's history, oldest to newest; on the
+	// worker's free list next links the free entries.
+	prev, next *histEntry
+	// sent holds the events ev sent, in send order.
+	sent *sendRec
 	// hasSnap marks entries preceded by a state snapshot. With
 	// CheckpointInterval k, every k-th entry carries one; rollback to a
 	// snapshot-less entry coast-forwards from the nearest earlier snapshot.
@@ -20,22 +28,25 @@ type histEntry struct {
 	// collection but retained because a later rollback may need to
 	// coast-forward across them.
 	committed bool
-	nsent     int32     // the events ev sent: this entry's run of lp.sent
 	snapping  any       // model snapshot before ev (hasSnap only)
 	snapRNG   rng.State // RNG state before ev (hasSnap only)
 	snapSeq   uint64    // tie-break sequence counter before ev (hasSnap only)
+}
+
+// sendRec is one event a history entry's event sent: a rollback of the
+// entry cancels it with an anti-message.
+type sendRec struct {
+	ev   *event.Event
+	next *sendRec
 }
 
 // lp is one logical process: the shared base plus rollback machinery.
 type lp struct {
 	pe.LP
 
-	// history holds processed, not-yet-fossil-collected events in
-	// ascending stamp order.
-	history []histEntry
-	// sent holds the events the history's entries sent, entry after entry
-	// in history order: each entry owns the next nsent of them.
-	sent []*event.Event
+	// oldest and newest end the history: processed, not yet
+	// fossil-collected events in ascending stamp order.
+	oldest, newest *histEntry
 
 	// sinceSnap counts processed events since the last snapshot entry.
 	sinceSnap int
@@ -54,10 +65,21 @@ type lp struct {
 // entries below GVT, and no straggler may arrive below GVT, so the zero
 // stamp is a safe floor after fossil collection.
 func (l *lp) lastStamp() vtime.Stamp {
-	if len(l.history) == 0 {
+	if l.newest == nil {
 		return vtime.ZeroStamp
 	}
-	return l.history[len(l.history)-1].ev.Stamp
+	return l.newest.ev.Stamp
+}
+
+// push appends e, the newest processed event, to the history.
+func (l *lp) push(e *histEntry) {
+	e.prev = l.newest
+	if l.newest == nil {
+		l.oldest = e
+	} else {
+		l.newest.next = e
+	}
+	l.newest = e
 }
 
 // takeAnti removes and returns a stashed anti-message matching pos, if any.
@@ -71,24 +93,25 @@ func (l *lp) takeAnti(pos *event.Event) *event.Event {
 	return nil
 }
 
-// findProcessed returns the history index of the event matching anti, or -1.
-func (l *lp) findProcessed(anti *event.Event) int {
-	for i := range l.history {
-		if l.history[i].ev.Matches(anti) {
-			return i
+// findProcessed returns the history entry of the event matching anti, or
+// nil.
+func (l *lp) findProcessed(anti *event.Event) *histEntry {
+	for e := l.oldest; e != nil; e = e.next {
+		if e.ev.Matches(anti) {
+			return e
 		}
 	}
-	return -1
+	return nil
 }
 
 // execCtx is the Context used while processing an event; a worker reuses
 // one across events. Send adds what Time Warp needs to the shared
-// stamping: a pooled event, its anti-message identity, and its place in
-// the LP's sent log, which a rollback cancels.
+// stamping: a pooled event, its anti-message identity, and a send record
+// at the end of the processed entry's run, which a rollback cancels.
 type execCtx struct {
 	pe.Ctx
-	w *worker
-	l *lp
+	w    *worker
+	tail **sendRec // where the entry's next send record links in
 }
 
 func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
@@ -100,7 +123,10 @@ func (c *execCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byt
 	ev := c.w.node.pool.Get()
 	c.LP.Stamp(ev, c.T, dst, delay, kind, data)
 	ev.MatchID = c.w.eng.nextMatchID()
-	c.l.sent = append(c.l.sent, ev)
+	r := c.w.newRec()
+	r.ev = ev
+	*c.tail = r
+	c.tail = &r.next
 }
 
 // replayCtx coast-forwards an already-processed event after a partial

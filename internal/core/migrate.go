@@ -193,6 +193,9 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	// regular rollback that re-enqueues the undone events (extracted
 	// below) and anti-messages their speculative sends.
 	w.rollback(l, vtime.Stamp{T: g}, false)
+	// What history is left is committed, kept as a coast-forward base:
+	// free it as fossil collection would have.
+	w.fossil(l, nil)
 
 	events := w.Pending.RemoveFor(l.ID)
 	antis := l.pendingAnti

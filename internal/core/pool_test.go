@@ -75,9 +75,8 @@ func TestPoolParityUnderFaultsAndMigration(t *testing.T) {
 // the deepest rollback seen, rolling back allocates nothing. On a
 // tw-comm-shaped run — thousands of rollbacks, most cancelling something —
 // a slice built from nil each time is at least one allocation per such
-// rollback, and was two thirds of the run's; what is left (queue, history
-// and sent-log growth, coroutines) is fewer allocations than there are
-// rollbacks.
+// rollback, and was two thirds of the run's; what is left (queue and slab
+// growth, coroutines) is fewer allocations than there are rollbacks.
 func TestRollbackAllocatesNoAntiBuffer(t *testing.T) {
 	top := cluster.Topology{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 8}
 	eng := core.New(core.Config{

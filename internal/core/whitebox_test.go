@@ -49,6 +49,15 @@ func newTestEngine(lps int) (*Engine, *worker) {
 	return eng, eng.nodes[0].workers[0]
 }
 
+// history returns l's history entries, oldest first.
+func history(l *lp) []*histEntry {
+	var h []*histEntry
+	for e := l.oldest; e != nil; e = e.next {
+		h = append(h, e)
+	}
+	return h
+}
+
 // mkEvent fabricates a positive event for white-box tests.
 func mkEvent(eng *Engine, t float64, src, dst event.LPID, seq uint64) *event.Event {
 	return &event.Event{
@@ -80,8 +89,8 @@ func TestRollbackRestoresStateAndResends(t *testing.T) {
 			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
-		if len(l.history) != 5 {
-			t.Fatalf("history = %d, want 5", len(l.history))
+		if len(history(l)) != 5 {
+			t.Fatalf("history = %d, want 5", len(history(l)))
 		}
 		sumBefore := l.Model.(*chainModel).sum
 		seqBefore := l.Seq
@@ -91,8 +100,8 @@ func TestRollbackRestoresStateAndResends(t *testing.T) {
 		straggler := mkEvent(eng, 2.5, 1, 0, 999)
 		w.deliver(straggler)
 
-		if len(l.history) != 2 {
-			t.Fatalf("history after rollback = %d, want 2", len(l.history))
+		if len(history(l)) != 2 {
+			t.Fatalf("history after rollback = %d, want 2", len(history(l)))
 		}
 		if got := l.Model.(*chainModel).sum; got != 1.0+2.0 {
 			t.Errorf("state sum = %v, want 3 (events at t=1,2)", got)
@@ -171,10 +180,10 @@ func TestAntiAgainstProcessedRollsBack(t *testing.T) {
 			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
-		victim := l.history[1].ev // the t=2 event
+		victim := history(l)[1].ev // the t=2 event
 		w.deliver(victim.AntiCopy())
-		if len(l.history) != 1 {
-			t.Fatalf("history = %d, want 1 (rolled back past the victim)", len(l.history))
+		if len(history(l)) != 1 {
+			t.Fatalf("history = %d, want 1 (rolled back past the victim)", len(history(l)))
 		}
 		if w.St.AntiRollbck != 1 {
 			t.Errorf("AntiRollbck = %d", w.St.AntiRollbck)
@@ -209,15 +218,15 @@ func TestApplyGVTCommitsAndFrees(t *testing.T) {
 			w.processOne(w.Pending.Pop())
 		}
 		l := w.lps[0]
-		if len(l.history) != 6 {
-			t.Fatalf("history = %d", len(l.history))
+		if len(history(l)) != 6 {
+			t.Fatalf("history = %d", len(history(l)))
 		}
 		w.applyGVT(4.5) // commits t=1,2,3,4
 		if w.St.Committed != 4 {
 			t.Errorf("Committed = %d, want 4", w.St.Committed)
 		}
-		if len(l.history) != 2 {
-			t.Errorf("history after fossil = %d, want 2", len(l.history))
+		if len(history(l)) != 2 {
+			t.Errorf("history after fossil = %d, want 2", len(history(l)))
 		}
 		if w.gvtView != 4.5 {
 			t.Errorf("gvtView = %v", w.gvtView)
@@ -235,8 +244,8 @@ func TestFossilThenRollbackAboveGVTStillWorks(t *testing.T) {
 		w.deliver(mkEvent(eng, 4.5, 1, 0, 77))
 		l := w.lps[0]
 		// Events 5,6 rolled back; 4 remains.
-		if len(l.history) != 1 || l.history[0].ev.Stamp.T != 4 {
-			t.Errorf("history after post-fossil rollback: %d entries", len(l.history))
+		if len(history(l)) != 1 || history(l)[0].ev.Stamp.T != 4 {
+			t.Errorf("history after post-fossil rollback: %d entries", len(history(l)))
 		}
 	})
 }
@@ -360,17 +369,17 @@ func TestFullFossilResetsSnapshotCadence(t *testing.T) {
 		// Fossil-collect everything processed so far (events at t=1..6).
 		w.applyGVT(6.5)
 		l := w.lps[0]
-		if len(l.history) != 0 {
-			t.Fatalf("history not fully freed: %d", len(l.history))
+		if len(history(l)) != 0 {
+			t.Fatalf("history not fully freed: %d", len(history(l)))
 		}
 		// Next processed event must carry a snapshot...
 		w.processOne(w.Pending.Pop())
-		if !l.history[0].hasSnap {
+		if !history(l)[0].hasSnap {
 			t.Fatal("first entry after full fossil lacks a snapshot")
 		}
 		// ...so a rollback to it must not panic.
 		w.processOne(w.Pending.Pop())
-		w.deliver(mkEvent(eng, l.history[0].ev.Stamp.T, 1, 0, 12345))
+		w.deliver(mkEvent(eng, history(l)[0].ev.Stamp.T, 1, 0, 12345))
 	})
 }
 
@@ -425,12 +434,16 @@ func (m *fanModel) OnEvent(ctx Context, ev *event.Event) {
 	}
 }
 
-// TestSentLogFollowsHistory: an LP's sent log is its history's sends,
-// entry after entry. Through processing, a straggler rollback, an
-// anti-message rollback, a fossil collection and a full one, every entry's
-// run of the log holds exactly what its event sent (sent at its stamp, as
-// many as the model sends there), the runs add up to the log, and no
-// recycled event stays pinned past the log's end.
+// TestSentLogFollowsHistory: an LP's history is a list of entries, each
+// with the run of records of what its event sent, and the worker's free
+// lists keep the books. Through processing, a straggler rollback, an
+// anti-message rollback, a partial and a full fossil collection and a
+// migration out, every entry's records are exactly its event's sends
+// (sent at its stamp, as many as the model sends there) in send order;
+// the entries on the LPs' lists plus those on the free list are every
+// entry the slab has handed out, and the same holds for records; and no
+// free entry or record keeps an event, a snapshot or a link into a live
+// list.
 func TestSentLogFollowsHistory(t *testing.T) {
 	eng := New(Config{
 		Topology:           cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: 2},
@@ -447,31 +460,52 @@ func TestSentLogFollowsHistory(t *testing.T) {
 	w := eng.nodes[0].workers[0]
 	check := func(step string) {
 		t.Helper()
+		live := map[any]bool{}
+		entries, recs := 0, 0
 		for _, l := range w.lps {
-			at := 0
-			for _, e := range l.history {
-				n := int(e.nsent)
-				if want := 1 + int(e.ev.Stamp.T)%3; l.ID == 0 && n != want {
-					t.Fatalf("%s: LP %d entry at %v owns %d sends, its event sent %d", step, l.ID, e.ev.Stamp.T, n, want)
+			var prev *histEntry
+			for e := l.oldest; e != nil; e = e.next {
+				live[e] = true
+				entries++
+				if e.prev != prev || (prev != nil && !prev.ev.Stamp.Before(e.ev.Stamp)) {
+					t.Fatalf("%s: LP %d history is not a list in stamp order at %v", step, l.ID, e.ev.Stamp.T)
 				}
-				if at+n > len(l.sent) {
-					t.Fatalf("%s: LP %d entries own more than the %d events of the log", step, l.ID, len(l.sent))
-				}
-				for _, out := range l.sent[at : at+n] {
-					if out.Freed() || out.Src != l.ID || out.SendTime != e.ev.Stamp.T {
-						t.Fatalf("%s: LP %d entry at %v owns %v (sent at %v, freed %v)", step, l.ID, e.ev.Stamp.T, out, out.SendTime, out.Freed())
+				n, match := 0, uint64(0)
+				for r := e.sent; r != nil; r = r.next {
+					live[r] = true
+					recs++
+					n++
+					out := r.ev
+					if out.Freed() || out.Src != l.ID || out.SendTime != e.ev.Stamp.T || out.MatchID <= match {
+						t.Fatalf("%s: LP %d entry at %v records %v as send %d (sent at %v, freed %v)", step, l.ID, e.ev.Stamp.T, out, n, out.SendTime, out.Freed())
 					}
+					match = out.MatchID
 				}
-				at += n
-			}
-			if at != len(l.sent) {
-				t.Fatalf("%s: LP %d entries own %d sends, the log holds %d", step, l.ID, at, len(l.sent))
-			}
-			for i, out := range l.sent[len(l.sent):cap(l.sent)] {
-				if out != nil {
-					t.Fatalf("%s: LP %d log pins %v at %d past its end", step, l.ID, out, len(l.sent)+i)
+				if want := 1 + int(e.ev.Stamp.T)%3; l.ID == 0 && n != want {
+					t.Fatalf("%s: LP %d entry at %v records %d sends, its event sent %d", step, l.ID, e.ev.Stamp.T, n, want)
 				}
+				prev = e
 			}
+			if l.newest != prev {
+				t.Fatalf("%s: LP %d newest entry is not the list's last", step, l.ID)
+			}
+		}
+		// The walks stop past the slabs' counts, so a cycle fails the books.
+		for e := w.freeEntries; e != nil && entries <= w.entrySlab.Made(); e = e.next {
+			if live[e] || e.snapping != nil || *e != (histEntry{next: e.next}) {
+				t.Fatalf("%s: free entry %+v is live or keeps something", step, *e)
+			}
+			entries++
+		}
+		for r := w.freeRecs; r != nil && recs <= w.recSlab.Made(); r = r.next {
+			if live[r] || r.ev != nil {
+				t.Fatalf("%s: free record %+v is live or keeps an event", step, *r)
+			}
+			recs++
+		}
+		if entries != w.entrySlab.Made() || recs != w.recSlab.Made() {
+			t.Fatalf("%s: %d entries and %d records live or free, the slabs handed out %d and %d",
+				step, entries, recs, w.entrySlab.Made(), w.recSlab.Made())
 		}
 	}
 	processBelow := func(end float64) {
@@ -483,8 +517,8 @@ func TestSentLogFollowsHistory(t *testing.T) {
 		l := w.lps[0]
 		processBelow(6.5)
 		check("process")
-		if len(l.history) != 6 || len(l.sent) < 6 {
-			t.Fatalf("history %d, log %d: not the run this test needs", len(l.history), len(l.sent))
+		if len(history(l)) != 6 {
+			t.Fatalf("history %d: not the run this test needs", len(history(l)))
 		}
 
 		w.deliver(mkEvent(eng, 2.5, 1, 0, 999))
@@ -504,18 +538,48 @@ func TestSentLogFollowsHistory(t *testing.T) {
 		}
 		check("anti-message rollback")
 
-		before := len(l.history)
+		before := len(history(l))
 		w.applyGVT(3.2)
-		if len(l.history) == 0 || len(l.history) >= before {
-			t.Fatalf("fossil collection left %d of %d entries: not the partial one this test needs", len(l.history), before)
+		if n := len(history(l)); n == 0 || n >= before {
+			t.Fatalf("fossil collection left %d of %d entries: not the partial one this test needs", n, before)
 		}
 		check("fossil collection")
 
 		processBelow(7)
 		w.applyGVT(w.Pending.Peek().Stamp.T)
-		if len(l.history) != 0 || len(l.sent) != 0 {
-			t.Fatalf("full fossil collection left %d entries and %d sends", len(l.history), len(l.sent))
+		if l.oldest != nil || l.newest != nil {
+			t.Fatalf("full fossil collection left %d entries", len(history(l)))
 		}
 		check("full fossil collection")
+
+		// Six more entries, snapshots on the first and fourth: a GVT at
+		// the sixth commits five and keeps the fourth and fifth as the
+		// sixth's coast-forward base.
+		for len(history(l)) < 6 {
+			w.processOne(w.Pending.Pop())
+		}
+		g := history(l)[5].ev.Stamp.T
+		w.applyGVT(g)
+		var kept []*event.Event
+		for _, e := range history(l) {
+			if e.committed {
+				kept = append(kept, e.ev)
+			}
+		}
+		if len(kept) != 2 {
+			t.Fatalf("fossil collection kept %d committed entries, not the 2 this test needs", len(kept))
+		}
+		check("fossil collection keeping a base")
+
+		w.migrateOut(l, g, migOrder{lp: l.ID})
+		if l.oldest != nil || l.newest != nil {
+			t.Fatalf("migrated LP keeps %d entries", len(history(l)))
+		}
+		for _, ev := range kept {
+			if !ev.Freed() {
+				t.Fatalf("migration dropped committed %v without returning it to the pool", ev)
+			}
+		}
+		check("migration out")
 	})
 }

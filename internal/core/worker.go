@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/event"
 	"repro/internal/pe"
@@ -21,10 +20,13 @@ type worker struct {
 	lps  []*lp
 	byID map[event.LPID]*lp // lookup only; lps keeps the deterministic order
 
-	// histChunk and sentChunk are where an LP's first history and sent-log
-	// capacity comes from (carveLogs).
-	histChunk []histEntry
-	sentChunk []*event.Event
+	// freeEntries and freeRecs are the free lists the worker's LPs draw
+	// history entries and send records from (newEntry, newRec); the slabs
+	// refill them, first with logsPerLP of each per LP.
+	freeEntries *histEntry
+	freeRecs    *sendRec
+	entrySlab   event.Slab[histEntry]
+	recSlab     event.Slab[sendRec]
 
 	// exec and replay are the model contexts, reused across events.
 	exec   execCtx
@@ -91,6 +93,8 @@ func newWorker(eng *Engine, n *node) *worker {
 		w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
 	}
 	w.IdlePass(w.finished, w.creditIdlePasses, w.idleProbes()...)
+	w.entrySlab.First = logsPerLP * eng.cfg.Topology.LPsPerWorker
+	w.recSlab.First = w.entrySlab.First
 	// The worker's LPs are one array; a migrated-in LP is allocated alone.
 	lps := make([]lp, eng.cfg.Topology.LPsPerWorker)
 	w.lps = make([]*lp, len(lps))
@@ -104,23 +108,45 @@ func newWorker(eng *Engine, n *node) *worker {
 	return w
 }
 
-// firstLogCap is the history and sent-log capacity an LP gets at its
-// first processed event: room for the entries an LP typically holds
-// between fossil collections, so most LPs never grow either log, and one
-// that outgrows it appends past it as usual.
-const firstLogCap = 8
+// logsPerLP is how many history entries and send records per LP the
+// first arrays of a worker's slabs hold: about 670 B per LP, so a job too
+// short to fill them (a service's tiny spec) pays little for them, and a
+// longer run's slabs double from there. They are allocated at the
+// worker's first processed event, not at build: a worker that never
+// processes an event costs no log.
+const logsPerLP = 6
 
-// carveLogs gives l, whose logs have no capacity yet, firstLogCap entries
-// of each from the worker's chunks, which hold that much for each of the
-// worker's LPs. They are allocated at the first need, not at build: an LP
-// that never processes an event costs no log.
-func (w *worker) carveLogs(l *lp) {
-	if len(w.histChunk) < firstLogCap {
-		n := firstLogCap * w.eng.cfg.Topology.LPsPerWorker
-		w.histChunk, w.sentChunk = make([]histEntry, n), make([]*event.Event, n)
+// newEntry returns a zero history entry from the worker's free list.
+func (w *worker) newEntry() *histEntry {
+	e := w.freeEntries
+	if e == nil {
+		return w.entrySlab.New()
 	}
-	l.history, w.histChunk = w.histChunk[:0:firstLogCap], w.histChunk[firstLogCap:]
-	l.sent, w.sentChunk = w.sentChunk[:0:firstLogCap], w.sentChunk[firstLogCap:]
+	w.freeEntries, e.next = e.next, nil
+	return e
+}
+
+// newRec returns a zero send record from the worker's free list.
+func (w *worker) newRec() *sendRec {
+	r := w.freeRecs
+	if r == nil {
+		return w.recSlab.New()
+	}
+	w.freeRecs, r.next = r.next, nil
+	return r
+}
+
+// release returns e and its send records, unlinked from any history, to
+// the free lists, keeping no event, snapshot or record.
+func (w *worker) release(e *histEntry) {
+	for r := e.sent; r != nil; {
+		next := r.next
+		*r = sendRec{next: w.freeRecs}
+		w.freeRecs = r
+		r = next
+	}
+	*e = histEntry{next: w.freeEntries}
+	w.freeEntries = e
 }
 
 // assertLive panics if ev was recycled while still referenced (PoolDebug
@@ -316,10 +342,10 @@ func (w *worker) deliver(ev *event.Event) {
 			w.node.pool.Put(ev)
 			return
 		}
-		if i := l.findProcessed(ev); i >= 0 {
+		if e := l.findProcessed(ev); e != nil {
 			// The positive was optimistically processed: roll back to just
 			// before it, which re-enqueues it, then annihilate.
-			w.rollback(l, l.history[i].ev.Stamp, false)
+			w.rollback(l, e.ev.Stamp, false)
 			pos := w.Pending.RemoveMatching(ev)
 			if pos == nil {
 				panic("core: rolled-back positive vanished before annihilation")
@@ -400,16 +426,14 @@ func (w *worker) processOne(ev *event.Event) {
 	if ev.Stamp.Before(l.lastStamp()) {
 		panic(fmt.Sprintf("core: pending straggler leaked to processing: %v behind %v", ev, l.lastStamp()))
 	}
-	if cap(l.history) == 0 {
-		w.carveLogs(l)
-	}
 	cfg := &w.eng.cfg
 	// The event's charges — overhead, state save, the model's Spins — are
 	// owed until OnEvent sends or returns and pass in one switch; until
-	// then only the LP and its sent log are touched, which no other
+	// then only the LP and its new entry are touched, which no other
 	// thread reads.
 	w.Owe(w.node.Cost.EventOverhead)
-	entry := histEntry{ev: ev}
+	entry := w.newEntry()
+	entry.ev = ev
 	if l.sinceSnap == 0 {
 		entry.hasSnap = true
 		entry.snapping = l.Model.Snapshot()
@@ -422,16 +446,14 @@ func (w *worker) processOne(ev *event.Event) {
 		l.sinceSnap = 0
 	}
 	ctx := &w.exec
-	ctx.LP, ctx.T, ctx.l = &l.LP, ev.Stamp.T, l
-	n := len(l.sent)
+	ctx.LP, ctx.T, ctx.tail = &l.LP, ev.Stamp.T, &entry.sent
 	l.Model.OnEvent(ctx, ev)
 	w.Settle()
-	entry.nsent = int32(len(l.sent) - n)
-	l.history = append(l.history, entry)
+	l.push(entry)
 	w.uncommitted++
 	w.St.Processed++
-	for _, out := range l.sent[n:] {
-		w.route(out)
+	for r := entry.sent; r != nil; r = r.next {
+		w.route(r.ev)
 	}
 }
 
@@ -484,93 +506,93 @@ func (w *worker) route(ev *event.Event) {
 // earliest popped snapshot, re-enqueues the undone events and sends
 // anti-messages for everything they sent.
 func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
-	h := l.history
-	idx := len(h)
-	for idx > 0 && !h[idx-1].ev.Stamp.Before(s) {
-		idx--
+	// first is the earliest entry to undo: the newest ones at or after s.
+	var first *histEntry
+	popped := 0
+	for e := l.newest; e != nil && !e.ev.Stamp.Before(s); e = e.prev {
+		first = e
+		popped++
 	}
-	if idx == len(h) {
+	if first == nil {
 		return // nothing at or after s
 	}
-	popped := h[idx:]
-	l.history = h[:idx]
 
 	// Restore LP state to just before the earliest undone event: rewind to
 	// the nearest snapshot at or before it, then coast-forward (re-execute
 	// with sends suppressed) across the snapshot-less gap. The replayed
 	// Spins are owed, and pass with the rollback's own charge.
-	j := idx
-	for j > 0 && !h[j].hasSnap {
-		j--
-	}
-	base := &h[j]
-	if !base.hasSnap {
-		panic("core: no snapshot found below rollback target")
+	base, gap := first, 0
+	for !base.hasSnap {
+		if base = base.prev; base == nil {
+			panic("core: no snapshot found below rollback target")
+		}
+		gap++
 	}
 	l.Model.Restore(base.snapping)
 	l.RNG.Restore(base.snapRNG)
 	l.Seq = base.snapSeq
 	re := &w.replay
 	re.LP = &l.LP
-	for i := j; i < idx; i++ {
-		re.T = h[i].ev.Stamp.T
-		l.Model.OnEvent(re, h[i].ev)
+	for e := base; e != first; e = e.next {
+		re.T = e.ev.Stamp.T
+		l.Model.OnEvent(re, e.ev)
 	}
 	// Recompute the snapshot cadence for the truncated history.
-	l.sinceSnap = idx - j
+	l.sinceSnap = gap
 	if l.sinceSnap >= w.eng.cfg.CheckpointInterval {
 		l.sinceSnap = 0
 	}
 
 	cfg := &w.eng.cfg
-	w.Owe(sim.Time(len(popped)) * (w.node.Cost.RollbackPerEvent + w.node.Cost.QueueOp))
+	w.Owe(sim.Time(popped) * (w.node.Cost.RollbackPerEvent + w.node.Cost.QueueOp))
 	w.Settle()
-	w.uncommitted -= len(popped)
+	w.uncommitted -= popped
 	w.St.Rollbacks++
-	w.St.RolledBack += int64(len(popped))
+	w.St.RolledBack += int64(popped)
 	if straggler {
 		w.St.Stragglers++
 	} else {
 		w.St.AntiRollbck++
 	}
 	if h := w.eng.hRollbackDepth; h != nil {
-		h.Observe(int64(len(popped)))
+		h.Observe(int64(popped))
 	}
 	if t := cfg.Trace; t != nil {
 		t.Rollback(trace.Rollback{
 			Worker: uint32(w.Gidx), LP: uint32(l.ID), Anti: !straggler,
-			Depth: uint32(len(popped)),
-			From:  popped[0].ev.Stamp.T, To: popped[len(popped)-1].ev.Stamp.T,
+			Depth: uint32(popped),
+			From:  first.ev.Stamp.T, To: l.newest.ev.Stamp.T,
 			AtNanos: int64(w.Proc.Now()),
 		})
 	}
 
-	// Re-enqueue the undone events and collect cancellations: the popped
-	// entries own the tail of the sent log, in their order, and it is cut
-	// off before any anti-message is routed. Routing a local anti-message
-	// can roll another LP back, so the buffer is detached while this
-	// rollback reads it: a nested one allocates its own.
+	// Cut the undone entries off the history, then re-enqueue their
+	// events, collect cancellations for what they sent and release them,
+	// oldest first. Routing a local anti-message can roll another LP back,
+	// so that waits until this LP's books are whole, and the buffer is
+	// detached while this rollback reads it: a nested one allocates its
+	// own.
+	l.newest = first.prev
+	if l.newest == nil {
+		l.oldest = nil
+	} else {
+		l.newest.next = nil
+	}
 	antis := w.antis[:0]
 	w.antis = nil
 	debug := w.eng.cfg.PoolDebug
-	cut := len(l.sent)
-	for i := range popped {
-		cut -= int(popped[i].nsent)
-	}
-	sent := l.sent[cut:]
-	for i := range popped {
-		entry := &popped[i]
-		w.Pending.Push(entry.ev)
-		for _, out := range sent[:entry.nsent] {
+	for e := first; e != nil; {
+		next := e.next
+		w.Pending.Push(e.ev)
+		for r := e.sent; r != nil; r = r.next {
 			if debug {
-				w.assertLive(out, "rollback anti-copy")
+				w.assertLive(r.ev, "rollback anti-copy")
 			}
-			antis = append(antis, out.AntiCopyInto(w.node.pool.Get()))
+			antis = append(antis, r.ev.AntiCopyInto(w.node.pool.Get()))
 		}
-		sent = sent[entry.nsent:]
-		entry.snapping = nil
+		w.release(e)
+		e = next
 	}
-	l.sent = slices.Delete(l.sent, cut, len(l.sent))
 	for _, a := range antis {
 		w.route(a)
 	}
@@ -583,50 +605,24 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 func (w *worker) applyGVT(g float64) {
 	var freed int64
 	for _, l := range w.lps {
-		// Commit every entry below the new GVT (in stamp order).
-		cut := 0
-		for cut < len(l.history) && l.history[cut].ev.Stamp.T < g {
-			entry := &l.history[cut]
-			if !entry.committed {
-				w.Commit(&l.LP, entry.ev)
-				entry.committed = true
+		// Commit every entry below the new GVT (in stamp order), and find
+		// the longest committed prefix that leaves the remaining history
+		// self-sufficient: the first retained entry, keep, must carry a
+		// snapshot, since it may become the coast-forward base for a
+		// rollback at or above GVT.
+		keep := l.oldest
+		for e := l.oldest; e != nil && e.ev.Stamp.T < g; e = e.next {
+			if !e.committed {
+				w.Commit(&l.LP, e.ev)
+				e.committed = true
 				l.heat++
 				w.uncommitted--
 			}
-			cut++
-		}
-		// Free the longest committed prefix that leaves the remaining
-		// history self-sufficient: the first retained entry must carry a
-		// snapshot, since it may become the coast-forward base for a
-		// rollback at or above GVT.
-		free := 0
-		for b := cut; b >= 1; b-- {
-			if b == len(l.history) || l.history[b].hasSnap {
-				free = b
-				break
+			if e.next == nil || e.next.hasSnap {
+				keep = e.next
 			}
 		}
-		if free > 0 {
-			freed += int64(free)
-			// The freed prefix is fully committed: recycle each entry's
-			// event and drop its run of the sent log. The sent events
-			// themselves belong to their receivers (they are freed — or
-			// already were — by the receiver's own fossil collection), so
-			// the vacated tails are cleared to pin none of them.
-			sent := 0
-			for i := 0; i < free; i++ {
-				w.node.pool.Put(l.history[i].ev)
-				sent += int(l.history[i].nsent)
-			}
-			l.history = slices.Delete(l.history, 0, free)
-			l.sent = slices.Delete(l.sent, 0, sent)
-			if len(l.history) == 0 {
-				// The whole history was freed: the next processed event
-				// must carry a snapshot, or a later rollback would find no
-				// coast-forward base.
-				l.sinceSnap = 0
-			}
-		}
+		freed += int64(w.fossil(l, keep))
 		// Stashed anti-messages below GVT can never match anything now.
 		for i := 0; i < len(l.pendingAnti); {
 			if l.pendingAnti[i].Stamp.T < g {
@@ -649,6 +645,30 @@ func (w *worker) applyGVT(g float64) {
 	if len(w.migOut) > 0 {
 		w.executeMigrations(g)
 	}
+}
+
+// fossil frees l's history entries before keep, which are committed: it
+// recycles each entry's event and releases the entry with its send
+// records, and returns how many it freed. The sent events themselves
+// belong to their receivers (they are freed — or already were — by the
+// receiver's own fossil collection).
+func (w *worker) fossil(l *lp, keep *histEntry) int {
+	n := 0
+	for e := l.oldest; e != keep; n++ {
+		next := e.next
+		w.node.pool.Put(e.ev)
+		w.release(e)
+		e = next
+	}
+	l.oldest = keep
+	if keep == nil {
+		// The whole history was freed: the next processed event must carry
+		// a snapshot, or a later rollback would find no coast-forward base.
+		l.newest, l.sinceSnap = nil, 0
+	} else {
+		keep.prev = nil
+	}
+	return n
 }
 
 // gvtPoll advances the worker's side of the configured GVT algorithm by

@@ -47,11 +47,16 @@ const (
 const slabMax = 256
 
 // Slab hands out fresh zero values of T carved from arrays it grows as
-// slabMax says, instead of allocating each one: a Pool's fresh events, and
+// slabMax says, instead of allocating each one: a Pool's fresh events,
 // what a build makes once per LP (a factory's models, a run's seed
-// events). The zero Slab is ready. Like Pool it is unsynchronized, and an
-// array stays live while any value carved from it does.
+// events), and a Time Warp worker's history entries and send records. The
+// zero Slab is ready. Like Pool it is unsynchronized, and an array stays
+// live while any value carved from it does.
 type Slab[T any] struct {
+	// First, if set, is how many values the first array holds (up to
+	// slabMax), for a user that knows it will need about that many.
+	First int
+
 	free []T // the rest of the current array
 	made int
 }
@@ -59,13 +64,16 @@ type Slab[T any] struct {
 // New returns a pointer to a fresh zero T.
 func (s *Slab[T]) New() *T {
 	if len(s.free) == 0 {
-		s.free = make([]T, min(max(s.made, 1), slabMax))
+		s.free = make([]T, min(max(s.made, s.First, 1), slabMax))
 	}
 	v := &s.free[0]
 	s.free = s.free[1:]
 	s.made++
 	return v
 }
+
+// Made returns how many values New has handed out.
+func (s *Slab[T]) Made() int { return s.made }
 
 // Get returns a zeroed event, recycling from the free list when possible.
 func (p *Pool) Get() *Event {

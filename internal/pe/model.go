@@ -31,7 +31,10 @@ type Model interface {
 	Init(ctx Context)
 	// OnEvent processes one event. It may examine ev.Kind and ev.Data and
 	// send new events with ctx.Send. The engine has already advanced the
-	// LP's virtual time to ev's receive time.
+	// LP's virtual time to ev's receive time. ev stays the engine's: Time
+	// Warp re-enqueues it on rollback, and both engines recycle it through
+	// a node pool once it is committed, so a model must not keep ev, or
+	// alias ev.Data, past the call.
 	OnEvent(ctx Context, ev *event.Event)
 	// Snapshot returns an immutable copy of the model's state.
 	Snapshot() any

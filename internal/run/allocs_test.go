@@ -42,13 +42,14 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 // committed event, and the bytes they take, stay under bounds written
 // here. What remains is set-up — a few allocations per worker, none per LP
 // (TestEngineBuildAllocsPinned), and thread spawn — and the growth of
-// per-worker slices (pending queues, a Time Warp worker's log chunks) and
-// of the LP logs that outgrow their first capacity to their high-water
-// marks (DESIGN.md "Allocations per commit"); the per-event engine path
-// allocates nothing once its free lists and slabs have grown. The marginal rows check that:
-// twice the end time may cost next to nothing per extra commit on
-// cons-nullmsg, and little on tw-comp, where that growth is most of what
-// is left. A bound may only go down.
+// per-worker slices (pending queues, mailboxes) and slabs (a Time Warp
+// worker's history entries and send records) to their high-water marks
+// (DESIGN.md "Allocations per commit"); the per-event engine path
+// allocates nothing once its free lists and slabs have grown. The marginal
+// rows check that: twice the end time may cost next to nothing per extra
+// commit on cons-nullmsg, and little on tw-comp, where a phold snapshot
+// that boxes a count past 255 is most of what is left. A bound may only go
+// down.
 func TestEngineAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -65,8 +66,8 @@ func TestEngineAllocsPinned(t *testing.T) {
 		bound      float64 // allocations per committed event
 		bytesBound float64 // bytes allocated per committed event
 	}{
-		{"tw-comp", twComp, 0.12, 126},
-		{"tw-comm", twComm, 0.125, 79},
+		{"tw-comp", twComp, 0.07, 79},
+		{"tw-comm", twComm, 0.097, 63},
 		{"cons-nullmsg", consNull, 0.47, 82},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
@@ -87,7 +88,7 @@ func TestEngineAllocsPinned(t *testing.T) {
 		spec  Spec
 		bound float64 // allocations per extra committed event
 	}{
-		{"tw-comp", twComp, 0.07},
+		{"tw-comp", twComp, 0.06},
 		{"cons-nullmsg", consNull, 0.01},
 	} {
 		long := c.spec
