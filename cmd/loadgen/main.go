@@ -66,6 +66,19 @@ type options struct {
 	sloMaxFailed   int
 }
 
+// checkOptions rejects flag values the run cannot honour. An in-flight
+// bound of 0 would make every request wait out -timeout, and a negative
+// one cannot size the semaphore at all.
+func checkOptions(o options) error {
+	if o.n <= 0 || o.rps <= 0 {
+		return errors.New("-n and -rps must be positive")
+	}
+	if o.maxInflight < 1 {
+		return fmt.Errorf("-max-inflight must be at least 1, got %d", o.maxInflight)
+	}
+	return nil
+}
+
 func run() int {
 	var o options
 	flag.StringVar(&o.addr, "addr", "http://127.0.0.1:8080", "service base URL")
@@ -89,8 +102,8 @@ func run() int {
 	flag.IntVar(&o.sloMaxFailed, "slo-max-failed", 0, "SLO: max failed requests (always checked)")
 	flag.Parse()
 
-	if o.n <= 0 || o.rps <= 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -n and -rps must be positive")
+	if err := checkOptions(o); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		return 2
 	}
 	specs, err := buildMix(o.mix, o.n, o.distinct, o.seedBase, o.model, o.endTime)

@@ -244,3 +244,32 @@ func TestPrintHumanOrdersErrors(t *testing.T) {
 		t.Errorf("error lines %q, want %q", got, want)
 	}
 }
+
+// TestCheckOptions: a request count, rate or in-flight bound the run
+// cannot honour is an error naming the flag, and the defaults pass.
+func TestCheckOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		err  string // "": valid
+	}{
+		{"defaults", func(*options) {}, ""},
+		{"max-inflight 1", func(o *options) { o.maxInflight = 1 }, ""},
+		{"n 0", func(o *options) { o.n = 0 }, "-n"},
+		{"rps 0", func(o *options) { o.rps = 0 }, "-rps"},
+		{"rps -1", func(o *options) { o.rps = -1 }, "-rps"},
+		{"max-inflight 0", func(o *options) { o.maxInflight = 0 }, "-max-inflight"},
+		{"max-inflight -1", func(o *options) { o.maxInflight = -1 }, "-max-inflight"},
+	} {
+		o := options{n: 100, rps: 50, maxInflight: 64}
+		c.set(&o)
+		err := checkOptions(o)
+		if c.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.err)
+		}
+	}
+}

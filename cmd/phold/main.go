@@ -81,7 +81,6 @@ func main() {
 		traceTo  = flag.String("traceout", "", "write a binary v2 run trace (commits, rounds, rollbacks, MPI, phases, migrations) to this file")
 		reportTo = flag.String("report", "", "write the JSON run report (config, stats, sampled time series) to this file")
 		capN     = flag.Int("samplecap", 0, "max samples per telemetry series (0: default 512)")
-		every    = flag.Int("sampleevery", 0, "base telemetry sampling stride in GVT rounds (0: every round)")
 		verbose  = flag.Bool("v", false, "print per-GVT-round trace")
 	)
 	flag.Parse()
@@ -109,7 +108,7 @@ func main() {
 		at.Trace = tracepkg.NewWriter(f)
 	}
 	if *reportTo != "" || *verbose {
-		at.Metrics = &metrics.Recorder{MaxSamples: *capN, Every: *every}
+		at.Metrics = &metrics.Recorder{MaxSamples: *capN}
 	}
 	var rounds []metrics.ProgressUpdate
 	if *verbose {

@@ -73,7 +73,6 @@ func main() {
 	flag.DurationVar(&cfg.JobDeadline, "job-deadline", 0, "per-job wall-clock deadline; a job over it fails (0: none)")
 	flag.StringVar(&cfg.NodeID, "node-id", "", "stable node identity echoed by /healthz and /stats (default: the listener's host:port)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional debug listen address serving /debug/pprof/ and /metrics (empty: disabled)")
-	flag.IntVar(&cfg.FlightRounds, "flight-rounds", 64, "GVT rounds in the tail of a job's event history that /jobs/{id}/flight serves")
 	flag.IntVar(&cfg.FlightRetain, "flight-retain", 128, "executed jobs that keep their event history once finished, before the oldest is released")
 	simd.Main("simd", func(logger *slog.Logger) error { return run(cfg, logger) })
 }

@@ -18,7 +18,6 @@
 //	simdcluster                              # 3 members on :8090
 //	simdcluster -nodes 5 -addr :9000 -store-dir /var/lib/simd
 //	simdcluster -workers 4 -queue 128        # per-member pool sizing
-//	simdcluster -replicas 2                  # cap dispatch attempts per job
 //
 // A crashed member is respawned (same node identity, same journal, new
 // port) and re-passes the health gate before receiving work again.
@@ -43,8 +42,8 @@ import (
 	"repro/internal/simdcluster"
 )
 
-// config is the router's Options, which -replicas, -health-interval and
-// -fail-threshold fill directly, and what the supervisor needs.
+// config is the router's Options, which -health-interval fills
+// directly, and what the supervisor needs.
 type config struct {
 	simdcluster.Options
 	nodes          int
@@ -60,12 +59,10 @@ func main() {
 	flag.IntVar(&cfg.nodes, "nodes", 3, "simd member processes to spawn and supervise")
 	flag.StringVar(&cfg.addr, "addr", ":8090", "router HTTP listen address")
 	flag.StringVar(&cfg.storeDir, "store-dir", "", "shared content-addressed store directory (default: a fresh temp dir, logged at startup)")
-	flag.IntVar(&cfg.Replicas, "replicas", 0, "candidate members tried per dispatch before giving up (0: all eligible)")
 	flag.StringVar(&cfg.simdBin, "simd-bin", "", "simd binary to spawn (default: sibling of this executable, then $PATH)")
 	flag.IntVar(&cfg.workers, "workers", 2, "workers per member")
 	flag.IntVar(&cfg.queue, "queue", 64, "queue depth per member")
 	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "member health probe cadence")
-	flag.IntVar(&cfg.FailThreshold, "fail-threshold", 3, "consecutive probe failures demoting a member to down")
 	flag.BoolVar(&cfg.restart, "restart", true, "respawn crashed members")
 	simd.Main("simdcluster", func(logger *slog.Logger) error { return run(cfg, logger) })
 }

@@ -262,7 +262,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	r := startRouter(t, "-nodes", "3", "-workers", "1", "-store-dir", dir,
-		"-health-interval", "100ms", "-fail-threshold", "2", "-restart=false")
+		"-health-interval", "100ms", "-restart=false")
 	c := simdclient.New(r.base)
 	ids := []string{"n1", "n2", "n3"}
 

@@ -45,12 +45,16 @@ const (
 	SyncWindow
 )
 
+// syncNames names each SyncKind, in SyncKind order.
+var syncNames = [...]string{"nullmsg", "window"}
+
+// SyncNames lists the synchronization protocols' names in SyncKind
+// order: SyncKind(i) is named SyncNames()[i]. Callers must not modify it.
+func SyncNames() []string { return syncNames[:] }
+
 func (k SyncKind) String() string {
-	switch k {
-	case SyncNullMsg:
-		return "nullmsg"
-	case SyncWindow:
-		return "window"
+	if uint(k) < uint(len(syncNames)) {
+		return syncNames[k]
 	}
 	return fmt.Sprintf("SyncKind(%d)", int(k))
 }

@@ -47,16 +47,16 @@ const (
 	GVTSamadi
 )
 
+// gvtNames names each GVTKind, in GVTKind order.
+var gvtNames = [...]string{"barrier", "mattern", "ca-gvt", "samadi"}
+
+// GVTNames lists the GVT algorithms' names in GVTKind order: GVTKind(i)
+// is named GVTNames()[i]. Callers must not modify it.
+func GVTNames() []string { return gvtNames[:] }
+
 func (k GVTKind) String() string {
-	switch k {
-	case GVTBarrier:
-		return "barrier"
-	case GVTMattern:
-		return "mattern"
-	case GVTControlled:
-		return "ca-gvt"
-	case GVTSamadi:
-		return "samadi"
+	if uint(k) < uint(len(gvtNames)) {
+		return gvtNames[k]
 	}
 	return fmt.Sprintf("GVTKind(%d)", int(k))
 }
@@ -77,14 +77,16 @@ const (
 	CommShared
 )
 
+// commNames names each CommMode, in CommMode order.
+var commNames = [...]string{"dedicated", "combined", "shared"}
+
+// CommNames lists the MPI servicing modes' names in CommMode order:
+// CommMode(i) is named CommNames()[i]. Callers must not modify it.
+func CommNames() []string { return commNames[:] }
+
 func (m CommMode) String() string {
-	switch m {
-	case CommDedicated:
-		return "dedicated"
-	case CommCombined:
-		return "combined"
-	case CommShared:
-		return "shared"
+	if uint(m) < uint(len(commNames)) {
+		return commNames[m]
 	}
 	return fmt.Sprintf("CommMode(%d)", int(m))
 }

@@ -49,16 +49,15 @@ func SafeLVT(v float64) float64 {
 
 // Recorder samples per-round telemetry into bounded buffers. Attach one
 // to core.Config.Metrics; the engine drives it. Each series grows with the
-// run, so a short run pays only for its rounds; at MaxSamples the recorder
-// compacts in place (keeps every other sample) and doubles its sampling
-// stride, so a bounded buffer covers the whole run at adaptive resolution
-// and sampling allocates nothing once a series has filled.
+// run, so a short run pays only for its rounds. Sampling starts at every
+// GVT round; at MaxSamples the recorder compacts in place (keeps every
+// other sample) and doubles its sampling stride, so a bounded buffer
+// covers the whole run at adaptive resolution and sampling allocates
+// nothing once a series has filled.
 type Recorder struct {
 	// MaxSamples caps each series' length (default 512). When reached,
 	// samples are halved and the round stride doubles.
 	MaxSamples int
-	// Every is the base sampling stride in GVT rounds (default 1).
-	Every int
 
 	// OnProgress, when non-nil, receives one ProgressUpdate per completed
 	// GVT round, independent of the sampling stride (the sampled series
@@ -94,10 +93,7 @@ func (r *Recorder) Init(workers int) {
 		r.MaxSamples = 512
 	}
 	r.MaxSamples += r.MaxSamples % 2 // even cap keeps compaction phase-aligned
-	if r.Every <= 0 {
-		r.Every = 1
-	}
-	r.stride = r.Every
+	r.stride = 1
 	r.seen = 0
 	r.Registry()
 	r.rounds = nil

@@ -1,6 +1,8 @@
 package run
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/conservative"
 	"repro/internal/core"
@@ -41,12 +43,6 @@ type Attach struct {
 	Model pe.ModelFactory
 }
 
-var (
-	gvtKinds  = map[string]core.GVTKind{"barrier": core.GVTBarrier, "mattern": core.GVTMattern, "ca-gvt": core.GVTControlled, "samadi": core.GVTSamadi}
-	commModes = map[string]core.CommMode{"dedicated": core.CommDedicated, "combined": core.CommCombined, "shared": core.CommShared}
-	syncKinds = map[string]conservative.SyncKind{"nullmsg": conservative.SyncNullMsg, "window": conservative.SyncWindow}
-)
-
 // New canonicalizes the spec and builds its engine. Canonical is the one
 // validator: a spec it accepts builds (FuzzSpecCanonical), so an invalid
 // spec is an error, never a panic.
@@ -62,7 +58,7 @@ func New(spec Spec, at Attach) (Engine, error) {
 	if c.Engine == "conservative" {
 		return conservative.New(conservative.Config{
 			Topology:  c.Topology(),
-			Sync:      syncKinds[c.Sync],
+			Sync:      conservative.SyncKind(slices.Index(conservative.SyncNames(), c.Sync)),
 			Lookahead: c.Lookahead,
 			EndTime:   c.EndTime,
 			Seed:      c.Seed,
@@ -74,10 +70,10 @@ func New(spec Spec, at Attach) (Engine, error) {
 	}
 	cfg := core.Config{
 		Topology:           c.Topology(),
-		GVT:                gvtKinds[c.GVT],
+		GVT:                core.GVTKind(slices.Index(core.GVTNames(), c.GVT)),
 		GVTInterval:        c.GVTInterval,
 		CAThreshold:        c.CAThreshold,
-		Comm:               commModes[c.Comm],
+		Comm:               core.CommMode(slices.Index(core.CommNames(), c.Comm)),
 		EndTime:            c.EndTime,
 		Seed:               c.Seed,
 		BatchSize:          c.BatchSize,

@@ -14,10 +14,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/balance"
 	"repro/internal/cluster"
+	"repro/internal/conservative"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/models/epidemic"
 	"repro/internal/models/pcs"
@@ -160,11 +163,9 @@ func (s Spec) Canonical() (Spec, error) {
 	switch c.Engine = norm(c.Engine); c.Engine {
 	case "":
 		// Naming a conservative protocol is an implicit engine choice.
-		switch norm(c.Sync) {
-		case "nullmsg", "cmb", "window":
+		c.Engine = "timewarp"
+		if v := norm(c.Sync); v == "cmb" || slices.Contains(conservative.SyncNames(), v) {
 			c.Engine = "conservative"
-		default:
-			c.Engine = "timewarp"
 		}
 	case "timewarp", "conservative":
 	default:
@@ -173,10 +174,11 @@ func (s Spec) Canonical() (Spec, error) {
 	if c.Engine == "conservative" {
 		switch c.Sync = norm(c.Sync); c.Sync {
 		case "", "cmb":
-			c.Sync = "nullmsg"
-		case "nullmsg", "window":
+			c.Sync = conservative.SyncNullMsg.String()
 		default:
-			return c, fmt.Errorf("run: unknown sync %q (want nullmsg | window)", c.Sync)
+			if !slices.Contains(conservative.SyncNames(), c.Sync) {
+				return c, fmt.Errorf("run: unknown sync %q (want %s)", c.Sync, strings.Join(conservative.SyncNames(), " | "))
+			}
 		}
 		if c.Lookahead == 0 {
 			c.Lookahead = c.defaultLookahead()
@@ -197,12 +199,13 @@ func (s Spec) Canonical() (Spec, error) {
 	if c.Engine == "timewarp" {
 		switch c.GVT = norm(c.GVT); c.GVT {
 		case "":
-			c.GVT = "mattern"
+			c.GVT = core.GVTMattern.String()
 		case "ca", "cagvt":
-			c.GVT = "ca-gvt"
-		case "barrier", "mattern", "ca-gvt", "samadi":
+			c.GVT = core.GVTControlled.String()
 		default:
-			return c, fmt.Errorf("run: unknown gvt %q (want barrier | mattern | ca-gvt | samadi)", c.GVT)
+			if !slices.Contains(core.GVTNames(), c.GVT) {
+				return c, fmt.Errorf("run: unknown gvt %q (want %s)", c.GVT, strings.Join(core.GVTNames(), " | "))
+			}
 		}
 	} else {
 		// A conservative run has no GVT algorithm: the sync protocol is
@@ -212,10 +215,11 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	switch c.Comm = norm(c.Comm); c.Comm {
 	case "":
-		c.Comm = "dedicated"
-	case "dedicated", "combined", "shared":
+		c.Comm = core.CommDedicated.String()
 	default:
-		return c, fmt.Errorf("run: unknown comm %q (want dedicated | combined | shared)", c.Comm)
+		if !slices.Contains(core.CommNames(), c.Comm) {
+			return c, fmt.Errorf("run: unknown comm %q (want %s)", c.Comm, strings.Join(core.CommNames(), " | "))
+		}
 	}
 	if c.Engine == "conservative" && c.Comm != "dedicated" {
 		return c, fmt.Errorf("run: comm %q is not supported by the conservative engine (only dedicated)", c.Comm)

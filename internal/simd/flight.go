@@ -25,8 +25,8 @@ type FlightRecord struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 
 	// RoundsTotal counts every GVT round the run completed; Recent holds
-	// at most Options.FlightRounds of them (the newest), and RoundsDropped
-	// says how many older rounds it leaves out.
+	// at most the newest 64 of them on /jobs/{id}/flight, and
+	// RoundsDropped says how many older rounds it leaves out.
 	RoundsTotal   int64 `json:"rounds_total"`
 	RoundsDropped int64 `json:"rounds_dropped"`
 	// Retained is false when the job aged out of flight retention and its

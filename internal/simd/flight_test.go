@@ -47,7 +47,7 @@ func TestFlightTailBounds(t *testing.T) {
 // retained tail is the newest suffix, and the terminal state rides
 // along.
 func TestFlightOfCompletedJob(t *testing.T) {
-	s := NewServer(Options{Workers: 1, FlightRounds: 8})
+	s := NewServer(Options{Workers: 1})
 	defer s.Close()
 	res, err := s.Submit(fastSpec(77))
 	if err != nil {
@@ -110,6 +110,46 @@ func TestFlightOfCancelledJob(t *testing.T) {
 	}
 	if fr.FinishedAt == nil || fr.StartedAt == nil {
 		t.Fatalf("flight missing timestamps: %+v", fr)
+	}
+}
+
+// TestFlightServesNewest64 pins flightRounds at its boundary: /flight
+// of a job with more than 64 rounds serves exactly the newest 64.
+func TestFlightServesNewest64(t *testing.T) {
+	s, ts := newTestService(t, Options{Workers: 1})
+	res, err := s.Submit(slowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= 64; {
+		events, _, done := res.Job.WaitEvents(waitCtx(t), n)
+		if done {
+			t.Fatalf("job settled after %d rounds, want more than 64", n+len(events))
+		}
+		n += len(events)
+	}
+	if err := s.Cancel(res.Job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	res.Job.Wait(waitCtx(t))
+	events, _, _ := res.Job.WaitEvents(waitCtx(t), 0)
+	code, body, _ := getBody(t, ts.URL+"/jobs/"+res.Job.ID()+"/flight")
+	if code != http.StatusOK {
+		t.Fatalf("flight: %d %s", code, body)
+	}
+	var fr FlightRecord
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.Recent) != 64 || fr.RoundsTotal != int64(len(events)) || fr.RoundsDropped != fr.RoundsTotal-64 {
+		t.Fatalf("flight of %d rounds: recent %d, total %d, dropped %d; want 64 of the newest",
+			len(events), len(fr.Recent), fr.RoundsTotal, fr.RoundsDropped)
+	}
+	tail := events[len(events)-64:]
+	for i := range tail {
+		if fr.Recent[i].Round != tail[i].Round {
+			t.Fatalf("flight[%d] is round %d, stream tail has %d", i, fr.Recent[i].Round, tail[i].Round)
+		}
 	}
 }
 

@@ -313,13 +313,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFlight serves the job's flight recorder: the newest
-// Options.FlightRounds rounds of its event history plus terminal state,
-// so a failed or cancelled job can be post-mortemed without re-running
-// it. Unlike /report it answers in every lifecycle state.
+// flightRounds is the length of the tail of a job's event history that
+// /jobs/{id}/flight serves: the most recent per-GVT-round progress
+// snapshots, for post-mortems.
+const flightRounds = 64
+
+// handleFlight serves the job's flight recorder: the newest flightRounds
+// rounds of its event history plus terminal state, so a failed or
+// cancelled job can be post-mortemed without re-running it. Unlike
+// /report it answers in every lifecycle state.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		WriteJSON(w, http.StatusOK, j.Flight(s.opts.FlightRounds))
+		WriteJSON(w, http.StatusOK, j.Flight(flightRounds))
 	}
 }
 

@@ -44,10 +44,6 @@ type Options struct {
 	// CacheBytes is the result cache budget in bytes (default 64 MiB;
 	// negative disables caching).
 	CacheBytes int64
-	// FlightRounds is the length of the tail of a job's event history
-	// that /jobs/{id}/flight serves: the most recent per-GVT-round
-	// progress snapshots, for post-mortems (default 64).
-	FlightRounds int
 	// FlightRetain bounds how many executed jobs keep their event history
 	// once finished; beyond it the oldest one's history is released,
 	// keeping memory bounded while recent post-mortems stay available
@@ -89,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 64 << 20
-	}
-	if o.FlightRounds <= 0 {
-		o.FlightRounds = 64
 	}
 	if o.FlightRetain <= 0 {
 		o.FlightRetain = 128

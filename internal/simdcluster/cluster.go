@@ -15,8 +15,8 @@
 // Membership is health-gated: a registered member is "starting" and
 // receives nothing until /healthz passes, mirroring the embedded-
 // cluster lifecycle where a node is not started until it answers.
-// After FailThreshold consecutive probe failures an up member is
-// marked down, and every non-terminal job mapped to it is re-
+// After failThreshold (three) consecutive probe failures an up member
+// is marked down, and every non-terminal job mapped to it is re-
 // dispatched to the next live replica in its rank.
 package simdcluster
 
@@ -38,18 +38,18 @@ import (
 	"repro/pkg/client"
 )
 
+const (
+	// failThreshold is how many consecutive probe failures demote an up
+	// member to down.
+	failThreshold = 3
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+)
+
 // Options configures a Cluster.
 type Options struct {
 	// HealthInterval is the probe cadence (default 1s).
 	HealthInterval time.Duration
-	// FailThreshold is how many consecutive probe failures demote an up
-	// member to down (default 3).
-	FailThreshold int
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
-	// Replicas caps how many candidate members one dispatch tries before
-	// giving up (0: all eligible members).
-	Replicas int
 	// Logger receives membership and failover logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -57,12 +57,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
@@ -193,7 +187,7 @@ func (c *Cluster) AddMember(id, base string, pid int) *Member {
 		c.members[id] = m
 		c.order = append(c.order, id)
 	}
-	m.rebase(base, pid, c.opts.ProbeTimeout)
+	m.rebase(base, pid)
 	c.log.Info("cluster member registered", "node_id", id, "addr", base, "pid", pid)
 	return m
 }
@@ -338,7 +332,7 @@ func (c *Cluster) probe(m *Member) {
 	} else {
 		m.failures++
 		m.lastErr = err.Error()
-		if m.state == MemberUp && m.failures >= c.opts.FailThreshold {
+		if m.state == MemberUp && m.failures >= failThreshold {
 			m.state = MemberDown
 			wentDown = true
 		}
@@ -440,7 +434,7 @@ func (c *Cluster) observeLocked(j *clusterJob, st client.JobStatus) {
 
 // candidates orders eligible members for a hash: the cache-resident
 // owner first (routing to warm caches beats ring rank), then the
-// rendezvous rank, capped at Replicas attempts.
+// rendezvous rank.
 func (c *Cluster) candidates(hash, exclude string) []*Member {
 	c.mu.Lock()
 	ids := make([]string, 0, len(c.members))
@@ -458,9 +452,6 @@ func (c *Cluster) candidates(hash, exclude string) []*Member {
 				break
 			}
 		}
-	}
-	if c.opts.Replicas > 0 && len(ranked) > c.opts.Replicas {
-		ranked = ranked[:c.opts.Replicas]
 	}
 	out := make([]*Member, len(ranked))
 	for i, id := range ranked {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func newTestCluster(t *testing.T, n, workers, queue int) (*Cluster, []*testNode)
 	t.Helper()
 	dir := t.TempDir()
 	nodes := make([]*testNode, n)
-	c := New(Options{HealthInterval: 20 * time.Millisecond, FailThreshold: 2, ProbeTimeout: time.Second})
+	c := New(Options{HealthInterval: 20 * time.Millisecond})
 	for i := range nodes {
 		id := fmt.Sprintf("n%d", i+1)
 		st, err := store.Open(store.Options{Dir: dir})
@@ -249,7 +250,7 @@ func TestRankDeterministicAndMinimallyDisruptive(t *testing.T) {
 }
 
 func TestHealthGateBeforeTraffic(t *testing.T) {
-	c := New(Options{HealthInterval: 20 * time.Millisecond, FailThreshold: 2})
+	c := New(Options{HealthInterval: 20 * time.Millisecond})
 	defer c.Close()
 	// A member that never answers stays "starting": registered is not up.
 	c.AddMember("ghost", "http://127.0.0.1:1", 0)
@@ -288,6 +289,40 @@ func TestHealthGateBeforeTraffic(t *testing.T) {
 	c.AddMember("n9", imp.URL, 0)
 	if err := c.WaitUp("n9", 300*time.Millisecond); err == nil {
 		t.Fatal("member with mismatched node_id passed the health gate")
+	}
+}
+
+// TestFailThresholdBoundary pins failThreshold at its boundary: an up
+// member survives two consecutive failed probes and is down after the
+// third. The health loop's interval is an hour, so only the probes the
+// test makes count.
+func TestFailThresholdBoundary(t *testing.T) {
+	var failing atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() {
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		w.Write([]byte(`{"status":"ok","node_id":"n1"}`))
+	}))
+	defer ts.Close()
+	c := New(Options{HealthInterval: time.Hour})
+	defer c.Close()
+	m := c.AddMember("n1", ts.URL, 0)
+	c.probe(m)
+	if st := m.State(); st != MemberUp {
+		t.Fatalf("after a passing probe: state %s, want up", st)
+	}
+	failing.Store(true)
+	for i := 1; i <= 3; i++ {
+		c.probe(m)
+		want := MemberUp
+		if i == 3 {
+			want = MemberDown
+		}
+		if st := m.State(); st != want {
+			t.Fatalf("after %d failed probes: state %s, want %s", i, st, want)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func (m *Member) api() *simdclient.Client {
 
 // rebase points the member at a new address/pid (a supervisor respawn)
 // and returns it to starting so the health gate re-runs before traffic.
-func (m *Member) rebase(base string, pid int, probeTimeout time.Duration) {
+func (m *Member) rebase(base string, pid int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.base = base

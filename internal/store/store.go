@@ -22,9 +22,9 @@
 //
 // Degradation protocol. Disk trouble must not fail requests: the store
 // counts consecutive infrastructure failures (ENOSPC, permission loss,
-// I/O errors, a corruption burst) and past Options.FailThreshold it
-// trips into degraded mode, where operations are skipped — the daemon
-// keeps serving from its in-memory cache. Every ProbeEvery-th operation
+// I/O errors, a corruption burst) and after three consecutive failures
+// it trips into degraded mode, where operations are skipped — the
+// daemon keeps serving from its in-memory cache. Every eighth operation
 // while degraded is attempted for real; the first success recovers the
 // store. The FS seam lets tests inject every one of these faults
 // deterministically.
@@ -53,6 +53,16 @@ const entryMagic = "simdstore v1\n"
 // hashLen is the hex length of a SHA-256 content address.
 const hashLen = 64
 
+const (
+	// failThreshold is how many consecutive infrastructure failures trip
+	// degraded mode.
+	failThreshold = 3
+	// probeEvery is how often a degraded store retries the disk: every
+	// probeEvery-th operation while degraded runs for real as a recovery
+	// probe.
+	probeEvery = 8
+)
+
 // Options configures Open.
 type Options struct {
 	// Dir is the store directory, created if absent.
@@ -60,12 +70,6 @@ type Options struct {
 	// MaxBytes bounds the payload bytes kept on disk; oldest entries are
 	// evicted past it (<= 0: unbounded).
 	MaxBytes int64
-	// FailThreshold is how many consecutive infrastructure failures trip
-	// degraded mode (default 3).
-	FailThreshold int
-	// ProbeEvery is how often a degraded store retries the disk: every
-	// Nth skipped operation runs for real as a recovery probe (default 8).
-	ProbeEvery int
 	// FS is the filesystem seam (default: the real OS filesystem).
 	FS FS
 	// Logger receives store lifecycle logs; nil discards them.
@@ -73,12 +77,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.ProbeEvery <= 0 {
-		o.ProbeEvery = 8
-	}
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
@@ -460,7 +458,7 @@ func (s *Store) probeTurn() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probeTick++
-	return s.probeTick%s.opts.ProbeEvery == 0
+	return s.probeTick%probeEvery == 0
 }
 
 // ok records a successful disk interaction, recovering a degraded
@@ -479,13 +477,13 @@ func (s *Store) ok() {
 func (s *Store) fail(op string, err error) {
 	s.mu.Lock()
 	s.consecFails++
-	trip := s.consecFails >= s.opts.FailThreshold && !s.degraded.Load()
+	trip := s.consecFails >= failThreshold && !s.degraded.Load()
 	s.mu.Unlock()
 	s.log.Warn("store operation failed", "op", op, "error", err.Error())
 	if trip && s.degraded.CompareAndSwap(false, true) {
 		s.degradedEvents.Add(1)
 		s.log.Error("store degraded: bypassing disk, serving memory-only",
-			"dir", s.opts.Dir, "consecutive_failures", s.opts.FailThreshold)
+			"dir", s.opts.Dir, "consecutive_failures", failThreshold)
 	}
 }
 

@@ -179,13 +179,13 @@ func TestOversizedPayloadNotStored(t *testing.T) {
 	}
 }
 
-// TestDegradeOnWriteFailures: ENOSPC-style write failures past the
-// threshold trip degraded mode; operations are then skipped without
-// touching the disk; a probe succeeds once the fault clears and the
-// store recovers.
+// TestDegradeOnWriteFailures: ENOSPC-style write failures trip degraded
+// mode at the third in a row, not before; operations are then skipped
+// without touching the disk except every eighth, which probes it; a
+// probe succeeds once the fault clears and the store recovers.
 func TestDegradeOnWriteFailures(t *testing.T) {
 	ffs := newFaultFS()
-	s := openTestStore(t, Options{FS: ffs, FailThreshold: 2, ProbeEvery: 2})
+	s := openTestStore(t, Options{FS: ffs})
 	payload := []byte("p")
 
 	ffs.setFail(func(op, path string) error {
@@ -194,40 +194,63 @@ func TestDegradeOnWriteFailures(t *testing.T) {
 		}
 		return nil
 	})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
+		if s.Degraded() {
+			t.Fatalf("store degraded after %d write failures", i)
+		}
 		if err := s.Put(testHash(20+i), payload); err == nil {
 			t.Fatal("Put succeeded under an injected ENOSPC")
 		}
 	}
 	if !s.Degraded() {
-		t.Fatal("store not degraded after FailThreshold write failures")
+		t.Fatal("store not degraded after 3 write failures")
 	}
-	if st := s.Stats(); st.DegradedEvents != 1 || st.PutErrors != 2 {
+	if st := s.Stats(); st.DegradedEvents != 1 || st.PutErrors != 3 {
 		t.Fatalf("stats %+v", st)
 	}
 
-	// Degraded: the next (odd) operation is skipped entirely.
-	before := ffs.opCount()
-	if err := s.Put(testHash(30), payload); err != nil {
-		t.Fatalf("skipped put returned %v", err)
+	// Degraded: operations 1-7 are skipped entirely, the 8th probes the
+	// still-broken disk and fails, and so on for the next eight.
+	for round := 0; round < 2; round++ {
+		before := ffs.opCount()
+		for i := 0; i < 7; i++ {
+			if err := s.Put(testHash(30+i), payload); err != nil {
+				t.Fatalf("skipped put returned %v", err)
+			}
+		}
+		if ffs.opCount() != before {
+			t.Fatal("degraded put touched the filesystem outside a probe turn")
+		}
+		if err := s.Put(testHash(37), payload); err == nil {
+			t.Fatal("probe put succeeded under an injected ENOSPC")
+		}
+		if ffs.opCount() == before {
+			t.Fatal("the 8th degraded put did not probe the filesystem")
+		}
+		if !s.Degraded() {
+			t.Fatal("a failed probe recovered the store")
+		}
 	}
-	if ffs.opCount() != before {
-		t.Fatal("degraded put touched the filesystem outside a probe turn")
-	}
-	if st := s.Stats(); st.Skipped == 0 {
-		t.Fatal("skip not counted")
+	if st := s.Stats(); st.Skipped != 14 {
+		t.Fatalf("skipped = %d, want 14", st.Skipped)
 	}
 
-	// Fault clears; the next operation is a probe turn (ProbeEvery=2)
-	// and recovers the store.
+	// Fault clears; the next 7 operations are still skipped, the 8th is
+	// a probe turn and recovers the store.
 	ffs.setFail(nil)
-	if err := s.Put(testHash(31), payload); err != nil {
+	for i := 0; i < 7; i++ {
+		s.Put(testHash(40+i), payload)
+	}
+	if !s.Degraded() {
+		t.Fatal("store recovered outside a probe turn")
+	}
+	if err := s.Put(testHash(47), payload); err != nil {
 		t.Fatalf("probe put failed: %v", err)
 	}
 	if s.Degraded() {
 		t.Fatal("store still degraded after a successful probe")
 	}
-	if _, ok := s.Get(testHash(31)); !ok {
+	if _, ok := s.Get(testHash(47)); !ok {
 		t.Fatal("probe-written entry unreadable")
 	}
 }
@@ -237,7 +260,7 @@ func TestDegradeOnWriteFailures(t *testing.T) {
 // missing entry never does.
 func TestDegradeOnReadFailures(t *testing.T) {
 	ffs := newFaultFS()
-	s := openTestStore(t, Options{FS: ffs, FailThreshold: 3, ProbeEvery: 2})
+	s := openTestStore(t, Options{FS: ffs})
 
 	// Healthy misses don't degrade, ever.
 	for i := 0; i < 10; i++ {
@@ -254,25 +277,33 @@ func TestDegradeOnReadFailures(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 3; i++ {
+		if s.Degraded() {
+			t.Fatalf("store degraded after %d EIO reads", i)
+		}
 		s.Get(testHash(50 + i))
 	}
 	if !s.Degraded() {
-		t.Fatal("EIO reads did not degrade the store")
+		t.Fatal("3 EIO reads did not degrade the store")
 	}
 
 	ffs.setFail(nil)
-	// Next get is skipped (probe tick 1), the one after probes and recovers.
-	s.Get(testHash(60))
-	s.Get(testHash(61))
+	// Gets 1-7 are skipped, the 8th probes and recovers.
+	for i := 0; i < 7; i++ {
+		s.Get(testHash(60 + i))
+	}
+	if !s.Degraded() {
+		t.Fatal("store recovered outside a probe turn")
+	}
+	s.Get(testHash(67))
 	if s.Degraded() {
 		t.Fatal("store did not recover after reads healed")
 	}
 }
 
 // TestCorruptionBurstDegrades: a run of checksum failures is a failing
-// disk and must degrade like any infrastructure fault.
+// disk and must degrade like any infrastructure fault, at the third.
 func TestCorruptionBurstDegrades(t *testing.T) {
-	s := openTestStore(t, Options{FailThreshold: 3})
+	s := openTestStore(t, Options{})
 	for i := 0; i < 3; i++ {
 		if err := s.Put(testHash(70+i), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -285,6 +316,9 @@ func TestCorruptionBurstDegrades(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
+		if s.Degraded() {
+			t.Fatalf("store degraded after %d corrupt reads", i)
+		}
 		s.Get(testHash(70 + i))
 	}
 	if !s.Degraded() {
