@@ -362,7 +362,9 @@ func (s Spec) Address() (canon Spec, hash string, err error) {
 		return canon, "", err
 	}
 	sum := sha256.Sum256(raw)
-	return canon, hex.EncodeToString(sum[:]), nil
+	var hexed [2 * sha256.Size]byte // encoded here, the string is the one allocation
+	hex.Encode(hexed[:], sum[:])
+	return canon, string(hexed[:]), nil
 }
 
 // Hash returns the spec's content address alone (see Address).

@@ -100,10 +100,3 @@ func (c *Cache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Puts: c.puts,
 	}
 }
-
-// Len returns the number of cached results.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.index)
-}

@@ -91,8 +91,8 @@ func TestCacheDisabled(t *testing.T) {
 		if _, ok := c.Get("a"); ok {
 			t.Fatalf("budget %d stored data", budget)
 		}
-		if c.Len() != 0 {
-			t.Fatalf("budget %d: Len() = %d", budget, c.Len())
+		if n := c.Stats().Entries; n != 0 {
+			t.Fatalf("budget %d: %d entries", budget, n)
 		}
 	}
 }

@@ -48,17 +48,15 @@ func (j *Job) Flight(tail int) FlightRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := len(j.events)
-	if tail > n {
-		tail = n
-	}
+	tail = min(tail, n)
 	last := j.lastRound()
 	return FlightRecord{
 		ID: j.id, Hash: j.hash, State: j.state, CacheHit: j.cacheHit,
 		Error:         j.errMsg,
 		PanicStack:    j.panicStack,
 		SubmittedAt:   j.submitted,
-		StartedAt:     optTime(j.started),
-		FinishedAt:    optTime(j.finished),
+		StartedAt:     optTime(&j.started),
+		FinishedAt:    optTime(&j.finished),
 		RoundsTotal:   j.rounds,
 		RoundsDropped: j.rounds - int64(tail),
 		Retained:      !j.released,
@@ -78,10 +76,12 @@ func (j *Job) lastRound() metrics.ProgressUpdate {
 	return metrics.ProgressUpdate{}
 }
 
-// optTime is the wire form of a lifecycle instant: absent until it happens.
-func optTime(t time.Time) *time.Time {
+// optTime is the wire form of a job's lifecycle instant: absent until it
+// happens, then the job's own field, which never changes again; the
+// caller holds j.mu.
+func optTime(t *time.Time) *time.Time {
 	if t.IsZero() {
 		return nil
 	}
-	return &t
+	return t
 }

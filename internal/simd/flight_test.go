@@ -12,7 +12,7 @@ import (
 // is the newest suffix of the history, a history shorter than the tail is
 // served whole, and the round count survives release.
 func TestFlightTailBounds(t *testing.T) {
-	j := newJob("j000001", "h", JobSpec{})
+	j := newJob(1, "h", JobSpec{})
 	if fr := j.Flight(4); fr.Recent != nil || fr.RoundsTotal != 0 || fr.RoundsDropped != 0 || !fr.Retained {
 		t.Fatalf("flight before the first round: %+v", fr)
 	}

@@ -32,8 +32,8 @@ func (j *Job) status() client.JobStatus {
 		Deduped:  j.deduped, Rounds: int(j.rounds), Error: j.errMsg,
 		GVT: last.GVT, Efficiency: last.Efficiency,
 		SubmittedAt: j.submitted,
-		StartedAt:   optTime(j.started),
-		FinishedAt:  optTime(j.finished),
+		StartedAt:   optTime(&j.started),
+		FinishedAt:  optTime(&j.finished),
 	}
 }
 
@@ -126,9 +126,12 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, client.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// jsonType is the Content-Type every JSON answer shares (Header.Set allocates).
+var jsonType = []string{"application/json"}
+
 // WriteJSON answers code with v as the job API indents its documents.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -136,19 +139,12 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	wait, err := waitParam(r.URL.Query())
+	wait, err := waitParam(r.URL)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, MaxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	res, err := s.Submit(spec)
+	res, err := s.submitBody(r.Body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Tell the client when retrying is worth it: the estimated queue
@@ -178,7 +174,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // waitParam reads the submit route's wait parameter: bare (?wait) or a
 // true value asks for the held answer, a false value (?wait=0) for the
 // ordinary one, and anything else is a bad request rather than a guess.
-func waitParam(q url.Values) (bool, error) {
+// The two queries clients send are read without parsing.
+func waitParam(u *url.URL) (bool, error) {
+	if u.RawQuery == "" || u.RawQuery == "wait" {
+		return u.RawQuery != "", nil
+	}
+	q := u.Query()
 	v := q.Get("wait")
 	if v == "" {
 		return q.Has("wait"), nil
@@ -219,7 +220,7 @@ func (s *Server) answerSettled(w http.ResponseWriter, r *http.Request, res Submi
 	if done {
 		n += len(mid) + len(report)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	io.WriteString(w, head)
 	w.Write(status)
@@ -270,7 +271,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Header().Set("X-Simd-Job", j.ID())
 	w.Header().Set("X-Simd-Hash", j.Hash())
 	w.Write(data)

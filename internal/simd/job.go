@@ -27,6 +27,7 @@ const (
 // safely while the run keeps appending.
 type Job struct {
 	id   string
+	seq  int64 // submission order
 	hash string
 	spec JobSpec // canonical form
 
@@ -35,7 +36,7 @@ type Job struct {
 	begun chan struct{}
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // on mu
 	state    State
 	cacheHit bool
 	storeHit bool                     // the cache hit came from the persistent store
@@ -51,17 +52,18 @@ type Job struct {
 	deadline   bool        // the wall-clock deadline fired; cancellation is a failure
 	panicStack string      // recorded stack when the engine panicked
 
+	// started and finished are set once, so snapshots point at them.
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 }
 
-func newJob(id, hash string, spec JobSpec) *Job {
+func newJob(seq int64, hash string, spec JobSpec) *Job {
 	j := &Job{
-		id: id, hash: hash, spec: spec, state: StateQueued,
+		id: jobID(seq), seq: seq, hash: hash, spec: spec, state: StateQueued,
 		submitted: time.Now(),
 	}
-	j.cond = sync.NewCond(&j.mu)
+	j.cond.L = &j.mu
 	return j
 }
 
@@ -103,12 +105,15 @@ func (j *Job) Rounds() int {
 }
 
 // Wait blocks until the job reaches a terminal state or the context is
-// done, and returns the final state.
+// done, and returns the final state. A settled job answers at once; only a
+// wait that blocks arranges the wake-up, under mu, which wake takes.
 func (j *Job) Wait(ctx context.Context) State {
-	stop := context.AfterFunc(ctx, j.wake)
-	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if client.Terminal(j.state) {
+		return j.state
+	}
+	defer context.AfterFunc(ctx, j.wake)()
 	for !client.Terminal(j.state) && ctx.Err() == nil {
 		j.cond.Wait()
 	}
@@ -120,11 +125,9 @@ func (j *Job) Wait(ctx context.Context) State {
 // (which may be empty), the state observed, and whether that state is
 // terminal. Callers advance cursor by len(events) between calls.
 func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpdate, State, bool) {
-	stop := context.AfterFunc(ctx, j.wake)
-	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for {
+	for waking := false; ; waking = true {
 		if len(j.events) > cursor {
 			return j.events[cursor:len(j.events):len(j.events)], j.state, client.Terminal(j.state)
 		}
@@ -133,6 +136,9 @@ func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpd
 		}
 		if ctx.Err() != nil {
 			return nil, j.state, false
+		}
+		if !waking { // as in Wait
+			defer context.AfterFunc(ctx, j.wake)()
 		}
 		j.cond.Wait()
 	}

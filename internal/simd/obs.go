@@ -26,11 +26,11 @@ var allStates = []State{StateQueued, StateRunning, StateDone, StateFailed, State
 type serviceObs struct {
 	reg *obs.Registry
 
-	submissions  *obs.CounterVec // outcome: admitted|cache_hit|deduped|rejected
-	jobsFinished *obs.CounterVec // state: done|failed|cancelled
-	jobsByState  *obs.GaugeVec   // state: current counts, refreshed per scrape
-	queueWait    *obs.Histogram  // seconds from admission to pickup
-	runDuration  *obs.Histogram  // seconds from pickup to terminal state
+	outcomes    map[string]*obs.Counter // simd_submissions_total by outcome, resolved once
+	finished    map[State]*obs.Counter  // simd_jobs_finished_total by state, resolved once
+	jobsByState *obs.GaugeVec           // state: current counts, refreshed per scrape
+	queueWait   *obs.Histogram          // seconds from admission to pickup
+	runDuration *obs.Histogram          // seconds from pickup to terminal state
 
 	engRounds     *obs.Counter
 	engProcessed  *obs.Counter
@@ -46,7 +46,7 @@ type serviceObs struct {
 // references into them).
 func newServiceObs(s *Server) *serviceObs {
 	reg := obs.NewRegistry()
-	o := &serviceObs{reg: reg}
+	o := &serviceObs{reg: reg, outcomes: map[string]*obs.Counter{}, finished: map[State]*obs.Counter{}}
 
 	obs.RegisterBuildInfo(reg, "simd_build_info", obs.ReadBuild())
 	reg.GaugeFunc("simd_start_time_seconds",
@@ -57,16 +57,17 @@ func newServiceObs(s *Server) *serviceObs {
 		func() float64 { return time.Since(s.started).Seconds() })
 
 	// Admission and lifecycle.
-	o.submissions = reg.CounterVec("simd_submissions_total",
+	// Every series exists from the start (scraping as 0), resolved once.
+	submissions := reg.CounterVec("simd_submissions_total",
 		"Submissions by outcome: admitted (queued for execution), cache_hit, store_hit (cache hit filled from the persistent store), deduped (coalesced onto an in-flight job), rejected (queue full, HTTP 429).",
 		"outcome")
 	for _, oc := range []string{"admitted", "cache_hit", "store_hit", "deduped", "rejected"} {
-		o.submissions.With(oc) // pre-create so all outcomes scrape as 0
+		o.outcomes[oc] = submissions.With(oc)
 	}
-	o.jobsFinished = reg.CounterVec("simd_jobs_finished_total",
+	jobsFinished := reg.CounterVec("simd_jobs_finished_total",
 		"Jobs reaching a terminal state, by state.", "state")
 	for _, st := range []State{StateDone, StateFailed, StateCancelled} {
-		o.jobsFinished.With(string(st))
+		o.finished[st] = jobsFinished.With(string(st))
 	}
 	o.jobsByState = reg.GaugeVec("simd_jobs",
 		"Current jobs by lifecycle state.", "state")
@@ -197,19 +198,12 @@ func newServiceObs(s *Server) *serviceObs {
 // advancing round.
 func (o *serviceObs) bridgeProgress(prev, u metrics.ProgressUpdate) {
 	o.engRounds.Inc()
-	o.engProcessed.Add(clampNonNeg(u.Processed - prev.Processed))
-	o.engCommitted.Add(clampNonNeg(u.Committed - prev.Committed))
-	o.engRollbacks.Add(clampNonNeg(u.Rollbacks - prev.Rollbacks))
-	o.engRolledBack.Add(clampNonNeg(u.RolledBack - prev.RolledBack))
-	o.engMigrations.Add(clampNonNeg(u.Migrations - prev.Migrations))
+	o.engProcessed.Add(max(0, u.Processed-prev.Processed))
+	o.engCommitted.Add(max(0, u.Committed-prev.Committed))
+	o.engRollbacks.Add(max(0, u.Rollbacks-prev.Rollbacks))
+	o.engRolledBack.Add(max(0, u.RolledBack-prev.RolledBack))
+	o.engMigrations.Add(max(0, u.Migrations-prev.Migrations))
 	if d := u.GVT - prev.GVT; d >= 0 {
 		o.gvtAdvance.Observe(d)
 	}
-}
-
-func clampNonNeg(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package simd
+
+// raceEnabled reports a -race build, whose detector allocates on its own
+// account and so voids allocation counts.
+const raceEnabled = true

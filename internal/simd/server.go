@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,24 +77,13 @@ type Options struct {
 
 // withDefaults resolves zero values.
 func (o Options) withDefaults() Options {
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 64
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = 64 << 20
-	}
+	o.Workers = max(cmp.Or(o.Workers, runtime.GOMAXPROCS(0)), 1)
+	o.QueueDepth = cmp.Or(o.QueueDepth, 64)
+	o.CacheBytes = cmp.Or(o.CacheBytes, 64<<20)
 	if o.FlightRetain <= 0 {
 		o.FlightRetain = 128
 	}
-	if o.Logger == nil {
-		o.Logger = obs.NopLogger()
-	}
+	o.Logger = cmp.Or(o.Logger, obs.NopLogger())
 	return o
 }
 
@@ -109,11 +101,15 @@ type Server struct {
 
 	mu       sync.Mutex
 	closed   bool
-	jobs     map[string]*Job // by id
-	order    []*Job          // submission order, for listing
+	jobs     map[string]*Job // by id: every unsettled job and the newest maxSettledJobs settled ones
+	settled  []*Job          // the settled jobs in jobs, a ring once full: settled[next] is the oldest
+	next     int
 	inflight map[string]*Job // spec hash → queued/running job (singleflight table)
 	retired  []*Job          // finished jobs still holding history, oldest first
 	seq      int64
+
+	memoMu sync.Mutex
+	memo   map[string]addressed // submitted body → its address (submitBody)
 
 	executions atomic.Int64 // engine runs actually started (cache/dedup bypass this)
 	dedupHits  atomic.Int64 // submissions coalesced onto an in-flight job
@@ -149,6 +145,7 @@ func NewServer(opts Options) *Server {
 		started:  time.Now(),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
+		memo:     make(map[string]addressed),
 	}
 	s.obs = newServiceObs(s)
 	return s
@@ -170,6 +167,11 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 	if err != nil {
 		return SubmitResult{}, err
 	}
+	return s.submit(canon, hash)
+}
+
+// submit is Submit for a spec already canonical and addressed.
+func (s *Server) submit(canon JobSpec, hash string) (SubmitResult, error) {
 	if err := admissible(canon); err != nil {
 		return SubmitResult{}, err
 	}
@@ -225,13 +227,16 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		j.state = StateDone
 		j.report = data
 		j.finished = j.submitted
+		s.settleLocked(j)
 		outcome, msg := "cache_hit", "job served from cache"
 		if storeHit {
 			outcome, msg = "store_hit", "job served from persistent store"
 		}
-		s.obs.submissions.With(outcome).Inc()
-		s.obs.jobsFinished.With(string(StateDone)).Inc()
-		s.log.Info(msg, "job", j.id, "hash", j.hash, "model", canon.Model)
+		s.obs.outcomes[outcome].Inc()
+		s.obs.finished[StateDone].Inc()
+		if s.log.Enabled(context.Background(), slog.LevelInfo) { // the line costs three allocations to build
+			s.log.Info(msg, "job", j.id, "hash", j.hash, "model", canon.Model)
+		}
 		return SubmitResult{Job: j, CacheHit: true, StoreHit: storeHit}, nil
 	}
 
@@ -244,7 +249,7 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		prior.deduped++
 		prior.mu.Unlock()
 		s.dedupHits.Add(1)
-		s.obs.submissions.With("deduped").Inc()
+		s.obs.outcomes["deduped"].Inc()
 		s.log.Info("submission coalesced onto in-flight job", "job", prior.id, "hash", hash)
 		return SubmitResult{Job: prior, Deduped: true}, nil
 	}
@@ -254,16 +259,15 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 	if !s.pool.TrySubmit(func() { s.execute(j) }) {
 		// Roll the record back: a rejected submission leaves no trace.
 		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
 		s.seq--
 		s.rejected.Add(1)
-		s.obs.submissions.With("rejected").Inc()
+		s.obs.outcomes["rejected"].Inc()
 		s.log.Warn("submission rejected: queue full", "hash", hash,
 			"queue_cap", s.opts.QueueDepth)
 		return SubmitResult{}, ErrQueueFull
 	}
 	s.inflight[hash] = j
-	s.obs.submissions.With("admitted").Inc()
+	s.obs.outcomes["admitted"].Inc()
 	return SubmitResult{Job: j}, nil
 }
 
@@ -297,10 +301,30 @@ func (s *Server) journalBegin(j *Job, canon JobSpec) {
 // newJobLocked allocates and records a job; the caller holds s.mu.
 func (s *Server) newJobLocked(hash string, canon JobSpec) *Job {
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), hash, canon)
+	j := newJob(s.seq, hash, canon)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	return j
+}
+
+// jobID is fmt.Sprintf("j%06d", seq) in one allocation.
+func jobID(seq int64) string {
+	var b [32]byte
+	id := strconv.AppendInt(append(b[:0], "j00000"...), seq, 10)
+	return string(append(id[:1], id[len(id)-max(6, len(id)-6):]...))
+}
+
+// maxSettledJobs bounds the settled jobs kept; past it the oldest is forgotten (404).
+const maxSettledJobs = 1 << 16
+
+// settleLocked keeps a job that settled, forgetting the oldest past the bound; s.mu held.
+func (s *Server) settleLocked(j *Job) {
+	if len(s.settled) < maxSettledJobs {
+		s.settled = append(s.settled, j)
+		return
+	}
+	delete(s.jobs, s.settled[s.next].id)
+	s.settled[s.next] = j
+	s.next = (s.next + 1) % maxSettledJobs
 }
 
 // retireLocked enrolls an executed job, now finished, in flight
@@ -349,8 +373,9 @@ func (s *Server) execute(j *Job) {
 			delete(s.inflight, j.hash)
 		}
 		s.retireLocked(j)
+		s.settleLocked(j)
 		s.mu.Unlock()
-		s.obs.jobsFinished.With(string(j.State())).Inc()
+		s.obs.finished[j.State()].Inc()
 	}()
 	if !j.beginRunning() {
 		// Cancelled while queued: Cancel journals the end and settles the
@@ -485,12 +510,15 @@ func (s *Server) Job(id string) (*Job, error) {
 	return j, nil
 }
 
-// Jobs returns all jobs in submission order.
+// Jobs returns the jobs kept (see maxSettledJobs) in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	copy(out, s.order)
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 
@@ -543,19 +571,8 @@ func (s *Server) RetryAfter() time.Duration {
 	if n := s.obs.runDuration.Count(); n > 0 {
 		mean = s.obs.runDuration.Sum() / float64(n)
 	}
-	workers := ps.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	secs := float64(ps.QueueLen+1) * mean / float64(workers)
-	d := time.Duration(secs * float64(time.Second))
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 2*time.Minute {
-		d = 2 * time.Minute
-	}
-	return d
+	secs := float64(ps.QueueLen+1) * mean / float64(max(ps.Workers, 1))
+	return min(max(time.Duration(secs*float64(time.Second)), time.Second), 2*time.Minute)
 }
 
 // Degraded reports whether the persistent store is bypassing a
@@ -649,7 +666,7 @@ func (s *Server) jobsByState() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	by := make(map[string]int, len(allStates))
-	for _, j := range s.order {
+	for _, j := range s.jobs {
 		by[string(j.State())]++
 	}
 	return by

@@ -1,7 +1,11 @@
 package simd
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"sync"
 
 	"repro/internal/run"
 )
@@ -32,4 +36,62 @@ func admissible(c JobSpec) error {
 		return fmt.Errorf("simd: end_time %v exceeds the service cap of %v", c.EndTime, float64(maxEndTime))
 	}
 	return nil
+}
+
+// The memo holds at most specMemoCap bodies of at most specMemoBody bytes
+// each (a spec is a few hundred); a full memo is emptied.
+const specMemoCap, specMemoBody = 1024, 4 << 10
+
+// addressed is a submitted body's canonical spec and content address.
+type addressed struct {
+	canon JobSpec
+	hash  string
+}
+
+// bodyReader reads at most MaxSpecBytes of a body; pooled, it allocates nothing.
+type bodyReader struct {
+	lim io.LimitedReader
+	buf bytes.Buffer
+}
+
+var bodyReaders = sync.Pool{New: func() any { return new(bodyReader) }}
+
+// submitBody submits the JobSpec a body holds, unknown fields refused. A
+// body seen before takes its address from a memo, skipping the decode,
+// Canonical and SHA-256; only a body that decoded and addressed cleanly
+// enters it, so a bad one is refused alike every time.
+func (s *Server) submitBody(body io.Reader) (SubmitResult, error) {
+	br := bodyReaders.Get().(*bodyReader)
+	defer bodyReaders.Put(br)
+	br.lim = io.LimitedReader{R: body, N: MaxSpecBytes}
+	br.buf.Reset()
+	_, err := br.buf.ReadFrom(&br.lim)
+	br.lim.R = nil
+	if err != nil {
+		return SubmitResult{}, fmt.Errorf("bad job spec: %v", err)
+	}
+	raw := br.buf.Bytes()
+	s.memoMu.Lock()
+	a, ok := s.memo[string(raw)]
+	s.memoMu.Unlock()
+	if !ok {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return SubmitResult{}, fmt.Errorf("bad job spec: %v", err)
+		}
+		if a.canon, a.hash, err = spec.Address(); err != nil {
+			return SubmitResult{}, err
+		}
+		if len(raw) <= specMemoBody {
+			s.memoMu.Lock()
+			if len(s.memo) >= specMemoCap {
+				clear(s.memo)
+			}
+			s.memo[string(raw)] = a
+			s.memoMu.Unlock()
+		}
+	}
+	return s.submit(a.canon, a.hash)
 }

@@ -108,7 +108,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) (int, []
 		return 0, nil, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonType
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -127,12 +127,29 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) (int, []
 // hostile header cannot force a large allocation.
 const maxPresize = 1 << 20
 
-// Call is the decoding exchange: Do, then a 2xx answer is decoded into
-// v — nil discards it, a *[]byte takes the body verbatim (the shape
-// proxies need), a func([]byte) error decodes it itself, anything else is
-// decoded as JSON — and every other status is a *StatusError carrying the
-// code, the headers and the body.
+// jsonType is the Content-Type every request body shares (Header.Set allocates).
+var jsonType = []string{"application/json"}
+
+// Call is the decoding exchange: CallFunc, decoding a 2xx answer into v
+// — nil discards it, a *[]byte takes the body verbatim (the shape proxies
+// need), anything else is decoded as JSON.
 func (c *Client) Call(ctx context.Context, method, path string, body, v any) error {
+	return c.CallFunc(ctx, method, path, body, func(data []byte) error {
+		switch v := v.(type) {
+		case nil:
+		case *[]byte:
+			*v = data
+		default:
+			return json.Unmarshal(data, v)
+		}
+		return nil
+	})
+}
+
+// CallFunc is Do, then decode reads a 2xx answer's body, and every other
+// status is a *StatusError carrying the code, the headers and the body.
+// decode is only called, never kept: a closure costs no allocation.
+func (c *Client) CallFunc(ctx context.Context, method, path string, body any, decode func([]byte) error) error {
 	code, data, hdr, err := c.Do(ctx, method, path, body)
 	if err != nil {
 		return err
@@ -140,16 +157,7 @@ func (c *Client) Call(ctx context.Context, method, path string, body, v any) err
 	if code < 200 || code > 299 {
 		return &StatusError{Method: method, Path: path, Code: code, Header: hdr, Body: string(data)}
 	}
-	switch v := v.(type) {
-	case nil:
-	case *[]byte:
-		*v = data
-	case func([]byte) error:
-		err = v(data)
-	default:
-		err = json.Unmarshal(data, v)
-	}
-	if err != nil {
+	if err := decode(data); err != nil {
 		return fmt.Errorf("%s %s: HTTP %d with an undecodable answer: %w", method, path, code, err)
 	}
 	return nil
@@ -203,9 +211,6 @@ func RetryAfterHint(h http.Header) (time.Duration, bool) {
 // is still starting, or mid-restart, shouldn't kill its client on the
 // first refused connection.
 func Retry(attempts int, base, cap time.Duration, fn func() error, onRetry func(attempt int, err error, delay time.Duration)) error {
-	if attempts < 1 {
-		attempts = 1
-	}
 	delay := base
 	var err error
 	for i := 1; ; i++ {
@@ -219,9 +224,6 @@ func Retry(attempts int, base, cap time.Duration, fn func() error, onRetry func(
 			onRetry(i, err, delay)
 		}
 		time.Sleep(delay)
-		delay *= 2
-		if delay > cap {
-			delay = cap
-		}
+		delay = min(delay*2, cap)
 	}
 }

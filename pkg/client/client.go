@@ -192,11 +192,11 @@ func (c *Client) call(ctx context.Context, op, method, path string, body, v any,
 // ErrFinished on DELETE), every other status *APIError; an exchange that
 // got no answer, or an undecodable one, keeps its cause.
 func apiErr(op string, err, on409 error) error {
-	var se *simdclient.StatusError
-	switch {
-	case err == nil:
+	if err == nil {
 		return nil
-	case !errors.As(err, &se):
+	}
+	var se *simdclient.StatusError // after the nil check: errors.As moves it to the heap
+	if !errors.As(err, &se) {
 		return fmt.Errorf("client: %s: %w", op, err)
 	}
 	msg := apiMessage([]byte(se.Body))
@@ -237,17 +237,18 @@ func absorbQueueFull(ctx context.Context, retries int, attempt func() error) err
 	const hintCap = 15 * time.Second
 	for n := 0; ; n++ {
 		err := attempt()
+		if err == nil {
+			return nil
+		}
 		var qf *QueueFullError
-		if err == nil || !errors.As(err, &qf) || n >= retries {
+		if !errors.As(err, &qf) || n >= retries {
 			return err
 		}
 		d := qf.RetryAfter
 		if !qf.Hinted || d <= 0 {
 			d = time.Second
 		}
-		if d > hintCap {
-			d = hintCap
-		}
+		d = min(d, hintCap)
 		if err := sleepCtx(ctx, d); err != nil {
 			return err
 		}
@@ -337,35 +338,38 @@ func (a settled) job() JobStatus {
 // decodeSettled decodes a POST /jobs?wait answer as json.Unmarshal into a
 // settled does: in one scan (oneScan) when it has the layout a daemon
 // writes, through json.Unmarshal when it has any other.
-func decodeSettled(data []byte) (ans settled, err error) {
+func decodeSettled(data []byte) (settled, error) {
 	if ans, ok := oneScan(data); ok {
 		return ans, nil
 	}
-	err = json.Unmarshal(data, &ans)
+	var ans settled // here, off the one-scan path: Unmarshal moves it to the heap
+	err := json.Unmarshal(data, &ans)
 	return ans, err
 }
 
-// oneScan decodes answerSettled's layout, {"status":S} or
-// {"status":S,"report":R}: S on its own, R validated once and sliced out
-// of data without a copy. It is false for anything else — a router's flat
-// answer, reordered or extra members, a part that fails.
+// oneScan decodes answerSettled's layout, {"status":S} or {"status":S,"report":R}:
+// S, an object, by json.Unmarshal over the span scanValue finds; R checked by
+// scanValue and sliced out of data. It is false for anything else — a router's
+// flat answer, reordered or extra members, a part that fails or nests too deep.
 func oneScan(data []byte) (ans settled, ok bool) {
-	rest, ok := bytes.CutPrefix(data, []byte(`{"status":`))
-	if !ok || len(rest) == 0 || rest[len(rest)-1] != '}' {
+	if !bytes.HasPrefix(data, []byte(`{"status":{`)) || data[len(data)-1] != '}' {
 		return ans, false
 	}
-	body := rest[:len(rest)-1]
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if dec.Decode(&ans.Status) != nil {
+	body := data[len(`{"status":`) : len(data)-1]
+	end := scanValue(body, 0, scanDepth)
+	if end < 0 {
 		return ans, false
 	}
-	tail := body[dec.InputOffset():]
-	if len(tail) == 0 {
-		return ans, true
+	if tail := body[end:]; len(tail) > 0 {
+		report, ok := bytes.CutPrefix(tail, []byte(`,"report":`))
+		report = bytes.Trim(report, " \t\r\n") // as a json.RawMessage holds it
+		if !ok || scanValue(report, 0, scanDepth) != len(report) {
+			return ans, false
+		}
+		ans.Report = report
 	}
-	report, ok := bytes.CutPrefix(tail, []byte(`,"report":`))
-	ans.Report = bytes.Trim(report, " \t\r\n") // as a json.RawMessage holds it
-	return ans, ok && json.Valid(ans.Report)
+	ans.Status = new(Submission)
+	return ans, json.Unmarshal(body[:end], ans.Status) == nil
 }
 
 // Run is the whole round trip in one exchange: it posts the spec to
@@ -384,7 +388,7 @@ func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
 	var ans settled
 	decode := func(data []byte) (err error) { ans, err = decodeSettled(data); return }
 	err := absorbQueueFull(ctx, 8, func() error {
-		return c.call(ctx, "submit", http.MethodPost, "/jobs?wait", spec, decode, nil)
+		return apiErr("submit", c.api.CallFunc(ctx, http.MethodPost, "/jobs?wait", spec, decode), nil)
 	})
 	if err != nil && !refusal(err) && ctx.Err() == nil {
 		ans = settled{}

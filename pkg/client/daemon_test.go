@@ -210,21 +210,28 @@ func BenchmarkRunMiss(b *testing.B) {
 	benchmarkRun(b, func(i int) simd.JobSpec { return tinySpec(uint64(1 + i)) })
 }
 
-// BenchmarkDecodeSettled: what decoding one POST /jobs?wait answer costs
-// the SDK, on a real daemon's answer for a default-topology job (≈6.5 KB,
-// nearly all of it report): one-scan is the SDK's path, unmarshal the
-// json.Unmarshal it replaces.
-func BenchmarkDecodeSettled(b *testing.B) {
-	d := startDaemon(b)
+// waitAnswer is a real daemon's POST /jobs?wait answer for a
+// default-topology job (≈6.5 KB, nearly all of it report), checked to
+// take the one-scan path.
+func waitAnswer(tb testing.TB) []byte {
+	d := startDaemon(tb)
 	resp, err := http.Post(d.client.Base()+"/jobs?wait", "application/json", strings.NewReader(`{"seed":42}`))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	answer, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || !client.OneScan(answer) {
-		b.Fatalf("HTTP %d, %v: the answer does not take the one-scan path\n%s", resp.StatusCode, err, answer)
+		tb.Fatalf("HTTP %d, %v: the answer does not take the one-scan path\n%s", resp.StatusCode, err, answer)
 	}
+	return answer
+}
+
+// BenchmarkDecodeSettled: what decoding one POST /jobs?wait answer costs
+// the SDK, on a real daemon's answer: one-scan is the SDK's path,
+// unmarshal the json.Unmarshal it replaces.
+func BenchmarkDecodeSettled(b *testing.B) {
+	answer := waitAnswer(b)
 	for _, bc := range []struct {
 		name   string
 		decode func([]byte) error
@@ -238,5 +245,47 @@ func BenchmarkDecodeSettled(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCheckReport: checking the report of a real daemon's answer,
+// by the scanner the one-scan path uses and by the json.Valid it
+// replaces.
+func BenchmarkCheckReport(b *testing.B) {
+	answer := waitAnswer(b)
+	_, report, _ := bytes.Cut(answer[:len(answer)-1], []byte(`,"report":`))
+	for _, bc := range []struct {
+		name  string
+		check func([]byte) bool
+	}{{"scan", client.ScanValue}, {"json.Valid", json.Valid}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(report)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !bc.check(report) {
+					b.Fatal("the report does not check")
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeSettledAllocsPinned: decoding a real daemon's answer
+// allocates only the status document and what json.Unmarshal makes for
+// it; the report is sliced out of the body. A bound may only go down.
+func TestDecodeSettledAllocsPinned(t *testing.T) {
+	if client.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	answer := waitAnswer(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := client.DecodeSettled(answer); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per answer", allocs)
+	const bound = 12
+	if allocs > bound {
+		t.Errorf("decoding the answer allocates %.1f times, bound %d", allocs, bound)
 	}
 }

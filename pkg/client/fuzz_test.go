@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +53,10 @@ func FuzzWaitAnswer(f *testing.F) {
 		`{"status":null,"report":null}`,
 		`{"status":{"state":7}}`,
 		`[]`, `"done"`, ``, "<html>502 Bad Gateway</html>",
+		`{"status":{"id":"j1","state":"done"} ,"report":{}}`,      // whitespace after the status
+		`{"status":{"id":"j1","state":"done"}` + "\t}",            // a tab after it
+		`{"status":{"id":"j1","state":"done","rounds":[[1],[]]}}`, // arrays nested in it
+		`{"status":{"id":"j1","state":"done"},"report":` + strings.Repeat("[", scanDepth+1) + strings.Repeat("]", scanDepth+1) + `}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -86,6 +91,35 @@ func FuzzWaitAnswer(f *testing.F) {
 			if _, err := decodeSettled(body[:cut]); err == nil {
 				t.Fatalf("answer cut to %d of %d bytes still decoded: %q", cut, len(body), body[:cut])
 			}
+		}
+	})
+}
+
+// FuzzScanValue holds the one-scan path's scanner to json.Valid: what it
+// accepts as one whole value json.Valid accepts, and on input too shallow
+// for its depth limit the two agree; the value it finds is JSON too.
+func FuzzScanValue(f *testing.F) {
+	for _, seed := range []string{
+		`{"a":[1,-0.5e+3,true,false,null,"x\"\\\/\b\f\n\r\t\u00e9"],"b":{}}`,
+		` [ ] `, `{"a" : 1 , "b":[ {} ]}`, `"\u12"`, `01`, `-`, `1.`, `1e`, `.5`, `tru`, `nul`,
+		`{"a":1,}`, `[1,]`, `{"a"}`, `{1:2}`, "\"\x01\"", "\"\xff\"", `[1]x`, `[`, `}`,
+		strings.Repeat("[", scanDepth) + strings.Repeat("]", scanDepth),
+		strings.Repeat("[", scanDepth+1) + strings.Repeat("]", scanDepth+1),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		end := scanValue(data, 0, scanDepth)
+		whole := end >= 0 && skipSpace(data, end) == len(data)
+		valid := json.Valid(data)
+		if whole && !valid {
+			t.Fatalf("scanner accepts what json.Valid refuses: %q", data)
+		}
+		if end >= 0 && !json.Valid(data[:end]) {
+			t.Fatalf("scanner found a value json.Valid refuses: %q of %q", data[:end], data)
+		}
+		if shallow := bytes.Count(data, []byte("["))+bytes.Count(data, []byte("{")) <= scanDepth; shallow && whole != valid {
+			t.Fatalf("scanner: %v, json.Valid: %v on %q", whole, valid, data)
 		}
 	})
 }
