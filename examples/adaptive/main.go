@@ -14,63 +14,41 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/phold"
-	"repro/internal/vtime"
+	"repro/internal/run"
 )
 
 func main() {
-	top := cluster.Topology{Nodes: 4, WorkersPerNode: 8, LPsPerWorker: 32}
-	end := vtime.Time(60)
-	model := phold.New(phold.Params{
-		Topology: top,
-		Base:     phold.ComputationDominated(),
-		Mixed: &phold.MixedModel{
-			Comm:     phold.CommunicationDominated(),
-			CompFrac: 10, CommFrac: 15, EndTime: end,
-		},
-	})
+	spec := run.Spec{Scenario: "mixed", Nodes: 4, WorkersPerNode: 8, LPsPerWorker: 32, EndTime: 60, Seed: 5, GVTInterval: 25}
 
-	base := core.Config{
-		Topology:    top,
-		GVTInterval: 25,
-		CAThreshold: 0.80,
-		Comm:        core.CommDedicated,
-		EndTime:     end,
-		Seed:        5,
-		Model:       model,
-	}
-
-	fmt.Println("mixed 10-15 PHOLD model,", top.Nodes, "nodes: committed event rate by algorithm")
-	rates := map[core.GVTKind]float64{}
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTBarrier, core.GVTControlled} {
-		cfg := base
-		cfg.GVT = g
+	fmt.Println("mixed 10-15 PHOLD model,", spec.Nodes, "nodes: committed event rate by algorithm")
+	rates := map[string]float64{}
+	for _, gvt := range []string{"mattern", "barrier", "ca-gvt"} {
+		spec.GVT = gvt
+		var at run.Attach
 		var rounds []metrics.ProgressUpdate
-		if g == core.GVTControlled {
-			cfg.Metrics = &metrics.Recorder{OnProgress: func(u metrics.ProgressUpdate) {
+		if gvt == "ca-gvt" {
+			at.Metrics = &metrics.Recorder{OnProgress: func(u metrics.ProgressUpdate) {
 				rounds = append(rounds, u)
 			}}
 		}
-		r, err := core.New(cfg).Run()
+		eng, err := run.New(spec, at)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rates[g] = r.EventRate()
-		fmt.Printf("  %-8v rate=%.4g ev/s efficiency=%.1f%% rollbacks=%d sync-rounds=%d/%d\n",
-			g, r.EventRate(), 100*r.Efficiency(), r.Workers.Rollbacks, r.SyncRounds, r.GVTRounds)
+		r, err := eng.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		rates[gvt] = r.EventRate()
+		fmt.Printf("  %-8s rate=%.4g ev/s efficiency=%.1f%% rollbacks=%d sync-rounds=%d/%d\n",
+			gvt, r.EventRate(), 100*r.Efficiency(), r.Workers.Rollbacks, r.SyncRounds, r.GVTRounds)
 
-		if g == core.GVTControlled {
+		if gvt == "ca-gvt" {
 			fmt.Println("\n  CA-GVT mode trace (async '.' / sync 'S' per GVT round):")
-			line := "  "
+			line, mode := "  ", map[bool]string{false: ".", true: "S"}
 			for _, u := range rounds {
-				if u.Sync {
-					line += "S"
-				} else {
-					line += "."
-				}
+				line += mode[u.Sync]
 				if len(line) >= 66 {
 					fmt.Println(line)
 					line = "  "
@@ -84,7 +62,7 @@ func main() {
 	}
 
 	fmt.Printf("CA-GVT vs Mattern: %+.1f%%   CA-GVT vs Barrier: %+.1f%%\n",
-		100*(rates[core.GVTControlled]/rates[core.GVTMattern]-1),
-		100*(rates[core.GVTControlled]/rates[core.GVTBarrier]-1))
+		100*(rates["ca-gvt"]/rates["mattern"]-1),
+		100*(rates["ca-gvt"]/rates["barrier"]-1))
 	fmt.Println("(the paper reports CA-GVT ahead of both on mixed models, by ~7-8%)")
 }

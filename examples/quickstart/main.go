@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/run"
 	"repro/internal/seq"
 )
 
@@ -43,20 +43,14 @@ func (m *ringModel) Snapshot() any { return m.hops }
 func (m *ringModel) Restore(s any) { m.hops = s.(int64) }
 
 func main() {
-	top := cluster.Topology{Nodes: 2, WorkersPerNode: 4, LPsPerWorker: 8}
-	cfg := core.Config{
-		Topology:    top,
-		GVT:         core.GVTControlled, // CA-GVT: adapts sync/async per round
-		GVTInterval: 25,
-		Comm:        core.CommDedicated, // one MPI thread per node
-		EndTime:     50,
-		Seed:        2024,
-		Model: func(lp event.LPID, total int) core.Model {
-			return &ringModel{self: lp}
-		},
+	// CA-GVT adapts sync/async per round; each node has one MPI thread.
+	spec := run.Spec{GVT: "ca-gvt", GVTInterval: 25, Nodes: 2, WorkersPerNode: 4, LPsPerWorker: 8, EndTime: 50, Seed: 2024}
+	model := func(lp event.LPID, total int) core.Model { return &ringModel{self: lp} }
+	eng, err := run.New(spec, run.Attach{Model: model})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	r, err := core.New(cfg).Run()
+	r, err := eng.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +58,7 @@ func main() {
 	fmt.Println(r)
 
 	// The committed event stream must be identical to a sequential run.
-	ref := seq.New(cfg.Model, top.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
+	ref := seq.New(model, spec.Topology().TotalLPs(), spec.EndTime, spec.Seed).Run()
 	fmt.Printf("\nsequential oracle: %d events\n", ref.Processed)
 	if ref.Checksum == r.CommitChecksum {
 		fmt.Println("oracle check: OK — optimistic execution matched sequential execution exactly")

@@ -136,10 +136,15 @@ func (w *worker) runnable(bound vtime.Time) *event.Event {
 
 // processBatch processes up to BatchSize pending events with stamps
 // strictly below bound (and within the simulation end time), in full
-// stamp order. Returns whether any event was processed.
+// stamp order. Returns whether any event was processed. A null-message
+// bound is renewed after every event: a send lowers the floor of the peer
+// it lands with, which may send back one lookahead later.
 func (w *worker) processBatch(p *sim.Proc, bound vtime.Time) bool {
 	worked := false
 	for i := 0; i < w.eng.cfg.BatchSize; i++ {
+		if i > 0 && w.eng.cfg.Sync == SyncNullMsg {
+			bound = min(bound, w.safeBound())
+		}
 		ev := w.runnable(bound)
 		if ev == nil {
 			break

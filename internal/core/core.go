@@ -168,8 +168,8 @@ type Config struct {
 	// Trace, when non-nil, receives a record for every committed event,
 	// every completed GVT round, every rollback episode, every MPI
 	// data-plane send/receive and every worker phase transition
-	// (ROSS-style event tracing, format v1). The caller flushes it after
-	// Run.
+	// (ROSS-style event tracing, format trace.Version). The caller
+	// flushes it after Run.
 	Trace *trace.Writer
 
 	// Metrics, when non-nil, is driven by the engine: per-GVT-round

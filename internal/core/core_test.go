@@ -1,9 +1,7 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cluster"
 	core "repro/internal/core"
@@ -37,61 +35,8 @@ func remoteFor(nodes int) float64 {
 	return 0
 }
 
-func run(t *testing.T, cfg core.Config) *core.Engine {
-	t.Helper()
-	eng := core.New(cfg)
-	if _, err := eng.Run(); err != nil {
-		t.Fatalf("%v/%v: %v", cfg.GVT, cfg.Comm, err)
-	}
-	return eng
-}
-
 func allGVT() []core.GVTKind {
 	return []core.GVTKind{core.GVTBarrier, core.GVTMattern, core.GVTControlled, core.GVTSamadi}
-}
-
-func allComm() []core.CommMode {
-	return []core.CommMode{core.CommDedicated, core.CommCombined, core.CommShared}
-}
-
-// TestOracleEquivalence is the central correctness test: for every GVT
-// algorithm, comm mode and several topologies, the parallel engine's
-// committed event stream must equal the sequential oracle's exactly.
-func TestOracleEquivalence(t *testing.T) {
-	shapes := []struct{ nodes, workers, lps int }{
-		{1, 1, 8},
-		{1, 4, 4},
-		{2, 2, 4},
-		{4, 3, 2},
-	}
-	for _, sh := range shapes {
-		for _, g := range allGVT() {
-			for _, c := range allComm() {
-				name := fmt.Sprintf("%dx%dx%d/%v/%v", sh.nodes, sh.workers, sh.lps, g, c)
-				t.Run(name, func(t *testing.T) {
-					cfg := testConfig(sh.nodes, sh.workers, sh.lps, g, c)
-					eng := core.New(cfg)
-					r, err := eng.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref := seq.New(cfg.Model, cfg.Topology.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
-					if r.Workers.Committed != ref.Processed {
-						t.Errorf("committed %d events, oracle processed %d", r.Workers.Committed, ref.Processed)
-					}
-					if r.CommitChecksum != ref.Checksum {
-						t.Errorf("commit checksum %x != oracle %x", r.CommitChecksum, ref.Checksum)
-					}
-					if r.Workers.Committed == 0 {
-						t.Error("no events committed")
-					}
-					if r.FinalGVT <= cfg.EndTime {
-						t.Errorf("final GVT %v did not pass end time %v", r.FinalGVT, cfg.EndTime)
-					}
-				})
-			}
-		}
-	}
 }
 
 // TestDeterminism: identical configuration and seed must yield identical
@@ -450,51 +395,5 @@ func TestSamadiAckOverhead(t *testing.T) {
 	if r.MPIMessages <= r2.MPIMessages {
 		t.Errorf("Samadi MPI messages (%d) not above Mattern (%d): acks missing?",
 			r.MPIMessages, r2.MPIMessages)
-	}
-}
-
-// TestOracleFuzz: randomized small configurations across all GVT
-// algorithms must match the sequential oracle. This sweeps corners the
-// fixed matrix misses (odd shapes, extreme percentages, odd intervals).
-func TestOracleFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz sweep skipped in -short")
-	}
-	prop := func(seed uint64, a, b, c, d, e, f uint8) bool {
-		nodes := int(a%3) + 1
-		workers := int(b%3) + 1
-		lps := int(c%4) + 1
-		remote := float64(d%30) / 100
-		if nodes == 1 {
-			remote = 0
-		}
-		regional := float64(e%60) / 100
-		interval := int(f%6) + 2
-		top := cluster.Topology{Nodes: nodes, WorkersPerNode: workers, LPsPerWorker: lps}
-		model := phold.New(phold.Params{
-			Topology: top,
-			Base:     phold.Phase{RemotePct: remote, RegionalPct: regional, EPG: 800 + int(seed%2000)},
-		})
-		ref := seq.New(model, top.TotalLPs(), 15, seed).Run()
-		for _, g := range allGVT() {
-			cfg := core.Config{
-				Topology: top, GVT: g, GVTInterval: interval,
-				Comm: core.CommDedicated, EndTime: 15, Seed: seed, Model: model,
-			}
-			r, err := core.New(cfg).Run()
-			if err != nil {
-				t.Logf("%v shape=%dx%dx%d: %v", g, nodes, workers, lps, err)
-				return false
-			}
-			if r.CommitChecksum != ref.Checksum || r.Workers.Committed != ref.Processed {
-				t.Logf("%v shape=%dx%dx%d seed=%d interval=%d remote=%v regional=%v: diverged",
-					g, nodes, workers, lps, seed, interval, remote, regional)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
 	}
 }

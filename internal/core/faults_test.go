@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	core "repro/internal/core"
@@ -25,54 +24,6 @@ func faultConfig(t *testing.T, scenario string, gvt core.GVTKind) core.Config {
 	cfg.Faults = plan
 	cfg.FaultLabel = scenario
 	return cfg
-}
-
-// TestFaultScenariosMatchOracle is the robustness counterpart of
-// TestOracleEquivalence: under every built-in fault scenario, for both
-// token-ring GVT algorithms, the committed event stream must still be
-// bit-identical to the sequential oracle — faults may cost time, never
-// correctness.
-func TestFaultScenariosMatchOracle(t *testing.T) {
-	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTControlled} {
-		for _, name := range fabric.ScenarioNames() {
-			t.Run(fmt.Sprintf("%v/%s", g, name), func(t *testing.T) {
-				cfg := faultConfig(t, name, g)
-				r, err := core.New(cfg).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := seq.New(cfg.Model, cfg.Topology.TotalLPs(), cfg.EndTime, cfg.Seed).Run()
-				if r.CommitChecksum != ref.Checksum {
-					t.Errorf("commit checksum %x != oracle %x", r.CommitChecksum, ref.Checksum)
-				}
-				if r.Workers.Committed != ref.Processed {
-					t.Errorf("committed %d events, oracle processed %d", r.Workers.Committed, ref.Processed)
-				}
-				if r.FinalGVT <= cfg.EndTime {
-					t.Errorf("final GVT %v did not pass end time %v", r.FinalGVT, cfg.EndTime)
-				}
-				// The scenario must actually have exercised its fault kind.
-				switch name {
-				case "drop":
-					if r.FaultDrops == 0 || r.Retransmits == 0 {
-						t.Errorf("drop scenario injected %d drops, %d retransmits", r.FaultDrops, r.Retransmits)
-					}
-				case "duplicate":
-					if r.FaultDups == 0 || r.TransportDups == 0 {
-						t.Errorf("duplicate scenario injected %d dups, suppressed %d", r.FaultDups, r.TransportDups)
-					}
-				case "jitter":
-					if r.FaultJitters == 0 {
-						t.Error("jitter scenario injected no jitter")
-					}
-				case "partition":
-					if r.FaultWindowDrops == 0 {
-						t.Error("partition scenario dropped no packets in windows")
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestFaultDeterminism: a (seed, fault plan) pair must replay the whole
@@ -167,7 +118,7 @@ func TestStragglerSlowdown(t *testing.T) {
 	}
 }
 
-// TestFaultTraceAndReport: fault events reach the v1 trace and the run
+// TestFaultTraceAndReport: fault events reach the trace and the run
 // report carries the robustness counters and scenario label.
 func TestFaultTraceAndReport(t *testing.T) {
 	cfg := faultConfig(t, "chaos", core.GVTControlled)

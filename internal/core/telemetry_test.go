@@ -90,7 +90,7 @@ func TestRunReportContent(t *testing.T) {
 	if !found {
 		t.Fatalf("inbox_drain_batch histogram missing or empty: %+v", rep.Histograms)
 	}
-	// The trace must carry the v1 record types alongside commits/rounds.
+	// The trace must carry the current version's record types alongside commits/rounds.
 	if a.TraceVersion != trace.Version {
 		t.Fatalf("trace version = %d", a.TraceVersion)
 	}

@@ -385,8 +385,8 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (
 // the threads that share its locks, to its peers, in its statistics and in
 // the trace, the thread that makes every pass itself, while the kernel
 // events of its idle passes stop costing a process switch. LiteralIdle,
-// the reference the engine-level matrix compares against
-// (internal/run.TestSteppedIdleMatchesLiteral), is that loop too.
+// the reference the engine-level parity check compares against
+// (internal/run.FuzzEngineParity), is that loop too.
 func TestIdleMatchesPollingLoop(t *testing.T) {
 	for _, c := range []struct {
 		name   string

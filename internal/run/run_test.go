@@ -11,38 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestNewMatchesOracle: for every model, New on a Time Warp spec and on
-// each conservative twin returns an engine whose run commits exactly the
-// sequential oracle's stream.
-func TestNewMatchesOracle(t *testing.T) {
-	for _, model := range []string{"phold", "pcs", "epidemic", "tandem"} {
-		base := Spec{Model: model, Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 4, EndTime: 5}
-		ref, err := base.Oracle()
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", model, err)
-		}
-		if ref.Processed == 0 {
-			t.Fatalf("%s: oracle processed nothing", model)
-		}
-		for _, sync := range []string{"", "nullmsg", "window"} {
-			s := base
-			s.Sync = sync
-			eng, err := New(s, Attach{})
-			if err != nil {
-				t.Fatalf("%s/%q: %v", model, sync, err)
-			}
-			r, err := eng.Run()
-			if err != nil {
-				t.Fatalf("%s/%q: %v", model, sync, err)
-			}
-			if r.CommitChecksum != ref.Checksum || r.Workers.Committed != ref.Processed {
-				t.Errorf("%s/%q: committed %d events checksum %x, oracle %d / %x",
-					model, sync, r.Workers.Committed, r.CommitChecksum, ref.Processed, ref.Checksum)
-			}
-		}
-	}
-}
-
 // TestNewPlumbsFaultsAndAttach: the fault scenario reaches the engine,
 // the attached observers are driven, a Model override replaces the
 // spec's model, and an invalid spec is an error rather than a panic.

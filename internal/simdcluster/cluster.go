@@ -104,9 +104,10 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	members map[string]*Member
-	order   []string // registration order, for stable display
-	jobs    map[string]*clusterJob
-	jobSeq  []*clusterJob
+	order   []string               // registration order, for stable display
+	jobs    map[string]*clusterJob // by id: the newest maxClusterJobs records
+	jobSeq  []*clusterJob          // the records in jobs, a ring once full: jobSeq[next] is the oldest
+	next    int
 	// resident maps spec hash → the member that last completed it, so
 	// repeat submissions route to warm caches ahead of ring rank.
 	resident map[string]string
@@ -412,8 +413,7 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 	c.mu.Lock()
 	j.node, j.localID = m.ID(), sub.ID
 	c.observeLocked(j, sub.JobStatus)
-	c.jobs[j.id] = j
-	c.jobSeq = append(c.jobSeq, j)
+	c.addJobLocked(j)
 	c.mu.Unlock()
 	c.submitted.Inc()
 
@@ -422,12 +422,35 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 	return res, nil
 }
 
+// The router keeps the newest maxClusterJobs job records, settled or not
+// (it sees a job settle only when asked); an older id answers 404. The
+// resident table only steers routing, so a full one is emptied.
+const (
+	maxClusterJobs   = 1 << 16
+	maxResidentSpecs = 1 << 16
+)
+
+// addJobLocked records j, forgetting the oldest record past the bound; c.mu held.
+func (c *Cluster) addJobLocked(j *clusterJob) {
+	c.jobs[j.id] = j
+	if len(c.jobSeq) < maxClusterJobs {
+		c.jobSeq = append(c.jobSeq, j)
+		return
+	}
+	delete(c.jobs, c.jobSeq[c.next].id)
+	c.jobSeq[c.next] = j
+	c.next = (c.next + 1) % maxClusterJobs
+}
+
 // observeLocked folds st in as the router's latest observation of the
 // job on its current owner; the caller holds c.mu. This is the one place
 // a completed spec becomes resident.
 func (c *Cluster) observeLocked(j *clusterJob, st client.JobStatus) {
 	j.last = st
 	if st.State == client.StateDone {
+		if _, ok := c.resident[j.hash]; !ok && len(c.resident) >= maxResidentSpecs {
+			clear(c.resident)
+		}
 		c.resident[j.hash] = j.node
 	}
 }
@@ -637,7 +660,7 @@ func (c *Cluster) Job(cid string) (JobView, error) {
 func (c *Cluster) Jobs() []JobView {
 	c.refreshJobs()
 	c.mu.Lock()
-	seq := append([]*clusterJob(nil), c.jobSeq...)
+	seq := append(append([]*clusterJob(nil), c.jobSeq[c.next:]...), c.jobSeq[:c.next]...) // oldest first
 	c.mu.Unlock()
 	out := make([]JobView, len(seq))
 	for i, j := range seq {

@@ -693,3 +693,41 @@ func ownerLocalID(t *testing.T, c *Cluster, cid string) string {
 	_, _, localID := ownerOf(t, c, cid)
 	return localID
 }
+
+// TestJobTableIsBounded: the router keeps the newest maxClusterJobs job
+// records in submission order, an evicted id answers 404 through its
+// handler, and the resident table is emptied at its cap.
+func TestJobTableIsBounded(t *testing.T) {
+	c := New(Options{})
+	defer c.Close()
+	const extra = 3
+	done := client.JobStatus{State: client.StateDone}
+	c.mu.Lock()
+	for i := 1; i <= maxClusterJobs+extra; i++ {
+		c.addJobLocked(&clusterJob{id: fmt.Sprint("c", i), last: done})
+	}
+	for i := 0; i <= maxResidentSpecs; i++ {
+		c.observeLocked(&clusterJob{hash: fmt.Sprint(i)}, done)
+	}
+	resident := len(c.resident)
+	c.mu.Unlock()
+	if resident != 1 {
+		t.Errorf("resident table holds %d specs past its cap of %d, want 1", resident, maxResidentSpecs)
+	}
+	for i, want := range map[int]int{1: 404, extra: 404, extra + 1: 200, maxClusterJobs + extra: 200} {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprint("/jobs/c", i), nil))
+		if rec.Code != want {
+			t.Errorf("GET /jobs/c%d: %d, want %d", i, rec.Code, want)
+		}
+	}
+	jobs := c.Jobs()
+	if len(jobs) != maxClusterJobs || c.Stats().ClusterJobs != maxClusterJobs {
+		t.Fatalf("Jobs() lists %d, Stats() counts %d; want %d", len(jobs), c.Stats().ClusterJobs, maxClusterJobs)
+	}
+	for i, j := range jobs {
+		if want := fmt.Sprint("c", extra+1+i); j.ID != want {
+			t.Fatalf("Jobs()[%d] is %s, want %s: not submission order", i, j.ID, want)
+		}
+	}
+}
