@@ -6,14 +6,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/event"
-	"repro/internal/models/epidemic"
-	"repro/internal/models/pcs"
-	"repro/internal/models/tandem"
-	"repro/internal/pe"
-	"repro/internal/phold"
 	"repro/internal/seq"
 	"repro/internal/stats"
-	"repro/internal/vtime"
 )
 
 // poisoned swaps eng's node pools, still empty before Run, for debug ones:
@@ -63,77 +57,6 @@ func TestPoolPoisonParity(t *testing.T) {
 					t.Errorf("pools: %d new, %d recycled; want both positive", r.PoolNews, r.PoolRecycled)
 				}
 			})
-		}
-	}
-}
-
-// testModel bundles a model factory with its lookahead bound for a given
-// topology.
-type testModel struct {
-	name      string
-	lookahead vtime.Time
-	factory   func(top cluster.Topology) pe.ModelFactory
-}
-
-func testModels() []testModel {
-	return []testModel{
-		{
-			name:      "phold",
-			lookahead: 0.1, // phold.Params default Lookahead
-			factory: func(top cluster.Topology) pe.ModelFactory {
-				params := phold.Params{Topology: top, Base: phold.ComputationDominated()}
-				if top.Nodes == 1 {
-					params.Base.RemotePct = 0
-				}
-				return phold.New(params)
-			},
-		},
-		{
-			name:      "pcs",
-			lookahead: pcs.Lookahead,
-			factory: func(top cluster.Topology) pe.ModelFactory {
-				w, h := cluster.NearSquareGrid(top.TotalLPs())
-				return pcs.New(pcs.Params{GridW: w, GridH: h})
-			},
-		},
-		{
-			name:      "epidemic",
-			lookahead: epidemic.Lookahead,
-			factory: func(top cluster.Topology) pe.ModelFactory {
-				w, h := cluster.NearSquareGrid(top.TotalLPs())
-				return epidemic.New(epidemic.Params{GridW: w, GridH: h})
-			},
-		},
-		{
-			name:      "tandem",
-			lookahead: vtime.Time(tandem.Params{}.Lookahead()),
-			factory: func(top cluster.Topology) pe.ModelFactory {
-				return tandem.New(tandem.Params{})
-			},
-		},
-	}
-}
-
-// TestDeterministicAcrossRuns pins that two identical configurations
-// produce identical statistics, not just identical checksums.
-func TestDeterministicAcrossRuns(t *testing.T) {
-	top := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 4}
-	m := testModels()[0]
-	for _, sync := range []SyncKind{SyncNullMsg, SyncWindow} {
-		mk := func() Config {
-			return Config{Topology: top, Sync: sync, Lookahead: m.lookahead,
-				EndTime: 5.0, Seed: 3, Model: m.factory(top)}
-		}
-		a, err := New(mk()).Run()
-		if err != nil {
-			t.Fatalf("%v: %v", sync, err)
-		}
-		b, err := New(mk()).Run()
-		if err != nil {
-			t.Fatalf("%v: %v", sync, err)
-		}
-		if *a != *b {
-			t.Errorf("%v: identical configs diverged:\n  a=%+v\n  b=%+v", sync, a, b)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -80,6 +81,53 @@ func checkOracle(t *testing.T, cfg core.Config) *stats.Run {
 		t.Errorf("committed %d events, oracle processed %d", r.Workers.Committed, ref.Processed)
 	}
 	return r
+}
+
+func balancePolicies() []string { return []string{"static", "greedy", "straggler"} }
+
+// TestBalancedOracleEquivalence: for every policy and every benchmark
+// model, the committed event stream must stay bit-identical to the
+// sequential oracle. On a fault-free, evenly loaded cluster the policies
+// may or may not decide to move anything; either way correctness holds.
+func TestBalancedOracleEquivalence(t *testing.T) {
+	for _, m := range balanceModels(balanceTopology()) {
+		for _, pol := range balancePolicies() {
+			t.Run(fmt.Sprintf("%s/%s", m.name, pol), func(t *testing.T) {
+				checkOracle(t, balanceConfig(m, pol, core.GVTControlled))
+			})
+		}
+	}
+}
+
+// TestBalancedOracleUnderStraggler repeats the oracle check under the
+// built-in straggler fault scenario (the last node's cores run 4x
+// slower), the regime the balancer exists for. Migrations must actually
+// happen for the migrating policies on at least one model, and must
+// never change the committed stream.
+func TestBalancedOracleUnderStraggler(t *testing.T) {
+	moved := map[string]int64{}
+	for _, m := range balanceModels(balanceTopology()) {
+		for _, pol := range balancePolicies() {
+			t.Run(fmt.Sprintf("%s/%s", m.name, pol), func(t *testing.T) {
+				cfg := balanceConfig(m, pol, core.GVTControlled)
+				plan, err := fabric.Scenario("straggler", cfg.Topology.Nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults, cfg.FaultLabel = plan, "straggler"
+				r := checkOracle(t, cfg)
+				if pol == "static" && r.Migrations != 0 {
+					t.Errorf("static policy migrated %d LPs", r.Migrations)
+				}
+				moved[pol] += r.Migrations
+			})
+		}
+	}
+	for _, pol := range []string{"greedy", "straggler"} {
+		if moved[pol] == 0 {
+			t.Errorf("policy %q never migrated an LP under the straggler scenario", pol)
+		}
+	}
 }
 
 // TestMigrationAcrossGVTAlgorithms drives migrating runs through every
@@ -262,7 +310,7 @@ func TestBalanceConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown balance policy accepted")
 	}
-	for _, pol := range []string{"static", "greedy", "straggler", "", "none"} {
+	for _, pol := range append(balancePolicies(), "", "none") {
 		cfg := balanceConfig(m, pol, core.GVTControlled)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("policy %q rejected: %v", pol, err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -37,6 +38,24 @@ func remoteFor(nodes int) float64 {
 
 func allGVT() []core.GVTKind {
 	return []core.GVTKind{core.GVTBarrier, core.GVTMattern, core.GVTControlled, core.GVTSamadi}
+}
+
+// TestOracleEquivalence is the central correctness test: for every GVT
+// algorithm, comm mode and several topologies, the parallel engine's
+// committed event stream must equal the sequential oracle's exactly.
+func TestOracleEquivalence(t *testing.T) {
+	for _, sh := range [][3]int{{1, 1, 8}, {1, 4, 4}, {2, 2, 4}, {4, 3, 2}} {
+		for _, g := range allGVT() {
+			for _, c := range []core.CommMode{core.CommDedicated, core.CommCombined, core.CommShared} {
+				t.Run(fmt.Sprintf("%dx%dx%d/%v/%v", sh[0], sh[1], sh[2], g, c), func(t *testing.T) {
+					cfg := testConfig(sh[0], sh[1], sh[2], g, c)
+					if r := checkOracle(t, cfg); r.Workers.Committed == 0 || r.FinalGVT <= cfg.EndTime {
+						t.Errorf("committed %d events, final GVT %v at end %v: want some, and the end passed", r.Workers.Committed, r.FinalGVT, cfg.EndTime)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestDeterminism: identical configuration and seed must yield identical

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	core "repro/internal/core"
@@ -24,6 +25,33 @@ func faultConfig(t *testing.T, scenario string, gvt core.GVTKind) core.Config {
 	cfg.Faults = plan
 	cfg.FaultLabel = scenario
 	return cfg
+}
+
+// TestFaultScenariosMatchOracle is the robustness counterpart of
+// TestOracleEquivalence: under every built-in fault scenario, for both
+// token-ring GVT algorithms, the committed event stream must still be
+// bit-identical to the sequential oracle — faults may cost time, never
+// correctness — and the scenario must have exercised its fault kind.
+func TestFaultScenariosMatchOracle(t *testing.T) {
+	for _, g := range []core.GVTKind{core.GVTMattern, core.GVTControlled} {
+		for _, name := range fabric.ScenarioNames() {
+			t.Run(fmt.Sprintf("%v/%s", g, name), func(t *testing.T) {
+				cfg := faultConfig(t, name, g)
+				r := checkOracle(t, cfg)
+				if r.FinalGVT <= cfg.EndTime {
+					t.Errorf("final GVT %v did not pass end time %v", r.FinalGVT, cfg.EndTime)
+				}
+				if injected, named := map[string]bool{
+					"drop":      r.FaultDrops > 0 && r.Retransmits > 0,
+					"duplicate": r.FaultDups > 0 && r.TransportDups > 0,
+					"jitter":    r.FaultJitters > 0,
+					"partition": r.FaultWindowDrops > 0,
+				}[name]; named && !injected {
+					t.Errorf("%s scenario injected no %s faults: %+v", name, name, r)
+				}
+			})
+		}
+	}
 }
 
 // TestFaultDeterminism: a (seed, fault plan) pair must replay the whole

@@ -3,6 +3,8 @@ package epidemic
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/seq"
 )
 
@@ -52,5 +54,22 @@ func TestEpidemicSpreads(t *testing.T) {
 	}
 	if total.R == 0 {
 		t.Error("nobody recovered in 40 days")
+	}
+}
+
+func TestParallelMatchesOracle(t *testing.T) {
+	top := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 8}
+	factory := New(Params{GridW: 8, GridH: 4})
+	cfg := core.Config{
+		Topology: top, GVT: core.GVTMattern, GVTInterval: 3,
+		Comm: core.CommDedicated, EndTime: 25, Seed: 3, Model: factory,
+	}
+	r, err := core.New(cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := seq.New(factory, 32, 25, 3).Run()
+	if r.CommitChecksum != ref.Checksum {
+		t.Error("parallel epidemic diverged from oracle")
 	}
 }

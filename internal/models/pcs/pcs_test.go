@@ -3,6 +3,8 @@ package pcs
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/seq"
 )
 
@@ -51,5 +53,22 @@ func TestOverloadBlocksCalls(t *testing.T) {
 	}
 	if blocked == 0 {
 		t.Error("overloaded system blocked no calls")
+	}
+}
+
+func TestParallelMatchesOracle(t *testing.T) {
+	top := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 8}
+	factory := New(Params{GridW: 8, GridH: 4})
+	cfg := core.Config{
+		Topology: top, GVT: core.GVTControlled, GVTInterval: 3,
+		Comm: core.CommDedicated, EndTime: 30, Seed: 5, Model: factory,
+	}
+	r, err := core.New(cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := seq.New(factory, 32, 30, 5).Run()
+	if r.CommitChecksum != ref.Checksum {
+		t.Error("parallel PCS diverged from oracle")
 	}
 }

@@ -3,6 +3,8 @@ package tandem
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/seq"
 )
 
@@ -49,5 +51,22 @@ func TestUtilizationNearRho(t *testing.T) {
 	u := e.Model(0).(*Model).State().Utilization(800)
 	if u < 0.5 || u > 0.9 {
 		t.Errorf("stage 0 utilization %.2f, want ~0.7 (ρ)", u)
+	}
+}
+
+func TestParallelMatchesOracle(t *testing.T) {
+	top := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 4}
+	factory := New(Params{})
+	cfg := core.Config{
+		Topology: top, GVT: core.GVTBarrier, GVTInterval: 3,
+		Comm: core.CommDedicated, EndTime: 150, Seed: 9, Model: factory,
+	}
+	r, err := core.New(cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := seq.New(factory, 16, 150, 9).Run()
+	if r.CommitChecksum != ref.Checksum {
+		t.Error("parallel tandem diverged from oracle")
 	}
 }

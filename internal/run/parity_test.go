@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/conservative"
@@ -142,8 +143,9 @@ func runTraced(t *testing.T, spec Spec, model pe.ModelFactory, literal bool, tra
 	return r, buf.Bytes()
 }
 
-// parityChecked hands the stepped runs of TestParityRowsExercise, which
-// runs first, to checkParity, which takes each once: a shared row runs once.
+// parityChecked hands the stepped runs of TestNewMatchesOracle and
+// TestSteppedIdleMatchesLiteral, which run before the fuzz target's seed
+// rows, to checkParity, which takes each once: a shared row runs once.
 var parityChecked sync.Map // parityInput -> *stats.Run
 
 // checkParity is the one engine-correctness check. It runs the input with
@@ -226,12 +228,7 @@ func paritySeeds() (rows []parityInput) {
 		}
 	}
 	// Every model on Mattern and both conservative protocols, then longer.
-	for m := range parityModels {
-		for _, alg := range []uint8{algMattern, algNullmsg, algWindow} {
-			rows = append(rows, parityInput{Model: uint8(m), Alg: alg, Nodes: 2, Workers: 2, LPs: 4, Interval: 2, End: 5, Seed: 1})
-		}
-	}
-	rows = append(rows,
+	rows = append(append(rows, newRows()...),
 		parityInput{Model: modelPCS, Alg: algCA, Nodes: 2, Workers: 2, LPs: 8, Interval: 1, End: 30, Seed: 5},
 		parityInput{Model: modelEpidemic, Alg: algMattern, Nodes: 2, Workers: 2, LPs: 8, Interval: 1, End: 25, Seed: 3},
 		parityInput{Model: modelTandem, Alg: algBarrier, Nodes: 2, Workers: 2, LPs: 4, Interval: 1, End: 150, Seed: 9})
@@ -246,29 +243,60 @@ func paritySeeds() (rows []parityInput) {
 			rows = append(rows, parityInput{Alg: alg, Nodes: 2, Workers: 2, LPs: 2, End: 5, Seed: seed})
 		}
 	}
-	// The idle rows: the mixed scenario under every GVT algorithm and comm
-	// mode, static and migrating off a straggler; both conservative
-	// protocols, null messages also with no peer node or worker; and two
-	// paper-width nodes, whose idle threads park in lockstep and wake under
-	// one key.
+	for _, r := range idleRows() {
+		rows = append(rows, r.in)
+	}
+	return rows
+}
+
+// newRows are TestNewMatchesOracle's: every model at the spec defaults, on
+// Time Warp and on both conservative protocols.
+func newRows() (rows []parityInput) {
+	for m := range parityModels {
+		for _, alg := range []uint8{algMattern, algNullmsg, algWindow} {
+			rows = append(rows, parityInput{Model: uint8(m), Alg: alg, Nodes: 2, Workers: 2, LPs: 4, Interval: 2, End: 5, Seed: 1})
+		}
+	}
+	return rows
+}
+
+// idleRows are TestSteppedIdleMatchesLiteral's rows, by name: the mixed
+// scenario under every GVT algorithm and comm mode, static and migrating
+// off a straggler; both conservative protocols, null messages also with no
+// peer node or worker; and two paper-width nodes, whose idle threads park
+// in lockstep and wake under one key.
+func idleRows() (rows []struct {
+	name string
+	in   parityInput
+}) {
+	add := func(name string, in parityInput) {
+		rows = append(rows, struct {
+			name string
+			in   parityInput
+		}{name, in})
+	}
 	mixed := parityInput{Scenario: scenarioMixed, Nodes: 3, Workers: 2, LPs: 4, Interval: 2, End: 30, Seed: 5}
 	for alg := uint8(algBarrier); alg <= algSamadi; alg++ {
-		for comm := range core.CommNames() {
+		for comm, commName := range core.CommNames() {
 			in := mixed
 			in.Alg, in.Comm = alg, uint8(comm)
-			rows = append(rows, in)
+			add(parityAlgs[alg]+"/"+commName+"/", in)
 			in.Policy, in.Faults, in.End = 1, faultStraggler, 60
-			rows = append(rows, in)
+			add(parityAlgs[alg]+"/"+commName+"/greedy", in)
 		}
 	}
 	for _, c := range [][3]uint8{{algNullmsg, 3, 2}, {algWindow, 3, 2}, {algNullmsg, 1, 2}, {algNullmsg, 3, 1}} {
 		in := mixed
 		in.Alg, in.Nodes, in.Workers = c[0], c[1], c[2]
-		rows = append(rows, in)
+		name := parityAlgs[c[0]] + "//"
+		if c[1] != mixed.Nodes || c[2] != mixed.Workers {
+			name += fmt.Sprintf("/%dx%d", c[1], c[2])
+		}
+		add(name, in)
 	}
-	return append(rows,
-		parityInput{Model: modelTandem, Alg: algBarrier, Nodes: 8, Workers: 8, LPs: 4, Interval: 2, End: 3, Seed: 5},
-		parityInput{Scenario: scenarioMixed, Alg: algNullmsg, Nodes: 8, Workers: 4, LPs: 16, End: 1, Seed: 5})
+	add("barrier///8x8/tandem", parityInput{Model: modelTandem, Alg: algBarrier, Nodes: 8, Workers: 8, LPs: 4, Interval: 2, End: 3, Seed: 5})
+	add("nullmsg///8x4", parityInput{Scenario: scenarioMixed, Alg: algNullmsg, Nodes: 8, Workers: 4, LPs: 16, End: 1, Seed: 5})
+	return rows
 }
 
 // FuzzEngineParity holds checkParity over the spec space: every model;
@@ -289,47 +317,40 @@ func FuzzEngineParity(f *testing.F) {
 	})
 }
 
-// TestParityRowsExercise holds the fault, straggler and idle rows to what
-// they exist for: a fault scenario injects its kind of fault; under a
-// straggler the migrating policies move LPs and static never does; every
-// run but window sync's (parked at barriers) takes Poll steps. That is no
-// invariant: one worker carrying the comm role is never idle.
-func TestParityRowsExercise(t *testing.T) {
-	var mu sync.Mutex
-	moved := map[string]int64{}
-	t.Run("rows", func(t *testing.T) {
-		for _, in := range paritySeeds() {
-			s, _ := in.decode()
-			if s.Faults == "" && s.Scenario != "mixed" {
-				continue // not a fault, straggler or idle row
-			}
-			t.Run(fmt.Sprintf("%s/%s%s/%s/%s/%s/%dx%d", s.Model, s.GVT, s.Sync, s.Comm, s.Faults, s.Balance, s.Nodes, s.WorkersPerNode), func(t *testing.T) {
-				t.Parallel()
-				r := checkParity(t, in)
-				parityChecked.Store(in, r)
-				if injected, named := map[string]bool{
-					"drop":      r.FaultDrops > 0 && r.Retransmits > 0,
-					"duplicate": r.FaultDups > 0 && r.TransportDups > 0,
-					"jitter":    r.FaultJitters > 0,
-					"partition": r.FaultWindowDrops > 0,
-				}[s.Faults]; named && !injected {
-					t.Errorf("no %s fault: %+v", s.Faults, r)
-				}
-				if s.Faults == "straggler" && s.Balance == "" && r.Migrations != 0 {
-					t.Errorf("static placement migrated %d LPs", r.Migrations)
-				}
-				if r.Kernel.Steps == 0 && s.Sync != "window" {
-					t.Errorf("the stepped run took no Poll step: %+v", r.Kernel)
-				}
-				mu.Lock()
-				moved[s.Balance+"/"+s.Faults] += r.Migrations
-				mu.Unlock()
-			})
+// TestSteppedIdleMatchesLiteral is the end-to-end proof that idle passes
+// taken as Poll steps are exact: checkParity holds each idle row's stepped
+// run equal to its literal one in every statistic and trace byte. It also
+// holds the rows to what is no invariant: every run but window sync's
+// (parked at barriers) takes Poll steps, and some greedy run migrates.
+func TestSteppedIdleMatchesLiteral(t *testing.T) {
+	var migrations atomic.Int64
+	t.Cleanup(func() {
+		if migrations.Load() == 0 {
+			t.Error("no greedy run migrated an LP: the rows do not exercise the migration stages")
 		}
 	})
-	for _, pol := range []string{"greedy", "straggler"} {
-		if moved[pol+"/straggler"] == 0 {
-			t.Errorf("policy %q never migrated an LP under the straggler scenario", pol)
+	for _, row := range idleRows() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			r := checkParity(t, row.in)
+			parityChecked.Store(row.in, r)
+			migrations.Add(r.Migrations)
+			if s, _ := row.in.decode(); r.Kernel.Steps == 0 && s.Sync != "window" {
+				t.Errorf("the stepped run took no Poll step: %+v", r.Kernel)
+			}
+		})
+	}
+}
+
+// TestNewMatchesOracle: for every model, New on a Time Warp spec and on
+// each conservative twin returns an engine whose run commits exactly the
+// sequential oracle's stream.
+func TestNewMatchesOracle(t *testing.T) {
+	for _, in := range newRows() {
+		r := checkParity(t, in)
+		parityChecked.Store(in, r)
+		if r.Workers.Committed == 0 {
+			t.Errorf("%+v committed nothing", in)
 		}
 	}
 }
