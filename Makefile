@@ -88,12 +88,14 @@ benchdiff:
 # so there is no unpooled mode to A/B against — and an engine's build
 # alone (BenchmarkEngineBuild: the three benchmark shapes, a cold job's
 # spec and the paper's 8 x 60 x 128 width; allocs/op is per worker, not
-# per LP).
+# per LP) and an engine's build plus run (BenchmarkEngineStart: the cold
+# job's spec and the cons-nullmsg shape, whose allocs/op are nearly all a
+# run's fixed cost: its threads' spawn).
 microbench:
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative ./internal/fabric ./internal/metrics ./internal/event
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
-	$(GO) test -run xxx -bench EngineBuild -benchmem -benchtime 10x ./internal/run
+	$(GO) test -run xxx -bench 'EngineBuild|EngineStart' -benchmem -benchtime 10x ./internal/run
 
 # cover writes a coverage profile over the library packages — internal
 # plus the public SDK. CI fails if total coverage drops below its
@@ -111,7 +113,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 21317
+LOC_CEILING = 21377
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

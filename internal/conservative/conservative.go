@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/sim"
@@ -133,17 +134,17 @@ type Engine struct {
 	end vtime.Time
 
 	nullMsgs int64
-	nulls    []*nullMsg // free list: recvInbound returns each it consumes
+	nulls    *nullMsg            // free list: recvInbound returns each it consumes
+	nullSlab event.Slab[nullMsg] // where fresh ones come from
 }
 
 // newNull returns a null message to send, recycled when one is free.
 func (e *Engine) newNull() *nullMsg {
-	k := len(e.nulls)
-	if k == 0 {
-		return new(nullMsg)
+	m := e.nulls
+	if m == nil {
+		return e.nullSlab.New()
 	}
-	m := e.nulls[k-1]
-	e.nulls = e.nulls[:k-1]
+	e.nulls, m.next = m.next, nil
 	return m
 }
 
@@ -163,6 +164,7 @@ func New(cfg Config) *Engine {
 		eng.nodes = append(eng.nodes, newNode(eng))
 	}
 	eng.Seed()
+	eng.nullSlab.First = nullsPerLink * cfg.Topology.Nodes * cfg.Topology.Nodes
 	if cfg.Sync == SyncNullMsg {
 		eng.AddProcess("observer", eng.observe)
 	}

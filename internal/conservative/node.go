@@ -23,8 +23,11 @@ const tagEvents = mpi.TagUser
 // never again send an event with a stamp below EOT. It travels by pointer
 // and is recycled on receipt (Engine.newNull), so a promise boxes nothing.
 type nullMsg struct {
-	EOT vtime.Time
+	EOT  vtime.Time
+	next *nullMsg // the free list's link
 }
+
+const nullsPerLink = 4 // null messages per link the first array of them holds
 
 // nullWireSize approximates a null message's wire footprint (header plus
 // one timestamp) for the fabric's bandwidth term.
@@ -38,14 +41,14 @@ type node struct {
 	pe.Node
 	eng     *Engine
 	workers []*worker
-	pool    *event.Pool // its workers' sends draw from it; processOne frees into it
+	pool    event.Pool // its workers' sends draw from it; processOne frees into it
 
 	// evSent/evRecv count event messages (not nulls) over MPI, for the
 	// window protocol's transit-drain allreduce.
 	evSent, evRecv int64
 
 	// Window-sync state.
-	bar1, bar2 *sim.Barrier
+	bar1, bar2 sim.Barrier
 	transit    int64
 	floors     []float64 // per local worker, published at the sync point
 	horizon    vtime.Time
@@ -67,30 +70,31 @@ type node struct {
 
 func newNode(eng *Engine) *node {
 	top := &eng.cfg.Topology
-	n := &node{eng: eng, pool: event.NewPool(false)}
+	n := &node{eng: eng}
 	eng.AddNode(&n.Node, cluster.KNLDefaults())
-	parts := top.WorkersPerNode + 1 // workers + the comm role
-	n.bar1 = sim.NewBarrier(fmt.Sprintf("csync-%d", n.ID), parts)
-	n.bar2 = sim.NewBarrier(fmt.Sprintf("csync2-%d", n.ID), parts)
-	n.floors = make([]float64, top.WorkersPerNode)
-	n.chanIn = make([]vtime.Time, top.Nodes)
-	n.lastEOT = make([]vtime.Time, top.Nodes)
+	n.pool.Reserve(top.WorkersPerNode) // one event in hand per worker, between its Send and its free
+	parts := top.WorkersPerNode + 1    // workers + the comm role
+	n.bar1 = sim.Barrier{Name: eng.Env.Name("csync-%d", n.ID), N: parts}
+	n.bar2 = sim.Barrier{Name: eng.Env.Name("csync2-%d", n.ID), N: parts}
+	times := make([]vtime.Time, top.WorkersPerNode+2*top.Nodes)
+	n.floors, n.chanIn, n.lastEOT = times[:top.WorkersPerNode], times[top.WorkersPerNode:][:top.Nodes], times[top.WorkersPerNode+top.Nodes:]
 	n.chanIn[n.ID] = vtime.Inf // self imposes no inbound bound
-	// The node's LP records and their last stamps are one array each, and
-	// a worker's block is a slice of both. The stamps stay apart: an array
-	// without pointers carries no allocation header (DESIGN.md
-	// "Allocations per commit", Set-up in slabs).
+	// The node's workers, LP records, last stamps and send queues are one
+	// array each. The stamps stay apart: an array without pointers carries
+	// no allocation header (DESIGN.md "Allocations per commit", Set-up in
+	// slabs).
 	per := top.LPsPerWorker
 	lps, last := make([]pe.LP, top.WorkersPerNode*per), make([]vtime.Stamp, top.WorkersPerNode*per)
+	ws, sends := make([]worker, top.WorkersPerNode), make([]*event.Event, top.WorkersPerNode*sendCap)
 	n.workers = make([]*worker, top.WorkersPerNode)
 	for i := range n.workers {
-		n.workers[i] = newWorker(n, lps[i*per:(i+1)*per], last[i*per:(i+1)*per])
+		n.workers[i] = &ws[i]
+		ws[i].init(n, lps[i*per:(i+1)*per], last[i*per:(i+1)*per], sends[i*sendCap:i*sendCap:(i+1)*sendCap])
 	}
 	if eng.cfg.Sync == SyncWindow {
-		eng.AddComm(&n.Node, n.commWindow)
+		eng.AddComm(&n.Node, n)
 	} else {
-		eng.AddComm(&n.Node, n.commNullmsg,
-			pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe(n.nullsQuiet))
+		eng.AddComm(&n.Node, n, pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe(n))
 	}
 	return n
 }
@@ -151,7 +155,7 @@ func (n *node) recvInbound(p *sim.Proc, budget int) bool {
 				n.chanIn[m.Src] = pl.EOT
 				n.raised(m.Src, old)
 			}
-			n.eng.nulls = append(n.eng.nulls, pl)
+			pl.next, n.eng.nulls = n.eng.nulls, pl
 			n.TraceRecv(p, m, 0)
 		default:
 			panic(fmt.Sprintf("conservative: node %d received unexpected payload %T", n.ID, m.Payload))

@@ -79,6 +79,9 @@ func (n *node) leastPromise() vtime.Time {
 	return least
 }
 
+// Quiet is blocked, the idle pass's predicate (pe.Quiet).
+func (w *worker) Quiet() bool { return w.blocked() }
+
 // blocked is stage 1 of the idle pass: the bound lets nothing be
 // processed, and the run is not over. A worker with nothing runnable below
 // the least promise received, before the end, is blocked whatever its
@@ -176,24 +179,35 @@ const (
 	stNulls         // fresh promises → wire
 )
 
-// commNullmsg is the comm-role side of the protocol: pump events both
-// ways and keep the promises flowing until every local worker is done,
-// then sign off with a final infinite promise so peers can finish too.
-func (n *node) commNullmsg(p *sim.Proc) {
-	n.CommLoop(p, func(p *sim.Proc, from int) bool {
-		worked := false
-		switch from {
-		case stOutbox:
-			worked = n.flushEvents(p, pumpBudget)
-			fallthrough
-		case stRecv:
-			worked = n.recvInbound(p, pumpBudget) || worked
-			fallthrough
-		case stNulls:
-			worked = n.sendNulls(p) || worked
-		}
-		return worked
-	})
+// Main is the node's comm thread (pe.Thread), commWindow under the window
+// protocol. Under this one it pumps events both ways and keeps the promises
+// flowing until every local worker is done, then signs off with a final
+// infinite promise so peers can finish too.
+func (n *node) Main(p *sim.Proc) {
+	if n.eng.cfg.Sync == SyncWindow {
+		n.commWindow(p)
+		return
+	}
+	n.CommLoop(p, n)
 	n.flushEvents(p, 0)
 	n.sendNulls(p)
 }
+
+// Pass is one comm pass from stage from (pe.CommPass).
+func (n *node) Pass(p *sim.Proc, from int) bool {
+	worked := false
+	switch from {
+	case stOutbox:
+		worked = n.flushEvents(p, pumpBudget)
+		fallthrough
+	case stRecv:
+		worked = n.recvInbound(p, pumpBudget) || worked
+		fallthrough
+	case stNulls:
+		worked = n.sendNulls(p) || worked
+	}
+	return worked
+}
+
+// Quiet is nullsQuiet, the comm pass's predicate (pe.Quiet).
+func (n *node) Quiet() bool { return n.nullsQuiet() }

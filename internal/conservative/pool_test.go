@@ -16,7 +16,7 @@ import (
 // seam only; no Config field asks for it.
 func poisoned(eng *Engine) *Engine {
 	for _, n := range eng.nodes {
-		n.pool = event.NewPool(true)
+		n.pool = *event.NewPool(true)
 	}
 	return eng
 }

@@ -40,8 +40,8 @@ func (w *worker) runWindow(p *sim.Proc) {
 		for {
 			w.drainInbox(p)
 			p.Advance(n.Cost.BarrierEntry)
-			w.BarrierWait(n.bar1)
-			w.BarrierWait(n.bar2)
+			w.BarrierWait(&n.bar1)
+			w.BarrierWait(&n.bar2)
 			if n.transit == 0 {
 				break
 			}
@@ -50,8 +50,8 @@ func (w *worker) runWindow(p *sim.Proc) {
 		// role agree on the next window.
 		w.drainInbox(p)
 		n.floors[w.Idx] = float64(w.eng.horizonFloor(w.floorLive()))
-		w.BarrierWait(n.bar1)
-		w.BarrierWait(n.bar2)
+		w.BarrierWait(&n.bar1)
+		w.BarrierWait(&n.bar2)
 		w.St.SyncRounds++
 		if n.horizon == vtime.Inf {
 			return

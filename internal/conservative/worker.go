@@ -32,31 +32,35 @@ type worker struct {
 	execT   vtime.Time
 
 	ctx   wctx
-	sendQ []*event.Event
+	sendQ []*event.Event // the event in hand's sends
 }
 
-func newWorker(n *node, lps []pe.LP, last []vtime.Stamp) *worker {
-	w := &worker{
+const sendCap = 4 // sends of one event a sendQ holds before it grows
+
+// init builds w as the next worker of n.
+func (w *worker) init(n *node, lps []pe.LP, last []vtime.Stamp, sendQ []*event.Event) {
+	*w = worker{
 		eng:      n.eng,
 		node:     n,
 		lps:      lps,
 		last:     last,
+		sendQ:    sendQ,
 		inboxMin: vtime.Inf,
 		holdMin:  vtime.Inf,
 		execT:    vtime.Inf,
 	}
-	n.eng.AddWorker(&w.Worker, &n.Node, w.run)
+	n.eng.AddWorker(&w.Worker, &n.Node, w)
 	for i := range w.lps {
 		n.eng.AddLP(&w.lps[i])
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	if n.eng.cfg.Sync != SyncWindow {
-		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.StableProbe(w.blocked))
+		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.StableProbe(w))
 	}
-	return w
 }
 
-func (w *worker) run(p *sim.Proc) {
+// Main is the worker thread (pe.Thread).
+func (w *worker) Main(p *sim.Proc) {
 	switch w.eng.cfg.Sync {
 	case SyncWindow:
 		w.runWindow(p)

@@ -50,11 +50,11 @@ func (w *worker) barrierWorkerRound() {
 		w.drainInbox()
 		n.msgCount[w.Idx] = w.msgSent - w.msgRecv
 		p.Advance(cost.BarrierEntry)
-		n.barrierWait(p, n.gvtBar, w)
+		n.barrierWait(p, &n.gvtBar, w)
 		if comm {
 			n.commBarrierStep(p)
 		}
-		n.barrierWait(p, n.gvtBar2, w)
+		n.barrierWait(p, &n.gvtBar2, w)
 		if n.transit == 0 {
 			break
 		}
@@ -69,11 +69,11 @@ func (w *worker) barrierWorkerRound() {
 	// into GVT (the unacked set is empty, +Inf, without acknowledgements).
 	n.localMin[w.Idx] = vtime.Min(w.localMin(), w.unackedMin())
 	p.Advance(cost.BarrierEntry)
-	n.barrierWait(p, n.gvtBar, w)
+	n.barrierWait(p, &n.gvtBar, w)
 	if comm {
 		n.commBarrierFinish(p)
 	}
-	n.barrierWait(p, n.gvtBar2, w)
+	n.barrierWait(p, &n.gvtBar2, w)
 	w.applyGVT(n.nodeGVT)
 	w.St.GVTTime += p.Now() - gvtStart
 }
@@ -81,17 +81,17 @@ func (w *worker) barrierWorkerRound() {
 // commBarrierRound is the dedicated MPI thread's side of a round.
 func (n *node) commBarrierRound(p *sim.Proc) {
 	for !n.eng.acks {
-		n.barrierWait(p, n.gvtBar, nil)
+		n.barrierWait(p, &n.gvtBar, nil)
 		n.commBarrierStep(p)
-		n.barrierWait(p, n.gvtBar2, nil)
+		n.barrierWait(p, &n.gvtBar2, nil)
 		if n.transit == 0 {
 			break
 		}
 		n.pumpFrom(p, stOutbox)
 	}
-	n.barrierWait(p, n.gvtBar, nil)
+	n.barrierWait(p, &n.gvtBar, nil)
 	n.commBarrierFinish(p)
-	n.barrierWait(p, n.gvtBar2, nil)
+	n.barrierWait(p, &n.gvtBar2, nil)
 }
 
 // commBarrierStep sums the node's in-transit counts and allreduces them

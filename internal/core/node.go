@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/mpi"
@@ -43,13 +41,13 @@ type node struct {
 	outMigs pe.Mailbox[*migMsg]
 
 	// Barrier-GVT shared state (Algorithm 1). Slots are per worker.
-	gvtBar   *sim.Barrier // two-phase node barrier: enter
-	gvtBar2  *sim.Barrier // two-phase node barrier: exit
-	gvtReq   bool         // a GVT round has been requested on this node
-	msgCount []int64      // per-worker sent-received published at the barrier
-	localMin []float64    // per-worker minimum unprocessed timestamp
-	transit  int64        // cluster in-transit total published by the comm role
-	nodeGVT  float64      // cluster GVT published by the comm role
+	gvtBar   sim.Barrier // two-phase node barrier: enter
+	gvtBar2  sim.Barrier // two-phase node barrier: exit
+	gvtReq   bool        // a GVT round has been requested on this node
+	msgCount []int64     // per-worker sent-received published at the barrier
+	localMin []float64   // per-worker minimum unprocessed timestamp
+	transit  int64       // cluster in-transit total published by the comm role
+	nodeGVT  float64     // cluster GVT published by the comm role
 
 	// Mattern/CA-GVT control message (Algorithm 2/3).
 	cm nodeCM
@@ -82,28 +80,28 @@ func newNode(eng *Engine) *node {
 	n.outAcks = pe.NewMailbox[ack](&n.OutMu, cost.RemoteEnqueue)
 	n.outMigs = pe.NewMailbox[*migMsg](&n.OutMu, cost.RemoteEnqueue)
 	n.pool = event.NewPool(eng.cfg.PoolDebug)
-	n.gvtBar = sim.NewBarrier(fmt.Sprintf("gvt-%d", n.ID), participants)
-	n.gvtBar2 = sim.NewBarrier(fmt.Sprintf("gvt2-%d", n.ID), participants)
+	n.gvtBar = sim.Barrier{Name: eng.Env.Name("gvt-%d", n.ID), N: participants}
+	n.gvtBar2 = sim.Barrier{Name: eng.Env.Name("gvt2-%d", n.ID), N: participants}
 	n.cm.init(n, top.WorkersPerNode)
 	for wi := 0; wi < top.WorkersPerNode; wi++ {
 		n.workers = append(n.workers, newWorker(eng, n))
 	}
 	if eng.cfg.Comm == CommDedicated {
-		eng.AddComm(&n.Node, func(p *sim.Proc) { n.CommLoop(p, n.commPass) }, n.commProbes()...)
+		eng.AddComm(&n.Node, n, n.commProbes()...)
 	}
 	return n
 }
 
 // mailboxLock returns the lock of one of a worker's further mailboxes.
 func (n *node) mailboxLock(kind string, idx int) *sim.Mutex {
-	return &sim.Mutex{Name: fmt.Sprintf("%s-%d/%d", kind, n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
+	return &sim.Mutex{Name: n.eng.Env.Name(kind+"-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 }
 
 // The stages of a comm pass, in the order a pass runs them. Idle passes
 // are stepped through commProbes, which lists what each stage is when it
 // finds nothing, and a pass can be resumed at any of them — by the
 // dedicated MPI thread (pe.Node.CommLoop) or by a worker carrying the comm
-// role, whose own pass has these stages in its middle (worker.run).
+// role, whose own pass has these stages in its middle (worker.Main).
 const (
 	stOutbox     = iota // remote events, outbox → wire
 	stOutMigs           // queued LP migrations → wire (balancer runs)
@@ -128,27 +126,30 @@ func (n *node) commProbes() []pe.Probe {
 	pass[stRecvEvents] = pe.RecvProbe(mpi.AnySource, tagEvents)
 	pass[stRecvAcks] = pe.RecvProbe(mpi.AnySource, tagAcks)
 	if n.eng.migEnabled {
-		pass[stOutMigs] = pe.StableProbe(func() bool { return n.outMigs.Len() == 0 })
+		pass[stOutMigs] = pe.StableProbe(pe.QuietFunc(func() bool { return n.outMigs.Len() == 0 }))
 		pass[stRecvMigs] = pe.RecvProbe(mpi.AnySource, tagMigrate)
 	}
 	if n.eng.ring {
-		pass[stGVT] = pe.StableProbe(n.matternQuiet)
+		pass[stGVT] = pe.StableProbe(pe.QuietFunc(n.matternQuiet))
 		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
-		pass[stGVTTail] = pe.StableProbe(func() bool { return !n.cleanupDue() })
+		pass[stGVTTail] = pe.StableProbe(pe.QuietFunc(func() bool { return !n.cleanupDue() }))
 	} else {
-		pass[stGVT] = pe.StableProbe(func() bool { return !n.gvtReq })
+		pass[stGVT] = pe.StableProbe(pe.QuietFunc(func() bool { return !n.gvtReq }))
 	}
 	return pass
 }
 
-// commPass is one pass of the dedicated MPI thread, which exclusively
+// Main is the dedicated MPI thread (pe.Thread).
+func (n *node) Main(p *sim.Proc) { n.CommLoop(p, n) }
+
+// Pass is one pass of the dedicated MPI thread, which exclusively
 // services MPI sends, receives and the GVT algorithm's MPI duties (the
 // paper's proposal), run from stage from: the pump, then the thread's
 // part in the configured GVT algorithm — stGVT is all of it, and the later
 // stages are where an idle pass can hand back inside a Mattern poll. (In
 // combined/shared modes worker 0 carries the role: barrier rounds inline
 // it, and the worker calls matternCommPoll itself.)
-func (n *node) commPass(p *sim.Proc, from int) bool {
+func (n *node) Pass(p *sim.Proc, from int) bool {
 	worked := n.pumpFrom(p, from)
 	switch {
 	case n.eng.ring:
@@ -280,12 +281,12 @@ func (n *node) remoteOut(p *sim.Proc, ev *event.Event) {
 func (n *node) syncPoint(p *sim.Proc, comm, global bool, w *worker) {
 	cost := n.Cost.BarrierEntry
 	p.Advance(cost)
-	n.barrierWait(p, n.gvtBar, w)
+	n.barrierWait(p, &n.gvtBar, w)
 	if comm && global && n.eng.World.Size() > 1 {
 		n.Rank.Barrier(p)
 	}
 	p.Advance(cost)
-	n.barrierWait(p, n.gvtBar2, w)
+	n.barrierWait(p, &n.gvtBar2, w)
 }
 
 // barrierWait waits at b. For a worker (w non-nil; the dedicated comm

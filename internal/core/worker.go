@@ -82,7 +82,7 @@ type worker struct {
 
 func newWorker(eng *Engine, n *node) *worker {
 	w := &worker{eng: eng, node: n, minRed: vtime.Inf}
-	eng.AddWorker(&w.Worker, &n.Node, w.run)
+	eng.AddWorker(&w.Worker, &n.Node, w)
 	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
 	if eng.acks {
@@ -203,13 +203,13 @@ const (
 func (w *worker) idleProbes() []pe.Probe {
 	pass := make([]pe.Probe, wsGVT+1)
 	if w.eng.migEnabled {
-		pass[wsMigs] = pe.StableProbe(func() bool { return w.migIn.Len() == 0 })
+		pass[wsMigs] = pe.StableProbe(pe.QuietFunc(func() bool { return w.migIn.Len() == 0 }))
 	}
 	pass[wsInbox] = pe.TakeProbe(&w.Inbox)
 	if w.eng.acks {
 		pass[wsAcks] = pe.TakeProbe(&w.ackIn)
 	}
-	pass[wsBatch] = pe.StableProbe(func() bool { return !w.capped() && w.drainedToHorizon() })
+	pass[wsBatch] = pe.StableProbe(pe.QuietFunc(func() bool { return !w.capped() && w.drainedToHorizon() }))
 	if w.pumps() {
 		comm := w.node.commProbes()
 		if !w.leadsRing() {
@@ -217,19 +217,19 @@ func (w *worker) idleProbes() []pe.Probe {
 		}
 		copy(pass[wsComm:], comm)
 	}
-	pass[wsGVT] = pe.StableProbe(func() bool {
+	pass[wsGVT] = pe.StableProbe(pe.QuietFunc(func() bool {
 		_, passes := w.idleCredit() // the pass got past wsBatch: drained to the horizon
 		return w.gvtQuiet(passes)
-	})
+	}))
 	return pass
 }
 
-// run is the worker thread's main loop: drain mailbox, process a batch of
+// Main is the worker thread's main loop: drain mailbox, process a batch of
 // events, service MPI if this worker carries the comm role, and drive the
 // GVT algorithm — until GVT passes the end time. A pass that did none of
 // it ends in Idle, which runs the idle passes that follow inside the
 // kernel and names the stage at which one needs this loop again.
-func (w *worker) run(p *sim.Proc) {
+func (w *worker) Main(p *sim.Proc) {
 	pumps, leadsRing := w.pumps(), w.leadsRing()
 	for from := 0; !w.finished(); {
 		worked := false

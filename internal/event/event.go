@@ -30,14 +30,10 @@ const (
 )
 
 func (c Color) String() string {
-	switch c {
-	case White:
-		return "white"
-	case Red:
-		return "red"
-	default:
-		return fmt.Sprintf("epoch%%4=%d", uint8(c))
+	if c <= Red {
+		return [...]string{"white", "red"}[c]
 	}
+	return fmt.Sprintf("epoch%%4=%d", uint8(c))
 }
 
 // Class describes a message's destination locality, which determines its
@@ -53,16 +49,7 @@ const (
 	Remote
 )
 
-func (c Class) String() string {
-	switch c {
-	case Local:
-		return "local"
-	case Regional:
-		return "regional"
-	default:
-		return "remote"
-	}
-}
+func (c Class) String() string { return [...]string{"local", "regional", "remote"}[min(c, Remote)] }
 
 // Event is a time-stamped event message. The same structure represents
 // positive messages and their anti-messages (Anti set, identical MatchID).

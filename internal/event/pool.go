@@ -29,6 +29,12 @@ type Pool struct {
 // poisoned and verified on reuse.
 func NewPool(debug bool) *Pool { return &Pool{debug: debug} }
 
+// Reserve sizes p for n events in use at once: one array and free list.
+func (p *Pool) Reserve(n int) {
+	p.slab.First = n
+	p.free = make([]*Event, 0, n)
+}
+
 // Poison sentinels: values no live event carries (negative virtual time,
 // out-of-range LP IDs) so an intact poison pattern proves nothing wrote
 // to the event while it sat on the free list.

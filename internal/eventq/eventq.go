@@ -20,9 +20,8 @@ type Heap struct {
 // NewHeap returns an empty heap.
 func NewHeap() *Heap { return &Heap{} }
 
-// MakeHeap returns an empty heap with room for n events before its first
-// growth.
-func MakeHeap(n int) Heap { return Heap{ev: make([]*event.Event, 0, n)} }
+// HeapOn returns an empty heap that fills buf's capacity before it grows.
+func HeapOn(buf []*event.Event) Heap { return Heap{ev: buf[:0]} }
 
 // Len returns the number of queued events.
 func (h *Heap) Len() int { return len(h.ev) }

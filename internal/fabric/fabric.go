@@ -101,10 +101,13 @@ func New(env *sim.Env, n int, params Params) *Fabric {
 		params:      params,
 		handlers:    make([]Handler, n),
 		lastArrival: make([]sim.Time, n*n),
+		wire:        make([]wired, 0, wirePerLink*n*n),
 	}
 	f.deliver = f.deliverNext
 	return f
 }
+
+const wirePerLink = 2 // packets per link the wire holds before it grows
 
 // Params returns the interconnect parameters.
 func (f *Fabric) Params() Params { return f.params }

@@ -35,15 +35,8 @@ const (
 
 // String returns the fault kind name.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultDuplicate:
-		return "duplicate"
-	case FaultJitter:
-		return "jitter"
-	case FaultWindowDrop:
-		return "window-drop"
+	if k <= FaultWindowDrop {
+		return [...]string{"drop", "duplicate", "jitter", "window-drop"}[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }

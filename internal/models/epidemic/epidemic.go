@@ -99,6 +99,7 @@ func New(p Params) pe.ModelFactory {
 				panic(err)
 			}
 		}
+		models.First = total // one model per LP, from as few arrays as the slab allows
 		m := models.New()
 		*m = Model{p: &p, self: lp}
 		return m

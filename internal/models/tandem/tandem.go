@@ -93,6 +93,7 @@ func New(p Params) pe.ModelFactory {
 	}
 	var models event.Slab[Model]
 	return func(lp event.LPID, total int) pe.Model {
+		models.First = total // one model per LP, from as few arrays as the slab allows
 		m := models.New()
 		*m = Model{p: &p, self: lp, stages: total}
 		return m

@@ -73,20 +73,27 @@ func NewWorld(env *sim.Env, n int, net fabric.Params, costs Costs) *World {
 		env:    env,
 		fabric: fabric.New(env, n, net),
 		costs:  costs,
+		ranks:  make([]*Rank, n),
 	}
-	for i := 0; i < n; i++ {
-		r := &Rank{
+	receive := w.receive        // bound once: one handler serves every rank
+	c := stashCap * min(n-1, 1) // a lone rank receives nothing
+	ranks, stash := make([]Rank, n), make([]Message, n*c)
+	for i := range ranks {
+		w.ranks[i] = &ranks[i]
+		ranks[i] = Rank{
 			world: w,
 			id:    i,
-			lock:  &sim.Mutex{Name: fmt.Sprintf("mpi-lock-%d", i), HoldCost: costs.LockHold},
-			cond:  sim.Cond{Name: fmt.Sprintf("mpi-recv-%d", i)},
+			stash: stash[i*c : i*c : (i+1)*c],
+			lock:  sim.Mutex{Name: env.Name("mpi-lock-%d", i), HoldCost: costs.LockHold},
+			cond:  sim.Cond{Name: env.Name("mpi-recv-%d", i)},
 		}
-		w.ranks = append(w.ranks, r)
-		id := i
-		w.fabric.Attach(id, func(pkt fabric.Packet) { w.ranks[id].receive(pkt) })
+		w.fabric.Attach(i, receive)
 	}
 	return w
 }
+
+// receive hands a delivered packet to its rank.
+func (w *World) receive(pkt fabric.Packet) { w.ranks[pkt.Dst].receive(pkt) }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
@@ -102,7 +109,7 @@ func (w *World) Fabric() *fabric.Fabric { return w.fabric }
 type Rank struct {
 	world *World
 	id    int
-	lock  *sim.Mutex
+	lock  sim.Mutex
 	cond  sim.Cond
 	// stash holds delivered-but-unconsumed messages; head avoids O(n)
 	// shifting when messages are consumed in arrival order (the common
@@ -129,7 +136,7 @@ func (r *Rank) LockStats() (int64, int64, sim.Time) {
 }
 
 // ProbeLock is the MPI lock a probe takes (TryProbe).
-func (r *Rank) ProbeLock() *sim.Mutex { return r.lock }
+func (r *Rank) ProbeLock() *sim.Mutex { return &r.lock }
 
 // deliver runs in scheduler-callback context when a packet arrives.
 func (r *Rank) deliver(pkt fabric.Packet) {
@@ -138,9 +145,13 @@ func (r *Rank) deliver(pkt fabric.Packet) {
 	r.cond.Broadcast(r.world.env)
 }
 
+// compactAt is the consumed prefix past which compact may reclaim it, and
+// a stash holds twice that before it grows: arrivals consumed in order fit.
+const compactAt, stashCap = 32, 2 * (32 + 1)
+
 // compact reclaims consumed slots once they dominate the stash.
 func (r *Rank) compact() {
-	if r.head > 32 && r.head > len(r.stash)/2 {
+	if r.head > compactAt && r.head > len(r.stash)/2 {
 		n := copy(r.stash, r.stash[r.head:])
 		for i := n; i < len(r.stash); i++ {
 			r.stash[i] = Message{}
@@ -273,83 +284,54 @@ func (r *Rank) EndProbe(p *sim.Proc, src, tag int) (quiet bool) {
 }
 
 // Barrier blocks until every rank has entered it (rank-0-rooted
-// gather/release). All ranks must call it via exactly one thread each.
+// gather/release: an allreduce of nothing). All ranks must call it via
+// exactly one thread each.
 func (r *Rank) Barrier(p *sim.Proc) {
-	n := r.world.Size()
-	if n == 1 {
-		return
-	}
-	if r.id == 0 {
-		for src := 1; src < n; src++ {
-			r.RecvFrom(p, src, tagBarrierArrive)
-		}
-		for dst := 1; dst < n; dst++ {
-			r.Send(p, dst, tagBarrierRelease, 8, nil)
-		}
-	} else {
-		r.Send(p, 0, tagBarrierArrive, 8, nil)
-		r.RecvFrom(p, 0, tagBarrierRelease)
-	}
+	allreduce(r, p, 0, func(a, _ int64) int64 { return a }, tagBarrierArrive, tagBarrierRelease)
 }
 
 // AllreduceSum returns the sum of every rank's val (rank-0-rooted).
 func (r *Rank) AllreduceSum(p *sim.Proc, val int64) int64 {
-	n := r.world.Size()
-	if n == 1 {
-		return val
-	}
-	if r.id == 0 {
-		total := val
-		for src := 1; src < n; src++ {
-			total += int64Payload(r.RecvFrom(p, src, tagReduceArrive))
-		}
-		for dst := 1; dst < n; dst++ {
-			r.Send(p, dst, tagReduceResult, 8, total)
-		}
-		return total
-	}
-	r.Send(p, 0, tagReduceArrive, 8, val)
-	return int64Payload(r.RecvFrom(p, 0, tagReduceResult))
+	return allreduce(r, p, val, func(sum, v int64) int64 { return sum + v }, tagReduceArrive, tagReduceResult)
 }
 
 // AllreduceMin returns the minimum of every rank's val (rank-0-rooted).
 func (r *Rank) AllreduceMin(p *sim.Proc, val float64) float64 {
+	return allreduce(r, p, val, func(least, v float64) float64 {
+		if v < least {
+			return v
+		}
+		return least
+	}, tagReduceArrive, tagReduceResult)
+}
+
+// allreduce gathers every rank's val at rank 0 under tag arrive, folding
+// them in with op in rank order, and hands every rank the result under tag
+// result.
+func allreduce[T int64 | float64](r *Rank, p *sim.Proc, val T, op func(T, T) T, arrive, result int) T {
 	n := r.world.Size()
 	if n == 1 {
 		return val
 	}
-	if r.id == 0 {
-		min := val
-		for src := 1; src < n; src++ {
-			if v := float64Payload(r.RecvFrom(p, src, tagReduceArrive)); v < min {
-				min = v
-			}
-		}
-		for dst := 1; dst < n; dst++ {
-			r.Send(p, dst, tagReduceResult, 8, min)
-		}
-		return min
+	if r.id != 0 {
+		r.Send(p, 0, arrive, 8, val)
+		return payload[T](r.RecvFrom(p, 0, result))
 	}
-	r.Send(p, 0, tagReduceArrive, 8, val)
-	return float64Payload(r.RecvFrom(p, 0, tagReduceResult))
+	for src := 1; src < n; src++ {
+		val = op(val, payload[T](r.RecvFrom(p, src, arrive)))
+	}
+	for dst := 1; dst < n; dst++ {
+		r.Send(p, dst, result, 8, val)
+	}
+	return val
 }
 
-// int64Payload asserts an allreduce payload, diagnosing tag collisions.
-func int64Payload(m Message) int64 {
-	v, ok := m.Payload.(int64)
+// payload asserts an allreduce payload, diagnosing tag collisions.
+func payload[T int64 | float64](m Message) T {
+	v, ok := m.Payload.(T)
 	if !ok {
-		panic(fmt.Sprintf("mpi: allreduce expected int64 payload, got %T from src %d tag %d (reserved-tag collision?)",
-			m.Payload, m.Src, m.Tag))
-	}
-	return v
-}
-
-// float64Payload asserts an allreduce payload, diagnosing tag collisions.
-func float64Payload(m Message) float64 {
-	v, ok := m.Payload.(float64)
-	if !ok {
-		panic(fmt.Sprintf("mpi: allreduce expected float64 payload, got %T from src %d tag %d (reserved-tag collision?)",
-			m.Payload, m.Src, m.Tag))
+		panic(fmt.Sprintf("mpi: allreduce expected %T payload, got %T from src %d tag %d (reserved-tag collision?)",
+			v, m.Payload, m.Src, m.Tag))
 	}
 	return v
 }

@@ -15,12 +15,21 @@ import (
 type Probe struct {
 	stage    int // position in the engine's list
 	kind     probeKind
-	mu       *sim.Mutex  // TakeProbe: the box's lock
-	src, tag int         // RecvProbe
-	quiet    func() bool // QuietProbe's predicate; TakeProbe: the box is empty
+	mu       *sim.Mutex // TakeProbe: the box's lock
+	src, tag int        // RecvProbe
+	quiet    Quiet      // QuietProbe's predicate; TakeProbe: the box
 	cond     func() bool
 	stable   bool // StableProbe
 }
+
+// Quiet is a QuietProbe's predicate, which an engine's worker or node
+// implements where a closure would cost an allocation (QuietFunc).
+type Quiet interface{ Quiet() bool }
+
+// QuietFunc is a Quiet written as a function.
+type QuietFunc func() bool
+
+func (f QuietFunc) Quiet() bool { return f() }
 
 type probeKind uint8
 
@@ -36,7 +45,7 @@ const (
 // it meanwhile exactly as they do behind a Take. A box with items, or a
 // lock someone holds, hands the pass back at the stage's start.
 func TakeProbe[T any](box *Mailbox[T]) Probe {
-	return Probe{kind: probeTake, mu: box.mu, quiet: func() bool { return len(box.items) == 0 }}
+	return Probe{kind: probeTake, mu: box.mu, quiet: box}
 }
 
 // RecvProbe is a TryRecvFrom(src, tag) on the node's rank that matches
@@ -55,11 +64,11 @@ func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag
 // the stage's start. A hand-back at a stage start is always exact, since
 // the loop simply runs from there, so quiet may err toward false and
 // never toward true. It must change nothing itself.
-func QuietProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
+func QuietProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
 
 // StableProbe is a QuietProbe whose predicate, once true, stays true until
 // the node's next Touch: see plan.
-func StableProbe(quiet func() bool) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
+func StableProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
 
 // If makes the stage conditional: cond is asked at the stage's start, and
 // when it answers false the loop's stage would not run, so the probe is
@@ -83,14 +92,14 @@ type pass struct {
 	end    func(n int) (quiet int)
 	node   *Node
 	worker *Worker // the owner, when it is one: its idle passes are traced and charged as such
+	name   string  // the owning thread's
 	proc   *sim.Proc
-	at     int             // the probe the pass is at
-	sub    uint8           // how far into that probe (sub*)
-	step   func() sim.Time // ps.next, bound once: going idle allocates nothing
-	parks  bool            // a quiet pass may park (plan)
-	conds  bool            // a probe is conditional: each park builds the cycle anew
-	parked sim.Parked      // the quiet pass as the kernel parks it (build)
-	skips  bool            // next is taking skipped steps (Skip): every stage is quiet
+	at     int        // the probe the pass is at
+	sub    uint8      // how far into that probe (sub*)
+	parks  bool       // a quiet pass may park (plan)
+	conds  bool       // a probe is conditional: each park builds the cycle anew
+	parked sim.Parked // the quiet pass as the kernel parks it (build)
+	skips  bool       // next is taking skipped steps (Skip): every stage is quiet
 	cycle  [sim.MaxCycle]sim.Time
 	locks  [sim.MaxCycle]*sim.Mutex // what parked.Cycle and Locks hold
 }
@@ -102,14 +111,15 @@ const (
 	subEnded               // the loop's own pass has ended: only IdlePoll is left
 )
 
-func (ps *pass) init(n *Node, w *Worker) {
-	ps.node, ps.worker, ps.step = n, w, ps.next
+func (ps *pass) init(n *Node, w *Worker, name string) {
+	ps.node, ps.worker, ps.name = n, w, name
 	ps.parked.Owner = ps
 }
 
-// list takes the engine's list of the thread's pass.
+// list takes the engine's list of the thread's pass, in place: the pass
+// keeps the list's array, less its zero Probes.
 func (ps *pass) list(probes []Probe) {
-	ps.probes = ps.probes[:0]
+	ps.probes = probes[:0]
 	for i, pr := range probes {
 		if pr.kind != probeNone {
 			pr.stage = i
@@ -139,18 +149,10 @@ func (ps *pass) plan() {
 	switch {
 	case !ps.parks:
 	case steps > sim.MaxCycle:
-		panic(fmt.Sprintf("pe: %s's idle pass is %d kernel events, more than a parked cycle holds (sim.MaxCycle = %d)", ps.name(), steps, sim.MaxCycle))
+		panic(fmt.Sprintf("pe: %s's idle pass is %d kernel events, more than a parked cycle holds (sim.MaxCycle = %d)", ps.name, steps, sim.MaxCycle))
 	default:
 		ps.build()
 	}
-}
-
-// name is the owning thread's, as AddProcess registers it.
-func (ps *pass) name() string {
-	if w := ps.worker; w != nil {
-		return fmt.Sprintf("n%d/w%d", ps.node.ID, w.Idx)
-	}
-	return fmt.Sprintf("n%d/comm", ps.node.ID)
 }
 
 // build writes the quiet pass down as the kernel parks it, for the answers
@@ -179,7 +181,7 @@ func (ps *pass) again() bool {
 	for i := range ps.probes {
 		pr := &ps.probes[i]
 		quiet = quiet && (pr.cond != nil && !pr.cond() ||
-			pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet())
+			pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet.Quiet())
 	}
 	return quiet
 }
@@ -196,7 +198,7 @@ func (ps *pass) Skip(reps uint64, steps int) {
 	}
 	ps.skips = true
 	for ; steps > 0; steps-- {
-		if ps.next() < 0 {
+		if ps.Step() < 0 {
 			panic("pe: a skipped idle step found something to do")
 		}
 	}
@@ -230,16 +232,16 @@ func (ps *pass) idle(p *sim.Proc) (from int) {
 		return 0
 	}
 	ps.proc, ps.at, ps.sub = p, 0, subEnded
-	p.Poll(ps.step)
+	p.Poll(ps)
 	if ps.at == 0 && ps.sub == subStart {
 		return 0 // the top of a pass, where the loop's own test stands
 	}
 	return ps.probes[ps.at].stage
 }
 
-// next is idle's Poll step: one call per kernel event of an idle pass.
-// Returning -1 leaves at on the probe to resume at.
-func (ps *pass) next() sim.Time {
+// Step is idle's Poll step (sim.Stepper): one call per kernel event of an
+// idle pass. Returning -1 leaves at on the probe to resume at.
+func (ps *pass) Step() sim.Time {
 	n, p := ps.node, ps.proc
 	if ps.sub != subEnded {
 		for ; ps.at < len(ps.probes); ps.at, ps.sub = ps.at+1, subStart {
@@ -255,7 +257,7 @@ func (ps *pass) next() sim.Time {
 			switch pr.kind {
 			case probeTake:
 				if ps.sub == subStart {
-					if !ps.skips && !pr.quiet() || !pr.mu.TryAcquire(p) {
+					if !ps.skips && !pr.quiet.Quiet() || !pr.mu.TryAcquire(p) {
 						return -1
 					}
 					ps.sub = subHeld
@@ -280,7 +282,7 @@ func (ps *pass) next() sim.Time {
 					return -1
 				}
 			case probeQuiet:
-				if !ps.skips && !pr.quiet() {
+				if !ps.skips && !pr.quiet.Quiet() {
 					return -1
 				}
 			}
@@ -306,16 +308,20 @@ func (ps *pass) next() sim.Time {
 	return n.Cost.IdlePoll
 }
 
+// A CommPass runs the engine's stages of a comm pass from stage from to the
+// last (from 0: all of them), reporting whether anything moved.
+type CommPass interface {
+	Pass(p *sim.Proc, from int) (worked bool)
+}
+
 // CommLoop is the dedicated MPI thread's service loop: pass after pass
-// until every worker of the node has exited. pass runs the engine's
-// stages from stage from to the last (from 0: all of them) and reports
-// whether anything moved; after a pass that moved nothing the thread
-// idles through the probes AddComm was given and resumes where they say.
-// The loop test, too, is taken only at from 0.
-func (n *Node) CommLoop(p *sim.Proc, pass func(p *sim.Proc, from int) (worked bool)) {
+// until every worker of the node has exited. After a pass that moved
+// nothing the thread idles through the probes AddComm was given and
+// resumes where they say. The loop test, too, is taken only at from 0.
+func (n *Node) CommLoop(p *sim.Proc, pass CommPass) {
 	from := 0
 	for from > 0 || !n.workersDone() {
-		if pass(p, from) {
+		if pass.Pass(p, from) {
 			from = 0
 		} else {
 			from = n.comm.idle(p)

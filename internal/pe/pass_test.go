@@ -15,6 +15,15 @@ import (
 	"repro/internal/trace"
 )
 
+// threadFunc and passFunc write a thread and a comm pass as functions.
+type threadFunc func(*sim.Proc)
+
+func (f threadFunc) Main(p *sim.Proc) { f(p) }
+
+type passFunc func(*sim.Proc, int) bool
+
+func (f passFunc) Pass(p *sim.Proc, from int) bool { return f(p, from) }
+
 // How a thread under test idles: through the pass machine, through the
 // machine with Runtime.LiteralIdle set, or in a loop written out here —
 // what the engines' loops were before there was a machine.
@@ -141,7 +150,7 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 		out.Quiet, credits = out.Quiet+n, credits+n
 		return max(budget-credits, 0)
 	}
-	rt.AddWorker(&w, &n, func(p *sim.Proc) {
+	rt.AddWorker(&w, &n, threadFunc(func(p *sim.Proc) {
 		for from := 0; !finished(); {
 			res.at[from]++
 			worked := from <= twInbox && drain(p, &w.Inbox)
@@ -162,12 +171,12 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 				from = w.Idle(p)
 			}
 		}
-	})
+	}))
 	if parks {
 		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side),
-			StableProbe(func() bool { return !due }), StableProbe(func() bool { return credits < budget }))
+			StableProbe(QuietFunc(func() bool { return !due })), StableProbe(QuietFunc(func() bool { return credits < budget })))
 	} else {
-		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side), QuietProbe(func() bool { return !due }))
+		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side), QuietProbe(QuietFunc(func() bool { return !due })))
 	}
 	// Gaps off the poll period, so deposits arrive in every phase of it:
 	// lock held, lock free, box already filled.
@@ -238,7 +247,7 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 	return commThreadRun(t, mode, StableProbe)
 }
 
-func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (idleOutcome, sim.Counters, resumes) {
+func commThreadRun(t *testing.T, mode idleMode, chore func(Quiet) Probe) (idleOutcome, sim.Counters, resumes) {
 	const deposits, packets, chores = 40, 40, 20
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -314,7 +323,7 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (
 	}
 
 	rt.AddNode(&n0, cost)
-	rt.AddWorker(&w0, &n0, func(p *sim.Proc) {
+	rt.AddWorker(&w0, &n0, threadFunc(func(p *sim.Proc) {
 		// Gaps off the idle pass's period, so deposits and lock grabs land
 		// in every phase of it.
 		for i := 0; i < deposits; i++ {
@@ -328,10 +337,10 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (
 			logf("deposited %d", i)
 		}
 		p.Advance(100 * sim.Microsecond) // the comm thread outlives all traffic
-	})
-	rt.AddComm(&n0, func(p *sim.Proc) {
+	}))
+	rt.AddComm(&n0, threadFunc(func(p *sim.Proc) {
 		if mode != written {
-			n0.CommLoop(p, pass)
+			n0.CommLoop(p, passFunc(pass))
 			return
 		}
 		for n0.WorkersExited < 1 {
@@ -339,14 +348,14 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (
 				p.Advance(cost.IdlePoll)
 			}
 		}
-	},
+	}),
 		TakeProbe(&n0.Out),
 		RecvProbe(mpi.AnySource, tagData),
 		RecvProbe(1, tagRing).If(func() bool { return ringOn }),
-		chore(func() bool { return !due }),
+		chore(QuietFunc(func() bool { return !due })),
 	)
 	rt.AddNode(&n1, cost)
-	rt.AddWorker(&w1, &n1, func(p *sim.Proc) {
+	rt.AddWorker(&w1, &n1, threadFunc(func(p *sim.Proc) {
 		for i := 0; i < packets; i++ {
 			p.Advance(11970 + sim.Time(i%11)*53)
 			tag := tagData
@@ -355,7 +364,7 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(func() bool) Probe) (
 			}
 			n1.Rank.Send(p, 0, tag, 24, i)
 		}
-	})
+	}))
 	var tick func()
 	ticks := 0
 	tick = func() {
@@ -453,8 +462,8 @@ func idleWorker(w *Worker, quiet func() bool, body func(p *sim.Proc)) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	n := &Node{}
 	rt.AddNode(n, cluster.KNLDefaults())
-	rt.AddWorker(w, n, body)
-	w.IdlePass(func() bool { return false }, nil, TakeProbe(&w.Inbox), QuietProbe(quiet))
+	rt.AddWorker(w, n, threadFunc(body))
+	w.IdlePass(func() bool { return false }, nil, TakeProbe(&w.Inbox), QuietProbe(QuietFunc(quiet)))
 	return rt
 }
 
@@ -464,7 +473,7 @@ func idleWorker(w *Worker, quiet func() bool, body func(p *sim.Proc)) *Runtime {
 func idleCommNode(n *Node, quiet Probe, body func(p *sim.Proc)) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(n, cluster.KNLDefaults())
-	rt.AddComm(n, body,
+	rt.AddComm(n, threadFunc(body),
 		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), quiet)
 	return rt
 }
@@ -491,7 +500,7 @@ func TestIdleAllocatesNothing(t *testing.T) {
 func TestCommIdleAllocatesNothing(t *testing.T) {
 	var n Node
 	passes := 0
-	rt := idleCommNode(&n, QuietProbe(func() bool { passes++; return passes%5 != 0 }), func(p *sim.Proc) {
+	rt := idleCommNode(&n, QuietProbe(QuietFunc(func() bool { passes++; return passes%5 != 0 })), func(p *sim.Proc) {
 		if avg := testing.AllocsPerRun(200, func() { n.comm.idle(p) }); avg != 0 {
 			t.Errorf("%v allocations per idle episode of five passes, want 0", avg)
 		}
@@ -515,9 +524,9 @@ func BenchmarkIdlePass(b *testing.B) {
 			var n Node
 			passes := 0
 			quiet := func() bool { passes++; return passes <= b.N }
-			probe := QuietProbe(quiet)
+			probe := QuietProbe(QuietFunc(quiet))
 			if name == "parked" {
-				probe = StableProbe(func() bool { return passes == 0 })
+				probe = StableProbe(QuietFunc(func() bool { return passes == 0 }))
 			}
 			rt := idleCommNode(&n, probe, func(p *sim.Proc) {
 				if name != "loop" {
@@ -563,16 +572,16 @@ func TestPlanRefusesTooLongCycle(t *testing.T) {
 	var n Node
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(&n, cluster.KNLDefaults())
-	probes := []Probe{TakeProbe(&n.Out), StableProbe(func() bool { return true })}
+	probes := []Probe{TakeProbe(&n.Out), StableProbe(QuietFunc(func() bool { return true }))}
 	for steps := 2; steps+2 <= sim.MaxCycle; steps += 2 { // the take and IdlePoll, then two per receive
 		probes = append(probes, RecvProbe(mpi.AnySource, tagData))
 	}
-	rt.AddComm(&n, func(*sim.Proc) {}, probes...) // exactly sim.MaxCycle: taken
+	rt.AddComm(&n, threadFunc(func(*sim.Proc) {}), probes...) // exactly sim.MaxCycle: taken
 	probes = append(probes, RecvProbe(mpi.AnySource, tagRing).If(func() bool { return false }))
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "n0/comm") || !strings.Contains(msg, "MaxCycle") {
 			t.Errorf("one probe too many: recovered %q, want a refusal naming n0/comm", msg)
 		}
 	}()
-	rt.AddComm(&n, func(*sim.Proc) {}, probes...)
+	rt.AddComm(&n, threadFunc(func(*sim.Proc) {}), probes...)
 }

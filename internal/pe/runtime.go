@@ -1,8 +1,6 @@
 package pe
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/eventq"
@@ -54,17 +52,25 @@ type Runtime struct {
 	streams   *rng.Sequence
 	finish    func(*stats.Run)
 	nodes     int
-	workers   []*Worker // global index order
-	lps       []*LP     // the live instance of each LP, by id
-	threads   []thread  // spawn order
+	workers   []*Worker      // global index order
+	lps       []*LP          // the live instance of each LP, by id
+	threads   []thread       // spawn order
+	evs       []*event.Event // the rest of the array carve takes from
 	disparity stats.Disparity
 	lvts      []float64
 }
 
+// thread is an engine's worker (w) or comm thread, or an AddProcess body.
 type thread struct {
 	name string
+	main Thread
+	w    *Worker
 	body func(*sim.Proc)
 }
+
+// A Thread is an engine's worker or comm thread, which its worker or node
+// implements: registering one allocates nothing.
+type Thread interface{ Main(p *sim.Proc) }
 
 // Init builds the environment and the MPI world. finish completes the
 // statistics Run returns with what only the engine counts. The engine
@@ -80,6 +86,10 @@ func (rt *Runtime) Init(c Config, finish func(*stats.Run)) {
 	}
 	rt.workers = make([]*Worker, 0, c.Topology.TotalWorkers())
 	rt.lps = make([]*LP, 0, c.Topology.TotalLPs())
+	rt.threads = make([]thread, 0, c.Topology.TotalWorkers()+c.Topology.Nodes+1) // and an observer
+	// Pending sets (two events per LP) and mailbox arrays start in one array.
+	top := &c.Topology
+	rt.evs = make([]*event.Event, top.TotalWorkers()*2*(top.LPsPerWorker+boxCap)+top.Nodes*2*boxCap)
 	// LPs are added in global id order, so one substream sequence hands
 	// every LP the stream NewAt(seed, id) in O(1) jumps each.
 	rt.streams = rng.NewSequence(c.Seed)
@@ -117,9 +127,9 @@ func (n *Node) Touch() {
 // AddNode initialises n as the next node, with the given cost model.
 func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
-	n.OutMu = sim.Mutex{Name: fmt.Sprintf("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
-	n.Out = NewMailbox[*event.Event](&n.OutMu, cost.RemoteEnqueue)
-	n.comm.init(n, nil)
+	n.OutMu = sim.Mutex{Name: rt.Env.Name("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
+	n.Out = Mailbox[*event.Event]{mu: &n.OutMu, cost: cost.RemoteEnqueue, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
+	n.comm.init(n, nil, rt.Env.Name("n%d/comm", n.ID))
 	n.comm.stop = n.workersDone
 	rt.nodes++
 }
@@ -127,9 +137,9 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 // AddComm registers n's dedicated MPI thread; call it after adding n's
 // workers, which start first. pass lists the stages of the pass a body
 // built on CommLoop makes, each as it is when it finds nothing to move.
-func (rt *Runtime) AddComm(n *Node, body func(*sim.Proc), pass ...Probe) {
+func (rt *Runtime) AddComm(n *Node, main Thread, pass ...Probe) {
 	n.comm.list(pass)
-	rt.AddProcess(fmt.Sprintf("n%d/comm", n.ID), body)
+	rt.threads = append(rt.threads, thread{name: n.comm.name, main: main})
 }
 
 // Worker is the base of one simulation thread (a ROSS PE): a pending
@@ -176,24 +186,19 @@ func (w *Worker) Settle() {
 
 // AddWorker initialises w as the next worker of n, the last node added,
 // and registers its thread with main as the body.
-func (rt *Runtime) AddWorker(w *Worker, n *Node, main func(*sim.Proc)) {
+func (rt *Runtime) AddWorker(w *Worker, n *Node, main Thread) {
 	gidx := len(rt.workers)
 	idx := gidx - n.ID*rt.cfg.Topology.WorkersPerNode
 	// A pending set starts out holding about its LPs' seed events, one
-	// each for most models.
-	lps := rt.cfg.Topology.LPsPerWorker
-	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.MakeHeap(lps), rt: rt, phase: 0xFF}
-	w.inMu = sim.Mutex{Name: fmt.Sprintf("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
-	w.Inbox = NewMailbox[*event.Event](&w.inMu, n.Cost.RegionalSend)
-	w.idle.init(n, w)
+	// each for most models, and has room for as many again.
+	pending := rt.carve(2 * rt.cfg.Topology.LPsPerWorker)
+	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.HeapOn(pending), rt: rt, phase: 0xFF}
+	w.inMu = sim.Mutex{Name: rt.Env.Name("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
+	w.Inbox = Mailbox[*event.Event]{mu: &w.inMu, cost: n.Cost.RegionalSend, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
+	w.idle.init(n, w, rt.Env.Name("n%d/w%d", n.ID, idx))
 	rt.workers = append(rt.workers, w)
 	n.workers = rt.workers[gidx-idx : gidx+1] // a view: Init sized rt.workers for every worker
-	rt.AddProcess(fmt.Sprintf("n%d/w%d", n.ID, idx), func(p *sim.Proc) {
-		w.Proc = p
-		main(p)
-		n.WorkersExited++
-		n.Touch() // the comm thread's stop test reads the count
-	})
+	rt.threads = append(rt.threads, thread{name: w.idle.name, main: main, w: w})
 }
 
 // AddLP initialises l as the next LP in global id order: a fresh model
@@ -215,6 +220,7 @@ func (rt *Runtime) Seed() {
 	rt.Views = make([]View, len(rt.workers))
 	rt.lvts = make([]float64, 0, len(rt.workers))
 	ctx := &seedCtx{}
+	ctx.events.First = len(rt.lps) // one seed event per LP, for most models
 	for _, l := range rt.lps {
 		ctx.W, ctx.LP = rt.workers[rt.cfg.Topology.GlobalWorkerOf(l.ID)], l
 		l.Model.Init(ctx)
@@ -224,15 +230,43 @@ func (rt *Runtime) Seed() {
 // AddProcess registers a simulated thread. Run spawns the threads in
 // registration order, which the kernel's deterministic tie-break follows.
 func (rt *Runtime) AddProcess(name string, body func(*sim.Proc)) {
-	rt.threads = append(rt.threads, thread{name, body})
+	rt.threads = append(rt.threads, thread{name: name, body: body})
+}
+
+// boxCap is what each of a mailbox's two arrays holds before it grows.
+const boxCap = 8
+
+// carve takes n values of rt.evs, as an empty slice that holds n.
+func (rt *Runtime) carve(n int) []*event.Event {
+	v := rt.evs[:0:n]
+	rt.evs = rt.evs[n:]
+	return v
+}
+
+// runThread is the body of every thread Run spawns, the environment's
+// processes in registration order: no closure per thread.
+func (rt *Runtime) runThread(p *sim.Proc) {
+	switch t := &rt.threads[p.ID()]; {
+	case t.body != nil:
+		t.body(p)
+	case t.w == nil:
+		t.main.Main(p)
+	default:
+		n := t.w.Node
+		t.w.Proc = p
+		t.main.Main(p)
+		n.WorkersExited++
+		n.Touch() // the comm thread's stop test reads the count
+	}
 }
 
 // Run spawns the registered threads, executes the simulation to
 // completion and returns its statistics. When Cancel aborted the run, the
 // error wraps sim.ErrCancelled.
 func (rt *Runtime) Run() (*stats.Run, error) {
+	body := rt.runThread
 	for _, t := range rt.threads {
-		rt.Env.Spawn(t.name, t.body)
+		rt.Env.Spawn(t.name, body)
 	}
 	if err := rt.Env.Run(); err != nil {
 		return nil, err

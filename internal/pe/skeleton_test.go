@@ -15,6 +15,11 @@ import (
 	"repro/internal/trace"
 )
 
+// threadFunc writes a thread as a function.
+type threadFunc func(*sim.Proc)
+
+func (f threadFunc) Main(p *sim.Proc) { f(p) }
+
 // selfLoop only ever sends to its own LP, so LPs never interact and the
 // least possible engine — each worker runs its own events to the end — is
 // a correct one. It checks the context it is handed on the way.
@@ -80,7 +85,7 @@ func TestRunSkeleton(t *testing.T) {
 		for wi := 0; wi < top.WorkersPerNode; wi++ {
 			w := &toyWorker{first: top.FirstLP(ni, wi)}
 			workers = append(workers, w)
-			rt.AddWorker(&w.Worker, n, func(p *sim.Proc) {
+			rt.AddWorker(&w.Worker, n, threadFunc(func(p *sim.Proc) {
 				ctx := &loopCtx{pe.Ctx{W: &w.Worker}}
 				w.SetPhase(trace.PhaseProcessing)
 				for ev := w.Pending.Peek(); ev != nil && ev.Stamp.T <= end; ev = w.Pending.Peek() {
@@ -94,14 +99,14 @@ func TestRunSkeleton(t *testing.T) {
 				w.SetPhase(trace.PhaseBarrier)
 				w.SetPhase(trace.PhaseBarrier) // a repeat records nothing
 				w.BarrierWait(done)
-			})
+			}))
 			for i := 0; i < top.LPsPerWorker; i++ {
 				l := &pe.LP{}
 				rt.AddLP(l)
 				w.lps = append(w.lps, l)
 			}
 		}
-		rt.AddComm(n, func(p *sim.Proc) {
+		rt.AddComm(n, threadFunc(func(p *sim.Proc) {
 			done.Wait(p)
 			if n.ID != 0 {
 				return
@@ -110,7 +115,7 @@ func TestRunSkeleton(t *testing.T) {
 				rt.Views[w.Gidx] = pe.View{LVT: w.Pending.MinStamp().T, Uncommitted: 7}
 			}
 			rt.RecordRound(pe.Round{GVT: end, Sync: true, Efficiency: 1, Migrations: 2})
-		})
+		}))
 	}
 	// A migrated LP is rebuilt elsewhere and re-hosted: Run must read the
 	// live instance, not the one construction registered.

@@ -38,11 +38,12 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 
 // TestEngineAllocsPinned is the allocation ratchet of the engine side: on
 // the three engine shapes of the host benchmark (as in
-// TestKernelDispatchesPinned), the heap allocations of New plus Run per
-// committed event, and the bytes they take, stay under bounds written
-// here. What remains is set-up — a few allocations per worker, none per LP
-// (TestEngineBuildAllocsPinned), and thread spawn — and the growth of
-// per-worker slices (pending queues, mailboxes) and slabs (a Time Warp
+// TestKernelDispatchesPinned) and the job service's cold-job spec, the
+// heap allocations of New plus Run per committed event, and the bytes they
+// take, stay under bounds written here. What remains is set-up — a few
+// allocations per worker, none per LP (TestEngineBuildAllocsPinned) — the
+// spawn of the threads (about 15 allocations each) and the growth of
+// slices past what the topology sizes them for and of slabs (a Time Warp
 // worker's history entries and send records) to their high-water marks
 // (DESIGN.md "Allocations per commit"); the per-event engine path
 // allocates nothing once its free lists and slabs have grown. The marginal
@@ -59,6 +60,8 @@ func TestEngineAllocsPinned(t *testing.T) {
 	twComp.GVT, twComp.EndTime = "mattern", 100
 	twComm.GVT, twComm.Scenario, twComm.LPsPerWorker, twComm.EndTime = "ca-gvt", "comm", 8, 150
 	consNull.Sync, consNull.EndTime = "nullmsg", 8
+	// The job service's tiny spec: about forty events.
+	coldJob := Spec{Nodes: 1, WorkersPerNode: 2, LPsPerWorker: 4, EndTime: 5, Seed: 1}
 	base := map[string][2]uint64{} // mallocs, commits
 	for _, c := range []struct {
 		name       string
@@ -66,9 +69,13 @@ func TestEngineAllocsPinned(t *testing.T) {
 		bound      float64 // allocations per committed event
 		bytesBound float64 // bytes allocated per committed event
 	}{
-		{"tw-comp", twComp, 0.07, 79},
-		{"tw-comm", twComm, 0.097, 63},
-		{"cons-nullmsg", consNull, 0.47, 82},
+		// Before a run's fixed cost was sized at build (names, idle passes
+		// without closures, run-time slices) these were 0.058, 0.086, 0.440
+		// and 4.55 allocations and 70.0, 54.7, 75.7 and 855 bytes.
+		{"tw-comp", twComp, 0.042, 72},
+		{"tw-comm", twComm, 0.058, 55},
+		{"cons-nullmsg", consNull, 0.22, 75},
+		{"cold-job", coldJob, 3.65, 870},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)
@@ -88,7 +95,7 @@ func TestEngineAllocsPinned(t *testing.T) {
 		spec  Spec
 		bound float64 // allocations per extra committed event
 	}{
-		{"tw-comp", twComp, 0.06},
+		{"tw-comp", twComp, 0.045},
 		{"cons-nullmsg", consNull, 0.01},
 	} {
 		long := c.spec

@@ -72,12 +72,38 @@ func BenchmarkEngineBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineStart prices New and Run together — a run's fixed cost
+// with its threads' spawn — on the job service's cold-job spec and the
+// cons-nullmsg shape, whose allocations are nearly all fixed cost: a
+// thread's allocations, reintroduced, show in allocs/op.
+func BenchmarkEngineStart(b *testing.B) {
+	for _, c := range buildShapes() {
+		if c.name != "cold-job" && c.name != "cons-nullmsg" {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng, err := New(c.spec, Attach{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestEngineBuildAllocsPinned holds an engine's build to a cost per
 // worker: with nodes x workers fixed, doubling the LPs per worker may add
 // at most 0.05 allocations per extra LP, and no more bytes per extra LP
 // than before. Each LP's model, RNG stream, seed event and LP record come
 // from slabs and arrays (DESIGN.md "Allocations per commit", Set-up in
-// slabs).
+// slabs). With the LPs per worker fixed, doubling the workers per node may
+// add no more allocations per extra worker than the few a worker's thread
+// and records cost now.
 func TestEngineBuildAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -86,16 +112,19 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 	mattern, nullmsg := shape, shape
 	mattern.GVT, nullmsg.Sync = "mattern", "nullmsg"
 	for _, c := range []struct {
-		name       string
-		spec       Spec
-		bytesBound float64 // bytes per extra LP
+		name        string
+		spec        Spec
+		bytesBound  float64 // bytes per extra LP
+		workerBound float64 // allocations per extra worker
 	}{
 		// Before set-up moved to slabs the engines paid 4.13 and 3.06
 		// allocations and 374.9 and 258.0 bytes per extra LP: a model, an
 		// RNG stream, a seed event and a Time Warp LP record each, and the
 		// doubling of slices.
-		{"mattern", mattern, 374},
-		{"nullmsg", nullmsg, 257},
+		// Before a run's names, idle passes and run-time slices were sized
+		// at build, 22.4 and 11.1 allocations per extra worker.
+		{"mattern", mattern, 374, 13},
+		{"nullmsg", nullmsg, 257, 1.5},
 	} {
 		lo, hi := c.spec, c.spec
 		lo.LPsPerWorker, hi.LPsPerWorker = 16, 32
@@ -111,6 +140,17 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 		}
 		if perBytes > c.bytesBound {
 			t.Errorf("%s: %.1f bytes per extra LP, bound %v", c.name, perBytes, c.bytesBound)
+		}
+
+		wide := lo
+		wide.WorkersPerNode *= 2
+		wideAllocs, _ := buildAllocsOf(t, wide)
+		workers := float64(wide.Nodes * (wide.WorkersPerNode - lo.WorkersPerNode))
+		perWorker := (float64(wideAllocs) - float64(loAllocs)) / workers
+		t.Logf("%s: %d x %d → %d x %d workers: %d → %d allocations = %.2f per extra worker",
+			c.name, lo.Nodes, lo.WorkersPerNode, wide.Nodes, wide.WorkersPerNode, loAllocs, wideAllocs, perWorker)
+		if perWorker > c.workerBound {
+			t.Errorf("%s: %.2f allocations per extra worker, bound %v", c.name, perWorker, c.workerBound)
 		}
 	}
 }

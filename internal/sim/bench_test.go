@@ -45,13 +45,13 @@ func BenchmarkPoll(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			benchRun(b, procs, func(p *Proc, id int) {
 				i := id
-				p.Poll(func() Time {
+				p.Poll(stepFunc(func() Time {
 					if i >= b.N {
 						return -1
 					}
 					i += procs
 					return Time(100 + 7*id)
-				})
+				}))
 			})
 		})
 	}
@@ -67,13 +67,13 @@ func BenchmarkPollRing(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			benchRun(b, procs, func(p *Proc, id int) {
 				i := id
-				p.Poll(func() Time {
+				p.Poll(stepFunc(func() Time {
 					if i >= b.N {
 						return -1
 					}
 					i += procs
 					return delays[(i/procs+id)%len(delays)]
-				})
+				}))
 			})
 		})
 	}
@@ -230,7 +230,7 @@ func TestKernelHotPathAllocs(t *testing.T) {
 
 	// Poll: each operation is one whole Poll of four steps built once, as a
 	// worker builds its idle step, three of them taken by Run.
-	steps := make([]func() Time, 20)
+	steps := make([]stepFunc, 20)
 	for id := range steps {
 		id, n := id, 0
 		steps[id] = func() Time {
@@ -245,7 +245,7 @@ func TestKernelHotPathAllocs(t *testing.T) {
 	// After: the callback slab reuses the slot each callback vacates.
 	noop := func() {}
 	measure("After", 4, func(p *Proc, id int) {
-		p.Env().After(Time(10+id), noop)
+		p.env.After(Time(10+id), noop)
 		p.Advance(Time(50 + 7*id))
 	})
 

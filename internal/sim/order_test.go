@@ -34,7 +34,7 @@ type orderRun struct {
 // cancelAt < 0), so the cancellation point is deterministic too. A
 // non-nil idle adds one idler per mutex, polling it through idle; the
 // pinned program has none.
-func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() Time)) orderRun {
+func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step Stepper)) orderRun {
 	env := NewEnv()
 	var log []string
 
@@ -201,7 +201,7 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 	idler := func(name string, m *Mutex) func(*Proc) {
 		return func(p *Proc) {
 			holding := false
-			step := func() Time {
+			step := stepFunc(func() Time {
 				if !holding {
 					if active == 0 || !m.TryAcquire(p) {
 						return -1
@@ -216,7 +216,7 @@ func runOrderProgram(seed uint64, cancelAt int, idle func(p *Proc, step func() T
 				m.Unlock(p)
 				resumed(name)
 				return 1 + delay()
-			}
+			})
 			resumed(name)
 			for active > 0 {
 				m.Lock(p)
@@ -312,8 +312,8 @@ func TestDispatchOrderPinned(t *testing.T) {
 // defined as and once by Poll: everything observable in virtual time is
 // the same, and only the host-side split of the dispatches differs.
 func TestPollMatchesAdvanceLoop(t *testing.T) {
-	literal := func(p *Proc, step func() Time) {
-		for d := step(); d >= 0; d = step() {
+	literal := func(p *Proc, step Stepper) {
+		for d := step.Step(); d >= 0; d = step.Step() {
 			p.Advance(d)
 		}
 	}

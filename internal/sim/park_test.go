@@ -95,7 +95,7 @@ func (s *sleeper) step() Time {
 // idle takes passes, the mode's way, until one hands back.
 func (s *sleeper) idle(p *Proc, mode int) {
 	if mode != idleLoop {
-		p.Poll(s.step)
+		p.Poll(stepFunc(s.step))
 		return
 	}
 	for d := s.step(); d >= 0; d = s.step() {

@@ -8,9 +8,14 @@ import (
 	"testing"
 )
 
+// stepFunc is a Poll step written as a function.
+type stepFunc func() Time
+
+func (f stepFunc) Step() Time { return f() }
+
 // pollTimes returns a step that lets each of ds pass in turn and then
 // ends the Poll, logging when it is called.
-func pollTimes(env *Env, calls *[]Time, ds ...Time) func() Time {
+func pollTimes(env *Env, calls *[]Time, ds ...Time) stepFunc {
 	return func() Time {
 		*calls = append(*calls, env.Now())
 		if len(ds) == 0 {
@@ -32,7 +37,7 @@ func TestPollIsTheAdvanceLoop(t *testing.T) {
 	env.Spawn("poller", func(p *Proc) {
 		p.Poll(pollTimes(env, &calls, 5, 0, 7))
 		back = p.Now()
-		p.Poll(func() Time { return -1 }) // ends at once: no event, no yield
+		p.Poll(stepFunc(func() Time { return -1 })) // ends at once: no event, no yield
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestPollStepMustNotBlock(t *testing.T) {
 		{"barrier pair", func(p *Proc) { NewBarrier("pair", 2).Wait(p) }},
 		{"queue empty", func(p *Proc) { (&Queue{Name: "empty"}).Get(p) }},
 		{"cond never", func(p *Proc) { (&Cond{Name: "never"}).Wait(p) }},
-		{"Poll", func(p *Proc) { p.Poll(func() Time { return -1 }) }},
+		{"Poll", func(p *Proc) { p.Poll(stepFunc(func() Time { return -1 })) }},
 	} {
 		for _, inKernel := range []bool{false, true} {
 			env := NewEnv()
@@ -74,14 +79,14 @@ func TestPollStepMustNotBlock(t *testing.T) {
 			})
 			env.Spawn("stepper", func(p *Proc) {
 				first := true
-				p.Poll(func() Time {
+				p.Poll(stepFunc(func() Time {
 					if inKernel && first {
 						first = false
 						return 1
 					}
 					c.reach(p)
 					return -1
-				})
+				}))
 			})
 			msg := runPanic(env)
 			want := fmt.Sprintf(`sim: process "stepper" panicked: sim: process "stepper" reached %s inside a Poll step`, c.primitive)
@@ -114,14 +119,14 @@ func TestPollStepPanicPropagatesToRun(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("bomb", func(p *Proc) {
 		steps := 0
-		p.Poll(func() Time {
+		p.Poll(stepFunc(func() Time {
 			if steps++; steps == 3 {
 				panic("boom")
 			}
 			return 5
-		})
+		}))
 	})
-	env.Spawn("bystander", func(p *Proc) { p.Poll(func() Time { return 4 }) })
+	env.Spawn("bystander", func(p *Proc) { p.Poll(stepFunc(func() Time { return 4 })) })
 	if msg := runPanic(env); msg != `sim: process "bomb" panicked: boom` {
 		t.Errorf("Run panicked with %q", msg)
 	}
@@ -141,12 +146,12 @@ func TestCancelWhileAllInPoll(t *testing.T) {
 		env.Spawn("poller", func(p *Proc) {
 			defer func() { unwound++ }()
 			steps := 0
-			p.Poll(func() Time {
+			p.Poll(stepFunc(func() Time {
 				if steps++; steps == 1000 {
 					env.Cancel()
 				}
 				return Microsecond
-			})
+			}))
 			t.Error("Poll returned")
 		})
 	}
@@ -167,7 +172,7 @@ func TestCancelWhileAllInPoll(t *testing.T) {
 func TestLivelockDetectionInPoll(t *testing.T) {
 	env := NewEnv()
 	env.LivelockLimit = 1000
-	env.Spawn("spinner", func(p *Proc) { p.Poll(func() Time { return 0 }) })
+	env.Spawn("spinner", func(p *Proc) { p.Poll(stepFunc(func() Time { return 0 })) })
 	msg := runPanic(env)
 	if !strings.Contains(msg, "virtual livelock") || !strings.Contains(msg, `"spinner"`) {
 		t.Errorf("Run panicked with %q, want a virtual livelock naming the spinner", msg)

@@ -14,7 +14,7 @@ type Mutex struct {
 	HoldCost Time
 
 	holder  *Proc
-	waiters []*Proc
+	waiters waitList
 	watch   *Parked // the parked process whose steps take m, if any
 	// Contention statistics (virtual time spent blocked, acquisitions).
 	WaitTime  Time
@@ -47,7 +47,7 @@ func (m *Mutex) acquire(p *Proc) {
 	if m.holder != nil {
 		m.Contended++
 		start := p.Now()
-		m.waiters = append(m.waiters, p)
+		m.waiters.push(p)
 		p.block("mutex", m.Name)
 		m.WaitTime += p.Now() - start
 		// Ownership was transferred to us by Unlock.
@@ -86,15 +86,12 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.holder != p {
 		panic(fmt.Sprintf("sim: %s unlocking mutex %q held by %v", p.name, m.Name, holderName(m.holder)))
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.head == nil {
 		m.holder = nil
 		return
 	}
-	next := m.waiters[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
-	m.holder = next
-	p.env.makeRunnable(next)
+	m.holder = m.waiters.pop()
+	p.env.makeRunnable(m.holder)
 }
 
 func holderName(p *Proc) string {
@@ -111,8 +108,8 @@ type Barrier struct {
 	Name string
 	N    int
 
-	arrived []*Proc
-	gen     uint64
+	arrived int
+	waiting waitList
 	// WaitTime accumulates the total virtual time processes spent parked at
 	// the barrier (the "dashed line" idle time in the paper's Figure 1).
 	WaitTime Time
@@ -128,20 +125,18 @@ func NewBarrier(name string, n int) *Barrier {
 }
 
 // Generation returns the number of completed barrier rounds.
-func (b *Barrier) Generation() uint64 { return b.gen }
+func (b *Barrier) Generation() uint64 { return b.Rounds }
 
 // Wait blocks p until all N participants have arrived.
 func (b *Barrier) Wait(p *Proc) {
-	if len(b.arrived)+1 == b.N {
-		for _, q := range b.arrived {
-			p.env.makeRunnable(q)
-		}
-		b.arrived = b.arrived[:0]
-		b.gen++
+	if b.arrived+1 == b.N {
+		b.waiting.wakeAll(p.env)
+		b.arrived = 0
 		b.Rounds++
 		return
 	}
-	b.arrived = append(b.arrived, p)
+	b.arrived++
+	b.waiting.push(p)
 	start := p.Now()
 	p.block("barrier", b.Name)
 	b.WaitTime += p.Now() - start
@@ -153,7 +148,7 @@ func (b *Barrier) Wait(p *Proc) {
 type Queue struct {
 	Name    string
 	items   []any
-	getters []*Proc
+	getters waitList
 	// MaxLen tracks the high-water mark (queue occupancy, which CA-GVT's
 	// concluding remarks mention as an alternative synchronization signal).
 	MaxLen int
@@ -170,10 +165,8 @@ func (q *Queue) Put(p *Proc, v any) { q.put(p.env, v) }
 func (q *Queue) PutNB(env *Env, v any) { q.put(env, v) }
 
 func (q *Queue) put(env *Env, v any) {
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		copy(q.getters, q.getters[1:])
-		q.getters = q.getters[:len(q.getters)-1]
+	if q.getters.head != nil {
+		g := q.getters.pop()
 		g.xfer = v
 		env.makeRunnable(g)
 		return
@@ -186,14 +179,10 @@ func (q *Queue) put(env *Env, v any) {
 
 // Get removes and returns the oldest item, blocking p until one exists.
 func (q *Queue) Get(p *Proc) any {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		copy(q.items, q.items[1:])
-		q.items[len(q.items)-1] = nil
-		q.items = q.items[:len(q.items)-1]
+	if v, ok := q.TryGet(); ok {
 		return v
 	}
-	q.getters = append(q.getters, p)
+	q.getters.push(p)
 	p.block("queue", q.Name)
 	v := p.xfer
 	p.xfer = nil
@@ -218,19 +207,42 @@ func (q *Queue) TryGet() (any, bool) {
 // predicate after waking, exactly like a pthread condvar loop.
 type Cond struct {
 	Name    string
-	waiters []*Proc
+	waiters waitList
 }
 
 // Wait blocks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.block("cond", c.Name)
 }
 
 // Broadcast wakes every current waiter.
-func (c *Cond) Broadcast(env *Env) {
-	for _, p := range c.waiters {
-		env.makeRunnable(p)
+func (c *Cond) Broadcast(env *Env) { c.waiters.wakeAll(env) }
+
+// waitList is a FIFO of blocked processes threaded through them (a process
+// waits on one primitive at a time): joining one allocates nothing.
+type waitList struct{ head, tail *Proc }
+
+func (l *waitList) push(p *Proc) {
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.link = p
 	}
-	c.waiters = c.waiters[:0]
+	l.tail = p
+}
+
+func (l *waitList) pop() *Proc {
+	p := l.head
+	if l.head, p.link = p.link, nil; l.head == nil {
+		l.tail = nil
+	}
+	return p
+}
+
+// wakeAll makes every waiter runnable, longest-waiting first, and empties l.
+func (l *waitList) wakeAll(env *Env) {
+	for l.head != nil {
+		env.makeRunnable(l.pop())
+	}
 }

@@ -17,6 +17,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -62,19 +63,7 @@ const (
 )
 
 func (s procState) String() string {
-	switch s {
-	case stateNew:
-		return "new"
-	case stateRunnable:
-		return "runnable"
-	case stateRunning:
-		return "running"
-	case stateBlocked:
-		return "blocked"
-	case stateDone:
-		return "done"
-	}
-	return "?"
+	return [...]string{"new", "runnable", "running", "blocked", "done"}[s]
 }
 
 // Proc is a simulated thread of execution. All of its methods must be
@@ -87,13 +76,12 @@ type Proc struct {
 	// What a blocked process waits on, as the primitive's kind and name:
 	// two words stored and joined only if a DeadlockError is rendered.
 	waitKind, waitName string
-	xfer               any // value handed over by Queue.Put to a blocked getter
-	panicked           any // panic value captured from the process body
+	link               *Proc // the next process on the wait list it is on (waitList)
+	xfer               any   // value handed over by Queue.Put to a blocked getter
+	panicked           any   // panic value captured from the process body
 
-	// step is the Poll step Run calls in the process's stead while it sits
-	// in Poll; nil otherwise.
-	step func() Time
-	f    filer // what the process files under
+	step Stepper // what Run steps in the process's stead while it sits in Poll
+	f    filer   // what the process files under
 
 	// rest is what of an AdvanceEach Run still files in the process's
 	// stead, one delay per dispatch of its wake-up; a view of chain.
@@ -110,8 +98,8 @@ type Proc struct {
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
+// ID returns the process's index in spawn order, from 0.
+func (p *Proc) ID() int { return p.id }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
@@ -236,6 +224,8 @@ type Env struct {
 	cbSrc         string         // origin of the callback currently executing
 	sameTimeBy    map[string]int // dispatch counts per origin near the livelock limit
 
+	names strings.Builder // every string Name has made, end to end
+
 	// stop is the asynchronous cancellation request flag: the only Env
 	// field any goroutine other than Run's may touch. Run polls it between
 	// dispatches and unwinds the simulation when set.
@@ -287,6 +277,16 @@ func NewEnv() *Env { return &Env{cbFree: -1, sched: filer{id: schedID}} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// Name returns fmt.Sprintf(format, args...) as a piece of one string that
+// holds every name e has made: only diagnostics read names, so one costs no
+// allocation of its own.
+func (e *Env) Name(format string, args ...any) string {
+	e.names.Grow(256)
+	start := e.names.Len()
+	fmt.Fprintf(&e.names, format, args...)
+	return e.names.String()[start:]
+}
 
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return e.live }
@@ -412,6 +412,7 @@ func (e *Env) Run() error {
 			panic(stepPanic)
 		}
 	}()
+	e.pend, e.cbs = slices.Grow(e.pend, 2*len(e.procs)), slices.Grow(e.cbs, len(e.procs)) // a wake-up each, as many callbacks
 	limit := e.LivelockLimit
 	if limit <= 0 {
 		limit = 50_000_000
@@ -639,7 +640,7 @@ func (p *Proc) AdvanceEach(ds ...Time) {
 
 // Poll is exactly
 //
-//	for d := step(); d >= 0; d = step() {
+//	for d := step.Step(); d >= 0; d = step.Step() {
 //		p.Advance(d)
 //	}
 //
@@ -654,7 +655,7 @@ func (p *Proc) AdvanceEach(ds ...Time) {
 // use whatever a scheduler callback may (Unlock, Put, Broadcast, After,
 // Spawn, TryGet, Mutex.TryAcquire), and panics if it reaches
 // Advance or a primitive that would park the process.
-func (p *Proc) Poll(step func() Time) {
+func (p *Proc) Poll(step Stepper) {
 	e := p.env
 	if e.stepping != nil {
 		panic(e.blockedInStep("Poll"))
@@ -669,11 +670,15 @@ func (p *Proc) Poll(step func() Time) {
 	p.yield()
 }
 
+// A Stepper is what Poll steps: Step looks once and returns the delay to
+// its next look, or a negative one to end the Poll.
+type Stepper interface{ Step() Time }
+
 // runStep takes one Poll step of p with the blocking primitives disarmed.
-func (e *Env) runStep(p *Proc, step func() Time) Time {
+func (e *Env) runStep(p *Proc, step Stepper) Time {
 	e.stepping = p
 	defer e.stepDone()
-	return step()
+	return step.Step()
 }
 
 func (e *Env) stepDone() { e.stepping = nil }

@@ -311,7 +311,8 @@ func (s *Store) Publish(hash string, payload []byte) (stored bool, err error) {
 // under the cross-process lock immediately before the rename, so the
 // caller can keep entry/byte accounting replace-aware.
 func (s *Store) write(hash string, payload []byte) (oldPayload int64, replaced bool, err error) {
-	if err := s.fs.MkdirAll(filepath.Dir(s.objectPath(hash)), 0o755); err != nil {
+	path := s.objectPath(hash)
+	if err := s.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, false, err
 	}
 	tmp, err := s.fs.CreateTemp(s.opts.Dir, "tmp-*")
@@ -337,13 +338,13 @@ func (s *Store) write(hash string, payload []byte) (oldPayload int64, replaced b
 		return 0, false, err
 	}
 	defer s.fs.Unlock(s.lock)
-	if st, statErr := s.fs.Stat(s.objectPath(hash)); statErr == nil {
+	if st, statErr := s.fs.Stat(path); statErr == nil {
 		replaced = true
 		if oldPayload = st.Size() - int64(len(entryMagic)+hashLen+1); oldPayload < 0 {
 			oldPayload = 0
 		}
 	}
-	if err := s.fs.Rename(name, s.objectPath(hash)); err != nil {
+	if err := s.fs.Rename(name, path); err != nil {
 		s.fs.Remove(name)
 		return 0, false, err
 	}
