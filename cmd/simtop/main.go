@@ -39,10 +39,27 @@ func main() {
 		rows     = flag.Int("jobs", 12, "job rows to show (most recent first)")
 	)
 	flag.Parse()
+	if err := checkFlags(*interval, *rows); err != nil {
+		fmt.Fprintln(os.Stderr, "simtop:", err)
+		os.Exit(2)
+	}
 	if err := run(*addr, *interval, *once, *rows); err != nil {
 		fmt.Fprintln(os.Stderr, "simtop:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values the monitor cannot honour: a zero or
+// negative interval would re-poll the daemon in a hot loop, and a negative
+// row count cannot slice the job list.
+func checkFlags(interval time.Duration, rows int) error {
+	if interval <= 0 {
+		return fmt.Errorf("-interval must be positive, got %v", interval)
+	}
+	if rows < 0 {
+		return fmt.Errorf("-jobs must not be negative, got %d", rows)
+	}
+	return nil
 }
 
 // frame is one poll of the daemon (or cluster router).

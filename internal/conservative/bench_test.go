@@ -12,7 +12,7 @@ import (
 // op, worked out afresh as every pass that is not skipped works it out:
 // the least of four promise channels, below which nothing is runnable, so
 // the peers' floors stay unread. `make microbench` and CI run it beside
-// pe's BenchmarkIdlePass, whose QuietProbe this is.
+// pe's BenchmarkIdlePass, whose StableProbe this is.
 func BenchmarkBlocked(b *testing.B) {
 	top := cluster.Topology{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16}
 	eng := New(Config{

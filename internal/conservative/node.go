@@ -64,8 +64,8 @@ type node struct {
 	// parked threads. They read the floors and chanIn through minima and
 	// thresholds that a lower floor, a raise of an entry above chanIn's
 	// least or an outbox item only keeps or lowers, so those changes need
-	// no signal. A QuietProbe may err toward false only, so a missing Touch
-	// is a bug.
+	// no signal. A StableProbe may err toward false only, so a missing
+	// Touch is a bug.
 }
 
 func newNode(eng *Engine) *node {

@@ -67,9 +67,17 @@ func balanceConfig(m balanceModel, policy string, gvt core.GVTKind) core.Config 
 	}
 }
 
+// checkOracle runs cfg and checks its commit stream against the
+// sequential oracle's.
 func checkOracle(t *testing.T, cfg core.Config) *stats.Run {
 	t.Helper()
-	r, err := core.New(cfg).Run()
+	return checkEngine(t, cfg, core.New(cfg))
+}
+
+// checkEngine is checkOracle for an engine already built from cfg.
+func checkEngine(t *testing.T, cfg core.Config, eng *core.Engine) *stats.Run {
+	t.Helper()
+	r, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,13 +112,6 @@ type Config struct {
 	Seed      uint64
 	BatchSize int // events processed per main-loop pass (default 16, as ROSS mbatch)
 
-	// PoolDebug poisons every event the node pools recycle (sentinel
-	// values verified on reuse) and asserts liveness at every delivery and
-	// anti-copy, catching a use-after-recycle at its source instead of as
-	// silent corruption. Events always recycle through the pools, which
-	// charge no virtual cost; this adds only the checks.
-	PoolDebug bool
-
 	// CheckpointInterval is the state-saving period: a snapshot is taken
 	// before every k-th processed event of an LP (1 = copy state every
 	// event, the ROSS default here). With k > 1, rollback restores the
@@ -158,12 +151,6 @@ type Config struct {
 	// FaultLabel names the fault scenario in run reports (report-only;
 	// see fabric.Scenario for the built-ins).
 	FaultLabel string
-	// CheckInvariants enables the strengthened GVT invariant: at every
-	// round completion the published GVT is checked against the true
-	// minimum over all worker LVTs, mailboxes, outboxes, stashed
-	// anti-messages, transport buffers and in-flight packets. Always on
-	// when Faults is set.
-	CheckInvariants bool
 
 	// Trace, when non-nil, receives a record for every committed event,
 	// every completed GVT round, every rollback episode, every MPI
@@ -260,8 +247,6 @@ type Engine struct {
 	prevCommitted  []int64 // per-node cumulative committed at last plan
 	prevRolled     []int64
 
-	invariants bool // GVT ≤ min(observable) checked every round (see Config.Faults)
-
 	// telemetry instruments, resolved once at construction (nil when
 	// Config.Metrics is nil) so hot paths pay a nil check, not a map
 	// lookup.
@@ -308,7 +293,6 @@ func New(cfg Config) *Engine {
 		eng.prevCommitted = make([]int64, cfg.Topology.Nodes)
 		eng.prevRolled = make([]int64, cfg.Topology.Nodes)
 	}
-	eng.invariants = cfg.CheckInvariants || cfg.Faults != nil
 	if cfg.Faults != nil {
 		f := eng.World.Fabric()
 		if err := f.SetFaults(cfg.Faults, cfg.Seed^faultSeedSalt); err != nil {

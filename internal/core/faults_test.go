@@ -71,28 +71,6 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultFreeRunsUnchanged: setting CheckInvariants (which enables the
-// per-round GVT ≤ min(observable) check and in-flight tracking, but no
-// faults and no reliable transport) must not perturb the run at all.
-func TestFaultFreeRunsUnchanged(t *testing.T) {
-	for _, g := range allGVT() {
-		base := testConfig(2, 2, 4, g, core.CommDedicated)
-		a, err := core.New(base).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checked := testConfig(2, 2, 4, g, core.CommDedicated)
-		checked.CheckInvariants = true
-		b, err := core.New(checked).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *a != *b {
-			t.Errorf("%v: invariant checking changed the run:\n%+v\n%+v", g, a, b)
-		}
-	}
-}
-
 // TestTokenSurvivesMasterPartitions: long bidirectional partition windows
 // around the ring master swallow GVT tokens and events alike; the reliable
 // transport alone carries every one of them through, so the run completes

@@ -12,19 +12,15 @@ import (
 // over every timestamp the simulation could still deliver — unprocessed
 // pending events, mailbox deposits, stashed anti-messages, node outboxes,
 // frames buffered inside the reliable transport, and packets in flight on
-// the fabric. Fault injection is exactly the regime where a protocol bug
-// would let a delayed or retransmitted message slip under the commit
-// horizon, so the engine verifies the invariant after every round whenever
-// a fault plan (or Config.CheckInvariants) is active.
+// the fabric. Every GVT algorithm here is correct only while it holds, so
+// the engine verifies it after every round of every run: one walk over
+// those structures per round, nothing per event.
 
 // checkGVTInvariant panics if gvt exceeds the minimum observable timestamp.
 // It runs in scheduler-callback context on the master node right after the
 // round's GVT value is fixed, before workers resume from it — a consistent
 // snapshot under the cooperative scheduler.
 func (e *Engine) checkGVTInvariant(gvt float64) {
-	if !e.invariants {
-		return
-	}
 	min, where := e.minObservable()
 	if gvt > min {
 		panic(fmt.Sprintf("core: GVT invariant violated: published GVT %.9g exceeds %s = %.9g",

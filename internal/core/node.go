@@ -33,7 +33,7 @@ type node struct {
 	// halves of the pair), fossil collection of a history entry and the
 	// below-GVT anti-stash prune. No lock: the cooperative kernel runs one
 	// goroutine at a time, so pool operations never race.
-	pool *event.Pool
+	pool event.Pool
 
 	// outAcks and outMigs queue Samadi acknowledgements and LP migrations
 	// (balancer runs only) for the MPI thread, under the outbox lock.
@@ -79,7 +79,6 @@ func newNode(eng *Engine) *node {
 	}
 	n.outAcks = pe.NewMailbox[ack](&n.OutMu, cost.RemoteEnqueue)
 	n.outMigs = pe.NewMailbox[*migMsg](&n.OutMu, cost.RemoteEnqueue)
-	n.pool = event.NewPool(eng.cfg.PoolDebug)
 	n.gvtBar = sim.Barrier{Name: eng.Env.Name("gvt-%d", n.ID), N: participants}
 	n.gvtBar2 = sim.Barrier{Name: eng.Env.Name("gvt2-%d", n.ID), N: participants}
 	n.cm.init(n, top.WorkersPerNode)

@@ -29,21 +29,20 @@ func poolGVTs() []core.GVTKind {
 
 // TestPoolParityAcrossModelsAndGVT: event recycling must be invisible.
 // For every benchmark model and every GVT algorithm, the default pool and
-// PoolDebug (the same free lists plus poison and liveness asserts) both
-// commit exactly the sequential oracle's event stream, at the same virtual
-// wall-clock. The debug leg doubles as a use-after-recycle sweep over
-// every recycle point the engine has: one stale write anywhere and the
-// poisoned pool panics.
+// a poisoned one (core.Poisoned: the same free lists, every freed event
+// overwritten with sentinels checked at its reuse) both commit exactly the
+// sequential oracle's event stream, at the same virtual wall-clock. The
+// poisoned leg doubles as a use-after-recycle sweep over every recycle
+// point the engine has: one stale write anywhere and the pool panics.
 func TestPoolParityAcrossModelsAndGVT(t *testing.T) {
 	for _, m := range balanceModels(balanceTopology()) {
 		for _, gvt := range poolGVTs() {
 			t.Run(fmt.Sprintf("%s/%s", m.name, gvt), func(t *testing.T) {
 				cfg := balanceConfig(m, "", gvt)
 				on := checkOracle(t, cfg)
-				cfg.PoolDebug = true
-				dbg := checkOracle(t, cfg)
+				dbg := checkEngine(t, cfg, core.Poisoned(core.New(cfg)))
 				if on.WallTime != dbg.WallTime {
-					t.Errorf("PoolDebug moved virtual time: %v, default pool %v", dbg.WallTime, on.WallTime)
+					t.Errorf("poisoning moved virtual time: %v, default pool %v", dbg.WallTime, on.WallTime)
 				}
 				if on.PoolRecycled == 0 {
 					t.Error("the pool recycled nothing (not wired in?)")
@@ -58,15 +57,20 @@ func TestPoolParityAcrossModelsAndGVT(t *testing.T) {
 // events additionally travel through the reliable transport, limbo
 // mailboxes and LP migration packs. Recycling an event any of those
 // structures still references would change the stream (or panic the
-// debug leg).
+// poisoned leg).
 func TestPoolParityUnderFaultsAndMigration(t *testing.T) {
 	m := compModel(balanceTopology(), 60)
 	for _, debug := range []bool{false, true} {
 		cfg := balanceConfig(m, "greedy", core.GVTControlled)
-		cfg.PoolDebug = debug
 		cfg.Faults = stragglerPlan(t)
 		cfg.FaultLabel = "straggler"
-		t.Run(fmt.Sprintf("debug=%v", debug), func(t *testing.T) { checkOracle(t, cfg) })
+		t.Run(fmt.Sprintf("debug=%v", debug), func(t *testing.T) {
+			eng := core.New(cfg)
+			if debug {
+				eng = core.Poisoned(eng)
+			}
+			checkEngine(t, cfg, eng)
+		})
 	}
 }
 

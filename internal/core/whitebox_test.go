@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -208,6 +210,44 @@ func TestGVTViolationPanics(t *testing.T) {
 			}
 		}()
 		w.deliver(mkEvent(eng, 9.0, 1, 0, 1))
+	})
+}
+
+// wantPanic runs fn and fails unless it panics with a message holding want.
+func wantPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("recovered %q, want a panic holding %q", msg, want)
+		}
+	}()
+	fn()
+}
+
+// TestGVTInvariantChecked: with no fault plan, a round that would publish
+// a GVT above an event still pending is refused, naming where the event
+// sits; one at or below it passes.
+func TestGVTInvariantChecked(t *testing.T) {
+	eng, w := newTestEngine(2)
+	w.Pending.Push(mkEvent(eng, 0.5, 1, 0, 1))
+	eng.onRoundComplete(0.5, false, 1)
+	wantPanic(t, "core: GVT invariant violated: published GVT 0.75 exceeds worker pending event = 0.5", func() {
+		eng.onRoundComplete(0.75, false, 1)
+	})
+}
+
+// TestUseAfterRecycleChecked: with the default, non-poisoning pool, an
+// event delivered after it went back to the pool is caught at delivery.
+func TestUseAfterRecycleChecked(t *testing.T) {
+	eng, w := newTestEngine(2)
+	drive(t, eng, func() {
+		pool := &w.node.pool
+		ev := pool.Get()
+		*ev = *mkEvent(eng, 3, 1, 0, 1)
+		pool.Put(ev)
+		wantPanic(t, "core: use-after-recycle: freed event touched in deliver", func() {
+			w.deliver(ev)
+		})
 	})
 }
 

@@ -149,12 +149,12 @@ func (w *worker) release(e *histEntry) {
 	w.freeEntries = e
 }
 
-// assertLive panics if ev was recycled while still referenced (PoolDebug
-// only; callers check it to keep the hot path at one bool).
-func (w *worker) assertLive(ev *event.Event, where string) {
+// assertLive panics if ev was recycled while still referenced: Pool.Put
+// marks every event it takes back, so the inlined check is one load. The
+// kernel's wrapper names the worker whose process panicked.
+func assertLive(ev *event.Event, where string) {
 	if ev.Freed() {
-		panic(fmt.Sprintf("core: use-after-recycle: freed event touched in %s at worker %d/%d",
-			where, w.node.ID, w.Idx))
+		panic("core: use-after-recycle: freed event touched in " + where)
 	}
 }
 
@@ -328,9 +328,7 @@ func (w *worker) deliver(ev *event.Event) {
 		w.route(ev)
 		return
 	}
-	if w.eng.cfg.PoolDebug {
-		w.assertLive(ev, "deliver")
-	}
+	assertLive(ev, "deliver")
 	l := w.lpByID(ev.Dst)
 	if ev.Anti {
 		if pos := w.Pending.RemoveMatching(ev); pos != nil {
@@ -419,9 +417,7 @@ func (w *worker) processBatch() bool {
 }
 
 func (w *worker) processOne(ev *event.Event) {
-	if w.eng.cfg.PoolDebug {
-		w.assertLive(ev, "processOne")
-	}
+	assertLive(ev, "processOne")
 	l := w.lpByID(ev.Dst)
 	if ev.Stamp.Before(l.lastStamp()) {
 		panic(fmt.Sprintf("core: pending straggler leaked to processing: %v behind %v", ev, l.lastStamp()))
@@ -580,14 +576,11 @@ func (w *worker) rollback(l *lp, s vtime.Stamp, straggler bool) {
 	}
 	antis := w.antis[:0]
 	w.antis = nil
-	debug := w.eng.cfg.PoolDebug
 	for e := first; e != nil; {
 		next := e.next
 		w.Pending.Push(e.ev)
 		for r := e.sent; r != nil; r = r.next {
-			if debug {
-				w.assertLive(r.ev, "rollback anti-copy")
-			}
+			assertLive(r.ev, "rollback anti-copy")
 			antis = append(antis, r.ev.AntiCopyInto(w.node.pool.Get()))
 		}
 		w.release(e)

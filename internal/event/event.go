@@ -69,7 +69,8 @@ type Event struct {
 
 // Freed reports whether the event is currently on a pool free list. Any
 // code holding a pointer for which this returns true has a use-after-
-// recycle bug; the engine asserts this on every touch in PoolDebug mode.
+// recycle bug; the Time Warp engine asserts this on every delivery,
+// processing and anti-copy, in every run.
 func (e *Event) Freed() bool { return e.freed }
 
 // Matches reports whether a and b are a positive/anti pair (or duplicates).

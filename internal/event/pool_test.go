@@ -56,9 +56,9 @@ func TestPoolDoubleFreePanics(t *testing.T) {
 	}
 }
 
-// TestPoolPoisonDetectsUseAfterRecycle is the contract the core engine's
-// PoolDebug mode relies on: writing through a pointer to a freed event is
-// caught at the next Get, not silently absorbed.
+// TestPoolPoisonDetectsUseAfterRecycle is the contract both engines'
+// poisoning test seams rely on: writing through a pointer to a freed
+// event is caught at the next Get, not silently absorbed.
 func TestPoolPoisonDetectsUseAfterRecycle(t *testing.T) {
 	p := NewPool(true)
 	stale := p.Get()

@@ -17,12 +17,11 @@ type Probe struct {
 	kind     probeKind
 	mu       *sim.Mutex // TakeProbe: the box's lock
 	src, tag int        // RecvProbe
-	quiet    Quiet      // QuietProbe's predicate; TakeProbe: the box
+	quiet    Quiet      // StableProbe's predicate; TakeProbe: the box
 	cond     func() bool
-	stable   bool // StableProbe
 }
 
-// Quiet is a QuietProbe's predicate, which an engine's worker or node
+// Quiet is a StableProbe's predicate, which an engine's worker or node
 // implements where a closure would cost an allocation (QuietFunc).
 type Quiet interface{ Quiet() bool }
 
@@ -58,21 +57,18 @@ func TakeProbe[T any](box *Mailbox[T]) Probe {
 // receive (mpi.Rank.EndProbe).
 func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag: tag} }
 
-// QuietProbe stands for a stage only the engine can judge. quiet reports
+// StableProbe stands for a stage only the engine can judge. quiet reports
 // whether the stage, run at this instant, would do nothing at all — no
 // charge, no kernel event, no state change; false hands the pass back at
 // the stage's start. A hand-back at a stage start is always exact, since
 // the loop simply runs from there, so quiet may err toward false and
-// never toward true. It must change nothing itself.
-func QuietProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
-
-// StableProbe is a QuietProbe whose predicate, once true, stays true until
-// the node's next Touch: see plan.
-func StableProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet, stable: true} }
+// never toward true. It must change nothing itself, and once true it stays
+// true until the node's next Touch: see plan.
+func StableProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
 
 // If makes the stage conditional: cond is asked at the stage's start, and
 // when it answers false the loop's stage would not run, so the probe is
-// skipped. Like a QuietProbe's predicate it must change nothing. The loop
+// skipped. Like a StableProbe's predicate it must change nothing. The loop
 // asks it again when the pass is handed back at this stage, and a parking
 // thread asks it once for all the passes it skips, so only the thread
 // itself may change what a condition reads.
@@ -129,8 +125,9 @@ func (ps *pass) list(probes []Probe) {
 	ps.plan()
 }
 
-// plan decides whether a quiet pass may park: nothing it reads may change
-// unseen. Its predicates are stable; its conditions and, on a worker, the
+// plan decides whether a quiet pass may park: it may whenever it lists
+// probes and IdlePoll passes, since nothing it reads changes unseen. Its
+// predicates are stable; its conditions and, on a worker, the
 // stop test read the thread's own state, and the comm thread's stop test
 // reads what a worker's exit Touches. A pass that may park and whose
 // longest cycle the kernel cannot hold is refused here, loudly.
@@ -138,7 +135,7 @@ func (ps *pass) plan() {
 	ps.parks, ps.conds = len(ps.probes) > 0 && ps.node.Cost.IdlePoll > 0, false
 	steps := 1 // IdlePoll
 	for _, pr := range ps.probes {
-		ps.parks, ps.conds = ps.parks && (pr.kind != probeQuiet || pr.stable), ps.conds || pr.cond != nil
+		ps.conds = ps.conds || pr.cond != nil
 		switch pr.kind {
 		case probeTake:
 			steps += min(int(pr.mu.HoldCost), 1)

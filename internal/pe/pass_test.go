@@ -79,15 +79,16 @@ const (
 
 // runIdleWorker runs one worker that has nothing of its own to do against
 // two depositors, one per mailbox, whose deposits keep landing inside its
-// polls, and the timer.
+// polls, and the timer. Its end hook answers 0, so it never parks: every
+// idle pass is stepped.
 func runIdleWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
 	return idleWorkerRun(t, mode, false)
 }
 
-// runParkedWorker is runIdleWorker with a pass that parks: the chore's
-// predicate is stable (the timer Touches), and a last stage falls due on
-// its own once the counted end hook has credited budget quiet passes since
-// it last ran, which only the park's limit can wake the worker for.
+// runParkedWorker is runIdleWorker with a pass that parks: the end hook
+// counts, and a last stage falls due on its own once it has credited
+// budget quiet passes since that stage last ran, which only the park's
+// limit can wake the worker for.
 func runParkedWorker(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
 	return idleWorkerRun(t, mode, true)
 }
@@ -148,6 +149,9 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 	// The end hook; the loop written out here calls it once a pass.
 	quiet := func(n int) int {
 		out.Quiet, credits = out.Quiet+n, credits+n
+		if !parks {
+			return 0
+		}
 		return max(budget-credits, 0)
 	}
 	rt.AddWorker(&w, &n, threadFunc(func(p *sim.Proc) {
@@ -172,12 +176,12 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 			}
 		}
 	}))
+	// The chore's predicate is stable: the timer Touches.
+	probes := []Probe{TakeProbe(&w.Inbox), TakeProbe(&side), StableProbe(QuietFunc(func() bool { return !due }))}
 	if parks {
-		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side),
-			StableProbe(QuietFunc(func() bool { return !due })), StableProbe(QuietFunc(func() bool { return credits < budget })))
-	} else {
-		w.IdlePass(finished, quiet, TakeProbe(&w.Inbox), TakeProbe(&side), QuietProbe(QuietFunc(func() bool { return !due })))
+		probes = append(probes, StableProbe(QuietFunc(func() bool { return credits < budget })))
 	}
+	w.IdlePass(finished, quiet, probes...)
 	// Gaps off the poll period, so deposits arrive in every phase of it:
 	// lock held, lock free, box already filled.
 	for d, gap := range []sim.Time{3970, 10130} {
@@ -230,24 +234,16 @@ const (
 	tagRing = mpi.TagUser + 1
 )
 
-// runCommThread runs node 0's comm thread of a two-node world against a
-// worker of its own node that deposits into the outbox and now and then
-// sends for itself, holding the rank lock, a peer whose packets land
-// before, during and after the probes' lock-hold + poll windows, and the
-// timer. The thread itself flips ringOn, with every chore: what a
-// RecvProbe's condition reads may change by its owner's doing only.
-func runCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
-	return commThreadRun(t, mode, QuietProbe)
-}
-
-// runParkedCommThread is runCommThread with the chore's predicate stable
-// (the timer Touches), so that the thread parks, its cycle built for the
-// ring condition's answer at the park.
+// runParkedCommThread runs node 0's comm thread of a two-node world
+// against a worker of its own node that deposits into the outbox and now
+// and then sends for itself, holding the rank lock, a peer whose packets
+// land before, during and after the probes' lock-hold + poll windows, and
+// the timer. The thread itself flips ringOn, with every chore: what a
+// RecvProbe's condition reads may change by its owner's doing only. The
+// chore's predicate is stable (the timer Touches), so the thread parks
+// between wake-ups, its cycle built for the ring condition's answer at the
+// park.
 func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
-	return commThreadRun(t, mode, StableProbe)
-}
-
-func commThreadRun(t *testing.T, mode idleMode, chore func(Quiet) Probe) (idleOutcome, sim.Counters, resumes) {
 	const deposits, packets, chores = 40, 40, 20
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -352,7 +348,7 @@ func commThreadRun(t *testing.T, mode idleMode, chore func(Quiet) Probe) (idleOu
 		TakeProbe(&n0.Out),
 		RecvProbe(mpi.AnySource, tagData),
 		RecvProbe(1, tagRing).If(func() bool { return ringOn }),
-		chore(QuietFunc(func() bool { return !due })),
+		StableProbe(QuietFunc(func() bool { return !due })),
 	)
 	rt.AddNode(&n1, cost)
 	rt.AddWorker(&w1, &n1, threadFunc(func(p *sim.Proc) {
@@ -404,10 +400,9 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 		paid   []int // receive stages a pass must have been handed back inside
 	}{
 		{"worker", runIdleWorker, []int{twInbox, twSide, twChore}, nil},
-		// The ring probe starts the instant the data probe lets go of the
-		// rank lock, so it alone can never find the lock taken at its start.
-		{"comm", runCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
-		// The same threads, parked between their wake-ups (Skipped > 0).
+		// Parked between their wake-ups (Skipped > 0). The ring probe starts
+		// the instant the data probe lets go of the rank lock, so it alone
+		// can never find the lock taken at its start.
 		{"worker/parked", runParkedWorker, []int{twInbox, twSide, twChore, twBudget}, nil},
 		{"comm/parked", runParkedCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
 	} {
@@ -457,24 +452,26 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 }
 
 // idleWorker builds a one-node runtime whose one worker runs body, with an
-// idle pass of a mailbox take and a predicate.
-func idleWorker(w *Worker, quiet func() bool, body func(p *sim.Proc)) *Runtime {
+// idle pass of an outbox take, the probes given and a predicate. Its end
+// hook answers 0, so the worker never parks and steps every idle pass: the
+// predicate's stability is never relied on.
+func idleWorker(w *Worker, n *Node, quiet func() bool, body func(p *sim.Proc), probes ...Probe) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
-	n := &Node{}
 	rt.AddNode(n, cluster.KNLDefaults())
 	rt.AddWorker(w, n, threadFunc(body))
-	w.IdlePass(func() bool { return false }, nil, TakeProbe(&w.Inbox), QuietProbe(QuietFunc(quiet)))
+	probes = append(append([]Probe{TakeProbe(&n.Out)}, probes...), StableProbe(QuietFunc(quiet)))
+	w.IdlePass(func() bool { return false }, func(int) int { return 0 }, probes...)
 	return rt
 }
 
 // idleCommNode builds a one-node runtime whose comm thread runs body —
 // its worker never starts, so the loop test holds — with an idle pass of
-// an outbox take, two receive probes and last quiet.
-func idleCommNode(n *Node, quiet Probe, body func(p *sim.Proc)) *Runtime {
+// an outbox take, two receive probes and a stable predicate.
+func idleCommNode(n *Node, quiet func() bool, body func(p *sim.Proc)) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(n, cluster.KNLDefaults())
 	rt.AddComm(n, threadFunc(body),
-		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), quiet)
+		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), StableProbe(QuietFunc(quiet)))
 	return rt
 }
 
@@ -482,8 +479,9 @@ func idleCommNode(n *Node, quiet Probe, body func(p *sim.Proc)) *Runtime {
 // idle and coming back costs no allocation.
 func TestIdleAllocatesNothing(t *testing.T) {
 	var w Worker
+	var n Node
 	passes := 0
-	rt := idleWorker(&w, func() bool { passes++; return passes%5 != 0 }, func(p *sim.Proc) {
+	rt := idleWorker(&w, &n, func() bool { passes++; return passes%5 != 0 }, func(p *sim.Proc) {
 		if avg := testing.AllocsPerRun(200, func() { w.Idle(p) }); avg != 0 {
 			t.Errorf("%v allocations per Idle of five passes, want 0", avg)
 		}
@@ -496,26 +494,36 @@ func TestIdleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCommIdleAllocatesNothing: nor does a comm thread's.
+// TestCommIdleAllocatesNothing: nor does a comm thread's, which parks
+// after its first quiet pass and is woken by a Touch.
 func TestCommIdleAllocatesNothing(t *testing.T) {
 	var n Node
-	passes := 0
-	rt := idleCommNode(&n, QuietProbe(QuietFunc(func() bool { passes++; return passes%5 != 0 })), func(p *sim.Proc) {
-		if avg := testing.AllocsPerRun(200, func() { n.comm.idle(p) }); avg != 0 {
-			t.Errorf("%v allocations per idle episode of five passes, want 0", avg)
+	ready, done := false, false
+	rt := idleCommNode(&n, func() bool { return !ready }, func(p *sim.Proc) {
+		if avg := testing.AllocsPerRun(200, func() { n.comm.idle(p); ready = false }); avg != 0 {
+			t.Errorf("%v allocations per idle episode, want 0", avg)
+		}
+		done = true
+	})
+	rt.AddProcess("toucher", func(p *sim.Proc) {
+		for !done {
+			p.Advance(20 * sim.Microsecond) // about ten passes
+			ready = true
+			n.Touch()
 		}
 	})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if passes < 1000 {
-		t.Errorf("%d idle passes in 200 episodes of five: the thread does not idle", passes)
+	if k := rt.Env.Counters(); k.Skipped < 200 {
+		t.Errorf("%d steps skipped in 200 idle episodes: the thread does not park", k.Skipped)
 	}
 }
 
-// BenchmarkIdlePass: one idle comm pass (six kernel events) per op, run
-// by the thread itself, as Poll steps, and parked: with its predicate
-// stable, the thread parks after one pass and the others are skipped in
+// BenchmarkIdlePass: one idle pass (six kernel events: an outbox take, two
+// receive probes and IdlePoll) per op, run by the thread itself (loop), as
+// Poll steps of a worker whose end hook keeps it from parking (steps), and
+// parked: a comm thread parks after one pass and the others are skipped in
 // closed form, until a Touch after b.N passes' worth of virtual time.
 func BenchmarkIdlePass(b *testing.B) {
 	for _, name := range []string{"loop", "steps", "parked"} {
@@ -524,27 +532,27 @@ func BenchmarkIdlePass(b *testing.B) {
 			var n Node
 			passes := 0
 			quiet := func() bool { passes++; return passes <= b.N }
-			probe := QuietProbe(QuietFunc(quiet))
-			if name == "parked" {
-				probe = StableProbe(QuietFunc(func() bool { return passes == 0 }))
-			}
-			rt := idleCommNode(&n, probe, func(p *sim.Proc) {
-				if name != "loop" {
-					n.comm.idle(p)
-					return
-				}
-				for {
-					p.Advance(n.Cost.IdlePoll)
-					batch, _ := n.Out.Take(p, 0)
-					n.Out.Recycle(batch)
-					n.Rank.TryRecv(p, tagData)
-					n.Rank.TryRecv(p, tagRing)
-					if !quiet() {
-						return
+			var rt *Runtime
+			switch name {
+			case "loop":
+				rt = idleCommNode(&n, quiet, func(p *sim.Proc) {
+					for {
+						p.Advance(n.Cost.IdlePoll)
+						batch, _ := n.Out.Take(p, 0)
+						n.Out.Recycle(batch)
+						n.Rank.TryRecv(p, tagData)
+						n.Rank.TryRecv(p, tagRing)
+						if !quiet() {
+							return
+						}
 					}
-				}
-			})
-			if name == "parked" {
+				})
+			case "steps":
+				var w Worker
+				rt = idleWorker(&w, &n, quiet, func(p *sim.Proc) { w.idle.idle(p) },
+					RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing))
+			case "parked":
+				rt = idleCommNode(&n, func() bool { return passes == 0 }, func(p *sim.Proc) { n.comm.idle(p) })
 				var period sim.Time
 				for _, d := range n.comm.parked.Cycle {
 					period += d

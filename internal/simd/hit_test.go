@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -158,4 +159,71 @@ func TestJobID(t *testing.T) {
 			t.Errorf("jobID(%d) = %q, want %q", seq, got, want)
 		}
 	}
+}
+
+// TestSettledReportsBounded: the settled jobs kept hold at most the result
+// cache's budget in report bytes, executed jobs' reports counted as cache
+// hits' are. Past it the oldest are forgotten (ErrNotFound) while the
+// newest still serve their reports.
+func TestSettledReportsBounded(t *testing.T) {
+	const size, budget = 1000, 10_000
+	s, _ := newTestService(t, Options{Workers: 1, CacheBytes: budget})
+	spec := fastSpec(1)
+	_, hash, err := spec.Address()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := []byte(`{"pad":"` + strings.Repeat("x", size-10) + `"}`)
+	hit := func() string {
+		s.cache.Put(hash, pad) // every submission a hit
+		res, err := s.Submit(spec)
+		if err != nil || !res.CacheHit {
+			t.Fatalf("submission: hit %v, %v", res.CacheHit, err)
+		}
+		return res.Job.ID()
+	}
+	// Kept reports as wanted: want[i] says whether ids[i] still serves one.
+	check := func(ids []string, want func(i int) bool) {
+		t.Helper()
+		for i, id := range ids {
+			j, err := s.Job(id)
+			switch {
+			case !want(i) && err != ErrNotFound:
+				t.Errorf("job %d (%s): %v, want ErrNotFound", i, id, err)
+			case want(i) && err != nil:
+				t.Errorf("job %d (%s) forgotten: %v", i, id, err)
+			case want(i):
+				if report, ok := j.Report(); !ok || len(report) == 0 {
+					t.Errorf("job %d (%s) serves no report", i, id)
+				}
+			}
+		}
+	}
+
+	var ids []string
+	for i := 0; i < 9; i++ {
+		ids = append(ids, hit())
+	}
+	res, err := s.Submit(fastSpec(2))
+	if err != nil || res.CacheHit {
+		t.Fatalf("executed submission: hit %v, %v", res.CacheHit, err)
+	}
+	if st := res.Job.Wait(context.Background()); st != StateDone {
+		t.Fatalf("executed job ended %s", st)
+	}
+	report, _ := res.Job.Report()
+	forgot := 0 // the oldest hits an executed report of len(report) bytes displaces
+	for 9*size-forgot*size+len(report) > budget && forgot < 9 {
+		forgot++
+	}
+	if forgot == 0 {
+		t.Fatalf("a %d-byte report displaced nothing: the test needs a larger one", len(report))
+	}
+	ids = append(ids, res.Job.ID())
+	check(ids, func(i int) bool { return i >= forgot })
+
+	for i := 0; i < budget/size; i++ {
+		ids = append(ids, hit())
+	}
+	check(ids, func(i int) bool { return i >= len(ids)-budget/size })
 }

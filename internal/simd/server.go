@@ -45,7 +45,7 @@ type Options struct {
 	// submissions past it are rejected with ErrQueueFull (default 64).
 	QueueDepth int
 	// CacheBytes is the result cache budget in bytes (default 64 MiB;
-	// negative disables caching).
+	// negative disables caching); settled jobs' reports keep to it too.
 	CacheBytes int64
 	// FlightRetain bounds how many executed jobs keep their event history
 	// once finished; beyond it the oldest one's history is released,
@@ -99,14 +99,15 @@ type Server struct {
 	log     *slog.Logger
 	started time.Time
 
-	mu       sync.Mutex
-	closed   bool
-	jobs     map[string]*Job // by id: every unsettled job and the newest maxSettledJobs settled ones
-	settled  []*Job          // the settled jobs in jobs, a ring once full: settled[next] is the oldest
-	next     int
-	inflight map[string]*Job // spec hash → queued/running job (singleflight table)
-	retired  []*Job          // finished jobs still holding history, oldest first
-	seq      int64
+	mu         sync.Mutex
+	closed     bool
+	jobs       map[string]*Job // by id: every unsettled job and the newest settled ones (settleLocked)
+	settled    []*Job          // the settled jobs in jobs, a ring: kept of them from settled[head], oldest first
+	head, kept int
+	held       int64           // report bytes the kept settled jobs hold
+	inflight   map[string]*Job // spec hash → queued/running job (singleflight table)
+	retired    []*Job          // finished jobs still holding history, oldest first
+	seq        int64
 
 	memoMu sync.Mutex
 	memo   map[string]addressed // submitted body → its address (submitBody)
@@ -316,15 +317,26 @@ func jobID(seq int64) string {
 // maxSettledJobs bounds the settled jobs kept; past it the oldest is forgotten (404).
 const maxSettledJobs = 1 << 16
 
-// settleLocked keeps a job that settled, forgetting the oldest past the bound; s.mu held.
+// settleLocked keeps a job that settled, forgetting the oldest while more
+// than maxSettledJobs are kept or their reports hold more bytes than the
+// result cache may (Options.CacheBytes; 64 MiB when caching is off). The
+// newest is always kept. A job's report is read without j.mu: it is
+// written before the job settles and never after. s.mu held.
 func (s *Server) settleLocked(j *Job) {
-	if len(s.settled) < maxSettledJobs {
-		s.settled = append(s.settled, j)
-		return
+	if s.settled == nil {
+		s.settled = make([]*Job, maxSettledJobs+1) // room for one past the bound
 	}
-	delete(s.jobs, s.settled[s.next].id)
-	s.settled[s.next] = j
-	s.next = (s.next + 1) % maxSettledJobs
+	s.settled[(s.head+s.kept)%len(s.settled)] = j
+	s.kept++
+	s.held += int64(len(j.report))
+	for s.kept > maxSettledJobs || s.kept > 1 && s.held > cmp.Or(max(s.opts.CacheBytes, 0), 64<<20) {
+		old := s.settled[s.head]
+		delete(s.jobs, old.id)
+		s.held -= int64(len(old.report))
+		s.settled[s.head] = nil
+		s.head = (s.head + 1) % len(s.settled)
+		s.kept--
+	}
 }
 
 // retireLocked enrolls an executed job, now finished, in flight
@@ -510,7 +522,7 @@ func (s *Server) Job(id string) (*Job, error) {
 	return j, nil
 }
 
-// Jobs returns the jobs kept (see maxSettledJobs) in submission order.
+// Jobs returns the jobs kept (see settleLocked) in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
