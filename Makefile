@@ -77,10 +77,10 @@ benchdiff:
 # AdvanceEach against three Advances; BenchmarkParkedDispatch: ns per real
 # dispatch beside 20 and 100 parked sleepers, what parking's bookkeeping
 # costs), the PE idle-pass machine (BenchmarkIdlePass: an
-# idle pass as the literal loop, as Poll steps of a worker whose end hook
+# idle pass as the literal loop, as Poll steps of a worker whose IdleEnd
 # keeps it from parking, and skipped by a parked comm thread — the parked
 # row), the null-message
-# worker's idle predicate (BenchmarkBlocked), the fabric's send and
+# worker's Quiet (BenchmarkBlocked), the fabric's send and
 # delivery through the wire heap (BenchmarkSendDeliver, 0 allocs/op), a
 # run report's encode (BenchmarkMarshalStable, 1 alloc/op), the event
 # pool's Get (BenchmarkPoolGet: fresh from a slab, and recycled), the
@@ -114,7 +114,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 21376
+LOC_CEILING = 21370
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

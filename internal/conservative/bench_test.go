@@ -23,7 +23,7 @@ func BenchmarkBlocked(b *testing.B) {
 	w := eng.nodes[0].workers[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !w.blocked() {
+		if !w.Quiet(1) {
 			b.Fatal("a worker with no promise from any peer is not blocked")
 		}
 	}

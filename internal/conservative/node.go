@@ -57,7 +57,7 @@ type node struct {
 	chanIn  []vtime.Time // [peer node] highest EOT promise received
 	lastEOT []vtime.Time // [peer node] highest EOT promise sent
 
-	// The idle predicates (worker.blocked, nullsQuiet) are stable
+	// The idle predicates (worker.Quiet, node.Quiet) are stable
 	// (pe.StableProbe): every change to what they read that can turn one
 	// false — a floor raised (worker.moved), the least of chanIn raised
 	// (raised), a worker's exit — is a Touch, which re-asks the node's
@@ -94,7 +94,7 @@ func newNode(eng *Engine) *node {
 	if eng.cfg.Sync == SyncWindow {
 		eng.AddComm(&n.Node, n)
 	} else {
-		eng.AddComm(&n.Node, n, pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe(n))
+		eng.AddComm(&n.Node, n, pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe())
 	}
 	return n
 }

@@ -79,14 +79,12 @@ func (n *node) leastPromise() vtime.Time {
 	return least
 }
 
-// Quiet is blocked, the idle pass's predicate (pe.Quiet).
-func (w *worker) Quiet() bool { return w.blocked() }
-
-// blocked is stage 1 of the idle pass: the bound lets nothing be
-// processed, and the run is not over. A worker with nothing runnable below
-// the least promise received, before the end, is blocked whatever its
-// peers' floors, which it then leaves unread.
-func (w *worker) blocked() bool {
+// Quiet answers stage 1 of the idle pass, the worker's only StableProbe
+// (pe.Thread): it is blocked — the bound lets nothing be processed, and
+// the run is not over. A worker with nothing runnable below the least
+// promise received, before the end, is blocked whatever its peers'
+// floors, which it then leaves unread.
+func (w *worker) Quiet(int) bool {
 	if c := w.node.leastPromise(); w.runnable(c) != nil || c > w.eng.end {
 		if safe := w.safeBound(); w.runnable(safe) != nil || w.finished(safe) {
 			return false
@@ -156,9 +154,10 @@ func (n *node) sendNulls(p *sim.Proc) bool {
 	return sent
 }
 
-// nullsQuiet reports whether sendNulls would send nothing: the promise
-// this node can make improves on none it has made.
-func (n *node) nullsQuiet() bool {
+// Quiet answers stNulls, the comm pass's only StableProbe (pe.Thread):
+// sendNulls would send nothing, since the promise this node can make
+// improves on none it has made.
+func (n *node) Quiet(int) bool {
 	if n.eng.cfg.Topology.Nodes == 1 {
 		return true
 	}
@@ -208,6 +207,3 @@ func (n *node) Pass(p *sim.Proc, from int) bool {
 	}
 	return worked
 }
-
-// Quiet is nullsQuiet, the comm pass's predicate (pe.Quiet).
-func (n *node) Quiet() bool { return n.nullsQuiet() }

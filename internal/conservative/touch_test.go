@@ -100,8 +100,8 @@ func touchRun(t *testing.T, top cluster.Topology, end vtime.Time, lps map[event.
 }
 
 // TestTouchSites: a parked thread is asked again only at a Touch, so every
-// change that can turn blocked or nullsQuiet false must Touch the node — a
-// missed one leaves a thread parked past the instant its pass had
+// change that can turn a worker's or the node's Quiet false must Touch the
+// node — a missed one leaves a thread parked past the instant its pass had
 // something to do. One row per Touch site: the script makes that one
 // change to one thread's state while another idles on a promise or a
 // peer's floor, and the run must equal, in every statistic and trace byte

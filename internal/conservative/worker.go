@@ -55,7 +55,7 @@ func (w *worker) init(n *node, lps []pe.LP, last []vtime.Stamp, sendQ []*event.E
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	if n.eng.cfg.Sync != SyncWindow {
-		w.IdlePass(nil, nil, pe.TakeProbe(&w.Inbox), pe.StableProbe(w))
+		w.IdlePass(pe.TakeProbe(&w.Inbox), pe.StableProbe())
 	}
 }
 

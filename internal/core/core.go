@@ -226,6 +226,10 @@ type Engine struct {
 	// acks (Samadi) replaces its transit drain with acknowledgement cover.
 	ring, acks bool
 
+	// byID is every LP's record by id, nil while the LP migrates (from
+	// removeLP to installMigration); worker.hosts checks it against routing.
+	byID []*lp
+
 	// matchSeq hands out cluster-unique anti-message match IDs. It lives
 	// outside simulated state: IDs are never reused, never rolled back.
 	matchSeq uint64
@@ -268,6 +272,7 @@ func New(cfg Config) *Engine {
 	}
 	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
 	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
+	eng.byID = make([]*lp, cfg.Topology.TotalLPs())
 	eng.Init(pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,

@@ -308,43 +308,6 @@ func (n *node) cleanupDue() bool {
 		(!cm.syncCur || n.eng.cfg.Comm != CommDedicated || n.syncDone[2])
 }
 
-// The three predicates of the comm role's idle pass (commProbes).
-// Each answers for this instant and changes nothing; "not quiet" is always
-// safe, since the pass is then handed back to matternCommPoll at that
-// stage.
-
-// matternQuiet: stGVT would do nothing before the ring poll and the ring
-// poll would at most probe the ring — no sync point is due, and the
-// master or slave has nothing it could move without a token arriving.
-func (n *node) matternQuiet() bool {
-	cm := &n.cm
-	if n.syncDue(0) || n.syncDue(1) || n.syncDue(2) {
-		return false
-	}
-	if n.ID != 0 {
-		// A held token moves unless it is a white one still waiting for
-		// its preconditions, which slavePoll puts straight back.
-		tok := n.heldToken
-		return tok == nil || tok.phase == tokWhite && !cm.allRed()
-	}
-	switch n.master {
-	case msIdle:
-		return !cm.allRed() || n.eng.World.Size() == 1 && cm.whiteDelta != 0
-	case msWaitContrib:
-		return cm.contributed != cm.workers
-	}
-	return true // waiting for a token, or for cleanup
-}
-
-// probesRing: the ring poll makes a TryRecvRing (it is asked only once
-// matternQuiet has answered true).
-func (n *node) probesRing() bool {
-	if n.ID != 0 {
-		return n.heldToken == nil
-	}
-	return n.master == msWaitA || n.master == msWaitB || n.master == msWaitC
-}
-
 // sendToken passes tok to the next node of the ring. The reliable
 // transport under a fault plan delivers it exactly once, however often the
 // fabric loses it.

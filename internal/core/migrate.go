@@ -148,14 +148,11 @@ func (e *Engine) planBalance(gvt float64) {
 		if mv.To < 0 || mv.To >= len(e.nodes) || mv.To == mv.From {
 			continue
 		}
-		if e.routing.Node(mv.LP) != mv.From {
+		if e.routing.Node(mv.LP) != mv.From || e.byID[mv.LP] == nil {
 			continue
 		}
 		gw := e.routing.Worker(mv.LP)
 		sw := e.nodes[gw/top.WorkersPerNode].workers[gw%top.WorkersPerNode]
-		if sw.byID[mv.LP] == nil {
-			continue
-		}
 		dn := e.nodes[mv.To]
 		best, bestLoad := 0, int(^uint(0)>>1)
 		for wi, w := range dn.workers {
@@ -175,7 +172,7 @@ func (w *worker) executeMigrations(g float64) {
 	orders := w.migOut
 	w.migOut = nil
 	for _, o := range orders {
-		if l := w.byID[o.lp]; l != nil {
+		if l := w.hosts(o.lp); l != nil {
 			w.migrateOut(l, g, o)
 		} else {
 			delete(w.eng.migrating, o.lp)
@@ -244,9 +241,10 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 }
 
 // removeLP detaches an LP from this worker, preserving slice order (the
-// order collect, applyGVT and telemetry iterate in).
+// order collect, applyGVT and telemetry iterate in). Its slot in
+// Engine.byID stays nil until installMigration fills it.
 func (w *worker) removeLP(id event.LPID) {
-	delete(w.byID, id)
+	w.eng.byID[id] = nil
 	for i, l := range w.lps {
 		if l.ID == id {
 			w.lps = append(w.lps[:i], w.lps[i+1:]...)
@@ -297,7 +295,7 @@ func (w *worker) installMigration(m *migMsg) {
 	l.heat = m.heat
 	l.pendingAnti = m.antis
 	w.lps = append(w.lps, l)
-	w.byID[l.ID] = l
+	eng.byID[l.ID] = l
 	for _, ev := range m.events {
 		w.Pending.Push(ev)
 	}

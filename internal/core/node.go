@@ -82,11 +82,19 @@ func newNode(eng *Engine) *node {
 	n.gvtBar = sim.Barrier{Name: eng.Env.Name("gvt-%d", n.ID), N: participants}
 	n.gvtBar2 = sim.Barrier{Name: eng.Env.Name("gvt2-%d", n.ID), N: participants}
 	n.cm.init(n, top.WorkersPerNode)
-	for wi := 0; wi < top.WorkersPerNode; wi++ {
-		n.workers = append(n.workers, newWorker(eng, n))
+	// The node's workers, LP records, LP lists and idle passes are one
+	// array each, as the null-message engine's; a migrated-in LP is
+	// allocated alone.
+	wpn, per, stages := top.WorkersPerNode, top.LPsPerWorker, wsGVT+1
+	ws, lps, lists := make([]worker, wpn), make([]lp, wpn*per), make([]*lp, wpn*per)
+	probes := make([]pe.Probe, wpn*stages+stGVTTail+1) // and the comm thread's
+	n.workers = make([]*worker, wpn)
+	for i := range ws {
+		n.workers[i] = &ws[i]
+		ws[i].init(n, lps[i*per:(i+1)*per], lists[i*per:(i+1)*per:(i+1)*per], probes[i*stages:(i+1)*stages])
 	}
 	if eng.cfg.Comm == CommDedicated {
-		eng.AddComm(&n.Node, n, n.commProbes()...)
+		eng.AddComm(&n.Node, n, n.commProbes(probes[wpn*stages:])...)
 	}
 	return n
 }
@@ -98,9 +106,10 @@ func (n *node) mailboxLock(kind string, idx int) *sim.Mutex {
 
 // The stages of a comm pass, in the order a pass runs them. Idle passes
 // are stepped through commProbes, which lists what each stage is when it
-// finds nothing, and a pass can be resumed at any of them — by the
-// dedicated MPI thread (pe.Node.CommLoop) or by a worker carrying the comm
-// role, whose own pass has these stages in its middle (worker.Main).
+// finds nothing, Quiet answers for those only the engine can judge, and a
+// pass can be resumed at any of them — by the dedicated MPI thread
+// (pe.Node.CommLoop) or by a worker carrying the comm role, whose own pass
+// has these stages in its middle (worker.Main).
 const (
 	stOutbox     = iota // remote events, outbox → wire
 	stOutMigs           // queued LP migrations → wire (balancer runs)
@@ -113,29 +122,65 @@ const (
 	stGVTTail           // Mattern/CA-GVT: round cleanup
 )
 
-// commProbes is the comm pass as it is when nothing moves, stage for
-// stage (the index of a probe is its st* constant). Its predicates are
-// stable: what they read of other threads' doing — the node CM's round
-// state, gvtReq, outMigs — is followed by a pe.Node.Touch wherever it is
-// written; the ring poll's condition reads only the comm role's state.
-func (n *node) commProbes() []pe.Probe {
-	pass := make([]pe.Probe, stGVTTail+1)
+// commProbes writes the comm pass into pass (stGVTTail+1 long) as it is
+// when nothing moves, stage for stage (the index of a probe is its st*
+// constant), and returns it.
+func (n *node) commProbes(pass []pe.Probe) []pe.Probe {
 	pass[stOutbox] = pe.TakeProbe(&n.Out)
 	pass[stOutAcks] = pe.TakeProbe(&n.outAcks)
 	pass[stRecvEvents] = pe.RecvProbe(mpi.AnySource, tagEvents)
 	pass[stRecvAcks] = pe.RecvProbe(mpi.AnySource, tagAcks)
 	if n.eng.migEnabled {
-		pass[stOutMigs] = pe.StableProbe(pe.QuietFunc(func() bool { return n.outMigs.Len() == 0 }))
+		pass[stOutMigs] = pe.StableProbe()
 		pass[stRecvMigs] = pe.RecvProbe(mpi.AnySource, tagMigrate)
 	}
+	pass[stGVT] = pe.StableProbe()
 	if n.eng.ring {
-		pass[stGVT] = pe.StableProbe(pe.QuietFunc(n.matternQuiet))
-		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If(n.probesRing)
-		pass[stGVTTail] = pe.StableProbe(pe.QuietFunc(func() bool { return !n.cleanupDue() }))
-	} else {
-		pass[stGVT] = pe.StableProbe(pe.QuietFunc(func() bool { return !n.gvtReq }))
+		pass[stRing] = pe.RecvProbe(n.Rank.Prev(), tagToken).If()
+		pass[stGVTTail] = pe.StableProbe()
 	}
 	return pass
+}
+
+// Quiet answers for the comm stages only the engine can judge (pe.Thread),
+// by st* constant, for this instant; "not quiet" is always safe, since the
+// pass is then handed back at that stage. The answers are stable: what
+// they read of other threads' doing — the node CM's round state, gvtReq,
+// outMigs — is followed by a pe.Node.Touch wherever it is written; the
+// ring poll's condition reads only the comm role's state.
+func (n *node) Quiet(stage int) bool {
+	switch stage {
+	case stOutMigs:
+		return n.outMigs.Len() == 0
+	case stGVT:
+		// Under a token ring it would do nothing before the ring poll and
+		// the ring poll would at most probe the ring: no sync point is due,
+		// and the master or slave has nothing it could move without a token
+		// arriving.
+		cm := &n.cm
+		switch {
+		case !n.eng.ring:
+			return !n.gvtReq
+		case n.syncDue(0) || n.syncDue(1) || n.syncDue(2):
+			return false
+		case n.ID != 0:
+			// A held token moves unless it is a white one still waiting for
+			// its preconditions, which slavePoll puts straight back.
+			tok := n.heldToken
+			return tok == nil || tok.phase == tokWhite && !cm.allRed()
+		case n.master == msIdle:
+			return !cm.allRed() || n.eng.World.Size() == 1 && cm.whiteDelta != 0
+		case n.master == msWaitContrib:
+			return cm.contributed != cm.workers
+		}
+		return true // waiting for a token, or for cleanup
+	case stRing: // the ring poll makes no TryRecvRing (asked once stGVT is quiet)
+		if n.ID != 0 {
+			return n.heldToken != nil
+		}
+		return n.master != msWaitA && n.master != msWaitB && n.master != msWaitC
+	}
+	return !n.cleanupDue() // stGVTTail
 }
 
 // Main is the dedicated MPI thread (pe.Thread).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,6 +301,56 @@ func TestLPPlacementPanic(t *testing.T) {
 	eng.nodes[0].workers[0].lpByID(event.LPID(5))
 }
 
+// TestLPTableFollowsMigration: the engine's LP table stays exact across a
+// migration. migrateOut leaves the LP's slot nil and the source hosting
+// nothing of it; installMigration fills the slot with the destination's
+// new record; and a message still addressed to the source is forwarded
+// to the destination.
+func TestLPTableFollowsMigration(t *testing.T) {
+	eng := New(Config{
+		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 2, LPsPerWorker: 2},
+		GVT:      GVTMattern, GVTInterval: 10, EndTime: 100, Seed: 1, Balance: "greedy",
+		Model: func(lp event.LPID, total int) Model { return &chainModel{self: lp, next: lp} },
+	})
+	src, dst := eng.nodes[0].workers[0], eng.nodes[0].workers[1]
+	const id = event.LPID(1)
+	old := eng.byID[id]
+	if src.hosts(id) != old || dst.hosts(id) != nil {
+		t.Fatalf("before the move: LP %d hosted by %p and %p, want the source's %p only", id, src.hosts(id), dst.hosts(id), old)
+	}
+	eng.Env.Spawn("test", func(p *sim.Proc) {
+		src.Proc, dst.Proc = p, p
+		src.migrateOut(old, 0, migOrder{lp: id, dstNode: 0, dstWorker: 1})
+		if src.hosts(id) != nil || eng.byID[id] != nil || slices.Contains(src.lps, old) {
+			t.Errorf("after migrateOut: source hosts %p, slot %p, source lists it %v; want nil, nil, false",
+				src.hosts(id), eng.byID[id], slices.Contains(src.lps, old))
+		}
+		ahead := mkEvent(eng, 5, 0, id, 1)
+		dst.deliver(ahead) // ahead of the LP: parked in limbo
+		migs := eng.nodes[0].outMigs.Items()
+		if len(migs) != 1 || len(dst.limbo) != 1 {
+			t.Fatalf("%d migrations queued, %d events in limbo; want 1 and 1", len(migs), len(dst.limbo))
+		}
+		dst.installMigration(migs[0])
+		l := dst.hosts(id)
+		if l == nil || l == old || eng.byID[id] != l || !slices.Contains(dst.lps, l) || src.hosts(id) != nil {
+			t.Errorf("after installMigration: destination hosts %p (old record %p), slot %p, listed %v; source hosts %p",
+				l, old, eng.byID[id], slices.Contains(dst.lps, l), src.hosts(id))
+		}
+		if len(dst.limbo) != 0 || dst.Pending.Peek() != ahead {
+			t.Errorf("the event that arrived ahead of the LP was not delivered at its install")
+		}
+		stale, pending := mkEvent(eng, 6, 0, id, 2), src.Pending.Len()
+		src.deliver(stale)
+		if in := dst.Inbox.Items(); len(in) != 1 || in[0] != stale || src.Pending.Len() != pending {
+			t.Errorf("a message still addressed to the source was not forwarded: destination inbox %v", in)
+		}
+	})
+	if err := eng.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	cfg := Config{
 		Topology:    cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: 1},
@@ -434,7 +485,7 @@ func TestCreditIdlePassesInClosedForm(t *testing.T) {
 			for _, passes := range []int{0, 3, 9, 10, 12} {
 				for _, n := range []int{0, 1, 2, 63, 64, 65, 200, 5000} {
 					w.idleRounds, w.idlePasses, w.passes = rounds, idle, passes
-					quiet := w.creditIdlePasses(n)
+					quiet := w.IdleEnd(n)
 					got := [2]int{w.idlePasses, w.passes}
 					w.idlePasses, w.passes = idle, passes
 					for range n {

@@ -17,8 +17,7 @@ type worker struct {
 	eng  *Engine
 	node *node
 
-	lps  []*lp
-	byID map[event.LPID]*lp // lookup only; lps keeps the deterministic order
+	lps []*lp // the LPs it hosts, in a deterministic order (Engine.byID looks them up)
 
 	// freeEntries and freeRecs are the free lists the worker's LPs draw
 	// history entries and send records from (newEntry, newRec); the slabs
@@ -80,32 +79,40 @@ type worker struct {
 	mstate     int     // Mattern worker phase (wIdle/wRed/wDone)
 }
 
-func newWorker(eng *Engine, n *node) *worker {
-	w := &worker{eng: eng, node: n, minRed: vtime.Inf}
+// init builds w as the next worker of n, hosting lps, listed in list (as
+// long, and no longer in capacity: a migrated-in LP appends to it), its
+// idle pass in probes (wsGVT+1 long).
+func (w *worker) init(n *node, lps []lp, list []*lp, probes []pe.Probe) {
+	eng := n.eng
+	*w = worker{eng: eng, node: n, lps: list, minRed: vtime.Inf}
 	eng.AddWorker(&w.Worker, &n.Node, w)
 	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
 	if eng.acks {
 		w.unacked = make(map[uint64]float64)
 		w.ackIn = pe.NewMailbox[ack](n.mailboxLock("acks", w.Idx), n.Cost.RegionalSend)
+		probes[wsAcks] = pe.TakeProbe(&w.ackIn)
 	}
 	if eng.migEnabled {
 		w.migIn = pe.NewMailbox[*migMsg](n.mailboxLock("migs", w.Idx), n.Cost.RegionalSend)
+		probes[wsMigs] = pe.StableProbe()
 	}
-	w.IdlePass(w.finished, w.creditIdlePasses, w.idleProbes()...)
-	w.entrySlab.First = logsPerLP * eng.cfg.Topology.LPsPerWorker
+	probes[wsInbox], probes[wsBatch] = pe.TakeProbe(&w.Inbox), pe.StableProbe()
+	if w.pumps() {
+		n.commProbes(probes[wsComm:wsGVT])
+		if !w.leadsRing() {
+			clear(probes[wsComm+stGVT : wsGVT])
+		}
+	}
+	probes[wsGVT] = pe.StableProbe()
+	w.IdlePass(probes...)
+	w.entrySlab.First = logsPerLP * len(lps)
 	w.recSlab.First = w.entrySlab.First
-	// The worker's LPs are one array; a migrated-in LP is allocated alone.
-	lps := make([]lp, eng.cfg.Topology.LPsPerWorker)
-	w.lps = make([]*lp, len(lps))
-	w.byID = make(map[event.LPID]*lp, len(lps))
 	for i := range lps {
 		l := &lps[i]
 		eng.AddLP(&l.LP)
-		w.lps[i] = l
-		w.byID[l.ID] = l
+		list[i], eng.byID[l.ID] = l, l
 	}
-	return w
 }
 
 // logsPerLP is how many history entries and send records per LP the
@@ -158,8 +165,16 @@ func assertLive(ev *event.Event, where string) {
 	}
 }
 
+// hosts returns the record of LP id if this worker hosts it, or nil.
+func (w *worker) hosts(id event.LPID) *lp {
+	if w.eng.routing.Worker(id) != w.Gidx {
+		return nil
+	}
+	return w.eng.byID[id]
+}
+
 func (w *worker) lpByID(id event.LPID) *lp {
-	l := w.byID[id]
+	l := w.hosts(id)
 	if l == nil {
 		panic(fmt.Sprintf("core: LP %d routed to worker %d/%d which does not host it",
 			id, w.node.ID, w.Idx))
@@ -184,9 +199,9 @@ func (w *worker) localMin() float64 {
 	return min
 }
 
-// The stages of a main-loop pass, in the order run runs them. idleProbes
-// lists what each is when it finds nothing, and Idle names the one run
-// resumes a pass at.
+// The stages of a main-loop pass, in the order Main runs them. init lists
+// what each is when it finds nothing, Quiet answers for those only the
+// engine can judge, and Idle names the one Main resumes a pass at.
 const (
 	wsMigs  = iota                   // arrived LP migrations (balancer runs)
 	wsInbox                          // deposited messages
@@ -196,32 +211,21 @@ const (
 	wsGVT   = wsComm + stGVTTail + 1 // the worker's side of the GVT algorithm
 )
 
-// idleProbes is the main-loop pass as it is when nothing happens, stage
-// for stage (the index of a probe is its ws* constant). Its predicates are
-// stable: the batch stage reads only this worker's state, and a Touch
-// follows every write of another thread to what the others read.
-func (w *worker) idleProbes() []pe.Probe {
-	pass := make([]pe.Probe, wsGVT+1)
-	if w.eng.migEnabled {
-		pass[wsMigs] = pe.StableProbe(pe.QuietFunc(func() bool { return w.migIn.Len() == 0 }))
-	}
-	pass[wsInbox] = pe.TakeProbe(&w.Inbox)
-	if w.eng.acks {
-		pass[wsAcks] = pe.TakeProbe(&w.ackIn)
-	}
-	pass[wsBatch] = pe.StableProbe(pe.QuietFunc(func() bool { return !w.capped() && w.drainedToHorizon() }))
-	if w.pumps() {
-		comm := w.node.commProbes()
-		if !w.leadsRing() {
-			comm = comm[:stGVT]
-		}
-		copy(pass[wsComm:], comm)
-	}
-	pass[wsGVT] = pe.StableProbe(pe.QuietFunc(func() bool {
+// Quiet answers for the stages of the idle pass only the engine can judge
+// (pe.Thread), by ws* constant; the comm stages are the node's. The
+// answers are stable: the batch stage reads only this worker's state, and
+// a Touch follows every write of another thread to what the others read.
+func (w *worker) Quiet(stage int) bool {
+	switch stage {
+	case wsMigs:
+		return w.migIn.Len() == 0
+	case wsBatch:
+		return !w.capped() && w.drainedToHorizon()
+	case wsGVT:
 		_, passes := w.idleCredit() // the pass got past wsBatch: drained to the horizon
 		return w.gvtQuiet(passes)
-	}))
-	return pass
+	}
+	return w.node.Quiet(stage - wsComm)
 }
 
 // Main is the worker thread's main loop: drain mailbox, process a batch of
@@ -231,7 +235,7 @@ func (w *worker) idleProbes() []pe.Probe {
 // kernel and names the stage at which one needs this loop again.
 func (w *worker) Main(p *sim.Proc) {
 	pumps, leadsRing := w.pumps(), w.leadsRing()
-	for from := 0; !w.finished(); {
+	for from := 0; !w.Stop(); {
 		worked := false
 		if from <= wsMigs && w.eng.migEnabled && w.drainMigrations() {
 			worked = true
@@ -265,8 +269,8 @@ func (w *worker) Main(p *sim.Proc) {
 	}
 }
 
-// finished is run's loop test: GVT has passed the end time.
-func (w *worker) finished() bool { return w.gvtView > w.eng.cfg.EndTime }
+// Stop is Main's loop test (pe.Thread): GVT has passed the end time.
+func (w *worker) Stop() bool { return w.gvtView > w.eng.cfg.EndTime }
 
 // leadsComm reports whether this worker carries the node's comm role —
 // worker 0 where no thread is dedicated to it: it pumps MPI and does the
@@ -315,7 +319,7 @@ func (w *worker) deliver(ev *event.Event) {
 		panic(fmt.Sprintf("core: GVT violation: %v arrived at worker %d/%d with GVT %.6g",
 			ev, w.node.ID, w.Idx, w.gvtView))
 	}
-	if w.eng.migEnabled && w.byID[ev.Dst] == nil {
+	if w.eng.migEnabled && w.hosts(ev.Dst) == nil {
 		if w.eng.routing.Worker(ev.Dst) == w.Gidx {
 			// The LP is migrating here but has not installed yet: park the
 			// event until it does (localMin keeps it observable for GVT).
@@ -672,7 +676,7 @@ func (w *worker) gvtPoll(worked bool) {
 	if worked {
 		w.idleRounds = 0
 	} else if w.drainedToHorizon() {
-		w.creditIdlePasses(1)
+		w.IdleEnd(1)
 	}
 	if w.gvtQuiet(w.passes) {
 		return
@@ -699,13 +703,13 @@ func (w *worker) idleCredit() (idlePasses, passes int) {
 	return w.idlePasses + 1, w.passes
 }
 
-// creditIdlePasses counts n passes that did nothing with nothing left
-// inside the horizon, as n calls of idleCredit would, and answers how many
-// more such passes keep gvtQuiet true as far as the interval counter goes:
-// any number (-1) where gvtQuiet does not read it. As the end of an idle
-// pass it need not look: the batch stage found the worker drained, and
-// only this thread changes that.
-func (w *worker) creditIdlePasses(n int) (quiet int) {
+// IdleEnd counts n passes that did nothing with nothing left inside the
+// horizon, as n calls of idleCredit would, and answers how many more such
+// passes keep gvtQuiet true as far as the interval counter goes: any
+// number (-1) where gvtQuiet does not read it. As the end of an idle pass
+// (pe.Thread) it need not look: the batch stage found the worker drained,
+// and only this thread changes that.
+func (w *worker) IdleEnd(n int) (quiet int) {
 	every := 64 << min(w.idleRounds, 6)                  // idle passes per interval unit
 	if first := max(every-w.idlePasses, 1); n >= first { // the pass that credits the next unit
 		w.passes += 1 + (n-first)/every

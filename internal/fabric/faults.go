@@ -248,11 +248,6 @@ type FaultStats struct {
 	WindowDropped int64
 }
 
-// Total returns the total number of injected faults.
-func (s FaultStats) Total() int64 {
-	return s.Dropped + s.Duplicated + s.Jittered + s.WindowDropped
-}
-
 // FaultStats returns the fault counters accumulated so far.
 func (f *Fabric) FaultStats() FaultStats { return f.fstats }
 

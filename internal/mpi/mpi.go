@@ -126,9 +126,6 @@ type Rank struct {
 	}
 }
 
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
-
 // LockStats returns (acquisitions, contended acquisitions, total wait).
 func (r *Rank) LockStats() (int64, int64, sim.Time) {
 	r.lock.Wake()

@@ -24,7 +24,7 @@ func diagRun(nodes, livelockLimit int, body func(rt *Runtime, ns []Node, ws [][2
 		rt.Env.LivelockLimit = livelockLimit
 	}
 	ns, ws := make([]Node, nodes), make([][2]Worker, nodes)
-	thread := threadFunc(func(p *sim.Proc) { body(rt, ns, ws, p) })
+	thread := &testThread{body: func(p *sim.Proc) { body(rt, ns, ws, p) }}
 	for i := range ns {
 		rt.AddNode(&ns[i], cluster.KNLDefaults())
 		for j := range ws[i] {

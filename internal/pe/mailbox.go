@@ -61,8 +61,5 @@ func (m *Mailbox[T]) Recycle(batch []T) {
 // peek: consistent because the kernel is cooperative.
 func (m *Mailbox[T]) Len() int { return len(m.items) }
 
-// Quiet reports that the box is empty, what a TakeProbe asks of it.
-func (m *Mailbox[T]) Quiet() bool { return len(m.items) == 0 }
-
 // Items returns the waiting items, for read-only inspection.
 func (m *Mailbox[T]) Items() []T { return m.items }

@@ -11,24 +11,16 @@ import (
 // it finds nothing to do. An engine lists a pass as probes, in the order
 // its loop runs the stages, and idle passes are stepped through the list
 // inside the kernel. A zero Probe is a stage that does nothing on this
-// configuration; it keeps the stages that follow at fixed positions.
+// configuration; it keeps the stages that follow at fixed positions, which
+// are the stages the thread's answers (Thread) are asked by.
 type Probe struct {
 	stage    int // position in the engine's list
 	kind     probeKind
-	mu       *sim.Mutex // TakeProbe: the box's lock
-	src, tag int        // RecvProbe
-	quiet    Quiet      // StableProbe's predicate; TakeProbe: the box
-	cond     func() bool
+	cond     bool                   // If: the thread's Quiet skips the stage
+	mu       *sim.Mutex             // TakeProbe: the box's lock
+	box      interface{ Len() int } // TakeProbe
+	src, tag int                    // RecvProbe
 }
-
-// Quiet is a StableProbe's predicate, which an engine's worker or node
-// implements where a closure would cost an allocation (QuietFunc).
-type Quiet interface{ Quiet() bool }
-
-// QuietFunc is a Quiet written as a function.
-type QuietFunc func() bool
-
-func (f QuietFunc) Quiet() bool { return f() }
 
 type probeKind uint8
 
@@ -44,7 +36,7 @@ const (
 // it meanwhile exactly as they do behind a Take. A box with items, or a
 // lock someone holds, hands the pass back at the stage's start.
 func TakeProbe[T any](box *Mailbox[T]) Probe {
-	return Probe{kind: probeTake, mu: box.mu, quiet: box}
+	return Probe{kind: probeTake, mu: box.mu, box: box}
 }
 
 // RecvProbe is a TryRecvFrom(src, tag) on the node's rank that matches
@@ -57,23 +49,23 @@ func TakeProbe[T any](box *Mailbox[T]) Probe {
 // receive (mpi.Rank.EndProbe).
 func RecvProbe(src, tag int) Probe { return Probe{kind: probeRecv, src: src, tag: tag} }
 
-// StableProbe stands for a stage only the engine can judge. quiet reports
-// whether the stage, run at this instant, would do nothing at all — no
-// charge, no kernel event, no state change; false hands the pass back at
-// the stage's start. A hand-back at a stage start is always exact, since
-// the loop simply runs from there, so quiet may err toward false and
-// never toward true. It must change nothing itself, and once true it stays
-// true until the node's next Touch: see plan.
-func StableProbe(quiet Quiet) Probe { return Probe{kind: probeQuiet, quiet: quiet} }
+// StableProbe stands for a stage only the engine can judge, which the
+// thread's Quiet answers for: whether the stage, run at this instant,
+// would do nothing at all — no charge, no kernel event, no state change;
+// false hands the pass back at the stage's start. A hand-back at a stage
+// start is always exact, since the loop simply runs from there, so Quiet
+// may err toward false and never toward true. It must change nothing
+// itself, and once true it stays true until the node's next Touch: see
+// plan.
+func StableProbe() Probe { return Probe{kind: probeQuiet} }
 
-// If makes the stage conditional: cond is asked at the stage's start, and
-// when it answers false the loop's stage would not run, so the probe is
-// skipped. Like a StableProbe's predicate it must change nothing. The loop
-// asks it again when the pass is handed back at this stage, and a parking
-// thread asks it once for all the passes it skips, so only the thread
-// itself may change what a condition reads.
-func (pr Probe) If(cond func() bool) Probe {
-	pr.cond = cond
+// If makes the stage conditional: the thread's Quiet is asked at the
+// stage's start, and when it answers true the loop's stage would not run,
+// so the probe is skipped. The loop asks it again when the pass is handed
+// back at this stage, and a parking thread asks it once for all the passes
+// it skips, so only the thread itself may change what the answer reads.
+func (pr Probe) If() Probe {
+	pr.cond = true
 	return pr
 }
 
@@ -81,11 +73,8 @@ func (pr Probe) If(cond func() bool) Probe {
 // MPI thread and once by every Worker: the thread's loop as a probe list
 // and where an idle pass stands in it.
 type pass struct {
-	probes []Probe     // the engine's list less its zero Probes
-	stop   func() bool // asked at the top of every pass: true hands it back there; nil: never
-	// end runs as n passes that found nothing end and says how many more
-	// would find nothing (negative: any number); nil: nothing to do.
-	end    func(n int) (quiet int)
+	probes []Probe // the engine's list less its zero Probes
+	th     Thread  // the owning thread, which answers for its stages
 	node   *Node
 	worker *Worker // the owner, when it is one: its idle passes are traced and charged as such
 	name   string  // the owning thread's
@@ -107,8 +96,8 @@ const (
 	subEnded               // the loop's own pass has ended: only IdlePoll is left
 )
 
-func (ps *pass) init(n *Node, w *Worker, name string) {
-	ps.node, ps.worker, ps.name = n, w, name
+func (ps *pass) init(n *Node, w *Worker, th Thread, name string) {
+	ps.node, ps.worker, ps.th, ps.name = n, w, th, name
 	ps.parked.Owner = ps
 }
 
@@ -127,15 +116,15 @@ func (ps *pass) list(probes []Probe) {
 
 // plan decides whether a quiet pass may park: it may whenever it lists
 // probes and IdlePoll passes, since nothing it reads changes unseen. Its
-// predicates are stable; its conditions and, on a worker, the
-// stop test read the thread's own state, and the comm thread's stop test
-// reads what a worker's exit Touches. A pass that may park and whose
-// longest cycle the kernel cannot hold is refused here, loudly.
+// StableProbes are stable; its conditions and, on a worker, the stop test
+// read the thread's own state, and the comm thread's stop test reads what
+// a worker's exit Touches. A pass that may park and whose longest cycle
+// the kernel cannot hold is refused here, loudly.
 func (ps *pass) plan() {
 	ps.parks, ps.conds = len(ps.probes) > 0 && ps.node.Cost.IdlePoll > 0, false
 	steps := 1 // IdlePoll
 	for _, pr := range ps.probes {
-		ps.conds = ps.conds || pr.cond != nil
+		ps.conds = ps.conds || pr.cond
 		switch pr.kind {
 		case probeTake:
 			steps += min(int(pr.mu.HoldCost), 1)
@@ -159,7 +148,7 @@ func (ps *pass) build() {
 	r.Cycle, r.Locks = ps.cycle[:0], ps.locks[:0]
 	for i := range ps.probes {
 		switch pr := &ps.probes[i]; {
-		case pr.cond != nil && !pr.cond():
+		case pr.cond && ps.th.Quiet(pr.stage):
 		case pr.kind == probeTake && pr.mu.HoldCost > 0:
 			r.Locks, r.Cycle = append(r.Locks, pr.mu), append(r.Cycle, pr.mu.HoldCost)
 		case pr.kind == probeTake:
@@ -174,11 +163,11 @@ func (ps *pass) build() {
 // again reports whether the pass would find nothing if it started now:
 // until the thread parks, a change wakes nothing.
 func (ps *pass) again() bool {
-	quiet := ps.stop == nil || !ps.stop()
+	quiet := !ps.th.Stop()
 	for i := range ps.probes {
 		pr := &ps.probes[i]
-		quiet = quiet && (pr.cond != nil && !pr.cond() ||
-			pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind != probeRecv && pr.quiet.Quiet())
+		quiet = quiet && (pr.cond && ps.th.Quiet(pr.stage) || pr.kind == probeTake && pr.box.Len() == 0 ||
+			pr.kind == probeRecv && !ps.node.Rank.Stashed(pr.src, pr.tag) || pr.kind == probeQuiet && ps.th.Quiet(pr.stage))
 	}
 	return quiet
 }
@@ -190,9 +179,7 @@ func (ps *pass) Skip(reps uint64, steps int) {
 	if w := ps.worker; w != nil {
 		w.St.IdleTime += sim.Time(reps) * ps.node.Cost.IdlePoll
 	}
-	if ps.end != nil {
-		ps.end(int(reps))
-	}
+	ps.th.IdleEnd(int(reps))
 	ps.skips = true
 	for ; steps > 0; steps-- {
 		if ps.Step() < 0 {
@@ -206,7 +193,7 @@ func (ps *pass) Skip(reps uint64, steps int) {
 // or if it parked without a limit and its end hook now says there is one:
 // only the thread, brought up to date, can count it.
 func (ps *pass) recheck() {
-	if r := &ps.parked; r.Asked() && (!ps.again() || r.Limit == 0 && ps.end != nil && ps.end(0) >= 0) {
+	if r := &ps.parked; r.Asked() && (!ps.again() || r.Limit == 0 && ps.th.IdleEnd(0) >= 0) {
 		r.Wake()
 	}
 }
@@ -244,17 +231,17 @@ func (ps *pass) Step() sim.Time {
 		for ; ps.at < len(ps.probes); ps.at, ps.sub = ps.at+1, subStart {
 			pr := &ps.probes[ps.at]
 			if ps.sub == subStart {
-				if ps.at == 0 && ps.stop != nil && !ps.skips && ps.stop() {
+				if ps.at == 0 && !ps.skips && ps.th.Stop() {
 					return -1
 				}
-				if pr.cond != nil && !pr.cond() {
+				if pr.cond && ps.th.Quiet(pr.stage) {
 					continue
 				}
 			}
 			switch pr.kind {
 			case probeTake:
 				if ps.sub == subStart {
-					if !ps.skips && !pr.quiet.Quiet() || !pr.mu.TryAcquire(p) {
+					if !ps.skips && pr.box.Len() > 0 || !pr.mu.TryAcquire(p) {
 						return -1
 					}
 					ps.sub = subHeld
@@ -279,7 +266,7 @@ func (ps *pass) Step() sim.Time {
 					return -1
 				}
 			case probeQuiet:
-				if !ps.skips && !pr.quiet.Quiet() {
+				if !ps.skips && !ps.th.Quiet(pr.stage) {
 					return -1
 				}
 			}
@@ -288,10 +275,7 @@ func (ps *pass) Step() sim.Time {
 			w.SetPhase(trace.PhaseIdle)
 			w.St.IdleTime += n.Cost.IdlePoll
 		}
-		quiet := -1
-		if ps.end != nil {
-			quiet = ps.end(1)
-		}
+		quiet := ps.th.IdleEnd(1)
 		if ps.parks && quiet != 0 && ps.again() {
 			ps.at, ps.sub = 0, subStart
 			if ps.conds {
@@ -312,12 +296,13 @@ type CommPass interface {
 }
 
 // CommLoop is the dedicated MPI thread's service loop: pass after pass
-// until every worker of the node has exited. After a pass that moved
-// nothing the thread idles through the probes AddComm was given and
-// resumes where they say. The loop test, too, is taken only at from 0.
+// until the thread's Stop, which Node answers as every worker of the node
+// having exited. After a pass that moved nothing the thread idles through
+// the probes AddComm was given and resumes where they say. The loop test,
+// too, is taken only at from 0.
 func (n *Node) CommLoop(p *sim.Proc, pass CommPass) {
 	from := 0
-	for from > 0 || !n.workersDone() {
+	for from > 0 || !n.comm.th.Stop() {
 		if pass.Pass(p, from) {
 			from = 0
 		} else {
@@ -326,22 +311,10 @@ func (n *Node) CommLoop(p *sim.Proc, pass CommPass) {
 	}
 }
 
-func (n *Node) workersDone() bool {
-	return n.WorkersExited == n.rt.cfg.Topology.WorkersPerNode
-}
-
 // IdlePass lists the pass w's main loop makes, each stage as it is when
-// it finds nothing to do. stop is the loop's own test, asked at the top
-// of a pass; it may read only the worker's own state, since a parked
-// worker does not ask it. end (which may be nil) is the bookkeeping the
-// loop does for passes in which every stage found nothing, n of them at
-// once: it answers how many more passes would leave every stage quiet
-// (negative: any number; end(0) only answers), and a parked worker skips
-// that many at most.
-func (w *Worker) IdlePass(stop func() bool, end func(n int) (quiet int), probes ...Probe) {
-	w.idle.stop, w.idle.end = stop, end
-	w.idle.list(probes)
-}
+// it finds nothing to do; the thread AddWorker registered answers for its
+// stages, its loop test and its end-of-pass bookkeeping (Thread).
+func (w *Worker) IdlePass(probes ...Probe) { w.idle.list(probes) }
 
 // Idle ends a main-loop pass that did nothing: it charges the pass as
 // idle time, lets Cost.IdlePoll pass and idles through the probes of

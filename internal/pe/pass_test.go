@@ -15,11 +15,32 @@ import (
 	"repro/internal/trace"
 )
 
-// threadFunc and passFunc write a thread and a comm pass as functions.
-type threadFunc func(*sim.Proc)
+// testThread writes a thread as functions: its body and its answers
+// (Thread), quiet by stage. A stage without a function is not quiet; a
+// nil stop never stops, and a nil end answers any number.
+type testThread struct {
+	body  func(*sim.Proc)
+	quiet []QuietFunc
+	stop  QuietFunc
+	end   func(n int) int
+}
 
-func (f threadFunc) Main(p *sim.Proc) { f(p) }
+// QuietFunc is a predicate written as a function.
+type QuietFunc func() bool
 
+func (t *testThread) Main(p *sim.Proc) { t.body(p) }
+func (t *testThread) Quiet(stage int) bool {
+	return stage < len(t.quiet) && t.quiet[stage] != nil && t.quiet[stage]()
+}
+func (t *testThread) Stop() bool { return t.stop != nil && t.stop() }
+func (t *testThread) IdleEnd(n int) int {
+	if t.end == nil {
+		return -1
+	}
+	return t.end(n)
+}
+
+// passFunc writes a comm pass as a function.
 type passFunc func(*sim.Proc, int) bool
 
 func (f passFunc) Pass(p *sim.Proc, from int) bool { return f(p, from) }
@@ -55,6 +76,9 @@ type resumes struct {
 	at     [4]int // passes resumed at the stage
 	paid   [4]int // receives that completed a probe an idle pass had paid for
 	polled int    // receives by an ordinary poll
+	// The comm thread's parked cycles as the worker and the timer find
+	// them: kernel events and locks, and whether the ring probe was made.
+	cycles map[[2]int]bool
 }
 
 // newIdleRuntime builds the runtime both scenarios run on.
@@ -154,7 +178,12 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 		}
 		return max(budget-credits, 0)
 	}
-	rt.AddWorker(&w, &n, threadFunc(func(p *sim.Proc) {
+	// The chore's predicate is stable: the timer Touches.
+	th := &testThread{stop: finished, end: quiet, quiet: []QuietFunc{
+		twChore:  func() bool { return !due },
+		twBudget: func() bool { return credits < budget },
+	}}
+	th.body = func(p *sim.Proc) {
 		for from := 0; !finished(); {
 			res.at[from]++
 			worked := from <= twInbox && drain(p, &w.Inbox)
@@ -175,13 +204,13 @@ func idleWorkerRun(t *testing.T, mode idleMode, parks bool) (idleOutcome, sim.Co
 				from = w.Idle(p)
 			}
 		}
-	}))
-	// The chore's predicate is stable: the timer Touches.
-	probes := []Probe{TakeProbe(&w.Inbox), TakeProbe(&side), StableProbe(QuietFunc(func() bool { return !due }))}
-	if parks {
-		probes = append(probes, StableProbe(QuietFunc(func() bool { return credits < budget })))
 	}
-	w.IdlePass(finished, quiet, probes...)
+	rt.AddWorker(&w, &n, th)
+	probes := []Probe{TakeProbe(&w.Inbox), TakeProbe(&side), StableProbe()}
+	if parks {
+		probes = append(probes, StableProbe())
+	}
+	w.IdlePass(probes...)
 	// Gaps off the poll period, so deposits arrive in every phase of it:
 	// lock held, lock free, box already filled.
 	for d, gap := range []sim.Time{3970, 10130} {
@@ -244,6 +273,17 @@ const (
 // between wake-ups, its cycle built for the ring condition's answer at the
 // park.
 func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
+	return commThreadRun(t, mode, func(done int) bool { return done%3 != 1 })
+}
+
+// runCondCommThread is runParkedCommThread with the ring probe's thread
+// answering quiet, so that the stage is skipped, for the first half of
+// the chores, and probing it from then on.
+func runCondCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters, resumes) {
+	return commThreadRun(t, mode, func(done int) bool { return done >= 10 })
+}
+
+func commThreadRun(t *testing.T, mode idleMode, ring func(done int) bool) (idleOutcome, sim.Counters, resumes) {
 	const deposits, packets, chores = 40, 40, 20
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -253,11 +293,19 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 	var n0, n1 Node
 	var w0, w1 Worker
 	var out idleOutcome
-	var res resumes
+	res := resumes{cycles: map[[2]int]bool{}}
 	logf := func(format string, args ...any) {
 		out.Log = append(out.Log, fmt.Sprintf("%d ", rt.Env.Now())+fmt.Sprintf(format, args...))
 	}
-	due, ringOn, done := false, true, 0
+	due, done := false, 0
+	ringOn := ring(done)
+	// sample records the comm thread's parked cycle, which is built for
+	// ringOn when it parks; the worker and the timer take samples.
+	sample := func() {
+		if r := &n0.comm.parked; mode == stepped && r.Asked() {
+			res.cycles[[2]int{len(r.Cycle), len(r.Locks)}] = ringOn
+		}
+	}
 
 	pass := func(p *sim.Proc, from int) bool {
 		res.at[from]++
@@ -310,7 +358,7 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 				due = false
 				p.Advance(cost.EventOverhead)
 				done++
-				ringOn = done%3 != 1
+				ringOn = ring(done)
 				logf("chore %d", done)
 				worked = true
 			}
@@ -319,7 +367,7 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 	}
 
 	rt.AddNode(&n0, cost)
-	rt.AddWorker(&w0, &n0, threadFunc(func(p *sim.Proc) {
+	rt.AddWorker(&w0, &n0, &testThread{body: func(p *sim.Proc) {
 		// Gaps off the idle pass's period, so deposits and lock grabs land
 		// in every phase of it.
 		for i := 0; i < deposits; i++ {
@@ -329,12 +377,17 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 				logf("worker sent")
 				p.Advance(7370)
 			}
+			sample()
 			n0.Out.Deposit(p, &event.Event{Kind: uint16(i)})
 			logf("deposited %d", i)
 		}
 		p.Advance(100 * sim.Microsecond) // the comm thread outlives all traffic
-	}))
-	rt.AddComm(&n0, threadFunc(func(p *sim.Proc) {
+	}})
+	comm := &testThread{stop: n0.Stop, quiet: []QuietFunc{
+		tcRing:  func() bool { return !ringOn },
+		tcChore: func() bool { return !due },
+	}}
+	comm.body = func(p *sim.Proc) {
 		if mode != written {
 			n0.CommLoop(p, passFunc(pass))
 			return
@@ -344,14 +397,10 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 				p.Advance(cost.IdlePoll)
 			}
 		}
-	}),
-		TakeProbe(&n0.Out),
-		RecvProbe(mpi.AnySource, tagData),
-		RecvProbe(1, tagRing).If(func() bool { return ringOn }),
-		StableProbe(QuietFunc(func() bool { return !due })),
-	)
+	}
+	rt.AddComm(&n0, comm, TakeProbe(&n0.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(1, tagRing).If(), StableProbe())
 	rt.AddNode(&n1, cost)
-	rt.AddWorker(&w1, &n1, threadFunc(func(p *sim.Proc) {
+	rt.AddWorker(&w1, &n1, &testThread{body: func(p *sim.Proc) {
 		for i := 0; i < packets; i++ {
 			p.Advance(11970 + sim.Time(i%11)*53)
 			tag := tagData
@@ -360,10 +409,11 @@ func runParkedCommThread(t *testing.T, mode idleMode) (idleOutcome, sim.Counters
 			}
 			n1.Rank.Send(p, 0, tag, 24, i)
 		}
-	}))
+	}})
 	var tick func()
 	ticks := 0
 	tick = func() {
+		sample()
 		due = true
 		n0.Touch()
 		if ticks++; ticks < chores {
@@ -405,6 +455,7 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 		// can never find the lock taken at its start.
 		{"worker/parked", runParkedWorker, []int{twInbox, twSide, twChore, twBudget}, nil},
 		{"comm/parked", runParkedCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
+		{"comm/conditional/parked", runCondCommThread, []int{tcOut, tcData, tcChore}, []int{tcData, tcRing}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			loop, lk, _ := c.run(t, written)
@@ -447,31 +498,47 @@ func TestIdleMatchesPollingLoop(t *testing.T) {
 			if parks := strings.HasSuffix(c.name, "/parked"); parks != (sk.Skipped > 0) || parks && 2*sk.Skipped < sk.Steps {
 				t.Errorf("%d of %d steps skipped", sk.Skipped, sk.Steps)
 			}
+			// A conditional stage the thread answers quiet for is skipped: its
+			// lock hold and poll are in no parked cycle built meanwhile.
+			var on, off [][2]int
+			for k, ring := range res.cycles {
+				if ring {
+					on = append(on, k)
+				} else {
+					off = append(off, k)
+				}
+			}
+			if strings.HasPrefix(c.name, "comm/") && (len(on) != 1 || len(off) != 1 || on[0] != [2]int{off[0][0] + 2, off[0][1] + 1}) {
+				t.Errorf("parked cycles (kernel events, locks) with the ring probe made %v, skipped %v: want one each, the probe's two events and lock apart", on, off)
+			}
 		})
 	}
 }
 
 // idleWorker builds a one-node runtime whose one worker runs body, with an
-// idle pass of an outbox take, the probes given and a predicate. Its end
-// hook answers 0, so the worker never parks and steps every idle pass: the
-// predicate's stability is never relied on.
-func idleWorker(w *Worker, n *Node, quiet func() bool, body func(p *sim.Proc), probes ...Probe) *Runtime {
+// idle pass of an outbox take, the probes given and a StableProbe its
+// thread answers with quiet. Its IdleEnd answers 0, so the worker never
+// parks and steps every idle pass: the answer's stability is never relied
+// on.
+func idleWorker(w *Worker, n *Node, quiet QuietFunc, body func(p *sim.Proc), probes ...Probe) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(n, cluster.KNLDefaults())
-	rt.AddWorker(w, n, threadFunc(body))
-	probes = append(append([]Probe{TakeProbe(&n.Out)}, probes...), StableProbe(QuietFunc(quiet)))
-	w.IdlePass(func() bool { return false }, func(int) int { return 0 }, probes...)
+	stages := make([]QuietFunc, len(probes)+2)
+	stages[len(probes)+1] = quiet
+	rt.AddWorker(w, n, &testThread{body: body, quiet: stages, end: func(int) int { return 0 }})
+	w.IdlePass(append(append([]Probe{TakeProbe(&n.Out)}, probes...), StableProbe())...)
 	return rt
 }
 
 // idleCommNode builds a one-node runtime whose comm thread runs body —
-// its worker never starts, so the loop test holds — with an idle pass of
-// an outbox take, two receive probes and a stable predicate.
-func idleCommNode(n *Node, quiet func() bool, body func(p *sim.Proc)) *Runtime {
+// its worker never starts, so Node.Stop holds it in the loop — with an
+// idle pass of an outbox take, two receive probes and a StableProbe its
+// thread answers with quiet.
+func idleCommNode(n *Node, quiet QuietFunc, body func(p *sim.Proc)) *Runtime {
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(n, cluster.KNLDefaults())
-	rt.AddComm(n, threadFunc(body),
-		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), StableProbe(QuietFunc(quiet)))
+	rt.AddComm(n, &testThread{body: body, stop: n.Stop, quiet: []QuietFunc{3: quiet}},
+		TakeProbe(&n.Out), RecvProbe(mpi.AnySource, tagData), RecvProbe(mpi.AnySource, tagRing), StableProbe())
 	return rt
 }
 
@@ -522,7 +589,7 @@ func TestCommIdleAllocatesNothing(t *testing.T) {
 
 // BenchmarkIdlePass: one idle pass (six kernel events: an outbox take, two
 // receive probes and IdlePoll) per op, run by the thread itself (loop), as
-// Poll steps of a worker whose end hook keeps it from parking (steps), and
+// Poll steps of a worker whose IdleEnd keeps it from parking (steps), and
 // parked: a comm thread parks after one pass and the others are skipped in
 // closed form, until a Touch after b.N passes' worth of virtual time.
 func BenchmarkIdlePass(b *testing.B) {
@@ -580,16 +647,16 @@ func TestPlanRefusesTooLongCycle(t *testing.T) {
 	var n Node
 	rt := newIdleRuntime(1, stepped, nil)
 	rt.AddNode(&n, cluster.KNLDefaults())
-	probes := []Probe{TakeProbe(&n.Out), StableProbe(QuietFunc(func() bool { return true }))}
+	probes := []Probe{TakeProbe(&n.Out), StableProbe()}
 	for steps := 2; steps+2 <= sim.MaxCycle; steps += 2 { // the take and IdlePoll, then two per receive
 		probes = append(probes, RecvProbe(mpi.AnySource, tagData))
 	}
-	rt.AddComm(&n, threadFunc(func(*sim.Proc) {}), probes...) // exactly sim.MaxCycle: taken
-	probes = append(probes, RecvProbe(mpi.AnySource, tagRing).If(func() bool { return false }))
+	rt.AddComm(&n, &testThread{}, probes...) // exactly sim.MaxCycle: taken
+	probes = append(probes, RecvProbe(mpi.AnySource, tagRing).If())
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "n0/comm") || !strings.Contains(msg, "MaxCycle") {
 			t.Errorf("one probe too many: recovered %q, want a refusal naming n0/comm", msg)
 		}
 	}()
-	rt.AddComm(&n, threadFunc(func(*sim.Proc) {}), probes...)
+	rt.AddComm(&n, &testThread{}, probes...)
 }

@@ -60,17 +60,41 @@ type Runtime struct {
 	lvts      []float64
 }
 
-// thread is an engine's worker (w) or comm thread, or an AddProcess body.
+// thread is an engine's worker or comm thread, whose pass holds it, or an
+// AddProcess body.
 type thread struct {
 	name string
-	main Thread
-	w    *Worker
+	ps   *pass
 	body func(*sim.Proc)
 }
 
 // A Thread is an engine's worker or comm thread, which its worker or node
-// implements: registering one allocates nothing.
-type Thread interface{ Main(p *sim.Proc) }
+// implements: registering one allocates nothing. Besides its body it
+// answers for its own idle pass, each stage by its index in the list
+// AddComm or Worker.IdlePass was given. Worker and Node give the answers of
+// a thread with nothing to judge: no stage quiet, Stop as below, IdleEnd -1.
+type Thread interface {
+	Main(p *sim.Proc)
+	// Quiet answers a StableProbe and a conditional probe (If) at stage.
+	Quiet(stage int) bool
+	// Stop is the loop's own test, asked at the top of a pass; a worker's
+	// may read only the worker's own state, since a parked worker does not
+	// ask it. Node's is every worker of the node having exited.
+	Stop() bool
+	// IdleEnd is the bookkeeping the loop does for passes in which every
+	// stage found nothing, n of them at once: it answers how many more
+	// passes would leave every stage quiet (negative: any number; IdleEnd(0)
+	// only answers), and a parked thread skips that many at most.
+	IdleEnd(n int) (quiet int)
+}
+
+// The answers of a worker and a comm thread with nothing to judge.
+func (*Worker) Quiet(int) bool  { return false }
+func (*Worker) Stop() bool      { return false }
+func (*Worker) IdleEnd(int) int { return -1 }
+func (*Node) Quiet(int) bool    { return false }
+func (n *Node) Stop() bool      { return n.WorkersExited == n.rt.cfg.Topology.WorkersPerNode }
+func (*Node) IdleEnd(int) int   { return -1 }
 
 // Init builds the environment and the MPI world. finish completes the
 // statistics Run returns with what only the engine counts. The engine
@@ -115,7 +139,7 @@ type Node struct {
 }
 
 // Touch is the node's change signal, due in the dispatch of every change to
-// what a StableProbe or the comm thread's stop test reads that can turn it
+// what a StableProbe or the comm thread's Stop reads that can turn it
 // false: a parked thread whose pass would find something wakes.
 func (n *Node) Touch() {
 	n.comm.recheck()
@@ -129,8 +153,6 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
 	n.OutMu = sim.Mutex{Name: rt.Env.Name("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
 	n.Out = Mailbox[*event.Event]{mu: &n.OutMu, cost: cost.RemoteEnqueue, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
-	n.comm.init(n, nil, rt.Env.Name("n%d/comm", n.ID))
-	n.comm.stop = n.workersDone
 	rt.nodes++
 }
 
@@ -138,8 +160,9 @@ func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 // workers, which start first. pass lists the stages of the pass a body
 // built on CommLoop makes, each as it is when it finds nothing to move.
 func (rt *Runtime) AddComm(n *Node, main Thread, pass ...Probe) {
+	n.comm.init(n, nil, main, rt.Env.Name("n%d/comm", n.ID))
 	n.comm.list(pass)
-	rt.threads = append(rt.threads, thread{name: n.comm.name, main: main})
+	rt.threads = append(rt.threads, thread{name: n.comm.name, ps: &n.comm})
 }
 
 // Worker is the base of one simulation thread (a ROSS PE): a pending
@@ -195,10 +218,10 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main Thread) {
 	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.HeapOn(pending), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: rt.Env.Name("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
 	w.Inbox = Mailbox[*event.Event]{mu: &w.inMu, cost: n.Cost.RegionalSend, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
-	w.idle.init(n, w, rt.Env.Name("n%d/w%d", n.ID, idx))
+	w.idle.init(n, w, main, rt.Env.Name("n%d/w%d", n.ID, idx))
 	rt.workers = append(rt.workers, w)
 	n.workers = rt.workers[gidx-idx : gidx+1] // a view: Init sized rt.workers for every worker
-	rt.threads = append(rt.threads, thread{name: w.idle.name, main: main, w: w})
+	rt.threads = append(rt.threads, thread{name: w.idle.name, ps: &w.idle})
 }
 
 // AddLP initialises l as the next LP in global id order: a fresh model
@@ -249,14 +272,13 @@ func (rt *Runtime) runThread(p *sim.Proc) {
 	switch t := &rt.threads[p.ID()]; {
 	case t.body != nil:
 		t.body(p)
-	case t.w == nil:
-		t.main.Main(p)
+	case t.ps.worker == nil:
+		t.ps.th.Main(p)
 	default:
-		n := t.w.Node
-		t.w.Proc = p
-		t.main.Main(p)
-		n.WorkersExited++
-		n.Touch() // the comm thread's stop test reads the count
+		t.ps.worker.Proc = p
+		t.ps.th.Main(p)
+		t.ps.node.WorkersExited++
+		t.ps.node.Touch() // Node.Stop reads the count
 	}
 }
 

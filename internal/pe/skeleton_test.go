@@ -15,10 +15,20 @@ import (
 	"repro/internal/trace"
 )
 
-// threadFunc writes a thread as a function.
-type threadFunc func(*sim.Proc)
+// threadOf is a thread with nothing to judge: a body, and the answers of
+// the pe.Worker or pe.Node it runs on (pe.Thread).
+type threadOf struct {
+	answers
+	body func(*sim.Proc)
+}
 
-func (f threadFunc) Main(p *sim.Proc) { f(p) }
+type answers interface {
+	Quiet(stage int) bool
+	Stop() bool
+	IdleEnd(n int) int
+}
+
+func (t threadOf) Main(p *sim.Proc) { t.body(p) }
 
 // selfLoop only ever sends to its own LP, so LPs never interact and the
 // least possible engine — each worker runs its own events to the end — is
@@ -85,7 +95,7 @@ func TestRunSkeleton(t *testing.T) {
 		for wi := 0; wi < top.WorkersPerNode; wi++ {
 			w := &toyWorker{first: top.FirstLP(ni, wi)}
 			workers = append(workers, w)
-			rt.AddWorker(&w.Worker, n, threadFunc(func(p *sim.Proc) {
+			rt.AddWorker(&w.Worker, n, threadOf{&w.Worker, func(p *sim.Proc) {
 				ctx := &loopCtx{pe.Ctx{W: &w.Worker}}
 				w.SetPhase(trace.PhaseProcessing)
 				for ev := w.Pending.Peek(); ev != nil && ev.Stamp.T <= end; ev = w.Pending.Peek() {
@@ -99,14 +109,14 @@ func TestRunSkeleton(t *testing.T) {
 				w.SetPhase(trace.PhaseBarrier)
 				w.SetPhase(trace.PhaseBarrier) // a repeat records nothing
 				w.BarrierWait(done)
-			}))
+			}})
 			for i := 0; i < top.LPsPerWorker; i++ {
 				l := &pe.LP{}
 				rt.AddLP(l)
 				w.lps = append(w.lps, l)
 			}
 		}
-		rt.AddComm(n, threadFunc(func(p *sim.Proc) {
+		rt.AddComm(n, threadOf{n, func(p *sim.Proc) {
 			done.Wait(p)
 			if n.ID != 0 {
 				return
@@ -115,7 +125,7 @@ func TestRunSkeleton(t *testing.T) {
 				rt.Views[w.Gidx] = pe.View{LVT: w.Pending.MinStamp().T, Uncommitted: 7}
 			}
 			rt.RecordRound(pe.Round{GVT: end, Sync: true, Efficiency: 1, Migrations: 2})
-		}))
+		}})
 	}
 	// A migrated LP is rebuilt elsewhere and re-hosted: Run must read the
 	// live instance, not the one construction registered.

@@ -71,11 +71,14 @@ func TestEngineAllocsPinned(t *testing.T) {
 	}{
 		// Before a run's fixed cost was sized at build (names, idle passes
 		// without closures, run-time slices) these were 0.058, 0.086, 0.440
-		// and 4.55 allocations and 70.0, 54.7, 75.7 and 855 bytes.
-		{"tw-comp", twComp, 0.042, 72},
-		{"tw-comm", twComm, 0.058, 55},
+		// and 4.55 allocations and 70.0, 54.7, 75.7 and 855 bytes. Before
+		// Time Warp's workers were built in node-wide arrays, with one
+		// idle-pass contract and no closures, tw-comp, tw-comm and the cold
+		// job were at 0.038, 0.055 and 3.43 allocations (885, 965 and 137).
+		{"tw-comp", twComp, 0.032, 72},
+		{"tw-comm", twComm, 0.048, 55},
 		{"cons-nullmsg", consNull, 0.22, 75},
-		{"cold-job", coldJob, 3.65, 870},
+		{"cold-job", coldJob, 3.0, 870},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)

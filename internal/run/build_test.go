@@ -122,8 +122,11 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 		// RNG stream, a seed event and a Time Warp LP record each, and the
 		// doubling of slices.
 		// Before a run's names, idle passes and run-time slices were sized
-		// at build, 22.4 and 11.1 allocations per extra worker.
-		{"mattern", mattern, 374, 13},
+		// at build, 22.4 and 11.1 allocations per extra worker. Before Time
+		// Warp's workers came from node-wide arrays, with an engine-wide LP
+		// table and no idle-pass closures, 12.44 and 362.0 bytes per extra
+		// LP.
+		{"mattern", mattern, 330, 2},
 		{"nullmsg", nullmsg, 257, 1.5},
 	} {
 		lo, hi := c.spec, c.spec

@@ -75,7 +75,6 @@ const (
 	PhaseIdle                     // an empty main-loop pass
 	PhaseBarrier                  // parked at a GVT barrier
 	PhaseGVT                      // inside GVT protocol steps
-	NumPhases
 )
 
 // PhaseName returns the human-readable phase name.
