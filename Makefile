@@ -114,7 +114,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 21370
+LOC_CEILING = 21337
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

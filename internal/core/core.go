@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/cluster"
-	"repro/internal/event"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/pe"
@@ -226,9 +225,10 @@ type Engine struct {
 	// acks (Samadi) replaces its transit drain with acknowledgement cover.
 	ring, acks bool
 
-	// byID is every LP's record by id, nil while the LP migrates (from
-	// removeLP to installMigration); worker.hosts checks it against routing.
-	byID []*lp
+	// lps is every LP's record, by id, for the whole run: each worker takes
+	// its contiguous run at build, and a migration moves the record.
+	// worker.hosts reads it beside the routing table.
+	lps []lp
 
 	// matchSeq hands out cluster-unique anti-message match IDs. It lives
 	// outside simulated state: IDs are never reused, never rolled back.
@@ -244,8 +244,7 @@ type Engine struct {
 	routing        *cluster.Routing
 	balancer       balance.Policy
 	migEnabled     bool
-	balanceFactors []float64           // per-node cost factors for the policy
-	migrating      map[event.LPID]bool // LPs with a planned or in-flight move
+	balanceFactors []float64 // per-node cost factors for the policy
 	migrations     int64
 	migratedEvents int64
 	prevCommitted  []int64 // per-node cumulative committed at last plan
@@ -272,7 +271,7 @@ func New(cfg Config) *Engine {
 	}
 	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
 	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
-	eng.byID = make([]*lp, cfg.Topology.TotalLPs())
+	eng.lps = make([]lp, cfg.Topology.TotalLPs())
 	eng.Init(pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
@@ -294,7 +293,6 @@ func New(cfg Config) *Engine {
 		eng.balancer = pol
 		eng.migEnabled = true
 		eng.balanceFactors = factors
-		eng.migrating = make(map[event.LPID]bool)
 		eng.prevCommitted = make([]int64, cfg.Topology.Nodes)
 		eng.prevRolled = make([]int64, cfg.Topology.Nodes)
 	}

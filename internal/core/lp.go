@@ -56,8 +56,13 @@ type lp struct {
 	pendingAnti []*event.Event
 
 	// heat counts this LP's committed events since the balancer's last
-	// look. It travels with the LP on migration.
+	// look.
 	heat int64
+
+	// planned marks an LP with a move planned or in flight (planBalance to
+	// installMigration), away one in flight (migrateOut to
+	// installMigration): no worker hosts it.
+	planned, away bool
 }
 
 // lastStamp returns the stamp of the most recent processed event, or the

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/balance"
 	"repro/internal/event"
-	"repro/internal/pe"
-	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -23,15 +20,14 @@ import (
 // committed prefix.
 //
 // Packing an LP first rolls back its uncommitted suffix (a normal Time
-// Warp rollback: anti-messages cancel its speculative sends), so the
-// shipped snapshot is pure committed state. The message carries the
-// model snapshot, RNG stream state, stamp sequence counter, commit
-// checksum, the LP's pending events and stashed anti-messages. The
-// cluster-wide routing table is updated atomically at pack time, so
-// every send issued afterwards is addressed to the new home; events
-// already in flight toward the old home are forwarded hop-by-hop (node
-// pump re-enqueues toward the current owner; a worker that drained one
-// re-routes it as a fresh send).
+// Warp rollback: anti-messages cancel its speculative sends). The message
+// carries the LP's one record (Engine.lps), marked away, and its pending
+// events; the destination re-hosts the record, whose committed state is
+// sized and charged as if copied. The routing table is updated atomically
+// at pack time, so every send issued afterwards is addressed to the new
+// home; events already in flight toward the old home are forwarded
+// hop-by-hop (node pump re-enqueues toward the current owner; a worker
+// that drained one re-routes it as a fresh send).
 //
 // GVT safety: a migration message is counted exactly like a remote
 // event message — the sender bumps msgSent and the epoch-colored send
@@ -49,27 +45,22 @@ type migOrder struct {
 	dstWorker int // index within dstNode
 }
 
-// migMsg is the wire representation of a migrating LP.
+// migMsg is the wire representation of a migrating LP: its record, away
+// until installed, and its pending events.
 type migMsg struct {
-	lp        event.LPID
+	l         *lp
 	dstNode   int
 	dstWorker int
 
-	snap     any
-	rngState rng.State
-	seq      uint64
-	checksum stats.Checksum
-	heat     int64 // committed events since the balancer's last look
-
 	events []*event.Event // pending events, stamp order
-	antis  []*event.Event // stashed anti-messages (>= GVT)
 
 	color event.Color // sender epoch (mod 4) for Mattern accounting
 	ackID uint64      // Samadi coverage; 0 outside Samadi
 }
 
 // migWireBase approximates the serialized size of everything except the
-// carried events: model snapshot, RNG state, counters, routing update.
+// carried events and stashed anti-messages (>= GVT): model snapshot, RNG
+// state, counters, routing update.
 const migWireBase = 96
 
 func (m *migMsg) wireSize() int {
@@ -77,7 +68,7 @@ func (m *migMsg) wireSize() int {
 	for _, ev := range m.events {
 		sz += ev.WireSize()
 	}
-	for _, a := range m.antis {
+	for _, a := range m.l.pendingAnti {
 		sz += a.WireSize()
 	}
 	return sz
@@ -90,7 +81,7 @@ func (m *migMsg) minPayloadStamp() float64 {
 	if len(m.events) > 0 { // events are stamp-sorted
 		min = m.events[0].Stamp.T
 	}
-	for _, a := range m.antis {
+	for _, a := range m.l.pendingAnti {
 		if a.Stamp.T < min {
 			min = a.Stamp.T
 		}
@@ -142,13 +133,10 @@ func (e *Engine) planBalance(gvt float64) {
 	// (counting installs already assigned this plan), lowest index wins.
 	assigned := make(map[int]int)
 	for _, mv := range moves {
-		if int(mv.LP) >= top.TotalLPs() || e.migrating[mv.LP] {
+		if int(mv.LP) >= top.TotalLPs() || e.lps[mv.LP].planned {
 			continue
 		}
-		if mv.To < 0 || mv.To >= len(e.nodes) || mv.To == mv.From {
-			continue
-		}
-		if e.routing.Node(mv.LP) != mv.From || e.byID[mv.LP] == nil {
+		if mv.To < 0 || mv.To >= len(e.nodes) || mv.To == mv.From || e.routing.Node(mv.LP) != mv.From {
 			continue
 		}
 		gw := e.routing.Worker(mv.LP)
@@ -162,7 +150,7 @@ func (e *Engine) planBalance(gvt float64) {
 		}
 		assigned[dn.workers[best].Gidx]++
 		sw.migOut = append(sw.migOut, migOrder{lp: mv.LP, dstNode: mv.To, dstWorker: best})
-		e.migrating[mv.LP] = true
+		e.lps[mv.LP].planned = true
 	}
 }
 
@@ -175,7 +163,7 @@ func (w *worker) executeMigrations(g float64) {
 		if l := w.hosts(o.lp); l != nil {
 			w.migrateOut(l, g, o)
 		} else {
-			delete(w.eng.migrating, o.lp)
+			w.eng.lps[o.lp].planned = false
 		}
 	}
 }
@@ -195,22 +183,11 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	w.fossil(l, nil)
 
 	events := w.Pending.RemoveFor(l.ID)
-	antis := l.pendingAnti
-	l.pendingAnti = nil
-
-	m := &migMsg{
-		lp: l.ID, dstNode: o.dstNode, dstWorker: o.dstWorker,
-		snap:     l.Model.Snapshot(),
-		rngState: l.RNG.Save(),
-		seq:      l.Seq,
-		checksum: l.Checksum,
-		heat:     l.heat,
-		events:   events,
-		antis:    antis,
-	}
-	// Detach the LP from this worker, then reroute: from this instant
-	// every new send targets the destination worker.
-	w.removeLP(l.ID)
+	m := &migMsg{l: l, dstNode: o.dstNode, dstWorker: o.dstWorker, events: events}
+	// Detach the LP from this worker, keeping the order of the rest, then
+	// reroute: from this instant every new send targets the destination.
+	i := slices.Index(w.lps, l)
+	w.lps, l.away = slices.Delete(w.lps, i, i+1), true
 	gw := o.dstNode*cfg.Topology.WorkersPerNode + o.dstWorker
 	eng.routing.Move(l.ID, gw)
 	eng.migrations++
@@ -229,7 +206,7 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	}
 
 	cost := &w.node.Cost
-	w.Proc.Advance(cost.MigratePack + sim.Time(len(events)+len(antis))*cost.MigratePerEvent)
+	w.Proc.Advance(cost.MigratePack + sim.Time(len(events)+len(l.pendingAnti))*cost.MigratePerEvent)
 	if t := cfg.Trace; t != nil {
 		t.Migration(trace.Migration{
 			LP: uint32(l.ID), SrcNode: uint16(w.node.ID), DstNode: uint16(o.dstNode),
@@ -238,20 +215,6 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	}
 	w.node.outMigs.Deposit(w.Proc, m)
 	w.node.Touch() // the comm role's stOutMigs probe reads the box
-}
-
-// removeLP detaches an LP from this worker, preserving slice order (the
-// order collect, applyGVT and telemetry iterate in). Its slot in
-// Engine.byID stays nil until installMigration fills it.
-func (w *worker) removeLP(id event.LPID) {
-	w.eng.byID[id] = nil
-	for i, l := range w.lps {
-		if l.ID == id {
-			w.lps = append(w.lps[:i], w.lps[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("core: removeLP: LP %d not on worker %d/%d", id, w.node.ID, w.Idx))
 }
 
 // drainMigrations installs every arrived migration. Callers gate on
@@ -269,44 +232,30 @@ func (w *worker) drainMigrations() bool {
 	return true
 }
 
-// installMigration rebuilds the LP at its new home: fresh model instance
-// restored from the shipped snapshot, RNG/sequence/checksum state carried
-// over, pending events re-enqueued, then any limbo arrivals delivered in
-// arrival order.
+// installMigration re-hosts the LP's record at its new home: pending
+// events re-enqueued, then any limbo arrivals delivered in arrival order.
 func (w *worker) installMigration(m *migMsg) {
 	eng := w.eng
-	cfg := &eng.cfg
 	// Receive-side GVT accounting, mirroring the pack side.
 	w.msgRecv++
 	w.recvC[uint8(m.color)&3]++
 	if eng.acks && m.ackID != 0 {
 		w.sendAckTo(m.ackID)
 	}
-	cost := &w.node.Cost
-	w.Proc.Advance(cost.MigrateInstall + sim.Time(len(m.events)+len(m.antis))*cost.MigratePerEvent)
-
-	l := &lp{LP: pe.LP{
-		ID: m.lp, Model: cfg.Model(m.lp, cfg.Topology.TotalLPs()),
-		Seq: m.seq, Checksum: m.checksum,
-	}}
-	l.Model.Restore(m.snap)
-	l.RNG.Restore(m.rngState)
-	eng.Host(&l.LP)
-	l.heat = m.heat
-	l.pendingAnti = m.antis
+	l, cost := m.l, &w.node.Cost
+	w.Proc.Advance(cost.MigrateInstall + sim.Time(len(m.events)+len(l.pendingAnti))*cost.MigratePerEvent)
+	l.planned, l.away = false, false
 	w.lps = append(w.lps, l)
-	eng.byID[l.ID] = l
 	for _, ev := range m.events {
 		w.Pending.Push(ev)
 	}
-	delete(eng.migrating, m.lp)
 
 	// Events that arrived ahead of the LP: deliver in arrival order.
 	if len(w.limbo) > 0 {
 		var mine []*event.Event
 		keep := w.limbo[:0]
 		for _, ev := range w.limbo {
-			if ev.Dst == m.lp {
+			if ev.Dst == l.ID {
 				mine = append(mine, ev)
 			} else {
 				keep = append(keep, ev)

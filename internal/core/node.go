@@ -82,16 +82,19 @@ func newNode(eng *Engine) *node {
 	n.gvtBar = sim.Barrier{Name: eng.Env.Name("gvt-%d", n.ID), N: participants}
 	n.gvtBar2 = sim.Barrier{Name: eng.Env.Name("gvt2-%d", n.ID), N: participants}
 	n.cm.init(n, top.WorkersPerNode)
-	// The node's workers, LP records, LP lists and idle passes are one
-	// array each, as the null-message engine's; a migrated-in LP is
-	// allocated alone.
+	// The node's workers, LP lists, rollback buffers and idle passes are
+	// one array each, as the null-message engine's, and its workers take
+	// their LP records in contiguous runs of Engine.lps. The pool starts
+	// out with room for an event per LP.
 	wpn, per, stages := top.WorkersPerNode, top.LPsPerWorker, wsGVT+1
-	ws, lps, lists := make([]worker, wpn), make([]lp, wpn*per), make([]*lp, wpn*per)
+	n.pool.Reserve(wpn * per)
+	ws, lists, antis := make([]worker, wpn), make([]*lp, wpn*per), make([]*event.Event, wpn*per)
+	lps := eng.lps[n.ID*wpn*per:]
 	probes := make([]pe.Probe, wpn*stages+stGVTTail+1) // and the comm thread's
 	n.workers = make([]*worker, wpn)
 	for i := range ws {
 		n.workers[i] = &ws[i]
-		ws[i].init(n, lps[i*per:(i+1)*per], lists[i*per:(i+1)*per:(i+1)*per], probes[i*stages:(i+1)*stages])
+		ws[i].init(n, lps[i*per:(i+1)*per], lists[i*per:(i+1)*per:(i+1)*per], antis[i*per:i*per:(i+1)*per], probes[i*stages:(i+1)*stages])
 	}
 	if eng.cfg.Comm == CommDedicated {
 		eng.AddComm(&n.Node, n, n.commProbes(probes[wpn*stages:])...)

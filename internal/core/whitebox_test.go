@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/sim"
@@ -301,29 +302,46 @@ func TestLPPlacementPanic(t *testing.T) {
 	eng.nodes[0].workers[0].lpByID(event.LPID(5))
 }
 
-// TestLPTableFollowsMigration: the engine's LP table stays exact across a
-// migration. migrateOut leaves the LP's slot nil and the source hosting
-// nothing of it; installMigration fills the slot with the destination's
-// new record; and a message still addressed to the source is forwarded
-// to the destination.
+// movePolicy proposes the same moves at every round.
+type movePolicy []balance.Move
+
+func (movePolicy) Name() string { return "test" }
+func (p movePolicy) Decide(int64, float64, []balance.NodeStats, []balance.LPLoad) []balance.Move {
+	return p
+}
+
+// TestLPTableFollowsMigration: an LP keeps one record across a migration.
+// A planned LP is not planned again; migrateOut leaves neither worker
+// hosting it; installMigration re-hosts the same record at the
+// destination, where a commit mixes into its checksum; and a message still
+// addressed to the source is forwarded toward the destination.
 func TestLPTableFollowsMigration(t *testing.T) {
 	eng := New(Config{
-		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 2, LPsPerWorker: 2},
+		Topology: cluster.Topology{Nodes: 2, WorkersPerNode: 1, LPsPerWorker: 2},
 		GVT:      GVTMattern, GVTInterval: 10, EndTime: 100, Seed: 1, Balance: "greedy",
 		Model: func(lp event.LPID, total int) Model { return &chainModel{self: lp, next: lp} },
 	})
-	src, dst := eng.nodes[0].workers[0], eng.nodes[0].workers[1]
+	src, dst := eng.nodes[0].workers[0], eng.nodes[1].workers[0]
 	const id = event.LPID(1)
-	old := eng.byID[id]
-	if src.hosts(id) != old || dst.hosts(id) != nil {
-		t.Fatalf("before the move: LP %d hosted by %p and %p, want the source's %p only", id, src.hosts(id), dst.hosts(id), old)
+	rec := &eng.lps[id]
+	if src.hosts(id) != rec || dst.hosts(id) != nil {
+		t.Fatalf("before the move: LP %d hosted by %p and %p, want its record %p at the source only", id, src.hosts(id), dst.hosts(id), rec)
+	}
+	eng.balancer = movePolicy{{LP: id, From: 0, To: 1}}
+	eng.planBalance(0)
+	eng.planBalance(0)
+	if len(src.migOut) != 1 || !rec.planned {
+		t.Fatalf("two plans parked %d orders, planned %v; want 1 and true", len(src.migOut), rec.planned)
 	}
 	eng.Env.Spawn("test", func(p *sim.Proc) {
 		src.Proc, dst.Proc = p, p
-		src.migrateOut(old, 0, migOrder{lp: id, dstNode: 0, dstWorker: 1})
-		if src.hosts(id) != nil || eng.byID[id] != nil || slices.Contains(src.lps, old) {
-			t.Errorf("after migrateOut: source hosts %p, slot %p, source lists it %v; want nil, nil, false",
-				src.hosts(id), eng.byID[id], slices.Contains(src.lps, old))
+		src.executeMigrations(0)
+		if src.hosts(id) != nil || dst.hosts(id) != nil || slices.Contains(src.lps, rec) {
+			t.Errorf("after migrateOut: source hosts %p, destination %p, source lists it %v; want nil, nil, false",
+				src.hosts(id), dst.hosts(id), slices.Contains(src.lps, rec))
+		}
+		if eng.planBalance(0); len(src.migOut)+len(dst.migOut) != 0 {
+			t.Errorf("an LP in flight was planned again")
 		}
 		ahead := mkEvent(eng, 5, 0, id, 1)
 		dst.deliver(ahead) // ahead of the LP: parked in limbo
@@ -332,18 +350,22 @@ func TestLPTableFollowsMigration(t *testing.T) {
 			t.Fatalf("%d migrations queued, %d events in limbo; want 1 and 1", len(migs), len(dst.limbo))
 		}
 		dst.installMigration(migs[0])
-		l := dst.hosts(id)
-		if l == nil || l == old || eng.byID[id] != l || !slices.Contains(dst.lps, l) || src.hosts(id) != nil {
-			t.Errorf("after installMigration: destination hosts %p (old record %p), slot %p, listed %v; source hosts %p",
-				l, old, eng.byID[id], slices.Contains(dst.lps, l), src.hosts(id))
+		if dst.hosts(id) != rec || !slices.Contains(dst.lps, rec) || src.hosts(id) != nil || rec.planned {
+			t.Errorf("after installMigration: destination hosts %p (record %p), listed %v; source hosts %p; planned %v",
+				dst.hosts(id), rec, slices.Contains(dst.lps, rec), src.hosts(id), rec.planned)
 		}
 		if len(dst.limbo) != 0 || dst.Pending.Peek() != ahead {
-			t.Errorf("the event that arrived ahead of the LP was not delivered at its install")
+			t.Fatalf("the event that arrived ahead of the LP was not delivered at its install")
 		}
-		stale, pending := mkEvent(eng, 6, 0, id, 2), src.Pending.Len()
+		sum := rec.Checksum
+		dst.processOne(dst.Pending.Pop())
+		if dst.applyGVT(6); rec.Checksum == sum {
+			t.Errorf("a commit at the destination did not reach LP %d's record", id)
+		}
+		stale := mkEvent(eng, 6, 0, id, 2)
 		src.deliver(stale)
-		if in := dst.Inbox.Items(); len(in) != 1 || in[0] != stale || src.Pending.Len() != pending {
-			t.Errorf("a message still addressed to the source was not forwarded: destination inbox %v", in)
+		if out := eng.nodes[0].Out.Items(); len(out) != 1 || out[0] != stale {
+			t.Errorf("a message still addressed to the source was not forwarded: source outbox %v", out)
 		}
 	})
 	if err := eng.Env.Run(); err != nil {

@@ -17,7 +17,7 @@ type worker struct {
 	eng  *Engine
 	node *node
 
-	lps []*lp // the LPs it hosts, in a deterministic order (Engine.byID looks them up)
+	lps []*lp // the LPs it hosts, in a deterministic order
 
 	// freeEntries and freeRecs are the free lists the worker's LPs draw
 	// history entries and send records from (newEntry, newRec); the slabs
@@ -80,11 +80,11 @@ type worker struct {
 }
 
 // init builds w as the next worker of n, hosting lps, listed in list (as
-// long, and no longer in capacity: a migrated-in LP appends to it), its
-// idle pass in probes (wsGVT+1 long).
-func (w *worker) init(n *node, lps []lp, list []*lp, probes []pe.Probe) {
+// long, and no longer in capacity: a migrated-in LP appends to it), with
+// antis as its rollback buffer and its idle pass in probes (wsGVT+1 long).
+func (w *worker) init(n *node, lps []lp, list []*lp, antis []*event.Event, probes []pe.Probe) {
 	eng := n.eng
-	*w = worker{eng: eng, node: n, lps: list, minRed: vtime.Inf}
+	*w = worker{eng: eng, node: n, lps: list, antis: antis, minRed: vtime.Inf}
 	eng.AddWorker(&w.Worker, &n.Node, w)
 	w.exec = execCtx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	w.replay = replayCtx{pe.Ctx{W: &w.Worker}}
@@ -111,7 +111,7 @@ func (w *worker) init(n *node, lps []lp, list []*lp, probes []pe.Probe) {
 	for i := range lps {
 		l := &lps[i]
 		eng.AddLP(&l.LP)
-		list[i], eng.byID[l.ID] = l, l
+		list[i] = l
 	}
 }
 
@@ -167,10 +167,10 @@ func assertLive(ev *event.Event, where string) {
 
 // hosts returns the record of LP id if this worker hosts it, or nil.
 func (w *worker) hosts(id event.LPID) *lp {
-	if w.eng.routing.Worker(id) != w.Gidx {
-		return nil
+	if l := &w.eng.lps[id]; w.eng.routing.Worker(id) == w.Gidx && !l.away {
+		return l
 	}
-	return w.eng.byID[id]
+	return nil
 }
 
 func (w *worker) lpByID(id event.LPID) *lp {

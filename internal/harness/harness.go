@@ -338,7 +338,12 @@ func (c cell) run(opt Options, w io.Writer) (res Cell, err error) {
 	return cellOf(r), nil
 }
 
-// Render writes the table as aligned text with rate and efficiency.
+// showsDisparity reports whether the table's cells are read as their LVT
+// disparity rather than their rate and efficiency.
+func (t Table) showsDisparity() bool { return t.ID == "disparity" }
+
+// Render writes the table as aligned text with rate and efficiency, or
+// with the LVT disparity in the disparity figure.
 func (t Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	if t.Paper != "" {
@@ -362,11 +367,19 @@ func (t Table) Render(w io.Writer) {
 				fmt.Fprintf(w, "  %16s", "FAILED")
 				continue
 			}
-			fmt.Fprintf(w, "  %9.4g/%5.1f%%", c.Rate, 100*c.Efficiency)
+			if t.showsDisparity() {
+				fmt.Fprintf(w, "  %16.4g", c.Disparity)
+			} else {
+				fmt.Fprintf(w, "  %9.4g/%5.1f%%", c.Rate, 100*c.Efficiency)
+			}
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w, "(cells: committed events per virtual second / efficiency)")
+	if t.showsDisparity() {
+		fmt.Fprintln(w, "(cells: average per-round stddev of worker LVTs)")
+	} else {
+		fmt.Fprintln(w, "(cells: committed events per virtual second / efficiency)")
+	}
 	fmt.Fprintln(w)
 }
 

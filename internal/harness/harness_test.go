@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,6 +132,33 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "experiment,series,nodes,rate") {
 		t.Errorf("CSV header = %s", lines[0])
+	}
+}
+
+// TestDisparityTableShowsDisparity: the disparity figure's text and
+// markdown cells are each run's LVT disparity, not its rate and
+// efficiency.
+func TestDisparityTableShowsDisparity(t *testing.T) {
+	tab := table(t, "disparity", miniOptions())
+	var text, md bytes.Buffer
+	tab.Render(&text)
+	tab.Markdown(&md)
+	lines := strings.Split(text.String(), "\n")
+	for _, s := range tab.Series {
+		c := s.Cells[0]
+		if c.Disparity <= 0 {
+			t.Fatalf("%s: disparity %v, want a positive one to tell it apart", s.Label, c.Disparity)
+		}
+		row := fmt.Sprintf("%-*s  %16.4g", len("Mattern")+2, s.Label, c.Disparity)
+		if !slices.Contains(lines, row) {
+			t.Errorf("Render has no row %q:\n%s", row, text.String())
+		}
+		if row := fmt.Sprintf("| %s | %.3g |\n", s.Label, c.Disparity); !strings.Contains(md.String(), row) {
+			t.Errorf("Markdown has no row %q:\n%s", row, md.String())
+		}
+	}
+	if strings.Contains(text.String()+md.String(), "%") {
+		t.Errorf("the disparity figure prints efficiencies:\n%s%s", text.String(), md.String())
 	}
 }
 

@@ -37,7 +37,7 @@ func WriteJSON(w io.Writer, tables []Table, reports *metrics.ReportSet) error {
 }
 
 // Markdown renders the table as a GitHub-flavoured markdown table (used to
-// assemble EXPERIMENTS.md).
+// assemble EXPERIMENTS.md), its cells read as Render reads them.
 func (t Table) Markdown(w io.Writer) {
 	fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title)
 	if t.Paper != "" {
@@ -53,7 +53,11 @@ func (t Table) Markdown(w io.Writer) {
 	for _, s := range t.Series {
 		fmt.Fprintf(w, "| %s |", s.Label)
 		for _, c := range s.Cells {
-			fmt.Fprintf(w, " %.3g (%.0f%%) |", c.Rate, 100*c.Efficiency)
+			if t.showsDisparity() {
+				fmt.Fprintf(w, " %.3g |", c.Disparity)
+			} else {
+				fmt.Fprintf(w, " %.3g (%.0f%%) |", c.Rate, 100*c.Efficiency)
+			}
 		}
 		fmt.Fprintln(w)
 	}

@@ -62,6 +62,6 @@ type Context interface {
 // ModelFactory builds the model for each LP. A factory may carve its
 // models from a slab it keeps (event.Slab), so it is not safe for
 // concurrent use: an engine calls it from one goroutine at a time — its
-// build, its migrations' rebuilds, an oracle run — and each concurrent run
-// needs a factory of its own.
+// build, an oracle run — and each concurrent run needs a factory of its
+// own.
 type ModelFactory func(lp event.LPID, total int) Model

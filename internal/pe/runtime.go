@@ -53,7 +53,7 @@ type Runtime struct {
 	finish    func(*stats.Run)
 	nodes     int
 	workers   []*Worker      // global index order
-	lps       []*LP          // the live instance of each LP, by id
+	lps       []*LP          // every LP, by id
 	threads   []thread       // spawn order
 	evs       []*event.Event // the rest of the array carve takes from
 	disparity stats.Disparity
@@ -231,11 +231,6 @@ func (rt *Runtime) AddLP(l *LP) {
 	*l = LP{ID: id, Model: rt.cfg.Model(id, rt.cfg.Topology.TotalLPs()), RNG: rt.streams.Next(), Checksum: stats.NewChecksum()}
 	rt.lps = append(rt.lps, l)
 }
-
-// Host makes l the live instance of LP l.ID — the one whose checksum Run
-// reads. An engine that rebuilds an LP elsewhere (migration) calls it on
-// install; until then the packed instance keeps standing in.
-func (rt *Runtime) Host(l *LP) { rt.lps[l.ID] = l }
 
 // Seed runs every model's Init, in global id order, before virtual time
 // starts.

@@ -127,11 +127,6 @@ func TestRunSkeleton(t *testing.T) {
 			rt.RecordRound(pe.Round{GVT: end, Sync: true, Efficiency: 1, Migrations: 2})
 		}})
 	}
-	// A migrated LP is rebuilt elsewhere and re-hosted: Run must read the
-	// live instance, not the one construction registered.
-	moved := *workers[1].lps[0]
-	workers[1].lps[0] = &moved
-	rt.Host(&moved)
 	rt.Seed()
 
 	r, err := rt.Run()
