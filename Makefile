@@ -76,7 +76,8 @@ benchdiff:
 # and 488 processes; BenchmarkAdvanceEach: three charges as one
 # AdvanceEach against three Advances; BenchmarkParkedDispatch: ns per real
 # dispatch beside 20 and 100 parked sleepers, what parking's bookkeeping
-# costs), the PE idle-pass machine (BenchmarkIdlePass: an
+# costs; BenchmarkSpawn: an Env of 21 threads spawned and run to their
+# end, whose allocs/op hold no coroutine's), the PE idle-pass machine (BenchmarkIdlePass: an
 # idle pass as the literal loop, as Poll steps of a worker whose IdleEnd
 # keeps it from parking, and skipped by a parked comm thread — the parked
 # row), the null-message
@@ -91,9 +92,10 @@ benchdiff:
 # spec and the paper's 8 x 60 x 128 width; allocs/op is per worker, not
 # per LP) and an engine's build plus run (BenchmarkEngineStart: the cold
 # job's spec and the cons-nullmsg shape, whose allocs/op are nearly all a
-# run's fixed cost: its threads' spawn).
+# run's fixed cost: a warm spawn takes an idle coroutine, so a per-thread
+# allocation brought back shows there).
 microbench:
-	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative ./internal/fabric ./internal/metrics ./internal/event
+	$(GO) test -run xxx -bench . -benchmem -benchtime 100000x ./internal/sim ./internal/pe ./internal/mpi ./internal/conservative ./internal/fabric ./internal/metrics ./internal/event
 	$(GO) test -run xxx -bench . -benchtime 100000x ./internal/eventq
 	$(GO) test -run xxx -bench 'RollbackHeavy|GVTRounds' -benchtime 3x ./internal/core
 	$(GO) test -run xxx -bench 'EngineBuild|EngineStart' -benchmem -benchtime 10x ./internal/run
@@ -114,7 +116,7 @@ loc:
 # what the tree measured when it was last lowered. A change that needs
 # more lines raises this number in the same diff, where a reviewer sees
 # it; a change that removes lines lowers it.
-LOC_CEILING = 21337
+LOC_CEILING = 21417
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, over the ceiling of $(LOC_CEILING) (see ROADMAP aim 2; raise LOC_CEILING in this diff if the lines are needed)"; exit 1; \

@@ -208,10 +208,26 @@ func TestFailedRunRecordsCellAndContinues(t *testing.T) {
 	if !strings.Contains(buf.String(), "FAILED") {
 		t.Errorf("sweep output does not report the failure: %q", buf.String())
 	}
-	var text bytes.Buffer
-	tab.Render(&text)
-	if !strings.Contains(text.String(), "FAILED") {
-		t.Errorf("Render does not mark failed cells: %q", text.String())
+	failed := 0
+	for _, s := range tab.Series {
+		for _, c := range s.Cells {
+			if c.Failed {
+				failed++
+			}
+		}
+	}
+	// Both renderers, in the rate figures and in the disparity figure,
+	// print every failed cell as FAILED, never as a measurement of zero.
+	for _, id := range []string{tab.ID, "disparity"} {
+		tab.ID = id
+		var text, md bytes.Buffer
+		tab.Render(&text)
+		tab.Markdown(&md)
+		for _, out := range []struct{ name, s string }{{"Render", text.String()}, {"Markdown", md.String()}} {
+			if n := strings.Count(out.s, "FAILED"); n != failed {
+				t.Errorf("%s of %s marks %d cells FAILED, want %d: %q", out.name, id, n, failed, out.s)
+			}
+		}
 	}
 }
 

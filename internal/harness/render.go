@@ -53,9 +53,12 @@ func (t Table) Markdown(w io.Writer) {
 	for _, s := range t.Series {
 		fmt.Fprintf(w, "| %s |", s.Label)
 		for _, c := range s.Cells {
-			if t.showsDisparity() {
+			switch {
+			case c.Failed:
+				fmt.Fprint(w, " FAILED |")
+			case t.showsDisparity():
 				fmt.Fprintf(w, " %.3g |", c.Disparity)
-			} else {
+			default:
 				fmt.Fprintf(w, " %.3g (%.0f%%) |", c.Rate, 100*c.Efficiency)
 			}
 		}

@@ -42,7 +42,9 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 // heap allocations of New plus Run per committed event, and the bytes they
 // take, stay under bounds written here. What remains is set-up — a few
 // allocations per worker, none per LP (TestEngineBuildAllocsPinned) — the
-// spawn of the threads (about 15 allocations each) and the growth of
+// chunks a run's thread records are carved from (a warm process's spawn
+// allocates nothing else: its coroutines wait on sim's idle list from the
+// run before, and the least of three runs is a warm one) and the growth of
 // slices past what the topology sizes them for and of slabs (a Time Warp
 // worker's history entries and send records) to their high-water marks
 // (DESIGN.md "Allocations per commit"); the per-event engine path
@@ -76,11 +78,13 @@ func TestEngineAllocsPinned(t *testing.T) {
 		// idle-pass contract and no closures, tw-comp, tw-comm and the cold
 		// job were at 0.038, 0.055 and 3.43 allocations (885, 965 and 137).
 		// Before a Time Warp node reserved its event pool and carved its
-		// workers' rollback buffers at build, the cold job took 116.
-		{"tw-comp", twComp, 0.032, 72},
-		{"tw-comm", twComm, 0.048, 55},
-		{"cons-nullmsg", consNull, 0.22, 75},
-		{"cold-job", coldJob, 2.65, 870},
+		// workers' rollback buffers at build, the cold job took 116. Before
+		// a thread's coroutine was made once per process (about 13
+		// allocations a spawn), the four took 0.024, 0.039, 0.207 and 2.65.
+		{"tw-comp", twComp, 0.013, 72},
+		{"tw-comm", twComm, 0.025, 55},
+		{"cons-nullmsg", consNull, 0.062, 75},
+		{"cold-job", coldJob, 1.7, 870},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)

@@ -10,7 +10,7 @@ import (
 // TestCancelUnwindsProcesses cancels a run mid-flight and verifies Run
 // returns ErrCancelled with every process coroutine terminated.
 func TestCancelUnwindsProcesses(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	started := make(chan struct{}, 1)
 	var after []string
@@ -49,7 +49,7 @@ func TestCancelUnwindsProcesses(t *testing.T) {
 // TestCancelBeforeRun verifies a pre-cancelled environment aborts
 // immediately, including processes that never started.
 func TestCancelBeforeRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	ran := false
 	env.Spawn("unstarted", func(p *Proc) { ran = true })
@@ -69,7 +69,7 @@ func TestCancelBeforeRun(t *testing.T) {
 // TestCancelBlockedOnPrimitives verifies processes parked on kernel
 // primitives (queue get, barrier) unwind cleanly too.
 func TestCancelBlockedOnPrimitives(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	q := &Queue{Name: "q"}
 	bar := NewBarrier("bar", 3)
@@ -107,7 +107,7 @@ func TestCancelAfterCompletionIsNoop(t *testing.T) {
 // stuck processes and then unwinds them, as a cancelled run does, instead
 // of leaving each parked forever.
 func TestDeadlockDoesNotLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	q := &Queue{Name: "never"}
 	bar := NewBarrier("short", 9)
@@ -137,11 +137,42 @@ func TestDeadlockDoesNotLeak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// baselineGoroutines is the goroutine count a test starts from: idle
+// coroutines, which earlier runs left, are stopped first.
+func baselineGoroutines() int {
+	stopIdle()
+	return runtime.NumGoroutine()
+}
+
+// TestSpawnWhileUnwinding: a process a body spawns while Run unwinds it is
+// unwound too, never started, instead of being left live on a parked
+// coroutine.
+func TestSpawnWhileUnwinding(t *testing.T) {
+	before := baselineGoroutines()
+	env := NewEnv()
+	ran := false
+	env.Spawn("stuck", func(p *Proc) {
+		defer p.env.Spawn("late", func(*Proc) { ran = true })
+		(&Queue{Name: "never"}).Get(p)
+	})
+	var de *DeadlockError
+	if err := env.Run(); !errors.As(err, &de) {
+		t.Fatalf("Run returned %v, want a DeadlockError", err)
+	}
+	if ran || env.Live() != 0 {
+		t.Errorf("late body ran: %v; %d live processes, want 0", ran, env.Live())
+	}
+	waitForGoroutines(t, before)
+}
+
 // waitForGoroutines polls until the goroutine count drops back to (or
-// below) the pre-test baseline, failing after a deadline. Exact counts
-// are racy under parallel tests, so allow a small slack.
+// below) the pre-test baseline, failing after a deadline. The coroutines
+// the test's runs left idle are stopped first; a body still running after
+// Run is not idle and fails the check. Exact counts are racy under
+// parallel tests, so allow a small slack.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
+	stopIdle()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline+2 {

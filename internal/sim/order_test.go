@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -284,7 +283,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 		// of the stop flag, having dispatched a prefix of the same order,
 		// and leave no process behind.
 		for _, k := range []int{1, 17, 64, 65, 300, 1500} {
-			before := runtime.NumGoroutine()
+			before := baselineGoroutines()
 			got := runOrderProgram(want.seed, k, nil)
 			if !errors.Is(got.err, ErrCancelled) {
 				t.Fatalf("seed %d, cancel at %d: Run returned %v, want ErrCancelled", want.seed, k, got.err)

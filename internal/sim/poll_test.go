@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -115,7 +114,7 @@ func runPanic(env *Env) (msg string) {
 // stead panics on Run's stack; it still surfaces as that process's panic,
 // with every process unwound.
 func TestPollStepPanicPropagatesToRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	env.Spawn("bomb", func(p *Proc) {
 		steps := 0
@@ -139,7 +138,7 @@ func TestPollStepPanicPropagatesToRun(t *testing.T) {
 // TestCancelWhileAllInPoll: with every process inside Poll, Run switches
 // into none of them and still observes Cancel and unwinds them all.
 func TestCancelWhileAllInPoll(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	unwound := 0
 	for i := 0; i < 8; i++ {

@@ -55,15 +55,14 @@ func (t Time) String() string {
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateBlocked
 	stateDone
 )
 
 func (s procState) String() string {
-	return [...]string{"new", "runnable", "running", "blocked", "done"}[s]
+	return [...]string{"runnable", "running", "blocked", "done"}[s]
 }
 
 // Proc is a simulated thread of execution. All of its methods must be
@@ -88,11 +87,9 @@ type Proc struct {
 	rest  []Time
 	chain [chainCap]Time
 
-	// The coroutine: Run switches in with next, the body switches back
-	// with yieldFn, stop unwinds a body that has not returned.
-	next    func() (struct{}, bool)
-	stop    func()
-	yieldFn func(struct{}) bool
+	body   func(*Proc)
+	co     *coro // what the body runs on (coro.go); nil once it has ended
+	cancel bool  // set by unwind: the resumed body panics procCancelled
 }
 
 // Name returns the name given at Spawn time.
@@ -191,6 +188,7 @@ type Env struct {
 	now     Time
 	pend    eventHeap
 	procs   []*Proc
+	chunk   []Proc     // what Spawn carves records from: never moves, never grows
 	cbs     []callback // After's slab: filled by After, vacated by Run
 	cbFree  int32      // first vacant slot of cbs, or -1
 	live    int
@@ -263,7 +261,7 @@ var ErrCancelled = errors.New("sim: run cancelled")
 const cancelStride = 64
 
 // procCancelled is the panic value yield raises to unwind a process
-// whose coroutine was stopped; the spawn wrapper swallows it.
+// whose run was cancelled; Proc.run swallows it.
 type procCancelled struct{}
 
 // Cancel requests that a running (or about-to-run) simulation stop. It
@@ -293,39 +291,41 @@ func (e *Env) Live() int { return e.live }
 
 // Spawn registers a new process. It may be called before Run or from
 // within a running process; the new process starts at the current virtual
-// time (after the caller yields).
+// time (after the caller yields). A warm spawn allocates nothing of its
+// own: the record comes from a chunk, the coroutine from the idle list.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if len(e.procs) == schedID {
 		panic(fmt.Sprintf("sim: more than %d processes: a key holds no more filer ids", schedID))
 	}
-	p := &Proc{
-		env:   e,
-		name:  name,
-		id:    len(e.procs),
-		state: stateNew,
-		f:     filer{id: uint32(len(e.procs))},
+	if len(e.chunk) == cap(e.chunk) {
+		n := max(4, len(e.procs)) // the records double, and procs with them
+		e.chunk, e.procs = make([]Proc, 0, n), slices.Grow(e.procs, n)
 	}
+	e.chunk = append(e.chunk, Proc{env: e, name: name, id: len(e.procs), f: filer{id: uint32(len(e.procs))}, body: fn, co: takeCoro()})
+	p := &e.chunk[len(e.chunk)-1]
+	p.co.p = p
 	e.procs = append(e.procs, p)
 	e.live++
-	p.next, p.stop = pull(func(yield func(struct{}) bool) {
-		p.yieldFn = yield
-		// A panic in a process is re-raised by Run so tests and callers
-		// can recover it normally. The unwind of a stopped coroutine is
-		// the exception: it is the kernel's own doing and terminates the
-		// process silently.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procCancelled); !ok {
-					p.panicked = r
-				}
-			}
-			p.finish()
-		}()
-		fn(p)
-	})
-	p.state = stateRunnable
 	e.pend.push(e.event(e.file(nil, 0), int32(p.id)))
 	return p
+}
+
+// run runs the body on the process's coroutine, or only retires the
+// process if its run was cancelled before the body started. Run re-raises
+// a panic in a process, so callers can recover it, but not the unwind of a
+// cancelled one: that is the kernel's own doing, and silent.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procCancelled); !ok {
+				p.panicked = r
+			}
+		}
+		p.finish()
+	}()
+	if !p.cancel {
+		p.body(p)
+	}
 }
 
 // After schedules fn to run in scheduler context at now+d, and returns the
@@ -507,10 +507,13 @@ func (e *Env) Run() error {
 		}
 		p.state = stateRunning
 		e.cur = p
-		p.next()
+		p.co.next()
 		e.cur = nil
-		if p.panicked != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicked))
+		if p.state == stateDone {
+			p.release()
+			if p.panicked != nil {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicked))
+			}
 		}
 	}
 	if e.live > 0 {
@@ -526,19 +529,17 @@ func (e *Env) Run() error {
 	return nil
 }
 
-// unwind terminates every unfinished process: a started one is resumed
-// one final time into a procCancelled panic, one that never started is
-// finished here, since stopping its coroutine does not run the body whose
-// deferred call would. It runs in Run's own context, where every process
-// is parked.
+// unwind terminates every unfinished process, one spawned as it unwinds
+// included, by resuming it once with its cancel flag set: a started body
+// panics out of yield, an unstarted one is never called. So Run leaves no
+// body running, and every coroutine but a Goexit's goes back on the idle
+// list. It runs in Run's own context, where every process is parked.
 func (e *Env) unwind() {
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		p.stop()
-		if p.state != stateDone {
-			p.finish()
+	for i := 0; i < len(e.procs); i++ {
+		if p := e.procs[i]; p.state != stateDone {
+			p.cancel = true
+			p.co.next()
+			p.release()
 		}
 	}
 }
@@ -574,9 +575,13 @@ func (e *Env) livelockCulprit() string {
 
 // yield returns control to Run. The process must already have arranged
 // to be woken (a scheduled resume event or registration on a primitive's
-// wait list).
+// wait list). A cancelled process does not switch: a deferred call of its
+// unwinding body that blocks again unwinds at once.
 func (p *Proc) yield() {
-	if !p.yieldFn(struct{}{}) {
+	if !p.cancel {
+		p.co.yield(struct{}{})
+	}
+	if p.cancel {
 		panic(procCancelled{})
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -619,7 +618,7 @@ func TestCondBroadcast(t *testing.T) {
 }
 
 func TestProcPanicPropagatesToRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baselineGoroutines()
 	env := NewEnv()
 	env.Spawn("bomb", func(p *Proc) {
 		p.Advance(5)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // fastSpec is a job small enough to finish in milliseconds.
@@ -38,6 +40,11 @@ func waitRunning(t *testing.T, j *Job) {
 	}
 }
 
+// goroutines counts the goroutines but the engine threads' coroutines
+// that sit idle between runs (sim.IdleCoroutines), which a run leaves
+// behind by design for the next one.
+func goroutines() int { return runtime.NumGoroutine() - sim.IdleCoroutines() }
+
 // checkNoGoroutineLeak runs after Server.Close, which has waited for
 // every worker and engine to finish: what can still be counted is a
 // goroutine between its last statement and the scheduler reaping it. The
@@ -47,18 +54,18 @@ func checkNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+2 {
+		if goroutines() <= baseline+2 {
 			return
 		}
 		runtime.Gosched()
 	}
 	buf := make([]byte, 1<<16)
 	t.Fatalf("goroutine leak: %d > baseline %d\n%s",
-		runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		goroutines(), baseline, buf[:runtime.Stack(buf, true)])
 }
 
 func TestSubmitRunReport(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutines()
 	s := NewServer(Options{Workers: 2})
 	res, err := s.Submit(fastSpec(1))
 	if err != nil {
@@ -237,7 +244,7 @@ func TestConcurrentSubmitDistinctSpecs(t *testing.T) {
 // TestCancelMidRun: cancelling a running job settles it as cancelled,
 // leaves no report, and caches nothing.
 func TestCancelMidRun(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutines()
 	s := NewServer(Options{Workers: 1})
 	res, err := s.Submit(slowSpec())
 	if err != nil {
@@ -327,7 +334,7 @@ func TestQueueFullRejection(t *testing.T) {
 // TestCloseDrains: Close lets every admitted job settle, then refuses
 // new work.
 func TestCloseDrains(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutines()
 	s := NewServer(Options{Workers: 2, QueueDepth: 16})
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
