@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Counter is a monotonically increasing named count.
@@ -100,26 +101,19 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(q * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
+	target := max(1, int64(math.Ceil(q*float64(h.count))))
 	var seen int64
 	for i, c := range h.buckets {
-		seen += c
-		if seen >= target {
-			if i == 0 {
-				return 0
-			}
-			edge := int64(1) << i // exclusive upper edge 2^i
-			if edge-1 > h.max {
-				return h.max
-			}
-			return edge - 1
+		if seen += c; seen >= target {
+			return h.le(i)
 		}
 	}
 	return h.max
 }
+
+// le is bucket i's inclusive upper bound: 2^i - 1 (0 for bucket 0),
+// capped at the largest value observed.
+func (h *Histogram) le(i int) int64 { return min(h.max, int64(1)<<i-1) }
 
 // HistogramBucket is one exported histogram bucket.
 type HistogramBucket struct {
@@ -142,82 +136,77 @@ type HistogramSummary struct {
 	Sum     int64             `json:"sum"`
 }
 
-// Summary exports the histogram, dropping empty trailing buckets.
+// Summary exports the histogram, dropping empty buckets.
 func (h *Histogram) Summary() HistogramSummary {
 	s := HistogramSummary{
 		Name: h.name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 		Mean: h.Mean(), P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
 	}
+	n := 0 // the non-empty buckets: the list is sized once, and stays nil without one
+	for _, c := range h.buckets {
+		n += int(min(c, 1))
+	}
+	if n > 0 {
+		s.Buckets = make([]HistogramBucket, 0, n)
+	}
 	for i, c := range h.buckets {
-		if c == 0 {
-			continue
+		if c != 0 {
+			s.Buckets = append(s.Buckets, HistogramBucket{Le: h.le(i), Count: c})
 		}
-		le := h.max
-		if i > 0 && (int64(1)<<i)-1 < le {
-			le = (int64(1) << i) - 1
-		}
-		if i == 0 {
-			le = 0
-		}
-		s.Buckets = append(s.Buckets, HistogramBucket{Le: le, Count: c})
 	}
 	return s
 }
 
-// Registry holds named metrics. Lookups are get-or-create so
-// instrumentation sites can resolve their instruments once at setup and
-// hold the pointer (the allocation-free hot path).
+// Registry holds named metrics in lists sorted by name. Lookups are
+// get-or-create so instrumentation sites can resolve their instruments
+// once at setup and hold the pointer (the allocation-free hot path).
 type Registry struct {
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	counters []*Counter
+	hists    []*Histogram
+	slab     []Histogram // what new histograms are carved from: never grows
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the counter with the given name, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
+	i, ok := slices.BinarySearchFunc(r.counters, name, func(c *Counter, n string) int { return strings.Compare(c.name, n) })
+	if !ok {
+		r.counters = slices.Insert(r.counters, i, &Counter{name: name})
 	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
+	return r.counters[i]
 }
 
 // Histogram returns the histogram with the given name, creating it if
 // needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
+	i, ok := slices.BinarySearchFunc(r.hists, name, func(h *Histogram, n string) int { return strings.Compare(h.name, n) })
+	if !ok {
+		if len(r.slab) == cap(r.slab) { // the engine's three in one slab, one list
+			r.slab, r.hists = make([]Histogram, 0, 4), slices.Grow(r.hists, 4)
+		}
+		r.slab = append(r.slab, Histogram{name: name})
+		r.hists = slices.Insert(r.hists, i, &r.slab[len(r.slab)-1])
 	}
-	h := &Histogram{name: name}
-	r.hists[name] = h
-	return h
+	return r.hists[i]
 }
 
 // CounterValues returns all counters as a sorted name->value list.
 func (r *Registry) CounterValues() []NamedValue {
-	out := make([]NamedValue, 0, len(r.counters))
-	for name, c := range r.counters {
-		out = append(out, NamedValue{Name: name, Value: float64(c.v)})
+	out := make([]NamedValue, len(r.counters))
+	for i, c := range r.counters {
+		out[i] = NamedValue{Name: c.name, Value: float64(c.v)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // HistogramSummaries returns all histograms, sorted by name.
 func (r *Registry) HistogramSummaries() []HistogramSummary {
-	out := make([]HistogramSummary, 0, len(r.hists))
-	for _, h := range r.hists {
-		out = append(out, h.Summary())
+	out := make([]HistogramSummary, len(r.hists))
+	for i, h := range r.hists {
+		out[i] = h.Summary()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -66,7 +66,7 @@ type Recorder struct {
 	// fast and must do their own locking if they fan out.
 	OnProgress func(ProgressUpdate)
 
-	reg     *Registry
+	reg     Registry
 	stride  int
 	seen    int64 // rounds offered since the stride last changed
 	rounds  []RoundSample
@@ -77,14 +77,9 @@ type Recorder struct {
 // NewRecorder returns a recorder with default knobs.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Registry returns the recorder's metric registry, creating it if
-// needed. Usable before Init, so callers can pre-register instruments.
-func (r *Recorder) Registry() *Registry {
-	if r.reg == nil {
-		r.reg = NewRegistry()
-	}
-	return r.reg
-}
+// Registry returns the recorder's metric registry. Usable before Init,
+// so callers can pre-register instruments.
+func (r *Recorder) Registry() *Registry { return &r.reg }
 
 // Init sets up the series for the given worker count. The engine calls
 // it at construction; calling it again resets the collected series.
@@ -95,7 +90,6 @@ func (r *Recorder) Init(workers int) {
 	r.MaxSamples += r.MaxSamples % 2 // even cap keeps compaction phase-aligned
 	r.stride = 1
 	r.seen = 0
-	r.Registry()
 	r.rounds = nil
 	r.workers = make([][]WorkerSample, workers)
 	r.scratch = make([]WorkerSample, workers)

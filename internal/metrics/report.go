@@ -1,8 +1,9 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/stats"
@@ -158,8 +159,11 @@ type Report struct {
 	Workers      []WorkerSeries `json:"workers"`
 }
 
-// Checksum formats a commit checksum for the report.
-func Checksum(sum uint64) string { return fmt.Sprintf("%016x", sum) }
+// Checksum formats a commit checksum for the report: fmt's "%016x", in
+// one allocation.
+func Checksum(sum uint64) string {
+	return string(hex.AppendEncode(make([]byte, 0, 16), binary.BigEndian.AppendUint64(make([]byte, 0, 8), sum)))
+}
 
 // BuildReport assembles a report from a recorder. rec may be nil (series
 // and registry blocks come out empty). workersPerNode maps worker index
@@ -183,6 +187,7 @@ func BuildReport(cfg RunConfig, st RunStats, rec *Recorder, workersPerNode int) 
 	if r := rec.Rounds(); r != nil {
 		rep.Rounds = r
 	}
+	rep.Workers = make([]WorkerSeries, 0, rec.NumWorkers())
 	for w := 0; w < rec.NumWorkers(); w++ {
 		node := 0
 		if workersPerNode > 0 {

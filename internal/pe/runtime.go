@@ -282,6 +282,7 @@ func (rt *Runtime) runThread(p *sim.Proc) {
 // error wraps sim.ErrCancelled.
 func (rt *Runtime) Run() (*stats.Run, error) {
 	body := rt.runThread
+	rt.Env.Reserve(len(rt.threads))
 	for _, t := range rt.threads {
 		rt.Env.Spawn(t.name, body)
 	}

@@ -81,10 +81,12 @@ func TestEngineAllocsPinned(t *testing.T) {
 		// workers' rollback buffers at build, the cold job took 116. Before
 		// a thread's coroutine was made once per process (about 13
 		// allocations a spawn), the four took 0.024, 0.039, 0.207 and 2.65.
+		// Before the pending set was sized with the thread records, before
+		// the spawns, cons-nullmsg and the cold job took 112 and 66.
 		{"tw-comp", twComp, 0.013, 72},
 		{"tw-comm", twComm, 0.025, 55},
-		{"cons-nullmsg", consNull, 0.062, 75},
-		{"cold-job", coldJob, 1.7, 870},
+		{"cons-nullmsg", consNull, 0.057, 72},
+		{"cold-job", coldJob, 1.65, 850},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)

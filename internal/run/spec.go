@@ -347,29 +347,29 @@ func (c Spec) defaultLookahead() float64 {
 	}
 }
 
-// Address canonicalizes the spec and returns it with its content
-// address: the SHA-256 of the canonical JSON encoding, in hex. Because
-// the engine is deterministic, the hash addresses not just the spec but
-// the result. A canonical spec is scalars and closed-set names declared in
-// key order, so json.Marshal writes that encoding (FuzzSpecCanonical).
-func (s Spec) Address() (canon Spec, hash string, err error) {
+// Address canonicalizes the spec and returns it with its canonical JSON
+// encoding (raw) and its content address: the SHA-256 of raw, in hex.
+// Because the engine is deterministic, the hash addresses not just the
+// spec but the result. A canonical spec is scalars and closed-set names
+// declared in key order, so json.Marshal writes that encoding
+// (FuzzSpecCanonical).
+func (s Spec) Address() (canon Spec, raw []byte, hash string, err error) {
 	canon, err = s.Canonical()
 	if err != nil {
-		return canon, "", err
+		return canon, nil, "", err
 	}
-	raw, err := json.Marshal(canon)
-	if err != nil {
-		return canon, "", err
+	if raw, err = json.Marshal(canon); err != nil {
+		return canon, nil, "", err
 	}
 	sum := sha256.Sum256(raw)
 	var hexed [2 * sha256.Size]byte // encoded here, the string is the one allocation
 	hex.Encode(hexed[:], sum[:])
-	return canon, string(hexed[:]), nil
+	return canon, raw, string(hexed[:]), nil
 }
 
 // Hash returns the spec's content address alone (see Address).
 func (s Spec) Hash() (string, error) {
-	_, hash, err := s.Address()
+	_, _, hash, err := s.Address()
 	return hash, err
 }
 

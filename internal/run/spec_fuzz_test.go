@@ -60,18 +60,17 @@ func address(t *testing.T, doc string) (canon, hash string, ok bool) {
 	if json.Unmarshal([]byte(doc), &s) != nil {
 		return "", "", false
 	}
-	c, hash, err := s.Address()
+	c, raw, hash, err := s.Address()
 	if err != nil {
 		return "", "", false
 	}
-	raw, err := json.Marshal(c)
-	if err != nil {
-		t.Fatalf("canonical spec of %s does not marshal: %v", doc, err)
+	if marshalled, err := json.Marshal(c); err != nil || string(marshalled) != string(raw) {
+		t.Fatalf("Address's canonical JSON of %s is not json.Marshal's (%v):\n got  %s\n want %s", doc, err, raw, marshalled)
 	}
 	if cj, err := metrics.CanonicalJSON(raw); err != nil || !bytes.Equal(cj, raw) {
 		t.Fatalf("json.Marshal of the canonical spec of %s is not canonical JSON (%v):\n got  %s\n want %s", doc, err, raw, cj)
 	}
-	c2, hash2, err := c.Address()
+	c2, _, hash2, err := c.Address()
 	if err != nil {
 		t.Fatalf("canonical spec %s is itself rejected: %v", raw, err)
 	}

@@ -91,7 +91,7 @@ func TestCanonicalAndHashPinned(t *testing.T) {
 		if err := json.Unmarshal([]byte(p.in), &s); err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		c, hash, err := s.Address()
+		c, _, hash, err := s.Address()
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -160,7 +160,7 @@ func BenchmarkSpecAddress(b *testing.B) {
 	s := Spec{Seed: 42}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Address(); err != nil {
+		if _, _, _, err := s.Address(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -298,8 +298,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: more than %d processes: a key holds no more filer ids", schedID))
 	}
 	if len(e.chunk) == cap(e.chunk) {
-		n := max(4, len(e.procs)) // the records double, and procs with them
-		e.chunk, e.procs = make([]Proc, 0, n), slices.Grow(e.procs, n)
+		e.Reserve(max(4, len(e.procs))) // the records double, and procs with them
 	}
 	e.chunk = append(e.chunk, Proc{env: e, name: name, id: len(e.procs), f: filer{id: uint32(len(e.procs))}, body: fn, co: takeCoro()})
 	p := &e.chunk[len(e.chunk)-1]
@@ -308,6 +307,13 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.live++
 	e.pend.push(e.event(e.file(nil, 0), int32(p.id)))
 	return p
+}
+
+// Reserve makes room for n more processes: records, list, and a wake-up
+// and two more filings each in the pending set. Spawn reserves when the
+// room runs out; a caller that knows how many it will spawn, before.
+func (e *Env) Reserve(n int) {
+	e.chunk, e.procs, e.pend = make([]Proc, 0, n), slices.Grow(e.procs, n), slices.Grow(e.pend, 3*n)
 }
 
 // run runs the body on the process's coroutine, or only retires the
@@ -412,7 +418,7 @@ func (e *Env) Run() error {
 			panic(stepPanic)
 		}
 	}()
-	e.pend, e.cbs = slices.Grow(e.pend, 2*len(e.procs)), slices.Grow(e.cbs, len(e.procs)) // a wake-up each, as many callbacks
+	e.cbs = slices.Grow(e.cbs, len(e.procs)) // a callback each
 	limit := e.LivelockLimit
 	if limit <= 0 {
 		limit = 50_000_000

@@ -106,7 +106,7 @@ func TestCacheHitAllocsPinned(t *testing.T) {
 func TestSettledJobsBounded(t *testing.T) {
 	s, ts := newTestService(t, Options{Workers: 1})
 	spec := fastSpec(1)
-	_, hash, err := spec.Address()
+	_, _, hash, err := spec.Address()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSettledReportsBounded(t *testing.T) {
 	const size, budget = 1000, 10_000
 	s, _ := newTestService(t, Options{Workers: 1, CacheBytes: budget})
 	spec := fastSpec(1)
-	_, hash, err := spec.Address()
+	_, _, hash, err := spec.Address()
 	if err != nil {
 		t.Fatal(err)
 	}

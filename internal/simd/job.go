@@ -36,7 +36,8 @@ type Job struct {
 	begun chan struct{}
 
 	mu       sync.Mutex
-	cond     sync.Cond // on mu
+	cond     sync.Cond     // on mu
+	done     chan struct{} // closed by finish; made by the first Wait that blocks
 	state    State
 	cacheHit bool
 	storeHit bool                     // the cache hit came from the persistent store
@@ -105,19 +106,24 @@ func (j *Job) Rounds() int {
 }
 
 // Wait blocks until the job reaches a terminal state or the context is
-// done, and returns the final state. A settled job answers at once; only a
-// wait that blocks arranges the wake-up, under mu, which wake takes.
+// done, and returns the state then. A settled job answers at once; a wait
+// that blocks selects on the job's done channel and ctx.
 func (j *Job) Wait(ctx context.Context) State {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if client.Terminal(j.state) {
+		defer j.mu.Unlock()
 		return j.state
 	}
-	defer context.AfterFunc(ctx, j.wake)()
-	for !client.Terminal(j.state) && ctx.Err() == nil {
-		j.cond.Wait()
+	if j.done == nil {
+		j.done = make(chan struct{})
 	}
-	return j.state
+	done := j.done
+	j.mu.Unlock()
+	select {
+	case <-done:
+	case <-ctx.Done():
+	}
+	return j.State()
 }
 
 // WaitEvents blocks until progress beyond cursor exists, the job
@@ -137,7 +143,7 @@ func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpd
 		if ctx.Err() != nil {
 			return nil, j.state, false
 		}
-		if !waking { // as in Wait
+		if !waking { // the wake-up is arranged only by a wait that blocks
 			defer context.AfterFunc(ctx, j.wake)()
 		}
 		j.cond.Wait()
@@ -151,15 +157,20 @@ func (j *Job) wake() {
 	j.mu.Unlock()
 }
 
-// publish appends one progress update; the engine calls it once per
-// GVT round via the metrics recorder's OnProgress hook. The one history
-// serves /events replays, status and the flight recorder's tail.
-func (j *Job) publish(u metrics.ProgressUpdate) {
+// publish appends one progress update and returns the one before it
+// (zero for the first); the engine calls it once per GVT round via the
+// metrics recorder's OnProgress hook. The one history serves /events
+// replays, status and the flight recorder's tail.
+func (j *Job) publish(u metrics.ProgressUpdate) (prev metrics.ProgressUpdate) {
 	j.mu.Lock()
+	if n := len(j.events); n > 0 {
+		prev = j.events[n-1]
+	}
 	j.events = append(j.events, u)
 	j.rounds++
 	j.cond.Broadcast()
 	j.mu.Unlock()
+	return prev
 }
 
 // releaseHistory frees the job's event history — flight retention calls
@@ -264,14 +275,16 @@ func (j *Job) setPanicStack(stack string) {
 	j.mu.Unlock()
 }
 
-// finish records a terminal state. report is non-nil only for StateDone.
-func (j *Job) finish(state State, report []byte, errMsg string) {
+// finish records a terminal state and wakes the waiters (see Server.settle).
+func (j *Job) finish(state State, errMsg string) {
 	j.mu.Lock()
 	j.state = state
-	j.report = report
 	j.errMsg = errMsg
 	j.eng = nil
 	j.finished = time.Now()
+	if j.done != nil {
+		close(j.done)
+	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }

@@ -164,25 +164,26 @@ func NewServer(opts Options) *Server {
 // once it is durable. No disk flush sits inside the lock every status
 // and report request takes.
 func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
-	canon, hash, err := spec.Address()
-	if err != nil {
+	var a addressed
+	var err error
+	if a.canon, a.raw, a.hash, err = spec.Address(); err != nil {
 		return SubmitResult{}, err
 	}
-	return s.submit(canon, hash)
+	return s.submit(a)
 }
 
 // submit is Submit for a spec already canonical and addressed.
-func (s *Server) submit(canon JobSpec, hash string) (SubmitResult, error) {
-	if err := admissible(canon); err != nil {
+func (s *Server) submit(a addressed) (SubmitResult, error) {
+	if err := admissible(a.canon); err != nil {
 		return SubmitResult{}, err
 	}
-	res, err := s.admit(hash, canon)
+	res, err := s.admit(a.hash, a.canon)
 	if err != nil {
 		return SubmitResult{}, err
 	}
 	switch {
 	case res.CacheHit:
-		s.journalRetire(hash)
+		s.journalRetire(a.hash)
 	case res.Deduped:
 		// The job's own submitter may still be writing its begin record;
 		// this acknowledgement promises the same durability.
@@ -192,12 +193,17 @@ func (s *Server) submit(canon JobSpec, hash string) (SubmitResult, error) {
 		// begun, and must be released even if the logger or the journal
 		// panics under this submitter.
 		defer close(res.Job.begun)
-		s.log.Info("job admitted", "job", res.Job.id, "hash", hash, "model", canon.Model,
-			"queue_len", s.pool.Stats().QueueLen)
-		s.journalBegin(res.Job, canon)
+		if s.infoOn() {
+			s.log.Info("job admitted", "job", res.Job.id, "hash", a.hash, "model", a.canon.Model,
+				"queue_len", s.pool.Stats().QueueLen)
+		}
+		s.journalBegin(res.Job, a.raw)
 	}
 	return res, nil
 }
+
+// infoOn reports whether Info lines are logged: a disabled one is not built.
+func (s *Server) infoOn() bool { return s.log.Enabled(context.Background(), slog.LevelInfo) }
 
 // admit is the locked half of Submit: cache, store, singleflight table,
 // then the bounded queue.
@@ -235,7 +241,7 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		}
 		s.obs.outcomes[outcome].Inc()
 		s.obs.finished[StateDone].Inc()
-		if s.log.Enabled(context.Background(), slog.LevelInfo) { // the line costs three allocations to build
+		if s.infoOn() {
 			s.log.Info(msg, "job", j.id, "hash", j.hash, "model", canon.Model)
 		}
 		return SubmitResult{Job: j, CacheHit: true, StoreHit: storeHit}, nil
@@ -284,17 +290,14 @@ func (s *Server) journalRetire(hash string) {
 	}
 }
 
-// journalBegin records an admission in the warm-restart journal; a
-// journal failure is logged, never surfaced to the submitter.
-func (s *Server) journalBegin(j *Job, canon JobSpec) {
+// journalBegin records an admission, with the spec's canonical JSON, in
+// the warm-restart journal; a journal failure is logged, never surfaced
+// to the submitter.
+func (s *Server) journalBegin(j *Job, spec []byte) {
 	if s.opts.Journal == nil {
 		return
 	}
-	spec, err := json.Marshal(canon)
-	if err == nil {
-		err = s.opts.Journal.Begin(j.hash, spec)
-	}
-	if err != nil {
+	if err := s.opts.Journal.Begin(j.hash, spec); err != nil {
 		s.log.Warn("journal begin failed", "job", j.id, "error", err.Error())
 	}
 }
@@ -375,30 +378,23 @@ func (s *Server) journalEnd(j *Job, state State, published bool) {
 }
 
 // execute runs one job on a pool worker. The order at the end is store
-// publish, journal end, terminal state: whoever sees a job settled —
-// a poller, a waiter, the next daemon generation — finds its end record
-// already written (fsynced unless the store publish succeeded).
+// publish, journal end, then settle: whoever sees a job settled — a
+// poller, a waiter, the next daemon generation — finds its end record
+// already written (fsynced unless the store publish succeeded) and the
+// job accounted.
 func (s *Server) execute(j *Job) {
-	defer func() {
-		s.mu.Lock()
-		if s.inflight[j.hash] == j {
-			delete(s.inflight, j.hash)
-		}
-		s.retireLocked(j)
-		s.settleLocked(j)
-		s.mu.Unlock()
-		s.obs.finished[j.State()].Inc()
-	}()
 	if !j.beginRunning() {
-		// Cancelled while queued: Cancel journals the end and settles the
-		// job. What is deferred above wants it settled.
+		// Cancelled while queued: Cancel ends the job. Close drains the
+		// pool, so the worker stays until it has.
 		j.Wait(context.Background())
 		s.log.Info("job cancelled while queued", "job", j.id)
 		return
 	}
 	s.obs.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
-	s.log.Info("job running", "job", j.id, "hash", j.hash, "model", j.spec.Model,
-		"queued_seconds", j.started.Sub(j.submitted).Seconds())
+	if s.infoOn() {
+		s.log.Info("job running", "job", j.id, "hash", j.hash, "model", j.spec.Model,
+			"queued_seconds", j.started.Sub(j.submitted).Seconds())
+	}
 
 	// Wall-clock deadline: enforced through the same Env.Cancel path as
 	// a user cancellation, so the kernel unwinds cleanly at its next
@@ -416,7 +412,7 @@ func (s *Server) execute(j *Job) {
 
 	report, runErr := s.runEngine(j)
 	state, errMsg, published := StateFailed, "", false
-	var pe *panicError
+	pe, _ := runErr.(*panicError) // as runEngine returns it; errors.As would move pe to the heap
 	switch {
 	case runErr == nil:
 		state = StateDone
@@ -432,7 +428,7 @@ func (s *Server) execute(j *Job) {
 		errMsg = fmt.Sprintf("wall-clock deadline %s exceeded", s.opts.JobDeadline)
 	case errors.Is(runErr, sim.ErrCancelled):
 		state = StateCancelled
-	case errors.As(runErr, &pe):
+	case pe != nil:
 		// Panic isolation: the worker survives, the job fails with the
 		// stack recorded for /jobs/{id}/flight post-mortems.
 		j.setPanicStack(pe.stack)
@@ -442,7 +438,7 @@ func (s *Server) execute(j *Job) {
 		errMsg = runErr.Error()
 	}
 	s.journalEnd(j, state, published)
-	j.finish(state, report, errMsg)
+	s.settle(j, state, report, errMsg)
 	dur := j.finished.Sub(j.started)
 	s.obs.runDuration.Observe(dur.Seconds())
 	switch {
@@ -452,11 +448,29 @@ func (s *Server) execute(j *Job) {
 	case state == StateFailed:
 		s.log.Error("job failed", "job", j.id, "error", j.Err(),
 			"duration_seconds", dur.Seconds(), "rounds", j.Rounds())
-	default:
+	case s.infoOn():
 		s.log.Info("job finished", "job", j.id, "state", string(state),
 			"duration_seconds", dur.Seconds(), "rounds", j.Rounds(),
 			"report_bytes", len(report))
 	}
+}
+
+// settle ends a job: its report (settleLocked counts the bytes), then the
+// server's bookkeeping, then the terminal state, which wakes its waiters:
+// whoever sees the job settled sees it accounted.
+func (s *Server) settle(j *Job, state State, report []byte, errMsg string) {
+	j.mu.Lock()
+	j.report = report
+	j.mu.Unlock()
+	s.mu.Lock()
+	if s.inflight[j.hash] == j {
+		delete(s.inflight, j.hash)
+	}
+	s.retireLocked(j)
+	s.settleLocked(j)
+	s.mu.Unlock()
+	s.obs.finished[state].Inc()
+	j.finish(state, errMsg)
 }
 
 // panicError carries a recovered engine panic plus the stack at the
@@ -487,15 +501,9 @@ func (s *Server) runEngine(j *Job) (report []byte, err error) {
 		testInjectPanic(j.spec)
 	}
 	rec := metrics.NewRecorder()
-	// Bridge every GVT round into the live registry before publishing it
-	// to streamers. prev carries the previous round's cumulative values;
-	// only the engine goroutine touches it.
-	var prev metrics.ProgressUpdate
-	rec.OnProgress = func(u metrics.ProgressUpdate) {
-		s.obs.bridgeProgress(prev, u)
-		prev = u
-		j.publish(u)
-	}
+	// Publish every GVT round to streamers, and bridge it into the live
+	// registry against the round before.
+	rec.OnProgress = func(u metrics.ProgressUpdate) { s.obs.bridgeProgress(j.publish(u), u) }
 	eng, err := run.New(j.spec, run.Attach{Metrics: rec})
 	if err != nil {
 		return nil, err
@@ -537,8 +545,8 @@ func (s *Server) Jobs() []*Job {
 // Cancel requests cancellation of a job: running jobs abort at the
 // kernel's next dispatch boundary, and a queued job is ended here, in
 // execute's order — the end record flushed to the journal (outside s.mu,
-// behind the job's begin), then the terminal state — so a crash before a
-// worker would have reached it replays nothing the caller saw cancelled.
+// behind the job's begin), then settle — so a crash before a worker
+// would have reached it replays nothing the caller saw cancelled.
 func (s *Server) Cancel(id string) error {
 	j, err := s.Job(id)
 	if err != nil {
@@ -550,7 +558,7 @@ func (s *Server) Cancel(id string) error {
 	}
 	if settle {
 		// Deferred: the worker that picks the job up waits for this.
-		defer j.finish(StateCancelled, nil, "")
+		defer s.settle(j, StateCancelled, nil, "")
 		s.journalEnd(j, StateCancelled, false)
 	}
 	s.log.Info("job cancellation requested", "job", j.id)

@@ -42,16 +42,21 @@ func admissible(c JobSpec) error {
 // each (a spec is a few hundred); a full memo is emptied.
 const specMemoCap, specMemoBody = 1024, 4 << 10
 
-// addressed is a submitted body's canonical spec and content address.
+// addressed is a spec's canonical form, its canonical JSON (which the
+// journal's begin records) and its content address.
 type addressed struct {
 	canon JobSpec
+	raw   []byte
 	hash  string
 }
 
-// bodyReader reads at most MaxSpecBytes of a body; pooled, it allocates nothing.
+// bodyReader reads at most MaxSpecBytes of a body, and rd the bytes read
+// to the decoder, which fills spec; pooled, it allocates nothing.
 type bodyReader struct {
-	lim io.LimitedReader
-	buf bytes.Buffer
+	lim  io.LimitedReader
+	buf  bytes.Buffer
+	rd   bytes.Reader
+	spec JobSpec
 }
 
 var bodyReaders = sync.Pool{New: func() any { return new(bodyReader) }}
@@ -75,13 +80,14 @@ func (s *Server) submitBody(body io.Reader) (SubmitResult, error) {
 	a, ok := s.memo[string(raw)]
 	s.memoMu.Unlock()
 	if !ok {
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(raw))
+		br.rd.Reset(raw)
+		br.spec = JobSpec{}
+		dec := json.NewDecoder(&br.rd)
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := dec.Decode(&br.spec); err != nil {
 			return SubmitResult{}, fmt.Errorf("bad job spec: %v", err)
 		}
-		if a.canon, a.hash, err = spec.Address(); err != nil {
+		if a.canon, a.raw, a.hash, err = br.spec.Address(); err != nil {
 			return SubmitResult{}, err
 		}
 		if len(raw) <= specMemoBody {
@@ -93,5 +99,5 @@ func (s *Server) submitBody(body io.Reader) (SubmitResult, error) {
 			s.memoMu.Unlock()
 		}
 	}
-	return s.submit(a.canon, a.hash)
+	return s.submit(a)
 }

@@ -392,13 +392,9 @@ func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
 	if err := json.Unmarshal(body, &spec); err != nil {
 		return nil, statusErrf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
-	canon, hash, err := spec.Address()
+	_, raw, hash, err := spec.Address()
 	if err != nil {
 		return nil, statusErrf(http.StatusBadRequest, "%v", err)
-	}
-	raw, err := json.Marshal(canon)
-	if err != nil {
-		return nil, statusErrf(http.StatusInternalServerError, "%v", err)
 	}
 
 	m, sub, err := c.dispatch(hash, raw, "")

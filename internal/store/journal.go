@@ -47,6 +47,11 @@ type Journal struct {
 
 	mu sync.Mutex
 	f  File
+	// What append reuses, so that appending allocates nothing: the record,
+	// and the encoder writing its line (json.Marshal's bytes and a newline).
+	rec  journalRecord
+	line bytes.Buffer
+	enc  *json.Encoder
 
 	pending   []Pending
 	retirable map[string]bool // replayed hashes with an un-ended begin on disk
@@ -89,6 +94,7 @@ func OpenJournal(path string, fsys FS, logger *slog.Logger) (*Journal, error) {
 		logger = obs.NopLogger()
 	}
 	j := &Journal{path: path, fs: fsys, log: logger}
+	j.enc = json.NewEncoder(&j.line)
 	if err := j.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: journal: %w", err)
 	}
@@ -176,12 +182,9 @@ func (j *Journal) compact(pending []Pending) error {
 		j.fs.Remove(name)
 		return fmt.Errorf("store: journal compact: %w", err)
 	}
+	enc := json.NewEncoder(tmp) // one Write a line, as append writes them
 	for _, p := range pending {
-		line, err := json.Marshal(journalRecord{Op: "begin", Hash: p.Hash, Spec: p.Spec})
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
+		if err := enc.Encode(journalRecord{Op: "begin", Hash: p.Hash, Spec: p.Spec}); err != nil {
 			return fail(err)
 		}
 	}
@@ -245,15 +248,15 @@ func (j *Journal) Retire(hash string) error {
 // counted and returned but must not fail the job they describe — a lost
 // journal line costs at most one redundant restart re-submission.
 func (j *Journal) append(rec journalRecord, sync bool) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.rec = rec
+	j.line.Reset()
+	if err := j.enc.Encode(&j.rec); err != nil {
 		j.errs.Add(1)
 		return err
 	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(j.line.Bytes()); err != nil {
 		j.errs.Add(1)
 		return err
 	}

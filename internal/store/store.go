@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +51,10 @@ import (
 // changes so old files quarantine instead of misparsing.
 const entryMagic = "simdstore v1\n"
 
-// hashLen is the hex length of a SHA-256 content address.
-const hashLen = 64
+// hashLen is the hex length of a SHA-256 content address; headerLen is
+// an entry's frame ahead of its payload: the magic, the payload's
+// checksum in hex and a newline.
+const hashLen, headerLen = 64, len(entryMagic) + hashLen + 1
 
 const (
 	// failThreshold is how many consecutive infrastructure failures trip
@@ -90,10 +93,12 @@ func (o Options) withDefaults() Options {
 // are safe for concurrent use, and multiple processes may share one
 // directory (see the package comment for the locking protocol).
 type Store struct {
-	opts Options
-	fs   FS
-	log  *slog.Logger
-	lock File // <dir>/lock, held open for flock
+	opts    Options
+	fs      FS
+	log     *slog.Logger
+	lock    File             // <dir>/lock, held open for flock
+	objects string           // <dir>/objects
+	made    [256]atomic.Bool // the fan-out directories this process has made
 
 	mu          sync.Mutex // guards the failure/probe state below
 	consecFails int
@@ -139,8 +144,8 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
-	s := &Store{opts: opts, fs: opts.FS, log: opts.Logger}
-	for _, d := range []string{opts.Dir, s.objectsDir(), s.quarantineDir()} {
+	s := &Store{opts: opts, fs: opts.FS, log: opts.Logger, objects: filepath.Join(opts.Dir, "objects")}
+	for _, d := range []string{opts.Dir, s.objects, s.quarantineDir()} {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -169,13 +174,12 @@ func (s *Store) Close() error {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.opts.Dir }
 
-func (s *Store) objectsDir() string    { return filepath.Join(s.opts.Dir, "objects") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.opts.Dir, "quarantine") }
 
 // objectPath shards entries by the first two hex digits so no single
-// directory grows unbounded.
+// directory grows unbounded. hash is valid (validHash).
 func (s *Store) objectPath(hash string) string {
-	return filepath.Join(s.objectsDir(), hash[:2], hash)
+	return s.objects + string(filepath.Separator) + hash[:2] + string(filepath.Separator) + hash
 }
 
 // validHash accepts exactly the lowercase-hex SHA-256 form, which also
@@ -196,10 +200,9 @@ func validHash(h string) bool {
 // encode frames a payload with the magic and its checksum.
 func encode(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	buf := make([]byte, 0, len(entryMagic)+hashLen+1+len(payload))
-	buf = append(buf, entryMagic...)
-	buf = append(buf, hex.EncodeToString(sum[:])...)
-	buf = append(buf, '\n')
+	buf := make([]byte, headerLen, headerLen+len(payload))
+	hex.Encode(buf[copy(buf, entryMagic):], sum[:])
+	buf[headerLen-1] = '\n'
 	return append(buf, payload...)
 }
 
@@ -209,7 +212,6 @@ var errCorrupt = errors.New("store: corrupt entry")
 
 // decode verifies the frame and returns the payload.
 func decode(b []byte) ([]byte, error) {
-	headerLen := len(entryMagic) + hashLen + 1
 	if len(b) < headerLen || string(b[:len(entryMagic)]) != entryMagic || b[headerLen-1] != '\n' {
 		return nil, fmt.Errorf("%w: bad header", errCorrupt)
 	}
@@ -309,11 +311,18 @@ func (s *Store) Publish(hash string, payload []byte) (stored bool, err error) {
 // write runs the publish protocol for one entry. It reports whether an
 // entry for hash already existed (and its old payload size), observed
 // under the cross-process lock immediately before the rename, so the
-// caller can keep entry/byte accounting replace-aware.
+// caller can keep entry/byte accounting replace-aware. A fan-out
+// directory is made once per process; a failed rename makes it again
+// next time.
 func (s *Store) write(hash string, payload []byte) (oldPayload int64, replaced bool, err error) {
 	path := s.objectPath(hash)
-	if err := s.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, false, err
+	fan, _ := strconv.ParseUint(hash[:2], 16, 8)
+	made := &s.made[fan]
+	if !made.Load() {
+		if err := s.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return 0, false, err
+		}
+		made.Store(true)
 	}
 	tmp, err := s.fs.CreateTemp(s.opts.Dir, "tmp-*")
 	if err != nil {
@@ -340,11 +349,12 @@ func (s *Store) write(hash string, payload []byte) (oldPayload int64, replaced b
 	defer s.fs.Unlock(s.lock)
 	if st, statErr := s.fs.Stat(path); statErr == nil {
 		replaced = true
-		if oldPayload = st.Size() - int64(len(entryMagic)+hashLen+1); oldPayload < 0 {
+		if oldPayload = st.Size() - int64(headerLen); oldPayload < 0 {
 			oldPayload = 0
 		}
 	}
 	if err := s.fs.Rename(name, path); err != nil {
+		made.Store(false)
 		s.fs.Remove(name)
 		return 0, false, err
 	}
@@ -378,16 +388,15 @@ type entryInfo struct {
 // advisory bookkeeping, not correctness.
 func (s *Store) walk() []entryInfo {
 	var out []entryInfo
-	shards, err := s.fs.ReadDir(s.objectsDir())
+	shards, err := s.fs.ReadDir(s.objects)
 	if err != nil {
 		return nil
 	}
-	headerLen := int64(len(entryMagic) + hashLen + 1)
 	for _, sh := range shards {
 		if !sh.IsDir() {
 			continue
 		}
-		files, err := s.fs.ReadDir(filepath.Join(s.objectsDir(), sh.Name()))
+		files, err := s.fs.ReadDir(filepath.Join(s.objects, sh.Name()))
 		if err != nil {
 			continue
 		}
@@ -396,12 +405,12 @@ func (s *Store) walk() []entryInfo {
 			if err != nil {
 				continue
 			}
-			payload := info.Size() - headerLen
+			payload := info.Size() - int64(headerLen)
 			if payload < 0 {
 				payload = 0
 			}
 			out = append(out, entryInfo{
-				path:    filepath.Join(s.objectsDir(), sh.Name(), f.Name()),
+				path:    filepath.Join(s.objects, sh.Name(), f.Name()),
 				payload: payload,
 				mtime:   info.ModTime().UnixNano(),
 			})
