@@ -156,7 +156,7 @@ func New(cfg Config) *Engine {
 		panic(err)
 	}
 	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime}
-	eng.Init(pe.Config{
+	eng.Init("conservative", pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
@@ -164,7 +164,7 @@ func New(cfg Config) *Engine {
 		eng.nodes = append(eng.nodes, newNode(eng))
 	}
 	eng.Seed()
-	eng.nullSlab.First = nullsPerLink * cfg.Topology.Nodes * cfg.Topology.Nodes
+	eng.nullSlab = event.Slab[nullMsg]{First: nullsPerLink * cfg.Topology.Nodes * cfg.Topology.Nodes, Stash: &nullStash}
 	if cfg.Sync == SyncNullMsg {
 		eng.AddProcess("observer", eng.observe)
 	}
@@ -217,8 +217,9 @@ func (e *Engine) onRound(gvt vtime.Time, sync bool) {
 	e.RecordRound(pe.Round{GVT: vtime.Min(gvt, e.end), Sync: sync, Efficiency: 1})
 }
 
-// finish completes the run statistics: the run ends when the kernel does,
-// with the horizon past the end time.
+// finish completes the run statistics — the run ends when the kernel
+// does, with the horizon past the end time — and hands the run's events
+// and null messages back to their stashes.
 func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.Env.Now()
 	r.FinalGVT = float64(e.end)
@@ -226,8 +227,14 @@ func (e *Engine) finish(r *stats.Run) {
 	for _, nd := range e.nodes {
 		r.PoolNews += int64(nd.pool.News)
 		r.PoolRecycled += int64(nd.pool.Gets)
+		nd.pool.Release()
 	}
+	e.nulls = nil
+	e.nullSlab.Release()
 }
+
+// nullStash keeps the null-message arrays of runs that have ended.
+var nullStash event.Stash[nullMsg]
 
 // Report assembles the canonical run report for r, which must have come
 // from this engine's Run.

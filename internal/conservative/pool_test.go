@@ -10,13 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
-// poisoned swaps eng's node pools, still empty before Run, for debug ones:
-// every event freed is poisoned and the poison is checked when the event
-// is handed out again, so a write through a stale pointer panics. A test
-// seam only; no Config field asks for it.
+// poisoned swaps eng's node pools, still empty before Run, for debug ones
+// reserved as newNode reserves them: every event freed is poisoned and the
+// poison is checked when the event is handed out again, so a write through
+// a stale pointer panics. A test seam only; no Config field asks for it.
 func poisoned(eng *Engine) *Engine {
 	for _, n := range eng.nodes {
 		n.pool = *event.NewPool(true)
+		n.pool.Reserve(eng.cfg.Topology.WorkersPerNode)
 	}
 	return eng
 }

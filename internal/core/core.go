@@ -272,7 +272,7 @@ func New(cfg Config) *Engine {
 	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
 	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
 	eng.lps = make([]lp, cfg.Topology.TotalLPs())
-	eng.Init(pe.Config{
+	eng.Init("core", pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
@@ -338,8 +338,9 @@ func (e *Engine) nextMatchID() uint64 {
 	return e.matchSeq
 }
 
-// finish completes the run statistics with what only Time Warp counts.
-// The run ends at its last GVT round, not when the last thread unwinds.
+// finish completes the run statistics with what only Time Warp counts,
+// then releases the run's working set. The run ends at its last GVT round,
+// not when the last thread unwinds.
 func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.finishedAt
 	r.FinalGVT = e.finalGVT
@@ -349,6 +350,24 @@ func (e *Engine) finish(r *stats.Run) {
 	}
 	r.Migrations = e.migrations
 	r.MigratedEvents = e.migratedEvents
+	e.release()
+}
+
+// release hands the run's events, history entries and send records back
+// to their stashes, and drops the free lists and histories that reach
+// them: another engine's workers may hold them next.
+func (e *Engine) release() {
+	for _, nd := range e.nodes {
+		nd.pool.Release()
+		for _, w := range nd.workers {
+			w.freeEntries, w.freeRecs = nil, nil
+			w.entrySlab.Release()
+			w.recSlab.Release()
+		}
+	}
+	for i := range e.lps {
+		e.lps[i].oldest, e.lps[i].newest = nil, nil
+	}
 }
 
 // onRoundComplete is invoked (outside simulated cost) by the GVT master

@@ -21,7 +21,8 @@ type worker struct {
 
 	// freeEntries and freeRecs are the free lists the worker's LPs draw
 	// history entries and send records from (newEntry, newRec); the slabs
-	// refill them, first with logsPerLP of each per LP.
+	// refill them, first with logsPerLP of each per LP, from the stashes of
+	// the runs before.
 	freeEntries *histEntry
 	freeRecs    *sendRec
 	entrySlab   event.Slab[histEntry]
@@ -106,8 +107,8 @@ func (w *worker) init(n *node, lps []lp, list []*lp, antis []*event.Event, probe
 	}
 	probes[wsGVT] = pe.StableProbe()
 	w.IdlePass(probes...)
-	w.entrySlab.First = logsPerLP * len(lps)
-	w.recSlab.First = w.entrySlab.First
+	w.entrySlab = event.Slab[histEntry]{First: logsPerLP * len(lps), Stash: &entryStash}
+	w.recSlab = event.Slab[sendRec]{First: w.entrySlab.First, Stash: &recStash}
 	for i := range lps {
 		l := &lps[i]
 		eng.AddLP(&l.LP)
@@ -122,6 +123,13 @@ func (w *worker) init(n *node, lps []lp, list []*lp, antis []*event.Event, probe
 // worker's first processed event, not at build: a worker that never
 // processes an event costs no log.
 const logsPerLP = 6
+
+// entryStash and recStash keep the arrays of history entries and send
+// records of Time Warp runs that have ended, for the next run's workers.
+var (
+	entryStash event.Stash[histEntry]
+	recStash   event.Stash[sendRec]
+)
 
 // newEntry returns a zero history entry from the worker's free list.
 func (w *worker) newEntry() *histEntry {

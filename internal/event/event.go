@@ -64,14 +64,16 @@ type Event struct {
 	Kind     uint16 // model-defined discriminator
 	Data     []byte // model payload (nil for PHOLD)
 
-	freed bool // set while the event sits on a Pool free list
+	// next links the event on a Pool's free list, to the next free event
+	// or to freeEnd; it is nil while the event is live.
+	next *Event
 }
 
 // Freed reports whether the event is currently on a pool free list. Any
 // code holding a pointer for which this returns true has a use-after-
 // recycle bug; the Time Warp engine asserts this on every delivery,
 // processing and anti-copy, in every run.
-func (e *Event) Freed() bool { return e.freed }
+func (e *Event) Freed() bool { return e.next != nil }
 
 // Matches reports whether a and b are a positive/anti pair (or duplicates).
 func (e *Event) Matches(o *Event) bool {
@@ -93,7 +95,7 @@ func (e *Event) AntiCopyInto(a *Event) *Event {
 	*a = *e
 	a.Anti = true
 	a.Data = nil
-	a.freed = false
+	a.next = nil
 	return a
 }
 

@@ -15,7 +15,7 @@ import "fmt"
 // through a stale pointer (use-after-recycle) panics at the Get that
 // would otherwise silently corrupt a live event.
 type Pool struct {
-	free  []*Event
+	free  *Event      // the free list, linked through Event.next
 	slab  Slab[Event] // where fresh events come from
 	debug bool
 
@@ -29,11 +29,20 @@ type Pool struct {
 // poisoned and verified on reuse.
 func NewPool(debug bool) *Pool { return &Pool{debug: debug} }
 
-// Reserve sizes p for n events in use at once: one array and free list.
-func (p *Pool) Reserve(n int) {
-	p.slab.First = n
-	p.free = make([]*Event, 0, n)
+// Reserve sizes p's first array for n events in use at once, and has its
+// arrays come from Events: p is an engine's, and Release ends its run.
+func (p *Pool) Reserve(n int) { p.slab.First, p.slab.Stash = n, &Events }
+
+// Release drops the free list and hands p's arrays back to Events: the run
+// that used p has ended, and no event from p may be touched again. The
+// counters stay.
+func (p *Pool) Release() {
+	p.free = nil
+	p.slab.Release()
 }
+
+// freeEnd ends every free list: a freed event's next is never nil.
+var freeEnd Event
 
 // Poison sentinels: values no live event carries (negative virtual time,
 // out-of-range LP IDs) so an intact poison pattern proves nothing wrote
@@ -46,51 +55,16 @@ const (
 	poisonColor = 0xEE
 )
 
-// slabMax caps the array a Slab carves from. A new array holds as many
-// values as the slab has handed out so far, up to slabMax: N values cost
-// O(log N) + N/slabMax allocations, and at most half of an array sits
-// unused.
-const slabMax = 256
-
-// Slab hands out fresh zero values of T carved from arrays it grows as
-// slabMax says, instead of allocating each one: a Pool's fresh events,
-// what a build makes once per LP (a factory's models, a run's seed
-// events), and a Time Warp worker's history entries and send records. The
-// zero Slab is ready. Like Pool it is unsynchronized, and an array stays
-// live while any value carved from it does.
-type Slab[T any] struct {
-	// First, if set, is how many values the first array holds (up to
-	// slabMax), for a user that knows it will need about that many.
-	First int
-
-	free []T // the rest of the current array
-	made int
-}
-
-// New returns a pointer to a fresh zero T.
-func (s *Slab[T]) New() *T {
-	if len(s.free) == 0 {
-		s.free = make([]T, min(max(s.made, s.First, 1), slabMax))
-	}
-	v := &s.free[0]
-	s.free = s.free[1:]
-	s.made++
-	return v
-}
-
-// Made returns how many values New has handed out.
-func (s *Slab[T]) Made() int { return s.made }
-
 // Get returns a zeroed event, recycling from the free list when possible.
 func (p *Pool) Get() *Event {
-	n := len(p.free)
-	if n == 0 {
+	e := p.free
+	if e == nil {
 		p.News++
 		return p.slab.New()
 	}
-	e := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
+	if p.free = e.next; p.free == &freeEnd {
+		p.free = nil
+	}
 	if p.debug {
 		p.checkPoison(e)
 	}
@@ -105,7 +79,7 @@ func (p *Pool) Put(e *Event) {
 	if e == nil {
 		return
 	}
-	if e.freed {
+	if e.Freed() {
 		panic(fmt.Sprintf("event: double free of %v", e))
 	}
 	if p.debug {
@@ -113,13 +87,13 @@ func (p *Pool) Put(e *Event) {
 	} else {
 		e.Data = nil // don't pin model payloads while pooled
 	}
-	e.freed = true
-	p.free = append(p.free, e)
+	e.next = p.free
+	if e.next == nil {
+		e.next = &freeEnd
+	}
+	p.free = e
 	p.Puts++
 }
-
-// Len returns the current free-list depth.
-func (p *Pool) Len() int { return len(p.free) }
 
 func (p *Pool) poison(e *Event) {
 	e.Stamp.T = poisonTime

@@ -19,7 +19,7 @@ func (f stepFunc) Step() sim.Time { return f() }
 // renders: the error's text, or the panic's.
 func diagRun(nodes, livelockLimit int, body func(rt *Runtime, ns []Node, ws [][2]Worker, p *sim.Proc)) (msg string) {
 	rt := &Runtime{}
-	rt.Init(Config{Topology: cluster.Topology{Nodes: nodes, WorkersPerNode: 2, LPsPerWorker: 1}}, func(*stats.Run) {})
+	rt.Init("test", Config{Topology: cluster.Topology{Nodes: nodes, WorkersPerNode: 2, LPsPerWorker: 1}}, func(*stats.Run) {})
 	if livelockLimit > 0 {
 		rt.Env.LivelockLimit = livelockLimit
 	}

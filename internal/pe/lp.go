@@ -61,18 +61,15 @@ func (c *Ctx) Spin(units int)   { c.W.Owe(c.W.Node.Cost.EPGCost(units)) } // the
 // passes, and a send lands directly in the destination worker's pending
 // set — initial conditions, present before any thread runs, exactly as
 // the sequential oracle seeds them. Seed events come from one slab for
-// the whole run, not from the node pools, whose counts stay those of the
-// run itself.
-type seedCtx struct {
-	Ctx
-	events event.Slab[event.Event]
-}
+// the whole run (Runtime.seeds), not from the node pools, whose counts
+// stay those of the run itself.
+type seedCtx struct{ Ctx }
 
 func (c *seedCtx) Spin(int) {}
 
 func (c *seedCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte) {
-	ev := c.events.New()
-	c.LP.Stamp(ev, 0, dst, delay, kind, data)
 	rt := c.W.rt
+	ev := rt.seeds.New()
+	c.LP.Stamp(ev, 0, dst, delay, kind, data)
 	rt.workers[rt.cfg.Topology.GlobalWorkerOf(dst)].Pending.Push(ev)
 }

@@ -84,7 +84,7 @@ type resumes struct {
 // newIdleRuntime builds the runtime both scenarios run on.
 func newIdleRuntime(nodes int, mode idleMode, tw *trace.Writer) *Runtime {
 	rt := &Runtime{LiteralIdle: mode == literal}
-	rt.Init(Config{
+	rt.Init("test", Config{
 		Topology: cluster.Topology{Nodes: nodes, WorkersPerNode: 1, LPsPerWorker: 1},
 		Trace:    tw,
 	}, func(*stats.Run) {})

@@ -165,7 +165,7 @@ func TestTracedSendRecv(t *testing.T) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	var rt Runtime
-	rt.Init(Config{
+	rt.Init("test", Config{
 		Topology: cluster.Topology{Nodes: 2, WorkersPerNode: 1, LPsPerWorker: 1},
 		Trace:    tw,
 	}, func(*stats.Run) {})

@@ -48,9 +48,12 @@ type Runtime struct {
 	// the stepped passes must equal in everything but process switches.
 	LiteralIdle bool
 
+	engine    string // what a diagnostic calls the engine
+	ran       bool   // Run was called: the engine is spent
 	cfg       Config
 	streams   *rng.Sequence
 	finish    func(*stats.Run)
+	seeds     event.Slab[event.Event] // the seed events (Seed)
 	nodes     int
 	workers   []*Worker      // global index order
 	lps       []*LP          // every LP, by id
@@ -96,11 +99,13 @@ func (*Node) Quiet(int) bool    { return false }
 func (n *Node) Stop() bool      { return n.WorkersExited == n.rt.cfg.Topology.WorkersPerNode }
 func (*Node) IdleEnd(int) int   { return -1 }
 
-// Init builds the environment and the MPI world. finish completes the
-// statistics Run returns with what only the engine counts. The engine
-// then adds its nodes, workers, LPs and threads in global order and calls
-// Seed.
-func (rt *Runtime) Init(c Config, finish func(*stats.Run)) {
+// Init builds the environment and the MPI world of the engine named
+// engine. finish completes the statistics Run returns with what only the
+// engine counts, then releases the engine's slabs (event.Slab.Release):
+// the run is over. The engine then adds its nodes, workers, LPs and
+// threads in global order and calls Seed.
+func (rt *Runtime) Init(engine string, c Config, finish func(*stats.Run)) {
+	rt.engine = engine
 	rt.Env = sim.NewEnv()
 	rt.Env.LivelockLimit = 500_000_000
 	rt.World = mpi.NewWorld(rt.Env, c.Topology.Nodes, fabric.EthernetDefaults(), mpiCosts)
@@ -238,7 +243,7 @@ func (rt *Runtime) Seed() {
 	rt.Views = make([]View, len(rt.workers))
 	rt.lvts = make([]float64, 0, len(rt.workers))
 	ctx := &seedCtx{}
-	ctx.events.First = len(rt.lps) // one seed event per LP, for most models
+	rt.seeds = event.Slab[event.Event]{First: len(rt.lps), Stash: &event.Events} // one seed event per LP, for most models
 	for _, l := range rt.lps {
 		ctx.W, ctx.LP = rt.workers[rt.cfg.Topology.GlobalWorkerOf(l.ID)], l
 		l.Model.Init(ctx)
@@ -279,8 +284,14 @@ func (rt *Runtime) runThread(p *sim.Proc) {
 
 // Run spawns the registered threads, executes the simulation to
 // completion and returns its statistics. When Cancel aborted the run, the
-// error wraps sim.ErrCancelled.
+// error wraps sim.ErrCancelled. An engine runs once: a run that returns
+// nil hands its slabs' arrays to the next engine's, and a second Run
+// panics.
 func (rt *Runtime) Run() (*stats.Run, error) {
+	if rt.ran {
+		panic(rt.engine + ": Run called again on a spent engine; New builds another")
+	}
+	rt.ran = true
 	body := rt.runThread
 	rt.Env.Reserve(len(rt.threads))
 	for _, t := range rt.threads {
@@ -306,6 +317,7 @@ func (rt *Runtime) Run() (*stats.Run, error) {
 		r.CommitChecksum += uint64(l.Checksum)
 	}
 	rt.finish(r)
+	rt.seeds.Release()
 	return r, nil
 }
 

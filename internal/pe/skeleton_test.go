@@ -81,7 +81,7 @@ func TestRunSkeleton(t *testing.T) {
 
 	rt := &pe.Runtime{}
 	finished := false
-	rt.Init(pe.Config{
+	rt.Init("test", pe.Config{
 		Topology: top, Seed: seed, Model: factory, Trace: tw, Metrics: rec,
 	}, func(r *stats.Run) { finished = true; r.WallTime = rt.Env.Now() })
 
@@ -202,7 +202,7 @@ func TestRunSkeleton(t *testing.T) {
 // TestCancel: a cancelled runtime returns sim.ErrCancelled from Run.
 func TestCancel(t *testing.T) {
 	rt := &pe.Runtime{}
-	rt.Init(pe.Config{
+	rt.Init("test", pe.Config{
 		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: 1},
 	}, func(*stats.Run) { t.Error("finish hook ran on a cancelled run") })
 	rt.AddProcess("forever", func(p *sim.Proc) {

@@ -62,7 +62,7 @@ func (c *loopCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byt
 // and LP bases, seeded.
 func buildOne(lps int, model pe.ModelFactory, seed uint64) (*pe.Worker, []pe.LP) {
 	rt := &pe.Runtime{}
-	rt.Init(pe.Config{
+	rt.Init("test", pe.Config{
 		Topology: cluster.Topology{Nodes: 1, WorkersPerNode: 1, LPsPerWorker: lps},
 		Seed:     seed, Model: model,
 	}, func(*stats.Run) {})

@@ -9,9 +9,12 @@ import (
 // Run made between them and their bytes, with the events the run
 // committed. Each count is the least of three runs: the runtime adds a few
 // allocations of its own now and then (a goroutine when none is cached, a
-// map overflow bucket), never fewer.
+// map overflow bucket), never fewer. The runs are on one processor, as
+// simd's mallocsOf counts, so that tests running alongside cannot move
+// the kernel's coroutines between processors mid-run.
 func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -45,10 +48,11 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 // chunks a run's thread records are carved from (a warm process's spawn
 // allocates nothing else: its coroutines wait on sim's idle list from the
 // run before, and the least of three runs is a warm one) and the growth of
-// slices past what the topology sizes them for and of slabs (a Time Warp
-// worker's history entries and send records) to their high-water marks
-// (DESIGN.md "Allocations per commit"); the per-event engine path
-// allocates nothing once its free lists and slabs have grown. The marginal
+// slices past what the topology sizes them for. A warm process's run makes
+// no slab array: its node pools, history entries, send records, null
+// messages and seed events come from the arrays the run before handed
+// back (event.Stash; DESIGN.md "Allocations per commit"), and the
+// per-event engine path allocates nothing. The marginal
 // rows check that: twice the end time may cost next to nothing per extra
 // commit on cons-nullmsg, and little on tw-comp, where a phold snapshot
 // that boxes a count past 255 is most of what is left. A bound may only go
@@ -82,11 +86,15 @@ func TestEngineAllocsPinned(t *testing.T) {
 		// a thread's coroutine was made once per process (about 13
 		// allocations a spawn), the four took 0.024, 0.039, 0.207 and 2.65.
 		// Before the pending set was sized with the thread records, before
-		// the spawns, cons-nullmsg and the cold job took 112 and 66.
-		{"tw-comp", twComp, 0.013, 72},
-		{"tw-comm", twComm, 0.025, 55},
-		{"cons-nullmsg", consNull, 0.057, 72},
-		{"cold-job", coldJob, 1.65, 850},
+		// the spawns, cons-nullmsg and the cold job took 112 and 66. Before
+		// a run's event, history and send-record arrays came from the runs
+		// before it (event.Stash) and a pool's free list ran through its
+		// events, the four took 0.012, 0.024, 0.054 and 1.575 allocations
+		// and 68.4, 51.8, 67.1 and 800 bytes.
+		{"tw-comp", twComp, 0.006, 6.1},
+		{"tw-comm", twComm, 0.016, 8.4},
+		{"cons-nullmsg", consNull, 0.049, 51.2},
+		{"cold-job", coldJob, 1.2, 352},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)
@@ -106,8 +114,8 @@ func TestEngineAllocsPinned(t *testing.T) {
 		spec  Spec
 		bound float64 // allocations per extra committed event
 	}{
-		{"tw-comp", twComp, 0.045},
-		{"cons-nullmsg", consNull, 0.01},
+		{"tw-comp", twComp, 0.039},
+		{"cons-nullmsg", consNull, 0.001},
 	} {
 		long := c.spec
 		long.EndTime *= 2

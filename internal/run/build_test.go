@@ -3,13 +3,18 @@ package run
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/event"
 )
 
 // buildAllocsOf returns the heap allocations New alone makes for spec and
-// their bytes, each the least of three builds (see allocsOf).
+// their bytes, each the least of three builds (see allocsOf). Each build
+// is on an empty stash, as the first of a process is: what it costs does
+// not hang on the runs before it.
 func buildAllocsOf(tb testing.TB, spec Spec) (mallocs, bytes uint64) {
 	tb.Helper()
 	for i := 0; i < 3; i++ {
+		event.Events.Drop()
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -75,7 +80,8 @@ func BenchmarkEngineBuild(b *testing.B) {
 // BenchmarkEngineStart prices New and Run together — a run's fixed cost
 // with its threads' spawn — on the job service's cold-job spec and the
 // cons-nullmsg shape, whose allocations are nearly all fixed cost: a
-// thread's allocations, reintroduced, show in allocs/op.
+// thread's allocations, reintroduced, show in allocs/op. Each iteration
+// is a warm process's run, on the arrays the one before handed back.
 func BenchmarkEngineStart(b *testing.B) {
 	for _, c := range buildShapes() {
 		if c.name != "cold-job" && c.name != "cons-nullmsg" {

@@ -1,9 +1,6 @@
 package simd
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Cache is the content-addressed result cache: spec hash → canonical
 // report bytes, evicted least-recently-used under a byte budget.
@@ -14,16 +11,17 @@ type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	ll     *list.List // front = most recently used
-	index  map[string]*list.Element
+	lru    cacheEntry // the recency ring's ends: lru.next is the most recently used
+	index  map[string]*cacheEntry
 
 	hits, misses, evictions, puts int64
 }
 
-// cacheEntry is one stored result.
+// cacheEntry is one stored result, linked into the recency ring.
 type cacheEntry struct {
-	key  string
-	data []byte
+	key        string
+	data       []byte
+	prev, next *cacheEntry
 }
 
 // CacheStats is a point-in-time snapshot of cache accounting.
@@ -41,8 +39,19 @@ type CacheStats struct {
 // (metadata overhead is not charged). A non-positive budget disables
 // storage entirely: every Get misses, every Put is dropped.
 func NewCache(budget int64) *Cache {
-	return &Cache{budget: budget, ll: list.New(), index: make(map[string]*list.Element)}
+	c := &Cache{budget: budget, index: make(map[string]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
+
+// toFront links e, out of the ring, in as the most recently used.
+func (c *Cache) toFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the ring.
+func unlink(e *cacheEntry) { e.prev.next, e.next.prev = e.next, e.prev }
 
 // Get returns the stored bytes for key and marks the entry
 // most-recently-used. The returned slice is shared: callers must not
@@ -50,14 +59,15 @@ func NewCache(budget int64) *Cache {
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[key]
+	e, ok := c.index[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).data, true
+	unlink(e)
+	c.toFront(e)
+	return e.data, true
 }
 
 // Put stores data under key, evicting LRU entries until the budget
@@ -71,23 +81,21 @@ func (c *Cache) Put(key string, data []byte) {
 	if int64(len(data)) > c.budget {
 		return
 	}
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
+	if e, ok := c.index[key]; ok {
+		unlink(e)
+		c.toFront(e)
 		return
 	}
-	for c.bytes+int64(len(data)) > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.index, ent.key)
-		c.bytes -= int64(len(ent.data))
+	for c.bytes+int64(len(data)) > c.budget && c.lru.prev != &c.lru {
+		old := c.lru.prev
+		unlink(old)
+		delete(c.index, old.key)
+		c.bytes -= int64(len(old.data))
 		c.evictions++
 	}
-	ent := &cacheEntry{key: key, data: data}
-	c.index[key] = c.ll.PushFront(ent)
+	e := &cacheEntry{key: key, data: data}
+	c.toFront(e)
+	c.index[key] = e
 	c.bytes += int64(len(data))
 }
 

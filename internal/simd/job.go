@@ -31,9 +31,10 @@ type Job struct {
 	hash string
 	spec JobSpec // canonical form
 
-	// begun is closed once Submit has journaled the job's admission; nil
-	// for a job born done from the cache, which is never journaled.
-	begun chan struct{}
+	// begun is done once Submit has journaled the job's admission; it
+	// waits for nothing on a job born done from the cache, which is never
+	// journaled.
+	begun sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     sync.Cond     // on mu

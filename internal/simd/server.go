@@ -187,12 +187,12 @@ func (s *Server) submit(a addressed) (SubmitResult, error) {
 	case res.Deduped:
 		// The job's own submitter may still be writing its begin record;
 		// this acknowledgement promises the same durability.
-		<-res.Job.begun
+		res.Job.begun.Wait()
 	default:
 		// Deferred: the job's worker and every deduped submitter wait on
 		// begun, and must be released even if the logger or the journal
 		// panics under this submitter.
-		defer close(res.Job.begun)
+		defer res.Job.begun.Done()
 		if s.infoOn() {
 			s.log.Info("job admitted", "job", res.Job.id, "hash", a.hash, "model", a.canon.Model,
 				"queue_len", s.pool.Stats().QueueLen)
@@ -262,7 +262,7 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 	}
 
 	j := s.newJobLocked(hash, canon)
-	j.begun = make(chan struct{})
+	j.begun.Add(1)
 	if !s.pool.TrySubmit(func() { s.execute(j) }) {
 		// Roll the record back: a rejected submission leaves no trace.
 		delete(s.jobs, j.id)
@@ -365,7 +365,7 @@ func (s *Server) journalEnd(j *Job, state State, published bool) {
 	if s.opts.Journal == nil {
 		return
 	}
-	<-j.begun
+	j.begun.Wait()
 	var err error
 	if published {
 		err = s.opts.Journal.EndPublished(j.hash)
