@@ -111,18 +111,17 @@ const backoffCap = 5 * time.Second
 // still starting — or mid-restart — doesn't kill the monitor on the
 // first refused connection.
 func pollRetry(c *simdclient.Client, attempts int) (*frame, error) {
-	var f *frame
-	err := simdclient.Retry(attempts, 250*time.Millisecond, backoffCap,
-		func() error {
-			var e error
-			f, e = poll(c)
-			return e
-		},
-		func(attempt int, err error, delay time.Duration) {
-			fmt.Fprintf(os.Stderr, "simtop: poll failed (attempt %d/%d): %s; retrying in %s\n",
-				attempt, attempts, describeErr(err), delay)
-		})
-	return f, err
+	delay := 250 * time.Millisecond
+	for i := 1; ; i++ {
+		f, err := poll(c)
+		if err == nil || i >= attempts {
+			return f, err
+		}
+		fmt.Fprintf(os.Stderr, "simtop: poll failed (attempt %d/%d): %s; retrying in %s\n",
+			i, attempts, describeErr(err), delay)
+		time.Sleep(delay)
+		delay = min(delay*2, backoffCap)
+	}
 }
 
 // describeErr turns a poll failure into an operator-facing diagnosis:

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simdclient"
 )
 
 // TestCheckFlags: an interval or row count the monitor cannot honour is an
@@ -30,5 +36,40 @@ func TestCheckFlags(t *testing.T) {
 		} else if err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.err)
 		}
+	}
+}
+
+// TestPollRetryBacksOffThenSucceeds: a poll that fails is retried, after a
+// growing delay, until one succeeds; once the attempts are spent the last
+// error comes back.
+func TestPollRetryBacksOffThenSucceeds(t *testing.T) {
+	var stats, failing atomic.Int64
+	failing.Store(2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/stats":
+			if stats.Add(1); failing.Add(-1) >= 0 {
+				http.Error(w, "starting", http.StatusServiceUnavailable)
+				return
+			}
+		case "/metrics":
+			return // an empty exposition
+		}
+		w.Write([]byte("{}"))
+	}))
+	defer ts.Close()
+	c := simdclient.New(ts.URL)
+	start := time.Now()
+	if f, err := pollRetry(c, 5); err != nil || f == nil || stats.Load() != 3 {
+		t.Fatalf("pollRetry: frame %v, err %v after %d polls; want a frame after 3", f, err, stats.Load())
+	}
+	if d := time.Since(start); d < 750*time.Millisecond {
+		t.Errorf("two retries took %v, want the 250 ms and 500 ms backoffs", d)
+	}
+
+	failing.Store(1 << 30)
+	var se *simdclient.StatusError
+	if _, err := pollRetry(c, 2); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("exhausted pollRetry returned %v, want the last poll's 503", err)
 	}
 }

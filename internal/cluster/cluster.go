@@ -203,3 +203,20 @@ func NearSquareGrid(n int) (w, h int) {
 	}
 	return n, 1
 }
+
+// TorusStep returns the LP one step from lp, in direction dir (0 east, 1
+// west, 2 south, else north), on a w×h torus numbered row by row.
+func TorusStep(lp event.LPID, w, h, dir int) event.LPID {
+	x, y := int(lp)%w, int(lp)/w
+	switch dir {
+	case 0:
+		x = (x + 1) % w
+	case 1:
+		x = (x - 1 + w) % w
+	case 2:
+		y = (y + 1) % h
+	default:
+		y = (y - 1 + h) % h
+	}
+	return event.LPID(y*w + x)
+}

@@ -142,3 +142,20 @@ func TestNearSquareGrid(t *testing.T) {
 		t.Fatalf("grid(128) = %dx%d, want 16x8", w, h)
 	}
 }
+
+// TestTorusStep: on a 4×3 torus each direction wraps at the edges, and
+// the four steps from any LP are its four neighbours.
+func TestTorusStep(t *testing.T) {
+	const w, h = 4, 3
+	for lp, want := range map[event.LPID][4]event.LPID{
+		0:  {1, 3, 4, 8},  // top-left corner: west and north wrap
+		11: {8, 10, 3, 7}, // bottom-right corner: east and south wrap
+		5:  {6, 4, 9, 1},
+	} {
+		for dir, n := range want {
+			if got := TorusStep(lp, w, h, dir); got != n {
+				t.Errorf("TorusStep(%d, dir %d) = %d, want %d", lp, dir, got, n)
+			}
+		}
+	}
+}

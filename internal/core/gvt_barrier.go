@@ -8,7 +8,8 @@ import (
 
 // Barrier GVT (paper Algorithm 1, "stop-synchronize-and-go").
 //
-// Each worker publishes msgCount = sent − received, meets the node-level
+// Each worker publishes msgCount = sent − received (epoch slot 0 of its
+// counters: only Mattern rounds move the epoch), meets the node-level
 // pthread barrier, the MPI-responsible participant sums the node counts
 // and allreduces them across nodes, and everyone loops until the cluster
 // in-transit total is zero. Then local minima are reduced the same way
@@ -48,7 +49,7 @@ func (w *worker) barrierWorkerRound() {
 			w.drainMigrations()
 		}
 		w.drainInbox()
-		n.msgCount[w.Idx] = w.msgSent - w.msgRecv
+		n.msgCount[w.Idx] = w.sentC[0] - w.recvC[0]
 		p.Advance(cost.BarrierEntry)
 		n.barrierWait(p, &n.gvtBar, w)
 		if comm {

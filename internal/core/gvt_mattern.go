@@ -337,8 +337,8 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			n.Touch()
 			return true
 		}
-		tok := &gvtToken{phase: tokWhite, count: n.takeDelta(p), minLVT: vtime.Inf, minRed: vtime.Inf}
-		n.sendToken(p, tok)
+		n.token = gvtToken{phase: tokWhite, count: n.takeDelta(p), minLVT: vtime.Inf, minRed: vtime.Inf}
+		n.sendToken(p, &n.token)
 		n.master = msWaitA
 		return true
 
@@ -369,8 +369,8 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			n.master = msCleanup
 			return true
 		}
-		tok := &gvtToken{phase: tokReduce, minLVT: cm.minLVT, minRed: cm.minRed}
-		n.sendToken(p, tok)
+		n.token = gvtToken{phase: tokReduce, minLVT: cm.minLVT, minRed: cm.minRed}
+		n.sendToken(p, &n.token)
 		n.master = msWaitB
 		return true
 
@@ -380,8 +380,8 @@ func (n *node) masterPoll(p *sim.Proc) bool {
 			return false
 		}
 		n.publishGVT(p, ca, vtime.Min(tok.minLVT, tok.minRed))
-		out := &gvtToken{phase: tokGVT, gvt: cm.gvt, sync: cm.syncNext}
-		n.sendToken(p, out)
+		*tok = gvtToken{phase: tokGVT, gvt: cm.gvt, sync: cm.syncNext}
+		n.sendToken(p, tok)
 		n.master = msWaitC
 		return true
 

@@ -30,12 +30,12 @@ import (
 // that drained one re-routes it as a fresh send).
 //
 // GVT safety: a migration message is counted exactly like a remote
-// event message — the sender bumps msgSent and the epoch-colored send
-// counter, the installer bumps the receive side, and under Samadi the
-// sender covers it via its unacked set until the installer acks. The
-// payload events therefore stay observable to every GVT algorithm for
-// the whole flight, and events arriving for a not-yet-installed LP park
-// in the destination worker's limbo, which localMin includes.
+// event message — the sender bumps the epoch-colored send counter, the
+// installer bumps the receive side, and under Samadi the sender covers
+// it via its unacked set until the installer acks. The payload events
+// therefore stay observable to every GVT algorithm for the whole flight,
+// and events arriving for a not-yet-installed LP park in the destination
+// worker's limbo, which localMin includes.
 
 // migOrder is one planned migration, parked on the owning worker until
 // its next applyGVT.
@@ -196,7 +196,6 @@ func (w *worker) migrateOut(l *lp, g float64, o migOrder) {
 	// GVT accounting: one colored cross-node message, covered from pack
 	// to install.
 	m.color = event.Color(w.epoch & 3)
-	w.msgSent++
 	w.sentC[w.epoch&3]++
 	if eng.acks {
 		m.ackID = w.registerUnacked(m.minPayloadStamp())
@@ -237,7 +236,6 @@ func (w *worker) drainMigrations() bool {
 func (w *worker) installMigration(m *migMsg) {
 	eng := w.eng
 	// Receive-side GVT accounting, mirroring the pack side.
-	w.msgRecv++
 	w.recvC[uint8(m.color)&3]++
 	if eng.acks && m.ackID != 0 {
 		w.sendAckTo(m.ackID)

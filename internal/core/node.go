@@ -53,6 +53,7 @@ type node struct {
 	cm nodeCM
 
 	master    masterState // ring-master state (node 0 only)
+	token     gvtToken    // node 0's ring token, refilled each phase (it is home by then)
 	heldToken *gvtToken   // token waiting for a local condition
 	// syncDone tracks the dedicated comm thread's participation in
 	// CA-GVT's three per-round synchronization points.

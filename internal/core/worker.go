@@ -43,16 +43,14 @@ type worker struct {
 	migIn  pe.Mailbox[*migMsg]
 	limbo  []*event.Event
 
-	// cumulative message counters for Algorithm 1 (all cross-worker
-	// messages, anti-messages included).
-	msgSent, msgRecv int64
-
-	// Mattern epoch counters (Algorithm 2), generalized: instead of two
-	// colors, messages carry the sender's epoch number mod 4 (the epoch
-	// increments at every GVT-round flip). Round R drains epoch R-1. Plain
-	// white/red alternation is not enough here because round completion is
-	// staggered across nodes: a node still finishing round R-2 can receive
-	// fresh epoch-(R-1) traffic, which under two colors is
+	// Counters of all cross-worker messages (anti-messages too) by epoch;
+	// Barrier and Samadi never move the epoch, so slot 0 holds
+	// Algorithm 1's count. Mattern (Algorithm 2), generalized: instead of
+	// two colors, messages carry the sender's epoch number mod 4 (the
+	// epoch increments at every GVT-round flip). Round R drains epoch
+	// R-1. Plain white/red alternation is not enough here because round
+	// completion is staggered across nodes: a node still finishing round
+	// R-2 can receive fresh epoch-(R-1) traffic, which under two colors is
 	// indistinguishable from the round's in-flight messages. Live epochs
 	// span at most three consecutive values, so mod-4 slots cannot collide.
 	sentC, recvC [4]int64
@@ -310,7 +308,6 @@ func (w *worker) drainInbox() bool {
 	cost := &w.node.Cost
 	w.Proc.Advance(sim.Time(len(batch)) * (cost.InboxDrainPerMsg + cost.QueueOp))
 	for _, ev := range batch {
-		w.msgRecv++
 		w.recvC[uint8(ev.Color)&3]++
 		if w.eng.acks && ev.AckID != 0 {
 			w.sendAckTo(ev.AckID)
@@ -492,7 +489,6 @@ func (w *worker) route(ev *event.Event) {
 	if ev.Anti {
 		w.St.AntiSent++
 	}
-	w.msgSent++
 	w.sentC[w.epoch&3]++
 	if w.eng.acks {
 		ev.AckID = w.registerUnacked(ev.Stamp.T)

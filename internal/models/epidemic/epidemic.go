@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/pe"
 	"repro/internal/vtime"
@@ -149,28 +150,11 @@ func (m *Model) step(ctx pe.Context) {
 	st.R += rec
 
 	if st.I > 5 && ctx.RNG().Float64() < m.p.TravelProb {
-		dst := m.neighbour(ctx)
+		dst := cluster.TorusStep(m.self, m.p.GridW, m.p.GridH, ctx.RNG().Intn(4))
 		var buf [4]byte
 		binary.LittleEndian.PutUint32(buf[:], uint32(1+ctx.RNG().Intn(3)))
 		ctx.Send(dst, Lookahead+ctx.RNG().Exp(0.3), EvTravel, buf[:])
 	}
-}
-
-// neighbour picks a random 4-neighbour on the torus.
-func (m *Model) neighbour(ctx pe.Context) event.LPID {
-	w, h := m.p.GridW, m.p.GridH
-	x, y := int(m.self)%w, int(m.self)/w
-	switch ctx.RNG().Intn(4) {
-	case 0:
-		x = (x + 1) % w
-	case 1:
-		x = (x - 1 + w) % w
-	case 2:
-		y = (y + 1) % h
-	default:
-		y = (y - 1 + h) % h
-	}
-	return event.LPID(y*w + x)
 }
 
 // Snapshot and Restore implement rollback support (value-copy state).
@@ -178,10 +162,3 @@ func (m *Model) Snapshot() any { return m.state }
 
 // Restore rewinds the region.
 func (m *Model) Restore(s any) { m.state = s.(Region) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@ package pcs
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/pe"
 )
@@ -138,26 +139,10 @@ func (m *Model) progress(ctx pe.Context) {
 	toHandoff := ctx.RNG().Exp(m.p.HandoffMean) + Lookahead
 	if toHandoff < remaining {
 		ctx.Send(m.self, toHandoff, EvRelease, nil)
-		ctx.Send(m.neighbour(ctx), toHandoff, EvHandoff, nil)
+		ctx.Send(cluster.TorusStep(m.self, m.p.GridW, m.p.GridH, ctx.RNG().Intn(4)), toHandoff, EvHandoff, nil)
 		return
 	}
 	ctx.Send(m.self, remaining, EvEndCall, nil)
-}
-
-func (m *Model) neighbour(ctx pe.Context) event.LPID {
-	w, h := m.p.GridW, m.p.GridH
-	x, y := int(m.self)%w, int(m.self)/w
-	switch ctx.RNG().Intn(4) {
-	case 0:
-		x = (x + 1) % w
-	case 1:
-		x = (x - 1 + w) % w
-	case 2:
-		y = (y + 1) % h
-	default:
-		y = (y - 1 + h) % h
-	}
-	return event.LPID(y*w + x)
 }
 
 // Snapshot copies the tower state.

@@ -112,23 +112,13 @@ type Spec struct {
 // Canonical(Canonical(s)) == Canonical(s) — and rejects invalid specs.
 func (s Spec) Canonical() (Spec, error) {
 	c := s
-	norm := func(v string) string { return strings.ToLower(strings.TrimSpace(v)) }
-
-	switch c.Model = norm(c.Model); c.Model {
-	case "":
-		c.Model = "phold"
-	case "phold", "pcs", "epidemic", "tandem":
-	default:
-		return c, fmt.Errorf("run: unknown model %q (want phold | pcs | epidemic | tandem)", c.Model)
+	if err := pick("model", &c.Model, modelAliases, "phold", "pcs", "epidemic", "tandem"); err != nil {
+		return c, err
 	}
 
 	if c.Model == "phold" {
-		switch c.Scenario = norm(c.Scenario); c.Scenario {
-		case "":
-			c.Scenario = "comp"
-		case "comp", "comm", "mixed":
-		default:
-			return c, fmt.Errorf("run: unknown scenario %q (want comp | comm | mixed)", c.Scenario)
+		if err := pick("scenario", &c.Scenario, scenarioAliases, "comp", "comm", "mixed"); err != nil {
+			return c, err
 		}
 	} else {
 		c.Scenario = ""
@@ -160,25 +150,16 @@ func (s Spec) Canonical() (Spec, error) {
 		return c, err
 	}
 
-	switch c.Engine = norm(c.Engine); c.Engine {
-	case "":
-		// Naming a conservative protocol is an implicit engine choice.
-		c.Engine = "timewarp"
-		if v := norm(c.Sync); v == "cmb" || slices.Contains(conservative.SyncNames(), v) {
-			c.Engine = "conservative"
-		}
-	case "timewarp", "conservative":
-	default:
-		return c, fmt.Errorf("run: unknown engine %q (want timewarp | conservative)", c.Engine)
+	c.Engine, c.Sync = norm(c.Engine), norm(c.Sync)
+	if v := c.Sync; c.Engine == "" && v != "" && pick("sync", &v, syncAliases, conservative.SyncNames()...) == nil {
+		c.Engine = "conservative" // naming a conservative protocol is an implicit engine choice
+	}
+	if err := pick("engine", &c.Engine, engineAliases, "timewarp", "conservative"); err != nil {
+		return c, err
 	}
 	if c.Engine == "conservative" {
-		switch c.Sync = norm(c.Sync); c.Sync {
-		case "", "cmb":
-			c.Sync = conservative.SyncNullMsg.String()
-		default:
-			if !slices.Contains(conservative.SyncNames(), c.Sync) {
-				return c, fmt.Errorf("run: unknown sync %q (want %s)", c.Sync, strings.Join(conservative.SyncNames(), " | "))
-			}
+		if err := pick("sync", &c.Sync, syncAliases, conservative.SyncNames()...); err != nil {
+			return c, err
 		}
 		if c.Lookahead == 0 {
 			c.Lookahead = c.defaultLookahead()
@@ -187,8 +168,8 @@ func (s Spec) Canonical() (Spec, error) {
 			return c, fmt.Errorf("run: lookahead must be positive and finite, got %v", c.Lookahead)
 		}
 	} else {
-		if v := norm(c.Sync); v != "" {
-			return c, fmt.Errorf("run: sync %q is a conservative-engine field; set engine to conservative or drop it", v)
+		if c.Sync != "" {
+			return c, fmt.Errorf("run: sync %q is a conservative-engine field; set engine to conservative or drop it", c.Sync)
 		}
 		c.Sync = ""
 		if c.Lookahead != 0 {
@@ -197,15 +178,8 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 
 	if c.Engine == "timewarp" {
-		switch c.GVT = norm(c.GVT); c.GVT {
-		case "":
-			c.GVT = core.GVTMattern.String()
-		case "ca", "cagvt":
-			c.GVT = core.GVTControlled.String()
-		default:
-			if !slices.Contains(core.GVTNames(), c.GVT) {
-				return c, fmt.Errorf("run: unknown gvt %q (want %s)", c.GVT, strings.Join(core.GVTNames(), " | "))
-			}
+		if err := pick("gvt", &c.GVT, gvtAliases, core.GVTNames()...); err != nil {
+			return c, err
 		}
 	} else {
 		// A conservative run has no GVT algorithm: the sync protocol is
@@ -213,13 +187,8 @@ func (s Spec) Canonical() (Spec, error) {
 		// below) so specs differing only in inert fields share a hash.
 		c.GVT = ""
 	}
-	switch c.Comm = norm(c.Comm); c.Comm {
-	case "":
-		c.Comm = core.CommDedicated.String()
-	default:
-		if !slices.Contains(core.CommNames(), c.Comm) {
-			return c, fmt.Errorf("run: unknown comm %q (want %s)", c.Comm, strings.Join(core.CommNames(), " | "))
-		}
+	if err := pick("comm", &c.Comm, commAliases, core.CommNames()...); err != nil {
+		return c, err
 	}
 	if c.Engine == "conservative" && c.Comm != "dedicated" {
 		return c, fmt.Errorf("run: comm %q is not supported by the conservative engine (only dedicated)", c.Comm)
@@ -257,12 +226,8 @@ func (s Spec) Canonical() (Spec, error) {
 		c.Seed = 1
 	}
 
-	// Inert (see Spec.Queue): pin it so it cannot split the hash.
-	switch c.Queue = norm(c.Queue); c.Queue {
-	case "", "heap", "calendar":
-		c.Queue = "heap"
-	default:
-		return c, fmt.Errorf("run: unknown queue %q (want heap | calendar)", c.Queue)
+	if err := pick("queue", &c.Queue, queueAliases, "heap", "calendar"); err != nil {
+		return c, err
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
@@ -271,12 +236,8 @@ func (s Spec) Canonical() (Spec, error) {
 		return c, fmt.Errorf("run: batch_size must be positive, got %d", c.BatchSize)
 	}
 	if c.Engine == "timewarp" {
-		// Inert (see Spec.Pool): pin it so it cannot split the hash.
-		switch c.Pool = norm(c.Pool); c.Pool {
-		case "", "on", "off", "debug":
-			c.Pool = "on"
-		default:
-			return c, fmt.Errorf("run: unknown pool %q (want on | off | debug)", c.Pool)
+		if err := pick("pool", &c.Pool, poolAliases, "on", "off", "debug"); err != nil {
+			return c, err
 		}
 		if c.CheckpointInterval == 0 {
 			c.CheckpointInterval = 1
@@ -299,21 +260,15 @@ func (s Spec) Canonical() (Spec, error) {
 		c.MaxUncommitted = 0
 	}
 
-	switch c.Faults = norm(c.Faults); c.Faults {
-	case "none":
+	if c.Faults = norm(c.Faults); c.Faults == "none" {
 		c.Faults = ""
-	default:
-		if _, err := fabric.Scenario(c.Faults, c.Nodes); err != nil {
-			return c, err
-		}
+	} else if _, err := fabric.Scenario(c.Faults, c.Nodes); err != nil {
+		return c, err
 	}
-	switch c.Balance = norm(c.Balance); c.Balance {
-	case "static", "none":
+	if c.Balance = norm(c.Balance); c.Balance == "static" || c.Balance == "none" {
 		c.Balance = ""
-	default:
-		if _, err := balance.New(c.Balance, nil); err != nil {
-			return c, err
-		}
+	} else if _, err := balance.New(c.Balance, nil); err != nil {
+		return c, err
 	}
 	c.WatchdogMicros = 0 // inert (see Spec.WatchdogMicros)
 	if c.Engine == "conservative" {
@@ -327,6 +282,34 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 	}
 	return c, nil
+}
+
+// The alias tables of Canonical's closed-set names map a name ("" when
+// omitted) to the one it stands for; inert Queue and Pool pin every name.
+var (
+	modelAliases    = map[string]string{"": "phold"}
+	engineAliases   = map[string]string{"": "timewarp"}
+	scenarioAliases = map[string]string{"": "comp"}
+	syncAliases     = map[string]string{"": conservative.SyncNullMsg.String(), "cmb": conservative.SyncNullMsg.String()}
+	gvtAliases      = map[string]string{"": core.GVTMattern.String(), "ca": core.GVTControlled.String(), "cagvt": core.GVTControlled.String()}
+	commAliases     = map[string]string{"": core.CommDedicated.String()}
+	queueAliases    = map[string]string{"": "heap", "calendar": "heap"}
+	poolAliases     = map[string]string{"": "on", "off": "on", "debug": "on"}
+)
+
+func norm(v string) string { return strings.ToLower(strings.TrimSpace(v)) }
+
+// pick canonicalizes the closed-set name *v of field: trimmed,
+// lowercased and de-aliased, then refused unless it is one of names.
+func pick(field string, v *string, aliases map[string]string, names ...string) error {
+	*v = norm(*v)
+	if a, ok := aliases[*v]; ok {
+		*v = a
+	}
+	if !slices.Contains(names, *v) {
+		return fmt.Errorf("run: unknown %s %q (want %s)", field, *v, strings.Join(names, " | "))
+	}
+	return nil
 }
 
 // defaultLookahead returns the model's declared lookahead for an

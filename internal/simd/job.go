@@ -37,8 +37,8 @@ type Job struct {
 	begun sync.WaitGroup
 
 	mu       sync.Mutex
-	cond     sync.Cond     // on mu
-	done     chan struct{} // closed by finish; made by the first Wait that blocks
+	changed  chan struct{} // closed to wake waiters (notifyLocked); made by a waiter that blocks
+	streams  int           // WaitEvents calls blocked on changed
 	state    State
 	cacheHit bool
 	storeHit bool                     // the cache hit came from the persistent store
@@ -61,12 +61,10 @@ type Job struct {
 }
 
 func newJob(seq int64, hash string, spec JobSpec) *Job {
-	j := &Job{
+	return &Job{
 		id: jobID(seq), seq: seq, hash: hash, spec: spec, state: StateQueued,
 		submitted: time.Now(),
 	}
-	j.cond.L = &j.mu
-	return j
 }
 
 // ID returns the job's server-assigned identifier.
@@ -107,24 +105,14 @@ func (j *Job) Rounds() int {
 }
 
 // Wait blocks until the job reaches a terminal state or the context is
-// done, and returns the state then. A settled job answers at once; a wait
-// that blocks selects on the job's done channel and ctx.
+// done, and returns the state then.
 func (j *Job) Wait(ctx context.Context) State {
 	j.mu.Lock()
-	if client.Terminal(j.state) {
-		defer j.mu.Unlock()
-		return j.state
+	defer j.mu.Unlock()
+	for !client.Terminal(j.state) && ctx.Err() == nil {
+		j.await(ctx)
 	}
-	if j.done == nil {
-		j.done = make(chan struct{})
-	}
-	done := j.done
-	j.mu.Unlock()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	return j.State()
+	return j.state
 }
 
 // WaitEvents blocks until progress beyond cursor exists, the job
@@ -134,28 +122,43 @@ func (j *Job) Wait(ctx context.Context) State {
 func (j *Job) WaitEvents(ctx context.Context, cursor int) ([]metrics.ProgressUpdate, State, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for waking := false; ; waking = true {
+	for {
 		if len(j.events) > cursor {
 			return j.events[cursor:len(j.events):len(j.events)], j.state, client.Terminal(j.state)
 		}
-		if client.Terminal(j.state) {
-			return nil, j.state, true
+		if client.Terminal(j.state) || ctx.Err() != nil {
+			return nil, j.state, client.Terminal(j.state)
 		}
-		if ctx.Err() != nil {
-			return nil, j.state, false
-		}
-		if !waking { // the wake-up is arranged only by a wait that blocks
-			defer context.AfterFunc(ctx, j.wake)()
-		}
-		j.cond.Wait()
+		j.streams++
+		j.await(ctx)
+		j.streams--
 	}
 }
 
-// wake broadcasts to blocked waiters (used for context cancellation).
-func (j *Job) wake() {
-	j.mu.Lock()
-	j.cond.Broadcast()
+// await releases mu until the next publish or finish, or until ctx is
+// done; the caller holds mu. A settled job, or one nobody waits on, never
+// makes the channel.
+func (j *Job) await(ctx context.Context) {
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	changed := j.changed
 	j.mu.Unlock()
+	select {
+	case <-changed:
+	case <-ctx.Done():
+	}
+	j.mu.Lock()
+}
+
+// notifyLocked wakes every waiter, or with progress only every stream: a
+// Wait woken before the job settles would make its channel again. The
+// caller holds mu.
+func (j *Job) notifyLocked(progress bool) {
+	if j.changed != nil && (!progress || j.streams > 0) {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // publish appends one progress update and returns the one before it
@@ -169,7 +172,7 @@ func (j *Job) publish(u metrics.ProgressUpdate) (prev metrics.ProgressUpdate) {
 	}
 	j.events = append(j.events, u)
 	j.rounds++
-	j.cond.Broadcast()
+	j.notifyLocked(true)
 	j.mu.Unlock()
 	return prev
 }
@@ -283,9 +286,6 @@ func (j *Job) finish(state State, errMsg string) {
 	j.errMsg = errMsg
 	j.eng = nil
 	j.finished = time.Now()
-	if j.done != nil {
-		close(j.done)
-	}
-	j.cond.Broadcast()
+	j.notifyLocked(false)
 	j.mu.Unlock()
 }

@@ -113,8 +113,6 @@ type Server struct {
 	memo   map[string]addressed // submitted body → its address (submitBody)
 
 	executions atomic.Int64 // engine runs actually started (cache/dedup bypass this)
-	dedupHits  atomic.Int64 // submissions coalesced onto an in-flight job
-	rejected   atomic.Int64 // submissions refused by admission control
 	deadlined  atomic.Int64 // jobs failed by the wall-clock deadline
 	panicked   atomic.Int64 // jobs failed by an engine panic
 	recovered  atomic.Int64 // jobs re-enqueued from the journal at startup
@@ -255,7 +253,6 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		prior.mu.Lock()
 		prior.deduped++
 		prior.mu.Unlock()
-		s.dedupHits.Add(1)
 		s.obs.outcomes["deduped"].Inc()
 		s.log.Info("submission coalesced onto in-flight job", "job", prior.id, "hash", hash)
 		return SubmitResult{Job: prior, Deduped: true}, nil
@@ -267,7 +264,6 @@ func (s *Server) admit(hash string, canon JobSpec) (SubmitResult, error) {
 		// Roll the record back: a rejected submission leaves no trace.
 		delete(s.jobs, j.id)
 		s.seq--
-		s.rejected.Add(1)
 		s.obs.outcomes["rejected"].Inc()
 		s.log.Warn("submission rejected: queue full", "hash", hash,
 			"queue_cap", s.opts.QueueDepth)
@@ -351,7 +347,6 @@ func (s *Server) retireLocked(j *Job) {
 		old := s.retired[0]
 		s.retired = s.retired[1:]
 		old.releaseHistory()
-		s.log.Debug("released job history", "job", old.id)
 	}
 }
 
@@ -706,8 +701,8 @@ func (s *Server) Stats() Stats {
 		QueueCap: ps.QueueCap, QueueLen: ps.QueueLen,
 		Jobs: n, ByState: by,
 		Executions:       s.executions.Load(),
-		DedupHits:        s.dedupHits.Load(),
-		Rejected:         s.rejected.Load(),
+		DedupHits:        s.obs.outcomes["deduped"].Value(),
+		Rejected:         s.obs.outcomes["rejected"].Value(),
 		DeadlineExceeded: s.deadlined.Load(),
 		Panics:           s.panicked.Load(),
 		Recovered:        s.recovered.Load(),

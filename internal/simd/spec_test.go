@@ -152,33 +152,44 @@ func TestCanonicalIdempotent(t *testing.T) {
 	}
 }
 
-// TestCanonicalRejects enumerates invalid specs.
+// TestCanonicalRejects enumerates invalid specs. A spec naming an
+// unknown model, scenario, engine, sync, GVT, comm, queue, pool, fault
+// scenario or balance policy is refused with the text pinned here, so a
+// change to how names are checked keeps every message byte for byte.
 func TestCanonicalRejects(t *testing.T) {
-	bad := map[string]JobSpec{
-		"model":          {Model: "chess"},
-		"scenario":       {Scenario: "storm"},
-		"gvt":            {GVT: "quantum"},
-		"comm":           {Comm: "telepathy"},
-		"queue":          {Queue: "stack"},
-		"pool":           {Pool: "maybe"},
-		"faults":         {Faults: "asteroid"},
-		"balance":        {Balance: "chaotic"},
-		"interval":       {GVTInterval: 1},
-		"threshold":      {GVT: "ca", CAThreshold: 1.5},
-		"mix-sum":        {Scenario: "mixed", MixComp: 60, MixComm: 60},
-		"neg-end":        {EndTime: -1},
-		"neg-nodes":      {Nodes: -2},
-		"neg-batch":      {BatchSize: -1},
-		"neg-interval":   {GVTInterval: -3},
-		"neg-checkpt":    {CheckpointInterval: -2},
-		"mixed-nonsense": {Scenario: "mixed", MixComp: -1, MixComm: 5},
+	bad := map[string]struct {
+		spec JobSpec
+		want string // the error text; "" for any error
+	}{
+		"model":          {JobSpec{Model: " Chess "}, `run: unknown model "chess" (want phold | pcs | epidemic | tandem)`},
+		"scenario":       {JobSpec{Scenario: "storm"}, `run: unknown scenario "storm" (want comp | comm | mixed)`},
+		"engine":         {JobSpec{Engine: "quantum"}, `run: unknown engine "quantum" (want timewarp | conservative)`},
+		"sync":           {JobSpec{Engine: "conservative", Sync: "psychic"}, `run: unknown sync "psychic" (want nullmsg | window)`},
+		"gvt":            {JobSpec{GVT: "quantum"}, `run: unknown gvt "quantum" (want barrier | mattern | ca-gvt | samadi)`},
+		"comm":           {JobSpec{Comm: "telepathy"}, `run: unknown comm "telepathy" (want dedicated | combined | shared)`},
+		"queue":          {JobSpec{Queue: "stack"}, `run: unknown queue "stack" (want heap | calendar)`},
+		"pool":           {JobSpec{Pool: "maybe"}, `run: unknown pool "maybe" (want on | off | debug)`},
+		"faults":         {JobSpec{Faults: "asteroid"}, `fabric: unknown fault scenario "asteroid" (have: none drop duplicate jitter partition straggler chaos)`},
+		"balance":        {JobSpec{Balance: "chaotic"}, `balance: unknown policy "chaotic" (want one of static, greedy, straggler)`},
+		"interval":       {JobSpec{GVTInterval: 1}, ""},
+		"threshold":      {JobSpec{GVT: "ca", CAThreshold: 1.5}, ""},
+		"mix-sum":        {JobSpec{Scenario: "mixed", MixComp: 60, MixComm: 60}, ""},
+		"neg-end":        {JobSpec{EndTime: -1}, ""},
+		"neg-nodes":      {JobSpec{Nodes: -2}, ""},
+		"neg-batch":      {JobSpec{BatchSize: -1}, ""},
+		"neg-interval":   {JobSpec{GVTInterval: -3}, ""},
+		"neg-checkpt":    {JobSpec{CheckpointInterval: -2}, ""},
+		"mixed-nonsense": {JobSpec{Scenario: "mixed", MixComp: -1, MixComm: 5}, ""},
 	}
-	for name, s := range bad {
-		if _, err := s.Canonical(); err == nil {
-			t.Errorf("%s: invalid spec %+v accepted", name, s)
+	for name, c := range bad {
+		_, err := c.spec.Canonical()
+		if err == nil {
+			t.Errorf("%s: invalid spec %+v accepted", name, c.spec)
+		} else if c.want != "" && err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", name, err, c.want)
 		}
-		if _, err := s.Hash(); err == nil {
-			t.Errorf("%s: invalid spec %+v hashed", name, s)
+		if _, err := c.spec.Hash(); err == nil {
+			t.Errorf("%s: invalid spec %+v hashed", name, c.spec)
 		}
 	}
 }

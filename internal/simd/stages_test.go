@@ -146,7 +146,7 @@ func TestColdJobStagesPinned(t *testing.T) {
 			}
 		}},
 		{"admission and wait", 5, []string{"address", "engine", "report", "store get", "store publish", "journal"},
-			"Submit + Wait beyond the stages above: job record, pool closure, cache entry, done channel; no log line", func(seed uint64) func() {
+			"Submit + Wait beyond the stages above: job record, pool closure, cache entry, wake-up channel; no log line", func(seed uint64) func() {
 				spec := coldSpec(seed)
 				return func() {
 					res, err := s.Submit(spec)
@@ -274,5 +274,32 @@ func TestJobLinesLoggedWhenEnabled(t *testing.T) {
 	}
 	for msg := range want {
 		t.Errorf("no %q line", msg)
+	}
+}
+
+// TestRetireAllocatesNothing: settling an executed job into a full flight
+// window releases the oldest job's history and allocates nothing: no log
+// line is built for it (a disabled Debug line once boxed the job's id on
+// every release).
+func TestRetireAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := NewServer(Options{Workers: 1, FlightRetain: 1})
+	t.Cleanup(s.Close)
+	jobs := make([]*Job, 200)
+	for i := range jobs {
+		jobs[i] = newJob(int64(i), "", JobSpec{})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retired = make([]*Job, 0, len(jobs)+1) // the window's appends never grow it
+	next := 0
+	allocs := testing.AllocsPerRun(len(jobs)-1, func() {
+		s.retireLocked(jobs[next])
+		next++
+	})
+	if allocs != 0 || len(s.retired) != 1 {
+		t.Errorf("retiring a job into a full window allocated %v times (%d retained)", allocs, len(s.retired))
 	}
 }

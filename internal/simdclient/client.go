@@ -203,27 +203,3 @@ func RetryAfterHint(h http.Header) (time.Duration, bool) {
 	}
 	return time.Duration(secs) * time.Second, true
 }
-
-// Retry runs fn up to attempts times with capped exponential backoff
-// (base doubling up to cap between tries), returning the first success
-// or the last error. onRetry, when non-nil, observes each failure
-// before the sleep — simtop uses it to report poll blips. A daemon that
-// is still starting, or mid-restart, shouldn't kill its client on the
-// first refused connection.
-func Retry(attempts int, base, cap time.Duration, fn func() error, onRetry func(attempt int, err error, delay time.Duration)) error {
-	delay := base
-	var err error
-	for i := 1; ; i++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if i >= attempts {
-			return err
-		}
-		if onRetry != nil {
-			onRetry(i, err, delay)
-		}
-		time.Sleep(delay)
-		delay = min(delay*2, cap)
-	}
-}

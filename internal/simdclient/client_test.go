@@ -177,29 +177,6 @@ func TestRetryAfterHintParse(t *testing.T) {
 	}
 }
 
-func TestRetryBacksOffThenSucceeds(t *testing.T) {
-	var calls, retries atomic.Int64
-	err := Retry(5, time.Millisecond, 4*time.Millisecond, func() error {
-		if calls.Add(1) < 3 {
-			return errors.New("not yet")
-		}
-		return nil
-	}, func(attempt int, err error, delay time.Duration) {
-		retries.Add(1)
-		if delay <= 0 || delay > 4*time.Millisecond {
-			t.Errorf("delay %v outside the cap", delay)
-		}
-	})
-	if err != nil || calls.Load() != 3 || retries.Load() != 2 {
-		t.Fatalf("err %v calls %d retries %d", err, calls.Load(), retries.Load())
-	}
-
-	boom := errors.New("boom")
-	if err := Retry(2, time.Millisecond, time.Millisecond, func() error { return boom }, nil); !errors.Is(err, boom) {
-		t.Fatalf("exhausted Retry returned %v, want the last error", err)
-	}
-}
-
 // TestDeclaredLengthBoundsThePresize: a server that declares a terabyte
 // and sends ten bytes is an error, and the client reserves no more than
 // maxPresize on the header's word.

@@ -377,10 +377,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// offset returns the number of bytes consumed so far; after an error it
-// points at the failure.
-func (t *Reader) offset() int64 { return t.off }
-
 // version returns the stream's format version, reading the header on
 // first use. An empty stream reads as the current version.
 func (t *Reader) version() (int, error) {
@@ -418,99 +414,33 @@ func (t *Reader) start() error {
 	return nil
 }
 
-// next returns the next record as one of Commit, Round, Rollback,
-// MPISend, MPIRecv, Phase, Fault or Migration; io.EOF ends the stream.
-func (t *Reader) next() (any, error) {
+// read reads the next record's type and body; io.EOF ends the stream. The
+// body is the Reader's buffer, valid until the next read.
+func (t *Reader) read() (uint8, []byte, error) {
 	if err := t.start(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	kind, err := t.r.ReadByte()
 	if err == io.EOF {
-		return nil, err
+		return 0, nil, err
 	}
 	if err != nil {
 		t.err = fmt.Errorf("trace: read at offset %d: %w", t.off, err)
-		return nil, t.err
+		return 0, nil, t.err
 	}
 	t.off++
 	if int(kind) >= len(wire) || wire[kind].body == 0 {
 		t.err = fmt.Errorf("trace: unknown record type %d at offset %d", kind, t.off-1)
-		return nil, t.err
+		return 0, nil, t.err
 	}
 	b := t.buf[:wire[kind].body]
 	n, err := io.ReadFull(t.r, b)
 	t.off += int64(n)
 	if err != nil {
 		t.err = fmt.Errorf("trace: truncated %s record at offset %d: %w", wire[kind].name, t.off, err)
-		return nil, t.err
+		return 0, nil, t.err
 	}
-	return decode(kind, b), nil
-}
-
-// decode builds the record of a known type from its body.
-func decode(kind uint8, b []byte) any {
-	le := binary.LittleEndian
-	switch kind {
-	case recCommit:
-		return Commit{
-			LP:  le.Uint32(b[0:]),
-			T:   math.Float64frombits(le.Uint64(b[4:])),
-			Src: le.Uint32(b[12:]),
-			Seq: le.Uint64(b[16:]),
-		}
-	case recRound:
-		return Round{
-			Round:      int64(le.Uint64(b[0:])),
-			GVT:        math.Float64frombits(le.Uint64(b[8:])),
-			AtNanos:    int64(le.Uint64(b[16:])),
-			Sync:       b[24] != 0,
-			Efficiency: math.Float64frombits(le.Uint64(b[25:])),
-		}
-	case recRollback:
-		return Rollback{
-			Worker:  le.Uint32(b[0:]),
-			LP:      le.Uint32(b[4:]),
-			Anti:    b[8] != 0,
-			Depth:   le.Uint32(b[9:]),
-			From:    math.Float64frombits(le.Uint64(b[13:])),
-			To:      math.Float64frombits(le.Uint64(b[21:])),
-			AtNanos: int64(le.Uint64(b[29:])),
-		}
-	case recMPISend, recMPIRecv:
-		m := MPISend{
-			Src:        le.Uint16(b[0:]),
-			Dst:        le.Uint16(b[2:]),
-			Bytes:      le.Uint32(b[4:]),
-			QueueDepth: le.Uint32(b[8:]),
-			AtNanos:    int64(le.Uint64(b[12:])),
-		}
-		if kind == recMPIRecv {
-			return MPIRecv(m)
-		}
-		return m
-	case recPhase:
-		return Phase{
-			Worker:  le.Uint32(b[0:]),
-			Phase:   b[4],
-			AtNanos: int64(le.Uint64(b[5:])),
-		}
-	case recFault:
-		return Fault{
-			Kind:       b[0],
-			Src:        le.Uint16(b[1:]),
-			Dst:        le.Uint16(b[3:]),
-			AtNanos:    int64(le.Uint64(b[5:])),
-			DelayNanos: int64(le.Uint64(b[13:])),
-		}
-	}
-	return Migration{ // recMigration, the last type wire knows
-		LP:      le.Uint32(b[0:]),
-		SrcNode: le.Uint16(b[4:]),
-		DstNode: le.Uint16(b[6:]),
-		Round:   int64(le.Uint64(b[8:])),
-		Events:  le.Uint32(b[16:]),
-		AtNanos: int64(le.Uint64(b[20:])),
-	}
+	return kind, b, nil
 }
 
 // Visitor receives decoded records by type; nil callbacks skip that
@@ -531,46 +461,85 @@ type Visitor struct {
 // (with byte offset) otherwise.
 func (t *Reader) ForEach(v Visitor) error {
 	for {
-		rec, err := t.next()
+		kind, b, err := t.read()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		switch r := rec.(type) {
-		case Commit:
-			if v.Commit != nil {
-				v.Commit(r)
-			}
-		case Round:
-			if v.Round != nil {
-				v.Round(r)
-			}
-		case Rollback:
-			if v.Rollback != nil {
-				v.Rollback(r)
-			}
-		case MPISend:
-			if v.MPISend != nil {
-				v.MPISend(r)
-			}
-		case MPIRecv:
-			if v.MPIRecv != nil {
-				v.MPIRecv(r)
-			}
-		case Phase:
-			if v.Phase != nil {
-				v.Phase(r)
-			}
-		case Fault:
-			if v.Fault != nil {
-				v.Fault(r)
-			}
-		case Migration:
-			if v.Migration != nil {
-				v.Migration(r)
-			}
+		v.visit(kind, b)
+	}
+}
+
+// visit decodes the body b of a record of a known type and hands it to its
+// callback.
+func (v *Visitor) visit(kind uint8, b []byte) {
+	le := binary.LittleEndian
+	switch kind {
+	case recCommit:
+		call(v.Commit, Commit{
+			LP:  le.Uint32(b[0:]),
+			T:   math.Float64frombits(le.Uint64(b[4:])),
+			Src: le.Uint32(b[12:]),
+			Seq: le.Uint64(b[16:]),
+		})
+	case recRound:
+		call(v.Round, Round{
+			Round:      int64(le.Uint64(b[0:])),
+			GVT:        math.Float64frombits(le.Uint64(b[8:])),
+			AtNanos:    int64(le.Uint64(b[16:])),
+			Sync:       b[24] != 0,
+			Efficiency: math.Float64frombits(le.Uint64(b[25:])),
+		})
+	case recRollback:
+		call(v.Rollback, Rollback{
+			Worker:  le.Uint32(b[0:]),
+			LP:      le.Uint32(b[4:]),
+			Anti:    b[8] != 0,
+			Depth:   le.Uint32(b[9:]),
+			From:    math.Float64frombits(le.Uint64(b[13:])),
+			To:      math.Float64frombits(le.Uint64(b[21:])),
+			AtNanos: int64(le.Uint64(b[29:])),
+		})
+	case recMPISend, recMPIRecv:
+		m := MPISend{
+			Src:        le.Uint16(b[0:]),
+			Dst:        le.Uint16(b[2:]),
+			Bytes:      le.Uint32(b[4:]),
+			QueueDepth: le.Uint32(b[8:]),
+			AtNanos:    int64(le.Uint64(b[12:])),
 		}
+		if kind == recMPISend {
+			call(v.MPISend, m)
+		} else {
+			call(v.MPIRecv, MPIRecv(m))
+		}
+	case recPhase:
+		call(v.Phase, Phase{Worker: le.Uint32(b[0:]), Phase: b[4], AtNanos: int64(le.Uint64(b[5:]))})
+	case recFault:
+		call(v.Fault, Fault{
+			Kind:       b[0],
+			Src:        le.Uint16(b[1:]),
+			Dst:        le.Uint16(b[3:]),
+			AtNanos:    int64(le.Uint64(b[5:])),
+			DelayNanos: int64(le.Uint64(b[13:])),
+		})
+	case recMigration:
+		call(v.Migration, Migration{
+			LP:      le.Uint32(b[0:]),
+			SrcNode: le.Uint16(b[4:]),
+			DstNode: le.Uint16(b[6:]),
+			Round:   int64(le.Uint64(b[8:])),
+			Events:  le.Uint32(b[16:]),
+			AtNanos: int64(le.Uint64(b[20:])),
+		})
+	}
+}
+
+// call hands rec to fn; a nil fn skips it.
+func call[T any](fn func(T), rec T) {
+	if fn != nil {
+		fn(rec)
 	}
 }

@@ -9,6 +9,31 @@ import (
 	"testing/quick"
 )
 
+// next returns the next record as one of Commit, Round, Rollback,
+// MPISend, MPIRecv, Phase, Fault or Migration; io.EOF ends the stream.
+func (t *Reader) next() (any, error) {
+	kind, b, err := t.read()
+	if err != nil {
+		return nil, err
+	}
+	var rec any
+	(&Visitor{
+		Commit:    func(r Commit) { rec = r },
+		Round:     func(r Round) { rec = r },
+		Rollback:  func(r Rollback) { rec = r },
+		MPISend:   func(r MPISend) { rec = r },
+		MPIRecv:   func(r MPIRecv) { rec = r },
+		Phase:     func(r Phase) { rec = r },
+		Fault:     func(r Fault) { rec = r },
+		Migration: func(r Migration) { rec = r },
+	}).visit(kind, b)
+	return rec, nil
+}
+
+// offset returns the number of bytes consumed so far; after an error it
+// points at the failure.
+func (t *Reader) offset() int64 { return t.off }
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
