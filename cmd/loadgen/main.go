@@ -35,7 +35,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/simdclient"
 	"repro/pkg/client"
 )
 
@@ -115,10 +114,9 @@ func run() int {
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
 
-	api := simdclient.New(o.addr)
 	c := client.New(o.addr)
 
-	execsBefore, statsOK := executions(ctx, api)
+	execsBefore, statsOK := executions(ctx, c)
 
 	sum, err := fire(ctx, c, specs, o)
 	if err != nil {
@@ -127,7 +125,7 @@ func run() int {
 	}
 
 	if statsOK {
-		if execsAfter, ok := executions(ctx, api); ok {
+		if execsAfter, ok := executions(ctx, c); ok {
 			d := execsAfter - execsBefore
 			sum.ExecutionsDelta = &d
 		}
@@ -148,11 +146,11 @@ func run() int {
 }
 
 // executions reads the service's engine-execution counter from /stats.
-func executions(ctx context.Context, api *simdclient.Client) (int64, bool) {
+func executions(ctx context.Context, c *client.Client) (int64, bool) {
 	var stats struct {
 		Executions int64 `json:"executions"`
 	}
-	if err := api.Call(ctx, http.MethodGet, "/stats", nil, &stats); err != nil {
+	if err := c.Call(ctx, http.MethodGet, "/stats", nil, &stats); err != nil {
 		return 0, false
 	}
 	return stats.Executions, true

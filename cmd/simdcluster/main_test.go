@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"repro/internal/simd"
-	"repro/internal/simdclient"
 	"repro/internal/simdcluster"
+	"repro/pkg/client"
 )
 
 // buildOnce compiles the router and member binaries once per test
@@ -163,7 +163,7 @@ type submitView struct {
 	Redispatches int    `json:"redispatches"`
 }
 
-func submit(t *testing.T, c *simdclient.Client, spec string) submitView {
+func submit(t *testing.T, c *client.Client, spec string) submitView {
 	t.Helper()
 	var v submitView
 	if err := c.Call(context.Background(), http.MethodPost, "/jobs", []byte(spec), &v); err != nil {
@@ -176,7 +176,7 @@ func submit(t *testing.T, c *simdclient.Client, spec string) submitView {
 // this hash, placed on node — has settled, and requires it done. The
 // wait is the member's own: its event stream for the job ends when the
 // job does.
-func waitDone(t *testing.T, c *simdclient.Client, id, node, hash string) submitView {
+func waitDone(t *testing.T, c *client.Client, id, node, hash string) submitView {
 	t.Helper()
 	ctx := context.Background()
 	var nv nodesView
@@ -187,8 +187,7 @@ func waitDone(t *testing.T, c *simdclient.Client, id, node, hash string) submitV
 		if n.ID != node {
 			continue
 		}
-		member := simdclient.New(n.Addr)
-		member.HTTP = &http.Client{} // a stream lasts as long as its job
+		member := client.New(n.Addr)
 		var list struct {
 			Jobs []submitView `json:"jobs"`
 		}
@@ -210,7 +209,7 @@ func waitDone(t *testing.T, c *simdclient.Client, id, node, hash string) submitV
 	return v
 }
 
-func fetchReport(t *testing.T, c *simdclient.Client, id string) []byte {
+func fetchReport(t *testing.T, c *client.Client, id string) []byte {
 	t.Helper()
 	var data []byte
 	if err := c.Call(context.Background(), http.MethodGet, "/jobs/"+id+"/report", nil, &data); err != nil {
@@ -263,7 +262,7 @@ func TestClusterSmoke(t *testing.T) {
 	dir := t.TempDir()
 	r := startRouter(t, "-nodes", "3", "-workers", "1", "-store-dir", dir,
 		"-health-interval", "100ms", "-restart=false")
-	c := simdclient.New(r.base)
+	c := client.New(r.base)
 	ids := []string{"n1", "n2", "n3"}
 
 	if h, err := c.Health(); err != nil || h.Status != "ok" {

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/simdclient"
 	"repro/internal/simdcluster"
 	"repro/pkg/client"
 )
@@ -75,14 +74,14 @@ type frame struct {
 	// bypassed, results memory-only), or "" when the probe failed.
 	health string
 	// healthErr is the health probe's failure, when it had one. A
-	// *simdclient.StatusError here means the daemon is up but its
+	// *client.APIError here means the daemon is up but its
 	// health endpoint is answering 5xx — a different banner from
 	// "degraded", and from nothing listening at all.
 	healthErr error
 }
 
 // poll fetches one frame from the daemon.
-func poll(c *simdclient.Client) (*frame, error) {
+func poll(c *client.Client) (*frame, error) {
 	f := &frame{at: time.Now()}
 	if err := c.Call(context.Background(), http.MethodGet, "/stats", nil, &f.stats); err != nil {
 		return nil, err
@@ -110,7 +109,7 @@ const backoffCap = 5 * time.Second
 // pollRetry polls with capped exponential backoff, so a daemon that is
 // still starting — or mid-restart — doesn't kill the monitor on the
 // first refused connection.
-func pollRetry(c *simdclient.Client, attempts int) (*frame, error) {
+func pollRetry(c *client.Client, attempts int) (*frame, error) {
 	delay := 250 * time.Millisecond
 	for i := 1; ; i++ {
 		f, err := poll(c)
@@ -126,20 +125,20 @@ func pollRetry(c *simdclient.Client, attempts int) (*frame, error) {
 
 // describeErr turns a poll failure into an operator-facing diagnosis:
 // "nothing is listening" and "the daemon answered 500" demand different
-// reactions, and the typed simdclient errors let us tell them apart.
+// reactions, and the client's typed errors let us tell them apart.
 func describeErr(err error) string {
-	var se *simdclient.StatusError
+	var ae *client.APIError
 	switch {
-	case errors.As(err, &se):
-		return fmt.Sprintf("daemon answered HTTP %d on %s", se.Code, se.Path)
-	case simdclient.IsUnreachable(err):
+	case errors.As(err, &ae):
+		return fmt.Sprintf("daemon answered HTTP %d on %s", ae.Status, ae.Path)
+	case client.IsUnreachable(err):
 		return fmt.Sprintf("daemon unreachable (down or restarting?): %v", err)
 	}
 	return err.Error()
 }
 
 func run(base string, interval time.Duration, once bool, rows int) error {
-	api := simdclient.New(base)
+	api := client.New(base, client.WithHTTPClient(&http.Client{Timeout: 10 * time.Second}))
 
 	cur, err := pollRetry(api, 6)
 	if err != nil {
@@ -212,16 +211,16 @@ func render(base string, prev, cur *frame, rows int) string {
 	}
 	fmt.Fprintf(&b, "simtop — %s   up %s   build %s\x1b[0K\n",
 		base, fmtDur(time.Duration(st.UptimeSeconds*float64(time.Second))), buildLabel)
-	var se *simdclient.StatusError
+	var ae *client.APIError
 	switch {
 	case cur.health == "degraded":
 		// Reverse video: the one condition an operator must not miss.
 		b.WriteString("\x1b[7m DEGRADED — persistent store bypassed; results are memory-only \x1b[0m\x1b[0K\n")
-	case errors.As(cur.healthErr, &se):
+	case errors.As(cur.healthErr, &ae):
 		// /stats answered but /healthz didn't: the daemon is up and
 		// actively failing its own health check — worse than degraded.
-		fmt.Fprintf(&b, "\x1b[7m UNHEALTHY — /healthz answered HTTP %d \x1b[0m\x1b[0K\n", se.Code)
-	case cur.healthErr != nil && simdclient.IsUnreachable(cur.healthErr):
+		fmt.Fprintf(&b, "\x1b[7m UNHEALTHY — /healthz answered HTTP %d \x1b[0m\x1b[0K\n", ae.Status)
+	case cur.healthErr != nil && client.IsUnreachable(cur.healthErr):
 		b.WriteString("\x1b[7m UNHEALTHY — /healthz probe got no answer \x1b[0m\x1b[0K\n")
 	}
 	if len(st.Nodes) > 0 {

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/simdclient"
+	"repro/pkg/client"
 )
 
 // TestCheckFlags: an interval or row count the monitor cannot honour is an
@@ -58,7 +58,7 @@ func TestPollRetryBacksOffThenSucceeds(t *testing.T) {
 		w.Write([]byte("{}"))
 	}))
 	defer ts.Close()
-	c := simdclient.New(ts.URL)
+	c := client.New(ts.URL)
 	start := time.Now()
 	if f, err := pollRetry(c, 5); err != nil || f == nil || stats.Load() != 3 {
 		t.Fatalf("pollRetry: frame %v, err %v after %d polls; want a frame after 3", f, err, stats.Load())
@@ -68,8 +68,8 @@ func TestPollRetryBacksOffThenSucceeds(t *testing.T) {
 	}
 
 	failing.Store(1 << 30)
-	var se *simdclient.StatusError
-	if _, err := pollRetry(c, 2); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+	var se *client.APIError
+	if _, err := pollRetry(c, 2); !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
 		t.Fatalf("exhausted pollRetry returned %v, want the last poll's 503", err)
 	}
 }

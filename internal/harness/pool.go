@@ -19,22 +19,18 @@ type Pool struct {
 	workers int
 	busy    atomic.Int64 // workers currently inside a task
 
-	mu        sync.Mutex
-	closed    bool
-	submitted int64
-	rejected  int64
+	mu     sync.Mutex
+	closed bool
 
 	wg sync.WaitGroup
 }
 
 // PoolStats is a point-in-time snapshot of pool accounting.
 type PoolStats struct {
-	Workers   int   // worker goroutines
-	Busy      int   // workers currently executing a task
-	QueueCap  int   // bounded queue capacity
-	QueueLen  int   // tasks waiting (not yet picked up)
-	Submitted int64 // accepted tasks since construction
-	Rejected  int64 // TrySubmit refusals (queue full or closed)
+	Workers  int // worker goroutines
+	Busy     int // workers currently executing a task
+	QueueCap int // bounded queue capacity
+	QueueLen int // tasks waiting (not yet picked up)
 }
 
 // NewPool starts workers goroutines consuming from a queue of the given
@@ -68,15 +64,12 @@ func (p *Pool) TrySubmit(fn func()) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		p.rejected++
 		return false
 	}
 	select {
 	case p.tasks <- fn:
-		p.submitted++
 		return true
 	default:
-		p.rejected++
 		return false
 	}
 }
@@ -99,11 +92,9 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Workers:   p.workers,
-		Busy:      int(p.busy.Load()),
-		QueueCap:  cap(p.tasks),
-		QueueLen:  len(p.tasks),
-		Submitted: p.submitted,
-		Rejected:  p.rejected,
+		Workers:  p.workers,
+		Busy:     int(p.busy.Load()),
+		QueueCap: cap(p.tasks),
+		QueueLen: len(p.tasks),
 	}
 }

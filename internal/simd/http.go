@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/simdclient"
 	"repro/pkg/client"
 )
 
@@ -63,17 +62,17 @@ func (s *Server) MetricsHandler() http.Handler { return s.obs.reg.Handler() }
 // posture ("ok" | "degraded" — still serving, but memory-only because
 // the persistent store's disk is misbehaving).
 type healthzResponse struct {
-	simdclient.Health           // NodeID is the daemon's stable cluster identity (Options.NodeID)
-	Build             obs.Build `json:"build"`
-	StartedAt         time.Time `json:"started_at"`
-	UptimeSeconds     float64   `json:"uptime_seconds"`
+	client.Health           // NodeID is the daemon's stable cluster identity (Options.NodeID)
+	Build         obs.Build `json:"build"`
+	StartedAt     time.Time `json:"started_at"`
+	UptimeSeconds float64   `json:"uptime_seconds"`
 	// StoreDir is set when a persistent store is configured.
 	StoreDir string `json:"store_dir,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
-		Health: simdclient.Health{Status: "ok", NodeID: s.opts.NodeID},
+		Health: client.Health{Status: "ok", NodeID: s.opts.NodeID},
 		Build:  obs.ReadBuild(), StartedAt: s.started, UptimeSeconds: time.Since(s.started).Seconds(),
 	}
 	if st := s.opts.Store; st != nil {

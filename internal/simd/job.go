@@ -220,11 +220,12 @@ func (j *Job) attachEngine(e cancellable) {
 
 // requestCancel asks the job to stop and reports whether the request
 // did anything (false: already terminal). A running job gets its engine
-// cancelled and settles when the kernel unwinds. A queued job is marked
-// so that the worker skips it at pickup, and stays queued: settle tells
-// the first caller to cancel it that ending the job — journal, then
-// finish — is its to do.
-func (j *Job) requestCancel() (ok, settle bool) {
+// cancelled and settles when the kernel unwinds; deadline marks the
+// cancellation as the wall-clock deadline's, which execute turns into a
+// failure. A queued job is marked so that the worker skips it at pickup,
+// and stays queued: settle tells the first caller to cancel it that
+// ending the job — journal, then finish — is its to do.
+func (j *Job) requestCancel(deadline bool) (ok, settle bool) {
 	j.mu.Lock()
 	if client.Terminal(j.state) {
 		j.mu.Unlock()
@@ -232,6 +233,7 @@ func (j *Job) requestCancel() (ok, settle bool) {
 	}
 	first := !j.cancelled
 	j.cancelled = true
+	j.deadline = j.deadline || deadline
 	if j.state == StateQueued {
 		j.mu.Unlock()
 		return true, first
@@ -242,26 +244,6 @@ func (j *Job) requestCancel() (ok, settle bool) {
 		eng.Cancel()
 	}
 	return true, false
-}
-
-// markDeadlineExceeded flags the job as over its wall-clock budget and
-// cancels its engine; execute turns the resulting ErrCancelled into a
-// failure instead of a cancellation. It reports whether it acted (false
-// once the job is already terminal).
-func (j *Job) markDeadlineExceeded() bool {
-	j.mu.Lock()
-	if client.Terminal(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.deadline = true
-	j.cancelled = true
-	eng := j.eng
-	j.mu.Unlock()
-	if eng != nil {
-		eng.Cancel()
-	}
-	return true
 }
 
 // deadlineExceeded reports whether the wall-clock deadline fired.

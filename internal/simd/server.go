@@ -396,7 +396,7 @@ func (s *Server) execute(j *Job) {
 	// dispatch boundary.
 	if d := s.opts.JobDeadline; d > 0 {
 		timer := time.AfterFunc(d, func() {
-			if j.markDeadlineExceeded() {
+			if ok, _ := j.requestCancel(true); ok {
 				s.deadlined.Add(1)
 				s.log.Warn("job wall-clock deadline exceeded", "job", j.id,
 					"deadline_seconds", d.Seconds())
@@ -547,7 +547,7 @@ func (s *Server) Cancel(id string) error {
 	if err != nil {
 		return err
 	}
-	ok, settle := j.requestCancel()
+	ok, settle := j.requestCancel(false)
 	if !ok {
 		return ErrFinished
 	}

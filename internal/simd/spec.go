@@ -61,43 +61,66 @@ type bodyReader struct {
 
 var bodyReaders = sync.Pool{New: func() any { return new(bodyReader) }}
 
-// submitBody submits the JobSpec a body holds, unknown fields refused. A
-// body seen before takes its address from a memo, skipping the decode,
+// DecodeSpec is the job API's one spec decoder, at the daemon and at the
+// router: it reads at most MaxSpecBytes of body, decodes a JobSpec with
+// unknown fields refused, and addresses it (canonical form, canonical
+// JSON and content address, as JobSpec.Address).
+func DecodeSpec(body io.Reader) (canon JobSpec, raw []byte, hash string, err error) {
+	a, err := decodeSpec(body, nil)
+	return a.canon, a.raw, a.hash, err
+}
+
+// submitBody submits the JobSpec a body holds (decodeSpec, through the
+// server's memo).
+func (s *Server) submitBody(body io.Reader) (SubmitResult, error) {
+	a, err := decodeSpec(body, s)
+	if err != nil {
+		return SubmitResult{}, err
+	}
+	return s.submit(a)
+}
+
+// decodeSpec is DecodeSpec. With a server, a body it has seen before
+// takes its address from the server's memo, skipping the decode,
 // Canonical and SHA-256; only a body that decoded and addressed cleanly
 // enters it, so a bad one is refused alike every time.
-func (s *Server) submitBody(body io.Reader) (SubmitResult, error) {
+func decodeSpec(body io.Reader, s *Server) (a addressed, err error) {
 	br := bodyReaders.Get().(*bodyReader)
 	defer bodyReaders.Put(br)
 	br.lim = io.LimitedReader{R: body, N: MaxSpecBytes}
 	br.buf.Reset()
-	_, err := br.buf.ReadFrom(&br.lim)
+	_, err = br.buf.ReadFrom(&br.lim)
 	br.lim.R = nil
 	if err != nil {
-		return SubmitResult{}, fmt.Errorf("bad job spec: %v", err)
+		return a, fmt.Errorf("bad job spec: %v", err)
 	}
 	raw := br.buf.Bytes()
-	s.memoMu.Lock()
-	a, ok := s.memo[string(raw)]
-	s.memoMu.Unlock()
-	if !ok {
-		br.rd.Reset(raw)
-		br.spec = JobSpec{}
-		dec := json.NewDecoder(&br.rd)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&br.spec); err != nil {
-			return SubmitResult{}, fmt.Errorf("bad job spec: %v", err)
-		}
-		if a.canon, a.raw, a.hash, err = br.spec.Address(); err != nil {
-			return SubmitResult{}, err
-		}
-		if len(raw) <= specMemoBody {
-			s.memoMu.Lock()
-			if len(s.memo) >= specMemoCap {
-				clear(s.memo)
-			}
-			s.memo[string(raw)] = a
-			s.memoMu.Unlock()
-		}
+	ok := false
+	if s != nil {
+		s.memoMu.Lock()
+		a, ok = s.memo[string(raw)]
+		s.memoMu.Unlock()
 	}
-	return s.submit(a)
+	if ok {
+		return a, nil
+	}
+	br.rd.Reset(raw)
+	br.spec = JobSpec{}
+	dec := json.NewDecoder(&br.rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&br.spec); err != nil {
+		return a, fmt.Errorf("bad job spec: %v", err)
+	}
+	if a.canon, a.raw, a.hash, err = br.spec.Address(); err != nil {
+		return a, err
+	}
+	if s != nil && len(raw) <= specMemoBody {
+		s.memoMu.Lock()
+		if len(s.memo) >= specMemoCap {
+			clear(s.memo)
+		}
+		s.memo[string(raw)] = a
+		s.memoMu.Unlock()
+	}
+	return a, nil
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"reflect"
@@ -34,7 +35,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simd"
-	"repro/internal/simdclient"
 	"repro/pkg/client"
 )
 
@@ -42,8 +42,10 @@ const (
 	// failThreshold is how many consecutive probe failures demote an up
 	// member to down.
 	failThreshold = 3
-	// probeTimeout bounds one health probe.
+	// probeTimeout bounds one health probe, proxyTimeout one proxied
+	// request.
 	probeTimeout = 2 * time.Second
+	proxyTimeout = 10 * time.Second
 )
 
 // Options configures a Cluster.
@@ -81,19 +83,11 @@ type clusterJob struct {
 	redispatches int
 }
 
-// StatusError is an error with an HTTP status, so the router can
-// answer proxy failures precisely (429 with Retry-After, 503 when no
-// replica is live, 404 for unknown ids).
-type StatusError struct {
-	Code       int
-	Msg        string
-	RetryAfter string // optional Retry-After header value
-}
-
-func (e *StatusError) Error() string { return e.Msg }
-
-func statusErrf(code int, format string, args ...any) *StatusError {
-	return &StatusError{Code: code, Msg: fmt.Sprintf(format, args...)}
+// refuse is the router's own refusal, in the job API's one non-2xx type,
+// so it answers proxy failures precisely (429 with Retry-After, 503 when
+// no replica is live, 404 for unknown ids).
+func refuse(code int, format string, args ...any) *client.APIError {
+	return &client.APIError{Status: code, Message: fmt.Sprintf(format, args...)}
 }
 
 // Cluster routes jobs across health-gated simd members.
@@ -263,7 +257,7 @@ func (c *Cluster) WaitUp(id string, timeout time.Duration) error {
 func (c *Cluster) Drain(id string, on bool) error {
 	m, ok := c.Member(id)
 	if !ok {
-		return statusErrf(http.StatusNotFound, "unknown node %q", id)
+		return refuse(http.StatusNotFound, "unknown node %q", id)
 	}
 	m.mu.Lock()
 	m.draining = on
@@ -386,15 +380,12 @@ type SubmitResult struct {
 	Node string `json:"node_id"`
 }
 
-// Submit validates, canonicalizes and routes one spec document.
-func (c *Cluster) Submit(body []byte) (*SubmitResult, error) {
-	var spec simd.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		return nil, statusErrf(http.StatusBadRequest, "bad job spec: %v", err)
-	}
-	_, raw, hash, err := spec.Address()
+// Submit decodes, canonicalizes and routes one spec document, refusing
+// what the daemon would (simd.DecodeSpec).
+func (c *Cluster) Submit(body io.Reader) (*SubmitResult, error) {
+	_, raw, hash, err := simd.DecodeSpec(body)
 	if err != nil {
-		return nil, statusErrf(http.StatusBadRequest, "%v", err)
+		return nil, refuse(http.StatusBadRequest, "%v", err)
 	}
 
 	m, sub, err := c.dispatch(hash, raw, "")
@@ -497,43 +488,37 @@ func (c *Cluster) dispatch(hash string, raw []byte, exclude string) (*Member, cl
 	for _, m := range cands {
 		var sub client.Submission
 		err := m.api().Call(context.TODO(), http.MethodPost, "/jobs", raw, &sub)
-		var se *simdclient.StatusError
+		var ae *client.APIError
 		switch {
 		case err == nil:
 			return m, sub, nil
-		case !errors.As(err, &se):
+		case !errors.As(err, &ae):
 			c.proxyErrors.Inc()
 			lastErr = err
-		case se.Code == http.StatusTooManyRequests:
+		case ae.Status == http.StatusTooManyRequests:
 			sawFull = true
-			if d, ok := simdclient.RetryAfterHint(se.Header); ok && (retryAfter == "" || d < minWait) {
-				retryAfter, minWait = se.Header.Get("Retry-After"), d
+			if d, ok := ae.RetryAfter(); ok && (retryAfter == "" || d < minWait) {
+				retryAfter, minWait = ae.Header.Get("Retry-After"), d
 			}
-		case se.Code == http.StatusBadRequest:
+		case ae.Status == http.StatusBadRequest:
 			// A spec the member rejects is a client error, not a routing
 			// problem; trying replicas would just repeat it.
-			return nil, none, statusErrf(se.Code, "%s", refusal(se))
+			return nil, none, ae
 		default:
-			lastErr = fmt.Errorf("member %s: status %d: %s", m.ID(), se.Code, refusal(se))
+			lastErr = fmt.Errorf("member %s: status %d: %s", m.ID(), ae.Status, ae.Message)
 		}
 	}
 	if sawFull {
-		return nil, none, &StatusError{
-			Code: http.StatusTooManyRequests, Msg: "every live replica is at capacity", RetryAfter: retryAfter,
+		full := refuse(http.StatusTooManyRequests, "every live replica is at capacity")
+		if retryAfter != "" {
+			full.Header = http.Header{"Retry-After": {retryAfter}}
 		}
+		return nil, none, full
 	}
 	if lastErr != nil {
-		return nil, none, statusErrf(http.StatusServiceUnavailable, "no live replica accepted the job: %v", lastErr)
+		return nil, none, refuse(http.StatusServiceUnavailable, "no live replica accepted the job: %v", lastErr)
 	}
-	return nil, none, statusErrf(http.StatusServiceUnavailable, "no live replica available (%d members eligible)", len(cands))
-}
-
-// refusal is the message of a member's error body ("" when it sent
-// something else).
-func refusal(se *simdclient.StatusError) string {
-	var body client.ErrorBody
-	json.Unmarshal([]byte(se.Body), &body)
-	return body.Error
+	return nil, none, refuse(http.StatusServiceUnavailable, "no live replica available (%d members eligible)", len(cands))
 }
 
 // redispatch moves one job off its (dead or draining) owner: the
@@ -582,7 +567,7 @@ func (c *Cluster) job(cid string) (*clusterJob, error) {
 	defer c.mu.Unlock()
 	j, ok := c.jobs[cid]
 	if !ok {
-		return nil, statusErrf(http.StatusNotFound, "unknown job %q", cid)
+		return nil, refuse(http.StatusNotFound, "unknown job %q", cid)
 	}
 	return j, nil
 }
@@ -594,7 +579,7 @@ var errOwnerGone = errors.New("owner unreachable")
 // askOwner is the router's one proxy step, shared by Job, Report and
 // Cancel: resolve the job's current owner, run the exchange on it
 // (method on the member's /jobs/{local id}+suffix, answer decoded into v
-// as simdclient.Call does), and count a transport failure. When the
+// as client.Call does), and count a transport failure. When the
 // owner is gone — unreachable, silent, or restarted and answering 404
 // for an id it no longer knows — and move is set, the job is
 // re-dispatched to the next replica and moved is true: the record then
@@ -608,10 +593,10 @@ func (c *Cluster) askOwner(j *clusterJob, method, suffix string, v any, move boo
 		if err = m.api().Call(context.TODO(), method, "/jobs/"+localID+suffix, nil, v); err == nil {
 			return false, nil
 		}
-		var se *simdclient.StatusError
-		if !errors.As(err, &se) {
+		var ae *client.APIError
+		if !errors.As(err, &ae) {
 			c.proxyErrors.Inc()
-		} else if se.Code != http.StatusNotFound {
+		} else if ae.Status != http.StatusNotFound {
 			return false, err // the owner's own answer stands
 		}
 	}
@@ -707,17 +692,17 @@ func (c *Cluster) Report(cid string) ([]byte, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		var data []byte
 		moved, err := c.askOwner(j, http.MethodGet, "/report", &data, true)
-		var se *simdclient.StatusError
+		var ae *client.APIError
 		switch {
-		case errors.As(err, &se):
-			return nil, statusErrf(se.Code, "job %s report: %s", cid, se.Body)
+		case errors.As(err, &ae):
+			return nil, refuse(ae.Status, "job %s report: %s", cid, ae.Body)
 		case err != nil:
 			return nil, err
 		case !moved:
 			return data, nil
 		}
 	}
-	return nil, statusErrf(http.StatusServiceUnavailable, "job %s: report unavailable after re-dispatch", cid)
+	return nil, refuse(http.StatusServiceUnavailable, "job %s: report unavailable after re-dispatch", cid)
 }
 
 // Cancel cancels a job on its current owner.
@@ -729,14 +714,14 @@ func (c *Cluster) Cancel(cid string) (JobView, error) {
 	var st client.JobStatus
 	_, err = c.askOwner(j, http.MethodDelete, "", &st, false)
 	node := c.view(j, false).Node
-	var se *simdclient.StatusError
+	var ae *client.APIError
 	switch {
 	case errors.Is(err, errOwnerGone):
-		return JobView{}, statusErrf(http.StatusServiceUnavailable, "job %s: owner %s unreachable", cid, node)
-	case errors.As(err, &se):
-		return JobView{}, statusErrf(se.Code, "job %s: cancel refused by %s", cid, node)
+		return JobView{}, refuse(http.StatusServiceUnavailable, "job %s: owner %s unreachable", cid, node)
+	case errors.As(err, &ae):
+		return JobView{}, refuse(ae.Status, "job %s: cancel refused by %s", cid, node)
 	case err != nil:
-		return JobView{}, statusErrf(http.StatusServiceUnavailable, "%v", err)
+		return JobView{}, refuse(http.StatusServiceUnavailable, "%v", err)
 	}
 	c.observe(j, st)
 	return c.view(j, false), nil
@@ -873,7 +858,7 @@ func (c *Cluster) MemberMetrics() *obs.Snapshot {
 
 // probeClient is split out for Member so the health loop can use a
 // tighter timeout than proxied requests.
-func (m *Member) probeClient() *simdclient.Client {
+func (m *Member) probeClient() *client.Client {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.probe

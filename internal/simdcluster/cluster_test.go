@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,6 +26,11 @@ func specJSON(seed uint64, endTime float64) []byte {
 	return []byte(fmt.Sprintf(
 		`{"nodes":2,"workers_per_node":2,"lps_per_worker":4,"end_time":%g,"seed":%d}`,
 		endTime, seed))
+}
+
+// specBody is specJSON as a request body.
+func specBody(seed uint64, endTime float64) io.Reader {
+	return bytes.NewReader(specJSON(seed, endTime))
 }
 
 // hashFor computes the content address the router will route by.
@@ -157,7 +163,7 @@ func ownerOf(t *testing.T, c *Cluster, cid string) (node, base, localID string) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return j.node, c.members[j.node].api().Base, j.localID
+	return j.node, c.members[j.node].api().Base(), j.localID
 }
 
 // followOwner blocks on the job's event stream at its owner — to the
@@ -261,10 +267,10 @@ func TestHealthGateBeforeTraffic(t *testing.T) {
 		t.Fatalf("unreachable member state = %s, want starting", m.State())
 	}
 	// No eligible members: submissions answer 503, healthz says degraded.
-	if _, err := c.Submit(specJSON(1, 5)); err == nil {
+	if _, err := c.Submit(specBody(1, 5)); err == nil {
 		t.Fatal("submit with no live member must fail")
-	} else if se := err.(*StatusError); se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("submit error code = %d, want 503", se.Code)
+	} else if se := err.(*client.APIError); se.Status != http.StatusServiceUnavailable {
+		t.Fatalf("submit error code = %d, want 503", se.Status)
 	}
 	rt := httptest.NewServer(c.Handler())
 	defer rt.Close()
@@ -332,7 +338,7 @@ func TestRoutingIsContentAddressedAndCacheAware(t *testing.T) {
 
 	// Placement follows the rendezvous rank of the content address.
 	seed := seedRankedTo(t, ids, "n2", 5, 100)
-	res, err := c.Submit(specJSON(seed, 5))
+	res, err := c.Submit(specBody(seed, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +350,7 @@ func TestRoutingIsContentAddressedAndCacheAware(t *testing.T) {
 	// Resubmission routes back to the owner and is served from cache:
 	// zero additional executions anywhere in the cluster.
 	before := c.Stats()
-	re, err := c.Submit(specJSON(seed, 5))
+	re, err := c.Submit(specBody(seed, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +376,35 @@ func TestRoutingIsContentAddressedAndCacheAware(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesWhatTheDaemonRefuses: a spec body with a field the
+// job spec does not have (a typo of end_time) is refused by the router
+// exactly as by the daemon behind it, status and message, instead of
+// being routed with the field dropped.
+func TestRouterRefusesWhatTheDaemonRefuses(t *testing.T) {
+	c, nodes := newTestCluster(t, 1, 1, 4)
+	rt := httptest.NewServer(c.Handler())
+	defer rt.Close()
+	const body = `{"model":"phold","end_tme":5}`
+	post := func(base string) (int, string) {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc client.ErrorBody
+		json.NewDecoder(resp.Body).Decode(&doc)
+		return resp.StatusCode, doc.Error
+	}
+	dCode, dMsg := post(nodes[0].ts.URL)
+	rCode, rMsg := post(rt.URL)
+	if dCode != http.StatusBadRequest || !strings.Contains(dMsg, `unknown field "end_tme"`) {
+		t.Fatalf("daemon answered HTTP %d %q, want 400 naming the unknown field", dCode, dMsg)
+	}
+	if rCode != dCode || rMsg != dMsg {
+		t.Fatalf("router answered HTTP %d %q, daemon HTTP %d %q", rCode, rMsg, dCode, dMsg)
+	}
+}
+
 func TestSubmitSpillsOnSaturatedMember(t *testing.T) {
 	c, nodes := newTestCluster(t, 2, 1, 1)
 	ids := memberIDs(nodes)
@@ -379,7 +414,7 @@ func TestSubmitSpillsOnSaturatedMember(t *testing.T) {
 	var blockers []string
 	for i := 0; i < 2; i++ {
 		seed := seedRankedTo(t, ids, "n1", 50000, uint64(1000+i*10000))
-		res, err := c.Submit(specJSON(seed, 50000))
+		res, err := c.Submit(specBody(seed, 50000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +425,7 @@ func TestSubmitSpillsOnSaturatedMember(t *testing.T) {
 	}
 	// A fast job ranking n1 first spills to n2 instead of bouncing 429.
 	seed := seedRankedTo(t, ids, "n1", 5, 30000)
-	res, err := c.Submit(specJSON(seed, 5))
+	res, err := c.Submit(specBody(seed, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +464,9 @@ func TestSaturatedClusterOffersSmallestRetryAfter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := c.Submit(specJSON(1, 5))
-		se, ok := err.(*StatusError)
-		if !ok || se.Code != http.StatusTooManyRequests || se.RetryAfter != "9" {
+		_, err := c.Submit(specBody(1, 5))
+		se, ok := err.(*client.APIError)
+		if !ok || se.Status != http.StatusTooManyRequests || se.Header.Get("Retry-After") != "9" {
 			t.Errorf("members hinting %v: err %v, want 429 with Retry-After 9", hints, err)
 		}
 	}
@@ -442,7 +477,7 @@ func TestFailoverOnNodeDeath(t *testing.T) {
 	ids := memberIDs(nodes)
 
 	// A fast job completes somewhere; its owner becomes the victim.
-	res, err := c.Submit(specJSON(7, 5))
+	res, err := c.Submit(specBody(7, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +490,7 @@ func TestFailoverOnNodeDeath(t *testing.T) {
 
 	// Pin the victim with a running blocker and a queued fast job.
 	bseed := seedRankedTo(t, ids, victim, 50000, 500)
-	blocker, err := c.Submit(specJSON(bseed, 50000))
+	blocker, err := c.Submit(specBody(bseed, 50000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +499,7 @@ func TestFailoverOnNodeDeath(t *testing.T) {
 	}
 	waitState(t, c, blocker.ID, simd.StateRunning)
 	qseed := seedRankedTo(t, ids, victim, 6, 800)
-	queued, err := c.Submit(specJSON(qseed, 6))
+	queued, err := c.Submit(specBody(qseed, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +563,7 @@ func TestDrainMovesWorkAndKeepsNodeReadable(t *testing.T) {
 	ids := memberIDs(nodes)
 
 	bseed := seedRankedTo(t, ids, "n1", 50000, 2000)
-	blocker, err := c.Submit(specJSON(bseed, 50000))
+	blocker, err := c.Submit(specBody(bseed, 50000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +583,7 @@ func TestDrainMovesWorkAndKeepsNodeReadable(t *testing.T) {
 	// New work never routes to a draining member, even when it ranks
 	// first.
 	seed := seedRankedTo(t, ids, "n1", 5, 4000)
-	res, err := c.Submit(specJSON(seed, 5))
+	res, err := c.Submit(specBody(seed, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,12 +602,12 @@ func TestDrainMovesWorkAndKeepsNodeReadable(t *testing.T) {
 	if err := c.Drain("n1", false); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c.Submit(specJSON(seed+50000, 5))
+	res2, err := c.Submit(specBody(seed+50000, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = res2
-	back, err := c.Submit(specJSON(seedRankedTo(t, ids, "n1", 5, 60000), 5))
+	back, err := c.Submit(specBody(seedRankedTo(t, ids, "n1", 5, 60000), 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +622,7 @@ func TestDrainMovesWorkAndKeepsNodeReadable(t *testing.T) {
 func TestClusterStatsAndMetricsAggregate(t *testing.T) {
 	c, _ := newTestCluster(t, 3, 2, 16)
 	for seed := uint64(1); seed <= 5; seed++ {
-		res, err := c.Submit(specJSON(seed, 5))
+		res, err := c.Submit(specBody(seed, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

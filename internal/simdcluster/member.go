@@ -1,10 +1,11 @@
 package simdcluster
 
 import (
+	"net/http"
 	"sync"
 	"time"
 
-	"repro/internal/simdclient"
+	"repro/pkg/client"
 )
 
 // MemberState is a member's position in the health-gated lifecycle:
@@ -39,11 +40,11 @@ type Member struct {
 	failures int
 	lastErr  string
 	lastSeen time.Time
-	client   *simdclient.Client
+	client   *client.Client
 	// probe is a second client with the (tighter) health-probe timeout,
 	// so a hung member cannot stall the health loop for the full proxy
 	// timeout.
-	probe *simdclient.Client
+	probe *client.Client
 }
 
 // ID returns the member's stable identity.
@@ -73,7 +74,7 @@ func (m *Member) reachable() bool {
 
 // api returns the member's HTTP client and base URL under the lock —
 // both can change when a supervisor respawns the member on a new port.
-func (m *Member) api() *simdclient.Client {
+func (m *Member) api() *client.Client {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.client
@@ -86,9 +87,8 @@ func (m *Member) rebase(base string, pid int) {
 	defer m.mu.Unlock()
 	m.base = base
 	m.pid = pid
-	m.client = simdclient.New(base)
-	m.probe = simdclient.New(base)
-	m.probe.HTTP.Timeout = probeTimeout
+	m.client = client.New(base, client.WithHTTPClient(&http.Client{Timeout: proxyTimeout}))
+	m.probe = client.New(base, client.WithHTTPClient(&http.Client{Timeout: probeTimeout}))
 	m.state = MemberStarting
 	m.failures = 0
 	m.lastErr = ""

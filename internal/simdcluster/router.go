@@ -3,13 +3,12 @@ package simdcluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simd"
-	"repro/internal/simdclient"
+	"repro/pkg/client"
 )
 
 // Handler returns the router's HTTP API — deliberately shaped like one
@@ -32,25 +31,21 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// writeErr renders an error, honoring StatusError codes and headers.
+// writeErr renders an error: an *APIError as its status, message and
+// Retry-After, anything else as a 500.
 func writeErr(w http.ResponseWriter, err error) {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		se = &StatusError{Code: http.StatusInternalServerError, Msg: err.Error()}
+	var ae *client.APIError
+	if !errors.As(err, &ae) {
+		ae = refuse(http.StatusInternalServerError, "%s", err)
 	}
-	if se.RetryAfter != "" {
-		w.Header().Set("Retry-After", se.RetryAfter)
+	if ra := ae.Header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
 	}
-	simd.WriteError(w, se.Code, "%s", se.Msg)
+	simd.WriteError(w, ae.Status, "%s", ae.Message)
 }
 
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, simd.MaxSpecBytes))
-	if err != nil {
-		writeErr(w, statusErrf(http.StatusBadRequest, "reading spec: %v", err))
-		return
-	}
-	res, err := c.Submit(body)
+	res, err := c.Submit(r.Body)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -127,7 +122,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // healthzResponse is the router's liveness document.
 type healthzResponse struct {
-	simdclient.Health
+	client.Health
 	// NodesUp / NodesTotal summarize gated membership.
 	NodesUp       int       `json:"nodes_up"`
 	NodesTotal    int       `json:"nodes_total"`
@@ -145,7 +140,7 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := healthzResponse{
-		Health:  simdclient.Health{Status: "ok", NodeID: fmt.Sprintf("cluster(%d)", len(members))},
+		Health:  client.Health{Status: "ok", NodeID: fmt.Sprintf("cluster(%d)", len(members))},
 		NodesUp: up, NodesTotal: len(members),
 		Build: obs.ReadBuild(), StartedAt: c.started, UptimeSeconds: time.Since(c.started).Seconds(),
 	}

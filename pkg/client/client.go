@@ -35,9 +35,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
-	"repro/internal/simdclient"
+	"repro/internal/obs"
 )
 
 // Job lifecycle states, as they appear in JobStatus.State. Transitions:
@@ -128,9 +130,17 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
+// Health is the head of a /healthz document, shared by daemon and
+// router (both embed it): enough for gating and attribution.
+type Health struct {
+	Status string `json:"status"`
+	NodeID string `json:"node_id,omitempty"`
+}
+
 // Client talks to one simd daemon or simdcluster router.
 type Client struct {
-	api  *simdclient.Client
+	base string
+	http *http.Client
 	poll time.Duration
 }
 
@@ -141,7 +151,7 @@ type Option func(*Client)
 // zero: request lifetimes are governed by the contexts you pass, and
 // the events stream legitimately outlives any fixed deadline.
 func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.api.HTTP = h }
+	return func(c *Client) { c.http = h }
 }
 
 // WithPollInterval sets the status poll interval Await falls back to
@@ -157,11 +167,9 @@ func WithPollInterval(d time.Duration) Option {
 // New returns a client for the given base URL, e.g.
 // "http://127.0.0.1:8080".
 func New(base string, opts ...Option) *Client {
-	api := simdclient.New(base)
 	// No global timeout: per-request contexts govern lifetimes, and the
 	// events stream runs for as long as the simulation does.
-	api.HTTP = &http.Client{}
-	c := &Client{api: api, poll: 150 * time.Millisecond}
+	c := &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}, poll: 150 * time.Millisecond}
 	for _, o := range opts {
 		o(c)
 	}
@@ -169,7 +177,7 @@ func New(base string, opts ...Option) *Client {
 }
 
 // Base returns the service root URL this client talks to.
-func (c *Client) Base() string { return c.api.Base }
+func (c *Client) Base() string { return c.base }
 
 // Submit posts one job spec. spec is marshalled as JSON ([]byte and
 // json.RawMessage pass through verbatim), so callers may hand over a
@@ -180,34 +188,137 @@ func (c *Client) Submit(ctx context.Context, spec any) (Submission, error) {
 	return c.SubmitRetry(ctx, spec, 0)
 }
 
-// call runs one exchange with the service, decoding a 2xx answer into v
-// (simdclient.Call) and mapping anything else through apiErr.
+// Call is the job API's one HTTP exchange: method on Base()+path under
+// ctx, body marshalled as JSON ([]byte and json.RawMessage pass through
+// verbatim; nil sends none), and a 2xx answer decoded into v — nil
+// discards it, a *[]byte takes the body verbatim (the shape proxies
+// need), anything else is decoded as JSON. Every other status is an
+// *APIError carrying the whole answer; a transport failure is an error
+// for which IsUnreachable is true. The SDK's methods, the router's
+// proxying and the monitors all make it.
+func (c *Client) Call(ctx context.Context, method, path string, body, v any) error {
+	return c.exchange(ctx, method, path, body, func(data []byte) error {
+		switch v := v.(type) {
+		case nil:
+		case *[]byte:
+			*v = data
+		default:
+			return json.Unmarshal(data, v)
+		}
+		return nil
+	})
+}
+
+// exchange is Call with the decoding step given: decode reads a 2xx
+// answer's body. decode is only called, never kept: a closure costs no
+// allocation.
+func (c *Client) exchange(ctx context.Context, method, path string, body any, decode func([]byte) error) error {
+	var rd io.Reader
+	if body != nil {
+		var payload []byte
+		switch b := body.(type) {
+		case []byte:
+			payload = b
+		case json.RawMessage:
+			payload = b
+		default:
+			var err error
+			if payload, err = json.Marshal(body); err != nil {
+				return err
+			}
+		}
+		rd = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header["Content-Type"] = jsonType
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer // one buffer, sized from Content-Length when it is known and small
+	if n := resp.ContentLength; n >= 0 && n < maxPresize {
+		buf.Grow(int(n) + bytes.MinRead) // MinRead: room for the read that sees EOF
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	if code := resp.StatusCode; code < 200 || code > 299 {
+		return newAPIError(method, path, code, resp.Header, buf.Bytes())
+	}
+	if err := decode(buf.Bytes()); err != nil {
+		return fmt.Errorf("%s %s: HTTP %d with an undecodable answer: %w", method, path, resp.StatusCode, err)
+	}
+	return nil
+}
+
+// maxPresize caps what a declared Content-Length reserves up front, so a
+// hostile header cannot force a large allocation.
+const maxPresize = 1 << 20
+
+// jsonType is the Content-Type every request body shares (Header.Set allocates).
+var jsonType = []string{"application/json"}
+
+// IsUnreachable reports whether err is a transport-level failure —
+// connection refused or reset, DNS failure, client timeout — rather
+// than an answer (*APIError) or a body-decode problem. The Go HTTP
+// client wraps every transport failure in *url.Error, so that is the
+// discriminator. A cancelled request context also surfaces this way;
+// callers that cancel should check ctx.Err() first.
+func IsUnreachable(err error) bool {
+	var ue *url.Error
+	return errors.As(err, &ue)
+}
+
+// Health fetches /healthz. A reachable service that answers anything
+// but 200 is an *APIError: health gating wants a hard signal, and the
+// monitor renders "answered 500" differently from "nothing listening".
+func (c *Client) Health() (Health, error) {
+	var h Health
+	err := c.Call(context.Background(), http.MethodGet, "/healthz", nil, &h)
+	return h, err
+}
+
+// Metrics fetches and parses /metrics (Prometheus text exposition).
+func (c *Client) Metrics() (*obs.Snapshot, error) {
+	var data []byte
+	if err := c.Call(context.Background(), http.MethodGet, "/metrics", nil, &data); err != nil {
+		return nil, err
+	}
+	return obs.ParseText(bytes.NewReader(data))
+}
+
+// call runs one exchange (Call) and maps a failure through apiErr.
 func (c *Client) call(ctx context.Context, op, method, path string, body, v any, on409 error) error {
-	return apiErr(op, c.api.Call(ctx, method, path, body, v), on409)
+	return apiErr(op, c.Call(ctx, method, path, body, v), on409)
 }
 
 // apiErr is the one place an exchange's failure becomes the SDK's typed
 // errors: 429 is *QueueFullError with the parsed Retry-After hint, 409 is
 // on409 where the route gives it a meaning (ErrNotReady on /report,
-// ErrFinished on DELETE), every other status *APIError; an exchange that
-// got no answer, or an undecodable one, keeps its cause.
+// ErrFinished on DELETE), every other status the *APIError itself; an
+// exchange that got no answer, or an undecodable one, keeps its cause.
 func apiErr(op string, err, on409 error) error {
 	if err == nil {
 		return nil
 	}
-	var se *simdclient.StatusError // after the nil check: errors.As moves it to the heap
-	if !errors.As(err, &se) {
+	var ae *APIError // after the nil check: errors.As moves it to the heap
+	if !errors.As(err, &ae) {
 		return fmt.Errorf("client: %s: %w", op, err)
 	}
-	msg := apiMessage([]byte(se.Body))
 	switch {
-	case se.Code == http.StatusTooManyRequests:
-		ra, ok := simdclient.RetryAfterHint(se.Header)
-		return &QueueFullError{RetryAfter: ra, Hinted: ok, Message: msg}
-	case se.Code == http.StatusConflict && on409 != nil:
-		return fmt.Errorf("client: %s: %s: %w", op, msg, on409)
+	case ae.Status == http.StatusTooManyRequests:
+		ra, ok := ae.RetryAfter()
+		return &QueueFullError{RetryAfter: ra, Hinted: ok, Message: ae.Message}
+	case ae.Status == http.StatusConflict && on409 != nil:
+		return fmt.Errorf("client: %s: %s: %w", op, ae.Message, on409)
 	}
-	return &APIError{Status: se.Code, Message: msg}
+	return ae
 }
 
 // SubmitRetry submits, absorbing up to retries ErrQueueFull answers by
@@ -388,7 +499,7 @@ func (c *Client) Run(ctx context.Context, spec any) (JobStatus, []byte, error) {
 	var ans settled
 	decode := func(data []byte) (err error) { ans, err = decodeSettled(data); return }
 	err := absorbQueueFull(ctx, 8, func() error {
-		return apiErr("submit", c.api.CallFunc(ctx, http.MethodPost, "/jobs?wait", spec, decode), nil)
+		return apiErr("submit", c.exchange(ctx, http.MethodPost, "/jobs?wait", spec, decode), nil)
 	})
 	if err != nil && !refusal(err) && ctx.Err() == nil {
 		ans = settled{}
@@ -429,11 +540,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // non-nil) per progress record, and returns nil once the end record
 // arrives. A non-nil fn error aborts the stream and is returned as-is.
 func (c *Client) streamEvents(ctx context.Context, id string, fn func(Progress) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.api.Base+"/jobs/"+id+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.api.HTTP.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: events %s: %w", id, err)
 	}
@@ -441,7 +552,7 @@ func (c *Client) streamEvents(ctx context.Context, id string, fn func(Progress) 
 	if resp.StatusCode != http.StatusOK {
 		// At most 64 KiB of an error body, however many writes it arrives in.
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		return apiErr("events "+id, &simdclient.StatusError{Code: resp.StatusCode, Header: resp.Header, Body: string(data)}, nil)
+		return apiErr("events "+id, newAPIError(http.MethodGet, "/jobs/"+id+"/events", resp.StatusCode, resp.Header, data), nil)
 	}
 	return followEvents(resp.Body, id, fn)
 }

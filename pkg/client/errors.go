@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -58,12 +60,26 @@ func (e *QueueFullError) Error() string {
 
 func (e *QueueFullError) Is(target error) bool { return target == ErrQueueFull }
 
-// APIError is any other non-2xx service answer: bad spec (400), not
-// found (404), draining (503). It answers errors.Is(err, ErrNotFound)
-// for 404s.
+// APIError is a non-2xx answer from the service, whole: bad spec (400),
+// not found (404), not ready (409), queue full (429), draining (503).
+// Call returns every such answer as one; the SDK's methods return it for
+// every status but 429 (*QueueFullError) and the 409s they give a
+// sentinel. The router builds its own refusals as one too. It answers
+// errors.Is(err, ErrNotFound) for 404s.
 type APIError struct {
-	Status  int
+	Method string // the request answered ("" for a refusal being written)
+	Path   string
+	Status int
+	Header http.Header
+	// Body is the answer's raw body; Message is its ErrorBody message, or
+	// the trimmed body when it is not one.
+	Body    string
 	Message string
+}
+
+// newAPIError is the answer code, with hdr and data, to method on path.
+func newAPIError(method, path string, code int, hdr http.Header, data []byte) *APIError {
+	return &APIError{Method: method, Path: path, Status: code, Header: hdr, Body: string(data), Message: apiMessage(data)}
 }
 
 func (e *APIError) Error() string {
@@ -72,6 +88,16 @@ func (e *APIError) Error() string {
 
 func (e *APIError) Is(target error) bool {
 	return target == ErrNotFound && e.Status == 404
+}
+
+// RetryAfter parses the answer's Retry-After header (the integer seconds
+// form); ok is false when it is absent or unparseable.
+func (e *APIError) RetryAfter() (d time.Duration, ok bool) {
+	secs, err := strconv.Atoi(e.Header.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return 0, false
+	}
+	return time.Duration(secs) * time.Second, true
 }
 
 // JobFailedError is a job that settled as failed for a reason other

@@ -90,7 +90,7 @@ func TestOptionsAndBase(t *testing.T) {
 	if c.Base() != "http://example.test" {
 		t.Errorf("Base() = %q (trailing slash must be trimmed)", c.Base())
 	}
-	if c.api.HTTP != h {
+	if c.http != h {
 		t.Error("WithHTTPClient did not install the client")
 	}
 	if c.poll != time.Second {

@@ -1,4 +1,4 @@
-package simdclient
+package client
 
 import (
 	"context"
@@ -45,26 +45,26 @@ func TestGetPostDelete(t *testing.T) {
 	if err == nil {
 		t.Fatal("GET on 404 must error")
 	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
-		t.Fatalf("GET on 404 returned %v, want *StatusError with code 404", err)
+	var se *APIError
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound || se.Method != http.MethodGet || se.Path != "/missing" {
+		t.Fatalf("GET on 404 returned %v, want *APIError with status 404", err)
 	}
 	if IsUnreachable(err) {
 		t.Fatal("an HTTP 404 answer must not read as unreachable")
 	}
 
-	// A refusal comes back whole: code, headers and body on the error.
+	// A refusal comes back whole: status, headers and body on the error.
 	var echo map[string]any
 	err = c.Call(ctx, http.MethodPost, "/echo", map[string]any{"k": "v"}, nil)
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests ||
+	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests ||
 		json.Unmarshal([]byte(se.Body), &echo) != nil || echo["k"] != "v" {
 		t.Fatalf("POST: echo %v err %v", echo, err)
 	}
-	if d, ok := RetryAfterHint(se.Header); !ok || d != 3*time.Second {
-		t.Fatalf("RetryAfterHint = %v, %v", d, ok)
+	if d, ok := se.RetryAfter(); !ok || d != 3*time.Second {
+		t.Fatalf("RetryAfter = %v, %v", d, ok)
 	}
-	if _, ok := RetryAfterHint(http.Header{}); ok {
-		t.Fatal("RetryAfterHint on empty header must be !ok")
+	if _, ok := (&APIError{}).RetryAfter(); ok {
+		t.Fatal("RetryAfter without a header must be !ok")
 	}
 
 	var del struct {
@@ -112,15 +112,15 @@ func TestTypedErrorsDistinguishUnreachableFromStatus(t *testing.T) {
 	}))
 	c := New(ts.URL)
 	_, err := c.Health()
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
-		t.Fatalf("Health against a 500 returned %v, want *StatusError 500", err)
+	var se *APIError
+	if !errors.As(err, &se) || se.Status != http.StatusInternalServerError {
+		t.Fatalf("Health against a 500 returned %v, want *APIError 500", err)
 	}
-	if se.Body == "" || IsUnreachable(err) {
-		t.Fatalf("StatusError should carry a body snippet and not read unreachable: %+v", se)
+	if se.Body == "" || se.Message != "internal meltdown" || IsUnreachable(err) {
+		t.Fatalf("APIError should carry the body and its message and not read unreachable: %+v", se)
 	}
-	if _, err := c.Metrics(); !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
-		t.Fatalf("Metrics against a 500 returned %v, want *StatusError 500", err)
+	if _, err := c.Metrics(); !errors.As(err, &se) || se.Status != http.StatusInternalServerError {
+		t.Fatalf("Metrics against a 500 returned %v, want *APIError 500", err)
 	}
 
 	// The same URL with the server gone: nothing listening.
@@ -130,11 +130,11 @@ func TestTypedErrorsDistinguishUnreachableFromStatus(t *testing.T) {
 		t.Fatalf("Health against a dead server returned %v, want an unreachable transport error", err)
 	}
 	if errors.As(err, &se) {
-		t.Fatalf("a refused connection must not be a *StatusError: %v", err)
+		t.Fatalf("a refused connection must not be an *APIError: %v", err)
 	}
 }
 
-func TestDoHonorsContext(t *testing.T) {
+func TestCallHonorsContext(t *testing.T) {
 	block := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-block
@@ -144,8 +144,8 @@ func TestDoHonorsContext(t *testing.T) {
 	c := New(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, _, _, err := c.Do(ctx, http.MethodGet, "/slow", nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Do under an expired context returned %v, want DeadlineExceeded", err)
+	if err := c.Call(ctx, http.MethodGet, "/slow", nil, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Call under an expired context returned %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -171,8 +171,8 @@ func TestRetryAfterHintParse(t *testing.T) {
 		{"1.5", 0, false},
 	}
 	for _, tc := range cases {
-		if d, ok := RetryAfterHint(mk(tc.header)); d != tc.want || ok != tc.ok {
-			t.Errorf("RetryAfterHint(%q) = %v, %v; want %v, %v", tc.header, d, ok, tc.want, tc.ok)
+		if d, ok := (&APIError{Header: mk(tc.header)}).RetryAfter(); d != tc.want || ok != tc.ok {
+			t.Errorf("RetryAfter(%q) = %v, %v; want %v, %v", tc.header, d, ok, tc.want, tc.ok)
 		}
 	}
 }
@@ -195,16 +195,14 @@ func TestDeclaredLengthBoundsThePresize(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, data, _, err := c.Do(context.Background(), http.MethodGet, "/", nil)
+	var data []byte
+	err := c.Call(context.Background(), http.MethodGet, "/", nil, &data)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) || string(data) != "0123456789" {
-		t.Fatalf("short body: %q, %v; want the ten bytes and io.ErrUnexpectedEOF", data, err)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || data != nil {
+		t.Fatalf("short body: %q, %v; want no answer and io.ErrUnexpectedEOF", data, err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxPresize {
 		t.Fatalf("a declared terabyte made the exchange allocate %d bytes, over the %d cap", grew, maxPresize)
-	}
-	if err := c.Call(context.Background(), http.MethodGet, "/", nil, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("Call on a short body returned %v", err)
 	}
 }
 
@@ -225,8 +223,9 @@ func TestSizedReadReusesTheConnection(t *testing.T) {
 	defer ts.Close()
 	c := New(ts.URL)
 	for i := 0; i < 3; i++ {
-		if _, data, hdr, err := c.Do(context.Background(), http.MethodGet, "/", nil); err != nil || string(data) != `{"n": 7}` || hdr.Get("Content-Length") != "8" {
-			t.Fatalf("call %d: %q (Content-Length %q), %v", i, data, hdr.Get("Content-Length"), err)
+		var data []byte
+		if err := c.Call(context.Background(), http.MethodGet, "/", nil, &data); err != nil || string(data) != `{"n": 7}` {
+			t.Fatalf("call %d: %q, %v", i, data, err)
 		}
 	}
 	if n := conns.Load(); n != 1 {
