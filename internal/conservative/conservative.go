@@ -31,6 +31,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/sim"
+	"repro/internal/stash"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -136,7 +137,30 @@ type Engine struct {
 	nullMsgs int64
 	nulls    *nullMsg            // free list: recvInbound returns each it consumes
 	nullSlab event.Slab[nullMsg] // where fresh ones come from
+	kept     *arrays
 }
+
+// arrays is what a build makes and its run carves, kept for the next.
+type arrays struct {
+	events stash.Arrays[event.Event]
+	nulls  stash.Arrays[nullMsg]
+	nodes  stash.Arrays[node]
+	nodeps stash.Arrays[*node]
+	times  stash.Arrays[vtime.Time]
+	lps    stash.Arrays[pe.LP]
+	last   stash.Arrays[vtime.Stamp]
+	ws     stash.Arrays[worker]
+	wps    stash.Arrays[*worker]
+	sends  stash.Arrays[*event.Event]
+	probes stash.Arrays[pe.Probe]
+}
+
+func (a *arrays) Reset() int {
+	return a.events.Reset() + a.nulls.Reset() + a.nodes.Reset() + a.nodeps.Reset() + a.times.Reset() + a.lps.Reset() + a.last.Reset() +
+		a.ws.Reset() + a.wps.Reset() + a.sends.Reset() + a.probes.Reset()
+}
+
+var engArrays = stash.NewKeep[arrays]()
 
 // newNull returns a null message to send, recycled when one is free.
 func (e *Engine) newNull() *nullMsg {
@@ -155,16 +179,17 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime}
+	eng := &Engine{cfg: cfg, la: cfg.Lookahead, end: cfg.EndTime, kept: engArrays.Take()}
 	eng.Init("conservative", pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
 	}, eng.finish)
-	for id := 0; id < cfg.Topology.Nodes; id++ {
-		eng.nodes = append(eng.nodes, newNode(eng))
+	eng.nodes = eng.kept.nodeps.Make(cfg.Topology.Nodes)
+	for id := range eng.nodes {
+		eng.nodes[id] = newNode(eng)
 	}
 	eng.Seed()
-	eng.nullSlab = event.Slab[nullMsg]{First: nullsPerLink * cfg.Topology.Nodes * cfg.Topology.Nodes, Stash: &nullStash}
+	eng.nullSlab = event.Slab[nullMsg]{First: nullsPerLink * cfg.Topology.Nodes * cfg.Topology.Nodes, From: &eng.kept.nulls}
 	if cfg.Sync == SyncNullMsg {
 		eng.AddProcess("observer", eng.observe)
 	}
@@ -218,8 +243,8 @@ func (e *Engine) onRound(gvt vtime.Time, sync bool) {
 }
 
 // finish completes the run statistics — the run ends when the kernel
-// does, with the horizon past the end time — and hands the run's events
-// and null messages back to their stashes.
+// does, with the horizon past the end time — and hands the run's arrays
+// on to the next engine's.
 func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.Env.Now()
 	r.FinalGVT = float64(e.end)
@@ -227,14 +252,10 @@ func (e *Engine) finish(r *stats.Run) {
 	for _, nd := range e.nodes {
 		r.PoolNews += int64(nd.pool.News)
 		r.PoolRecycled += int64(nd.pool.Gets)
-		nd.pool.Release()
 	}
-	e.nulls = nil
-	e.nullSlab.Release()
+	e.nodes, e.nulls = nil, nil
+	engArrays.Put(e.kept)
 }
-
-// nullStash keeps the null-message arrays of runs that have ended.
-var nullStash event.Stash[nullMsg]
 
 // Report assembles the canonical run report for r, which must have come
 // from this engine's Run.

@@ -69,24 +69,25 @@ type node struct {
 }
 
 func newNode(eng *Engine) *node {
-	top := &eng.cfg.Topology
-	n := &node{eng: eng}
+	top, a := &eng.cfg.Topology, eng.kept
+	n := &a.nodes.Make(1)[0]
+	n.eng = eng
 	eng.AddNode(&n.Node, cluster.KNLDefaults())
-	n.pool.Reserve(top.WorkersPerNode) // one event in hand per worker, between its Send and its free
-	parts := top.WorkersPerNode + 1    // workers + the comm role
+	n.pool.Reserve(top.WorkersPerNode, &a.events) // one event in hand per worker, between its Send and its free
+	parts := top.WorkersPerNode + 1               // workers + the comm role
 	n.bar1 = sim.Barrier{Name: eng.Env.Name("csync-%d", n.ID), N: parts}
 	n.bar2 = sim.Barrier{Name: eng.Env.Name("csync2-%d", n.ID), N: parts}
-	times := make([]vtime.Time, top.WorkersPerNode+2*top.Nodes)
+	times := a.times.Make(top.WorkersPerNode + 2*top.Nodes)
 	n.floors, n.chanIn, n.lastEOT = times[:top.WorkersPerNode], times[top.WorkersPerNode:][:top.Nodes], times[top.WorkersPerNode+top.Nodes:]
 	n.chanIn[n.ID] = vtime.Inf // self imposes no inbound bound
 	// The node's workers, LP records, last stamps and send queues are one
 	// array each. The stamps stay apart: an array without pointers carries
 	// no allocation header (DESIGN.md "Allocations per commit", Set-up in
 	// slabs).
-	per := top.LPsPerWorker
-	lps, last := make([]pe.LP, top.WorkersPerNode*per), make([]vtime.Stamp, top.WorkersPerNode*per)
-	ws, sends := make([]worker, top.WorkersPerNode), make([]*event.Event, top.WorkersPerNode*sendCap)
-	n.workers = make([]*worker, top.WorkersPerNode)
+	per, wpn := top.LPsPerWorker, top.WorkersPerNode
+	lps, last := a.lps.Make(wpn*per), a.last.Make(wpn*per)
+	ws, sends := a.ws.Make(wpn), a.sends.Make(wpn*sendCap)
+	n.workers = a.wps.Make(wpn)
 	for i := range n.workers {
 		n.workers[i] = &ws[i]
 		ws[i].init(n, lps[i*per:(i+1)*per], last[i*per:(i+1)*per], sends[i*sendCap:i*sendCap:(i+1)*sendCap])
@@ -94,7 +95,9 @@ func newNode(eng *Engine) *node {
 	if eng.cfg.Sync == SyncWindow {
 		eng.AddComm(&n.Node, n)
 	} else {
-		eng.AddComm(&n.Node, n, pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe())
+		probes := a.probes.Make(3)
+		probes[0], probes[1], probes[2] = pe.TakeProbe(&n.Out), pe.RecvProbe(mpi.AnySource, tagEvents), pe.StableProbe()
+		eng.AddComm(&n.Node, n, probes...)
 	}
 	return n
 }

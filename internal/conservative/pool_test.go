@@ -17,7 +17,7 @@ import (
 func poisoned(eng *Engine) *Engine {
 	for _, n := range eng.nodes {
 		n.pool = *event.NewPool(true)
-		n.pool.Reserve(eng.cfg.Topology.WorkersPerNode)
+		n.pool.Reserve(eng.cfg.Topology.WorkersPerNode, &eng.kept.events)
 	}
 	return eng
 }

@@ -55,7 +55,9 @@ func (w *worker) init(n *node, lps []pe.LP, last []vtime.Stamp, sendQ []*event.E
 	}
 	w.ctx = wctx{Ctx: pe.Ctx{W: &w.Worker}, w: w}
 	if n.eng.cfg.Sync != SyncWindow {
-		w.IdlePass(pe.TakeProbe(&w.Inbox), pe.StableProbe())
+		probes := n.eng.kept.probes.Make(2)
+		probes[0], probes[1] = pe.TakeProbe(&w.Inbox), pe.StableProbe()
+		w.IdlePass(probes...)
 	}
 }
 

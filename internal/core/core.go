@@ -17,10 +17,12 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/sim"
+	"repro/internal/stash"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -219,6 +221,7 @@ type Engine struct {
 	pe.Runtime
 	cfg   Config
 	nodes []*node
+	kept  *arrays
 
 	// The GVT algorithm, decided once: ring is a token-ring round (Mattern,
 	// CA-GVT); otherwise every round is Algorithm 1's synchronous one, and
@@ -241,7 +244,7 @@ type Engine struct {
 	// Load balancing (see Config.Balance). routing is always present —
 	// the static fast path is arithmetic — but the rest only activates
 	// when a non-static policy is configured (migEnabled).
-	routing        *cluster.Routing
+	routing        cluster.Routing
 	balancer       balance.Policy
 	migEnabled     bool
 	balanceFactors []float64 // per-node cost factors for the policy
@@ -269,9 +272,9 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := &Engine{cfg: cfg, routing: cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi}
+	eng := &Engine{cfg: cfg, routing: *cluster.NewRouting(cfg.Topology), acks: cfg.GVT == GVTSamadi, kept: engArrays.Take()}
 	eng.ring = cfg.GVT != GVTBarrier && !eng.acks
-	eng.lps = make([]lp, cfg.Topology.TotalLPs())
+	eng.lps = eng.kept.lps.Make(cfg.Topology.TotalLPs())
 	eng.Init("core", pe.Config{
 		Topology: cfg.Topology, Seed: cfg.Seed, Model: cfg.Model,
 		Trace: cfg.Trace, Metrics: cfg.Metrics,
@@ -325,8 +328,9 @@ func New(cfg Config) *Engine {
 		eng.hInboxBatch = reg.Histogram("inbox_drain_batch")
 		eng.hOutboxDepth = reg.Histogram("mpi_outbox_depth")
 	}
-	for n := 0; n < cfg.Topology.Nodes; n++ {
-		eng.nodes = append(eng.nodes, newNode(eng))
+	eng.nodes = eng.kept.nodeps.Make(cfg.Topology.Nodes)
+	for id := range eng.nodes {
+		eng.nodes[id] = newNode(eng, id)
 	}
 	eng.Seed()
 	return eng
@@ -339,8 +343,8 @@ func (e *Engine) nextMatchID() uint64 {
 }
 
 // finish completes the run statistics with what only Time Warp counts,
-// then releases the run's working set. The run ends at its last GVT round,
-// not when the last thread unwinds.
+// then hands the run's arrays on to the next engine's. The run ends at its
+// last GVT round, not when the last thread unwinds.
 func (e *Engine) finish(r *stats.Run) {
 	r.WallTime = e.finishedAt
 	r.FinalGVT = e.finalGVT
@@ -350,25 +354,33 @@ func (e *Engine) finish(r *stats.Run) {
 	}
 	r.Migrations = e.migrations
 	r.MigratedEvents = e.migratedEvents
-	e.release()
+	e.nodes, e.lps = nil, nil
+	engArrays.Put(e.kept)
 }
 
-// release hands the run's events, history entries and send records back
-// to their stashes, and drops the free lists and histories that reach
-// them: another engine's workers may hold them next.
-func (e *Engine) release() {
-	for _, nd := range e.nodes {
-		nd.pool.Release()
-		for _, w := range nd.workers {
-			w.freeEntries, w.freeRecs = nil, nil
-			w.entrySlab.Release()
-			w.recSlab.Release()
-		}
-	}
-	for i := range e.lps {
-		e.lps[i].oldest, e.lps[i].newest = nil, nil
-	}
+// arrays is what a build makes and its run carves, kept for the next.
+type arrays struct {
+	events   stash.Arrays[event.Event]
+	entries  stash.Arrays[histEntry]
+	recs     stash.Arrays[sendRec]
+	nodes    stash.Arrays[node]
+	nodeps   stash.Arrays[*node]
+	lps      stash.Arrays[lp]
+	lists    stash.Arrays[*lp]
+	ws       stash.Arrays[worker]
+	wps      stash.Arrays[*worker]
+	antis    stash.Arrays[*event.Event]
+	probes   stash.Arrays[pe.Probe]
+	counts   stash.Arrays[int64]
+	localMin stash.Arrays[float64]
 }
+
+func (a *arrays) Reset() int {
+	return a.events.Reset() + a.entries.Reset() + a.recs.Reset() + a.nodes.Reset() + a.nodeps.Reset() + a.lps.Reset() +
+		a.lists.Reset() + a.ws.Reset() + a.wps.Reset() + a.antis.Reset() + a.probes.Reset() + a.counts.Reset() + a.localMin.Reset()
+}
+
+var engArrays = stash.NewKeep[arrays]()
 
 // onRoundComplete is invoked (outside simulated cost) by the GVT master
 // when a round finishes; it records the round and plans load balancing.

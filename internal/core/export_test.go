@@ -10,7 +10,7 @@ func Poisoned(eng *Engine) *Engine {
 	top := eng.cfg.Topology
 	for _, n := range eng.nodes {
 		n.pool = *event.NewPool(true)
-		n.pool.Reserve(top.WorkersPerNode * top.LPsPerWorker)
+		n.pool.Reserve(top.WorkersPerNode*top.LPsPerWorker, &eng.kept.events)
 	}
 	return eng
 }

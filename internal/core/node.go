@@ -60,16 +60,13 @@ type node struct {
 	syncDone [3]bool
 }
 
-func newNode(eng *Engine) *node {
-	top := eng.cfg.Topology
-	n := &node{
-		eng:      eng,
-		msgCount: make([]int64, top.WorkersPerNode),
-		localMin: make([]float64, top.WorkersPerNode),
-	}
+func newNode(eng *Engine, id int) *node {
+	top, a := eng.cfg.Topology, eng.kept
+	n := &a.nodes.Make(1)[0]
+	n.eng, n.msgCount, n.localMin = eng, a.counts.Make(top.WorkersPerNode), a.localMin.Make(top.WorkersPerNode)
 	cost := cluster.KNLDefaults()
 	if eng.cfg.Faults != nil {
-		if f, ok := eng.cfg.Faults.Straggler[len(eng.nodes)]; ok {
+		if f, ok := eng.cfg.Faults.Straggler[id]; ok {
 			cost = cost.Scaled(f)
 		}
 	}
@@ -88,11 +85,11 @@ func newNode(eng *Engine) *node {
 	// their LP records in contiguous runs of Engine.lps. The pool starts
 	// out with room for an event per LP.
 	wpn, per, stages := top.WorkersPerNode, top.LPsPerWorker, wsGVT+1
-	n.pool.Reserve(wpn * per)
-	ws, lists, antis := make([]worker, wpn), make([]*lp, wpn*per), make([]*event.Event, wpn*per)
+	n.pool.Reserve(wpn*per, &a.events)
+	ws, lists, antis := a.ws.Make(wpn), a.lists.Make(wpn*per), a.antis.Make(wpn*per)
 	lps := eng.lps[n.ID*wpn*per:]
-	probes := make([]pe.Probe, wpn*stages+stGVTTail+1) // and the comm thread's
-	n.workers = make([]*worker, wpn)
+	probes := a.probes.Make(wpn*stages + stGVTTail + 1) // and the comm thread's
+	n.workers = a.wps.Make(wpn)
 	for i := range ws {
 		n.workers[i] = &ws[i]
 		ws[i].init(n, lps[i*per:(i+1)*per], lists[i*per:(i+1)*per:(i+1)*per], antis[i*per:i*per:(i+1)*per], probes[i*stages:(i+1)*stages])
@@ -222,7 +219,7 @@ const pumpBudget = 32
 func (n *node) pumpFrom(p *sim.Proc, from int) bool {
 	worked := false
 	wpn := n.eng.cfg.Topology.WorkersPerNode
-	routing := n.eng.routing
+	routing := &n.eng.routing
 	switch from {
 	case stOutbox:
 		out, backlog := n.Out.Take(p, pumpBudget)

@@ -1,31 +1,27 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/phold"
 	"repro/internal/sim"
+	"repro/internal/stash"
 	"repro/internal/stats"
 )
 
-// dropStashes empties every stash a Time Warp run draws on, so that the
-// next run makes every array, as the first run of a process does.
-func dropStashes() {
-	event.Events.Drop()
-	entryStash.Drop()
-	recStash.Drop()
+// stashConfig is a rollback-heavy run: history entries, send records and
+// anti-messages all come and go from the kept arrays.
+func stashConfig(seed uint64) Config {
+	return stashShape(cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 8}, seed)
 }
 
-// stashConfig is a rollback-heavy run: history entries, send records and
-// anti-messages all come and go from the stashed arrays.
-func stashConfig(seed uint64) Config {
-	top := cluster.Topology{Nodes: 2, WorkersPerNode: 2, LPsPerWorker: 8}
+func stashShape(top cluster.Topology, seed uint64) Config {
 	return Config{
 		Topology: top, GVT: GVTControlled, Comm: CommDedicated, EndTime: 60, Seed: seed,
 		Model: phold.New(phold.Params{Topology: top, Base: phold.CommunicationDominated()}),
@@ -41,21 +37,40 @@ func mustRun(t *testing.T, eng *Engine) *stats.Run {
 	return r
 }
 
-// TestStashReuseLeaksNothing: a run on arrays a poisoned run wrote every
-// freed event of with sentinels, or beside arrays a cancelled run took and
-// never gave back, returns the same statistics as a run on an empty stash.
+// runReported runs cfg with a recorder and returns its statistics and the
+// bytes of its report.
+func runReported(t *testing.T, cfg Config) (*stats.Run, []byte) {
+	t.Helper()
+	cfg.Metrics = metrics.NewRecorder()
+	eng := New(cfg)
+	r := mustRun(t, eng)
+	b, err := eng.Report(r).MarshalStable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, b
+}
+
+// TestStashReuseLeaksNothing: a run on arrays that runs of a larger and a
+// smaller shape carved and handed back, after those, after a run whose
+// poisoned pools wrote every freed event with sentinels, or beside arrays
+// a cancelled run took and never gave back, returns the statistics and
+// the report bytes of a run on empty stashes.
 func TestStashReuseLeaksNothing(t *testing.T) {
-	dropStashes()
-	want := mustRun(t, New(stashConfig(1)))
+	stash.Held(true)
+	want, wantReport := runReported(t, stashConfig(1))
 	for _, c := range []struct {
 		name   string
 		before func(t *testing.T)
 	}{
+		{"after larger and smaller shapes", func(t *testing.T) {}},
 		{"after a poisoned run", func(t *testing.T) {
 			mustRun(t, Poisoned(New(stashConfig(2))))
 		}},
 		{"after a cancelled run", func(t *testing.T) {
-			mustRun(t, New(stashConfig(3))) // arrays for the cancelled run to take
+			a, b := New(stashConfig(3)), New(stashConfig(3)) // arrays for the cancelled run to take, and for the run after
+			mustRun(t, a)
+			mustRun(t, b)
 			cfg := stashConfig(4)
 			rec := metrics.NewRecorder()
 			cfg.Metrics = rec
@@ -67,35 +82,33 @@ func TestStashReuseLeaksNothing(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dropStashes()
+			stash.Held(true)
+			mustRun(t, New(stashConfig(1)))
+			mustRun(t, New(stashShape(cluster.Topology{Nodes: 3, WorkersPerNode: 3, LPsPerWorker: 12}, 5)))
+			mustRun(t, New(stashShape(cluster.Topology{Nodes: 2, WorkersPerNode: 1, LPsPerWorker: 4}, 6)))
 			c.before(t)
-			if entryStash.Len() == 0 || event.Events.Len() == 0 {
-				t.Fatal("the stashes are empty: the run under test reuses nothing")
+			if engArrays.Held(false) == 0 {
+				t.Fatal("the stash is empty: the run under test reuses nothing")
 			}
-			if got := mustRun(t, New(stashConfig(1))); !reflect.DeepEqual(got, want) {
+			got, gotReport := runReported(t, stashConfig(1))
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("run on a reused stash:\n%+v\nwant, on an empty stash:\n%+v", got, want)
+			}
+			if !bytes.Equal(gotReport, wantReport) {
+				t.Errorf("report on a reused stash differs from the one on an empty stash:\n%s\nwant\n%s", gotReport, wantReport)
 			}
 		})
 	}
 }
 
 // TestSpentEngineCannotRun: a finished run has handed its arrays on, so
-// its engine keeps no free list or history into them, and a second Run
+// its engine keeps no node, worker or LP record in them, and a second Run
 // panics naming the engine instead of running over them.
 func TestSpentEngineCannotRun(t *testing.T) {
 	eng := New(stashConfig(1))
 	mustRun(t, eng)
-	for _, n := range eng.nodes {
-		for _, w := range n.workers {
-			if w.freeEntries != nil || w.freeRecs != nil {
-				t.Errorf("worker %d/%d keeps its free lists after the run", n.ID, w.Idx)
-			}
-		}
-	}
-	for i := range eng.lps {
-		if l := &eng.lps[i]; l.oldest != nil || l.newest != nil {
-			t.Errorf("LP %d keeps its history after the run", l.ID)
-		}
+	if eng.nodes != nil || eng.lps != nil {
+		t.Errorf("the engine keeps %d nodes and %d LP records after the run", len(eng.nodes), len(eng.lps))
 	}
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "core: Run called again on a spent engine") {
@@ -105,25 +118,27 @@ func TestSpentEngineCannotRun(t *testing.T) {
 	eng.Run()
 }
 
-// TestStashBoundedAfterWideRun: a run whose workers release more history
-// entries than a stash keeps leaves it holding StashMax full arrays' worth.
+// TestStashBoundedAfterWideRun: a run whose arrays pass stash.MaxBytes
+// (its LP records, pools and history entries) hands none of them to its
+// Keep, which a run of a kept shape then fills again, and no Keep holds
+// more than MaxBytes.
 func TestStashBoundedAfterWideRun(t *testing.T) {
-	dropStashes()
-	// Each worker's first array holds logsPerLP × 64 entries, up to 256.
+	stash.Held(true)
 	top := cluster.Topology{Nodes: 2, WorkersPerNode: 40, LPsPerWorker: 64}
-	eng := New(Config{
+	mustRun(t, New(Config{
 		Topology: top, GVT: GVTMattern, Comm: CommDedicated, EndTime: 2, Seed: 1,
 		Model: phold.New(phold.Params{Topology: top}),
-	})
-	mustRun(t, eng)
-	for _, n := range eng.nodes {
-		for _, w := range n.workers {
-			if w.St.Processed == 0 {
-				t.Fatalf("worker %d/%d processed nothing: not the run this test needs", n.ID, w.Idx)
-			}
-		}
+	}))
+	if n := engArrays.Held(false); n != 0 {
+		t.Errorf("after a run of %d workers the Keep holds %d B of its arrays, want none", top.TotalWorkers(), n)
 	}
-	if n, max := entryStash.Len(), event.StashMax*256; n != max {
-		t.Errorf("after %d workers' history entries the stash keeps %d, want the bound %d", top.TotalWorkers(), n, max)
+	mustRun(t, New(stashConfig(1)))
+	if n := engArrays.Held(false); n == 0 || n > stash.MaxBytes {
+		t.Errorf("after a small run the Keep holds %d B, want some and at most %d", n, stash.MaxBytes)
+	}
+	for i, n := range stash.Held(false) {
+		if n > stash.MaxBytes {
+			t.Errorf("Keep %d holds %d B, over MaxBytes (%d)", i, n, stash.MaxBytes)
+		}
 	}
 }

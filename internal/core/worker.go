@@ -105,8 +105,8 @@ func (w *worker) init(n *node, lps []lp, list []*lp, antis []*event.Event, probe
 	}
 	probes[wsGVT] = pe.StableProbe()
 	w.IdlePass(probes...)
-	w.entrySlab = event.Slab[histEntry]{First: logsPerLP * len(lps), Stash: &entryStash}
-	w.recSlab = event.Slab[sendRec]{First: w.entrySlab.First, Stash: &recStash}
+	w.entrySlab = event.Slab[histEntry]{First: logsPerLP * len(lps), From: &eng.kept.entries}
+	w.recSlab = event.Slab[sendRec]{First: w.entrySlab.First, From: &eng.kept.recs}
 	for i := range lps {
 		l := &lps[i]
 		eng.AddLP(&l.LP)
@@ -121,13 +121,6 @@ func (w *worker) init(n *node, lps []lp, list []*lp, antis []*event.Event, probe
 // worker's first processed event, not at build: a worker that never
 // processes an event costs no log.
 const logsPerLP = 6
-
-// entryStash and recStash keep the arrays of history entries and send
-// records of Time Warp runs that have ended, for the next run's workers.
-var (
-	entryStash event.Stash[histEntry]
-	recStash   event.Stash[sendRec]
-)
 
 // newEntry returns a zero history entry from the worker's free list.
 func (w *worker) newEntry() *histEntry {

@@ -1,6 +1,10 @@
 package event
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stash"
+)
 
 // Pool is a free list of Event objects. Time Warp churns through events
 // at a furious rate — every processed event is eventually either
@@ -29,17 +33,9 @@ type Pool struct {
 // poisoned and verified on reuse.
 func NewPool(debug bool) *Pool { return &Pool{debug: debug} }
 
-// Reserve sizes p's first array for n events in use at once, and has its
-// arrays come from Events: p is an engine's, and Release ends its run.
-func (p *Pool) Reserve(n int) { p.slab.First, p.slab.Stash = n, &Events }
-
-// Release drops the free list and hands p's arrays back to Events: the run
-// that used p has ended, and no event from p may be touched again. The
-// counters stay.
-func (p *Pool) Release() {
-	p.free = nil
-	p.slab.Release()
-}
+// Reserve sizes p's first array for n events in use at once and has p
+// carve its arrays from an engine's kept ones: the run ends every event.
+func (p *Pool) Reserve(n int, from *stash.Arrays[Event]) { p.slab.First, p.slab.From = n, from }
 
 // freeEnd ends every free list: a freed event's next is never nil.
 var freeEnd Event

@@ -26,6 +26,9 @@ func HeapOn(buf []*event.Event) Heap { return Heap{ev: buf[:0]} }
 // Len returns the number of queued events.
 func (h *Heap) Len() int { return len(h.ev) }
 
+// Cap returns how many events the heap holds before it grows.
+func (h *Heap) Cap() int { return cap(h.ev) }
+
 func (h *Heap) less(i, j int) bool { return h.ev[i].Stamp.Before(h.ev[j].Stamp) }
 
 // Push inserts e.

@@ -10,9 +10,11 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/stash"
 )
 
 // Params describes the interconnect.
@@ -83,6 +85,26 @@ type Fabric struct {
 	// takes the minimum.
 	wire    []wired
 	deliver func() // deliverNext, bound once: a method value per call allocates
+	kept    *arrays
+}
+
+// arrays is what a fabric's run grows, kept for the next fabric (Release).
+type arrays struct {
+	handlers stash.Arrays[Handler]
+	last     stash.Arrays[sim.Time]
+	wire     []wired
+}
+
+func (a *arrays) Reset() int { return a.handlers.Reset() + a.last.Reset() + stash.Empty(&a.wire) }
+
+var fabricArrays = stash.NewKeep[arrays]()
+
+// Release hands f's arrays to the next New once the run is over; f's
+// counters stay.
+func (f *Fabric) Release() {
+	f.kept.wire = f.wire
+	f.handlers, f.lastArrival, f.wire = nil, nil, nil
+	fabricArrays.Put(f.kept)
 }
 
 // wired is one packet on the wire with its delivery key.
@@ -96,12 +118,14 @@ func (a *wired) before(b *wired) bool { return a.key.Before(b.key) }
 // New returns a fabric with n endpoints. Handlers must be attached with
 // Attach before any Send to that endpoint.
 func New(env *sim.Env, n int, params Params) *Fabric {
+	a := fabricArrays.Take()
 	f := &Fabric{
 		env:         env,
 		params:      params,
-		handlers:    make([]Handler, n),
-		lastArrival: make([]sim.Time, n*n),
-		wire:        make([]wired, 0, wirePerLink*n*n),
+		handlers:    a.handlers.Make(n),
+		lastArrival: a.last.Make(n * n),
+		wire:        slices.Grow(a.wire, wirePerLink*n*n),
+		kept:        a,
 	}
 	f.deliver = f.deliverNext
 	return f

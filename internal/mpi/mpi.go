@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/stash"
 )
 
 // Reserved tags for collective operations. User tags must be >= TagUser.
@@ -65,25 +66,47 @@ type World struct {
 	fabric *fabric.Fabric
 	costs  Costs
 	ranks  []*Rank
+	kept   *arrays
+}
+
+// arrays is what a world's build makes, kept for the next world (Release).
+type arrays struct {
+	ranks stash.Arrays[*Rank]
+	recs  stash.Arrays[Rank]
+	msgs  stash.Arrays[Message]
+}
+
+func (a *arrays) Reset() int { return a.ranks.Reset() + a.recs.Reset() + a.msgs.Reset() }
+
+var worldArrays = stash.NewKeep[arrays]()
+
+// Release hands w's arrays and its fabric's on once the run is over; the
+// fabric's counters stay.
+func (w *World) Release() {
+	w.fabric.Release()
+	w.ranks = nil
+	worldArrays.Put(w.kept)
 }
 
 // NewWorld creates a world of n ranks over a fresh fabric.
 func NewWorld(env *sim.Env, n int, net fabric.Params, costs Costs) *World {
+	a := worldArrays.Take()
 	w := &World{
 		env:    env,
 		fabric: fabric.New(env, n, net),
 		costs:  costs,
-		ranks:  make([]*Rank, n),
+		ranks:  a.ranks.Make(n),
+		kept:   a,
 	}
 	receive := w.receive        // bound once: one handler serves every rank
 	c := stashCap * min(n-1, 1) // a lone rank receives nothing
-	ranks, stash := make([]Rank, n), make([]Message, n*c)
+	ranks, msgs := a.recs.Make(n), a.msgs.Make(n*c)
 	for i := range ranks {
 		w.ranks[i] = &ranks[i]
 		ranks[i] = Rank{
 			world: w,
 			id:    i,
-			stash: stash[i*c : i*c : (i+1)*c],
+			stash: msgs[i*c : i*c : (i+1)*c],
 			lock:  sim.Mutex{Name: env.Name("mpi-lock-%d", i), HoldCost: costs.LockHold},
 			cond:  sim.Cond{Name: env.Name("mpi-recv-%d", i)},
 		}

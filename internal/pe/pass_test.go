@@ -421,6 +421,11 @@ func commThreadRun(t *testing.T, mode idleMode, ring func(done int) bool) (idleO
 		}
 	}
 	rt.Env.After(29970, tick)
+	var rankLock [3]int64
+	rt.finish = func(*stats.Run) { // the rank is read before Run hands the world's arrays on
+		a, c, wt := n0.Rank.LockStats()
+		rankLock = [3]int64{a, c, int64(wt)}
+	}
 
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -429,8 +434,7 @@ func commThreadRun(t *testing.T, mode idleMode, ring func(done int) bool) (idleO
 		t.Fatal(err)
 	}
 	out.End = rt.Env.Now()
-	a, c, wt := n0.Rank.LockStats()
-	out.Locks = [3][3]int64{lockStats(&n0.OutMu), {a, c, int64(wt)}}
+	out.Locks = [3][3]int64{lockStats(&n0.OutMu), rankLock}
 	out.Trace = buf.Bytes()
 	return out, rt.Env.Counters(), res
 }

@@ -1,6 +1,8 @@
 package pe
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/eventq"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/stash"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -51,9 +54,10 @@ type Runtime struct {
 	engine    string // what a diagnostic calls the engine
 	ran       bool   // Run was called: the engine is spent
 	cfg       Config
-	streams   *rng.Sequence
+	streams   rng.Sequence
 	finish    func(*stats.Run)
 	seeds     event.Slab[event.Event] // the seed events (Seed)
+	seedCtx   seedCtx
 	nodes     int
 	workers   []*Worker      // global index order
 	lps       []*LP          // every LP, by id
@@ -61,7 +65,28 @@ type Runtime struct {
 	evs       []*event.Event // the rest of the array carve takes from
 	disparity stats.Disparity
 	lvts      []float64
+	kept      *arrays
 }
+
+// arrays is what a runtime's build makes, kept for the next (Run), with
+// what carve gives a pending set and a mailbox array: the most one held in
+// the runs before, so a like run's start at the size they grew to.
+type arrays struct {
+	workers   stash.Arrays[*Worker]
+	lps       stash.Arrays[*LP]
+	threads   []thread
+	evs       stash.Arrays[*event.Event]
+	seeds     stash.Arrays[event.Event]
+	views     stash.Arrays[View]
+	lvts      stash.Arrays[float64]
+	pend, box int
+}
+
+func (a *arrays) Reset() int {
+	return a.workers.Reset() + a.lps.Reset() + stash.Empty(&a.threads) + a.evs.Reset() + a.seeds.Reset() + a.views.Reset() + a.lvts.Reset()
+}
+
+var rtArrays = stash.NewKeep[arrays]()
 
 // thread is an engine's worker or comm thread, whose pass holds it, or an
 // AddProcess body.
@@ -101,9 +126,9 @@ func (*Node) IdleEnd(int) int   { return -1 }
 
 // Init builds the environment and the MPI world of the engine named
 // engine. finish completes the statistics Run returns with what only the
-// engine counts, then releases the engine's slabs (event.Slab.Release):
-// the run is over. The engine then adds its nodes, workers, LPs and
-// threads in global order and calls Seed.
+// engine counts, then hands the engine's arrays on: the run is over. The
+// engine then adds its nodes, workers, LPs and threads in global order and
+// calls Seed.
 func (rt *Runtime) Init(engine string, c Config, finish func(*stats.Run)) {
 	rt.engine = engine
 	rt.Env = sim.NewEnv()
@@ -113,15 +138,18 @@ func (rt *Runtime) Init(engine string, c Config, finish func(*stats.Run)) {
 	if c.Metrics != nil {
 		c.Metrics.Init(c.Topology.TotalWorkers())
 	}
-	rt.workers = make([]*Worker, 0, c.Topology.TotalWorkers())
-	rt.lps = make([]*LP, 0, c.Topology.TotalLPs())
-	rt.threads = make([]thread, 0, c.Topology.TotalWorkers()+c.Topology.Nodes+1) // and an observer
+	a := rtArrays.Take()
+	rt.kept = a
+	rt.workers = a.workers.Make(c.Topology.TotalWorkers())[:0]
+	rt.lps = a.lps.Make(c.Topology.TotalLPs())[:0]
+	rt.threads = slices.Grow(a.threads, c.Topology.TotalWorkers()+c.Topology.Nodes+1) // and an observer
 	// Pending sets (two events per LP) and mailbox arrays start in one array.
 	top := &c.Topology
-	rt.evs = make([]*event.Event, top.TotalWorkers()*2*(top.LPsPerWorker+boxCap)+top.Nodes*2*boxCap)
+	a.pend, a.box = max(2*top.LPsPerWorker, a.pend), max(boxCap, a.box)
+	rt.evs = a.evs.Make(top.TotalWorkers()*(a.pend+2*a.box) + top.Nodes*2*a.box)
 	// LPs are added in global id order, so one substream sequence hands
 	// every LP the stream NewAt(seed, id) in O(1) jumps each.
-	rt.streams = rng.NewSequence(c.Seed)
+	rt.streams = *rng.NewSequence(c.Seed)
 }
 
 // Node is the base of one cluster node: its MPI rank, its CPU cost model
@@ -157,7 +185,7 @@ func (n *Node) Touch() {
 func (rt *Runtime) AddNode(n *Node, cost cluster.CostModel) {
 	*n = Node{ID: rt.nodes, Cost: cost, Rank: rt.World.Rank(rt.nodes), rt: rt}
 	n.OutMu = sim.Mutex{Name: rt.Env.Name("outbox-%d", n.ID), HoldCost: cost.RegionalLockHold}
-	n.Out = Mailbox[*event.Event]{mu: &n.OutMu, cost: cost.RemoteEnqueue, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
+	n.Out = Mailbox[*event.Event]{mu: &n.OutMu, cost: cost.RemoteEnqueue, items: rt.carve(rt.kept.box), spare: rt.carve(rt.kept.box)}
 	rt.nodes++
 }
 
@@ -219,10 +247,10 @@ func (rt *Runtime) AddWorker(w *Worker, n *Node, main Thread) {
 	idx := gidx - n.ID*rt.cfg.Topology.WorkersPerNode
 	// A pending set starts out holding about its LPs' seed events, one
 	// each for most models, and has room for as many again.
-	pending := rt.carve(2 * rt.cfg.Topology.LPsPerWorker)
+	pending := rt.carve(rt.kept.pend)
 	*w = Worker{Idx: idx, Gidx: gidx, Node: n, Pending: eventq.HeapOn(pending), rt: rt, phase: 0xFF}
 	w.inMu = sim.Mutex{Name: rt.Env.Name("inbox-%d/%d", n.ID, idx), HoldCost: n.Cost.RegionalLockHold}
-	w.Inbox = Mailbox[*event.Event]{mu: &w.inMu, cost: n.Cost.RegionalSend, items: rt.carve(boxCap), spare: rt.carve(boxCap)}
+	w.Inbox = Mailbox[*event.Event]{mu: &w.inMu, cost: n.Cost.RegionalSend, items: rt.carve(rt.kept.box), spare: rt.carve(rt.kept.box)}
 	w.idle.init(n, w, main, rt.Env.Name("n%d/w%d", n.ID, idx))
 	rt.workers = append(rt.workers, w)
 	n.workers = rt.workers[gidx-idx : gidx+1] // a view: Init sized rt.workers for every worker
@@ -240,10 +268,10 @@ func (rt *Runtime) AddLP(l *LP) {
 // Seed runs every model's Init, in global id order, before virtual time
 // starts.
 func (rt *Runtime) Seed() {
-	rt.Views = make([]View, len(rt.workers))
-	rt.lvts = make([]float64, 0, len(rt.workers))
-	ctx := &seedCtx{}
-	rt.seeds = event.Slab[event.Event]{First: len(rt.lps), Stash: &event.Events} // one seed event per LP, for most models
+	rt.Views = rt.kept.views.Make(len(rt.workers))
+	rt.lvts = rt.kept.lvts.Make(len(rt.workers))[:0]
+	ctx := &rt.seedCtx
+	rt.seeds = event.Slab[event.Event]{First: len(rt.lps), From: &rt.kept.seeds} // one seed event per LP, for most models
 	for _, l := range rt.lps {
 		ctx.W, ctx.LP = rt.workers[rt.cfg.Topology.GlobalWorkerOf(l.ID)], l
 		l.Model.Init(ctx)
@@ -285,8 +313,8 @@ func (rt *Runtime) runThread(p *sim.Proc) {
 // Run spawns the registered threads, executes the simulation to
 // completion and returns its statistics. When Cancel aborted the run, the
 // error wraps sim.ErrCancelled. An engine runs once: a run that returns
-// nil hands its slabs' arrays to the next engine's, and a second Run
-// panics.
+// nil hands its arrays, the kernel's, the world's and the engine's, to the
+// next engine's, and a second Run panics.
 func (rt *Runtime) Run() (*stats.Run, error) {
 	if rt.ran {
 		panic(rt.engine + ": Run called again on a spent engine; New builds another")
@@ -316,8 +344,18 @@ func (rt *Runtime) Run() (*stats.Run, error) {
 	for _, l := range rt.lps {
 		r.CommitChecksum += uint64(l.Checksum)
 	}
+	// The workers are the engine's, which finish hands on.
+	a := rt.kept
+	for _, w := range rt.workers {
+		a.pend = max(a.pend, w.Pending.Cap())
+		a.box = max(a.box, cap(w.Inbox.items), cap(w.Inbox.spare), cap(w.Node.Out.items), cap(w.Node.Out.spare))
+	}
 	rt.finish(r)
-	rt.seeds.Release()
+	a.threads = rt.threads
+	rt.workers, rt.lps, rt.threads, rt.evs, rt.Views, rt.lvts, rt.kept = nil, nil, nil, nil, nil, nil, nil
+	rtArrays.Put(a)
+	rt.World.Release()
+	rt.Env.Release()
 	return r, nil
 }
 

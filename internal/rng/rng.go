@@ -33,7 +33,12 @@ func splitmix64(x *uint64) uint64 {
 
 // New returns a stream seeded from seed.
 func New(seed uint64) *Stream {
-	var st Stream
+	st := new(Stream)
+	st.seed(seed)
+	return st
+}
+
+func (st *Stream) seed(seed uint64) {
 	x := seed
 	for i := range st.s {
 		st.s[i] = splitmix64(&x)
@@ -42,7 +47,6 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
 }
 
 // NewAt returns the n-th independent substream of seed: a stream seeded
@@ -66,7 +70,9 @@ type Sequence struct {
 
 // NewSequence starts the substream sequence of seed.
 func NewSequence(seed uint64) *Sequence {
-	return &Sequence{cur: *New(seed)}
+	q := new(Sequence)
+	q.cur.seed(seed)
+	return q
 }
 
 // Next returns the next substream, by value: the caller keeps it where it

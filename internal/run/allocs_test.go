@@ -2,6 +2,7 @@ package run
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -44,15 +45,15 @@ func allocsOf(t *testing.T, spec Spec) (mallocs, bytes, committed uint64) {
 // TestKernelDispatchesPinned) and the job service's cold-job spec, the
 // heap allocations of New plus Run per committed event, and the bytes they
 // take, stay under bounds written here. What remains is set-up — a few
-// allocations per worker, none per LP (TestEngineBuildAllocsPinned) — the
-// chunks a run's thread records are carved from (a warm process's spawn
-// allocates nothing else: its coroutines wait on sim's idle list from the
-// run before, and the least of three runs is a warm one) and the growth of
-// slices past what the topology sizes them for. A warm process's run makes
-// no slab array: its node pools, history entries, send records, null
-// messages and seed events come from the arrays the run before handed
-// back (event.Stash; DESIGN.md "Allocations per commit"), and the
-// per-event engine path allocates nothing. The marginal
+// allocations per worker, none per LP, on an empty stash
+// (TestEngineBuildAllocsPinned) — and the growth of slices past what the
+// topology sizes them for. A warm process's run makes no array: its build
+// arrays, node pools, history entries, send records, null messages, seed
+// events, mailboxes, pending sets, MPI and wire arrays and the kernel's
+// records come from the arrays the run before handed back, grown as far
+// as it grew them (stash.Keep; DESIGN.md "Allocations per commit"), its
+// coroutines wait on sim's idle list, the least of three runs is a warm
+// one, and the per-event engine path allocates nothing. The marginal
 // rows check that: twice the end time may cost next to nothing per extra
 // commit on cons-nullmsg, and little on tw-comp, where a phold snapshot
 // that boxes a count past 255 is most of what is left. A bound may only go
@@ -88,16 +89,20 @@ func TestEngineAllocsPinned(t *testing.T) {
 		// Before the pending set was sized with the thread records, before
 		// the spawns, cons-nullmsg and the cold job took 112 and 66. Before
 		// a run's event, history and send-record arrays came from the runs
-		// before it (event.Stash) and a pool's free list ran through its
-		// events, the four took 0.012, 0.024, 0.054 and 1.575 allocations
+		// before it and a pool's free list ran through its events, the
+		// four took 0.012, 0.024, 0.054 and 1.575 allocations
 		// and 68.4, 51.8, 67.1 and 800 bytes. Before node 0 kept the one
 		// GVT token it refills each phase (three made a round), tw-comp and
 		// tw-comm took 130 and 276 allocations (0.0056, 0.0157; 6.09 and
-		// 8.37 bytes).
-		{"tw-comp", twComp, 0.004, 6.05},
-		{"tw-comm", twComm, 0.0125, 8.25},
-		{"cons-nullmsg", consNull, 0.049, 51.2},
-		{"cold-job", coldJob, 1.2, 352},
+		// 8.37 bytes). Before a build's node, worker, LP, MPI, wire and
+		// kernel arrays came from the run before (stash.Keep), with
+		// mailboxes and pending sets at the size it grew them to, the four
+		// took 88, 210, 90 and 48 allocations (0.0038, 0.0119, 0.0487 and
+		// 1.2) and 6.00, 8.19, 51.2 and 352 bytes.
+		{"tw-comp", twComp, 0.001, 0.5},
+		{"tw-comm", twComm, 0.0011, 0.4},
+		{"cons-nullmsg", consNull, 0.0087, 5.2},
+		{"cold-job", coldJob, 0.425, 80},
 	} {
 		mallocs, bytes, committed := allocsOf(t, c.spec)
 		per, perBytes := float64(mallocs)/float64(committed), float64(bytes)/float64(committed)
@@ -131,4 +136,72 @@ func TestEngineAllocsPinned(t *testing.T) {
 			t.Errorf("%s: %.4f allocations per extra commit, bound %v", c.name, per, c.bound)
 		}
 	}
+}
+
+// TestAllocsRepeatExactly: at GOMAXPROCS 2, ten warm cons-nullmsg runs,
+// a collection between each two, all make the same number of
+// allocations. An allocation that comes and goes between runs (fmt's
+// printers, which sit in a sync.Pool that has a cache per processor and
+// that a collection moves aside, once did: 90 to 93 a run) would be noise
+// in every count pinned here and in the host benchmark. The count is the
+// heap profile's, of the allocations made under this module's code: the
+// runtime's own (a thread it starts, a collector's wait record) come and
+// go with the host's scheduling. CI runs it five times over.
+func TestAllocsRepeatExactly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	spec := Spec{Nodes: 4, WorkersPerNode: 4, LPsPerWorker: 16, Seed: 1, Sync: "nullmsg", EndTime: 8}
+	// The profile publishes a run's allocations a collection or two late,
+	// at the same lag every run: the first three counts cover the run
+	// that warms the stashes and that lag.
+	counts := make([]int64, 13)
+	runtime.GC()
+	last := moduleAllocs()
+	for i := range counts {
+		eng, err := New(spec, Attach{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		n := moduleAllocs()
+		counts[i], last = n-last, n
+	}
+	for _, c := range counts[3:] {
+		if c != counts[3] {
+			t.Fatalf("allocations per warm run: %v, want one count", counts[3:])
+		}
+	}
+	t.Logf("%d allocations in each of ten warm runs", counts[3])
+}
+
+// moduleAllocs returns how many allocations the heap profile has
+// published whose stacks pass through this module.
+func moduleAllocs() (n int64) {
+	recs := make([]runtime.MemProfileRecord, 1024)
+	k, ok := runtime.MemProfile(recs, true)
+	for ; !ok; k, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, 2*k)
+	}
+	for _, r := range recs[:k] {
+		for frames := runtime.CallersFrames(r.Stack()); ; {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "repro/") {
+				if f.Function != "repro/internal/run.moduleAllocs" {
+					n += r.AllocObjects
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return n
 }

@@ -4,17 +4,27 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/event"
+	"repro/internal/stash"
 )
 
 // buildAllocsOf returns the heap allocations New alone makes for spec and
 // their bytes, each the least of three builds (see allocsOf). Each build
-// is on an empty stash, as the first of a process is: what it costs does
+// is on empty stashes, as the first of a process is: what it costs does
 // not hang on the runs before it.
 func buildAllocsOf(tb testing.TB, spec Spec) (mallocs, bytes uint64) {
+	return buildAllocs(tb, spec, false)
+}
+
+// buildAllocs is buildAllocsOf, or with warm set the same on the stashes a
+// run of spec has just filled: each build is run after it is counted.
+func buildAllocs(tb testing.TB, spec Spec, warm bool) (mallocs, bytes uint64) {
 	tb.Helper()
 	for i := 0; i < 3; i++ {
-		event.Events.Drop()
+		if !warm {
+			stash.Held(true)
+		} else if _, err := runSpec(spec); err != nil {
+			tb.Fatal(err)
+		}
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -23,7 +33,9 @@ func buildAllocsOf(tb testing.TB, spec Spec) (mallocs, bytes uint64) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		runtime.KeepAlive(eng)
+		if warm {
+			eng.Run()
+		}
 		if m := after.Mallocs - before.Mallocs; i == 0 || m < mallocs {
 			mallocs = m
 		}
@@ -122,6 +134,7 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 		spec        Spec
 		bytesBound  float64 // bytes per extra LP
 		workerBound float64 // allocations per extra worker
+		warmBound   uint64  // allocations of a warm build, any width
 	}{
 		// Before set-up moved to slabs the engines paid 4.13 and 3.06
 		// allocations and 374.9 and 258.0 bytes per extra LP: a model, an
@@ -132,8 +145,8 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 		// Warp's workers came from node-wide arrays, with an engine-wide LP
 		// table and no idle-pass closures, 12.44 and 362.0 bytes per extra
 		// LP.
-		{"mattern", mattern, 330, 2},
-		{"nullmsg", nullmsg, 257, 1.5},
+		{"mattern", mattern, 330, 2, 14},
+		{"nullmsg", nullmsg, 257, 1.5, 14},
 	} {
 		lo, hi := c.spec, c.spec
 		lo.LPsPerWorker, hi.LPsPerWorker = 16, 32
@@ -160,6 +173,19 @@ func TestEngineBuildAllocsPinned(t *testing.T) {
 			c.name, lo.Nodes, lo.WorkersPerNode, wide.Nodes, wide.WorkersPerNode, loAllocs, wideAllocs, perWorker)
 		if perWorker > c.workerBound {
 			t.Errorf("%s: %.2f allocations per extra worker, bound %v", c.name, perWorker, c.workerBound)
+		}
+
+		// A warm process's build takes every array from the stashes: what
+		// is left is its engine, kernel, world and fabric records, their
+		// bound methods, the names and the model factory, the same at
+		// every width.
+		for _, spec := range []Spec{lo, hi, wide} {
+			if warm, _ := buildAllocs(t, spec, true); warm > c.warmBound {
+				t.Errorf("%s: a warm build of %d x %d x %d made %d allocations, bound %d",
+					c.name, spec.Nodes, spec.WorkersPerNode, spec.LPsPerWorker, warm, c.warmBound)
+			} else {
+				t.Logf("%s: a warm build of %d x %d x %d: %d allocations", c.name, spec.Nodes, spec.WorkersPerNode, spec.LPsPerWorker, warm)
+			}
 		}
 	}
 }

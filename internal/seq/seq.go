@@ -29,6 +29,7 @@ type Result struct {
 type Engine struct {
 	lps     []seqLP
 	pending *eventq.Heap
+	pool    event.Pool // a processed event is recycled: no model keeps one
 	endTime vtime.Time
 	ctx     seqCtx // every callback's context: they never overlap
 }
@@ -85,6 +86,7 @@ func (e *Engine) Run() *Result {
 		l.lvt = ev.Stamp.T
 		e.ctx.lp, e.ctx.now = l, ev.Stamp.T
 		l.model.OnEvent(&e.ctx, ev)
+		e.pool.Put(ev)
 		l.checksum = l.checksum.Mix(uint32(l.id), ev.Stamp.T, ev.Stamp.Src, ev.Stamp.Seq)
 		r.Processed++
 		r.FinalTime = ev.Stamp.T
@@ -126,12 +128,14 @@ func (c *seqCtx) Send(dst event.LPID, delay vtime.Time, kind uint16, data []byte
 	}
 	l := c.lp
 	l.seq++
-	c.e.pending.Push(&event.Event{
+	ev := c.e.pool.Get()
+	*ev = event.Event{
 		Stamp:    vtime.Stamp{T: c.now + delay, Src: uint32(l.id), Seq: l.seq},
 		SendTime: c.now,
 		Src:      l.id,
 		Dst:      dst,
 		Kind:     kind,
 		Data:     data,
-	})
+	}
+	c.e.pending.Push(ev)
 }

@@ -19,8 +19,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/stash"
 )
 
 // Time is virtual time in nanoseconds.
@@ -223,6 +226,7 @@ type Env struct {
 	sameTimeBy    map[string]int // dispatch counts per origin near the livelock limit
 
 	names strings.Builder // every string Name has made, end to end
+	kept  *arrays         // where the arrays come from, and go back to (Release)
 
 	// stop is the asynchronous cancellation request flag: the only Env
 	// field any goroutine other than Run's may touch. Run polls it between
@@ -271,18 +275,60 @@ type procCancelled struct{}
 func (e *Env) Cancel() { e.stop.Store(true) }
 
 // NewEnv returns an empty simulation environment at time zero.
-func NewEnv() *Env { return &Env{cbFree: -1, sched: filer{id: schedID}} }
+func NewEnv() *Env {
+	a := envArrays.Take()
+	return &Env{cbFree: -1, sched: filer{id: schedID}, kept: a, procs: a.procs, pend: a.pend, cbs: a.cbs, parked: a.parked}
+}
+
+// arrays is what an Env's run grows: its process records and list, its
+// pending set, its callback slab and its parked list.
+type arrays struct {
+	chunk  stash.Arrays[Proc]
+	procs  []*Proc
+	pend   eventHeap
+	cbs    []callback
+	parked []*Parked
+	names  int // the bytes of the last Env's names
+}
+
+func (a *arrays) Reset() int {
+	return a.chunk.Reset() + stash.Empty(&a.procs) + stash.Empty(&a.pend) + stash.Empty(&a.cbs) + stash.Empty(&a.parked)
+}
+
+var envArrays = stash.NewKeep[arrays]()
+
+// Release hands e's arrays, as far as its run grew them, to the next
+// NewEnv, once Run has returned nil: only Cancel, a no-op, may follow.
+func (e *Env) Release() {
+	a := e.kept
+	a.procs, a.pend, a.cbs, a.parked, a.names = e.procs, e.pend, e.cbs, e.parked, e.names.Len()
+	e.chunk, e.procs, e.pend, e.cbs, e.parked, e.kept = nil, nil, nil, nil, nil, nil
+	envArrays.Put(a)
+}
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// Name returns fmt.Sprintf(format, args...) as a piece of one string that
-// holds every name e has made: only diagnostics read names, so one costs no
-// allocation of its own.
-func (e *Env) Name(format string, args ...any) string {
-	e.names.Grow(256)
+// Name returns format with each %d replaced by the next of ids, as a piece
+// of one string that holds every name e has made: only diagnostics read
+// names, so one costs no allocation of its own, and none goes through fmt,
+// whose printers come from a sync.Pool.
+func (e *Env) Name(format string, ids ...int) string {
+	var buf [64]byte
+	b := buf[:0]
+	for _, id := range ids {
+		i := strings.Index(format, "%d")
+		if i < 0 {
+			break
+		}
+		b = strconv.AppendInt(append(b, format[:i]...), int64(id), 10)
+		format = format[i+2:]
+	}
+	if e.names.Cap() == 0 {
+		e.names.Grow(max(256, e.kept.names)) // as long as the last Env's names
+	}
 	start := e.names.Len()
-	fmt.Fprintf(&e.names, format, args...)
+	e.names.Write(append(b, format...))
 	return e.names.String()[start:]
 }
 
@@ -313,7 +359,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // and two more filings each in the pending set. Spawn reserves when the
 // room runs out; a caller that knows how many it will spawn, before.
 func (e *Env) Reserve(n int) {
-	e.chunk, e.procs, e.pend = make([]Proc, 0, n), slices.Grow(e.procs, n), slices.Grow(e.pend, 3*n)
+	e.chunk, e.procs, e.pend = e.kept.chunk.Make(n)[:0], slices.Grow(e.procs, n), slices.Grow(e.pend, 3*n)
 }
 
 // run runs the body on the process's coroutine, or only retires the

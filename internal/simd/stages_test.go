@@ -92,9 +92,13 @@ func TestColdJobStagesPinned(t *testing.T) {
 	// journal lines encoded into a reused buffer, the blocking Wait on a
 	// channel, the kernel's pending set sized with its threads) the rows
 	// read 3, 59, 32, 4, 21, 6, 18 and 263. Before a run's arrays came from
-	// the runs before it (event.Stash), a job's admission signal was a
+	// the runs before it, a job's admission signal was a
 	// channel and a cache entry had its list element apart, the engine,
-	// report and whole-job rows read 56, 19 and 218.
+	// report and whole-job rows read 56, 19 and 218. Before a build's
+	// node, worker, LP, MPI, wire and kernel arrays came from the run
+	// before it (stash.Keep) and a publish's rename was rename(2) alone
+	// (no second stat), the engine, publish and whole-job rows read 45, 16
+	// and 205.
 	seed := uint64(1 << 32)
 	counts := map[string]int64{}
 	for _, c := range []struct {
@@ -108,7 +112,7 @@ func TestColdJobStagesPinned(t *testing.T) {
 			spec := coldSpec(seed)
 			return func() { spec.Address() }
 		}},
-		{"engine", 45, nil, "run.New + Run (TestEngineAllocsPinned's cold-job row)", func(seed uint64) func() {
+		{"engine", 14, nil, "run.New + Run (TestEngineAllocsPinned's cold-job row)", func(seed uint64) func() {
 			spec := coldSpec(seed)
 			return func() {
 				eng, err := run.New(spec, run.Attach{})
@@ -133,7 +137,7 @@ func TestColdJobStagesPinned(t *testing.T) {
 			hash := address(seed).hash
 			return func() { st.Get(hash) }
 		}},
-		{"store publish", 16, nil, "temp file, frame, object path, stat, rename", func(seed uint64) func() {
+		{"store publish", 13, nil, "temp file, frame, object path, stat, rename", func(seed uint64) func() {
 			hash := address(seed).hash
 			return func() { st.Publish(hash, report) }
 		}},
@@ -156,7 +160,7 @@ func TestColdJobStagesPinned(t *testing.T) {
 					res.Job.Wait(ctx)
 				}
 			}},
-		{"whole job", 205, nil, "client.Run: all of the above, the body memo, HTTP at both ends, the ?wait answer, the SDK's decode", func(seed uint64) func() {
+		{"whole job", 173, nil, "client.Run: all of the above, the body memo, HTTP at both ends, the ?wait answer, the SDK's decode", func(seed uint64) func() {
 			spec := coldSpec(seed)
 			return func() {
 				if _, _, err := cl.Run(ctx, spec); err != nil {

@@ -2,7 +2,10 @@
 
 package store
 
-import "syscall"
+import (
+	"os"
+	"syscall"
+)
 
 // flock takes a blocking exclusive advisory lock on fd. Advisory locks
 // coordinate the daemons sharing a store directory (publish, eviction,
@@ -19,4 +22,18 @@ func flock(fd uintptr) error {
 
 func funlock(fd uintptr) error {
 	return syscall.Flock(int(fd), syscall.LOCK_UN)
+}
+
+// rename is rename(2) alone. os.Rename first stats newpath, to refuse a
+// directory there; a publish has statted it already (Store.write).
+func rename(oldpath, newpath string) error {
+	for {
+		err := syscall.Rename(oldpath, newpath)
+		if err == nil {
+			return nil
+		}
+		if err != syscall.EINTR {
+			return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: err}
+		}
+	}
 }

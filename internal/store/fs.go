@@ -66,7 +66,7 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 
 func (OSFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
-func (OSFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (OSFS) Rename(oldpath, newpath string) error       { return rename(oldpath, newpath) }
 func (OSFS) Remove(name string) error                   { return os.Remove(name) }
 func (OSFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 func (OSFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }

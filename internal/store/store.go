@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/obs"
 )
@@ -352,8 +353,14 @@ func (s *Store) write(hash string, payload []byte) (oldPayload int64, replaced b
 		if oldPayload = st.Size() - int64(headerLen); oldPayload < 0 {
 			oldPayload = 0
 		}
+		if st.IsDir() { // FS.Rename is rename(2), which checks nothing first
+			err = &os.LinkError{Op: "rename", Old: name, New: path, Err: syscall.EEXIST}
+		}
 	}
-	if err := s.fs.Rename(name, path); err != nil {
+	if err == nil {
+		err = s.fs.Rename(name, path)
+	}
+	if err != nil {
 		made.Store(false)
 		s.fs.Remove(name)
 		return 0, false, err

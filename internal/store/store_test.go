@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -252,6 +253,36 @@ func TestDegradeOnWriteFailures(t *testing.T) {
 	}
 	if _, ok := s.Get(testHash(47)); !ok {
 		t.Fatal("probe-written entry unreadable")
+	}
+}
+
+// TestDirectoryAtObjectPathFailsPublish: a directory where an entry's
+// object file belongs fails the publish with EEXIST, as os.Rename refused
+// it (the store's rename is rename(2) alone, so the store refuses it from
+// its own stat), and leaves the directory and no temporary file behind;
+// three such publishes degrade the store like any write failure.
+func TestDirectoryAtObjectPathFailsPublish(t *testing.T) {
+	s := openTestStore(t, Options{})
+	for i := 0; i < 3; i++ {
+		h := testHash(60 + i)
+		if err := os.MkdirAll(filepath.Join(s.objectPath(h), "sub"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if s.Degraded() {
+			t.Fatalf("store degraded after %d failed publishes", i)
+		}
+		if err := s.Put(h, []byte("p")); !errors.Is(err, syscall.EEXIST) {
+			t.Fatalf("publish over a directory: %v, want EEXIST", err)
+		}
+		if st, err := os.Stat(s.objectPath(h)); err != nil || !st.IsDir() {
+			t.Fatalf("the directory at the object path: %v, %v", st, err)
+		}
+	}
+	if st := s.Stats(); !s.Degraded() || st.DegradedEvents != 1 || st.PutErrors != 3 || st.Entries != 0 {
+		t.Fatalf("after three publishes over directories: degraded %v, stats %+v", s.Degraded(), st)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(s.opts.Dir, "tmp-*")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
 	}
 }
 
